@@ -93,6 +93,21 @@ granii::bench::embeddingCombos(ModelKind Kind) {
   return {{32, 32}, {32, 128}, {128, 32}, {128, 128}};
 }
 
+ExecResult granii::bench::warmRun(const Executor &Exec,
+                                  const CompositionPlan &Plan,
+                                  const LayerParams &Params, bool Training) {
+  PlanWorkspace Ws;
+  ExecResult R;
+  const int Runs = Exec.hardware().isSimulated() ? 1 : 2;
+  for (int Run = 0; Run < Runs; ++Run) {
+    if (Training)
+      Exec.runTraining(Plan, Params.inputs(), Params.Stats, Ws, R);
+    else
+      Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R);
+  }
+  return R;
+}
+
 CellResult granii::bench::runCell(BenchContext &Ctx, BaselineSystem Sys,
                                   ModelKind Kind, const std::string &Hw,
                                   const Graph &G, int64_t KIn, int64_t KOut,
@@ -103,12 +118,9 @@ CellResult granii::bench::runCell(BenchContext &Ctx, BaselineSystem Sys,
   const int Iters = Ctx.iterations();
 
   auto TotalOf = [&](const CompositionPlan &Plan, ReorderPolicy Policy) {
-    if (Policy == ReorderPolicy::None) {
-      ExecResult R =
-          Training ? Exec.runTraining(Plan, Params.inputs(), Params.Stats)
-                   : Exec.run(Plan, Params.inputs(), Params.Stats);
-      return R.totalSeconds(Iters, Training);
-    }
+    if (Policy == ReorderPolicy::None)
+      return warmRun(Exec, Plan, Params, Training)
+          .totalSeconds(Iters, Training);
     // Workspace path: warm up once (buffer planning + permutation build are
     // not steady-state costs), then charge the second run, whose
     // SetupSeconds still carry the one-time reordering cost for honest

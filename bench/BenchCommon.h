@@ -83,6 +83,16 @@ struct CellResult {
   double GraniiBytes = 0.0;
 };
 
+/// Executes \p Plan (forward, or forward + backward when \p Training) on
+/// a fresh workspace and returns the run to charge. On measured platforms a
+/// first, untimed run plans the arena and takes the page faults, and the
+/// warm second run is returned: plan timings stand for one iteration of an
+/// amortized loop (paper: 100 iterations), and the executor itself times
+/// every step once. Simulated platforms charge analytic estimates and run
+/// once, so their numbers equal a by-value run's exactly.
+ExecResult warmRun(const Executor &Exec, const CompositionPlan &Plan,
+                   const LayerParams &Params, bool Training = false);
+
 /// Runs one cell end to end (executes both plans once; 100-iteration totals
 /// follow the setup/per-iteration accounting). A non-None \p Reorder runs
 /// the GRANII side through the workspace path on a relabeled graph:

@@ -66,8 +66,8 @@ int main() {
 
           std::vector<double> Actual;
           for (const CompositionPlan &Plan : Opt.promoted())
-            Actual.push_back(Exec.run(Plan, Params.inputs(), Params.Stats)
-                                 .totalSeconds(Iters, false));
+            Actual.push_back(
+                warmRun(Exec, Plan, Params).totalSeconds(Iters, false));
           double Best = *std::min_element(Actual.begin(), Actual.end());
 
           auto ChoiceOf = [&](const CostModel &CM) {

@@ -43,8 +43,7 @@ int main() {
       LayerParams Params = makeLayerParams(Model, G, 32, 128, 5);
       auto TimeOf = [&](Optimizer &Opt) {
         Selection Sel = Opt.select(G, 32, 128);
-        return Exec.run(Opt.promoted()[Sel.PlanIndex], Params.inputs(),
-                        Params.Stats)
+        return warmRun(Exec, Opt.promoted()[Sel.PlanIndex], Params)
             .totalSeconds(Iters, false);
       };
       double Fused = TimeOf(OptFused);

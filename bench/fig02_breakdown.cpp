@@ -33,7 +33,7 @@ int main() {
         LayerParams Params = makeLayerParams(Gcn, G, KIn, KOut, 5);
         CompositionPlan Plan =
             baselinePlan(BaselineSystem::DGL, Gcn, KIn, KOut);
-        ExecResult R = Exec.run(Plan, Params.inputs(), Params.Stats);
+        ExecResult R = warmRun(Exec, Plan, Params);
 
         double Sparse = 0.0, Dense = 0.0;
         for (size_t I = 0; I < Plan.Steps.size(); ++I) {

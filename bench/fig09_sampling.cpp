@@ -48,8 +48,7 @@ int main() {
           if (!Viable)
             continue;
           double Seconds =
-              Exec.run(Plan, Params.inputs(), Params.Stats)
-                  .totalSeconds(Iters, false);
+              warmRun(Exec, Plan, Params).totalSeconds(Iters, false);
           Runtimes["candidate#" + std::to_string(PI)].push_back(Seconds *
                                                                 1e3);
         }

@@ -38,8 +38,7 @@ double stackSeconds(BenchContext &Ctx, ModelKind Kind, const Graph &G,
       Plan = Opt.promoted()[Sel.PlanIndex];
       Total += Sel.FeaturizeSeconds + Sel.SelectSeconds;
     }
-    Total += Exec.run(Plan, Params.inputs(), Params.Stats)
-                 .totalSeconds(Iters, false);
+    Total += warmRun(Exec, Plan, Params).totalSeconds(Iters, false);
   }
   return Total;
 }

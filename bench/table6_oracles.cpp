@@ -100,18 +100,15 @@ int main() {
           LayerParams Params = makeLayerParams(Model, G, KIn, KOut, 5);
           for (const CompositionPlan &Plan : Opt.promoted())
             S.PlanSeconds.push_back(
-                Exec.run(Plan, Params.inputs(), Params.Stats)
-                    .totalSeconds(Iters, false));
+                warmRun(Exec, Plan, Params).totalSeconds(Iters, false));
           S.GraniiChoice = Opt.select(G, KIn, KOut).PlanIndex;
+          CompositionPlan Wise =
+              baselinePlan(BaselineSystem::WiseGraph, Model, KIn, KOut);
+          CompositionPlan Dgl =
+              baselinePlan(BaselineSystem::DGL, Model, KIn, KOut);
           S.WiseSeconds =
-              Exec.run(baselinePlan(BaselineSystem::WiseGraph, Model, KIn,
-                                    KOut),
-                       Params.inputs(), Params.Stats)
-                  .totalSeconds(Iters, false);
-          S.DglSeconds =
-              Exec.run(baselinePlan(BaselineSystem::DGL, Model, KIn, KOut),
-                       Params.inputs(), Params.Stats)
-                  .totalSeconds(Iters, false);
+              warmRun(Exec, Wise, Params).totalSeconds(Iters, false);
+          S.DglSeconds = warmRun(Exec, Dgl, Params).totalSeconds(Iters, false);
           Settings.push_back(std::move(S));
         }
       }

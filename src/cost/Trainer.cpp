@@ -50,7 +50,10 @@ public:
       return;
     double Seconds = 0.0;
     if (Hw.kind() == PlatformKind::Measured) {
-      Body(); // Warm-up, matching the executor's per-iteration timing.
+      // Warm-up: the model predicts warm per-iteration kernel time. The
+      // executor times each step once; the harnesses get warm charges by
+      // running a plan once untimed before the run they charge.
+      Body();
       Timer T;
       Body();
       Seconds = T.seconds();

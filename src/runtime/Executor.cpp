@@ -75,10 +75,16 @@ void PlanWorkspace::configure(const CompositionPlan &PlanIn,
   Descs = PlanIn.primitiveDescs(B);
   // Presize every slot to its planned capacity so the first run's resizes
   // already fit; growth from here on is a planning bug the counter exposes.
+  // The output's slot is pinned (never shared) and stays empty: the final
+  // step writes the caller's ExecResult::Output instead.
   const std::vector<ArenaSlot> &Sl = Buffers->slots();
+  const int OutputSlot =
+      Buffers->values()[static_cast<size_t>(PlanIn.OutputValue)].Slot;
   DenseSlots.resize(Sl.size());
   VecSlots.resize(Sl.size());
   for (size_t S = 0; S < Sl.size(); ++S) {
+    if (static_cast<int>(S) == OutputSlot)
+      continue;
     size_t Cap = static_cast<size_t>(Sl[S].CapacityFloats);
     if (Sl[S].Class == BufferClass::DenseSlot)
       DenseSlots[S].reserveFloats(Cap);
@@ -144,10 +150,8 @@ Executor::Executor(HardwareModel Hw, int NumThreads) : Hw(std::move(Hw)) {
 }
 
 double Executor::timeKernel(const PrimitiveDesc &Desc, const GraphStats &Stats,
-                            FunctionRef<void()> Body, bool Idempotent) const {
+                            FunctionRef<void()> Body) const {
   if (Hw.kind() == PlatformKind::Measured) {
-    if (Idempotent)
-      Body(); // Warm-up: caches and page faults are not per-iteration costs.
     Timer T;
     Body();
     return T.seconds();
@@ -212,7 +216,8 @@ public:
     }
   }
 
-  void forward(ExecResult &Result);
+  /// Runs every step once; the plan output lands in \p Output.
+  void forward(ExecResult &Result, DenseMatrix &Output);
   void backward(ExecResult &Result);
 
 private:
@@ -222,12 +227,17 @@ private:
   RtValue &val(int Id) { return (*ValuesPtr)[static_cast<size_t>(Id)]; }
 
   /// Destination accessors: the caller-visible result storage for value
-  /// \p Id, reshaped to the requested size. Arena path: the workspace slot
-  /// (operands of the current step are still live in the buffer plan, so a
-  /// destination slot never aliases an operand's). Legacy path: the
-  /// value's own storage.
+  /// \p Id, reshaped to the requested size. The plan output: forward()'s
+  /// output matrix. Arena path: the workspace slot (operands of the current
+  /// step are still live in the buffer plan, so a destination slot never
+  /// aliases an operand's). Legacy path: the value's own storage.
   DenseMatrix &dstDense(int Id, int64_t Rows, int64_t Cols) {
     RtValue &Out = val(Id);
+    if (Id == Plan.OutputValue) {
+      OutputDst->resize(Rows, Cols);
+      Out.DensePtr = OutputDst;
+      return *OutputDst;
+    }
     if (Ws) {
       DenseMatrix &M = Ws->denseFor(Id, Rows, Cols);
       Out.DensePtr = &M;
@@ -259,9 +269,7 @@ private:
   }
 
   double charge(size_t StepIdx, FunctionRef<void()> Body) {
-    // Forward steps fully overwrite their destination: safe to warm up.
-    return Exec.timeKernel((*DescsPtr)[StepIdx], Stats, Body,
-                           /*Idempotent=*/true);
+    return Exec.timeKernel((*DescsPtr)[StepIdx], Stats, Body);
   }
 
   /// Charges an ad-hoc backward primitive.
@@ -363,6 +371,7 @@ private:
   std::vector<RtValue> OwnedValues;
   const std::vector<PrimitiveDesc> *DescsPtr = nullptr;
   std::vector<RtValue> *ValuesPtr = nullptr;
+  DenseMatrix *OutputDst = nullptr; ///< forward()'s output matrix
   SparseFormat Format = SparseFormat::Csr;
   detail::FormatState *FS = nullptr;
   detail::ShardState *SS = nullptr;
@@ -640,8 +649,9 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
   }
 }
 
-void PlanInterpreter::forward(ExecResult &Result) {
+void PlanInterpreter::forward(ExecResult &Result, DenseMatrix &Output) {
   TraceSpan Span("forward", "executor");
+  OutputDst = &Output;
   Result.SetupSeconds = 0.0;
   Result.ForwardSeconds = 0.0;
   Result.BackwardSeconds = 0.0;
@@ -662,7 +672,8 @@ void PlanInterpreter::forward(ExecResult &Result) {
     execStep(S, Result);
   const RtValue &Out = val(Plan.OutputValue);
   assert(Out.Kind == PlanValueKind::Dense && "layer output must be dense");
-  Result.Output = Out.dense();
+  assert(Out.DensePtr == &Output && "layer output must be a step result");
+  (void)Out;
 }
 
 void PlanInterpreter::backward(ExecResult &Result) {
@@ -1020,7 +1031,7 @@ ExecResult Executor::run(const CompositionPlan &Plan, const LayerInputs &Inputs,
                          const GraphStats &Stats) const {
   PlanInterpreter Interp(*this, Plan, Inputs, Stats, /*Ws=*/nullptr);
   ExecResult Result;
-  Interp.forward(Result);
+  Interp.forward(Result, Result.Output);
   return Result;
 }
 
@@ -1029,7 +1040,7 @@ ExecResult Executor::runTraining(const CompositionPlan &Plan,
                                  const GraphStats &Stats) const {
   PlanInterpreter Interp(*this, Plan, Inputs, Stats, /*Ws=*/nullptr);
   ExecResult Result;
-  Interp.forward(Result);
+  Interp.forward(Result, Result.Output);
   Interp.backward(Result);
   return Result;
 }
@@ -1174,9 +1185,9 @@ LayerInputs Executor::permuteInputs(detail::ReorderState &RS,
   // dense row map — its real cost on measured platforms.
   TraceSpan Span("permute-features", "executor");
   PrimitiveDesc Desc{PrimitiveKind::DenseMap, H.rows(), H.cols(), 0, 0};
-  PermSeconds += timeKernel(
-      Desc, RS.PermStats, [&] { permuteRowsInto(H, RS.Perm, RS.PermFeatures); },
-      /*Idempotent=*/true);
+  PermSeconds += timeKernel(Desc, RS.PermStats, [&] {
+    permuteRowsInto(H, RS.Perm, RS.PermFeatures);
+  });
 
   LayerInputs Permuted = Inputs;
   Permuted.Adjacency = &RS.PermAdj;
@@ -1184,58 +1195,21 @@ LayerInputs Executor::permuteInputs(detail::ReorderState &RS,
   return Permuted;
 }
 
-double Executor::unpermuteRows(detail::ReorderState &RS, DenseMatrix &M,
-                               DenseMatrix &Staging, PlanWorkspace &Ws) const {
-  size_t Cap = Staging.capacityFloats();
-  Staging.resize(M.rows(), M.cols());
-  if (Staging.capacityFloats() != Cap)
-    Ws.countAllocation();
+double Executor::unpermuteRows(const detail::ReorderState &RS,
+                               const DenseMatrix &Src, DenseMatrix &Dst) const {
+  Dst.resize(Src.rows(), Src.cols());
   TraceSpan Span("unpermute-output", "executor");
-  PrimitiveDesc Desc{PrimitiveKind::DenseMap, M.rows(), M.cols(), 0, 0};
-  double Seconds = timeKernel(
-      Desc, RS.PermStats, [&] { inversePermuteRowsInto(M, RS.Perm, Staging); },
-      /*Idempotent=*/true);
-  std::swap(M, Staging); // Both buffers persist; no allocation.
-  return Seconds;
+  PrimitiveDesc Desc{PrimitiveKind::DenseMap, Src.rows(), Src.cols(), 0, 0};
+  return timeKernel(Desc, RS.PermStats,
+                    [&] { inversePermuteRowsInto(Src, RS.Perm, Dst); });
 }
 
 void Executor::run(const CompositionPlan &Plan, const LayerInputs &Inputs,
                    const GraphStats &Stats, PlanWorkspace &Ws,
                    ExecResult &Result, ReorderPolicy Policy,
                    SparseFormat Format, const ShardSpec &Sharding) const {
-  GRANII_CHECK(Format != SparseFormat::Auto && Format != SparseFormat::Csc,
-               "Executor::run: format must be a concrete forward format");
-  GRANII_CHECK(!Sharding.active() || Format == SparseFormat::Csr,
-               "sharded execution supports the CSR forward format only");
-  const LayerInputs *Bound = &Inputs;
-  const GraphStats *BoundStats = &Stats;
-  detail::ReorderState &RS = Ws.reorderState();
-  double SetupSeconds = 0.0;
-  double PermSeconds = 0.0;
-  LayerInputs Permuted;
-  if (Policy != ReorderPolicy::None) {
-    SetupSeconds += reorderSetup(RS, *Inputs.Adjacency, Stats, Policy);
-    Permuted = permuteInputs(RS, Inputs, Ws, PermSeconds);
-    Bound = &Permuted;
-    BoundStats = &RS.PermStats;
-  }
-  if (Format != SparseFormat::Csr)
-    SetupSeconds +=
-        formatSetup(Ws.formatState(), *Bound->Adjacency, *BoundStats, Format);
-  detail::ShardState *ShardSt = nullptr;
-  if (Sharding.active()) {
-    SetupSeconds +=
-        shardSetup(Ws.shardState(), *Bound->Adjacency, *BoundStats, Sharding);
-    ShardSt = &Ws.shardState();
-  }
-  Ws.configure(Plan, Bound->binding(&Plan), /*Training=*/false);
-  PlanInterpreter Interp(*this, Plan, *Bound, *BoundStats, &Ws, Format,
-                         ShardSt);
-  Interp.forward(Result);
-  if (Policy != ReorderPolicy::None)
-    PermSeconds += unpermuteRows(RS, Result.Output, RS.PermOutput, Ws);
-  Result.SetupSeconds += SetupSeconds;
-  Result.ForwardSeconds += PermSeconds;
+  runArena(Plan, Inputs, Stats, Ws, Result, Policy, Format, Sharding,
+           /*Training=*/false);
 }
 
 void Executor::runTraining(const CompositionPlan &Plan,
@@ -1243,18 +1217,29 @@ void Executor::runTraining(const CompositionPlan &Plan,
                            PlanWorkspace &Ws, ExecResult &Result,
                            ReorderPolicy Policy, SparseFormat Format,
                            const ShardSpec &Sharding) const {
+  runArena(Plan, Inputs, Stats, Ws, Result, Policy, Format, Sharding,
+           /*Training=*/true);
+}
+
+void Executor::runArena(const CompositionPlan &Plan, const LayerInputs &Inputs,
+                        const GraphStats &Stats, PlanWorkspace &Ws,
+                        ExecResult &Result, ReorderPolicy Policy,
+                        SparseFormat Format, const ShardSpec &Sharding,
+                        bool Training) const {
   GRANII_CHECK(Format != SparseFormat::Auto && Format != SparseFormat::Csc,
-               "Executor::runTraining: format must be a concrete forward "
-               "format");
+               "arena execution: format must be a concrete forward format");
   GRANII_CHECK(!Sharding.active() || Format == SparseFormat::Csr,
                "sharded execution supports the CSR forward format only");
+  GRANII_CHECK(Inputs.Features != &Result.Output,
+               "arena execution: the result's output aliases the features");
+  const bool Reordered = Policy != ReorderPolicy::None;
   const LayerInputs *Bound = &Inputs;
   const GraphStats *BoundStats = &Stats;
   detail::ReorderState &RS = Ws.reorderState();
   double SetupSeconds = 0.0;
   double PermSeconds = 0.0;
   LayerInputs Permuted;
-  if (Policy != ReorderPolicy::None) {
+  if (Reordered) {
     SetupSeconds += reorderSetup(RS, *Inputs.Adjacency, Stats, Policy);
     Permuted = permuteInputs(RS, Inputs, Ws, PermSeconds);
     Bound = &Permuted;
@@ -1269,23 +1254,29 @@ void Executor::runTraining(const CompositionPlan &Plan,
         shardSetup(Ws.shardState(), *Bound->Adjacency, *BoundStats, Sharding);
     ShardSt = &Ws.shardState();
   }
-  Ws.configure(Plan, Bound->binding(&Plan), /*Training=*/true);
+  Ws.configure(Plan, Bound->binding(&Plan), Training);
   PlanInterpreter Interp(*this, Plan, *Bound, *BoundStats, &Ws, Format,
                          ShardSt);
-  Interp.forward(Result);
-  Interp.backward(Result);
-  if (Policy == ReorderPolicy::None) {
-    Result.SetupSeconds += SetupSeconds;
-    return;
-  }
-  PermSeconds += unpermuteRows(RS, Result.Output, RS.PermOutput, Ws);
-  // Weight and attention gradients reduce over nodes and are row-order
-  // independent; only the feature gradient is per-node and must return to
-  // the caller's vertex order. Training allocates per call anyway.
-  if (Result.FeatureGrad.rows() > 0) {
-    DenseMatrix Staging(Result.FeatureGrad.rows(), Result.FeatureGrad.cols());
-    inversePermuteRowsInto(Result.FeatureGrad, RS.Perm, Staging);
-    std::swap(Result.FeatureGrad, Staging);
+  // A reordered run leaves its output in permuted row order in the
+  // workspace's staging buffer (growth counted like any workspace buffer);
+  // the inverse scatter then writes the caller's Result.Output.
+  const size_t StagingCap = RS.PermOutput.capacityFloats();
+  Interp.forward(Result, Reordered ? RS.PermOutput : Result.Output);
+  if (Training)
+    Interp.backward(Result);
+  if (Reordered) {
+    if (RS.PermOutput.capacityFloats() != StagingCap)
+      Ws.countAllocation();
+    PermSeconds += unpermuteRows(RS, RS.PermOutput, Result.Output);
+    // Weight and attention gradients reduce over nodes and are row-order
+    // independent; only the feature gradient is per-node and must return
+    // to the caller's vertex order. Training allocates per call anyway.
+    if (Training && Result.FeatureGrad.rows() > 0) {
+      DenseMatrix Staging(Result.FeatureGrad.rows(),
+                          Result.FeatureGrad.cols());
+      inversePermuteRowsInto(Result.FeatureGrad, RS.Perm, Staging);
+      std::swap(Result.FeatureGrad, Staging);
+    }
   }
   Result.SetupSeconds += SetupSeconds;
   Result.ForwardSeconds += PermSeconds;

@@ -10,13 +10,14 @@
 /// speedups trail inference speedups).
 ///
 /// Execution is destination-passing throughout: every step writes its
-/// result through the kernels' `...Into` forms. Callers choose between the
-/// legacy per-call storage (run()/runTraining() returning an ExecResult —
-/// each call allocates its intermediates) and the arena path, where a
-/// PlanWorkspace holds BufferPlan-assigned slots that persist across calls
-/// so steady-state inference performs zero heap allocations. Both paths run
-/// the same kernels in the same order, so their outputs are bitwise
-/// identical.
+/// result through the kernels' `...Into` forms, and the plan's final step
+/// writes straight into the caller's ExecResult::Output. Callers choose
+/// between the legacy per-call storage (run()/runTraining() returning an
+/// ExecResult — each call allocates its intermediates) and the arena path,
+/// where a PlanWorkspace holds BufferPlan-assigned slots that persist across
+/// calls so steady-state inference performs zero heap allocations. Both
+/// paths run the same kernels in the same order, so their outputs are
+/// bitwise identical. Each step executes exactly once per call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,7 +89,8 @@ namespace detail {
 /// Runtime storage for one plan value. Inputs alias caller tensors
 /// (DenseRef/SparseRef/VecRef); produced values either own their payload
 /// (legacy path: Dense/Sparse/Vec members) or point into a PlanWorkspace
-/// slot (arena path: DensePtr/SparsePtr/VecPtr).
+/// slot (arena path: DensePtr/SparsePtr/VecPtr). On both paths the plan
+/// output's DensePtr points at the caller's result.
 struct RtValue {
   PlanValueKind Kind = PlanValueKind::Dense;
   DenseMatrix Dense;
@@ -136,7 +138,7 @@ struct ReorderState {
   CsrMatrix PermAdj;        ///< PAP^T
   GraphStats PermStats;     ///< its statistics (locality features differ)
   DenseMatrix PermFeatures; ///< features gathered into permuted row order
-  DenseMatrix PermOutput;   ///< inverse-permutation staging buffer
+  DenseMatrix PermOutput;   ///< output in permuted row order, pre-scatter
 };
 
 /// Cached sparse-format state of a workspace: the structure conversion for
@@ -192,6 +194,9 @@ struct StepProfile {
 
 /// Outcome of executing a plan once.
 struct ExecResult {
+  /// Written in place by the plan's final step (through the workspace's
+  /// staging buffer under a reorder policy). A result reused across arena
+  /// runs keeps this buffer, so a warm run allocates nothing for it.
   DenseMatrix Output;
   /// Seconds charged to steps marked Setup (hoisted; paid once).
   double SetupSeconds = 0.0;
@@ -226,7 +231,8 @@ struct ExecResult {
 /// binding, and mode keeps all storage — so callers simply configure before
 /// every run and pay nothing in the steady state. The allocation counter
 /// increments whenever any workspace-managed buffer has to grow, which is
-/// how tests and the CLI assert the zero-allocation property.
+/// how tests and the CLI assert the zero-allocation property. The caller's
+/// ExecResult is not workspace-managed: its growth is never counted.
 class PlanWorkspace {
 public:
   PlanWorkspace() = default;
@@ -238,7 +244,9 @@ public:
   /// Prepares storage for \p Plan under \p Binding. A matching prior
   /// configuration is kept as-is; otherwise the BufferPlan is recomputed
   /// and every slot is presized to its planned capacity (growth events are
-  /// not counted — they are the warm-up cost).
+  /// not counted — they are the warm-up cost). The output's pinned slot
+  /// stays in the plan but is never allocated: the final step writes the
+  /// caller's ExecResult::Output instead.
   void configure(const CompositionPlan &Plan, const DimBinding &Binding,
                  bool Training);
 
@@ -323,14 +331,21 @@ public:
                          const GraphStats &Stats) const;
 
   /// Arena-path forward: executes against \p Ws (configured on entry) and
-  /// writes into \p Result, both reused across calls. After one warm-up
-  /// call, repeated calls perform zero heap allocations for plan values.
+  /// writes into \p Result, both reused across calls. The final step writes
+  /// Result.Output directly — the output's planned slot is never allocated —
+  /// so Result.Output must not alias a bound input. The first call plans
+  /// the arena and takes the page faults; every later call into the same
+  /// Result allocates nothing for plan values or the output and leaves
+  /// Output.data() where it was. Nothing here warms up: each step runs
+  /// once, and a measured timing of a first call includes its cold costs.
   ///
   /// A non-None \p Policy runs the plan on a reordered copy of the graph:
   /// the workspace caches the permutation and relabeled adjacency per
   /// (policy, graph) — rebuilt state is charged as setup — and each run
-  /// gathers the features into permuted order, executes, and scatters the
-  /// output back to the caller's vertex order (both charged per iteration).
+  /// gathers the features into permuted order, executes (the final step
+  /// writing a workspace staging buffer), and scatters the output back to
+  /// the caller's vertex order into Result.Output (both charged per
+  /// iteration).
   /// The result equals the unreordered run's up to float summation order
   /// (each row's neighbors accumulate in a different sequence), which is
   /// why the differential tests compare it with a tolerance rather than
@@ -370,17 +385,25 @@ public:
                    SparseFormat Format = SparseFormat::Csr,
                    const ShardSpec &Sharding = ShardSpec()) const;
 
-  /// Measures/estimates one primitive invocation: executes \p Body and
-  /// returns the seconds to charge for it on this platform. On measured
-  /// platforms, an \p Idempotent body is executed once as a warm-up and
-  /// timed on the second run: plan timings stand for one iteration of an
-  /// amortized loop (paper: 100 iterations), which runs warm. Bodies that
-  /// accumulate (the backward pass) must pass Idempotent = false. The body
-  /// reference is non-owning and invoked synchronously, never stored.
+  /// Measures/estimates one primitive invocation: executes \p Body exactly
+  /// once and returns the seconds to charge for it on this platform — the
+  /// wall time of that execution on measured platforms, the analytic
+  /// estimate on simulated ones. There is no warm-up: a caller that wants
+  /// warm steady-state timings runs the plan once untimed first (the bench
+  /// harnesses' warmRun). The body reference is non-owning and invoked
+  /// synchronously, never stored.
   double timeKernel(const PrimitiveDesc &Desc, const GraphStats &Stats,
-                    FunctionRef<void()> Body, bool Idempotent = false) const;
+                    FunctionRef<void()> Body) const;
 
 private:
+  /// The arena path behind run() and runTraining(): layout setup, one
+  /// forward pass (plus the backward pass when \p Training), and the
+  /// inverse permutation of a reordered output.
+  void runArena(const CompositionPlan &Plan, const LayerInputs &Inputs,
+                const GraphStats &Stats, PlanWorkspace &Ws, ExecResult &Result,
+                ReorderPolicy Policy, SparseFormat Format,
+                const ShardSpec &Sharding, bool Training) const;
+
   /// Rebuilds \p RS for (Policy, Adj) if it is stale; returns the setup
   /// seconds to charge (0 when the cache was already valid).
   double reorderSetup(detail::ReorderState &RS, const CsrMatrix &Adj,
@@ -404,10 +427,10 @@ private:
                             const LayerInputs &Inputs, PlanWorkspace &Ws,
                             double &PermSeconds) const;
 
-  /// Scatters \p M (rows in permuted order) back to the caller's vertex
-  /// order through \p Staging and returns the seconds charged.
-  double unpermuteRows(detail::ReorderState &RS, DenseMatrix &M,
-                       DenseMatrix &Staging, PlanWorkspace &Ws) const;
+  /// Scatters \p Src (rows in permuted order) back to the caller's vertex
+  /// order into \p Dst and returns the seconds charged.
+  double unpermuteRows(const detail::ReorderState &RS, const DenseMatrix &Src,
+                       DenseMatrix &Dst) const;
 
   HardwareModel Hw;
   bool StepProfiling = false;

@@ -155,23 +155,23 @@ RunResponse Session::run(bool WantOutput) {
   // Measure this run's allocations, not the lifetime total: the first run
   // builds the arena (nonzero), every later run must report zero.
   Ws.resetAllocationCount();
-  ExecResult R;
   ShardSpec Sharding{Options.Shards, Options.ShardStoreDir};
   if (Training)
-    Exec->runTraining(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder,
+    Exec->runTraining(Plan, Inputs, Params.Stats, Ws, Result, Options.Reorder,
                       Sel.Format, Sharding);
   else
-    Exec->run(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder, Sel.Format,
-              Sharding);
+    Exec->run(Plan, Inputs, Params.Stats, Ws, Result, Options.Reorder,
+              Sel.Format, Sharding);
   ++Runs;
 
-  Resp.Rows = R.Output.rows();
-  Resp.Cols = R.Output.cols();
+  const DenseMatrix &Out = Result.Output;
+  Resp.Rows = Out.rows();
+  Resp.Cols = Out.cols();
   if (WantOutput)
-    Resp.Output.assign(R.Output.data(), R.Output.data() + R.Output.size());
-  Resp.SetupSeconds = R.SetupSeconds;
-  Resp.ForwardSeconds = R.ForwardSeconds;
-  Resp.BackwardSeconds = R.BackwardSeconds;
+    Resp.Output.assign(Out.data(), Out.data() + Out.size());
+  Resp.SetupSeconds = Result.SetupSeconds;
+  Resp.ForwardSeconds = Result.ForwardSeconds;
+  Resp.BackwardSeconds = Result.BackwardSeconds;
   Resp.PlanIndex = Sel.PlanIndex;
   Resp.UsedCostModels = Sel.UsedCostModels;
   Resp.PlanCacheHit = PlanCacheHit;
@@ -284,7 +284,8 @@ CompileResponse Engine::compile(const JobRequest &Req) {
 std::shared_ptr<Session> Engine::session(const JobRequest &Req,
                                          std::string &Error,
                                          bool *SessionHit,
-                                         CompileResponse *Compile) {
+                                         CompileResponse *Compile,
+                                         const Graph *Loaded) {
   if (SessionHit)
     *SessionHit = false;
   std::string Key = sessionKeyFor(Req);
@@ -329,12 +330,17 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
     Error = "model parse failed: " + ParseError;
     return nullptr;
   }
-  std::string GraphError;
-  std::optional<Graph> G = loadGraphSpec(Req.GraphSpec, &GraphError);
-  if (!G) {
-    Error = stripDiagDecoration(GraphError);
-    return nullptr;
+  std::optional<Graph> OwnGraph;
+  if (!Loaded) {
+    std::string GraphError;
+    OwnGraph = loadGraphSpec(Req.GraphSpec, &GraphError);
+    if (!OwnGraph) {
+      Error = stripDiagDecoration(GraphError);
+      return nullptr;
+    }
+    Loaded = &*OwnGraph;
   }
+  const Graph &G = *Loaded;
 
   auto S = std::shared_ptr<Session>(new Session());
   S->Key = Key;
@@ -345,14 +351,14 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   S->Options.Format = *Format;
   S->Options.Verify = Opts.Verify;
   // Resolved against the loaded graph (auto may legitimately come out 0);
-  // set before Optimizer construction so select() prices shard features.
-  S->Options.Shards = resolvedShardCount(Req, *G);
+  // set before Optimizer construction so selection prices shard features.
+  S->Options.Shards = resolvedShardCount(Req, G);
   S->Options.ShardStoreDir = Opts.ShardStoreDir;
   S->Training = Req.Training;
   S->Cost = AnalyticCostModel(Opts.Hw);
 
   CompileResponse CompileInfo;
-  PlanCache::Plans Compiled = resolvePlans(S->Model, *G, Req, CompileInfo);
+  PlanCache::Plans Compiled = resolvePlans(S->Model, G, Req, CompileInfo);
   S->PlanCacheHit = CompileInfo.PlanCacheHit;
   if (Compile)
     *Compile = CompileInfo;
@@ -360,8 +366,20 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   // copy is a few plan graphs — negligible next to enumeration).
   S->Opt.emplace(Optimizer::fromCompiled(S->Model, S->Options, &S->Cost,
                                          *Compiled));
-  S->Params = makeLayerParams(S->Model, *G, Req.KIn, Req.KOut, Req.Seed);
-  S->Sel = S->Opt->select(*G, Req.KIn, Req.KOut);
+  S->Params = makeLayerParams(S->Model, G, Req.KIn, Req.KOut, Req.Seed);
+  // Select from the parameters' self-loop graph and its statistics:
+  // Optimizer::select would rebuild both from G. The shard annotation goes
+  // on a copy, so execution sees the same statistics as Optimizer::execute.
+  DimBinding Binding;
+  Binding.N = S->Params.AdjSelf.rows();
+  Binding.E = S->Params.AdjSelf.nnz();
+  Binding.KIn = Req.KIn;
+  Binding.KOut = Req.KOut;
+  GraphStats SelectStats = S->Params.Stats;
+  if (S->Options.Shards > 1)
+    shard::annotateShardStats(SelectStats, S->Params.AdjSelf,
+                              S->Options.Shards);
+  S->Sel = S->Opt->selectWithStats(Binding, SelectStats);
   {
     // The executor lives behind Session::RunMutex; hold it for the
     // creation write so the lock covers the member's whole lifetime (no

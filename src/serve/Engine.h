@@ -79,9 +79,11 @@ class Session {
 public:
   /// Executes one pass (forward, or forward+backward for training
   /// sessions) and fills everything except the server-level counters of
-  /// \p Resp. When \p WantOutput is set the output matrix is copied into
-  /// the response. Warm calls (RunIndex > 1) report SteadyAllocations == 0
-  /// by construction of the buffer arena; the counter is re-measured every
+  /// \p Resp. The pass writes into the session's one ExecResult, reused
+  /// across runs, so a warm inference pass allocates, page-faults and
+  /// copies nothing; only \p WantOutput copies the output matrix into the
+  /// response. Warm calls (RunIndex > 1) report SteadyAllocations == 0 by
+  /// construction of the buffer arena; the counter is re-measured every
   /// call rather than assumed.
   RunResponse run(bool WantOutput);
 
@@ -121,6 +123,9 @@ private:
   /// RunMutex is their synchronization.
   std::optional<Executor> Exec GRANII_GUARDED_BY(RunMutex);
   PlanWorkspace Ws GRANII_GUARDED_BY(RunMutex);
+  /// The result every run writes into: its output buffer persists, so the
+  /// plan's final step overwrites it in place on warm runs.
+  ExecResult Result GRANII_GUARDED_BY(RunMutex);
   bool ScheduleVerified GRANII_GUARDED_BY(RunMutex) = false;
   uint64_t Runs GRANII_GUARDED_BY(RunMutex) = 0;
 };
@@ -144,10 +149,14 @@ public:
   /// execute through the same Session and stay bitwise comparable.
   /// \returns nullptr with \p Error set on request errors. \p SessionHit
   /// (if non-null) reports reuse; \p Compile (if non-null) receives the
-  /// offline-stage numbers (enumerated/pruned/promoted, cache hits).
+  /// offline-stage numbers (enumerated/pruned/promoted, cache hits). A
+  /// non-null \p Loaded is the graph Req.GraphSpec names, already loaded
+  /// by the caller; a cold session builds on it instead of loading the
+  /// spec again.
   std::shared_ptr<Session> session(const JobRequest &Req, std::string &Error,
                                    bool *SessionHit = nullptr,
-                                   CompileResponse *Compile = nullptr);
+                                   CompileResponse *Compile = nullptr,
+                                   const Graph *Loaded = nullptr);
 
   /// Fills the engine-owned fields of \p Out (sessions + plan cache +
   /// pool/ISA); the server adds its request counters.

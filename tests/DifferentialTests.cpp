@@ -750,3 +750,100 @@ TEST(Differential, ShardedSteadyStateAllocatesNothing) {
       << "sharded steady state still allocates";
   EXPECT_TRUE(bitwiseEqualDense(First.Output, Second.Output));
 }
+
+//===----------------------------------------------------------------------===//
+// In-place output: one reused result across warm arena runs
+//===----------------------------------------------------------------------===//
+//
+// The plan's final step writes the caller's ExecResult::Output directly.
+// A result reused across arena runs therefore keeps its output buffer, and
+// under every layout its bytes equal a by-value run's: the plain CSR run
+// for formats and shards (their bitwise contracts), and for a reorder
+// policy the by-value run on the relabeled graph, scattered back the way
+// the arena does it.
+
+namespace {
+
+struct Layout {
+  const char *Name;
+  ReorderPolicy Policy;
+  SparseFormat Format;
+  int Shards;
+};
+
+ExecResult byValueReference(const Executor &Exec, const CompositionPlan &Plan,
+                            const LayerParams &Params, ReorderPolicy Policy,
+                            bool Training) {
+  if (Policy == ReorderPolicy::None)
+    return Training ? Exec.runTraining(Plan, Params.inputs(), Params.Stats)
+                    : Exec.run(Plan, Params.inputs(), Params.Stats);
+  Permutation Perm = makeReorderPermutation(Policy, Params.AdjSelf);
+  CsrMatrix Adj = permuteSymmetric(Params.AdjSelf, Perm);
+  DenseMatrix H(Params.Features.rows(), Params.Features.cols());
+  permuteRowsInto(Params.Features, Perm, H);
+  LayerInputs In = Params.inputs();
+  In.Adjacency = &Adj;
+  In.Features = &H;
+  GraphStats Stats = computeGraphStats(Adj);
+  ExecResult R = Training ? Exec.runTraining(Plan, In, Stats)
+                          : Exec.run(Plan, In, Stats);
+  DenseMatrix Out(R.Output.rows(), R.Output.cols());
+  inversePermuteRowsInto(R.Output, Perm, Out);
+  R.Output = std::move(Out);
+  return R;
+}
+
+} // namespace
+
+TEST(Differential, ReusedResultKeepsItsOutputBufferAndBytes) {
+  const Layout Layouts[] = {
+      {"csr", ReorderPolicy::None, SparseFormat::Csr, 0},
+      {"rcm", ReorderPolicy::Rcm, SparseFormat::Csr, 0},
+      {"ell", ReorderPolicy::None, SparseFormat::Ell, 0},
+      {"sell", ReorderPolicy::None, SparseFormat::Sell, 0},
+      {"hyb", ReorderPolicy::None, SparseFormat::Hyb, 0},
+      {"2 shards", ReorderPolicy::None, SparseFormat::Csr, 2},
+  };
+  for (uint64_t I = 0; I < 3; ++I) {
+    Instance Inst = makeInstance(8300 + I);
+    SCOPED_TRACE(Inst.Desc);
+    GnnModel M = makeModel(Inst.Kind);
+    LayerParams Params =
+        makeLayerParams(M, Inst.G, Inst.KIn, Inst.KOut, Inst.Seed);
+    std::vector<CompositionPlan> Plans = survivingPlans(M);
+    ASSERT_FALSE(Plans.empty());
+    const CompositionPlan &Plan = Plans[I % Plans.size()];
+    Executor Exec(HardwareModel::byName("cpu"), /*NumThreads=*/2);
+    for (bool Training : {false, true}) {
+      for (const Layout &L : Layouts) {
+        SCOPED_TRACE(std::string(L.Name) +
+                     (Training ? " training" : " inference"));
+        ExecResult Want =
+            byValueReference(Exec, Plan, Params, L.Policy, Training);
+        PlanWorkspace Ws;
+        ExecResult R;
+        const float *Buffer = nullptr;
+        for (int Run = 0; Run < 3; ++Run) {
+          SCOPED_TRACE("run " + std::to_string(Run));
+          Ws.resetAllocationCount();
+          ShardSpec Sharding{L.Shards, ""};
+          if (Training)
+            Exec.runTraining(Plan, Params.inputs(), Params.Stats, Ws, R,
+                             L.Policy, L.Format, Sharding);
+          else
+            Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R, L.Policy,
+                     L.Format, Sharding);
+          EXPECT_TRUE(bitwiseEqualDense(R.Output, Want.Output))
+              << "differs from the by-value run by "
+              << R.Output.maxAbsDiff(Want.Output);
+          if (Run == 0) {
+            Buffer = R.Output.data();
+            continue;
+          }
+          EXPECT_EQ(R.Output.data(), Buffer) << "warm run moved the output";
+          EXPECT_EQ(Ws.allocationCount(), 0u);
+        }
+      }
+    }
+  }
+}

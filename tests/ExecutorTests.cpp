@@ -114,6 +114,21 @@ TEST(Executor, SetupSecondsOnlyFromSetupSteps) {
   }
 }
 
+// Timing observes the one real execution: no hidden warm-up call, on the
+// measured CPU and on a simulated GPU alike.
+TEST(Executor, TimeKernelRunsItsBodyExactlyOnce) {
+  PrimitiveDesc Desc{PrimitiveKind::DenseMap, 64, 8, 0, 0};
+  GraphStats Stats = makeErdosRenyi(64, 256, 4).stats();
+  for (const char *Hw : {"cpu", "h100"}) {
+    SCOPED_TRACE(Hw);
+    Executor Exec(HardwareModel::byName(Hw));
+    int Calls = 0;
+    double Seconds = Exec.timeKernel(Desc, Stats, [&] { ++Calls; });
+    EXPECT_EQ(Calls, 1);
+    EXPECT_GE(Seconds, 0.0);
+  }
+}
+
 TEST(Executor, TotalSecondsFormula) {
   ExecResult R;
   R.SetupSeconds = 1.0;

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "graph/GraphSpec.h"
 #include "serve/Client.h"
 #include "serve/Engine.h"
 #include "serve/Protocol.h"
@@ -371,6 +372,88 @@ TEST(Engine, WarmRunsAreBitwiseIdenticalAndAllocationFree) {
   EXPECT_EQ(S.SessionMisses, 1u);
   EXPECT_EQ(S.SessionHits, 3u);
   EXPECT_EQ(S.SessionsLive, 1u);
+}
+
+// A session keeps one result across its runs, so a warm run writes the
+// output in place: two warm runs return the same bytes without allocating,
+// under the default layout, a reorder policy and sharding alike.
+TEST(Engine, SessionReusesOneResultAcrossWarmRuns) {
+  Engine Eng(testEngineOptions());
+  for (const char *Layout : {"csr", "rcm", "2 shards"}) {
+    SCOPED_TRACE(Layout);
+    JobRequest Req = smallRequest();
+    if (std::string(Layout) == "rcm")
+      Req.Reorder = "rcm";
+    if (std::string(Layout) == "2 shards")
+      Req.Shards = 2;
+    std::string Err;
+    std::shared_ptr<Session> S = Eng.session(Req, Err);
+    ASSERT_TRUE(S) << Err;
+    RunResponse Cold = S->run(true);
+    ASSERT_TRUE(Cold.Status.Ok) << Cold.Status.Error;
+    RunResponse A = S->run(true);
+    RunResponse B = S->run(true);
+    EXPECT_EQ(A.SteadyAllocations, 0u);
+    EXPECT_EQ(B.SteadyAllocations, 0u);
+    ASSERT_EQ(A.Output.size(), Cold.Output.size());
+    ASSERT_EQ(B.Output.size(), Cold.Output.size());
+    EXPECT_EQ(std::memcmp(A.Output.data(), B.Output.data(),
+                          A.Output.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(A.Output.data(), Cold.Output.data(),
+                          A.Output.size() * sizeof(float)),
+              0);
+  }
+}
+
+// A session selects from its parameters' self-loop graph and statistics
+// instead of letting Optimizer::select rebuild them; the choice must be
+// the one Optimizer::select makes on the same graph, sharded or not.
+TEST(Engine, SessionSelectionMatchesOptimizerSelect) {
+  Engine Eng(testEngineOptions());
+  struct Case {
+    const char *Format;
+    int64_t Shards;
+  };
+  for (Case C : {Case{"csr", 0}, Case{"auto", 0}, Case{"csr", 2},
+                 Case{"csr", 4}}) {
+    SCOPED_TRACE(std::string(C.Format) + " shards=" +
+                 std::to_string(C.Shards));
+    JobRequest Req = smallRequest(false);
+    Req.Format = C.Format;
+    Req.Shards = C.Shards;
+    std::string Err;
+    std::shared_ptr<Session> S = Eng.session(Req, Err);
+    ASSERT_TRUE(S) << Err;
+    std::optional<Graph> G = loadGraphSpec(Req.GraphSpec, &Err);
+    ASSERT_TRUE(G) << Err;
+    Selection Want = S->optimizer().select(*G, Req.KIn, Req.KOut);
+    EXPECT_EQ(S->selection().PlanIndex, Want.PlanIndex);
+    EXPECT_EQ(S->selection().Format, Want.Format);
+    EXPECT_EQ(S->selection().PredictedSeconds, Want.PredictedSeconds);
+  }
+}
+
+// The one-shot CLI hands the engine the graph it already loaded; a session
+// built on it answers exactly like one that loads the spec itself.
+TEST(Engine, SessionOnACallerLoadedGraphMatchesALoadingOne) {
+  JobRequest Req = smallRequest();
+  std::string Err;
+  std::optional<Graph> G = loadGraphSpec(Req.GraphSpec, &Err);
+  ASSERT_TRUE(G) << Err;
+  Engine Loading(testEngineOptions());
+  Engine Given(testEngineOptions());
+  std::shared_ptr<Session> A = Loading.session(Req, Err);
+  ASSERT_TRUE(A) << Err;
+  std::shared_ptr<Session> B = Given.session(Req, Err, nullptr, nullptr, &*G);
+  ASSERT_TRUE(B) << Err;
+  EXPECT_EQ(A->selection().PlanIndex, B->selection().PlanIndex);
+  RunResponse RA = A->run(true);
+  RunResponse RB = B->run(true);
+  ASSERT_EQ(RA.Output.size(), RB.Output.size());
+  EXPECT_EQ(std::memcmp(RA.Output.data(), RB.Output.data(),
+                        RA.Output.size() * sizeof(float)),
+            0);
 }
 
 TEST(Engine, CompileVerbPopulatesPlanCacheForLaterRuns) {

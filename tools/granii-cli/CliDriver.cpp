@@ -335,10 +335,16 @@ int profileRun(const CompositionPlan &Plan, const LayerParams &Params,
 
   const BufferPlan *Buffers = Ws.bufferPlan();
   if (Buffers) {
+    // The arena total includes the output's planned slot, which is never
+    // allocated: the caller's result holds the output instead.
+    const ValueBuffer &Output =
+        Buffers->values()[static_cast<size_t>(Plan.OutputValue)];
     Out += "planned memory: peak " +
            formatDouble(Buffers->peakBytes() / 1e6, 3) + " MB live, arena " +
-           formatDouble(Buffers->arenaBytes() / 1e6, 3) +
-           " MB allocated, fresh-allocation baseline " +
+           formatDouble(Buffers->arenaBytes() / 1e6, 3) + " MB (" +
+           formatDouble(Output.Floats * sizeof(float) / 1e6, 3) +
+           " MB of it the output, held by the caller's result), "
+           "fresh-allocation baseline " +
            formatDouble(Buffers->naiveBytes() / 1e6, 3) + " MB (" +
            std::to_string(Buffers->slots().size()) + " slots for " +
            std::to_string(Plan.Steps.size()) + " steps)\n";
@@ -456,10 +462,12 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   Req.Shards = *Shards;
   Req.WantOutput = Args.hasFlag("out");
 
+  // The session builds on the graph loaded above instead of loading the
+  // spec a second time.
   std::string SessionError;
   serve::CompileResponse Compile;
   std::shared_ptr<serve::Session> S =
-      Engine.session(Req, SessionError, nullptr, &Compile);
+      Engine.session(Req, SessionError, nullptr, &Compile, &*G);
   if (!S) {
     Err += "error: " + SessionError + "\n";
     return 1;
