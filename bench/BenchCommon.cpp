@@ -122,9 +122,9 @@ CellResult granii::bench::runCell(BenchContext &Ctx, BaselineSystem Sys,
       return warmRun(Exec, Plan, Params, Training)
           .totalSeconds(Iters, Training);
     // Workspace path: warm up once (buffer planning + permutation build are
-    // not steady-state costs), then charge the second run, whose
-    // SetupSeconds still carry the one-time reordering cost for honest
-    // amortized accounting.
+    // not steady-state costs), then charge the second run. The permutation
+    // is cached by then, so that run's SetupSeconds do not include the
+    // one-time reordering cost.
     PlanWorkspace Ws;
     ExecResult R;
     for (int Pass = 0; Pass < 2; ++Pass) {

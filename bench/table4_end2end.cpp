@@ -64,8 +64,8 @@ double twoLayerMillis(BenchContext &Ctx, ModelKind Kind, const Graph &G,
     // Execute through a per-layer workspace: the warm-up run plans and
     // allocates the buffer arena (and builds the vertex permutation), the
     // charged run is the allocation-free steady state a deployed iteration
-    // loop actually pays for — its SetupSeconds still carry the one-time
-    // reordering cost for honest amortized accounting.
+    // loop actually pays for. The permutation is cached by then, so the
+    // charged SetupSeconds do not include the one-time reordering cost.
     PlanWorkspace Ws;
     ExecResult R;
     ShardSpec Sharding{Shards, ""};

@@ -32,11 +32,14 @@ LayerInputs LayerParams::inputs() const {
 
 LayerParams granii::makeLayerParams(const GnnModel &Model, const Graph &G,
                                     int64_t KIn, int64_t KOut, uint64_t Seed) {
+  TraceSpan Span("params", "granii");
   Rng Generator(Seed);
   LayerParams Params;
-  Graph WithSelf = G.withSelfLoops();
-  Params.AdjSelf = WithSelf.adjacency();
-  Params.Stats = WithSelf.stats();
+  // Graph's constructor checks and statistics, on the only copy of the
+  // self-loop adjacency.
+  Params.AdjSelf = addSelfLoops(G.adjacency());
+  Params.AdjSelf.verify();
+  Params.Stats = computeGraphStats(Params.AdjSelf);
 
   Params.Features = DenseMatrix(G.numNodes(), KIn);
   Params.Features.fillRandom(Generator, -0.5f, 0.5f);

@@ -4,9 +4,10 @@
 
 #include "graph/Reorder.h"
 #include "support/Stats.h"
-#include "tensor/CooMatrix.h"
+#include "support/Trace.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 using namespace granii;
@@ -18,19 +19,7 @@ Graph::Graph(std::string Name, CsrMatrix Adjacency)
 }
 
 Graph Graph::withSelfLoops() const {
-  CooMatrix Coo(Adj.rows(), Adj.cols());
-  const auto &Offsets = Adj.rowOffsets();
-  const auto &Cols = Adj.colIndices();
-  for (int64_t R = 0; R < Adj.rows(); ++R) {
-    Coo.add(R, R);
-    for (int64_t K = Offsets[static_cast<size_t>(R)];
-         K < Offsets[static_cast<size_t>(R) + 1]; ++K) {
-      int32_t C = Cols[static_cast<size_t>(K)];
-      if (C != R)
-        Coo.add(R, C);
-    }
-  }
-  return Graph(GraphName + "+self", Coo.toCsr(/*Unweighted=*/true));
+  return Graph(GraphName + "+self", addSelfLoops(Adj));
 }
 
 bool Graph::isSymmetric() const {
@@ -73,4 +62,29 @@ GraphStats granii::computeGraphStats(const CsrMatrix &Adjacency) {
   S.AvgRowSpan = averageRowSpan(Adjacency);
   S.Bandwidth = static_cast<double>(bandwidthOf(Adjacency));
   return S;
+}
+
+CsrMatrix granii::addSelfLoops(const CsrMatrix &Adjacency) {
+  assert(Adjacency.rows() == Adjacency.cols() &&
+         "self loops need a square adjacency");
+  TraceSpan Span("self-loops", "graph");
+  const int64_t N = Adjacency.rows();
+  const AlignedVector<int64_t> &InOffsets = Adjacency.rowOffsets();
+  const AlignedVector<int32_t> &InCols = Adjacency.colIndices();
+  AlignedVector<int64_t> Offsets(static_cast<size_t>(N) + 1, 0);
+  AlignedVector<int32_t> Cols;
+  Cols.reserve(InCols.size() + static_cast<size_t>(N));
+  for (int64_t R = 0; R < N; ++R) {
+    auto Row = InCols.begin() + InOffsets[static_cast<size_t>(R)];
+    auto RowEnd = InCols.begin() + InOffsets[static_cast<size_t>(R) + 1];
+    auto Split = std::lower_bound(Row, RowEnd, static_cast<int32_t>(R));
+    Cols.insert(Cols.end(), Row, Split);
+    Cols.push_back(static_cast<int32_t>(R));
+    if (Split != RowEnd && *Split == R)
+      ++Split; // keep an existing diagonal once
+    Cols.insert(Cols.end(), Split, RowEnd);
+    Offsets[static_cast<size_t>(R) + 1] = static_cast<int64_t>(Cols.size());
+  }
+  Span.setArg("nnz", static_cast<double>(Cols.size()));
+  return CsrMatrix::adopt(N, N, std::move(Offsets), std::move(Cols), {});
 }

@@ -12,9 +12,14 @@
 
 #include "tensor/CsrMatrix.h"
 
+#include <cstdint>
 #include <string>
 
 namespace granii {
+
+/// Largest node count a graph can have: CSR column indices are int32_t.
+/// Loaders reject anything larger before allocating for it.
+inline constexpr int64_t MaxGraphNodes = INT32_MAX;
 
 /// Structural statistics of a graph, the raw material of the featurizer.
 struct GraphStats {
@@ -70,6 +75,12 @@ private:
 
 /// Computes structural statistics of \p Adjacency.
 GraphStats computeGraphStats(const CsrMatrix &Adjacency);
+
+/// \returns the unweighted pattern of the square matrix \p Adjacency with
+/// the diagonal added to every row (an already-present diagonal is kept
+/// once). One pass: the diagonal is merged into each row's strictly
+/// increasing columns (CsrMatrix::verify's invariant), no sort.
+CsrMatrix addSelfLoops(const CsrMatrix &Adjacency);
 
 } // namespace granii
 

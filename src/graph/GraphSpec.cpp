@@ -6,11 +6,14 @@
 #include "graph/MatrixMarket.h"
 #include "support/Hash.h"
 #include "support/Str.h"
+#include "support/Trace.h"
 
 using namespace granii;
 
-std::optional<Graph> granii::loadGraphSpec(const std::string &Spec,
-                                           std::string *Err) {
+namespace {
+
+std::optional<Graph> resolveGraphSpec(const std::string &Spec,
+                                      std::string *Err) {
   if (startsWith(Spec, "synth:")) {
     std::string Name = Spec.substr(6);
     // Parameterized R-MAT: "synth:rmat:<nodes>:<edges>[:<seed>]". Lets CI
@@ -23,13 +26,14 @@ std::optional<Graph> granii::loadGraphSpec(const std::string &Spec,
       bool Valid = Parts.size() == 3 || Parts.size() == 4;
       if (Valid)
         Valid = parseInt64(Parts[1], Nodes) && parseInt64(Parts[2], Edges) &&
-                Nodes > 0 && Edges > 0;
+                Nodes > 0 && Nodes <= MaxGraphNodes && Edges > 0;
       if (Valid && Parts.size() == 4)
         Valid = parseInt64(Parts[3], Seed) && Seed >= 0;
       if (!Valid) {
         if (Err)
           *Err += "error: malformed rmat spec '" + Name +
-                  "' (want rmat:<nodes>:<edges>[:<seed>])\n";
+                  "' (want rmat:<nodes>:<edges>[:<seed>], at most " +
+                  std::to_string(MaxGraphNodes) + " nodes)\n";
         return std::nullopt;
       }
       return makeRmat(Nodes, Edges, 0.57, 0.19, 0.19,
@@ -54,7 +58,21 @@ std::optional<Graph> granii::loadGraphSpec(const std::string &Spec,
   return G;
 }
 
+} // namespace
+
+std::optional<Graph> granii::loadGraphSpec(const std::string &Spec,
+                                           std::string *Err) {
+  TraceSpan Span("graph-load", "graph");
+  std::optional<Graph> G = resolveGraphSpec(Spec, Err);
+  if (G) {
+    Span.setArg("nodes", static_cast<double>(G->numNodes()));
+    Span.setArg("edges", static_cast<double>(G->numEdges()));
+  }
+  return G;
+}
+
 uint64_t granii::graphFingerprint(const Graph &G) {
+  TraceSpan Span("fingerprint", "graph");
   const CsrMatrix &Adj = G.adjacency();
   uint64_t Hash = fnv1a64(G.name());
   Hash = fnv1a64(static_cast<uint64_t>(Adj.rows()), Hash);

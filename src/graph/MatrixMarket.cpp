@@ -5,6 +5,7 @@
 #include "support/Str.h"
 #include "tensor/CooMatrix.h"
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -19,6 +20,61 @@ std::optional<Graph> fail(std::string *ErrorMessage, const std::string &Msg) {
   return std::nullopt;
 }
 
+/// Hands out the '\n'-separated lines of a stream (getline's split) as
+/// views into one MatrixMarketBlockBytes buffer, refilled by one read each
+/// time its lines run out. The unfinished line at the buffer's end moves to
+/// the front first; only a line longer than the whole buffer grows it
+/// (doubling, so even a huge line costs linear time).
+class LineScanner {
+public:
+  explicit LineScanner(std::istream &Stream)
+      : Stream(Stream), Buffer(MatrixMarketBlockBytes) {}
+
+  /// Stores the next line (without its '\n') in \p Line; the view lives
+  /// until the next call. \returns false at the end of the input.
+  bool next(std::string_view &Line) {
+    while (true) {
+      char *Data = Buffer.data();
+      if (const void *Newline =
+              std::memchr(Data + Scanned, '\n', End - Scanned)) {
+        size_t Stop = static_cast<size_t>(
+            static_cast<const char *>(Newline) - Data);
+        Line = std::string_view(Data + Begin, Stop - Begin);
+        Begin = Scanned = Stop + 1;
+        return true;
+      }
+      if (AtEof) {
+        if (Begin == End)
+          return false;
+        Line = std::string_view(Data + Begin, End - Begin);
+        Begin = Scanned = End;
+        return true;
+      }
+      if (Begin != 0) {
+        std::memmove(Data, Data + Begin, End - Begin);
+        End -= Begin;
+        Begin = 0;
+      }
+      Scanned = End; // no '\n' before End
+      if (End == Buffer.size())
+        Buffer.resize(2 * Buffer.size());
+      size_t Want = Buffer.size() - End;
+      Stream.read(Buffer.data() + End, static_cast<std::streamsize>(Want));
+      size_t Got = static_cast<size_t>(Stream.gcount());
+      End += Got;
+      AtEof = Got < Want;
+    }
+  }
+
+private:
+  std::istream &Stream;
+  std::vector<char> Buffer;
+  size_t Begin = 0;   ///< first byte of the current line
+  size_t Scanned = 0; ///< [Begin, Scanned) holds no '\n'
+  size_t End = 0;     ///< one past the last byte read
+  bool AtEof = false;
+};
+
 } // namespace
 
 std::optional<Graph> granii::parseMatrixMarket(const std::string &Text,
@@ -31,8 +87,9 @@ std::optional<Graph> granii::parseMatrixMarket(const std::string &Text,
 std::optional<Graph> granii::parseMatrixMarket(std::istream &Stream,
                                                const std::string &Name,
                                                std::string *ErrorMessage) {
-  std::string Line;
-  if (!std::getline(Stream, Line))
+  LineScanner Scanner(Stream);
+  std::string_view Line;
+  if (!Scanner.next(Line))
     return fail(ErrorMessage, "empty matrix market input");
 
   // Header: %%MatrixMarket matrix coordinate <field> <symmetry>
@@ -56,32 +113,41 @@ std::optional<Graph> granii::parseMatrixMarket(std::istream &Stream,
 
   // Skip comment lines, read the size line.
   int64_t Rows = 0, Cols = 0, Entries = 0;
-  while (std::getline(Stream, Line)) {
+  while (Scanner.next(Line)) {
     std::string_view Trimmed = trimString(Line);
     if (Trimmed.empty() || Trimmed.front() == '%')
       continue;
-    std::vector<std::string_view> Fields = splitFields(Trimmed);
-    if (Fields.size() != 3 || !parseInt64(Fields[0], Rows) ||
-        !parseInt64(Fields[1], Cols) || !parseInt64(Fields[2], Entries))
+    std::string_view Rest = Trimmed;
+    if (!parseInt64(popField(Rest), Rows) ||
+        !parseInt64(popField(Rest), Cols) ||
+        !parseInt64(popField(Rest), Entries) || !popField(Rest).empty())
       return fail(ErrorMessage, "malformed matrix market size line");
     break;
   }
   if (Rows <= 0 || Cols <= 0 || Rows != Cols)
     return fail(ErrorMessage, "graph adjacency must be square and non-empty");
+  if (Rows > MaxGraphNodes)
+    return fail(ErrorMessage, "matrix market dimension " +
+                                  std::to_string(Rows) + " exceeds the " +
+                                  std::to_string(MaxGraphNodes) +
+                                  "-node limit");
 
+  // Nothing is reserved from the claimed entry count: it is untrusted, and
+  // a short body must fail with the count mismatch, not an allocation.
   CooMatrix Coo(Rows, Cols);
   int64_t Seen = 0;
-  while (Seen < Entries && std::getline(Stream, Line)) {
+  while (Seen < Entries && Scanner.next(Line)) {
     std::string_view Trimmed = trimString(Line);
     if (Trimmed.empty() || Trimmed.front() == '%')
       continue;
     int64_t R = 0, C = 0;
     double V = 1.0;
-    std::vector<std::string_view> Fields = splitFields(Trimmed);
-    bool Ok = Fields.size() >= 2 && parseInt64(Fields[0], R) &&
-              parseInt64(Fields[1], C);
-    if (Ok && HasValues && Fields.size() >= 3)
-      Ok = parseDouble(Fields[2], V);
+    std::string_view Rest = Trimmed;
+    bool Ok = parseInt64(popField(Rest), R) && parseInt64(popField(Rest), C);
+    // Fields past the value (or past the column, for pattern) are ignored.
+    if (Ok && HasValues)
+      if (std::string_view Value = popField(Rest); !Value.empty())
+        Ok = parseDouble(Value, V);
     if (!Ok)
       return fail(ErrorMessage,
                   "malformed matrix market entry: " + std::string(Trimmed));

@@ -13,22 +13,33 @@
 
 #include "graph/Graph.h"
 
+#include <cstddef>
 #include <iosfwd>
 #include <optional>
 #include <string>
 
 namespace granii {
 
-/// Parses a Matrix Market file at \p Path into a graph. Streams the file
-/// line by line — peak transient memory is one line plus the COO triples,
-/// never a second whole-file copy (SuiteSparse .mtx files reach tens of
-/// GB). On failure returns std::nullopt and stores a message in
-/// \p ErrorMessage if non-null.
+/// Size of the reader's buffer, refilled by one stream read at a time.
+/// Lines are scanned as views into it, so an entry costs one pass over its
+/// bytes and no allocation; a line cut by the buffer's end is carried into
+/// the next read.
+inline constexpr size_t MatrixMarketBlockBytes = size_t{1} << 16;
+
+/// Parses a Matrix Market file at \p Path into a graph. Streams the file in
+/// MatrixMarketBlockBytes blocks — peak transient memory is one block (or
+/// one longer line) plus the COO triples, never a second whole-file copy
+/// (SuiteSparse .mtx files reach tens of GB). Nothing is reserved from the
+/// entry count the size line claims, and a dimension above MaxGraphNodes
+/// is rejected before anything is allocated for it. On failure returns
+/// std::nullopt and stores a message in \p ErrorMessage if non-null.
 std::optional<Graph> readMatrixMarket(const std::string &Path,
                                       std::string *ErrorMessage = nullptr);
 
 /// Parses Matrix Market data from an already-open stream (the streaming
-/// core readMatrixMarket wraps around an ifstream).
+/// core readMatrixMarket wraps around an ifstream). Lines split at '\n'
+/// exactly as std::getline splits them; a body line is trimmed of ASCII
+/// whitespace (so a CRLF '\r' drops) before it is parsed.
 std::optional<Graph> parseMatrixMarket(std::istream &Stream,
                                        const std::string &Name,
                                        std::string *ErrorMessage = nullptr);

@@ -2,6 +2,7 @@
 
 #include "serve/Wire.h"
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <unistd.h>
@@ -23,10 +24,17 @@ void WireWriter::putString(const std::string &S) {
 
 void WireWriter::putFloats(std::span<const float> Values) {
   putU64(Values.size());
-  for (float V : Values) {
-    uint32_t Bits = 0;
-    std::memcpy(&Bits, &V, sizeof(Bits));
-    putU32(Bits);
+  if constexpr (std::endian::native == std::endian::little) {
+    // The in-memory bytes already are the wire bytes.
+    const auto *Raw = reinterpret_cast<const uint8_t *>(Values.data());
+    Bytes.insert(Bytes.end(), Raw, Raw + Values.size_bytes());
+  } else {
+    Bytes.reserve(Bytes.size() + Values.size_bytes());
+    for (float V : Values) {
+      uint32_t Bits = 0;
+      std::memcpy(&Bits, &V, sizeof(Bits));
+      putU32(Bits);
+    }
   }
 }
 
@@ -83,16 +91,20 @@ std::vector<float> WireReader::getFloats() {
          " exceeds remaining payload");
     return {};
   }
-  std::vector<float> Values;
-  Values.reserve(static_cast<size_t>(Count));
-  for (uint64_t I = 0; I < Count && ok(); ++I) {
-    uint32_t Bits = getU32();
-    float V = 0.0f;
-    std::memcpy(&V, &Bits, sizeof(V));
-    Values.push_back(V);
-  }
   if (!ok())
     return {};
+  std::vector<float> Values(static_cast<size_t>(Count));
+  if constexpr (std::endian::native == std::endian::little) {
+    size_t Bytes = Values.size() * sizeof(float);
+    if (Bytes != 0) // memcpy must not see the null data() of an empty vector
+      std::memcpy(Values.data(), Data.data() + Offset, Bytes);
+    Offset += Bytes;
+  } else {
+    for (float &V : Values) {
+      uint32_t Bits = getU32();
+      std::memcpy(&V, &Bits, sizeof(V));
+    }
+  }
   return Values;
 }
 

@@ -53,7 +53,8 @@ public:
   void putF64(double V);
   /// u32 byte length + UTF-8 bytes (no terminator).
   void putString(const std::string &S);
-  /// u64 element count + raw little-endian float payload.
+  /// u64 element count + raw little-endian float payload (one bulk copy on
+  /// little-endian hosts).
   void putFloats(std::span<const float> Values);
 
   const std::vector<uint8_t> &bytes() const { return Bytes; }
@@ -84,6 +85,8 @@ public:
   /// Rejects lengths that exceed the remaining payload (a corrupt length
   /// can therefore never drive an oversized allocation).
   std::string getString();
+  /// Same bound as getString, checked before the one allocation; the
+  /// payload is then copied in bulk on little-endian hosts.
   std::vector<float> getFloats();
 
   bool ok() const { return Error.empty(); }

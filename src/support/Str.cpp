@@ -79,21 +79,25 @@ bool granii::parseDouble(std::string_view Text, double &Out) {
 
 std::vector<std::string_view> granii::splitFields(std::string_view Text) {
   std::vector<std::string_view> Fields;
+  for (std::string_view F = popField(Text); !F.empty(); F = popField(Text))
+    Fields.push_back(F);
+  return Fields;
+}
+
+std::string_view granii::popField(std::string_view &Text) {
   auto IsSpace = [](char C) {
     return C == ' ' || C == '\t' || C == '\r' || C == '\n' || C == '\v' ||
            C == '\f';
   };
-  size_t I = 0;
-  while (I < Text.size()) {
-    while (I < Text.size() && IsSpace(Text[I]))
-      ++I;
-    size_t Begin = I;
-    while (I < Text.size() && !IsSpace(Text[I]))
-      ++I;
-    if (I > Begin)
-      Fields.push_back(Text.substr(Begin, I - Begin));
-  }
-  return Fields;
+  size_t Begin = 0;
+  while (Begin < Text.size() && IsSpace(Text[Begin]))
+    ++Begin;
+  size_t End = Begin;
+  while (End < Text.size() && !IsSpace(Text[End]))
+    ++End;
+  std::string_view Field = Text.substr(Begin, End - Begin);
+  Text.remove_prefix(End);
+  return Field;
 }
 
 std::string granii::joinStrings(const std::vector<std::string> &Parts,

@@ -44,6 +44,11 @@ bool parseDouble(std::string_view Text, double &Out);
 /// each field with parseInt64/parseDouble.
 std::vector<std::string_view> splitFields(std::string_view Text);
 
+/// Removes the first field of \p Text (fields as in splitFields) and
+/// returns it; \p Text keeps the rest. \returns an empty view when no field
+/// is left. The allocation-free form of splitFields for per-line scanners.
+std::string_view popField(std::string_view &Text);
+
 /// Joins \p Parts with \p Sep between consecutive elements.
 std::string joinStrings(const std::vector<std::string> &Parts,
                         std::string_view Sep);

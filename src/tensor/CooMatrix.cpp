@@ -2,18 +2,26 @@
 
 #include "tensor/CooMatrix.h"
 
+#include "support/Error.h"
 #include "tensor/CsrMatrix.h"
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
+#include <limits>
 
 using namespace granii;
+
+CooMatrix::CooMatrix(int64_t Rows, int64_t Cols)
+    : NumRows(Rows), NumCols(Cols) {
+  constexpr int64_t Limit = std::numeric_limits<int32_t>::max();
+  GRANII_CHECK(Rows >= 0 && Rows <= Limit && Cols >= 0 && Cols <= Limit,
+               "COO dimensions must lie in [0, INT32_MAX]");
+}
 
 void CooMatrix::add(int64_t Row, int64_t Col, float Value) {
   assert(Row >= 0 && Row < NumRows && Col >= 0 && Col < NumCols &&
          "COO entry out of range");
-  RowIdx.push_back(Row);
+  RowIdx.push_back(static_cast<int32_t>(Row));
   ColIdx.push_back(static_cast<int32_t>(Col));
   Vals.push_back(Value);
 }
@@ -24,43 +32,87 @@ void CooMatrix::addSymmetric(int64_t Row, int64_t Col, float Value) {
     add(Col, Row, Value);
 }
 
+namespace {
+
+/// One weighted entry while its row is being ordered.
+struct RowEntry {
+  int32_t Col;
+  float Val;
+  size_t Pos; ///< index before ordering: ties keep insertion order
+};
+
+} // namespace
+
 CsrMatrix CooMatrix::toCsr(bool Unweighted) const {
-  // Sort triplet indices lexicographically by (row, col).
-  std::vector<int64_t> Order(RowIdx.size());
-  std::iota(Order.begin(), Order.end(), 0);
-  std::sort(Order.begin(), Order.end(), [&](int64_t A, int64_t B) {
-    if (RowIdx[static_cast<size_t>(A)] != RowIdx[static_cast<size_t>(B)])
-      return RowIdx[static_cast<size_t>(A)] < RowIdx[static_cast<size_t>(B)];
-    return ColIdx[static_cast<size_t>(A)] < ColIdx[static_cast<size_t>(B)];
-  });
+  const size_t Count = RowIdx.size();
+  const bool Weighted = !Unweighted;
 
-  std::vector<int64_t> Offsets(static_cast<size_t>(NumRows) + 1, 0);
-  std::vector<int32_t> Cols;
-  std::vector<float> Values;
-  Cols.reserve(RowIdx.size());
-  Values.reserve(RowIdx.size());
-
-  int64_t PrevRow = -1;
-  int32_t PrevCol = -1;
-  for (int64_t Idx : Order) {
-    int64_t R = RowIdx[static_cast<size_t>(Idx)];
-    int32_t C = ColIdx[static_cast<size_t>(Idx)];
-    float V = Vals[static_cast<size_t>(Idx)];
-    if (R == PrevRow && C == PrevCol) {
-      Values.back() += V; // Merge duplicate coordinate.
-      continue;
-    }
-    Cols.push_back(C);
-    Values.push_back(V);
+  // Stable counting sort by row: each row's entries keep insertion order.
+  AlignedVector<int64_t> Offsets(static_cast<size_t>(NumRows) + 1, 0);
+  for (int32_t R : RowIdx)
     ++Offsets[static_cast<size_t>(R) + 1];
-    PrevRow = R;
-    PrevCol = C;
+  for (size_t R = 0; R < static_cast<size_t>(NumRows); ++R)
+    Offsets[R + 1] += Offsets[R];
+  AlignedVector<int32_t> Cols(Count);
+  AlignedVector<float> Values(Weighted ? Count : 0);
+  for (size_t I = 0; I < Count; ++I) {
+    size_t Pos = static_cast<size_t>(Offsets[static_cast<size_t>(RowIdx[I])]++);
+    Cols[Pos] = ColIdx[I];
+    if (Weighted)
+      Values[Pos] = Vals[I];
   }
-  for (int64_t R = 0; R < NumRows; ++R)
-    Offsets[static_cast<size_t>(R) + 1] += Offsets[static_cast<size_t>(R)];
 
-  if (Unweighted)
-    Values.clear();
-  return CsrMatrix(NumRows, NumCols, std::move(Offsets), std::move(Cols),
-                   std::move(Values));
+  // Offsets[R] now holds row R's end. Per row: order the columns (already
+  // ascending unless the entries arrived out of order), merge duplicates in
+  // place, and restore Offsets[R] to the row's start.
+  std::vector<RowEntry> Scratch;
+  size_t Out = 0;
+  size_t Begin = 0;
+  for (size_t R = 0; R < static_cast<size_t>(NumRows); ++R) {
+    size_t End = static_cast<size_t>(Offsets[R]);
+    auto RowCols = Cols.begin();
+    if (!std::is_sorted(RowCols + Begin, RowCols + End)) {
+      if (!Weighted) {
+        std::sort(RowCols + Begin, RowCols + End);
+      } else {
+        // (column, position) keys are unique, so this sort is stable.
+        Scratch.clear();
+        for (size_t K = Begin; K < End; ++K)
+          Scratch.push_back({Cols[K], Values[K], K});
+        std::sort(Scratch.begin(), Scratch.end(),
+                  [](const RowEntry &A, const RowEntry &B) {
+                    return A.Col != B.Col ? A.Col < B.Col : A.Pos < B.Pos;
+                  });
+        for (size_t K = Begin; K < End; ++K) {
+          Cols[K] = Scratch[K - Begin].Col;
+          Values[K] = Scratch[K - Begin].Val;
+        }
+      }
+    }
+    size_t RowOut = Out;
+    for (size_t K = Begin; K < End; ++K) {
+      if (Out > RowOut && Cols[Out - 1] == Cols[K]) {
+        if (Weighted)
+          Values[Out - 1] += Values[K];
+        continue;
+      }
+      Cols[Out] = Cols[K];
+      if (Weighted)
+        Values[Out] = Values[K];
+      ++Out;
+    }
+    Offsets[R] = static_cast<int64_t>(RowOut);
+    Begin = End;
+  }
+  Offsets[static_cast<size_t>(NumRows)] = static_cast<int64_t>(Out);
+  if (Out != Count) {
+    Cols.resize(Out);
+    Cols.shrink_to_fit();
+    if (Weighted) {
+      Values.resize(Out);
+      Values.shrink_to_fit();
+    }
+  }
+  return CsrMatrix::adopt(NumRows, NumCols, std::move(Offsets),
+                          std::move(Cols), std::move(Values));
 }

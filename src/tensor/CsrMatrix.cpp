@@ -26,6 +26,23 @@ CsrMatrix::CsrMatrix(int64_t Rows, int64_t Columns,
          "value array must be empty or match nnz");
 }
 
+CsrMatrix CsrMatrix::adopt(int64_t Rows, int64_t Columns,
+                           AlignedVector<int64_t> Offsets,
+                           AlignedVector<int32_t> Cols,
+                           AlignedVector<float> Vals) {
+  assert(Offsets.size() == static_cast<size_t>(Rows) + 1 &&
+         "row offset array must have rows()+1 entries");
+  assert((Vals.empty() || Vals.size() == Cols.size()) &&
+         "value array must be empty or match nnz");
+  CsrMatrix Result;
+  Result.NumRows = Rows;
+  Result.NumCols = Columns;
+  Result.RowOffsets = std::move(Offsets);
+  Result.ColIndices = std::move(Cols);
+  Result.Values = std::move(Vals);
+  return Result;
+}
+
 void CsrMatrix::setValues(std::vector<float> Vals) {
   assert(Vals.size() == ColIndices.size() &&
          "value count must match structural nnz");

@@ -34,6 +34,13 @@ public:
   CsrMatrix(int64_t Rows, int64_t Columns, std::vector<int64_t> Offsets,
             std::vector<int32_t> Cols, std::vector<float> Vals);
 
+  /// Builds a CSR matrix that takes over already-aligned component arrays
+  /// without copying them (the graph builders fill these directly).
+  static CsrMatrix adopt(int64_t Rows, int64_t Columns,
+                         AlignedVector<int64_t> Offsets,
+                         AlignedVector<int32_t> Cols,
+                         AlignedVector<float> Vals);
+
   int64_t rows() const { return NumRows; }
   int64_t cols() const { return NumCols; }
   int64_t nnz() const { return static_cast<int64_t>(ColIndices.size()); }

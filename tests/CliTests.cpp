@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 using namespace granii::cli;
@@ -213,8 +214,12 @@ TEST(Cli, RunDefaultsToCoauthorsGraph) {
 
 TEST(Cli, RunWithTraceWritesPerfettoJson) {
   std::string TracePath = ::testing::TempDir() + "/cli.trace.json";
+  std::string MtxPath = ::testing::TempDir() + "/cli_trace_graph.mtx";
+  std::string OutPath = ::testing::TempDir() + "/cli_trace_out.bin";
   std::string Out, Err;
-  ASSERT_EQ(runCli({"run", gcnExamplePath(), "--kin", "16", "--kout", "8",
+  ASSERT_EQ(runCli({"graphgen", "coauthors", MtxPath}, Out, Err), 0) << Err;
+  ASSERT_EQ(runCli({"run", gcnExamplePath(), "--graph", MtxPath, "--kin",
+                    "16", "--kout", "8", "--out", OutPath,
                     "--trace=" + TracePath},
                    Out, Err),
             0)
@@ -230,8 +235,10 @@ TEST(Cli, RunWithTraceWritesPerfettoJson) {
       granii::parseJson(Contents.str(), &Error);
   ASSERT_TRUE(Doc) << Error;
 
-  // Optimizer-phase spans and counter-annotated executor step spans.
+  // Optimizer-phase spans, counter-annotated executor step spans, and a
+  // span for each cold phase around them.
   bool SawPhase = false, SawStepWithCounters = false;
+  std::set<std::string> SpanNames;
   for (const granii::JsonValue &E : Doc->find("traceEvents")->array()) {
     std::string Cat = E.stringOr("cat", "");
     std::string Name = E.stringOr("name", "");
@@ -242,10 +249,23 @@ TEST(Cli, RunWithTraceWritesPerfettoJson) {
     if (Cat == "executor" && E.find("args") &&
         E.find("args")->find("charged_seconds"))
       SawStepWithCounters = true;
+    if (Name == "graph-load") {
+      // coauthors: 3500 nodes, 28152 stored edges.
+      const granii::JsonValue *Args = E.find("args");
+      ASSERT_TRUE(Args && Args->find("nodes") && Args->find("edges"));
+      EXPECT_EQ(Args->find("nodes")->number(), 3500.0);
+      EXPECT_EQ(Args->find("edges")->number(), 28152.0);
+    }
+    SpanNames.insert(Name);
   }
   EXPECT_TRUE(SawPhase);
   EXPECT_TRUE(SawStepWithCounters);
+  for (const char *Phase :
+       {"graph-load", "self-loops", "fingerprint", "params", "write-output"})
+    EXPECT_TRUE(SpanNames.count(Phase) != 0) << Phase;
   std::remove(TracePath.c_str());
+  std::remove(MtxPath.c_str());
+  std::remove(OutPath.c_str());
 }
 
 TEST(Cli, TraceFlagRequiresAPath) {

@@ -3,12 +3,16 @@
 #include "graph/Generators.h"
 #include "tensor/DenseMatrix.h"
 #include "graph/Graph.h"
+#include "graph/GraphSpec.h"
 #include "graph/MatrixMarket.h"
 #include "graph/Sampling.h"
+#include "support/Rng.h"
 #include "tensor/CooMatrix.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <set>
 
 using namespace granii;
@@ -40,6 +44,46 @@ TEST(Graph, SelfLoopsAddNPerNode) {
   // Idempotent on already-present self loops.
   Graph S2 = S.withSelfLoops();
   EXPECT_EQ(S2.numEdges(), S.numEdges());
+}
+
+TEST(Graph, SelfLoopsMatchCooReference) {
+  // Reference: every row's columns plus its diagonal, deduplicated by a
+  // COO rebuild through toCsr.
+  auto Reference = [](const CsrMatrix &Adj) {
+    CooMatrix Coo(Adj.rows(), Adj.cols());
+    for (int64_t R = 0; R < Adj.rows(); ++R) {
+      Coo.add(R, R);
+      for (int64_t K = Adj.rowOffsets()[static_cast<size_t>(R)];
+           K < Adj.rowOffsets()[static_cast<size_t>(R) + 1]; ++K)
+        Coo.add(R, Adj.colIndices()[static_cast<size_t>(K)]);
+    }
+    return Coo.toCsr();
+  };
+  for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
+    Rng R(Seed);
+    const int64_t N = 40;
+    CooMatrix Coo(N, N);
+    for (int I = 0; I < 120; ++I) {
+      // Nodes 30..39 stay isolated: empty rows.
+      int64_t U = static_cast<int64_t>(R.nextBelow(30));
+      int64_t V = static_cast<int64_t>(R.nextBelow(30));
+      if (U != V || Seed % 2 == 0) // even seeds keep some diagonals
+        Coo.addSymmetric(U, V, R.nextFloat(0.5f, 2.0f));
+    }
+    Graph G("g", Coo.toCsr(/*Unweighted=*/Seed > 2));
+    Graph S = G.withSelfLoops();
+    CsrMatrix Want = Reference(G.adjacency());
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    EXPECT_EQ(S.name(), "g+self");
+    EXPECT_FALSE(S.adjacency().isWeighted());
+    EXPECT_EQ(S.adjacency().rowOffsets(), Want.rowOffsets());
+    EXPECT_EQ(S.adjacency().colIndices(), Want.colIndices());
+    EXPECT_EQ(addSelfLoops(G.adjacency()).colIndices(), Want.colIndices());
+  }
+  // Every row already has its diagonal: the pattern comes back unchanged.
+  Graph Full = makeComplete(6).withSelfLoops();
+  EXPECT_EQ(addSelfLoops(Full.adjacency()).colIndices(),
+            Full.adjacency().colIndices());
 }
 
 TEST(Graph, GeneratedGraphsAreSymmetric) {
@@ -214,6 +258,161 @@ TEST(MatrixMarket, RejectsEntryCountMismatch) {
                      "1 2\n";
   std::string Error;
   EXPECT_FALSE(parseMatrixMarket(Text, "x", &Error).has_value());
+}
+
+TEST(MatrixMarket, RejectsDimensionsBeyondInt32) {
+  // Column indices are int32_t: such a size line would wrap them or size
+  // a multi-GB offset array. It fails before anything is allocated.
+  std::string Text = "%%MatrixMarket matrix coordinate pattern general\n"
+                     "3000000000 3000000000 1\n"
+                     "1 2\n";
+  std::string Error;
+  EXPECT_FALSE(parseMatrixMarket(Text, "x", &Error).has_value());
+  EXPECT_NE(Error.find("exceeds the 2147483647-node limit"), std::string::npos)
+      << Error;
+}
+
+TEST(GraphSpec, RejectsRmatBeyondTheNodeLimit) {
+  std::string Error;
+  EXPECT_FALSE(loadGraphSpec("synth:rmat:3000000000:10", &Error).has_value());
+  EXPECT_NE(Error.find("at most 2147483647 nodes"), std::string::npos)
+      << Error;
+}
+
+TEST(MatrixMarket, HugeClaimedEntryCountIsACountMismatch) {
+  // Nothing is reserved from the claimed count: a short body is the same
+  // count mismatch as ever, not an allocation failure.
+  std::string Text = "%%MatrixMarket matrix coordinate pattern general\n"
+                     "4 4 1000000000000000\n"
+                     "1 2\n"
+                     "3 4\n";
+  std::string Error;
+  EXPECT_FALSE(parseMatrixMarket(Text, "x", &Error).has_value());
+  EXPECT_EQ(Error, "matrix market entry count mismatch");
+}
+
+namespace {
+
+/// The pattern graph of \p Entries (1-based pairs) built without the
+/// reader, to compare parses against.
+Graph referenceGraph(int64_t N, bool Symmetric,
+                     const std::vector<std::pair<int64_t, int64_t>> &Entries) {
+  CooMatrix Coo(N, N);
+  for (auto [R, C] : Entries) {
+    if (Symmetric)
+      Coo.addSymmetric(R - 1, C - 1);
+    else
+      Coo.add(R - 1, C - 1);
+  }
+  return Graph("ref", Coo.toCsr());
+}
+
+void expectSamePattern(const std::optional<Graph> &G, const Graph &Want,
+                       const std::string &Error) {
+  ASSERT_TRUE(G.has_value()) << Error;
+  EXPECT_EQ(G->adjacency().rowOffsets(), Want.adjacency().rowOffsets());
+  EXPECT_EQ(G->adjacency().colIndices(), Want.adjacency().colIndices());
+}
+
+} // namespace
+
+TEST(MatrixMarket, LineEndingsAndLayoutEdgeCases) {
+  const std::string Header =
+      "%%MatrixMarket matrix coordinate pattern symmetric\n";
+  Graph Want = referenceGraph(4, true, {{2, 1}, {3, 1}, {4, 3}});
+  std::string Error;
+
+  // CRLF body lines: the '\r' is trimmed like any trailing whitespace.
+  expectSamePattern(parseMatrixMarket(Header + "% c\r\n4 4 3\r\n2 1\r\n"
+                                               "3 1\r\n4 3\r\n",
+                                      "crlf", &Error),
+                    Want, Error);
+  // The header line is split on spaces only, as it always was: a CRLF
+  // header keeps its '\r' in the symmetry field and is rejected.
+  EXPECT_FALSE(parseMatrixMarket("%%MatrixMarket matrix coordinate pattern "
+                                 "symmetric\r\n4 4 0\r\n",
+                                 "crlf", &Error)
+                   .has_value());
+  EXPECT_EQ(Error, "unsupported matrix market symmetry: symmetric\r");
+
+  // No newline after the last entry.
+  expectSamePattern(
+      parseMatrixMarket(Header + "4 4 3\n2 1\n3 1\n4 3", "tail", &Error),
+      Want, Error);
+
+  // Comment, blank, whitespace-only and indented-comment lines between
+  // entries; leading and trailing whitespace around an entry.
+  expectSamePattern(parseMatrixMarket(Header + "\n% size next\n\n4 4 3\n"
+                                               "2 1\n\n   \n% mid\n  %x\n"
+                                               "\t3   1 \n4 3\n",
+                                      "blank", &Error),
+                    Want, Error);
+
+  // Fields past the ones the format needs are ignored; lines after the
+  // last counted entry are never read.
+  expectSamePattern(parseMatrixMarket(Header + "4 4 3\n2 1 junk 7\n3 1 x\n"
+                                               "4 3\nnot an entry\n",
+                                      "extra", &Error),
+                    Want, Error);
+  auto Real = parseMatrixMarket("%%MatrixMarket matrix coordinate real "
+                                "general\n2 2 2\n1 2 3.5 extra\n2 1\n",
+                                "real", &Error);
+  ASSERT_TRUE(Real.has_value()) << Error;
+  ASSERT_EQ(Real->adjacency().nnz(), 2);
+  EXPECT_FLOAT_EQ(Real->adjacency().values()[0], 3.5f);
+  EXPECT_FLOAT_EQ(Real->adjacency().values()[1], 1.0f); // value omitted
+
+  // A malformed integer field, with the trimmed line in the message.
+  EXPECT_FALSE(
+      parseMatrixMarket(Header + "4 4 1\n  12abc 1 \r\n", "bad", &Error)
+          .has_value());
+  EXPECT_EQ(Error, "malformed matrix market entry: 12abc 1");
+  EXPECT_FALSE(parseMatrixMarket(Header + "4 4 1 9\n2 1\n", "bad", &Error)
+                   .has_value());
+  EXPECT_EQ(Error, "malformed matrix market size line");
+}
+
+TEST(MatrixMarket, BodyLongerThanOneReadBlock) {
+  // Pad with a comment so that one entry line straddles the first block
+  // boundary, then write several blocks' worth of entries.
+  const int64_t N = 5000;
+  std::string Text = "%%MatrixMarket matrix coordinate pattern general\n";
+  std::vector<std::pair<int64_t, int64_t>> Entries;
+  for (int64_t I = 1; I <= 30000; ++I)
+    Entries.push_back({1 + (I * 7919) % N, 1 + (I * 104729 + 3) % N});
+  std::string SizeLine =
+      std::to_string(N) + " " + std::to_string(N) + " " +
+      std::to_string(Entries.size()) + "\n";
+  std::string First = std::to_string(Entries[0].first) + " " +
+                      std::to_string(Entries[0].second) + "\n";
+  // Comment line "%...\n" filling up to 3 bytes before the boundary.
+  size_t Pad = MatrixMarketBlockBytes - 3 - Text.size() - SizeLine.size();
+  Text += std::string(Pad - 1, '%') + "\n" + SizeLine;
+  ASSERT_EQ(Text.size() + 3, MatrixMarketBlockBytes);
+  ASSERT_GT(First.size(), 4u); // the boundary cuts through a number
+  for (auto [R, C] : Entries)
+    Text += std::to_string(R) + " " + std::to_string(C) + "\n";
+  ASSERT_GT(Text.size(), 3 * MatrixMarketBlockBytes);
+  Graph Want = referenceGraph(N, false, Entries);
+
+  std::string Error;
+  expectSamePattern(parseMatrixMarket(Text, "blocks", &Error), Want, Error);
+  // The same bytes from a file.
+  std::string Path = ::testing::TempDir() + "/granii_blocks.mtx";
+  {
+    std::ofstream Out(Path, std::ios::binary);
+    Out << Text;
+  }
+  expectSamePattern(readMatrixMarket(Path, &Error), Want, Error);
+  std::remove(Path.c_str());
+
+  // One comment line longer than a whole block.
+  std::string Long = "%%MatrixMarket matrix coordinate pattern general\n%" +
+                     std::string(3 * MatrixMarketBlockBytes, 'c') +
+                     "\n2 2 1\n1 2\n";
+  auto G = parseMatrixMarket(Long, "long", &Error);
+  ASSERT_TRUE(G.has_value()) << Error;
+  EXPECT_EQ(G->numEdges(), 1);
 }
 
 TEST(MatrixMarket, WriteReadRoundTrip) {

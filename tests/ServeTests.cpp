@@ -19,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -77,7 +79,16 @@ TEST(Wire, PrimitivesRoundTrip) {
   W.putI64(-42);
   W.putF64(3.141592653589793);
   W.putString("hello wire");
-  std::vector<float> Floats = {1.0f, -2.5f, 0.0f};
+  // Special values must survive bit for bit: a NaN with a payload, -0,
+  // the smallest denormal and both infinities.
+  std::vector<float> Floats = {1.0f,
+                               -2.5f,
+                               0.0f,
+                               std::bit_cast<float>(0x7fc12345u),
+                               -0.0f,
+                               std::numeric_limits<float>::denorm_min(),
+                               std::numeric_limits<float>::infinity(),
+                               -std::numeric_limits<float>::infinity()};
   W.putFloats(Floats);
 
   WireReader R(W.bytes());
@@ -88,8 +99,22 @@ TEST(Wire, PrimitivesRoundTrip) {
   EXPECT_EQ(R.getI64(), -42);
   EXPECT_DOUBLE_EQ(R.getF64(), 3.141592653589793);
   EXPECT_EQ(R.getString(), "hello wire");
-  EXPECT_EQ(R.getFloats(), Floats);
+  std::vector<float> Back = R.getFloats();
+  ASSERT_EQ(Back.size(), Floats.size());
+  for (size_t I = 0; I < Floats.size(); ++I)
+    EXPECT_EQ(std::bit_cast<uint32_t>(Back[I]),
+              std::bit_cast<uint32_t>(Floats[I]))
+        << "float " << I;
   EXPECT_TRUE(R.atEnd());
+
+  // The wire layout itself: u64 count, then each float's IEEE-754 bits
+  // least significant byte first, whatever the host byte order.
+  WireWriter Two;
+  Two.putFloats(std::vector<float>{1.0f, -2.0f});
+  const std::vector<uint8_t> Want = {2,    0, 0, 0,    0, 0, 0, 0,
+                                     0x00, 0, 0x80, 0x3f, // 1.0f
+                                     0x00, 0, 0x00, 0xc0}; // -2.0f
+  EXPECT_EQ(Two.bytes(), Want);
 }
 
 TEST(Wire, TruncatedBufferLatchesPositionedError) {

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <map>
+
 using namespace granii;
 
 TEST(DenseMatrix, ZeroInitialized) {
@@ -91,6 +95,75 @@ TEST(CooMatrix, SortedColumnsWithinRows) {
   Csr.verify(); // Verifies strictly increasing columns.
   EXPECT_EQ(Csr.colIndices()[0], 1);
   EXPECT_EQ(Csr.colIndices()[2], 4);
+}
+
+TEST(CooMatrix, ToCsrMatchesMapReference) {
+  // Seeded random triplets: duplicates, empty rows (rows outnumber the
+  // draws' reach), rectangular shapes, rows arriving out of order.
+  struct Shape {
+    int64_t Rows, Cols, Entries;
+  };
+  for (Shape S : {Shape{7, 5, 60}, Shape{40, 9, 50}, Shape{5, 300, 400},
+                  Shape{1, 1, 4}, Shape{30, 30, 0}}) {
+    for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
+      Rng R(Seed);
+      CooMatrix Coo(S.Rows, S.Cols);
+      // (row, col) -> value summed in insertion order, as toCsr promises.
+      std::map<std::pair<int64_t, int64_t>, float> Want;
+      // Rows draw from the first two thirds only, so the rest stay empty.
+      int64_t RowReach = std::max<int64_t>(1, 2 * S.Rows / 3);
+      for (int64_t I = 0; I < S.Entries; ++I) {
+        int64_t Row = static_cast<int64_t>(R.nextBelow(RowReach));
+        int64_t Col = static_cast<int64_t>(R.nextBelow(S.Cols));
+        float V = R.nextFloat(-4.0f, 4.0f);
+        Coo.add(Row, Col, V);
+        auto [It, Fresh] = Want.try_emplace({Row, Col}, V);
+        if (!Fresh)
+          It->second += V;
+      }
+      for (bool Unweighted : {true, false}) {
+        SCOPED_TRACE(std::to_string(S.Rows) + "x" + std::to_string(S.Cols) +
+                     " seed " + std::to_string(Seed) +
+                     (Unweighted ? " unweighted" : " weighted"));
+        CsrMatrix Csr = Coo.toCsr(Unweighted);
+        Csr.verify();
+        ASSERT_EQ(Csr.rows(), S.Rows);
+        ASSERT_EQ(Csr.cols(), S.Cols);
+        ASSERT_EQ(Csr.nnz(), static_cast<int64_t>(Want.size()));
+        EXPECT_EQ(Csr.isWeighted(), !Unweighted && !Want.empty());
+        std::vector<int64_t> WantOffsets(static_cast<size_t>(S.Rows) + 1, 0);
+        size_t K = 0;
+        for (const auto &[Key, V] : Want) {
+          ++WantOffsets[static_cast<size_t>(Key.first) + 1];
+          EXPECT_EQ(Csr.colIndices()[K], Key.second);
+          if (!Unweighted) { // bitwise: same additions in the same order
+            EXPECT_EQ(std::bit_cast<uint32_t>(Csr.values()[K]),
+                      std::bit_cast<uint32_t>(V));
+          }
+          ++K;
+        }
+        for (size_t Row = 0; Row < static_cast<size_t>(S.Rows); ++Row)
+          WantOffsets[Row + 1] += WantOffsets[Row];
+        EXPECT_TRUE(std::equal(WantOffsets.begin(), WantOffsets.end(),
+                               Csr.rowOffsets().begin(),
+                               Csr.rowOffsets().end()));
+      }
+    }
+  }
+}
+
+TEST(CooMatrix, DuplicatesSumInInsertionOrder) {
+  // (1e8 + 1) rounds back to 1e8 in float, so only insertion order gives 0;
+  // summing the two large values first would give 1.
+  CooMatrix Coo(2, 2);
+  Coo.add(1, 0, 1e8f);
+  Coo.add(0, 1, 5.0f);
+  Coo.add(1, 0, 1.0f);
+  Coo.add(1, 0, -1e8f);
+  CsrMatrix Csr = Coo.toCsr(/*Unweighted=*/false);
+  ASSERT_EQ(Csr.nnz(), 2);
+  EXPECT_EQ(Csr.colIndices()[1], 0);
+  EXPECT_EQ(Csr.values()[1], 0.0f);
 }
 
 TEST(CsrMatrix, UnweightedValueIsOne) {

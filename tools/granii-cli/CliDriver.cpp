@@ -171,6 +171,7 @@ std::optional<Graph> loadGraph(const std::string &Spec, std::string &Err) {
 /// against the one-shot pipeline's bit for bit.
 bool writeOutputFile(const std::string &Path, int64_t Rows, int64_t Cols,
                      std::span<const float> Values, std::string &Err) {
+  TraceSpan Span("write-output", "cli");
   serve::WireWriter W;
   W.putU32(0x4f4e5247u); // "GRNO"
   W.putI64(Rows);
