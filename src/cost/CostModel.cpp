@@ -33,8 +33,9 @@ double CostModel::planSeconds(const CompositionPlan &Plan,
     Total += Mult * primitiveSeconds(Desc, Stats);
   }
   if (Format != SparseFormat::Csr) {
-    // One-time structure conversion, charged exactly like the executor's
-    // formatSetup: an O(E) edge pass stamped with the target format.
+    // One-time structure conversion, charged exactly like the format part
+    // of the executor's layoutSetup: an O(E) edge pass stamped with the
+    // target format.
     PrimitiveDesc Conv{PrimitiveKind::EdgeElementwise, Binding.N, 0, 0,
                        Binding.E};
     Conv.Format = Format;

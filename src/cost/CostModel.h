@@ -42,9 +42,9 @@ public:
 
   /// Same, with every sparse step costed under \p Format instead of the
   /// plan's stamped format, plus the one-time CSR-to-format structure
-  /// conversion charge for non-CSR formats (mirroring what the executor's
-  /// formatSetup pays). The quantity the online selector minimizes jointly
-  /// over (plan, format).
+  /// conversion charge for non-CSR formats (mirroring the format part of
+  /// the executor's layout setup). The quantity the online selector
+  /// minimizes jointly over (plan, format).
   double planSeconds(const CompositionPlan &Plan, const DimBinding &Binding,
                      const GraphStats &Stats, int Iterations,
                      SparseFormat Format) const;

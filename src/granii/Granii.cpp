@@ -274,6 +274,13 @@ Selection Optimizer::select(const Graph &G, int64_t KIn, int64_t KOut) const {
 
 ExecResult Optimizer::execute(const Selection &Sel, const LayerParams &Params,
                               bool Training) const {
+  ExecResult Result;
+  execute(Sel, Params, Training, Result);
+  return Result;
+}
+
+size_t Optimizer::execute(const Selection &Sel, const LayerParams &Params,
+                          bool Training, ExecResult &Result) const {
   const CompositionPlan &Plan = Promoted[Sel.PlanIndex];
   LayerInputs Inputs = Params.inputs();
   if (Opts.Verify == VerifyLevel::Full) {
@@ -293,19 +300,18 @@ ExecResult Optimizer::execute(const Selection &Sel, const LayerParams &Params,
       GRANII_FATAL("execution schedule verification failed:\n" +
                    Diags.render());
   }
-  // One persistent workspace per (plan, mode): repeated executions of the
-  // same selection reuse the planned arena instead of reallocating every
-  // intermediate (training pins all activations, so the two modes cannot
-  // share a workspace).
-  PlanWorkspace &Ws =
-      Workspaces[{Sel.PlanIndex, Training, Sel.Format, Opts.Shards}];
+  // One persistent workspace per (plan, mode, format): repeated executions
+  // of the same selection reuse the planned arena instead of reallocating
+  // every intermediate (training pins all activations, so the two modes
+  // cannot share a workspace).
+  PlanWorkspace &Ws = Workspaces[{Sel.PlanIndex, Training, Sel.Format}];
+  Ws.resetAllocationCount();
   ShardSpec Sharding{Opts.Shards, Opts.ShardStoreDir};
-  ExecResult Result;
   if (Training)
     Exec.runTraining(Plan, Inputs, Params.Stats, Ws, Result, Opts.Reorder,
                      Sel.Format, Sharding);
   else
     Exec.run(Plan, Inputs, Params.Stats, Ws, Result, Opts.Reorder,
              Sel.Format, Sharding);
-  return Result;
+  return Ws.allocationCount();
 }

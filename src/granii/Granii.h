@@ -123,12 +123,18 @@ public:
                             const GraphStats &GraphStats) const;
 
   /// Executes the selected plan once (forward, or forward+backward)
-  /// against a workspace cached per (plan, mode): the first execution of a
-  /// selection plans and allocates its buffer arena, subsequent ones reuse
-  /// it. Because of that cache, execute() is not safe to call concurrently
-  /// from multiple threads on one Optimizer.
+  /// against a workspace cached per (plan, mode, format): the first
+  /// execution of a selection plans and allocates its buffer arena,
+  /// subsequent ones reuse it. Because of that cache, execute() is not safe
+  /// to call concurrently from multiple threads on one Optimizer.
   ExecResult execute(const Selection &Sel, const LayerParams &Params,
                      bool Training) const;
+
+  /// Same, writing into \p Result: a result reused across calls keeps its
+  /// output buffer, so a warm inference call allocates nothing for it.
+  /// \returns the workspace allocations this call performed (0 when warm).
+  size_t execute(const Selection &Sel, const LayerParams &Params,
+                 bool Training, ExecResult &Result) const;
 
   /// Persists the offline stage's output (the promoted candidate set) so a
   /// later process can skip enumeration and pruning entirely.
@@ -171,13 +177,12 @@ private:
   std::vector<CompositionPlan> Promoted;
   PruneStats Stats;
   Executor Exec;
-  /// Per-(plan index, training mode, format, shard count) execution
-  /// workspaces, created lazily by execute(). Format is part of the key so
-  /// an Auto selector alternating formats does not thrash one workspace's
-  /// cached structure; shard count likewise isolates the cached partition
-  /// blocks. Mutable: caching buffers does not change observable optimizer
-  /// state (outputs are bitwise identical either way).
-  mutable std::map<std::tuple<size_t, bool, SparseFormat, int>, PlanWorkspace>
+  /// Per-(plan index, training mode, format) execution workspaces, created
+  /// lazily by execute(). Format is part of the key so an Auto selector
+  /// alternating formats does not thrash one workspace's layout state.
+  /// Mutable: caching buffers does not change observable optimizer state
+  /// (outputs are bitwise identical either way).
+  mutable std::map<std::tuple<size_t, bool, SparseFormat>, PlanWorkspace>
       Workspaces;
 };
 

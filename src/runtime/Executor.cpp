@@ -192,29 +192,16 @@ std::vector<bool> gradPath(const CompositionPlan &Plan) {
   return Need;
 }
 
-/// Forward interpreter shared by run() and runTraining(). With a workspace
-/// it executes against the arena slots and cached scratch (zero steady-
-/// state allocations); without one it owns per-call storage — both through
-/// the same destination-passing switch, so outputs are identical.
+/// Forward and backward interpreter behind every executor run. It executes
+/// against the workspace's arena slots, cached scratch and layout state, so
+/// a steady-state run allocates nothing for plan values.
 class PlanInterpreter {
 public:
   PlanInterpreter(const Executor &Exec, const CompositionPlan &Plan,
                   const LayerInputs &Inputs, const GraphStats &Stats,
-                  PlanWorkspace *Ws,
-                  SparseFormat Format = SparseFormat::Csr,
-                  detail::ShardState *ShardSt = nullptr)
+                  PlanWorkspace &Ws)
       : Exec(Exec), Plan(Plan), Inputs(Inputs), Stats(Stats), Ws(Ws),
-        Format(Format), FS(Ws ? &Ws->formatState() : nullptr), SS(ShardSt) {
-    if (Ws) {
-      DescsPtr = &Ws->descs();
-      ValuesPtr = &Ws->scratch();
-    } else {
-      OwnedDescs = Plan.primitiveDescs(Inputs.binding(&Plan));
-      OwnedValues.resize(Plan.Values.size());
-      DescsPtr = &OwnedDescs;
-      ValuesPtr = &OwnedValues;
-    }
-  }
+        LS(Ws.layoutState()) {}
 
   /// Runs every step once; the plan output lands in \p Output.
   void forward(ExecResult &Result, DenseMatrix &Output);
@@ -224,52 +211,36 @@ private:
   void bindInput(size_t Id, const PlanValue &Def);
   void execStep(size_t StepIdx, ExecResult &Result);
 
-  RtValue &val(int Id) { return (*ValuesPtr)[static_cast<size_t>(Id)]; }
+  RtValue &val(int Id) { return Ws.scratch()[static_cast<size_t>(Id)]; }
 
-  /// Destination accessors: the caller-visible result storage for value
-  /// \p Id, reshaped to the requested size. The plan output: forward()'s
-  /// output matrix. Arena path: the workspace slot (operands of the current
-  /// step are still live in the buffer plan, so a destination slot never
-  /// aliases an operand's). Legacy path: the value's own storage.
+  /// Destination accessors: the storage for value \p Id, reshaped to the
+  /// requested size — forward()'s output matrix for the plan output, the
+  /// workspace slot otherwise (operands of the current step are still live
+  /// in the buffer plan, so a destination slot never aliases an operand's).
   DenseMatrix &dstDense(int Id, int64_t Rows, int64_t Cols) {
     RtValue &Out = val(Id);
     if (Id == Plan.OutputValue) {
       OutputDst->resize(Rows, Cols);
-      Out.DensePtr = OutputDst;
+      Out.Dense = OutputDst;
       return *OutputDst;
     }
-    if (Ws) {
-      DenseMatrix &M = Ws->denseFor(Id, Rows, Cols);
-      Out.DensePtr = &M;
-      return M;
-    }
-    Out.Dense.resize(Rows, Cols);
-    return Out.Dense;
+    DenseMatrix &M = Ws.denseFor(Id, Rows, Cols);
+    Out.Dense = &M;
+    return M;
   }
   std::vector<float> &dstVec(int Id, size_t Size) {
-    RtValue &Out = val(Id);
-    if (Ws) {
-      std::vector<float> &V = Ws->vecFor(Id, Size);
-      Out.VecPtr = &V;
-      return V;
-    }
-    Out.Vec.resize(Size);
-    return Out.Vec;
+    std::vector<float> &V = Ws.vecFor(Id, Size);
+    val(Id).Vec = &V;
+    return V;
   }
   CsrMatrix &dstSparse(int Id, const CsrMatrix &Pattern) {
-    RtValue &Out = val(Id);
-    if (Ws) {
-      CsrMatrix &S = Ws->sparseFor(Id, Pattern);
-      Out.SparsePtr = &S;
-      return S;
-    }
-    Out.Sparse.assignPattern(Pattern.rows(), Pattern.cols(),
-                             Pattern.rowOffsets(), Pattern.colIndices());
-    return Out.Sparse;
+    CsrMatrix &S = Ws.sparseFor(Id, Pattern);
+    val(Id).Sparse = &S;
+    return S;
   }
 
   double charge(size_t StepIdx, FunctionRef<void()> Body) {
-    return Exec.timeKernel((*DescsPtr)[StepIdx], Stats, Body);
+    return Exec.timeKernel(Ws.descs()[StepIdx], Stats, Body);
   }
 
   /// Charges an ad-hoc backward primitive.
@@ -277,77 +248,64 @@ private:
     return Exec.timeKernel(Desc, Stats, Body);
   }
 
-  /// True when the interpreter runs under a non-CSR forward format and the
-  /// workspace's cached structure covers \p A. Size equality suffices as
-  /// the pattern guard: the only sparse values a plan produces carry the
-  /// bound adjacency's pattern (dstSparse copies it), which is exactly
-  /// what formatSetup converted.
+  /// True when \p A has the bound adjacency's pattern, which every cached
+  /// layout structure was built from. Size equality suffices: the only
+  /// sparse values a plan produces copy an operand's pattern (dstSparse),
+  /// so by induction they all carry the bound adjacency's.
+  bool boundPattern(const CsrMatrix &A) const {
+    const CsrMatrix &Adj = *Inputs.Adjacency;
+    return A.rows() == Adj.rows() && A.cols() == Adj.cols() &&
+           A.nnz() == Adj.nnz();
+  }
+
+  /// True when the layout has a non-CSR format structure covering \p A.
   bool formatCovers(const CsrMatrix &A) const {
-    if (!FS || Format == SparseFormat::Csr || FS->Format != Format)
-      return false;
-    switch (Format) {
-    case SparseFormat::Ell:
-      return FS->Ell.rows() == A.rows() && FS->Ell.cols() == A.cols() &&
-             FS->Ell.nnz() == A.nnz();
-    case SparseFormat::Sell:
-      return FS->Sell.rows() == A.rows() && FS->Sell.cols() == A.cols() &&
-             FS->Sell.nnz() == A.nnz();
-    case SparseFormat::Hyb:
-      return FS->Hyb.rows() == A.rows() && FS->Hyb.cols() == A.cols() &&
-             FS->Hyb.nnz() == A.nnz();
-    default:
-      return false;
-    }
+    return LS.Format != SparseFormat::Csr && boundPattern(A);
   }
 
   /// Runs one forward aggregation over the cached format structure;
   /// formatCovers(A) must hold.
   void formatSpmmInto(const CsrMatrix &A, const DenseMatrix &B,
                       const Semiring &S, DenseMatrix &Dst) const {
-    switch (Format) {
+    switch (LS.Format) {
     case SparseFormat::Ell:
-      kernels::spmmEllInto(FS->Ell, A.values(), B, S, Dst);
+      kernels::spmmEllInto(LS.Ell, A.values(), B, S, Dst);
       return;
     case SparseFormat::Sell:
-      kernels::spmmSellInto(FS->Sell, A.values(), B, S, Dst);
+      kernels::spmmSellInto(LS.Sell, A.values(), B, S, Dst);
       return;
     case SparseFormat::Hyb:
-      kernels::spmmHybInto(FS->Hyb, A.values(), B, S, Dst);
+      kernels::spmmHybInto(LS.Hyb, A.values(), B, S, Dst);
       return;
     default:
       GRANII_FATAL("formatSpmmInto called without a cached format structure");
     }
   }
 
-  /// Per-edge dots over the cached format structure (backward dS);
-  /// formatCovers(Mask) must hold.
-  void formatSddmmInto([[maybe_unused]] const CsrMatrix &Mask,
-                       const DenseMatrix &U, const DenseMatrix &V,
+  /// Per-edge dots over the cached format structure (backward dS) at the
+  /// pattern of an operand that formatCovers.
+  void formatSddmmInto(const DenseMatrix &U, const DenseMatrix &V,
                        std::span<float> Out) const {
-    switch (Format) {
+    switch (LS.Format) {
     case SparseFormat::Ell:
-      kernels::sddmmEllInto(FS->Ell, U, V, Semiring::plusTimes(), Out);
+      kernels::sddmmEllInto(LS.Ell, U, V, Semiring::plusTimes(), Out);
       return;
     case SparseFormat::Sell:
-      kernels::sddmmSellInto(FS->Sell, U, V, Semiring::plusTimes(), Out);
+      kernels::sddmmSellInto(LS.Sell, U, V, Semiring::plusTimes(), Out);
       return;
     case SparseFormat::Hyb:
-      kernels::sddmmHybInto(FS->Hyb, U, V, Semiring::plusTimes(), Out);
+      kernels::sddmmHybInto(LS.Hyb, U, V, Semiring::plusTimes(), Out);
       return;
     default:
       GRANII_FATAL("formatSddmmInto called without a cached format structure");
     }
   }
 
-  /// True when sharded execution is active and the cached blocks cover
-  /// \p A. Size equality suffices as the pattern guard for the same reason
-  /// as formatCovers: every sparse value a plan produces carries the bound
-  /// adjacency's pattern (attention weights share it), which is exactly
-  /// what shardSetup partitioned — the blocks hold structure only and edge
-  /// values gather through the operand's own CSR-ordered array.
+  /// True when the layout is sharded and its blocks cover \p A. The blocks
+  /// hold structure only; edge values gather through the operand's own
+  /// CSR-ordered array.
   bool shardCovers(const CsrMatrix &A) const {
-    return SS && SS->Shards > 1 && SS->Set.numNodes() == A.rows() &&
-           SS->Set.nnz() == A.nnz() && A.rows() == A.cols();
+    return LS.Sharding.active() && boundPattern(A);
   }
 
   /// Runs one forward aggregation through the shard pipeline, counting any
@@ -355,43 +313,36 @@ private:
   /// shardCovers(A) must hold.
   void shardSpmmInto(const CsrMatrix &A, const DenseMatrix &B,
                      const Semiring &S, DenseMatrix &Dst) const {
-    size_t Grown = SS->Staging.ensureForward(SS->Set, B.cols());
-    if (Ws)
-      for (; Grown > 0; --Grown)
-        Ws->countAllocation();
-    shard::shardedSpmmInto(SS->Set, SS->Staging, A.values(), B, S, Dst);
+    for (size_t Grown = LS.Staging.ensureForward(LS.Set, B.cols()); Grown > 0;
+         --Grown)
+      Ws.countAllocation();
+    shard::shardedSpmmInto(LS.Set, LS.Staging, A.values(), B, S, Dst);
   }
 
   const Executor &Exec;
   const CompositionPlan &Plan;
   const LayerInputs &Inputs;
   const GraphStats &Stats;
-  PlanWorkspace *Ws;
-  std::vector<PrimitiveDesc> OwnedDescs;
-  std::vector<RtValue> OwnedValues;
-  const std::vector<PrimitiveDesc> *DescsPtr = nullptr;
-  std::vector<RtValue> *ValuesPtr = nullptr;
+  PlanWorkspace &Ws;
+  detail::LayoutState &LS;
   DenseMatrix *OutputDst = nullptr; ///< forward()'s output matrix
-  SparseFormat Format = SparseFormat::Csr;
-  detail::FormatState *FS = nullptr;
-  detail::ShardState *SS = nullptr;
 };
 
 void PlanInterpreter::bindInput(size_t Id, const PlanValue &Def) {
-  RtValue &V = (*ValuesPtr)[Id];
+  RtValue &V = Ws.scratch()[Id];
   V.Kind = Def.Kind;
   switch (*Def.InputRole) {
   case LeafRole::Adjacency:
-    V.SparseRef = Inputs.Adjacency;
+    V.Sparse = Inputs.Adjacency;
     return;
   case LeafRole::Features:
-    V.DenseRef = Inputs.Features;
+    V.Dense = Inputs.Features;
     return;
   case LeafRole::Weight: {
     auto It = Inputs.Weights.find(Def.DebugName);
     if (It == Inputs.Weights.end())
       GRANII_FATAL("no weight bound for leaf '" + Def.DebugName + "'");
-    V.DenseRef = It->second;
+    V.Dense = It->second;
     return;
   }
   case LeafRole::AttnSrcVec:
@@ -400,7 +351,7 @@ void PlanInterpreter::bindInput(size_t Id, const PlanValue &Def) {
     if (It == Inputs.AttnVecs.end())
       GRANII_FATAL("no attention vector bound for leaf '" + Def.DebugName +
                    "'");
-    V.VecRef = It->second;
+    V.Vec = It->second;
     V.Kind = PlanValueKind::NodeVec;
     return;
   }
@@ -635,8 +586,8 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
     }
     P.Setup = Step.Setup;
     P.Seconds = Seconds;
-    P.Flops = (*DescsPtr)[StepIdx].flops();
-    P.Bytes = (*DescsPtr)[StepIdx].bytes();
+    P.Flops = Ws.descs()[StepIdx].flops();
+    P.Bytes = Ws.descs()[StepIdx].bytes();
     if (Span.active()) {
       Span.setArg("value", P.Value);
       Span.setArg("shape", P.Shape);
@@ -664,7 +615,7 @@ void PlanInterpreter::forward(ExecResult &Result, DenseMatrix &Output) {
   Result.AttnGrads.clear();
 
   for (size_t V = 0; V < Plan.Values.size(); ++V) {
-    (*ValuesPtr)[V].resetBindings();
+    Ws.scratch()[V] = RtValue();
     if (Plan.Values[V].InputRole)
       bindInput(V, Plan.Values[V]);
   }
@@ -672,7 +623,7 @@ void PlanInterpreter::forward(ExecResult &Result, DenseMatrix &Output) {
     execStep(S, Result);
   const RtValue &Out = val(Plan.OutputValue);
   assert(Out.Kind == PlanValueKind::Dense && "layer output must be dense");
-  assert(Out.DensePtr == &Output && "layer output must be a step result");
+  assert(Out.Dense == &Output && "layer output must be a step result");
   (void)Out;
 }
 
@@ -680,8 +631,7 @@ void PlanInterpreter::backward(ExecResult &Result) {
   TraceSpan Span("backward", "executor");
   std::vector<bool> Need = gradPath(Plan);
   std::vector<RtGrad> Grads(Plan.Values.size());
-  std::vector<RtValue> &Values = *ValuesPtr;
-  const DimBinding Binding = Inputs.binding(&Plan);
+  std::vector<RtValue> &Values = Ws.scratch();
 
   auto EnsureDense = [&](int Id) -> DenseMatrix & {
     RtGrad &G = Grads[static_cast<size_t>(Id)];
@@ -755,6 +705,8 @@ void PlanInterpreter::backward(ExecResult &Result) {
     case StepOp::SpmmUnweighted: {
       const CsrMatrix &S = OpVal(0).sparse();
       const DenseMatrix &X = OpVal(1).dense();
+      GRANII_CHECK(boundPattern(S),
+                   "backward SpMM operand lacks the bound adjacency's pattern");
       if (NeedOp(1) && shardCovers(S)) {
         // Sharded dX = S^T dY over the blocks' CSC slices: each slice
         // keeps its owned columns' entries in ascending global-row order
@@ -767,36 +719,27 @@ void PlanInterpreter::backward(ExecResult &Result) {
                         S.cols(), X.cols(), 0, S.nnz()};
         D.Format = SparseFormat::Csc;
         Backward += chargeDesc(D, [&] {
-          SS->Staging.ensureBackward(SS->Set, OutG.Dense.cols());
+          LS.Staging.ensureBackward(LS.Set, OutG.Dense.cols());
           DenseMatrix DX(S.cols(), OutG.Dense.cols());
           shard::shardedSpmmCscTransposedInto(
-              SS->Set, SS->Staging, S.values(), OutG.Dense,
+              LS.Set, LS.Staging, S.values(), OutG.Dense,
               Step.Op == StepOp::SpmmWeighted ? Semiring::plusTimes()
                                               : Semiring::plusCopy(),
               DX);
           kernels::axpyInto(1.0f, DX, EnsureDense(OpId(1)));
         });
       } else if (NeedOp(1)) {
-        // dX += S^T dY, walked through a CSC view of S instead of
-        // re-materializing a transposed CSR every step. The CSC holds the
-        // structure only (values gather through its CSR index map), so a
-        // workspace caches it across runs; the one-time build is charged
-        // as the edge-map the per-step transpose used to be.
-        CscMatrix LocalCsc;
-        const CscMatrix *Csc = nullptr;
-        if (FS && FS->CscSource == &S && FS->CscSourceNnz == S.nnz() &&
-            FS->Csc.rows() == S.rows()) {
-          Csc = &FS->Csc;
-        } else {
+        // dX += S^T dY, walked through the layout's CSC view of the bound
+        // adjacency instead of re-materializing a transposed CSR every
+        // step. The CSC holds the structure only (values gather from S
+        // through its CSR index map), so one build per layout serves every
+        // run and every operand; that build is charged to backward as the
+        // edge-map the per-step transpose used to be.
+        if (!LS.Csc) {
           PrimitiveDesc TD{PrimitiveKind::EdgeElementwise, S.rows(), 0, 0,
                            S.nnz()};
-          CscMatrix &Built = FS ? FS->Csc : LocalCsc;
-          Backward += chargeDesc(TD, [&] { Built = CscMatrix::fromCsr(S); });
-          if (FS) {
-            FS->CscSource = &S;
-            FS->CscSourceNnz = S.nnz();
-          }
-          Csc = &Built;
+          Backward += chargeDesc(
+              TD, [&] { LS.Csc = CscMatrix::fromCsr(*Inputs.Adjacency); });
         }
         PrimitiveDesc D{Step.Op == StepOp::SpmmWeighted
                             ? PrimitiveKind::SpMMWeighted
@@ -805,7 +748,7 @@ void PlanInterpreter::backward(ExecResult &Result) {
         D.Format = SparseFormat::Csc;
         Backward += chargeDesc(D, [&] {
           DenseMatrix DX(S.cols(), OutG.Dense.cols());
-          kernels::spmmCscTransposedInto(*Csc, S.values(), OutG.Dense,
+          kernels::spmmCscTransposedInto(*LS.Csc, S.values(), OutG.Dense,
                                          Step.Op == StepOp::SpmmWeighted
                                              ? Semiring::plusTimes()
                                              : Semiring::plusCopy(),
@@ -817,11 +760,11 @@ void PlanInterpreter::backward(ExecResult &Result) {
         // dS_ij += dY_i . X_j (SDDMM at the sparse pattern).
         PrimitiveDesc D{PrimitiveKind::SddmmDot, S.rows(), 0, X.cols(),
                         S.nnz()};
-        D.Format = formatCovers(S) ? Format : SparseFormat::Csr;
+        D.Format = formatCovers(S) ? LS.Format : SparseFormat::Csr;
         Backward += chargeDesc(D, [&] {
           std::vector<float> DS(static_cast<size_t>(S.nnz()));
           if (formatCovers(S))
-            formatSddmmInto(S, OutG.Dense, X, DS);
+            formatSddmmInto(OutG.Dense, X, DS);
           else
             kernels::sddmmInto(S, OutG.Dense, X, Semiring::plusTimes(), DS);
           std::vector<float> &Acc = EnsureEdge(OpId(0));
@@ -998,7 +941,6 @@ void PlanInterpreter::backward(ExecResult &Result) {
     }
     }
   }
-  (void)Binding;
   Result.BackwardSeconds = Backward;
 
   // Export parameter gradients for callers (optimizer steps, grad checks).
@@ -1029,77 +971,19 @@ void PlanInterpreter::backward(ExecResult &Result) {
 
 ExecResult Executor::run(const CompositionPlan &Plan, const LayerInputs &Inputs,
                          const GraphStats &Stats) const {
-  PlanInterpreter Interp(*this, Plan, Inputs, Stats, /*Ws=*/nullptr);
+  PlanWorkspace Ws;
   ExecResult Result;
-  Interp.forward(Result, Result.Output);
+  run(Plan, Inputs, Stats, Ws, Result);
   return Result;
 }
 
 ExecResult Executor::runTraining(const CompositionPlan &Plan,
                                  const LayerInputs &Inputs,
                                  const GraphStats &Stats) const {
-  PlanInterpreter Interp(*this, Plan, Inputs, Stats, /*Ws=*/nullptr);
+  PlanWorkspace Ws;
   ExecResult Result;
-  Interp.forward(Result, Result.Output);
-  Interp.backward(Result);
+  runTraining(Plan, Inputs, Stats, Ws, Result);
   return Result;
-}
-
-double Executor::reorderSetup(detail::ReorderState &RS, const CsrMatrix &Adj,
-                              const GraphStats &Stats,
-                              ReorderPolicy Policy) const {
-  if (RS.Policy == Policy && RS.SourceAdj == &Adj &&
-      RS.SourceNnz == Adj.nnz() && RS.PermAdj.rows() == Adj.rows())
-    return 0.0;
-  // Per-(policy, graph) preprocessing, hoisted like degree normalizations.
-  // Charged as an edge-traversal primitive: the permutation build and the
-  // PAP^T rewrite are both O(E)-dominated passes over the structure.
-  TraceSpan Span("reorder-setup", "executor");
-  PrimitiveDesc Desc{PrimitiveKind::EdgeElementwise, Adj.rows(), 0, 0,
-                     Adj.nnz()};
-  return timeKernel(Desc, Stats, [&] {
-    RS.Policy = Policy;
-    RS.SourceAdj = &Adj;
-    RS.SourceNnz = Adj.nnz();
-    RS.Perm = makeReorderPermutation(Policy, Adj);
-    RS.PermAdj = permuteSymmetric(Adj, RS.Perm);
-    RS.PermStats = computeGraphStats(RS.PermAdj);
-  });
-}
-
-double Executor::formatSetup(detail::FormatState &FS, const CsrMatrix &Adj,
-                             const GraphStats &Stats,
-                             SparseFormat Format) const {
-  if (FS.Format == Format && FS.SourceAdj == &Adj && FS.SourceNnz == Adj.nnz())
-    return 0.0;
-  // Per-(format, graph) conversion, hoisted like the reorder preprocessing.
-  // Each converter is a structure-only O(E) pass over the CSR, so it is
-  // charged as an edge-traversal primitive stamped with the target format.
-  TraceSpan Span("format-setup", "executor");
-  PrimitiveDesc Desc{PrimitiveKind::EdgeElementwise, Adj.rows(), 0, 0,
-                     Adj.nnz()};
-  Desc.Format = Format;
-  return timeKernel(Desc, Stats, [&] {
-    switch (Format) {
-    case SparseFormat::Ell:
-      FS.Ell = EllMatrix::fromCsr(Adj);
-      break;
-    case SparseFormat::Sell:
-      FS.Sell = SellMatrix::fromCsr(Adj);
-      break;
-    case SparseFormat::Hyb:
-      FS.Hyb = HybMatrix::fromCsr(Adj);
-      break;
-    case SparseFormat::Csr:
-    case SparseFormat::Csc:
-    case SparseFormat::Auto:
-      GRANII_CHECK(false, "formatSetup: format has no forward conversion");
-      break;
-    }
-    FS.Format = Format;
-    FS.SourceAdj = &Adj;
-    FS.SourceNnz = Adj.nnz();
-  });
 }
 
 namespace {
@@ -1124,84 +1008,127 @@ uint64_t csrStructureHash(const CsrMatrix &Adj) {
 
 } // namespace
 
-double Executor::shardSetup(detail::ShardState &SS, const CsrMatrix &Adj,
-                            const GraphStats &Stats,
-                            const ShardSpec &Spec) const {
-  if (SS.Shards == Spec.Shards && SS.SourceAdj == &Adj &&
-      SS.SourceNnz == Adj.nnz() && SS.StoreDir == Spec.StoreDir &&
-      SS.Set.numNodes() == Adj.rows())
+double Executor::layoutSetup(detail::LayoutState &LS, const CsrMatrix &Adj,
+                             const GraphStats &Stats, ReorderPolicy Policy,
+                             SparseFormat Format,
+                             const ShardSpec &Sharding) const {
+  if (LS.SourceAdj == &Adj && LS.SourceRows == Adj.rows() &&
+      LS.SourceNnz == Adj.nnz() && LS.Policy == Policy &&
+      LS.Format == Format && LS.Sharding == Sharding)
     return 0.0;
-  // Per-(shard count, graph) preprocessing, hoisted like the reorder and
-  // format conversions: the partition and the block build are both
-  // O(E)-dominated passes over the structure.
-  TraceSpan Span("shard-setup", "executor");
+  LS = detail::LayoutState();
+  LS.Policy = Policy;
+  LS.Format = Format;
+  LS.Sharding = Sharding;
+  LS.SourceAdj = &Adj;
+  LS.SourceRows = Adj.rows();
+  LS.SourceNnz = Adj.nnz();
+
+  // Per-layout preprocessing, hoisted like degree normalizations. Each part
+  // is an O(E)-dominated pass over the structure, so each is charged as an
+  // edge-traversal primitive; the format conversion's is stamped with its
+  // target format. Relabeling preserves rows and nnz, so one descriptor
+  // serves the bound adjacency too.
   PrimitiveDesc Desc{PrimitiveKind::EdgeElementwise, Adj.rows(), 0, 0,
                      Adj.nnz()};
-  return timeKernel(Desc, Stats, [&] {
-    SS.Shards = Spec.Shards;
-    SS.SourceAdj = &Adj;
-    SS.SourceNnz = Adj.nnz();
-    SS.StoreDir = Spec.StoreDir;
-    SS.Part = shard::partitionGraph(Adj, Spec.Shards);
-    if (Spec.StoreDir.empty()) {
-      SS.Set = shard::ShardSet::build(Adj, SS.Part);
-    } else {
+  double Seconds = 0.0;
+  const CsrMatrix *Bound = &Adj;
+  const GraphStats *BoundStats = &Stats;
+  if (Policy != ReorderPolicy::None) {
+    TraceSpan Span("reorder-setup", "executor");
+    Seconds += timeKernel(Desc, Stats, [&] {
+      LS.Perm = makeReorderPermutation(Policy, Adj);
+      LS.PermAdj = permuteSymmetric(Adj, LS.Perm);
+      LS.PermStats = computeGraphStats(LS.PermAdj);
+    });
+    Bound = &LS.PermAdj;
+    BoundStats = &LS.PermStats;
+  }
+  if (Format != SparseFormat::Csr) {
+    TraceSpan Span("format-setup", "executor");
+    PrimitiveDesc FormatDesc = Desc;
+    FormatDesc.Format = Format;
+    Seconds += timeKernel(FormatDesc, *BoundStats, [&] {
+      switch (Format) {
+      case SparseFormat::Ell:
+        LS.Ell = EllMatrix::fromCsr(*Bound);
+        break;
+      case SparseFormat::Sell:
+        LS.Sell = SellMatrix::fromCsr(*Bound);
+        break;
+      case SparseFormat::Hyb:
+        LS.Hyb = HybMatrix::fromCsr(*Bound);
+        break;
+      case SparseFormat::Csr:
+      case SparseFormat::Csc:
+      case SparseFormat::Auto:
+        GRANII_CHECK(false, "layoutSetup: format has no forward conversion");
+        break;
+      }
+    });
+  }
+  if (Sharding.active()) {
+    TraceSpan Span("shard-setup", "executor");
+    Seconds += timeKernel(Desc, *BoundStats, [&] {
+      LS.Part = shard::partitionGraph(*Bound, Sharding.Shards);
+      if (Sharding.StoreDir.empty()) {
+        LS.Set = shard::ShardSet::build(*Bound, LS.Part);
+        return;
+      }
       // mmap-backed store: build once per (graph structure, shard count),
       // then adopt the read-only mapping so block structure pages in on
       // demand. Keyed by content hash — a stale or foreign file never
       // matches, and a damaged one aborts in load()'s validation.
       char Name[64];
       std::snprintf(Name, sizeof(Name), "/granii-g%016llx-s%d.grshard",
-                    static_cast<unsigned long long>(csrStructureHash(Adj)),
-                    Spec.Shards);
-      const std::string Path = Spec.StoreDir + Name;
+                    static_cast<unsigned long long>(csrStructureHash(*Bound)),
+                    Sharding.Shards);
+      const std::string Path = Sharding.StoreDir + Name;
       std::ifstream Probe(Path, std::ios::binary);
       const bool Exists = Probe.good();
       Probe.close();
       if (!Exists) {
         std::string Err;
-        GRANII_CHECK(shard::ShardSet::build(Adj, SS.Part).save(Path, &Err),
+        GRANII_CHECK(shard::ShardSet::build(*Bound, LS.Part).save(Path, &Err),
                      "cannot write shard store: " + Err);
       }
-      SS.Set = shard::ShardSet::load(Path);
-    }
-    // Fresh blocks invalidate any staged halo capacities sized for the
-    // previous graph.
-    SS.Staging = shard::ShardStaging();
-  });
+      LS.Set = shard::ShardSet::load(Path);
+    });
+  }
+  return Seconds;
 }
 
-LayerInputs Executor::permuteInputs(detail::ReorderState &RS,
+LayerInputs Executor::permuteInputs(detail::LayoutState &LS,
                                     const LayerInputs &Inputs,
                                     PlanWorkspace &Ws,
                                     double &PermSeconds) const {
   const DenseMatrix &H = *Inputs.Features;
-  size_t Cap = RS.PermFeatures.capacityFloats();
-  RS.PermFeatures.resize(H.rows(), H.cols());
-  if (RS.PermFeatures.capacityFloats() != Cap)
+  size_t Cap = LS.PermFeatures.capacityFloats();
+  LS.PermFeatures.resize(H.rows(), H.cols());
+  if (LS.PermFeatures.capacityFloats() != Cap)
     Ws.countAllocation();
   // The gather runs every iteration (features may change between calls
   // even when the graph does not), so it is charged per iteration as a
   // dense row map — its real cost on measured platforms.
   TraceSpan Span("permute-features", "executor");
   PrimitiveDesc Desc{PrimitiveKind::DenseMap, H.rows(), H.cols(), 0, 0};
-  PermSeconds += timeKernel(Desc, RS.PermStats, [&] {
-    permuteRowsInto(H, RS.Perm, RS.PermFeatures);
+  PermSeconds += timeKernel(Desc, LS.PermStats, [&] {
+    permuteRowsInto(H, LS.Perm, LS.PermFeatures);
   });
 
   LayerInputs Permuted = Inputs;
-  Permuted.Adjacency = &RS.PermAdj;
-  Permuted.Features = &RS.PermFeatures;
+  Permuted.Adjacency = &LS.PermAdj;
+  Permuted.Features = &LS.PermFeatures;
   return Permuted;
 }
 
-double Executor::unpermuteRows(const detail::ReorderState &RS,
+double Executor::unpermuteRows(const detail::LayoutState &LS,
                                const DenseMatrix &Src, DenseMatrix &Dst) const {
   Dst.resize(Src.rows(), Src.cols());
   TraceSpan Span("unpermute-output", "executor");
   PrimitiveDesc Desc{PrimitiveKind::DenseMap, Src.rows(), Src.cols(), 0, 0};
-  return timeKernel(Desc, RS.PermStats,
-                    [&] { inversePermuteRowsInto(Src, RS.Perm, Dst); });
+  return timeKernel(Desc, LS.PermStats,
+                    [&] { inversePermuteRowsInto(Src, LS.Perm, Dst); });
 }
 
 void Executor::run(const CompositionPlan &Plan, const LayerInputs &Inputs,
@@ -1232,49 +1159,39 @@ void Executor::runArena(const CompositionPlan &Plan, const LayerInputs &Inputs,
                "sharded execution supports the CSR forward format only");
   GRANII_CHECK(Inputs.Features != &Result.Output,
                "arena execution: the result's output aliases the features");
+  detail::LayoutState &LS = Ws.layoutState();
+  const double SetupSeconds =
+      layoutSetup(LS, *Inputs.Adjacency, Stats, Policy, Format, Sharding);
   const bool Reordered = Policy != ReorderPolicy::None;
   const LayerInputs *Bound = &Inputs;
   const GraphStats *BoundStats = &Stats;
-  detail::ReorderState &RS = Ws.reorderState();
-  double SetupSeconds = 0.0;
   double PermSeconds = 0.0;
   LayerInputs Permuted;
   if (Reordered) {
-    SetupSeconds += reorderSetup(RS, *Inputs.Adjacency, Stats, Policy);
-    Permuted = permuteInputs(RS, Inputs, Ws, PermSeconds);
+    Permuted = permuteInputs(LS, Inputs, Ws, PermSeconds);
     Bound = &Permuted;
-    BoundStats = &RS.PermStats;
-  }
-  if (Format != SparseFormat::Csr)
-    SetupSeconds +=
-        formatSetup(Ws.formatState(), *Bound->Adjacency, *BoundStats, Format);
-  detail::ShardState *ShardSt = nullptr;
-  if (Sharding.active()) {
-    SetupSeconds +=
-        shardSetup(Ws.shardState(), *Bound->Adjacency, *BoundStats, Sharding);
-    ShardSt = &Ws.shardState();
+    BoundStats = &LS.PermStats;
   }
   Ws.configure(Plan, Bound->binding(&Plan), Training);
-  PlanInterpreter Interp(*this, Plan, *Bound, *BoundStats, &Ws, Format,
-                         ShardSt);
+  PlanInterpreter Interp(*this, Plan, *Bound, *BoundStats, Ws);
   // A reordered run leaves its output in permuted row order in the
   // workspace's staging buffer (growth counted like any workspace buffer);
   // the inverse scatter then writes the caller's Result.Output.
-  const size_t StagingCap = RS.PermOutput.capacityFloats();
-  Interp.forward(Result, Reordered ? RS.PermOutput : Result.Output);
+  const size_t StagingCap = LS.PermOutput.capacityFloats();
+  Interp.forward(Result, Reordered ? LS.PermOutput : Result.Output);
   if (Training)
     Interp.backward(Result);
   if (Reordered) {
-    if (RS.PermOutput.capacityFloats() != StagingCap)
+    if (LS.PermOutput.capacityFloats() != StagingCap)
       Ws.countAllocation();
-    PermSeconds += unpermuteRows(RS, RS.PermOutput, Result.Output);
+    PermSeconds += unpermuteRows(LS, LS.PermOutput, Result.Output);
     // Weight and attention gradients reduce over nodes and are row-order
     // independent; only the feature gradient is per-node and must return
     // to the caller's vertex order. Training allocates per call anyway.
     if (Training && Result.FeatureGrad.rows() > 0) {
       DenseMatrix Staging(Result.FeatureGrad.rows(),
                           Result.FeatureGrad.cols());
-      inversePermuteRowsInto(Result.FeatureGrad, RS.Perm, Staging);
+      inversePermuteRowsInto(Result.FeatureGrad, LS.Perm, Staging);
       std::swap(Result.FeatureGrad, Staging);
     }
   }

@@ -11,13 +11,11 @@
 ///
 /// Execution is destination-passing throughout: every step writes its
 /// result through the kernels' `...Into` forms, and the plan's final step
-/// writes straight into the caller's ExecResult::Output. Callers choose
-/// between the legacy per-call storage (run()/runTraining() returning an
-/// ExecResult — each call allocates its intermediates) and the arena path,
-/// where a PlanWorkspace holds BufferPlan-assigned slots that persist across
-/// calls so steady-state inference performs zero heap allocations. Both
-/// paths run the same kernels in the same order, so their outputs are
-/// bitwise identical. Each step executes exactly once per call.
+/// writes straight into the caller's ExecResult::Output. Every run executes
+/// against a PlanWorkspace, whose BufferPlan-assigned slots persist across
+/// calls so steady-state inference performs zero heap allocations; the
+/// by-value run()/runTraining() simply use a fresh workspace per call. Each
+/// step executes exactly once per call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,7 +68,7 @@ struct LayerInputs {
   DimBinding binding() const { return binding(nullptr); }
 };
 
-/// Sharded-execution request for an arena run (docs/SHARDING.md). Shards
+/// Sharded-execution request for an executor run (docs/SHARDING.md). Shards
 /// <= 1 executes whole-graph; > 1 partitions the bound adjacency and runs
 /// every matching sparse aggregation through the shard pipeline —
 /// bitwise identical to the whole-graph run. A non-empty StoreDir keeps
@@ -82,98 +80,68 @@ struct ShardSpec {
   std::string StoreDir;
 
   bool active() const { return Shards > 1; }
+  bool operator==(const ShardSpec &) const = default;
 };
 
 namespace detail {
 
-/// Runtime storage for one plan value. Inputs alias caller tensors
-/// (DenseRef/SparseRef/VecRef); produced values either own their payload
-/// (legacy path: Dense/Sparse/Vec members) or point into a PlanWorkspace
-/// slot (arena path: DensePtr/SparsePtr/VecPtr). On both paths the plan
-/// output's DensePtr points at the caller's result.
+/// Runtime binding of one plan value: an input alias, a workspace slot, or
+/// (for the plan output) the caller's result. The pointer matching Kind is
+/// set; the interpreter writes through its workspace, never through these.
 struct RtValue {
   PlanValueKind Kind = PlanValueKind::Dense;
-  DenseMatrix Dense;
-  CsrMatrix Sparse;
-  std::vector<float> Vec; // diagonal or node vector
-  DenseMatrix *DensePtr = nullptr;
-  CsrMatrix *SparsePtr = nullptr;
-  std::vector<float> *VecPtr = nullptr;
-  const DenseMatrix *DenseRef = nullptr;
-  const CsrMatrix *SparseRef = nullptr;
-  const std::vector<float> *VecRef = nullptr;
+  const DenseMatrix *Dense = nullptr;
+  const CsrMatrix *Sparse = nullptr;
+  const std::vector<float> *Vec = nullptr; ///< diagonal or node vector
 
-  const DenseMatrix &dense() const {
-    return DensePtr ? *DensePtr : DenseRef ? *DenseRef : Dense;
-  }
-  const CsrMatrix &sparse() const {
-    return SparsePtr ? *SparsePtr : SparseRef ? *SparseRef : Sparse;
-  }
-  const std::vector<float> &vec() const {
-    return VecPtr ? *VecPtr : VecRef ? *VecRef : Vec;
-  }
-
-  /// Drops aliases and slot pointers; owned storage is kept (its capacity
-  /// is what makes repeated legacy runs cheap and workspace scratch inert).
-  void resetBindings() {
-    DensePtr = nullptr;
-    SparsePtr = nullptr;
-    VecPtr = nullptr;
-    DenseRef = nullptr;
-    SparseRef = nullptr;
-    VecRef = nullptr;
-  }
+  const DenseMatrix &dense() const { return *Dense; }
+  const CsrMatrix &sparse() const { return *Sparse; }
+  const std::vector<float> &vec() const { return *Vec; }
 };
 
-/// Cached vertex-reordering state of a workspace: one (policy, graph) pair's
-/// permutation, the relabeled adjacency PAP^T with its statistics, and the
-/// two persistent staging buffers of the per-run row gathers. Building it is
-/// setup (charged once, like degree normalizations); the steady state only
-/// re-gathers features and scatters the output, reusing every buffer here.
-struct ReorderState {
+/// Cached layout state of a workspace: everything a run derives from the
+/// caller's adjacency under one (reorder policy, sparse format, sharding)
+/// layout. One key covers every part — the three knobs plus the caller's
+/// adjacency (address, rows, nnz) — and any change rebuilds them all, so no
+/// derived structure outlives its graph. Building is setup (charged once);
+/// steady-state runs only re-gather features, scatter the output and stage
+/// halos, reusing every buffer here. The "bound" adjacency is the one the
+/// plan executes on: PermAdj under a reorder policy, else the caller's.
+struct LayoutState {
   ReorderPolicy Policy = ReorderPolicy::None;
-  const CsrMatrix *SourceAdj = nullptr; ///< graph the cache was built for
-  int64_t SourceNnz = 0;                ///< guards against pointer reuse
-  Permutation Perm;
-  CsrMatrix PermAdj;        ///< PAP^T
-  GraphStats PermStats;     ///< its statistics (locality features differ)
-  DenseMatrix PermFeatures; ///< features gathered into permuted row order
-  DenseMatrix PermOutput;   ///< output in permuted row order, pre-scatter
-};
-
-/// Cached sparse-format state of a workspace: the structure conversion for
-/// the forward format plus the lazily built CSC transpose the backward pass
-/// walks instead of re-materializing S^T every step. Structures hold column
-/// layout only; edge values stay in the operands' CSR-ordered arrays, so
-/// one conversion per (format, graph) covers weighted and unweighted steps.
-struct FormatState {
   SparseFormat Format = SparseFormat::Csr;
-  const CsrMatrix *SourceAdj = nullptr; ///< graph the cache was built for
-  int64_t SourceNnz = 0;                ///< guards against pointer reuse
+  ShardSpec Sharding;
+  const CsrMatrix *SourceAdj = nullptr; ///< the caller's adjacency
+  int64_t SourceRows = 0;               ///< guard against address reuse
+  int64_t SourceNnz = 0;
+
+  /// Reordering: the permutation, the relabeled adjacency PAP^T with its
+  /// statistics (locality features differ), and the staging buffers of the
+  /// per-run row gathers (features in, output out).
+  Permutation Perm;
+  CsrMatrix PermAdj;
+  GraphStats PermStats;
+  DenseMatrix PermFeatures;
+  DenseMatrix PermOutput;
+
+  /// Structure conversion of the bound adjacency for a non-CSR Format.
+  /// Column layout only: edge values stay in the operands' CSR-ordered
+  /// arrays, so one conversion covers weighted and unweighted steps.
   EllMatrix Ell;
   SellMatrix Sell;
   HybMatrix Hyb;
-  /// Backward transpose cache, keyed separately: the transposed operand is
-  /// a derived sparse value (attention weights share the adjacency
-  /// pattern), not necessarily the adjacency itself.
-  CscMatrix Csc;
-  const CsrMatrix *CscSource = nullptr;
-  int64_t CscSourceNnz = 0;
-};
 
-/// Cached sharding state of a workspace: the partition and shard blocks of
-/// one (shard count, graph) pair plus the persistent halo staging buffers.
-/// Building (or mapping) the blocks is setup, charged once like the reorder
-/// and format conversions; steady-state sharded runs only gather halos into
-/// the staging high-water buffers and allocate nothing.
-struct ShardState {
-  int Shards = 0;                       ///< 0 = no cached partition
-  const CsrMatrix *SourceAdj = nullptr; ///< graph the cache was built for
-  int64_t SourceNnz = 0;                ///< guards against pointer reuse
-  std::string StoreDir;                 ///< "" = heap-resident blocks
+  /// Partition, blocks and halo staging of the bound adjacency under
+  /// active Sharding.
   shard::GraphPartition Part;
   shard::ShardSet Set;
   shard::ShardStaging Staging;
+
+  /// CSC transpose of the bound adjacency that the backward pass walks
+  /// instead of re-materializing S^T every step. Built by the first
+  /// transposed SpMM of a training run; every sparse value a plan produces
+  /// carries the bound adjacency's pattern, so one build serves them all.
+  std::optional<CscMatrix> Csc;
 };
 
 } // namespace detail
@@ -195,7 +163,7 @@ struct StepProfile {
 /// Outcome of executing a plan once.
 struct ExecResult {
   /// Written in place by the plan's final step (through the workspace's
-  /// staging buffer under a reorder policy). A result reused across arena
+  /// staging buffer under a reorder policy). A result reused across
   /// runs keeps this buffer, so a warm run allocates nothing for it.
   DenseMatrix Output;
   /// Seconds charged to steps marked Setup (hoisted; paid once).
@@ -226,8 +194,9 @@ struct ExecResult {
 };
 
 /// Persistent execution state for one (plan, binding) pair: the BufferPlan,
-/// its arena storage, the cached primitive descriptors, and interpreter
-/// scratch. configure() is idempotent — re-configuring with the same plan,
+/// its arena storage, the cached primitive descriptors, interpreter scratch
+/// and the layout state. This is the executor's only storage for plan
+/// values. configure() is idempotent — re-configuring with the same plan,
 /// binding, and mode keeps all storage — so callers simply configure before
 /// every run and pay nothing in the steady state. The allocation counter
 /// increments whenever any workspace-managed buffer has to grow, which is
@@ -263,26 +232,23 @@ public:
 
   /// \name Executor internals
   /// Slot accessors used by the interpreter; they reshape the backing
-  /// store to the requested size and count any capacity growth.
+  /// store to the requested size and count any capacity growth. Valid only
+  /// after configure().
   /// @{
   DenseMatrix &denseFor(int Id, int64_t Rows, int64_t Cols);
   std::vector<float> &vecFor(int Id, size_t Size);
   /// Persistent sparse value: adopts \p PatternSource's pattern (copied
   /// into place, reusing capacity) and exposes a value array of nnz floats.
   CsrMatrix &sparseFor(int Id, const CsrMatrix &PatternSource);
+  /// The configured plan's primitive descriptors, parallel to its steps.
   const std::vector<PrimitiveDesc> &descs() const { return Descs; }
+  /// One runtime binding per plan value, rebound by every forward pass.
   std::vector<detail::RtValue> &scratch() { return Scratch; }
-  /// The workspace's cached reordering state (empty until an executor run
-  /// with a non-None policy populates it).
-  detail::ReorderState &reorderState() { return Reorder; }
-  /// The workspace's cached sparse-format state (structure conversions +
-  /// the backward CSC transpose; empty until an executor run needs them).
-  detail::FormatState &formatState() { return Format; }
-  /// The workspace's cached sharding state (partition + blocks + halo
-  /// staging; empty until an executor run with an active ShardSpec).
-  detail::ShardState &shardState() { return Shard; }
+  /// The workspace's cached layout state (empty until the first executor
+  /// run; rebuilt whenever a run's layout or adjacency differs from it).
+  detail::LayoutState &layoutState() { return Layout; }
   /// Records a growth of a workspace-managed buffer that lives outside the
-  /// slot arrays (the reorder staging buffers).
+  /// slot arrays (the reorder staging and shard halo buffers).
   void countAllocation() { ++Allocations; }
   /// @}
 
@@ -296,9 +262,7 @@ private:
   std::vector<CsrMatrix> SparseValues; ///< indexed by value id
   std::vector<PrimitiveDesc> Descs;
   std::vector<detail::RtValue> Scratch;
-  detail::ReorderState Reorder;
-  detail::FormatState Format;
-  detail::ShardState Shard;
+  detail::LayoutState Layout;
   size_t Allocations = 0;
 };
 
@@ -319,18 +283,18 @@ public:
   void setStepProfiling(bool Enabled) { StepProfiling = Enabled; }
   bool stepProfiling() const { return StepProfiling; }
 
-  /// Runs the forward pass of \p Plan once with per-call storage.
+  /// Runs the forward pass of \p Plan once on a fresh workspace.
   ExecResult run(const CompositionPlan &Plan, const LayerInputs &Inputs,
                  const GraphStats &Stats) const;
 
-  /// Runs forward + backward once with per-call storage. Gradients are
+  /// Runs forward + backward once on a fresh workspace. Gradients are
   /// computed with respect to every weight input (and features), seeded
   /// with dL/dOut = 1.
   ExecResult runTraining(const CompositionPlan &Plan,
                          const LayerInputs &Inputs,
                          const GraphStats &Stats) const;
 
-  /// Arena-path forward: executes against \p Ws (configured on entry) and
+  /// Workspace forward: executes against \p Ws (configured on entry) and
   /// writes into \p Result, both reused across calls. The final step writes
   /// Result.Output directly — the output's planned slot is never allocated —
   /// so Result.Output must not alias a bound input. The first call plans
@@ -339,9 +303,14 @@ public:
   /// Output.data() where it was. Nothing here warms up: each step runs
   /// once, and a measured timing of a first call includes its cold costs.
   ///
+  /// The layout — \p Policy, \p Format and \p Sharding — is derived from
+  /// the caller's adjacency once and cached in \p Ws under one key (the
+  /// three knobs plus the adjacency's address, rows and nnz); a run whose
+  /// key differs rebuilds every part and charges it as setup. An adjacency
+  /// mutated in place at the same address and size is not detected.
+  ///
   /// A non-None \p Policy runs the plan on a reordered copy of the graph:
-  /// the workspace caches the permutation and relabeled adjacency per
-  /// (policy, graph) — rebuilt state is charged as setup — and each run
+  /// the layout holds the permutation and relabeled adjacency, and each run
   /// gathers the features into permuted order, executes (the final step
   /// writing a workspace staging buffer), and scatters the output back to
   /// the caller's vertex order into Result.Output (both charged per
@@ -351,21 +320,21 @@ public:
   /// why the differential tests compare it with a tolerance rather than
   /// bitwise. Steady-state runs still allocate nothing.
   ///
-  /// A non-CSR \p Format runs every sparse aggregation over the workspace's
-  /// cached structure conversion of the bound adjacency (built on first use
-  /// and charged as setup). Per-format traversal preserves CSR neighbor
-  /// order and routes through the same dispatched inner loops, so outputs
-  /// stay bitwise identical to the CSR run at any thread count within one
-  /// ISA level. Auto must be resolved by the caller (the optimizer's
-  /// selection); Csc is backward-only — both abort here.
+  /// A non-CSR \p Format runs every sparse aggregation over the layout's
+  /// structure conversion of the bound adjacency. Per-format traversal
+  /// preserves CSR neighbor order and routes through the same dispatched
+  /// inner loops, so outputs stay bitwise identical to the CSR run at any
+  /// thread count within one ISA level. Auto must be resolved by the
+  /// caller (the optimizer's selection); Csc is backward-only — both abort
+  /// here.
   ///
   /// An active \p Sharding partitions the bound adjacency into
-  /// Sharding.Shards parts (cached per (count, graph); building or mapping
-  /// the blocks is charged as setup) and runs every sparse aggregation that
-  /// matches the bound adjacency's pattern through the sharded gather →
-  /// compute pipeline. The shard blocks preserve each row's original CSR
-  /// entry order, so sharded outputs are bitwise identical to the
-  /// whole-graph run at any shard and thread count within one ISA level.
+  /// Sharding.Shards parts (building or mapping the blocks is part of the
+  /// layout setup) and runs every sparse aggregation through the sharded
+  /// gather → compute pipeline. The shard blocks preserve each row's
+  /// original CSR entry order, so sharded outputs are bitwise identical to
+  /// the whole-graph run at any shard and thread count within one ISA
+  /// level.
   /// Sharding requires the CSR forward format (it aborts with any other).
   void run(const CompositionPlan &Plan, const LayerInputs &Inputs,
            const GraphStats &Stats, PlanWorkspace &Ws, ExecResult &Result,
@@ -373,7 +342,7 @@ public:
            SparseFormat Format = SparseFormat::Csr,
            const ShardSpec &Sharding = ShardSpec()) const;
 
-  /// Arena-path forward + backward. The forward activations live in \p Ws
+  /// Workspace forward + backward. The forward activations live in \p Ws
   /// (fully pinned in training mode); gradient accumulators and exported
   /// gradients still allocate per call. Under a non-None \p Policy the
   /// feature gradient is scattered back alongside the output; weight and
@@ -396,7 +365,7 @@ public:
                     FunctionRef<void()> Body) const;
 
 private:
-  /// The arena path behind run() and runTraining(): layout setup, one
+  /// The body of every run() and runTraining(): layout setup, one
   /// forward pass (plus the backward pass when \p Training), and the
   /// inverse permutation of a reordered output.
   void runArena(const CompositionPlan &Plan, const LayerInputs &Inputs,
@@ -404,32 +373,23 @@ private:
                 ReorderPolicy Policy, SparseFormat Format,
                 const ShardSpec &Sharding, bool Training) const;
 
-  /// Rebuilds \p RS for (Policy, Adj) if it is stale; returns the setup
-  /// seconds to charge (0 when the cache was already valid).
-  double reorderSetup(detail::ReorderState &RS, const CsrMatrix &Adj,
-                      const GraphStats &Stats, ReorderPolicy Policy) const;
-
-  /// Rebuilds \p FS's forward structure for (Format, Adj) if it is stale;
-  /// returns the setup seconds to charge (0 when already valid).
-  double formatSetup(detail::FormatState &FS, const CsrMatrix &Adj,
-                     const GraphStats &Stats, SparseFormat Format) const;
-
-  /// Rebuilds (or maps from \p Spec's store) \p SS's partition and blocks
-  /// for (Spec.Shards, Adj) if they are stale; returns the setup seconds to
-  /// charge (0 when already valid).
-  double shardSetup(detail::ShardState &SS, const CsrMatrix &Adj,
-                    const GraphStats &Stats, const ShardSpec &Spec) const;
+  /// Rebuilds \p LS for the layout (Policy, Format, Sharding) of the
+  /// caller's adjacency \p Adj unless it already holds exactly that;
+  /// returns the setup seconds to charge (0 when the cache was valid).
+  double layoutSetup(detail::LayoutState &LS, const CsrMatrix &Adj,
+                     const GraphStats &Stats, ReorderPolicy Policy,
+                     SparseFormat Format, const ShardSpec &Sharding) const;
 
   /// Gathers the caller's features into permuted order and returns inputs
   /// rebound to the cached reordered graph; \p PermSeconds receives the
   /// per-iteration gather cost.
-  LayerInputs permuteInputs(detail::ReorderState &RS,
+  LayerInputs permuteInputs(detail::LayoutState &LS,
                             const LayerInputs &Inputs, PlanWorkspace &Ws,
                             double &PermSeconds) const;
 
   /// Scatters \p Src (rows in permuted order) back to the caller's vertex
   /// order into \p Dst and returns the seconds charged.
-  double unpermuteRows(const detail::ReorderState &RS, const DenseMatrix &Src,
+  double unpermuteRows(const detail::LayoutState &LS, const DenseMatrix &Src,
                        DenseMatrix &Dst) const;
 
   HardwareModel Hw;

@@ -8,13 +8,10 @@
 #include "ir/Dsl.h"
 #include "kernels/Dispatch.h"
 #include "shard/Shard.h"
-#include "support/Diag.h"
-#include "support/Error.h"
 #include "support/Hash.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
-#include "verify/VerifyBuffers.h"
 
 #include <utility>
 
@@ -130,38 +127,9 @@ RunResponse Session::run(bool WantOutput) {
   TraceSpan Span("session-run", "serve");
   Span.setArg("run_index", static_cast<double>(Runs + 1));
 
-  const CompositionPlan &Plan = Opt->promoted()[Sel.PlanIndex];
-  LayerInputs Inputs = Params.inputs();
-  if (Options.Verify == VerifyLevel::Full && !ScheduleVerified) {
-    // Full: the same schedule cross-checks Optimizer::execute runs — the
-    // buffer plan against recomputed live intervals and the CSR row
-    // partition against exclusive-coverage rules. The schedule is a
-    // function of the (plan, binding, mode) triple, which is fixed for the
-    // session's lifetime, so one check covers every subsequent run.
-    DimBinding Binding = Inputs.binding(&Plan);
-    DiagEngine Diags;
-    BufferPlan Buffers(Plan, Binding, Training);
-    verifyBufferPlan(Plan, Binding, Buffers, Diags);
-    const AlignedVector<int64_t> &RowOffsets = Params.AdjSelf.rowOffsets();
-    int64_t Chunks = static_cast<int64_t>(ThreadPool::get().numThreads()) * 4;
-    verifyRowPartition(RowOffsets, csrRowPartitionBounds(RowOffsets, Chunks),
-                       Diags);
-    if (Diags.hasErrors())
-      GRANII_FATAL("execution schedule verification failed:\n" +
-                   Diags.render());
-    ScheduleVerified = true;
-  }
-
-  // Measure this run's allocations, not the lifetime total: the first run
-  // builds the arena (nonzero), every later run must report zero.
-  Ws.resetAllocationCount();
-  ShardSpec Sharding{Options.Shards, Options.ShardStoreDir};
-  if (Training)
-    Exec->runTraining(Plan, Inputs, Params.Stats, Ws, Result, Options.Reorder,
-                      Sel.Format, Sharding);
-  else
-    Exec->run(Plan, Inputs, Params.Stats, Ws, Result, Options.Reorder,
-              Sel.Format, Sharding);
+  // This run's allocations, not the lifetime total: the first run builds
+  // the arena (nonzero), every later run must report zero.
+  Resp.SteadyAllocations = Opt->execute(Sel, Params, Training, Result);
   ++Runs;
 
   const DenseMatrix &Out = Result.Output;
@@ -175,7 +143,6 @@ RunResponse Session::run(bool WantOutput) {
   Resp.PlanIndex = Sel.PlanIndex;
   Resp.UsedCostModels = Sel.UsedCostModels;
   Resp.PlanCacheHit = PlanCacheHit;
-  Resp.SteadyAllocations = Ws.allocationCount();
   Resp.RunIndex = Runs;
   Span.setArg("plan", static_cast<double>(Sel.PlanIndex));
   Span.setArg("allocations", static_cast<double>(Resp.SteadyAllocations));
@@ -345,15 +312,16 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   auto S = std::shared_ptr<Session>(new Session());
   S->Key = Key;
   S->Model = wrapParsedModel(*Parsed);
-  S->Options.Hw = Opts.Hw;
-  S->Options.Iterations = Opts.Iterations;
-  S->Options.Reorder = *Reorder;
-  S->Options.Format = *Format;
-  S->Options.Verify = Opts.Verify;
+  OptimizerOptions Options;
+  Options.Hw = Opts.Hw;
+  Options.Iterations = Opts.Iterations;
+  Options.Reorder = *Reorder;
+  Options.Format = *Format;
+  Options.Verify = Opts.Verify;
   // Resolved against the loaded graph (auto may legitimately come out 0);
   // set before Optimizer construction so selection prices shard features.
-  S->Options.Shards = resolvedShardCount(Req, G);
-  S->Options.ShardStoreDir = Opts.ShardStoreDir;
+  Options.Shards = resolvedShardCount(Req, G);
+  Options.ShardStoreDir = Opts.ShardStoreDir;
   S->Training = Req.Training;
   S->Cost = AnalyticCostModel(Opts.Hw);
 
@@ -364,8 +332,8 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
     *Compile = CompileInfo;
   // The session owns its own Optimizer built from the shared plan set (the
   // copy is a few plan graphs — negligible next to enumeration).
-  S->Opt.emplace(Optimizer::fromCompiled(S->Model, S->Options, &S->Cost,
-                                         *Compiled));
+  S->Opt.emplace(
+      Optimizer::fromCompiled(S->Model, Options, &S->Cost, *Compiled));
   S->Params = makeLayerParams(S->Model, G, Req.KIn, Req.KOut, Req.Seed);
   // Select from the parameters' self-loop graph and its statistics:
   // Optimizer::select would rebuild both from G. The shard annotation goes
@@ -376,18 +344,9 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   Binding.KIn = Req.KIn;
   Binding.KOut = Req.KOut;
   GraphStats SelectStats = S->Params.Stats;
-  if (S->Options.Shards > 1)
-    shard::annotateShardStats(SelectStats, S->Params.AdjSelf,
-                              S->Options.Shards);
+  if (Options.Shards > 1)
+    shard::annotateShardStats(SelectStats, S->Params.AdjSelf, Options.Shards);
   S->Sel = S->Opt->selectWithStats(Binding, SelectStats);
-  {
-    // The executor lives behind Session::RunMutex; hold it for the
-    // creation write so the lock covers the member's whole lifetime (no
-    // other thread can reach S yet, but the annotation contract is
-    // uniform: Exec is only ever touched under RunMutex).
-    MutexLock InitLock(S->RunMutex);
-    S->Exec.emplace(Opts.Hw);
-  }
 
   SessionLru.push_front(S);
   SessionIndex[Key] = SessionLru.begin();

@@ -3,13 +3,14 @@
 /// \file
 /// The library heart of granii-serve: an Engine that turns JobRequests into
 /// warm Sessions, and a Session that owns one compiled configuration end to
-/// end — the promoted plan set, the selection, the layer parameters, and a
-/// persistent execution workspace — so repeated run() calls pay only the
-/// kernel time. This is the paper's amortization argument turned into an
-/// object: the offline stage (enumerate + prune) runs at most once per plan
-/// cache key, selection and parameter setup at most once per session, and a
-/// warm run performs zero workspace allocations (surfaced per response via
-/// the workspace allocation counter, so remote clients can assert it).
+/// end — an Optimizer over the promoted plan set (with its persistent
+/// execution workspace), the selection and the layer parameters — so
+/// repeated run() calls pay only the kernel time. This is the paper's
+/// amortization argument turned into an object: the offline stage
+/// (enumerate + prune) runs at most once per plan cache key, selection and
+/// parameter setup at most once per session, and a warm run performs zero
+/// workspace allocations (surfaced per response via the workspace
+/// allocation counter, so remote clients can assert it).
 ///
 /// Layering: the daemon (Server.h) and the CLI's `serve`/`call` both sit on
 /// this file; nothing here knows about sockets or frames. The Engine is
@@ -71,10 +72,11 @@ struct EngineStats {
   PlanCacheStats PlanCache;
 };
 
-/// One warm serving configuration: compiled plans + selection + parameters
-/// + persistent workspace. Sessions are created by the Engine and shared:
-/// the LRU may drop a session while a request still runs it. run() is
-/// internally serialized; concurrent callers on one session queue up.
+/// One warm serving configuration: compiled plans + selection + parameters,
+/// executed through Optimizer::execute. Sessions are created by the Engine
+/// and shared: the LRU may drop a session while a request still runs it.
+/// run() is internally serialized; concurrent callers on one session queue
+/// up.
 class Session {
 public:
   /// Executes one pass (forward, or forward+backward for training
@@ -103,30 +105,23 @@ private:
   // from any thread without RunMutex.
   std::string Key;
   GnnModel Model;
-  OptimizerOptions Options;
   bool Training = false;
   /// Selection + execution state. Cost must outlive Opt (the optimizer
-  /// keeps a pointer), hence the member order.
+  /// keeps a pointer), hence the member order. Opt's workspaces are the
+  /// one exception to the immutability above (see RunMutex).
   AnalyticCostModel Cost{HardwareModel::byName("cpu")};
   std::optional<Optimizer> Opt;
   LayerParams Params;
   Selection Sel;
   bool PlanCacheHit = false;
 
-  /// Serializes run() on this session; also held by Engine::session()
-  /// while it creates Exec, so the annotations below cover the executor
-  /// and its workspace caches for their whole lifetime.
+  /// Serializes run() on this session, and with it Opt->execute(): the
+  /// optimizer's workspace map, layout caches included, carries no lock of
+  /// its own — RunMutex is its synchronization.
   Mutex RunMutex{"Session::RunMutex"};
-  /// Executor + workspace owned here (not Optimizer::execute) so run()
-  /// can read the workspace allocation counter after every pass. The
-  /// workspace's reorder/format/shard caches carry no locks of their own —
-  /// RunMutex is their synchronization.
-  std::optional<Executor> Exec GRANII_GUARDED_BY(RunMutex);
-  PlanWorkspace Ws GRANII_GUARDED_BY(RunMutex);
   /// The result every run writes into: its output buffer persists, so the
   /// plan's final step overwrites it in place on warm runs.
   ExecResult Result GRANII_GUARDED_BY(RunMutex);
-  bool ScheduleVerified GRANII_GUARDED_BY(RunMutex) = false;
   uint64_t Runs GRANII_GUARDED_BY(RunMutex) = 0;
 };
 

@@ -1,8 +1,9 @@
 //===- BufferPlanTests.cpp - Buffer lifetime planning and arena execution ---===//
 //
 // Hand-computed lifetime/slot/byte fixtures for BufferPlan, plus the
-// executor-level properties the planning exists for: arena outputs bitwise
-// identical to the legacy per-call path at every thread count, and zero
+// executor-level properties the planning exists for: a caller-held
+// workspace's outputs bitwise identical to a by-value run (which executes
+// on a fresh workspace of its own) at every thread count, and zero
 // workspace allocations in the steady state.
 //
 //===----------------------------------------------------------------------===//
@@ -255,6 +256,7 @@ TEST(PlanWorkspaceExec, ArenaMatchesLegacyBitwise) {
   for (int Threads : {1, 4}) {
     ThreadPool::get().setNumThreads(Threads);
     for (size_t I = 0; I < Plans.size(); ++I) {
+      // "Legacy" is the by-value run: a fresh workspace per call.
       DenseMatrix Legacy =
           Exec.run(Plans[I], Params.inputs(), Params.Stats).Output;
       PlanWorkspace Ws;
@@ -279,6 +281,7 @@ TEST(PlanWorkspaceExec, TrainingArenaMatchesLegacy) {
   auto Plans = enumerateCompositions(M.Root);
   ASSERT_FALSE(Plans.empty());
 
+  // "Legacy" is the by-value run: a fresh workspace per call.
   ExecResult Legacy = Exec.runTraining(Plans[0], Params.inputs(), Params.Stats);
   PlanWorkspace Ws;
   ExecResult R;

@@ -2,13 +2,14 @@
 //
 // Seeded property-based testing of the whole execution stack: random graphs
 // and embedding sizes drive every surviving plan candidate of GCN / GAT /
-// SAGE through the legacy, arena, and reordered execution paths at 1 and 4
-// threads, comparing everything against a from-scratch double-precision
-// reference implementation written with plain loops (no kernel-library
-// code on the reference side).
+// SAGE through fresh, warm, and reordered workspaces at 1 and 4 threads,
+// comparing everything against a from-scratch double-precision reference
+// implementation written with plain loops (no kernel-library code on the
+// reference side).
 //
 // Comparison contract (see Executor.h):
-//  - legacy vs arena, and 1 thread vs 4 threads: bitwise identical
+//  - a by-value run (fresh workspace) vs a caller-held workspace, warm or
+//    rebound to another graph, and 1 thread vs 4 threads: bitwise identical
 //    (row-parallelism never splits one row's accumulation),
 //  - reordered vs unreordered: <= 1e-5 relative after the executor's
 //    inverse row permutation (relabeling reorders each row's neighbor
@@ -28,7 +29,9 @@
 #include "kernels/Dispatch.h"
 #include "models/Models.h"
 #include "runtime/Executor.h"
+#include "support/Diag.h"
 #include "support/Rng.h"
+#include "verify/VerifyBuffers.h"
 
 #include <gtest/gtest.h>
 
@@ -244,7 +247,8 @@ std::vector<CompositionPlan> survivingPlans(const GnnModel &M) {
 
 //===----------------------------------------------------------------------===//
 // Main differential property: >= 20 random instances, every surviving plan,
-// {legacy, arena, reordered} x {1, 4 threads}, vs the naive reference.
+// {by-value, caller-held workspace, reordered} x {1, 4 threads}, vs the
+// naive reference.
 //===----------------------------------------------------------------------===//
 
 TEST(Differential, AllPathsAgreeOnRandomInstances) {
@@ -268,6 +272,7 @@ TEST(Differential, AllPathsAgreeOnRandomInstances) {
       DimBinding Binding = Params.inputs().binding(&Plan);
 
       // --- 1 thread ---------------------------------------------------
+      // "Legacy" names the by-value run, which uses a fresh workspace.
       Executor E1(HardwareModel::byName("cpu"), /*NumThreads=*/1);
       DenseMatrix Legacy1 =
           E1.run(Plan, Params.inputs(), Params.Stats).Output;
@@ -276,9 +281,14 @@ TEST(Differential, AllPathsAgreeOnRandomInstances) {
       EXPECT_TRUE(Legacy1.approxEquals(Naive, 3e-3f, 3e-3f))
           << "diverges from naive reference by " << Legacy1.maxAbsDiff(Naive);
 
-      // Arena path is bitwise identical to the legacy path.
+      // A caller-held workspace is bitwise identical to the by-value run's
+      // fresh one, and its slot assignment keeps every two simultaneously
+      // live values apart.
       PlanWorkspace Ws;
       Ws.configure(Plan, Binding, /*Training=*/false);
+      DiagEngine Diags;
+      verifyBufferPlan(Plan, Binding, *Ws.bufferPlan(), Diags);
+      EXPECT_FALSE(Diags.hasErrors()) << Diags.render();
       ExecResult Arena1;
       E1.run(Plan, Params.inputs(), Params.Stats, Ws, Arena1);
       EXPECT_EQ(Arena1.Output.maxAbsDiff(Legacy1), 0.0f)
@@ -716,10 +726,11 @@ TEST(Differential, ShardedTrainingGradientsAreBitwise) {
               << "grad " << Name << " differs by "
               << R.WeightGrads.at(Name).maxAbsDiff(DW);
         }
-        if (!Base.FeatureGrad.empty())
+        if (!Base.FeatureGrad.empty()) {
           EXPECT_TRUE(bitwiseEqualDense(R.FeatureGrad, Base.FeatureGrad))
               << "feature grad differs by "
               << R.FeatureGrad.maxAbsDiff(Base.FeatureGrad);
+        }
       }
     }
   }
@@ -844,6 +855,115 @@ TEST(Differential, ReusedResultKeepsItsOutputBufferAndBytes) {
           EXPECT_EQ(Ws.allocationCount(), 0u);
         }
       }
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// A workspace rebound to a second graph of the same size
+//===----------------------------------------------------------------------===//
+//
+// Every cached layout part (permutation, format structure, shard blocks,
+// backward transpose) derives from the caller's adjacency. A workspace that
+// ran graph A and then runs graph B, with the same node and edge counts,
+// must answer exactly what a fresh workspace answers on B: the output and
+// every gradient, bit for bit.
+
+namespace {
+
+void expectBitwiseSameResult(const ExecResult &Got, const ExecResult &Want) {
+  EXPECT_TRUE(bitwiseEqualDense(Got.Output, Want.Output))
+      << "output differs by " << Got.Output.maxAbsDiff(Want.Output);
+  ASSERT_EQ(Got.WeightGrads.size(), Want.WeightGrads.size());
+  for (const auto &[Name, DW] : Want.WeightGrads) {
+    ASSERT_TRUE(Got.WeightGrads.count(Name));
+    EXPECT_TRUE(bitwiseEqualDense(Got.WeightGrads.at(Name), DW))
+        << "grad " << Name << " differs by "
+        << Got.WeightGrads.at(Name).maxAbsDiff(DW);
+  }
+  if (!Want.FeatureGrad.empty()) {
+    EXPECT_TRUE(bitwiseEqualDense(Got.FeatureGrad, Want.FeatureGrad))
+        << "feature grad differs by "
+        << Got.FeatureGrad.maxAbsDiff(Want.FeatureGrad);
+  }
+  ASSERT_EQ(Got.AttnGrads.size(), Want.AttnGrads.size());
+  for (const auto &[Name, DA] : Want.AttnGrads) {
+    ASSERT_TRUE(Got.AttnGrads.count(Name));
+    const std::vector<float> &G = Got.AttnGrads.at(Name);
+    ASSERT_EQ(G.size(), DA.size());
+    EXPECT_TRUE(DA.empty() ||
+                std::memcmp(G.data(), DA.data(), DA.size() * sizeof(float)) ==
+                    0)
+        << "attention grad " << Name << " differs";
+  }
+}
+
+} // namespace
+
+TEST(Differential, ReboundWorkspaceMatchesAFreshOne) {
+  const Graph GA = makeRmat(220, 1400, 0.55, 0.2, 0.15, 42);
+  const Graph GB = makeRmat(220, 1400, 0.55, 0.2, 0.15, 43);
+  const Layout Layouts[] = {
+      {"csr", ReorderPolicy::None, SparseFormat::Csr, 0},
+      {"rcm", ReorderPolicy::Rcm, SparseFormat::Csr, 0},
+      {"rcm+ell", ReorderPolicy::Rcm, SparseFormat::Ell, 0},
+      {"rcm+sell", ReorderPolicy::Rcm, SparseFormat::Sell, 0},
+      {"rcm+hyb", ReorderPolicy::Rcm, SparseFormat::Hyb, 0},
+      {"rcm+2 shards", ReorderPolicy::Rcm, SparseFormat::Csr, 2},
+  };
+  Executor Exec(HardwareModel::byName("cpu"), /*NumThreads=*/2);
+  for (ModelKind Kind : {ModelKind::GCN, ModelKind::GAT, ModelKind::SAGE}) {
+    SCOPED_TRACE(modelName(Kind));
+    GnnModel M = makeModel(Kind);
+    LayerParams A = makeLayerParams(M, GA, 16, 24, 5);
+    LayerParams B = makeLayerParams(M, GB, 16, 24, 6);
+    // Same sizes, so only the adjacency itself tells the graphs apart.
+    ASSERT_EQ(A.AdjSelf.rows(), B.AdjSelf.rows());
+    ASSERT_EQ(A.AdjSelf.nnz(), B.AdjSelf.nnz());
+    std::vector<CompositionPlan> Plans = survivingPlans(M);
+    ASSERT_FALSE(Plans.empty());
+    for (size_t PI = 0; PI < Plans.size(); ++PI) {
+      SCOPED_TRACE("plan " + std::to_string(PI));
+      for (bool Training : {false, true}) {
+        for (const Layout &L : Layouts) {
+          SCOPED_TRACE(std::string(L.Name) +
+                       (Training ? " training" : " inference"));
+          const ShardSpec Sharding{L.Shards, ""};
+          auto Run = [&](const LayerParams &P, PlanWorkspace &Ws,
+                         ExecResult &R) {
+            if (Training)
+              Exec.runTraining(Plans[PI], P.inputs(), P.Stats, Ws, R,
+                               L.Policy, L.Format, Sharding);
+            else
+              Exec.run(Plans[PI], P.inputs(), P.Stats, Ws, R, L.Policy,
+                       L.Format, Sharding);
+          };
+          PlanWorkspace Rebound, Fresh;
+          ExecResult Got, Want;
+          Run(A, Rebound, Got);
+          Run(B, Rebound, Got);
+          Run(B, Fresh, Want);
+          expectBitwiseSameResult(Got, Want);
+        }
+      }
+    }
+
+    // The same through the public API, whose workspaces persist per
+    // (plan, mode, format) for the optimizer's lifetime.
+    OptimizerOptions Opts;
+    Opts.Hw = HardwareModel::byName("cpu");
+    Opts.Reorder = ReorderPolicy::Rcm;
+    Opts.Format = SparseFormat::Ell;
+    AnalyticCostModel Cost(Opts.Hw);
+    Optimizer Rebound(M, Opts, &Cost);
+    Optimizer Fresh(M, Opts, &Cost);
+    Selection Sel = Rebound.select(GA, 16, 24);
+    for (bool Training : {false, true}) {
+      SCOPED_TRACE(std::string("optimizer ") +
+                   (Training ? "training" : "inference"));
+      Rebound.execute(Sel, A, Training);
+      expectBitwiseSameResult(Rebound.execute(Sel, B, Training),
+                              Fresh.execute(Sel, B, Training));
     }
   }
 }
