@@ -307,6 +307,46 @@ int runJsonMode(const std::string &Path) {
               [&] { kernels::spmmInto(A, H, Semiring::plusTimes(), Out); });
     }
     {
+      // The weight-gradient shape A^T * B of 8192 nodes, K 64 -> 128: the
+      // contraction spans eight windows of GemmTLhsWindowRows rows.
+      const int64_t M = 8192, KIn = 64, KOut = 128;
+      DenseMatrix A = randomDense(M, KIn, 7), B = randomDense(M, KOut, 8);
+      DenseMatrix C(KIn, KOut);
+      Measure("gemm_t_lhs/8192x64x128", "-", KIn, KOut,
+              {PrimitiveKind::Gemm, KIn, KOut, M, 0},
+              [&] { kernels::gemmTransposedLhsInto(A, B, C); });
+    }
+    {
+      // The aggregation width of the warm GCN workload.
+      const int64_t K = 128;
+      DenseMatrix H = randomDense(G.numNodes(), K, 3);
+      DenseMatrix Out(G.numNodes(), K);
+      Measure("spmm_u/128", G.name(), K, K,
+              {PrimitiveKind::SpMMUnweighted, G.numNodes(), K, 0,
+               G.numEdges()},
+              [&] {
+                kernels::spmmInto(G.adjacency(), H, Semiring::plusCopy(),
+                                  Out);
+              });
+    }
+    {
+      // The backward aggregation A^T (x) H over the CSC view, its values
+      // read through the CSC->CSR index.
+      const int64_t K = 64;
+      const CsrMatrix &A = G.adjacency();
+      CscMatrix Csc = CscMatrix::fromCsr(A);
+      std::vector<float> Vals(static_cast<size_t>(A.nnz()), 0.5f);
+      DenseMatrix H = randomDense(G.numNodes(), K, 4);
+      DenseMatrix Out(G.numNodes(), K);
+      Measure("spmm_csc_t/64", G.name(), K, K,
+              {PrimitiveKind::SpMMWeighted, G.numNodes(), K, 0,
+               G.numEdges()},
+              [&] {
+                kernels::spmmCscTransposedInto(Csc, Vals, H,
+                                               Semiring::plusTimes(), Out);
+              });
+    }
+    {
       const int64_t K = 32;
       DenseMatrix U = randomDense(G.numNodes(), K, 5);
       std::vector<float> Out(static_cast<size_t>(G.numEdges()));

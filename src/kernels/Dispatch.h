@@ -51,6 +51,11 @@ std::optional<IsaLevel> parseIsaLevel(const std::string &Name);
 /// CombineOpKind for the cases the fast path handles).
 enum class SpmmCombine { Mul, CopyRhs, Add };
 
+/// Contraction rows per window of the SIMD GemmTLhsRowRange (A^T * B, the
+/// weight gradient). One window of a 128-wide B is 512 KiB, so A and B
+/// stream from L2 while every register block of a row range sweeps them.
+constexpr int64_t GemmTLhsWindowRows = 1024;
+
 /// The per-ISA kernel table. Entries operate on whole row (or element)
 /// ranges so the indirect call sits outside the inner loops; Kernels.cpp
 /// invokes them from inside its thread-pool partitions. All pointers are
@@ -81,7 +86,8 @@ struct SimdOps {
                        bool Accumulate) = nullptr;
 
   /// C rows [RowBegin, RowEnd) of C = A^T * B; C has A.cols() rows and \p M
-  /// is A.rows() (the contraction length).
+  /// is A.rows() (the contraction length). The SIMD levels contract in
+  /// windows of GemmTLhsWindowRows rows, carrying partial sums in C.
   void (*GemmTLhsRowRange)(const float *A, int64_t Lda, const float *B,
                            int64_t Ldb, float *C, int64_t Ldc, int64_t M,
                            int64_t N, int64_t RowBegin, int64_t RowEnd) =
@@ -96,12 +102,14 @@ struct SimdOps {
 
   /// Fused sum-reduction g-SpMM over CSR rows [RowBegin, RowEnd) restricted
   /// to the column tile [C0, C1). \p Vals is null for unweighted matrices;
-  /// \p Mean rescales each row by 1/degree after accumulation.
+  /// \p ValIdx, when non-null, maps nonzero K to its value Vals[ValIdx[K]]
+  /// (the CSC-transposed backward pass reads CSR-ordered values through
+  /// it); \p Mean rescales each row by 1/degree after accumulation.
   void (*SpmmRowRange)(const int64_t *Offsets, const int32_t *Cols,
-                       const float *Vals, const float *B, int64_t Ldb,
-                       float *Dst, int64_t LdDst, int64_t C0, int64_t C1,
-                       SpmmCombine Combine, bool Mean, int64_t RowBegin,
-                       int64_t RowEnd) = nullptr;
+                       const float *Vals, const int64_t *ValIdx,
+                       const float *B, int64_t Ldb, float *Dst, int64_t LdDst,
+                       int64_t C0, int64_t C1, SpmmCombine Combine, bool Mean,
+                       int64_t RowBegin, int64_t RowEnd) = nullptr;
 
   /// Plus-times SDDMM (per-edge dot product) over CSR rows
   /// [RowBegin, RowEnd) for the feature tile [J0, J1); when \p FirstTile is

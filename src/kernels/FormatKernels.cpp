@@ -103,9 +103,9 @@ void kernels::spmmEllInto(const EllMatrix &A, std::span<const float> Vals,
       for (int64_t R = RowBegin; R < RowEnd; ++R) {
         const int64_t LocalOffsets[2] = {0, A.rowNnz(R)};
         Ops.SpmmRowRange(LocalOffsets, A.rowColsPtr(R),
-                         ValsPtr ? ValsPtr + Offsets[R] : nullptr, B.data(),
-                         NCols, Dst.rowPtr(R), NCols, 0, NCols, Combine, Mean,
-                         0, 1);
+                         ValsPtr ? ValsPtr + Offsets[R] : nullptr, nullptr,
+                         B.data(), NCols, Dst.rowPtr(R), NCols, 0, NCols,
+                         Combine, Mean, 0, 1);
       }
     });
     return;
@@ -139,9 +139,9 @@ void kernels::spmmSellInto(const SellMatrix &A, std::span<const float> Vals,
       for (int64_t R = RowBegin; R < RowEnd; ++R) {
         const int64_t LocalOffsets[2] = {0, A.rowNnz(R)};
         Ops.SpmmRowRange(LocalOffsets, A.rowColsPtr(R),
-                         ValsPtr ? ValsPtr + Offsets[R] : nullptr, B.data(),
-                         NCols, Dst.rowPtr(R), NCols, 0, NCols, Combine, Mean,
-                         0, 1);
+                         ValsPtr ? ValsPtr + Offsets[R] : nullptr, nullptr,
+                         B.data(), NCols, Dst.rowPtr(R), NCols, 0, NCols,
+                         Combine, Mean, 0, 1);
       }
     });
     return;
@@ -237,38 +237,19 @@ void kernels::spmmCscTransposedInto(const CscMatrix &A,
   const auto &CsrIdx = A.csrIndices();
   const int64_t NCols = B.cols();
   if (isSumLike(S)) {
-    // Output row c is column c of the source; entries come in ascending
+    // Output row c is column c of the source; its entries come in ascending
     // source-row order — the entry order of transposed()'s row c — and the
-    // values gather through the CSC→CSR index map, so this matches the
-    // transpose-then-SpMM path bitwise while touching the values in place.
+    // value index gathers each entry's value through the CSC→CSR map, so
+    // the dispatched CSR row routine computes the transpose-then-SpMM
+    // result bitwise while touching the values in place.
     const SimdOps &Ops = simdOps();
+    const SpmmCombine Combine = combineFor(S);
     const bool Mean = S.Reduce == ReduceOpKind::Mean;
-    const bool PlainSum = S.Combine == CombineOpKind::CopyRhs ||
-                          (S.Combine == CombineOpKind::Mul && Vals.empty());
-    const bool MulCombine = S.Combine == CombineOpKind::Mul;
+    const float *ValsPtr = Vals.empty() ? nullptr : Vals.data();
     parallelForCsrRows(ColOffsets, [&](int64_t ColBegin, int64_t ColEnd) {
-      for (int64_t C = ColBegin; C < ColEnd; ++C) {
-        float *Out = Dst.rowPtr(C);
-        std::fill(Out, Out + NCols, 0.0f);
-        const int64_t Begin = ColOffsets[C], End = ColOffsets[C + 1];
-        for (int64_t K = Begin; K < End; ++K) {
-          const float *Src = B.rowPtr(Rows[K]);
-          if (PlainSum) {
-            Ops.AddRange(Out, Src, Out, NCols);
-          } else if (MulCombine) {
-            Ops.AxpyRange(Vals[static_cast<size_t>(CsrIdx[K])], Src, Out,
-                          NCols);
-          } else { // Add combine.
-            const float Edge =
-                Vals.empty() ? 1.0f : Vals[static_cast<size_t>(CsrIdx[K])];
-            for (int64_t J = 0; J < NCols; ++J)
-              Out[J] = (Edge + Src[J]) + Out[J];
-          }
-        }
-        if (Mean && End > Begin)
-          Ops.ScaleRange(1.0f / static_cast<float>(End - Begin), Out, Out,
-                         NCols);
-      }
+      Ops.SpmmRowRange(ColOffsets.data(), Rows.data(), ValsPtr, CsrIdx.data(),
+                       B.data(), NCols, Dst.data(), NCols, 0, NCols, Combine,
+                       Mean, ColBegin, ColEnd);
     });
     return;
   }

@@ -8,9 +8,10 @@
 ///
 /// Determinism contract: every variant visits each output row's neighbors
 /// in CSR order and routes the sum-like inner loops through the active
-/// SimdOps dispatch table (ELL/SELL rows call the table's SpmmRowRange
-/// directly; hybrid and CSC compose the table's AxpyRange/AddRange/
-/// ScaleRange, whose bodies are the per-neighbor steps of SpmmRowRange).
+/// SimdOps dispatch table (ELL/SELL rows and the CSC columns call the
+/// table's SpmmRowRange directly, CSC through its value index; hybrid
+/// composes the table's AxpyRange/AddRange/ScaleRange, whose bodies are the
+/// per-neighbor steps of SpmmRowRange).
 /// Results are therefore bitwise identical to the CSR kernels at every ISA
 /// level and thread count; max/min reductions share the scalar code path
 /// exactly like the CSR kernels do.

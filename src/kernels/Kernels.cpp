@@ -363,9 +363,9 @@ void kernels::spmmInto(const CsrMatrix &A, const DenseMatrix &B,
     const SpmmCombine Combine = spmmCombineFor(S);
     const bool Mean = S.Reduce == ReduceOpKind::Mean;
     parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-      Ops.SpmmRowRange(Offsets.data(), Cols.data(), ValsPtr, B.data(), NCols,
-                       Dst.data(), NCols, 0, NCols, Combine, Mean, RowBegin,
-                       RowEnd);
+      Ops.SpmmRowRange(Offsets.data(), Cols.data(), ValsPtr, nullptr,
+                       B.data(), NCols, Dst.data(), NCols, 0, NCols, Combine,
+                       Mean, RowBegin, RowEnd);
     });
     return;
   }
@@ -423,9 +423,9 @@ void kernels::spmmTiledInto(const CsrMatrix &A, const DenseMatrix &B,
   parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
     for (int64_t C0 = 0; C0 < NCols; C0 += TileCols) {
       const int64_t C1 = std::min(C0 + TileCols, NCols);
-      Ops.SpmmRowRange(Offsets.data(), Cols.data(), ValsPtr, B.data(), NCols,
-                       Dst.data(), NCols, C0, C1, Combine, Mean, RowBegin,
-                       RowEnd);
+      Ops.SpmmRowRange(Offsets.data(), Cols.data(), ValsPtr, nullptr,
+                       B.data(), NCols, Dst.data(), NCols, C0, C1, Combine,
+                       Mean, RowBegin, RowEnd);
     }
   });
 }

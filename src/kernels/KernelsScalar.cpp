@@ -70,9 +70,10 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
 }
 
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
-                  const float *Vals, const float *B, int64_t Ldb, float *Dst,
-                  int64_t LdDst, int64_t C0, int64_t C1, SpmmCombine Combine,
-                  bool Mean, int64_t RowBegin, int64_t RowEnd) {
+                  const float *Vals, const int64_t *ValIdx, const float *B,
+                  int64_t Ldb, float *Dst, int64_t LdDst, int64_t C0,
+                  int64_t C1, SpmmCombine Combine, bool Mean,
+                  int64_t RowBegin, int64_t RowEnd) {
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     float *Out = Dst + R * LdDst;
     const int64_t Begin = Offsets[R];
@@ -84,7 +85,7 @@ void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
         for (int64_t J = C0; J < C1; ++J)
           Out[J] += Src[J];
       } else {
-        float EdgeVal = Vals ? Vals[K] : 1.0f;
+        float EdgeVal = Vals ? Vals[ValIdx ? ValIdx[K] : K] : 1.0f;
         if (Combine == SpmmCombine::Mul) {
           for (int64_t J = C0; J < C1; ++J)
             Out[J] += EdgeVal * Src[J];

@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace granii {
 namespace kernels {
@@ -37,66 +38,60 @@ namespace simd_impl {
 /// Rows per register block in the packed GEMM routines: 4 output rows x 2
 /// vectors of accumulators stays within 16 architectural vector registers
 /// (with B-row and broadcast temporaries) on AVX2.
-constexpr int64_t GemmRowBlock = 4;
+constexpr int GemmRowBlock = 4;
+
+/// The row (or vector) indices 0..N-1 of a register block as a template
+/// pack. The kernels expand their per-row statements over it with fold
+/// expressions, so the block is straight-line code in which every
+/// accumulator subscript is a compile-time constant and the accumulator
+/// arrays live in registers. A runtime-bounded `for (R < MR)` loop over the
+/// same arrays left them on the stack under GCC -O2: one load and one store
+/// around every FMA.
+template <int N> using IndexPack = std::make_integer_sequence<int, N>;
 
 //===----------------------------------------------------------------------===//
 // Packed GEMM: C = A * B (optionally accumulating)
 //===----------------------------------------------------------------------===//
 
-/// One block of \p MR consecutive C rows starting at \p I. Accumulators
-/// live in registers across the whole K loop; every (row, column) element
-/// accumulates over K in ascending order through FMA regardless of which
-/// j-path (2-vector, 1-vector, scalar tail) covers its column, so results
-/// are independent of N's split into paths and of MR.
-template <class T, int MR>
+/// One block of MR = sizeof...(R) consecutive C rows starting at \p I.
+/// Accumulators live in registers across the whole K loop; every (row,
+/// column) element accumulates over K in ascending order through FMA
+/// regardless of which j-path (2-vector, 1-vector, scalar tail) covers its
+/// column, so results are independent of N's split into paths and of MR.
+template <class T, int... R>
 void gemmBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
                float *C, int64_t Ldc, int64_t K, int64_t N, int64_t I,
-               bool Accumulate) {
+               bool Accumulate, std::integer_sequence<int, R...>) {
   using Vec = typename T::Vec;
   constexpr int64_t W = T::Width;
+  constexpr int MR = sizeof...(R);
+  const float *ARow[MR] = {A + (I + R) * Lda...};
+  float *CRow[MR] = {C + (I + R) * Ldc...};
   int64_t J = 0;
   for (; J + 2 * W <= N; J += 2 * W) {
-    Vec Acc[MR][2];
-    for (int R = 0; R < MR; ++R) {
-      const float *CRow = C + (I + R) * Ldc + J;
-      Acc[R][0] = Accumulate ? T::load(CRow) : T::zero();
-      Acc[R][1] = Accumulate ? T::load(CRow + W) : T::zero();
-    }
+    Vec Acc0[MR] = {(Accumulate ? T::load(CRow[R] + J) : T::zero())...};
+    Vec Acc1[MR] = {(Accumulate ? T::load(CRow[R] + J + W) : T::zero())...};
     for (int64_t KK = 0; KK < K; ++KK) {
-      const float *BRow = B + KK * Ldb + J;
-      Vec B0 = T::load(BRow);
-      Vec B1 = T::load(BRow + W);
-      for (int R = 0; R < MR; ++R) {
-        Vec AV = T::set1(A[(I + R) * Lda + KK]);
-        Acc[R][0] = T::fma(AV, B0, Acc[R][0]);
-        Acc[R][1] = T::fma(AV, B1, Acc[R][1]);
-      }
+      const Vec B0 = T::load(B + KK * Ldb + J);
+      const Vec B1 = T::load(B + KK * Ldb + J + W);
+      (..., (Acc0[R] = T::fma(T::set1(ARow[R][KK]), B0, Acc0[R]),
+             Acc1[R] = T::fma(T::set1(ARow[R][KK]), B1, Acc1[R])));
     }
-    for (int R = 0; R < MR; ++R) {
-      float *CRow = C + (I + R) * Ldc + J;
-      T::store(CRow, Acc[R][0]);
-      T::store(CRow + W, Acc[R][1]);
-    }
+    (..., (T::store(CRow[R] + J, Acc0[R]), T::store(CRow[R] + J + W, Acc1[R])));
   }
   for (; J + W <= N; J += W) {
-    Vec Acc[MR];
-    for (int R = 0; R < MR; ++R)
-      Acc[R] = Accumulate ? T::load(C + (I + R) * Ldc + J) : T::zero();
+    Vec Acc[MR] = {(Accumulate ? T::load(CRow[R] + J) : T::zero())...};
     for (int64_t KK = 0; KK < K; ++KK) {
-      Vec BV = T::load(B + KK * Ldb + J);
-      for (int R = 0; R < MR; ++R)
-        Acc[R] = T::fma(T::set1(A[(I + R) * Lda + KK]), BV, Acc[R]);
+      const Vec BV = T::load(B + KK * Ldb + J);
+      (..., (Acc[R] = T::fma(T::set1(ARow[R][KK]), BV, Acc[R])));
     }
-    for (int R = 0; R < MR; ++R)
-      T::store(C + (I + R) * Ldc + J, Acc[R]);
+    (..., T::store(CRow[R] + J, Acc[R]));
   }
   for (; J < N; ++J) {
-    for (int R = 0; R < MR; ++R) {
-      float Acc = Accumulate ? C[(I + R) * Ldc + J] : 0.0f;
-      for (int64_t KK = 0; KK < K; ++KK)
-        Acc = std::fma(A[(I + R) * Lda + KK], B[KK * Ldb + J], Acc);
-      C[(I + R) * Ldc + J] = Acc;
-    }
+    float Acc[MR] = {(Accumulate ? CRow[R][J] : 0.0f)...};
+    for (int64_t KK = 0; KK < K; ++KK)
+      (..., (Acc[R] = std::fma(ARow[R][KK], B[KK * Ldb + J], Acc[R])));
+    (..., (CRow[R][J] = Acc[R]));
   }
 }
 
@@ -106,76 +101,80 @@ void gemmRowRange(const float *A, int64_t Lda, const float *B, int64_t Ldb,
                   int64_t RowBegin, int64_t RowEnd, bool Accumulate) {
   int64_t I = RowBegin;
   for (; I + GemmRowBlock <= RowEnd; I += GemmRowBlock)
-    gemmBlock<T, GemmRowBlock>(A, Lda, B, Ldb, C, Ldc, K, N, I, Accumulate);
+    gemmBlock<T>(A, Lda, B, Ldb, C, Ldc, K, N, I, Accumulate,
+                 IndexPack<GemmRowBlock>{});
   for (; I < RowEnd; ++I)
-    gemmBlock<T, 1>(A, Lda, B, Ldb, C, Ldc, K, N, I, Accumulate);
+    gemmBlock<T>(A, Lda, B, Ldb, C, Ldc, K, N, I, Accumulate, IndexPack<1>{});
 }
 
 //===----------------------------------------------------------------------===//
 // C = A^T * B over C's rows (columns of A)
 //===----------------------------------------------------------------------===//
 
-template <class T, int MR>
+/// Contraction rows [I0, I1) of one block of MR = sizeof...(R) C rows
+/// starting at \p R0. The first window (I0 == 0) starts every accumulator
+/// at zero; later windows resume from the partial sum the previous window
+/// stored in C. A float store and reload is exact, so each element's FMA
+/// chain over I is the same single ascending chain as an unwindowed pass.
+template <class T, int... R>
 void gemmTLhsBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
-                   float *C, int64_t Ldc, int64_t M, int64_t N, int64_t R0) {
+                   float *C, int64_t Ldc, int64_t I0, int64_t I1, int64_t N,
+                   int64_t R0, std::integer_sequence<int, R...>) {
   using Vec = typename T::Vec;
   constexpr int64_t W = T::Width;
+  constexpr int MR = sizeof...(R);
+  const bool Resume = I0 > 0;
+  float *CRow[MR] = {C + (R0 + R) * Ldc...};
   int64_t J = 0;
   for (; J + 2 * W <= N; J += 2 * W) {
-    Vec Acc[MR][2];
-    for (int R = 0; R < MR; ++R) {
-      Acc[R][0] = T::zero();
-      Acc[R][1] = T::zero();
-    }
-    for (int64_t I = 0; I < M; ++I) {
-      const float *BRow = B + I * Ldb + J;
-      Vec B0 = T::load(BRow);
-      Vec B1 = T::load(BRow + W);
+    Vec Acc0[MR] = {(Resume ? T::load(CRow[R] + J) : T::zero())...};
+    Vec Acc1[MR] = {(Resume ? T::load(CRow[R] + J + W) : T::zero())...};
+    for (int64_t I = I0; I < I1; ++I) {
+      const Vec B0 = T::load(B + I * Ldb + J);
+      const Vec B1 = T::load(B + I * Ldb + J + W);
       const float *ACol = A + I * Lda + R0;
-      for (int R = 0; R < MR; ++R) {
-        Vec AV = T::set1(ACol[R]);
-        Acc[R][0] = T::fma(AV, B0, Acc[R][0]);
-        Acc[R][1] = T::fma(AV, B1, Acc[R][1]);
-      }
+      (..., (Acc0[R] = T::fma(T::set1(ACol[R]), B0, Acc0[R]),
+             Acc1[R] = T::fma(T::set1(ACol[R]), B1, Acc1[R])));
     }
-    for (int R = 0; R < MR; ++R) {
-      float *CRow = C + (R0 + R) * Ldc + J;
-      T::store(CRow, Acc[R][0]);
-      T::store(CRow + W, Acc[R][1]);
-    }
+    (..., (T::store(CRow[R] + J, Acc0[R]), T::store(CRow[R] + J + W, Acc1[R])));
   }
   for (; J + W <= N; J += W) {
-    Vec Acc[MR];
-    for (int R = 0; R < MR; ++R)
-      Acc[R] = T::zero();
-    for (int64_t I = 0; I < M; ++I) {
-      Vec BV = T::load(B + I * Ldb + J);
+    Vec Acc[MR] = {(Resume ? T::load(CRow[R] + J) : T::zero())...};
+    for (int64_t I = I0; I < I1; ++I) {
+      const Vec BV = T::load(B + I * Ldb + J);
       const float *ACol = A + I * Lda + R0;
-      for (int R = 0; R < MR; ++R)
-        Acc[R] = T::fma(T::set1(ACol[R]), BV, Acc[R]);
+      (..., (Acc[R] = T::fma(T::set1(ACol[R]), BV, Acc[R])));
     }
-    for (int R = 0; R < MR; ++R)
-      T::store(C + (R0 + R) * Ldc + J, Acc[R]);
+    (..., T::store(CRow[R] + J, Acc[R]));
   }
   for (; J < N; ++J) {
-    for (int R = 0; R < MR; ++R) {
-      float Acc = 0.0f;
-      for (int64_t I = 0; I < M; ++I)
-        Acc = std::fma(A[I * Lda + R0 + R], B[I * Ldb + J], Acc);
-      C[(R0 + R) * Ldc + J] = Acc;
-    }
+    float Acc[MR] = {(Resume ? CRow[R][J] : 0.0f)...};
+    for (int64_t I = I0; I < I1; ++I)
+      (..., (Acc[R] = std::fma(A[I * Lda + R0 + R], B[I * Ldb + J], Acc[R])));
+    (..., (CRow[R][J] = Acc[R]));
   }
 }
 
+/// The contraction runs in windows of GemmTLhsWindowRows rows of A and B,
+/// each swept by every register block of the range before the next window
+/// starts: the window's B rows (512 KiB at N = 128) and A's columns of the
+/// range are then read from L2 once per block instead of from memory.
 template <class T>
 void gemmTLhsRowRange(const float *A, int64_t Lda, const float *B,
                       int64_t Ldb, float *C, int64_t Ldc, int64_t M,
                       int64_t N, int64_t RowBegin, int64_t RowEnd) {
-  int64_t R = RowBegin;
-  for (; R + GemmRowBlock <= RowEnd; R += GemmRowBlock)
-    gemmTLhsBlock<T, GemmRowBlock>(A, Lda, B, Ldb, C, Ldc, M, N, R);
-  for (; R < RowEnd; ++R)
-    gemmTLhsBlock<T, 1>(A, Lda, B, Ldb, C, Ldc, M, N, R);
+  // At least one window, so an empty contraction (M == 0) still zeroes C.
+  int64_t I0 = 0;
+  do {
+    const int64_t I1 = std::min(I0 + GemmTLhsWindowRows, M);
+    int64_t R = RowBegin;
+    for (; R + GemmRowBlock <= RowEnd; R += GemmRowBlock)
+      gemmTLhsBlock<T>(A, Lda, B, Ldb, C, Ldc, I0, I1, N, R,
+                       IndexPack<GemmRowBlock>{});
+    for (; R < RowEnd; ++R)
+      gemmTLhsBlock<T>(A, Lda, B, Ldb, C, Ldc, I0, I1, N, R, IndexPack<1>{});
+    I0 = I1;
+  } while (I0 < M);
 }
 
 //===----------------------------------------------------------------------===//
@@ -220,62 +219,126 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
 // Fused sum-reduction g-SpMM
 //===----------------------------------------------------------------------===//
 
+/// Vector registers one output row accumulates in at a time.
+constexpr int SpmmRowVectors = 8;
+
+/// What one nonzero adds to an output element. An unweighted Mul combine is
+/// a plain sum (x * 1 == x), so it shares the Sum step.
+enum class SpmmStep { Sum, Mul, Add };
+
+/// The value of nonzero \p K: through the value index when there is one,
+/// 1 for an unweighted matrix.
+inline float spmmEdgeValue(const float *Vals, const int64_t *ValIdx,
+                           int64_t K) {
+  return Vals ? Vals[ValIdx ? ValIdx[K] : K] : 1.0f;
+}
+
+/// Columns [0, NV * W) of one output row (\p B and \p Out already offset
+/// to the first column), NV = sizeof...(V): NV vector accumulators start at
+/// zero, take every nonzero [Begin, End) of the row in order, are scaled
+/// for a mean, and are stored once.
+template <class T, SpmmStep Step, int... V>
+void spmmRowVectors(const int32_t *Cols, const float *Vals,
+                    const int64_t *ValIdx, const float *B, int64_t Ldb,
+                    float *Out, int64_t Begin, int64_t End, bool Mean,
+                    std::integer_sequence<int, V...>) {
+  using Vec = typename T::Vec;
+  constexpr int64_t W = T::Width;
+  Vec Acc[sizeof...(V)] = {(static_cast<void>(V), T::zero())...};
+  for (int64_t K = Begin; K < End; ++K) {
+    const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
+    if constexpr (Step == SpmmStep::Sum) {
+      (..., (Acc[V] = T::add(Acc[V], T::load(Src + V * W))));
+    } else {
+      const Vec EdgeV = T::set1(spmmEdgeValue(Vals, ValIdx, K));
+      if constexpr (Step == SpmmStep::Mul)
+        (..., (Acc[V] = T::fma(EdgeV, T::load(Src + V * W), Acc[V])));
+      else
+        (..., (Acc[V] = T::add(T::add(EdgeV, T::load(Src + V * W)), Acc[V])));
+    }
+  }
+  if (Mean && End > Begin) {
+    const Vec InvV = T::set1(1.0f / static_cast<float>(End - Begin));
+    (..., (Acc[V] = T::mul(InvV, Acc[V])));
+  }
+  (..., T::store(Out + V * W, Acc[V]));
+}
+
+/// Calls \p Fn with IndexPack<Count> for a runtime Count in [1, NV].
+template <int NV, class Fn> void withIndexPack(int64_t Count, Fn &&F) {
+  if constexpr (NV > 0) {
+    if (Count == NV)
+      return F(IndexPack<NV>{});
+    withIndexPack<NV - 1>(Count, F);
+  }
+}
+
+template <class T, SpmmStep Step>
+void spmmRows(const int64_t *Offsets, const int32_t *Cols, const float *Vals,
+              const int64_t *ValIdx, const float *B, int64_t Ldb, float *Dst,
+              int64_t LdDst, int64_t C0, int64_t C1, bool Mean,
+              int64_t RowBegin, int64_t RowEnd) {
+  constexpr int64_t W = T::Width;
+  constexpr int64_t Chunk = SpmmRowVectors * W;
+  for (int64_t R = RowBegin; R < RowEnd; ++R) {
+    float *Out = Dst + R * LdDst;
+    const int64_t Begin = Offsets[R];
+    const int64_t End = Offsets[R + 1];
+    auto Vectors = [&](int64_t J, auto Pack) {
+      spmmRowVectors<T, Step>(Cols, Vals, ValIdx, B + J, Ldb, Out + J, Begin,
+                              End, Mean, Pack);
+    };
+    int64_t J = C0;
+    for (; J + Chunk <= C1; J += Chunk)
+      Vectors(J, IndexPack<SpmmRowVectors>{});
+    const int64_t Rest = (C1 - J) / W;
+    withIndexPack<SpmmRowVectors - 1>(Rest,
+                                      [&](auto Pack) { Vectors(J, Pack); });
+    J += Rest * W;
+    if (J == C1)
+      continue;
+    // Fewer than W columns remain: the same per-element chains, kept in
+    // the output row (std::fma rounds exactly like a vector FMA lane).
+    std::fill(Out + J, Out + C1, 0.0f);
+    for (int64_t K = Begin; K < End; ++K) {
+      const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
+      if constexpr (Step == SpmmStep::Sum) {
+        for (int64_t JJ = J; JJ < C1; ++JJ)
+          Out[JJ] += Src[JJ];
+      } else {
+        const float Edge = spmmEdgeValue(Vals, ValIdx, K);
+        for (int64_t JJ = J; JJ < C1; ++JJ)
+          Out[JJ] = Step == SpmmStep::Mul ? std::fma(Edge, Src[JJ], Out[JJ])
+                                          : (Edge + Src[JJ]) + Out[JJ];
+      }
+    }
+    if (Mean && End > Begin) {
+      const float Inv = 1.0f / static_cast<float>(End - Begin);
+      for (int64_t JJ = J; JJ < C1; ++JJ)
+        Out[JJ] = Inv * Out[JJ];
+    }
+  }
+}
+
 /// Every column's accumulation is per-element exact (add/fma lanes match
 /// their scalar-tail counterparts bit for bit), so any column tile [C0, C1)
 /// composes to the untiled result bitwise — the same property the scalar
 /// kernel documents.
 template <class T>
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
-                  const float *Vals, const float *B, int64_t Ldb, float *Dst,
-                  int64_t LdDst, int64_t C0, int64_t C1, SpmmCombine Combine,
-                  bool Mean, int64_t RowBegin, int64_t RowEnd) {
-  using Vec = typename T::Vec;
-  constexpr int64_t W = T::Width;
-  const bool PlainSum =
-      Combine == SpmmCombine::CopyRhs || (Combine == SpmmCombine::Mul && !Vals);
-  for (int64_t R = RowBegin; R < RowEnd; ++R) {
-    float *Out = Dst + R * LdDst;
-    const int64_t Begin = Offsets[R];
-    const int64_t End = Offsets[R + 1];
-    std::fill(Out + C0, Out + C1, 0.0f);
-    for (int64_t K = Begin; K < End; ++K) {
-      const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
-      if (PlainSum) {
-        int64_t J = C0;
-        for (; J + W <= C1; J += W)
-          T::store(Out + J, T::add(T::load(Out + J), T::load(Src + J)));
-        for (; J < C1; ++J)
-          Out[J] += Src[J];
-      } else if (Combine == SpmmCombine::Mul) {
-        const float Edge = Vals[K];
-        const Vec EdgeV = T::set1(Edge);
-        int64_t J = C0;
-        for (; J + W <= C1; J += W)
-          T::store(Out + J,
-                   T::fma(EdgeV, T::load(Src + J), T::load(Out + J)));
-        for (; J < C1; ++J)
-          Out[J] = std::fma(Edge, Src[J], Out[J]);
-      } else { // Add combine.
-        const float Edge = Vals ? Vals[K] : 1.0f;
-        const Vec EdgeV = T::set1(Edge);
-        int64_t J = C0;
-        for (; J + W <= C1; J += W)
-          T::store(Out + J,
-                   T::add(T::add(EdgeV, T::load(Src + J)), T::load(Out + J)));
-        for (; J < C1; ++J)
-          Out[J] = (Edge + Src[J]) + Out[J];
-      }
-    }
-    if (Mean && End > Begin) {
-      const float Inv = 1.0f / static_cast<float>(End - Begin);
-      const Vec InvV = T::set1(Inv);
-      int64_t J = C0;
-      for (; J + W <= C1; J += W)
-        T::store(Out + J, T::mul(InvV, T::load(Out + J)));
-      for (; J < C1; ++J)
-        Out[J] = Inv * Out[J];
-    }
-  }
+                  const float *Vals, const int64_t *ValIdx, const float *B,
+                  int64_t Ldb, float *Dst, int64_t LdDst, int64_t C0,
+                  int64_t C1, SpmmCombine Combine, bool Mean,
+                  int64_t RowBegin, int64_t RowEnd) {
+  if (Combine == SpmmCombine::CopyRhs || (Combine == SpmmCombine::Mul && !Vals))
+    spmmRows<T, SpmmStep::Sum>(Offsets, Cols, Vals, ValIdx, B, Ldb, Dst,
+                               LdDst, C0, C1, Mean, RowBegin, RowEnd);
+  else if (Combine == SpmmCombine::Mul)
+    spmmRows<T, SpmmStep::Mul>(Offsets, Cols, Vals, ValIdx, B, Ldb, Dst,
+                               LdDst, C0, C1, Mean, RowBegin, RowEnd);
+  else
+    spmmRows<T, SpmmStep::Add>(Offsets, Cols, Vals, ValIdx, B, Ldb, Dst,
+                               LdDst, C0, C1, Mean, RowBegin, RowEnd);
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,6 +9,7 @@
 #include "support/Timer.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <fstream>
@@ -163,6 +164,45 @@ double Executor::timeKernel(const PrimitiveDesc &Desc, const GraphStats &Stats,
 namespace {
 
 using detail::RtValue;
+
+/// Minimum multiply-adds per chunk of the parallel attention-gradient loops,
+/// and the dA columns one chunk accumulates at a time (one cache line).
+constexpr int64_t AttnGradGrainOps = int64_t{1} << 14;
+constexpr int64_t AttnGradColBlock = 16;
+
+/// Rows [RowBegin, RowEnd) of the attention GEMV's weight gradient:
+/// dTheta[R] += Grad[R] * a, skipping rows whose gradient is zero.
+void attnThetaGradRows(const std::vector<float> &Grad,
+                       const std::vector<float> &AVec, DenseMatrix &DTheta,
+                       int64_t RowBegin, int64_t RowEnd) {
+  for (int64_t R = RowBegin; R < RowEnd; ++R) {
+    float G = Grad[static_cast<size_t>(R)];
+    if (G == 0.0f)
+      continue;
+    float *Row = DTheta.rowPtr(R);
+    for (int64_t C = 0; C < DTheta.cols(); ++C)
+      Row[C] += G * AVec[static_cast<size_t>(C)];
+  }
+}
+
+/// Columns [C0, C0 + AttnGradColBlock) of the attention vector's gradient,
+/// dA += Theta^T * Grad, over every row in ascending order: each element's
+/// sum is the serial loop's chain. The block's partial sums live in a local
+/// copy, so threads owning neighbouring blocks never share a written cache
+/// line.
+void attnVecGradBlock(const DenseMatrix &Theta, const std::vector<float> &Grad,
+                      std::vector<float> &DA, int64_t C0) {
+  const int64_t Width = std::min(AttnGradColBlock, Theta.cols() - C0);
+  float Acc[AttnGradColBlock];
+  std::copy_n(DA.begin() + C0, Width, Acc);
+  for (int64_t R = 0; R < Theta.rows(); ++R) {
+    float G = Grad[static_cast<size_t>(R)];
+    const float *Row = Theta.rowPtr(R) + C0;
+    for (int64_t C = 0; C < Width; ++C)
+      Acc[C] += G * Row[C];
+  }
+  std::copy_n(Acc, Width, DA.begin() + C0);
+}
 
 /// Gradient accumulators per value.
 struct RtGrad {
@@ -845,30 +885,31 @@ void PlanInterpreter::backward(ExecResult &Result) {
     case StepOp::AttnGemv: {
       const DenseMatrix &Theta = OpVal(0).dense();
       const std::vector<float> &AVec = OpVal(1).vec();
+      const int64_t Rows = Theta.rows(), Cols = Theta.cols();
       if (NeedOp(0)) {
-        PrimitiveDesc D{PrimitiveKind::Gemm, Theta.rows(), Theta.cols(), 1, 0};
+        PrimitiveDesc D{PrimitiveKind::Gemm, Rows, Cols, 1, 0};
         Backward += chargeDesc(D, [&] {
           DenseMatrix &DTheta = EnsureDense(OpId(0));
-          for (int64_t R = 0; R < Theta.rows(); ++R) {
-            float G = OutG.Vec[static_cast<size_t>(R)];
-            if (G == 0.0f)
-              continue;
-            float *Row = DTheta.rowPtr(R);
-            for (int64_t C = 0; C < Theta.cols(); ++C)
-              Row[C] += G * AVec[static_cast<size_t>(C)];
-          }
+          parallelFor(0, Rows, AttnGradGrainOps / std::max<int64_t>(Cols, 1),
+                      [&](int64_t RowBegin, int64_t RowEnd) {
+                        attnThetaGradRows(OutG.Vec, AVec, DTheta, RowBegin,
+                                          RowEnd);
+                      });
         });
       }
       if (NeedOp(1)) {
-        PrimitiveDesc D{PrimitiveKind::Gemv, Theta.rows(), 0, Theta.cols(), 0};
+        PrimitiveDesc D{PrimitiveKind::Gemv, Rows, 0, Cols, 0};
         Backward += chargeDesc(D, [&] {
           std::vector<float> &DA = EnsureVec(OpId(1));
-          for (int64_t R = 0; R < Theta.rows(); ++R) {
-            float G = OutG.Vec[static_cast<size_t>(R)];
-            const float *Row = Theta.rowPtr(R);
-            for (int64_t C = 0; C < Theta.cols(); ++C)
-              DA[static_cast<size_t>(C)] += G * Row[C];
-          }
+          const int64_t BlockOps =
+              std::max<int64_t>(Rows, 1) * AttnGradColBlock;
+          parallelFor(0, (Cols + AttnGradColBlock - 1) / AttnGradColBlock,
+                      AttnGradGrainOps / BlockOps,
+                      [&](int64_t BlockBegin, int64_t BlockEnd) {
+                        for (int64_t B = BlockBegin; B < BlockEnd; ++B)
+                          attnVecGradBlock(Theta, OutG.Vec, DA,
+                                           B * AttnGradColBlock);
+                      });
         });
       }
       break;

@@ -113,8 +113,8 @@ void granii::shard::shardedSpmmInto(const ShardSet &Set, ShardStaging &Stage,
                  R) *
                     K;
             Ops.SpmmRowRange(Blk.RowOffsets.data(), Blk.LocalCols.data(),
-                             RowVals, LB.data(), K, DstBase, K, 0, K, Combine,
-                             Mean, R, R + 1);
+                             RowVals, nullptr, LB.data(), K, DstBase, K, 0, K,
+                             Combine, Mean, R, R + 1);
           }
           return;
         }
@@ -155,10 +155,9 @@ void granii::shard::shardedSpmmCscTransposedInto(
                "sharded spmm_csc_t supports sum/mean reductions only");
   Stage.ensureBackward(Set, K); // no-op once warmed to this width
   const SimdOps &Ops = kernels::simdOps();
+  const SpmmCombine Combine = combineFor(S);
   const bool Mean = S.Reduce == ReduceOpKind::Mean;
-  const bool PlainSum = S.Combine == CombineOpKind::CopyRhs ||
-                        (S.Combine == CombineOpKind::Mul && Vals.empty());
-  const bool MulCombine = S.Combine == CombineOpKind::Mul;
+  const float *ValsPtr = Vals.empty() ? nullptr : Vals.data();
   const size_t RowBytes = static_cast<size_t>(K) * sizeof(float);
 
   ThreadPool::get().parallelForChunks(
@@ -171,34 +170,18 @@ void granii::shard::shardedSpmmCscTransposedInto(
         const int64_t Owned = static_cast<int64_t>(Blk.OwnedCols.size());
         for (int64_t C = 0; C < Owned; ++C) {
           // Entries of this column arrive in ascending global-row order —
-          // the exact entry order of the whole-graph CSC kernel — so the
-          // per-column operation sequence below replays it bitwise.
-          float *Out = Dst.rowPtr(Blk.OwnedCols[static_cast<size_t>(C)]);
-          std::fill(Out, Out + K, 0.0f);
-          const int64_t Begin = Blk.ColOffsets[static_cast<size_t>(C)];
-          const int64_t End = Blk.ColOffsets[static_cast<size_t>(C) + 1];
-          for (int64_t E = Begin; E < End; ++E) {
-            const float *Src =
-                LDY.rowPtr(Blk.RowSlots[static_cast<size_t>(E)]);
-            if (PlainSum) {
-              Ops.AddRange(Out, Src, Out, K);
-            } else if (MulCombine) {
-              Ops.AxpyRange(
-                  Vals[static_cast<size_t>(Blk.CsrIdx[static_cast<size_t>(E)])],
-                  Src, Out, K);
-            } else { // Add combine.
-              const float Edge =
-                  Vals.empty()
-                      ? 1.0f
-                      : Vals[static_cast<size_t>(
-                            Blk.CsrIdx[static_cast<size_t>(E)])];
-              for (int64_t J = 0; J < K; ++J)
-                Out[J] = (Edge + Src[J]) + Out[J];
-            }
-          }
-          if (Mean && End > Begin)
-            Ops.ScaleRange(1.0f / static_cast<float>(End - Begin), Out, Out,
-                           K);
+          // the entry order of the whole-graph CSC kernel — and gather
+          // their values through the same CSC→CSR index, so the dispatch
+          // kernel reproduces it bitwise. The destination row lands at its
+          // global position as in the forward kernel.
+          float *DstBase =
+              Dst.data() +
+              (static_cast<int64_t>(Blk.OwnedCols[static_cast<size_t>(C)]) -
+               C) *
+                  K;
+          Ops.SpmmRowRange(Blk.ColOffsets.data(), Blk.RowSlots.data(),
+                           ValsPtr, Blk.CsrIdx.data(), LDY.data(), K, DstBase,
+                           K, 0, K, Combine, Mean, C, C + 1);
         }
       });
 }

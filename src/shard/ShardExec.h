@@ -10,10 +10,10 @@
 /// Bitwise contract: the forward kernel issues the dispatch table's
 /// SpmmRowRange over each owned row with the row's neighbors in original
 /// CSR entry order (halo rows are exact float copies), and the backward
-/// kernel replays spmmCscTransposedInto's per-column operation sequence
-/// over the shard's slice of the global CSC transpose. Outputs are
-/// therefore bitwise identical to the whole-graph kernels at any shard
-/// count and any thread count within one ISA level.
+/// kernel calls it, like spmmCscTransposedInto, over each owned column of
+/// the shard's slice of the global CSC transpose. Outputs are therefore
+/// bitwise identical to the whole-graph kernels at any shard count and any
+/// thread count within one ISA level.
 ///
 //===----------------------------------------------------------------------===//
 

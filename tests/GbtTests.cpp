@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 using namespace granii;
 
@@ -27,6 +30,7 @@ GbtDataset makeDataset(size_t Samples, size_t Features, uint64_t Seed,
 }
 
 double linearFn(const double *X) { return 3.0 * X[0] - 2.0 * X[1] + 1.0; }
+double linearFn1(const double *X) { return 3.0 * X[0] + 1.0; }
 double quadraticFn(const double *X) { return X[0] * X[0] + X[1]; }
 double interactionFn(const double *X) { return X[0] > 0 ? X[1] : -X[1]; }
 
@@ -88,13 +92,39 @@ TEST(Gbt, ConstantTargetPredictsConstant) {
 }
 
 TEST(Gbt, MinSamplesLeafLimitsTreeGrowth) {
-  GbtDataset Data = makeDataset(40, 1, 8, linearFn);
+  GbtDataset Data = makeDataset(40, 1, 8, linearFn1);
   GbtParams Params;
   Params.MinSamplesLeaf = 20;
   Params.NumTrees = 3;
+  // Every tree sees all 40 samples: a subsample below 40 rows cannot hold
+  // two 20-sample leaves, and the fit would skip the tree altogether.
+  Params.Subsample = 1.0;
   GbtModel Model = GbtModel::fit(Data, Params);
   // With 40 samples and a 20-sample floor, each tree has at most 1 split.
-  EXPECT_LE(Model.numTrees(), 3u);
+  // serialize() writes one "tree <nodes>" line per tree, then one
+  // "node <feature> ..." line per node; a split node has feature >= 0.
+  std::vector<int> SplitsPerTree;
+  std::istringstream Text(Model.serialize());
+  std::string Line;
+  while (std::getline(Text, Line)) {
+    std::istringstream Fields(Line);
+    std::string Kind;
+    Fields >> Kind;
+    if (Kind == "tree") {
+      SplitsPerTree.push_back(0);
+    } else if (Kind == "node") {
+      int Feature = -1;
+      Fields >> Feature;
+      ASSERT_FALSE(SplitsPerTree.empty());
+      SplitsPerTree.back() += Feature >= 0;
+    }
+  }
+  ASSERT_EQ(Model.numTrees(), 3u);
+  ASSERT_EQ(SplitsPerTree.size(), 3u);
+  for (int Splits : SplitsPerTree)
+    EXPECT_LE(Splits, 1);
+  // The floor still admits the one 20/20 split of a linear target.
+  EXPECT_EQ(SplitsPerTree.front(), 1);
 }
 
 TEST(Gbt, SerializeDeserializeRoundTripExact) {

@@ -3,20 +3,28 @@
 // Covers the kernel dispatch layer (src/kernels/Dispatch.h): level parsing
 // and naming, CPUID-bounded level enumeration, the setIsaLevel override,
 // table completeness, the 64-byte alignment contract of the tensor storage,
-// and cross-ISA agreement of every dispatched kernel family on fixtures
-// whose shapes exercise both the vector bodies and the scalar tails.
+// cross-ISA agreement of every dispatched kernel family on fixtures whose
+// shapes exercise both the vector bodies and the scalar tails, and the
+// exact per-element reduction order of the GEMM and SpMM row routines.
 //
 //===----------------------------------------------------------------------===//
 
 #include "kernels/Dispatch.h"
+#include "kernels/FormatKernels.h"
 #include "kernels/Kernels.h"
 #include "support/Aligned.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
 #include "tensor/CooMatrix.h"
+#include "tensor/CscMatrix.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -329,4 +337,259 @@ TEST(CrossIsa, WithinLevelResultsAreThreadCountInvariant) {
         << "thread count changed spmm output";
   }
   ThreadPool::get().setNumThreads(EntryThreads);
+}
+
+//===----------------------------------------------------------------------===//
+// Reduction order
+//===----------------------------------------------------------------------===//
+//
+// Each dispatched reduction is compared bit for bit against its chain
+// written out here: the same start value, the operands in the same order,
+// one step per contraction row or nonzero. The SIMD levels step with FMA or
+// a plain add; the scalar table keeps the pre-SIMD multiply-then-add. A
+// kernel that splits, reorders or restarts a chain (a window that resets
+// its accumulator to 0, a register block that skips a row) fails here even
+// where its result is within rounding of the right answer.
+
+namespace {
+
+using kernels::SpmmCombine;
+
+/// Uniform floats in [-1, 1), every 7th one exactly zero so the scalar
+/// table's zero-multiplier skip is exercised.
+std::vector<float> randomFloats(size_t Count, uint64_t Seed) {
+  Rng R(Seed);
+  std::vector<float> Out(Count);
+  for (size_t I = 0; I < Count; ++I)
+    Out[I] = I % 7 == 3 ? 0.0f : R.nextFloat(-1.0f, 1.0f);
+  return Out;
+}
+
+/// One contraction step of the GEMM family at \p Level.
+float gemmStep(IsaLevel Level, float A, float B, float Acc) {
+  if (Level != IsaLevel::Scalar)
+    return std::fma(A, B, Acc);
+  return A == 0.0f ? Acc : Acc + A * B;
+}
+
+/// One nonzero's step of the fused SpMM at \p Level.
+float spmmStep(IsaLevel Level, SpmmCombine Combine, bool Weighted, float Edge,
+               float Src, float Acc) {
+  if (Level == IsaLevel::Scalar) {
+    if (Combine == SpmmCombine::CopyRhs)
+      return Acc + Src;
+    if (Combine == SpmmCombine::Mul)
+      return Acc + Edge * Src;
+    return Acc + (Edge + Src);
+  }
+  if (Combine == SpmmCombine::CopyRhs ||
+      (Combine == SpmmCombine::Mul && !Weighted))
+    return Acc + Src;
+  if (Combine == SpmmCombine::Mul)
+    return std::fma(Edge, Src, Acc);
+  return (Edge + Src) + Acc;
+}
+
+float meanStep(IsaLevel Level, float Inv, float Acc) {
+  return Level == IsaLevel::Scalar ? Acc * Inv : Inv * Acc;
+}
+
+void expectSameBits(const std::vector<float> &Got,
+                    const std::vector<float> &Want, const std::string &What) {
+  ASSERT_EQ(Got.size(), Want.size()) << What;
+  size_t Mismatches = 0, First = 0;
+  for (size_t I = 0; I < Want.size(); ++I)
+    if (std::bit_cast<uint32_t>(Got[I]) != std::bit_cast<uint32_t>(Want[I]) &&
+        Mismatches++ == 0)
+      First = I;
+  EXPECT_EQ(Mismatches, 0u) << What << ": first mismatch at flat index "
+                            << First << " (got " << Got[First] << ", want "
+                            << Want[First] << ")";
+}
+
+/// A CSR pattern over \p Rows rows and \p SrcRows columns with empty rows
+/// and rows of up to 24 nonzeros.
+struct SparseFixture {
+  std::vector<int64_t> Offsets{0};
+  std::vector<int32_t> Cols;
+  std::vector<float> Vals;
+  std::vector<int64_t> ValIdx; ///< a permutation of [0, nnz)
+
+  SparseFixture(int64_t Rows, int64_t SrcRows, uint64_t Seed) {
+    Rng R(Seed);
+    for (int64_t Row = 0; Row < Rows; ++Row) {
+      const uint64_t Len = Row % 5 == 2 ? 0 : R.nextBelow(25);
+      for (uint64_t K = 0; K < Len; ++K)
+        Cols.push_back(static_cast<int32_t>(
+            R.nextBelow(static_cast<uint64_t>(SrcRows))));
+      Offsets.push_back(static_cast<int64_t>(Cols.size()));
+    }
+    Vals = randomFloats(Cols.size(), Seed + 1);
+    ValIdx.resize(Cols.size());
+    std::iota(ValIdx.begin(), ValIdx.end(), int64_t{0});
+    for (size_t I = ValIdx.size(); I > 1; --I)
+      std::swap(ValIdx[I - 1], ValIdx[R.nextBelow(I)]);
+  }
+  int64_t rows() const { return static_cast<int64_t>(Offsets.size()) - 1; }
+};
+
+} // namespace
+
+TEST(ReductionOrder, GemmRowRangeIsOneChainPerElement) {
+  // Padded leading dimensions; 11 rows split at 6 cut a 4-row register
+  // block; widths cover the 2-vector, 1-vector and scalar-tail paths.
+  const int64_t M = 11, K = 45, Lda = K + 3;
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    const kernels::SimdOps &Ops = *kernels::simdOpsFor(Level);
+    for (int64_t N : {13, 29, 61, 141}) {
+      const int64_t Ldb = N + 5, Ldc = N + 7;
+      const std::vector<float> A = randomFloats(M * Lda, 101);
+      const std::vector<float> B = randomFloats(K * Ldb, 102);
+      const std::vector<float> Init = randomFloats(M * Ldc, 103);
+      for (bool Accumulate : {false, true}) {
+        std::vector<float> Got = Init;
+        Ops.GemmRowRange(A.data(), Lda, B.data(), Ldb, Got.data(), Ldc, K, N,
+                         0, 6, Accumulate);
+        Ops.GemmRowRange(A.data(), Lda, B.data(), Ldb, Got.data(), Ldc, K, N,
+                         6, M, Accumulate);
+        std::vector<float> Want = Init;
+        for (int64_t I = 0; I < M; ++I)
+          for (int64_t J = 0; J < N; ++J) {
+            float Acc = Accumulate ? Init[I * Ldc + J] : 0.0f;
+            for (int64_t KK = 0; KK < K; ++KK)
+              Acc = gemmStep(Level, A[I * Lda + KK], B[KK * Ldb + J], Acc);
+            Want[I * Ldc + J] = Acc;
+          }
+        expectSameBits(Got, Want,
+                       "gemm N=" + std::to_string(N) +
+                           (Accumulate ? " accumulate" : " overwrite"));
+      }
+    }
+  }
+}
+
+TEST(ReductionOrder, GemmTLhsRowRangeCarriesChainsAcrossWindows) {
+  // Two full contraction windows plus a partial one: each element's chain
+  // must run unbroken from 0 through all M rows.
+  const int64_t M = 2 * kernels::GemmTLhsWindowRows + 37;
+  const int64_t Rows = 11; // columns of A = rows of C
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    const kernels::SimdOps &Ops = *kernels::simdOpsFor(Level);
+    for (int64_t N : {13, 61}) {
+      const std::vector<float> A = randomFloats(M * Rows, 201);
+      const std::vector<float> B = randomFloats(M * N, 202);
+      std::vector<float> Got(static_cast<size_t>(Rows * N), 123.0f);
+      Ops.GemmTLhsRowRange(A.data(), Rows, B.data(), N, Got.data(), N, M, N,
+                           0, 6);
+      Ops.GemmTLhsRowRange(A.data(), Rows, B.data(), N, Got.data(), N, M, N,
+                           6, Rows);
+      std::vector<float> Want(Got.size());
+      for (int64_t R = 0; R < Rows; ++R)
+        for (int64_t J = 0; J < N; ++J) {
+          float Acc = 0.0f;
+          for (int64_t I = 0; I < M; ++I)
+            Acc = gemmStep(Level, A[I * Rows + R], B[I * N + J], Acc);
+          Want[R * N + J] = Acc;
+        }
+      expectSameBits(Got, Want, "gemm_t_lhs N=" + std::to_string(N));
+    }
+  }
+}
+
+TEST(ReductionOrder, SpmmRowRangeIsOneChainPerElement) {
+  const SparseFixture A(40, 50, 301);
+  struct Case {
+    SpmmCombine Combine;
+    bool Weighted;
+    const char *Name;
+  };
+  const Case Cases[] = {{SpmmCombine::CopyRhs, false, "copy_rhs"},
+                        {SpmmCombine::Mul, true, "mul"},
+                        {SpmmCombine::Mul, false, "mul unweighted"},
+                        {SpmmCombine::Add, true, "add"},
+                        {SpmmCombine::Add, false, "add unweighted"}};
+  struct Tile {
+    int64_t Width, C0, C1;
+  };
+  // Full rows of three widths, then an unaligned tile of the widest.
+  const Tile Tiles[] = {{13, 0, 13}, {29, 0, 29}, {141, 0, 141}, {141, 5, 118}};
+  const float Sentinel = -7.25f;
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    const kernels::SimdOps &Ops = *kernels::simdOpsFor(Level);
+    for (const Tile &T : Tiles) {
+      const int64_t Ldb = T.Width + 3, LdDst = T.Width + 2;
+      const std::vector<float> B = randomFloats(50 * Ldb, 302);
+      for (const Case &C : Cases)
+        for (bool Mean : {false, true})
+          for (bool Indexed : {false, true}) {
+            const float *Vals = C.Weighted ? A.Vals.data() : nullptr;
+            const int64_t *ValIdx = Indexed ? A.ValIdx.data() : nullptr;
+            std::vector<float> Got(static_cast<size_t>(A.rows() * LdDst),
+                                   Sentinel);
+            for (auto [RowBegin, RowEnd] :
+                 {std::pair<int64_t, int64_t>{0, 17}, {17, A.rows()}})
+              Ops.SpmmRowRange(A.Offsets.data(), A.Cols.data(), Vals, ValIdx,
+                               B.data(), Ldb, Got.data(), LdDst, T.C0, T.C1,
+                               C.Combine, Mean, RowBegin, RowEnd);
+            std::vector<float> Want(Got.size(), Sentinel);
+            for (int64_t R = 0; R < A.rows(); ++R) {
+              const int64_t Begin = A.Offsets[R], End = A.Offsets[R + 1];
+              for (int64_t J = T.C0; J < T.C1; ++J) {
+                float Acc = 0.0f;
+                for (int64_t K = Begin; K < End; ++K) {
+                  const float Edge =
+                      Vals ? Vals[ValIdx ? ValIdx[K] : K] : 1.0f;
+                  Acc = spmmStep(Level, C.Combine, C.Weighted, Edge,
+                                 B[A.Cols[K] * Ldb + J], Acc);
+                }
+                if (Mean && End > Begin)
+                  Acc = meanStep(Level, 1.0f / static_cast<float>(End - Begin),
+                                 Acc);
+                Want[R * LdDst + J] = Acc;
+              }
+            }
+            expectSameBits(Got, Want,
+                           std::string(C.Name) + (Mean ? " mean" : " sum") +
+                               (Indexed ? " indexed" : "") + " tile [" +
+                               std::to_string(T.C0) + ", " +
+                               std::to_string(T.C1) + ")");
+          }
+    }
+  }
+}
+
+TEST(ReductionOrder, CscTransposedSpmmMatchesSpmmOfTranspose) {
+  // The backward-pass SpMM reads values through the CSC->CSR index and
+  // must equal the explicit transpose-then-SpMM bit for bit.
+  IsaLevelGuard Guard;
+  const CsrMatrix Weighted = randomSparse(70, 50, 400, 71, /*Weighted=*/true);
+  const CsrMatrix Unweighted =
+      randomSparse(70, 50, 400, 72, /*Weighted=*/false);
+  const Semiring Mean{ReduceOpKind::Mean, CombineOpKind::Mul};
+  const Semiring PlusAdd{ReduceOpKind::Sum, CombineOpKind::Add};
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    ASSERT_TRUE(kernels::setIsaLevel(Level));
+    for (int64_t Width : {13, 141}) {
+      const DenseMatrix B = randomDense(70, Width, 73);
+      for (const CsrMatrix *A : {&Weighted, &Unweighted}) {
+        const CscMatrix Csc = CscMatrix::fromCsr(*A);
+        const CsrMatrix At = A->transposed();
+        for (const Semiring &S : {Semiring::plusTimes(), Semiring::plusCopy(),
+                                  Semiring::meanCopy(), Mean, PlusAdd}) {
+          DenseMatrix Got(50, Width);
+          kernels::spmmCscTransposedInto(Csc, A->values(), B, S, Got);
+          const DenseMatrix Want = kernels::spmm(At, B, S);
+          expectSameBits(
+              std::vector<float>(Got.data(), Got.data() + 50 * Width),
+              std::vector<float>(Want.data(), Want.data() + 50 * Width),
+              std::string(A == &Weighted ? "weighted" : "unweighted") +
+                  " width " + std::to_string(Width));
+        }
+      }
+    }
+  }
 }
