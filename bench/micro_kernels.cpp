@@ -13,9 +13,7 @@
 
 #include "graph/Generators.h"
 #include "graph/Reorder.h"
-#include "hw/HardwareModel.h"
 #include "kernels/Dispatch.h"
-#include "kernels/FormatKernels.h"
 #include "kernels/Kernels.h"
 #include "support/Diag.h"
 #include "support/Rng.h"
@@ -166,39 +164,30 @@ const Graph &ablationGraphFor(int64_t PolicyIndex) {
 } // namespace
 
 // Reordering ablation: unweighted SpMM under {none, rcm, degree} vertex
-// orderings x {untiled, L2-sized column tiles}. Run with
+// orderings. Run with
 //   --benchmark_filter=ReorderAblation
-// and read items_per_second: the none/untiled row is the baseline the
-// reordered rows are compared against (docs/REORDERING.md records measured
-// numbers).
+// and read items_per_second: the none row is the baseline the reordered
+// rows are compared against (docs/REORDERING.md records measured numbers).
 static void BM_SpmmReorderAblation(benchmark::State &State) {
   const Graph &G = ablationGraphFor(State.range(0));
-  bool Tiled = State.range(1) != 0;
-  int64_t K = State.range(2);
+  int64_t K = State.range(1);
   DenseMatrix H = randomDense(G.numNodes(), K, 9);
   DenseMatrix Out(G.numNodes(), K);
-  int64_t Tile = Tiled ? HardwareModel::byName("cpu").spmmColumnTile(
-                             K, G.stats().AvgRowSpan)
-                       : 0;
   for (auto _ : State) {
-    kernels::spmmTiledInto(G.adjacency(), H, Semiring::plusCopy(), Tile, Out);
+    kernels::spmmInto(G.adjacency(), H, Semiring::plusCopy(), Out);
     benchmark::DoNotOptimize(Out.data());
   }
   State.SetLabel(
       reorderPolicyName(allReorderPolicies()[static_cast<size_t>(
           State.range(0))]) +
-      (Tiled ? "+tiled(" + std::to_string(Tile) + ")" : "/untiled") +
       " span=" + std::to_string(static_cast<int64_t>(G.stats().AvgRowSpan)));
   State.SetItemsProcessed(State.iterations() * G.numEdges() * K);
 }
 BENCHMARK(BM_SpmmReorderAblation)
-    ->ArgNames({"policy", "tiled", "k"})
-    ->Args({0, 0, 128})
-    ->Args({0, 1, 128})
-    ->Args({1, 0, 128})
-    ->Args({1, 1, 128})
-    ->Args({2, 0, 128})
-    ->Args({2, 1, 128});
+    ->ArgNames({"policy", "k"})
+    ->Args({0, 128})
+    ->Args({1, 128})
+    ->Args({2, 128});
 
 static void BM_EdgeSoftmax(benchmark::State &State) {
   const Graph &G = benchGraph();
@@ -247,29 +236,6 @@ int runJsonMode(const std::string &Path) {
     BenchRecord R = BenchReport::makeRecord("micro/" + Id + "/" + Isa,
                                             GraphName, KIn, KOut, "none",
                                             Samples, Desc.bytes());
-    Medians[Id][Isa] = R.MedianSeconds;
-    Report.add(std::move(R));
-  };
-
-  /// Measure, then stamp the record with the sparse format it ran under so
-  /// granii-bench-diff can skip it against head builds lacking the format.
-  auto MeasureFormat = [&](const std::string &Id, const std::string &GraphName,
-                           int64_t KIn, int64_t KOut,
-                           const PrimitiveDesc &Desc,
-                           const std::string &Format, auto &&Fn) {
-    Fn();
-    const int Reps = 11;
-    std::vector<double> Samples;
-    Samples.reserve(Reps);
-    for (int I = 0; I < Reps; ++I) {
-      Timer T;
-      Fn();
-      Samples.push_back(T.seconds());
-    }
-    BenchRecord R = BenchReport::makeRecord("micro/" + Id + "/" + Isa,
-                                            GraphName, KIn, KOut, "none",
-                                            Samples, Desc.bytes());
-    R.Format = Format;
     Medians[Id][Isa] = R.MedianSeconds;
     Report.add(std::move(R));
   };
@@ -373,63 +339,6 @@ int runJsonMode(const std::string &Path) {
               {PrimitiveKind::EdgeSoftmax, G.numNodes(), 0, 0,
                G.numEdges()},
               [&] { kernels::edgeSoftmaxInto(G.adjacency(), Vals, Out); });
-    }
-    // Per-format SpMM/SDDMM: the same workload under each non-CSR storage
-    // layout (the CSR rows above are the reference). Conversion happens
-    // outside the timed region, like the executor's one-time format setup.
-    {
-      const int64_t K = 64;
-      const CsrMatrix &A = G.adjacency();
-      std::vector<float> Vals(static_cast<size_t>(A.nnz()), 0.5f);
-      DenseMatrix H = randomDense(G.numNodes(), K, 4);
-      DenseMatrix Out(G.numNodes(), K);
-      std::vector<float> EdgeOut(static_cast<size_t>(A.nnz()));
-      EllMatrix Ell = EllMatrix::fromCsr(A);
-      SellMatrix Sell = SellMatrix::fromCsr(A);
-      HybMatrix Hyb = HybMatrix::fromCsr(A);
-      PrimitiveDesc SpmmDesc{PrimitiveKind::SpMMWeighted, G.numNodes(), K, 0,
-                             G.numEdges()};
-      PrimitiveDesc SddmmDesc{PrimitiveKind::SddmmDot, G.numNodes(), 0, K,
-                              G.numEdges()};
-      for (SparseFormat Format : forwardSparseFormats()) {
-        if (Format == SparseFormat::Csr)
-          continue;
-        const std::string Name = sparseFormatName(Format);
-        MeasureFormat(
-            "spmm_w/64/" + Name, G.name(), K, K, SpmmDesc, Name, [&] {
-              switch (Format) {
-              case SparseFormat::Ell:
-                kernels::spmmEllInto(Ell, Vals, H, Semiring::plusTimes(),
-                                     Out);
-                break;
-              case SparseFormat::Sell:
-                kernels::spmmSellInto(Sell, Vals, H, Semiring::plusTimes(),
-                                      Out);
-                break;
-              default:
-                kernels::spmmHybInto(Hyb, Vals, H, Semiring::plusTimes(),
-                                     Out);
-                break;
-              }
-            });
-        MeasureFormat(
-            "sddmm_dot/64/" + Name, G.name(), K, K, SddmmDesc, Name, [&] {
-              switch (Format) {
-              case SparseFormat::Ell:
-                kernels::sddmmEllInto(Ell, H, H, Semiring::plusTimes(),
-                                      EdgeOut);
-                break;
-              case SparseFormat::Sell:
-                kernels::sddmmSellInto(Sell, H, H, Semiring::plusTimes(),
-                                       EdgeOut);
-                break;
-              default:
-                kernels::sddmmHybInto(Hyb, H, H, Semiring::plusTimes(),
-                                      EdgeOut);
-                break;
-              }
-            });
-      }
     }
   };
 

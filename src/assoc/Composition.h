@@ -100,13 +100,6 @@ public:
   bool ViableGe = true;
   bool ViableLt = true;
 
-  /// Sparse storage format the plan's aggregations are compiled to run
-  /// under. Csr is the universal default; a plan set compiled with a fixed
-  /// --format carries it here so saveCompiled()/loadCompiled() round-trips
-  /// the choice. Never Auto in a legal plan (auto resolves at selection
-  /// time, before plans are stamped).
-  SparseFormat Format = SparseFormat::Csr;
-
   /// Structural identity for deduplication: recursive expression string of
   /// the output value (CSE-shared sub-DAGs print identically).
   std::string canonicalKey() const;

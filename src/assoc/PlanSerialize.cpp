@@ -144,12 +144,7 @@ std::string granii::serializePlan(const CompositionPlan &Plan) {
   char Buffer[256];
   std::string Out = "plan " + Plan.Name + " " +
                     std::to_string(Plan.ViableGe) + " " +
-                    std::to_string(Plan.ViableLt);
-  // The format field is emitted only when it carries information, so plan
-  // files from before the multi-format backend stay byte-identical.
-  if (Plan.Format != SparseFormat::Csr)
-    Out += std::string(" ") + sparseFormatName(Plan.Format);
-  Out += "\n";
+                    std::to_string(Plan.ViableLt) + "\n";
   for (const PlanValue &Val : Plan.Values) {
     Out += std::string("value ") + valueKindName(Val.Kind) + " " +
            Val.Shape.Rows.toString() + " " + Val.Shape.Cols.toString() + " " +
@@ -198,19 +193,12 @@ granii::deserializePlans(const std::string &Text, std::string *ErrorMessage,
 
     const std::string &Tag = Fields[0];
     if (Tag == "plan") {
-      if (InPlan || Fields.size() < 4 || Fields.size() > 5)
+      if (InPlan || Fields.size() != 4)
         return failParse(ErrorMessage, Cursor, "malformed plan header");
       Current = CompositionPlan();
       Current.Name = Fields[1];
       Current.ViableGe = Fields[2] == "1";
       Current.ViableLt = Fields[3] == "1";
-      if (Fields.size() == 5) {
-        auto Format = parseSparseFormat(Fields[4]);
-        if (!Format || *Format == SparseFormat::Auto)
-          return failParse(ErrorMessage, Cursor,
-                           "bad plan format: " + Fields[4]);
-        Current.Format = *Format;
-      }
       InPlan = true;
       continue;
     }

@@ -15,31 +15,12 @@ CostModel::~CostModel() = default;
 double CostModel::planSeconds(const CompositionPlan &Plan,
                               const DimBinding &Binding,
                               const GraphStats &Stats, int Iterations) const {
-  return planSeconds(Plan, Binding, Stats, Iterations, Plan.Format);
-}
-
-double CostModel::planSeconds(const CompositionPlan &Plan,
-                              const DimBinding &Binding,
-                              const GraphStats &Stats, int Iterations,
-                              SparseFormat Format) const {
   std::vector<PrimitiveDesc> Descs = Plan.primitiveDescs(Binding);
   double Total = 0.0;
   for (size_t I = 0; I < Plan.Steps.size(); ++I) {
-    PrimitiveDesc Desc = Descs[I];
-    if (isSparsePrimitive(Desc.Kind))
-      Desc.Format = Format;
     double Mult =
         Plan.Steps[I].Setup ? 1.0 : static_cast<double>(Iterations);
-    Total += Mult * primitiveSeconds(Desc, Stats);
-  }
-  if (Format != SparseFormat::Csr) {
-    // One-time structure conversion, charged exactly like the format part
-    // of the executor's layoutSetup: an O(E) edge pass stamped with the
-    // target format.
-    PrimitiveDesc Conv{PrimitiveKind::EdgeElementwise, Binding.N, 0, 0,
-                       Binding.E};
-    Conv.Format = Format;
-    Total += primitiveSeconds(Conv, Stats);
+    Total += Mult * primitiveSeconds(Descs[I], Stats);
   }
   return Total;
 }

@@ -18,8 +18,8 @@ const std::vector<std::string> &granii::costFeatureNames() {
       "log_max_degree",   "degree_cv",    "degree_gini",  "top_row_frac",
       "log_rows",         "log_cols",     "log_inner",    "log_nnz",
       "log_flops",        "log_bytes",    "log_avg_span", "log_bandwidth",
-      "ell_fill_ratio",   "log_row_len_variance",         "format_id",
-      "log_shard_count",  "shard_cut_fraction"};
+      "ell_fill_ratio",   "log_row_len_variance",         "log_shard_count",
+      "shard_cut_fraction"};
   return Names;
 }
 
@@ -41,23 +41,21 @@ FeatureVector granii::featurize(const PrimitiveDesc &Desc,
   F[12] = log1pSafe(Desc.flops());
   F[13] = log1pSafe(Desc.bytes());
   // Locality of the sparse gather pattern: how the same nnz is laid out.
-  // Reordering changes only these two (and the tile width derived from
-  // them), which is what lets the cost model learn when a policy pays.
+  // Reordering changes only these two, which is what lets the cost model
+  // learn when a policy pays.
   F[14] = log1pSafe(Stats.AvgRowSpan);
   F[15] = log1pSafe(Stats.Bandwidth);
-  // Format-sensitivity features: padded storage (ELL/SELL) pays for empty
-  // lanes, so the nnz fraction of an N x MaxDegree padded layout and the
-  // spread of row lengths tell the model which formats fit this graph.
+  // Row-length regularity: the nnz fraction of an N x MaxDegree padded
+  // layout and the spread of row lengths.
   double Padded =
       static_cast<double>(Stats.NumNodes) * std::max(Stats.MaxDegree, 0.0);
   F[16] = Padded > 0.0 ? static_cast<double>(Stats.NumEdges) / Padded : 1.0;
   F[17] = log1pSafe(Stats.DegreeStddev * Stats.DegreeStddev);
-  F[18] = static_cast<double>(Desc.Format);
   // Sharded execution: halo traffic scales with the edge-cut fraction, and
   // the per-shard gather/pipeline overhead with the shard count. Whole-
   // graph runs keep the GraphStats defaults (1 shard, 0 cut), making these
   // inert for every pre-sharding sample.
-  F[19] = log1pSafe(Stats.ShardCount);
-  F[20] = Stats.ShardEdgeCutFraction;
+  F[18] = log1pSafe(Stats.ShardCount);
+  F[19] = Stats.ShardEdgeCutFraction;
   return F;
 }

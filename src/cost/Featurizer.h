@@ -21,14 +21,10 @@
 
 namespace granii {
 
-/// Number of features produced per sample. Bumped 16 -> 19 when the sparse
-/// storage format became a plan dimension: per-format cost regression needs
-/// the padding/regularity features (ELL fill ratio, row-length variance)
-/// plus the format id itself. Bumped 19 -> 21 for sharded execution: the
-/// shard count and the partition's edge-cut fraction price the halo
-/// traffic a sharded aggregation adds. Cached models trained against an
-/// old width are rejected by the trainer's staleness check and retrained.
-inline constexpr size_t NumCostFeatures = 21;
+/// Number of features produced per sample. Cached models trained against
+/// another width are rejected by the trainer's staleness check and
+/// retrained.
+inline constexpr size_t NumCostFeatures = 20;
 
 using FeatureVector = std::array<double, NumCostFeatures>;
 

@@ -87,16 +87,6 @@ Optimizer::Optimizer(GnnModel ModelIn, OptimizerOptions OptsIn,
   }
   Promoted = pruneCompositions(std::move(All), &Stats);
   assert(!Promoted.empty() && "pruning removed every candidate");
-  GRANII_CHECK(Opts.Format != SparseFormat::Csc,
-               "csc is backward-only, not a selectable forward format");
-  GRANII_CHECK(Opts.Shards <= 1 || Opts.Format == SparseFormat::Csr,
-               "sharded execution requires the csr forward format");
-  // A pinned non-CSR format stamps the compiled set so saveCompiled()
-  // round-trips the choice; Auto leaves plans at the CSR default and
-  // resolves per selection.
-  if (Opts.Format != SparseFormat::Auto && Opts.Format != SparseFormat::Csr)
-    for (CompositionPlan &Plan : Promoted)
-      Plan.Format = Opts.Format;
   verifyPromoted();
 }
 
@@ -120,10 +110,6 @@ Optimizer::Optimizer(GnnModel ModelIn, OptimizerOptions OptsIn,
       Promoted(std::move(Precompiled)), Exec(Opts.Hw) {
   assert(Cost && "optimizer requires a cost model");
   assert(!Promoted.empty() && "compiled plan set is empty");
-  GRANII_CHECK(Opts.Format != SparseFormat::Csc,
-               "csc is backward-only, not a selectable forward format");
-  GRANII_CHECK(Opts.Shards <= 1 || Opts.Format == SparseFormat::Csr,
-               "sharded execution requires the csr forward format");
   Stats.Enumerated = Stats.Promoted = Promoted.size();
   // A deserialized plan set gets the same scrutiny as a freshly compiled
   // one: the file may be stale or hand-edited.
@@ -179,52 +165,34 @@ Selection Optimizer::selectWithStats(const DimBinding &Binding,
     for (size_t I = 0; I < Promoted.size(); ++I)
       Candidates.push_back(I);
 
-  // The format dimension of the search space: a pinned format yields one
-  // column, Auto spans every forward format so the argmin is taken jointly
-  // over (plan, format).
-  std::vector<SparseFormat> Formats;
-  if (Opts.Format == SparseFormat::Auto)
-    Formats = forwardSparseFormats();
-  else
-    Formats.push_back(Opts.Format);
-
-  if (Candidates.size() == 1 && Formats.size() == 1) {
+  if (Candidates.size() == 1) {
     Sel.PlanIndex = Candidates.front();
-    Sel.Format = Formats.front();
-    Sel.PredictedSeconds =
-        Cost->planSeconds(Promoted[Sel.PlanIndex], Binding, GraphStats,
-                          Opts.Iterations, Sel.Format);
+    Sel.PredictedSeconds = Cost->planSeconds(Promoted[Sel.PlanIndex], Binding,
+                                             GraphStats, Opts.Iterations);
     Sel.UsedCostModels = false;
     return Sel;
   }
 
   // Cost-model comparison among the rest.
   TraceSpan Span("cost-model", "optimizer");
-  Span.setArg("candidates",
-              static_cast<double>(Candidates.size() * Formats.size()));
+  Span.setArg("candidates", static_cast<double>(Candidates.size()));
   Timer SelectTimer;
   double BestCost = 0.0;
   size_t BestIndex = Candidates.front();
-  SparseFormat BestFormat = Formats.front();
   bool First = true;
   for (size_t Index : Candidates) {
-    for (SparseFormat Format : Formats) {
-      double PlanCost = Cost->planSeconds(Promoted[Index], Binding,
-                                          GraphStats, Opts.Iterations, Format);
-      if (First || PlanCost < BestCost) {
-        BestCost = PlanCost;
-        BestIndex = Index;
-        BestFormat = Format;
-        First = false;
-      }
+    double PlanCost = Cost->planSeconds(Promoted[Index], Binding, GraphStats,
+                                        Opts.Iterations);
+    if (First || PlanCost < BestCost) {
+      BestCost = PlanCost;
+      BestIndex = Index;
+      First = false;
     }
   }
   Sel.PlanIndex = BestIndex;
-  Sel.Format = BestFormat;
   Sel.PredictedSeconds = BestCost;
   Sel.UsedCostModels = true;
   Span.setArg("selected", static_cast<double>(BestIndex));
-  Span.setArg("format", static_cast<double>(BestFormat));
   Span.setArg("predicted_seconds", BestCost);
   // On measured platforms the selection overhead is the wall-clock spent in
   // the cost models. On simulated platforms host milliseconds are not
@@ -232,10 +200,9 @@ Selection Optimizer::selectWithStats(const DimBinding &Binding,
   // at reduced graph scale), so selection is charged analytically at one
   // microsecond per candidate evaluation, preserving the paper's property
   // that the one-time overhead is a handful of GNN iterations.
-  Sel.SelectSeconds =
-      Opts.Hw.isSimulated()
-          ? 1e-6 * static_cast<double>(Candidates.size() * Formats.size())
-          : SelectTimer.seconds();
+  Sel.SelectSeconds = Opts.Hw.isSimulated()
+                          ? 1e-6 * static_cast<double>(Candidates.size())
+                          : SelectTimer.seconds();
   return Sel;
 }
 
@@ -300,18 +267,18 @@ size_t Optimizer::execute(const Selection &Sel, const LayerParams &Params,
       GRANII_FATAL("execution schedule verification failed:\n" +
                    Diags.render());
   }
-  // One persistent workspace per (plan, mode, format): repeated executions
-  // of the same selection reuse the planned arena instead of reallocating
-  // every intermediate (training pins all activations, so the two modes
-  // cannot share a workspace).
-  PlanWorkspace &Ws = Workspaces[{Sel.PlanIndex, Training, Sel.Format}];
+  // One persistent workspace per (plan, mode): repeated executions of the
+  // same selection reuse the planned arena instead of reallocating every
+  // intermediate (training pins all activations, so the two modes cannot
+  // share a workspace).
+  PlanWorkspace &Ws = Workspaces[{Sel.PlanIndex, Training}];
   Ws.resetAllocationCount();
   ShardSpec Sharding{Opts.Shards, Opts.ShardStoreDir};
   if (Training)
     Exec.runTraining(Plan, Inputs, Params.Stats, Ws, Result, Opts.Reorder,
-                     Sel.Format, Sharding);
+                     SparseFormat::Csr, Sharding);
   else
     Exec.run(Plan, Inputs, Params.Stats, Ws, Result, Opts.Reorder,
-             Sel.Format, Sharding);
+             SparseFormat::Csr, Sharding);
   return Ws.allocationCount();
 }

@@ -45,16 +45,10 @@ struct OptimizerOptions {
   /// as setup, and the per-run feature gather / output scatter as forward
   /// time (docs/REORDERING.md).
   ReorderPolicy Reorder = ReorderPolicy::None;
-  /// Sparse storage format the executor aggregates under. A concrete
-  /// forward format (Csr/Ell/Sell/Hyb) pins every selection; Auto lets the
-  /// online selector minimize jointly over (plan, format) with per-format
-  /// cost features (docs/FORMATS.md). Csc is backward-only (the executor
-  /// always uses it for transposed SpMM) and is not a valid choice here.
-  SparseFormat Format = SparseFormat::Csr;
   /// Sharded execution (docs/SHARDING.md): > 1 partitions the input graph
   /// into that many shards and runs every sparse aggregation through the
   /// sharded gather → compute pipeline, bitwise identical to whole-graph
-  /// execution. Requires Format == Csr. <= 1 executes whole-graph.
+  /// execution. <= 1 executes whole-graph.
   int Shards = 0;
   /// Non-empty: directory for the mmap-backed shard-block store (blocks
   /// page in on demand instead of living in anonymous memory).
@@ -72,8 +66,8 @@ struct OptimizerOptions {
 /// Result of the online selection stage.
 struct Selection {
   size_t PlanIndex = 0;
-  /// Concrete sparse format the executor will aggregate under — resolved
-  /// here even when OptimizerOptions::Format is Auto.
+  /// Always Csr. Kept because the end-to-end benchmark passes it to
+  /// Executor::run; it goes with the next change to the benchmark.
   SparseFormat Format = SparseFormat::Csr;
   double PredictedSeconds = 0.0;
   /// False when the embedding-size conditions alone decided (cheaper path
@@ -123,7 +117,7 @@ public:
                             const GraphStats &GraphStats) const;
 
   /// Executes the selected plan once (forward, or forward+backward)
-  /// against a workspace cached per (plan, mode, format): the first
+  /// against a workspace cached per (plan, mode): the first
   /// execution of a selection plans and allocates its buffer arena,
   /// subsequent ones reuse it. Because of that cache, execute() is not safe
   /// to call concurrently from multiple threads on one Optimizer.
@@ -177,13 +171,10 @@ private:
   std::vector<CompositionPlan> Promoted;
   PruneStats Stats;
   Executor Exec;
-  /// Per-(plan index, training mode, format) execution workspaces, created
-  /// lazily by execute(). Format is part of the key so an Auto selector
-  /// alternating formats does not thrash one workspace's layout state.
-  /// Mutable: caching buffers does not change observable optimizer state
-  /// (outputs are bitwise identical either way).
-  mutable std::map<std::tuple<size_t, bool, SparseFormat>, PlanWorkspace>
-      Workspaces;
+  /// Per-(plan index, training mode) execution workspaces, created lazily
+  /// by execute(). Mutable: caching buffers does not change observable
+  /// optimizer state (outputs are bitwise identical either way).
+  mutable std::map<std::pair<size_t, bool>, PlanWorkspace> Workspaces;
 };
 
 } // namespace granii

@@ -34,7 +34,7 @@ struct GraphStats {
   double TopRowFraction = 0.0; ///< fraction of edges in top 1% of rows
   /// Mean over nonempty rows of (max col - min col + 1): how much dense-
   /// operand memory one row's gathers span. Reordering exists to shrink
-  /// this; the cache-blocked SpMM sizes its column tiles from it.
+  /// this.
   double AvgRowSpan = 0.0;
   double Bandwidth = 0.0; ///< max |row - col| over stored edges
   /// Sharded-execution configuration of this input (docs/SHARDING.md):

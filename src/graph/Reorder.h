@@ -10,7 +10,7 @@
 ///
 /// Two orderings are provided:
 ///  - reverse Cuthill-McKee (bandwidth-minimizing BFS ordering; clusters
-///    each row's neighborhood, which is what the column-tiled SpMM wants),
+///    each row's neighborhood so its feature gathers stay close together),
 ///  - degree-descending (packs the hub rows of skewed graphs first so
 ///    their frequently re-gathered feature rows stay hot in cache).
 ///

@@ -36,7 +36,6 @@ DeviceParams DeviceParams::cpu() {
   P.AtomicCoef = 0.0; // Row-exclusive increments do not contend.
   P.IrregularityCoef = 0.15;
   P.NumCores = ThreadPool::get().numThreads();
-  P.L2CacheBytes = int64_t{1} << 20; // per-core Xeon-class L2
   return P;
 }
 
@@ -55,7 +54,6 @@ DeviceParams DeviceParams::a100() {
   // bins receive many edges (dense graphs).
   P.AtomicCoef = 1.2;
   P.IrregularityCoef = 0.5;
-  P.L2CacheBytes = int64_t{40} << 20; // 40 MB device L2
   return P;
 }
 
@@ -71,56 +69,7 @@ DeviceParams DeviceParams::h100() {
   P.SaturationMflops = 3.0;
   P.AtomicCoef = 0.05; // Much-improved atomics.
   P.IrregularityCoef = 0.35;
-  P.L2CacheBytes = int64_t{50} << 20; // 50 MB device L2
   return P;
-}
-
-double granii::sparseFormatCostFactor(SparseFormat Format,
-                                      const GraphStats &Stats) {
-  double Nnz = static_cast<double>(std::max<int64_t>(Stats.NumEdges, 1));
-  double Pad =
-      static_cast<double>(Stats.NumNodes) * std::max(Stats.MaxDegree, 1.0) /
-      Nnz;
-  // A pathological single hub row can make the padded layout arbitrarily
-  // large; past ~64x the ranking no longer changes, only the magnitude.
-  Pad = std::clamp(Pad, 1.0, 64.0);
-  switch (Format) {
-  case SparseFormat::Ell:
-    // Cheapest at pad == 1 (no offsets stream, unit-stride pattern), but
-    // every padded lane is a wasted load + multiply.
-    return 0.92 + 0.25 * (Pad - 1.0);
-  case SparseFormat::Sell:
-    // Slices re-fit the width every 32 rows, so padding only costs within
-    // a slice; small fixed overhead for the per-slice indirection.
-    return 0.97 + 0.06 * (Pad - 1.0);
-  case SparseFormat::Hyb:
-    // Split maintenance overhead at pad == 1; approaches its best case as
-    // skew grows and the COO overflow absorbs the heavy rows.
-    return 1.02 - 0.08 * (1.0 - 1.0 / Pad);
-  case SparseFormat::Csr:
-  case SparseFormat::Csc:
-  case SparseFormat::Auto:
-    return 1.0;
-  }
-  return 1.0;
-}
-
-int64_t HardwareModel::spmmColumnTile(int64_t DenseCols,
-                                      double AvgRowSpan) const {
-  if (DenseCols <= 8)
-    return DenseCols;
-  double SpanRows = std::max(1.0, AvgRowSpan);
-  double Budget = static_cast<double>(Params.L2CacheBytes) / 2.0;
-  double MaxCols = Budget / (SpanRows * static_cast<double>(sizeof(float)));
-  if (MaxCols >= static_cast<double>(DenseCols))
-    return DenseCols;
-  int64_t Tile = static_cast<int64_t>(MaxCols / 8.0) * 8;
-  // Every tile pass re-walks the CSR pattern (offsets + column indices), so
-  // a DenseCols/Tile-pass sweep pays that traffic DenseCols/Tile times.
-  // Below 32 columns per pass the re-traversal outweighs any locality win
-  // (measured: tile 8-16 on a 300k-edge R-MAT halves SpMM throughput), so
-  // rows whose spans are that large run untiled instead.
-  return Tile < 32 ? DenseCols : Tile;
 }
 
 double HardwareModel::estimateSeconds(const PrimitiveDesc &Desc,
@@ -148,7 +97,6 @@ double HardwareModel::estimateSeconds(const PrimitiveDesc &Desc,
 
   if (Sparse && Stats) {
     Time *= 1.0 + Params.IrregularityCoef * Stats->DegreeCv;
-    Time *= sparseFormatCostFactor(Desc.Format, *Stats);
     // Sharded aggregation re-reads every cut edge's halo row once per
     // shard boundary it crosses; the analytic model prices that extra
     // memory traffic proportionally to the partition's edge-cut fraction

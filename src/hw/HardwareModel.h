@@ -51,25 +51,12 @@ struct DeviceParams {
   /// 1 + (NumCores-1)*ParallelEfficiency; bandwidth is not scaled — the
   /// memory-bound side is shared across cores.
   double ParallelEfficiency = 0.85;
-  /// Last-level-cache capacity one kernel's gather working set should fit
-  /// in (per-core L2 on the CPU, device L2 on the GPUs); drives the
-  /// column-tile width of the cache-blocked SpMM/SDDMM.
-  int64_t L2CacheBytes = int64_t{1} << 20;
 
   /// Parameter presets for the paper's three testbeds.
   static DeviceParams cpu();
   static DeviceParams a100();
   static DeviceParams h100();
 };
-
-/// Analytic per-format multiplier on a sparse primitive's latency, derived
-/// from the graph's padding ratio NumNodes*MaxDegree/NumEdges (how much an
-/// N x MaxDegree padded layout overshoots the real nnz). Near 1 (regular,
-/// mesh-like graphs) ELL's branch-free fixed-width rows win; as padding
-/// grows (skewed, R-MAT-like graphs) ELL degrades fastest, sliced ELL
-/// degrades gently, and hybrid approaches its best case by clipping the
-/// heavy rows into COO overflow. CSR and CSC are the 1.0 baseline.
-double sparseFormatCostFactor(SparseFormat Format, const GraphStats &Stats);
 
 /// How a platform produces timings.
 enum class PlatformKind {
@@ -92,15 +79,6 @@ public:
   /// null for primitives whose cost does not depend on sparse structure.
   double estimateSeconds(const PrimitiveDesc &Desc,
                          const GraphStats *Stats) const;
-
-  /// Column-tile width for the cache-blocked SpMM/SDDMM over a
-  /// \p DenseCols-wide dense operand: the widest multiple of 8 such that
-  /// \p AvgRowSpan gathered operand rows of one tile fit in half the L2
-  /// (the rest is left to the CSR stream and output rows). Returns
-  /// \p DenseCols — i.e. no blocking — when the full-width working set
-  /// already fits, which is why reordering (smaller spans) and tiling
-  /// compose: tighter spans need fewer, wider tiles.
-  int64_t spmmColumnTile(int64_t DenseCols, double AvgRowSpan) const;
 
   /// The three paper platforms, in the order {H100, A100, CPU} used by
   /// Table III. CPU is Measured; the GPUs are Simulated.

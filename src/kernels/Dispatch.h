@@ -64,12 +64,6 @@ struct SimdOps {
   IsaLevel Level = IsaLevel::Scalar;
   const char *Name = "scalar";
 
-  /// Feature-dimension group size of the sddmm dot-product reduction. Tiled
-  /// SDDMM is bitwise-identical to untiled only when the tile width is a
-  /// multiple of this quantum (HardwareModel::spmmColumnTile already rounds
-  /// to it); 1 for the scalar table.
-  int64_t ColumnQuantum = 1;
-
   /// Measured throughput of this level relative to the scalar path on the
   /// compute-bound dense (packed GEMM) and memory-bound sparse (g-SpMM)
   /// kernels. HardwareModel::DeviceParams::cpu() multiplies its base
@@ -100,25 +94,24 @@ struct SimdOps {
                            int64_t NOut, int64_t RowBegin, int64_t RowEnd) =
       nullptr;
 
-  /// Fused sum-reduction g-SpMM over CSR rows [RowBegin, RowEnd) restricted
-  /// to the column tile [C0, C1). \p Vals is null for unweighted matrices;
+  /// Fused sum-reduction g-SpMM over CSR rows [RowBegin, RowEnd), each
+  /// output row \p N floats wide. \p Vals is null for unweighted matrices;
   /// \p ValIdx, when non-null, maps nonzero K to its value Vals[ValIdx[K]]
   /// (the CSC-transposed backward pass reads CSR-ordered values through
   /// it); \p Mean rescales each row by 1/degree after accumulation.
   void (*SpmmRowRange)(const int64_t *Offsets, const int32_t *Cols,
                        const float *Vals, const int64_t *ValIdx,
                        const float *B, int64_t Ldb, float *Dst, int64_t LdDst,
-                       int64_t C0, int64_t C1, SpmmCombine Combine, bool Mean,
+                       int64_t N, SpmmCombine Combine, bool Mean,
                        int64_t RowBegin, int64_t RowEnd) = nullptr;
 
-  /// Plus-times SDDMM (per-edge dot product) over CSR rows
-  /// [RowBegin, RowEnd) for the feature tile [J0, J1); when \p FirstTile is
-  /// false the edge's partial in Out[K] is carried forward.
+  /// Plus-times SDDMM over CSR rows [RowBegin, RowEnd): each edge's
+  /// output is the dot product of its endpoints' \p Width-float U and V
+  /// rows.
   void (*SddmmDotRowRange)(const int64_t *Offsets, const int32_t *Cols,
                            const float *U, int64_t Ldu, const float *V,
-                           int64_t Ldv, float *Out, int64_t J0, int64_t J1,
-                           bool FirstTile, int64_t RowBegin,
-                           int64_t RowEnd) = nullptr;
+                           int64_t Ldv, float *Out, int64_t Width,
+                           int64_t RowBegin, int64_t RowEnd) = nullptr;
 
   // Elementwise map family over flat ranges of \p N contiguous floats.
   void (*ScaleRange)(float Alpha, const float *X, float *Out,

@@ -354,7 +354,7 @@ void kernels::spmmInto(const CsrMatrix &A, const DenseMatrix &B,
   const int64_t NCols = B.cols();
 
   // Fast path: plus-times / plus-copy sum reductions fused over rows,
-  // dispatched to the active ISA table over the full column range.
+  // dispatched to the active ISA table.
   const bool SumLike =
       S.Reduce == ReduceOpKind::Sum || S.Reduce == ReduceOpKind::Mean;
   if (SumLike) {
@@ -364,7 +364,7 @@ void kernels::spmmInto(const CsrMatrix &A, const DenseMatrix &B,
     const bool Mean = S.Reduce == ReduceOpKind::Mean;
     parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
       Ops.SpmmRowRange(Offsets.data(), Cols.data(), ValsPtr, nullptr,
-                       B.data(), NCols, Dst.data(), NCols, 0, NCols, Combine,
+                       B.data(), NCols, Dst.data(), NCols, NCols, Combine,
                        Mean, RowBegin, RowEnd);
     });
     return;
@@ -392,50 +392,62 @@ void kernels::spmmInto(const CsrMatrix &A, const DenseMatrix &B,
 }
 // granii-noalloc-end
 
-void kernels::spmmTiledInto(const CsrMatrix &A, const DenseMatrix &B,
-                            const Semiring &S, int64_t TileCols,
-                            DenseMatrix &Dst) {
-  const int64_t NCols = B.cols();
-  const bool SumLike =
-      S.Reduce == ReduceOpKind::Sum || S.Reduce == ReduceOpKind::Mean;
-  // Tiling pays only on the fused sum path; degenerate tiles mean no
-  // blocking. Either way the untiled kernel computes the identical result.
-  if (!SumLike || TileCols <= 0 || TileCols >= NCols) {
-    spmmInto(A, B, S, Dst);
-    return;
-  }
-  GRANII_CHECK(A.cols() == B.rows(), "spmm dimension mismatch");
-  checkDenseDst(Dst, A.rows(), B.cols(), "spmm_tiled");
-  const auto &Offsets = A.rowOffsets();
-  const auto &Cols = A.colIndices();
-  const auto &Vals = A.values();
-  const SimdOps &Ops = simdOps();
-  const float *ValsPtr = Vals.empty() ? nullptr : Vals.data();
-  const SpmmCombine Combine = spmmCombineFor(S);
-  const bool Mean = S.Reduce == ReduceOpKind::Mean;
-
-  // Tile loop outer, row loop inner: consecutive rows of a block re-gather
-  // overlapping neighbor sets (especially after RCM reordering), and one
-  // tile of those B rows fits in L2. Each output element's accumulation is
-  // per-element exact in every table (vector lanes and scalar tails agree
-  // bit for bit), so the result is bitwise identical to the untiled kernel
-  // at any tile width and thread count within one ISA level.
-  parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-    for (int64_t C0 = 0; C0 < NCols; C0 += TileCols) {
-      const int64_t C1 = std::min(C0 + TileCols, NCols);
-      Ops.SpmmRowRange(Offsets.data(), Cols.data(), ValsPtr, nullptr,
-                       B.data(), NCols, Dst.data(), NCols, C0, C1, Combine,
-                       Mean, RowBegin, RowEnd);
-    }
-  });
-}
-
 DenseMatrix kernels::spmm(const CsrMatrix &A, const DenseMatrix &B,
                           const Semiring &S) {
   GRANII_CHECK(A.cols() == B.rows(), "spmm dimension mismatch");
   DenseMatrix Out(A.rows(), B.cols());
   spmmInto(A, B, S, Out);
   return Out;
+}
+
+void kernels::spmmCscTransposedInto(const CscMatrix &A,
+                                    std::span<const float> Vals,
+                                    const DenseMatrix &B, const Semiring &S,
+                                    DenseMatrix &Dst) {
+  GRANII_CHECK(A.rows() == B.rows(), "spmm_csc_t dimension mismatch");
+  GRANII_CHECK(Vals.empty() || static_cast<int64_t>(Vals.size()) == A.nnz(),
+               "spmm_csc_t edge value count mismatch");
+  checkDenseDst(Dst, A.cols(), B.cols(), "spmm_csc_t");
+  const auto &ColOffsets = A.colOffsets();
+  const auto &Rows = A.rowIndices();
+  const auto &CsrIdx = A.csrIndices();
+  const int64_t NCols = B.cols();
+  if (S.Reduce == ReduceOpKind::Sum || S.Reduce == ReduceOpKind::Mean) {
+    // Output row c is column c of the source; its entries come in ascending
+    // source-row order — the entry order of transposed()'s row c — and the
+    // value index gathers each entry's value through the CSC→CSR map, so
+    // the dispatched CSR row routine computes the transpose-then-SpMM
+    // result bitwise while touching the values in place.
+    const SimdOps &Ops = simdOps();
+    const SpmmCombine Combine = spmmCombineFor(S);
+    const bool Mean = S.Reduce == ReduceOpKind::Mean;
+    const float *ValsPtr = Vals.empty() ? nullptr : Vals.data();
+    parallelForCsrRows(ColOffsets, [&](int64_t ColBegin, int64_t ColEnd) {
+      Ops.SpmmRowRange(ColOffsets.data(), Rows.data(), ValsPtr, CsrIdx.data(),
+                       B.data(), NCols, Dst.data(), NCols, NCols, Combine,
+                       Mean, ColBegin, ColEnd);
+    });
+    return;
+  }
+  // General (max/min) reduction: the scalar path of spmmInto over the
+  // transposed entries.
+  parallelForCsrRows(ColOffsets, [&](int64_t ColBegin, int64_t ColEnd) {
+    for (int64_t C = ColBegin; C < ColEnd; ++C) {
+      float *Out = Dst.rowPtr(C);
+      const int64_t Begin = ColOffsets[static_cast<size_t>(C)];
+      const int64_t End = ColOffsets[static_cast<size_t>(C) + 1];
+      const float Identity = S.reduceIdentity();
+      for (int64_t J = 0; J < NCols; ++J)
+        Out[J] = End > Begin ? Identity : 0.0f;
+      for (int64_t K = Begin; K < End; ++K) {
+        const size_t Idx = static_cast<size_t>(CsrIdx[static_cast<size_t>(K)]);
+        const float EdgeVal = Vals.empty() ? 1.0f : Vals[Idx];
+        const float *Src = B.rowPtr(Rows[static_cast<size_t>(K)]);
+        for (int64_t J = 0; J < NCols; ++J)
+          Out[J] = S.reduce(Out[J], S.combine(EdgeVal, Src[J]));
+      }
+    }
+  });
 }
 
 // granii-noalloc-begin: SDDMM scores every masked edge each layer; the dot
@@ -454,8 +466,8 @@ void kernels::sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
     const SimdOps &Ops = simdOps();
     parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
       Ops.SddmmDotRowRange(Offsets.data(), Cols.data(), U.data(), Width,
-                           V.data(), Width, Out.data(), 0, Width,
-                           /*FirstTile=*/true, RowBegin, RowEnd);
+                           V.data(), Width, Out.data(), Width, RowBegin,
+                           RowEnd);
     });
     return;
   }
@@ -474,57 +486,6 @@ void kernels::sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
   });
 }
 // granii-noalloc-end
-
-void kernels::sddmmTiledInto(const CsrMatrix &Mask, const DenseMatrix &U,
-                             const DenseMatrix &V, const Semiring &S,
-                             int64_t TileCols, std::span<float> Out) {
-  const int64_t Width = U.cols();
-  if (TileCols <= 0 || TileCols >= Width) {
-    sddmmInto(Mask, U, V, S, Out);
-    return;
-  }
-  GRANII_CHECK(Mask.rows() == U.rows(), "sddmm left operand row mismatch");
-  GRANII_CHECK(Mask.cols() == V.rows(), "sddmm right operand row mismatch");
-  GRANII_CHECK(U.cols() == V.cols(), "sddmm feature width mismatch");
-  checkVecDst(Out, static_cast<size_t>(Mask.nnz()), "sddmm_tiled");
-  const auto &Offsets = Mask.rowOffsets();
-  const auto &Cols = Mask.colIndices();
-  // Tile loop outer: each edge's reduction runs left to right across tiles
-  // with Out[K] carrying the partial, so the feature-dimension reduction
-  // order — and therefore the result — matches sddmmInto bitwise. The SIMD
-  // tables fold features in fixed groups (SimdOps::ColumnQuantum), so for
-  // them this identity requires ColumnQuantum-aligned tile widths, which is
-  // what HardwareModel::spmmColumnTile produces.
-  if (isPlusTimes(S)) {
-    const SimdOps &Ops = simdOps();
-    parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-      for (int64_t J0 = 0; J0 < Width; J0 += TileCols) {
-        const int64_t J1 = std::min(J0 + TileCols, Width);
-        Ops.SddmmDotRowRange(Offsets.data(), Cols.data(), U.data(), Width,
-                             V.data(), Width, Out.data(), J0, J1,
-                             /*FirstTile=*/J0 == 0, RowBegin, RowEnd);
-      }
-    });
-    return;
-  }
-  parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-    for (int64_t J0 = 0; J0 < Width; J0 += TileCols) {
-      const int64_t J1 = std::min(J0 + TileCols, Width);
-      for (int64_t R = RowBegin; R < RowEnd; ++R) {
-        const float *URow = U.rowPtr(R);
-        for (int64_t K = Offsets[static_cast<size_t>(R)];
-             K < Offsets[static_cast<size_t>(R) + 1]; ++K) {
-          const float *VRow = V.rowPtr(Cols[static_cast<size_t>(K)]);
-          float Acc =
-              J0 == 0 ? S.reduceIdentity() : Out[static_cast<size_t>(K)];
-          for (int64_t J = J0; J < J1; ++J)
-            Acc = S.reduce(Acc, S.combine(URow[J], VRow[J]));
-          Out[static_cast<size_t>(K)] = Acc;
-        }
-      }
-    }
-  });
-}
 
 std::vector<float> kernels::sddmm(const CsrMatrix &Mask, const DenseMatrix &U,
                                   const DenseMatrix &V, const Semiring &S) {

@@ -23,6 +23,7 @@
 #ifndef GRANII_KERNELS_KERNELS_H
 #define GRANII_KERNELS_KERNELS_H
 
+#include "tensor/CscMatrix.h"
 #include "tensor/CsrMatrix.h"
 #include "tensor/DenseMatrix.h"
 #include "tensor/Semiring.h"
@@ -131,21 +132,19 @@ DenseMatrix reluBackward(const DenseMatrix &Pre, const DenseMatrix &Grad);
 void spmmInto(const CsrMatrix &A, const DenseMatrix &B, const Semiring &S,
               DenseMatrix &Dst);
 
-/// Cache-blocked SpMM: processes \p B in column tiles of \p TileCols so the
-/// gathered B rows of one tile stay resident in L2 across consecutive CSR
-/// rows (HardwareModel::spmmColumnTile derives the width; graph reordering
-/// shrinks the per-row gather span, letting wider tiles fit). Per output
-/// element the neighbor accumulation order is unchanged, so the result is
-/// bitwise identical to spmmInto. TileCols <= 0 or >= B.cols(), and
-/// non-sum reductions, fall back to the untiled kernel.
-void spmmTiledInto(const CsrMatrix &A, const DenseMatrix &B, const Semiring &S,
-                   int64_t TileCols, DenseMatrix &Dst);
-
 /// Generalized SpMM: Out[i,:] = reduce_{j in N(i)} combine(a_ij, B[j,:]).
 /// With Semiring::plusTimes() this is the standard weighted SpMM; with
 /// Semiring::plusCopy() it is the cheaper unweighted aggregation.
 DenseMatrix spmm(const CsrMatrix &A, const DenseMatrix &B,
                  const Semiring &S = Semiring::plusTimes());
+
+/// Dst = A^T (x) B under \p S, the backward-pass aggregation: walks the CSC
+/// columns of A directly. \p Vals holds A's edge values in CSR edge order
+/// (empty = unweighted) and is gathered through the CSC entry map, so the
+/// result is bitwise identical to spmmInto over A.transposed().
+void spmmCscTransposedInto(const CscMatrix &A, std::span<const float> Vals,
+                           const DenseMatrix &B, const Semiring &S,
+                           DenseMatrix &Dst);
 
 /// Generalized SDDMM producing per-edge values at the mask's nonzeros:
 /// out_ij = combine over k of U[i,k] and V[j,k], reduced by \p S.Reduce
@@ -158,15 +157,6 @@ std::vector<float> sddmm(const CsrMatrix &Mask, const DenseMatrix &U,
 /// Generalized SDDMM into \p Out, which must have Mask.nnz() entries.
 void sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
                const DenseMatrix &V, const Semiring &S, std::span<float> Out);
-
-/// Cache-blocked SDDMM: splits the feature width into tiles of \p TileCols
-/// and accumulates each edge's reduction across tiles, so one tile of the
-/// gathered V rows stays L2-resident across a row's edges. Per edge the
-/// feature reduction order is unchanged — bitwise identical to sddmmInto.
-/// TileCols <= 0 or >= U.cols() falls back to the untiled kernel.
-void sddmmTiledInto(const CsrMatrix &Mask, const DenseMatrix &U,
-                    const DenseMatrix &V, const Semiring &S, int64_t TileCols,
-                    std::span<float> Out);
 
 /// Per-edge sum of two node scalars: out_ij = SrcScore[i] + DstScore[j]
 /// (the SDDMM(+, +) used by GAT's attention logits).

@@ -21,8 +21,7 @@ namespace {
 struct Avx2Traits {
   using Vec = __m256;
   static constexpr int64_t Width = 8;
-  /// Dot-product group size; shared with the AVX-512 table so one
-  /// ColumnQuantum (8) covers every SIMD level's tiling contract.
+  /// Dot-product group size of the sddmm reduction.
   static constexpr int64_t DotGroup = 8;
 
   static Vec load(const float *P) { return _mm256_loadu_ps(P); }

@@ -6,9 +6,8 @@
 // null. Dispatch.cpp selects this level only when CPUID reports all four
 // feature flags, so Skylake-X-era and newer server parts qualify.
 //
-// The sddmm dot product deliberately uses 256-bit groups (DotGroup = 8,
-// matching the AVX2 table) so the tiled-SDDMM bitwise contract holds at one
-// shared column quantum across every SIMD level.
+// The sddmm dot product uses 256-bit groups (DotGroup = 8), like the AVX2
+// table.
 //
 //===----------------------------------------------------------------------===//
 

@@ -71,33 +71,33 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
 
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
                   const float *Vals, const int64_t *ValIdx, const float *B,
-                  int64_t Ldb, float *Dst, int64_t LdDst, int64_t C0,
-                  int64_t C1, SpmmCombine Combine, bool Mean,
-                  int64_t RowBegin, int64_t RowEnd) {
+                  int64_t Ldb, float *Dst, int64_t LdDst, int64_t N,
+                  SpmmCombine Combine, bool Mean, int64_t RowBegin,
+                  int64_t RowEnd) {
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     float *Out = Dst + R * LdDst;
     const int64_t Begin = Offsets[R];
     const int64_t End = Offsets[R + 1];
-    std::fill(Out + C0, Out + C1, 0.0f);
+    std::fill(Out, Out + N, 0.0f);
     for (int64_t K = Begin; K < End; ++K) {
       const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
       if (Combine == SpmmCombine::CopyRhs) {
-        for (int64_t J = C0; J < C1; ++J)
+        for (int64_t J = 0; J < N; ++J)
           Out[J] += Src[J];
       } else {
         float EdgeVal = Vals ? Vals[ValIdx ? ValIdx[K] : K] : 1.0f;
         if (Combine == SpmmCombine::Mul) {
-          for (int64_t J = C0; J < C1; ++J)
+          for (int64_t J = 0; J < N; ++J)
             Out[J] += EdgeVal * Src[J];
         } else { // Add combine.
-          for (int64_t J = C0; J < C1; ++J)
+          for (int64_t J = 0; J < N; ++J)
             Out[J] += EdgeVal + Src[J];
         }
       }
     }
     if (Mean && End > Begin) {
       float Inv = 1.0f / static_cast<float>(End - Begin);
-      for (int64_t J = C0; J < C1; ++J)
+      for (int64_t J = 0; J < N; ++J)
         Out[J] *= Inv;
     }
   }
@@ -105,14 +105,14 @@ void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
 
 void sddmmDotRowRange(const int64_t *Offsets, const int32_t *Cols,
                       const float *U, int64_t Ldu, const float *V,
-                      int64_t Ldv, float *Out, int64_t J0, int64_t J1,
-                      bool FirstTile, int64_t RowBegin, int64_t RowEnd) {
+                      int64_t Ldv, float *Out, int64_t Width,
+                      int64_t RowBegin, int64_t RowEnd) {
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     const float *URow = U + R * Ldu;
     for (int64_t K = Offsets[R]; K < Offsets[R + 1]; ++K) {
       const float *VRow = V + static_cast<int64_t>(Cols[K]) * Ldv;
-      float Acc = FirstTile ? 0.0f : Out[K];
-      for (int64_t J = J0; J < J1; ++J)
+      float Acc = 0.0f;
+      for (int64_t J = 0; J < Width; ++J)
         Acc += URow[J] * VRow[J];
       Out[K] = Acc;
     }
@@ -148,7 +148,6 @@ SimdOps makeScalarOps() {
   SimdOps Ops;
   Ops.Level = IsaLevel::Scalar;
   Ops.Name = "scalar";
-  Ops.ColumnQuantum = 1;
   Ops.DenseThroughputScale = 1.0;
   Ops.SparseThroughputScale = 1.0;
   Ops.GemmRowRange = &gemmRowRange;

@@ -15,10 +15,9 @@
 /// use std::fma, which (compiled under the same -mfma flags) rounds exactly
 /// like a vector FMA lane. Row/element partitions therefore cannot change
 /// any result bit, preserving the 1-vs-N-thread contract. The sddmm dot
-/// product is the one reduction whose order depends on position: features
-/// are folded in groups of Traits::DotGroup, so tiled sddmm matches untiled
-/// bitwise only at tile widths that are multiples of that quantum (the
-/// SimdOps::ColumnQuantum the tile planner rounds to).
+/// product folds features into its scalar accumulator in groups of
+/// Traits::DotGroup, always from feature 0, so every edge's reduction is
+/// the same chain wherever it runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -276,8 +275,8 @@ template <int NV, class Fn> void withIndexPack(int64_t Count, Fn &&F) {
 template <class T, SpmmStep Step>
 void spmmRows(const int64_t *Offsets, const int32_t *Cols, const float *Vals,
               const int64_t *ValIdx, const float *B, int64_t Ldb, float *Dst,
-              int64_t LdDst, int64_t C0, int64_t C1, bool Mean,
-              int64_t RowBegin, int64_t RowEnd) {
+              int64_t LdDst, int64_t N, bool Mean, int64_t RowBegin,
+              int64_t RowEnd) {
   constexpr int64_t W = T::Width;
   constexpr int64_t Chunk = SpmmRowVectors * W;
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
@@ -288,82 +287,79 @@ void spmmRows(const int64_t *Offsets, const int32_t *Cols, const float *Vals,
       spmmRowVectors<T, Step>(Cols, Vals, ValIdx, B + J, Ldb, Out + J, Begin,
                               End, Mean, Pack);
     };
-    int64_t J = C0;
-    for (; J + Chunk <= C1; J += Chunk)
+    int64_t J = 0;
+    for (; J + Chunk <= N; J += Chunk)
       Vectors(J, IndexPack<SpmmRowVectors>{});
-    const int64_t Rest = (C1 - J) / W;
+    const int64_t Rest = (N - J) / W;
     withIndexPack<SpmmRowVectors - 1>(Rest,
                                       [&](auto Pack) { Vectors(J, Pack); });
     J += Rest * W;
-    if (J == C1)
+    if (J == N)
       continue;
     // Fewer than W columns remain: the same per-element chains, kept in
     // the output row (std::fma rounds exactly like a vector FMA lane).
-    std::fill(Out + J, Out + C1, 0.0f);
+    std::fill(Out + J, Out + N, 0.0f);
     for (int64_t K = Begin; K < End; ++K) {
       const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
       if constexpr (Step == SpmmStep::Sum) {
-        for (int64_t JJ = J; JJ < C1; ++JJ)
+        for (int64_t JJ = J; JJ < N; ++JJ)
           Out[JJ] += Src[JJ];
       } else {
         const float Edge = spmmEdgeValue(Vals, ValIdx, K);
-        for (int64_t JJ = J; JJ < C1; ++JJ)
+        for (int64_t JJ = J; JJ < N; ++JJ)
           Out[JJ] = Step == SpmmStep::Mul ? std::fma(Edge, Src[JJ], Out[JJ])
                                           : (Edge + Src[JJ]) + Out[JJ];
       }
     }
     if (Mean && End > Begin) {
       const float Inv = 1.0f / static_cast<float>(End - Begin);
-      for (int64_t JJ = J; JJ < C1; ++JJ)
+      for (int64_t JJ = J; JJ < N; ++JJ)
         Out[JJ] = Inv * Out[JJ];
     }
   }
 }
 
 /// Every column's accumulation is per-element exact (add/fma lanes match
-/// their scalar-tail counterparts bit for bit), so any column tile [C0, C1)
-/// composes to the untiled result bitwise — the same property the scalar
-/// kernel documents.
+/// their scalar-tail counterparts bit for bit), so an element's value does
+/// not depend on which path covers its column.
 template <class T>
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
                   const float *Vals, const int64_t *ValIdx, const float *B,
-                  int64_t Ldb, float *Dst, int64_t LdDst, int64_t C0,
-                  int64_t C1, SpmmCombine Combine, bool Mean,
-                  int64_t RowBegin, int64_t RowEnd) {
+                  int64_t Ldb, float *Dst, int64_t LdDst, int64_t N,
+                  SpmmCombine Combine, bool Mean, int64_t RowBegin,
+                  int64_t RowEnd) {
   if (Combine == SpmmCombine::CopyRhs || (Combine == SpmmCombine::Mul && !Vals))
     spmmRows<T, SpmmStep::Sum>(Offsets, Cols, Vals, ValIdx, B, Ldb, Dst,
-                               LdDst, C0, C1, Mean, RowBegin, RowEnd);
+                               LdDst, N, Mean, RowBegin, RowEnd);
   else if (Combine == SpmmCombine::Mul)
     spmmRows<T, SpmmStep::Mul>(Offsets, Cols, Vals, ValIdx, B, Ldb, Dst,
-                               LdDst, C0, C1, Mean, RowBegin, RowEnd);
+                               LdDst, N, Mean, RowBegin, RowEnd);
   else
     spmmRows<T, SpmmStep::Add>(Offsets, Cols, Vals, ValIdx, B, Ldb, Dst,
-                               LdDst, C0, C1, Mean, RowBegin, RowEnd);
+                               LdDst, N, Mean, RowBegin, RowEnd);
 }
 
 //===----------------------------------------------------------------------===//
-// Plus-times SDDMM (per-edge dot products, tile-resumable)
+// Plus-times SDDMM (per-edge dot products)
 //===----------------------------------------------------------------------===//
 
 template <class T>
 void sddmmDotRowRange(const int64_t *Offsets, const int32_t *Cols,
                       const float *U, int64_t Ldu, const float *V,
-                      int64_t Ldv, float *Out, int64_t J0, int64_t J1,
-                      bool FirstTile, int64_t RowBegin, int64_t RowEnd) {
+                      int64_t Ldv, float *Out, int64_t Width,
+                      int64_t RowBegin, int64_t RowEnd) {
   constexpr int64_t G = T::DotGroup;
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     const float *URow = U + R * Ldu;
     for (int64_t K = Offsets[R]; K < Offsets[R + 1]; ++K) {
       const float *VRow = V + static_cast<int64_t>(Cols[K]) * Ldv;
-      // Features fold into the scalar accumulator in groups of G starting
-      // at J0; with J0 a multiple of G (ColumnQuantum-rounded tiles) the
-      // group boundaries sit at the same absolute positions in every tile
-      // decomposition, making tiled == untiled bitwise.
-      float Acc = FirstTile ? 0.0f : Out[K];
-      int64_t J = J0;
-      for (; J + G <= J1; J += G)
+      // Features fold into the scalar accumulator in groups of G, then the
+      // tail one by one.
+      float Acc = 0.0f;
+      int64_t J = 0;
+      for (; J + G <= Width; J += G)
         Acc += T::dotGroup(URow + J, VRow + J);
-      for (; J < J1; ++J)
+      for (; J < Width; ++J)
         Acc += URow[J] * VRow[J];
       Out[K] = Acc;
     }
@@ -437,7 +433,6 @@ template <class T> SimdOps makeSimdOps(IsaLevel Level, const char *Name) {
   SimdOps Ops;
   Ops.Level = Level;
   Ops.Name = Name;
-  Ops.ColumnQuantum = T::DotGroup;
   Ops.GemmRowRange = &gemmRowRange<T>;
   Ops.GemmTLhsRowRange = &gemmTLhsRowRange<T>;
   Ops.GemmTRhsRowRange = &gemmTRhsRowRange<T>;

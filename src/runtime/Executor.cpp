@@ -2,7 +2,6 @@
 
 #include "runtime/Executor.h"
 
-#include "kernels/FormatKernels.h"
 #include "kernels/Kernels.h"
 #include "support/Error.h"
 #include "support/ThreadPool.h"
@@ -96,6 +95,7 @@ void PlanWorkspace::configure(const CompositionPlan &PlanIn,
   // value arrays can at least be reserved now.
   SparseValues.resize(PlanIn.Values.size());
   Scratch.resize(PlanIn.Values.size());
+  Grads.resize(PlanIn.Values.size());
 }
 
 DenseMatrix &PlanWorkspace::denseFor(int Id, int64_t Rows, int64_t Cols) {
@@ -163,6 +163,7 @@ double Executor::timeKernel(const PrimitiveDesc &Desc, const GraphStats &Stats,
 
 namespace {
 
+using detail::RtGrad;
 using detail::RtValue;
 
 /// Minimum multiply-adds per chunk of the parallel attention-gradient loops,
@@ -203,14 +204,6 @@ void attnVecGradBlock(const DenseMatrix &Theta, const std::vector<float> &Grad,
   }
   std::copy_n(Acc, Width, DA.begin() + C0);
 }
-
-/// Gradient accumulators per value.
-struct RtGrad {
-  DenseMatrix Dense;        ///< for Dense values
-  std::vector<float> Vec;   ///< for Diag / NodeVec values
-  std::vector<float> Edge;  ///< for Sparse values (per-edge grads)
-  bool Present = false;
-};
 
 /// Values that transitively depend on learned parameters or features, i.e.
 /// the ones the backward pass must reach.
@@ -296,49 +289,6 @@ private:
     const CsrMatrix &Adj = *Inputs.Adjacency;
     return A.rows() == Adj.rows() && A.cols() == Adj.cols() &&
            A.nnz() == Adj.nnz();
-  }
-
-  /// True when the layout has a non-CSR format structure covering \p A.
-  bool formatCovers(const CsrMatrix &A) const {
-    return LS.Format != SparseFormat::Csr && boundPattern(A);
-  }
-
-  /// Runs one forward aggregation over the cached format structure;
-  /// formatCovers(A) must hold.
-  void formatSpmmInto(const CsrMatrix &A, const DenseMatrix &B,
-                      const Semiring &S, DenseMatrix &Dst) const {
-    switch (LS.Format) {
-    case SparseFormat::Ell:
-      kernels::spmmEllInto(LS.Ell, A.values(), B, S, Dst);
-      return;
-    case SparseFormat::Sell:
-      kernels::spmmSellInto(LS.Sell, A.values(), B, S, Dst);
-      return;
-    case SparseFormat::Hyb:
-      kernels::spmmHybInto(LS.Hyb, A.values(), B, S, Dst);
-      return;
-    default:
-      GRANII_FATAL("formatSpmmInto called without a cached format structure");
-    }
-  }
-
-  /// Per-edge dots over the cached format structure (backward dS) at the
-  /// pattern of an operand that formatCovers.
-  void formatSddmmInto(const DenseMatrix &U, const DenseMatrix &V,
-                       std::span<float> Out) const {
-    switch (LS.Format) {
-    case SparseFormat::Ell:
-      kernels::sddmmEllInto(LS.Ell, U, V, Semiring::plusTimes(), Out);
-      return;
-    case SparseFormat::Sell:
-      kernels::sddmmSellInto(LS.Sell, U, V, Semiring::plusTimes(), Out);
-      return;
-    case SparseFormat::Hyb:
-      kernels::sddmmHybInto(LS.Hyb, U, V, Semiring::plusTimes(), Out);
-      return;
-    default:
-      GRANII_FATAL("formatSddmmInto called without a cached format structure");
-    }
   }
 
   /// True when the layout is sharded and its blocks cover \p A. The blocks
@@ -431,23 +381,12 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
       const CsrMatrix &A = Op(0).sparse();
       const DenseMatrix &B = Op(1).dense();
       DenseMatrix &Dst = dstDense(Step.Result, A.rows(), B.cols());
-      // Per-format and sharded aggregation both preserve CSR neighbor
-      // order and share the dispatched inner loops, so every branch here
-      // is bitwise identical.
-      if (shardCovers(A)) {
+      // Sharded aggregation preserves CSR neighbor order and shares the
+      // dispatched inner loops, so both branches are bitwise identical.
+      if (shardCovers(A))
         shardSpmmInto(A, B, Semiring::plusTimes(), Dst);
-        return;
-      }
-      if (formatCovers(A)) {
-        formatSpmmInto(A, B, Semiring::plusTimes(), Dst);
-        return;
-      }
-      // Tiled form is bitwise identical to spmmInto; the tile width only
-      // changes the memory schedule (HardwareModel::spmmColumnTile).
-      kernels::spmmTiledInto(A, B, Semiring::plusTimes(),
-                             Exec.hardware().spmmColumnTile(B.cols(),
-                                                            Stats.AvgRowSpan),
-                             Dst);
+      else
+        kernels::spmmInto(A, B, Semiring::plusTimes(), Dst);
     });
     break;
   case StepOp::SpmmUnweighted:
@@ -455,18 +394,10 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
       const CsrMatrix &A = Op(0).sparse();
       const DenseMatrix &B = Op(1).dense();
       DenseMatrix &Dst = dstDense(Step.Result, A.rows(), B.cols());
-      if (shardCovers(A)) {
+      if (shardCovers(A))
         shardSpmmInto(A, B, Semiring::plusCopy(), Dst);
-        return;
-      }
-      if (formatCovers(A)) {
-        formatSpmmInto(A, B, Semiring::plusCopy(), Dst);
-        return;
-      }
-      kernels::spmmTiledInto(A, B, Semiring::plusCopy(),
-                             Exec.hardware().spmmColumnTile(B.cols(),
-                                                            Stats.AvgRowSpan),
-                             Dst);
+      else
+        kernels::spmmInto(A, B, Semiring::plusCopy(), Dst);
     });
     break;
   case StepOp::SddmmScaleRow:
@@ -670,35 +601,85 @@ void PlanInterpreter::forward(ExecResult &Result, DenseMatrix &Output) {
 void PlanInterpreter::backward(ExecResult &Result) {
   TraceSpan Span("backward", "executor");
   std::vector<bool> Need = gradPath(Plan);
-  std::vector<RtGrad> Grads(Plan.Values.size());
+  std::vector<RtGrad> &Grads = Ws.grads();
+  for (RtGrad &G : Grads)
+    G.Present = false;
   std::vector<RtValue> &Values = Ws.scratch();
+
+  // Every gradient buffer is reused across runs, so a steady-state run
+  // allocates none of them. A workspace buffer counts its growth like a
+  // slot; parameter and feature gradients accumulate straight into the
+  // caller's result, which owns them as it owns Output.
+  auto Reshape = [&](DenseMatrix &M, int64_t Rows, int64_t Cols,
+                     bool Owned) -> DenseMatrix & {
+    size_t Cap = M.capacityFloats();
+    M.resize(Rows, Cols);
+    if (Owned && M.capacityFloats() != Cap)
+      Ws.countAllocation();
+    return M;
+  };
+  auto Resize = [&](std::vector<float> &V, size_t Size,
+                    bool Owned) -> std::vector<float> & {
+    size_t Cap = V.capacity();
+    V.resize(Size);
+    if (Owned && V.capacity() != Cap)
+      Ws.countAllocation();
+    return V;
+  };
+  auto DenseAcc = [&](int Id) -> DenseMatrix & {
+    const PlanValue &Val = Plan.Values[static_cast<size_t>(Id)];
+    if (Val.InputRole == LeafRole::Weight)
+      return Result.WeightGrads[Val.DebugName];
+    if (Val.InputRole == LeafRole::Features)
+      return Result.FeatureGrad;
+    return Grads[static_cast<size_t>(Id)].Dense;
+  };
+  auto VecAcc = [&](int Id) -> std::vector<float> & {
+    const PlanValue &Val = Plan.Values[static_cast<size_t>(Id)];
+    if (Val.InputRole == LeafRole::AttnSrcVec ||
+        Val.InputRole == LeafRole::AttnDstVec)
+      return Result.AttnGrads[Val.DebugName];
+    return Grads[static_cast<size_t>(Id)].Vec;
+  };
 
   auto EnsureDense = [&](int Id) -> DenseMatrix & {
     RtGrad &G = Grads[static_cast<size_t>(Id)];
+    DenseMatrix &Acc = DenseAcc(Id);
     if (!G.Present) {
-      const RtValue &V = Values[static_cast<size_t>(Id)];
-      G.Dense = DenseMatrix(V.dense().rows(), V.dense().cols());
+      const DenseMatrix &V = Values[static_cast<size_t>(Id)].dense();
+      Reshape(Acc, V.rows(), V.cols(), &Acc == &G.Dense).fill(0.0f);
       G.Present = true;
     }
-    return G.Dense;
+    return Acc;
   };
   auto EnsureVec = [&](int Id) -> std::vector<float> & {
     RtGrad &G = Grads[static_cast<size_t>(Id)];
+    std::vector<float> &Acc = VecAcc(Id);
     if (!G.Present) {
-      G.Vec.assign(Values[static_cast<size_t>(Id)].vec().size(), 0.0f);
+      const size_t Size = Values[static_cast<size_t>(Id)].vec().size();
+      Resize(Acc, Size, &Acc == &G.Vec);
+      std::fill(Acc.begin(), Acc.end(), 0.0f);
       G.Present = true;
     }
-    return G.Vec;
+    return Acc;
   };
   auto EnsureEdge = [&](int Id) -> std::vector<float> & {
     RtGrad &G = Grads[static_cast<size_t>(Id)];
     if (!G.Present) {
-      G.Edge.assign(
-          static_cast<size_t>(Values[static_cast<size_t>(Id)].sparse().nnz()),
-          0.0f);
+      const int64_t Nnz = Values[static_cast<size_t>(Id)].sparse().nnz();
+      Resize(G.Edge, static_cast<size_t>(Nnz), /*Owned=*/true);
+      std::fill(G.Edge.begin(), G.Edge.end(), 0.0f);
       G.Present = true;
     }
     return G.Edge;
+  };
+  // A partial gradient lives in one workspace buffer until it is added into
+  // its accumulator; no two partials are live at once.
+  auto Partial = [&](int64_t Rows, int64_t Cols) -> DenseMatrix & {
+    return Reshape(Ws.gradScratch(), Rows, Cols, /*Owned=*/true);
+  };
+  auto EdgePartial = [&](size_t Size) -> std::vector<float> & {
+    return Resize(Ws.edgeGradScratch(), Size, /*Owned=*/true);
   };
 
   // Seed dL/dOut = 1.
@@ -728,14 +709,16 @@ void PlanInterpreter::backward(ExecResult &Result) {
       if (NeedOp(0)) {
         PrimitiveDesc D{PrimitiveKind::Gemm, A.rows(), A.cols(), B.cols(), 0};
         Backward += chargeDesc(D, [&] {
-          DenseMatrix DA = kernels::gemmTransposedRhs(OutG.Dense, B);
+          DenseMatrix &DA = Partial(OutG.Dense.rows(), B.rows());
+          kernels::gemmTransposedRhsInto(OutG.Dense, B, DA);
           kernels::axpyInto(1.0f, DA, EnsureDense(OpId(0)));
         });
       }
       if (NeedOp(1)) {
         PrimitiveDesc D{PrimitiveKind::Gemm, A.cols(), B.cols(), A.rows(), 0};
         Backward += chargeDesc(D, [&] {
-          DenseMatrix DB = kernels::gemmTransposedLhs(A, OutG.Dense);
+          DenseMatrix &DB = Partial(A.cols(), OutG.Dense.cols());
+          kernels::gemmTransposedLhsInto(A, OutG.Dense, DB);
           kernels::axpyInto(1.0f, DB, EnsureDense(OpId(1)));
         });
       }
@@ -757,10 +740,9 @@ void PlanInterpreter::backward(ExecResult &Result) {
                             ? PrimitiveKind::SpMMWeighted
                             : PrimitiveKind::SpMMUnweighted,
                         S.cols(), X.cols(), 0, S.nnz()};
-        D.Format = SparseFormat::Csc;
         Backward += chargeDesc(D, [&] {
           LS.Staging.ensureBackward(LS.Set, OutG.Dense.cols());
-          DenseMatrix DX(S.cols(), OutG.Dense.cols());
+          DenseMatrix &DX = Partial(S.cols(), OutG.Dense.cols());
           shard::shardedSpmmCscTransposedInto(
               LS.Set, LS.Staging, S.values(), OutG.Dense,
               Step.Op == StepOp::SpmmWeighted ? Semiring::plusTimes()
@@ -785,9 +767,8 @@ void PlanInterpreter::backward(ExecResult &Result) {
                             ? PrimitiveKind::SpMMWeighted
                             : PrimitiveKind::SpMMUnweighted,
                         S.cols(), X.cols(), 0, S.nnz()};
-        D.Format = SparseFormat::Csc;
         Backward += chargeDesc(D, [&] {
-          DenseMatrix DX(S.cols(), OutG.Dense.cols());
+          DenseMatrix &DX = Partial(S.cols(), OutG.Dense.cols());
           kernels::spmmCscTransposedInto(*LS.Csc, S.values(), OutG.Dense,
                                          Step.Op == StepOp::SpmmWeighted
                                              ? Semiring::plusTimes()
@@ -800,13 +781,9 @@ void PlanInterpreter::backward(ExecResult &Result) {
         // dS_ij += dY_i . X_j (SDDMM at the sparse pattern).
         PrimitiveDesc D{PrimitiveKind::SddmmDot, S.rows(), 0, X.cols(),
                         S.nnz()};
-        D.Format = formatCovers(S) ? LS.Format : SparseFormat::Csr;
         Backward += chargeDesc(D, [&] {
-          std::vector<float> DS(static_cast<size_t>(S.nnz()));
-          if (formatCovers(S))
-            formatSddmmInto(OutG.Dense, X, DS);
-          else
-            kernels::sddmmInto(S, OutG.Dense, X, Semiring::plusTimes(), DS);
+          std::vector<float> &DS = EdgePartial(static_cast<size_t>(S.nnz()));
+          kernels::sddmmInto(S, OutG.Dense, X, Semiring::plusTimes(), DS);
           std::vector<float> &Acc = EnsureEdge(OpId(0));
           for (size_t I = 0; I < DS.size(); ++I)
             Acc[I] += DS[I];
@@ -826,7 +803,8 @@ void PlanInterpreter::backward(ExecResult &Result) {
         PrimitiveDesc D{PrimitiveKind::RowBroadcast, OutG.Dense.rows(),
                         OutG.Dense.cols(), 0, 0};
         Backward += chargeDesc(D, [&] {
-          DenseMatrix DH = kernels::rowBroadcastMul(Dv, OutG.Dense);
+          DenseMatrix &DH = Partial(OutG.Dense.rows(), OutG.Dense.cols());
+          kernels::rowBroadcastMulInto(Dv, OutG.Dense, DH);
           kernels::axpyInto(1.0f, DH, EnsureDense(OpId(1)));
         });
       }
@@ -838,7 +816,8 @@ void PlanInterpreter::backward(ExecResult &Result) {
         PrimitiveDesc D{PrimitiveKind::ColBroadcast, OutG.Dense.rows(),
                         OutG.Dense.cols(), 0, 0};
         Backward += chargeDesc(D, [&] {
-          DenseMatrix DH = kernels::colBroadcastMul(OutG.Dense, Dv);
+          DenseMatrix &DH = Partial(OutG.Dense.rows(), OutG.Dense.cols());
+          kernels::colBroadcastMulInto(OutG.Dense, Dv, DH);
           kernels::axpyInto(1.0f, DH, EnsureDense(OpId(0)));
         });
       }
@@ -876,7 +855,8 @@ void PlanInterpreter::backward(ExecResult &Result) {
         PrimitiveDesc D{PrimitiveKind::DenseMap, OutG.Dense.rows(),
                         OutG.Dense.cols(), 0, 0};
         Backward += chargeDesc(D, [&] {
-          DenseMatrix DI = kernels::reluBackward(OpVal(0).dense(), OutG.Dense);
+          DenseMatrix &DI = Partial(OutG.Dense.rows(), OutG.Dense.cols());
+          kernels::reluBackwardInto(OpVal(0).dense(), OutG.Dense, DI);
           kernels::axpyInto(1.0f, DI, EnsureDense(OpId(0)));
         });
       }
@@ -983,29 +963,6 @@ void PlanInterpreter::backward(ExecResult &Result) {
     }
   }
   Result.BackwardSeconds = Backward;
-
-  // Export parameter gradients for callers (optimizer steps, grad checks).
-  for (size_t V = 0; V < Plan.Values.size(); ++V) {
-    const PlanValue &Val = Plan.Values[V];
-    if (!Val.InputRole || !Grads[V].Present)
-      continue;
-    switch (*Val.InputRole) {
-    case LeafRole::Weight:
-      Result.WeightGrads[Val.DebugName] = std::move(Grads[V].Dense);
-      break;
-    case LeafRole::Features:
-      Result.FeatureGrad = std::move(Grads[V].Dense);
-      break;
-    case LeafRole::AttnSrcVec:
-    case LeafRole::AttnDstVec:
-      Result.AttnGrads[Val.DebugName] = std::move(Grads[V].Vec);
-      break;
-    case LeafRole::Adjacency:
-    case LeafRole::DegreeNorm:
-    case LeafRole::DegreeInv:
-      break;
-    }
-  }
 }
 
 } // namespace
@@ -1051,25 +1008,20 @@ uint64_t csrStructureHash(const CsrMatrix &Adj) {
 
 double Executor::layoutSetup(detail::LayoutState &LS, const CsrMatrix &Adj,
                              const GraphStats &Stats, ReorderPolicy Policy,
-                             SparseFormat Format,
                              const ShardSpec &Sharding) const {
-  if (LS.SourceAdj == &Adj && LS.SourceRows == Adj.rows() &&
-      LS.SourceNnz == Adj.nnz() && LS.Policy == Policy &&
-      LS.Format == Format && LS.Sharding == Sharding)
+  if (LS.SourceAdj == &Adj && LS.SourceVersion == Adj.version() &&
+      LS.Policy == Policy && LS.Sharding == Sharding)
     return 0.0;
   LS = detail::LayoutState();
   LS.Policy = Policy;
-  LS.Format = Format;
   LS.Sharding = Sharding;
   LS.SourceAdj = &Adj;
-  LS.SourceRows = Adj.rows();
-  LS.SourceNnz = Adj.nnz();
+  LS.SourceVersion = Adj.version();
 
   // Per-layout preprocessing, hoisted like degree normalizations. Each part
   // is an O(E)-dominated pass over the structure, so each is charged as an
-  // edge-traversal primitive; the format conversion's is stamped with its
-  // target format. Relabeling preserves rows and nnz, so one descriptor
-  // serves the bound adjacency too.
+  // edge-traversal primitive. Relabeling preserves rows and nnz, so one
+  // descriptor serves the bound adjacency too.
   PrimitiveDesc Desc{PrimitiveKind::EdgeElementwise, Adj.rows(), 0, 0,
                      Adj.nnz()};
   double Seconds = 0.0;
@@ -1084,29 +1036,6 @@ double Executor::layoutSetup(detail::LayoutState &LS, const CsrMatrix &Adj,
     });
     Bound = &LS.PermAdj;
     BoundStats = &LS.PermStats;
-  }
-  if (Format != SparseFormat::Csr) {
-    TraceSpan Span("format-setup", "executor");
-    PrimitiveDesc FormatDesc = Desc;
-    FormatDesc.Format = Format;
-    Seconds += timeKernel(FormatDesc, *BoundStats, [&] {
-      switch (Format) {
-      case SparseFormat::Ell:
-        LS.Ell = EllMatrix::fromCsr(*Bound);
-        break;
-      case SparseFormat::Sell:
-        LS.Sell = SellMatrix::fromCsr(*Bound);
-        break;
-      case SparseFormat::Hyb:
-        LS.Hyb = HybMatrix::fromCsr(*Bound);
-        break;
-      case SparseFormat::Csr:
-      case SparseFormat::Csc:
-      case SparseFormat::Auto:
-        GRANII_CHECK(false, "layoutSetup: format has no forward conversion");
-        break;
-      }
-    });
   }
   if (Sharding.active()) {
     TraceSpan Span("shard-setup", "executor");
@@ -1174,35 +1103,33 @@ double Executor::unpermuteRows(const detail::LayoutState &LS,
 
 void Executor::run(const CompositionPlan &Plan, const LayerInputs &Inputs,
                    const GraphStats &Stats, PlanWorkspace &Ws,
-                   ExecResult &Result, ReorderPolicy Policy,
-                   SparseFormat Format, const ShardSpec &Sharding) const {
-  runArena(Plan, Inputs, Stats, Ws, Result, Policy, Format, Sharding,
+                   ExecResult &Result, ReorderPolicy Policy, SparseFormat,
+                   const ShardSpec &Sharding) const {
+  runArena(Plan, Inputs, Stats, Ws, Result, Policy, Sharding,
            /*Training=*/false);
 }
 
 void Executor::runTraining(const CompositionPlan &Plan,
                            const LayerInputs &Inputs, const GraphStats &Stats,
                            PlanWorkspace &Ws, ExecResult &Result,
-                           ReorderPolicy Policy, SparseFormat Format,
+                           ReorderPolicy Policy, SparseFormat,
                            const ShardSpec &Sharding) const {
-  runArena(Plan, Inputs, Stats, Ws, Result, Policy, Format, Sharding,
+  runArena(Plan, Inputs, Stats, Ws, Result, Policy, Sharding,
            /*Training=*/true);
 }
 
 void Executor::runArena(const CompositionPlan &Plan, const LayerInputs &Inputs,
                         const GraphStats &Stats, PlanWorkspace &Ws,
                         ExecResult &Result, ReorderPolicy Policy,
-                        SparseFormat Format, const ShardSpec &Sharding,
-                        bool Training) const {
-  GRANII_CHECK(Format != SparseFormat::Auto && Format != SparseFormat::Csc,
-               "arena execution: format must be a concrete forward format");
-  GRANII_CHECK(!Sharding.active() || Format == SparseFormat::Csr,
-               "sharded execution supports the CSR forward format only");
+                        const ShardSpec &Sharding, bool Training) const {
   GRANII_CHECK(Inputs.Features != &Result.Output,
                "arena execution: the result's output aliases the features");
+  GRANII_CHECK(!Training || Inputs.Features != &Result.FeatureGrad,
+               "arena execution: the result's feature gradient aliases the "
+               "features");
   detail::LayoutState &LS = Ws.layoutState();
   const double SetupSeconds =
-      layoutSetup(LS, *Inputs.Adjacency, Stats, Policy, Format, Sharding);
+      layoutSetup(LS, *Inputs.Adjacency, Stats, Policy, Sharding);
   const bool Reordered = Policy != ReorderPolicy::None;
   const LayerInputs *Bound = &Inputs;
   const GraphStats *BoundStats = &Stats;
@@ -1228,7 +1155,7 @@ void Executor::runArena(const CompositionPlan &Plan, const LayerInputs &Inputs,
     PermSeconds += unpermuteRows(LS, LS.PermOutput, Result.Output);
     // Weight and attention gradients reduce over nodes and are row-order
     // independent; only the feature gradient is per-node and must return
-    // to the caller's vertex order. Training allocates per call anyway.
+    // to the caller's vertex order, through a staging copy made per call.
     if (Training && Result.FeatureGrad.rows() > 0) {
       DenseMatrix Staging(Result.FeatureGrad.rows(),
                           Result.FeatureGrad.cols());

@@ -12,10 +12,11 @@
 /// Execution is destination-passing throughout: every step writes its
 /// result through the kernels' `...Into` forms, and the plan's final step
 /// writes straight into the caller's ExecResult::Output. Every run executes
-/// against a PlanWorkspace, whose BufferPlan-assigned slots persist across
-/// calls so steady-state inference performs zero heap allocations; the
-/// by-value run()/runTraining() simply use a fresh workspace per call. Each
-/// step executes exactly once per call.
+/// against a PlanWorkspace, whose BufferPlan-assigned slots and backward
+/// gradient buffers persist across calls so a steady-state run performs
+/// zero heap allocations for plan values; the by-value run()/runTraining()
+/// simply use a fresh workspace per call. Each step executes exactly once
+/// per call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,9 +34,6 @@
 #include "tensor/CscMatrix.h"
 #include "tensor/CsrMatrix.h"
 #include "tensor/DenseMatrix.h"
-#include "tensor/EllMatrix.h"
-#include "tensor/HybMatrix.h"
-#include "tensor/SellMatrix.h"
 #include "tensor/SparseFormat.h"
 
 #include <map>
@@ -99,21 +97,30 @@ struct RtValue {
   const std::vector<float> &vec() const { return *Vec; }
 };
 
+/// Backward-pass gradient accumulator of one plan value. The buffers
+/// persist in the workspace across training runs; Present marks the ones
+/// the current run has zeroed and written.
+struct RtGrad {
+  DenseMatrix Dense;       ///< for Dense values
+  std::vector<float> Vec;  ///< for Diag / NodeVec values
+  std::vector<float> Edge; ///< for Sparse values (per-edge grads)
+  bool Present = false;
+};
+
 /// Cached layout state of a workspace: everything a run derives from the
-/// caller's adjacency under one (reorder policy, sparse format, sharding)
-/// layout. One key covers every part — the three knobs plus the caller's
-/// adjacency (address, rows, nnz) — and any change rebuilds them all, so no
-/// derived structure outlives its graph. Building is setup (charged once);
-/// steady-state runs only re-gather features, scatter the output and stage
-/// halos, reusing every buffer here. The "bound" adjacency is the one the
-/// plan executes on: PermAdj under a reorder policy, else the caller's.
+/// caller's adjacency under one (reorder policy, sharding) layout. One key
+/// covers every part — the two knobs plus the caller's adjacency (address
+/// and content version, CsrMatrix::version()) — and any change rebuilds
+/// them all, so no derived structure outlives its graph or an in-place
+/// edit of it. Building is setup (charged once); steady-state runs only
+/// re-gather features, scatter the output and stage halos, reusing every
+/// buffer here. The "bound" adjacency is the one the plan executes on:
+/// PermAdj under a reorder policy, else the caller's.
 struct LayoutState {
   ReorderPolicy Policy = ReorderPolicy::None;
-  SparseFormat Format = SparseFormat::Csr;
   ShardSpec Sharding;
   const CsrMatrix *SourceAdj = nullptr; ///< the caller's adjacency
-  int64_t SourceRows = 0;               ///< guard against address reuse
-  int64_t SourceNnz = 0;
+  uint64_t SourceVersion = 0;           ///< its version() when built
 
   /// Reordering: the permutation, the relabeled adjacency PAP^T with its
   /// statistics (locality features differ), and the staging buffers of the
@@ -123,13 +130,6 @@ struct LayoutState {
   GraphStats PermStats;
   DenseMatrix PermFeatures;
   DenseMatrix PermOutput;
-
-  /// Structure conversion of the bound adjacency for a non-CSR Format.
-  /// Column layout only: edge values stay in the operands' CSR-ordered
-  /// arrays, so one conversion covers weighted and unweighted steps.
-  EllMatrix Ell;
-  SellMatrix Sell;
-  HybMatrix Hyb;
 
   /// Partition, blocks and halo staging of the bound adjacency under
   /// active Sharding.
@@ -181,7 +181,9 @@ struct ExecResult {
 
   /// Gradients produced by runTraining (empty after run()): one entry per
   /// weight leaf, keyed by its name ("W", "W0", ...), plus the feature
-  /// gradient needed by upstream layers.
+  /// gradient needed by upstream layers. Every run clears the two maps;
+  /// the backward pass accumulates into these in place, so a result reused
+  /// across training runs keeps its FeatureGrad buffer.
   std::map<std::string, DenseMatrix> WeightGrads;
   DenseMatrix FeatureGrad;
   std::map<std::string, std::vector<float>> AttnGrads;
@@ -244,6 +246,13 @@ public:
   const std::vector<PrimitiveDesc> &descs() const { return Descs; }
   /// One runtime binding per plan value, rebound by every forward pass.
   std::vector<detail::RtValue> &scratch() { return Scratch; }
+  /// Backward-pass storage, kept across training runs like the slots: one
+  /// gradient accumulator per plan value, plus one dense and one per-edge
+  /// buffer for the partial gradients that are added into them. Parameter
+  /// and feature gradients accumulate in the caller's ExecResult instead.
+  std::vector<detail::RtGrad> &grads() { return Grads; }
+  DenseMatrix &gradScratch() { return GradScratch; }
+  std::vector<float> &edgeGradScratch() { return EdgeGradScratch; }
   /// The workspace's cached layout state (empty until the first executor
   /// run; rebuilt whenever a run's layout or adjacency differs from it).
   detail::LayoutState &layoutState() { return Layout; }
@@ -262,6 +271,9 @@ private:
   std::vector<CsrMatrix> SparseValues; ///< indexed by value id
   std::vector<PrimitiveDesc> Descs;
   std::vector<detail::RtValue> Scratch;
+  std::vector<detail::RtGrad> Grads; ///< indexed by value id
+  DenseMatrix GradScratch;
+  std::vector<float> EdgeGradScratch;
   detail::LayoutState Layout;
   size_t Allocations = 0;
 };
@@ -303,11 +315,10 @@ public:
   /// Output.data() where it was. Nothing here warms up: each step runs
   /// once, and a measured timing of a first call includes its cold costs.
   ///
-  /// The layout — \p Policy, \p Format and \p Sharding — is derived from
-  /// the caller's adjacency once and cached in \p Ws under one key (the
-  /// three knobs plus the adjacency's address, rows and nnz); a run whose
-  /// key differs rebuilds every part and charges it as setup. An adjacency
-  /// mutated in place at the same address and size is not detected.
+  /// The layout — \p Policy and \p Sharding — is derived from the caller's
+  /// adjacency once and cached in \p Ws under one key (the two knobs plus
+  /// the adjacency's address and content version); a run whose key differs
+  /// rebuilds every part and charges it as setup.
   ///
   /// A non-None \p Policy runs the plan on a reordered copy of the graph:
   /// the layout holds the permutation and relabeled adjacency, and each run
@@ -320,14 +331,6 @@ public:
   /// why the differential tests compare it with a tolerance rather than
   /// bitwise. Steady-state runs still allocate nothing.
   ///
-  /// A non-CSR \p Format runs every sparse aggregation over the layout's
-  /// structure conversion of the bound adjacency. Per-format traversal
-  /// preserves CSR neighbor order and routes through the same dispatched
-  /// inner loops, so outputs stay bitwise identical to the CSR run at any
-  /// thread count within one ISA level. Auto must be resolved by the
-  /// caller (the optimizer's selection); Csc is backward-only — both abort
-  /// here.
-  ///
   /// An active \p Sharding partitions the bound adjacency into
   /// Sharding.Shards parts (building or mapping the blocks is part of the
   /// layout setup) and runs every sparse aggregation through the sharded
@@ -335,7 +338,9 @@ public:
   /// original CSR entry order, so sharded outputs are bitwise identical to
   /// the whole-graph run at any shard and thread count within one ISA
   /// level.
-  /// Sharding requires the CSR forward format (it aborts with any other).
+  ///
+  /// The SparseFormat parameter is always Csr and is ignored; it stays
+  /// because the end-to-end benchmark passes it positionally.
   void run(const CompositionPlan &Plan, const LayerInputs &Inputs,
            const GraphStats &Stats, PlanWorkspace &Ws, ExecResult &Result,
            ReorderPolicy Policy = ReorderPolicy::None,
@@ -370,15 +375,15 @@ private:
   /// inverse permutation of a reordered output.
   void runArena(const CompositionPlan &Plan, const LayerInputs &Inputs,
                 const GraphStats &Stats, PlanWorkspace &Ws, ExecResult &Result,
-                ReorderPolicy Policy, SparseFormat Format,
-                const ShardSpec &Sharding, bool Training) const;
+                ReorderPolicy Policy, const ShardSpec &Sharding,
+                bool Training) const;
 
-  /// Rebuilds \p LS for the layout (Policy, Format, Sharding) of the
-  /// caller's adjacency \p Adj unless it already holds exactly that;
-  /// returns the setup seconds to charge (0 when the cache was valid).
+  /// Rebuilds \p LS for the layout (Policy, Sharding) of the caller's
+  /// adjacency \p Adj unless it already holds exactly that; returns the
+  /// setup seconds to charge (0 when the cache was valid).
   double layoutSetup(detail::LayoutState &LS, const CsrMatrix &Adj,
                      const GraphStats &Stats, ReorderPolicy Policy,
-                     SparseFormat Format, const ShardSpec &Sharding) const;
+                     const ShardSpec &Sharding) const;
 
   /// Gathers the caller's features into permuted order and returns inputs
   /// rebound to the cached reordered graph; \p PermSeconds receives the

@@ -57,7 +57,6 @@ std::string sessionKeyFor(const JobRequest &Req) {
   Key += kernels::isaLevelName(kernels::activeIsaLevel());
   Key += "/r" + Req.Reorder;
   Key += "/s" + std::to_string(Req.Seed);
-  Key += "/f" + (Req.Format.empty() ? std::string("csr") : Req.Format);
   // Raw request value on purpose (-1 stays -1): auto resolution needs the
   // graph's edge count, and the warm session path must never load the
   // graph. The plan cache underneath keys on the resolved count.
@@ -75,34 +74,16 @@ int resolvedShardCount(const JobRequest &Req, const Graph &G) {
   return Req.Shards > 1 ? static_cast<int>(Req.Shards) : 0;
 }
 
-/// Sharded execution only runs over the CSR forward aggregation format
-/// (docs/SHARDING.md); reject the combination before any compilation work.
-bool validShardRequest(const JobRequest &Req, std::string *Error) {
-  if (Req.Shards == 0)
-    return true;
-  std::string Format = Req.Format.empty() ? "csr" : Req.Format;
-  if (Format == "csr")
+/// CSR is the only forward layout. The request's format field stays on the
+/// wire because the end-to-end benchmark sets it; anything but empty or
+/// "csr" is an error.
+bool validFormat(const JobRequest &Req, std::string *Error) {
+  if (Req.Format.empty() || Req.Format == "csr")
     return true;
   if (Error)
-    *Error = "sharded execution requires the csr format (got '" + Format +
-             "')";
+    *Error = "unknown or unsupported sparse format '" + Req.Format +
+             "' (csr is the only format)";
   return false;
-}
-
-/// Parses and validates a request's format field. CSC is rejected here:
-/// the executor always uses it internally for the backward transposed
-/// SpMM, but it is not a selectable forward aggregation layout.
-std::optional<SparseFormat> requestFormat(const JobRequest &Req,
-                                          std::string *Error) {
-  std::optional<SparseFormat> Format =
-      parseSparseFormat(Req.Format.empty() ? "csr" : Req.Format);
-  if (!Format || *Format == SparseFormat::Csc) {
-    if (Error)
-      *Error = "unknown or unsupported sparse format '" + Req.Format +
-               "' (try csr, ell, sell, hyb, auto)";
-    return std::nullopt;
-  }
-  return Format;
 }
 
 /// loadGraphSpec formats its message as a ready-to-print CLI diagnostic
@@ -172,7 +153,6 @@ PlanCache::Plans Engine::resolvePlans(const GnnModel &Model, const Graph &G,
   Key.KOut = Req.KOut;
   Key.Threads = ThreadPool::get().numThreads();
   Key.Isa = kernels::isaLevelName(kernels::activeIsaLevel());
-  Key.Format = Req.Format.empty() ? "csr" : Req.Format;
   Key.Shards = resolvedShardCount(Req, G);
   Resp.CacheKey = Key.canonical();
 
@@ -192,8 +172,6 @@ PlanCache::Plans Engine::resolvePlans(const GnnModel &Model, const Graph &G,
   OptOpts.Hw = Opts.Hw;
   OptOpts.Iterations = Opts.Iterations;
   OptOpts.Verify = Opts.Verify;
-  if (std::optional<SparseFormat> Format = requestFormat(Req, nullptr))
-    OptOpts.Format = *Format;
   OptOpts.Shards = Key.Shards;
   Optimizer Compiled(Model, OptOpts, &CompileCost);
   auto Value = std::make_shared<const std::vector<CompositionPlan>>(
@@ -217,12 +195,7 @@ CompileResponse Engine::compile(const JobRequest &Req) {
     return Resp;
   }
   std::string FormatError;
-  if (!requestFormat(Req, &FormatError)) {
-    Resp.Status.Ok = false;
-    Resp.Status.Error = FormatError;
-    return Resp;
-  }
-  if (!validShardRequest(Req, &FormatError)) {
+  if (!validFormat(Req, &FormatError)) {
     Resp.Status.Ok = false;
     Resp.Status.Error = FormatError;
     return Resp;
@@ -285,10 +258,7 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
             "' (try none, rcm, degree)";
     return nullptr;
   }
-  std::optional<SparseFormat> Format = requestFormat(Req, &Error);
-  if (!Format)
-    return nullptr;
-  if (!validShardRequest(Req, &Error))
+  if (!validFormat(Req, &Error))
     return nullptr;
   std::string ParseError;
   std::optional<ParsedModel> Parsed =
@@ -316,7 +286,6 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   Options.Hw = Opts.Hw;
   Options.Iterations = Opts.Iterations;
   Options.Reorder = *Reorder;
-  Options.Format = *Format;
   Options.Verify = Opts.Verify;
   // Resolved against the loaded graph (auto may legitimately come out 0);
   // set before Optimizer construction so selection prices shard features.
@@ -343,10 +312,11 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   Binding.E = S->Params.AdjSelf.nnz();
   Binding.KIn = Req.KIn;
   Binding.KOut = Req.KOut;
-  GraphStats SelectStats = S->Params.Stats;
+  S->SelectStats = S->Params.Stats;
   if (Options.Shards > 1)
-    shard::annotateShardStats(SelectStats, S->Params.AdjSelf, Options.Shards);
-  S->Sel = S->Opt->selectWithStats(Binding, SelectStats);
+    shard::annotateShardStats(S->SelectStats, S->Params.AdjSelf,
+                              Options.Shards);
+  S->Sel = S->Opt->selectWithStats(Binding, S->SelectStats);
 
   SessionLru.push_front(S);
   SessionIndex[Key] = SessionLru.begin();

@@ -96,6 +96,10 @@ public:
   /// The session's materialized layer tensors (the CLI's --profile path
   /// re-executes against them with step profiling enabled).
   const LayerParams &params() const { return Params; }
+  /// The cost model and graph statistics the selection was made with
+  /// (--profile prints their per-step predictions beside measured time).
+  const CostModel &cost() const { return Cost; }
+  const GraphStats &selectStats() const { return SelectStats; }
 
 private:
   friend class Engine;
@@ -112,6 +116,8 @@ private:
   AnalyticCostModel Cost{HardwareModel::byName("cpu")};
   std::optional<Optimizer> Opt;
   LayerParams Params;
+  /// Params.Stats, shard-annotated for a sharded session.
+  GraphStats SelectStats;
   Selection Sel;
   bool PlanCacheHit = false;
 

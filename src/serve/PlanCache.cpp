@@ -39,8 +39,6 @@ std::string PlanCacheKey::canonical() const {
   S += std::to_string(Threads);
   S += "/";
   S += Isa.empty() ? "scalar" : Isa;
-  S += "/";
-  S += Format.empty() ? "csr" : Format;
   S += "/sh";
   S += std::to_string(Shards);
   return S;

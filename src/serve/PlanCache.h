@@ -47,17 +47,13 @@ struct PlanCacheKey {
   int64_t KOut = 0;
   int Threads = 0;  ///< kernel pool size
   std::string Isa;  ///< active SIMD dispatch level name
-  /// Requested sparse storage format name ("csr", ..., or "auto"). Part of
-  /// the key: a pinned --format=ell compile must never be served a set
-  /// compiled (and stamped) for CSR, and vice versa.
-  std::string Format = "csr";
   /// Resolved shard count (0 = whole-graph). Part of the key: a sharded
   /// configuration selects under shard-annotated cost features, so its
   /// compiled set must not be shared with the whole-graph one.
   int Shards = 0;
 
   /// Canonical printable form, e.g.
-  /// "m0123abcd.../g.../k32x64/t4/avx2/csr/sh0". Total order on keys;
+  /// "m0123abcd.../g.../k32x64/t4/avx2/sh0". Total order on keys;
   /// embedded verbatim in spill files.
   std::string canonical() const;
 

@@ -59,11 +59,14 @@ struct JobRequest {
   std::string Reorder = "none"; ///< ReorderPolicy name
   uint64_t Seed = 1;            ///< makeLayerParams parameter seed
   bool WantOutput = false;      ///< run only: return the output matrix
-  /// Sparse storage format name ("csr", "ell", "sell", "hyb", or "auto").
+  /// Sparse storage format name. CSR is the only format, so the engine
+  /// rejects anything but "csr" or empty; the field stays on the wire
+  /// because the end-to-end benchmark sets it, and goes with the next
+  /// change to the benchmark.
   std::string Format = "csr";
   /// Sharded execution: 0 = whole-graph, > 1 = that many shards, -1 = auto
   /// (the engine resolves a count from the loaded graph's edge count).
-  /// Requires the csr format. Bitwise identical to whole-graph output.
+  /// Bitwise identical to whole-graph output.
   int64_t Shards = 0;
 };
 

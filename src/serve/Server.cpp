@@ -244,7 +244,10 @@ std::vector<uint8_t> Server::dispatch(const Frame &In, uint16_t &RespVerb) {
     RunResponse Resp = Eng.run(Req);
     if (!Resp.Status.Ok)
       CountError();
-    return encodeRunResponse(Resp);
+    TraceSpan EncodeSpan("encode-response", "serve");
+    std::vector<uint8_t> Payload = encodeRunResponse(Resp);
+    EncodeSpan.setArg("bytes", static_cast<double>(Payload.size()));
+    return Payload;
   }
   case Verb::Stats: {
     StatsResponse Resp;

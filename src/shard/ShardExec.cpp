@@ -113,7 +113,7 @@ void granii::shard::shardedSpmmInto(const ShardSet &Set, ShardStaging &Stage,
                  R) *
                     K;
             Ops.SpmmRowRange(Blk.RowOffsets.data(), Blk.LocalCols.data(),
-                             RowVals, nullptr, LB.data(), K, DstBase, K, 0, K,
+                             RowVals, nullptr, LB.data(), K, DstBase, K, K,
                              Combine, Mean, R, R + 1);
           }
           return;
@@ -181,7 +181,7 @@ void granii::shard::shardedSpmmCscTransposedInto(
                   K;
           Ops.SpmmRowRange(Blk.ColOffsets.data(), Blk.RowSlots.data(),
                            ValsPtr, Blk.CsrIdx.data(), LDY.data(), K, DstBase,
-                           K, 0, K, Combine, Mean, C, C + 1);
+                           K, K, Combine, Mean, C, C + 1);
         }
       });
 }

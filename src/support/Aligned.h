@@ -13,6 +13,13 @@
 /// the runtime arena relies on (resize within capacity never reallocates,
 /// and therefore never loses alignment) hold unchanged.
 ///
+/// Buffers of MappedAllocationBytes or more are mapped straight from the OS
+/// and unmapped when freed, so a large tensor is resident exactly while it
+/// lives. Through malloc they would land in its heap once glibc raises its
+/// mmap threshold, and a block allocated per call (a training step's
+/// output) would wander between freed holes whose placement depends on the
+/// process's earlier allocations, leaving the resident peak to chance.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GRANII_SUPPORT_ALIGNED_H
@@ -35,6 +42,18 @@ inline bool isKernelAligned(const void *Ptr) {
   return reinterpret_cast<uintptr_t>(Ptr) % KernelAlignment == 0;
 }
 
+/// Buffers at least this large are mapped pages rather than malloc blocks.
+inline constexpr size_t MappedAllocationBytes = size_t{1} << 20;
+
+/// Allocates \p Bytes aligned to \p Alignment (at most a page): mapped
+/// pages from MappedAllocationBytes up, operator new below. Throws
+/// std::bad_alloc on failure.
+void *allocateAligned(size_t Bytes, size_t Alignment);
+
+/// Releases a block from allocateAligned with the same \p Bytes and
+/// \p Alignment.
+void deallocateAligned(void *Ptr, size_t Bytes, size_t Alignment) noexcept;
+
 /// A std::allocator drop-in whose allocations are \p Alignment-aligned.
 /// Stateless: any two instances compare equal, so containers can exchange
 /// storage freely (moves and swaps behave exactly like the default
@@ -46,6 +65,7 @@ public:
                 "alignment must be a power of two");
   static_assert(Alignment >= alignof(T),
                 "alignment weaker than the element type's requirement");
+  static_assert(Alignment <= 4096, "mapped pages align to 4 KiB at most");
 
   using value_type = T;
   using size_type = size_t;
@@ -64,12 +84,11 @@ public:
   T *allocate(size_t Count) {
     if (Count > static_cast<size_t>(-1) / sizeof(T))
       throw std::bad_alloc();
-    return static_cast<T *>(
-        ::operator new(Count * sizeof(T), std::align_val_t(Alignment)));
+    return static_cast<T *>(allocateAligned(Count * sizeof(T), Alignment));
   }
 
-  void deallocate(T *Ptr, size_t) noexcept {
-    ::operator delete(Ptr, std::align_val_t(Alignment));
+  void deallocate(T *Ptr, size_t Count) noexcept {
+    deallocateAligned(Ptr, Count * sizeof(T), Alignment);
   }
 
   friend bool operator==(const AlignedAllocator &, const AlignedAllocator &) {

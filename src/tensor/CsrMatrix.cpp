@@ -7,16 +7,22 @@
 #include "tensor/DenseMatrix.h"
 
 #include <algorithm>
+#include <atomic>
 
 using namespace granii;
+
+uint64_t CsrMatrix::freshVersion() {
+  static std::atomic<uint64_t> Counter{0};
+  return Counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 CsrMatrix::CsrMatrix(int64_t Rows, int64_t Columns,
                      std::vector<int64_t> Offsets, std::vector<int32_t> Cols,
                      std::vector<float> Vals)
     : NumRows(Rows), NumCols(Columns),
       RowOffsets(Offsets.begin(), Offsets.end()),
-      ColIndices(Cols.begin(), Cols.end()),
-      Values(Vals.begin(), Vals.end()) {
+      ColIndices(Cols.begin(), Cols.end()), Values(Vals.begin(), Vals.end()),
+      Version(freshVersion()) {
   // The parameter vectors use the default allocator (keeping brace-list
   // construction ergonomic); their contents are copied into the aligned
   // members above.
@@ -47,6 +53,7 @@ void CsrMatrix::setValues(std::vector<float> Vals) {
   assert(Vals.size() == ColIndices.size() &&
          "value count must match structural nnz");
   Values.assign(Vals.begin(), Vals.end());
+  Version = freshVersion();
 }
 
 CsrMatrix CsrMatrix::withValues(std::span<const float> Vals) const {
@@ -54,6 +61,7 @@ CsrMatrix CsrMatrix::withValues(std::span<const float> Vals) const {
          "value count must match structural nnz");
   CsrMatrix Result = *this;
   Result.Values.assign(Vals.begin(), Vals.end());
+  Result.Version = freshVersion();
   return Result;
 }
 
@@ -67,6 +75,7 @@ void CsrMatrix::assignPattern(int64_t Rows, int64_t Columns,
   RowOffsets.assign(Offsets.begin(), Offsets.end());
   ColIndices.assign(Cols.begin(), Cols.end());
   Values.resize(ColIndices.size());
+  Version = freshVersion();
 }
 
 DenseMatrix CsrMatrix::toDense() const {

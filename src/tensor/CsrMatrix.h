@@ -25,9 +25,17 @@ class DenseMatrix;
 
 /// A CSR matrix. If values().empty() the matrix is unweighted: every stored
 /// position has the implicit value 1.0f.
+///
+/// Every matrix carries a content version (version()): each constructor
+/// and each mutator — mutableValues(), setValues(), clearValues(),
+/// assignPattern() — takes a fresh value from one process-wide counter,
+/// while copies keep the version of their source. Caches derived from a
+/// matrix key on (address, version), so an in-place edit at the same
+/// address and size invalidates them. mutableValues() counts as an edit
+/// when it is called, so hold its reference only for the edit itself.
 class CsrMatrix {
 public:
-  CsrMatrix() : RowOffsets(1, 0) {}
+  CsrMatrix() : RowOffsets(1, 0), Version(freshVersion()) {}
 
   /// Builds a CSR matrix from components. \p Vals may be empty (unweighted)
   /// or have the same length as \p Cols.
@@ -49,7 +57,13 @@ public:
   const AlignedVector<int64_t> &rowOffsets() const { return RowOffsets; }
   const AlignedVector<int32_t> &colIndices() const { return ColIndices; }
   const AlignedVector<float> &values() const { return Values; }
-  AlignedVector<float> &mutableValues() { return Values; }
+  AlignedVector<float> &mutableValues() {
+    Version = freshVersion();
+    return Values;
+  }
+
+  /// Content version; see the class comment.
+  uint64_t version() const { return Version; }
 
   /// Number of stored entries in row \p R.
   int64_t rowNnz(int64_t R) const {
@@ -81,7 +95,10 @@ public:
                      std::span<const int32_t> Cols);
 
   /// Drops explicit weights, making the matrix unweighted.
-  void clearValues() { Values.clear(); }
+  void clearValues() {
+    Values.clear();
+    Version = freshVersion();
+  }
 
   /// \returns a dense copy (small matrices only; used by tests).
   DenseMatrix toDense() const;
@@ -94,6 +111,9 @@ public:
   void verify() const;
 
 private:
+  /// The next value of the process-wide version counter.
+  static uint64_t freshVersion();
+
   int64_t NumRows = 0;
   int64_t NumCols = 0;
   /// Cache-line-aligned arrays (support/Aligned.h) so the SIMD kernels can
@@ -103,6 +123,7 @@ private:
   AlignedVector<int64_t> RowOffsets;
   AlignedVector<int32_t> ColIndices;
   AlignedVector<float> Values;
+  uint64_t Version;
 };
 
 } // namespace granii

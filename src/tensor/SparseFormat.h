@@ -1,12 +1,12 @@
-//===- SparseFormat.h - Sparse storage format tags --------------*- C++ -*-===//
+//===- SparseFormat.h - Sparse storage format tag ---------------*- C++ -*-===//
 ///
 /// \file
-/// The sparse storage format vocabulary. GRANII inspects the input to pick
-/// a primitive *ordering*; Qiu et al. show the same inspection should also
-/// pick the *storage format* (CSR vs ELL vs sliced-ELL vs hybrid, and CSC
-/// for the transpose-heavy backward pass). Every layer that carries a
-/// format choice — optimizer options, selections, plan files, the serve
-/// cache key, the CLI — speaks this tag.
+/// The forward sparse layout tag. CSR is the only forward layout: every
+/// g-SpMM/g-SDDMM runs kernels::spmmInto / kernels::sddmmInto, and the
+/// backward pass walks a CSC view of the same pattern internally. The tag
+/// survives only as a parameter of Executor::run/runTraining and as
+/// Selection::Format, because the end-to-end benchmark passes it
+/// positionally; both go with the next change to the benchmark.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,32 +14,13 @@
 #define GRANII_TENSOR_SPARSEFORMAT_H
 
 #include <cstdint>
-#include <optional>
-#include <string>
-#include <vector>
 
 namespace granii {
 
-/// Storage format for a sparse adjacency/attention matrix.
+/// Storage format of a forward sparse operand.
 enum class SparseFormat : uint8_t {
-  Csr,  ///< compressed sparse row (the baseline format)
-  Ell,  ///< ELLPACK: row-major, padded to the maximum row length
-  Sell, ///< sliced ELL: padded to the per-slice maximum (slice height 32)
-  Hyb,  ///< hybrid: ELL up to a width threshold + COO overflow
-  Csc,  ///< compressed sparse column (transposed traversal; backward pass)
-  Auto, ///< let the cost model pick jointly with the plan ordering
+  Csr, ///< compressed sparse row
 };
-
-/// Stable lowercase name ("csr", "ell", "sell", "hyb", "csc", "auto") used
-/// by the CLI flag, plan files, cache keys and bench records.
-const char *sparseFormatName(SparseFormat F);
-
-/// Parses a format name; nullopt for unknown strings.
-std::optional<SparseFormat> parseSparseFormat(const std::string &Name);
-
-/// The formats a forward-pass g-SpMM/g-SDDMM executor can run under (CSC is
-/// backward-only, Auto is a selection directive, so neither is listed).
-const std::vector<SparseFormat> &forwardSparseFormats();
 
 } // namespace granii
 

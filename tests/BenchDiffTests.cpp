@@ -25,22 +25,6 @@ std::string writeReport(const std::string &Name,
   return Path;
 }
 
-/// Like writeReport but with an extra header fragment (e.g. a "formats"
-/// array) spliced in after the thread count.
-std::string writeReportWithHeader(const std::string &Name,
-                                  const std::string &Header,
-                                  const std::vector<std::string> &Entries) {
-  std::string Path = ::testing::TempDir() + "/" + Name;
-  std::ofstream Out(Path);
-  Out << "{\"schema\": \"granii-bench-v1\", \"git_sha\": \"test\", "
-         "\"threads\": 1, "
-      << Header << ", \"benchmarks\": [";
-  for (size_t I = 0; I < Entries.size(); ++I)
-    Out << (I ? ", " : "") << "{" << Entries[I] << "}";
-  Out << "]}\n";
-  return Path;
-}
-
 std::string entry(const std::string &Id, double Median,
                   const std::string &Extra = "") {
   std::string E = "\"id\": \"" + Id + "\", \"median_seconds\": " +
@@ -172,36 +156,6 @@ TEST(BenchDiff, RejectsMalformedAndWrongSchema) {
   EXPECT_NE(Err.find("unsupported schema"), std::string::npos);
   Err.clear();
   EXPECT_EQ(runBenchDiff({Good, "/nonexistent/x.json"}, Out, Err), 2);
-}
-
-// A baseline record measured under a sparse format the head build does not
-// list in its "formats" header is skipped — not warned about as missing,
-// and never counted as a regression.
-TEST(BenchDiff, FormatUnavailableInHeadIsSkippedNotWarned) {
-  std::string Base = writeReportWithHeader(
-      "bd_basefmt.json", "\"formats\": [\"csr\", \"ell\", \"hyb\"]",
-      {entry("micro/spmm_w/64/csr/scalar", 1.0, "\"format\": \"csr\""),
-       entry("micro/spmm_w/64/hyb/scalar", 1.0, "\"format\": \"hyb\"")});
-  std::string Head = writeReportWithHeader(
-      "bd_headfmt.json", "\"formats\": [\"csr\", \"ell\"]",
-      {entry("micro/spmm_w/64/csr/scalar", 1.0, "\"format\": \"csr\"")});
-  std::string Out, Err;
-  EXPECT_EQ(runBenchDiff({Base, Head}, Out, Err), 0) << Err;
-  EXPECT_NE(Out.find("skipped (format hyb unavailable)"), std::string::npos)
-      << Out;
-  EXPECT_EQ(Err.find("missing from head"), std::string::npos) << Err;
-}
-
-// Without a "formats" header on the head (a report predating the field),
-// the absence is a plain missing-benchmark warning, not a silent skip.
-TEST(BenchDiff, MissingFormatsHeaderFallsBackToWarning) {
-  std::string Base = writeReport(
-      "bd_basefmt2.json",
-      {entry("micro/spmm_w/64/hyb/scalar", 1.0, "\"format\": \"hyb\"")});
-  std::string Head = writeReport("bd_headfmt2.json", {entry("other", 1.0)});
-  std::string Out, Err;
-  EXPECT_EQ(runBenchDiff({Base, Head}, Out, Err), 0);
-  EXPECT_NE(Err.find("missing from head"), std::string::npos) << Err;
 }
 
 TEST(BenchDiff, UnknownOptionRejected) {

@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace granii;
 
 namespace {
@@ -293,6 +295,39 @@ TEST(PlanWorkspaceExec, TrainingArenaMatchesLegacy) {
     EXPECT_EQ(R.WeightGrads.at(Name).maxAbsDiff(Grad), 0.0f) << Name;
   }
   EXPECT_EQ(R.FeatureGrad.maxAbsDiff(Legacy.FeatureGrad), 0.0f);
+}
+
+// A warm training run allocates no workspace gradient buffer, and a reused
+// result's feature gradient is written in place; every gradient stays
+// bitwise equal to the by-value run.
+TEST(PlanWorkspaceExec, TrainingReusesGradientBuffers) {
+  GnnModel M = makeModel(ModelKind::GAT);
+  LayerParams Params = makeLayerParams(M, skewedGraph(), 12, 6, 7);
+  Executor Exec(HardwareModel::byName("cpu"));
+  auto Plans = enumerateCompositions(M.Root);
+  ASSERT_FALSE(Plans.empty());
+
+  for (size_t I = 0; I < Plans.size(); ++I) {
+    SCOPED_TRACE("plan " + std::to_string(I));
+    ExecResult Legacy =
+        Exec.runTraining(Plans[I], Params.inputs(), Params.Stats);
+    PlanWorkspace Ws;
+    ExecResult R;
+    Exec.runTraining(Plans[I], Params.inputs(), Params.Stats, Ws, R);
+    const float *Features = R.FeatureGrad.data();
+
+    Ws.resetAllocationCount();
+    Exec.runTraining(Plans[I], Params.inputs(), Params.Stats, Ws, R);
+    EXPECT_EQ(Ws.allocationCount(), 0u);
+    EXPECT_EQ(R.FeatureGrad.data(), Features);
+    EXPECT_EQ(R.FeatureGrad.maxAbsDiff(Legacy.FeatureGrad), 0.0f);
+    ASSERT_EQ(R.WeightGrads.size(), Legacy.WeightGrads.size());
+    for (const auto &[Name, Grad] : R.WeightGrads)
+      EXPECT_EQ(Grad.maxAbsDiff(Legacy.WeightGrads.at(Name)), 0.0f) << Name;
+    ASSERT_EQ(R.AttnGrads.size(), Legacy.AttnGrads.size());
+    for (const auto &[Name, Grad] : R.AttnGrads)
+      EXPECT_EQ(Grad, Legacy.AttnGrads.at(Name)) << Name;
+  }
 }
 
 TEST(PlanWorkspaceExec, SteadyStatePerformsZeroAllocations) {

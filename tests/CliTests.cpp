@@ -109,6 +109,13 @@ TEST(Cli, RunProfileReportsStepsAndZeroAllocations) {
   // Table columns and at least one kernel row.
   EXPECT_NE(Out.find("GFLOP/s"), std::string::npos);
   EXPECT_NE(Out.find("gemm"), std::string::npos);
+  // Each step's prediction from the selecting cost model sits beside its
+  // measured time, and the forward pass totals both.
+  EXPECT_NE(Out.find("pred ms"), std::string::npos);
+  EXPECT_NE(Out.find("meas/pred"), std::string::npos);
+  EXPECT_NE(Out.find("forward: measured "), std::string::npos) << Out;
+  EXPECT_NE(Out.find(" ms vs predicted "), std::string::npos) << Out;
+  EXPECT_NE(Out.find("(measured/predicted "), std::string::npos) << Out;
   // Planned memory line and the zero-allocation assertion.
   EXPECT_NE(Out.find("planned memory: peak"), std::string::npos);
   EXPECT_NE(Out.find("steady-state allocations: 0"), std::string::npos);
@@ -312,6 +319,34 @@ TEST(Cli, UnknownFlagDiagnosticNamesEveryOffender) {
             2);
   EXPECT_NE(Err.find("--bogus-one"), std::string::npos);
   EXPECT_NE(Err.find("--bogus-two"), std::string::npos);
+}
+
+// A present but malformed integer flag fails like an unknown one: exit 2
+// with a diagnostic naming the flag and its text, instead of silently
+// running with the default (--kin 3x2 used to run with K_in 32).
+TEST(Cli, RunRejectsMalformedIntegerFlags) {
+  std::string Out, Err;
+  EXPECT_EQ(runCli({"run", gcnExamplePath(), "--graph", "synth:mycielskian",
+                    "--kin", "3x2", "--iters", "ten"},
+                   Out, Err),
+            2);
+  EXPECT_NE(Err.find("--kin"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("'3x2'"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("--iters"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("'ten'"), std::string::npos) << Err;
+  EXPECT_EQ(Out.find("forward:"), std::string::npos) << "it ran anyway";
+}
+
+TEST(Cli, CallRejectsMalformedIntegerFlags) {
+  std::string Out, Err;
+  EXPECT_EQ(runCli({"call", "--socket", "/tmp/granii-no-such-daemon.sock",
+                    gcnExamplePath(), "--kout", "12abc"},
+                   Out, Err),
+            2);
+  EXPECT_NE(Err.find("--kout"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("'12abc'"), std::string::npos) << Err;
+  // Rejected before any connection attempt.
+  EXPECT_EQ(Err.find("daemon"), std::string::npos) << Err;
 }
 
 //===----------------------------------------------------------------------===//

@@ -176,7 +176,7 @@ TEST(LearnedCostModel, LoadOrTrainUsesCache) {
 }
 
 //===----------------------------------------------------------------------===//
-// Per-format cost features (golden values on hand-computed fixtures)
+// Row-length regularity features (golden values on hand-computed fixtures)
 //===----------------------------------------------------------------------===//
 
 // A ring is perfectly regular: every row has exactly 2 entries, so the ELL
@@ -189,7 +189,6 @@ TEST(Featurizer, FormatFeaturesOnRegularRing) {
   FeatureVector F = featurize(Desc, Stats);
   EXPECT_DOUBLE_EQ(F[16], 1.0); // nnz / (nodes * maxdeg) = 16 / (8*2)
   EXPECT_DOUBLE_EQ(F[17], 0.0); // log1p(variance of constant degrees)
-  EXPECT_DOUBLE_EQ(F[18], 0.0); // Desc.Format defaults to CSR (= 0)
 }
 
 // star(5): degrees are [4, 1, 1, 1, 1] -> 8 directed edges, max degree 4.
@@ -200,43 +199,9 @@ TEST(Featurizer, FormatFeaturesOnSkewedStar) {
   ASSERT_DOUBLE_EQ(Stats.MaxDegree, 4.0);
   ASSERT_EQ(Stats.NumEdges, 8);
   PrimitiveDesc Desc{PrimitiveKind::SpMMWeighted, 5, 4, 0, 8};
-  Desc.Format = SparseFormat::Hyb;
   FeatureVector F = featurize(Desc, Stats);
   EXPECT_NEAR(F[16], 0.4, 1e-12);
   EXPECT_NEAR(F[17], std::log1p(1.44), 1e-9);
-  EXPECT_DOUBLE_EQ(F[18], static_cast<double>(SparseFormat::Hyb));
-}
-
-TEST(Featurizer, FormatChangesTheVector) {
-  GraphStats Stats = makeStar(50).stats();
-  PrimitiveDesc Csr{PrimitiveKind::SpMMWeighted, 50, 16, 0, 98};
-  PrimitiveDesc Ell = Csr;
-  Ell.Format = SparseFormat::Ell;
-  EXPECT_NE(featurize(Csr, Stats), featurize(Ell, Stats));
-}
-
-// The analytic per-format factor must penalize ELL on skewed inputs (heavy
-// padding) while leaving regular inputs close to parity, and must keep the
-// baseline formats at exactly 1.
-TEST(HardwareModel, FormatCostFactorTracksPadding) {
-  GraphStats Ring = makeRing(64).stats();
-  GraphStats Star = makeStar(64).stats();
-  EXPECT_DOUBLE_EQ(sparseFormatCostFactor(SparseFormat::Csr, Star), 1.0);
-  EXPECT_DOUBLE_EQ(sparseFormatCostFactor(SparseFormat::Csc, Star), 1.0);
-  // Regular ring: padding ratio 1, ELL is allowed to win slightly.
-  EXPECT_LT(sparseFormatCostFactor(SparseFormat::Ell, Ring), 1.0);
-  // Skewed star: ELL pays the full padded width, SELL only per slice.
-  EXPECT_GT(sparseFormatCostFactor(SparseFormat::Ell, Star), 1.5);
-  EXPECT_LT(sparseFormatCostFactor(SparseFormat::Sell, Star),
-            sparseFormatCostFactor(SparseFormat::Ell, Star));
-  // And the estimate itself applies the factor for sparse primitives.
-  HardwareModel Hw = HardwareModel::byName("cpu");
-  PrimitiveDesc Desc{PrimitiveKind::SpMMWeighted, 64, 32, 0,
-                     Star.NumEdges};
-  PrimitiveDesc DescEll = Desc;
-  DescEll.Format = SparseFormat::Ell;
-  EXPECT_GT(Hw.estimateSeconds(DescEll, &Star),
-            Hw.estimateSeconds(Desc, &Star));
 }
 
 // A cost-model cache written before the featurizer grew to NumCostFeatures
@@ -247,8 +212,8 @@ TEST(Trainer, StaleFeatureWidthCacheIsRejected) {
   std::string Path = ::testing::TempDir() + "/granii_stale_cache.txt";
   std::remove(Path.c_str());
 
-  // Simulate the pre-format era: a valid cache whose models were trained
-  // on 16-wide feature vectors.
+  // Simulate an older featurizer: a valid cache whose models were trained
+  // on narrower feature vectors.
   GbtDataset Old;
   Old.NumFeatures = NumCostFeatures - 3;
   Rng R(9);

@@ -336,142 +336,6 @@ TEST(Differential, AllPathsAgreeOnRandomInstances) {
 }
 
 //===----------------------------------------------------------------------===//
-// Multi-format differential: every forward storage format, plus auto
-//===----------------------------------------------------------------------===//
-
-// For each random model x graph instance and every supported forward format:
-// the format's executor output agrees with the naive reference, agrees with
-// the CSR baseline within 1e-5 (the format kernels accumulate each row's
-// neighbors in CSR order, so in practice this is bitwise), and 1 vs 4
-// threads stays bitwise identical within the format (row partitioning never
-// splits one row's reduction, whatever the storage layout).
-TEST(Differential, FormatSweepAgreesAcrossFormats) {
-  for (uint64_t I = 0; I < 8; ++I) {
-    Instance Inst = makeInstance(6000 + I);
-    SCOPED_TRACE(Inst.Desc);
-    GnnModel M = makeModel(Inst.Kind);
-    LayerParams Params =
-        makeLayerParams(M, Inst.G, Inst.KIn, Inst.KOut, Inst.Seed);
-    DenseMatrix Naive = naiveReference(M, Params);
-    std::vector<CompositionPlan> Plans = survivingPlans(M);
-    ASSERT_FALSE(Plans.empty());
-    const CompositionPlan &Plan = Plans[I % Plans.size()];
-    DimBinding Binding = Params.inputs().binding(&Plan);
-
-    Executor E1(HardwareModel::byName("cpu"), /*NumThreads=*/1);
-    Executor E4(HardwareModel::byName("cpu"), /*NumThreads=*/4);
-    PlanWorkspace WsCsr;
-    WsCsr.configure(Plan, Binding, /*Training=*/false);
-    ExecResult Csr1;
-    E1.run(Plan, Params.inputs(), Params.Stats, WsCsr, Csr1);
-    EXPECT_TRUE(Csr1.Output.approxEquals(Naive, 3e-3f, 3e-3f))
-        << "CSR diverges from naive reference by "
-        << Csr1.Output.maxAbsDiff(Naive);
-
-    for (SparseFormat Format : forwardSparseFormats()) {
-      if (Format == SparseFormat::Csr)
-        continue;
-      SCOPED_TRACE(sparseFormatName(Format));
-      PlanWorkspace Ws1, Ws4;
-      Ws1.configure(Plan, Binding, /*Training=*/false);
-      Ws4.configure(Plan, Binding, /*Training=*/false);
-      ExecResult R1, R4;
-      E1.run(Plan, Params.inputs(), Params.Stats, Ws1, R1,
-             ReorderPolicy::None, Format);
-      E4.run(Plan, Params.inputs(), Params.Stats, Ws4, R4,
-             ReorderPolicy::None, Format);
-
-      EXPECT_TRUE(R1.Output.approxEquals(Naive, 3e-3f, 3e-3f))
-          << "diverges from naive reference by "
-          << R1.Output.maxAbsDiff(Naive);
-      EXPECT_TRUE(R1.Output.approxEquals(Csr1.Output, 1e-5f, 1e-5f))
-          << "diverges from the CSR baseline by "
-          << R1.Output.maxAbsDiff(Csr1.Output);
-      EXPECT_EQ(R4.Output.maxAbsDiff(R1.Output), 0.0f)
-          << "thread count changed the output under this format";
-    }
-  }
-}
-
-// Training under every forward format: gradients agree with the CSR
-// baseline. The backward pass always walks a CSC view of the adjacency for
-// the transposed SpMM and routes the dS SDDMM through the format structure,
-// so this exercises both the CSC kernel and the per-format SDDMM variants.
-TEST(Differential, FormatTrainingMatchesCsrBaseline) {
-  for (uint64_t I = 0; I < 4; ++I) {
-    Instance Inst = makeInstance(7000 + I);
-    SCOPED_TRACE(Inst.Desc);
-    GnnModel M = makeModel(Inst.Kind);
-    LayerParams Params =
-        makeLayerParams(M, Inst.G, Inst.KIn, Inst.KOut, Inst.Seed);
-    std::vector<CompositionPlan> Plans = survivingPlans(M);
-    ASSERT_FALSE(Plans.empty());
-    const CompositionPlan &Plan = Plans[I % Plans.size()];
-    DimBinding Binding = Params.inputs().binding(&Plan);
-    Executor Exec(HardwareModel::byName("cpu"), /*NumThreads=*/2);
-
-    PlanWorkspace WsCsr;
-    WsCsr.configure(Plan, Binding, /*Training=*/true);
-    ExecResult Base;
-    Exec.runTraining(Plan, Params.inputs(), Params.Stats, WsCsr, Base);
-
-    for (SparseFormat Format : forwardSparseFormats()) {
-      if (Format == SparseFormat::Csr)
-        continue;
-      SCOPED_TRACE(sparseFormatName(Format));
-      PlanWorkspace Ws;
-      Ws.configure(Plan, Binding, /*Training=*/true);
-      ExecResult R;
-      Exec.runTraining(Plan, Params.inputs(), Params.Stats, Ws, R,
-                       ReorderPolicy::None, Format);
-      EXPECT_TRUE(R.Output.approxEquals(Base.Output, 1e-5f, 1e-5f));
-      for (const auto &[Name, DW] : Base.WeightGrads) {
-        ASSERT_TRUE(R.WeightGrads.count(Name));
-        EXPECT_TRUE(R.WeightGrads.at(Name).approxEquals(DW, 1e-5f, 1e-5f))
-            << "grad " << Name << " differs by "
-            << R.WeightGrads.at(Name).maxAbsDiff(DW);
-      }
-      if (!Base.FeatureGrad.empty()) {
-        ASSERT_EQ(R.FeatureGrad.rows(), Base.FeatureGrad.rows());
-        EXPECT_TRUE(
-            R.FeatureGrad.approxEquals(Base.FeatureGrad, 1e-5f, 1e-5f))
-            << "feature grad differs by "
-            << R.FeatureGrad.maxAbsDiff(Base.FeatureGrad);
-      }
-    }
-  }
-}
-
-// End-to-end with --format=auto through the public Optimizer API: whatever
-// format the joint (plan, format) argmin picks, the result matches the
-// pinned-CSR baseline.
-TEST(Differential, AutoFormatOptionMatchesCsrBaseline) {
-  Graph G = makeRmat(220, 1400, 0.55, 0.2, 0.15, 42);
-  for (ModelKind Kind : {ModelKind::GCN, ModelKind::SAGE, ModelKind::GAT}) {
-    SCOPED_TRACE(modelName(Kind));
-    GnnModel M = makeModel(Kind);
-    OptimizerOptions Base;
-    Base.Hw = HardwareModel::byName("cpu");
-    Base.Verify = VerifyLevel::Full;
-    AnalyticCostModel Cost(Base.Hw);
-    OptimizerOptions WithAuto = Base;
-    WithAuto.Format = SparseFormat::Auto;
-    Optimizer Plain(M, Base, &Cost);
-    Optimizer Auto(M, WithAuto, &Cost);
-
-    LayerParams Params = makeLayerParams(M, G, 16, 24, 5);
-    Selection SelP = Plain.select(G, 16, 24);
-    Selection SelA = Auto.select(G, 16, 24);
-    EXPECT_EQ(SelP.Format, SparseFormat::Csr);
-    EXPECT_NE(SelA.Format, SparseFormat::Auto); // resolved to a concrete one
-    DenseMatrix OutP = Plain.execute(SelP, Params, false).Output;
-    DenseMatrix OutA = Auto.execute(SelA, Params, false).Output;
-    EXPECT_TRUE(OutA.approxEquals(OutP, 1e-5f, 1e-5f))
-        << "differs by " << OutA.maxAbsDiff(OutP);
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Cross-ISA differential: every SIMD level this build/host supports
 //===----------------------------------------------------------------------===//
 
@@ -769,16 +633,15 @@ TEST(Differential, ShardedSteadyStateAllocatesNothing) {
 // The plan's final step writes the caller's ExecResult::Output directly.
 // A result reused across arena runs therefore keeps its output buffer, and
 // under every layout its bytes equal a by-value run's: the plain CSR run
-// for formats and shards (their bitwise contracts), and for a reorder
-// policy the by-value run on the relabeled graph, scattered back the way
-// the arena does it.
+// for shards (their bitwise contract), and for a reorder policy the
+// by-value run on the relabeled graph, scattered back the way the arena
+// does it.
 
 namespace {
 
 struct Layout {
   const char *Name;
   ReorderPolicy Policy;
-  SparseFormat Format;
   int Shards;
 };
 
@@ -808,12 +671,9 @@ ExecResult byValueReference(const Executor &Exec, const CompositionPlan &Plan,
 
 TEST(Differential, ReusedResultKeepsItsOutputBufferAndBytes) {
   const Layout Layouts[] = {
-      {"csr", ReorderPolicy::None, SparseFormat::Csr, 0},
-      {"rcm", ReorderPolicy::Rcm, SparseFormat::Csr, 0},
-      {"ell", ReorderPolicy::None, SparseFormat::Ell, 0},
-      {"sell", ReorderPolicy::None, SparseFormat::Sell, 0},
-      {"hyb", ReorderPolicy::None, SparseFormat::Hyb, 0},
-      {"2 shards", ReorderPolicy::None, SparseFormat::Csr, 2},
+      {"csr", ReorderPolicy::None, 0},
+      {"rcm", ReorderPolicy::Rcm, 0},
+      {"2 shards", ReorderPolicy::None, 2},
   };
   for (uint64_t I = 0; I < 3; ++I) {
     Instance Inst = makeInstance(8300 + I);
@@ -840,10 +700,10 @@ TEST(Differential, ReusedResultKeepsItsOutputBufferAndBytes) {
           ShardSpec Sharding{L.Shards, ""};
           if (Training)
             Exec.runTraining(Plan, Params.inputs(), Params.Stats, Ws, R,
-                             L.Policy, L.Format, Sharding);
+                             L.Policy, SparseFormat::Csr, Sharding);
           else
             Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R, L.Policy,
-                     L.Format, Sharding);
+                     SparseFormat::Csr, Sharding);
           EXPECT_TRUE(bitwiseEqualDense(R.Output, Want.Output))
               << "differs from the by-value run by "
               << R.Output.maxAbsDiff(Want.Output);
@@ -863,8 +723,8 @@ TEST(Differential, ReusedResultKeepsItsOutputBufferAndBytes) {
 // A workspace rebound to a second graph of the same size
 //===----------------------------------------------------------------------===//
 //
-// Every cached layout part (permutation, format structure, shard blocks,
-// backward transpose) derives from the caller's adjacency. A workspace that
+// Every cached layout part (permutation, shard blocks, backward transpose)
+// derives from the caller's adjacency. A workspace that
 // ran graph A and then runs graph B, with the same node and edge counts,
 // must answer exactly what a fresh workspace answers on B: the output and
 // every gradient, bit for bit.
@@ -904,12 +764,9 @@ TEST(Differential, ReboundWorkspaceMatchesAFreshOne) {
   const Graph GA = makeRmat(220, 1400, 0.55, 0.2, 0.15, 42);
   const Graph GB = makeRmat(220, 1400, 0.55, 0.2, 0.15, 43);
   const Layout Layouts[] = {
-      {"csr", ReorderPolicy::None, SparseFormat::Csr, 0},
-      {"rcm", ReorderPolicy::Rcm, SparseFormat::Csr, 0},
-      {"rcm+ell", ReorderPolicy::Rcm, SparseFormat::Ell, 0},
-      {"rcm+sell", ReorderPolicy::Rcm, SparseFormat::Sell, 0},
-      {"rcm+hyb", ReorderPolicy::Rcm, SparseFormat::Hyb, 0},
-      {"rcm+2 shards", ReorderPolicy::Rcm, SparseFormat::Csr, 2},
+      {"csr", ReorderPolicy::None, 0},
+      {"rcm", ReorderPolicy::Rcm, 0},
+      {"rcm+2 shards", ReorderPolicy::Rcm, 2},
   };
   Executor Exec(HardwareModel::byName("cpu"), /*NumThreads=*/2);
   for (ModelKind Kind : {ModelKind::GCN, ModelKind::GAT, ModelKind::SAGE}) {
@@ -933,10 +790,10 @@ TEST(Differential, ReboundWorkspaceMatchesAFreshOne) {
                          ExecResult &R) {
             if (Training)
               Exec.runTraining(Plans[PI], P.inputs(), P.Stats, Ws, R,
-                               L.Policy, L.Format, Sharding);
+                               L.Policy, SparseFormat::Csr, Sharding);
             else
               Exec.run(Plans[PI], P.inputs(), P.Stats, Ws, R, L.Policy,
-                       L.Format, Sharding);
+                       SparseFormat::Csr, Sharding);
           };
           PlanWorkspace Rebound, Fresh;
           ExecResult Got, Want;
@@ -949,11 +806,10 @@ TEST(Differential, ReboundWorkspaceMatchesAFreshOne) {
     }
 
     // The same through the public API, whose workspaces persist per
-    // (plan, mode, format) for the optimizer's lifetime.
+    // (plan, mode) for the optimizer's lifetime.
     OptimizerOptions Opts;
     Opts.Hw = HardwareModel::byName("cpu");
     Opts.Reorder = ReorderPolicy::Rcm;
-    Opts.Format = SparseFormat::Ell;
     AnalyticCostModel Cost(Opts.Hw);
     Optimizer Rebound(M, Opts, &Cost);
     Optimizer Fresh(M, Opts, &Cost);
@@ -964,6 +820,91 @@ TEST(Differential, ReboundWorkspaceMatchesAFreshOne) {
       Rebound.execute(Sel, A, Training);
       expectBitwiseSameResult(Rebound.execute(Sel, B, Training),
                               Fresh.execute(Sel, B, Training));
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// An adjacency edited in place at the same address and size
+//===----------------------------------------------------------------------===//
+//
+// The layout cache keys on the adjacency's address and content version, so
+// an edit through mutableValues() or assignPattern() rebuilds every derived
+// part (the permuted copy and its values, the shard blocks, the backward
+// CSC): the next run on the same workspace answers exactly what a fresh
+// workspace answers on the edited graph.
+
+TEST(Differential, InPlaceAdjacencyEditRebuildsTheLayout) {
+  const Graph G = makeRmat(220, 1400, 0.55, 0.2, 0.15, 42);
+  const Graph Other = makeRmat(220, 1400, 0.55, 0.2, 0.15, 43);
+  const Layout Layouts[] = {
+      {"csr", ReorderPolicy::None, 0},
+      {"rcm", ReorderPolicy::Rcm, 0},
+      {"2 shards", ReorderPolicy::None, 2},
+      {"rcm+2 shards", ReorderPolicy::Rcm, 2},
+  };
+  Executor Exec(HardwareModel::byName("cpu"), /*NumThreads=*/2);
+  for (ModelKind Kind : {ModelKind::GCN, ModelKind::GAT, ModelKind::SAGE}) {
+    SCOPED_TRACE(modelName(Kind));
+    GnnModel M = makeModel(Kind);
+    const LayerParams Base = makeLayerParams(M, G, 16, 8, 5);
+    const CsrMatrix OtherAdj = addSelfLoops(Other.adjacency());
+    ASSERT_EQ(OtherAdj.rows(), Base.AdjSelf.rows());
+    ASSERT_EQ(OtherAdj.nnz(), Base.AdjSelf.nnz());
+    std::vector<CompositionPlan> Plans = survivingPlans(M);
+    ASSERT_FALSE(Plans.empty());
+    for (size_t PI = 0; PI < Plans.size(); ++PI) {
+      SCOPED_TRACE("plan " + std::to_string(PI));
+      for (bool Training : {false, true}) {
+        for (const Layout &L : Layouts) {
+          SCOPED_TRACE(std::string(L.Name) +
+                       (Training ? " training" : " inference"));
+          const ShardSpec Sharding{L.Shards, ""};
+          auto Run = [&](const LayerParams &P, PlanWorkspace &Ws,
+                         ExecResult &R) {
+            if (Training)
+              Exec.runTraining(Plans[PI], P.inputs(), P.Stats, Ws, R,
+                               L.Policy, SparseFormat::Csr, Sharding);
+            else
+              Exec.run(Plans[PI], P.inputs(), P.Stats, Ws, R, L.Policy,
+                       SparseFormat::Csr, Sharding);
+          };
+          // A weighted adjacency, so the aggregations read its values.
+          LayerParams P = Base;
+          std::vector<float> Weights(static_cast<size_t>(P.AdjSelf.nnz()));
+          Rng Gen(7);
+          for (float &W : Weights)
+            W = Gen.nextFloat(0.5f, 1.5f);
+          P.AdjSelf.setValues(std::move(Weights));
+
+          PlanWorkspace Edited;
+          ExecResult Got;
+          Run(P, Edited, Got);
+          for (float &W : P.AdjSelf.mutableValues())
+            W *= 2.0f;
+          {
+            SCOPED_TRACE("weights doubled through mutableValues()");
+            PlanWorkspace Fresh;
+            ExecResult Want;
+            Run(P, Edited, Got);
+            Run(P, Fresh, Want);
+            expectBitwiseSameResult(Got, Want);
+          }
+          // Same rows and nnz, another graph's pattern; a same-size
+          // assignPattern keeps the value array as it was.
+          P.AdjSelf.assignPattern(OtherAdj.rows(), OtherAdj.cols(),
+                                  OtherAdj.rowOffsets(),
+                                  OtherAdj.colIndices());
+          {
+            SCOPED_TRACE("pattern replaced through assignPattern()");
+            PlanWorkspace Fresh;
+            ExecResult Want;
+            Run(P, Edited, Got);
+            Run(P, Fresh, Want);
+            expectBitwiseSameResult(Got, Want);
+          }
+        }
+      }
     }
   }
 }

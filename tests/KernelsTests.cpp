@@ -451,6 +451,28 @@ TEST(KernelChecks, SpmmDimMismatchDies) {
   EXPECT_DEATH(kernels::spmm(A, B), "spmm dimension mismatch");
 }
 
+TEST(KernelChecks, SpmmCscTransposedShapeMismatchDies) {
+  CooMatrix Coo(10, 6);
+  for (int64_t I = 0; I < 10; ++I)
+    Coo.add(I, I % 6, 1.0f);
+  CsrMatrix A = Coo.toCsr(/*Unweighted=*/false);
+  CscMatrix Csc = CscMatrix::fromCsr(A);
+  DenseMatrix Dst(6, 4);
+  DenseMatrix WrongRows(9, 4); // A^T (x) B needs A.rows() == B.rows()
+  EXPECT_DEATH(kernels::spmmCscTransposedInto(Csc, A.values(), WrongRows,
+                                              Semiring::plusTimes(), Dst),
+               "spmm_csc_t dimension mismatch");
+  DenseMatrix B(10, 4);
+  DenseMatrix WrongDst(10, 4); // must be A.cols() x B.cols()
+  EXPECT_DEATH(kernels::spmmCscTransposedInto(Csc, A.values(), B,
+                                              Semiring::plusTimes(), WrongDst),
+               "spmm_csc_t destination shape mismatch");
+  std::vector<float> Short(static_cast<size_t>(A.nnz() - 1), 1.0f);
+  EXPECT_DEATH(kernels::spmmCscTransposedInto(Csc, Short, B,
+                                              Semiring::plusTimes(), Dst),
+               "spmm_csc_t edge value count mismatch");
+}
+
 TEST(KernelChecks, GemmIntoWrongDstShapeDies) {
   DenseMatrix A = randomDense(4, 5, 74);
   DenseMatrix B = randomDense(5, 3, 75);

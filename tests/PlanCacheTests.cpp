@@ -57,7 +57,6 @@ TEST(PlanCacheKey, CanonicalEncodesEveryField) {
                       +[](PlanCacheKey &K) { K.KOut = 65; },
                       +[](PlanCacheKey &K) { K.Threads = 5; },
                       +[](PlanCacheKey &K) { K.Isa = "scalar"; },
-                      +[](PlanCacheKey &K) { K.Format = "ell"; },
                       +[](PlanCacheKey &K) { K.Shards = 4; }}) {
     PlanCacheKey Other = keyNumbered(1);
     Mutate(Other);
@@ -66,35 +65,6 @@ TEST(PlanCacheKey, CanonicalEncodesEveryField) {
   }
   EXPECT_EQ(keyNumbered(1).canonical(), C);
   EXPECT_EQ(keyNumbered(1).fileHash(), Key.fileHash());
-}
-
-// Regression: before the format dimension joined the key, a daemon serving
-// `--format=ell` after a CSR compile of the same (model, graph, k, threads,
-// isa) tuple would hand back the cached CSR plan set. The format must be a
-// distinct trailing key segment so the two populations never alias.
-TEST(PlanCacheKey, FormatIsPartOfTheKey) {
-  PlanCacheKey Csr = keyNumbered(1); // Format defaults to "csr"
-  PlanCacheKey Ell = keyNumbered(1);
-  Ell.Format = "ell";
-  EXPECT_TRUE(Csr.canonical().ends_with("/csr/sh0"));
-  EXPECT_TRUE(Ell.canonical().ends_with("/ell/sh0"));
-  EXPECT_NE(Csr.canonical(), Ell.canonical());
-  // An empty format (a request from an older client) aliases to csr rather
-  // than minting a third population.
-  PlanCacheKey Legacy = keyNumbered(1);
-  Legacy.Format.clear();
-  EXPECT_EQ(Legacy.canonical(), Csr.canonical());
-
-  PlanCache Cache(4);
-  Cache.put(Csr, somePlans());
-  EXPECT_EQ(Cache.get(Ell), nullptr) << "ell request served the CSR entry";
-  auto EllPlans = std::make_shared<const std::vector<CompositionPlan>>(
-      std::vector<CompositionPlan>(somePlans()->begin(),
-                                   somePlans()->begin() + 1));
-  Cache.put(Ell, EllPlans);
-  ASSERT_NE(Cache.get(Csr), nullptr);
-  ASSERT_NE(Cache.get(Ell), nullptr);
-  EXPECT_NE(Cache.get(Csr)->size(), Cache.get(Ell)->size());
 }
 
 // A sharded configuration selects under shard-annotated cost features, so

@@ -12,8 +12,6 @@
 
 #include "graph/Generators.h"
 #include "graph/Graph.h"
-#include "hw/HardwareModel.h"
-#include "kernels/Kernels.h"
 #include "support/Rng.h"
 #include "tensor/CooMatrix.h"
 #include "tensor/DenseMatrix.h"
@@ -228,72 +226,6 @@ TEST(Reorder, ReorderGraphRecomputesStatsAndName) {
   Graph N = reorderGraph(G, ReorderPolicy::None);
   EXPECT_EQ(N.name(), "skewed");
   EXPECT_EQ(N.adjacency().colIndices(), G.adjacency().colIndices());
-}
-
-//===----------------------------------------------------------------------===//
-// Cache-blocked kernels: tiling must not change a single bit
-//===----------------------------------------------------------------------===//
-
-// Column tiling only reorders the OUTER loop over output columns; each
-// output element still accumulates its row's neighbors in the same order,
-// so tiled and untiled results are bitwise identical at any tile width.
-TEST(TiledKernels, SpmmTiledBitwiseMatchesUntiled) {
-  Graph G = makeRmat(400, 2400, 0.55, 0.2, 0.15, /*Seed=*/71);
-  Rng Generator(72);
-  DenseMatrix H(G.numNodes(), 48);
-  H.fillRandom(Generator);
-  for (const Semiring &S :
-       {Semiring::plusCopy(), Semiring::plusTimes(), Semiring::meanCopy()}) {
-    CsrMatrix A = G.adjacency();
-    if (S.Combine == CombineOpKind::Mul) { // weighted variant needs values
-      std::vector<float> Vals(static_cast<size_t>(A.nnz()));
-      Rng VR(73);
-      for (float &V : Vals)
-        V = VR.nextFloat(0.1f, 1.0f);
-      A.setValues(std::move(Vals));
-    }
-    DenseMatrix Ref(G.numNodes(), 48);
-    kernels::spmmInto(A, H, S, Ref);
-    for (int64_t Tile : {8, 16, 24, 40, 48, 1000}) {
-      DenseMatrix Out(G.numNodes(), 48);
-      kernels::spmmTiledInto(A, H, S, Tile, Out);
-      EXPECT_EQ(Out.maxAbsDiff(Ref), 0.0f) << "tile " << Tile;
-    }
-  }
-}
-
-TEST(TiledKernels, SddmmTiledBitwiseMatchesUntiled) {
-  Graph G = makeRmat(300, 1800, 0.5, 0.2, 0.2, /*Seed=*/81);
-  Rng Generator(82);
-  DenseMatrix U(G.numNodes(), 40), V(G.numNodes(), 40);
-  U.fillRandom(Generator);
-  V.fillRandom(Generator);
-  std::vector<float> Ref(static_cast<size_t>(G.numEdges()));
-  std::vector<float> Out(static_cast<size_t>(G.numEdges()));
-  kernels::sddmmInto(G.adjacency(), U, V, Semiring::plusTimes(), Ref);
-  for (int64_t Tile : {8, 16, 24, 40, 64}) {
-    kernels::sddmmTiledInto(G.adjacency(), U, V, Semiring::plusTimes(), Tile,
-                            Out);
-    ASSERT_EQ(Out.size(), Ref.size());
-    for (size_t I = 0; I < Ref.size(); ++I)
-      ASSERT_EQ(Out[I], Ref[I]) << "tile " << Tile << " edge " << I;
-  }
-}
-
-TEST(TiledKernels, ColumnTileRespectsCacheBudgetAndFloor) {
-  HardwareModel Cpu = HardwareModel::byName("cpu"); // 1 MB modeled L2
-  // Small spans: the whole operand fits, no tiling.
-  EXPECT_EQ(Cpu.spmmColumnTile(128, 100.0), 128);
-  // Mid spans: a tile that keeps span*tile*4 <= L2/2, multiple of 8.
-  int64_t Tile = Cpu.spmmColumnTile(128, 2000.0);
-  EXPECT_LT(Tile, 128);
-  EXPECT_EQ(Tile % 8, 0);
-  EXPECT_LE(2000.0 * static_cast<double>(Tile) * 4.0, 512.0 * 1024.0);
-  EXPECT_GE(Tile, 32); // narrower tiles lose to pattern re-traversal
-  // Huge spans would need sliver tiles; those run untiled instead.
-  EXPECT_EQ(Cpu.spmmColumnTile(128, 50000.0), 128);
-  // Narrow operands are never tiled.
-  EXPECT_EQ(Cpu.spmmColumnTile(8, 1e9), 8);
 }
 
 //===----------------------------------------------------------------------===//

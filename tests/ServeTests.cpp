@@ -15,7 +15,9 @@
 #include "serve/Server.h"
 #include "serve/Wire.h"
 
+#include "support/Json.h"
 #include "support/ThreadPool.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -436,17 +438,10 @@ TEST(Engine, SessionReusesOneResultAcrossWarmRuns) {
 // the one Optimizer::select makes on the same graph, sharded or not.
 TEST(Engine, SessionSelectionMatchesOptimizerSelect) {
   Engine Eng(testEngineOptions());
-  struct Case {
-    const char *Format;
-    int64_t Shards;
-  };
-  for (Case C : {Case{"csr", 0}, Case{"auto", 0}, Case{"csr", 2},
-                 Case{"csr", 4}}) {
-    SCOPED_TRACE(std::string(C.Format) + " shards=" +
-                 std::to_string(C.Shards));
+  for (int64_t Shards : {0, 2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(Shards));
     JobRequest Req = smallRequest(false);
-    Req.Format = C.Format;
-    Req.Shards = C.Shards;
+    Req.Shards = Shards;
     std::string Err;
     std::shared_ptr<Session> S = Eng.session(Req, Err);
     ASSERT_TRUE(S) << Err;
@@ -454,7 +449,6 @@ TEST(Engine, SessionSelectionMatchesOptimizerSelect) {
     ASSERT_TRUE(G) << Err;
     Selection Want = S->optimizer().select(*G, Req.KIn, Req.KOut);
     EXPECT_EQ(S->selection().PlanIndex, Want.PlanIndex);
-    EXPECT_EQ(S->selection().Format, Want.Format);
     EXPECT_EQ(S->selection().PredictedSeconds, Want.PredictedSeconds);
   }
 }
@@ -504,59 +498,13 @@ TEST(Engine, CompileVerbPopulatesPlanCacheForLaterRuns) {
   EXPECT_TRUE(Run.PlanCacheHit);
 }
 
-// Regression: the plan-cache key must carry the requested format, so a
-// `--format=ell` compile after a CSR compile of the same job is a cache
-// miss with its own key — not a silently served CSR plan set.
-TEST(Engine, CompileWithFormatIsNotServedTheCsrCacheEntry) {
-  Engine Eng(testEngineOptions());
-  JobRequest Req = smallRequest(false);
-
-  CompileResponse Csr = Eng.compile(Req);
-  ASSERT_TRUE(Csr.Status.Ok) << Csr.Status.Error;
-  EXPECT_FALSE(Csr.PlanCacheHit);
-
-  JobRequest EllReq = Req;
-  EllReq.Format = "ell";
-  CompileResponse Ell = Eng.compile(EllReq);
-  ASSERT_TRUE(Ell.Status.Ok) << Ell.Status.Error;
-  EXPECT_FALSE(Ell.PlanCacheHit) << "ell compile rode the CSR cache entry";
-  EXPECT_NE(Ell.CacheKey, Csr.CacheKey);
-
-  // Each population hits only itself on the second round.
-  EXPECT_TRUE(Eng.compile(Req).PlanCacheHit);
-  EXPECT_TRUE(Eng.compile(EllReq).PlanCacheHit);
-}
-
-// Distinct formats get distinct sessions, and every format's warm output
-// matches the CSR session bitwise (the format kernels preserve CSR
-// accumulation order).
-TEST(Engine, FormatSessionsAreDistinctAndAgreeBitwise) {
-  Engine Eng(testEngineOptions());
-  JobRequest Req = smallRequest();
-  RunResponse Base = Eng.run(Req);
-  ASSERT_TRUE(Base.Status.Ok) << Base.Status.Error;
-
-  for (const char *Format : {"ell", "sell", "hyb", "auto"}) {
-    SCOPED_TRACE(Format);
-    JobRequest FReq = Req;
-    FReq.Format = Format;
-    RunResponse First = Eng.run(FReq);
-    ASSERT_TRUE(First.Status.Ok) << First.Status.Error;
-    EXPECT_FALSE(First.SessionCacheHit) << "format reused the CSR session";
-    ASSERT_EQ(First.Output.size(), Base.Output.size());
-    EXPECT_EQ(std::memcmp(First.Output.data(), Base.Output.data(),
-                          Base.Output.size() * sizeof(float)),
-              0);
-    RunResponse Warm = Eng.run(FReq);
-    ASSERT_TRUE(Warm.Status.Ok);
-    EXPECT_TRUE(Warm.SessionCacheHit);
-    EXPECT_EQ(Warm.SteadyAllocations, 0u);
-  }
-}
-
+// CSR is the only format: the request field accepts "csr" or empty and
+// answers every other value, the deleted padded formats and auto included,
+// with an error on both verbs.
 TEST(Engine, UnknownOrBackwardOnlyFormatIsARequestError) {
   Engine Eng(testEngineOptions());
-  for (const char *Format : {"csc", "coo", "banana"}) {
+  for (const char *Format :
+       {"csc", "coo", "banana", "ell", "sell", "hyb", "auto"}) {
     SCOPED_TRACE(Format);
     JobRequest Req = smallRequest();
     Req.Format = Format;
@@ -566,6 +514,13 @@ TEST(Engine, UnknownOrBackwardOnlyFormatIsARequestError) {
     JobRequest CReq = smallRequest(false);
     CReq.Format = Format;
     EXPECT_FALSE(Eng.compile(CReq).Status.Ok);
+  }
+  for (const char *Format : {"", "csr"}) {
+    SCOPED_TRACE(Format);
+    JobRequest CReq = smallRequest(false);
+    CReq.Format = Format;
+    CompileResponse Resp = Eng.compile(CReq);
+    EXPECT_TRUE(Resp.Status.Ok) << Resp.Status.Error;
   }
 }
 
@@ -686,4 +641,41 @@ TEST(Server, MalformedFramesGetFramedErrorsAndServerSurvives) {
   Srv.requestStop();
   Srv.wait();
   EXPECT_GE(Srv.counters().RequestsServed, 2u);
+}
+
+// With tracing on, the daemon's run-response encode is its own span,
+// carrying the encoded byte count, so a traced request attributes the
+// output copy instead of leaving it unaccounted.
+TEST(Server, TracedRunRequestSpansTheResponseEncode) {
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath("trace");
+  Opts.Engine = testEngineOptions();
+  Server Srv(Opts);
+  std::string Err;
+  ASSERT_TRUE(Srv.start(&Err)) << Err;
+
+  Trace::get().start();
+  Client C;
+  ASSERT_TRUE(C.connect(Opts.SocketPath, &Err)) << Err;
+  RunResponse Resp;
+  ASSERT_TRUE(C.run(smallRequest(), Resp, &Err)) << Err;
+  ASSERT_TRUE(Resp.Status.Ok) << Resp.Status.Error;
+  Srv.requestStop();
+  Srv.wait();
+  Trace::get().stop();
+
+  std::optional<JsonValue> Doc = parseJson(Trace::get().toJson(), &Err);
+  Trace::get().clear();
+  ASSERT_TRUE(Doc) << Err;
+  const JsonValue *Encode = nullptr;
+  for (const JsonValue &E : Doc->find("traceEvents")->array())
+    if (E.stringOr("ph", "") == "X" &&
+        E.stringOr("name", "") == "encode-response")
+      Encode = &E;
+  ASSERT_NE(Encode, nullptr) << "no encode-response span";
+  const JsonValue *Args = Encode->find("args");
+  ASSERT_NE(Args, nullptr);
+  // The encoded response holds the output floats plus its header.
+  EXPECT_GT(Args->numberOr("bytes", 0.0),
+            static_cast<double>(Resp.Output.size() * sizeof(float)));
 }

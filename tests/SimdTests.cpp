@@ -10,7 +10,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "kernels/Dispatch.h"
-#include "kernels/FormatKernels.h"
 #include "kernels/Kernels.h"
 #include "support/Aligned.h"
 #include "support/Rng.h"
@@ -141,29 +140,15 @@ TEST(Dispatch, TablesAreFullyPopulated) {
     EXPECT_NE(Ops->AddRange, nullptr);
     EXPECT_NE(Ops->AxpyRange, nullptr);
     EXPECT_NE(Ops->ReluRange, nullptr);
-    EXPECT_GE(Ops->ColumnQuantum, 1);
     EXPECT_GE(Ops->DenseThroughputScale, 1.0);
     EXPECT_GE(Ops->SparseThroughputScale, 1.0);
   }
-  // The scalar table reproduces the pre-SIMD kernels: no tiling quantum,
-  // unit throughput (it is the calibration baseline).
+  // The scalar table reproduces the pre-SIMD kernels: unit throughput (it
+  // is the calibration baseline).
   const kernels::SimdOps *Scalar = kernels::simdOpsFor(IsaLevel::Scalar);
   ASSERT_NE(Scalar, nullptr);
-  EXPECT_EQ(Scalar->ColumnQuantum, 1);
   EXPECT_EQ(Scalar->DenseThroughputScale, 1.0);
   EXPECT_EQ(Scalar->SparseThroughputScale, 1.0);
-}
-
-TEST(Dispatch, SimdLevelsShareOneColumnQuantum) {
-  // HardwareModel::spmmColumnTile rounds to the active ColumnQuantum; the
-  // tiled-SDDMM bitwise contract relies on every SIMD level sharing one
-  // quantum so a tile width legal for one level is legal for all.
-  for (IsaLevel Level : kernels::supportedIsaLevels()) {
-    if (Level == IsaLevel::Scalar)
-      continue;
-    EXPECT_EQ(kernels::simdOpsFor(Level)->ColumnQuantum, 8)
-        << kernels::isaLevelName(Level);
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -199,6 +184,26 @@ TEST(Alignment, AlignedVectorSurvivesGrowth) {
     V.push_back(static_cast<float>(I));
     ASSERT_TRUE(isKernelAligned(V.data()));
   }
+}
+
+// Growth across MappedAllocationBytes moves the buffer from operator new to
+// mapped pages and back on shrink_to_fit; contents and alignment survive.
+TEST(Alignment, AlignedVectorCrossesTheMappedThreshold) {
+  const size_t Mapped = MappedAllocationBytes / sizeof(float);
+  AlignedVector<float> V(Mapped / 2);
+  for (size_t I = 0; I < V.size(); ++I)
+    V[I] = static_cast<float>(I);
+  V.resize(3 * Mapped);
+  ASSERT_TRUE(isKernelAligned(V.data()));
+  EXPECT_EQ(V[Mapped / 2 - 1], static_cast<float>(Mapped / 2 - 1));
+  EXPECT_EQ(V.back(), 0.0f);
+  AlignedVector<float> Copy = V; // a second mapping, same bytes
+  EXPECT_NE(Copy.data(), V.data());
+  EXPECT_TRUE(Copy == V);
+  V.resize(16);
+  V.shrink_to_fit();
+  ASSERT_TRUE(isKernelAligned(V.data()));
+  EXPECT_EQ(V[15], 15.0f);
 }
 
 //===----------------------------------------------------------------------===//
@@ -510,17 +515,15 @@ TEST(ReductionOrder, SpmmRowRangeIsOneChainPerElement) {
                         {SpmmCombine::Mul, false, "mul unweighted"},
                         {SpmmCombine::Add, true, "add"},
                         {SpmmCombine::Add, false, "add unweighted"}};
-  struct Tile {
-    int64_t Width, C0, C1;
-  };
-  // Full rows of three widths, then an unaligned tile of the widest.
-  const Tile Tiles[] = {{13, 0, 13}, {29, 0, 29}, {141, 0, 141}, {141, 5, 118}};
+  // Row widths: under one vector, several vectors plus a tail, and more
+  // than one register chunk plus a tail.
+  const int64_t Widths[] = {13, 29, 141};
   const float Sentinel = -7.25f;
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     const kernels::SimdOps &Ops = *kernels::simdOpsFor(Level);
-    for (const Tile &T : Tiles) {
-      const int64_t Ldb = T.Width + 3, LdDst = T.Width + 2;
+    for (const int64_t Width : Widths) {
+      const int64_t Ldb = Width + 3, LdDst = Width + 2;
       const std::vector<float> B = randomFloats(50 * Ldb, 302);
       for (const Case &C : Cases)
         for (bool Mean : {false, true})
@@ -532,12 +535,12 @@ TEST(ReductionOrder, SpmmRowRangeIsOneChainPerElement) {
             for (auto [RowBegin, RowEnd] :
                  {std::pair<int64_t, int64_t>{0, 17}, {17, A.rows()}})
               Ops.SpmmRowRange(A.Offsets.data(), A.Cols.data(), Vals, ValIdx,
-                               B.data(), Ldb, Got.data(), LdDst, T.C0, T.C1,
+                               B.data(), Ldb, Got.data(), LdDst, Width,
                                C.Combine, Mean, RowBegin, RowEnd);
             std::vector<float> Want(Got.size(), Sentinel);
             for (int64_t R = 0; R < A.rows(); ++R) {
               const int64_t Begin = A.Offsets[R], End = A.Offsets[R + 1];
-              for (int64_t J = T.C0; J < T.C1; ++J) {
+              for (int64_t J = 0; J < Width; ++J) {
                 float Acc = 0.0f;
                 for (int64_t K = Begin; K < End; ++K) {
                   const float Edge =
@@ -553,9 +556,8 @@ TEST(ReductionOrder, SpmmRowRangeIsOneChainPerElement) {
             }
             expectSameBits(Got, Want,
                            std::string(C.Name) + (Mean ? " mean" : " sum") +
-                               (Indexed ? " indexed" : "") + " tile [" +
-                               std::to_string(T.C0) + ", " +
-                               std::to_string(T.C1) + ")");
+                               (Indexed ? " indexed" : "") + " width " +
+                               std::to_string(Width));
           }
     }
   }

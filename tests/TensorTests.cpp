@@ -2,6 +2,7 @@
 
 #include "support/Rng.h"
 #include "tensor/CooMatrix.h"
+#include "tensor/CscMatrix.h"
 #include "tensor/CsrMatrix.h"
 #include "tensor/DenseMatrix.h"
 #include "tensor/Semiring.h"
@@ -11,6 +12,8 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <string>
+#include <vector>
 
 using namespace granii;
 
@@ -224,6 +227,151 @@ TEST(CsrMatrix, EmptyMatrixIsValid) {
   EXPECT_EQ(Empty.rows(), 0);
   EXPECT_EQ(Empty.nnz(), 0);
   Empty.verify();
+}
+
+// The content version: every edit takes a fresh value, copies keep it.
+TEST(CsrMatrix, VersionChangesOnEveryEditAndCopiesKeepIt) {
+  CooMatrix Coo(3, 3);
+  Coo.add(0, 1, 1.0f);
+  Coo.add(2, 0, 2.0f);
+  CsrMatrix A = Coo.toCsr(/*Unweighted=*/false);
+  EXPECT_NE(A.version(), CsrMatrix().version());
+  CsrMatrix Copy = A;
+  EXPECT_EQ(Copy.version(), A.version());
+
+  uint64_t Last = A.version();
+  auto ExpectFresh = [&](const char *Edit) {
+    EXPECT_NE(A.version(), Last) << Edit;
+    EXPECT_NE(A.version(), Copy.version()) << Edit;
+    Last = A.version();
+  };
+  A.mutableValues()[0] = 3.0f;
+  ExpectFresh("mutableValues");
+  A.setValues({4.0f, 5.0f});
+  ExpectFresh("setValues");
+  A.clearValues();
+  ExpectFresh("clearValues");
+  A.assignPattern(Copy.rows(), Copy.cols(), Copy.rowOffsets(),
+                  Copy.colIndices());
+  ExpectFresh("assignPattern");
+  EXPECT_NE(Copy.withValues(Copy.values()).version(), Copy.version());
+  EXPECT_EQ(Copy.version(), CsrMatrix(Copy).version());
+}
+
+//===----------------------------------------------------------------------===//
+// CscMatrix: the backward pass's column view of a CSR pattern
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Structural + value equality of two CSR matrices (bitwise on values).
+void expectCsrEqual(const CsrMatrix &A, const CsrMatrix &B) {
+  ASSERT_EQ(A.rows(), B.rows());
+  ASSERT_EQ(A.cols(), B.cols());
+  ASSERT_EQ(A.nnz(), B.nnz());
+  EXPECT_TRUE(std::equal(A.rowOffsets().begin(), A.rowOffsets().end(),
+                         B.rowOffsets().begin()));
+  EXPECT_TRUE(std::equal(A.colIndices().begin(), A.colIndices().end(),
+                         B.colIndices().begin()));
+  ASSERT_EQ(A.values().size(), B.values().size());
+  EXPECT_TRUE(
+      std::equal(A.values().begin(), A.values().end(), B.values().begin()));
+}
+
+struct CscFixture {
+  std::string Name;
+  CsrMatrix A;
+};
+
+/// Empty, diagonal, one dense row, a skewed hub-plus-ring and a random
+/// structure.
+std::vector<CscFixture> makeCscFixtures() {
+  std::vector<CscFixture> Out;
+  Out.push_back({"empty-0x0", CsrMatrix()});
+  {
+    CooMatrix Coo(5, 7); // rectangular, no entries at all
+    Out.push_back({"empty-5x7", Coo.toCsr()});
+  }
+  {
+    CooMatrix Coo(6, 6);
+    for (int64_t I = 0; I < 6; ++I)
+      Coo.add(I, I, 0.5f + static_cast<float>(I));
+    Out.push_back({"diagonal", Coo.toCsr(/*Unweighted=*/false)});
+  }
+  {
+    CooMatrix Coo(8, 8); // row 3 is fully dense, everything else empty
+    for (int64_t J = 0; J < 8; ++J)
+      Coo.add(3, J, static_cast<float>(J + 1));
+    Out.push_back({"dense-row", Coo.toCsr(/*Unweighted=*/false)});
+  }
+  {
+    CooMatrix Coo(16, 16); // hub row 0 touches everyone, plus a ring
+    for (int64_t J = 1; J < 16; ++J)
+      Coo.add(0, J, 1.0f / static_cast<float>(J));
+    for (int64_t I = 1; I < 16; ++I)
+      Coo.add(I, (I + 1) % 16, 2.0f);
+    Out.push_back({"skewed-hub", Coo.toCsr(/*Unweighted=*/false)});
+  }
+  {
+    Rng R(321);
+    CooMatrix Coo(100, 100);
+    for (int64_t I = 0; I < 700; ++I)
+      Coo.add(static_cast<int64_t>(R.nextBelow(100)),
+              static_cast<int64_t>(R.nextBelow(100)),
+              R.nextFloat(0.1f, 1.0f));
+    Out.push_back({"random-100", Coo.toCsr(/*Unweighted=*/false)});
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(CscMatrix, RoundTripIsExact) {
+  for (const CscFixture &F : makeCscFixtures()) {
+    SCOPED_TRACE(F.Name);
+    CscMatrix C = CscMatrix::fromCsr(F.A);
+    C.verify();
+    EXPECT_EQ(C.nnz(), F.A.nnz());
+    expectCsrEqual(C.toCsr(F.A.values()), F.A);
+  }
+}
+
+TEST(CscMatrix, UnweightedStaysUnweighted) {
+  CooMatrix Coo(10, 10);
+  Rng R(11);
+  for (int64_t I = 0; I < 40; ++I)
+    Coo.add(static_cast<int64_t>(R.nextBelow(10)),
+            static_cast<int64_t>(R.nextBelow(10)));
+  CsrMatrix A = Coo.toCsr(); // structural: values() is empty
+  ASSERT_TRUE(A.values().empty());
+  expectCsrEqual(CscMatrix::fromCsr(A).toCsr(), A);
+}
+
+TEST(CscMatrix, ColumnsMatchTransposedCsr) {
+  Rng R(77);
+  CooMatrix Coo(30, 30);
+  for (int64_t I = 0; I < 150; ++I)
+    Coo.add(static_cast<int64_t>(R.nextBelow(30)),
+            static_cast<int64_t>(R.nextBelow(30)), R.nextFloat(0.1f, 1.0f));
+  CsrMatrix A = Coo.toCsr(/*Unweighted=*/false);
+  CscMatrix C = CscMatrix::fromCsr(A);
+  CsrMatrix T = A.transposed();
+  // Column c of the CSC view is row c of A^T, in the same entry order.
+  ASSERT_TRUE(
+      std::equal(C.colOffsets().begin(), C.colOffsets().end(),
+                 T.rowOffsets().begin()));
+  EXPECT_TRUE(std::equal(C.rowIndices().begin(), C.rowIndices().end(),
+                         T.colIndices().begin()));
+  for (int64_t K = 0; K < C.nnz(); ++K)
+    EXPECT_EQ(A.values()[static_cast<size_t>(C.csrIndices()[K])],
+              T.values()[static_cast<size_t>(K)]);
+}
+
+TEST(CscMatrixDeathTest, ToCsrRejectsWrongValueCount) {
+  CsrMatrix A = makeCscFixtures()[4].A; // skewed-hub
+  std::vector<float> Short(static_cast<size_t>(A.nnz() - 1), 1.0f);
+  EXPECT_DEATH(CscMatrix::fromCsr(A).toCsr(Short),
+               "csc->csr value count mismatch");
 }
 
 TEST(Semiring, PlusTimesIdentity) {

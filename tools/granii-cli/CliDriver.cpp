@@ -22,7 +22,6 @@
 #include "verify/Verify.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
@@ -67,18 +66,15 @@ public:
     return It == Values.end() ? Default : It->second;
   }
 
-  /// Integer flag lookup. Non-numeric or out-of-range text falls back to
-  /// \p Default instead of throwing (std::stoll would abort the CLI on a
-  /// typo like --kin=3x2).
+  /// Integer flag lookup: \p Default when the flag is absent. A present
+  /// flag whose text is not a whole decimal integer also yields \p Default;
+  /// commands reject those first with rejectMalformedInts().
   int64_t intValue(const std::string &Key, int64_t Default) const {
     auto It = Values.find(Key);
-    if (It == Values.end())
-      return Default;
     int64_t Value = 0;
-    const char *Begin = It->second.data();
-    const char *End = Begin + It->second.size();
-    auto [Ptr, Ec] = std::from_chars(Begin, End, Value);
-    return (Ec == std::errc() && Ptr == End) ? Value : Default;
+    if (It == Values.end() || !parseInt64(It->second, Value))
+      return Default;
+    return Value;
   }
 
   /// Flags present on the command line but not in \p Known — the per-
@@ -128,6 +124,31 @@ int rejectUnknownFlags(const ArgParser &Args, const std::string &Cmd,
                .toString() +
            "\n";
   return 2;
+}
+
+/// Rejects integer flags in \p IntFlags whose text is not a whole decimal
+/// integer (--kin 3x2, --iters ten) with a Diag naming the flag and the
+/// text: like an unknown flag, a malformed value must fail loudly rather
+/// than fall back to a default. \returns 0 when all parse, else exit code 2.
+int rejectMalformedInts(const ArgParser &Args,
+                        std::initializer_list<const char *> IntFlags,
+                        std::string &Err) {
+  int Code = 0;
+  for (const char *Flag : IntFlags) {
+    if (!Args.hasFlag(Flag))
+      continue;
+    const std::string Text = Args.value(Flag);
+    int64_t Value = 0;
+    if (parseInt64(Text, Value))
+      continue;
+    Err += Diag{DiagSeverity::Error, "cli", std::string("--") + Flag,
+                "expects an integer, got '" + Text + "'",
+                std::string("pass a whole number, e.g. --") + Flag + " 32"}
+               .toString() +
+           "\n";
+    Code = 2;
+  }
+  return Code;
 }
 
 std::optional<std::string> readFileText(const std::string &Path,
@@ -296,9 +317,11 @@ int cmdVerify(const ArgParser &Args, std::string &Out, std::string &Err) {
 /// the arena, then a steady-state run is profiled and its allocation count
 /// checked. Nonzero steady-state allocations are a planning bug, reported
 /// via the exit code so CI can assert the zero-allocation property.
-int profileRun(const CompositionPlan &Plan, const LayerParams &Params,
-               const OptimizerOptions &Options, SparseFormat Format,
+int profileRun(const serve::Session &S, const OptimizerOptions &Options,
                bool Training, std::string &Out, std::string &Err) {
+  const CompositionPlan &Plan =
+      S.optimizer().promoted()[S.selection().PlanIndex];
+  const LayerParams &Params = S.params();
   Executor Exec(Options.Hw);
   Exec.setStepProfiling(true);
   PlanWorkspace Ws;
@@ -309,30 +332,44 @@ int profileRun(const CompositionPlan &Plan, const LayerParams &Params,
   auto RunOnce = [&] {
     if (Training)
       Exec.runTraining(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder,
-                       Format, Sharding);
+                       SparseFormat::Csr, Sharding);
     else
-      Exec.run(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder, Format,
-               Sharding);
+      Exec.run(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder,
+               SparseFormat::Csr, Sharding);
   };
   RunOnce(); // warm-up: plans the arena, allocates every slot
   Ws.resetAllocationCount();
   RunOnce(); // steady state: profiled, must not allocate
   size_t SteadyAllocs = Ws.allocationCount();
 
-  std::vector<std::string> Header = {"step", "value", "op",     "shape",
-                                     "ms",   "MB",    "GFLOP/s", "GB/s"};
+  // Each step's prediction comes from the cost model that chose the plan,
+  // on the statistics it chose with.
+  std::vector<std::string> Header = {"step",    "value",   "op",        "shape",
+                                     "ms",      "pred ms", "meas/pred", "MB",
+                                     "GFLOP/s", "GB/s"};
   std::vector<std::vector<std::string>> Rows;
+  double PredictedForward = 0.0;
   for (size_t I = 0; I < R.StepProfiles.size(); ++I) {
     const StepProfile &P = R.StepProfiles[I];
+    const double Predicted =
+        S.cost().primitiveSeconds(Ws.descs()[I], S.selectStats());
+    if (!P.Setup)
+      PredictedForward += Predicted;
     double GFlops = P.Seconds > 0.0 ? P.Flops / P.Seconds / 1e9 : 0.0;
     double GBps = P.Seconds > 0.0 ? P.Bytes / P.Seconds / 1e9 : 0.0;
     Rows.push_back({std::to_string(I) + (P.Setup ? " (setup)" : ""),
                     P.Value, P.Op, P.Shape,
                     formatDouble(P.Seconds * 1e3, 4),
+                    formatDouble(Predicted * 1e3, 4),
+                    formatDouble(P.Seconds / Predicted, 2),
                     formatDouble(P.Bytes / 1e6, 3),
                     formatDouble(GFlops, 2), formatDouble(GBps, 2)});
   }
   Out += "\nper-step profile (steady state):\n" + renderTable(Header, Rows);
+  Out += "forward: measured " + formatDouble(R.ForwardSeconds * 1e3, 4) +
+         " ms vs predicted " + formatDouble(PredictedForward * 1e3, 4) +
+         " ms (measured/predicted " +
+         formatDouble(R.ForwardSeconds / PredictedForward, 2) + ")\n";
 
   const BufferPlan *Buffers = Ws.bufferPlan();
   if (Buffers) {
@@ -364,17 +401,20 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (int Code = rejectUnknownFlags(
           Args, "run",
           {"graph", "kin", "kout", "hw", "iters", "train", "profile",
-           "reorder", "format", "sharded", "shards", "shard-store", "verify",
-           "out", "threads", "isa", "trace"},
+           "reorder", "sharded", "shards", "shard-store", "verify", "out",
+           "threads", "isa", "trace"},
           Err))
+    return Code;
+  if (int Code =
+          rejectMalformedInts(Args, {"kin", "kout", "iters", "shards"}, Err))
     return Code;
   if (Args.Positional.size() < 2) {
     Err += "usage: granii-cli run <model.gnn> [--graph <mtx|synth:name>] "
            "--kin N --kout N [--hw cpu|a100|h100] [--iters N] [--train] "
            "[--threads N] [--isa scalar|avx2|avx512] [--profile] "
-           "[--reorder none|rcm|degree] [--format auto|csr|ell|sell|hyb] "
-           "[--sharded | --shards N] [--shard-store <dir>] "
-           "[--out <file>] [--verify off|fast|full] [--trace <out.json>]\n";
+           "[--reorder none|rcm|degree] [--sharded | --shards N] "
+           "[--shard-store <dir>] [--out <file>] [--verify off|fast|full] "
+           "[--trace <out.json>]\n";
     return 2;
   }
   std::optional<std::string> ModelText =
@@ -410,13 +450,6 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
            "' (try none, rcm, degree)\n";
     return 2;
   }
-  std::string FormatName = Args.value("format", "csr");
-  std::optional<SparseFormat> Format = parseSparseFormat(FormatName);
-  if (!Format || *Format == SparseFormat::Csc) {
-    Err += "error: unknown or unsupported sparse format '" + FormatName +
-           "' (try auto, csr, ell, sell, hyb)\n";
-    return 2;
-  }
   std::optional<VerifyLevel> Verify = verifyFlag(Args, Err);
   if (!Verify)
     return 2;
@@ -428,17 +461,12 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   Options.Hw = HardwareModel::byName(Hw);
   Options.Iterations = static_cast<int>(Args.intValue("iters", 100));
   Options.Reorder = *Reorder;
-  Options.Format = *Format;
   Options.Verify = *Verify;
   // Resolve auto locally the same way the engine will, so the banner and
   // the --profile path agree with the served execution.
   Options.Shards = *Shards < 0 ? shard::autoShardCount(G->numEdges())
                                : static_cast<int>(*Shards);
   Options.ShardStoreDir = Args.value("shard-store", "");
-  if (Options.Shards > 1 && *Format != SparseFormat::Csr) {
-    Err += "error: sharded execution requires --format=csr\n";
-    return 2;
-  }
 
   // One-shot runs go through the same Engine/Session layer the daemon
   // serves from — one code path, bitwise-identical answers. Disk spill is
@@ -459,7 +487,6 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   Req.KOut = KOut;
   Req.Training = Training;
   Req.Reorder = Args.value("reorder", "none");
-  Req.Format = FormatName;
   Req.Shards = *Shards;
   Req.WantOutput = Args.hasFlag("out");
 
@@ -504,7 +531,7 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   const Selection &Sel = S->selection();
   Out += "online: candidate #" + std::to_string(Sel.PlanIndex) + " (" +
          (Sel.UsedCostModels ? "cost models" : "embedding-size condition") +
-         "), format " + sparseFormatName(Sel.Format) + ", predicted " +
+         "), predicted " +
          formatDouble(Sel.PredictedSeconds * 1e3, 3) + " ms for " +
          std::to_string(Options.Iterations) + " iterations\n";
   Out += "selected composition:\n" +
@@ -534,8 +561,7 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   }
 
   if (Args.hasFlag("profile"))
-    return profileRun(S->optimizer().promoted()[Sel.PlanIndex], S->params(),
-                      Options, Sel.Format, Training, Out, Err);
+    return profileRun(*S, Options, Training, Out, Err);
   return 0;
 }
 
@@ -547,6 +573,9 @@ int cmdServe(const ArgParser &Args, std::string &Out, std::string &Err) {
                                      "sessions", "iters", "shard-store",
                                      "verify", "threads", "isa", "trace"},
                                     Err))
+    return Code;
+  if (int Code = rejectMalformedInts(
+          Args, {"workers", "plan-cache", "sessions", "iters"}, Err))
     return Code;
   std::string Socket = Args.value("socket");
   if (Socket.empty()) {
@@ -592,18 +621,20 @@ int cmdServe(const ArgParser &Args, std::string &Out, std::string &Err) {
 int cmdCall(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (int Code = rejectUnknownFlags(
           Args, "call",
-          {"socket", "graph", "kin", "kout", "train", "reorder", "format",
-           "sharded", "shards", "seed", "out", "compile-only", "stats",
-           "shutdown", "threads", "isa", "trace"},
+          {"socket", "graph", "kin", "kout", "train", "reorder", "sharded",
+           "shards", "seed", "out", "compile-only", "stats", "shutdown",
+           "threads", "isa", "trace"},
           Err))
+    return Code;
+  if (int Code =
+          rejectMalformedInts(Args, {"kin", "kout", "shards", "seed"}, Err))
     return Code;
   std::string Socket = Args.value("socket");
   if (Socket.empty()) {
     Err += "usage: granii-cli call --socket <path> <model.gnn> "
            "[--graph <mtx|synth:name>] [--kin N] [--kout N] [--train] "
-           "[--reorder none|rcm|degree] [--format auto|csr|ell|sell|hyb] "
-           "[--sharded | --shards N] [--seed N] [--out <file>] "
-           "[--compile-only] | --stats | --shutdown\n";
+           "[--reorder none|rcm|degree] [--sharded | --shards N] [--seed N] "
+           "[--out <file>] [--compile-only] | --stats | --shutdown\n";
     return 2;
   }
 
@@ -671,7 +702,6 @@ int cmdCall(const ArgParser &Args, std::string &Out, std::string &Err) {
   Req.KOut = Args.intValue("kout", 32);
   Req.Training = Args.hasFlag("train");
   Req.Reorder = Args.value("reorder", "none");
-  Req.Format = Args.value("format", "csr");
   std::optional<int64_t> Shards = shardsFlag(Args, Err);
   if (!Shards)
     return 2;
