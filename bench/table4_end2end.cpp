@@ -6,12 +6,9 @@
 // input layer (features -> hidden) followed by an output layer (hidden ->
 // classes), each selected independently by GRANII.
 //
-// --sharded (or --shards=N) adds a sharded-execution column per row: the
-// same GRANII plan run through the shard pipeline, bitwise-checked against
-// the whole-graph GRANII run. --graph=rmat:<nodes>:<edges>[:<seed>]
-// replaces the paper workloads with one synthetic R-MAT instance (the CI
-// scaling gate drives multi-million-node graphs through this). --smoke
-// shrinks the sweep (GCN only, hidden 32) for the CI benchmark job.
+// --graph=rmat:<nodes>:<edges>[:<seed>] replaces the paper workloads with
+// one synthetic R-MAT instance. --smoke shrinks the sweep (GCN only,
+// hidden 32) for the CI benchmark job.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,12 +16,10 @@
 
 #include "graph/Generators.h"
 #include "graph/GraphSpec.h"
-#include "shard/Shard.h"
 
 #include "support/Str.h"
 
 #include <cstdio>
-#include <cstring>
 
 using namespace granii;
 using namespace granii::bench;
@@ -32,22 +27,16 @@ using namespace granii::bench;
 namespace {
 
 /// Executes one two-layer forward pass, returning milliseconds per
-/// iteration (setup amortized over the iteration horizon). \p Shards > 1
-/// routes execution through the shard pipeline; \p MatchOut (when non-null)
-/// accumulates a bitwise comparison of each layer's output against the
-/// entry it holds for that layer (filled by a previous whole-graph call).
+/// iteration (setup amortized over the iteration horizon).
 double twoLayerMillis(BenchContext &Ctx, ModelKind Kind, const Graph &G,
                       int64_t FeatureDim, int64_t HiddenDim, int64_t Classes,
                       bool UseGranii, BaselineSystem Sys,
-                      ReorderPolicy Reorder, int Shards = 0,
-                      std::vector<DenseMatrix> *MatchOut = nullptr,
-                      bool *Matched = nullptr) {
+                      ReorderPolicy Reorder) {
   GnnModel Model = makeModel(Kind);
   Executor Exec(Ctx.platform("h100"));
   const int Iters = Ctx.iterations();
   double Total = 0.0;
   int64_t Dims[2][2] = {{FeatureDim, HiddenDim}, {HiddenDim, Classes}};
-  size_t Layer = 0;
   for (auto [KIn, KOut] : Dims) {
     LayerParams Params = makeLayerParams(Model, G, KIn, KOut, 5);
     CompositionPlan Plan = baselinePlan(Sys, Model, KIn, KOut);
@@ -68,28 +57,9 @@ double twoLayerMillis(BenchContext &Ctx, ModelKind Kind, const Graph &G,
     // charged SetupSeconds do not include the one-time reordering cost.
     PlanWorkspace Ws;
     ExecResult R;
-    ShardSpec Sharding{Shards, ""};
-    Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R, Policy,
-             SparseFormat::Csr, Sharding);
-    Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R, Policy,
-             SparseFormat::Csr, Sharding);
+    Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R, Policy);
+    Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R, Policy);
     Total += R.totalSeconds(Iters, false);
-    if (MatchOut) {
-      if (Layer < MatchOut->size()) {
-        const DenseMatrix &Want = (*MatchOut)[Layer];
-        bool Same =
-            R.Output.rows() == Want.rows() &&
-            R.Output.cols() == Want.cols() &&
-            std::memcmp(R.Output.data(), Want.data(),
-                        static_cast<size_t>(Want.size()) * sizeof(float)) ==
-                0;
-        if (Matched && !Same)
-          *Matched = false;
-      } else {
-        MatchOut->push_back(R.Output);
-      }
-    }
-    ++Layer;
   }
   return Total / Iters * 1e3;
 }
@@ -104,17 +74,7 @@ int main(int argc, char **argv) {
   // per-iteration seconds).
   std::string JsonPath = consumeValueFlag(argc, argv, "json");
   bool Smoke = consumeBoolFlag(argc, argv, "smoke");
-  bool Sharded = consumeBoolFlag(argc, argv, "sharded");
-  std::string ShardsArg = consumeValueFlag(argc, argv, "shards");
   std::string GraphSpec = consumeValueFlag(argc, argv, "graph");
-  int64_t Shards = 0;
-  if (!ShardsArg.empty() &&
-      (!parseInt64(ShardsArg, Shards) || Shards < 2)) {
-    std::fprintf(stderr, "error: --shards expects a count >= 2\n");
-    return 2;
-  }
-  if (Sharded && Shards == 0)
-    Shards = -1; // auto, resolved per graph below
   const int JsonReps = 3;
   BenchReport Report;
   std::printf("Table IV: end-to-end per-iteration forward time (ms) on H100 "
@@ -125,10 +85,6 @@ int main(int argc, char **argv) {
   std::vector<std::string> Header = {"Graph",   "GNN",   "Hidden",
                                      "Wise",    "Wise+GRANII", "speedup",
                                      "DGL",     "DGL+GRANII",  "speedup"};
-  if (Shards != 0) {
-    Header.push_back("GRANII+shard");
-    Header.push_back("bitwise");
-  }
   std::vector<std::vector<std::string>> Table;
 
   struct Workload {
@@ -140,8 +96,8 @@ int main(int argc, char **argv) {
   std::vector<Workload> Workloads = {{"reddit", 602, 41},
                                      {"ogbn-products", 100, 47}};
   if (!GraphSpec.empty())
-    // One custom synthetic instance; modest dims so the big-graph CI run
-    // measures aggregation (the sharded path), not GEMM width.
+    // One custom synthetic instance; modest dims so a big graph measures
+    // aggregation, not GEMM width.
     Workloads = {{GraphSpec, 32, 16}};
   std::vector<ModelKind> Models = {ModelKind::GCN, ModelKind::GAT};
   std::vector<int64_t> Hiddens = {32, 128, 512};
@@ -150,7 +106,6 @@ int main(int argc, char **argv) {
     Hiddens = {32};
   }
 
-  int MismatchRows = 0;
   for (const Workload &W : Workloads) {
     Graph G = [&] {
       if (startsWith(W.GraphName, "rmat:") ||
@@ -168,12 +123,9 @@ int main(int argc, char **argv) {
       }
       return makeEvaluationGraph(W.GraphName);
     }();
-    int GraphShards = static_cast<int>(Shards);
-    if (Shards < 0)
-      GraphShards = shard::autoShardCount(G.numEdges());
-    std::printf("graph %s: %lld nodes, %lld edges, shards=%d\n",
-                G.name().c_str(), static_cast<long long>(G.numNodes()),
-                static_cast<long long>(G.numEdges()), GraphShards);
+    std::printf("graph %s: %lld nodes, %lld edges\n", G.name().c_str(),
+                static_cast<long long>(G.numNodes()),
+                static_cast<long long>(G.numEdges()));
     for (ModelKind Kind : Models) {
       int64_t FeatureDim = Kind == ModelKind::GAT ? 100 : W.FeatureDim;
       if (!GraphSpec.empty())
@@ -181,7 +133,6 @@ int main(int argc, char **argv) {
       for (int64_t Hidden : Hiddens) {
         std::vector<std::string> Line = {G.name(), modelName(Kind),
                                          std::to_string(Hidden)};
-        std::vector<DenseMatrix> LayerOutputs;
         for (BaselineSystem Sys : allSystems()) {
           double Base = twoLayerMillis(Ctx, Kind, G, FeatureDim, Hidden,
                                        W.Classes, false, Sys, Reorder);
@@ -204,41 +155,6 @@ int main(int argc, char **argv) {
           Line.push_back(formatDouble(Granii, 3));
           Line.push_back(formatSpeedup(Base / Granii));
         }
-        if (Shards != 0) {
-          // Sharded GRANII run against the first system's plan choice.
-          // Reordering is disabled on both sides of this comparison so the
-          // sharded outputs can be checked bitwise against a dedicated
-          // whole-graph reference run.
-          bool Matched = true;
-          double ShardMs = 0.0;
-          if (GraphShards > 1) {
-            twoLayerMillis(Ctx, Kind, G, FeatureDim, Hidden, W.Classes,
-                           true, allSystems().front(), ReorderPolicy::None,
-                           0, &LayerOutputs);
-            ShardMs = twoLayerMillis(Ctx, Kind, G, FeatureDim, Hidden,
-                                     W.Classes, true, allSystems().front(),
-                                     ReorderPolicy::None, GraphShards,
-                                     &LayerOutputs, &Matched);
-          }
-          if (!Matched)
-            ++MismatchRows;
-          Line.push_back(GraphShards > 1 ? formatDouble(ShardMs, 3) : "-");
-          Line.push_back(GraphShards > 1 ? (Matched ? "yes" : "NO") : "-");
-          if (!JsonPath.empty() && GraphShards > 1) {
-            std::vector<double> Samples = {ShardMs / 1e3};
-            for (int Rep = 1; Rep < JsonReps; ++Rep)
-              Samples.push_back(
-                  twoLayerMillis(Ctx, Kind, G, FeatureDim, Hidden,
-                                 W.Classes, true, allSystems().front(),
-                                 ReorderPolicy::None, GraphShards) /
-                  1e3);
-            Report.add(BenchReport::makeRecord(
-                "table4/" + G.name() + "/" + modelName(Kind) + "/h" +
-                    std::to_string(Hidden) + "/sharded",
-                G.name(), FeatureDim, W.Classes, "none", Samples,
-                /*Bytes=*/0.0));
-          }
-        }
         Table.push_back(std::move(Line));
       }
     }
@@ -248,9 +164,6 @@ int main(int argc, char **argv) {
   std::printf("Paper reference: speedups up to 5.14x (Wise GCN/32 on "
               "Reddit) and 2.54x (DGL GAT/1024 on ogbn-products); several "
               "1.00x rows where the default is already optimal.\n");
-  if (Shards != 0)
-    std::printf("Sharded rows are bitwise-compared against the whole-graph "
-                "GRANII outputs per layer.\n");
 
   if (!JsonPath.empty()) {
     std::string WriteError;
@@ -260,13 +173,6 @@ int main(int argc, char **argv) {
     }
     std::fprintf(stderr, "[table4] wrote machine-readable report to %s\n",
                  JsonPath.c_str());
-  }
-  if (MismatchRows > 0) {
-    std::fprintf(stderr,
-                 "error: %d sharded row(s) were not bitwise identical to "
-                 "the whole-graph execution\n",
-                 MismatchRows);
-    return 1;
   }
   return 0;
 }

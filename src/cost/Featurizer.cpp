@@ -18,8 +18,7 @@ const std::vector<std::string> &granii::costFeatureNames() {
       "log_max_degree",   "degree_cv",    "degree_gini",  "top_row_frac",
       "log_rows",         "log_cols",     "log_inner",    "log_nnz",
       "log_flops",        "log_bytes",    "log_avg_span", "log_bandwidth",
-      "ell_fill_ratio",   "log_row_len_variance",         "log_shard_count",
-      "shard_cut_fraction"};
+      "ell_fill_ratio",   "log_row_len_variance"};
   return Names;
 }
 
@@ -51,11 +50,5 @@ FeatureVector granii::featurize(const PrimitiveDesc &Desc,
       static_cast<double>(Stats.NumNodes) * std::max(Stats.MaxDegree, 0.0);
   F[16] = Padded > 0.0 ? static_cast<double>(Stats.NumEdges) / Padded : 1.0;
   F[17] = log1pSafe(Stats.DegreeStddev * Stats.DegreeStddev);
-  // Sharded execution: halo traffic scales with the edge-cut fraction, and
-  // the per-shard gather/pipeline overhead with the shard count. Whole-
-  // graph runs keep the GraphStats defaults (1 shard, 0 cut), making these
-  // inert for every pre-sharding sample.
-  F[18] = log1pSafe(Stats.ShardCount);
-  F[19] = Stats.ShardEdgeCutFraction;
   return F;
 }

@@ -24,7 +24,7 @@ namespace granii {
 /// Number of features produced per sample. Cached models trained against
 /// another width are rejected by the trainer's staleness check and
 /// retrained.
-inline constexpr size_t NumCostFeatures = 20;
+inline constexpr size_t NumCostFeatures = 18;
 
 using FeatureVector = std::array<double, NumCostFeatures>;
 

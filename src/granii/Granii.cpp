@@ -212,10 +212,6 @@ Selection Optimizer::select(const Graph &G, int64_t KIn, int64_t KOut) const {
   Timer FeaturizeTimer;
   Graph WithSelf = G.withSelfLoops();
   GraphStats Stats = WithSelf.stats();
-  // Sharded runs pay halo traffic the cost featurizer must see; the
-  // annotation pass is O(E), the same order as the statistics above.
-  if (Opts.Shards > 1)
-    shard::annotateShardStats(Stats, WithSelf.adjacency(), Opts.Shards);
   double MeasuredFeaturize = FeaturizeTimer.seconds();
   FeaturizeSpan.setArg("nodes", static_cast<double>(WithSelf.numNodes()));
   FeaturizeSpan.setArg("edges", static_cast<double>(WithSelf.numEdges()));
@@ -273,12 +269,9 @@ size_t Optimizer::execute(const Selection &Sel, const LayerParams &Params,
   // share a workspace).
   PlanWorkspace &Ws = Workspaces[{Sel.PlanIndex, Training}];
   Ws.resetAllocationCount();
-  ShardSpec Sharding{Opts.Shards, Opts.ShardStoreDir};
   if (Training)
-    Exec.runTraining(Plan, Inputs, Params.Stats, Ws, Result, Opts.Reorder,
-                     SparseFormat::Csr, Sharding);
+    Exec.runTraining(Plan, Inputs, Params.Stats, Ws, Result, Opts.Reorder);
   else
-    Exec.run(Plan, Inputs, Params.Stats, Ws, Result, Opts.Reorder,
-             SparseFormat::Csr, Sharding);
+    Exec.run(Plan, Inputs, Params.Stats, Ws, Result, Opts.Reorder);
   return Ws.allocationCount();
 }

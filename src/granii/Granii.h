@@ -45,14 +45,6 @@ struct OptimizerOptions {
   /// as setup, and the per-run feature gather / output scatter as forward
   /// time (docs/REORDERING.md).
   ReorderPolicy Reorder = ReorderPolicy::None;
-  /// Sharded execution (docs/SHARDING.md): > 1 partitions the input graph
-  /// into that many shards and runs every sparse aggregation through the
-  /// sharded gather → compute pipeline, bitwise identical to whole-graph
-  /// execution. <= 1 executes whole-graph.
-  int Shards = 0;
-  /// Non-empty: directory for the mmap-backed shard-block store (blocks
-  /// page in on demand instead of living in anonymous memory).
-  std::string ShardStoreDir;
   /// Static verification level (docs/VERIFICATION.md). Off: nothing. Fast
   /// (default; overridable via GRANII_VERIFY): the IR verifier runs after
   /// parsing and every rewrite pass, and the promoted plan set is checked

@@ -37,13 +37,6 @@ struct GraphStats {
   /// this.
   double AvgRowSpan = 0.0;
   double Bandwidth = 0.0; ///< max |row - col| over stored edges
-  /// Sharded-execution configuration of this input (docs/SHARDING.md):
-  /// partition size and edge-cut fraction the run will pay halo traffic
-  /// for. Whole-graph execution keeps the defaults (1, 0); a sharded run
-  /// stamps them via shard::annotateShardStats so the cost featurizer can
-  /// price when sharding pays.
-  double ShardCount = 1.0;
-  double ShardEdgeCutFraction = 0.0;
 };
 
 /// An undirected (symmetric adjacency) graph used as GNN input.

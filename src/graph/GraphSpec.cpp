@@ -16,10 +16,9 @@ std::optional<Graph> resolveGraphSpec(const std::string &Spec,
                                       std::string *Err) {
   if (startsWith(Spec, "synth:")) {
     std::string Name = Spec.substr(6);
-    // Parameterized R-MAT: "synth:rmat:<nodes>:<edges>[:<seed>]". Lets CI
-    // and the daemon materialize arbitrarily large power-law graphs (the
-    // sharded scaling gate runs multi-million-node instances) without
-    // shipping a file.
+    // Parameterized R-MAT: "synth:rmat:<nodes>:<edges>[:<seed>]". Lets CI,
+    // the benchmarks and the daemon materialize large power-law graphs
+    // without shipping a file.
     if (startsWith(Name, "rmat:")) {
       std::vector<std::string> Parts = splitString(Name, ':');
       int64_t Nodes = 0, Edges = 0, Seed = 42;

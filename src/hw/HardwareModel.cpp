@@ -95,15 +95,8 @@ double HardwareModel::estimateSeconds(const PrimitiveDesc &Desc,
   double MemorySec = Bytes / (Params.BandwidthGBs * 1e9);
   double Time = std::max(ComputeSec, MemorySec);
 
-  if (Sparse && Stats) {
+  if (Sparse && Stats)
     Time *= 1.0 + Params.IrregularityCoef * Stats->DegreeCv;
-    // Sharded aggregation re-reads every cut edge's halo row once per
-    // shard boundary it crosses; the analytic model prices that extra
-    // memory traffic proportionally to the partition's edge-cut fraction
-    // (whole-graph stats keep the defaults, leaving this factor at 1).
-    if (Stats->ShardCount > 1.0)
-      Time *= 1.0 + 0.25 * Stats->ShardEdgeCutFraction;
-  }
 
   if (Desc.Kind == PrimitiveKind::DegreeBinning && Stats)
     // Scatter-add contention grows with edges per bin (average degree).

@@ -10,8 +10,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <fstream>
 
 using namespace granii;
 
@@ -238,7 +236,9 @@ public:
 
   /// Runs every step once; the plan output lands in \p Output.
   void forward(ExecResult &Result, DenseMatrix &Output);
-  void backward(ExecResult &Result);
+  /// Runs the backward pass; the features' gradient lands in
+  /// \p FeatureGrad, every other parameter gradient in \p Result.
+  void backward(ExecResult &Result, DenseMatrix &FeatureGrad);
 
 private:
   void bindInput(size_t Id, const PlanValue &Def);
@@ -281,32 +281,14 @@ private:
     return Exec.timeKernel(Desc, Stats, Body);
   }
 
-  /// True when \p A has the bound adjacency's pattern, which every cached
-  /// layout structure was built from. Size equality suffices: the only
-  /// sparse values a plan produces copy an operand's pattern (dstSparse),
-  /// so by induction they all carry the bound adjacency's.
+  /// True when \p A has the bound adjacency's pattern, which the cached
+  /// backward CSC was built from. Size equality suffices: the only sparse
+  /// values a plan produces copy an operand's pattern (dstSparse), so by
+  /// induction they all carry the bound adjacency's.
   bool boundPattern(const CsrMatrix &A) const {
     const CsrMatrix &Adj = *Inputs.Adjacency;
     return A.rows() == Adj.rows() && A.cols() == Adj.cols() &&
            A.nnz() == Adj.nnz();
-  }
-
-  /// True when the layout is sharded and its blocks cover \p A. The blocks
-  /// hold structure only; edge values gather through the operand's own
-  /// CSR-ordered array.
-  bool shardCovers(const CsrMatrix &A) const {
-    return LS.Sharding.active() && boundPattern(A);
-  }
-
-  /// Runs one forward aggregation through the shard pipeline, counting any
-  /// cold-start staging growth against the workspace's allocation counter;
-  /// shardCovers(A) must hold.
-  void shardSpmmInto(const CsrMatrix &A, const DenseMatrix &B,
-                     const Semiring &S, DenseMatrix &Dst) const {
-    for (size_t Grown = LS.Staging.ensureForward(LS.Set, B.cols()); Grown > 0;
-         --Grown)
-      Ws.countAllocation();
-    shard::shardedSpmmInto(LS.Set, LS.Staging, A.values(), B, S, Dst);
   }
 
   const Executor &Exec;
@@ -380,24 +362,16 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
     Seconds = charge(StepIdx, [&] {
       const CsrMatrix &A = Op(0).sparse();
       const DenseMatrix &B = Op(1).dense();
-      DenseMatrix &Dst = dstDense(Step.Result, A.rows(), B.cols());
-      // Sharded aggregation preserves CSR neighbor order and shares the
-      // dispatched inner loops, so both branches are bitwise identical.
-      if (shardCovers(A))
-        shardSpmmInto(A, B, Semiring::plusTimes(), Dst);
-      else
-        kernels::spmmInto(A, B, Semiring::plusTimes(), Dst);
+      kernels::spmmInto(A, B, Semiring::plusTimes(),
+                        dstDense(Step.Result, A.rows(), B.cols()));
     });
     break;
   case StepOp::SpmmUnweighted:
     Seconds = charge(StepIdx, [&] {
       const CsrMatrix &A = Op(0).sparse();
       const DenseMatrix &B = Op(1).dense();
-      DenseMatrix &Dst = dstDense(Step.Result, A.rows(), B.cols());
-      if (shardCovers(A))
-        shardSpmmInto(A, B, Semiring::plusCopy(), Dst);
-      else
-        kernels::spmmInto(A, B, Semiring::plusCopy(), Dst);
+      kernels::spmmInto(A, B, Semiring::plusCopy(),
+                        dstDense(Step.Result, A.rows(), B.cols()));
     });
     break;
   case StepOp::SddmmScaleRow:
@@ -598,7 +572,7 @@ void PlanInterpreter::forward(ExecResult &Result, DenseMatrix &Output) {
   (void)Out;
 }
 
-void PlanInterpreter::backward(ExecResult &Result) {
+void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
   TraceSpan Span("backward", "executor");
   std::vector<bool> Need = gradPath(Plan);
   std::vector<RtGrad> &Grads = Ws.grads();
@@ -608,8 +582,9 @@ void PlanInterpreter::backward(ExecResult &Result) {
 
   // Every gradient buffer is reused across runs, so a steady-state run
   // allocates none of them. A workspace buffer counts its growth like a
-  // slot; parameter and feature gradients accumulate straight into the
-  // caller's result, which owns them as it owns Output.
+  // slot; parameter gradients accumulate straight into the caller's result,
+  // which owns them as it owns Output, and the feature gradient into
+  // \p FeatureGrad (the result's, or the layout's staging buffer).
   auto Reshape = [&](DenseMatrix &M, int64_t Rows, int64_t Cols,
                      bool Owned) -> DenseMatrix & {
     size_t Cap = M.capacityFloats();
@@ -631,7 +606,7 @@ void PlanInterpreter::backward(ExecResult &Result) {
     if (Val.InputRole == LeafRole::Weight)
       return Result.WeightGrads[Val.DebugName];
     if (Val.InputRole == LeafRole::Features)
-      return Result.FeatureGrad;
+      return FeatureGrad;
     return Grads[static_cast<size_t>(Id)].Dense;
   };
   auto VecAcc = [&](int Id) -> std::vector<float> & {
@@ -730,27 +705,7 @@ void PlanInterpreter::backward(ExecResult &Result) {
       const DenseMatrix &X = OpVal(1).dense();
       GRANII_CHECK(boundPattern(S),
                    "backward SpMM operand lacks the bound adjacency's pattern");
-      if (NeedOp(1) && shardCovers(S)) {
-        // Sharded dX = S^T dY over the blocks' CSC slices: each slice
-        // keeps its owned columns' entries in ascending global-row order
-        // — the whole-graph CSC's entry order — so this is bitwise equal
-        // to the spmmCscTransposedInto branch below without ever
-        // materializing the global transpose.
-        PrimitiveDesc D{Step.Op == StepOp::SpmmWeighted
-                            ? PrimitiveKind::SpMMWeighted
-                            : PrimitiveKind::SpMMUnweighted,
-                        S.cols(), X.cols(), 0, S.nnz()};
-        Backward += chargeDesc(D, [&] {
-          LS.Staging.ensureBackward(LS.Set, OutG.Dense.cols());
-          DenseMatrix &DX = Partial(S.cols(), OutG.Dense.cols());
-          shard::shardedSpmmCscTransposedInto(
-              LS.Set, LS.Staging, S.values(), OutG.Dense,
-              Step.Op == StepOp::SpmmWeighted ? Semiring::plusTimes()
-                                              : Semiring::plusCopy(),
-              DX);
-          kernels::axpyInto(1.0f, DX, EnsureDense(OpId(1)));
-        });
-      } else if (NeedOp(1)) {
+      if (NeedOp(1)) {
         // dX += S^T dY, walked through the layout's CSC view of the bound
         // adjacency instead of re-materializing a transposed CSR every
         // step. The CSC holds the structure only (values gather from S
@@ -984,88 +939,30 @@ ExecResult Executor::runTraining(const CompositionPlan &Plan,
   return Result;
 }
 
-namespace {
-
-/// Content hash of a CSR structure, naming the on-disk shard store so a
-/// store built for one graph is never adopted for another. O(E), paid only
-/// on the store path where the block build itself is O(E log E).
-uint64_t csrStructureHash(const CsrMatrix &Adj) {
-  uint64_t H = 1469598103934665603ull;
-  auto Mix = [&H](uint64_t V) {
-    H ^= V;
-    H *= 1099511628211ull;
-  };
-  Mix(static_cast<uint64_t>(Adj.rows()));
-  Mix(static_cast<uint64_t>(Adj.nnz()));
-  for (int64_t Off : Adj.rowOffsets())
-    Mix(static_cast<uint64_t>(Off));
-  for (int32_t Col : Adj.colIndices())
-    Mix(static_cast<uint64_t>(static_cast<uint32_t>(Col)));
-  return H;
-}
-
-} // namespace
-
 double Executor::layoutSetup(detail::LayoutState &LS, const CsrMatrix &Adj,
-                             const GraphStats &Stats, ReorderPolicy Policy,
-                             const ShardSpec &Sharding) const {
+                             const GraphStats &Stats,
+                             ReorderPolicy Policy) const {
   if (LS.SourceAdj == &Adj && LS.SourceVersion == Adj.version() &&
-      LS.Policy == Policy && LS.Sharding == Sharding)
+      LS.Policy == Policy)
     return 0.0;
   LS = detail::LayoutState();
   LS.Policy = Policy;
-  LS.Sharding = Sharding;
   LS.SourceAdj = &Adj;
   LS.SourceVersion = Adj.version();
+  if (Policy == ReorderPolicy::None)
+    return 0.0;
 
-  // Per-layout preprocessing, hoisted like degree normalizations. Each part
-  // is an O(E)-dominated pass over the structure, so each is charged as an
-  // edge-traversal primitive. Relabeling preserves rows and nnz, so one
-  // descriptor serves the bound adjacency too.
+  // Per-layout preprocessing, hoisted like degree normalizations: an
+  // O(E)-dominated pass over the structure, charged as an edge-traversal
+  // primitive.
+  TraceSpan Span("reorder-setup", "executor");
   PrimitiveDesc Desc{PrimitiveKind::EdgeElementwise, Adj.rows(), 0, 0,
                      Adj.nnz()};
-  double Seconds = 0.0;
-  const CsrMatrix *Bound = &Adj;
-  const GraphStats *BoundStats = &Stats;
-  if (Policy != ReorderPolicy::None) {
-    TraceSpan Span("reorder-setup", "executor");
-    Seconds += timeKernel(Desc, Stats, [&] {
-      LS.Perm = makeReorderPermutation(Policy, Adj);
-      LS.PermAdj = permuteSymmetric(Adj, LS.Perm);
-      LS.PermStats = computeGraphStats(LS.PermAdj);
-    });
-    Bound = &LS.PermAdj;
-    BoundStats = &LS.PermStats;
-  }
-  if (Sharding.active()) {
-    TraceSpan Span("shard-setup", "executor");
-    Seconds += timeKernel(Desc, *BoundStats, [&] {
-      LS.Part = shard::partitionGraph(*Bound, Sharding.Shards);
-      if (Sharding.StoreDir.empty()) {
-        LS.Set = shard::ShardSet::build(*Bound, LS.Part);
-        return;
-      }
-      // mmap-backed store: build once per (graph structure, shard count),
-      // then adopt the read-only mapping so block structure pages in on
-      // demand. Keyed by content hash — a stale or foreign file never
-      // matches, and a damaged one aborts in load()'s validation.
-      char Name[64];
-      std::snprintf(Name, sizeof(Name), "/granii-g%016llx-s%d.grshard",
-                    static_cast<unsigned long long>(csrStructureHash(*Bound)),
-                    Sharding.Shards);
-      const std::string Path = Sharding.StoreDir + Name;
-      std::ifstream Probe(Path, std::ios::binary);
-      const bool Exists = Probe.good();
-      Probe.close();
-      if (!Exists) {
-        std::string Err;
-        GRANII_CHECK(shard::ShardSet::build(*Bound, LS.Part).save(Path, &Err),
-                     "cannot write shard store: " + Err);
-      }
-      LS.Set = shard::ShardSet::load(Path);
-    });
-  }
-  return Seconds;
+  return timeKernel(Desc, Stats, [&] {
+    LS.Perm = makeReorderPermutation(Policy, Adj);
+    LS.PermAdj = permuteSymmetric(Adj, LS.Perm);
+    LS.PermStats = computeGraphStats(LS.PermAdj);
+  });
 }
 
 LayerInputs Executor::permuteInputs(detail::LayoutState &LS,
@@ -1095,7 +992,7 @@ LayerInputs Executor::permuteInputs(detail::LayoutState &LS,
 double Executor::unpermuteRows(const detail::LayoutState &LS,
                                const DenseMatrix &Src, DenseMatrix &Dst) const {
   Dst.resize(Src.rows(), Src.cols());
-  TraceSpan Span("unpermute-output", "executor");
+  TraceSpan Span("unpermute-rows", "executor");
   PrimitiveDesc Desc{PrimitiveKind::DenseMap, Src.rows(), Src.cols(), 0, 0};
   return timeKernel(Desc, LS.PermStats,
                     [&] { inversePermuteRowsInto(Src, LS.Perm, Dst); });
@@ -1103,25 +1000,22 @@ double Executor::unpermuteRows(const detail::LayoutState &LS,
 
 void Executor::run(const CompositionPlan &Plan, const LayerInputs &Inputs,
                    const GraphStats &Stats, PlanWorkspace &Ws,
-                   ExecResult &Result, ReorderPolicy Policy, SparseFormat,
-                   const ShardSpec &Sharding) const {
-  runArena(Plan, Inputs, Stats, Ws, Result, Policy, Sharding,
-           /*Training=*/false);
+                   ExecResult &Result, ReorderPolicy Policy,
+                   SparseFormat) const {
+  runArena(Plan, Inputs, Stats, Ws, Result, Policy, /*Training=*/false);
 }
 
 void Executor::runTraining(const CompositionPlan &Plan,
                            const LayerInputs &Inputs, const GraphStats &Stats,
                            PlanWorkspace &Ws, ExecResult &Result,
-                           ReorderPolicy Policy, SparseFormat,
-                           const ShardSpec &Sharding) const {
-  runArena(Plan, Inputs, Stats, Ws, Result, Policy, Sharding,
-           /*Training=*/true);
+                           ReorderPolicy Policy, SparseFormat) const {
+  runArena(Plan, Inputs, Stats, Ws, Result, Policy, /*Training=*/true);
 }
 
 void Executor::runArena(const CompositionPlan &Plan, const LayerInputs &Inputs,
                         const GraphStats &Stats, PlanWorkspace &Ws,
                         ExecResult &Result, ReorderPolicy Policy,
-                        const ShardSpec &Sharding, bool Training) const {
+                        bool Training) const {
   GRANII_CHECK(Inputs.Features != &Result.Output,
                "arena execution: the result's output aliases the features");
   GRANII_CHECK(!Training || Inputs.Features != &Result.FeatureGrad,
@@ -1129,7 +1023,7 @@ void Executor::runArena(const CompositionPlan &Plan, const LayerInputs &Inputs,
                "features");
   detail::LayoutState &LS = Ws.layoutState();
   const double SetupSeconds =
-      layoutSetup(LS, *Inputs.Adjacency, Stats, Policy, Sharding);
+      layoutSetup(LS, *Inputs.Adjacency, Stats, Policy);
   const bool Reordered = Policy != ReorderPolicy::None;
   const LayerInputs *Bound = &Inputs;
   const GraphStats *BoundStats = &Stats;
@@ -1142,26 +1036,28 @@ void Executor::runArena(const CompositionPlan &Plan, const LayerInputs &Inputs,
   }
   Ws.configure(Plan, Bound->binding(&Plan), Training);
   PlanInterpreter Interp(*this, Plan, *Bound, *BoundStats, Ws);
-  // A reordered run leaves its output in permuted row order in the
-  // workspace's staging buffer (growth counted like any workspace buffer);
-  // the inverse scatter then writes the caller's Result.Output.
-  const size_t StagingCap = LS.PermOutput.capacityFloats();
+  // A reordered run leaves its output and feature gradient in permuted row
+  // order in the layout's staging buffers (growth counted like any
+  // workspace buffer); the inverse scatters then write the caller's
+  // Result.Output and Result.FeatureGrad in place. Weight and attention
+  // gradients reduce over nodes and are row-order independent.
+  const size_t OutputCap = LS.PermOutput.capacityFloats();
+  const size_t FeatureGradCap = LS.PermFeatureGrad.capacityFloats();
+  // Emptied first, so rows() > 0 afterwards means this run wrote it.
+  LS.PermFeatureGrad.resize(0, 0);
   Interp.forward(Result, Reordered ? LS.PermOutput : Result.Output);
   if (Training)
-    Interp.backward(Result);
+    Interp.backward(Result,
+                    Reordered ? LS.PermFeatureGrad : Result.FeatureGrad);
   if (Reordered) {
-    if (LS.PermOutput.capacityFloats() != StagingCap)
+    if (LS.PermOutput.capacityFloats() != OutputCap)
+      Ws.countAllocation();
+    if (LS.PermFeatureGrad.capacityFloats() != FeatureGradCap)
       Ws.countAllocation();
     PermSeconds += unpermuteRows(LS, LS.PermOutput, Result.Output);
-    // Weight and attention gradients reduce over nodes and are row-order
-    // independent; only the feature gradient is per-node and must return
-    // to the caller's vertex order, through a staging copy made per call.
-    if (Training && Result.FeatureGrad.rows() > 0) {
-      DenseMatrix Staging(Result.FeatureGrad.rows(),
-                          Result.FeatureGrad.cols());
-      inversePermuteRowsInto(Result.FeatureGrad, LS.Perm, Staging);
-      std::swap(Result.FeatureGrad, Staging);
-    }
+    if (LS.PermFeatureGrad.rows() > 0)
+      Result.BackwardSeconds +=
+          unpermuteRows(LS, LS.PermFeatureGrad, Result.FeatureGrad);
   }
   Result.SetupSeconds += SetupSeconds;
   Result.ForwardSeconds += PermSeconds;

@@ -28,8 +28,6 @@
 #include "graph/Reorder.h"
 #include "hw/HardwareModel.h"
 #include "runtime/BufferPlan.h"
-#include "shard/Shard.h"
-#include "shard/ShardExec.h"
 #include "support/FunctionRef.h"
 #include "tensor/CscMatrix.h"
 #include "tensor/CsrMatrix.h"
@@ -66,21 +64,6 @@ struct LayerInputs {
   DimBinding binding() const { return binding(nullptr); }
 };
 
-/// Sharded-execution request for an executor run (docs/SHARDING.md). Shards
-/// <= 1 executes whole-graph; > 1 partitions the bound adjacency and runs
-/// every matching sparse aggregation through the shard pipeline —
-/// bitwise identical to the whole-graph run. A non-empty StoreDir keeps
-/// the shard blocks in an mmap-backed file under that directory (built on
-/// first use, reused by content), so block structure pages in on demand
-/// instead of occupying anonymous memory.
-struct ShardSpec {
-  int Shards = 0;
-  std::string StoreDir;
-
-  bool active() const { return Shards > 1; }
-  bool operator==(const ShardSpec &) const = default;
-};
-
 namespace detail {
 
 /// Runtime binding of one plan value: an input alias, a workspace slot, or
@@ -108,34 +91,28 @@ struct RtGrad {
 };
 
 /// Cached layout state of a workspace: everything a run derives from the
-/// caller's adjacency under one (reorder policy, sharding) layout. One key
-/// covers every part — the two knobs plus the caller's adjacency (address
-/// and content version, CsrMatrix::version()) — and any change rebuilds
-/// them all, so no derived structure outlives its graph or an in-place
-/// edit of it. Building is setup (charged once); steady-state runs only
-/// re-gather features, scatter the output and stage halos, reusing every
-/// buffer here. The "bound" adjacency is the one the plan executes on:
-/// PermAdj under a reorder policy, else the caller's.
+/// caller's adjacency under one reorder policy. One key covers every part —
+/// the policy plus the caller's adjacency (address and content version,
+/// CsrMatrix::version()) — and any change rebuilds them all, so no derived
+/// structure outlives its graph or an in-place edit of it. Building is
+/// setup (charged once); steady-state runs only gather features and
+/// scatter the output (and feature gradient), reusing every buffer here.
+/// The "bound" adjacency is the one the plan executes on: PermAdj under a
+/// reorder policy, else the caller's.
 struct LayoutState {
   ReorderPolicy Policy = ReorderPolicy::None;
-  ShardSpec Sharding;
   const CsrMatrix *SourceAdj = nullptr; ///< the caller's adjacency
   uint64_t SourceVersion = 0;           ///< its version() when built
 
   /// Reordering: the permutation, the relabeled adjacency PAP^T with its
   /// statistics (locality features differ), and the staging buffers of the
-  /// per-run row gathers (features in, output out).
+  /// per-run row gathers (features in; output and feature gradient out).
   Permutation Perm;
   CsrMatrix PermAdj;
   GraphStats PermStats;
   DenseMatrix PermFeatures;
   DenseMatrix PermOutput;
-
-  /// Partition, blocks and halo staging of the bound adjacency under
-  /// active Sharding.
-  shard::GraphPartition Part;
-  shard::ShardSet Set;
-  shard::ShardStaging Staging;
+  DenseMatrix PermFeatureGrad;
 
   /// CSC transpose of the bound adjacency that the backward pass walks
   /// instead of re-materializing S^T every step. Built by the first
@@ -257,7 +234,7 @@ public:
   /// run; rebuilt whenever a run's layout or adjacency differs from it).
   detail::LayoutState &layoutState() { return Layout; }
   /// Records a growth of a workspace-managed buffer that lives outside the
-  /// slot arrays (the reorder staging and shard halo buffers).
+  /// slot arrays (the reorder staging buffers).
   void countAllocation() { ++Allocations; }
   /// @}
 
@@ -315,10 +292,10 @@ public:
   /// Output.data() where it was. Nothing here warms up: each step runs
   /// once, and a measured timing of a first call includes its cold costs.
   ///
-  /// The layout — \p Policy and \p Sharding — is derived from the caller's
-  /// adjacency once and cached in \p Ws under one key (the two knobs plus
-  /// the adjacency's address and content version); a run whose key differs
-  /// rebuilds every part and charges it as setup.
+  /// The layout — \p Policy — is derived from the caller's adjacency once
+  /// and cached in \p Ws under one key (the policy plus the adjacency's
+  /// address and content version); a run whose key differs rebuilds every
+  /// part and charges it as setup.
   ///
   /// A non-None \p Policy runs the plan on a reordered copy of the graph:
   /// the layout holds the permutation and relabeled adjacency, and each run
@@ -331,33 +308,26 @@ public:
   /// why the differential tests compare it with a tolerance rather than
   /// bitwise. Steady-state runs still allocate nothing.
   ///
-  /// An active \p Sharding partitions the bound adjacency into
-  /// Sharding.Shards parts (building or mapping the blocks is part of the
-  /// layout setup) and runs every sparse aggregation through the sharded
-  /// gather → compute pipeline. The shard blocks preserve each row's
-  /// original CSR entry order, so sharded outputs are bitwise identical to
-  /// the whole-graph run at any shard and thread count within one ISA
-  /// level.
-  ///
   /// The SparseFormat parameter is always Csr and is ignored; it stays
   /// because the end-to-end benchmark passes it positionally.
   void run(const CompositionPlan &Plan, const LayerInputs &Inputs,
            const GraphStats &Stats, PlanWorkspace &Ws, ExecResult &Result,
            ReorderPolicy Policy = ReorderPolicy::None,
-           SparseFormat Format = SparseFormat::Csr,
-           const ShardSpec &Sharding = ShardSpec()) const;
+           SparseFormat Format = SparseFormat::Csr) const;
 
   /// Workspace forward + backward. The forward activations live in \p Ws
-  /// (fully pinned in training mode); gradient accumulators and exported
-  /// gradients still allocate per call. Under a non-None \p Policy the
-  /// feature gradient is scattered back alongside the output; weight and
+  /// (fully pinned in training mode), and so do the gradient accumulators;
+  /// weight, attention and feature gradients accumulate in place into
+  /// \p Result, so a warm call into the same Result allocates nothing and
+  /// keeps its FeatureGrad buffer. Under a non-None \p Policy the feature
+  /// gradient accumulates in a workspace staging buffer and is scattered
+  /// back into Result.FeatureGrad alongside the output; weight and
   /// attention gradients are row-order invariant and need no correction.
   void runTraining(const CompositionPlan &Plan, const LayerInputs &Inputs,
                    const GraphStats &Stats, PlanWorkspace &Ws,
                    ExecResult &Result,
                    ReorderPolicy Policy = ReorderPolicy::None,
-                   SparseFormat Format = SparseFormat::Csr,
-                   const ShardSpec &Sharding = ShardSpec()) const;
+                   SparseFormat Format = SparseFormat::Csr) const;
 
   /// Measures/estimates one primitive invocation: executes \p Body exactly
   /// once and returns the seconds to charge for it on this platform — the
@@ -372,18 +342,16 @@ public:
 private:
   /// The body of every run() and runTraining(): layout setup, one
   /// forward pass (plus the backward pass when \p Training), and the
-  /// inverse permutation of a reordered output.
+  /// inverse permutation of a reordered output and feature gradient.
   void runArena(const CompositionPlan &Plan, const LayerInputs &Inputs,
                 const GraphStats &Stats, PlanWorkspace &Ws, ExecResult &Result,
-                ReorderPolicy Policy, const ShardSpec &Sharding,
-                bool Training) const;
+                ReorderPolicy Policy, bool Training) const;
 
-  /// Rebuilds \p LS for the layout (Policy, Sharding) of the caller's
-  /// adjacency \p Adj unless it already holds exactly that; returns the
-  /// setup seconds to charge (0 when the cache was valid).
+  /// Rebuilds \p LS for the layout \p Policy of the caller's adjacency
+  /// \p Adj unless it already holds exactly that; returns the setup seconds
+  /// to charge (0 when the cache was valid).
   double layoutSetup(detail::LayoutState &LS, const CsrMatrix &Adj,
-                     const GraphStats &Stats, ReorderPolicy Policy,
-                     const ShardSpec &Sharding) const;
+                     const GraphStats &Stats, ReorderPolicy Policy) const;
 
   /// Gathers the caller's features into permuted order and returns inputs
   /// rebound to the cached reordered graph; \p PermSeconds receives the

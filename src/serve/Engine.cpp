@@ -7,11 +7,12 @@
 #include "graph/Reorder.h"
 #include "ir/Dsl.h"
 #include "kernels/Dispatch.h"
-#include "shard/Shard.h"
 #include "support/Hash.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
+
+#include <unistd.h>
 
 #include <utility>
 
@@ -57,21 +58,48 @@ std::string sessionKeyFor(const JobRequest &Req) {
   Key += kernels::isaLevelName(kernels::activeIsaLevel());
   Key += "/r" + Req.Reorder;
   Key += "/s" + std::to_string(Req.Seed);
-  // Raw request value on purpose (-1 stays -1): auto resolution needs the
-  // graph's edge count, and the warm session path must never load the
-  // graph. The plan cache underneath keys on the resolved count.
-  Key += "/sh" + std::to_string(Req.Shards);
   Key += Req.Training ? "/train" : "/infer";
   return Key;
 }
 
-/// Resolves the request's shard field against the loaded graph: -1 (auto)
-/// becomes an edge-count-derived count (possibly 0 for small graphs),
-/// 0 stays whole-graph, and explicit counts >= 2 pass through.
-int resolvedShardCount(const JobRequest &Req, const Graph &G) {
-  if (Req.Shards < 0)
-    return shard::autoShardCount(G.numEdges());
-  return Req.Shards > 1 ? static_cast<int>(Req.Shards) : 0;
+/// Checks the request's embedding sizes against the loaded graph before
+/// anything is sized by them: K >= 1, the N x K_in features, N x K_out
+/// output and K_in x K_out weight each countable in int64, and their bytes
+/// together within the host's physical memory. Anything else would abort
+/// the process in an allocation instead of answering with an error.
+bool validEmbeddingSizes(const JobRequest &Req, const Graph &G,
+                         std::string *Error) {
+  const std::string Sizes =
+      std::to_string(Req.KIn) + "x" + std::to_string(Req.KOut);
+  if (Req.KIn < 1 || Req.KOut < 1) {
+    *Error = "embedding sizes must be >= 1 (got " + Sizes + ")";
+    return false;
+  }
+  const int64_t N = G.numNodes();
+  const std::string OnGraph = Sizes + " on " + std::to_string(N) + " nodes";
+  int64_t Features = 0, Output = 0, Weight = 0, Floats = 0, Bytes = 0;
+  if (__builtin_mul_overflow(N, Req.KIn, &Features) ||
+      __builtin_mul_overflow(N, Req.KOut, &Output) ||
+      __builtin_mul_overflow(Req.KIn, Req.KOut, &Weight) ||
+      __builtin_add_overflow(Features, Output, &Floats) ||
+      __builtin_add_overflow(Floats, Weight, &Floats) ||
+      __builtin_mul_overflow(Floats, int64_t{sizeof(float)}, &Bytes)) {
+    *Error = "embedding sizes " + OnGraph +
+             " overflow the features, output or weight element count";
+    return false;
+  }
+  const long Pages = sysconf(_SC_PHYS_PAGES);
+  const long PageBytes = sysconf(_SC_PAGESIZE);
+  if (Pages > 0 && PageBytes > 0 &&
+      static_cast<double>(Bytes) >
+          static_cast<double>(Pages) * static_cast<double>(PageBytes)) {
+    *Error = "embedding sizes " + OnGraph + " need " + std::to_string(Bytes) +
+             " bytes of features, output and weight, more than the host's " +
+             std::to_string(static_cast<int64_t>(Pages) * PageBytes) +
+             " bytes of physical memory";
+    return false;
+  }
+  return true;
 }
 
 /// CSR is the only forward layout. The request's format field stays on the
@@ -153,7 +181,6 @@ PlanCache::Plans Engine::resolvePlans(const GnnModel &Model, const Graph &G,
   Key.KOut = Req.KOut;
   Key.Threads = ThreadPool::get().numThreads();
   Key.Isa = kernels::isaLevelName(kernels::activeIsaLevel());
-  Key.Shards = resolvedShardCount(Req, G);
   Resp.CacheKey = Key.canonical();
 
   bool DiskHit = false;
@@ -172,7 +199,6 @@ PlanCache::Plans Engine::resolvePlans(const GnnModel &Model, const Graph &G,
   OptOpts.Hw = Opts.Hw;
   OptOpts.Iterations = Opts.Iterations;
   OptOpts.Verify = Opts.Verify;
-  OptOpts.Shards = Key.Shards;
   Optimizer Compiled(Model, OptOpts, &CompileCost);
   auto Value = std::make_shared<const std::vector<CompositionPlan>>(
       Compiled.promoted());
@@ -189,11 +215,6 @@ PlanCache::Plans Engine::resolvePlans(const GnnModel &Model, const Graph &G,
 
 CompileResponse Engine::compile(const JobRequest &Req) {
   CompileResponse Resp;
-  if (Req.KIn < 1 || Req.KOut < 1) {
-    Resp.Status.Ok = false;
-    Resp.Status.Error = "embedding sizes must be >= 1";
-    return Resp;
-  }
   std::string FormatError;
   if (!validFormat(Req, &FormatError)) {
     Resp.Status.Ok = false;
@@ -213,6 +234,10 @@ CompileResponse Engine::compile(const JobRequest &Req) {
   if (!G) {
     Resp.Status.Ok = false;
     Resp.Status.Error = stripDiagDecoration(GraphError);
+    return Resp;
+  }
+  if (!validEmbeddingSizes(Req, *G, &Resp.Status.Error)) {
+    Resp.Status.Ok = false;
     return Resp;
   }
   GnnModel Model = wrapParsedModel(*Parsed);
@@ -248,10 +273,6 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   // Engine-level lock held throughout — enumeration is single-threaded
   // anyway, and serializing creation means concurrent identical requests
   // compile once instead of racing.
-  if (Req.KIn < 1 || Req.KOut < 1) {
-    Error = "embedding sizes must be >= 1";
-    return nullptr;
-  }
   std::optional<ReorderPolicy> Reorder = parseReorderPolicy(Req.Reorder);
   if (!Reorder) {
     Error = "unknown reorder policy '" + Req.Reorder +
@@ -278,6 +299,8 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
     Loaded = &*OwnGraph;
   }
   const Graph &G = *Loaded;
+  if (!validEmbeddingSizes(Req, G, &Error))
+    return nullptr;
 
   auto S = std::shared_ptr<Session>(new Session());
   S->Key = Key;
@@ -287,10 +310,6 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   Options.Iterations = Opts.Iterations;
   Options.Reorder = *Reorder;
   Options.Verify = Opts.Verify;
-  // Resolved against the loaded graph (auto may legitimately come out 0);
-  // set before Optimizer construction so selection prices shard features.
-  Options.Shards = resolvedShardCount(Req, G);
-  Options.ShardStoreDir = Opts.ShardStoreDir;
   S->Training = Req.Training;
   S->Cost = AnalyticCostModel(Opts.Hw);
 
@@ -305,18 +324,13 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
       Optimizer::fromCompiled(S->Model, Options, &S->Cost, *Compiled));
   S->Params = makeLayerParams(S->Model, G, Req.KIn, Req.KOut, Req.Seed);
   // Select from the parameters' self-loop graph and its statistics:
-  // Optimizer::select would rebuild both from G. The shard annotation goes
-  // on a copy, so execution sees the same statistics as Optimizer::execute.
+  // Optimizer::select would rebuild both from G.
   DimBinding Binding;
   Binding.N = S->Params.AdjSelf.rows();
   Binding.E = S->Params.AdjSelf.nnz();
   Binding.KIn = Req.KIn;
   Binding.KOut = Req.KOut;
-  S->SelectStats = S->Params.Stats;
-  if (Options.Shards > 1)
-    shard::annotateShardStats(S->SelectStats, S->Params.AdjSelf,
-                              Options.Shards);
-  S->Sel = S->Opt->selectWithStats(Binding, S->SelectStats);
+  S->Sel = S->Opt->selectWithStats(Binding, S->Params.Stats);
 
   SessionLru.push_front(S);
   SessionIndex[Key] = SessionLru.begin();

@@ -56,10 +56,6 @@ struct EngineOptions {
   /// cost-model cache directory). Set DiskSpill = false to disable.
   std::string SpillDir;
   bool DiskSpill = true;
-  /// Directory for mmap-backed shard images of sharded sessions; "" keeps
-  /// shard blocks in memory (docs/SHARDING.md). The shard count itself is
-  /// per request (JobRequest::Shards), not an engine property.
-  std::string ShardStoreDir;
 };
 
 /// Aggregate counters for the stats verb (engine part only; the server
@@ -94,12 +90,12 @@ public:
   const Selection &selection() const { return Sel; }
   const Optimizer &optimizer() const { return *Opt; }
   /// The session's materialized layer tensors (the CLI's --profile path
-  /// re-executes against them with step profiling enabled).
+  /// re-executes against them with step profiling enabled); the selection
+  /// was made on their statistics, Params.Stats.
   const LayerParams &params() const { return Params; }
-  /// The cost model and graph statistics the selection was made with
-  /// (--profile prints their per-step predictions beside measured time).
+  /// The cost model the selection was made with (--profile prints its
+  /// per-step predictions beside measured time).
   const CostModel &cost() const { return Cost; }
-  const GraphStats &selectStats() const { return SelectStats; }
 
 private:
   friend class Engine;
@@ -116,8 +112,6 @@ private:
   AnalyticCostModel Cost{HardwareModel::byName("cpu")};
   std::optional<Optimizer> Opt;
   LayerParams Params;
-  /// Params.Stats, shard-annotated for a sharded session.
-  GraphStats SelectStats;
   Selection Sel;
   bool PlanCacheHit = false;
 
@@ -141,8 +135,9 @@ public:
   CompileResponse compile(const JobRequest &Req);
 
   /// The run verb: session lookup or creation, then one executed pass.
-  /// Errors (bad model text, unknown graph, unknown reorder policy) come
-  /// back as Status.Ok == false with the diagnostic text.
+  /// Errors (bad model text, unknown graph, unknown reorder policy,
+  /// embedding sizes the host cannot hold) come back as Status.Ok == false
+  /// with the diagnostic text.
   RunResponse run(const JobRequest &Req);
 
   /// Looks up (or builds) the warm session for \p Req — the library-level

@@ -92,7 +92,6 @@ std::vector<uint8_t> granii::serve::encodeJobRequest(const JobRequest &Req) {
   W.putU64(Req.Seed);
   W.putU8(Req.WantOutput ? 1 : 0);
   W.putString(Req.Format);
-  W.putI64(Req.Shards);
   return W.take();
 }
 
@@ -108,10 +107,6 @@ bool granii::serve::decodeJobRequest(std::span<const uint8_t> Payload,
   Out.Seed = R.getU64();
   Out.WantOutput = R.getU8() != 0;
   Out.Format = R.getString();
-  Out.Shards = R.getI64();
-  if (R.ok() && (Out.Shards < -1 || Out.Shards == 1))
-    R.fail("shards must be -1 (auto), 0 (off), or >= 2 (got " +
-           std::to_string(Out.Shards) + ")");
   if (R.ok() && (Out.KIn < 1 || Out.KOut < 1))
     R.fail("embedding sizes must be >= 1 (got " + std::to_string(Out.KIn) +
            "x" + std::to_string(Out.KOut) + ")");

@@ -64,10 +64,6 @@ struct JobRequest {
   /// because the end-to-end benchmark sets it, and goes with the next
   /// change to the benchmark.
   std::string Format = "csr";
-  /// Sharded execution: 0 = whole-graph, > 1 = that many shards, -1 = auto
-  /// (the engine resolves a count from the loaded graph's edge count).
-  /// Bitwise identical to whole-graph output.
-  int64_t Shards = 0;
 };
 
 std::vector<uint8_t> encodeJobRequest(const JobRequest &Req);

@@ -8,7 +8,7 @@
 ///
 ///   offset  size  field
 ///   0       4     magic "GRNI" (0x47 0x52 0x4e 0x49 on the wire)
-///   4       2     protocol version, little-endian (currently 1)
+///   4       2     protocol version, little-endian (currently 2)
 ///   6       2     verb, little-endian (serve::Verb)
 ///   8       4     payload length in bytes, little-endian
 ///   12      N     payload (verb-specific, see Protocol.h)
@@ -36,7 +36,7 @@ namespace serve {
 /// Frame magic, as the little-endian u32 whose bytes spell "GRNI".
 inline constexpr uint32_t FrameMagic = 0x494e5247u;
 /// Protocol version carried by every frame.
-inline constexpr uint16_t ProtocolVersion = 1;
+inline constexpr uint16_t ProtocolVersion = 2;
 /// Upper bound on one frame's payload; larger lengths are a protocol error.
 inline constexpr uint32_t MaxPayloadBytes = 1u << 30;
 

@@ -175,6 +175,18 @@ TEST(Cli, RunRejectsUnknownSyntheticGraph) {
   EXPECT_NE(Err.find("unknown synthetic graph"), std::string::npos);
 }
 
+// An embedding size no host can hold fails as a request error (exit 1)
+// instead of aborting in an allocation.
+TEST(Cli, RunRejectsAnOversizedEmbedding) {
+  std::string Out, Err;
+  EXPECT_EQ(runCli({"run", gcnExamplePath(), "--graph", "synth:coauthors",
+                    "--kin", "1099511627776", "--kout", "8"},
+                   Out, Err),
+            1);
+  EXPECT_NE(Err.find("error:"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("1099511627776x8"), std::string::npos) << Err;
+}
+
 TEST(Cli, GraphGenRoundTripsThroughRun) {
   std::string MtxPath = ::testing::TempDir() + "/cli_graph.mtx";
   std::string Out, Err;

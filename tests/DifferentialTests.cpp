@@ -496,15 +496,15 @@ TEST(Differential, OptimizerReorderOptionMatchesBaseline) {
 }
 
 //===----------------------------------------------------------------------===//
-// Sharded execution: bitwise identical to the whole-graph CSR path
+// In-place output: one reused result across warm arena runs
 //===----------------------------------------------------------------------===//
 //
-// The sharding contract (docs/SHARDING.md) is stronger than the reorder
-// one: partitioning must not change a single bit of the output or the
-// gradients, at any shard count and any thread count, because every owned
-// row's neighbor reduction replays the whole-graph kernel's operation
-// order exactly. These sweeps drive the full Executor path (setup, halo
-// staging, forward, backward) rather than the shard kernels in isolation.
+// The plan's final step writes the caller's ExecResult::Output directly,
+// and the backward pass accumulates the feature gradient in place. A result
+// reused across arena runs therefore keeps its output and FeatureGrad
+// buffers, and under every layout their bytes equal a by-value run's: for a
+// reorder policy, the by-value run on the relabeled graph, scattered back
+// the way the arena does it.
 
 namespace {
 
@@ -514,135 +514,9 @@ bool bitwiseEqualDense(const DenseMatrix &A, const DenseMatrix &B) {
                      static_cast<size_t>(A.size()) * sizeof(float)) == 0;
 }
 
-} // namespace
-
-TEST(Differential, ShardedForwardIsBitwiseWholeGraph) {
-  for (uint64_t I = 0; I < 6; ++I) {
-    Instance Inst = makeInstance(8000 + I);
-    SCOPED_TRACE(Inst.Desc);
-    GnnModel M = makeModel(Inst.Kind);
-    LayerParams Params =
-        makeLayerParams(M, Inst.G, Inst.KIn, Inst.KOut, Inst.Seed);
-    std::vector<CompositionPlan> Plans = survivingPlans(M);
-    ASSERT_FALSE(Plans.empty());
-    const CompositionPlan &Plan = Plans[I % Plans.size()];
-    DimBinding Binding = Params.inputs().binding(&Plan);
-
-    Executor E1(HardwareModel::byName("cpu"), /*NumThreads=*/1);
-    PlanWorkspace WsBase;
-    WsBase.configure(Plan, Binding, /*Training=*/false);
-    ExecResult Base;
-    E1.run(Plan, Params.inputs(), Params.Stats, WsBase, Base);
-
-    for (int Shards : {2, 4}) {
-      for (int Threads : {1, 4}) {
-        SCOPED_TRACE("shards=" + std::to_string(Shards) +
-                     " threads=" + std::to_string(Threads));
-        Executor E(HardwareModel::byName("cpu"), Threads);
-        PlanWorkspace Ws;
-        Ws.configure(Plan, Binding, /*Training=*/false);
-        ExecResult R;
-        E.run(Plan, Params.inputs(), Params.Stats, Ws, R,
-              ReorderPolicy::None, SparseFormat::Csr,
-              ShardSpec{Shards, ""});
-        EXPECT_TRUE(bitwiseEqualDense(R.Output, Base.Output))
-            << "sharded forward differs from whole-graph by "
-            << R.Output.maxAbsDiff(Base.Output);
-      }
-    }
-  }
-}
-
-TEST(Differential, ShardedTrainingGradientsAreBitwise) {
-  for (uint64_t I = 0; I < 4; ++I) {
-    Instance Inst = makeInstance(8100 + I);
-    SCOPED_TRACE(Inst.Desc);
-    GnnModel M = makeModel(Inst.Kind);
-    LayerParams Params =
-        makeLayerParams(M, Inst.G, Inst.KIn, Inst.KOut, Inst.Seed);
-    std::vector<CompositionPlan> Plans = survivingPlans(M);
-    ASSERT_FALSE(Plans.empty());
-    const CompositionPlan &Plan = Plans[I % Plans.size()];
-    DimBinding Binding = Params.inputs().binding(&Plan);
-
-    Executor E1(HardwareModel::byName("cpu"), /*NumThreads=*/1);
-    PlanWorkspace WsBase;
-    WsBase.configure(Plan, Binding, /*Training=*/true);
-    ExecResult Base;
-    E1.runTraining(Plan, Params.inputs(), Params.Stats, WsBase, Base);
-
-    for (int Shards : {2, 4}) {
-      for (int Threads : {1, 4}) {
-        SCOPED_TRACE("shards=" + std::to_string(Shards) +
-                     " threads=" + std::to_string(Threads));
-        Executor E(HardwareModel::byName("cpu"), Threads);
-        PlanWorkspace Ws;
-        Ws.configure(Plan, Binding, /*Training=*/true);
-        ExecResult R;
-        E.runTraining(Plan, Params.inputs(), Params.Stats, Ws, R,
-                      ReorderPolicy::None, SparseFormat::Csr,
-                      ShardSpec{Shards, ""});
-        EXPECT_TRUE(bitwiseEqualDense(R.Output, Base.Output))
-            << "sharded training output differs from whole-graph";
-        for (const auto &[Name, DW] : Base.WeightGrads) {
-          ASSERT_TRUE(R.WeightGrads.count(Name));
-          EXPECT_TRUE(bitwiseEqualDense(R.WeightGrads.at(Name), DW))
-              << "grad " << Name << " differs by "
-              << R.WeightGrads.at(Name).maxAbsDiff(DW);
-        }
-        if (!Base.FeatureGrad.empty()) {
-          EXPECT_TRUE(bitwiseEqualDense(R.FeatureGrad, Base.FeatureGrad))
-              << "feature grad differs by "
-              << R.FeatureGrad.maxAbsDiff(Base.FeatureGrad);
-        }
-      }
-    }
-  }
-}
-
-// Warm-workspace contract under sharding: the second run of a sharded
-// workspace performs zero allocations (halo staging reaches its
-// high-water marks on run one) and stays bitwise stable.
-TEST(Differential, ShardedSteadyStateAllocatesNothing) {
-  Instance Inst = makeInstance(8200);
-  GnnModel M = makeModel(Inst.Kind);
-  LayerParams Params =
-      makeLayerParams(M, Inst.G, Inst.KIn, Inst.KOut, Inst.Seed);
-  std::vector<CompositionPlan> Plans = survivingPlans(M);
-  ASSERT_FALSE(Plans.empty());
-  DimBinding Binding = Params.inputs().binding(&Plans[0]);
-  Executor Exec(HardwareModel::byName("cpu"), /*NumThreads=*/2);
-  PlanWorkspace Ws;
-  Ws.configure(Plans[0], Binding, /*Training=*/true);
-  ExecResult First, Second;
-  ShardSpec Sharding{3, ""};
-  Exec.runTraining(Plans[0], Params.inputs(), Params.Stats, Ws, First,
-                   ReorderPolicy::None, SparseFormat::Csr, Sharding);
-  Ws.resetAllocationCount();
-  Exec.runTraining(Plans[0], Params.inputs(), Params.Stats, Ws, Second,
-                   ReorderPolicy::None, SparseFormat::Csr, Sharding);
-  EXPECT_EQ(Ws.allocationCount(), 0u)
-      << "sharded steady state still allocates";
-  EXPECT_TRUE(bitwiseEqualDense(First.Output, Second.Output));
-}
-
-//===----------------------------------------------------------------------===//
-// In-place output: one reused result across warm arena runs
-//===----------------------------------------------------------------------===//
-//
-// The plan's final step writes the caller's ExecResult::Output directly.
-// A result reused across arena runs therefore keeps its output buffer, and
-// under every layout its bytes equal a by-value run's: the plain CSR run
-// for shards (their bitwise contract), and for a reorder policy the
-// by-value run on the relabeled graph, scattered back the way the arena
-// does it.
-
-namespace {
-
 struct Layout {
   const char *Name;
   ReorderPolicy Policy;
-  int Shards;
 };
 
 ExecResult byValueReference(const Executor &Exec, const CompositionPlan &Plan,
@@ -664,6 +538,11 @@ ExecResult byValueReference(const Executor &Exec, const CompositionPlan &Plan,
   DenseMatrix Out(R.Output.rows(), R.Output.cols());
   inversePermuteRowsInto(R.Output, Perm, Out);
   R.Output = std::move(Out);
+  if (Training) {
+    DenseMatrix Grad(R.FeatureGrad.rows(), R.FeatureGrad.cols());
+    inversePermuteRowsInto(R.FeatureGrad, Perm, Grad);
+    R.FeatureGrad = std::move(Grad);
+  }
   return R;
 }
 
@@ -671,9 +550,8 @@ ExecResult byValueReference(const Executor &Exec, const CompositionPlan &Plan,
 
 TEST(Differential, ReusedResultKeepsItsOutputBufferAndBytes) {
   const Layout Layouts[] = {
-      {"csr", ReorderPolicy::None, 0},
-      {"rcm", ReorderPolicy::Rcm, 0},
-      {"2 shards", ReorderPolicy::None, 2},
+      {"csr", ReorderPolicy::None},
+      {"rcm", ReorderPolicy::Rcm},
   };
   for (uint64_t I = 0; I < 3; ++I) {
     Instance Inst = makeInstance(8300 + I);
@@ -694,24 +572,32 @@ TEST(Differential, ReusedResultKeepsItsOutputBufferAndBytes) {
         PlanWorkspace Ws;
         ExecResult R;
         const float *Buffer = nullptr;
+        const float *GradBuffer = nullptr;
         for (int Run = 0; Run < 3; ++Run) {
           SCOPED_TRACE("run " + std::to_string(Run));
           Ws.resetAllocationCount();
-          ShardSpec Sharding{L.Shards, ""};
           if (Training)
             Exec.runTraining(Plan, Params.inputs(), Params.Stats, Ws, R,
-                             L.Policy, SparseFormat::Csr, Sharding);
+                             L.Policy);
           else
-            Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R, L.Policy,
-                     SparseFormat::Csr, Sharding);
+            Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R, L.Policy);
           EXPECT_TRUE(bitwiseEqualDense(R.Output, Want.Output))
               << "differs from the by-value run by "
               << R.Output.maxAbsDiff(Want.Output);
+          if (Training) {
+            ASSERT_GT(Want.FeatureGrad.rows(), 0);
+            EXPECT_TRUE(bitwiseEqualDense(R.FeatureGrad, Want.FeatureGrad))
+                << "feature grad differs from the by-value run by "
+                << R.FeatureGrad.maxAbsDiff(Want.FeatureGrad);
+          }
           if (Run == 0) {
             Buffer = R.Output.data();
+            GradBuffer = R.FeatureGrad.data();
             continue;
           }
           EXPECT_EQ(R.Output.data(), Buffer) << "warm run moved the output";
+          EXPECT_EQ(R.FeatureGrad.data(), GradBuffer)
+              << "warm run moved the feature gradient";
           EXPECT_EQ(Ws.allocationCount(), 0u);
         }
       }
@@ -723,11 +609,10 @@ TEST(Differential, ReusedResultKeepsItsOutputBufferAndBytes) {
 // A workspace rebound to a second graph of the same size
 //===----------------------------------------------------------------------===//
 //
-// Every cached layout part (permutation, shard blocks, backward transpose)
-// derives from the caller's adjacency. A workspace that
-// ran graph A and then runs graph B, with the same node and edge counts,
-// must answer exactly what a fresh workspace answers on B: the output and
-// every gradient, bit for bit.
+// Every cached layout part (permutation, backward transpose) derives from
+// the caller's adjacency. A workspace that ran graph A and then runs graph
+// B, with the same node and edge counts, must answer exactly what a fresh
+// workspace answers on B: the output and every gradient, bit for bit.
 
 namespace {
 
@@ -764,9 +649,8 @@ TEST(Differential, ReboundWorkspaceMatchesAFreshOne) {
   const Graph GA = makeRmat(220, 1400, 0.55, 0.2, 0.15, 42);
   const Graph GB = makeRmat(220, 1400, 0.55, 0.2, 0.15, 43);
   const Layout Layouts[] = {
-      {"csr", ReorderPolicy::None, 0},
-      {"rcm", ReorderPolicy::Rcm, 0},
-      {"rcm+2 shards", ReorderPolicy::Rcm, 2},
+      {"csr", ReorderPolicy::None},
+      {"rcm", ReorderPolicy::Rcm},
   };
   Executor Exec(HardwareModel::byName("cpu"), /*NumThreads=*/2);
   for (ModelKind Kind : {ModelKind::GCN, ModelKind::GAT, ModelKind::SAGE}) {
@@ -785,15 +669,13 @@ TEST(Differential, ReboundWorkspaceMatchesAFreshOne) {
         for (const Layout &L : Layouts) {
           SCOPED_TRACE(std::string(L.Name) +
                        (Training ? " training" : " inference"));
-          const ShardSpec Sharding{L.Shards, ""};
           auto Run = [&](const LayerParams &P, PlanWorkspace &Ws,
                          ExecResult &R) {
             if (Training)
               Exec.runTraining(Plans[PI], P.inputs(), P.Stats, Ws, R,
-                               L.Policy, SparseFormat::Csr, Sharding);
+                               L.Policy);
             else
-              Exec.run(Plans[PI], P.inputs(), P.Stats, Ws, R, L.Policy,
-                       SparseFormat::Csr, Sharding);
+              Exec.run(Plans[PI], P.inputs(), P.Stats, Ws, R, L.Policy);
           };
           PlanWorkspace Rebound, Fresh;
           ExecResult Got, Want;
@@ -830,18 +712,15 @@ TEST(Differential, ReboundWorkspaceMatchesAFreshOne) {
 //
 // The layout cache keys on the adjacency's address and content version, so
 // an edit through mutableValues() or assignPattern() rebuilds every derived
-// part (the permuted copy and its values, the shard blocks, the backward
-// CSC): the next run on the same workspace answers exactly what a fresh
+// part (the permuted copy and its values, the backward CSC): the next run on the same workspace answers exactly what a fresh
 // workspace answers on the edited graph.
 
 TEST(Differential, InPlaceAdjacencyEditRebuildsTheLayout) {
   const Graph G = makeRmat(220, 1400, 0.55, 0.2, 0.15, 42);
   const Graph Other = makeRmat(220, 1400, 0.55, 0.2, 0.15, 43);
   const Layout Layouts[] = {
-      {"csr", ReorderPolicy::None, 0},
-      {"rcm", ReorderPolicy::Rcm, 0},
-      {"2 shards", ReorderPolicy::None, 2},
-      {"rcm+2 shards", ReorderPolicy::Rcm, 2},
+      {"csr", ReorderPolicy::None},
+      {"rcm", ReorderPolicy::Rcm},
   };
   Executor Exec(HardwareModel::byName("cpu"), /*NumThreads=*/2);
   for (ModelKind Kind : {ModelKind::GCN, ModelKind::GAT, ModelKind::SAGE}) {
@@ -859,15 +738,13 @@ TEST(Differential, InPlaceAdjacencyEditRebuildsTheLayout) {
         for (const Layout &L : Layouts) {
           SCOPED_TRACE(std::string(L.Name) +
                        (Training ? " training" : " inference"));
-          const ShardSpec Sharding{L.Shards, ""};
           auto Run = [&](const LayerParams &P, PlanWorkspace &Ws,
                          ExecResult &R) {
             if (Training)
               Exec.runTraining(Plans[PI], P.inputs(), P.Stats, Ws, R,
-                               L.Policy, SparseFormat::Csr, Sharding);
+                               L.Policy);
             else
-              Exec.run(Plans[PI], P.inputs(), P.Stats, Ws, R, L.Policy,
-                       SparseFormat::Csr, Sharding);
+              Exec.run(Plans[PI], P.inputs(), P.Stats, Ws, R, L.Policy);
           };
           // A weighted adjacency, so the aggregations read its values.
           LayerParams P = Base;

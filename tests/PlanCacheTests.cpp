@@ -56,8 +56,7 @@ TEST(PlanCacheKey, CanonicalEncodesEveryField) {
                       +[](PlanCacheKey &K) { K.KIn = 33; },
                       +[](PlanCacheKey &K) { K.KOut = 65; },
                       +[](PlanCacheKey &K) { K.Threads = 5; },
-                      +[](PlanCacheKey &K) { K.Isa = "scalar"; },
-                      +[](PlanCacheKey &K) { K.Shards = 4; }}) {
+                      +[](PlanCacheKey &K) { K.Isa = "scalar"; }}) {
     PlanCacheKey Other = keyNumbered(1);
     Mutate(Other);
     EXPECT_NE(Other.canonical(), C);
@@ -65,22 +64,6 @@ TEST(PlanCacheKey, CanonicalEncodesEveryField) {
   }
   EXPECT_EQ(keyNumbered(1).canonical(), C);
   EXPECT_EQ(keyNumbered(1).fileHash(), Key.fileHash());
-}
-
-// A sharded configuration selects under shard-annotated cost features, so
-// its compiled set must never be served to (or from) the whole-graph
-// population of the same tuple.
-TEST(PlanCacheKey, ShardCountIsPartOfTheKey) {
-  PlanCacheKey Whole = keyNumbered(1); // Shards defaults to 0
-  PlanCacheKey Sharded = keyNumbered(1);
-  Sharded.Shards = 4;
-  EXPECT_TRUE(Sharded.canonical().ends_with("/sh4"));
-  EXPECT_NE(Whole.canonical(), Sharded.canonical());
-
-  PlanCache Cache(4);
-  Cache.put(Whole, somePlans());
-  EXPECT_EQ(Cache.get(Sharded), nullptr)
-      << "sharded request served the whole-graph entry";
 }
 
 TEST(PlanCache, MissThenHitAndCounters) {

@@ -403,16 +403,13 @@ TEST(Engine, WarmRunsAreBitwiseIdenticalAndAllocationFree) {
 
 // A session keeps one result across its runs, so a warm run writes the
 // output in place: two warm runs return the same bytes without allocating,
-// under the default layout, a reorder policy and sharding alike.
+// under the default layout and a reorder policy alike.
 TEST(Engine, SessionReusesOneResultAcrossWarmRuns) {
   Engine Eng(testEngineOptions());
-  for (const char *Layout : {"csr", "rcm", "2 shards"}) {
+  for (const char *Layout : {"none", "rcm"}) {
     SCOPED_TRACE(Layout);
     JobRequest Req = smallRequest();
-    if (std::string(Layout) == "rcm")
-      Req.Reorder = "rcm";
-    if (std::string(Layout) == "2 shards")
-      Req.Shards = 2;
+    Req.Reorder = Layout;
     std::string Err;
     std::shared_ptr<Session> S = Eng.session(Req, Err);
     ASSERT_TRUE(S) << Err;
@@ -435,22 +432,18 @@ TEST(Engine, SessionReusesOneResultAcrossWarmRuns) {
 
 // A session selects from its parameters' self-loop graph and statistics
 // instead of letting Optimizer::select rebuild them; the choice must be
-// the one Optimizer::select makes on the same graph, sharded or not.
+// the one Optimizer::select makes on the same graph.
 TEST(Engine, SessionSelectionMatchesOptimizerSelect) {
   Engine Eng(testEngineOptions());
-  for (int64_t Shards : {0, 2, 4}) {
-    SCOPED_TRACE("shards=" + std::to_string(Shards));
-    JobRequest Req = smallRequest(false);
-    Req.Shards = Shards;
-    std::string Err;
-    std::shared_ptr<Session> S = Eng.session(Req, Err);
-    ASSERT_TRUE(S) << Err;
-    std::optional<Graph> G = loadGraphSpec(Req.GraphSpec, &Err);
-    ASSERT_TRUE(G) << Err;
-    Selection Want = S->optimizer().select(*G, Req.KIn, Req.KOut);
-    EXPECT_EQ(S->selection().PlanIndex, Want.PlanIndex);
-    EXPECT_EQ(S->selection().PredictedSeconds, Want.PredictedSeconds);
-  }
+  JobRequest Req = smallRequest(false);
+  std::string Err;
+  std::shared_ptr<Session> S = Eng.session(Req, Err);
+  ASSERT_TRUE(S) << Err;
+  std::optional<Graph> G = loadGraphSpec(Req.GraphSpec, &Err);
+  ASSERT_TRUE(G) << Err;
+  Selection Want = S->optimizer().select(*G, Req.KIn, Req.KOut);
+  EXPECT_EQ(S->selection().PlanIndex, Want.PlanIndex);
+  EXPECT_EQ(S->selection().PredictedSeconds, Want.PredictedSeconds);
 }
 
 // The one-shot CLI hands the engine the graph it already loaded; a session
@@ -522,6 +515,34 @@ TEST(Engine, UnknownOrBackwardOnlyFormatIsARequestError) {
     CompileResponse Resp = Eng.compile(CReq);
     EXPECT_TRUE(Resp.Status.Ok) << Resp.Status.Error;
   }
+}
+
+// An embedding size the host cannot hold is a request error naming the
+// sizes on both verbs, never an abort in an allocation: on this small graph
+// K = 2^40 counts fine in int64 but needs more bytes than any physical
+// memory, and K = 2^62 overflows the element counts. The same engine then
+// serves a valid request.
+TEST(Engine, OversizedEmbeddingIsARequestError) {
+  Engine Eng(testEngineOptions());
+  for (int64_t K : {int64_t{1} << 40, int64_t{1} << 62}) {
+    const std::string Sizes = std::to_string(K);
+    SCOPED_TRACE("K = " + Sizes);
+    JobRequest Req = smallRequest();
+    Req.KIn = K;
+    RunResponse R = Eng.run(Req);
+    EXPECT_FALSE(R.Status.Ok);
+    EXPECT_NE(R.Status.Error.find(Sizes), std::string::npos)
+        << R.Status.Error;
+    JobRequest CReq = smallRequest(false);
+    CReq.KOut = K;
+    CompileResponse C = Eng.compile(CReq);
+    EXPECT_FALSE(C.Status.Ok);
+    EXPECT_NE(C.Status.Error.find(Sizes), std::string::npos)
+        << C.Status.Error;
+  }
+  RunResponse Valid = Eng.run(smallRequest());
+  EXPECT_TRUE(Valid.Status.Ok) << Valid.Status.Error;
+  EXPECT_EQ(Valid.Cols, 12);
 }
 
 TEST(Engine, SessionLruEvictsButEvictedConfigStillRuns) {

@@ -14,7 +14,6 @@
 #include "serve/Client.h"
 #include "serve/Engine.h"
 #include "serve/Server.h"
-#include "shard/Shard.h"
 #include "support/Diag.h"
 #include "support/Str.h"
 #include "support/ThreadPool.h"
@@ -224,21 +223,6 @@ std::optional<VerifyLevel> verifyFlag(const ArgParser &Args,
   return Level;
 }
 
-/// Parses the shared --sharded / --shards=N pair into the protocol
-/// encoding: 0 = whole-graph, -1 = auto (bare --sharded), >= 2 = explicit
-/// count. --shards implies --sharded; nullopt (with Err set) on a bad count.
-std::optional<int64_t> shardsFlag(const ArgParser &Args, std::string &Err) {
-  int64_t Shards = Args.intValue("shards", 0);
-  if (Shards == 0 && Args.hasFlag("sharded"))
-    Shards = -1;
-  if (Shards < -1 || Shards == 1) {
-    Err += "error: --shards expects a count >= 2 (or bare --sharded for "
-           "auto)\n";
-    return std::nullopt;
-  }
-  return Shards;
-}
-
 int cmdCompile(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (int Code = rejectUnknownFlags(
           Args, "compile",
@@ -328,14 +312,11 @@ int profileRun(const serve::Session &S, const OptimizerOptions &Options,
   ExecResult R;
   LayerInputs Inputs = Params.inputs();
 
-  ShardSpec Sharding{Options.Shards, Options.ShardStoreDir};
   auto RunOnce = [&] {
     if (Training)
-      Exec.runTraining(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder,
-                       SparseFormat::Csr, Sharding);
+      Exec.runTraining(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder);
     else
-      Exec.run(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder,
-               SparseFormat::Csr, Sharding);
+      Exec.run(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder);
   };
   RunOnce(); // warm-up: plans the arena, allocates every slot
   Ws.resetAllocationCount();
@@ -352,7 +333,7 @@ int profileRun(const serve::Session &S, const OptimizerOptions &Options,
   for (size_t I = 0; I < R.StepProfiles.size(); ++I) {
     const StepProfile &P = R.StepProfiles[I];
     const double Predicted =
-        S.cost().primitiveSeconds(Ws.descs()[I], S.selectStats());
+        S.cost().primitiveSeconds(Ws.descs()[I], Params.Stats);
     if (!P.Setup)
       PredictedForward += Predicted;
     double GFlops = P.Seconds > 0.0 ? P.Flops / P.Seconds / 1e9 : 0.0;
@@ -401,20 +382,17 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (int Code = rejectUnknownFlags(
           Args, "run",
           {"graph", "kin", "kout", "hw", "iters", "train", "profile",
-           "reorder", "sharded", "shards", "shard-store", "verify", "out",
-           "threads", "isa", "trace"},
+           "reorder", "verify", "out", "threads", "isa", "trace"},
           Err))
     return Code;
-  if (int Code =
-          rejectMalformedInts(Args, {"kin", "kout", "iters", "shards"}, Err))
+  if (int Code = rejectMalformedInts(Args, {"kin", "kout", "iters"}, Err))
     return Code;
   if (Args.Positional.size() < 2) {
     Err += "usage: granii-cli run <model.gnn> [--graph <mtx|synth:name>] "
            "--kin N --kout N [--hw cpu|a100|h100] [--iters N] [--train] "
            "[--threads N] [--isa scalar|avx2|avx512] [--profile] "
-           "[--reorder none|rcm|degree] [--sharded | --shards N] "
-           "[--shard-store <dir>] [--out <file>] [--verify off|fast|full] "
-           "[--trace <out.json>]\n";
+           "[--reorder none|rcm|degree] [--out <file>] "
+           "[--verify off|fast|full] [--trace <out.json>]\n";
     return 2;
   }
   std::optional<std::string> ModelText =
@@ -453,20 +431,12 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   std::optional<VerifyLevel> Verify = verifyFlag(Args, Err);
   if (!Verify)
     return 2;
-  std::optional<int64_t> Shards = shardsFlag(Args, Err);
-  if (!Shards)
-    return 2;
 
   OptimizerOptions Options;
   Options.Hw = HardwareModel::byName(Hw);
   Options.Iterations = static_cast<int>(Args.intValue("iters", 100));
   Options.Reorder = *Reorder;
   Options.Verify = *Verify;
-  // Resolve auto locally the same way the engine will, so the banner and
-  // the --profile path agree with the served execution.
-  Options.Shards = *Shards < 0 ? shard::autoShardCount(G->numEdges())
-                               : static_cast<int>(*Shards);
-  Options.ShardStoreDir = Args.value("shard-store", "");
 
   // One-shot runs go through the same Engine/Session layer the daemon
   // serves from — one code path, bitwise-identical answers. Disk spill is
@@ -477,7 +447,6 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   EngOpts.Iterations = Options.Iterations;
   EngOpts.Verify = Options.Verify;
   EngOpts.DiskSpill = false;
-  EngOpts.ShardStoreDir = Args.value("shard-store", "");
   serve::Engine Engine(EngOpts);
 
   serve::JobRequest Req;
@@ -487,7 +456,6 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   Req.KOut = KOut;
   Req.Training = Training;
   Req.Reorder = Args.value("reorder", "none");
-  Req.Shards = *Shards;
   Req.WantOutput = Args.hasFlag("out");
 
   // The session builds on the graph loaded above instead of loading the
@@ -508,14 +476,6 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   Out += "offline: " + std::to_string(Compile.Enumerated) +
          " enumerated -> " + std::to_string(Compile.Promoted) +
          " promoted\n";
-  if (*Shards != 0) {
-    if (Options.Shards > 1)
-      Out += "sharded: " + std::to_string(Options.Shards) +
-             " shard(s), bitwise identical to whole-graph execution\n";
-    else
-      Out += "sharded: auto resolved to whole-graph (graph below the "
-             "sharding threshold)\n";
-  }
   if (Options.Reorder != ReorderPolicy::None) {
     // Report the locality change the executor's cached permutation will
     // realize (the executor itself permutes the self-loop adjacency).
@@ -570,8 +530,8 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
 int cmdServe(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (int Code = rejectUnknownFlags(Args, "serve",
                                     {"socket", "workers", "plan-cache",
-                                     "sessions", "iters", "shard-store",
-                                     "verify", "threads", "isa", "trace"},
+                                     "sessions", "iters", "verify", "threads",
+                                     "isa", "trace"},
                                     Err))
     return Code;
   if (int Code = rejectMalformedInts(
@@ -581,7 +541,7 @@ int cmdServe(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (Socket.empty()) {
     Err += "usage: granii-cli serve --socket <path> [--workers N] "
            "[--plan-cache N] [--sessions N] [--iters N] "
-           "[--shard-store <dir>] [--verify off|fast|full] [--threads N] "
+           "[--verify off|fast|full] [--threads N] "
            "[--isa scalar|avx2|avx512]\n";
     return 2;
   }
@@ -599,7 +559,6 @@ int cmdServe(const ArgParser &Args, std::string &Out, std::string &Err) {
       std::max<int64_t>(1, Args.intValue("plan-cache", 16)));
   Options.Engine.SessionCapacity =
       static_cast<size_t>(std::max<int64_t>(1, Args.intValue("sessions", 8)));
-  Options.Engine.ShardStoreDir = Args.value("shard-store", "");
 
   serve::Server Server(Options);
   std::string ServeError;
@@ -621,20 +580,18 @@ int cmdServe(const ArgParser &Args, std::string &Out, std::string &Err) {
 int cmdCall(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (int Code = rejectUnknownFlags(
           Args, "call",
-          {"socket", "graph", "kin", "kout", "train", "reorder", "sharded",
-           "shards", "seed", "out", "compile-only", "stats", "shutdown",
-           "threads", "isa", "trace"},
+          {"socket", "graph", "kin", "kout", "train", "reorder", "seed", "out",
+           "compile-only", "stats", "shutdown", "threads", "isa", "trace"},
           Err))
     return Code;
-  if (int Code =
-          rejectMalformedInts(Args, {"kin", "kout", "shards", "seed"}, Err))
+  if (int Code = rejectMalformedInts(Args, {"kin", "kout", "seed"}, Err))
     return Code;
   std::string Socket = Args.value("socket");
   if (Socket.empty()) {
     Err += "usage: granii-cli call --socket <path> <model.gnn> "
            "[--graph <mtx|synth:name>] [--kin N] [--kout N] [--train] "
-           "[--reorder none|rcm|degree] [--sharded | --shards N] [--seed N] "
-           "[--out <file>] [--compile-only] | --stats | --shutdown\n";
+           "[--reorder none|rcm|degree] [--seed N] [--out <file>] "
+           "[--compile-only] | --stats | --shutdown\n";
     return 2;
   }
 
@@ -702,10 +659,6 @@ int cmdCall(const ArgParser &Args, std::string &Out, std::string &Err) {
   Req.KOut = Args.intValue("kout", 32);
   Req.Training = Args.hasFlag("train");
   Req.Reorder = Args.value("reorder", "none");
-  std::optional<int64_t> Shards = shardsFlag(Args, Err);
-  if (!Shards)
-    return 2;
-  Req.Shards = *Shards;
   Req.Seed = static_cast<uint64_t>(Args.intValue("seed", 1));
   Req.WantOutput = Args.hasFlag("out");
 
