@@ -340,6 +340,63 @@ int runJsonMode(const std::string &Path) {
                G.numEdges()},
               [&] { kernels::edgeSoftmaxInto(G.adjacency(), Vals, Out); });
     }
+    // The training backward's rewritten primitives.
+    {
+      // The ReLU gradient, accumulated as the backward pass does.
+      const int64_t K = 128;
+      DenseMatrix Pre = randomDense(4096, K, 9);
+      DenseMatrix Grad = randomDense(4096, K, 10);
+      DenseMatrix Acc(4096, K);
+      Measure("relu_backward", "-", K, K,
+              {PrimitiveKind::DenseMap, 4096, K, 0, 0}, [&] {
+                kernels::reluBackwardAccumulateInto(Pre, Grad, Acc,
+                                                    /*First=*/true);
+              });
+    }
+    {
+      // The SpMM's edge gradient at the GAT training width.
+      const int64_t K = 64;
+      DenseMatrix U = randomDense(G.numNodes(), K, 11);
+      DenseMatrix V = randomDense(G.numNodes(), K, 12);
+      std::vector<float> Out(static_cast<size_t>(G.numEdges()));
+      Measure("sddmm_dot/64", G.name(), K, K,
+              {PrimitiveKind::SddmmDot, G.numNodes(), 0, K, G.numEdges()},
+              [&] {
+                kernels::sddmmInto(G.adjacency(), U, V,
+                                   Semiring::plusTimes(), Out);
+              });
+    }
+    {
+      // The input gradient dY * W^T of the GAT training layer: 25000
+      // nodes, K 64 -> 128.
+      const int64_t N = 25000, KIn = 64, KOut = 128;
+      DenseMatrix Dy = randomDense(N, KOut, 13), W = randomDense(KIn, KOut, 14);
+      DenseMatrix Dx(N, KIn);
+      Measure("gemm_t_rhs/25000x128x64", "-", KIn, KOut,
+              {PrimitiveKind::Gemm, N, KIn, KOut, 0},
+              [&] { kernels::gemmTransposedRhsInto(Dy, W, Dx); });
+    }
+    {
+      const CsrMatrix &A = G.adjacency();
+      const size_t Nnz = static_cast<size_t>(A.nnz());
+      std::vector<float> Logits(Nnz), Alpha(Nnz), Grad(Nnz, 0.25f), DIn(Nnz);
+      Rng R(15);
+      for (float &X : Logits)
+        X = R.nextFloat(-1.0f, 1.0f);
+      kernels::edgeSoftmaxInto(A, Logits, Alpha);
+      const PrimitiveDesc Desc{PrimitiveKind::EdgeElementwise, G.numNodes(),
+                               0, 0, G.numEdges()};
+      Measure("edge_softmax_backward", G.name(), 0, 0,
+              {PrimitiveKind::EdgeSoftmax, G.numNodes(), 0, 0, G.numEdges()},
+              [&] {
+                kernels::edgeSoftmaxBackwardInto(A, Alpha, Grad, DIn,
+                                                 /*First=*/true);
+              });
+      Measure("edge_leaky_relu_backward", G.name(), 0, 0, Desc, [&] {
+        kernels::leakyReluEdgesBackwardInto(Logits, Grad, 0.2f, DIn,
+                                            /*First=*/true);
+      });
+    }
   };
 
   // Sweep every SIMD level the host supports, scalar first, then restore

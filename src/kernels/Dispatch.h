@@ -124,6 +124,10 @@ struct SimdOps {
                     int64_t N) = nullptr; ///< Y += Alpha * X
   void (*ReluRange)(const float *X, float *Out,
                     int64_t N) = nullptr; ///< Out = max(X, 0)
+  /// Out = Pre > 0 ? Grad : +0, the ReLU gradient: a compare and select,
+  /// so every level writes the same bits.
+  void (*ReluBackwardRange)(const float *Pre, const float *Grad, float *Out,
+                            int64_t N) = nullptr;
 };
 
 /// Best level both this build and this host support (CPUID-probed once;

@@ -12,6 +12,8 @@
 // (rows that accumulate are zeroed inside the same parallel region first,
 // preserving bitwise identity with the historical zero-initialized-alloc
 // formulation). The by-value forms allocate a zeroed result and forward.
+// The backward-pass kernels are the exception by design: they add into
+// their destination unless told it is the first contribution.
 //
 // ISA dispatch: the hot row routines (packed GEMM family, fused sum g-SpMM,
 // plus-times SDDMM, and the elementwise map family) are fetched once per
@@ -267,12 +269,8 @@ DenseMatrix kernels::addMatrices(const DenseMatrix &A, const DenseMatrix &B) {
 void kernels::axpyInto(float Alpha, const DenseMatrix &A, DenseMatrix &B) {
   GRANII_CHECK(A.rows() == B.rows() && A.cols() == B.cols(),
                "axpy shape mismatch");
-  const float *PA = A.data();
-  float *PB = B.data();
-  const SimdOps &Ops = simdOps();
-  parallelFor(0, A.size(), DenseGrainOps, [&](int64_t Begin, int64_t End) {
-    Ops.AxpyRange(Alpha, PA + Begin, PB + Begin, End - Begin);
-  });
+  accumulateInto(Alpha, {A.data(), static_cast<size_t>(A.size())},
+                 {B.data(), static_cast<size_t>(B.size())}, /*First=*/false);
 }
 
 void kernels::scaleMatrixInto(const DenseMatrix &A, float Alpha,
@@ -316,29 +314,6 @@ DenseMatrix kernels::leakyRelu(const DenseMatrix &A, float NegativeSlope) {
     for (int64_t I = Begin; I < End; ++I)
       PO[I] = PA[I] > 0.0f ? PA[I] : NegativeSlope * PA[I];
   });
-  return Out;
-}
-
-void kernels::reluBackwardInto(const DenseMatrix &Pre, const DenseMatrix &Grad,
-                               DenseMatrix &Dst) {
-  GRANII_CHECK(Pre.rows() == Grad.rows() && Pre.cols() == Grad.cols(),
-               "relu backward shape mismatch");
-  checkDenseDst(Dst, Pre.rows(), Pre.cols(), "relu_backward");
-  const float *PP = Pre.data();
-  const float *PG = Grad.data();
-  float *PO = Dst.data();
-  parallelFor(0, Pre.size(), DenseGrainOps, [&](int64_t Begin, int64_t End) {
-    for (int64_t I = Begin; I < End; ++I)
-      PO[I] = PP[I] > 0.0f ? PG[I] : 0.0f;
-  });
-}
-
-DenseMatrix kernels::reluBackward(const DenseMatrix &Pre,
-                                  const DenseMatrix &Grad) {
-  GRANII_CHECK(Pre.rows() == Grad.rows() && Pre.cols() == Grad.cols(),
-               "relu backward shape mismatch");
-  DenseMatrix Out(Pre.rows(), Pre.cols());
-  reluBackwardInto(Pre, Grad, Out);
   return Out;
 }
 
@@ -654,6 +629,152 @@ std::vector<float> kernels::leakyReluEdges(std::span<const float> EdgeValues,
   std::vector<float> Out(EdgeValues.size());
   leakyReluEdgesInto(EdgeValues, NegativeSlope, Out);
   return Out;
+}
+
+//===----------------------------------------------------------------------===//
+// Backward-pass primitives
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Floats per block of a first accumulation: the block is zeroed and then
+/// accumulated into while it sits in L1, so the zeros never reach memory.
+constexpr int64_t FirstWriteBlock = 1024;
+
+/// Acc[0, N) = what Ops.AxpyRange leaves in zeros: the arithmetic of an
+/// accumulation into a zero-filled destination, without a separate fill.
+void axpyFirst(const SimdOps &Ops, float Alpha, const float *X, float *Acc,
+               int64_t N) {
+  for (int64_t B = 0; B < N; B += FirstWriteBlock) {
+    const int64_t Len = std::min(FirstWriteBlock, N - B);
+    std::fill_n(Acc + B, Len, 0.0f);
+    Ops.AxpyRange(Alpha, X + B, Acc + B, Len);
+  }
+}
+
+} // namespace
+
+void kernels::fill(float Value, std::span<float> Out) {
+  parallelFor(0, static_cast<int64_t>(Out.size()), DenseGrainOps,
+              [&](int64_t Begin, int64_t End) {
+                std::fill(Out.begin() + Begin, Out.begin() + End, Value);
+              });
+}
+
+void kernels::accumulateInto(float Alpha, std::span<const float> X,
+                             std::span<float> Acc, bool First) {
+  checkVecDst(Acc, X.size(), "accumulate");
+  const SimdOps &Ops = simdOps();
+  parallelFor(0, static_cast<int64_t>(X.size()), DenseGrainOps,
+              [&](int64_t Begin, int64_t End) {
+                if (First)
+                  axpyFirst(Ops, Alpha, X.data() + Begin, Acc.data() + Begin,
+                            End - Begin);
+                else
+                  Ops.AxpyRange(Alpha, X.data() + Begin, Acc.data() + Begin,
+                                End - Begin);
+              });
+}
+
+void kernels::reluBackwardAccumulateInto(const DenseMatrix &Pre,
+                                         const DenseMatrix &Grad,
+                                         DenseMatrix &Acc, bool First) {
+  GRANII_CHECK(Pre.rows() == Grad.rows() && Pre.cols() == Grad.cols(),
+               "relu backward shape mismatch");
+  checkDenseDst(Acc, Pre.rows(), Pre.cols(), "relu_backward");
+  const float *PP = Pre.data();
+  const float *PG = Grad.data();
+  float *PA = Acc.data();
+  const SimdOps &Ops = simdOps();
+  parallelFor(0, Pre.size(), DenseGrainOps, [&](int64_t Begin, int64_t End) {
+    // Each block's selection lives in L1 between the two table routines.
+    alignas(KernelAlignment) float Sel[FirstWriteBlock];
+    for (int64_t B = Begin; B < End; B += FirstWriteBlock) {
+      const int64_t Len = std::min(FirstWriteBlock, End - B);
+      Ops.ReluBackwardRange(PP + B, PG + B, Sel, Len);
+      if (First)
+        std::fill_n(PA + B, Len, 0.0f);
+      Ops.AxpyRange(1.0f, Sel, PA + B, Len);
+    }
+  });
+}
+
+void kernels::edgeRowSumInto(const CsrMatrix &Mask,
+                             std::span<const float> EdgeVals,
+                             std::span<float> Acc, bool First) {
+  checkVecDst(EdgeVals, static_cast<size_t>(Mask.nnz()), "edge_row_sum");
+  checkVecDst(Acc, static_cast<size_t>(Mask.rows()), "edge_row_sum");
+  const auto &Offsets = Mask.rowOffsets();
+  parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
+    for (int64_t R = RowBegin; R < RowEnd; ++R) {
+      float Sum = First ? 0.0f : Acc[static_cast<size_t>(R)];
+      for (int64_t K = Offsets[static_cast<size_t>(R)];
+           K < Offsets[static_cast<size_t>(R) + 1]; ++K)
+        Sum += EdgeVals[static_cast<size_t>(K)];
+      Acc[static_cast<size_t>(R)] = Sum;
+    }
+  });
+}
+
+void kernels::edgeColSumInto(const CscMatrix &MaskT,
+                             std::span<const float> EdgeVals,
+                             std::span<float> Acc, bool First) {
+  checkVecDst(EdgeVals, static_cast<size_t>(MaskT.nnz()), "edge_col_sum");
+  checkVecDst(Acc, static_cast<size_t>(MaskT.cols()), "edge_col_sum");
+  const auto &ColOffsets = MaskT.colOffsets();
+  const auto &CsrIdx = MaskT.csrIndices();
+  parallelForCsrRows(ColOffsets, [&](int64_t ColBegin, int64_t ColEnd) {
+    for (int64_t C = ColBegin; C < ColEnd; ++C) {
+      float Sum = First ? 0.0f : Acc[static_cast<size_t>(C)];
+      for (int64_t K = ColOffsets[static_cast<size_t>(C)];
+           K < ColOffsets[static_cast<size_t>(C) + 1]; ++K)
+        Sum += EdgeVals[static_cast<size_t>(CsrIdx[static_cast<size_t>(K)])];
+      Acc[static_cast<size_t>(C)] = Sum;
+    }
+  });
+}
+
+void kernels::leakyReluEdgesBackwardInto(std::span<const float> Pre,
+                                         std::span<const float> Grad,
+                                         float NegativeSlope,
+                                         std::span<float> DIn, bool First) {
+  if (Pre.empty()) {
+    if (First)
+      kernels::fill(0.0f, DIn);
+    return;
+  }
+  checkVecDst(Grad, Pre.size(), "edge_leaky_relu_backward");
+  checkVecDst(DIn, Pre.size(), "edge_leaky_relu_backward");
+  parallelFor(0, static_cast<int64_t>(Pre.size()), DenseGrainOps,
+              [&](int64_t Begin, int64_t End) {
+                for (auto I = static_cast<size_t>(Begin);
+                     I < static_cast<size_t>(End); ++I) {
+                  const float Sel = Pre[I] > 0.0f ? 1.0f : NegativeSlope;
+                  DIn[I] = (First ? 0.0f : DIn[I]) + Grad[I] * Sel;
+                }
+              });
+}
+
+void kernels::edgeSoftmaxBackwardInto(const CsrMatrix &A,
+                                      std::span<const float> Alpha,
+                                      std::span<const float> Grad,
+                                      std::span<float> DIn, bool First) {
+  const auto Nnz = static_cast<size_t>(A.nnz());
+  checkVecDst(Alpha, Nnz, "edge_softmax_backward");
+  checkVecDst(Grad, Nnz, "edge_softmax_backward");
+  checkVecDst(DIn, Nnz, "edge_softmax_backward");
+  const auto &Offsets = A.rowOffsets();
+  parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
+    for (int64_t R = RowBegin; R < RowEnd; ++R) {
+      const auto Begin = static_cast<size_t>(Offsets[static_cast<size_t>(R)]);
+      const auto End = static_cast<size_t>(Offsets[static_cast<size_t>(R) + 1]);
+      float Dot = 0.0f;
+      for (size_t K = Begin; K < End; ++K)
+        Dot += Alpha[K] * Grad[K];
+      for (size_t K = Begin; K < End; ++K)
+        DIn[K] = (First ? 0.0f : DIn[K]) + Alpha[K] * (Grad[K] - Dot);
+    }
+  });
 }
 
 void kernels::degreeFromOffsetsInto(const CsrMatrix &A,

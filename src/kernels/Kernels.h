@@ -117,13 +117,6 @@ DenseMatrix relu(const DenseMatrix &A);
 /// Elementwise leaky ReLU with slope \p NegativeSlope for negative inputs.
 DenseMatrix leakyRelu(const DenseMatrix &A, float NegativeSlope = 0.2f);
 
-/// Derivative mask of ReLU at \p Pre applied to \p Grad into \p Dst.
-void reluBackwardInto(const DenseMatrix &Pre, const DenseMatrix &Grad,
-                      DenseMatrix &Dst);
-
-/// Derivative mask of ReLU at \p Pre applied to \p Grad (backward helper).
-DenseMatrix reluBackward(const DenseMatrix &Pre, const DenseMatrix &Grad);
-
 //===----------------------------------------------------------------------===//
 // Sparse primitives (generalized per paper §II-B)
 //===----------------------------------------------------------------------===//
@@ -208,6 +201,59 @@ std::vector<float> leakyReluEdges(std::span<const float> EdgeValues,
 /// Elementwise leaky ReLU into \p Out (EdgeValues.size() entries).
 void leakyReluEdgesInto(std::span<const float> EdgeValues,
                         float NegativeSlope, std::span<float> Out);
+
+//===----------------------------------------------------------------------===//
+// Backward-pass primitives
+//===----------------------------------------------------------------------===//
+//
+// The backward pass sums each value's gradient over every step that reads
+// it. These kernels add one contribution into an accumulator; with \p First
+// set they ignore its prior contents and write what adding into a
+// zero-filled accumulator leaves (0 + x, so a -0 contribution still lands as
+// +0), which spares the fill. Each element keeps the serial loop's chain, so
+// results are bitwise identical at every thread count.
+
+/// Out[i] = Value for every element, in parallel.
+void fill(float Value, std::span<float> Out);
+
+/// Acc += Alpha * X over flat arrays of equal length, with axpyInto's
+/// arithmetic at the active level.
+void accumulateInto(float Alpha, std::span<const float> X,
+                    std::span<float> Acc, bool First);
+
+/// Acc += (Pre > 0 ? Grad : 0) elementwise, the ReLU gradient at \p Pre
+/// applied to \p Grad, accumulated without materializing it.
+void reluBackwardAccumulateInto(const DenseMatrix &Pre,
+                                const DenseMatrix &Grad, DenseMatrix &Acc,
+                                bool First);
+
+/// Acc[r] += the sum of row r's edge values in ascending edge order
+/// (Mask.rows() entries): the gradient of an edge's source-node score.
+void edgeRowSumInto(const CsrMatrix &Mask, std::span<const float> EdgeVals,
+                    std::span<float> Acc, bool First);
+
+/// Acc[c] += the sum of column c's edge values (Mask.cols() entries),
+/// walked through \p MaskT, the CSC view of the mask, whose columns list
+/// their entries in ascending CSR edge order: the same chain per column as
+/// a scatter over the edges in order. The gradient of an edge's
+/// destination-node score.
+void edgeColSumInto(const CscMatrix &MaskT, std::span<const float> EdgeVals,
+                    std::span<float> Acc, bool First);
+
+/// DIn += Grad * (Pre > 0 ? 1 : NegativeSlope) per edge, the leaky ReLU's
+/// gradient at its input \p Pre. An empty \p Pre (an unweighted input, all
+/// ones edges) contributes nothing.
+void leakyReluEdgesBackwardInto(std::span<const float> Pre,
+                                std::span<const float> Grad,
+                                float NegativeSlope, std::span<float> DIn,
+                                bool First);
+
+/// DIn += Alpha * (Grad - <Alpha, Grad>_row) per edge, the row softmax's
+/// gradient given its output values \p Alpha (A.nnz() entries, A's rows).
+void edgeSoftmaxBackwardInto(const CsrMatrix &A,
+                             std::span<const float> Alpha,
+                             std::span<const float> Grad,
+                             std::span<float> DIn, bool First);
 
 //===----------------------------------------------------------------------===//
 // Degree / normalization helpers

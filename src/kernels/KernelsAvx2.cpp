@@ -32,6 +32,10 @@ struct Avx2Traits {
   static Vec mul(Vec A, Vec B) { return _mm256_mul_ps(A, B); }
   static Vec fma(Vec A, Vec B, Vec C) { return _mm256_fmadd_ps(A, B, C); }
   static Vec max(Vec A, Vec B) { return _mm256_max_ps(A, B); }
+  /// X where Pre > 0 (ordered compare), +0 elsewhere.
+  static Vec maskPositive(Vec Pre, Vec X) {
+    return _mm256_and_ps(_mm256_cmp_ps(Pre, zero(), _CMP_GT_OQ), X);
+  }
 
   /// Lane-pair reduction tree: (0+4, 1+5, 2+6, 3+7) -> pairs -> scalar.
   /// Fixed order, so every dot group folds identically wherever it runs.

@@ -16,6 +16,13 @@
 #if defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__AVX512BW__) && \
     defined(__AVX512VL__)
 
+// GCC 12 reports its own AVX-512 intrinsics' "undefined" pass-through
+// operands (the self-initialized __Y of _mm512_undefined_*) as possibly
+// uninitialized once several horizontal sums are inlined side by side.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
 #include "kernels/SimdKernelsImpl.h"
 
 #include <immintrin.h>
@@ -35,6 +42,11 @@ struct Avx512Traits {
   static Vec mul(Vec A, Vec B) { return _mm512_mul_ps(A, B); }
   static Vec fma(Vec A, Vec B, Vec C) { return _mm512_fmadd_ps(A, B, C); }
   static Vec max(Vec A, Vec B) { return _mm512_max_ps(A, B); }
+  /// X where Pre > 0 (ordered compare), +0 elsewhere.
+  static Vec maskPositive(Vec Pre, Vec X) {
+    return _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(Pre, zero(), _CMP_GT_OQ),
+                               X);
+  }
 
   static float hsum(Vec V) { return _mm512_reduce_add_ps(V); }
 

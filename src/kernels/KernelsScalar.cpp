@@ -144,6 +144,12 @@ void reluRange(const float *X, float *Out, int64_t N) {
     Out[I] = X[I] > 0.0f ? X[I] : 0.0f;
 }
 
+void reluBackwardRange(const float *Pre, const float *Grad, float *Out,
+                       int64_t N) {
+  for (int64_t I = 0; I < N; ++I)
+    Out[I] = Pre[I] > 0.0f ? Grad[I] : 0.0f;
+}
+
 SimdOps makeScalarOps() {
   SimdOps Ops;
   Ops.Level = IsaLevel::Scalar;
@@ -160,6 +166,7 @@ SimdOps makeScalarOps() {
   Ops.AddRange = &addRange;
   Ops.AxpyRange = &axpyRange;
   Ops.ReluRange = &reluRange;
+  Ops.ReluBackwardRange = &reluBackwardRange;
   return Ops;
 }
 

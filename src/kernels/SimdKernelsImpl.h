@@ -180,26 +180,41 @@ void gemmTLhsRowRange(const float *A, int64_t Lda, const float *B,
 // C = A * B^T (per-element dot products over the full contraction length)
 //===----------------------------------------------------------------------===//
 
-/// Full-length dot product with two independent vector accumulator chains.
-/// Always invoked over the whole [0, K) range, so the internal order is the
-/// same for every (i, j) element and any partition of the output.
-template <class T>
-float dotFull(const float *X, const float *Y, int64_t K) {
+/// Every element of C = A * B^T is a dot product over the whole [0, K)
+/// range: two vector FMA chains (alternate vectors of the contraction),
+/// their lane-wise sum reduced by the level's horizontal-sum tree, then a
+/// std::fma chain over the tail. The sequence is the same for every element
+/// and any partition of the output. A block of GemmTRhsCols consecutive
+/// elements of one C row shares the loads of the A row and keeps its
+/// 2 x GemmTRhsCols chains in flight together; each of its elements runs
+/// exactly a lone element's sequence.
+constexpr int GemmTRhsCols = 4;
+
+/// The MC = sizeof...(J) elements C[J0 + J] = dot(X, B row J0 + J).
+template <class T, int... J>
+void dotBlock(const float *X, const float *B, int64_t Ldb, float *C,
+              int64_t K, int64_t J0, std::integer_sequence<int, J...>) {
   using Vec = typename T::Vec;
   constexpr int64_t W = T::Width;
-  Vec Acc0 = T::zero();
-  Vec Acc1 = T::zero();
-  int64_t J = 0;
-  for (; J + 2 * W <= K; J += 2 * W) {
-    Acc0 = T::fma(T::load(X + J), T::load(Y + J), Acc0);
-    Acc1 = T::fma(T::load(X + J + W), T::load(Y + J + W), Acc1);
+  constexpr int MC = sizeof...(J);
+  const float *Y[MC] = {B + (J0 + J) * Ldb...};
+  Vec Acc0[MC] = {(static_cast<void>(J), T::zero())...};
+  Vec Acc1[MC] = {(static_cast<void>(J), T::zero())...};
+  int64_t KK = 0;
+  for (; KK + 2 * W <= K; KK += 2 * W) {
+    const Vec X0 = T::load(X + KK);
+    const Vec X1 = T::load(X + KK + W);
+    (..., (Acc0[J] = T::fma(X0, T::load(Y[J] + KK), Acc0[J]),
+           Acc1[J] = T::fma(X1, T::load(Y[J] + KK + W), Acc1[J])));
   }
-  for (; J + W <= K; J += W)
-    Acc0 = T::fma(T::load(X + J), T::load(Y + J), Acc0);
-  float Sum = T::hsum(T::add(Acc0, Acc1));
-  for (; J < K; ++J)
-    Sum = std::fma(X[J], Y[J], Sum);
-  return Sum;
+  for (; KK + W <= K; KK += W) {
+    const Vec X0 = T::load(X + KK);
+    (..., (Acc0[J] = T::fma(X0, T::load(Y[J] + KK), Acc0[J])));
+  }
+  float Sum[MC] = {T::hsum(T::add(Acc0[J], Acc1[J]))...};
+  for (; KK < K; ++KK)
+    (..., (Sum[J] = std::fma(X[KK], Y[J][KK], Sum[J])));
+  (..., (C[J0 + J] = Sum[J]));
 }
 
 template <class T>
@@ -209,8 +224,11 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
   for (int64_t I = RowBegin; I < RowEnd; ++I) {
     const float *ARow = A + I * Lda;
     float *CRow = C + I * Ldc;
-    for (int64_t J = 0; J < NOut; ++J)
-      CRow[J] = dotFull<T>(ARow, B + J * Ldb, K);
+    int64_t J = 0;
+    for (; J + GemmTRhsCols <= NOut; J += GemmTRhsCols)
+      dotBlock<T>(ARow, B, Ldb, CRow, K, J, IndexPack<GemmTRhsCols>{});
+    for (; J < NOut; ++J)
+      dotBlock<T>(ARow, B, Ldb, CRow, K, J, IndexPack<1>{});
   }
 }
 
@@ -343,26 +361,46 @@ void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
 // Plus-times SDDMM (per-edge dot products)
 //===----------------------------------------------------------------------===//
 
+/// Edges of one CSR row scored side by side. Each edge's dot product is a
+/// scalar chain fed by one horizontal sum per feature group, so a lone edge
+/// runs at the latency of that chain; SddmmEdges edges in flight overlap
+/// their chains and their row gathers. Every edge still folds its groups
+/// from feature 0 and then its tail one by one, the sequence of a lone edge.
+constexpr int SddmmEdges = 4;
+
+/// Edges [K0, K0 + sizeof...(E)) of the row whose U row is \p URow.
+template <class T, int... E>
+void sddmmEdges(const int32_t *Cols, const float *URow, const float *V,
+                int64_t Ldv, float *Out, int64_t Width, int64_t K0,
+                std::integer_sequence<int, E...>) {
+  constexpr int64_t G = T::DotGroup;
+  constexpr int NE = sizeof...(E);
+  const float *VRow[NE] = {V + static_cast<int64_t>(Cols[K0 + E]) * Ldv...};
+  float Acc[NE] = {(static_cast<void>(E), 0.0f)...};
+  // Features fold into each scalar accumulator in groups of G, then the
+  // tail one by one through std::fma, so unoptimized builds, which do not
+  // contract a multiply-add, round like optimized ones.
+  int64_t J = 0;
+  for (; J + G <= Width; J += G)
+    (..., (Acc[E] += T::dotGroup(URow + J, VRow[E] + J)));
+  for (; J < Width; ++J)
+    (..., (Acc[E] = std::fma(URow[J], VRow[E][J], Acc[E])));
+  (..., (Out[K0 + E] = Acc[E]));
+}
+
 template <class T>
 void sddmmDotRowRange(const int64_t *Offsets, const int32_t *Cols,
                       const float *U, int64_t Ldu, const float *V,
                       int64_t Ldv, float *Out, int64_t Width,
                       int64_t RowBegin, int64_t RowEnd) {
-  constexpr int64_t G = T::DotGroup;
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     const float *URow = U + R * Ldu;
-    for (int64_t K = Offsets[R]; K < Offsets[R + 1]; ++K) {
-      const float *VRow = V + static_cast<int64_t>(Cols[K]) * Ldv;
-      // Features fold into the scalar accumulator in groups of G, then the
-      // tail one by one.
-      float Acc = 0.0f;
-      int64_t J = 0;
-      for (; J + G <= Width; J += G)
-        Acc += T::dotGroup(URow + J, VRow + J);
-      for (; J < Width; ++J)
-        Acc += URow[J] * VRow[J];
-      Out[K] = Acc;
-    }
+    int64_t K = Offsets[R];
+    for (; K + SddmmEdges <= Offsets[R + 1]; K += SddmmEdges)
+      sddmmEdges<T>(Cols, URow, V, Ldv, Out, Width, K,
+                    IndexPack<SddmmEdges>{});
+    for (; K < Offsets[R + 1]; ++K)
+      sddmmEdges<T>(Cols, URow, V, Ldv, Out, Width, K, IndexPack<1>{});
   }
 }
 
@@ -428,6 +466,19 @@ void reluRange(const float *X, float *Out, int64_t N) {
     Out[I] = X[I] > 0.0f ? X[I] : 0.0f;
 }
 
+template <class T>
+void reluBackwardRange(const float *Pre, const float *Grad, float *Out,
+                       int64_t N) {
+  constexpr int64_t W = T::Width;
+  int64_t I = 0;
+  // T::maskPositive keeps a Grad lane where Pre > 0 (ordered: false for
+  // NaN) and writes +0 elsewhere, the scalar select below lane for lane.
+  for (; I + W <= N; I += W)
+    T::store(Out + I, T::maskPositive(T::load(Pre + I), T::load(Grad + I)));
+  for (; I < N; ++I)
+    Out[I] = Pre[I] > 0.0f ? Grad[I] : 0.0f;
+}
+
 /// Builds the dispatch table for one trait set.
 template <class T> SimdOps makeSimdOps(IsaLevel Level, const char *Name) {
   SimdOps Ops;
@@ -443,6 +494,7 @@ template <class T> SimdOps makeSimdOps(IsaLevel Level, const char *Name) {
   Ops.AddRange = &addRange<T>;
   Ops.AxpyRange = &axpyRange<T>;
   Ops.ReluRange = &reluRange<T>;
+  Ops.ReluBackwardRange = &reluBackwardRange<T>;
   return Ops;
 }
 

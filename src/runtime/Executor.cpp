@@ -60,6 +60,30 @@ DimBinding LayerInputs::binding(const CompositionPlan *Plan) const {
 // PlanWorkspace
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Values that transitively depend on learned parameters or features, i.e.
+/// the ones the backward pass must reach.
+std::vector<bool> computeGradPath(const CompositionPlan &Plan) {
+  std::vector<bool> Need(Plan.Values.size(), false);
+  for (size_t V = 0; V < Plan.Values.size(); ++V) {
+    const PlanValue &Val = Plan.Values[V];
+    if (Val.InputRole && *Val.InputRole != LeafRole::Adjacency &&
+        *Val.InputRole != LeafRole::DegreeNorm &&
+        *Val.InputRole != LeafRole::DegreeInv)
+      Need[V] = true;
+  }
+  for (const PlanStep &Step : Plan.Steps) {
+    bool Any = false;
+    for (int Id : Step.Operands)
+      Any |= Need[static_cast<size_t>(Id)];
+    Need[static_cast<size_t>(Step.Result)] = Any;
+  }
+  return Need;
+}
+
+} // namespace
+
 void PlanWorkspace::configure(const CompositionPlan &PlanIn,
                               const DimBinding &B, bool TrainingIn) {
   if (Buffers && Plan == &PlanIn && Training == TrainingIn &&
@@ -94,6 +118,7 @@ void PlanWorkspace::configure(const CompositionPlan &PlanIn,
   SparseValues.resize(PlanIn.Values.size());
   Scratch.resize(PlanIn.Values.size());
   Grads.resize(PlanIn.Values.size());
+  GradPath = TrainingIn ? computeGradPath(PlanIn) : std::vector<bool>();
 }
 
 DenseMatrix &PlanWorkspace::denseFor(int Id, int64_t Rows, int64_t Cols) {
@@ -164,63 +189,67 @@ namespace {
 using detail::RtGrad;
 using detail::RtValue;
 
-/// Minimum multiply-adds per chunk of the parallel attention-gradient loops,
-/// and the dA columns one chunk accumulates at a time (one cache line).
+/// Minimum multiply-adds per chunk of the parallel attention-gradient loops;
+/// the dA columns the threads split in whole blocks (one cache line), and
+/// the most columns one pass over the rows accumulates.
 constexpr int64_t AttnGradGrainOps = int64_t{1} << 14;
 constexpr int64_t AttnGradColBlock = 16;
+constexpr int64_t AttnGradMaxPassCols = 8 * AttnGradColBlock;
+/// Rows ahead of the column pass whose lines are prefetched.
+constexpr int64_t AttnGradPrefetchRows = 16;
 
 /// Rows [RowBegin, RowEnd) of the attention GEMV's weight gradient:
-/// dTheta[R] += Grad[R] * a, skipping rows whose gradient is zero.
+/// dTheta[R] += Grad[R] * a, skipping rows whose gradient is zero. A
+/// \p First contribution writes 0 + Grad[R] * a (zeros where skipped).
 void attnThetaGradRows(const std::vector<float> &Grad,
                        const std::vector<float> &AVec, DenseMatrix &DTheta,
-                       int64_t RowBegin, int64_t RowEnd) {
+                       int64_t RowBegin, int64_t RowEnd, bool First) {
+  const int64_t Cols = DTheta.cols();
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     float G = Grad[static_cast<size_t>(R)];
-    if (G == 0.0f)
-      continue;
     float *Row = DTheta.rowPtr(R);
-    for (int64_t C = 0; C < DTheta.cols(); ++C)
-      Row[C] += G * AVec[static_cast<size_t>(C)];
+    if (G == 0.0f) {
+      if (First)
+        std::fill_n(Row, Cols, 0.0f);
+      continue;
+    }
+    for (int64_t C = 0; C < Cols; ++C)
+      Row[C] = (First ? 0.0f : Row[C]) + G * AVec[static_cast<size_t>(C)];
   }
 }
 
-/// Columns [C0, C0 + AttnGradColBlock) of the attention vector's gradient,
-/// dA += Theta^T * Grad, over every row in ascending order: each element's
-/// sum is the serial loop's chain. The block's partial sums live in a local
-/// copy, so threads owning neighbouring blocks never share a written cache
-/// line.
-void attnVecGradBlock(const DenseMatrix &Theta, const std::vector<float> &Grad,
-                      std::vector<float> &DA, int64_t C0) {
-  const int64_t Width = std::min(AttnGradColBlock, Theta.cols() - C0);
-  float Acc[AttnGradColBlock];
-  std::copy_n(DA.begin() + C0, Width, Acc);
-  for (int64_t R = 0; R < Theta.rows(); ++R) {
-    float G = Grad[static_cast<size_t>(R)];
-    const float *Row = Theta.rowPtr(R) + C0;
-    for (int64_t C = 0; C < Width; ++C)
-      Acc[C] += G * Row[C];
+/// Columns [C0, C1) of the attention vector's gradient, dA += Theta^T *
+/// Grad, over every row in ascending order: each element's sum is the
+/// serial loop's chain. The partial sums live in a local copy, so threads
+/// owning neighbouring column ranges never share a written cache line, and
+/// one pass over the rows serves the whole range (up to
+/// AttnGradMaxPassCols columns), reading adjacent lines of each row
+/// together. A \p First contribution starts its sums at zero.
+void attnVecGradCols(const DenseMatrix &Theta, const std::vector<float> &Grad,
+                     std::span<float> DA, int64_t C0, int64_t C1,
+                     bool First) {
+  for (; C0 < C1; C0 += AttnGradMaxPassCols) {
+    const int64_t Width = std::min(AttnGradMaxPassCols, C1 - C0);
+    float Acc[AttnGradMaxPassCols];
+    if (First)
+      std::fill_n(Acc, Width, 0.0f);
+    else
+      std::copy_n(DA.begin() + C0, Width, Acc);
+    const float *Base = Theta.data() + C0;
+    const int64_t Ld = Theta.cols(), Rows = Theta.rows();
+    for (int64_t R = 0; R < Rows; ++R) {
+      // The pass strides across rows, which the hardware prefetchers do
+      // not follow; fetch the lines a few rows ahead.
+      if (R + AttnGradPrefetchRows < Rows)
+        for (int64_t C = 0; C < Width; C += AttnGradColBlock)
+          __builtin_prefetch(Base + (R + AttnGradPrefetchRows) * Ld + C);
+      float G = Grad[static_cast<size_t>(R)];
+      const float *Row = Base + R * Ld;
+      for (int64_t C = 0; C < Width; ++C)
+        Acc[C] += G * Row[C];
+    }
+    std::copy_n(Acc, Width, DA.begin() + C0);
   }
-  std::copy_n(Acc, Width, DA.begin() + C0);
-}
-
-/// Values that transitively depend on learned parameters or features, i.e.
-/// the ones the backward pass must reach.
-std::vector<bool> gradPath(const CompositionPlan &Plan) {
-  std::vector<bool> Need(Plan.Values.size(), false);
-  for (size_t V = 0; V < Plan.Values.size(); ++V) {
-    const PlanValue &Val = Plan.Values[V];
-    if (Val.InputRole && *Val.InputRole != LeafRole::Adjacency &&
-        *Val.InputRole != LeafRole::DegreeNorm &&
-        *Val.InputRole != LeafRole::DegreeInv)
-      Need[V] = true;
-  }
-  for (const PlanStep &Step : Plan.Steps) {
-    bool Any = false;
-    for (int Id : Step.Operands)
-      Any |= Need[static_cast<size_t>(Id)];
-    Need[static_cast<size_t>(Step.Result)] = Any;
-  }
-  return Need;
 }
 
 /// Forward and backward interpreter behind every executor run. It executes
@@ -276,9 +305,78 @@ private:
     return Exec.timeKernel(Ws.descs()[StepIdx], Stats, Body);
   }
 
-  /// Charges an ad-hoc backward primitive.
-  double chargeDesc(const PrimitiveDesc &Desc, FunctionRef<void()> Body) {
-    return Exec.timeKernel(Desc, Stats, Body);
+  /// Charges one backward primitive of forward step \p Step that adds into
+  /// the gradient of value \p Target (-1: the layout's CSC). It is traced
+  /// as "bwd:<op>" with the counters of a forward step and, under step
+  /// profiling, recorded in Result.BackwardProfiles; both build strings,
+  /// so neither runs unless enabled.
+  double chargeBackward(const PlanStep &Step, int Target,
+                        const PrimitiveDesc &Desc, ExecResult &Result,
+                        FunctionRef<void()> Body) {
+    TraceSpan Span;
+    if (Trace::get().enabled())
+      Span = TraceSpan("bwd:" + stepOpName(Step.Op), "executor");
+    const double Seconds = Exec.timeKernel(Desc, Stats, Body);
+    if (Span.active() || Exec.stepProfiling()) {
+      StepProfile P;
+      P.Step = &Step - Plan.Steps.data();
+      P.Value = Target < 0 ? "csc" : valueName(Target);
+      P.Op = "bwd:" + stepOpName(Step.Op);
+      P.Shape = Target < 0 ? "nnz=" + std::to_string(Inputs.Adjacency->nnz())
+                           : valueShape(Target);
+      P.Seconds = Seconds;
+      P.Flops = Desc.flops();
+      P.Bytes = Desc.bytes();
+      if (Span.active()) {
+        Span.setArg("step", static_cast<double>(P.Step));
+        Span.setArg("grad_of", P.Value);
+        Span.setArg("shape", P.Shape);
+        Span.setArg("charged_seconds", P.Seconds);
+        Span.setArg("flops", P.Flops);
+        Span.setArg("bytes", P.Bytes);
+      }
+      if (Exec.stepProfiling())
+        Result.BackwardProfiles.push_back(std::move(P));
+    }
+    return Seconds;
+  }
+
+  /// The bound adjacency's CSC, which the backward pass walks for S^T
+  /// products and per-destination sums. One build per layout serves every
+  /// run; it is charged to the backward step that first needs it, as the
+  /// edge map the per-step transpose used to be.
+  const CscMatrix &boundCsc(const PlanStep &Step, ExecResult &Result,
+                            double &Backward) {
+    if (!LS.Csc) {
+      const CsrMatrix &Adj = *Inputs.Adjacency;
+      PrimitiveDesc D{PrimitiveKind::EdgeElementwise, Adj.rows(), 0, 0,
+                      Adj.nnz()};
+      Backward += chargeBackward(Step, -1, D, Result,
+                                 [&] { LS.Csc = CscMatrix::fromCsr(Adj); });
+    }
+    return *LS.Csc;
+  }
+
+  /// Display name of plan value \p Id.
+  std::string valueName(int Id) const {
+    const PlanValue &Def = Plan.Values[static_cast<size_t>(Id)];
+    return Def.DebugName.empty() ? "v" + std::to_string(Id) : Def.DebugName;
+  }
+
+  /// Display shape of plan value \p Id as bound in this run.
+  std::string valueShape(int Id) {
+    const RtValue &V = val(Id);
+    switch (V.Kind) {
+    case PlanValueKind::Dense:
+      return std::to_string(V.dense().rows()) + "x" +
+             std::to_string(V.dense().cols());
+    case PlanValueKind::Sparse:
+      return "nnz=" + std::to_string(V.sparse().nnz());
+    case PlanValueKind::Diag:
+    case PlanValueKind::NodeVec:
+      return std::to_string(V.vec().size());
+    }
+    return "";
   }
 
   /// True when \p A has the bound adjacency's pattern, which the cached
@@ -511,24 +609,10 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
     StepProfile Local;
     StepProfile &P =
         Result.StepProfiles.empty() ? Local : Result.StepProfiles[StepIdx];
-    const PlanValue &Def = Plan.Values[static_cast<size_t>(Step.Result)];
-    P.Value = Def.DebugName.empty() ? "v" + std::to_string(Step.Result)
-                                    : Def.DebugName;
+    P.Step = static_cast<int64_t>(StepIdx);
+    P.Value = valueName(Step.Result);
     P.Op = stepOpName(Step.Op);
-    const RtValue &OutV = val(Step.Result);
-    switch (OutV.Kind) {
-    case PlanValueKind::Dense:
-      P.Shape = std::to_string(OutV.dense().rows()) + "x" +
-                std::to_string(OutV.dense().cols());
-      break;
-    case PlanValueKind::Sparse:
-      P.Shape = "nnz=" + std::to_string(OutV.sparse().nnz());
-      break;
-    case PlanValueKind::Diag:
-    case PlanValueKind::NodeVec:
-      P.Shape = std::to_string(OutV.vec().size());
-      break;
-    }
+    P.Shape = valueShape(Step.Result);
     P.Setup = Step.Setup;
     P.Seconds = Seconds;
     P.Flops = Ws.descs()[StepIdx].flops();
@@ -556,8 +640,6 @@ void PlanInterpreter::forward(ExecResult &Result, DenseMatrix &Output) {
     Result.StepProfiles.resize(Plan.Steps.size());
   else
     Result.StepProfiles.clear();
-  Result.WeightGrads.clear();
-  Result.AttnGrads.clear();
 
   for (size_t V = 0; V < Plan.Values.size(); ++V) {
     Ws.scratch()[V] = RtValue();
@@ -574,11 +656,13 @@ void PlanInterpreter::forward(ExecResult &Result, DenseMatrix &Output) {
 
 void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
   TraceSpan Span("backward", "executor");
-  std::vector<bool> Need = gradPath(Plan);
+  const std::vector<bool> &Need = Ws.gradPath();
   std::vector<RtGrad> &Grads = Ws.grads();
   for (RtGrad &G : Grads)
     G.Present = false;
   std::vector<RtValue> &Values = Ws.scratch();
+  if (Exec.stepProfiling())
+    Result.BackwardProfiles.clear();
 
   // Every gradient buffer is reused across runs, so a steady-state run
   // allocates none of them. A workspace buffer counts its growth like a
@@ -617,36 +701,48 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
     return Grads[static_cast<size_t>(Id)].Vec;
   };
 
-  auto EnsureDense = [&](int Id) -> DenseMatrix & {
+  // The accumulators of value Id, shaped on the run's first contribution.
+  // \p First reports that contribution: the kernels then write instead of
+  // adding, which is what adding into zeros gives, so nothing is zeroed.
+  auto DenseGrad = [&](int Id, bool &First) -> DenseMatrix & {
     RtGrad &G = Grads[static_cast<size_t>(Id)];
     DenseMatrix &Acc = DenseAcc(Id);
-    if (!G.Present) {
+    First = !G.Present;
+    if (First) {
       const DenseMatrix &V = Values[static_cast<size_t>(Id)].dense();
-      Reshape(Acc, V.rows(), V.cols(), &Acc == &G.Dense).fill(0.0f);
+      Reshape(Acc, V.rows(), V.cols(), &Acc == &G.Dense);
       G.Present = true;
     }
     return Acc;
   };
-  auto EnsureVec = [&](int Id) -> std::vector<float> & {
+  auto VecGrad = [&](int Id, bool &First) -> std::span<float> {
     RtGrad &G = Grads[static_cast<size_t>(Id)];
     std::vector<float> &Acc = VecAcc(Id);
-    if (!G.Present) {
+    First = !G.Present;
+    if (First) {
       const size_t Size = Values[static_cast<size_t>(Id)].vec().size();
       Resize(Acc, Size, &Acc == &G.Vec);
-      std::fill(Acc.begin(), Acc.end(), 0.0f);
       G.Present = true;
     }
     return Acc;
   };
-  auto EnsureEdge = [&](int Id) -> std::vector<float> & {
+  auto EdgeGrad = [&](int Id, bool &First) -> std::span<float> {
     RtGrad &G = Grads[static_cast<size_t>(Id)];
-    if (!G.Present) {
+    First = !G.Present;
+    if (First) {
       const int64_t Nnz = Values[static_cast<size_t>(Id)].sparse().nnz();
       Resize(G.Edge, static_cast<size_t>(Nnz), /*Owned=*/true);
-      std::fill(G.Edge.begin(), G.Edge.end(), 0.0f);
       G.Present = true;
     }
     return G.Edge;
+  };
+  // Adds Alpha * X into value Id's dense gradient, which has X's shape.
+  auto AddDense = [&](int Id, float Alpha, const DenseMatrix &X) {
+    bool First;
+    DenseMatrix &Acc = DenseGrad(Id, First);
+    kernels::accumulateInto(Alpha, {X.data(), static_cast<size_t>(X.size())},
+                            {Acc.data(), static_cast<size_t>(Acc.size())},
+                            First);
   };
   // A partial gradient lives in one workspace buffer until it is added into
   // its accumulator; no two partials are live at once.
@@ -659,8 +755,9 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
 
   // Seed dL/dOut = 1.
   {
-    DenseMatrix &Seed = EnsureDense(Plan.OutputValue);
-    Seed.fill(1.0f);
+    bool First;
+    DenseMatrix &Seed = DenseGrad(Plan.OutputValue, First);
+    kernels::fill(1.0f, {Seed.data(), static_cast<size_t>(Seed.size())});
   }
 
   double Backward = 0.0;
@@ -676,6 +773,11 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
     auto OpVal = [&](int I) -> const RtValue & {
       return Values[static_cast<size_t>(Step.Operands[I])];
     };
+    // Charges one primitive that adds into the gradient of value Target.
+    auto Charge = [&](int Target, const PrimitiveDesc &D,
+                      FunctionRef<void()> Body) {
+      Backward += chargeBackward(Step, Target, D, Result, Body);
+    };
 
     switch (Step.Op) {
     case StepOp::Gemm: {
@@ -683,18 +785,18 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
       const DenseMatrix &B = OpVal(1).dense();
       if (NeedOp(0)) {
         PrimitiveDesc D{PrimitiveKind::Gemm, A.rows(), A.cols(), B.cols(), 0};
-        Backward += chargeDesc(D, [&] {
+        Charge(OpId(0), D, [&] {
           DenseMatrix &DA = Partial(OutG.Dense.rows(), B.rows());
           kernels::gemmTransposedRhsInto(OutG.Dense, B, DA);
-          kernels::axpyInto(1.0f, DA, EnsureDense(OpId(0)));
+          AddDense(OpId(0), 1.0f, DA);
         });
       }
       if (NeedOp(1)) {
         PrimitiveDesc D{PrimitiveKind::Gemm, A.cols(), B.cols(), A.rows(), 0};
-        Backward += chargeDesc(D, [&] {
+        Charge(OpId(1), D, [&] {
           DenseMatrix &DB = Partial(A.cols(), OutG.Dense.cols());
           kernels::gemmTransposedLhsInto(A, OutG.Dense, DB);
-          kernels::axpyInto(1.0f, DB, EnsureDense(OpId(1)));
+          AddDense(OpId(1), 1.0f, DB);
         });
       }
       break;
@@ -710,38 +812,32 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
         // adjacency instead of re-materializing a transposed CSR every
         // step. The CSC holds the structure only (values gather from S
         // through its CSR index map), so one build per layout serves every
-        // run and every operand; that build is charged to backward as the
-        // edge-map the per-step transpose used to be.
-        if (!LS.Csc) {
-          PrimitiveDesc TD{PrimitiveKind::EdgeElementwise, S.rows(), 0, 0,
-                           S.nnz()};
-          Backward += chargeDesc(
-              TD, [&] { LS.Csc = CscMatrix::fromCsr(*Inputs.Adjacency); });
-        }
+        // run and every operand.
+        const CscMatrix &Csc = boundCsc(Step, Result, Backward);
         PrimitiveDesc D{Step.Op == StepOp::SpmmWeighted
                             ? PrimitiveKind::SpMMWeighted
                             : PrimitiveKind::SpMMUnweighted,
                         S.cols(), X.cols(), 0, S.nnz()};
-        Backward += chargeDesc(D, [&] {
+        Charge(OpId(1), D, [&] {
           DenseMatrix &DX = Partial(S.cols(), OutG.Dense.cols());
-          kernels::spmmCscTransposedInto(*LS.Csc, S.values(), OutG.Dense,
+          kernels::spmmCscTransposedInto(Csc, S.values(), OutG.Dense,
                                          Step.Op == StepOp::SpmmWeighted
                                              ? Semiring::plusTimes()
                                              : Semiring::plusCopy(),
                                          DX);
-          kernels::axpyInto(1.0f, DX, EnsureDense(OpId(1)));
+          AddDense(OpId(1), 1.0f, DX);
         });
       }
       if (NeedOp(0)) {
         // dS_ij += dY_i . X_j (SDDMM at the sparse pattern).
         PrimitiveDesc D{PrimitiveKind::SddmmDot, S.rows(), 0, X.cols(),
                         S.nnz()};
-        Backward += chargeDesc(D, [&] {
+        Charge(OpId(0), D, [&] {
           std::vector<float> &DS = EdgePartial(static_cast<size_t>(S.nnz()));
           kernels::sddmmInto(S, OutG.Dense, X, Semiring::plusTimes(), DS);
-          std::vector<float> &Acc = EnsureEdge(OpId(0));
-          for (size_t I = 0; I < DS.size(); ++I)
-            Acc[I] += DS[I];
+          bool First;
+          std::span<float> Acc = EdgeGrad(OpId(0), First);
+          kernels::accumulateInto(1.0f, DS, Acc, First);
         });
       }
       break;
@@ -757,10 +853,10 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
         const std::vector<float> &Dv = OpVal(0).vec();
         PrimitiveDesc D{PrimitiveKind::RowBroadcast, OutG.Dense.rows(),
                         OutG.Dense.cols(), 0, 0};
-        Backward += chargeDesc(D, [&] {
+        Charge(OpId(1), D, [&] {
           DenseMatrix &DH = Partial(OutG.Dense.rows(), OutG.Dense.cols());
           kernels::rowBroadcastMulInto(Dv, OutG.Dense, DH);
-          kernels::axpyInto(1.0f, DH, EnsureDense(OpId(1)));
+          AddDense(OpId(1), 1.0f, DH);
         });
       }
       break;
@@ -770,10 +866,10 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
         const std::vector<float> &Dv = OpVal(1).vec();
         PrimitiveDesc D{PrimitiveKind::ColBroadcast, OutG.Dense.rows(),
                         OutG.Dense.cols(), 0, 0};
-        Backward += chargeDesc(D, [&] {
+        Charge(OpId(0), D, [&] {
           DenseMatrix &DH = Partial(OutG.Dense.rows(), OutG.Dense.cols());
           kernels::colBroadcastMulInto(OutG.Dense, Dv, DH);
-          kernels::axpyInto(1.0f, DH, EnsureDense(OpId(0)));
+          AddDense(OpId(0), 1.0f, DH);
         });
       }
       break;
@@ -789,18 +885,15 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
                       OutG.Dense.cols(), 0, 0};
       for (int I = 0; I < 2; ++I)
         if (NeedOp(I))
-          Backward += chargeDesc(D, [&] {
-            kernels::axpyInto(1.0f, OutG.Dense, EnsureDense(OpId(I)));
-          });
+          Charge(OpId(I), D, [&] { AddDense(OpId(I), 1.0f, OutG.Dense); });
       break;
     }
     case StepOp::ScaleDense: {
       if (NeedOp(0)) {
         PrimitiveDesc D{PrimitiveKind::DenseMap, OutG.Dense.rows(),
                         OutG.Dense.cols(), 0, 0};
-        Backward += chargeDesc(D, [&] {
-          kernels::axpyInto(static_cast<float>(Step.Param), OutG.Dense,
-                            EnsureDense(OpId(0)));
+        Charge(OpId(0), D, [&] {
+          AddDense(OpId(0), static_cast<float>(Step.Param), OutG.Dense);
         });
       }
       break;
@@ -809,10 +902,11 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
       if (NeedOp(0)) {
         PrimitiveDesc D{PrimitiveKind::DenseMap, OutG.Dense.rows(),
                         OutG.Dense.cols(), 0, 0};
-        Backward += chargeDesc(D, [&] {
-          DenseMatrix &DI = Partial(OutG.Dense.rows(), OutG.Dense.cols());
-          kernels::reluBackwardInto(OpVal(0).dense(), OutG.Dense, DI);
-          kernels::axpyInto(1.0f, DI, EnsureDense(OpId(0)));
+        Charge(OpId(0), D, [&] {
+          bool First;
+          DenseMatrix &Acc = DenseGrad(OpId(0), First);
+          kernels::reluBackwardAccumulateInto(OpVal(0).dense(), OutG.Dense,
+                                              Acc, First);
         });
       }
       break;
@@ -823,27 +917,36 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
       const int64_t Rows = Theta.rows(), Cols = Theta.cols();
       if (NeedOp(0)) {
         PrimitiveDesc D{PrimitiveKind::Gemm, Rows, Cols, 1, 0};
-        Backward += chargeDesc(D, [&] {
-          DenseMatrix &DTheta = EnsureDense(OpId(0));
+        Charge(OpId(0), D, [&] {
+          bool First;
+          DenseMatrix &DTheta = DenseGrad(OpId(0), First);
           parallelFor(0, Rows, AttnGradGrainOps / std::max<int64_t>(Cols, 1),
                       [&](int64_t RowBegin, int64_t RowEnd) {
                         attnThetaGradRows(OutG.Vec, AVec, DTheta, RowBegin,
-                                          RowEnd);
+                                          RowEnd, First);
                       });
         });
       }
       if (NeedOp(1)) {
         PrimitiveDesc D{PrimitiveKind::Gemv, Rows, 0, Cols, 0};
-        Backward += chargeDesc(D, [&] {
-          std::vector<float> &DA = EnsureVec(OpId(1));
+        Charge(OpId(1), D, [&] {
+          bool First;
+          std::span<float> DA = VecGrad(OpId(1), First);
+          // One chunk of column blocks per thread: each row pass then reads
+          // a thread's adjacent lines of the row together.
+          const int64_t Blocks =
+              (Cols + AttnGradColBlock - 1) / AttnGradColBlock;
           const int64_t BlockOps =
               std::max<int64_t>(Rows, 1) * AttnGradColBlock;
-          parallelFor(0, (Cols + AttnGradColBlock - 1) / AttnGradColBlock,
-                      AttnGradGrainOps / BlockOps,
+          const int64_t Grain = std::max(
+              AttnGradGrainOps / BlockOps,
+              Blocks / std::max(ThreadPool::get().numThreads(), 1));
+          parallelFor(0, Blocks, Grain,
                       [&](int64_t BlockBegin, int64_t BlockEnd) {
-                        for (int64_t B = BlockBegin; B < BlockEnd; ++B)
-                          attnVecGradBlock(Theta, OutG.Vec, DA,
-                                           B * AttnGradColBlock);
+                        attnVecGradCols(
+                            Theta, OutG.Vec, DA, BlockBegin * AttnGradColBlock,
+                            std::min(BlockEnd * AttnGradColBlock, Cols),
+                            First);
                       });
         });
       }
@@ -851,25 +954,26 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
     }
     case StepOp::EdgeLogits: {
       const CsrMatrix &Mask = OpVal(0).sparse();
-      const auto &Offsets = Mask.rowOffsets();
-      const auto &Cols = Mask.colIndices();
       PrimitiveDesc D{PrimitiveKind::EdgeElementwise, Mask.rows(), 0, 0,
                       Mask.nnz()};
       if (NeedOp(1)) {
-        Backward += chargeDesc(D, [&] {
-          std::vector<float> &DSrc = EnsureVec(OpId(1));
-          for (int64_t R = 0; R < Mask.rows(); ++R)
-            for (int64_t K = Offsets[static_cast<size_t>(R)];
-                 K < Offsets[static_cast<size_t>(R) + 1]; ++K)
-              DSrc[static_cast<size_t>(R)] += OutG.Edge[static_cast<size_t>(K)];
+        Charge(OpId(1), D, [&] {
+          bool First;
+          std::span<float> DSrc = VecGrad(OpId(1), First);
+          kernels::edgeRowSumInto(Mask, OutG.Edge, DSrc, First);
         });
       }
       if (NeedOp(2)) {
-        Backward += chargeDesc(D, [&] {
-          std::vector<float> &DDst = EnsureVec(OpId(2));
-          for (int64_t K = 0; K < Mask.nnz(); ++K)
-            DDst[static_cast<size_t>(Cols[static_cast<size_t>(K)])] +=
-                OutG.Edge[static_cast<size_t>(K)];
+        // Each destination's sum walks its column of the bound adjacency's
+        // CSC, whose entries come in ascending edge order.
+        GRANII_CHECK(boundPattern(Mask),
+                     "backward edge-logits mask lacks the bound adjacency's "
+                     "pattern");
+        const CscMatrix &Csc = boundCsc(Step, Result, Backward);
+        Charge(OpId(2), D, [&] {
+          bool First;
+          std::span<float> DDst = VecGrad(OpId(2), First);
+          kernels::edgeColSumInto(Csc, OutG.Edge, DDst, First);
         });
       }
       break;
@@ -879,12 +983,12 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
         const CsrMatrix &In = OpVal(0).sparse();
         PrimitiveDesc D{PrimitiveKind::EdgeElementwise, In.rows(), 0, 0,
                         In.nnz()};
-        Backward += chargeDesc(D, [&] {
-          std::vector<float> &DIn = EnsureEdge(OpId(0));
-          const AlignedVector<float> &Pre = In.values();
-          float Slope = static_cast<float>(Step.Param);
-          for (size_t I = 0; I < Pre.size(); ++I)
-            DIn[I] += OutG.Edge[I] * (Pre[I] > 0.0f ? 1.0f : Slope);
+        Charge(OpId(0), D, [&] {
+          bool First;
+          std::span<float> DIn = EdgeGrad(OpId(0), First);
+          kernels::leakyReluEdgesBackwardInto(In.values(), OutG.Edge,
+                                              static_cast<float>(Step.Param),
+                                              DIn, First);
         });
       }
       break;
@@ -895,22 +999,11 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
                                      .sparse();
         PrimitiveDesc D{PrimitiveKind::EdgeSoftmax, Alpha.rows(), 0, 0,
                         Alpha.nnz()};
-        Backward += chargeDesc(D, [&] {
-          std::vector<float> &DIn = EnsureEdge(OpId(0));
-          const auto &Offsets = Alpha.rowOffsets();
-          const auto &AVals = Alpha.values();
-          for (int64_t R = 0; R < Alpha.rows(); ++R) {
-            int64_t Begin = Offsets[static_cast<size_t>(R)];
-            int64_t End = Offsets[static_cast<size_t>(R) + 1];
-            float Dot = 0.0f;
-            for (int64_t K = Begin; K < End; ++K)
-              Dot += AVals[static_cast<size_t>(K)] *
-                     OutG.Edge[static_cast<size_t>(K)];
-            for (int64_t K = Begin; K < End; ++K)
-              DIn[static_cast<size_t>(K)] +=
-                  AVals[static_cast<size_t>(K)] *
-                  (OutG.Edge[static_cast<size_t>(K)] - Dot);
-          }
+        Charge(OpId(0), D, [&] {
+          bool First;
+          std::span<float> DIn = EdgeGrad(OpId(0), First);
+          kernels::edgeSoftmaxBackwardInto(Alpha, Alpha.values(), OutG.Edge,
+                                           DIn, First);
         });
       }
       break;
@@ -918,6 +1011,25 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
     }
   }
   Result.BackwardSeconds = Backward;
+
+  // Parameter gradients persist in a reused result: entries this run did
+  // not produce (another plan's parameters) go.
+  auto Produced = [&](const std::string &Name, bool Attn) {
+    for (size_t V = 0; V < Plan.Values.size(); ++V) {
+      const PlanValue &Val = Plan.Values[V];
+      const bool IsAttn = Val.InputRole == LeafRole::AttnSrcVec ||
+                          Val.InputRole == LeafRole::AttnDstVec;
+      const bool IsWeight = Val.InputRole == LeafRole::Weight;
+      if ((Attn ? IsAttn : IsWeight) && Val.DebugName == Name &&
+          Grads[V].Present)
+        return true;
+    }
+    return false;
+  };
+  std::erase_if(Result.WeightGrads,
+                [&](const auto &E) { return !Produced(E.first, false); });
+  std::erase_if(Result.AttnGrads,
+                [&](const auto &E) { return !Produced(E.first, true); });
 }
 
 } // namespace
@@ -1046,9 +1158,15 @@ void Executor::runArena(const CompositionPlan &Plan, const LayerInputs &Inputs,
   // Emptied first, so rows() > 0 afterwards means this run wrote it.
   LS.PermFeatureGrad.resize(0, 0);
   Interp.forward(Result, Reordered ? LS.PermOutput : Result.Output);
-  if (Training)
+  if (Training) {
     Interp.backward(Result,
                     Reordered ? LS.PermFeatureGrad : Result.FeatureGrad);
+  } else {
+    // An inference run reports no gradients.
+    Result.WeightGrads.clear();
+    Result.AttnGrads.clear();
+    Result.BackwardProfiles.clear();
+  }
   if (Reordered) {
     if (LS.PermOutput.capacityFloats() != OutputCap)
       Ws.countAllocation();

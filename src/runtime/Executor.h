@@ -128,6 +128,7 @@ struct LayoutState {
 /// Flops/Seconds; Seconds is measured wall-clock on measured platforms and
 /// the analytic estimate on simulated ones.
 struct StepProfile {
+  int64_t Step = -1; ///< the plan step (for backward: the one differentiated)
   std::string Value; ///< result debug name (or "v<id>")
   std::string Op;    ///< stepOpName of the executed op
   std::string Shape; ///< result shape, e.g. "2048x64", "2048", "nnz=9854"
@@ -158,12 +159,20 @@ struct ExecResult {
 
   /// Gradients produced by runTraining (empty after run()): one entry per
   /// weight leaf, keyed by its name ("W", "W0", ...), plus the feature
-  /// gradient needed by upstream layers. Every run clears the two maps;
-  /// the backward pass accumulates into these in place, so a result reused
-  /// across training runs keeps its FeatureGrad buffer.
+  /// gradient needed by upstream layers. The backward pass writes these in
+  /// place: a training run keeps the entries of the parameters its plan
+  /// produces and reuses their buffers, erasing any others, so a result
+  /// reused across training runs allocates none of them again. An
+  /// inference run clears both maps.
   std::map<std::string, DenseMatrix> WeightGrads;
   DenseMatrix FeatureGrad;
   std::map<std::string, std::vector<float>> AttnGrads;
+  /// One profile per backward primitive, in execution order (the reverse
+  /// of the plan's steps); Op is "bwd:" plus the differentiated step's op,
+  /// and Value and Shape name the value whose gradient it adds into ("csc"
+  /// for the layout's transpose). Filled like StepProfiles, under step
+  /// profiling.
+  std::vector<StepProfile> BackwardProfiles;
 
   /// Total for \p Iterations iterations with setup amortized.
   double totalSeconds(int Iterations, bool Training) const {
@@ -228,6 +237,10 @@ public:
   /// buffer for the partial gradients that are added into them. Parameter
   /// and feature gradients accumulate in the caller's ExecResult instead.
   std::vector<detail::RtGrad> &grads() { return Grads; }
+  /// Per value: whether the backward pass reaches it (it depends on a
+  /// weight, attention vector or the features). Computed by a training
+  /// configure().
+  const std::vector<bool> &gradPath() const { return GradPath; }
   DenseMatrix &gradScratch() { return GradScratch; }
   std::vector<float> &edgeGradScratch() { return EdgeGradScratch; }
   /// The workspace's cached layout state (empty until the first executor
@@ -249,6 +262,7 @@ private:
   std::vector<PrimitiveDesc> Descs;
   std::vector<detail::RtValue> Scratch;
   std::vector<detail::RtGrad> Grads; ///< indexed by value id
+  std::vector<bool> GradPath;         ///< indexed by value id
   DenseMatrix GradScratch;
   std::vector<float> EdgeGradScratch;
   detail::LayoutState Layout;

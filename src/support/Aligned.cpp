@@ -2,13 +2,66 @@
 
 #include "support/Aligned.h"
 
+#include "support/ThreadSafety.h"
+
 #include <sys/mman.h>
 
 using namespace granii;
 
+namespace {
+
+/// Freed mappings kept for reuse at the same size (Aligned.h), at most one
+/// of each size. A training step's by-value result frees a handful of large
+/// buffers of distinct sizes at once; eight slots hold them all, and eight
+/// remembered sizes cover them.
+constexpr size_t MappingCacheSlots = 8;
+
+struct Mapping {
+  void *Ptr = nullptr;
+  size_t Bytes = 0;
+};
+
+struct MappingCache {
+  Mutex Lock{"MappingCache::Lock"};
+  Mapping Slots[MappingCacheSlots] GRANII_GUARDED_BY(Lock);
+  size_t Count GRANII_GUARDED_BY(Lock) = 0;
+  /// The sizes of the last freed mappings, oldest overwritten first.
+  size_t FreedSizes[MappingCacheSlots] GRANII_GUARDED_BY(Lock) = {};
+  size_t NextFreed GRANII_GUARDED_BY(Lock) = 0;
+};
+
+/// Leaky: static tensors free their storage during static destruction,
+/// after a destructible cache (and its mutex) could already be gone.
+MappingCache &mappingCache() {
+  static MappingCache *Cache = new MappingCache;
+  return *Cache;
+}
+
+} // namespace
+
 void *granii::allocateAligned(size_t Bytes, size_t Alignment) {
   if (Bytes < MappedAllocationBytes)
     return ::operator new(Bytes, std::align_val_t(Alignment));
+  MappingCache &Cache = mappingCache();
+  Mapping Stale[MappingCacheSlots];
+  size_t NumStale = 0;
+  {
+    MutexLock Guard(Cache.Lock);
+    for (size_t I = 0; I < Cache.Count; ++I) {
+      if (Cache.Slots[I].Bytes != Bytes)
+        continue;
+      void *Ptr = Cache.Slots[I].Ptr;
+      Cache.Slots[I] = Cache.Slots[--Cache.Count];
+      return Ptr;
+    }
+    // A miss empties the cache before mapping anything new, so cached pages
+    // are never resident beside the new mapping.
+    for (size_t I = 0; I < Cache.Count; ++I)
+      Stale[NumStale++] = Cache.Slots[I];
+    Cache.Count = 0;
+  }
+  for (size_t I = 0; I < NumStale; ++I)
+    ::munmap(Stale[I].Ptr, Stale[I].Bytes);
   // Anonymous mappings start on a page boundary.
   void *Ptr = ::mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
@@ -22,6 +75,28 @@ void granii::deallocateAligned(void *Ptr, size_t Bytes,
   if (Bytes < MappedAllocationBytes) {
     ::operator delete(Ptr, std::align_val_t(Alignment));
     return;
+  }
+  MappingCache &Cache = mappingCache();
+  {
+    MutexLock Guard(Cache.Lock);
+    // Only a size freed before is kept: a buffer freed and reallocated call
+    // after call, not a one-time free (a check's inputs, a graph's build
+    // buffers) whose pages would stay resident until the next miss. And
+    // only one mapping per size: a caller that frees and reallocates the
+    // same buffers every call takes each one back, so nothing is left
+    // cached while its next call runs.
+    bool FreedBefore = false;
+    for (size_t Size : Cache.FreedSizes)
+      FreedBefore |= Size == Bytes;
+    bool SizeCached = false;
+    for (size_t I = 0; I < Cache.Count; ++I)
+      SizeCached |= Cache.Slots[I].Bytes == Bytes;
+    if (!FreedBefore)
+      Cache.FreedSizes[Cache.NextFreed++ % MappingCacheSlots] = Bytes;
+    else if (!SizeCached && Cache.Count < MappingCacheSlots) {
+      Cache.Slots[Cache.Count++] = Mapping{Ptr, Bytes};
+      return;
+    }
   }
   ::munmap(Ptr, Bytes);
 }

@@ -13,12 +13,21 @@
 /// the runtime arena relies on (resize within capacity never reallocates,
 /// and therefore never loses alignment) hold unchanged.
 ///
-/// Buffers of MappedAllocationBytes or more are mapped straight from the OS
-/// and unmapped when freed, so a large tensor is resident exactly while it
-/// lives. Through malloc they would land in its heap once glibc raises its
-/// mmap threshold, and a block allocated per call (a training step's
-/// output) would wander between freed holes whose placement depends on the
-/// process's earlier allocations, leaving the resident peak to chance.
+/// Buffers of MappedAllocationBytes or more are mapped straight from the OS,
+/// so a large tensor is resident only while it lives. Through malloc they
+/// would land in its heap once glibc raises its mmap threshold, and a block
+/// allocated per call (a training step's output) would wander between freed
+/// holes whose placement depends on the process's earlier allocations,
+/// leaving the resident peak to chance. A freed mapping of a size freed
+/// before waits in a small process-wide cache, at most one of each size:
+/// the next mapped allocation of exactly its size takes it back with its
+/// pages still resident, so a buffer allocated and freed per call faults
+/// its pages in on its first two calls only. Any other mapped allocation
+/// empties the cache first, so cached pages never sit beside a new mapping,
+/// and a one-time free is unmapped at once (docs/RUNTIME_MEMORY.md).
+/// A recycled mapping holds its last owner's bytes: containers that
+/// value-initialize (AlignedVector) still zero it, and storage that skips
+/// that (DefaultInitAllocator) is overwritten before it is read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,6 +112,28 @@ public:
 /// buffer starts on a cache-line boundary.
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
+
+/// An AlignedAllocator whose value-less construct() default-initializes:
+/// a container's resize() leaves the grown elements of a trivial type
+/// unwritten instead of zeroing them. Constructions with a value (a
+/// container's fill constructor, resize(N, Value)) still write it.
+template <typename T>
+class DefaultInitAllocator : public AlignedAllocator<T> {
+public:
+  template <typename U> struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U> &) {}
+
+  /// Only the value-less form: std::allocator_traits constructs with a
+  /// value through placement new, as for any allocator.
+  template <typename U> void construct(U *Ptr) {
+    ::new (static_cast<void *>(Ptr)) U;
+  }
+};
 
 } // namespace granii
 

@@ -71,8 +71,9 @@ public:
   /// Reshapes to Rows x Cols reusing the existing storage. No reallocation
   /// happens when capacityFloats() already covers the new size, which is
   /// how the runtime's buffer arena reuses one backing store for several
-  /// differently-shaped values. Element contents are unspecified afterwards;
-  /// destination-passing kernels overwrite every element.
+  /// differently-shaped values. Element contents are unspecified afterwards
+  /// — grown storage is not zeroed; destination-passing kernels overwrite
+  /// every element.
   void resize(int64_t Rows, int64_t Cols) {
     assert(Rows >= 0 && Cols >= 0 && "negative matrix dimension");
     NumRows = Rows;
@@ -116,8 +117,10 @@ private:
   int64_t NumCols = 0;
   /// Cache-line-aligned backing store (support/Aligned.h): the SIMD kernels
   /// rely on data() starting on a 64-byte boundary. Still a std::vector, so
-  /// resize() within capacity reuses (and never re-mis-aligns) the buffer.
-  AlignedVector<float> Data;
+  /// resize() within capacity reuses (and never re-mis-aligns) the buffer;
+  /// its allocator leaves grown elements unwritten, so growing a result
+  /// costs no serial zero pass over memory the kernels then overwrite.
+  std::vector<float, DefaultInitAllocator<float>> Data;
   static_assert(KernelAlignment % alignof(float) == 0,
                 "kernel alignment must cover the element type");
 };

@@ -18,7 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <vector>
 
 using namespace granii;
 
@@ -315,11 +318,34 @@ TEST(PlanWorkspaceExec, TrainingReusesGradientBuffers) {
     ExecResult R;
     Exec.runTraining(Plans[I], Params.inputs(), Params.Stats, Ws, R);
     const float *Features = R.FeatureGrad.data();
+    // Extra capacity in every parameter gradient: a warm run that rebuilt
+    // the buffers would drop it.
+    std::map<std::string, const float *> WeightData;
+    for (auto &[Name, Grad] : R.WeightGrads) {
+      Grad.reserveFloats(2 * static_cast<size_t>(Grad.size()) + 64);
+      WeightData[Name] = Grad.data();
+    }
+    std::map<std::string, const float *> AttnData;
+    for (auto &[Name, Grad] : R.AttnGrads) {
+      Grad.reserve(2 * Grad.size() + 64);
+      AttnData[Name] = Grad.data();
+    }
 
     Ws.resetAllocationCount();
     Exec.runTraining(Plans[I], Params.inputs(), Params.Stats, Ws, R);
     EXPECT_EQ(Ws.allocationCount(), 0u);
     EXPECT_EQ(R.FeatureGrad.data(), Features);
+    for (const auto &[Name, Grad] : R.WeightGrads) {
+      ASSERT_TRUE(WeightData.count(Name)) << Name;
+      EXPECT_EQ(Grad.data(), WeightData.at(Name)) << Name;
+      EXPECT_GT(Grad.capacityFloats(), 2 * static_cast<size_t>(Grad.size()))
+          << Name;
+    }
+    for (const auto &[Name, Grad] : R.AttnGrads) {
+      ASSERT_TRUE(AttnData.count(Name)) << Name;
+      EXPECT_EQ(Grad.data(), AttnData.at(Name)) << Name;
+      EXPECT_GT(Grad.capacity(), 2 * Grad.size()) << Name;
+    }
     EXPECT_EQ(R.FeatureGrad.maxAbsDiff(Legacy.FeatureGrad), 0.0f);
     ASSERT_EQ(R.WeightGrads.size(), Legacy.WeightGrads.size());
     for (const auto &[Name, Grad] : R.WeightGrads)
@@ -327,6 +353,57 @@ TEST(PlanWorkspaceExec, TrainingReusesGradientBuffers) {
     ASSERT_EQ(R.AttnGrads.size(), Legacy.AttnGrads.size());
     for (const auto &[Name, Grad] : R.AttnGrads)
       EXPECT_EQ(Grad, Legacy.AttnGrads.at(Name)) << Name;
+  }
+}
+
+TEST(PlanWorkspaceExec, RecycledMappingsNeverLeakStaleValues) {
+  // A freed mapping comes back with its last owner's bytes; constructors
+  // that zero-initialize must still zero it. Mappings are recycled only at
+  // a size freed before, so the first free of the size is a warm-up.
+  const int64_t Rows = 1024, Cols = 512; // 2 MiB: a mapped buffer
+  const size_t Floats = static_cast<size_t>(Rows * Cols);
+  ASSERT_GE(Floats * sizeof(float), MappedAllocationBytes);
+  { DenseMatrix WarmUp(Rows, Cols); }
+  const float *Recycled = nullptr;
+  {
+    DenseMatrix Garbage(Rows, Cols);
+    Garbage.fill(-123.25f);
+    Recycled = Garbage.data();
+  }
+  DenseMatrix M(Rows, Cols);
+  EXPECT_EQ(M.data(), Recycled) << "the mapping was not recycled";
+  EXPECT_EQ(M.frobeniusNorm(), 0.0);
+  {
+    AlignedVector<float> Garbage(Floats, 77.5f);
+    Recycled = Garbage.data();
+  }
+  AlignedVector<float> V(Floats, 0.0f);
+  EXPECT_EQ(V.data(), Recycled) << "the mapping was not recycled";
+  EXPECT_TRUE(std::all_of(V.begin(), V.end(),
+                          [](float X) { return X == 0.0f; }));
+
+  // By-value training results recycle each other's mappings from the
+  // second freed result on: every call must still return the same bytes.
+  GnnModel Model = makeModel(ModelKind::GAT);
+  Graph G = makeRmat(4096, 40000, 0.55, 0.2, 0.15, 11);
+  LayerParams Params = makeLayerParams(Model, G, 64, 96, 3);
+  Executor Exec(HardwareModel::byName("cpu"));
+  auto Plans = enumerateCompositions(Model.Root);
+  ASSERT_FALSE(Plans.empty());
+  auto Bytes = [](const DenseMatrix &D) {
+    return std::vector<float>(D.data(), D.data() + D.size());
+  };
+  std::vector<float> Output, FeatureGrad;
+  for (int Call = 0; Call < 4; ++Call) {
+    ExecResult R = Exec.runTraining(Plans[0], Params.inputs(), Params.Stats);
+    ASSERT_GE(R.Output.size() * sizeof(float), MappedAllocationBytes);
+    if (Call == 0) {
+      Output = Bytes(R.Output);
+      FeatureGrad = Bytes(R.FeatureGrad);
+      continue;
+    }
+    EXPECT_TRUE(Bytes(R.Output) == Output) << "call " << Call;
+    EXPECT_TRUE(Bytes(R.FeatureGrad) == FeatureGrad) << "call " << Call;
   }
 }
 

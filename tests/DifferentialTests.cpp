@@ -35,7 +35,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <map>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -347,13 +349,63 @@ struct IsaLevelGuard {
   ~IsaLevelGuard() { kernels::setIsaLevel(Entry); }
 };
 
+/// Everything a training run returns, for bitwise and tolerance checks.
+struct TrainingOutcome {
+  DenseMatrix Output;
+  std::map<std::string, DenseMatrix> WeightGrads;
+  std::map<std::string, std::vector<float>> AttnGrads;
+  DenseMatrix FeatureGrad;
+};
+
+TrainingOutcome trainOnce(const Executor &Exec, const CompositionPlan &Plan,
+                          const LayerParams &Params) {
+  ExecResult R = Exec.runTraining(Plan, Params.inputs(), Params.Stats);
+  return {std::move(R.Output), std::move(R.WeightGrads),
+          std::move(R.AttnGrads), std::move(R.FeatureGrad)};
+}
+
+/// Compares two training outcomes: bitwise when \p Tol is 0, else within
+/// \p Tol absolute plus relative.
+void expectSameTraining(const TrainingOutcome &Got,
+                        const TrainingOutcome &Want, float Tol,
+                        const std::string &What) {
+  auto Close = [&](const DenseMatrix &A, const DenseMatrix &B) {
+    return Tol == 0.0f ? A.rows() == B.rows() && A.cols() == B.cols() &&
+                             A.maxAbsDiff(B) == 0.0f
+                       : A.approxEquals(B, Tol, Tol);
+  };
+  EXPECT_TRUE(Close(Got.Output, Want.Output)) << What << ": output";
+  EXPECT_TRUE(Close(Got.FeatureGrad, Want.FeatureGrad))
+      << What << ": feature gradient";
+  ASSERT_EQ(Got.WeightGrads.size(), Want.WeightGrads.size()) << What;
+  for (const auto &[Name, G] : Want.WeightGrads)
+    EXPECT_TRUE(Close(Got.WeightGrads.at(Name), G))
+        << What << ": weight gradient " << Name;
+  ASSERT_EQ(Got.AttnGrads.size(), Want.AttnGrads.size()) << What;
+  for (const auto &[Name, G] : Want.AttnGrads) {
+    const std::vector<float> &A = Got.AttnGrads.at(Name);
+    ASSERT_EQ(A.size(), G.size()) << What << ": attention gradient " << Name;
+    for (size_t I = 0; I < G.size(); ++I) {
+      const float Bound = Tol * (1.0f + std::fabs(G[I]));
+      if (Tol == 0.0f)
+        EXPECT_EQ(std::bit_cast<uint32_t>(A[I]), std::bit_cast<uint32_t>(G[I]))
+            << What << ": attention gradient " << Name << "[" << I << "]";
+      else
+        EXPECT_LE(std::fabs(A[I] - G[I]), Bound)
+            << What << ": attention gradient " << Name << "[" << I << "]";
+    }
+  }
+}
+
 } // namespace
 
 // For each supported level: 1 vs 4 threads stays bitwise identical (the
 // dispatched routines never split one row's reduction), the level agrees
 // with the scalar level within 1e-5 relative (vector FMA contraction and
 // grouped horizontal sums are the only differences), and everything stays
-// within the float-vs-double tolerance of the naive reference.
+// within the float-vs-double tolerance of the naive reference. Training
+// runs are held to the same contract: output and every weight, attention
+// and feature gradient.
 TEST(Differential, IsaLevelsAgreeAndStayThreadDeterministic) {
   IsaLevelGuard Guard;
   for (uint64_t I = 0; I < 6; ++I) {
@@ -368,16 +420,21 @@ TEST(Differential, IsaLevelsAgreeAndStayThreadDeterministic) {
     const CompositionPlan &Plan = Plans[I % Plans.size()];
 
     std::optional<DenseMatrix> ScalarOut;
+    std::optional<TrainingOutcome> ScalarTraining;
     for (kernels::IsaLevel Level : kernels::supportedIsaLevels()) {
       SCOPED_TRACE(kernels::isaLevelName(Level));
       ASSERT_TRUE(kernels::setIsaLevel(Level));
 
       Executor E1(HardwareModel::byName("cpu"), /*NumThreads=*/1);
       DenseMatrix Out1 = E1.run(Plan, Params.inputs(), Params.Stats).Output;
+      TrainingOutcome Train1 = trainOnce(E1, Plan, Params);
       Executor E4(HardwareModel::byName("cpu"), /*NumThreads=*/4);
       DenseMatrix Out4 = E4.run(Plan, Params.inputs(), Params.Stats).Output;
+      TrainingOutcome Train4 = trainOnce(E4, Plan, Params);
       EXPECT_EQ(Out4.maxAbsDiff(Out1), 0.0f)
           << "thread count changed the output at this ISA level";
+      expectSameTraining(Train4, Train1, 0.0f,
+                         "thread count changed training at this ISA level");
 
       EXPECT_TRUE(Out1.approxEquals(Naive, 3e-3f, 3e-3f))
           << "diverges from naive reference by " << Out1.maxAbsDiff(Naive);
@@ -385,10 +442,13 @@ TEST(Differential, IsaLevelsAgreeAndStayThreadDeterministic) {
         // supportedIsaLevels() always starts with Scalar.
         ASSERT_EQ(Level, kernels::IsaLevel::Scalar);
         ScalarOut = std::move(Out1);
+        ScalarTraining = std::move(Train1);
       } else {
         EXPECT_TRUE(Out1.approxEquals(*ScalarOut, 1e-5f, 1e-5f))
             << "diverges from the scalar level by "
             << Out1.maxAbsDiff(*ScalarOut);
+        expectSameTraining(Train1, *ScalarTraining, 1e-5f,
+                           "training diverges from the scalar level");
       }
     }
   }

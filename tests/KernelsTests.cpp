@@ -10,10 +10,14 @@
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
 #include "tensor/CooMatrix.h"
+#include "tensor/CscMatrix.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <span>
 
 using namespace granii;
 
@@ -197,9 +201,157 @@ TEST(Elementwise, ReluBackwardMasks) {
   Pre.at(0, 0) = -1.0f;
   Pre.at(0, 1) = 1.0f;
   Grad.fill(5.0f);
-  DenseMatrix G = kernels::reluBackward(Pre, Grad);
+  DenseMatrix G(1, 2);
+  kernels::reluBackwardAccumulateInto(Pre, Grad, G, /*First=*/true);
   EXPECT_FLOAT_EQ(G.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(G.at(0, 1), 5.0f);
+}
+
+//===----------------------------------------------------------------------===//
+// Backward-pass primitives: serial chains and first writes
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::vector<float> randomVec(size_t Size, uint64_t Seed) {
+  Rng R(Seed);
+  std::vector<float> V(Size);
+  for (size_t I = 0; I < Size; ++I)
+    V[I] = I % 5 == 1 ? -0.0f : R.nextFloat(-1.0f, 1.0f);
+  return V;
+}
+
+bool sameBits(std::span<const float> A, std::span<const float> B) {
+  return A.size() == B.size() &&
+         std::memcmp(A.data(), B.data(), A.size() * sizeof(float)) == 0;
+}
+
+/// Runs \p Kernel(Acc, First) three ways at 1 and 4 threads: accumulating
+/// into \p Init against \p Serial (the serial loop of the same sum), and
+/// as a first write into garbage against accumulating into zeros.
+template <class KernelFn, class SerialFn>
+void checkBackwardKernel(size_t Size, KernelFn Kernel, SerialFn Serial) {
+  const int Entry = ThreadPool::get().numThreads();
+  const std::vector<float> Init = randomVec(Size, 991);
+  std::vector<float> Want = Init;
+  Serial(Want);
+  std::vector<float> WantFirst(Size, 0.0f);
+  Serial(WantFirst);
+  for (int Threads : {1, 4}) {
+    ThreadPool::get().setNumThreads(Threads);
+    std::vector<float> Acc = Init;
+    Kernel(std::span<float>(Acc), false);
+    EXPECT_TRUE(sameBits(Acc, Want)) << Threads << " threads, accumulate";
+    std::vector<float> First(Size, std::nanf(""));
+    Kernel(std::span<float>(First), true);
+    EXPECT_TRUE(sameBits(First, WantFirst)) << Threads << " threads, first";
+  }
+  ThreadPool::get().setNumThreads(Entry);
+}
+
+} // namespace
+
+TEST(Backward, AccumulateMatchesAxpyAndFirstWriteMatchesZeros) {
+  // -0 entries: a first write of -0 must land as +0, like 0 + -0.
+  const std::vector<float> X = randomVec(50000, 992);
+  for (float Alpha : {1.0f, -0.75f})
+    checkBackwardKernel(
+        X.size(),
+        [&](std::span<float> Acc, bool First) {
+          kernels::accumulateInto(Alpha, X, Acc, First);
+        },
+        [&](std::vector<float> &Acc) {
+          DenseMatrix XM(1, static_cast<int64_t>(X.size()));
+          DenseMatrix AM(1, static_cast<int64_t>(Acc.size()));
+          std::copy(X.begin(), X.end(), XM.data());
+          std::copy(Acc.begin(), Acc.end(), AM.data());
+          kernels::axpyInto(Alpha, XM, AM);
+          std::copy(AM.data(), AM.data() + AM.size(), Acc.begin());
+        });
+}
+
+TEST(Backward, ReluGradientAccumulatesTheSelection) {
+  const DenseMatrix Pre = randomDense(97, 131, 993);
+  const DenseMatrix Grad = randomDense(97, 131, 994);
+  DenseMatrix Sel(Pre.rows(), Pre.cols());
+  for (int64_t I = 0; I < Pre.size(); ++I)
+    Sel.data()[I] = Pre.data()[I] > 0.0f ? Grad.data()[I] : 0.0f;
+  checkBackwardKernel(
+      static_cast<size_t>(Pre.size()),
+      [&](std::span<float> Acc, bool First) {
+        DenseMatrix A(Pre.rows(), Pre.cols());
+        std::copy(Acc.begin(), Acc.end(), A.data());
+        kernels::reluBackwardAccumulateInto(Pre, Grad, A, First);
+        std::copy(A.data(), A.data() + A.size(), Acc.begin());
+      },
+      [&](std::vector<float> &Acc) {
+        DenseMatrix A(Pre.rows(), Pre.cols());
+        std::copy(Acc.begin(), Acc.end(), A.data());
+        kernels::axpyInto(1.0f, Sel, A);
+        std::copy(A.data(), A.data() + A.size(), Acc.begin());
+      });
+}
+
+TEST(Backward, EdgeSumsRunTheSerialScatterChains) {
+  const CsrMatrix Mask = randomSparse(300, 280, 5000, 995, /*Weighted=*/false);
+  const CscMatrix MaskT = CscMatrix::fromCsr(Mask);
+  const std::vector<float> E = randomVec(static_cast<size_t>(Mask.nnz()), 996);
+  const auto &Offsets = Mask.rowOffsets();
+  const auto &Cols = Mask.colIndices();
+  checkBackwardKernel(
+      static_cast<size_t>(Mask.rows()),
+      [&](std::span<float> Acc, bool First) {
+        kernels::edgeRowSumInto(Mask, E, Acc, First);
+      },
+      [&](std::vector<float> &Acc) {
+        for (int64_t R = 0; R < Mask.rows(); ++R)
+          for (int64_t K = Offsets[R]; K < Offsets[R + 1]; ++K)
+            Acc[static_cast<size_t>(R)] += E[static_cast<size_t>(K)];
+      });
+  checkBackwardKernel(
+      static_cast<size_t>(Mask.cols()),
+      [&](std::span<float> Acc, bool First) {
+        kernels::edgeColSumInto(MaskT, E, Acc, First);
+      },
+      [&](std::vector<float> &Acc) {
+        for (int64_t K = 0; K < Mask.nnz(); ++K)
+          Acc[static_cast<size_t>(Cols[K])] += E[static_cast<size_t>(K)];
+      });
+}
+
+TEST(Backward, EdgeActivationGradientsRunTheSerialLoops) {
+  const CsrMatrix A = randomSparse(300, 300, 6000, 997, /*Weighted=*/false);
+  const size_t Nnz = static_cast<size_t>(A.nnz());
+  const std::vector<float> Pre = randomVec(Nnz, 998);
+  const std::vector<float> Grad = randomVec(Nnz, 999);
+  const std::vector<float> Alpha = kernels::edgeSoftmax(A, Pre);
+  const float Slope = 0.2f;
+  checkBackwardKernel(
+      Nnz,
+      [&](std::span<float> DIn, bool First) {
+        kernels::leakyReluEdgesBackwardInto(Pre, Grad, Slope, DIn, First);
+      },
+      [&](std::vector<float> &DIn) {
+        for (size_t I = 0; I < Nnz; ++I)
+          DIn[I] += Grad[I] * (Pre[I] > 0.0f ? 1.0f : Slope);
+      });
+  checkBackwardKernel(
+      Nnz,
+      [&](std::span<float> DIn, bool First) {
+        kernels::edgeSoftmaxBackwardInto(A, Alpha, Grad, DIn, First);
+      },
+      [&](std::vector<float> &DIn) {
+        const auto &Offsets = A.rowOffsets();
+        for (int64_t R = 0; R < A.rows(); ++R) {
+          float Dot = 0.0f;
+          for (int64_t K = Offsets[R]; K < Offsets[R + 1]; ++K)
+            Dot += Alpha[static_cast<size_t>(K)] * Grad[static_cast<size_t>(K)];
+          for (int64_t K = Offsets[R]; K < Offsets[R + 1]; ++K)
+            DIn[static_cast<size_t>(K)] +=
+                Alpha[static_cast<size_t>(K)] *
+                (Grad[static_cast<size_t>(K)] - Dot);
+        }
+      });
 }
 
 //===----------------------------------------------------------------------===//

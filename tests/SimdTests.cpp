@@ -23,6 +23,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -140,6 +141,7 @@ TEST(Dispatch, TablesAreFullyPopulated) {
     EXPECT_NE(Ops->AddRange, nullptr);
     EXPECT_NE(Ops->AxpyRange, nullptr);
     EXPECT_NE(Ops->ReluRange, nullptr);
+    EXPECT_NE(Ops->ReluBackwardRange, nullptr);
     EXPECT_GE(Ops->DenseThroughputScale, 1.0);
     EXPECT_GE(Ops->SparseThroughputScale, 1.0);
   }
@@ -593,5 +595,176 @@ TEST(ReductionOrder, CscTransposedSpmmMatchesSpmmOfTranspose) {
         }
       }
     }
+  }
+}
+
+namespace {
+
+/// The horizontal-sum tree of \p Level over the lanes of \p V (8 lanes at
+/// AVX2, 16 at AVX-512): halves fold pairwise down to one lane, the upper
+/// half first as an operand at AVX-512 (_mm512_reduce_add_ps), the lower
+/// one at AVX2 (the table's own tree).
+float hsumTree(IsaLevel Level, std::vector<float> V) {
+  const bool HiFirst = Level == IsaLevel::Avx512;
+  while (V.size() > 1) {
+    const size_t Half = V.size() / 2;
+    for (size_t I = 0; I < Half; ++I)
+      V[I] = HiFirst && V.size() > 4 ? V[I + Half] + V[I] : V[I] + V[I + Half];
+    V.resize(Half);
+  }
+  return V[0];
+}
+
+/// One tail step of a dot product at \p Level: the SIMD levels' scalar
+/// tails contract to FMA, the scalar level multiplies then adds.
+float dotTailStep(IsaLevel Level, float X, float Y, float Acc) {
+  return Level == IsaLevel::Scalar ? Acc + X * Y : std::fma(X, Y, Acc);
+}
+
+/// One element of C = A * B^T at \p Level, written as its chain: two
+/// vector FMA chains over alternate vectors, their sum, the level's
+/// horizontal-sum tree, then the tail.
+float gemmTRhsElement(IsaLevel Level, const float *X, const float *Y,
+                      int64_t K) {
+  if (Level == IsaLevel::Scalar) {
+    float Acc = 0.0f;
+    for (int64_t KK = 0; KK < K; ++KK)
+      Acc = Acc + X[KK] * Y[KK];
+    return Acc;
+  }
+  const int64_t W = Level == IsaLevel::Avx512 ? 16 : 8;
+  std::vector<float> Acc0(static_cast<size_t>(W), 0.0f), Acc1 = Acc0;
+  int64_t KK = 0;
+  for (; KK + 2 * W <= K; KK += 2 * W)
+    for (int64_t L = 0; L < W; ++L) {
+      Acc0[L] = std::fma(X[KK + L], Y[KK + L], Acc0[L]);
+      Acc1[L] = std::fma(X[KK + W + L], Y[KK + W + L], Acc1[L]);
+    }
+  for (; KK + W <= K; KK += W)
+    for (int64_t L = 0; L < W; ++L)
+      Acc0[L] = std::fma(X[KK + L], Y[KK + L], Acc0[L]);
+  for (int64_t L = 0; L < W; ++L)
+    Acc0[L] = Acc0[L] + Acc1[L];
+  float Sum = hsumTree(Level, Acc0);
+  for (; KK < K; ++KK)
+    Sum = dotTailStep(Level, X[KK], Y[KK], Sum);
+  return Sum;
+}
+
+/// One edge's SDDMM dot product at \p Level: groups of 8 products, each
+/// reduced by the AVX2 tree and added to the scalar accumulator, then the
+/// tail (the scalar level is one mul-then-add chain).
+float sddmmEdge(IsaLevel Level, const float *U, const float *V,
+                int64_t Width) {
+  float Acc = 0.0f;
+  int64_t J = 0;
+  if (Level != IsaLevel::Scalar)
+    for (; J + 8 <= Width; J += 8) {
+      std::vector<float> Products(8);
+      for (int64_t L = 0; L < 8; ++L)
+        Products[L] = U[J + L] * V[J + L];
+      Acc = Acc + hsumTree(IsaLevel::Avx2, Products);
+    }
+  for (; J < Width; ++J)
+    Acc = dotTailStep(Level, U[J], V[J], Acc);
+  return Acc;
+}
+
+} // namespace
+
+TEST(ReductionOrder, GemmTRhsRowRangeRunsEachElementsChain) {
+  // Padded leading dimensions, contraction lengths with and without vector
+  // tails, output widths that leave partial blocks of side-by-side
+  // elements, and a row split.
+  const int64_t M = 9;
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    const kernels::SimdOps &Ops = *kernels::simdOpsFor(Level);
+    for (int64_t K : {13, 45, 128, 141})
+      for (int64_t NOut : {1, 7, 13, 64}) {
+        const int64_t Lda = K + 3, Ldb = K + 5, Ldc = NOut + 2;
+        const std::vector<float> A = randomFloats(M * Lda, 601);
+        const std::vector<float> B = randomFloats(NOut * Ldb, 602);
+        std::vector<float> Got(static_cast<size_t>(M * Ldc), 7.0f);
+        Ops.GemmTRhsRowRange(A.data(), Lda, B.data(), Ldb, Got.data(), Ldc, K,
+                             NOut, 0, 4);
+        Ops.GemmTRhsRowRange(A.data(), Lda, B.data(), Ldb, Got.data(), Ldc, K,
+                             NOut, 4, M);
+        std::vector<float> Want(Got.size(), 7.0f);
+        for (int64_t I = 0; I < M; ++I)
+          for (int64_t J = 0; J < NOut; ++J)
+            Want[I * Ldc + J] =
+                gemmTRhsElement(Level, &A[I * Lda], &B[J * Ldb], K);
+        expectSameBits(Got, Want,
+                       "gemm_t_rhs K=" + std::to_string(K) +
+                           " NOut=" + std::to_string(NOut));
+      }
+  }
+}
+
+TEST(ReductionOrder, SddmmDotRowRangeRunsEachEdgesChain) {
+  // Rows of 0, 1, 2, 3 and up to 24 edges: full groups of edges in flight,
+  // partial ones, and lone edges; widths under, at and across the group
+  // size; a row split.
+  std::vector<int64_t> Offsets{0};
+  std::vector<int32_t> Cols;
+  Rng R(701);
+  const int64_t Rows = 30, SrcRows = 40;
+  for (int64_t Row = 0; Row < Rows; ++Row) {
+    const int64_t Len = Row % 10 < 4 ? Row % 10 : 5 + 2 * (Row % 10);
+    for (int64_t K = 0; K < Len; ++K)
+      Cols.push_back(static_cast<int32_t>(
+          R.nextBelow(static_cast<uint64_t>(SrcRows))));
+    Offsets.push_back(static_cast<int64_t>(Cols.size()));
+  }
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    const kernels::SimdOps &Ops = *kernels::simdOpsFor(Level);
+    for (int64_t Width : {13, 64, 141}) {
+      const int64_t Ldu = Width + 3, Ldv = Width + 1;
+      const std::vector<float> U = randomFloats(Rows * Ldu, 702);
+      const std::vector<float> V = randomFloats(SrcRows * Ldv, 703);
+      std::vector<float> Got(Cols.size(), 9.0f);
+      Ops.SddmmDotRowRange(Offsets.data(), Cols.data(), U.data(), Ldu,
+                           V.data(), Ldv, Got.data(), Width, 0, 13);
+      Ops.SddmmDotRowRange(Offsets.data(), Cols.data(), U.data(), Ldu,
+                           V.data(), Ldv, Got.data(), Width, 13, Rows);
+      std::vector<float> Want(Cols.size());
+      for (int64_t Row = 0; Row < Rows; ++Row)
+        for (int64_t K = Offsets[Row]; K < Offsets[Row + 1]; ++K)
+          Want[K] = sddmmEdge(Level, &U[Row * Ldu], &V[Cols[K] * Ldv], Width);
+      expectSameBits(Got, Want, "sddmm width " + std::to_string(Width));
+    }
+  }
+}
+
+TEST(ReductionOrder, ReluBackwardRangeIsAnExactSelect) {
+  // Signed zeros, NaNs, infinities and subnormals in both operands, mixed
+  // signs, and a length with a tail at every width.
+  const float Nan = std::numeric_limits<float>::quiet_NaN();
+  const float Inf = std::numeric_limits<float>::infinity();
+  const float Tiny = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> Specials = {0.0f,  -0.0f, Nan,   -Nan, Inf,
+                                       -Inf,  Tiny,  -Tiny, 1.5f, -2.5f};
+  std::vector<float> Pre, Grad;
+  for (float P : Specials)
+    for (float G : Specials) {
+      Pre.push_back(P);
+      Grad.push_back(G);
+    }
+  const std::vector<float> Mixed = randomFloats(77, 801);
+  const std::vector<float> MixedGrad = randomFloats(77, 802);
+  Pre.insert(Pre.end(), Mixed.begin(), Mixed.end());
+  Grad.insert(Grad.end(), MixedGrad.begin(), MixedGrad.end());
+  std::vector<float> Want(Pre.size());
+  for (size_t I = 0; I < Pre.size(); ++I)
+    Want[I] = Pre[I] > 0.0f ? Grad[I] : 0.0f;
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    const kernels::SimdOps &Ops = *kernels::simdOpsFor(Level);
+    std::vector<float> Got(Pre.size(), 3.0f);
+    Ops.ReluBackwardRange(Pre.data(), Grad.data(), Got.data(),
+                          static_cast<int64_t>(Pre.size()));
+    expectSameBits(Got, Want, "relu backward");
   }
 }

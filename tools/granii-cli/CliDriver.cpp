@@ -351,6 +351,25 @@ int profileRun(const serve::Session &S, const OptimizerOptions &Options,
          " ms vs predicted " + formatDouble(PredictedForward * 1e3, 4) +
          " ms (measured/predicted " +
          formatDouble(R.ForwardSeconds / PredictedForward, 2) + ")\n";
+  if (Training) {
+    // The backward pass stays outside selection, so its primitives have no
+    // predicted column; they run in the reverse of the plan's step order.
+    std::vector<std::vector<std::string>> BwdRows;
+    for (const StepProfile &P : R.BackwardProfiles) {
+      double GFlops = P.Seconds > 0.0 ? P.Flops / P.Seconds / 1e9 : 0.0;
+      double GBps = P.Seconds > 0.0 ? P.Bytes / P.Seconds / 1e9 : 0.0;
+      BwdRows.push_back({std::to_string(P.Step), P.Op, P.Value, P.Shape,
+                         formatDouble(P.Seconds * 1e3, 4),
+                         formatDouble(P.Bytes / 1e6, 3),
+                         formatDouble(GFlops, 2), formatDouble(GBps, 2)});
+    }
+    Out += "\nbackward profile (steady state):\n" +
+           renderTable({"step", "op", "grad of", "shape", "ms", "MB",
+                        "GFLOP/s", "GB/s"},
+                       BwdRows);
+    Out += "backward: measured " + formatDouble(R.BackwardSeconds * 1e3, 4) +
+           " ms\n";
+  }
 
   const BufferPlan *Buffers = Ws.bufferPlan();
   if (Buffers) {
