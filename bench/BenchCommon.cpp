@@ -110,40 +110,23 @@ ExecResult granii::bench::warmRun(const Executor &Exec,
 CellResult granii::bench::runCell(BenchContext &Ctx, BaselineSystem Sys,
                                   ModelKind Kind, const std::string &Hw,
                                   const Graph &G, int64_t KIn, int64_t KOut,
-                                  bool Training, ReorderPolicy Reorder) {
+                                  bool Training) {
   GnnModel Model = makeModel(Kind);
   Executor Exec(Ctx.platform(Hw));
   LayerParams Params = makeLayerParams(Model, G, KIn, KOut, /*Seed=*/5);
   const int Iters = Ctx.iterations();
 
-  auto TotalOf = [&](const CompositionPlan &Plan, ReorderPolicy Policy) {
-    if (Policy == ReorderPolicy::None)
-      return warmRun(Exec, Plan, Params, Training)
-          .totalSeconds(Iters, Training);
-    // Workspace path: warm up once (buffer planning + permutation build are
-    // not steady-state costs), then charge the second run. The permutation
-    // is cached by then, so that run's SetupSeconds do not include the
-    // one-time reordering cost.
-    PlanWorkspace Ws;
-    ExecResult R;
-    for (int Pass = 0; Pass < 2; ++Pass) {
-      if (Training)
-        Exec.runTraining(Plan, Params.inputs(), Params.Stats, Ws, R, Policy);
-      else
-        Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R, Policy);
-    }
-    return R.totalSeconds(Iters, Training);
+  auto TotalOf = [&](const CompositionPlan &Plan) {
+    return warmRun(Exec, Plan, Params, Training).totalSeconds(Iters, Training);
   };
 
   CellResult Cell;
-  CompositionPlan Base = baselinePlan(Sys, Model, KIn, KOut);
-  // The baseline system does not reorder; the policy applies to GRANII only.
-  Cell.BaselineSeconds = TotalOf(Base, ReorderPolicy::None);
+  Cell.BaselineSeconds = TotalOf(baselinePlan(Sys, Model, KIn, KOut));
 
   Optimizer &Opt = Ctx.optimizer(Kind, Hw);
   Cell.Sel = Opt.select(G, KIn, KOut);
   Cell.PlanIndex = Cell.Sel.PlanIndex;
-  Cell.GraniiSeconds = TotalOf(Opt.promoted()[Cell.Sel.PlanIndex], Reorder) +
+  Cell.GraniiSeconds = TotalOf(Opt.promoted()[Cell.Sel.PlanIndex]) +
                        Cell.Sel.FeaturizeSeconds + Cell.Sel.SelectSeconds;
   Cell.Speedup = Cell.BaselineSeconds / Cell.GraniiSeconds;
 
@@ -156,34 +139,6 @@ CellResult granii::bench::runCell(BenchContext &Ctx, BaselineSystem Sys,
        Opt.promoted()[Cell.PlanIndex].primitiveDescs(Binding))
     Cell.GraniiBytes += D.bytes();
   return Cell;
-}
-
-ReorderPolicy granii::bench::consumeReorderFlag(int &argc, char **argv) {
-  ReorderPolicy Policy = ReorderPolicy::None;
-  int Kept = 1;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    std::string Name;
-    if (Arg.rfind("--reorder=", 0) == 0) {
-      Name = Arg.substr(10);
-    } else if (Arg == "--reorder" && I + 1 < argc) {
-      Name = argv[++I];
-    } else {
-      argv[Kept++] = argv[I];
-      continue;
-    }
-    std::optional<ReorderPolicy> Parsed = parseReorderPolicy(Name);
-    if (!Parsed) {
-      std::fprintf(stderr,
-                   "error: unknown reorder policy '%s' (try none, rcm, "
-                   "degree)\n",
-                   Name.c_str());
-      std::exit(2);
-    }
-    Policy = *Parsed;
-  }
-  argc = Kept;
-  return Policy;
 }
 
 double granii::bench::geomeanSpeedup(const std::vector<CellResult> &Cells) {
@@ -238,7 +193,6 @@ bool granii::bench::consumeBoolFlag(int &argc, char **argv,
 
 BenchRecord BenchReport::makeRecord(std::string Id, std::string Graph,
                                     int64_t KIn, int64_t KOut,
-                                    std::string Reorder,
                                     const std::vector<double> &SecondsSamples,
                                     double Bytes) {
   BenchRecord R;
@@ -248,7 +202,6 @@ BenchRecord BenchReport::makeRecord(std::string Id, std::string Graph,
   R.KOut = KOut;
   R.Threads = ThreadPool::get().numThreads();
   R.Isa = kernels::isaLevelName(kernels::activeIsaLevel());
-  R.Reorder = std::move(Reorder);
   R.Repetitions = static_cast<int>(SecondsSamples.size());
   R.MedianSeconds = medianOf(SecondsSamples);
   R.P10Seconds = quantileOf(SecondsSamples, 0.1);
@@ -290,7 +243,6 @@ std::string BenchReport::toJson() const {
     Json += "\"threads\": " + std::to_string(R.Threads) + ", ";
     if (!R.Isa.empty())
       Json += "\"isa\": \"" + jsonEscape(R.Isa) + "\", ";
-    Json += "\"reorder\": \"" + jsonEscape(R.Reorder) + "\", ";
     Json += "\"repetitions\": " + std::to_string(R.Repetitions) + ", ";
     Json += "\"median_seconds\": " + jsonNumber(R.MedianSeconds) + ", ";
     Json += "\"p10_seconds\": " + jsonNumber(R.P10Seconds) + ", ";

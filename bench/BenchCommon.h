@@ -93,22 +93,11 @@ struct CellResult {
 ExecResult warmRun(const Executor &Exec, const CompositionPlan &Plan,
                    const LayerParams &Params, bool Training = false);
 
-/// Runs one cell end to end (executes both plans once; 100-iteration totals
-/// follow the setup/per-iteration accounting). A non-None \p Reorder runs
-/// the GRANII side through the workspace path on a relabeled graph:
-/// permutation construction lands in setup (amortized over the horizon),
-/// the per-iteration feature gather / output scatter in forward time, so
-/// the reported speedup already pays reordering's full cost.
+/// Runs one cell end to end (executes both plans through warmRun;
+/// 100-iteration totals follow the setup/per-iteration accounting).
 CellResult runCell(BenchContext &Ctx, BaselineSystem Sys, ModelKind Kind,
                    const std::string &Hw, const Graph &G, int64_t KIn,
-                   int64_t KOut, bool Training,
-                   ReorderPolicy Reorder = ReorderPolicy::None);
-
-/// Consumes a "--reorder=<policy>" / "--reorder <policy>" argument from
-/// \p argv (compacting it like micro_kernels' --threads handling) and
-/// returns the parsed policy; None when absent. Exits with a diagnostic on
-/// an unknown policy name.
-ReorderPolicy consumeReorderFlag(int &argc, char **argv);
+                   int64_t KOut, bool Training);
 
 /// Geomean over cell speedups.
 double geomeanSpeedup(const std::vector<CellResult> &Cells);
@@ -117,8 +106,8 @@ double geomeanSpeedup(const std::vector<CellResult> &Cells);
 std::string formatSpeedup(double Value);
 
 /// Consumes a "--<name>=<value>" / "--<name> <value>" argument from \p argv
-/// (compacting like consumeReorderFlag). Returns the value, or an empty
-/// string when the flag is absent.
+/// (compacting it like micro_kernels' --threads handling). Returns the
+/// value, or an empty string when the flag is absent.
 std::string consumeValueFlag(int &argc, char **argv, const std::string &Name);
 
 /// Consumes a boolean "--<name>" flag from \p argv; returns its presence.
@@ -137,7 +126,6 @@ struct BenchRecord {
   /// level; granii-bench-diff uses it to skip (rather than flag) baseline
   /// records whose level the comparing host cannot execute.
   std::string Isa;
-  std::string Reorder = "none";
   int Repetitions = 0;
   double MedianSeconds = 0.0;
   double P10Seconds = 0.0;
@@ -155,7 +143,6 @@ public:
   /// computed here, Threads is stamped from the current pool size.
   static BenchRecord makeRecord(std::string Id, std::string Graph,
                                 int64_t KIn, int64_t KOut,
-                                std::string Reorder,
                                 const std::vector<double> &SecondsSamples,
                                 double Bytes);
 

@@ -16,9 +16,8 @@
 using namespace granii;
 using namespace granii::bench;
 
-int main(int argc, char **argv) {
+int main() {
   BenchContext &Ctx = BenchContext::get();
-  ReorderPolicy Reorder = consumeReorderFlag(argc, argv);
   std::vector<std::string> Header = {"Model", "System", "HW",
                                      "Inference", "Training"};
   std::vector<std::vector<std::string>> Table;
@@ -34,9 +33,9 @@ int main(int argc, char **argv) {
         for (const Graph &G : Ctx.evalGraphs()) {
           for (auto [KIn, KOut] : Combos) {
             Infer.push_back(runCell(Ctx, Sys, Kind, Hw, G, KIn, KOut,
-                                    /*Training=*/false, Reorder));
+                                    /*Training=*/false));
             Train.push_back(runCell(Ctx, Sys, Kind, Hw, G, KIn, KOut,
-                                    /*Training=*/true, Reorder));
+                                    /*Training=*/true));
           }
         }
         Table.push_back({modelName(Kind), systemName(Sys), Hw,

@@ -16,9 +16,8 @@
 using namespace granii;
 using namespace granii::bench;
 
-int main(int argc, char **argv) {
+int main() {
   BenchContext &Ctx = BenchContext::get();
-  ReorderPolicy Reorder = consumeReorderFlag(argc, argv);
   const std::vector<std::string> &Codes = Ctx.evalCodes();
 
   for (auto [Sys, Hw] :
@@ -40,7 +39,7 @@ int main(int argc, char **argv) {
                                          std::to_string(KOut) + ")"};
         for (const Graph &G : Ctx.evalGraphs()) {
           CellResult Cell = runCell(Ctx, Sys, Kind, Hw, G, KIn, KOut,
-                                    /*Training=*/false, Reorder);
+                                    /*Training=*/false);
           Line.push_back(formatDouble(Cell.Speedup, 2));
         }
         Table.push_back(std::move(Line));

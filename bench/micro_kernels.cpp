@@ -12,7 +12,6 @@
 #include "BenchCommon.h"
 
 #include "graph/Generators.h"
-#include "graph/Reorder.h"
 #include "kernels/Dispatch.h"
 #include "kernels/Kernels.h"
 #include "support/Diag.h"
@@ -138,57 +137,6 @@ static void BM_DegreeBinning(benchmark::State &State) {
 }
 BENCHMARK(BM_DegreeBinning);
 
-namespace {
-
-/// Skewed R-MAT big enough that the SpMM's dense operand (n x k floats)
-/// dwarfs the L2 budget: the regime vertex reordering and column tiling
-/// exist for. benchGraph() is too small to show layout effects.
-const Graph &ablationGraph() {
-  static Graph G = makeRmat(20000, 300000, 0.57, 0.19, 0.19, 99);
-  return G;
-}
-
-const Graph &ablationGraphFor(int64_t PolicyIndex) {
-  static std::map<int64_t, Graph> Cache;
-  auto It = Cache.find(PolicyIndex);
-  if (It == Cache.end())
-    It = Cache
-             .emplace(PolicyIndex,
-                      reorderGraph(ablationGraph(),
-                                   allReorderPolicies()[static_cast<size_t>(
-                                       PolicyIndex)]))
-             .first;
-  return It->second;
-}
-
-} // namespace
-
-// Reordering ablation: unweighted SpMM under {none, rcm, degree} vertex
-// orderings. Run with
-//   --benchmark_filter=ReorderAblation
-// and read items_per_second: the none row is the baseline the reordered
-// rows are compared against (docs/REORDERING.md records measured numbers).
-static void BM_SpmmReorderAblation(benchmark::State &State) {
-  const Graph &G = ablationGraphFor(State.range(0));
-  int64_t K = State.range(1);
-  DenseMatrix H = randomDense(G.numNodes(), K, 9);
-  DenseMatrix Out(G.numNodes(), K);
-  for (auto _ : State) {
-    kernels::spmmInto(G.adjacency(), H, Semiring::plusCopy(), Out);
-    benchmark::DoNotOptimize(Out.data());
-  }
-  State.SetLabel(
-      reorderPolicyName(allReorderPolicies()[static_cast<size_t>(
-          State.range(0))]) +
-      " span=" + std::to_string(static_cast<int64_t>(G.stats().AvgRowSpan)));
-  State.SetItemsProcessed(State.iterations() * G.numEdges() * K);
-}
-BENCHMARK(BM_SpmmReorderAblation)
-    ->ArgNames({"policy", "k"})
-    ->Args({0, 128})
-    ->Args({1, 128})
-    ->Args({2, 128});
-
 static void BM_EdgeSoftmax(benchmark::State &State) {
   const Graph &G = benchGraph();
   std::vector<float> Vals(static_cast<size_t>(G.numEdges()), 0.3f);
@@ -234,8 +182,8 @@ int runJsonMode(const std::string &Path) {
       Samples.push_back(T.seconds());
     }
     BenchRecord R = BenchReport::makeRecord("micro/" + Id + "/" + Isa,
-                                            GraphName, KIn, KOut, "none",
-                                            Samples, Desc.bytes());
+                                            GraphName, KIn, KOut, Samples,
+                                            Desc.bytes());
     Medians[Id][Isa] = R.MedianSeconds;
     Report.add(std::move(R));
   };

@@ -194,8 +194,7 @@ int main(int argc, char **argv) {
                 "runs of %d calls)\n",
                 Samples[Samples.size() / 2] * 1e3, Reps, LatencyCalls);
     Report.add(BenchReport::makeRecord("serve/latency/warm", GraphName,
-                                       Req.KIn, Req.KOut, "none", Samples,
-                                       0.0));
+                                       Req.KIn, Req.KOut, Samples, 0.0));
   }
 
   // Concurrent throughput sweep.
@@ -220,7 +219,7 @@ int main(int argc, char **argv) {
                   Samples[Samples.size() / 2] * 1e3);
       Report.add(BenchReport::makeRecord(
           "serve/throughput/c" + std::to_string(Clients), GraphName,
-          Req.KIn, Req.KOut, "none", Samples, 0.0));
+          Req.KIn, Req.KOut, Samples, 0.0));
     }
   }
 

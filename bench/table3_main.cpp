@@ -18,7 +18,6 @@ using namespace granii::bench;
 
 int main(int argc, char **argv) {
   BenchContext &Ctx = BenchContext::get();
-  ReorderPolicy Reorder = consumeReorderFlag(argc, argv);
   // --json=<file> additionally writes every GRANII cell as a machine-
   // readable granii-bench-v1 record (3 repetitions per cell). --smoke
   // restricts the sweep to the simulated-H100 rows, inference mode, and two
@@ -31,9 +30,7 @@ int main(int argc, char **argv) {
               "configurations for %d iterations\n",
               Ctx.iterations());
   std::printf("(Mode I = inference, T = training; paper-order rows; CPU is "
-              "measured, A100/H100 are simulated; GRANII vertex reordering: "
-              "%s)\n\n",
-              reorderPolicyName(Reorder).c_str());
+              "measured, A100/H100 are simulated)\n\n");
 
   struct RowSpec {
     BaselineSystem Sys;
@@ -85,20 +82,19 @@ int main(int argc, char **argv) {
           const Graph &G = Ctx.evalGraphs()[GraphIdx];
           const std::string &Code = Ctx.evalCodes()[GraphIdx];
           for (auto [KIn, KOut] : embeddingCombos(Kind)) {
-            CellResult Cell = runCell(Ctx, Row.Sys, Kind, Row.Hw, G, KIn,
-                                      KOut, Training, Reorder);
+            CellResult Cell =
+                runCell(Ctx, Row.Sys, Kind, Row.Hw, G, KIn, KOut, Training);
             if (!JsonPath.empty()) {
               std::vector<double> Samples = {Cell.GraniiSeconds};
               for (int Rep = 1; Rep < JsonReps; ++Rep)
                 Samples.push_back(runCell(Ctx, Row.Sys, Kind, Row.Hw, G, KIn,
-                                          KOut, Training, Reorder)
+                                          KOut, Training)
                                       .GraniiSeconds);
               Report.add(BenchReport::makeRecord(
                   "table3/" + systemName(Row.Sys) + "/" + Row.Hw + "/" +
                       Mode + "/" + modelName(Kind) + "/" + Code + "/" +
                       std::to_string(KIn) + "x" + std::to_string(KOut),
-                  G.name(), KIn, KOut, reorderPolicyName(Reorder), Samples,
-                  Cell.GraniiBytes));
+                  G.name(), KIn, KOut, Samples, Cell.GraniiBytes));
             }
             PerModel[Kind].push_back(Cell);
             RowCells.push_back(Cell);

@@ -30,8 +30,7 @@ namespace {
 /// iteration (setup amortized over the iteration horizon).
 double twoLayerMillis(BenchContext &Ctx, ModelKind Kind, const Graph &G,
                       int64_t FeatureDim, int64_t HiddenDim, int64_t Classes,
-                      bool UseGranii, BaselineSystem Sys,
-                      ReorderPolicy Reorder) {
+                      bool UseGranii, BaselineSystem Sys) {
   GnnModel Model = makeModel(Kind);
   Executor Exec(Ctx.platform("h100"));
   const int Iters = Ctx.iterations();
@@ -40,26 +39,13 @@ double twoLayerMillis(BenchContext &Ctx, ModelKind Kind, const Graph &G,
   for (auto [KIn, KOut] : Dims) {
     LayerParams Params = makeLayerParams(Model, G, KIn, KOut, 5);
     CompositionPlan Plan = baselinePlan(Sys, Model, KIn, KOut);
-    // The baseline frameworks execute the graph as given; reordering is
-    // part of the GRANII pipeline and charged to its side only.
-    ReorderPolicy Policy = ReorderPolicy::None;
     if (UseGranii) {
       Optimizer &Opt = Ctx.optimizer(Kind, "h100");
       Selection Sel = Opt.select(G, KIn, KOut);
       Plan = Opt.promoted()[Sel.PlanIndex];
       Total += Sel.FeaturizeSeconds + Sel.SelectSeconds;
-      Policy = Reorder;
     }
-    // Execute through a per-layer workspace: the warm-up run plans and
-    // allocates the buffer arena (and builds the vertex permutation), the
-    // charged run is the allocation-free steady state a deployed iteration
-    // loop actually pays for. The permutation is cached by then, so the
-    // charged SetupSeconds do not include the one-time reordering cost.
-    PlanWorkspace Ws;
-    ExecResult R;
-    Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R, Policy);
-    Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R, Policy);
-    Total += R.totalSeconds(Iters, false);
+    Total += warmRun(Exec, Plan, Params).totalSeconds(Iters, false);
   }
   return Total / Iters * 1e3;
 }
@@ -68,7 +54,6 @@ double twoLayerMillis(BenchContext &Ctx, ModelKind Kind, const Graph &G,
 
 int main(int argc, char **argv) {
   BenchContext &Ctx = BenchContext::get();
-  ReorderPolicy Reorder = consumeReorderFlag(argc, argv);
   // --json=<file> writes the GRANII side of every (graph, model, hidden,
   // system) configuration as a granii-bench-v1 record (3 repetitions,
   // per-iteration seconds).
@@ -78,9 +63,7 @@ int main(int argc, char **argv) {
   const int JsonReps = 3;
   BenchReport Report;
   std::printf("Table IV: end-to-end per-iteration forward time (ms) on H100 "
-              "(two layers: features -> hidden -> classes)\n");
-  std::printf("GRANII vertex reordering: %s\n\n",
-              reorderPolicyName(Reorder).c_str());
+              "(two layers: features -> hidden -> classes)\n\n");
 
   std::vector<std::string> Header = {"Graph",   "GNN",   "Hidden",
                                      "Wise",    "Wise+GRANII", "speedup",
@@ -135,21 +118,19 @@ int main(int argc, char **argv) {
                                          std::to_string(Hidden)};
         for (BaselineSystem Sys : allSystems()) {
           double Base = twoLayerMillis(Ctx, Kind, G, FeatureDim, Hidden,
-                                       W.Classes, false, Sys, Reorder);
+                                       W.Classes, false, Sys);
           double Granii = twoLayerMillis(Ctx, Kind, G, FeatureDim, Hidden,
-                                         W.Classes, true, Sys, Reorder);
+                                         W.Classes, true, Sys);
           if (!JsonPath.empty()) {
             std::vector<double> Samples = {Granii / 1e3};
             for (int Rep = 1; Rep < JsonReps; ++Rep)
               Samples.push_back(twoLayerMillis(Ctx, Kind, G, FeatureDim,
-                                               Hidden, W.Classes, true, Sys,
-                                               Reorder) /
+                                               Hidden, W.Classes, true, Sys) /
                                 1e3);
             Report.add(BenchReport::makeRecord(
                 "table4/" + G.name() + "/" + modelName(Kind) + "/h" +
                     std::to_string(Hidden) + "/" + systemName(Sys),
-                G.name(), FeatureDim, W.Classes,
-                reorderPolicyName(Reorder), Samples, /*Bytes=*/0.0));
+                G.name(), FeatureDim, W.Classes, Samples, /*Bytes=*/0.0));
           }
           Line.push_back(formatDouble(Base, 3));
           Line.push_back(formatDouble(Granii, 3));

@@ -122,24 +122,26 @@ std::string CompositionPlan::canonicalKey() const {
   return Expr[static_cast<size_t>(OutputValue)];
 }
 
+std::string CompositionPlan::valueName(int Id) const {
+  const PlanValue &Val = Values[static_cast<size_t>(Id)];
+  return Val.InputRole ? Val.DebugName : "v" + std::to_string(Id);
+}
+
 std::string CompositionPlan::toString() const {
   std::string Out = Name + ":\n";
   for (const PlanStep &Step : Steps) {
-    Out += "  v" + std::to_string(Step.Result) + " = " + stepOpName(Step.Op) +
-           "(";
+    Out += "  " + valueName(Step.Result) + " = " + stepOpName(Step.Op) + "(";
     for (size_t I = 0; I < Step.Operands.size(); ++I) {
       if (I != 0)
         Out += ", ";
-      int Id = Step.Operands[I];
-      const PlanValue &Val = Values[static_cast<size_t>(Id)];
-      Out += Val.InputRole ? Val.DebugName : "v" + std::to_string(Id);
+      Out += valueName(Step.Operands[I]);
     }
     Out += ")";
     if (Step.Setup)
       Out += "  [setup]";
     Out += "\n";
   }
-  Out += "  output: v" + std::to_string(OutputValue) + "\n";
+  Out += "  output: " + valueName(OutputValue) + "\n";
   return Out;
 }
 

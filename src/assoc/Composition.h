@@ -107,6 +107,10 @@ public:
   /// Human-readable listing of the program.
   std::string toString() const;
 
+  /// Display name of value \p Id, as toString() prints it: an input's leaf
+  /// name, "v<id>" for every computed value.
+  std::string valueName(int Id) const;
+
   /// Concrete primitive descriptors for every step under \p Binding,
   /// parallel to Steps.
   std::vector<PrimitiveDesc> primitiveDescs(const DimBinding &Binding) const;

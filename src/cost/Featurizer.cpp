@@ -40,8 +40,8 @@ FeatureVector granii::featurize(const PrimitiveDesc &Desc,
   F[12] = log1pSafe(Desc.flops());
   F[13] = log1pSafe(Desc.bytes());
   // Locality of the sparse gather pattern: how the same nnz is laid out.
-  // Reordering changes only these two, which is what lets the cost model
-  // learn when a policy pays.
+  // Relabeling the vertices changes only these two, which is what lets the
+  // cost model tell layout effects from structural ones.
   F[14] = log1pSafe(Stats.AvgRowSpan);
   F[15] = log1pSafe(Stats.Bandwidth);
   // Row-length regularity: the nnz fraction of an N x MaxDegree padded

@@ -2,7 +2,6 @@
 
 #include "granii/Granii.h"
 
-#include "assoc/PlanSerialize.h"
 #include "support/Error.h"
 #include "support/ThreadPool.h"
 #include "verify/VerifyBuffers.h"
@@ -12,9 +11,6 @@
 #include "support/Trace.h"
 
 #include <cassert>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <cmath>
 
 using namespace granii;
@@ -114,40 +110,6 @@ Optimizer::Optimizer(GnnModel ModelIn, OptimizerOptions OptsIn,
   // A deserialized plan set gets the same scrutiny as a freshly compiled
   // one: the file may be stale or hand-edited.
   verifyPromoted();
-}
-
-bool Optimizer::saveCompiled(const std::string &Path) const {
-  std::ofstream Out(Path);
-  if (!Out)
-    return false;
-  Out << serializePlans(Promoted);
-  return static_cast<bool>(Out);
-}
-
-std::optional<Optimizer> Optimizer::loadCompiled(const std::string &Path,
-                                                 GnnModel Model,
-                                                 OptimizerOptions Opts,
-                                                 const CostModel *Cost) {
-  std::ifstream In(Path);
-  if (!In)
-    return std::nullopt;
-  std::ostringstream Contents;
-  Contents << In.rdbuf();
-  std::string ParseError;
-  std::optional<std::vector<CompositionPlan>> Plans =
-      deserializePlans(Contents.str(), &ParseError, Path);
-  if (!Plans || Plans->empty()) {
-    // A present-but-corrupt plan file deserves a diagnostic, not the same
-    // silent nullopt a missing file gets.
-    if (!ParseError.empty())
-      std::cerr << Diag{DiagSeverity::Warning, "plan-load", Path, ParseError,
-                        "re-run the offline stage to regenerate the file"}
-                       .toString()
-                << "\n";
-    return std::nullopt;
-  }
-  return Optimizer(std::move(Model), std::move(Opts), Cost,
-                   std::move(*Plans));
 }
 
 Selection Optimizer::selectWithStats(const DimBinding &Binding,
@@ -270,8 +232,8 @@ size_t Optimizer::execute(const Selection &Sel, const LayerParams &Params,
   PlanWorkspace &Ws = Workspaces[{Sel.PlanIndex, Training}];
   Ws.resetAllocationCount();
   if (Training)
-    Exec.runTraining(Plan, Inputs, Params.Stats, Ws, Result, Opts.Reorder);
+    Exec.runTraining(Plan, Inputs, Params.Stats, Ws, Result);
   else
-    Exec.run(Plan, Inputs, Params.Stats, Ws, Result, Opts.Reorder);
+    Exec.run(Plan, Inputs, Params.Stats, Ws, Result);
   return Ws.allocationCount();
 }

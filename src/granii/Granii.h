@@ -26,8 +26,6 @@
 #include "models/Models.h"
 #include "runtime/Executor.h"
 
-#include <optional>
-
 namespace granii {
 
 /// Configuration of an Optimizer instance.
@@ -40,11 +38,6 @@ struct OptimizerOptions {
   int Iterations = 100;
   /// Offline enumeration knobs (ablations flip these).
   EnumOptions Enum;
-  /// Vertex-reordering policy applied by execute(): the permuted graph is
-  /// cached per (plan, mode) workspace, permutation construction is charged
-  /// as setup, and the per-run feature gather / output scatter as forward
-  /// time (docs/REORDERING.md).
-  ReorderPolicy Reorder = ReorderPolicy::None;
   /// Static verification level (docs/VERIFICATION.md). Off: nothing. Fast
   /// (default; overridable via GRANII_VERIFY): the IR verifier runs after
   /// parsing and every rewrite pass, and the promoted plan set is checked
@@ -122,17 +115,6 @@ public:
   size_t execute(const Selection &Sel, const LayerParams &Params,
                  bool Training, ExecResult &Result) const;
 
-  /// Persists the offline stage's output (the promoted candidate set) so a
-  /// later process can skip enumeration and pruning entirely.
-  bool saveCompiled(const std::string &Path) const;
-
-  /// Constructs an optimizer from a saveCompiled() file; returns nullopt if
-  /// the file is missing or malformed.
-  static std::optional<Optimizer> loadCompiled(const std::string &Path,
-                                               GnnModel Model,
-                                               OptimizerOptions Opts,
-                                               const CostModel *Cost);
-
   /// Constructs an optimizer directly from an already-compiled candidate
   /// set, bypassing enumeration and pruning. This is the compile-once /
   /// run-many entry point the serving layer's plan cache builds on: a
@@ -148,7 +130,7 @@ public:
   }
 
 private:
-  /// Used by loadCompiled/fromCompiled to bypass enumeration.
+  /// Used by fromCompiled to bypass enumeration.
   Optimizer(GnnModel Model, OptimizerOptions Opts, const CostModel *Cost,
             std::vector<CompositionPlan> Precompiled);
 

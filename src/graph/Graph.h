@@ -33,8 +33,8 @@ struct GraphStats {
   double DegreeGini = 0.0;  ///< inequality of the degree distribution
   double TopRowFraction = 0.0; ///< fraction of edges in top 1% of rows
   /// Mean over nonempty rows of (max col - min col + 1): how much dense-
-  /// operand memory one row's gathers span. Reordering exists to shrink
-  /// this.
+  /// operand memory one row's gathers span; a locality-improving vertex
+  /// relabeling (graph/Reorder.h) shrinks it.
   double AvgRowSpan = 0.0;
   double Bandwidth = 0.0; ///< max |row - col| over stored edges
 };

@@ -22,23 +22,6 @@ std::string granii::reorderPolicyName(ReorderPolicy Policy) {
   graniiUnreachable("unknown reorder policy");
 }
 
-std::optional<ReorderPolicy> granii::parseReorderPolicy(
-    const std::string &Name) {
-  if (Name == "none")
-    return ReorderPolicy::None;
-  if (Name == "rcm")
-    return ReorderPolicy::Rcm;
-  if (Name == "degree")
-    return ReorderPolicy::Degree;
-  return std::nullopt;
-}
-
-const std::vector<ReorderPolicy> &granii::allReorderPolicies() {
-  static const std::vector<ReorderPolicy> Policies = {
-      ReorderPolicy::None, ReorderPolicy::Rcm, ReorderPolicy::Degree};
-  return Policies;
-}
-
 Permutation::Permutation(std::vector<int32_t> NewToOldOrder)
     : NewToOld(std::move(NewToOldOrder)) {
   const int64_t N = size();
@@ -206,29 +189,6 @@ CsrMatrix granii::permuteSymmetric(const CsrMatrix &A, const Permutation &Perm) 
 
   return CsrMatrix(N, N, std::move(NewOffsets), std::move(NewCols),
                    std::move(NewVals));
-}
-
-void granii::permuteRowsInto(const DenseMatrix &Src, const Permutation &Perm,
-                             DenseMatrix &Dst) {
-  GRANII_CHECK(Perm.size() == Src.rows(), "permutation size mismatch");
-  GRANII_CHECK(Dst.rows() == Src.rows() && Dst.cols() == Src.cols(),
-               "permute destination shape mismatch");
-  GRANII_CHECK(Dst.data() != Src.data(), "permute source aliases destination");
-  const int64_t Cols = Src.cols();
-  for (int64_t NewRow = 0; NewRow < Src.rows(); ++NewRow)
-    std::copy_n(Src.rowPtr(Perm.newToOld(NewRow)), Cols, Dst.rowPtr(NewRow));
-}
-
-void granii::inversePermuteRowsInto(const DenseMatrix &Src,
-                                    const Permutation &Perm,
-                                    DenseMatrix &Dst) {
-  GRANII_CHECK(Perm.size() == Src.rows(), "permutation size mismatch");
-  GRANII_CHECK(Dst.rows() == Src.rows() && Dst.cols() == Src.cols(),
-               "permute destination shape mismatch");
-  GRANII_CHECK(Dst.data() != Src.data(), "permute source aliases destination");
-  const int64_t Cols = Src.cols();
-  for (int64_t NewRow = 0; NewRow < Src.rows(); ++NewRow)
-    std::copy_n(Src.rowPtr(NewRow), Cols, Dst.rowPtr(Perm.newToOld(NewRow)));
 }
 
 int64_t granii::bandwidthOf(const CsrMatrix &A) {

@@ -4,9 +4,11 @@
 /// Offline graph preprocessing: vertex permutations that improve the cache
 /// locality of the sparse kernels. The GNN layer semantics are invariant
 /// under a symmetric relabeling PAP^T of the adjacency as long as the
-/// feature rows are permuted the same way and the output rows are
-/// inverse-permuted afterwards; the runtime exploits this by executing
-/// plans on a reordered copy of the graph (docs/REORDERING.md).
+/// feature rows are permuted the same way; the output then comes out in the
+/// relabeled order. The runtime always executes in the caller's vertex
+/// order, so relabeling is input preparation a caller does once, before
+/// handing the graph over. The cost-model training suite uses it to build
+/// relabeled twins of its graphs (locality features, docs/HARDWARE_MODEL.md).
 ///
 /// Two orderings are provided:
 ///  - reverse Cuthill-McKee (bandwidth-minimizing BFS ordering; clusters
@@ -21,16 +23,15 @@
 
 #include "graph/Graph.h"
 #include "tensor/CsrMatrix.h"
-#include "tensor/DenseMatrix.h"
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 namespace granii {
 
-/// Which vertex ordering the runtime applies before executing a plan.
+/// A vertex ordering. The executor's trailing ReorderPolicy parameter is
+/// ignored (it runs in the caller's order); reorderGraph applies the others.
 enum class ReorderPolicy {
   None,   ///< keep the input's vertex order
   Rcm,    ///< reverse Cuthill-McKee
@@ -39,12 +40,6 @@ enum class ReorderPolicy {
 
 /// Canonical lowercase name ("none", "rcm", "degree").
 std::string reorderPolicyName(ReorderPolicy Policy);
-
-/// Parses a policy name; nullopt for anything unknown.
-std::optional<ReorderPolicy> parseReorderPolicy(const std::string &Name);
-
-/// All policies, in declaration order (ablation sweeps iterate this).
-const std::vector<ReorderPolicy> &allReorderPolicies();
 
 /// A bijective vertex relabeling stored in both directions:
 /// NewToOld[n] = o means new vertex n is old vertex o, and
@@ -99,18 +94,6 @@ Permutation makeReorderPermutation(ReorderPolicy Policy,
 /// every column index mapped through OldToNew and re-sorted (values follow
 /// their columns). Requires a square matrix; weights are preserved.
 CsrMatrix permuteSymmetric(const CsrMatrix &A, const Permutation &Perm);
-
-/// Row gather Dst[n, :] = Src[NewToOld[n], :] (features entering a
-/// reordered execution). \p Dst must already be Src-shaped and must not
-/// alias \p Src.
-void permuteRowsInto(const DenseMatrix &Src, const Permutation &Perm,
-                     DenseMatrix &Dst);
-
-/// Row scatter Dst[NewToOld[n], :] = Src[n, :], i.e. the inverse of
-/// permuteRowsInto (outputs leaving a reordered execution). \p Dst must
-/// already be Src-shaped and must not alias \p Src.
-void inversePermuteRowsInto(const DenseMatrix &Src, const Permutation &Perm,
-                            DenseMatrix &Dst);
 
 /// Matrix bandwidth: max |row - col| over stored entries (0 when empty).
 int64_t bandwidthOf(const CsrMatrix &A);

@@ -13,11 +13,7 @@ namespace {
 
 /// C++ expression for one step's kernel call.
 std::string callExprOf(const CompositionPlan &Plan, const PlanStep &Step) {
-  auto Ref = [&](int Id) {
-    const PlanValue &Val = Plan.Values[static_cast<size_t>(Id)];
-    return Val.InputRole ? Val.DebugName : "v" + std::to_string(Id);
-  };
-  auto Arg = [&](int I) { return Ref(Step.Operands[I]); };
+  auto Arg = [&](int I) { return Plan.valueName(Step.Operands[I]); };
 
   switch (Step.Op) {
   case StepOp::Gemm:

@@ -263,11 +263,11 @@ public:
       : Exec(Exec), Plan(Plan), Inputs(Inputs), Stats(Stats), Ws(Ws),
         LS(Ws.layoutState()) {}
 
-  /// Runs every step once; the plan output lands in \p Output.
-  void forward(ExecResult &Result, DenseMatrix &Output);
-  /// Runs the backward pass; the features' gradient lands in
-  /// \p FeatureGrad, every other parameter gradient in \p Result.
-  void backward(ExecResult &Result, DenseMatrix &FeatureGrad);
+  /// Runs every step once; the plan output lands in Result.Output.
+  void forward(ExecResult &Result);
+  /// Runs the backward pass; every parameter and feature gradient lands in
+  /// \p Result.
+  void backward(ExecResult &Result);
 
 private:
   void bindInput(size_t Id, const PlanValue &Def);
@@ -276,7 +276,7 @@ private:
   RtValue &val(int Id) { return Ws.scratch()[static_cast<size_t>(Id)]; }
 
   /// Destination accessors: the storage for value \p Id, reshaped to the
-  /// requested size — forward()'s output matrix for the plan output, the
+  /// requested size — the result's output matrix for the plan output, the
   /// workspace slot otherwise (operands of the current step are still live
   /// in the buffer plan, so a destination slot never aliases an operand's).
   DenseMatrix &dstDense(int Id, int64_t Rows, int64_t Cols) {
@@ -320,7 +320,7 @@ private:
     if (Span.active() || Exec.stepProfiling()) {
       StepProfile P;
       P.Step = &Step - Plan.Steps.data();
-      P.Value = Target < 0 ? "csc" : valueName(Target);
+      P.Value = Target < 0 ? "csc" : Plan.valueName(Target);
       P.Op = "bwd:" + stepOpName(Step.Op);
       P.Shape = Target < 0 ? "nnz=" + std::to_string(Inputs.Adjacency->nnz())
                            : valueShape(Target);
@@ -357,12 +357,6 @@ private:
     return *LS.Csc;
   }
 
-  /// Display name of plan value \p Id.
-  std::string valueName(int Id) const {
-    const PlanValue &Def = Plan.Values[static_cast<size_t>(Id)];
-    return Def.DebugName.empty() ? "v" + std::to_string(Id) : Def.DebugName;
-  }
-
   /// Display shape of plan value \p Id as bound in this run.
   std::string valueShape(int Id) {
     const RtValue &V = val(Id);
@@ -395,7 +389,7 @@ private:
   const GraphStats &Stats;
   PlanWorkspace &Ws;
   detail::LayoutState &LS;
-  DenseMatrix *OutputDst = nullptr; ///< forward()'s output matrix
+  DenseMatrix *OutputDst = nullptr; ///< the result's output matrix
 };
 
 void PlanInterpreter::bindInput(size_t Id, const PlanValue &Def) {
@@ -610,7 +604,7 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
     StepProfile &P =
         Result.StepProfiles.empty() ? Local : Result.StepProfiles[StepIdx];
     P.Step = static_cast<int64_t>(StepIdx);
-    P.Value = valueName(Step.Result);
+    P.Value = Plan.valueName(Step.Result);
     P.Op = stepOpName(Step.Op);
     P.Shape = valueShape(Step.Result);
     P.Setup = Step.Setup;
@@ -629,9 +623,9 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
   }
 }
 
-void PlanInterpreter::forward(ExecResult &Result, DenseMatrix &Output) {
+void PlanInterpreter::forward(ExecResult &Result) {
   TraceSpan Span("forward", "executor");
-  OutputDst = &Output;
+  OutputDst = &Result.Output;
   Result.SetupSeconds = 0.0;
   Result.ForwardSeconds = 0.0;
   Result.BackwardSeconds = 0.0;
@@ -650,11 +644,11 @@ void PlanInterpreter::forward(ExecResult &Result, DenseMatrix &Output) {
     execStep(S, Result);
   const RtValue &Out = val(Plan.OutputValue);
   assert(Out.Kind == PlanValueKind::Dense && "layer output must be dense");
-  assert(Out.Dense == &Output && "layer output must be a step result");
+  assert(Out.Dense == OutputDst && "layer output must be a step result");
   (void)Out;
 }
 
-void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
+void PlanInterpreter::backward(ExecResult &Result) {
   TraceSpan Span("backward", "executor");
   const std::vector<bool> &Need = Ws.gradPath();
   std::vector<RtGrad> &Grads = Ws.grads();
@@ -667,8 +661,7 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
   // Every gradient buffer is reused across runs, so a steady-state run
   // allocates none of them. A workspace buffer counts its growth like a
   // slot; parameter gradients accumulate straight into the caller's result,
-  // which owns them as it owns Output, and the feature gradient into
-  // \p FeatureGrad (the result's, or the layout's staging buffer).
+  // which owns them as it owns Output, the feature gradient included.
   auto Reshape = [&](DenseMatrix &M, int64_t Rows, int64_t Cols,
                      bool Owned) -> DenseMatrix & {
     size_t Cap = M.capacityFloats();
@@ -690,7 +683,7 @@ void PlanInterpreter::backward(ExecResult &Result, DenseMatrix &FeatureGrad) {
     if (Val.InputRole == LeafRole::Weight)
       return Result.WeightGrads[Val.DebugName];
     if (Val.InputRole == LeafRole::Features)
-      return FeatureGrad;
+      return Result.FeatureGrad;
     return Grads[static_cast<size_t>(Id)].Dense;
   };
   auto VecAcc = [&](int Id) -> std::vector<float> & {
@@ -1051,132 +1044,43 @@ ExecResult Executor::runTraining(const CompositionPlan &Plan,
   return Result;
 }
 
-double Executor::layoutSetup(detail::LayoutState &LS, const CsrMatrix &Adj,
-                             const GraphStats &Stats,
-                             ReorderPolicy Policy) const {
-  if (LS.SourceAdj == &Adj && LS.SourceVersion == Adj.version() &&
-      LS.Policy == Policy)
-    return 0.0;
-  LS = detail::LayoutState();
-  LS.Policy = Policy;
-  LS.SourceAdj = &Adj;
-  LS.SourceVersion = Adj.version();
-  if (Policy == ReorderPolicy::None)
-    return 0.0;
-
-  // Per-layout preprocessing, hoisted like degree normalizations: an
-  // O(E)-dominated pass over the structure, charged as an edge-traversal
-  // primitive.
-  TraceSpan Span("reorder-setup", "executor");
-  PrimitiveDesc Desc{PrimitiveKind::EdgeElementwise, Adj.rows(), 0, 0,
-                     Adj.nnz()};
-  return timeKernel(Desc, Stats, [&] {
-    LS.Perm = makeReorderPermutation(Policy, Adj);
-    LS.PermAdj = permuteSymmetric(Adj, LS.Perm);
-    LS.PermStats = computeGraphStats(LS.PermAdj);
-  });
-}
-
-LayerInputs Executor::permuteInputs(detail::LayoutState &LS,
-                                    const LayerInputs &Inputs,
-                                    PlanWorkspace &Ws,
-                                    double &PermSeconds) const {
-  const DenseMatrix &H = *Inputs.Features;
-  size_t Cap = LS.PermFeatures.capacityFloats();
-  LS.PermFeatures.resize(H.rows(), H.cols());
-  if (LS.PermFeatures.capacityFloats() != Cap)
-    Ws.countAllocation();
-  // The gather runs every iteration (features may change between calls
-  // even when the graph does not), so it is charged per iteration as a
-  // dense row map — its real cost on measured platforms.
-  TraceSpan Span("permute-features", "executor");
-  PrimitiveDesc Desc{PrimitiveKind::DenseMap, H.rows(), H.cols(), 0, 0};
-  PermSeconds += timeKernel(Desc, LS.PermStats, [&] {
-    permuteRowsInto(H, LS.Perm, LS.PermFeatures);
-  });
-
-  LayerInputs Permuted = Inputs;
-  Permuted.Adjacency = &LS.PermAdj;
-  Permuted.Features = &LS.PermFeatures;
-  return Permuted;
-}
-
-double Executor::unpermuteRows(const detail::LayoutState &LS,
-                               const DenseMatrix &Src, DenseMatrix &Dst) const {
-  Dst.resize(Src.rows(), Src.cols());
-  TraceSpan Span("unpermute-rows", "executor");
-  PrimitiveDesc Desc{PrimitiveKind::DenseMap, Src.rows(), Src.cols(), 0, 0};
-  return timeKernel(Desc, LS.PermStats,
-                    [&] { inversePermuteRowsInto(Src, LS.Perm, Dst); });
-}
-
 void Executor::run(const CompositionPlan &Plan, const LayerInputs &Inputs,
                    const GraphStats &Stats, PlanWorkspace &Ws,
-                   ExecResult &Result, ReorderPolicy Policy,
-                   SparseFormat) const {
-  runArena(Plan, Inputs, Stats, Ws, Result, Policy, /*Training=*/false);
+                   ExecResult &Result, ReorderPolicy, SparseFormat) const {
+  runArena(Plan, Inputs, Stats, Ws, Result, /*Training=*/false);
 }
 
 void Executor::runTraining(const CompositionPlan &Plan,
                            const LayerInputs &Inputs, const GraphStats &Stats,
-                           PlanWorkspace &Ws, ExecResult &Result,
-                           ReorderPolicy Policy, SparseFormat) const {
-  runArena(Plan, Inputs, Stats, Ws, Result, Policy, /*Training=*/true);
+                           PlanWorkspace &Ws, ExecResult &Result, ReorderPolicy,
+                           SparseFormat) const {
+  runArena(Plan, Inputs, Stats, Ws, Result, /*Training=*/true);
 }
 
 void Executor::runArena(const CompositionPlan &Plan, const LayerInputs &Inputs,
                         const GraphStats &Stats, PlanWorkspace &Ws,
-                        ExecResult &Result, ReorderPolicy Policy,
-                        bool Training) const {
+                        ExecResult &Result, bool Training) const {
   GRANII_CHECK(Inputs.Features != &Result.Output,
                "arena execution: the result's output aliases the features");
   GRANII_CHECK(!Training || Inputs.Features != &Result.FeatureGrad,
                "arena execution: the result's feature gradient aliases the "
                "features");
   detail::LayoutState &LS = Ws.layoutState();
-  const double SetupSeconds =
-      layoutSetup(LS, *Inputs.Adjacency, Stats, Policy);
-  const bool Reordered = Policy != ReorderPolicy::None;
-  const LayerInputs *Bound = &Inputs;
-  const GraphStats *BoundStats = &Stats;
-  double PermSeconds = 0.0;
-  LayerInputs Permuted;
-  if (Reordered) {
-    Permuted = permuteInputs(LS, Inputs, Ws, PermSeconds);
-    Bound = &Permuted;
-    BoundStats = &LS.PermStats;
+  const CsrMatrix &Adj = *Inputs.Adjacency;
+  if (LS.SourceAdj != &Adj || LS.SourceVersion != Adj.version()) {
+    LS = detail::LayoutState();
+    LS.SourceAdj = &Adj;
+    LS.SourceVersion = Adj.version();
   }
-  Ws.configure(Plan, Bound->binding(&Plan), Training);
-  PlanInterpreter Interp(*this, Plan, *Bound, *BoundStats, Ws);
-  // A reordered run leaves its output and feature gradient in permuted row
-  // order in the layout's staging buffers (growth counted like any
-  // workspace buffer); the inverse scatters then write the caller's
-  // Result.Output and Result.FeatureGrad in place. Weight and attention
-  // gradients reduce over nodes and are row-order independent.
-  const size_t OutputCap = LS.PermOutput.capacityFloats();
-  const size_t FeatureGradCap = LS.PermFeatureGrad.capacityFloats();
-  // Emptied first, so rows() > 0 afterwards means this run wrote it.
-  LS.PermFeatureGrad.resize(0, 0);
-  Interp.forward(Result, Reordered ? LS.PermOutput : Result.Output);
+  Ws.configure(Plan, Inputs.binding(&Plan), Training);
+  PlanInterpreter Interp(*this, Plan, Inputs, Stats, Ws);
+  Interp.forward(Result);
   if (Training) {
-    Interp.backward(Result,
-                    Reordered ? LS.PermFeatureGrad : Result.FeatureGrad);
+    Interp.backward(Result);
   } else {
     // An inference run reports no gradients.
     Result.WeightGrads.clear();
     Result.AttnGrads.clear();
     Result.BackwardProfiles.clear();
   }
-  if (Reordered) {
-    if (LS.PermOutput.capacityFloats() != OutputCap)
-      Ws.countAllocation();
-    if (LS.PermFeatureGrad.capacityFloats() != FeatureGradCap)
-      Ws.countAllocation();
-    PermSeconds += unpermuteRows(LS, LS.PermOutput, Result.Output);
-    if (LS.PermFeatureGrad.rows() > 0)
-      Result.BackwardSeconds +=
-          unpermuteRows(LS, LS.PermFeatureGrad, Result.FeatureGrad);
-  }
-  Result.SetupSeconds += SetupSeconds;
-  Result.ForwardSeconds += PermSeconds;
 }

@@ -90,34 +90,18 @@ struct RtGrad {
   bool Present = false;
 };
 
-/// Cached layout state of a workspace: everything a run derives from the
-/// caller's adjacency under one reorder policy. One key covers every part —
-/// the policy plus the caller's adjacency (address and content version,
-/// CsrMatrix::version()) — and any change rebuilds them all, so no derived
-/// structure outlives its graph or an in-place edit of it. Building is
-/// setup (charged once); steady-state runs only gather features and
-/// scatter the output (and feature gradient), reusing every buffer here.
-/// The "bound" adjacency is the one the plan executes on: PermAdj under a
-/// reorder policy, else the caller's.
+/// Cached layout state of a workspace: what a run derives from the caller's
+/// adjacency. Its key is that adjacency's address and content version
+/// (CsrMatrix::version()); a run with another key starts it afresh, so no
+/// derived structure outlives its graph or an in-place edit of it.
 struct LayoutState {
-  ReorderPolicy Policy = ReorderPolicy::None;
   const CsrMatrix *SourceAdj = nullptr; ///< the caller's adjacency
   uint64_t SourceVersion = 0;           ///< its version() when built
 
-  /// Reordering: the permutation, the relabeled adjacency PAP^T with its
-  /// statistics (locality features differ), and the staging buffers of the
-  /// per-run row gathers (features in; output and feature gradient out).
-  Permutation Perm;
-  CsrMatrix PermAdj;
-  GraphStats PermStats;
-  DenseMatrix PermFeatures;
-  DenseMatrix PermOutput;
-  DenseMatrix PermFeatureGrad;
-
-  /// CSC transpose of the bound adjacency that the backward pass walks
-  /// instead of re-materializing S^T every step. Built by the first
-  /// transposed SpMM of a training run; every sparse value a plan produces
-  /// carries the bound adjacency's pattern, so one build serves them all.
+  /// CSC transpose of the adjacency that the backward pass walks instead of
+  /// re-materializing S^T every step. Built by the first transposed SpMM of
+  /// a training run; every sparse value a plan produces carries the
+  /// adjacency's pattern, so one build serves them all.
   std::optional<CscMatrix> Csc;
 };
 
@@ -140,8 +124,7 @@ struct StepProfile {
 
 /// Outcome of executing a plan once.
 struct ExecResult {
-  /// Written in place by the plan's final step (through the workspace's
-  /// staging buffer under a reorder policy). A result reused across
+  /// Written in place by the plan's final step. A result reused across
   /// runs keeps this buffer, so a warm run allocates nothing for it.
   DenseMatrix Output;
   /// Seconds charged to steps marked Setup (hoisted; paid once).
@@ -244,10 +227,10 @@ public:
   DenseMatrix &gradScratch() { return GradScratch; }
   std::vector<float> &edgeGradScratch() { return EdgeGradScratch; }
   /// The workspace's cached layout state (empty until the first executor
-  /// run; rebuilt whenever a run's layout or adjacency differs from it).
+  /// run; rebuilt whenever a run's adjacency differs from it).
   detail::LayoutState &layoutState() { return Layout; }
   /// Records a growth of a workspace-managed buffer that lives outside the
-  /// slot arrays (the reorder staging buffers).
+  /// slot arrays (the backward pass's gradient accumulators).
   void countAllocation() { ++Allocations; }
   /// @}
 
@@ -306,42 +289,32 @@ public:
   /// Output.data() where it was. Nothing here warms up: each step runs
   /// once, and a measured timing of a first call includes its cold costs.
   ///
-  /// The layout — \p Policy — is derived from the caller's adjacency once
-  /// and cached in \p Ws under one key (the policy plus the adjacency's
-  /// address and content version); a run whose key differs rebuilds every
-  /// part and charges it as setup.
+  /// The layout state (the backward CSC) is derived from the caller's
+  /// adjacency once and cached in \p Ws under its address and content
+  /// version; a run on another adjacency, or after an in-place edit of it,
+  /// rebuilds it.
   ///
-  /// A non-None \p Policy runs the plan on a reordered copy of the graph:
-  /// the layout holds the permutation and relabeled adjacency, and each run
-  /// gathers the features into permuted order, executes (the final step
-  /// writing a workspace staging buffer), and scatters the output back to
-  /// the caller's vertex order into Result.Output (both charged per
-  /// iteration).
-  /// The result equals the unreordered run's up to float summation order
-  /// (each row's neighbors accumulate in a different sequence), which is
-  /// why the differential tests compare it with a tolerance rather than
-  /// bitwise. Steady-state runs still allocate nothing.
-  ///
-  /// The SparseFormat parameter is always Csr and is ignored; it stays
-  /// because the end-to-end benchmark passes it positionally.
+  /// The plan runs in the caller's vertex order. A caller who wants a
+  /// locality-improving order relabels the graph once beforehand
+  /// (reorderGraph) and permutes its features to match. The ReorderPolicy
+  /// and SparseFormat parameters are ignored (None and Csr are the only
+  /// layout); they stay because the end-to-end benchmark passes them
+  /// positionally.
   void run(const CompositionPlan &Plan, const LayerInputs &Inputs,
            const GraphStats &Stats, PlanWorkspace &Ws, ExecResult &Result,
-           ReorderPolicy Policy = ReorderPolicy::None,
-           SparseFormat Format = SparseFormat::Csr) const;
+           ReorderPolicy = ReorderPolicy::None,
+           SparseFormat = SparseFormat::Csr) const;
 
   /// Workspace forward + backward. The forward activations live in \p Ws
   /// (fully pinned in training mode), and so do the gradient accumulators;
   /// weight, attention and feature gradients accumulate in place into
   /// \p Result, so a warm call into the same Result allocates nothing and
-  /// keeps its FeatureGrad buffer. Under a non-None \p Policy the feature
-  /// gradient accumulates in a workspace staging buffer and is scattered
-  /// back into Result.FeatureGrad alongside the output; weight and
-  /// attention gradients are row-order invariant and need no correction.
+  /// keeps its FeatureGrad buffer.
   void runTraining(const CompositionPlan &Plan, const LayerInputs &Inputs,
                    const GraphStats &Stats, PlanWorkspace &Ws,
                    ExecResult &Result,
-                   ReorderPolicy Policy = ReorderPolicy::None,
-                   SparseFormat Format = SparseFormat::Csr) const;
+                   ReorderPolicy = ReorderPolicy::None,
+                   SparseFormat = SparseFormat::Csr) const;
 
   /// Measures/estimates one primitive invocation: executes \p Body exactly
   /// once and returns the seconds to charge for it on this platform — the
@@ -354,30 +327,11 @@ public:
                     FunctionRef<void()> Body) const;
 
 private:
-  /// The body of every run() and runTraining(): layout setup, one
-  /// forward pass (plus the backward pass when \p Training), and the
-  /// inverse permutation of a reordered output and feature gradient.
+  /// The body of every run() and runTraining(): the layout key check, one
+  /// forward pass, plus the backward pass when \p Training.
   void runArena(const CompositionPlan &Plan, const LayerInputs &Inputs,
                 const GraphStats &Stats, PlanWorkspace &Ws, ExecResult &Result,
-                ReorderPolicy Policy, bool Training) const;
-
-  /// Rebuilds \p LS for the layout \p Policy of the caller's adjacency
-  /// \p Adj unless it already holds exactly that; returns the setup seconds
-  /// to charge (0 when the cache was valid).
-  double layoutSetup(detail::LayoutState &LS, const CsrMatrix &Adj,
-                     const GraphStats &Stats, ReorderPolicy Policy) const;
-
-  /// Gathers the caller's features into permuted order and returns inputs
-  /// rebound to the cached reordered graph; \p PermSeconds receives the
-  /// per-iteration gather cost.
-  LayerInputs permuteInputs(detail::LayoutState &LS,
-                            const LayerInputs &Inputs, PlanWorkspace &Ws,
-                            double &PermSeconds) const;
-
-  /// Scatters \p Src (rows in permuted order) back to the caller's vertex
-  /// order into \p Dst and returns the seconds charged.
-  double unpermuteRows(const detail::LayoutState &LS, const DenseMatrix &Src,
-                       DenseMatrix &Dst) const;
+                bool Training) const;
 
   HardwareModel Hw;
   bool StepProfiling = false;

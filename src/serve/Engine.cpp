@@ -4,7 +4,6 @@
 
 #include "cost/Trainer.h"
 #include "graph/GraphSpec.h"
-#include "graph/Reorder.h"
 #include "ir/Dsl.h"
 #include "kernels/Dispatch.h"
 #include "support/Hash.h"
@@ -56,7 +55,6 @@ std::string sessionKeyFor(const JobRequest &Req) {
   Key += "/t" + std::to_string(ThreadPool::get().numThreads());
   Key += "/";
   Key += kernels::isaLevelName(kernels::activeIsaLevel());
-  Key += "/r" + Req.Reorder;
   Key += "/s" + std::to_string(Req.Seed);
   Key += Req.Training ? "/train" : "/infer";
   return Key;
@@ -102,16 +100,24 @@ bool validEmbeddingSizes(const JobRequest &Req, const Graph &G,
   return true;
 }
 
-/// CSR is the only forward layout. The request's format field stays on the
-/// wire because the end-to-end benchmark sets it; anything but empty or
-/// "csr" is an error.
-bool validFormat(const JobRequest &Req, std::string *Error) {
-  if (Req.Format.empty() || Req.Format == "csr")
-    return true;
-  if (Error)
+/// CSR in the caller's vertex order is the only execution layout. The
+/// request's format and reorder fields stay on the wire because the
+/// end-to-end benchmark sets them; anything but empty, "csr" and "none" is
+/// an error. Neither field is part of the session key, so a warm lookup
+/// must not skip this check.
+bool validLayout(const JobRequest &Req, std::string *Error) {
+  if (!Req.Format.empty() && Req.Format != "csr") {
     *Error = "unknown or unsupported sparse format '" + Req.Format +
              "' (csr is the only format)";
-  return false;
+    return false;
+  }
+  if (!Req.Reorder.empty() && Req.Reorder != "none") {
+    *Error = "unsupported reorder policy '" + Req.Reorder +
+             "' (execution keeps the graph's vertex order; relabel the graph "
+             "before sending it)";
+    return false;
+  }
+  return true;
 }
 
 /// loadGraphSpec formats its message as a ready-to-print CLI diagnostic
@@ -215,10 +221,8 @@ PlanCache::Plans Engine::resolvePlans(const GnnModel &Model, const Graph &G,
 
 CompileResponse Engine::compile(const JobRequest &Req) {
   CompileResponse Resp;
-  std::string FormatError;
-  if (!validFormat(Req, &FormatError)) {
+  if (!validLayout(Req, &Resp.Status.Error)) {
     Resp.Status.Ok = false;
-    Resp.Status.Error = FormatError;
     return Resp;
   }
   std::string ParseError;
@@ -253,6 +257,8 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
                                          const Graph *Loaded) {
   if (SessionHit)
     *SessionHit = false;
+  if (!validLayout(Req, &Error))
+    return nullptr;
   std::string Key = sessionKeyFor(Req);
   MutexLock Lock(M);
   auto It = SessionIndex.find(Key);
@@ -273,14 +279,6 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   // Engine-level lock held throughout — enumeration is single-threaded
   // anyway, and serializing creation means concurrent identical requests
   // compile once instead of racing.
-  std::optional<ReorderPolicy> Reorder = parseReorderPolicy(Req.Reorder);
-  if (!Reorder) {
-    Error = "unknown reorder policy '" + Req.Reorder +
-            "' (try none, rcm, degree)";
-    return nullptr;
-  }
-  if (!validFormat(Req, &Error))
-    return nullptr;
   std::string ParseError;
   std::optional<ParsedModel> Parsed =
       parseModelDsl(Req.ModelText, &ParseError);
@@ -308,7 +306,6 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   OptimizerOptions Options;
   Options.Hw = Opts.Hw;
   Options.Iterations = Opts.Iterations;
-  Options.Reorder = *Reorder;
   Options.Verify = Opts.Verify;
   S->Training = Req.Training;
   S->Cost = AnalyticCostModel(Opts.Hw);

@@ -47,8 +47,6 @@ struct EngineOptions {
   /// predicted seconds for this many iterations).
   int Iterations = 100;
   VerifyLevel Verify = defaultVerifyLevel();
-  /// Reorder policy requests may ask for is parsed per request; sessions of
-  /// different policies coexist.
   size_t PlanCacheCapacity = 16;
   /// Bound on live sessions (each owns an arena sized by its graph).
   size_t SessionCapacity = 8;
@@ -135,9 +133,9 @@ public:
   CompileResponse compile(const JobRequest &Req);
 
   /// The run verb: session lookup or creation, then one executed pass.
-  /// Errors (bad model text, unknown graph, unknown reorder policy,
-  /// embedding sizes the host cannot hold) come back as Status.Ok == false
-  /// with the diagnostic text.
+  /// Errors (bad model text, unknown graph, a format or vertex order other
+  /// than CSR in the graph's own order, embedding sizes the host cannot
+  /// hold) come back as Status.Ok == false with the diagnostic text.
   RunResponse run(const JobRequest &Req);
 
   /// Looks up (or builds) the warm session for \p Req — the library-level

@@ -56,9 +56,13 @@ struct JobRequest {
   int64_t KIn = 32;
   int64_t KOut = 32;
   bool Training = false;
-  std::string Reorder = "none"; ///< ReorderPolicy name
-  uint64_t Seed = 1;            ///< makeLayerParams parameter seed
-  bool WantOutput = false;      ///< run only: return the output matrix
+  /// Vertex order name. Execution keeps the graph's order, so the engine
+  /// rejects anything but "none" or empty; like Format, the field stays on
+  /// the wire because the end-to-end benchmark sets it, and goes with the
+  /// next change to the benchmark.
+  std::string Reorder = "none";
+  uint64_t Seed = 1;       ///< makeLayerParams parameter seed
+  bool WantOutput = false; ///< run only: return the output matrix
   /// Sparse storage format name. CSR is the only format, so the engine
   /// rejects anything but "csr" or empty; the field stays on the wire
   /// because the end-to-end benchmark sets it, and goes with the next

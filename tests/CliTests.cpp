@@ -31,6 +31,11 @@ std::string gcnExamplePath() {
   return std::string(GRANII_EXAMPLES_DIR) + "/gcn.gnn";
 }
 
+/// The standard GAT layer example (attention and edge backward kernels).
+std::string gatExamplePath() {
+  return std::string(GRANII_EXAMPLES_DIR) + "/gat.gnn";
+}
+
 } // namespace
 
 TEST(Cli, NoArgsPrintsUsage) {
@@ -122,6 +127,51 @@ TEST(Cli, RunProfileReportsStepsAndZeroAllocations) {
   EXPECT_EQ(Err.find("steady-state run performed"), std::string::npos);
 }
 
+// The profile tables name each step's value the way the printed plan does:
+// "v<id>" for computed values, the leaf name for inputs, so a row can be
+// found in the "selected composition" listing above it.
+TEST(Cli, TrainingProfileNamesValuesLikeThePlan) {
+  std::string Out, Err;
+  ASSERT_EQ(runCli({"run", gatExamplePath(), "--graph", "synth:coauthors",
+                    "--kin", "16", "--kout", "8", "--train", "--profile"},
+                   Out, Err),
+            0)
+      << Err;
+  const size_t Listing = Out.find("selected composition:");
+  const size_t Forward = Out.find("per-step profile (steady state):");
+  const size_t Backward = Out.find("backward profile (steady state):");
+  ASSERT_NE(Listing, std::string::npos);
+  ASSERT_NE(Forward, std::string::npos);
+  ASSERT_NE(Backward, std::string::npos);
+  ASSERT_LT(Listing, Forward);
+  ASSERT_LT(Forward, Backward);
+  const std::string Plan = Out.substr(Listing, Forward - Listing);
+  const std::string ForwardTable = Out.substr(Forward, Backward - Forward);
+  const std::string BackwardTable = Out.substr(Backward);
+  // The output step's operand ("v12 = relu(v11)" gives v11) is a forward
+  // step's value and the value the first backward primitive adds into.
+  const size_t OutputAt = Plan.find("output: ");
+  ASSERT_NE(OutputAt, std::string::npos);
+  const std::string OutputId =
+      Plan.substr(OutputAt + 8, Plan.find('\n', OutputAt) - OutputAt - 8);
+  const size_t StepAt = Plan.find("  " + OutputId + " = ");
+  ASSERT_NE(StepAt, std::string::npos) << Plan;
+  const size_t Open = Plan.find('(', StepAt);
+  const std::string Operand =
+      Plan.substr(Open + 1, Plan.find_first_of(",)", Open) - Open - 1);
+  ASSERT_EQ(Operand.rfind("v", 0), 0u) << Plan;
+  EXPECT_NE(ForwardTable.find(" " + Operand + " "), std::string::npos)
+      << ForwardTable;
+  EXPECT_NE(BackwardTable.find(" " + Operand + " "), std::string::npos)
+      << BackwardTable;
+  // Weight and attention gradients keep their leaf names; no row reads the
+  // enumerator's placeholder name.
+  EXPECT_NE(BackwardTable.find(" W "), std::string::npos) << BackwardTable;
+  EXPECT_NE(BackwardTable.find(" asrc "), std::string::npos) << BackwardTable;
+  EXPECT_EQ(ForwardTable.find(" t "), std::string::npos) << ForwardTable;
+  EXPECT_EQ(BackwardTable.find(" t "), std::string::npos) << BackwardTable;
+}
+
 TEST(Cli, RunTrainingMode) {
   std::string Path = gcnExamplePath();
   std::string Out, Err;
@@ -133,28 +183,23 @@ TEST(Cli, RunTrainingMode) {
   EXPECT_NE(Out.find("fwd+bwd"), std::string::npos);
 }
 
-TEST(Cli, RunWithReorderReportsLocalityImprovement) {
-  std::string Path = gcnExamplePath();
-  std::string Out, Err;
-  ASSERT_EQ(runCli({"run", Path, "--graph", "synth:reddit", "--kin", "16",
-                    "--kout", "16", "--reorder", "rcm", "--profile"},
-                   Out, Err),
-            0)
-      << Err;
-  EXPECT_NE(Out.find("reorder rcm: bandwidth"), std::string::npos);
-  EXPECT_NE(Out.find("avg row span"), std::string::npos);
-  // Reordering must not cost the zero-allocation steady state.
-  EXPECT_NE(Out.find("steady-state allocations: 0"), std::string::npos);
-}
-
-TEST(Cli, RunRejectsUnknownReorderPolicy) {
-  std::string Path = gcnExamplePath();
-  std::string Out, Err;
-  EXPECT_EQ(runCli({"run", Path, "--graph", "synth:coauthors", "--reorder",
-                    "hilbert"},
-                   Out, Err),
-            2);
-  EXPECT_NE(Err.find("unknown reorder policy"), std::string::npos);
+// Execution keeps the graph's vertex order, so run and call have no
+// --reorder flag: it fails like any unknown flag.
+TEST(Cli, RunAndCallRejectReorderAsAnUnknownFlag) {
+  const std::vector<std::vector<std::string>> Cases = {
+      {"run", gcnExamplePath(), "--graph", "synth:coauthors", "--reorder",
+       "rcm"},
+      {"call", "--socket", "/tmp/granii-no-such-daemon.sock",
+       gcnExamplePath(), "--reorder", "rcm"},
+  };
+  for (const std::vector<std::string> &Args : Cases) {
+    std::string Out, Err;
+    EXPECT_EQ(runCli(Args, Out, Err), 2) << Args[0];
+    EXPECT_NE(Err.find("unknown flag for '" + Args[0] + "'"),
+              std::string::npos)
+        << Err;
+    EXPECT_NE(Err.find("--reorder"), std::string::npos) << Err;
+  }
 }
 
 TEST(Cli, RunRejectsUnknownHardware) {

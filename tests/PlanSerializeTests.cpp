@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <optional>
 
 using namespace granii;
 
@@ -168,6 +168,9 @@ TEST(PlanSerialize, EmptyInputYieldsEmptySet) {
   EXPECT_TRUE(Restored->empty());
 }
 
+// The plan cache's spill path: a promoted set written by serializePlans and
+// read back by deserializePlans becomes an optimizer through fromCompiled
+// that selects exactly like the one that enumerated it.
 TEST(OptimizerPersistence, SaveAndLoadCompiled) {
   GnnModel M = makeModel(ModelKind::GCN);
   OptimizerOptions Opts;
@@ -175,33 +178,22 @@ TEST(OptimizerPersistence, SaveAndLoadCompiled) {
   AnalyticCostModel Cost(Opts.Hw);
   Optimizer Original(M, Opts, &Cost);
 
-  std::string Path = ::testing::TempDir() + "/granii_compiled_gcn.plans";
-  ASSERT_TRUE(Original.saveCompiled(Path));
-
-  std::optional<Optimizer> Loaded =
-      Optimizer::loadCompiled(Path, M, Opts, &Cost);
-  ASSERT_TRUE(Loaded.has_value());
-  ASSERT_EQ(Loaded->promoted().size(), Original.promoted().size());
+  std::string Error;
+  std::optional<std::vector<CompositionPlan>> Plans =
+      deserializePlans(serializePlans(Original.promoted()), &Error);
+  ASSERT_TRUE(Plans.has_value()) << Error;
+  ASSERT_EQ(Plans->size(), Original.promoted().size());
+  Optimizer Loaded = Optimizer::fromCompiled(M, Opts, &Cost, *Plans);
 
   // Selections agree on a spread of inputs.
   for (const Graph &G :
        {makeMycielskian(9), makeRoadLattice(20, 20, 0.0, 1)}) {
     for (auto [KIn, KOut] : {std::pair<int, int>{32, 32}, {32, 128}}) {
       Selection A = Original.select(G, KIn, KOut);
-      Selection B = Loaded->select(G, KIn, KOut);
+      Selection B = Loaded.select(G, KIn, KOut);
       EXPECT_EQ(A.PlanIndex, B.PlanIndex) << G.name();
       EXPECT_EQ(Original.promoted()[A.PlanIndex].canonicalKey(),
-                Loaded->promoted()[B.PlanIndex].canonicalKey());
+                Loaded.promoted()[B.PlanIndex].canonicalKey());
     }
   }
-  std::remove(Path.c_str());
-}
-
-TEST(OptimizerPersistence, LoadMissingFileFails) {
-  GnnModel M = makeModel(ModelKind::GCN);
-  OptimizerOptions Opts;
-  Opts.Hw = HardwareModel::byName("cpu");
-  AnalyticCostModel Cost(Opts.Hw);
-  EXPECT_FALSE(
-      Optimizer::loadCompiled("/nonexistent/plans", M, Opts, &Cost));
 }

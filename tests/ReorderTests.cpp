@@ -2,9 +2,8 @@
 //
 // Golden-file tests on hand-computed tiny graphs plus the structural
 // invariants every permutation must satisfy: perm ∘ inv = identity,
-// PAP^T preserves the pattern up to relabeling, dense row (inverse-)
-// permutation round-trips, and RCM does not worsen bandwidth on the
-// fixed-seed random inputs below.
+// PAP^T preserves the pattern up to relabeling, and RCM does not worsen
+// bandwidth on the fixed-seed random inputs below.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,7 +11,6 @@
 
 #include "graph/Generators.h"
 #include "graph/Graph.h"
-#include "support/Rng.h"
 #include "tensor/CooMatrix.h"
 #include "tensor/DenseMatrix.h"
 
@@ -99,11 +97,10 @@ TEST(Reorder, DegreeGoldenOrder) {
   EXPECT_EQ(P.newToOldOrder(), (std::vector<int32_t>{0, 2, 3, 1}));
 }
 
-TEST(Reorder, PolicyNamesRoundTrip) {
-  for (ReorderPolicy Policy : allReorderPolicies())
-    EXPECT_EQ(parseReorderPolicy(reorderPolicyName(Policy)), Policy);
-  EXPECT_FALSE(parseReorderPolicy("cuthill").has_value());
-  EXPECT_FALSE(parseReorderPolicy("").has_value());
+TEST(Reorder, PolicyNames) {
+  EXPECT_EQ(reorderPolicyName(ReorderPolicy::None), "none");
+  EXPECT_EQ(reorderPolicyName(ReorderPolicy::Rcm), "rcm");
+  EXPECT_EQ(reorderPolicyName(ReorderPolicy::Degree), "degree");
 }
 
 //===----------------------------------------------------------------------===//
@@ -146,24 +143,6 @@ TEST(Reorder, PermuteSymmetricCarriesWeights) {
   for (int64_t R = 0; R < 4; ++R)
     for (int64_t C = 0; C < 4; ++C)
       EXPECT_EQ(Bd.at(R, C), Ad.at(P.newToOld(R), P.newToOld(C)));
-}
-
-//===----------------------------------------------------------------------===//
-// Dense row permutation
-//===----------------------------------------------------------------------===//
-
-TEST(Reorder, DenseRowPermuteRoundTrips) {
-  Rng Generator(5);
-  DenseMatrix H(9, 4);
-  H.fillRandom(Generator);
-  Permutation P(std::vector<int32_t>{3, 1, 4, 0, 2, 8, 7, 5, 6});
-  DenseMatrix Gathered(9, 4), Back(9, 4);
-  permuteRowsInto(H, P, Gathered);
-  for (int64_t R = 0; R < 9; ++R)
-    for (int64_t C = 0; C < 4; ++C)
-      EXPECT_EQ(Gathered.at(R, C), H.at(P.newToOld(R), C));
-  inversePermuteRowsInto(Gathered, P, Back);
-  EXPECT_EQ(Back.maxAbsDiff(H), 0.0f);
 }
 
 //===----------------------------------------------------------------------===//

@@ -402,32 +402,67 @@ TEST(Engine, WarmRunsAreBitwiseIdenticalAndAllocationFree) {
 }
 
 // A session keeps one result across its runs, so a warm run writes the
-// output in place: two warm runs return the same bytes without allocating,
-// under the default layout and a reorder policy alike.
+// output in place: two warm runs return the same bytes without allocating.
 TEST(Engine, SessionReusesOneResultAcrossWarmRuns) {
   Engine Eng(testEngineOptions());
-  for (const char *Layout : {"none", "rcm"}) {
-    SCOPED_TRACE(Layout);
-    JobRequest Req = smallRequest();
-    Req.Reorder = Layout;
-    std::string Err;
-    std::shared_ptr<Session> S = Eng.session(Req, Err);
-    ASSERT_TRUE(S) << Err;
-    RunResponse Cold = S->run(true);
-    ASSERT_TRUE(Cold.Status.Ok) << Cold.Status.Error;
-    RunResponse A = S->run(true);
-    RunResponse B = S->run(true);
-    EXPECT_EQ(A.SteadyAllocations, 0u);
-    EXPECT_EQ(B.SteadyAllocations, 0u);
-    ASSERT_EQ(A.Output.size(), Cold.Output.size());
-    ASSERT_EQ(B.Output.size(), Cold.Output.size());
-    EXPECT_EQ(std::memcmp(A.Output.data(), B.Output.data(),
-                          A.Output.size() * sizeof(float)),
-              0);
-    EXPECT_EQ(std::memcmp(A.Output.data(), Cold.Output.data(),
-                          A.Output.size() * sizeof(float)),
-              0);
+  JobRequest Req = smallRequest();
+  std::string Err;
+  std::shared_ptr<Session> S = Eng.session(Req, Err);
+  ASSERT_TRUE(S) << Err;
+  RunResponse Cold = S->run(true);
+  ASSERT_TRUE(Cold.Status.Ok) << Cold.Status.Error;
+  RunResponse A = S->run(true);
+  RunResponse B = S->run(true);
+  EXPECT_EQ(A.SteadyAllocations, 0u);
+  EXPECT_EQ(B.SteadyAllocations, 0u);
+  ASSERT_EQ(A.Output.size(), Cold.Output.size());
+  ASSERT_EQ(B.Output.size(), Cold.Output.size());
+  EXPECT_EQ(std::memcmp(A.Output.data(), B.Output.data(),
+                        A.Output.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(A.Output.data(), Cold.Output.data(),
+                        A.Output.size() * sizeof(float)),
+            0);
+}
+
+// The session key leaves out the request's format and reorder fields, so a
+// warm lookup must check them itself: once a csr session is warm, a request
+// that differs from it only in an unsupported layout is still an error, as
+// it is on a cold engine. The empty names mean the defaults and hit the
+// warm session.
+TEST(Engine, WarmSessionStillRejectsAnUnsupportedLayout) {
+  Engine Eng(testEngineOptions());
+  RunResponse Warm = Eng.run(smallRequest(false));
+  ASSERT_TRUE(Warm.Status.Ok) << Warm.Status.Error;
+  {
+    JobRequest Req = smallRequest(false);
+    Req.Format = "ell";
+    RunResponse Resp = Eng.run(Req);
+    EXPECT_FALSE(Resp.Status.Ok);
+    EXPECT_NE(Resp.Status.Error.find("'ell'"), std::string::npos)
+        << Resp.Status.Error;
   }
+  {
+    JobRequest Req = smallRequest(false);
+    Req.Reorder = "rcm";
+    RunResponse Resp = Eng.run(Req);
+    EXPECT_FALSE(Resp.Status.Ok);
+    EXPECT_NE(Resp.Status.Error.find("'rcm'"), std::string::npos)
+        << Resp.Status.Error;
+    CompileResponse Compiled = Eng.compile(Req);
+    EXPECT_FALSE(Compiled.Status.Ok);
+  }
+  {
+    JobRequest Req = smallRequest(false);
+    Req.Format = "";
+    Req.Reorder = "";
+    RunResponse Resp = Eng.run(Req);
+    ASSERT_TRUE(Resp.Status.Ok) << Resp.Status.Error;
+    EXPECT_TRUE(Resp.SessionCacheHit);
+  }
+  EngineStats S = Eng.stats();
+  EXPECT_EQ(S.SessionMisses, 1u);
+  EXPECT_EQ(S.SessionHits, 1u);
 }
 
 // A session selects from its parameters' self-loop graph and statistics

@@ -301,12 +301,12 @@ int cmdVerify(const ArgParser &Args, std::string &Out, std::string &Err) {
 /// the arena, then a steady-state run is profiled and its allocation count
 /// checked. Nonzero steady-state allocations are a planning bug, reported
 /// via the exit code so CI can assert the zero-allocation property.
-int profileRun(const serve::Session &S, const OptimizerOptions &Options,
+int profileRun(const serve::Session &S, const HardwareModel &Hw,
                bool Training, std::string &Out, std::string &Err) {
   const CompositionPlan &Plan =
       S.optimizer().promoted()[S.selection().PlanIndex];
   const LayerParams &Params = S.params();
-  Executor Exec(Options.Hw);
+  Executor Exec(Hw);
   Exec.setStepProfiling(true);
   PlanWorkspace Ws;
   ExecResult R;
@@ -314,9 +314,9 @@ int profileRun(const serve::Session &S, const OptimizerOptions &Options,
 
   auto RunOnce = [&] {
     if (Training)
-      Exec.runTraining(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder);
+      Exec.runTraining(Plan, Inputs, Params.Stats, Ws, R);
     else
-      Exec.run(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder);
+      Exec.run(Plan, Inputs, Params.Stats, Ws, R);
   };
   RunOnce(); // warm-up: plans the arena, allocates every slot
   Ws.resetAllocationCount();
@@ -401,7 +401,7 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (int Code = rejectUnknownFlags(
           Args, "run",
           {"graph", "kin", "kout", "hw", "iters", "train", "profile",
-           "reorder", "verify", "out", "threads", "isa", "trace"},
+           "verify", "out", "threads", "isa", "trace"},
           Err))
     return Code;
   if (int Code = rejectMalformedInts(Args, {"kin", "kout", "iters"}, Err))
@@ -410,8 +410,7 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
     Err += "usage: granii-cli run <model.gnn> [--graph <mtx|synth:name>] "
            "--kin N --kout N [--hw cpu|a100|h100] [--iters N] [--train] "
            "[--threads N] [--isa scalar|avx2|avx512] [--profile] "
-           "[--reorder none|rcm|degree] [--out <file>] "
-           "[--verify off|fast|full] [--trace <out.json>]\n";
+           "[--out <file>] [--verify off|fast|full] [--trace <out.json>]\n";
     return 2;
   }
   std::optional<std::string> ModelText =
@@ -440,13 +439,6 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
     return 2;
   }
   bool Training = Args.hasFlag("train");
-  std::optional<ReorderPolicy> Reorder =
-      parseReorderPolicy(Args.value("reorder", "none"));
-  if (!Reorder) {
-    Err += "error: unknown reorder policy '" + Args.value("reorder", "") +
-           "' (try none, rcm, degree)\n";
-    return 2;
-  }
   std::optional<VerifyLevel> Verify = verifyFlag(Args, Err);
   if (!Verify)
     return 2;
@@ -454,7 +446,6 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   OptimizerOptions Options;
   Options.Hw = HardwareModel::byName(Hw);
   Options.Iterations = static_cast<int>(Args.intValue("iters", 100));
-  Options.Reorder = *Reorder;
   Options.Verify = *Verify;
 
   // One-shot runs go through the same Engine/Session layer the daemon
@@ -474,7 +465,6 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   Req.KIn = KIn;
   Req.KOut = KOut;
   Req.Training = Training;
-  Req.Reorder = Args.value("reorder", "none");
   Req.WantOutput = Args.hasFlag("out");
 
   // The session builds on the graph loaded above instead of loading the
@@ -495,17 +485,6 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   Out += "offline: " + std::to_string(Compile.Enumerated) +
          " enumerated -> " + std::to_string(Compile.Promoted) +
          " promoted\n";
-  if (Options.Reorder != ReorderPolicy::None) {
-    // Report the locality change the executor's cached permutation will
-    // realize (the executor itself permutes the self-loop adjacency).
-    Graph Reordered = reorderGraph(*G, Options.Reorder);
-    Out += "reorder " + reorderPolicyName(Options.Reorder) + ": bandwidth " +
-           std::to_string(static_cast<int64_t>(G->stats().Bandwidth)) +
-           " -> " +
-           std::to_string(static_cast<int64_t>(Reordered.stats().Bandwidth)) +
-           ", avg row span " + formatDouble(G->stats().AvgRowSpan, 1) +
-           " -> " + formatDouble(Reordered.stats().AvgRowSpan, 1) + "\n";
-  }
 
   const Selection &Sel = S->selection();
   Out += "online: candidate #" + std::to_string(Sel.PlanIndex) + " (" +
@@ -540,7 +519,7 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   }
 
   if (Args.hasFlag("profile"))
-    return profileRun(*S, Options, Training, Out, Err);
+    return profileRun(*S, Options.Hw, Training, Out, Err);
   return 0;
 }
 
@@ -599,7 +578,7 @@ int cmdServe(const ArgParser &Args, std::string &Out, std::string &Err) {
 int cmdCall(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (int Code = rejectUnknownFlags(
           Args, "call",
-          {"socket", "graph", "kin", "kout", "train", "reorder", "seed", "out",
+          {"socket", "graph", "kin", "kout", "train", "seed", "out",
            "compile-only", "stats", "shutdown", "threads", "isa", "trace"},
           Err))
     return Code;
@@ -609,8 +588,8 @@ int cmdCall(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (Socket.empty()) {
     Err += "usage: granii-cli call --socket <path> <model.gnn> "
            "[--graph <mtx|synth:name>] [--kin N] [--kout N] [--train] "
-           "[--reorder none|rcm|degree] [--seed N] [--out <file>] "
-           "[--compile-only] | --stats | --shutdown\n";
+           "[--seed N] [--out <file>] [--compile-only] | --stats | "
+           "--shutdown\n";
     return 2;
   }
 
@@ -677,7 +656,6 @@ int cmdCall(const ArgParser &Args, std::string &Out, std::string &Err) {
   Req.KIn = Args.intValue("kin", 32);
   Req.KOut = Args.intValue("kout", 32);
   Req.Training = Args.hasFlag("train");
-  Req.Reorder = Args.value("reorder", "none");
   Req.Seed = static_cast<uint64_t>(Args.intValue("seed", 1));
   Req.WantOutput = Args.hasFlag("out");
 
