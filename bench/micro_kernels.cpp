@@ -1,11 +1,12 @@
 //===- micro_kernels.cpp - Measured kernel micro-benchmarks -----------------===//
 //
-// google-benchmark timings of the primitive kernel library on the machine
-// running the reproduction (the "real measurement" counterpart of the
-// simulated platforms). Every benchmark drives the destination-passing
-// `...Into` kernel forms against a preallocated destination, mirroring the
-// runtime's buffer-arena execution: the loops measure kernel compute, not
-// the allocator.
+// Wall-clock timings of the primitive kernel library on the machine running
+// the reproduction (the "real measurement" counterpart of the simulated
+// platforms). Every kernel runs in its destination-passing `...Into` form
+// against a preallocated destination, mirroring the runtime's buffer-arena
+// execution: the loops measure kernel compute, not the allocator.
+//
+// Usage: micro_kernels [--threads N] [--json=<report.json>]
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,11 +20,7 @@
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 
 using namespace granii;
@@ -42,125 +39,16 @@ const Graph &benchGraph() {
   return G;
 }
 
-} // namespace
-
-static void BM_Gemm(benchmark::State &State) {
-  int64_t N = State.range(0), K = State.range(1);
-  DenseMatrix A = randomDense(N, K, 1), B = randomDense(K, K, 2);
-  DenseMatrix C(N, K);
-  for (auto _ : State) {
-    kernels::gemmInto(A, B, C);
-    benchmark::DoNotOptimize(C.data());
-  }
-  State.SetItemsProcessed(State.iterations() * 2 * N * K * K);
-}
-BENCHMARK(BM_Gemm)->Args({1024, 32})->Args({1024, 64})->Args({2048, 64});
-
-static void BM_SpmmUnweighted(benchmark::State &State) {
-  const Graph &G = benchGraph();
-  DenseMatrix H = randomDense(G.numNodes(), State.range(0), 3);
-  DenseMatrix Out(G.numNodes(), State.range(0));
-  for (auto _ : State) {
-    kernels::spmmInto(G.adjacency(), H, Semiring::plusCopy(), Out);
-    benchmark::DoNotOptimize(Out.data());
-  }
-  State.SetItemsProcessed(State.iterations() * G.numEdges() * State.range(0));
-}
-BENCHMARK(BM_SpmmUnweighted)->Arg(32)->Arg(64)->Arg(128);
-
-static void BM_SpmmWeighted(benchmark::State &State) {
-  const Graph &G = benchGraph();
-  CsrMatrix A = G.adjacency();
-  std::vector<float> Vals(static_cast<size_t>(A.nnz()), 0.5f);
-  A.setValues(std::move(Vals));
-  DenseMatrix H = randomDense(G.numNodes(), State.range(0), 4);
-  DenseMatrix Out(G.numNodes(), State.range(0));
-  for (auto _ : State) {
-    kernels::spmmInto(A, H, Semiring::plusTimes(), Out);
-    benchmark::DoNotOptimize(Out.data());
-  }
-  State.SetItemsProcessed(State.iterations() * 2 * G.numEdges() *
-                          State.range(0));
-}
-BENCHMARK(BM_SpmmWeighted)->Arg(32)->Arg(64)->Arg(128);
-
-static void BM_SddmmDot(benchmark::State &State) {
-  const Graph &G = benchGraph();
-  DenseMatrix U = randomDense(G.numNodes(), State.range(0), 5);
-  std::vector<float> Out(static_cast<size_t>(G.numEdges()));
-  for (auto _ : State) {
-    kernels::sddmmInto(G.adjacency(), U, U, Semiring::plusTimes(), Out);
-    benchmark::DoNotOptimize(Out.data());
-  }
-}
-BENCHMARK(BM_SddmmDot)->Arg(32)->Arg(64);
-
-static void BM_ScaleSparseBoth(benchmark::State &State) {
-  const Graph &G = benchGraph();
-  std::vector<float> D(static_cast<size_t>(G.numNodes()), 0.7f);
-  std::vector<float> OutVals(static_cast<size_t>(G.numEdges()));
-  for (auto _ : State) {
-    kernels::scaleSparseBothInto(G.adjacency(), D, D, OutVals);
-    benchmark::DoNotOptimize(OutVals.data());
-  }
-}
-BENCHMARK(BM_ScaleSparseBoth);
-
-static void BM_RowBroadcast(benchmark::State &State) {
-  DenseMatrix H = randomDense(4096, State.range(0), 6);
-  std::vector<float> D(4096, 1.1f);
-  DenseMatrix Out(4096, State.range(0));
-  for (auto _ : State) {
-    kernels::rowBroadcastMulInto(D, H, Out);
-    benchmark::DoNotOptimize(Out.data());
-  }
-}
-BENCHMARK(BM_RowBroadcast)->Arg(32)->Arg(128);
-
-static void BM_DegreeOffsets(benchmark::State &State) {
-  const Graph &G = benchGraph();
-  std::vector<float> Out(static_cast<size_t>(G.numNodes()));
-  for (auto _ : State) {
-    kernels::degreeFromOffsetsInto(G.adjacency(), Out);
-    benchmark::DoNotOptimize(Out.data());
-  }
-}
-BENCHMARK(BM_DegreeOffsets);
-
-static void BM_DegreeBinning(benchmark::State &State) {
-  const Graph &G = benchGraph();
-  std::vector<float> Out(static_cast<size_t>(G.numNodes()));
-  for (auto _ : State) {
-    kernels::degreeByBinningInto(G.adjacency(), Out);
-    benchmark::DoNotOptimize(Out.data());
-  }
-}
-BENCHMARK(BM_DegreeBinning);
-
-static void BM_EdgeSoftmax(benchmark::State &State) {
-  const Graph &G = benchGraph();
-  std::vector<float> Vals(static_cast<size_t>(G.numEdges()), 0.3f);
-  std::vector<float> Out(static_cast<size_t>(G.numEdges()));
-  for (auto _ : State) {
-    kernels::edgeSoftmaxInto(G.adjacency(), Vals, Out);
-    benchmark::DoNotOptimize(Out.data());
-  }
-}
-BENCHMARK(BM_EdgeSoftmax);
-
-namespace {
-
-/// --json mode: a hand-rolled warmup + 11-repetition Timer loop over a
-/// representative kernel subset, bypassing google-benchmark so the output
-/// is a granii-bench-v1 report granii-bench-diff can consume. The subset
-/// runs once per SIMD level the host supports (record ids carry a
-/// "/<isa>" suffix), so one report both tracks regressions per level and
-/// yields the SIMD-vs-scalar speedups docs/SIMD.md calibrates from. These
-/// are measured wall-clock numbers: machine-dependent, so CI baselines
-/// mark them gate=false (reported, never failing) — and levels the CI
-/// host lacks are simply absent, which granii-bench-diff reports as
-/// skipped rather than missing.
-int runJsonMode(const std::string &Path) {
+/// A warmup + 11-repetition Timer loop over every kernel, printed one line
+/// per record and, with \p JsonPath set, written as a granii-bench-v1
+/// report granii-bench-diff can consume. The set runs once per SIMD level
+/// the host supports (record ids carry a "/<isa>" suffix), so one report
+/// both tracks regressions per level and yields the SIMD-vs-scalar speedups
+/// docs/SIMD.md calibrates from. These are measured wall-clock numbers:
+/// machine-dependent, so CI baselines mark them gate=false (reported, never
+/// failing) — and levels the CI host lacks are simply absent, which
+/// granii-bench-diff reports as skipped rather than missing.
+int runKernels(const std::string &JsonPath) {
   using bench::BenchRecord;
   using bench::BenchReport;
   const Graph &G = benchGraph();
@@ -184,6 +72,9 @@ int runJsonMode(const std::string &Path) {
     BenchRecord R = BenchReport::makeRecord("micro/" + Id + "/" + Isa,
                                             GraphName, KIn, KOut, Samples,
                                             Desc.bytes());
+    std::printf("%-44s median %9.4f ms  p10 %9.4f  p90 %9.4f\n",
+                R.Id.c_str(), R.MedianSeconds * 1e3, R.P10Seconds * 1e3,
+                R.P90Seconds * 1e3);
     Medians[Id][Isa] = R.MedianSeconds;
     Report.add(std::move(R));
   };
@@ -281,6 +172,29 @@ int runJsonMode(const std::string &Path) {
               [&] { kernels::rowBroadcastMulInto(D, H, Out); });
     }
     {
+      // The two-sided normalization D A D of GCN's precomputed adjacency.
+      std::vector<float> D(static_cast<size_t>(G.numNodes()), 0.7f);
+      std::vector<float> OutVals(static_cast<size_t>(G.numEdges()));
+      Measure("scale_sparse_both", G.name(), 0, 0,
+              {PrimitiveKind::SddmmScale, G.numNodes(), 0, 2, G.numEdges()},
+              [&] {
+                kernels::scaleSparseBothInto(G.adjacency(), D, D, OutVals);
+              });
+    }
+    {
+      // The degree vector two ways: from the CSR offsets, and by per-edge
+      // binning (the baselines' atomic-style computation).
+      std::vector<float> Out(static_cast<size_t>(G.numNodes()));
+      Measure("degree_offsets", G.name(), 0, 0,
+              {PrimitiveKind::DegreeOffsets, G.numNodes(), 0, 0,
+               G.numEdges()},
+              [&] { kernels::degreeFromOffsetsInto(G.adjacency(), Out); });
+      Measure("degree_binning", G.name(), 0, 0,
+              {PrimitiveKind::DegreeBinning, G.numNodes(), 0, 0,
+               G.numEdges()},
+              [&] { kernels::degreeByBinningInto(G.adjacency(), Out); });
+    }
+    {
       std::vector<float> Vals(static_cast<size_t>(G.numEdges()), 0.3f);
       std::vector<float> Out(static_cast<size_t>(G.numEdges()));
       Measure("edge_softmax", G.name(), 0, 0,
@@ -348,8 +262,7 @@ int runJsonMode(const std::string &Path) {
   };
 
   // Sweep every SIMD level the host supports, scalar first, then restore
-  // the level the process started with so a trailing google-benchmark run
-  // (or the caller's environment override) is unaffected.
+  // the level the process started with.
   kernels::IsaLevel Entry = kernels::activeIsaLevel();
   for (kernels::IsaLevel Level : kernels::supportedIsaLevels()) {
     kernels::setIsaLevel(Level);
@@ -379,58 +292,44 @@ int runJsonMode(const std::string &Path) {
     std::fprintf(stderr, "%s\n", Line.c_str());
   }
 
+  if (JsonPath.empty())
+    return 0;
   std::string WriteError;
-  if (!Report.write(Path, &WriteError)) {
+  if (!Report.write(JsonPath, &WriteError)) {
     std::fprintf(stderr, "error: %s\n", WriteError.c_str());
     return 1;
   }
   std::fprintf(stderr, "[micro_kernels] wrote machine-readable report to "
                "%s\n",
-               Path.c_str());
+               JsonPath.c_str());
   return 0;
 }
 
 } // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): consume --threads=N (or
-// "--threads N") before google-benchmark sees the argument list, so the
-// kernel pool size can be swept, e.g. for the 1-vs-8-thread speedup runs.
 int main(int argc, char **argv) {
-  auto SetThreads = [](const char *Text) {
+  std::string Threads = bench::consumeValueFlag(argc, argv, "threads");
+  if (!Threads.empty()) {
     std::string Warning;
-    int Threads = parseThreadCount(Text, /*Fallback=*/0, &Warning);
+    int Count = parseThreadCount(Threads, /*Fallback=*/0, &Warning);
     if (!Warning.empty())
       std::fprintf(stderr, "%s\n",
                    Diag{DiagSeverity::Warning, "bench", "--threads", Warning,
                         "pass a positive integer thread count"}
                        .toString()
                        .c_str());
-    if (Threads > 0)
-      ThreadPool::get().setNumThreads(Threads);
-  };
-  int Kept = 1;
-  for (int I = 1; I < argc; ++I) {
-    const char *Arg = argv[I];
-    if (std::strncmp(Arg, "--threads=", 10) == 0) {
-      SetThreads(Arg + 10);
-      continue;
-    }
-    if (std::strcmp(Arg, "--threads") == 0 && I + 1 < argc) {
-      SetThreads(argv[++I]);
-      continue;
-    }
-    argv[Kept++] = argv[I];
+    if (Count > 0)
+      ThreadPool::get().setNumThreads(Count);
   }
-  argc = Kept;
+  std::string JsonPath = bench::consumeValueFlag(argc, argv, "json");
+  if (argc > 1) {
+    std::fprintf(stderr,
+                 "error: unknown argument '%s'\n"
+                 "usage: micro_kernels [--threads N] [--json=<report.json>]\n",
+                 argv[1]);
+    return 2;
+  }
   std::fprintf(stderr, "[micro_kernels] threads: %d\n",
                ThreadPool::get().numThreads());
-  std::string JsonPath = bench::consumeValueFlag(argc, argv, "json");
-  if (!JsonPath.empty())
-    return runJsonMode(JsonPath);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return runKernels(JsonPath);
 }

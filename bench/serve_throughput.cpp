@@ -130,7 +130,6 @@ int main(int argc, char **argv) {
   Options.SocketPath =
       "/tmp/granii-bench-" + std::to_string(::getpid()) + ".sock";
   Options.ConnWorkers = Clients;
-  Options.Engine.DiskSpill = false; // hermetic: compile once, in memory
   Server Srv(Options);
   std::string Err;
   if (!Srv.start(&Err)) {

@@ -107,8 +107,7 @@ Optimizer::Optimizer(GnnModel ModelIn, OptimizerOptions OptsIn,
   assert(Cost && "optimizer requires a cost model");
   assert(!Promoted.empty() && "compiled plan set is empty");
   Stats.Enumerated = Stats.Promoted = Promoted.size();
-  // A deserialized plan set gets the same scrutiny as a freshly compiled
-  // one: the file may be stale or hand-edited.
+  // A cached plan set gets the same scrutiny as a freshly compiled one.
   verifyPromoted();
 }
 

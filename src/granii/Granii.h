@@ -117,11 +117,11 @@ public:
 
   /// Constructs an optimizer directly from an already-compiled candidate
   /// set, bypassing enumeration and pruning. This is the compile-once /
-  /// run-many entry point the serving layer's plan cache builds on: a
-  /// cached (or deserialized) promoted set becomes a ready Optimizer
-  /// without paying the offline stage again. The set still goes through
-  /// verifyPromoted() — cached artifacts get the same scrutiny as fresh
-  /// ones.
+  /// run-many entry point the serving layer's plan cache builds on: the
+  /// promoted set cached for a model becomes a ready Optimizer for each
+  /// new session without paying the offline stage again. The set still
+  /// goes through verifyPromoted() — cached artifacts get the same
+  /// scrutiny as fresh ones.
   static Optimizer fromCompiled(GnnModel Model, OptimizerOptions Opts,
                                 const CostModel *Cost,
                                 std::vector<CompositionPlan> Compiled) {

@@ -28,8 +28,9 @@ std::optional<Graph> loadGraphSpec(const std::string &Spec,
                                    std::string *Err = nullptr);
 
 /// Stable content fingerprint of \p G: hashes the name, shape, and the raw
-/// CSR arrays (offsets, columns, explicit values). Two graphs with the same
-/// fingerprint execute identically, which is what plan-cache keys rely on.
+/// CSR arrays (offsets, columns, explicit values). No request path calls
+/// it (the plan cache keys on the model text); the end-to-end benchmark
+/// times it as `graph.fingerprint_ms`.
 uint64_t graphFingerprint(const Graph &G);
 
 } // namespace granii

@@ -245,6 +245,20 @@ IRNodeRef Parser::parseCall(const std::string &Callee) {
   if (!expect(TokenKind::RParen, "')'"))
     return nullptr;
 
+  // Attention vectors bind as vectors, not as matrices: they may only be
+  // attention's a_src and a_dst.
+  for (size_t I = 0; I < Args.size(); ++I) {
+    const auto *Leaf = IsNumber[I] ? nullptr : dynCast<LeafNode>(Args[I]);
+    if (Leaf &&
+        (Leaf->role() == LeafRole::AttnSrcVec ||
+         Leaf->role() == LeafRole::AttnDstVec) &&
+        !(Callee == "attention" && I >= 2)) {
+      fail("attention vector '" + Leaf->name() +
+           "' can only be attention's a_src or a_dst argument");
+      return nullptr;
+    }
+  }
+
   auto MatrixArgCount = [&]() {
     size_t Count = 0;
     for (bool Num : IsNumber)
@@ -271,6 +285,12 @@ IRNodeRef Parser::parseCall(const std::string &Callee) {
   if (Callee == "row_scale" || Callee == "col_scale") {
     if (Args.size() != 2 || IsNumber[0] || IsNumber[1]) {
       fail(Callee + " takes (diag, matrix) arguments");
+      return nullptr;
+    }
+    if (Args[0]->attr() != MatrixAttr::Diagonal) {
+      fail(Callee + " scales by a diagonal (inv_sqrt_degree or inv_degree), "
+                    "but its first argument is " +
+           attrName(Args[0]->attr()) + " " + Args[0]->shape().toString());
       return nullptr;
     }
     if (Callee == "row_scale")
@@ -314,13 +334,30 @@ IRNodeRef Parser::parseCall(const std::string &Callee) {
       fail("add takes at least two arguments");
       return nullptr;
     }
+    for (const IRNodeRef &Op : Operands)
+      if (!(Op->shape() == Operands.front()->shape())) {
+        fail("add operands must share a shape, but " +
+             Operands.front()->shape().toString() + " meets " +
+             Op->shape().toString());
+        return nullptr;
+      }
     return ir::add(std::move(Operands));
   }
+  // The element-wise maps run on dense operands only.
+  auto DenseOperand = [&](const IRNodeRef &Arg) {
+    if (isDenseAttr(Arg->attr()))
+      return true;
+    fail(Callee + " takes a dense operand, but its argument is " +
+         attrName(Arg->attr()) + " " + Arg->shape().toString());
+    return false;
+  };
   if (Callee == "scale") {
     if (Args.size() != 2 || !IsNumber[0] || IsNumber[1]) {
       fail("scale takes (number, matrix) arguments");
       return nullptr;
     }
+    if (!DenseOperand(Args[1]))
+      return nullptr;
     return ir::scale(NumberArgs[0], Args[1]);
   }
   if (Callee == "relu") {
@@ -328,12 +365,19 @@ IRNodeRef Parser::parseCall(const std::string &Callee) {
       fail("relu takes one matrix argument");
       return nullptr;
     }
+    if (!DenseOperand(Args[0]))
+      return nullptr;
     return ir::relu(Args[0]);
   }
   if (Callee == "attention") {
     if (Args.size() != 4 || IsNumber[0] || IsNumber[1] || IsNumber[2] ||
         IsNumber[3]) {
       fail("attention takes (graph, theta, a_src, a_dst)");
+      return nullptr;
+    }
+    const auto *Mask = dynCast<LeafNode>(Args[0]);
+    if (!Mask || Mask->role() != LeafRole::Adjacency) {
+      fail("attention's first argument must be the input graph");
       return nullptr;
     }
     return ir::atten(Args[0], Args[1], Args[2], Args[3]);
@@ -363,6 +407,12 @@ bool Parser::parseStatement() {
     IRNodeRef Value = parseExpr();
     if (!Value)
       return false;
+    // The executor writes the output as a computed dense matrix.
+    if (dynCast<LeafNode>(Value))
+      return fail("output must be computed from the inputs, not name one");
+    if (!isDenseAttr(Value->attr()))
+      return fail("output must be dense, but it is " +
+                  attrName(Value->attr()) + " " + Value->shape().toString());
     if (!expect(TokenKind::Semicolon, "';'"))
       return false;
     Output = std::move(Value);

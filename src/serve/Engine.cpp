@@ -2,7 +2,6 @@
 
 #include "serve/Engine.h"
 
-#include "cost/Trainer.h"
 #include "graph/GraphSpec.h"
 #include "ir/Dsl.h"
 #include "kernels/Dispatch.h"
@@ -13,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <utility>
 
 using namespace granii;
@@ -20,36 +20,51 @@ using namespace granii::serve;
 
 namespace {
 
-/// Wraps parsed DSL into a GnnModel (weight count and attention flag
-/// derived from the IR leaves) — the same derivation the CLI applies to
-/// models it loads from disk, so a served model behaves identically.
-GnnModel wrapParsedModel(const ParsedModel &Parsed) {
+/// Parses the request's model text into a GnnModel (weight count and
+/// attention flag derived from the IR leaves). A model whose output reads
+/// no weight is a request error: there is no layer to optimize, and the
+/// layer parameters would have no weight to bind.
+std::optional<GnnModel> parseRequestModel(const JobRequest &Req,
+                                          std::string *Error) {
+  std::string ParseError;
+  std::optional<ParsedModel> Parsed =
+      parseModelDsl(Req.ModelText, &ParseError);
+  if (!Parsed) {
+    *Error = "model parse failed: " + ParseError;
+    return std::nullopt;
+  }
   GnnModel Model;
-  Model.Name = Parsed.Name;
-  Model.Root = Parsed.Root;
+  Model.Name = Parsed->Name;
+  Model.Root = Parsed->Root;
   Model.WeightCount = 0;
-  for (const LeafNode *Leaf : collectLeaves(Parsed.Root)) {
+  for (const LeafNode *Leaf : collectLeaves(Parsed->Root)) {
     if (Leaf->role() == LeafRole::Weight)
       ++Model.WeightCount;
     if (Leaf->role() == LeafRole::AttnSrcVec)
       Model.UsesAttention = true;
   }
-  if (Model.WeightCount == 0)
-    Model.WeightCount = 1;
+  if (Model.WeightCount == 0) {
+    *Error = "model '" + Model.Name +
+             "' has no weight in its output: declare a 'param weight' and "
+             "use it in the output expression";
+    return std::nullopt;
+  }
   return Model;
 }
 
-/// The request-level session identity: request fields plus the execution
-/// environment (thread count, ISA). Cheap to compute — the graph is
-/// fingerprinted by its spec string here, not its content, so a warm
-/// session lookup never loads the graph; the plan cache underneath keys on
-/// content.
-std::string sessionKeyFor(const JobRequest &Req) {
-  char Buf[32];
+std::string hex16(uint64_t V) {
+  char Buf[17];
   std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(fnv1a64(Req.ModelText)));
-  std::string Key = "m";
-  Key += Buf;
+                static_cast<unsigned long long>(V));
+  return Buf;
+}
+
+/// The request-level session identity: request fields plus the execution
+/// environment (thread count, ISA). Cheap to compute — the graph is named
+/// by its spec string, so a warm session lookup never loads the graph; the
+/// plan cache underneath keys on the model text alone.
+std::string sessionKeyFor(const JobRequest &Req) {
+  std::string Key = "m" + hex16(fnv1a64(Req.ModelText));
   Key += "/" + Req.GraphSpec;
   Key += "/k" + std::to_string(Req.KIn) + "x" + std::to_string(Req.KOut);
   Key += "/t" + std::to_string(ThreadPool::get().numThreads());
@@ -169,30 +184,16 @@ RunResponse Session::run(bool WantOutput) {
 //===----------------------------------------------------------------------===//
 
 Engine::Engine(EngineOptions OptsIn)
-    : Opts(std::move(OptsIn)),
-      Plans(Opts.PlanCacheCapacity,
-            Opts.DiskSpill
-                ? (Opts.SpillDir.empty() ? costModelCacheDir() : Opts.SpillDir)
-                : std::string()),
+    : Opts(std::move(OptsIn)), Plans(Opts.PlanCacheCapacity),
       CompileCost(Opts.Hw) {}
 
-PlanCache::Plans Engine::resolvePlans(const GnnModel &Model, const Graph &G,
+PlanCache::Plans Engine::resolvePlans(const GnnModel &Model,
                                       const JobRequest &Req,
                                       CompileResponse &Resp) {
   Timer CompileTimer;
-  PlanCacheKey Key;
-  Key.ModelHash = fnv1a64(Req.ModelText);
-  Key.GraphHash = graphFingerprint(G);
-  Key.KIn = Req.KIn;
-  Key.KOut = Req.KOut;
-  Key.Threads = ThreadPool::get().numThreads();
-  Key.Isa = kernels::isaLevelName(kernels::activeIsaLevel());
-  Resp.CacheKey = Key.canonical();
-
-  bool DiskHit = false;
-  if (PlanCache::Plans Cached = Plans.get(Key, &DiskHit)) {
+  Resp.CacheKey = "m" + hex16(fnv1a64(Req.ModelText));
+  if (PlanCache::Plans Cached = Plans.get(Req.ModelText)) {
     Resp.PlanCacheHit = true;
-    Resp.DiskHit = DiskHit;
     Resp.Enumerated = Resp.Promoted = Cached->size();
     Resp.Pruned = 0;
     Resp.CompileSeconds = CompileTimer.seconds();
@@ -208,9 +209,8 @@ PlanCache::Plans Engine::resolvePlans(const GnnModel &Model, const Graph &G,
   Optimizer Compiled(Model, OptOpts, &CompileCost);
   auto Value = std::make_shared<const std::vector<CompositionPlan>>(
       Compiled.promoted());
-  Plans.put(Key, Value);
+  Plans.put(Req.ModelText, Value);
   Resp.PlanCacheHit = false;
-  Resp.DiskHit = false;
   Resp.Enumerated = Compiled.pruneStats().Enumerated;
   Resp.Pruned = Compiled.pruneStats().Pruned;
   Resp.Promoted = Compiled.pruneStats().Promoted;
@@ -225,12 +225,9 @@ CompileResponse Engine::compile(const JobRequest &Req) {
     Resp.Status.Ok = false;
     return Resp;
   }
-  std::string ParseError;
-  std::optional<ParsedModel> Parsed =
-      parseModelDsl(Req.ModelText, &ParseError);
-  if (!Parsed) {
+  std::optional<GnnModel> Model = parseRequestModel(Req, &Resp.Status.Error);
+  if (!Model) {
     Resp.Status.Ok = false;
-    Resp.Status.Error = "model parse failed: " + ParseError;
     return Resp;
   }
   std::string GraphError;
@@ -244,9 +241,8 @@ CompileResponse Engine::compile(const JobRequest &Req) {
     Resp.Status.Ok = false;
     return Resp;
   }
-  GnnModel Model = wrapParsedModel(*Parsed);
   MutexLock Lock(M);
-  resolvePlans(Model, *G, Req, Resp);
+  resolvePlans(*Model, Req, Resp);
   return Resp;
 }
 
@@ -279,13 +275,9 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   // Engine-level lock held throughout — enumeration is single-threaded
   // anyway, and serializing creation means concurrent identical requests
   // compile once instead of racing.
-  std::string ParseError;
-  std::optional<ParsedModel> Parsed =
-      parseModelDsl(Req.ModelText, &ParseError);
-  if (!Parsed) {
-    Error = "model parse failed: " + ParseError;
+  std::optional<GnnModel> Model = parseRequestModel(Req, &Error);
+  if (!Model)
     return nullptr;
-  }
   std::optional<Graph> OwnGraph;
   if (!Loaded) {
     std::string GraphError;
@@ -302,7 +294,7 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
 
   auto S = std::shared_ptr<Session>(new Session());
   S->Key = Key;
-  S->Model = wrapParsedModel(*Parsed);
+  S->Model = std::move(*Model);
   OptimizerOptions Options;
   Options.Hw = Opts.Hw;
   Options.Iterations = Opts.Iterations;
@@ -311,7 +303,7 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   S->Cost = AnalyticCostModel(Opts.Hw);
 
   CompileResponse CompileInfo;
-  PlanCache::Plans Compiled = resolvePlans(S->Model, G, Req, CompileInfo);
+  PlanCache::Plans Compiled = resolvePlans(S->Model, Req, CompileInfo);
   S->PlanCacheHit = CompileInfo.PlanCacheHit;
   if (Compile)
     *Compile = CompileInfo;
@@ -377,7 +369,6 @@ void Engine::fillStats(StatsResponse &Out) const {
   Out.SessionEvictions = S.SessionEvictions;
   Out.PlanCacheHits = S.PlanCache.Hits;
   Out.PlanCacheMisses = S.PlanCache.Misses;
-  Out.PlanCacheDiskHits = S.PlanCache.DiskHits;
   Out.PlanCacheEvictions = S.PlanCache.Evictions;
   Out.Threads = ThreadPool::get().numThreads();
   Out.Isa = kernels::isaLevelName(kernels::activeIsaLevel());

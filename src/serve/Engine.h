@@ -7,7 +7,7 @@
 /// execution workspace), the selection and the layer parameters — so
 /// repeated run() calls pay only the kernel time. This is the paper's
 /// amortization argument turned into an object: the offline stage
-/// (enumerate + prune) runs at most once per plan cache key, selection and
+/// (enumerate + prune) runs at most once per model text, selection and
 /// parameter setup at most once per session, and a warm run performs zero
 /// workspace allocations (surfaced per response via the workspace
 /// allocation counter, so remote clients can assert it).
@@ -50,9 +50,8 @@ struct EngineOptions {
   size_t PlanCacheCapacity = 16;
   /// Bound on live sessions (each owns an arena sized by its graph).
   size_t SessionCapacity = 8;
-  /// Directory for plan-cache spill files; "" = $GRANII_CACHE_DIR (the
-  /// cost-model cache directory). Set DiskSpill = false to disable.
-  std::string SpillDir;
+  /// Ignored: the plan cache has no disk tier. Kept because the end-to-end
+  /// benchmark assigns it; it goes with the next change to the benchmark.
   bool DiskSpill = true;
 };
 
@@ -128,14 +127,16 @@ class Engine {
 public:
   explicit Engine(EngineOptions Opts = EngineOptions());
 
-  /// The compile verb: resolve the request's plan set (cache, disk, or a
-  /// fresh offline stage) without creating a session.
+  /// The compile verb: resolve the request's plan set (the plan cache or a
+  /// fresh offline stage) without creating a session. The request's graph
+  /// is still loaded, so the verb reports the errors a run would.
   CompileResponse compile(const JobRequest &Req);
 
   /// The run verb: session lookup or creation, then one executed pass.
-  /// Errors (bad model text, unknown graph, a format or vertex order other
-  /// than CSR in the graph's own order, embedding sizes the host cannot
-  /// hold) come back as Status.Ok == false with the diagnostic text.
+  /// Errors (bad model text, a model whose output reads no weight, unknown
+  /// graph, a format or vertex order other than CSR in the graph's own
+  /// order, embedding sizes the host cannot hold) come back as
+  /// Status.Ok == false with the diagnostic text.
   RunResponse run(const JobRequest &Req);
 
   /// Looks up (or builds) the warm session for \p Req — the library-level
@@ -161,12 +162,12 @@ public:
   const EngineOptions &options() const { return Opts; }
 
 private:
-  /// Resolves the promoted plan set for a parsed request: plan cache get,
-  /// else run the offline stage and put. M serializes the offline stage
-  /// (enumeration is deliberately not concurrent) and guards CompileCost.
-  PlanCache::Plans resolvePlans(const GnnModel &Model, const Graph &G,
-                                const JobRequest &Req, CompileResponse &Resp)
-      GRANII_REQUIRES(M);
+  /// Resolves the promoted plan set of the request's model text: plan
+  /// cache get, else run the offline stage and put. M serializes the
+  /// offline stage (enumeration is deliberately not concurrent) and guards
+  /// CompileCost.
+  PlanCache::Plans resolvePlans(const GnnModel &Model, const JobRequest &Req,
+                                CompileResponse &Resp) GRANII_REQUIRES(M);
 
   EngineOptions Opts;
   PlanCache Plans;

@@ -127,7 +127,6 @@ granii::serve::encodeCompileResponse(const CompileResponse &Resp) {
   W.putU64(Resp.Pruned);
   W.putU64(Resp.Promoted);
   W.putU8(Resp.PlanCacheHit ? 1 : 0);
-  W.putU8(Resp.DiskHit ? 1 : 0);
   W.putF64(Resp.CompileSeconds);
   W.putString(Resp.CacheKey);
   return W.take();
@@ -143,7 +142,6 @@ bool granii::serve::decodeCompileResponse(std::span<const uint8_t> Payload,
   Out.Pruned = R.getU64();
   Out.Promoted = R.getU64();
   Out.PlanCacheHit = R.getU8() != 0;
-  Out.DiskHit = R.getU8() != 0;
   Out.CompileSeconds = R.getF64();
   Out.CacheKey = R.getString();
   return finish(R, Err);
@@ -191,8 +189,12 @@ bool granii::serve::decodeRunResponse(std::span<const uint8_t> Payload,
   Out.SessionCacheHit = R.getU8() != 0;
   Out.SteadyAllocations = R.getU64();
   Out.RunIndex = R.getU64();
-  if (R.ok() && !Out.Output.empty() &&
-      static_cast<int64_t>(Out.Output.size()) != Out.Rows * Out.Cols)
+  // Corrupt dimensions must not overflow the element count.
+  int64_t Count = 0;
+  if (R.ok() && (Out.Rows < 0 || Out.Cols < 0 ||
+                 __builtin_mul_overflow(Out.Rows, Out.Cols, &Count) ||
+                 (!Out.Output.empty() &&
+                  static_cast<int64_t>(Out.Output.size()) != Count)))
     R.fail("output payload has " + std::to_string(Out.Output.size()) +
            " values for a " + std::to_string(Out.Rows) + "x" +
            std::to_string(Out.Cols) + " matrix");
@@ -218,7 +220,6 @@ granii::serve::encodeStatsResponse(const StatsResponse &Resp) {
   W.putU64(Resp.SessionEvictions);
   W.putU64(Resp.PlanCacheHits);
   W.putU64(Resp.PlanCacheMisses);
-  W.putU64(Resp.PlanCacheDiskHits);
   W.putU64(Resp.PlanCacheEvictions);
   W.putF64(Resp.UptimeSeconds);
   W.putI64(Resp.Threads);
@@ -241,7 +242,6 @@ bool granii::serve::decodeStatsResponse(std::span<const uint8_t> Payload,
   Out.SessionEvictions = R.getU64();
   Out.PlanCacheHits = R.getU64();
   Out.PlanCacheMisses = R.getU64();
-  Out.PlanCacheDiskHits = R.getU64();
   Out.PlanCacheEvictions = R.getU64();
   Out.UptimeSeconds = R.getF64();
   Out.Threads = R.getI64();

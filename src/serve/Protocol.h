@@ -6,7 +6,8 @@
 ///
 /// Four verbs:
 ///   compile   — run (or fetch from the plan cache) the offline stage for a
-///               model/graph/size configuration; no execution.
+///               model, after the same request checks a run makes; no
+///               execution.
 ///   run       — full online path: session lookup or creation, selection,
 ///               one executed forward (or forward+backward) pass.
 ///   stats     — server counters (requests, sessions, plan-cache hits, ...).
@@ -89,10 +90,11 @@ struct CompileResponse {
   uint64_t Enumerated = 0;
   uint64_t Pruned = 0;
   uint64_t Promoted = 0;
-  bool PlanCacheHit = false; ///< promoted set came from the in-memory LRU
-  bool DiskHit = false;      ///< ... or was deserialized from a spill file
+  bool PlanCacheHit = false; ///< promoted set came from the plan cache
   double CompileSeconds = 0.0;
-  std::string CacheKey; ///< canonical plan-cache key of the configuration
+  /// The model's plan-cache identity, "m<hex16>": FNV-1a of the model text
+  /// (the cache itself keys on the text).
+  std::string CacheKey;
 };
 
 struct RunResponse {
@@ -126,7 +128,6 @@ struct StatsResponse {
   uint64_t SessionEvictions = 0;
   uint64_t PlanCacheHits = 0;
   uint64_t PlanCacheMisses = 0;
-  uint64_t PlanCacheDiskHits = 0;
   uint64_t PlanCacheEvictions = 0;
   double UptimeSeconds = 0.0;
   int64_t Threads = 0;

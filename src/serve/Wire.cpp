@@ -2,9 +2,11 @@
 
 #include "serve/Wire.h"
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstring>
+#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace granii;
@@ -116,10 +118,20 @@ void WireReader::fail(const std::string &Message) {
 
 namespace {
 
+/// Writes all \p Size bytes. On a socket the writes pass MSG_NOSIGNAL: a
+/// peer that hung up is an EPIPE error for this connection, not a SIGPIPE
+/// that terminates the whole process. Other descriptors (pipes) are
+/// written with write().
 bool writeAll(int Fd, const uint8_t *Data, size_t Size, std::string *Err) {
   size_t Done = 0;
+  bool Socket = true;
   while (Done < Size) {
-    ssize_t N = ::write(Fd, Data + Done, Size - Done);
+    ssize_t N = Socket ? ::send(Fd, Data + Done, Size - Done, MSG_NOSIGNAL)
+                       : ::write(Fd, Data + Done, Size - Done);
+    if (N < 0 && Socket && errno == ENOTSOCK) {
+      Socket = false;
+      continue;
+    }
     if (N < 0) {
       if (errno == EINTR)
         continue;
@@ -182,33 +194,48 @@ bool granii::serve::writeFrame(int Fd, uint16_t Verb,
   return writeAll(Fd, Payload.data(), Payload.size(), Err);
 }
 
-ReadStatus granii::serve::readFrame(int Fd, Frame &Out, std::string *Err) {
-  uint8_t Header[12];
-  ReadStatus Status = readAll(Fd, Header, sizeof(Header), Err);
-  if (Status != ReadStatus::Ok)
-    return Status;
-  WireReader Reader(Header);
+bool granii::serve::decodeFrameHeader(std::span<const uint8_t> Header,
+                                      uint16_t &Verb, uint32_t &Length,
+                                      std::string *Err) {
+  WireReader Reader(Header.first(std::min(Header.size(), FrameHeaderBytes)));
   uint32_t Magic = Reader.getU32();
   uint16_t Version = Reader.getU16();
-  uint16_t Verb = Reader.getU16();
-  uint32_t Length = Reader.getU32();
+  Verb = Reader.getU16();
+  Length = Reader.getU32();
+  if (!Reader.ok()) {
+    if (Err)
+      *Err = "frame header: " + Reader.error();
+    return false;
+  }
   if (Magic != FrameMagic) {
     if (Err)
       *Err = "bad frame magic (not a granii-serve stream)";
-    return ReadStatus::Error;
+    return false;
   }
   if (Version != ProtocolVersion) {
     if (Err)
       *Err = "unsupported protocol version " + std::to_string(Version) +
              " (expected " + std::to_string(ProtocolVersion) + ")";
-    return ReadStatus::Error;
+    return false;
   }
   if (Length > MaxPayloadBytes) {
     if (Err)
       *Err = "frame payload length " + std::to_string(Length) +
              " exceeds the " + std::to_string(MaxPayloadBytes) + "-byte cap";
-    return ReadStatus::Error;
+    return false;
   }
+  return true;
+}
+
+ReadStatus granii::serve::readFrame(int Fd, Frame &Out, std::string *Err) {
+  uint8_t Header[FrameHeaderBytes];
+  ReadStatus Status = readAll(Fd, Header, sizeof(Header), Err);
+  if (Status != ReadStatus::Ok)
+    return Status;
+  uint16_t Verb = 0;
+  uint32_t Length = 0;
+  if (!decodeFrameHeader(Header, Verb, Length, Err))
+    return ReadStatus::Error;
   Out.Verb = Verb;
   Out.Payload.assign(static_cast<size_t>(Length), 0);
   if (Length == 0)

@@ -8,16 +8,16 @@
 ///
 ///   offset  size  field
 ///   0       4     magic "GRNI" (0x47 0x52 0x4e 0x49 on the wire)
-///   4       2     protocol version, little-endian (currently 2)
+///   4       2     protocol version, little-endian (currently 3)
 ///   6       2     verb, little-endian (serve::Verb)
 ///   8       4     payload length in bytes, little-endian
 ///   12      N     payload (verb-specific, see Protocol.h)
 ///
 /// All integers are little-endian. Payloads are capped at 1 GiB so a
 /// corrupt or hostile length field cannot drive an allocation of arbitrary
-/// size. Decoding follows the checked-parse discipline of PlanSerialize:
-/// every read is bounds-checked and a truncated or malformed buffer yields
-/// a positioned error message, never an exception or an out-of-bounds read.
+/// size. Decoding is checked: every read is bounds-checked and a truncated
+/// or malformed buffer yields a positioned error message, never an
+/// exception or an out-of-bounds read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +36,7 @@ namespace serve {
 /// Frame magic, as the little-endian u32 whose bytes spell "GRNI".
 inline constexpr uint32_t FrameMagic = 0x494e5247u;
 /// Protocol version carried by every frame.
-inline constexpr uint16_t ProtocolVersion = 2;
+inline constexpr uint16_t ProtocolVersion = 3;
 /// Upper bound on one frame's payload; larger lengths are a protocol error.
 inline constexpr uint32_t MaxPayloadBytes = 1u << 30;
 
@@ -119,12 +119,23 @@ struct Frame {
 bool writeFrame(int Fd, uint16_t Verb, std::span<const uint8_t> Payload,
                 std::string *Err = nullptr);
 
+/// Bytes of the header in front of every frame's payload.
+inline constexpr size_t FrameHeaderBytes = 12;
+
+/// Validates one frame header, the first FrameHeaderBytes of \p Header
+/// (magic, version, payload cap), and extracts its verb and payload length.
+/// \returns false with \p Err set on a short buffer or a header readFrame
+/// rejects.
+bool decodeFrameHeader(std::span<const uint8_t> Header, uint16_t &Verb,
+                       uint32_t &Length, std::string *Err = nullptr);
+
 /// Outcome of readFrame: a frame, an orderly end-of-stream (peer closed
 /// between frames), or an error (bad magic/version/length, truncation
 /// mid-frame, IO failure).
 enum class ReadStatus { Ok, Eof, Error };
 
-/// Reads one frame from \p Fd, validating magic, version, and payload cap.
+/// Reads one frame from \p Fd, validating its header with
+/// decodeFrameHeader.
 ReadStatus readFrame(int Fd, Frame &Out, std::string *Err = nullptr);
 
 } // namespace serve

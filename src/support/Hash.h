@@ -1,12 +1,11 @@
 //===- Hash.h - Stable content hashing -------------------------*- C++ -*-===//
 ///
 /// \file
-/// A 64-bit FNV-1a hash used wherever the system needs a stable content
-/// fingerprint that survives process restarts: plan-cache keys hash the
-/// model's DSL text and the graph's CSR arrays, and spill files are named
-/// after the hashed key. Not cryptographic — collisions are tolerated by
-/// storing the full key alongside the hashed artifact and verifying it on
-/// load (src/serve/PlanCache).
+/// A 64-bit FNV-1a hash used wherever the system needs a short, stable
+/// content fingerprint: the serving layer names a model by the hash of its
+/// DSL text in session keys and in the compile response's cache key, and
+/// graphFingerprint hashes a graph's CSR arrays. Not cryptographic: the
+/// plan cache itself keys on the full model text, never on a hash.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -146,6 +146,48 @@ TEST(Parser, ScaleRequiresNumberFirst) {
   EXPECT_FALSE(Model.has_value());
 }
 
+// Operands the IR builders or the executor cannot accept are diagnostics,
+// not aborts: a scale operand that is not a diagonal, add over different
+// shapes, an attention mask that is not the input graph, relu or scale
+// over a sparse operand, an attention vector anywhere but attention's last
+// two arguments, and an output that is an input or sparse.
+TEST(Parser, ReportsOperandsTheIRCannotBuild) {
+  const std::string Decls = "model M {\n"
+                            "  input graph A;\n"
+                            "  input features H;\n"
+                            "  param weight W;\n"
+                            "  param attn_src s;\n"
+                            "  param attn_dst t;\n";
+  const std::pair<const char *, const char *> Cases[] = {
+      {"output row_scale(H, H);", "row_scale scales by a diagonal"},
+      {"h = matmul(H, W); output col_scale(h, h);",
+       "col_scale scales by a diagonal"},
+      {"h = matmul(H, W); output add(h, H);", "add operands must share"},
+      {"h = matmul(H, W); output relu(attention(h, h, s, t));",
+       "attention's first argument must be the input graph"},
+      {"output matmul(attention(row_scale(inv_degree(A), A), matmul(H, W), "
+       "s, t), H, W);",
+       "attention's first argument must be the input graph"},
+      {"output matmul(scale(0.5, A), H, W);", "scale takes a dense operand"},
+      {"output relu(attention(A, matmul(H, W), s, t));",
+       "relu takes a dense operand"},
+      {"output matmul(relu(A), H, W);", "relu takes a dense operand"},
+      {"output matmul(H, W, s);", "attention vector 's' can only be"},
+      {"h = t; output relu(matmul(H, W, h));",
+       "attention vector 't' can only be"},
+      {"output W;", "output must be computed from the inputs"},
+      {"output attention(A, matmul(H, W), s, t);", "output must be dense"},
+  };
+  for (const auto &[Body, Want] : Cases) {
+    SCOPED_TRACE(Body);
+    std::string Error;
+    auto Model = parseModelDsl(Decls + "  " + Body + "\n}\n", &Error);
+    EXPECT_FALSE(Model.has_value());
+    EXPECT_NE(Error.find(Want), std::string::npos) << Error;
+    EXPECT_NE(Error.find("line 7"), std::string::npos) << Error;
+  }
+}
+
 TEST(Parser, RebindingNamesIsAllowed) {
   std::string Error;
   auto Model = parseModelDsl("model M {\n"

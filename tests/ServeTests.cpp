@@ -3,8 +3,9 @@
 // Covers the serving stack bottom-up: the checked wire codec and framing,
 // the protocol encode/decode pairs (including truncation and corruption),
 // the Engine/Session amortization contract (warm runs are bitwise identical
-// to cold ones and perform zero workspace allocations), and a real
-// Unix-domain-socket daemon under eight concurrent clients.
+// to cold ones and perform zero workspace allocations; one compile per
+// model), a real Unix-domain-socket daemon under eight concurrent clients,
+// and a seeded mutation test of every wire decoder.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,16 +17,21 @@
 #include "serve/Wire.h"
 
 #include "support/Json.h"
+#include "support/Rng.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstring>
 #include <limits>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 using namespace granii;
@@ -53,12 +59,6 @@ JobRequest smallRequest(bool WantOutput = true) {
   Req.KOut = 12;
   Req.WantOutput = WantOutput;
   return Req;
-}
-
-EngineOptions testEngineOptions() {
-  EngineOptions Opts;
-  Opts.DiskSpill = false; // keep unit tests hermetic
-  return Opts;
 }
 
 std::string uniqueSocketPath(const std::string &Tag) {
@@ -183,25 +183,30 @@ TEST(Wire, BadMagicAndTruncatedFrameAreErrors) {
     ::close(Fds[0]);
   }
   {
-    // Valid header promising more payload than ever arrives.
+    // A framed request cut at every byte: an end before the first byte is
+    // an orderly Eof, anywhere else an error (a header promising more
+    // payload than ever arrives, or a short header), never a frame.
+    std::vector<uint8_t> Payload = encodeJobRequest(smallRequest());
     int Fds[2];
     ASSERT_EQ(::pipe(Fds), 0);
-    WireWriter W;
-    W.putU32(FrameMagic);
-    W.putU16(ProtocolVersion);
-    W.putU16(1);
-    W.putU32(100); // payload length, but we send only 3 bytes
-    W.putU8(0);
-    W.putU8(0);
-    W.putU8(0);
-    const std::vector<uint8_t> &Bytes = W.bytes();
-    ASSERT_EQ(::write(Fds[1], Bytes.data(), Bytes.size()),
-              static_cast<ssize_t>(Bytes.size()));
-    ::close(Fds[1]);
-    Frame F;
     std::string Err;
-    EXPECT_EQ(readFrame(Fds[0], F, &Err), ReadStatus::Error);
+    ASSERT_TRUE(writeFrame(Fds[1], 2, Payload, &Err)) << Err;
+    ::close(Fds[1]);
+    std::vector<uint8_t> Whole(FrameHeaderBytes + Payload.size());
+    ASSERT_EQ(::read(Fds[0], Whole.data(), Whole.size()),
+              static_cast<ssize_t>(Whole.size()));
     ::close(Fds[0]);
+    for (size_t Cut = 0; Cut < Whole.size(); ++Cut) {
+      ASSERT_EQ(::pipe(Fds), 0);
+      ASSERT_EQ(::write(Fds[1], Whole.data(), Cut),
+                static_cast<ssize_t>(Cut));
+      ::close(Fds[1]);
+      Frame F;
+      ReadStatus Status = readFrame(Fds[0], F, &Err);
+      ::close(Fds[0]);
+      EXPECT_EQ(Status, Cut == 0 ? ReadStatus::Eof : ReadStatus::Error)
+          << "cut " << Cut;
+    }
   }
 }
 
@@ -341,7 +346,7 @@ TEST(Protocol, StatsResponseRoundTrip) {
 //===----------------------------------------------------------------------===//
 
 TEST(Engine, RequestErrorsComeBackAsStatusNotCrashes) {
-  Engine Eng(testEngineOptions());
+  Engine Eng;
   {
     JobRequest Req = smallRequest();
     Req.ModelText = "model Broken { this is not DSL";
@@ -371,7 +376,7 @@ TEST(Engine, RequestErrorsComeBackAsStatusNotCrashes) {
 }
 
 TEST(Engine, WarmRunsAreBitwiseIdenticalAndAllocationFree) {
-  Engine Eng(testEngineOptions());
+  Engine Eng;
   JobRequest Req = smallRequest();
 
   RunResponse Cold = Eng.run(Req);
@@ -404,7 +409,7 @@ TEST(Engine, WarmRunsAreBitwiseIdenticalAndAllocationFree) {
 // A session keeps one result across its runs, so a warm run writes the
 // output in place: two warm runs return the same bytes without allocating.
 TEST(Engine, SessionReusesOneResultAcrossWarmRuns) {
-  Engine Eng(testEngineOptions());
+  Engine Eng;
   JobRequest Req = smallRequest();
   std::string Err;
   std::shared_ptr<Session> S = Eng.session(Req, Err);
@@ -431,7 +436,7 @@ TEST(Engine, SessionReusesOneResultAcrossWarmRuns) {
 // it is on a cold engine. The empty names mean the defaults and hit the
 // warm session.
 TEST(Engine, WarmSessionStillRejectsAnUnsupportedLayout) {
-  Engine Eng(testEngineOptions());
+  Engine Eng;
   RunResponse Warm = Eng.run(smallRequest(false));
   ASSERT_TRUE(Warm.Status.Ok) << Warm.Status.Error;
   {
@@ -469,7 +474,7 @@ TEST(Engine, WarmSessionStillRejectsAnUnsupportedLayout) {
 // instead of letting Optimizer::select rebuild them; the choice must be
 // the one Optimizer::select makes on the same graph.
 TEST(Engine, SessionSelectionMatchesOptimizerSelect) {
-  Engine Eng(testEngineOptions());
+  Engine Eng;
   JobRequest Req = smallRequest(false);
   std::string Err;
   std::shared_ptr<Session> S = Eng.session(Req, Err);
@@ -488,8 +493,8 @@ TEST(Engine, SessionOnACallerLoadedGraphMatchesALoadingOne) {
   std::string Err;
   std::optional<Graph> G = loadGraphSpec(Req.GraphSpec, &Err);
   ASSERT_TRUE(G) << Err;
-  Engine Loading(testEngineOptions());
-  Engine Given(testEngineOptions());
+  Engine Loading;
+  Engine Given;
   std::shared_ptr<Session> A = Loading.session(Req, Err);
   ASSERT_TRUE(A) << Err;
   std::shared_ptr<Session> B = Given.session(Req, Err, nullptr, nullptr, &*G);
@@ -504,7 +509,7 @@ TEST(Engine, SessionOnACallerLoadedGraphMatchesALoadingOne) {
 }
 
 TEST(Engine, CompileVerbPopulatesPlanCacheForLaterRuns) {
-  Engine Eng(testEngineOptions());
+  Engine Eng;
   JobRequest Req = smallRequest(false);
 
   CompileResponse First = Eng.compile(Req);
@@ -530,7 +535,7 @@ TEST(Engine, CompileVerbPopulatesPlanCacheForLaterRuns) {
 // answers every other value, the deleted padded formats and auto included,
 // with an error on both verbs.
 TEST(Engine, UnknownOrBackwardOnlyFormatIsARequestError) {
-  Engine Eng(testEngineOptions());
+  Engine Eng;
   for (const char *Format :
        {"csc", "coo", "banana", "ell", "sell", "hyb", "auto"}) {
     SCOPED_TRACE(Format);
@@ -558,7 +563,7 @@ TEST(Engine, UnknownOrBackwardOnlyFormatIsARequestError) {
 // memory, and K = 2^62 overflows the element counts. The same engine then
 // serves a valid request.
 TEST(Engine, OversizedEmbeddingIsARequestError) {
-  Engine Eng(testEngineOptions());
+  Engine Eng;
   for (int64_t K : {int64_t{1} << 40, int64_t{1} << 62}) {
     const std::string Sizes = std::to_string(K);
     SCOPED_TRACE("K = " + Sizes);
@@ -580,8 +585,107 @@ TEST(Engine, OversizedEmbeddingIsARequestError) {
   EXPECT_EQ(Valid.Cols, 12);
 }
 
+// A request's model text never aborts the daemon: a model the IR builders
+// or the executor cannot accept is a parse error, and a model whose output
+// reads no weight is a request error, on both verbs. The same engine then
+// serves a valid request.
+TEST(Engine, ModelTextErrorsAreRequestErrors) {
+  const std::string Decls = "model M {\n"
+                            "  input graph A;\n"
+                            "  input features H;\n"
+                            "  param weight W;\n"
+                            "  param attn_src s;\n"
+                            "  param attn_dst t;\n";
+  const std::pair<const char *, const char *> Cases[] = {
+      {"output A;", "output must be computed"},
+      {"output relu(aggregate(A, H));", "no weight"},
+      {"output row_scale(H, H);", "diagonal"},
+      {"h = matmul(H, W); output add(h, H);", "shape"},
+      {"h = matmul(H, W); output col_scale(h, h);", "diagonal"},
+      {"h = matmul(H, W); output relu(attention(h, h, s, t));",
+       "input graph"},
+  };
+  Engine Eng;
+  for (const auto &[Body, Want] : Cases) {
+    SCOPED_TRACE(Body);
+    JobRequest Req = smallRequest();
+    Req.ModelText = Decls + "  " + Body + "\n}\n";
+    RunResponse R = Eng.run(Req);
+    EXPECT_FALSE(R.Status.Ok);
+    EXPECT_NE(R.Status.Error.find(Want), std::string::npos)
+        << R.Status.Error;
+    CompileResponse C = Eng.compile(Req);
+    EXPECT_FALSE(C.Status.Ok);
+    EXPECT_NE(C.Status.Error.find(Want), std::string::npos)
+        << C.Status.Error;
+  }
+  RunResponse Valid = Eng.run(smallRequest());
+  EXPECT_TRUE(Valid.Status.Ok) << Valid.Status.Error;
+}
+
+namespace {
+
+bool sameBits(const DenseMatrix &A, const DenseMatrix &B) {
+  return A.rows() == B.rows() && A.cols() == B.cols() &&
+         std::memcmp(A.data(), B.data(), A.size() * sizeof(float)) == 0;
+}
+
+} // namespace
+
+// The offline stage reads only the model, so one engine compiles a model
+// once, whatever graphs and embedding sizes it then serves, and sessions
+// built on the shared plan set answer bitwise like a fresh engine's:
+// outputs, and in training every weight and feature gradient.
+TEST(Engine, OneCompilePerModelAcrossGraphsAndSizes) {
+  Engine Shared;
+  for (const char *GraphSpec : {"synth:mycielskian", "synth:coauthors"})
+    for (auto [KIn, KOut] : {std::pair<int64_t, int64_t>{8, 12}, {12, 8}})
+      for (bool Training : {false, true}) {
+        SCOPED_TRACE(std::string(GraphSpec) + " " + std::to_string(KIn) +
+                     "->" + std::to_string(KOut) +
+                     (Training ? " training" : " inference"));
+        JobRequest Req = smallRequest();
+        Req.GraphSpec = GraphSpec;
+        Req.KIn = KIn;
+        Req.KOut = KOut;
+        Req.Training = Training;
+        Engine Fresh;
+        std::string Err;
+        std::shared_ptr<Session> A = Shared.session(Req, Err);
+        ASSERT_TRUE(A) << Err;
+        std::shared_ptr<Session> B = Fresh.session(Req, Err);
+        ASSERT_TRUE(B) << Err;
+        EXPECT_EQ(A->selection().PlanIndex, B->selection().PlanIndex);
+        RunResponse RA = A->run(true);
+        RunResponse RB = B->run(true);
+        ASSERT_TRUE(RA.Status.Ok) << RA.Status.Error;
+        ASSERT_TRUE(RB.Status.Ok) << RB.Status.Error;
+        ASSERT_EQ(RA.Output.size(), RB.Output.size());
+        EXPECT_EQ(std::memcmp(RA.Output.data(), RB.Output.data(),
+                              RA.Output.size() * sizeof(float)),
+                  0);
+        if (!Training)
+          continue;
+        ExecResult GA =
+            A->optimizer().execute(A->selection(), A->params(), true);
+        ExecResult GB =
+            B->optimizer().execute(B->selection(), B->params(), true);
+        ASSERT_FALSE(GA.WeightGrads.empty());
+        ASSERT_EQ(GA.WeightGrads.size(), GB.WeightGrads.size());
+        for (const auto &[Name, Grad] : GA.WeightGrads) {
+          auto It = GB.WeightGrads.find(Name);
+          ASSERT_NE(It, GB.WeightGrads.end()) << Name;
+          EXPECT_TRUE(sameBits(Grad, It->second)) << Name;
+        }
+        EXPECT_TRUE(sameBits(GA.FeatureGrad, GB.FeatureGrad));
+      }
+  PlanCacheStats Plans = Shared.stats().PlanCache;
+  EXPECT_EQ(Plans.Misses, 1u);
+  EXPECT_EQ(Plans.Hits, 7u);
+}
+
 TEST(Engine, SessionLruEvictsButEvictedConfigStillRuns) {
-  EngineOptions Opts = testEngineOptions();
+  EngineOptions Opts;
   Opts.SessionCapacity = 2;
   Engine Eng(Opts);
 
@@ -610,7 +714,6 @@ TEST(Engine, SessionLruEvictsButEvictedConfigStillRuns) {
 TEST(Server, EightConcurrentClientsGetIdenticalAnswers) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath("conc");
-  Opts.Engine = testEngineOptions();
   Server Srv(Opts);
   std::string Err;
   ASSERT_TRUE(Srv.start(&Err)) << Err;
@@ -666,7 +769,6 @@ TEST(Server, EightConcurrentClientsGetIdenticalAnswers) {
 TEST(Server, MalformedFramesGetFramedErrorsAndServerSurvives) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath("mal");
-  Opts.Engine = testEngineOptions();
   Server Srv(Opts);
   std::string Err;
   ASSERT_TRUE(Srv.start(&Err)) << Err;
@@ -699,13 +801,81 @@ TEST(Server, MalformedFramesGetFramedErrorsAndServerSurvives) {
   EXPECT_GE(Srv.counters().RequestsServed, 2u);
 }
 
+namespace {
+
+/// A bare stream connection to the daemon, for clients that misbehave.
+int rawConnect(const std::string &Path) {
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::strncpy(Addr.sun_path, Path.c_str(), sizeof(Addr.sun_path) - 1);
+  if (Fd >= 0 &&
+      ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
+    ::close(Fd);
+    return -1;
+  }
+  return Fd;
+}
+
+} // namespace
+
+// A client that hangs up mid-frame, or before reading its response, costs
+// the daemon one write to a closed socket: an EPIPE for that connection,
+// not a SIGPIPE that ends the process. The daemon serves the next client.
+TEST(Server, ClientsThatHangUpDoNotKillTheDaemon) {
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath("hangup");
+  Server Srv(Opts);
+  std::string Err;
+  ASSERT_TRUE(Srv.start(&Err)) << Err;
+
+  int Fd = rawConnect(Opts.SocketPath);
+  ASSERT_GE(Fd, 0);
+  WireWriter Partial;
+  Partial.putU32(FrameMagic);
+  Partial.putU16(ProtocolVersion);
+  Partial.putU16(static_cast<uint16_t>(Verb::Run));
+  Partial.putU32(100); // promises 100 payload bytes, sends 3
+  Partial.putU8(1);
+  Partial.putU8(2);
+  Partial.putU8(3);
+  ASSERT_EQ(::write(Fd, Partial.bytes().data(), Partial.bytes().size()),
+            static_cast<ssize_t>(Partial.bytes().size()));
+  ::close(Fd);
+
+  Fd = rawConnect(Opts.SocketPath);
+  ASSERT_GE(Fd, 0);
+  ASSERT_TRUE(writeFrame(Fd, static_cast<uint16_t>(Verb::Run),
+                         encodeJobRequest(smallRequest()), &Err))
+      << Err;
+  ::close(Fd); // before the response arrives
+
+  // Both connections reach the daemon's dispatch (a drain would skip a
+  // connection that no worker has started), then their answers go into
+  // closed sockets.
+  for (int I = 0; I < 3000; ++I) {
+    ServerCounters C = Srv.counters();
+    if (C.ErrorResponses >= 1 && C.RunRequests >= 1)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  Client Good;
+  ASSERT_TRUE(Good.connect(Opts.SocketPath, &Err)) << Err;
+  RunResponse Resp;
+  ASSERT_TRUE(Good.run(smallRequest(), Resp, &Err)) << Err;
+  EXPECT_TRUE(Resp.Status.Ok) << Resp.Status.Error;
+  Srv.requestStop();
+  Srv.wait();
+  EXPECT_EQ(Srv.counters().RunRequests, 2u);
+  EXPECT_EQ(Srv.counters().ErrorResponses, 1u);
+}
+
 // With tracing on, the daemon's run-response encode is its own span,
 // carrying the encoded byte count, so a traced request attributes the
 // output copy instead of leaving it unaccounted.
 TEST(Server, TracedRunRequestSpansTheResponseEncode) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath("trace");
-  Opts.Engine = testEngineOptions();
   Server Srv(Opts);
   std::string Err;
   ASSERT_TRUE(Srv.start(&Err)) << Err;
@@ -734,4 +904,185 @@ TEST(Server, TracedRunRequestSpansTheResponseEncode) {
   // The encoded response holds the output floats plus its header.
   EXPECT_GT(Args->numberOr("bytes", 0.0),
             static_cast<double>(Resp.Output.size() * sizeof(float)));
+}
+
+//===----------------------------------------------------------------------===//
+// Seeded mutation test of the wire decoders
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Mutated inputs per kind (bit flips, truncations, splices) per decoder.
+constexpr int MutationsPerKind = 100000;
+
+enum class Mutation { BitFlips, Truncation, Splice };
+
+/// One mutation of a seed drawn from \p Seeds: one to eight bit flips; a
+/// cut at a random length with one bit flip in what remains (so repeated
+/// cuts of one seed still differ); or a prefix of one seed joined to a
+/// suffix of another.
+std::vector<uint8_t> mutate(const std::vector<std::vector<uint8_t>> &Seeds,
+                            Mutation Kind, Rng &R) {
+  std::vector<uint8_t> Bytes = Seeds[R.nextBelow(Seeds.size())];
+  auto FlipBits = [&](uint64_t Count) {
+    for (uint64_t I = 0; I < Count && !Bytes.empty(); ++I)
+      Bytes[R.nextBelow(Bytes.size())] ^=
+          static_cast<uint8_t>(1u << R.nextBelow(8));
+  };
+  switch (Kind) {
+  case Mutation::BitFlips:
+    FlipBits(1 + R.nextBelow(8));
+    break;
+  case Mutation::Truncation:
+    Bytes.resize(R.nextBelow(Bytes.size() + 1));
+    FlipBits(R.nextBelow(2));
+    break;
+  case Mutation::Splice: {
+    const std::vector<uint8_t> &Other = Seeds[R.nextBelow(Seeds.size())];
+    Bytes.resize(R.nextBelow(Bytes.size() + 1));
+    Bytes.insert(Bytes.end(),
+                 Other.begin() + static_cast<std::ptrdiff_t>(
+                                     R.nextBelow(Other.size() + 1)),
+                 Other.end());
+    break;
+  }
+  }
+  return Bytes;
+}
+
+/// Feeds MutationsPerKind mutations of each kind to \p Decode, which
+/// returns whether it accepted the bytes and sets its error text when it
+/// did not. A rejection must say why; \returns the accepted count, so a
+/// caller can see the mutations reach past the first field.
+template <typename DecodeFn>
+size_t fuzzDecoder(const char *Name,
+                   const std::vector<std::vector<uint8_t>> &Seeds,
+                   uint64_t Seed, DecodeFn Decode) {
+  Rng R(Seed);
+  size_t Accepted = 0, SilentRejections = 0;
+  for (Mutation Kind :
+       {Mutation::BitFlips, Mutation::Truncation, Mutation::Splice})
+    for (int I = 0; I < MutationsPerKind; ++I) {
+      std::vector<uint8_t> Bytes = mutate(Seeds, Kind, R);
+      std::string Err;
+      if (Decode(std::span<const uint8_t>(Bytes), Err))
+        ++Accepted;
+      else if (Err.empty())
+        ++SilentRejections;
+    }
+  EXPECT_EQ(SilentRejections, 0u) << Name;
+  return Accepted;
+}
+
+} // namespace
+
+// ROADMAP 4(c), the wire part: every decoder a daemon or client runs on
+// bytes from its peer takes 300k seeded mutations of valid encodings (100k
+// each of bit flips, truncations and splices) without crashing, hanging or
+// aborting, and explains every rejection. The ASan and TSan jobs run it.
+TEST(WireFuzz, DecodersSurviveMutatedEncodings) {
+  std::vector<std::vector<uint8_t>> Headers;
+  for (uint16_t Verb = 1; Verb <= 4; ++Verb)
+    for (uint32_t Length : {0u, 17u, 4096u, MaxPayloadBytes}) {
+      WireWriter W;
+      W.putU32(FrameMagic);
+      W.putU16(ProtocolVersion);
+      W.putU16(Verb);
+      W.putU32(Length);
+      Headers.push_back(W.take());
+    }
+  size_t HeadersAccepted = fuzzDecoder(
+      "frame header", Headers, 1,
+      [](std::span<const uint8_t> Bytes, std::string &Err) {
+        uint16_t Verb = 0;
+        uint32_t Length = 0;
+        bool Ok = decodeFrameHeader(Bytes, Verb, Length, &Err);
+        EXPECT_TRUE(!Ok || Length <= MaxPayloadBytes);
+        return Ok;
+      });
+
+  JobRequest Training = smallRequest();
+  Training.Training = true;
+  Training.Seed = 7;
+  Training.GraphSpec = "synth:coauthors";
+  size_t RequestsAccepted = fuzzDecoder(
+      "job request",
+      {encodeJobRequest(smallRequest()), encodeJobRequest(Training),
+       encodeJobRequest(JobRequest())},
+      2, [](std::span<const uint8_t> Bytes, std::string &Err) {
+        JobRequest Out;
+        bool Ok = decodeJobRequest(Bytes, Out, &Err);
+        EXPECT_TRUE(!Ok || (Out.KIn >= 1 && Out.KOut >= 1));
+        return Ok;
+      });
+
+  CompileResponse Compiled;
+  Compiled.Enumerated = 12;
+  Compiled.Pruned = 8;
+  Compiled.Promoted = 4;
+  Compiled.PlanCacheHit = true;
+  Compiled.CompileSeconds = 0.25;
+  Compiled.CacheKey = "m0123456789abcdef";
+  fuzzDecoder("compile response",
+              {encodeCompileResponse(Compiled),
+               encodeErrorResponse(Verb::Compile, "model parse failed")},
+              3, [](std::span<const uint8_t> Bytes, std::string &Err) {
+                CompileResponse Out;
+                return decodeCompileResponse(Bytes, Out, &Err);
+              });
+
+  RunResponse Ran;
+  Ran.Rows = 3;
+  Ran.Cols = 2;
+  Ran.Output = {1.5f, -2.0f, 0.0f, 4.25f, 1e-7f, -9.5f};
+  Ran.ForwardSeconds = 0.5;
+  Ran.PlanIndex = 1;
+  Ran.RunIndex = 4;
+  RunResponse NoOutput = Ran;
+  NoOutput.Output.clear();
+  size_t RunsAccepted = fuzzDecoder(
+      "run response",
+      {encodeRunResponse(Ran), encodeRunResponse(NoOutput),
+       encodeErrorResponse(Verb::Run, "unknown graph")},
+      4, [](std::span<const uint8_t> Bytes, std::string &Err) {
+        RunResponse Out;
+        bool Ok = decodeRunResponse(Bytes, Out, &Err);
+        int64_t Count = 0;
+        EXPECT_TRUE(!Ok || (!__builtin_mul_overflow(Out.Rows, Out.Cols,
+                                                    &Count) &&
+                            Count >= 0 &&
+                            (Out.Output.empty() ||
+                             static_cast<int64_t>(Out.Output.size()) ==
+                                 Count)));
+        return Ok;
+      });
+
+  StatsResponse Stats;
+  Stats.RequestsServed = 10;
+  Stats.PlanCacheHits = 5;
+  Stats.PlanCacheMisses = 1;
+  Stats.UptimeSeconds = 12.5;
+  Stats.Threads = 4;
+  Stats.Isa = "avx512";
+  fuzzDecoder("stats response",
+              {encodeStatsResponse(Stats),
+               encodeErrorResponse(Verb::Stats, "boom")},
+              5, [](std::span<const uint8_t> Bytes, std::string &Err) {
+                StatsResponse Out;
+                return decodeStatsResponse(Bytes, Out, &Err);
+              });
+
+  fuzzDecoder("shutdown response",
+              {encodeShutdownResponse(ShutdownResponse()),
+               encodeErrorResponse(Verb::Shutdown, "draining")},
+              6, [](std::span<const uint8_t> Bytes, std::string &Err) {
+                ShutdownResponse Out;
+                return decodeShutdownResponse(Bytes, Out, &Err);
+              });
+
+  // The mutations reach past the first field: some survive decoding
+  // (flipped bits inside strings, floats and counters).
+  EXPECT_GT(HeadersAccepted, 0u);
+  EXPECT_GT(RequestsAccepted, 0u);
+  EXPECT_GT(RunsAccepted, 0u);
 }

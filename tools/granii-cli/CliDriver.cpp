@@ -449,14 +449,11 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   Options.Verify = *Verify;
 
   // One-shot runs go through the same Engine/Session layer the daemon
-  // serves from — one code path, bitwise-identical answers. Disk spill is
-  // off so a one-shot always reports honest offline-stage numbers instead
-  // of cache hits from an earlier invocation.
+  // serves from — one code path, bitwise-identical answers.
   serve::EngineOptions EngOpts;
   EngOpts.Hw = Options.Hw;
   EngOpts.Iterations = Options.Iterations;
   EngOpts.Verify = Options.Verify;
-  EngOpts.DiskSpill = false;
   serve::Engine Engine(EngOpts);
 
   serve::JobRequest Req;
@@ -620,7 +617,6 @@ int cmdCall(const ArgParser &Args, std::string &Out, std::string &Err) {
            std::to_string(Resp.SessionEvictions) + " eviction(s)\n";
     Out += "plan cache: " + std::to_string(Resp.PlanCacheHits) +
            " hit(s), " + std::to_string(Resp.PlanCacheMisses) + " miss(es), " +
-           std::to_string(Resp.PlanCacheDiskHits) + " disk hit(s), " +
            std::to_string(Resp.PlanCacheEvictions) + " eviction(s)\n";
     Out += "pool: " + std::to_string(Resp.Threads) + " thread(s), isa " +
            Resp.Isa + "\n";
@@ -672,7 +668,7 @@ int cmdCall(const ArgParser &Args, std::string &Out, std::string &Err) {
     Out += "compile: " + std::to_string(Resp.Enumerated) +
            " enumerated -> " + std::to_string(Resp.Promoted) +
            " promoted (plan cache " +
-           (Resp.PlanCacheHit ? (Resp.DiskHit ? "disk hit" : "hit") : "miss") +
+           (Resp.PlanCacheHit ? "hit" : "miss") +
            ", " + formatDouble(Resp.CompileSeconds * 1e3, 3) + " ms)\n";
     Out += "cache key: " + Resp.CacheKey + "\n";
     return 0;

@@ -25,10 +25,10 @@
 ///
 ///   granii-cli serve --socket <path> [--workers N] [--plan-cache N]
 ///              [--sessions N]
-///       Run the persistent plan-serving daemon on a Unix socket: compiled
-///       plan sets are cached (memory LRU + disk spill), sessions stay warm
-///       between requests, and shutdown (SIGINT/SIGTERM or the shutdown
-///       verb) drains gracefully. See docs/SERVING.md.
+///       Run the persistent plan-serving daemon on a Unix socket: each
+///       model compiles once (an in-memory LRU keyed by the model text),
+///       sessions stay warm between requests, and shutdown (SIGINT/SIGTERM
+///       or the shutdown verb) drains gracefully. See docs/SERVING.md.
 ///
 ///   granii-cli call --socket <path> <model.gnn> [run flags] [--out <file>]
 ///   granii-cli call --socket <path> --stats | --shutdown
