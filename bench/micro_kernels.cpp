@@ -94,10 +94,7 @@ int runKernels(const std::string &JsonPath) {
       Measure("spmm_u/64", G.name(), K, K,
               {PrimitiveKind::SpMMUnweighted, G.numNodes(), K, 0,
                G.numEdges()},
-              [&] {
-                kernels::spmmInto(G.adjacency(), H, Semiring::plusCopy(),
-                                  Out);
-              });
+              [&] { kernels::spmmInto(G.adjacency(), {}, H, Out); });
     }
     {
       const int64_t K = 64;
@@ -109,7 +106,7 @@ int runKernels(const std::string &JsonPath) {
       Measure("spmm_w/64", G.name(), K, K,
               {PrimitiveKind::SpMMWeighted, G.numNodes(), K, 0,
                G.numEdges()},
-              [&] { kernels::spmmInto(A, H, Semiring::plusTimes(), Out); });
+              [&] { kernels::spmmInto(A, A.values(), H, Out); });
     }
     {
       // The weight-gradient shape A^T * B of 8192 nodes, K 64 -> 128: the
@@ -129,10 +126,7 @@ int runKernels(const std::string &JsonPath) {
       Measure("spmm_u/128", G.name(), K, K,
               {PrimitiveKind::SpMMUnweighted, G.numNodes(), K, 0,
                G.numEdges()},
-              [&] {
-                kernels::spmmInto(G.adjacency(), H, Semiring::plusCopy(),
-                                  Out);
-              });
+              [&] { kernels::spmmInto(G.adjacency(), {}, H, Out); });
     }
     {
       // The backward aggregation A^T (x) H over the CSC view, its values
@@ -146,10 +140,7 @@ int runKernels(const std::string &JsonPath) {
       Measure("spmm_csc_t/64", G.name(), K, K,
               {PrimitiveKind::SpMMWeighted, G.numNodes(), K, 0,
                G.numEdges()},
-              [&] {
-                kernels::spmmCscTransposedInto(Csc, Vals, H,
-                                               Semiring::plusTimes(), Out);
-              });
+              [&] { kernels::spmmCscTransposedInto(Csc, Vals, H, Out); });
     }
     {
       const int64_t K = 32;
@@ -157,10 +148,7 @@ int runKernels(const std::string &JsonPath) {
       std::vector<float> Out(static_cast<size_t>(G.numEdges()));
       Measure("sddmm_dot/32", G.name(), K, K,
               {PrimitiveKind::SddmmDot, G.numNodes(), 0, K, G.numEdges()},
-              [&] {
-                kernels::sddmmInto(G.adjacency(), U, U,
-                                   Semiring::plusTimes(), Out);
-              });
+              [&] { kernels::sddmmInto(G.adjacency(), U, U, Out); });
     }
     {
       const int64_t K = 128;
@@ -223,10 +211,7 @@ int runKernels(const std::string &JsonPath) {
       std::vector<float> Out(static_cast<size_t>(G.numEdges()));
       Measure("sddmm_dot/64", G.name(), K, K,
               {PrimitiveKind::SddmmDot, G.numNodes(), 0, K, G.numEdges()},
-              [&] {
-                kernels::sddmmInto(G.adjacency(), U, V,
-                                   Semiring::plusTimes(), Out);
-              });
+              [&] { kernels::sddmmInto(G.adjacency(), U, V, Out); });
     }
     {
       // The input gradient dY * W^T of the GAT training layer: 25000

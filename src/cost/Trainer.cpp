@@ -123,12 +123,10 @@ granii::collectProfileData(const HardwareModel &Hw,
     for (int64_t K : Widths) {
       DenseMatrix H(N, K);
       H.fillRandom(Generator);
-      Prof.sample({PrimitiveKind::SpMMUnweighted, N, K, 0, E}, Stats, [&] {
-        (void)kernels::spmm(A, H, Semiring::plusCopy());
-      });
-      Prof.sample({PrimitiveKind::SpMMWeighted, N, K, 0, E}, Stats, [&] {
-        (void)kernels::spmm(Aw, H, Semiring::plusTimes());
-      });
+      Prof.sample({PrimitiveKind::SpMMUnweighted, N, K, 0, E}, Stats,
+                  [&] { (void)kernels::spmm(A, {}, H); });
+      Prof.sample({PrimitiveKind::SpMMWeighted, N, K, 0, E}, Stats,
+                  [&] { (void)kernels::spmm(Aw, Aw.values(), H); });
       Prof.sample({PrimitiveKind::SddmmDot, N, 0, K, E}, Stats,
                   [&] { (void)kernels::sddmm(A, H, H); });
       Prof.sample({PrimitiveKind::RowBroadcast, N, K, 0, 0}, Stats,

@@ -47,10 +47,6 @@ const char *isaLevelName(IsaLevel Level);
 /// anything unrecognized.
 std::optional<IsaLevel> parseIsaLevel(const std::string &Name);
 
-/// Combine stage of the fused sum-reduction g-SpMM path (mirrors
-/// CombineOpKind for the cases the fast path handles).
-enum class SpmmCombine { Mul, CopyRhs, Add };
-
 /// Contraction rows per window of the SIMD GemmTLhsRowRange (A^T * B, the
 /// weight gradient). One window of a 128-wide B is 512 KiB, so A and B
 /// stream from L2 while every register block of a row range sweeps them.
@@ -72,12 +68,11 @@ struct SimdOps {
   double DenseThroughputScale = 1.0;
   double SparseThroughputScale = 1.0;
 
-  /// C rows [RowBegin, RowEnd) of C = A * B (+= when \p Accumulate), all
-  /// matrices row-major with the given leading dimensions.
+  /// C rows [RowBegin, RowEnd) of C = A * B, all matrices row-major with
+  /// the given leading dimensions.
   void (*GemmRowRange)(const float *A, int64_t Lda, const float *B,
                        int64_t Ldb, float *C, int64_t Ldc, int64_t K,
-                       int64_t N, int64_t RowBegin, int64_t RowEnd,
-                       bool Accumulate) = nullptr;
+                       int64_t N, int64_t RowBegin, int64_t RowEnd) = nullptr;
 
   /// C rows [RowBegin, RowEnd) of C = A^T * B; C has A.cols() rows and \p M
   /// is A.rows() (the contraction length). The SIMD levels contract in
@@ -94,20 +89,19 @@ struct SimdOps {
                            int64_t NOut, int64_t RowBegin, int64_t RowEnd) =
       nullptr;
 
-  /// Fused sum-reduction g-SpMM over CSR rows [RowBegin, RowEnd), each
-  /// output row \p N floats wide. \p Vals is null for unweighted matrices;
-  /// \p ValIdx, when non-null, maps nonzero K to its value Vals[ValIdx[K]]
-  /// (the CSC-transposed backward pass reads CSR-ordered values through
-  /// it); \p Mean rescales each row by 1/degree after accumulation.
+  /// SpMM over CSR rows [RowBegin, RowEnd), each output row \p N floats
+  /// wide: the sum over the row's nonzeros K of value K times B's row
+  /// Cols[K]. A null \p Vals is the unweighted sum, which adds the B rows
+  /// without a multiply; \p ValIdx, when non-null, maps nonzero K to its
+  /// value Vals[ValIdx[K]] (the CSC-transposed backward pass reads
+  /// CSR-ordered values through it).
   void (*SpmmRowRange)(const int64_t *Offsets, const int32_t *Cols,
                        const float *Vals, const int64_t *ValIdx,
                        const float *B, int64_t Ldb, float *Dst, int64_t LdDst,
-                       int64_t N, SpmmCombine Combine, bool Mean,
-                       int64_t RowBegin, int64_t RowEnd) = nullptr;
+                       int64_t N, int64_t RowBegin, int64_t RowEnd) = nullptr;
 
-  /// Plus-times SDDMM over CSR rows [RowBegin, RowEnd): each edge's
-  /// output is the dot product of its endpoints' \p Width-float U and V
-  /// rows.
+  /// SDDMM over CSR rows [RowBegin, RowEnd): each edge's output is the
+  /// dot product of its endpoints' \p Width-float U and V rows.
   void (*SddmmDotRowRange)(const int64_t *Offsets, const int32_t *Cols,
                            const float *U, int64_t Ldu, const float *V,
                            int64_t Ldv, float *Out, int64_t Width,

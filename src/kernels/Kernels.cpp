@@ -15,13 +15,12 @@
 // The backward-pass kernels are the exception by design: they add into
 // their destination unless told it is the first contribution.
 //
-// ISA dispatch: the hot row routines (packed GEMM family, fused sum g-SpMM,
-// plus-times SDDMM, and the elementwise map family) are fetched once per
-// kernel call from the active SimdOps table (kernels/Dispatch.h) and invoked
-// on whole row ranges inside the thread-pool partitions, so the indirect
-// call never sits in an inner loop. Each table preserves the determinism
-// contract above within its own ISA level; the general semiring paths below
-// are shared scalar code and thus identical at every level.
+// ISA dispatch: the hot row routines (packed GEMM family, SpMM, SDDMM, and
+// the elementwise map family) are fetched once per kernel call from the
+// active SimdOps table (kernels/Dispatch.h) and invoked on whole row ranges
+// inside the thread-pool partitions, so the indirect call never sits in an
+// inner loop. Each table preserves the determinism contract above within its
+// own ISA level.
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,22 +65,13 @@ void checkVecDst(std::span<const float> Out, size_t Size, const char *Kernel) {
                    std::to_string(Size) + ")");
 }
 
-/// Maps the fused sum-reduction cases onto the dispatch table's combine tag.
-SpmmCombine spmmCombineFor(const Semiring &S) {
-  switch (S.Combine) {
-  case CombineOpKind::Mul:
-    return SpmmCombine::Mul;
-  case CombineOpKind::CopyRhs:
-    return SpmmCombine::CopyRhs;
-  case CombineOpKind::Add:
-    return SpmmCombine::Add;
-  }
-  return SpmmCombine::Mul;
-}
-
-/// True for the semiring the dispatched SDDMM dot-product routine covers.
-bool isPlusTimes(const Semiring &S) {
-  return S.Reduce == ReduceOpKind::Sum && S.Combine == CombineOpKind::Mul;
+/// The edge values an SpMM row routine reads: null for the unweighted sum
+/// (no values), else one value per nonzero.
+const float *spmmValues(std::span<const float> Vals, int64_t Nnz,
+                        const char *Kernel) {
+  GRANII_CHECK(Vals.empty() || static_cast<int64_t>(Vals.size()) == Nnz,
+               std::string(Kernel) + " edge value count mismatch");
+  return Vals.empty() ? nullptr : Vals.data();
 }
 
 } // namespace
@@ -100,7 +90,7 @@ void kernels::gemmInto(const DenseMatrix &A, const DenseMatrix &B,
   const SimdOps &Ops = simdOps();
   parallelFor(0, M, rowGrain(K * N), [&](int64_t RowBegin, int64_t RowEnd) {
     Ops.GemmRowRange(A.data(), K, B.data(), N, Dst.data(), N, K, N, RowBegin,
-                     RowEnd, /*Accumulate=*/false);
+                     RowEnd);
   });
 }
 // granii-noalloc-end
@@ -110,19 +100,6 @@ DenseMatrix kernels::gemm(const DenseMatrix &A, const DenseMatrix &B) {
   DenseMatrix C(A.rows(), B.cols());
   gemmInto(A, B, C);
   return C;
-}
-
-void kernels::gemmAccumulate(const DenseMatrix &A, const DenseMatrix &B,
-                             DenseMatrix &C) {
-  GRANII_CHECK(A.cols() == B.rows(), "gemm inner dimension mismatch");
-  GRANII_CHECK(C.rows() == A.rows() && C.cols() == B.cols(),
-               "gemm output shape mismatch");
-  const int64_t M = A.rows(), K = A.cols(), N = B.cols();
-  const SimdOps &Ops = simdOps();
-  parallelFor(0, M, rowGrain(K * N), [&](int64_t RowBegin, int64_t RowEnd) {
-    Ops.GemmRowRange(A.data(), K, B.data(), N, C.data(), N, K, N, RowBegin,
-                     RowEnd, /*Accumulate=*/true);
-  });
 }
 
 void kernels::gemmTransposedLhsInto(const DenseMatrix &A, const DenseMatrix &B,
@@ -142,14 +119,6 @@ void kernels::gemmTransposedLhsInto(const DenseMatrix &A, const DenseMatrix &B,
               });
 }
 
-DenseMatrix kernels::gemmTransposedLhs(const DenseMatrix &A,
-                                       const DenseMatrix &B) {
-  GRANII_CHECK(A.rows() == B.rows(), "A^T*B dimension mismatch");
-  DenseMatrix C(A.cols(), B.cols());
-  gemmTransposedLhsInto(A, B, C);
-  return C;
-}
-
 void kernels::gemmTransposedRhsInto(const DenseMatrix &A, const DenseMatrix &B,
                                     DenseMatrix &Dst) {
   GRANII_CHECK(A.cols() == B.cols(), "A*B^T dimension mismatch");
@@ -161,14 +130,6 @@ void kernels::gemmTransposedRhsInto(const DenseMatrix &A, const DenseMatrix &B,
                 Ops.GemmTRhsRowRange(A.data(), K, B.data(), K, Dst.data(), N,
                                      K, N, RowBegin, RowEnd);
               });
-}
-
-DenseMatrix kernels::gemmTransposedRhs(const DenseMatrix &A,
-                                       const DenseMatrix &B) {
-  GRANII_CHECK(A.cols() == B.cols(), "A*B^T dimension mismatch");
-  DenseMatrix C(A.rows(), B.rows());
-  gemmTransposedRhsInto(A, B, C);
-  return C;
 }
 
 void kernels::gemvInto(const DenseMatrix &A, const std::vector<float> &X,
@@ -306,130 +267,59 @@ DenseMatrix kernels::relu(const DenseMatrix &A) {
   return Out;
 }
 
-DenseMatrix kernels::leakyRelu(const DenseMatrix &A, float NegativeSlope) {
-  DenseMatrix Out(A.rows(), A.cols());
-  const float *PA = A.data();
-  float *PO = Out.data();
-  parallelFor(0, A.size(), DenseGrainOps, [&](int64_t Begin, int64_t End) {
-    for (int64_t I = Begin; I < End; ++I)
-      PO[I] = PA[I] > 0.0f ? PA[I] : NegativeSlope * PA[I];
-  });
-  return Out;
-}
-
-// granii-noalloc-begin: the SpMM aggregation loops dominate steady-state
-// GNN inference; both reduction paths must stay allocation-free.
-void kernels::spmmInto(const CsrMatrix &A, const DenseMatrix &B,
-                       const Semiring &S, DenseMatrix &Dst) {
+// granii-noalloc-begin: the SpMM aggregation loop dominates steady-state
+// GNN inference and must stay allocation-free.
+void kernels::spmmInto(const CsrMatrix &A, std::span<const float> Vals,
+                       const DenseMatrix &B, DenseMatrix &Dst) {
   GRANII_CHECK(A.cols() == B.rows(), "spmm dimension mismatch");
+  const float *ValsPtr = spmmValues(Vals, A.nnz(), "spmm");
   checkDenseDst(Dst, A.rows(), B.cols(), "spmm");
   const auto &Offsets = A.rowOffsets();
   const auto &Cols = A.colIndices();
-  const auto &Vals = A.values();
   const int64_t NCols = B.cols();
-
-  // Fast path: plus-times / plus-copy sum reductions fused over rows,
-  // dispatched to the active ISA table.
-  const bool SumLike =
-      S.Reduce == ReduceOpKind::Sum || S.Reduce == ReduceOpKind::Mean;
-  if (SumLike) {
-    const SimdOps &Ops = simdOps();
-    const float *ValsPtr = Vals.empty() ? nullptr : Vals.data();
-    const SpmmCombine Combine = spmmCombineFor(S);
-    const bool Mean = S.Reduce == ReduceOpKind::Mean;
-    parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-      Ops.SpmmRowRange(Offsets.data(), Cols.data(), ValsPtr, nullptr,
-                       B.data(), NCols, Dst.data(), NCols, NCols, Combine,
-                       Mean, RowBegin, RowEnd);
-    });
-    return;
-  }
-
-  // General (max/min) reduction path; shared scalar code at every ISA level.
+  const SimdOps &Ops = simdOps();
   parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-    for (int64_t R = RowBegin; R < RowEnd; ++R) {
-      float *Out = Dst.rowPtr(R);
-      int64_t Begin = Offsets[static_cast<size_t>(R)];
-      int64_t End = Offsets[static_cast<size_t>(R) + 1];
-      bool Any = End > Begin;
-      float Identity = S.reduceIdentity();
-      for (int64_t J = 0; J < NCols; ++J)
-        Out[J] = Any ? Identity : 0.0f;
-      for (int64_t K = Begin; K < End; ++K) {
-        int32_t Col = Cols[static_cast<size_t>(K)];
-        float EdgeVal = A.valueAt(K);
-        const float *Src = B.rowPtr(Col);
-        for (int64_t J = 0; J < NCols; ++J)
-          Out[J] = S.reduce(Out[J], S.combine(EdgeVal, Src[J]));
-      }
-    }
+    Ops.SpmmRowRange(Offsets.data(), Cols.data(), ValsPtr, nullptr, B.data(),
+                     NCols, Dst.data(), NCols, NCols, RowBegin, RowEnd);
   });
 }
 // granii-noalloc-end
 
-DenseMatrix kernels::spmm(const CsrMatrix &A, const DenseMatrix &B,
-                          const Semiring &S) {
+DenseMatrix kernels::spmm(const CsrMatrix &A, std::span<const float> Vals,
+                          const DenseMatrix &B) {
   GRANII_CHECK(A.cols() == B.rows(), "spmm dimension mismatch");
   DenseMatrix Out(A.rows(), B.cols());
-  spmmInto(A, B, S, Out);
+  spmmInto(A, Vals, B, Out);
   return Out;
 }
 
 void kernels::spmmCscTransposedInto(const CscMatrix &A,
                                     std::span<const float> Vals,
-                                    const DenseMatrix &B, const Semiring &S,
-                                    DenseMatrix &Dst) {
+                                    const DenseMatrix &B, DenseMatrix &Dst) {
   GRANII_CHECK(A.rows() == B.rows(), "spmm_csc_t dimension mismatch");
-  GRANII_CHECK(Vals.empty() || static_cast<int64_t>(Vals.size()) == A.nnz(),
-               "spmm_csc_t edge value count mismatch");
+  const float *ValsPtr = spmmValues(Vals, A.nnz(), "spmm_csc_t");
   checkDenseDst(Dst, A.cols(), B.cols(), "spmm_csc_t");
   const auto &ColOffsets = A.colOffsets();
   const auto &Rows = A.rowIndices();
   const auto &CsrIdx = A.csrIndices();
   const int64_t NCols = B.cols();
-  if (S.Reduce == ReduceOpKind::Sum || S.Reduce == ReduceOpKind::Mean) {
-    // Output row c is column c of the source; its entries come in ascending
-    // source-row order — the entry order of transposed()'s row c — and the
-    // value index gathers each entry's value through the CSC→CSR map, so
-    // the dispatched CSR row routine computes the transpose-then-SpMM
-    // result bitwise while touching the values in place.
-    const SimdOps &Ops = simdOps();
-    const SpmmCombine Combine = spmmCombineFor(S);
-    const bool Mean = S.Reduce == ReduceOpKind::Mean;
-    const float *ValsPtr = Vals.empty() ? nullptr : Vals.data();
-    parallelForCsrRows(ColOffsets, [&](int64_t ColBegin, int64_t ColEnd) {
-      Ops.SpmmRowRange(ColOffsets.data(), Rows.data(), ValsPtr, CsrIdx.data(),
-                       B.data(), NCols, Dst.data(), NCols, NCols, Combine,
-                       Mean, ColBegin, ColEnd);
-    });
-    return;
-  }
-  // General (max/min) reduction: the scalar path of spmmInto over the
-  // transposed entries.
+  // Output row c is column c of the source; its entries come in ascending
+  // source-row order — the entry order of transposed()'s row c — and the
+  // value index gathers each entry's value through the CSC→CSR map, so the
+  // dispatched CSR row routine computes the transpose-then-SpMM result
+  // bitwise while touching the values in place.
+  const SimdOps &Ops = simdOps();
   parallelForCsrRows(ColOffsets, [&](int64_t ColBegin, int64_t ColEnd) {
-    for (int64_t C = ColBegin; C < ColEnd; ++C) {
-      float *Out = Dst.rowPtr(C);
-      const int64_t Begin = ColOffsets[static_cast<size_t>(C)];
-      const int64_t End = ColOffsets[static_cast<size_t>(C) + 1];
-      const float Identity = S.reduceIdentity();
-      for (int64_t J = 0; J < NCols; ++J)
-        Out[J] = End > Begin ? Identity : 0.0f;
-      for (int64_t K = Begin; K < End; ++K) {
-        const size_t Idx = static_cast<size_t>(CsrIdx[static_cast<size_t>(K)]);
-        const float EdgeVal = Vals.empty() ? 1.0f : Vals[Idx];
-        const float *Src = B.rowPtr(Rows[static_cast<size_t>(K)]);
-        for (int64_t J = 0; J < NCols; ++J)
-          Out[J] = S.reduce(Out[J], S.combine(EdgeVal, Src[J]));
-      }
-    }
+    Ops.SpmmRowRange(ColOffsets.data(), Rows.data(), ValsPtr, CsrIdx.data(),
+                     B.data(), NCols, Dst.data(), NCols, NCols, ColBegin,
+                     ColEnd);
   });
 }
 
 // granii-noalloc-begin: SDDMM scores every masked edge each layer; the dot
 // loops write straight into the caller's value span.
 void kernels::sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
-                        const DenseMatrix &V, const Semiring &S,
-                        std::span<float> Out) {
+                        const DenseMatrix &V, std::span<float> Out) {
   GRANII_CHECK(Mask.rows() == U.rows(), "sddmm left operand row mismatch");
   GRANII_CHECK(Mask.cols() == V.rows(), "sddmm right operand row mismatch");
   GRANII_CHECK(U.cols() == V.cols(), "sddmm feature width mismatch");
@@ -437,35 +327,18 @@ void kernels::sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
   const auto &Offsets = Mask.rowOffsets();
   const auto &Cols = Mask.colIndices();
   const int64_t Width = U.cols();
-  if (isPlusTimes(S)) {
-    const SimdOps &Ops = simdOps();
-    parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-      Ops.SddmmDotRowRange(Offsets.data(), Cols.data(), U.data(), Width,
-                           V.data(), Width, Out.data(), Width, RowBegin,
-                           RowEnd);
-    });
-    return;
-  }
+  const SimdOps &Ops = simdOps();
   parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-    for (int64_t R = RowBegin; R < RowEnd; ++R) {
-      const float *URow = U.rowPtr(R);
-      for (int64_t K = Offsets[static_cast<size_t>(R)];
-           K < Offsets[static_cast<size_t>(R) + 1]; ++K) {
-        const float *VRow = V.rowPtr(Cols[static_cast<size_t>(K)]);
-        float Acc = S.reduceIdentity();
-        for (int64_t J = 0; J < Width; ++J)
-          Acc = S.reduce(Acc, S.combine(URow[J], VRow[J]));
-        Out[static_cast<size_t>(K)] = Acc;
-      }
-    }
+    Ops.SddmmDotRowRange(Offsets.data(), Cols.data(), U.data(), Width,
+                         V.data(), Width, Out.data(), Width, RowBegin, RowEnd);
   });
 }
 // granii-noalloc-end
 
 std::vector<float> kernels::sddmm(const CsrMatrix &Mask, const DenseMatrix &U,
-                                  const DenseMatrix &V, const Semiring &S) {
+                                  const DenseMatrix &V) {
   std::vector<float> Out(static_cast<size_t>(Mask.nnz()), 0.0f);
-  sddmmInto(Mask, U, V, S, Out);
+  sddmmInto(Mask, U, V, Out);
   return Out;
 }
 

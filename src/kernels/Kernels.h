@@ -1,11 +1,11 @@
 //===- Kernels.h - Sparse and dense matrix primitives -----------*- C++ -*-===//
 ///
 /// \file
-/// The primitive kernel layer: GEMM, g-SpMM, g-SDDMM, row/column broadcasts,
-/// diagonal scaling of sparse matrices, elementwise ops, edge softmax, and
-/// the two degree-computation variants (offset-difference vs edge-binning)
-/// whose cost difference drives the paper's WiseGraph-on-dense-graphs
-/// results. All kernels are deterministic CPU code, parallelized over the
+/// The primitive kernel layer: GEMM, SpMM (weighted or unweighted), SDDMM,
+/// row/column broadcasts, diagonal scaling of sparse matrices, elementwise
+/// ops, edge softmax, and the two degree-computation variants
+/// (offset-difference vs edge-binning) whose cost difference drives the
+/// paper's WiseGraph-on-dense-graphs results. All kernels are deterministic CPU code, parallelized over the
 /// shared thread pool (support/ThreadPool.h): threads own disjoint output
 /// rows/elements and each output's serial computation is partition-
 /// independent, so results are bitwise-identical at every thread count.
@@ -26,7 +26,6 @@
 #include "tensor/CscMatrix.h"
 #include "tensor/CsrMatrix.h"
 #include "tensor/DenseMatrix.h"
-#include "tensor/Semiring.h"
 
 #include <span>
 #include <vector>
@@ -43,8 +42,10 @@ namespace kernels {
 // destination (the runtime's buffer arena executes exclusively through
 // these; they allocate nothing and fully overwrite every destination
 // element), and a by-value convenience form that allocates the result and
-// forwards to the Into form. Destination shapes are GRANII_CHECK'd, so a
-// mis-planned buffer aborts with a message instead of corrupting memory.
+// forwards to the Into form; the transposed GEMMs, which only the backward
+// pass runs, have only the Into form. Destination shapes are GRANII_CHECK'd,
+// so a mis-planned buffer aborts with a message instead of corrupting
+// memory.
 
 /// C = A * B (row-major GEMM) into \p Dst, which must already be
 /// A.rows() x B.cols().
@@ -53,23 +54,13 @@ void gemmInto(const DenseMatrix &A, const DenseMatrix &B, DenseMatrix &Dst);
 /// C = A * B (row-major GEMM). Shapes must agree.
 DenseMatrix gemm(const DenseMatrix &A, const DenseMatrix &B);
 
-/// C += A * B into an existing output; \p C must be A.rows() x B.cols().
-void gemmAccumulate(const DenseMatrix &A, const DenseMatrix &B,
-                    DenseMatrix &C);
-
 /// C = A^T * B into \p Dst (A.cols() x B.cols()).
 void gemmTransposedLhsInto(const DenseMatrix &A, const DenseMatrix &B,
                            DenseMatrix &Dst);
 
-/// C = A^T * B.
-DenseMatrix gemmTransposedLhs(const DenseMatrix &A, const DenseMatrix &B);
-
 /// C = A * B^T into \p Dst (A.rows() x B.rows()).
 void gemmTransposedRhsInto(const DenseMatrix &A, const DenseMatrix &B,
                            DenseMatrix &Dst);
-
-/// C = A * B^T.
-DenseMatrix gemmTransposedRhs(const DenseMatrix &A, const DenseMatrix &B);
 
 /// y = A * x into \p Y, which must have A.rows() entries.
 void gemvInto(const DenseMatrix &A, const std::vector<float> &X,
@@ -114,42 +105,40 @@ void reluInto(const DenseMatrix &A, DenseMatrix &Dst);
 /// Elementwise ReLU.
 DenseMatrix relu(const DenseMatrix &A);
 
-/// Elementwise leaky ReLU with slope \p NegativeSlope for negative inputs.
-DenseMatrix leakyRelu(const DenseMatrix &A, float NegativeSlope = 0.2f);
-
 //===----------------------------------------------------------------------===//
-// Sparse primitives (generalized per paper §II-B)
+// Sparse primitives
 //===----------------------------------------------------------------------===//
+//
+// SpMM's one mode is whether it reads edge values: \p Vals holds A's values
+// in CSR edge order, or is empty for the unweighted sum, which adds the
+// neighbour rows without a multiply. Passing A.values() of a pattern-only
+// matrix is therefore the unweighted sum too.
 
-/// Generalized SpMM into \p Dst, which must already be A.rows() x B.cols().
-void spmmInto(const CsrMatrix &A, const DenseMatrix &B, const Semiring &S,
-              DenseMatrix &Dst);
+/// SpMM into \p Dst, which must already be A.rows() x B.cols():
+/// Out[i,:] = sum over the nonzeros a_ij of row i of Vals_ij * B[j,:].
+void spmmInto(const CsrMatrix &A, std::span<const float> Vals,
+              const DenseMatrix &B, DenseMatrix &Dst);
 
-/// Generalized SpMM: Out[i,:] = reduce_{j in N(i)} combine(a_ij, B[j,:]).
-/// With Semiring::plusTimes() this is the standard weighted SpMM; with
-/// Semiring::plusCopy() it is the cheaper unweighted aggregation.
-DenseMatrix spmm(const CsrMatrix &A, const DenseMatrix &B,
-                 const Semiring &S = Semiring::plusTimes());
+/// SpMM: spmmInto into a new A.rows() x B.cols() matrix.
+DenseMatrix spmm(const CsrMatrix &A, std::span<const float> Vals,
+                 const DenseMatrix &B);
 
-/// Dst = A^T (x) B under \p S, the backward-pass aggregation: walks the CSC
-/// columns of A directly. \p Vals holds A's edge values in CSR edge order
-/// (empty = unweighted) and is gathered through the CSC entry map, so the
-/// result is bitwise identical to spmmInto over A.transposed().
+/// Dst = A^T * B, the backward-pass aggregation: walks the CSC columns of A
+/// directly. \p Vals holds A's edge values in CSR edge order (empty =
+/// unweighted) and is gathered through the CSC entry map, so the result is
+/// bitwise identical to spmmInto over A.transposed().
 void spmmCscTransposedInto(const CscMatrix &A, std::span<const float> Vals,
-                           const DenseMatrix &B, const Semiring &S,
-                           DenseMatrix &Dst);
+                           const DenseMatrix &B, DenseMatrix &Dst);
 
-/// Generalized SDDMM producing per-edge values at the mask's nonzeros:
-/// out_ij = combine over k of U[i,k] and V[j,k], reduced by \p S.Reduce
-/// (dot product for plus-times). \p V has the same number of columns as
-/// \p U; the mask's existing values are ignored.
+/// SDDMM producing per-edge dot products at the mask's nonzeros:
+/// out_ij = U[i,:] . V[j,:]. \p V has the same number of columns as \p U;
+/// the mask's existing values are ignored.
 std::vector<float> sddmm(const CsrMatrix &Mask, const DenseMatrix &U,
-                         const DenseMatrix &V,
-                         const Semiring &S = Semiring::plusTimes());
+                         const DenseMatrix &V);
 
-/// Generalized SDDMM into \p Out, which must have Mask.nnz() entries.
+/// SDDMM into \p Out, which must have Mask.nnz() entries.
 void sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
-               const DenseMatrix &V, const Semiring &S, std::span<float> Out);
+               const DenseMatrix &V, std::span<float> Out);
 
 /// Per-edge sum of two node scalars: out_ij = SrcScore[i] + DstScore[j]
 /// (the SDDMM(+, +) used by GAT's attention logits).

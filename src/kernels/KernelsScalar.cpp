@@ -19,12 +19,11 @@ namespace {
 
 void gemmRowRange(const float *A, int64_t Lda, const float *B, int64_t Ldb,
                   float *C, int64_t Ldc, int64_t K, int64_t N,
-                  int64_t RowBegin, int64_t RowEnd, bool Accumulate) {
+                  int64_t RowBegin, int64_t RowEnd) {
   for (int64_t I = RowBegin; I < RowEnd; ++I) {
     const float *ARow = A + I * Lda;
     float *CRow = C + I * Ldc;
-    if (!Accumulate)
-      std::fill(CRow, CRow + N, 0.0f);
+    std::fill(CRow, CRow + N, 0.0f);
     for (int64_t KK = 0; KK < K; ++KK) {
       float AVal = ARow[KK];
       if (AVal == 0.0f)
@@ -72,33 +71,20 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
                   const float *Vals, const int64_t *ValIdx, const float *B,
                   int64_t Ldb, float *Dst, int64_t LdDst, int64_t N,
-                  SpmmCombine Combine, bool Mean, int64_t RowBegin,
-                  int64_t RowEnd) {
+                  int64_t RowBegin, int64_t RowEnd) {
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     float *Out = Dst + R * LdDst;
-    const int64_t Begin = Offsets[R];
-    const int64_t End = Offsets[R + 1];
     std::fill(Out, Out + N, 0.0f);
-    for (int64_t K = Begin; K < End; ++K) {
+    for (int64_t K = Offsets[R]; K < Offsets[R + 1]; ++K) {
       const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
-      if (Combine == SpmmCombine::CopyRhs) {
+      if (!Vals) {
         for (int64_t J = 0; J < N; ++J)
           Out[J] += Src[J];
       } else {
-        float EdgeVal = Vals ? Vals[ValIdx ? ValIdx[K] : K] : 1.0f;
-        if (Combine == SpmmCombine::Mul) {
-          for (int64_t J = 0; J < N; ++J)
-            Out[J] += EdgeVal * Src[J];
-        } else { // Add combine.
-          for (int64_t J = 0; J < N; ++J)
-            Out[J] += EdgeVal + Src[J];
-        }
+        float EdgeVal = Vals[ValIdx ? ValIdx[K] : K];
+        for (int64_t J = 0; J < N; ++J)
+          Out[J] += EdgeVal * Src[J];
       }
-    }
-    if (Mean && End > Begin) {
-      float Inv = 1.0f / static_cast<float>(End - Begin);
-      for (int64_t J = 0; J < N; ++J)
-        Out[J] *= Inv;
     }
   }
 }

@@ -49,7 +49,7 @@ constexpr int GemmRowBlock = 4;
 template <int N> using IndexPack = std::make_integer_sequence<int, N>;
 
 //===----------------------------------------------------------------------===//
-// Packed GEMM: C = A * B (optionally accumulating)
+// Packed GEMM: C = A * B
 //===----------------------------------------------------------------------===//
 
 /// One block of MR = sizeof...(R) consecutive C rows starting at \p I.
@@ -60,7 +60,7 @@ template <int N> using IndexPack = std::make_integer_sequence<int, N>;
 template <class T, int... R>
 void gemmBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
                float *C, int64_t Ldc, int64_t K, int64_t N, int64_t I,
-               bool Accumulate, std::integer_sequence<int, R...>) {
+               std::integer_sequence<int, R...>) {
   using Vec = typename T::Vec;
   constexpr int64_t W = T::Width;
   constexpr int MR = sizeof...(R);
@@ -68,8 +68,8 @@ void gemmBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
   float *CRow[MR] = {C + (I + R) * Ldc...};
   int64_t J = 0;
   for (; J + 2 * W <= N; J += 2 * W) {
-    Vec Acc0[MR] = {(Accumulate ? T::load(CRow[R] + J) : T::zero())...};
-    Vec Acc1[MR] = {(Accumulate ? T::load(CRow[R] + J + W) : T::zero())...};
+    Vec Acc0[MR] = {(static_cast<void>(R), T::zero())...};
+    Vec Acc1[MR] = {(static_cast<void>(R), T::zero())...};
     for (int64_t KK = 0; KK < K; ++KK) {
       const Vec B0 = T::load(B + KK * Ldb + J);
       const Vec B1 = T::load(B + KK * Ldb + J + W);
@@ -79,7 +79,7 @@ void gemmBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
     (..., (T::store(CRow[R] + J, Acc0[R]), T::store(CRow[R] + J + W, Acc1[R])));
   }
   for (; J + W <= N; J += W) {
-    Vec Acc[MR] = {(Accumulate ? T::load(CRow[R] + J) : T::zero())...};
+    Vec Acc[MR] = {(static_cast<void>(R), T::zero())...};
     for (int64_t KK = 0; KK < K; ++KK) {
       const Vec BV = T::load(B + KK * Ldb + J);
       (..., (Acc[R] = T::fma(T::set1(ARow[R][KK]), BV, Acc[R])));
@@ -87,7 +87,7 @@ void gemmBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
     (..., T::store(CRow[R] + J, Acc[R]));
   }
   for (; J < N; ++J) {
-    float Acc[MR] = {(Accumulate ? CRow[R][J] : 0.0f)...};
+    float Acc[MR] = {(static_cast<void>(R), 0.0f)...};
     for (int64_t KK = 0; KK < K; ++KK)
       (..., (Acc[R] = std::fma(ARow[R][KK], B[KK * Ldb + J], Acc[R])));
     (..., (CRow[R][J] = Acc[R]));
@@ -97,13 +97,12 @@ void gemmBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
 template <class T>
 void gemmRowRange(const float *A, int64_t Lda, const float *B, int64_t Ldb,
                   float *C, int64_t Ldc, int64_t K, int64_t N,
-                  int64_t RowBegin, int64_t RowEnd, bool Accumulate) {
+                  int64_t RowBegin, int64_t RowEnd) {
   int64_t I = RowBegin;
   for (; I + GemmRowBlock <= RowEnd; I += GemmRowBlock)
-    gemmBlock<T>(A, Lda, B, Ldb, C, Ldc, K, N, I, Accumulate,
-                 IndexPack<GemmRowBlock>{});
+    gemmBlock<T>(A, Lda, B, Ldb, C, Ldc, K, N, I, IndexPack<GemmRowBlock>{});
   for (; I < RowEnd; ++I)
-    gemmBlock<T>(A, Lda, B, Ldb, C, Ldc, K, N, I, Accumulate, IndexPack<1>{});
+    gemmBlock<T>(A, Lda, B, Ldb, C, Ldc, K, N, I, IndexPack<1>{});
 }
 
 //===----------------------------------------------------------------------===//
@@ -233,50 +232,39 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
 }
 
 //===----------------------------------------------------------------------===//
-// Fused sum-reduction g-SpMM
+// SpMM, weighted or unweighted
 //===----------------------------------------------------------------------===//
 
 /// Vector registers one output row accumulates in at a time.
 constexpr int SpmmRowVectors = 8;
 
-/// What one nonzero adds to an output element. An unweighted Mul combine is
-/// a plain sum (x * 1 == x), so it shares the Sum step.
-enum class SpmmStep { Sum, Mul, Add };
-
-/// The value of nonzero \p K: through the value index when there is one,
-/// 1 for an unweighted matrix.
+/// The value of nonzero \p K of a weighted SpMM: through the value index
+/// when there is one.
 inline float spmmEdgeValue(const float *Vals, const int64_t *ValIdx,
                            int64_t K) {
-  return Vals ? Vals[ValIdx ? ValIdx[K] : K] : 1.0f;
+  return Vals[ValIdx ? ValIdx[K] : K];
 }
 
 /// Columns [0, NV * W) of one output row (\p B and \p Out already offset
 /// to the first column), NV = sizeof...(V): NV vector accumulators start at
-/// zero, take every nonzero [Begin, End) of the row in order, are scaled
-/// for a mean, and are stored once.
-template <class T, SpmmStep Step, int... V>
+/// zero, take every nonzero [Begin, End) of the row in order (an FMA by the
+/// edge value when \p Weighted, else a plain add) and are stored once.
+template <class T, bool Weighted, int... V>
 void spmmRowVectors(const int32_t *Cols, const float *Vals,
                     const int64_t *ValIdx, const float *B, int64_t Ldb,
-                    float *Out, int64_t Begin, int64_t End, bool Mean,
+                    float *Out, int64_t Begin, int64_t End,
                     std::integer_sequence<int, V...>) {
   using Vec = typename T::Vec;
   constexpr int64_t W = T::Width;
   Vec Acc[sizeof...(V)] = {(static_cast<void>(V), T::zero())...};
   for (int64_t K = Begin; K < End; ++K) {
     const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
-    if constexpr (Step == SpmmStep::Sum) {
-      (..., (Acc[V] = T::add(Acc[V], T::load(Src + V * W))));
-    } else {
+    if constexpr (Weighted) {
       const Vec EdgeV = T::set1(spmmEdgeValue(Vals, ValIdx, K));
-      if constexpr (Step == SpmmStep::Mul)
-        (..., (Acc[V] = T::fma(EdgeV, T::load(Src + V * W), Acc[V])));
-      else
-        (..., (Acc[V] = T::add(T::add(EdgeV, T::load(Src + V * W)), Acc[V])));
+      (..., (Acc[V] = T::fma(EdgeV, T::load(Src + V * W), Acc[V])));
+    } else {
+      (..., (Acc[V] = T::add(Acc[V], T::load(Src + V * W))));
     }
-  }
-  if (Mean && End > Begin) {
-    const Vec InvV = T::set1(1.0f / static_cast<float>(End - Begin));
-    (..., (Acc[V] = T::mul(InvV, Acc[V])));
   }
   (..., T::store(Out + V * W, Acc[V]));
 }
@@ -290,11 +278,10 @@ template <int NV, class Fn> void withIndexPack(int64_t Count, Fn &&F) {
   }
 }
 
-template <class T, SpmmStep Step>
+template <class T, bool Weighted>
 void spmmRows(const int64_t *Offsets, const int32_t *Cols, const float *Vals,
               const int64_t *ValIdx, const float *B, int64_t Ldb, float *Dst,
-              int64_t LdDst, int64_t N, bool Mean, int64_t RowBegin,
-              int64_t RowEnd) {
+              int64_t LdDst, int64_t N, int64_t RowBegin, int64_t RowEnd) {
   constexpr int64_t W = T::Width;
   constexpr int64_t Chunk = SpmmRowVectors * W;
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
@@ -302,8 +289,8 @@ void spmmRows(const int64_t *Offsets, const int32_t *Cols, const float *Vals,
     const int64_t Begin = Offsets[R];
     const int64_t End = Offsets[R + 1];
     auto Vectors = [&](int64_t J, auto Pack) {
-      spmmRowVectors<T, Step>(Cols, Vals, ValIdx, B + J, Ldb, Out + J, Begin,
-                              End, Mean, Pack);
+      spmmRowVectors<T, Weighted>(Cols, Vals, ValIdx, B + J, Ldb, Out + J,
+                                  Begin, End, Pack);
     };
     int64_t J = 0;
     for (; J + Chunk <= N; J += Chunk)
@@ -319,20 +306,14 @@ void spmmRows(const int64_t *Offsets, const int32_t *Cols, const float *Vals,
     std::fill(Out + J, Out + N, 0.0f);
     for (int64_t K = Begin; K < End; ++K) {
       const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
-      if constexpr (Step == SpmmStep::Sum) {
-        for (int64_t JJ = J; JJ < N; ++JJ)
-          Out[JJ] += Src[JJ];
-      } else {
+      if constexpr (Weighted) {
         const float Edge = spmmEdgeValue(Vals, ValIdx, K);
         for (int64_t JJ = J; JJ < N; ++JJ)
-          Out[JJ] = Step == SpmmStep::Mul ? std::fma(Edge, Src[JJ], Out[JJ])
-                                          : (Edge + Src[JJ]) + Out[JJ];
+          Out[JJ] = std::fma(Edge, Src[JJ], Out[JJ]);
+      } else {
+        for (int64_t JJ = J; JJ < N; ++JJ)
+          Out[JJ] += Src[JJ];
       }
-    }
-    if (Mean && End > Begin) {
-      const float Inv = 1.0f / static_cast<float>(End - Begin);
-      for (int64_t JJ = J; JJ < N; ++JJ)
-        Out[JJ] = Inv * Out[JJ];
     }
   }
 }
@@ -344,21 +325,17 @@ template <class T>
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
                   const float *Vals, const int64_t *ValIdx, const float *B,
                   int64_t Ldb, float *Dst, int64_t LdDst, int64_t N,
-                  SpmmCombine Combine, bool Mean, int64_t RowBegin,
-                  int64_t RowEnd) {
-  if (Combine == SpmmCombine::CopyRhs || (Combine == SpmmCombine::Mul && !Vals))
-    spmmRows<T, SpmmStep::Sum>(Offsets, Cols, Vals, ValIdx, B, Ldb, Dst,
-                               LdDst, N, Mean, RowBegin, RowEnd);
-  else if (Combine == SpmmCombine::Mul)
-    spmmRows<T, SpmmStep::Mul>(Offsets, Cols, Vals, ValIdx, B, Ldb, Dst,
-                               LdDst, N, Mean, RowBegin, RowEnd);
+                  int64_t RowBegin, int64_t RowEnd) {
+  if (Vals)
+    spmmRows<T, true>(Offsets, Cols, Vals, ValIdx, B, Ldb, Dst, LdDst, N,
+                      RowBegin, RowEnd);
   else
-    spmmRows<T, SpmmStep::Add>(Offsets, Cols, Vals, ValIdx, B, Ldb, Dst,
-                               LdDst, N, Mean, RowBegin, RowEnd);
+    spmmRows<T, false>(Offsets, Cols, Vals, ValIdx, B, Ldb, Dst, LdDst, N,
+                       RowBegin, RowEnd);
 }
 
 //===----------------------------------------------------------------------===//
-// Plus-times SDDMM (per-edge dot products)
+// SDDMM (per-edge dot products)
 //===----------------------------------------------------------------------===//
 
 /// Edges of one CSR row scored side by side. Each edge's dot product is a

@@ -19,11 +19,10 @@ std::string callExprOf(const CompositionPlan &Plan, const PlanStep &Step) {
   case StepOp::Gemm:
     return "kernels::gemm(" + Arg(0) + ", " + Arg(1) + ")";
   case StepOp::SpmmWeighted:
-    return "kernels::spmm(" + Arg(0) + ", " + Arg(1) +
-           ", Semiring::plusTimes())";
+    return "kernels::spmm(" + Arg(0) + ", " + Arg(0) + ".values(), " +
+           Arg(1) + ")";
   case StepOp::SpmmUnweighted:
-    return "kernels::spmm(" + Arg(0) + ", " + Arg(1) +
-           ", Semiring::plusCopy())";
+    return "kernels::spmm(" + Arg(0) + ", {}, " + Arg(1) + ")";
   case StepOp::SddmmScaleRow:
     return "kernels::scaleSparseRows(" + Arg(1) + ", " + Arg(0) + ")";
   case StepOp::SddmmScaleCol:
@@ -95,11 +94,11 @@ std::string intoCallExprOf(const PlanStep &Step,
   case StepOp::Gemm:
     return "kernels::gemmInto(" + Arg(0) + ", " + Arg(1) + ", " + Dst + ")";
   case StepOp::SpmmWeighted:
-    return "kernels::spmmInto(" + Arg(0) + ", " + Arg(1) +
-           ", Semiring::plusTimes(), " + Dst + ")";
+    return "kernels::spmmInto(" + Arg(0) + ", " + Arg(0) + ".values(), " +
+           Arg(1) + ", " + Dst + ")";
   case StepOp::SpmmUnweighted:
-    return "kernels::spmmInto(" + Arg(0) + ", " + Arg(1) +
-           ", Semiring::plusCopy(), " + Dst + ")";
+    return "kernels::spmmInto(" + Arg(0) + ", {}, " + Arg(1) + ", " + Dst +
+           ")";
   case StepOp::SddmmScaleRow:
     return "kernels::scaleSparseRowsInto(" + Arg(1) + ", " + Arg(0) + ", " +
            Vals + ")";

@@ -168,10 +168,7 @@ CsrMatrix &PlanWorkspace::sparseFor(int Id, const CsrMatrix &PatternSource) {
 // Executor
 //===----------------------------------------------------------------------===//
 
-Executor::Executor(HardwareModel Hw, int NumThreads) : Hw(std::move(Hw)) {
-  if (NumThreads > 0)
-    ThreadPool::get().setNumThreads(NumThreads);
-}
+Executor::Executor(HardwareModel Hw) : Hw(std::move(Hw)) {}
 
 double Executor::timeKernel(const PrimitiveDesc &Desc, const GraphStats &Stats,
                             FunctionRef<void()> Body) const {
@@ -454,7 +451,7 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
     Seconds = charge(StepIdx, [&] {
       const CsrMatrix &A = Op(0).sparse();
       const DenseMatrix &B = Op(1).dense();
-      kernels::spmmInto(A, B, Semiring::plusTimes(),
+      kernels::spmmInto(A, A.values(), B,
                         dstDense(Step.Result, A.rows(), B.cols()));
     });
     break;
@@ -462,8 +459,7 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
     Seconds = charge(StepIdx, [&] {
       const CsrMatrix &A = Op(0).sparse();
       const DenseMatrix &B = Op(1).dense();
-      kernels::spmmInto(A, B, Semiring::plusCopy(),
-                        dstDense(Step.Result, A.rows(), B.cols()));
+      kernels::spmmInto(A, {}, B, dstDense(Step.Result, A.rows(), B.cols()));
     });
     break;
   case StepOp::SddmmScaleRow:
@@ -813,11 +809,10 @@ void PlanInterpreter::backward(ExecResult &Result) {
                         S.cols(), X.cols(), 0, S.nnz()};
         Charge(OpId(1), D, [&] {
           DenseMatrix &DX = Partial(S.cols(), OutG.Dense.cols());
-          kernels::spmmCscTransposedInto(Csc, S.values(), OutG.Dense,
-                                         Step.Op == StepOp::SpmmWeighted
-                                             ? Semiring::plusTimes()
-                                             : Semiring::plusCopy(),
-                                         DX);
+          std::span<const float> Vals;
+          if (Step.Op == StepOp::SpmmWeighted)
+            Vals = S.values();
+          kernels::spmmCscTransposedInto(Csc, Vals, OutG.Dense, DX);
           AddDense(OpId(1), 1.0f, DX);
         });
       }
@@ -827,7 +822,7 @@ void PlanInterpreter::backward(ExecResult &Result) {
                         S.nnz()};
         Charge(OpId(0), D, [&] {
           std::vector<float> &DS = EdgePartial(static_cast<size_t>(S.nnz()));
-          kernels::sddmmInto(S, OutG.Dense, X, Semiring::plusTimes(), DS);
+          kernels::sddmmInto(S, OutG.Dense, X, DS);
           bool First;
           std::span<float> Acc = EdgeGrad(OpId(0), First);
           kernels::accumulateInto(1.0f, DS, Acc, First);

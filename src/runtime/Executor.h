@@ -255,11 +255,10 @@ private:
 /// Executes plans on one target platform.
 class Executor {
 public:
-  /// \p NumThreads > 0 reconfigures the shared kernel thread pool before
-  /// any kernel runs; 0 keeps the current configuration (GRANII_NUM_THREADS
-  /// or the hardware concurrency). Measured timings and the CPU hardware
-  /// model's NumCores both follow the pool size.
-  explicit Executor(HardwareModel Hw, int NumThreads = 0);
+  /// Kernels run on the shared thread pool as configured
+  /// (GRANII_NUM_THREADS or the hardware concurrency); measured timings and
+  /// the CPU hardware model's NumCores both follow the pool size.
+  explicit Executor(HardwareModel Hw);
 
   const HardwareModel &hardware() const { return Hw; }
 

@@ -172,7 +172,6 @@ RunResponse Session::run(bool WantOutput) {
   Resp.BackwardSeconds = Result.BackwardSeconds;
   Resp.PlanIndex = Sel.PlanIndex;
   Resp.UsedCostModels = Sel.UsedCostModels;
-  Resp.PlanCacheHit = PlanCacheHit;
   Resp.RunIndex = Runs;
   Span.setArg("plan", static_cast<double>(Sel.PlanIndex));
   Span.setArg("allocations", static_cast<double>(Resp.SteadyAllocations));
@@ -304,7 +303,6 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
 
   CompileResponse CompileInfo;
   PlanCache::Plans Compiled = resolvePlans(S->Model, Req, CompileInfo);
-  S->PlanCacheHit = CompileInfo.PlanCacheHit;
   if (Compile)
     *Compile = CompileInfo;
   // The session owns its own Optimizer built from the shared plan set (the
@@ -335,7 +333,8 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
 RunResponse Engine::run(const JobRequest &Req) {
   std::string Error;
   bool SessionHit = false;
-  std::shared_ptr<Session> S = session(Req, Error, &SessionHit);
+  CompileResponse Compile;
+  std::shared_ptr<Session> S = session(Req, Error, &SessionHit, &Compile);
   if (!S) {
     RunResponse Resp;
     Resp.Status.Ok = false;
@@ -346,6 +345,8 @@ RunResponse Engine::run(const JobRequest &Req) {
   // proceed concurrently and multiplex over the shared ThreadPool.
   RunResponse Resp = S->run(Req.WantOutput);
   Resp.SessionCacheHit = SessionHit;
+  // What this request's lookup saw: a warm session is a plan-cache hit.
+  Resp.PlanCacheHit = Compile.PlanCacheHit;
   return Resp;
 }
 

@@ -73,13 +73,14 @@ struct EngineStats {
 class Session {
 public:
   /// Executes one pass (forward, or forward+backward for training
-  /// sessions) and fills everything except the server-level counters of
-  /// \p Resp. The pass writes into the session's one ExecResult, reused
-  /// across runs, so a warm inference pass allocates, page-faults and
-  /// copies nothing; only \p WantOutput copies the output matrix into the
-  /// response. Warm calls (RunIndex > 1) report SteadyAllocations == 0 by
-  /// construction of the buffer arena; the counter is re-measured every
-  /// call rather than assumed.
+  /// sessions) and fills everything except the cache flags, which the
+  /// engine's lookup sets, and the server-level counters of \p Resp. The
+  /// pass writes into the session's one ExecResult, reused across runs, so
+  /// a warm inference pass allocates, page-faults and copies nothing; only
+  /// \p WantOutput copies the output matrix into the response. Warm calls
+  /// (RunIndex > 1) report SteadyAllocations == 0 by construction of the
+  /// buffer arena; the counter is re-measured every call rather than
+  /// assumed.
   RunResponse run(bool WantOutput);
 
   /// The request-level identity of this session (also its LRU key).
@@ -110,7 +111,6 @@ private:
   std::optional<Optimizer> Opt;
   LayerParams Params;
   Selection Sel;
-  bool PlanCacheHit = false;
 
   /// Serializes run() on this session, and with it Opt->execute(): the
   /// optimizer's workspace map, layout caches included, carries no lock of

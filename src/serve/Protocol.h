@@ -108,6 +108,8 @@ struct RunResponse {
   double BackwardSeconds = 0.0;
   uint64_t PlanIndex = 0;
   bool UsedCostModels = false;
+  /// This request's plan lookup hit: a warm session, or a cold one whose
+  /// model text the plan cache held.
   bool PlanCacheHit = false;
   bool SessionCacheHit = false; ///< reused a warm session (amortized path)
   /// Workspace allocation count of this run; 0 on every warm run is the

@@ -237,14 +237,21 @@ ReadStatus granii::serve::readFrame(int Fd, Frame &Out, std::string *Err) {
   if (!decodeFrameHeader(Header, Verb, Length, Err))
     return ReadStatus::Error;
   Out.Verb = Verb;
-  Out.Payload.assign(static_cast<size_t>(Length), 0);
-  if (Length == 0)
-    return ReadStatus::Ok;
-  Status = readAll(Fd, Out.Payload.data(), Out.Payload.size(), Err);
-  if (Status == ReadStatus::Eof) {
-    if (Err)
-      *Err = "connection closed before the frame payload";
-    return ReadStatus::Error;
+  Out.Payload.clear();
+  Out.Payload.reserve(Length);
+  while (Out.Payload.size() < Length) {
+    const size_t Done = Out.Payload.size();
+    Out.Payload.resize(Done + std::min(FrameReadChunkBytes, Length - Done));
+    Status = readAll(Fd, Out.Payload.data() + Done, Out.Payload.size() - Done,
+                     Err);
+    if (Status == ReadStatus::Eof) {
+      if (Err)
+        *Err = "connection closed after " + std::to_string(Done) + " of " +
+               std::to_string(Length) + " frame payload bytes";
+      return ReadStatus::Error;
+    }
+    if (Status != ReadStatus::Ok)
+      return Status;
   }
-  return Status;
+  return ReadStatus::Ok;
 }

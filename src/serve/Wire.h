@@ -134,6 +134,11 @@ bool decodeFrameHeader(std::span<const uint8_t> Header, uint16_t &Verb,
 /// mid-frame, IO failure).
 enum class ReadStatus { Ok, Eof, Error };
 
+/// Bytes of payload readFrame zero-extends its buffer by before each read:
+/// the header's length is only reserved, so resident memory tracks the
+/// bytes that arrive, not the bytes a header claims.
+inline constexpr size_t FrameReadChunkBytes = size_t{1} << 20;
+
 /// Reads one frame from \p Fd, validating its header with
 /// decodeFrameHeader.
 ReadStatus readFrame(int Fd, Frame &Out, std::string *Err = nullptr);

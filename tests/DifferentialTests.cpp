@@ -28,6 +28,7 @@
 #include "runtime/Executor.h"
 #include "support/Diag.h"
 #include "support/Rng.h"
+#include "support/ThreadPool.h"
 #include "verify/VerifyBuffers.h"
 
 #include <gtest/gtest.h>
@@ -43,6 +44,13 @@
 using namespace granii;
 
 namespace {
+
+/// A measured-CPU executor whose kernels run on \p Threads pool threads.
+/// The pool is shared, so the count holds until the next reconfiguration.
+Executor cpuExecutorAt(int Threads) {
+  ThreadPool::get().setNumThreads(Threads);
+  return Executor(HardwareModel::byName("cpu"));
+}
 
 //===----------------------------------------------------------------------===//
 // Naive dense reference (double accumulation, plain loops)
@@ -269,7 +277,7 @@ TEST(Differential, AllPathsAgreeOnRandomInstances) {
 
       // --- 1 thread ---------------------------------------------------
       // "Legacy" names the by-value run, which uses a fresh workspace.
-      Executor E1(HardwareModel::byName("cpu"), /*NumThreads=*/1);
+      Executor E1 = cpuExecutorAt(1);
       DenseMatrix Legacy1 =
           E1.run(Plan, Params.inputs(), Params.Stats).Output;
 
@@ -291,7 +299,7 @@ TEST(Differential, AllPathsAgreeOnRandomInstances) {
           << "arena output differs from legacy";
 
       // --- 4 threads --------------------------------------------------
-      Executor E4(HardwareModel::byName("cpu"), /*NumThreads=*/4);
+      Executor E4 = cpuExecutorAt(4);
       DenseMatrix Legacy4 =
           E4.run(Plan, Params.inputs(), Params.Stats).Output;
       // Row-parallel kernels never split one row's reduction, so thread
@@ -401,10 +409,10 @@ TEST(Differential, IsaLevelsAgreeAndStayThreadDeterministic) {
       SCOPED_TRACE(kernels::isaLevelName(Level));
       ASSERT_TRUE(kernels::setIsaLevel(Level));
 
-      Executor E1(HardwareModel::byName("cpu"), /*NumThreads=*/1);
+      Executor E1 = cpuExecutorAt(1);
       DenseMatrix Out1 = E1.run(Plan, Params.inputs(), Params.Stats).Output;
       TrainingOutcome Train1 = trainOnce(E1, Plan, Params);
-      Executor E4(HardwareModel::byName("cpu"), /*NumThreads=*/4);
+      Executor E4 = cpuExecutorAt(4);
       DenseMatrix Out4 = E4.run(Plan, Params.inputs(), Params.Stats).Output;
       TrainingOutcome Train4 = trainOnce(E4, Plan, Params);
       EXPECT_EQ(Out4.maxAbsDiff(Out1), 0.0f)
@@ -442,7 +450,7 @@ TEST(Differential, NonePolicyIsBitwiseBaseline) {
   std::vector<CompositionPlan> Plans = survivingPlans(M);
   ASSERT_FALSE(Plans.empty());
   DimBinding Binding = Params.inputs().binding(&Plans[0]);
-  Executor Exec(HardwareModel::byName("cpu"), /*NumThreads=*/2);
+  Executor Exec = cpuExecutorAt(2);
   PlanWorkspace A, B;
   A.configure(Plans[0], Binding, false);
   B.configure(Plans[0], Binding, false);
@@ -482,7 +490,7 @@ TEST(Differential, ReusedResultKeepsItsOutputBufferAndBytes) {
     std::vector<CompositionPlan> Plans = survivingPlans(M);
     ASSERT_FALSE(Plans.empty());
     const CompositionPlan &Plan = Plans[I % Plans.size()];
-    Executor Exec(HardwareModel::byName("cpu"), /*NumThreads=*/2);
+    Executor Exec = cpuExecutorAt(2);
     for (bool Training : {false, true}) {
       SCOPED_TRACE(Training ? "training" : "inference");
       ExecResult Want =
@@ -565,7 +573,7 @@ void expectBitwiseSameResult(const ExecResult &Got, const ExecResult &Want) {
 TEST(Differential, ReboundWorkspaceMatchesAFreshOne) {
   const Graph GA = makeRmat(220, 1400, 0.55, 0.2, 0.15, 42);
   const Graph GB = makeRmat(220, 1400, 0.55, 0.2, 0.15, 43);
-  Executor Exec(HardwareModel::byName("cpu"), /*NumThreads=*/2);
+  Executor Exec = cpuExecutorAt(2);
   for (ModelKind Kind : {ModelKind::GCN, ModelKind::GAT, ModelKind::SAGE}) {
     SCOPED_TRACE(modelName(Kind));
     GnnModel M = makeModel(Kind);
@@ -626,7 +634,7 @@ TEST(Differential, ReboundWorkspaceMatchesAFreshOne) {
 TEST(Differential, InPlaceAdjacencyEditRebuildsTheLayout) {
   const Graph G = makeRmat(220, 1400, 0.55, 0.2, 0.15, 42);
   const Graph Other = makeRmat(220, 1400, 0.55, 0.2, 0.15, 43);
-  Executor Exec(HardwareModel::byName("cpu"), /*NumThreads=*/2);
+  Executor Exec = cpuExecutorAt(2);
   for (ModelKind Kind : {ModelKind::GCN, ModelKind::GAT, ModelKind::SAGE}) {
     SCOPED_TRACE(modelName(Kind));
     GnnModel M = makeModel(Kind);

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "graph/Generators.h"
+#include "kernels/Dispatch.h"
 #include "kernels/Kernels.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
@@ -39,6 +40,19 @@ CsrMatrix randomSparse(int64_t Rows, int64_t Cols, int64_t Entries,
             static_cast<int64_t>(R.nextBelow(static_cast<uint64_t>(Cols))),
             R.nextFloat(0.1f, 1.0f));
   return Coo.toCsr(!Weighted);
+}
+
+/// A^T * B and A * B^T through the destination-passing kernels.
+DenseMatrix gemmTLhs(const DenseMatrix &A, const DenseMatrix &B) {
+  DenseMatrix C(A.cols(), B.cols());
+  kernels::gemmTransposedLhsInto(A, B, C);
+  return C;
+}
+
+DenseMatrix gemmTRhs(const DenseMatrix &A, const DenseMatrix &B) {
+  DenseMatrix C(A.rows(), B.rows());
+  kernels::gemmTransposedRhsInto(A, B, C);
+  return C;
 }
 
 /// Reference dense matmul with double accumulation.
@@ -78,8 +92,7 @@ TEST_P(GemmShapes, TransposedLhsMatchesExplicitTranspose) {
   DenseMatrix A = randomDense(K, M, 31 + M); // A^T is M x K
   DenseMatrix B = randomDense(K, N, 32 + N);
   DenseMatrix Expected = refGemm(A.transposed(), B);
-  EXPECT_TRUE(
-      kernels::gemmTransposedLhs(A, B).approxEquals(Expected, 1e-3f, 1e-3f));
+  EXPECT_TRUE(gemmTLhs(A, B).approxEquals(Expected, 1e-3f, 1e-3f));
 }
 
 TEST_P(GemmShapes, TransposedRhsMatchesExplicitTranspose) {
@@ -87,8 +100,7 @@ TEST_P(GemmShapes, TransposedRhsMatchesExplicitTranspose) {
   DenseMatrix A = randomDense(M, K, 41 + M);
   DenseMatrix B = randomDense(N, K, 42 + N); // B^T is K x N
   DenseMatrix Expected = refGemm(A, B.transposed());
-  EXPECT_TRUE(
-      kernels::gemmTransposedRhs(A, B).approxEquals(Expected, 1e-3f, 1e-3f));
+  EXPECT_TRUE(gemmTRhs(A, B).approxEquals(Expected, 1e-3f, 1e-3f));
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmShapes,
@@ -98,18 +110,6 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemmShapes,
                                            GemmShape{7, 33, 12},
                                            GemmShape{40, 1, 9},
                                            GemmShape{1, 64, 1}));
-
-TEST(Gemm, AccumulateAddsIntoExisting) {
-  DenseMatrix A = randomDense(4, 3, 7);
-  DenseMatrix B = randomDense(3, 5, 8);
-  DenseMatrix C(4, 5);
-  C.fill(1.0f);
-  kernels::gemmAccumulate(A, B, C);
-  DenseMatrix Expected = refGemm(A, B);
-  for (int64_t I = 0; I < 4; ++I)
-    for (int64_t J = 0; J < 5; ++J)
-      EXPECT_NEAR(C.at(I, J), Expected.at(I, J) + 1.0f, 1e-3f);
-}
 
 TEST(Gemv, MatchesGemmWithSingleColumn) {
   DenseMatrix A = randomDense(9, 6, 50);
@@ -185,15 +185,6 @@ TEST(Elementwise, ReluClampsNegatives) {
   EXPECT_FLOAT_EQ(R.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(R.at(0, 1), 2.0f);
   EXPECT_FLOAT_EQ(R.at(0, 3), 0.0f);
-}
-
-TEST(Elementwise, LeakyReluSlope) {
-  DenseMatrix A(1, 2);
-  A.at(0, 0) = -10.0f;
-  A.at(0, 1) = 10.0f;
-  DenseMatrix R = kernels::leakyRelu(A, 0.1f);
-  EXPECT_FLOAT_EQ(R.at(0, 0), -1.0f);
-  EXPECT_FLOAT_EQ(R.at(0, 1), 10.0f);
 }
 
 TEST(Elementwise, ReluBackwardMasks) {
@@ -370,16 +361,35 @@ TEST_P(SpmmCases, WeightedMatchesDenseReference) {
   CsrMatrix A = randomSparse(N, N, Entries, Seed, /*Weighted=*/true);
   DenseMatrix B = randomDense(N, K, Seed + 1);
   DenseMatrix Expected = refGemm(A.toDense(), B);
-  EXPECT_TRUE(kernels::spmm(A, B).approxEquals(Expected, 1e-3f, 1e-3f));
+  EXPECT_TRUE(
+      kernels::spmm(A, A.values(), B).approxEquals(Expected, 1e-3f, 1e-3f));
 }
 
+// The unweighted SpMM of a weighted matrix reads none of its values: at
+// every ISA level it is bit for bit the SpMM of the pattern-only copy.
 TEST_P(SpmmCases, UnweightedIgnoresValues) {
   auto [N, K, Entries, Seed] = GetParam();
-  CsrMatrix A = randomSparse(N, N, Entries, Seed, /*Weighted=*/false);
-  DenseMatrix B = randomDense(N, K, Seed + 2);
-  DenseMatrix Expected = refGemm(A.toDense(), B);
-  DenseMatrix Got = kernels::spmm(A, B, Semiring::plusCopy());
-  EXPECT_TRUE(Got.approxEquals(Expected, 1e-3f, 1e-3f));
+  const CsrMatrix A = randomSparse(N, N, Entries, Seed, /*Weighted=*/true);
+  ASSERT_FALSE(A.values().empty());
+  CsrMatrix Pattern = A;
+  Pattern.clearValues();
+  const DenseMatrix B = randomDense(N, K, Seed + 2);
+  const DenseMatrix Expected = refGemm(Pattern.toDense(), B);
+  struct IsaLevelGuard {
+    kernels::IsaLevel Entry = kernels::activeIsaLevel();
+    ~IsaLevelGuard() { kernels::setIsaLevel(Entry); }
+  } Guard;
+  for (kernels::IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    ASSERT_TRUE(kernels::setIsaLevel(Level));
+    const DenseMatrix Got = kernels::spmm(A, {}, B);
+    const DenseMatrix Want = kernels::spmm(Pattern, Pattern.values(), B);
+    ASSERT_EQ(Got.size(), Want.size());
+    EXPECT_EQ(std::memcmp(Got.data(), Want.data(),
+                          static_cast<size_t>(Got.size()) * sizeof(float)),
+              0);
+    EXPECT_TRUE(Got.approxEquals(Expected, 1e-3f, 1e-3f));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, SpmmCases,
@@ -388,32 +398,6 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SpmmCases,
                                            SpmmCase{64, 16, 400, 300},
                                            SpmmCase{10, 1, 15, 400},
                                            SpmmCase{1, 4, 1, 500}));
-
-TEST(Spmm, MaxSemiringTakesRowMax) {
-  CooMatrix Coo(2, 3);
-  Coo.add(0, 0);
-  Coo.add(0, 2);
-  CsrMatrix A = Coo.toCsr();
-  DenseMatrix B(3, 1);
-  B.at(0, 0) = 1.0f;
-  B.at(1, 0) = 99.0f; // Not a neighbor; must not appear.
-  B.at(2, 0) = 7.0f;
-  DenseMatrix Out = kernels::spmm(A, B, Semiring::maxCopy());
-  EXPECT_FLOAT_EQ(Out.at(0, 0), 7.0f);
-  EXPECT_FLOAT_EQ(Out.at(1, 0), 0.0f); // Empty row stays zero.
-}
-
-TEST(Spmm, MeanSemiringAverages) {
-  CooMatrix Coo(1, 2);
-  Coo.add(0, 0);
-  Coo.add(0, 1);
-  CsrMatrix A = Coo.toCsr();
-  DenseMatrix B(2, 1);
-  B.at(0, 0) = 2.0f;
-  B.at(1, 0) = 4.0f;
-  DenseMatrix Out = kernels::spmm(A, B, Semiring::meanCopy());
-  EXPECT_FLOAT_EQ(Out.at(0, 0), 3.0f);
-}
 
 TEST(Sddmm, DotMatchesDense) {
   CsrMatrix Mask = randomSparse(8, 8, 20, 600, false);
@@ -600,7 +584,11 @@ TEST(KernelChecks, GemmInnerDimMismatchDies) {
 TEST(KernelChecks, SpmmDimMismatchDies) {
   CsrMatrix A = randomSparse(8, 8, 20, 72, true);
   DenseMatrix B = randomDense(9, 4, 73); // 8 cols vs 9 rows
-  EXPECT_DEATH(kernels::spmm(A, B), "spmm dimension mismatch");
+  EXPECT_DEATH(kernels::spmm(A, A.values(), B), "spmm dimension mismatch");
+  DenseMatrix Rows8 = randomDense(8, 4, 73);
+  std::vector<float> Short(static_cast<size_t>(A.nnz() - 1), 1.0f);
+  EXPECT_DEATH(kernels::spmm(A, Short, Rows8),
+               "spmm edge value count mismatch");
 }
 
 TEST(KernelChecks, SpmmCscTransposedShapeMismatchDies) {
@@ -611,17 +599,15 @@ TEST(KernelChecks, SpmmCscTransposedShapeMismatchDies) {
   CscMatrix Csc = CscMatrix::fromCsr(A);
   DenseMatrix Dst(6, 4);
   DenseMatrix WrongRows(9, 4); // A^T (x) B needs A.rows() == B.rows()
-  EXPECT_DEATH(kernels::spmmCscTransposedInto(Csc, A.values(), WrongRows,
-                                              Semiring::plusTimes(), Dst),
-               "spmm_csc_t dimension mismatch");
+  EXPECT_DEATH(
+      kernels::spmmCscTransposedInto(Csc, A.values(), WrongRows, Dst),
+      "spmm_csc_t dimension mismatch");
   DenseMatrix B(10, 4);
   DenseMatrix WrongDst(10, 4); // must be A.cols() x B.cols()
-  EXPECT_DEATH(kernels::spmmCscTransposedInto(Csc, A.values(), B,
-                                              Semiring::plusTimes(), WrongDst),
+  EXPECT_DEATH(kernels::spmmCscTransposedInto(Csc, A.values(), B, WrongDst),
                "spmm_csc_t destination shape mismatch");
   std::vector<float> Short(static_cast<size_t>(A.nnz() - 1), 1.0f);
-  EXPECT_DEATH(kernels::spmmCscTransposedInto(Csc, Short, B,
-                                              Semiring::plusTimes(), Dst),
+  EXPECT_DEATH(kernels::spmmCscTransposedInto(Csc, Short, B, Dst),
                "spmm_csc_t edge value count mismatch");
 }
 
@@ -637,7 +623,7 @@ TEST(KernelChecks, SpmmIntoWrongDstShapeDies) {
   CsrMatrix A = randomSparse(8, 8, 20, 76, true);
   DenseMatrix B = randomDense(8, 4, 77);
   DenseMatrix Dst(7, 4); // should be 8 x 4
-  EXPECT_DEATH(kernels::spmmInto(A, B, Semiring::plusTimes(), Dst),
+  EXPECT_DEATH(kernels::spmmInto(A, A.values(), B, Dst),
                "spmm destination shape mismatch");
 }
 
@@ -683,12 +669,11 @@ void expectBitwiseEqual(std::span<const float> A, std::span<const float> B) {
 TEST(Determinism, SpmmUnweightedBitwiseIdenticalAcrossThreadCounts) {
   const Graph &G = skewedGraph();
   DenseMatrix H = randomDense(G.numNodes(), 48, 81);
-  DenseMatrix One = withThreads(
-      1, [&] { return kernels::spmm(G.adjacency(), H, Semiring::plusCopy()); });
+  DenseMatrix One =
+      withThreads(1, [&] { return kernels::spmm(G.adjacency(), {}, H); });
   for (int Threads : {2, 3, 8}) {
-    DenseMatrix Many = withThreads(Threads, [&] {
-      return kernels::spmm(G.adjacency(), H, Semiring::plusCopy());
-    });
+    DenseMatrix Many = withThreads(
+        Threads, [&] { return kernels::spmm(G.adjacency(), {}, H); });
     expectBitwiseEqual(One, Many);
   }
 }
@@ -702,8 +687,10 @@ TEST(Determinism, SpmmWeightedBitwiseIdenticalAcrossThreadCounts) {
     V = R.nextFloat(0.1f, 1.0f);
   A.setValues(std::move(Vals));
   DenseMatrix H = randomDense(G.numNodes(), 48, 83);
-  DenseMatrix One = withThreads(1, [&] { return kernels::spmm(A, H); });
-  DenseMatrix Eight = withThreads(8, [&] { return kernels::spmm(A, H); });
+  DenseMatrix One =
+      withThreads(1, [&] { return kernels::spmm(A, A.values(), H); });
+  DenseMatrix Eight =
+      withThreads(8, [&] { return kernels::spmm(A, A.values(), H); });
   expectBitwiseEqual(One, Eight);
 }
 
@@ -713,12 +700,10 @@ TEST(Determinism, GemmFamilyBitwiseIdenticalAcrossThreadCounts) {
   expectBitwiseEqual(withThreads(1, [&] { return kernels::gemm(A, B); }),
                      withThreads(8, [&] { return kernels::gemm(A, B); }));
   DenseMatrix At = randomDense(300, 64, 86); // A^T*B over shared dim 300
-  expectBitwiseEqual(
-      withThreads(1, [&] { return kernels::gemmTransposedLhs(At, A); }),
-      withThreads(8, [&] { return kernels::gemmTransposedLhs(At, A); }));
-  expectBitwiseEqual(
-      withThreads(1, [&] { return kernels::gemmTransposedRhs(A, At); }),
-      withThreads(8, [&] { return kernels::gemmTransposedRhs(A, At); }));
+  expectBitwiseEqual(withThreads(1, [&] { return gemmTLhs(At, A); }),
+                     withThreads(8, [&] { return gemmTLhs(At, A); }));
+  expectBitwiseEqual(withThreads(1, [&] { return gemmTRhs(A, At); }),
+                     withThreads(8, [&] { return gemmTRhs(A, At); }));
 }
 
 TEST(Determinism, SddmmBitwiseIdenticalAcrossThreadCounts) {

@@ -210,6 +210,34 @@ TEST(Wire, BadMagicAndTruncatedFrameAreErrors) {
   }
 }
 
+// A header alone claims no memory: the payload buffer grows with the bytes
+// that arrive, one chunk at a time, not with the length the header states.
+TEST(Wire, FrameHeaderAloneClaimsNoPayloadMemory) {
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  const uint32_t Claimed = 256u << 20;
+  ASSERT_LE(Claimed, MaxPayloadBytes);
+  WireWriter Header;
+  Header.putU32(FrameMagic);
+  Header.putU16(ProtocolVersion);
+  Header.putU16(2);
+  Header.putU32(Claimed);
+  const uint8_t Body[16] = {1, 2, 3};
+  ASSERT_EQ(::write(Fds[1], Header.bytes().data(), Header.bytes().size()),
+            static_cast<ssize_t>(Header.bytes().size()));
+  ASSERT_EQ(::write(Fds[1], Body, sizeof(Body)),
+            static_cast<ssize_t>(sizeof(Body)));
+  ::close(Fds[1]);
+  Frame F;
+  std::string Err;
+  EXPECT_EQ(readFrame(Fds[0], F, &Err), ReadStatus::Error);
+  EXPECT_FALSE(Err.empty());
+  EXPECT_LE(F.Payload.size(), sizeof(Body) + FrameReadChunkBytes)
+      << "a " << Claimed << "-byte header grew the payload buffer to "
+      << F.Payload.size() << " bytes after " << sizeof(Body) << " arrived";
+  ::close(Fds[0]);
+}
+
 //===----------------------------------------------------------------------===//
 // Protocol messages
 //===----------------------------------------------------------------------===//
@@ -529,6 +557,29 @@ TEST(Engine, CompileVerbPopulatesPlanCacheForLaterRuns) {
   RunResponse Run = Eng.run(Req);
   ASSERT_TRUE(Run.Status.Ok) << Run.Status.Error;
   EXPECT_TRUE(Run.PlanCacheHit);
+}
+
+// Each run response reports its own request's plan lookup: the cold run
+// compiles the model (a miss), the warm run reuses its session (a hit, as
+// session() tells Compile), and a new session of the cached model is a hit.
+TEST(Engine, WarmRunReportsAPlanCacheHit) {
+  Engine Eng;
+  JobRequest Req = smallRequest(false);
+  RunResponse Cold = Eng.run(Req);
+  ASSERT_TRUE(Cold.Status.Ok) << Cold.Status.Error;
+  EXPECT_FALSE(Cold.SessionCacheHit);
+  EXPECT_FALSE(Cold.PlanCacheHit);
+
+  RunResponse Warm = Eng.run(Req);
+  ASSERT_TRUE(Warm.Status.Ok) << Warm.Status.Error;
+  EXPECT_TRUE(Warm.SessionCacheHit);
+  EXPECT_TRUE(Warm.PlanCacheHit);
+
+  Req.KOut = 6;
+  RunResponse Resized = Eng.run(Req);
+  ASSERT_TRUE(Resized.Status.Ok) << Resized.Status.Error;
+  EXPECT_FALSE(Resized.SessionCacheHit);
+  EXPECT_TRUE(Resized.PlanCacheHit);
 }
 
 // CSR is the only format: the request field accepts "csr" or empty and

@@ -57,6 +57,19 @@ CsrMatrix randomSparse(int64_t Rows, int64_t Cols, int64_t Entries,
   return Coo.toCsr(!Weighted);
 }
 
+/// A^T * B and A * B^T through the destination-passing kernels.
+DenseMatrix gemmTLhs(const DenseMatrix &A, const DenseMatrix &B) {
+  DenseMatrix C(A.cols(), B.cols());
+  kernels::gemmTransposedLhsInto(A, B, C);
+  return C;
+}
+
+DenseMatrix gemmTRhs(const DenseMatrix &A, const DenseMatrix &B) {
+  DenseMatrix C(A.rows(), B.rows());
+  kernels::gemmTransposedRhsInto(A, B, C);
+  return C;
+}
+
 void expectApproxEqual(const DenseMatrix &Got, const DenseMatrix &Want,
                        float Tol, const std::string &What) {
   EXPECT_TRUE(Got.approxEquals(Want, Tol, Tol))
@@ -224,17 +237,15 @@ TEST(CrossIsa, GemmFamilyAgreesWithScalarLevel) {
 
   ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Scalar));
   DenseMatrix RefGemm = kernels::gemm(A, B);
-  DenseMatrix RefTLhs = kernels::gemmTransposedLhs(At, B);
-  DenseMatrix RefTRhs = kernels::gemmTransposedRhs(A, Bt);
+  DenseMatrix RefTLhs = gemmTLhs(At, B);
+  DenseMatrix RefTRhs = gemmTRhs(A, Bt);
 
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
     expectApproxEqual(kernels::gemm(A, B), RefGemm, 1e-5f, "gemm");
-    expectApproxEqual(kernels::gemmTransposedLhs(At, B), RefTLhs, 1e-5f,
-                      "gemmTransposedLhs");
-    expectApproxEqual(kernels::gemmTransposedRhs(A, Bt), RefTRhs, 1e-5f,
-                      "gemmTransposedRhs");
+    expectApproxEqual(gemmTLhs(At, B), RefTLhs, 1e-5f, "gemmTransposedLhs");
+    expectApproxEqual(gemmTRhs(A, Bt), RefTRhs, 1e-5f, "gemmTransposedRhs");
   }
 }
 
@@ -245,16 +256,16 @@ TEST(CrossIsa, SpmmAgreesWithScalarLevel) {
   DenseMatrix B = randomDense(60, 33, 23);
 
   ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Scalar));
-  DenseMatrix RefW = kernels::spmm(Weighted, B, Semiring::plusTimes());
-  DenseMatrix RefU = kernels::spmm(Unweighted, B, Semiring::plusCopy());
+  DenseMatrix RefW = kernels::spmm(Weighted, Weighted.values(), B);
+  DenseMatrix RefU = kernels::spmm(Unweighted, {}, B);
 
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
-    expectApproxEqual(kernels::spmm(Weighted, B, Semiring::plusTimes()),
-                      RefW, 1e-5f, "weighted spmm");
-    expectApproxEqual(kernels::spmm(Unweighted, B, Semiring::plusCopy()),
-                      RefU, 1e-5f, "unweighted spmm");
+    expectApproxEqual(kernels::spmm(Weighted, Weighted.values(), B), RefW,
+                      1e-5f, "weighted spmm");
+    expectApproxEqual(kernels::spmm(Unweighted, {}, B), RefU, 1e-5f,
+                      "unweighted spmm");
   }
 }
 
@@ -337,9 +348,9 @@ TEST(CrossIsa, WithinLevelResultsAreThreadCountInvariant) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
     ThreadPool::get().setNumThreads(1);
-    DenseMatrix One = kernels::spmm(A, H, Semiring::plusTimes());
+    DenseMatrix One = kernels::spmm(A, A.values(), H);
     ThreadPool::get().setNumThreads(4);
-    DenseMatrix Four = kernels::spmm(A, H, Semiring::plusTimes());
+    DenseMatrix Four = kernels::spmm(A, A.values(), H);
     EXPECT_EQ(Four.maxAbsDiff(One), 0.0f)
         << "thread count changed spmm output";
   }
@@ -360,8 +371,6 @@ TEST(CrossIsa, WithinLevelResultsAreThreadCountInvariant) {
 
 namespace {
 
-using kernels::SpmmCombine;
-
 /// Uniform floats in [-1, 1), every 7th one exactly zero so the scalar
 /// table's zero-multiplier skip is exercised.
 std::vector<float> randomFloats(size_t Count, uint64_t Seed) {
@@ -379,26 +388,15 @@ float gemmStep(IsaLevel Level, float A, float B, float Acc) {
   return A == 0.0f ? Acc : Acc + A * B;
 }
 
-/// One nonzero's step of the fused SpMM at \p Level.
-float spmmStep(IsaLevel Level, SpmmCombine Combine, bool Weighted, float Edge,
-               float Src, float Acc) {
-  if (Level == IsaLevel::Scalar) {
-    if (Combine == SpmmCombine::CopyRhs)
-      return Acc + Src;
-    if (Combine == SpmmCombine::Mul)
-      return Acc + Edge * Src;
-    return Acc + (Edge + Src);
-  }
-  if (Combine == SpmmCombine::CopyRhs ||
-      (Combine == SpmmCombine::Mul && !Weighted))
+/// One nonzero's step of the SpMM at \p Level: a plain add when
+/// unweighted, else the edge value times the source element added in (an
+/// FMA on the SIMD levels).
+float spmmStep(IsaLevel Level, bool Weighted, float Edge, float Src,
+               float Acc) {
+  if (!Weighted)
     return Acc + Src;
-  if (Combine == SpmmCombine::Mul)
-    return std::fma(Edge, Src, Acc);
-  return (Edge + Src) + Acc;
-}
-
-float meanStep(IsaLevel Level, float Inv, float Acc) {
-  return Level == IsaLevel::Scalar ? Acc * Inv : Inv * Acc;
+  return Level == IsaLevel::Scalar ? Acc + Edge * Src
+                                   : std::fma(Edge, Src, Acc);
 }
 
 void expectSameBits(const std::vector<float> &Got,
@@ -453,25 +451,22 @@ TEST(ReductionOrder, GemmRowRangeIsOneChainPerElement) {
       const int64_t Ldb = N + 5, Ldc = N + 7;
       const std::vector<float> A = randomFloats(M * Lda, 101);
       const std::vector<float> B = randomFloats(K * Ldb, 102);
+      // Stale destination contents must not leak into any element.
       const std::vector<float> Init = randomFloats(M * Ldc, 103);
-      for (bool Accumulate : {false, true}) {
-        std::vector<float> Got = Init;
-        Ops.GemmRowRange(A.data(), Lda, B.data(), Ldb, Got.data(), Ldc, K, N,
-                         0, 6, Accumulate);
-        Ops.GemmRowRange(A.data(), Lda, B.data(), Ldb, Got.data(), Ldc, K, N,
-                         6, M, Accumulate);
-        std::vector<float> Want = Init;
-        for (int64_t I = 0; I < M; ++I)
-          for (int64_t J = 0; J < N; ++J) {
-            float Acc = Accumulate ? Init[I * Ldc + J] : 0.0f;
-            for (int64_t KK = 0; KK < K; ++KK)
-              Acc = gemmStep(Level, A[I * Lda + KK], B[KK * Ldb + J], Acc);
-            Want[I * Ldc + J] = Acc;
-          }
-        expectSameBits(Got, Want,
-                       "gemm N=" + std::to_string(N) +
-                           (Accumulate ? " accumulate" : " overwrite"));
-      }
+      std::vector<float> Got = Init;
+      Ops.GemmRowRange(A.data(), Lda, B.data(), Ldb, Got.data(), Ldc, K, N, 0,
+                       6);
+      Ops.GemmRowRange(A.data(), Lda, B.data(), Ldb, Got.data(), Ldc, K, N, 6,
+                       M);
+      std::vector<float> Want = Init;
+      for (int64_t I = 0; I < M; ++I)
+        for (int64_t J = 0; J < N; ++J) {
+          float Acc = 0.0f;
+          for (int64_t KK = 0; KK < K; ++KK)
+            Acc = gemmStep(Level, A[I * Lda + KK], B[KK * Ldb + J], Acc);
+          Want[I * Ldc + J] = Acc;
+        }
+      expectSameBits(Got, Want, "gemm N=" + std::to_string(N));
     }
   }
 }
@@ -507,16 +502,6 @@ TEST(ReductionOrder, GemmTLhsRowRangeCarriesChainsAcrossWindows) {
 
 TEST(ReductionOrder, SpmmRowRangeIsOneChainPerElement) {
   const SparseFixture A(40, 50, 301);
-  struct Case {
-    SpmmCombine Combine;
-    bool Weighted;
-    const char *Name;
-  };
-  const Case Cases[] = {{SpmmCombine::CopyRhs, false, "copy_rhs"},
-                        {SpmmCombine::Mul, true, "mul"},
-                        {SpmmCombine::Mul, false, "mul unweighted"},
-                        {SpmmCombine::Add, true, "add"},
-                        {SpmmCombine::Add, false, "add unweighted"}};
   // Row widths: under one vector, several vectors plus a tail, and more
   // than one register chunk plus a tail.
   const int64_t Widths[] = {13, 29, 141};
@@ -527,40 +512,33 @@ TEST(ReductionOrder, SpmmRowRangeIsOneChainPerElement) {
     for (const int64_t Width : Widths) {
       const int64_t Ldb = Width + 3, LdDst = Width + 2;
       const std::vector<float> B = randomFloats(50 * Ldb, 302);
-      for (const Case &C : Cases)
-        for (bool Mean : {false, true})
-          for (bool Indexed : {false, true}) {
-            const float *Vals = C.Weighted ? A.Vals.data() : nullptr;
-            const int64_t *ValIdx = Indexed ? A.ValIdx.data() : nullptr;
-            std::vector<float> Got(static_cast<size_t>(A.rows() * LdDst),
-                                   Sentinel);
-            for (auto [RowBegin, RowEnd] :
-                 {std::pair<int64_t, int64_t>{0, 17}, {17, A.rows()}})
-              Ops.SpmmRowRange(A.Offsets.data(), A.Cols.data(), Vals, ValIdx,
-                               B.data(), Ldb, Got.data(), LdDst, Width,
-                               C.Combine, Mean, RowBegin, RowEnd);
-            std::vector<float> Want(Got.size(), Sentinel);
-            for (int64_t R = 0; R < A.rows(); ++R) {
-              const int64_t Begin = A.Offsets[R], End = A.Offsets[R + 1];
-              for (int64_t J = 0; J < Width; ++J) {
-                float Acc = 0.0f;
-                for (int64_t K = Begin; K < End; ++K) {
-                  const float Edge =
-                      Vals ? Vals[ValIdx ? ValIdx[K] : K] : 1.0f;
-                  Acc = spmmStep(Level, C.Combine, C.Weighted, Edge,
-                                 B[A.Cols[K] * Ldb + J], Acc);
-                }
-                if (Mean && End > Begin)
-                  Acc = meanStep(Level, 1.0f / static_cast<float>(End - Begin),
-                                 Acc);
-                Want[R * LdDst + J] = Acc;
+      for (bool Weighted : {false, true})
+        for (bool Indexed : {false, true}) {
+          const float *Vals = Weighted ? A.Vals.data() : nullptr;
+          const int64_t *ValIdx = Indexed ? A.ValIdx.data() : nullptr;
+          std::vector<float> Got(static_cast<size_t>(A.rows() * LdDst),
+                                 Sentinel);
+          for (auto [RowBegin, RowEnd] :
+               {std::pair<int64_t, int64_t>{0, 17}, {17, A.rows()}})
+            Ops.SpmmRowRange(A.Offsets.data(), A.Cols.data(), Vals, ValIdx,
+                             B.data(), Ldb, Got.data(), LdDst, Width,
+                             RowBegin, RowEnd);
+          std::vector<float> Want(Got.size(), Sentinel);
+          for (int64_t R = 0; R < A.rows(); ++R)
+            for (int64_t J = 0; J < Width; ++J) {
+              float Acc = 0.0f;
+              for (int64_t K = A.Offsets[R]; K < A.Offsets[R + 1]; ++K) {
+                const float Edge = Vals ? Vals[ValIdx ? ValIdx[K] : K] : 1.0f;
+                Acc = spmmStep(Level, Weighted, Edge, B[A.Cols[K] * Ldb + J],
+                               Acc);
               }
+              Want[R * LdDst + J] = Acc;
             }
-            expectSameBits(Got, Want,
-                           std::string(C.Name) + (Mean ? " mean" : " sum") +
-                               (Indexed ? " indexed" : "") + " width " +
-                               std::to_string(Width));
-          }
+          expectSameBits(Got, Want,
+                         std::string(Weighted ? "weighted" : "unweighted") +
+                             (Indexed ? " indexed" : "") + " width " +
+                             std::to_string(Width));
+        }
     }
   }
 }
@@ -572,8 +550,6 @@ TEST(ReductionOrder, CscTransposedSpmmMatchesSpmmOfTranspose) {
   const CsrMatrix Weighted = randomSparse(70, 50, 400, 71, /*Weighted=*/true);
   const CsrMatrix Unweighted =
       randomSparse(70, 50, 400, 72, /*Weighted=*/false);
-  const Semiring Mean{ReduceOpKind::Mean, CombineOpKind::Mul};
-  const Semiring PlusAdd{ReduceOpKind::Sum, CombineOpKind::Add};
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
@@ -582,16 +558,19 @@ TEST(ReductionOrder, CscTransposedSpmmMatchesSpmmOfTranspose) {
       for (const CsrMatrix *A : {&Weighted, &Unweighted}) {
         const CscMatrix Csc = CscMatrix::fromCsr(*A);
         const CsrMatrix At = A->transposed();
-        for (const Semiring &S : {Semiring::plusTimes(), Semiring::plusCopy(),
-                                  Semiring::meanCopy(), Mean, PlusAdd}) {
+        for (bool ReadValues : {true, false}) {
           DenseMatrix Got(50, Width);
-          kernels::spmmCscTransposedInto(Csc, A->values(), B, S, Got);
-          const DenseMatrix Want = kernels::spmm(At, B, S);
+          kernels::spmmCscTransposedInto(
+              Csc, ReadValues ? A->values() : std::span<const float>(), B,
+              Got);
+          const DenseMatrix Want = kernels::spmm(
+              At, ReadValues ? At.values() : std::span<const float>(), B);
           expectSameBits(
               std::vector<float>(Got.data(), Got.data() + 50 * Width),
               std::vector<float>(Want.data(), Want.data() + 50 * Width),
               std::string(A == &Weighted ? "weighted" : "unweighted") +
-                  " width " + std::to_string(Width));
+                  (ReadValues ? " values" : " no values") + " width " +
+                  std::to_string(Width));
         }
       }
     }

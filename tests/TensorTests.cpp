@@ -5,7 +5,6 @@
 #include "tensor/CscMatrix.h"
 #include "tensor/CsrMatrix.h"
 #include "tensor/DenseMatrix.h"
-#include "tensor/Semiring.h"
 
 #include <gtest/gtest.h>
 
@@ -372,29 +371,4 @@ TEST(CscMatrixDeathTest, ToCsrRejectsWrongValueCount) {
   std::vector<float> Short(static_cast<size_t>(A.nnz() - 1), 1.0f);
   EXPECT_DEATH(CscMatrix::fromCsr(A).toCsr(Short),
                "csc->csr value count mismatch");
-}
-
-TEST(Semiring, PlusTimesIdentity) {
-  Semiring S = Semiring::plusTimes();
-  EXPECT_EQ(S.reduceIdentity(), 0.0f);
-  EXPECT_EQ(S.combine(2.0f, 3.0f), 6.0f);
-  EXPECT_EQ(S.reduce(1.0f, 5.0f), 6.0f);
-}
-
-TEST(Semiring, CopyRhsIgnoresEdgeValue) {
-  Semiring S = Semiring::plusCopy();
-  EXPECT_EQ(S.combine(99.0f, 3.0f), 3.0f);
-}
-
-TEST(Semiring, MaxReduceIdentityIsNegInf) {
-  Semiring S = Semiring::maxCopy();
-  EXPECT_LT(S.reduceIdentity(), -1e30f);
-  EXPECT_EQ(S.reduce(1.0f, 5.0f), 5.0f);
-  EXPECT_EQ(S.reduce(7.0f, 5.0f), 7.0f);
-}
-
-TEST(Semiring, Names) {
-  EXPECT_EQ(semiringName(Semiring::plusTimes()), "sum.mul");
-  EXPECT_EQ(semiringName(Semiring::maxCopy()), "max.copy");
-  EXPECT_EQ(semiringName(Semiring::meanCopy()), "mean.copy");
 }

@@ -443,17 +443,12 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (!Verify)
     return 2;
 
-  OptimizerOptions Options;
-  Options.Hw = HardwareModel::byName(Hw);
-  Options.Iterations = static_cast<int>(Args.intValue("iters", 100));
-  Options.Verify = *Verify;
-
   // One-shot runs go through the same Engine/Session layer the daemon
   // serves from — one code path, bitwise-identical answers.
   serve::EngineOptions EngOpts;
-  EngOpts.Hw = Options.Hw;
-  EngOpts.Iterations = Options.Iterations;
-  EngOpts.Verify = Options.Verify;
+  EngOpts.Hw = HardwareModel::byName(Hw);
+  EngOpts.Iterations = static_cast<int>(Args.intValue("iters", 100));
+  EngOpts.Verify = *Verify;
   serve::Engine Engine(EngOpts);
 
   serve::JobRequest Req;
@@ -488,17 +483,17 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
          (Sel.UsedCostModels ? "cost models" : "embedding-size condition") +
          "), predicted " +
          formatDouble(Sel.PredictedSeconds * 1e3, 3) + " ms for " +
-         std::to_string(Options.Iterations) + " iterations\n";
+         std::to_string(EngOpts.Iterations) + " iterations\n";
   Out += "selected composition:\n" +
          S->optimizer().promoted()[Sel.PlanIndex].toString();
 
   serve::RunResponse R = S->run(Req.WantOutput);
   double PerIter = R.ForwardSeconds + R.BackwardSeconds;
-  double Total = R.SetupSeconds + PerIter * Options.Iterations;
+  double Total = R.SetupSeconds + PerIter * EngOpts.Iterations;
   Out += std::string(Training ? "fwd+bwd" : "forward") + ": " +
          formatDouble(PerIter * 1e3, 3) + " ms/iteration (+ " +
          formatDouble(R.SetupSeconds * 1e3, 3) + " ms one-time setup); " +
-         std::to_string(Options.Iterations) + "-iteration total " +
+         std::to_string(EngOpts.Iterations) + "-iteration total " +
          formatDouble(Total * 1e3, 2) + " ms\n";
   Out += "output: " + std::to_string(R.Rows) + " x " +
          std::to_string(R.Cols) + "\n";
@@ -516,7 +511,7 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   }
 
   if (Args.hasFlag("profile"))
-    return profileRun(*S, Options.Hw, Training, Out, Err);
+    return profileRun(*S, EngOpts.Hw, Training, Out, Err);
   return 0;
 }
 
