@@ -476,8 +476,8 @@ std::vector<CompositionPlan>
 granii::enumerateCompositions(const IRNodeRef &Root, const EnumOptions &Opts) {
   TraceSpan EnumSpan("enumerate", "optimizer");
   TraceSpan RewriteSpan("rewrite", "optimizer");
-  std::vector<IRNodeRef> Variants = runRewritePipeline(
-      Root, Opts.EnableDistribution, /*MaxVariants=*/64, Opts.Verify);
+  std::vector<IRNodeRef> Variants =
+      runRewritePipeline(Root, /*MaxVariants=*/64, Opts.Verify);
   RewriteSpan.setArg("variants", static_cast<double>(Variants.size()));
   RewriteSpan.end();
 

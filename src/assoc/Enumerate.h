@@ -36,8 +36,6 @@ struct EnumOptions {
   /// CSR-offset kernel (models frameworks that bin; GRANII itself uses
   /// offsets).
   bool UseBinningDegree = false;
-  /// Enumerate IR distribution variants (update-first forms of GIN/TAGCN).
-  bool EnableDistribution = true;
   /// Allow the fused ternary [diag, sparse, diag] rule.
   bool EnableTernaryRule = true;
   /// Hoist graph-only steps out of the iteration loop (GRANII's codegen

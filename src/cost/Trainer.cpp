@@ -100,47 +100,55 @@ granii::collectProfileData(const HardwareModel &Hw,
     for (float &V : DiagN)
       V = Generator.nextFloat(0.5f, 1.5f);
 
+    // Every sample times one Into call writing a destination allocated
+    // here, before any sample, exactly as a plan step writes its arena
+    // slot: the timed call pays the kernel, never the allocator.
+    std::vector<float> VecOut(static_cast<size_t>(N));
+    std::vector<float> EdgeOut(static_cast<size_t>(E));
+
     // Graph-shaped primitives, one sample per graph.
     Prof.sample({PrimitiveKind::DegreeOffsets, N, 0, 0, E}, Stats,
-                [&] { (void)kernels::degreeFromOffsets(A); });
+                [&] { kernels::degreeFromOffsetsInto(A, VecOut); });
     Prof.sample({PrimitiveKind::DegreeBinning, N, 0, 0, E}, Stats,
-                [&] { (void)kernels::degreeByBinning(A); });
+                [&] { kernels::degreeByBinningInto(A, VecOut); });
     Prof.sample({PrimitiveKind::VectorMap, N, 0, 0, 0}, Stats,
-                [&] { (void)kernels::invSqrt(DiagN); });
+                [&] { kernels::invSqrtInto(DiagN, VecOut); });
     Prof.sample({PrimitiveKind::DiagMul, N, 0, 0, 0}, Stats, [&] {
-      std::vector<float> Out(DiagN.size());
       for (size_t I = 0; I < DiagN.size(); ++I)
-        Out[I] = DiagN[I] * DiagN[I];
+        VecOut[I] = DiagN[I] * DiagN[I];
     });
-    Prof.sample({PrimitiveKind::SddmmScale, N, 0, 1, E}, Stats,
-                [&] { (void)kernels::scaleSparseBoth(A, DiagN, DiagN); });
+    Prof.sample({PrimitiveKind::SddmmScale, N, 0, 1, E}, Stats, [&] {
+      kernels::scaleSparseBothInto(A, DiagN, DiagN, EdgeOut);
+    });
     Prof.sample({PrimitiveKind::EdgeSoftmax, N, 0, 0, E}, Stats,
-                [&] { (void)kernels::edgeSoftmax(Aw, Aw.values()); });
-    Prof.sample({PrimitiveKind::EdgeElementwise, N, 0, 0, E}, Stats,
-                [&] { (void)kernels::leakyReluEdges(Aw.values()); });
+                [&] { kernels::edgeSoftmaxInto(Aw, Aw.values(), EdgeOut); });
+    Prof.sample({PrimitiveKind::EdgeElementwise, N, 0, 0, E}, Stats, [&] {
+      kernels::leakyReluEdgesInto(Aw.values(), 0.2f, EdgeOut);
+    });
 
     // Width-dependent primitives.
     for (int64_t K : Widths) {
       DenseMatrix H(N, K);
       H.fillRandom(Generator);
+      DenseMatrix Out(N, K);
       Prof.sample({PrimitiveKind::SpMMUnweighted, N, K, 0, E}, Stats,
-                  [&] { (void)kernels::spmm(A, {}, H); });
+                  [&] { kernels::spmmInto(A, {}, H, Out); });
       Prof.sample({PrimitiveKind::SpMMWeighted, N, K, 0, E}, Stats,
-                  [&] { (void)kernels::spmm(Aw, Aw.values(), H); });
+                  [&] { kernels::spmmInto(Aw, Aw.values(), H, Out); });
       Prof.sample({PrimitiveKind::SddmmDot, N, 0, K, E}, Stats,
-                  [&] { (void)kernels::sddmm(A, H, H); });
+                  [&] { kernels::sddmmInto(A, H, H, EdgeOut); });
       Prof.sample({PrimitiveKind::RowBroadcast, N, K, 0, 0}, Stats,
-                  [&] { (void)kernels::rowBroadcastMul(DiagN, H); });
+                  [&] { kernels::rowBroadcastMulInto(DiagN, H, Out); });
       std::vector<float> DiagK(static_cast<size_t>(K), 1.25f);
       Prof.sample({PrimitiveKind::ColBroadcast, N, K, 0, 0}, Stats,
-                  [&] { (void)kernels::colBroadcastMul(H, DiagK); });
+                  [&] { kernels::colBroadcastMulInto(H, DiagK, Out); });
       Prof.sample({PrimitiveKind::AddDense, N, K, 0, 0}, Stats,
-                  [&] { (void)kernels::addMatrices(H, H); });
+                  [&] { kernels::addMatricesInto(H, H, Out); });
       Prof.sample({PrimitiveKind::DenseMap, N, K, 0, 0}, Stats,
-                  [&] { (void)kernels::relu(H); });
+                  [&] { kernels::reluInto(H, Out); });
       std::vector<float> VecK(static_cast<size_t>(K), 0.5f);
       Prof.sample({PrimitiveKind::Gemv, N, 1, K, 0}, Stats,
-                  [&] { (void)kernels::gemv(H, VecK); });
+                  [&] { kernels::gemvInto(H, VecK, VecOut); });
 
       // GEMMs at (K1, K2) = (K, other) pairs.
       for (int64_t K2 : Widths) {
@@ -148,8 +156,9 @@ granii::collectProfileData(const HardwareModel &Hw,
           continue; // Thin out the quadratic pair grid.
         DenseMatrix W(K, K2);
         W.fillRandom(Generator);
+        DenseMatrix GemmOut(N, K2);
         Prof.sample({PrimitiveKind::Gemm, N, K2, K, 0}, Stats,
-                    [&] { (void)kernels::gemm(H, W); });
+                    [&] { kernels::gemmInto(H, W, GemmOut); });
       }
     }
   }

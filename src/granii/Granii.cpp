@@ -107,8 +107,6 @@ Optimizer::Optimizer(GnnModel ModelIn, OptimizerOptions OptsIn,
   assert(Cost && "optimizer requires a cost model");
   assert(!Promoted.empty() && "compiled plan set is empty");
   Stats.Enumerated = Stats.Promoted = Promoted.size();
-  // A cached plan set gets the same scrutiny as a freshly compiled one.
-  verifyPromoted();
 }
 
 Selection Optimizer::selectWithStats(const DimBinding &Binding,

@@ -119,9 +119,11 @@ public:
   /// set, bypassing enumeration and pruning. This is the compile-once /
   /// run-many entry point the serving layer's plan cache builds on: the
   /// promoted set cached for a model becomes a ready Optimizer for each
-  /// new session without paying the offline stage again. The set still
-  /// goes through verifyPromoted() — cached artifacts get the same
-  /// scrutiny as fresh ones.
+  /// new session without paying the offline stage again. \p Compiled must
+  /// be the promoted() set of an Optimizer built at the same verify level
+  /// (the plan cache holds nothing else); that constructor verified it, so
+  /// this one does not repeat verifyPromoted(), whose survivor-set check is
+  /// quadratic in the set and dominated large cold sessions.
   static Optimizer fromCompiled(GnnModel Model, OptimizerOptions Opts,
                                 const CostModel *Cost,
                                 std::vector<CompositionPlan> Compiled) {

@@ -202,7 +202,6 @@ static bool checkPassOutput(const IRNodeRef &Root, const std::string &PassName,
 }
 
 std::vector<IRNodeRef> granii::runRewritePipeline(const IRNodeRef &Root,
-                                                  bool EnableDistribution,
                                                   size_t MaxVariants,
                                                   VerifyLevel Verify,
                                                   DiagEngine *Diags) {
@@ -211,9 +210,6 @@ std::vector<IRNodeRef> granii::runRewritePipeline(const IRNodeRef &Root,
   IRNodeRef NoBcast = rewriteBroadcastsToDiag(Root);
   if (Check && !checkPassOutput(NoBcast, "broadcast-to-diag", Diags))
     return {};
-
-  if (!EnableDistribution)
-    return {NoBcast};
 
   std::vector<IRNodeRef> Variants =
       enumerateDistributions(NoBcast, MaxVariants);

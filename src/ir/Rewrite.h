@@ -33,7 +33,7 @@ std::vector<IRNodeRef> enumerateDistributions(const IRNodeRef &Root,
                                               size_t MaxVariants = 64);
 
 /// Runs the full pre-enumeration rewrite pipeline — the "broadcast-to-diag"
-/// pass, then (when \p EnableDistribution) the "distribute" pass — and
+/// pass, then the "distribute" pass — and
 /// returns the IR variants to enumerate. At VerifyLevel::Fast and above,
 /// the structured IR verifier runs on the output of every pass; a
 /// diagnostic names the pass that produced the bad IR (stage
@@ -42,7 +42,6 @@ std::vector<IRNodeRef> enumerateDistributions(const IRNodeRef &Root,
 /// diagnostics accumulate there and the failing variant is dropped so
 /// `granii-cli verify` can report every violation.
 std::vector<IRNodeRef> runRewritePipeline(const IRNodeRef &Root,
-                                          bool EnableDistribution,
                                           size_t MaxVariants,
                                           VerifyLevel Verify,
                                           DiagEngine *Diags = nullptr);

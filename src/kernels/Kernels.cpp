@@ -7,11 +7,10 @@
 // the nnz-balanced partitioner (parallelForCsrRows) so skewed-degree graphs
 // do not serialize on their hub rows.
 //
-// Destination-passing contract: the `...Into` forms hold the real kernel
-// bodies, never allocate, and fully overwrite every destination element
-// (rows that accumulate are zeroed inside the same parallel region first,
-// preserving bitwise identity with the historical zero-initialized-alloc
-// formulation). The by-value forms allocate a zeroed result and forward.
+// Destination-passing contract: every kernel is an `...Into` form that
+// never allocates and fully overwrites every destination element (rows that
+// accumulate are zeroed inside the same parallel region first, preserving
+// bitwise identity with the historical zero-initialized-alloc formulation).
 // The backward-pass kernels are the exception by design: they add into
 // their destination unless told it is the first contribution.
 //
@@ -95,13 +94,6 @@ void kernels::gemmInto(const DenseMatrix &A, const DenseMatrix &B,
 }
 // granii-noalloc-end
 
-DenseMatrix kernels::gemm(const DenseMatrix &A, const DenseMatrix &B) {
-  GRANII_CHECK(A.cols() == B.rows(), "gemm inner dimension mismatch");
-  DenseMatrix C(A.rows(), B.cols());
-  gemmInto(A, B, C);
-  return C;
-}
-
 void kernels::gemmTransposedLhsInto(const DenseMatrix &A, const DenseMatrix &B,
                                     DenseMatrix &Dst) {
   GRANII_CHECK(A.rows() == B.rows(), "A^T*B dimension mismatch");
@@ -149,15 +141,6 @@ void kernels::gemvInto(const DenseMatrix &A, const std::vector<float> &X,
               });
 }
 
-std::vector<float> kernels::gemv(const DenseMatrix &A,
-                                 const std::vector<float> &X) {
-  GRANII_CHECK(static_cast<int64_t>(X.size()) == A.cols(),
-               "gemv dimension mismatch");
-  std::vector<float> Y(static_cast<size_t>(A.rows()), 0.0f);
-  gemvInto(A, X, Y);
-  return Y;
-}
-
 void kernels::rowBroadcastMulInto(const std::vector<float> &D,
                                   const DenseMatrix &H, DenseMatrix &Dst) {
   GRANII_CHECK(static_cast<int64_t>(D.size()) == H.rows(),
@@ -170,15 +153,6 @@ void kernels::rowBroadcastMulInto(const std::vector<float> &D,
                   Ops.ScaleRange(D[static_cast<size_t>(I)], H.rowPtr(I),
                                  Dst.rowPtr(I), H.cols());
               });
-}
-
-DenseMatrix kernels::rowBroadcastMul(const std::vector<float> &D,
-                                     const DenseMatrix &H) {
-  GRANII_CHECK(static_cast<int64_t>(D.size()) == H.rows(),
-               "row broadcast length mismatch");
-  DenseMatrix Out(H.rows(), H.cols());
-  rowBroadcastMulInto(D, H, Out);
-  return Out;
 }
 
 void kernels::colBroadcastMulInto(const DenseMatrix &H,
@@ -196,15 +170,6 @@ void kernels::colBroadcastMulInto(const DenseMatrix &H,
               });
 }
 
-DenseMatrix kernels::colBroadcastMul(const DenseMatrix &H,
-                                     const std::vector<float> &D) {
-  GRANII_CHECK(static_cast<int64_t>(D.size()) == H.cols(),
-               "column broadcast length mismatch");
-  DenseMatrix Out(H.rows(), H.cols());
-  colBroadcastMulInto(H, D, Out);
-  return Out;
-}
-
 void kernels::addMatricesInto(const DenseMatrix &A, const DenseMatrix &B,
                               DenseMatrix &Dst) {
   GRANII_CHECK(A.rows() == B.rows() && A.cols() == B.cols(),
@@ -217,14 +182,6 @@ void kernels::addMatricesInto(const DenseMatrix &A, const DenseMatrix &B,
   parallelFor(0, A.size(), DenseGrainOps, [&](int64_t Begin, int64_t End) {
     Ops.AddRange(PA + Begin, PB + Begin, PO + Begin, End - Begin);
   });
-}
-
-DenseMatrix kernels::addMatrices(const DenseMatrix &A, const DenseMatrix &B) {
-  GRANII_CHECK(A.rows() == B.rows() && A.cols() == B.cols(),
-               "elementwise add shape mismatch");
-  DenseMatrix Out(A.rows(), A.cols());
-  addMatricesInto(A, B, Out);
-  return Out;
 }
 
 void kernels::axpyInto(float Alpha, const DenseMatrix &A, DenseMatrix &B) {
@@ -245,12 +202,6 @@ void kernels::scaleMatrixInto(const DenseMatrix &A, float Alpha,
   });
 }
 
-DenseMatrix kernels::scaleMatrix(const DenseMatrix &A, float Alpha) {
-  DenseMatrix Out(A.rows(), A.cols());
-  scaleMatrixInto(A, Alpha, Out);
-  return Out;
-}
-
 void kernels::reluInto(const DenseMatrix &A, DenseMatrix &Dst) {
   checkDenseDst(Dst, A.rows(), A.cols(), "relu");
   const float *PA = A.data();
@@ -259,12 +210,6 @@ void kernels::reluInto(const DenseMatrix &A, DenseMatrix &Dst) {
   parallelFor(0, A.size(), DenseGrainOps, [&](int64_t Begin, int64_t End) {
     Ops.ReluRange(PA + Begin, PO + Begin, End - Begin);
   });
-}
-
-DenseMatrix kernels::relu(const DenseMatrix &A) {
-  DenseMatrix Out(A.rows(), A.cols());
-  reluInto(A, Out);
-  return Out;
 }
 
 // granii-noalloc-begin: the SpMM aggregation loop dominates steady-state
@@ -284,14 +229,6 @@ void kernels::spmmInto(const CsrMatrix &A, std::span<const float> Vals,
   });
 }
 // granii-noalloc-end
-
-DenseMatrix kernels::spmm(const CsrMatrix &A, std::span<const float> Vals,
-                          const DenseMatrix &B) {
-  GRANII_CHECK(A.cols() == B.rows(), "spmm dimension mismatch");
-  DenseMatrix Out(A.rows(), B.cols());
-  spmmInto(A, Vals, B, Out);
-  return Out;
-}
 
 void kernels::spmmCscTransposedInto(const CscMatrix &A,
                                     std::span<const float> Vals,
@@ -335,13 +272,6 @@ void kernels::sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
 }
 // granii-noalloc-end
 
-std::vector<float> kernels::sddmm(const CsrMatrix &Mask, const DenseMatrix &U,
-                                  const DenseMatrix &V) {
-  std::vector<float> Out(static_cast<size_t>(Mask.nnz()), 0.0f);
-  sddmmInto(Mask, U, V, Out);
-  return Out;
-}
-
 void kernels::sddmmAddScalarsInto(const CsrMatrix &Mask,
                                   const std::vector<float> &SrcScore,
                                   const std::vector<float> &DstScore,
@@ -364,14 +294,6 @@ void kernels::sddmmAddScalarsInto(const CsrMatrix &Mask,
   });
 }
 
-std::vector<float> kernels::sddmmAddScalars(const CsrMatrix &Mask,
-                                            const std::vector<float> &SrcScore,
-                                            const std::vector<float> &DstScore) {
-  std::vector<float> Out(static_cast<size_t>(Mask.nnz()), 0.0f);
-  sddmmAddScalarsInto(Mask, SrcScore, DstScore, Out);
-  return Out;
-}
-
 void kernels::scaleSparseRowsInto(const CsrMatrix &A,
                                   const std::vector<float> &D,
                                   std::span<float> OutVals) {
@@ -389,13 +311,6 @@ void kernels::scaleSparseRowsInto(const CsrMatrix &A,
   });
 }
 
-CsrMatrix kernels::scaleSparseRows(const CsrMatrix &A,
-                                   const std::vector<float> &D) {
-  std::vector<float> Vals(static_cast<size_t>(A.nnz()));
-  scaleSparseRowsInto(A, D, Vals);
-  return A.withValues(Vals);
-}
-
 void kernels::scaleSparseColsInto(const CsrMatrix &A,
                                   const std::vector<float> &D,
                                   std::span<float> OutVals) {
@@ -409,13 +324,6 @@ void kernels::scaleSparseColsInto(const CsrMatrix &A,
       OutVals[static_cast<size_t>(K)] =
           A.valueAt(K) * D[static_cast<size_t>(Cols[static_cast<size_t>(K)])];
   });
-}
-
-CsrMatrix kernels::scaleSparseCols(const CsrMatrix &A,
-                                   const std::vector<float> &D) {
-  std::vector<float> Vals(static_cast<size_t>(A.nnz()));
-  scaleSparseColsInto(A, D, Vals);
-  return A.withValues(Vals);
 }
 
 void kernels::scaleSparseBothInto(const CsrMatrix &A,
@@ -438,14 +346,6 @@ void kernels::scaleSparseBothInto(const CsrMatrix &A,
             R[static_cast<size_t>(Cols[static_cast<size_t>(K)])];
     }
   });
-}
-
-CsrMatrix kernels::scaleSparseBoth(const CsrMatrix &A,
-                                   const std::vector<float> &L,
-                                   const std::vector<float> &R) {
-  std::vector<float> Vals(static_cast<size_t>(A.nnz()));
-  scaleSparseBothInto(A, L, R, Vals);
-  return A.withValues(Vals);
 }
 
 void kernels::edgeSoftmaxInto(const CsrMatrix &A,
@@ -477,13 +377,6 @@ void kernels::edgeSoftmaxInto(const CsrMatrix &A,
   });
 }
 
-std::vector<float> kernels::edgeSoftmax(const CsrMatrix &A,
-                                        std::span<const float> EdgeValues) {
-  std::vector<float> Out(EdgeValues.size(), 0.0f);
-  edgeSoftmaxInto(A, EdgeValues, Out);
-  return Out;
-}
-
 void kernels::leakyReluEdgesInto(std::span<const float> EdgeValues,
                                  float NegativeSlope, std::span<float> Out) {
   checkVecDst(Out, EdgeValues.size(), "edge_leaky_relu");
@@ -495,13 +388,6 @@ void kernels::leakyReluEdgesInto(std::span<const float> EdgeValues,
                           ? EdgeValues[static_cast<size_t>(I)]
                           : NegativeSlope * EdgeValues[static_cast<size_t>(I)];
               });
-}
-
-std::vector<float> kernels::leakyReluEdges(std::span<const float> EdgeValues,
-                                           float NegativeSlope) {
-  std::vector<float> Out(EdgeValues.size());
-  leakyReluEdgesInto(EdgeValues, NegativeSlope, Out);
-  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -662,12 +548,6 @@ void kernels::degreeFromOffsetsInto(const CsrMatrix &A,
   });
 }
 
-std::vector<float> kernels::degreeFromOffsets(const CsrMatrix &A) {
-  std::vector<float> Degrees(static_cast<size_t>(A.rows()), 0.0f);
-  degreeFromOffsetsInto(A, Degrees);
-  return Degrees;
-}
-
 void kernels::degreeByBinningInto(const CsrMatrix &A,
                                   std::vector<float> &Out) {
   // Binning formulation: walk every edge and increment its source bin, the
@@ -689,12 +569,6 @@ void kernels::degreeByBinningInto(const CsrMatrix &A,
   });
 }
 
-std::vector<float> kernels::degreeByBinning(const CsrMatrix &A) {
-  std::vector<float> Degrees(static_cast<size_t>(A.rows()), 0.0f);
-  degreeByBinningInto(A, Degrees);
-  return Degrees;
-}
-
 void kernels::invDegreeInto(const std::vector<float> &Degrees,
                             std::vector<float> &Out) {
   checkVecDst(Out, Degrees.size(), "inv_degree");
@@ -702,21 +576,9 @@ void kernels::invDegreeInto(const std::vector<float> &Degrees,
     Out[I] = Degrees[I] > 0.0f ? 1.0f / Degrees[I] : 0.0f;
 }
 
-std::vector<float> kernels::invDegree(const std::vector<float> &Degrees) {
-  std::vector<float> Out(Degrees.size());
-  invDegreeInto(Degrees, Out);
-  return Out;
-}
-
 void kernels::invSqrtInto(const std::vector<float> &Degrees,
                           std::vector<float> &Out) {
   checkVecDst(Out, Degrees.size(), "inv_sqrt");
   for (size_t I = 0; I < Degrees.size(); ++I)
     Out[I] = Degrees[I] > 0.0f ? 1.0f / std::sqrt(Degrees[I]) : 0.0f;
-}
-
-std::vector<float> kernels::invSqrt(const std::vector<float> &Degrees) {
-  std::vector<float> Out(Degrees.size());
-  invSqrtInto(Degrees, Out);
-  return Out;
 }

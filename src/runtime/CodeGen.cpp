@@ -2,83 +2,16 @@
 
 #include "runtime/CodeGen.h"
 
+#include "assoc/Prune.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 
 using namespace granii;
 
 namespace {
-
-/// C++ expression for one step's kernel call.
-std::string callExprOf(const CompositionPlan &Plan, const PlanStep &Step) {
-  auto Arg = [&](int I) { return Plan.valueName(Step.Operands[I]); };
-
-  switch (Step.Op) {
-  case StepOp::Gemm:
-    return "kernels::gemm(" + Arg(0) + ", " + Arg(1) + ")";
-  case StepOp::SpmmWeighted:
-    return "kernels::spmm(" + Arg(0) + ", " + Arg(0) + ".values(), " +
-           Arg(1) + ")";
-  case StepOp::SpmmUnweighted:
-    return "kernels::spmm(" + Arg(0) + ", {}, " + Arg(1) + ")";
-  case StepOp::SddmmScaleRow:
-    return "kernels::scaleSparseRows(" + Arg(1) + ", " + Arg(0) + ")";
-  case StepOp::SddmmScaleCol:
-    return "kernels::scaleSparseCols(" + Arg(0) + ", " + Arg(1) + ")";
-  case StepOp::SddmmScaleBoth:
-    return "kernels::scaleSparseBoth(" + Arg(1) + ", " + Arg(0) + ", " +
-           Arg(2) + ")";
-  case StepOp::RowBcast:
-    return "kernels::rowBroadcastMul(" + Arg(0) + ", " + Arg(1) + ")";
-  case StepOp::ColBcast:
-    return "kernels::colBroadcastMul(" + Arg(0) + ", " + Arg(1) + ")";
-  case StepOp::DiagDiag:
-    return "diagMul(" + Arg(0) + ", " + Arg(1) + ")";
-  case StepOp::AddDense:
-    return "kernels::addMatrices(" + Arg(0) + ", " + Arg(1) + ")";
-  case StepOp::ScaleDense:
-    return "kernels::scaleMatrix(" + Arg(0) + ", " +
-           std::to_string(Step.Param) + "f)";
-  case StepOp::Relu:
-    return "kernels::relu(" + Arg(0) + ")";
-  case StepOp::DegreeOffsets:
-    return "kernels::degreeFromOffsets(" + Arg(0) + ")";
-  case StepOp::DegreeBinning:
-    return "kernels::degreeByBinning(" + Arg(0) + ")";
-  case StepOp::InvSqrtVec:
-    return "kernels::invSqrt(" + Arg(0) + ")";
-  case StepOp::InvVec:
-    return "kernels::invDegree(" + Arg(0) + ")";
-  case StepOp::AttnGemv:
-    return "kernels::gemv(" + Arg(0) + ", " + Arg(1) + ")";
-  case StepOp::EdgeLogits:
-    return "withValues(" + Arg(0) + ", kernels::sddmmAddScalars(" + Arg(0) +
-           ", " + Arg(1) + ", " + Arg(2) + "))";
-  case StepOp::EdgeLeakyRelu:
-    return "withValues(" + Arg(0) + ", kernels::leakyReluEdges(" + Arg(0) +
-           ".values(), " + std::to_string(Step.Param) + "f))";
-  case StepOp::EdgeSoftmax:
-    return "withValues(" + Arg(0) + ", kernels::edgeSoftmax(" + Arg(0) +
-           ", " + Arg(0) + ".values()))";
-  }
-  graniiUnreachable("unknown step op");
-}
-
-/// Declared C++ type of a plan value.
-const char *typeOf(const PlanValue &Val) {
-  switch (Val.Kind) {
-  case PlanValueKind::Dense:
-    return "DenseMatrix";
-  case PlanValueKind::Sparse:
-    return "CsrMatrix";
-  case PlanValueKind::Diag:
-  case PlanValueKind::NodeVec:
-    return "std::vector<float>";
-  }
-  return "auto";
-}
 
 /// Destination-passing expression for one step: the `...Into` form the
 /// arena-backed interpreter actually runs, writing into \p Ref(Step.Result).
@@ -196,10 +129,10 @@ std::string placementComment(const CompositionPlan &Plan,
 
   std::string Out = "  // " + Name + " -> ";
   if (VB.Class == BufferClass::SparseVals) {
-    Out += "W.sp" + std::to_string(ResultId) + " (values rewritten in place)";
+    Out += "Ws.sp" + std::to_string(ResultId) + " (values rewritten in place)";
   } else {
     int S = VB.Slot;
-    Out += "W.s" + std::to_string(S);
+    Out += "Ws.s" + std::to_string(S);
     if (VB.Pinned)
       Out += ", pinned";
     int Prev = SlotLastWriter[static_cast<size_t>(S)];
@@ -212,9 +145,9 @@ std::string placementComment(const CompositionPlan &Plan,
   return Out + "\n";
 }
 
-/// Destination-passing body of generatePlanCode: the emitted code executes
-/// against a preplanned workspace exactly like the runtime's arena path.
-std::string generateBufferedPlanCode(const CompositionPlan &Plan,
+} // namespace
+
+std::string granii::generatePlanCode(const CompositionPlan &Plan,
                                      const std::string &FunctionName,
                                      const BufferPlan &Buffers) {
   std::function<std::string(int)> Ref = [&](int Id) -> std::string {
@@ -223,8 +156,8 @@ std::string generateBufferedPlanCode(const CompositionPlan &Plan,
       return Val.DebugName;
     const ValueBuffer &VB = Buffers.values()[static_cast<size_t>(Id)];
     if (VB.Class == BufferClass::SparseVals)
-      return "W.sp" + std::to_string(Id);
-    return "W.s" + std::to_string(VB.Slot);
+      return "Ws.sp" + std::to_string(Id);
+    return "Ws.s" + std::to_string(VB.Slot);
   };
 
   std::vector<int> SlotLastWriter(Buffers.slots().size(), -1);
@@ -247,60 +180,20 @@ std::string generateBufferedPlanCode(const CompositionPlan &Plan,
     Out += "// Graph-only computation, hoisted out of the iteration loop;\n";
     Out += "// its results stay pinned in the workspace.\n";
     Out += "void " + FunctionName + "_setup(const Inputs &In, " +
-           FunctionName + "_Workspace &W) {\n";
+           FunctionName + "_Workspace &Ws) {\n";
     Out += Setup;
     Out += "}\n\n";
   }
   Out += "DenseMatrix &" + FunctionName + "(const Inputs &In, " +
-         FunctionName + "_Workspace &W) {\n";
+         FunctionName + "_Workspace &Ws) {\n";
   Out += Iter;
   Out += "  return " + Ref(Plan.OutputValue) + ";\n}\n";
   return Out;
 }
 
-} // namespace
-
-std::string granii::generatePlanCode(const CompositionPlan &Plan,
-                                     const std::string &FunctionName,
-                                     const BufferPlan *Buffers) {
-  if (Buffers)
-    return generateBufferedPlanCode(Plan, FunctionName, *Buffers);
-
-  std::string Setup, Iter;
-  bool AnySetup = false;
-  for (const PlanStep &Step : Plan.Steps) {
-    const PlanValue &Result = Plan.Values[static_cast<size_t>(Step.Result)];
-    std::string Line = std::string("  ") + typeOf(Result) + " v" +
-                       std::to_string(Step.Result) + " = " +
-                       callExprOf(Plan, Step) + ";\n";
-    if (Step.Setup) {
-      Setup += Line;
-      AnySetup = true;
-    } else {
-      Iter += Line;
-    }
-  }
-
-  std::string Out;
-  if (AnySetup) {
-    Out += "// Graph-only computation, hoisted out of the iteration loop.\n";
-    Out += "SetupState " + FunctionName + "_setup(const Inputs &In) {\n";
-    Out += Setup;
-    Out += "  return captureSetup();\n}\n\n";
-  }
-  Out += "DenseMatrix " + FunctionName + "(const Inputs &In";
-  if (AnySetup)
-    Out += ", const SetupState &S";
-  Out += ") {\n";
-  Out += Iter;
-  Out += "  return v" + std::to_string(Plan.OutputValue) + ";\n}\n";
-  return Out;
-}
-
 std::string
 granii::generateDispatchCode(const std::string &ModelName,
-                             const std::vector<CompositionPlan> &Promoted,
-                             const DimBinding *Binding) {
+                             const std::vector<CompositionPlan> &Promoted) {
   assert(!Promoted.empty() && "nothing to dispatch over");
 
   // Partition candidates per embedding-size scenario.
@@ -317,22 +210,28 @@ granii::generateDispatchCode(const std::string &ModelName,
   auto FnName = [&](size_t I) {
     return ModelName + "_candidate" + std::to_string(I);
   };
-  // In destination-passing mode every candidate call threads its persistent
-  // workspace through, mirroring the runtime Optimizer's per-plan cache.
-  auto CallArgs = [&](size_t I) {
-    return Binding ? "(In, W" + std::to_string(I) + ")" : "(In)";
+  // Every candidate call threads its persistent workspace through,
+  // mirroring the runtime Optimizer's per-plan cache, and runs the
+  // candidate's setup steps first: the interpreter executes them on every
+  // call (and charges them once), so their slots are written before the
+  // iteration steps read them.
+  auto EmitCall = [&](size_t I, const std::string &Indent) {
+    std::string Args = "(In, Ws" + std::to_string(I) + ");\n";
+    std::string Out;
+    if (std::any_of(Promoted[I].Steps.begin(), Promoted[I].Steps.end(),
+                    [](const PlanStep &Step) { return Step.Setup; }))
+      Out += Indent + FnName(I) + "_setup" + Args;
+    return Out + Indent + "return " + FnName(I) + Args;
   };
 
   auto EmitBranch = [&](const std::vector<size_t> &Candidates,
                         const std::string &Indent) {
-    std::string Out;
     if (Candidates.size() == 1) {
       // Pure embedding-size condition: no cost models needed (Fig. 7's
       // cheap path).
-      Out += Indent + "return " + FnName(Candidates[0]) +
-             CallArgs(Candidates[0]) + ";\n";
-      return Out;
+      return EmitCall(Candidates[0], Indent);
     }
+    std::string Out;
     Out += Indent + "// Cost-model comparison over the remaining "
                     "candidates.\n";
     Out += Indent + "GraphFeatures F = featurize(In.Graph);\n";
@@ -347,8 +246,8 @@ granii::generateDispatchCode(const std::string &ModelName,
     }
     Min += "})";
     for (size_t I : Candidates)
-      Out += Indent + "if (c" + std::to_string(I) + " == " + Min +
-             ") return " + FnName(I) + CallArgs(I) + ";\n";
+      Out += Indent + "if (c" + std::to_string(I) + " == " + Min + ") {\n" +
+             EmitCall(I, Indent + "  ") + Indent + "}\n";
     return Out;
   };
 
@@ -357,37 +256,27 @@ granii::generateDispatchCode(const std::string &ModelName,
          "Fig. 7):\n";
   Out += "// " + std::to_string(Promoted.size()) +
          " promoted candidates; size-only conditions where possible.\n";
-  if (Binding)
-    Out += "// Destination-passing form; buffer arenas planned at the "
-           "reference binding\n// N=" +
-           std::to_string(Binding->N) + ", E=" + std::to_string(Binding->E) +
-           ", KIn=" + std::to_string(Binding->KIn) +
-           ", KOut=" + std::to_string(Binding->KOut) +
-           " (slot sharing is binding-independent).\n";
-  Out += "\n";
+  Out += "// Buffer arenas are planned at the offline stage's scenario "
+         "bindings\n// (slot sharing is binding-independent for a fixed "
+         "scenario).\n\n";
 
-  // Candidate bodies come first in destination-passing mode so the
-  // dispatcher's static workspaces see complete struct types.
-  std::string Candidates;
+  // Candidate bodies come first so the dispatcher's static workspaces see
+  // complete struct types.
   for (size_t I = 0; I < Promoted.size(); ++I) {
-    if (Binding) {
-      BufferPlan Buffers(Promoted[I], *Binding, /*Training=*/false);
-      Candidates += generatePlanCode(Promoted[I], FnName(I), &Buffers) + "\n";
-    } else {
-      Candidates += generatePlanCode(Promoted[I], FnName(I)) + "\n";
-    }
+    const DimBinding Binding =
+        Promoted[I].ViableGe ? pruneScenarioGe() : pruneScenarioLt();
+    Out += generatePlanCode(Promoted[I], FnName(I),
+                            BufferPlan(Promoted[I], Binding,
+                                       /*Training=*/false)) +
+           "\n";
   }
-  if (Binding)
-    Out += Candidates;
 
   Out += "DenseMatrix " + ModelName + "_forward(const Inputs &In) {\n";
-  if (Binding) {
-    Out += "  // One persistent workspace per candidate: warm-up allocates, "
-           "every\n  // later call runs allocation-free.\n";
-    for (size_t I = 0; I < Promoted.size(); ++I)
-      Out += "  static " + FnName(I) + "_Workspace W" + std::to_string(I) +
-             ";\n";
-  }
+  Out += "  // One persistent workspace per candidate: warm-up allocates, "
+         "every\n  // later call runs allocation-free.\n";
+  for (size_t I = 0; I < Promoted.size(); ++I)
+    Out += "  static " + FnName(I) + "_Workspace Ws" + std::to_string(I) +
+           ";\n";
 
   std::vector<size_t> GeBranch = GeOnly, LtBranch = LtOnly;
   GeBranch.insert(GeBranch.end(), Both.begin(), Both.end());
@@ -400,8 +289,5 @@ granii::generateDispatchCode(const std::string &ModelName,
   Out += "  }\n";
   Out += "  __builtin_unreachable();\n";
   Out += "}\n";
-
-  if (!Binding)
-    Out += "\n" + Candidates;
   return Out;
 }

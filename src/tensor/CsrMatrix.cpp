@@ -56,15 +56,6 @@ void CsrMatrix::setValues(std::vector<float> Vals) {
   Version = freshVersion();
 }
 
-CsrMatrix CsrMatrix::withValues(std::span<const float> Vals) const {
-  assert(Vals.size() == ColIndices.size() &&
-         "value count must match structural nnz");
-  CsrMatrix Result = *this;
-  Result.Values.assign(Vals.begin(), Vals.end());
-  Result.Version = freshVersion();
-  return Result;
-}
-
 void CsrMatrix::assignPattern(int64_t Rows, int64_t Columns,
                               std::span<const int64_t> Offsets,
                               std::span<const int32_t> Cols) {

@@ -79,11 +79,6 @@ public:
   /// Attaches \p Vals as explicit weights; size must equal nnz().
   void setValues(std::vector<float> Vals);
 
-  /// \returns a copy of this matrix's pattern carrying \p Vals as its
-  /// explicit weights (the by-value diagonal-scaling kernels build their
-  /// results this way).
-  CsrMatrix withValues(std::span<const float> Vals) const;
-
   /// Rebuilds this matrix in place as a weighted matrix with the given
   /// pattern, reusing existing storage capacity (assignment into the
   /// pattern arrays and a resize of the value array allocate nothing once

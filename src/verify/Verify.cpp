@@ -43,8 +43,7 @@ PipelineReport granii::verifyPipeline(const IRNodeRef &Root,
   // Stage 2: every rewrite pass's output, attributed to the pass.
   Before = Diags.errorCount();
   std::vector<IRNodeRef> Variants = runRewritePipeline(
-      Root, Opts.EnableDistribution, /*MaxVariants=*/64, VerifyLevel::Fast,
-      &Diags);
+      Root, /*MaxVariants=*/64, VerifyLevel::Fast, &Diags);
   if (!Close("rewrite", Variants.size(), Before))
     return Report;
 

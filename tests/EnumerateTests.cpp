@@ -174,15 +174,6 @@ TEST(Enumerate, TernaryAblationRemovesFusedScaling) {
     EXPECT_EQ(countSteps(P, StepOp::SddmmScaleBoth), 0u);
 }
 
-TEST(Enumerate, DistributionAblationShrinksGin) {
-  GnnModel M = makeModel(ModelKind::GIN);
-  EnumOptions NoDist;
-  NoDist.EnableDistribution = false;
-  size_t WithDist = enumerateCompositions(M.Root).size();
-  size_t WithoutDist = enumerateCompositions(M.Root, NoDist).size();
-  EXPECT_GT(WithDist, WithoutDist);
-}
-
 TEST(Enumerate, MaxPlansCapRespected) {
   GnnModel M = makeModel(ModelKind::SGC);
   EnumOptions Opts;

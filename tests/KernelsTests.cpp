@@ -42,19 +42,6 @@ CsrMatrix randomSparse(int64_t Rows, int64_t Cols, int64_t Entries,
   return Coo.toCsr(!Weighted);
 }
 
-/// A^T * B and A * B^T through the destination-passing kernels.
-DenseMatrix gemmTLhs(const DenseMatrix &A, const DenseMatrix &B) {
-  DenseMatrix C(A.cols(), B.cols());
-  kernels::gemmTransposedLhsInto(A, B, C);
-  return C;
-}
-
-DenseMatrix gemmTRhs(const DenseMatrix &A, const DenseMatrix &B) {
-  DenseMatrix C(A.rows(), B.rows());
-  kernels::gemmTransposedRhsInto(A, B, C);
-  return C;
-}
-
 /// Reference dense matmul with double accumulation.
 DenseMatrix refGemm(const DenseMatrix &A, const DenseMatrix &B) {
   DenseMatrix C(A.rows(), B.cols());
@@ -84,7 +71,9 @@ TEST_P(GemmShapes, MatchesReference) {
   auto [M, K, N] = GetParam();
   DenseMatrix A = randomDense(M, K, 1000 + M);
   DenseMatrix B = randomDense(K, N, 2000 + N);
-  EXPECT_TRUE(kernels::gemm(A, B).approxEquals(refGemm(A, B), 1e-3f, 1e-3f));
+  DenseMatrix C(M, N);
+  kernels::gemmInto(A, B, C);
+  EXPECT_TRUE(C.approxEquals(refGemm(A, B), 1e-3f, 1e-3f));
 }
 
 TEST_P(GemmShapes, TransposedLhsMatchesExplicitTranspose) {
@@ -92,7 +81,9 @@ TEST_P(GemmShapes, TransposedLhsMatchesExplicitTranspose) {
   DenseMatrix A = randomDense(K, M, 31 + M); // A^T is M x K
   DenseMatrix B = randomDense(K, N, 32 + N);
   DenseMatrix Expected = refGemm(A.transposed(), B);
-  EXPECT_TRUE(gemmTLhs(A, B).approxEquals(Expected, 1e-3f, 1e-3f));
+  DenseMatrix C(M, N);
+  kernels::gemmTransposedLhsInto(A, B, C);
+  EXPECT_TRUE(C.approxEquals(Expected, 1e-3f, 1e-3f));
 }
 
 TEST_P(GemmShapes, TransposedRhsMatchesExplicitTranspose) {
@@ -100,7 +91,9 @@ TEST_P(GemmShapes, TransposedRhsMatchesExplicitTranspose) {
   DenseMatrix A = randomDense(M, K, 41 + M);
   DenseMatrix B = randomDense(N, K, 42 + N); // B^T is K x N
   DenseMatrix Expected = refGemm(A, B.transposed());
-  EXPECT_TRUE(gemmTRhs(A, B).approxEquals(Expected, 1e-3f, 1e-3f));
+  DenseMatrix C(M, N);
+  kernels::gemmTransposedRhsInto(A, B, C);
+  EXPECT_TRUE(C.approxEquals(Expected, 1e-3f, 1e-3f));
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmShapes,
@@ -117,7 +110,8 @@ TEST(Gemv, MatchesGemmWithSingleColumn) {
   std::vector<float> X(6);
   for (float &V : X)
     V = R.nextFloat(-1.f, 1.f);
-  std::vector<float> Y = kernels::gemv(A, X);
+  std::vector<float> Y(9);
+  kernels::gemvInto(A, X, Y);
   for (int64_t I = 0; I < 9; ++I) {
     double Acc = 0.0;
     for (int64_t J = 0; J < 6; ++J)
@@ -133,7 +127,8 @@ TEST(Gemv, MatchesGemmWithSingleColumn) {
 TEST(Broadcast, RowBroadcastScalesRows) {
   DenseMatrix H = randomDense(3, 4, 60);
   std::vector<float> D = {2.0f, 0.0f, -1.0f};
-  DenseMatrix Out = kernels::rowBroadcastMul(D, H);
+  DenseMatrix Out(3, 4);
+  kernels::rowBroadcastMulInto(D, H, Out);
   for (int64_t C = 0; C < 4; ++C) {
     EXPECT_FLOAT_EQ(Out.at(0, C), 2.0f * H.at(0, C));
     EXPECT_FLOAT_EQ(Out.at(1, C), 0.0f);
@@ -147,8 +142,9 @@ TEST(Broadcast, RowBroadcastEqualsDiagGemm) {
   DenseMatrix Diag(5, 5);
   for (int64_t I = 0; I < 5; ++I)
     Diag.at(I, I) = D[static_cast<size_t>(I)];
-  EXPECT_TRUE(kernels::rowBroadcastMul(D, H).approxEquals(refGemm(Diag, H),
-                                                          1e-4f, 1e-4f));
+  DenseMatrix Out(5, 3);
+  kernels::rowBroadcastMulInto(D, H, Out);
+  EXPECT_TRUE(Out.approxEquals(refGemm(Diag, H), 1e-4f, 1e-4f));
 }
 
 TEST(Broadcast, ColBroadcastEqualsDiagGemm) {
@@ -157,13 +153,15 @@ TEST(Broadcast, ColBroadcastEqualsDiagGemm) {
   DenseMatrix Diag(3, 3);
   for (int64_t I = 0; I < 3; ++I)
     Diag.at(I, I) = D[static_cast<size_t>(I)];
-  EXPECT_TRUE(kernels::colBroadcastMul(H, D).approxEquals(refGemm(H, Diag),
-                                                          1e-4f, 1e-4f));
+  DenseMatrix Out(4, 3);
+  kernels::colBroadcastMulInto(H, D, Out);
+  EXPECT_TRUE(Out.approxEquals(refGemm(H, Diag), 1e-4f, 1e-4f));
 }
 
 TEST(Elementwise, AddAndAxpyAgree) {
   DenseMatrix A = randomDense(6, 6, 70), B = randomDense(6, 6, 71);
-  DenseMatrix Sum = kernels::addMatrices(A, B);
+  DenseMatrix Sum(6, 6);
+  kernels::addMatricesInto(A, B, Sum);
   DenseMatrix Axpy = B;
   kernels::axpyInto(1.0f, A, Axpy);
   EXPECT_TRUE(Sum.approxEquals(Axpy, 0.0f, 0.0f));
@@ -171,7 +169,8 @@ TEST(Elementwise, AddAndAxpyAgree) {
 
 TEST(Elementwise, ScaleMatrix) {
   DenseMatrix A = randomDense(2, 3, 72);
-  DenseMatrix S = kernels::scaleMatrix(A, -2.0f);
+  DenseMatrix S(2, 3);
+  kernels::scaleMatrixInto(A, -2.0f, S);
   EXPECT_FLOAT_EQ(S.at(1, 2), -2.0f * A.at(1, 2));
 }
 
@@ -181,7 +180,8 @@ TEST(Elementwise, ReluClampsNegatives) {
   A.at(0, 1) = 2.0f;
   A.at(0, 2) = 0.0f;
   A.at(0, 3) = -0.5f;
-  DenseMatrix R = kernels::relu(A);
+  DenseMatrix R(1, 4);
+  kernels::reluInto(A, R);
   EXPECT_FLOAT_EQ(R.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(R.at(0, 1), 2.0f);
   EXPECT_FLOAT_EQ(R.at(0, 3), 0.0f);
@@ -315,7 +315,8 @@ TEST(Backward, EdgeActivationGradientsRunTheSerialLoops) {
   const size_t Nnz = static_cast<size_t>(A.nnz());
   const std::vector<float> Pre = randomVec(Nnz, 998);
   const std::vector<float> Grad = randomVec(Nnz, 999);
-  const std::vector<float> Alpha = kernels::edgeSoftmax(A, Pre);
+  std::vector<float> Alpha(Nnz);
+  kernels::edgeSoftmaxInto(A, Pre, Alpha);
   const float Slope = 0.2f;
   checkBackwardKernel(
       Nnz,
@@ -361,8 +362,9 @@ TEST_P(SpmmCases, WeightedMatchesDenseReference) {
   CsrMatrix A = randomSparse(N, N, Entries, Seed, /*Weighted=*/true);
   DenseMatrix B = randomDense(N, K, Seed + 1);
   DenseMatrix Expected = refGemm(A.toDense(), B);
-  EXPECT_TRUE(
-      kernels::spmm(A, A.values(), B).approxEquals(Expected, 1e-3f, 1e-3f));
+  DenseMatrix Got(N, K);
+  kernels::spmmInto(A, A.values(), B, Got);
+  EXPECT_TRUE(Got.approxEquals(Expected, 1e-3f, 1e-3f));
 }
 
 // The unweighted SpMM of a weighted matrix reads none of its values: at
@@ -382,9 +384,9 @@ TEST_P(SpmmCases, UnweightedIgnoresValues) {
   for (kernels::IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
-    const DenseMatrix Got = kernels::spmm(A, {}, B);
-    const DenseMatrix Want = kernels::spmm(Pattern, Pattern.values(), B);
-    ASSERT_EQ(Got.size(), Want.size());
+    DenseMatrix Got(N, K), Want(N, K);
+    kernels::spmmInto(A, {}, B, Got);
+    kernels::spmmInto(Pattern, Pattern.values(), B, Want);
     EXPECT_EQ(std::memcmp(Got.data(), Want.data(),
                           static_cast<size_t>(Got.size()) * sizeof(float)),
               0);
@@ -403,7 +405,8 @@ TEST(Sddmm, DotMatchesDense) {
   CsrMatrix Mask = randomSparse(8, 8, 20, 600, false);
   DenseMatrix U = randomDense(8, 5, 601);
   DenseMatrix V = randomDense(8, 5, 602);
-  std::vector<float> Vals = kernels::sddmm(Mask, U, V);
+  std::vector<float> Vals(static_cast<size_t>(Mask.nnz()));
+  kernels::sddmmInto(Mask, U, V, Vals);
   const auto &Offsets = Mask.rowOffsets();
   const auto &Cols = Mask.colIndices();
   for (int64_t R = 0; R < 8; ++R)
@@ -424,7 +427,8 @@ TEST(Sddmm, AddScalarsPerEdge) {
   CsrMatrix Mask = Coo.toCsr();
   std::vector<float> Src = {1.f, 2.f, 3.f};
   std::vector<float> Dst = {10.f, 20.f, 30.f};
-  std::vector<float> Vals = kernels::sddmmAddScalars(Mask, Src, Dst);
+  std::vector<float> Vals(2);
+  kernels::sddmmAddScalarsInto(Mask, Src, Dst, Vals);
   EXPECT_FLOAT_EQ(Vals[0], 1.f + 20.f); // edge (0,1)
   EXPECT_FLOAT_EQ(Vals[1], 3.f + 10.f); // edge (2,0)
 }
@@ -441,12 +445,14 @@ TEST(SparseScale, RowColBothAgreeWithDense) {
   }
   DenseMatrix Ad = A.toDense();
 
-  EXPECT_TRUE(kernels::scaleSparseRows(A, L).toDense().approxEquals(
-      refGemm(DL, Ad), 1e-4f, 1e-4f));
-  EXPECT_TRUE(kernels::scaleSparseCols(A, R).toDense().approxEquals(
-      refGemm(Ad, DR), 1e-4f, 1e-4f));
-  EXPECT_TRUE(kernels::scaleSparseBoth(A, L, R).toDense().approxEquals(
-      refGemm(refGemm(DL, Ad), DR), 1e-4f, 1e-4f));
+  CsrMatrix Rows = A, Cols = A, Both = A;
+  kernels::scaleSparseRowsInto(A, L, Rows.mutableValues());
+  kernels::scaleSparseColsInto(A, R, Cols.mutableValues());
+  kernels::scaleSparseBothInto(A, L, R, Both.mutableValues());
+  EXPECT_TRUE(Rows.toDense().approxEquals(refGemm(DL, Ad), 1e-4f, 1e-4f));
+  EXPECT_TRUE(Cols.toDense().approxEquals(refGemm(Ad, DR), 1e-4f, 1e-4f));
+  EXPECT_TRUE(Both.toDense().approxEquals(refGemm(refGemm(DL, Ad), DR),
+                                          1e-4f, 1e-4f));
 }
 
 TEST(SparseScale, FusedEqualsTwoPass) {
@@ -457,16 +463,21 @@ TEST(SparseScale, FusedEqualsTwoPass) {
     L[I] = Gen.nextFloat(0.1f, 2.f);
     R[I] = Gen.nextFloat(0.1f, 2.f);
   }
-  CsrMatrix Fused = kernels::scaleSparseBoth(A, L, R);
-  CsrMatrix TwoPass = kernels::scaleSparseCols(kernels::scaleSparseRows(A, L), R);
-  ASSERT_EQ(Fused.nnz(), TwoPass.nnz());
-  for (int64_t K = 0; K < Fused.nnz(); ++K)
-    EXPECT_NEAR(Fused.valueAt(K), TwoPass.valueAt(K), 1e-5f);
+  const auto Nnz = static_cast<size_t>(A.nnz());
+  std::vector<float> Fused(Nnz), TwoPass(Nnz);
+  CsrMatrix RowScaled = A;
+  RowScaled.setValues(std::vector<float>(Nnz));
+  kernels::scaleSparseBothInto(A, L, R, Fused);
+  kernels::scaleSparseRowsInto(A, L, RowScaled.mutableValues());
+  kernels::scaleSparseColsInto(RowScaled, R, TwoPass);
+  for (size_t K = 0; K < Nnz; ++K)
+    EXPECT_NEAR(Fused[K], TwoPass[K], 1e-5f);
 }
 
 TEST(EdgeSoftmax, RowsSumToOne) {
   CsrMatrix A = randomSparse(12, 12, 40, 800, true);
-  std::vector<float> Soft = kernels::edgeSoftmax(A, A.values());
+  std::vector<float> Soft(static_cast<size_t>(A.nnz()));
+  kernels::edgeSoftmaxInto(A, A.values(), Soft);
   const auto &Offsets = A.rowOffsets();
   for (int64_t R = 0; R < 12; ++R) {
     int64_t Begin = Offsets[static_cast<size_t>(R)];
@@ -487,15 +498,15 @@ TEST(EdgeSoftmax, LargeLogitsAreStable) {
   Coo.add(0, 0);
   Coo.add(0, 1);
   CsrMatrix A = Coo.toCsr();
-  std::vector<float> Soft =
-      kernels::edgeSoftmax(A, std::vector<float>{500.0f, 500.0f});
+  std::vector<float> Soft(2);
+  kernels::edgeSoftmaxInto(A, std::vector<float>{500.0f, 500.0f}, Soft);
   EXPECT_NEAR(Soft[0], 0.5f, 1e-6f);
   EXPECT_FALSE(std::isnan(Soft[1]));
 }
 
 TEST(EdgeMap, LeakyReluEdges) {
-  std::vector<float> Out =
-      kernels::leakyReluEdges(std::vector<float>{-1.0f, 2.0f}, 0.25f);
+  std::vector<float> Out(2);
+  kernels::leakyReluEdgesInto(std::vector<float>{-1.0f, 2.0f}, 0.25f, Out);
   EXPECT_FLOAT_EQ(Out[0], -0.25f);
   EXPECT_FLOAT_EQ(Out[1], 2.0f);
 }
@@ -506,16 +517,17 @@ TEST(EdgeMap, LeakyReluEdges) {
 
 TEST(Degree, OffsetsAndBinningAgree) {
   CsrMatrix A = randomSparse(30, 30, 100, 900, false);
-  std::vector<float> Off = kernels::degreeFromOffsets(A);
-  std::vector<float> Bin = kernels::degreeByBinning(A);
-  ASSERT_EQ(Off.size(), Bin.size());
+  std::vector<float> Off(30), Bin(30);
+  kernels::degreeFromOffsetsInto(A, Off);
+  kernels::degreeByBinningInto(A, Bin);
   for (size_t I = 0; I < Off.size(); ++I)
     EXPECT_FLOAT_EQ(Off[I], Bin[I]);
 }
 
 TEST(Degree, SumsToNnz) {
   CsrMatrix A = randomSparse(25, 25, 80, 901, false);
-  std::vector<float> Deg = kernels::degreeFromOffsets(A);
+  std::vector<float> Deg(25);
+  kernels::degreeFromOffsetsInto(A, Deg);
   double Sum = 0.0;
   for (float D : Deg)
     Sum += D;
@@ -523,13 +535,15 @@ TEST(Degree, SumsToNnz) {
 }
 
 TEST(Degree, InvSqrtZeroesIsolatedNodes) {
-  std::vector<float> Out = kernels::invSqrt({0.0f, 4.0f});
+  std::vector<float> Out(2);
+  kernels::invSqrtInto({0.0f, 4.0f}, Out);
   EXPECT_FLOAT_EQ(Out[0], 0.0f); // isolated node: no normalization mass
   EXPECT_FLOAT_EQ(Out[1], 0.5f);
 }
 
 TEST(Degree, InvDegreeZeroesIsolatedNodes) {
-  std::vector<float> Out = kernels::invDegree({0.0f, 4.0f});
+  std::vector<float> Out(2);
+  kernels::invDegreeInto({0.0f, 4.0f}, Out);
   EXPECT_FLOAT_EQ(Out[0], 0.0f);
   EXPECT_FLOAT_EQ(Out[1], 0.25f);
 }
@@ -548,9 +562,11 @@ TEST(Degree, NormalizationMatchesDenseReferenceWithIsolatedVertices) {
   Coo.add(0, 3, 1.0f);
   CsrMatrix A = Coo.toCsr(/*Structural=*/false);
 
-  std::vector<float> Deg = kernels::degreeFromOffsets(A);
-  std::vector<float> Norm = kernels::invSqrt(Deg);
-  CsrMatrix Scaled = kernels::scaleSparseBoth(A, Norm, Norm);
+  std::vector<float> Deg(4), Norm(4);
+  kernels::degreeFromOffsetsInto(A, Deg);
+  kernels::invSqrtInto(Deg, Norm);
+  CsrMatrix Scaled = A;
+  kernels::scaleSparseBothInto(A, Norm, Norm, Scaled.mutableValues());
 
   // Dense reference built from the true degrees, 0 coefficient when deg 0.
   DenseMatrix Dense = A.toDense();
@@ -578,16 +594,19 @@ TEST(Degree, NormalizationMatchesDenseReferenceWithIsolatedVertices) {
 TEST(KernelChecks, GemmInnerDimMismatchDies) {
   DenseMatrix A = randomDense(4, 5, 70);
   DenseMatrix B = randomDense(6, 3, 71); // inner dim 5 != 6
-  EXPECT_DEATH(kernels::gemm(A, B), "gemm inner dimension mismatch");
+  DenseMatrix Dst(4, 3);
+  EXPECT_DEATH(kernels::gemmInto(A, B, Dst), "gemm inner dimension mismatch");
 }
 
 TEST(KernelChecks, SpmmDimMismatchDies) {
   CsrMatrix A = randomSparse(8, 8, 20, 72, true);
   DenseMatrix B = randomDense(9, 4, 73); // 8 cols vs 9 rows
-  EXPECT_DEATH(kernels::spmm(A, A.values(), B), "spmm dimension mismatch");
+  DenseMatrix Dst(8, 4);
+  EXPECT_DEATH(kernels::spmmInto(A, A.values(), B, Dst),
+               "spmm dimension mismatch");
   DenseMatrix Rows8 = randomDense(8, 4, 73);
   std::vector<float> Short(static_cast<size_t>(A.nnz() - 1), 1.0f);
-  EXPECT_DEATH(kernels::spmm(A, Short, Rows8),
+  EXPECT_DEATH(kernels::spmmInto(A, Short, Rows8, Dst),
                "spmm edge value count mismatch");
 }
 
@@ -633,13 +652,12 @@ TEST(KernelChecks, SpmmIntoWrongDstShapeDies) {
 
 namespace {
 
-/// Runs \p Fn with the pool pinned to \p Threads, then restores the
+/// Runs \p F with the pool pinned to \p Threads, then restores the
 /// default configuration.
-template <typename Fn> auto withThreads(int Threads, Fn &&F) {
+template <typename Fn> void withThreads(int Threads, Fn &&F) {
   ThreadPool::get().setNumThreads(Threads);
-  auto Result = F();
+  F();
   ThreadPool::get().setNumThreads(0);
-  return Result;
 }
 
 /// Skewed power-law graph: R-MAT concentrates edges on hub rows, so the
@@ -669,11 +687,11 @@ void expectBitwiseEqual(std::span<const float> A, std::span<const float> B) {
 TEST(Determinism, SpmmUnweightedBitwiseIdenticalAcrossThreadCounts) {
   const Graph &G = skewedGraph();
   DenseMatrix H = randomDense(G.numNodes(), 48, 81);
-  DenseMatrix One =
-      withThreads(1, [&] { return kernels::spmm(G.adjacency(), {}, H); });
+  DenseMatrix One(G.numNodes(), 48), Many(G.numNodes(), 48);
+  withThreads(1, [&] { kernels::spmmInto(G.adjacency(), {}, H, One); });
   for (int Threads : {2, 3, 8}) {
-    DenseMatrix Many = withThreads(
-        Threads, [&] { return kernels::spmm(G.adjacency(), {}, H); });
+    withThreads(Threads,
+                [&] { kernels::spmmInto(G.adjacency(), {}, H, Many); });
     expectBitwiseEqual(One, Many);
   }
 }
@@ -687,32 +705,39 @@ TEST(Determinism, SpmmWeightedBitwiseIdenticalAcrossThreadCounts) {
     V = R.nextFloat(0.1f, 1.0f);
   A.setValues(std::move(Vals));
   DenseMatrix H = randomDense(G.numNodes(), 48, 83);
-  DenseMatrix One =
-      withThreads(1, [&] { return kernels::spmm(A, A.values(), H); });
-  DenseMatrix Eight =
-      withThreads(8, [&] { return kernels::spmm(A, A.values(), H); });
+  DenseMatrix One(G.numNodes(), 48), Eight(G.numNodes(), 48);
+  withThreads(1, [&] { kernels::spmmInto(A, A.values(), H, One); });
+  withThreads(8, [&] { kernels::spmmInto(A, A.values(), H, Eight); });
   expectBitwiseEqual(One, Eight);
 }
 
 TEST(Determinism, GemmFamilyBitwiseIdenticalAcrossThreadCounts) {
   DenseMatrix A = randomDense(300, 64, 84);
   DenseMatrix B = randomDense(64, 96, 85);
-  expectBitwiseEqual(withThreads(1, [&] { return kernels::gemm(A, B); }),
-                     withThreads(8, [&] { return kernels::gemm(A, B); }));
+  DenseMatrix One(300, 96), Eight(300, 96);
+  withThreads(1, [&] { kernels::gemmInto(A, B, One); });
+  withThreads(8, [&] { kernels::gemmInto(A, B, Eight); });
+  expectBitwiseEqual(One, Eight);
   DenseMatrix At = randomDense(300, 64, 86); // A^T*B over shared dim 300
-  expectBitwiseEqual(withThreads(1, [&] { return gemmTLhs(At, A); }),
-                     withThreads(8, [&] { return gemmTLhs(At, A); }));
-  expectBitwiseEqual(withThreads(1, [&] { return gemmTRhs(A, At); }),
-                     withThreads(8, [&] { return gemmTRhs(A, At); }));
+  DenseMatrix LhsOne(64, 64), LhsEight(64, 64);
+  withThreads(1, [&] { kernels::gemmTransposedLhsInto(At, A, LhsOne); });
+  withThreads(8, [&] { kernels::gemmTransposedLhsInto(At, A, LhsEight); });
+  expectBitwiseEqual(LhsOne, LhsEight);
+  DenseMatrix RhsOne(300, 300), RhsEight(300, 300);
+  withThreads(1, [&] { kernels::gemmTransposedRhsInto(A, At, RhsOne); });
+  withThreads(8, [&] { kernels::gemmTransposedRhsInto(A, At, RhsEight); });
+  expectBitwiseEqual(RhsOne, RhsEight);
 }
 
 TEST(Determinism, SddmmBitwiseIdenticalAcrossThreadCounts) {
   const Graph &G = skewedGraph();
   DenseMatrix U = randomDense(G.numNodes(), 32, 87);
   DenseMatrix V = randomDense(G.numNodes(), 32, 88);
-  expectBitwiseEqual(
-      withThreads(1, [&] { return kernels::sddmm(G.adjacency(), U, V); }),
-      withThreads(8, [&] { return kernels::sddmm(G.adjacency(), U, V); }));
+  std::vector<float> One(static_cast<size_t>(G.numEdges()));
+  std::vector<float> Eight(One.size());
+  withThreads(1, [&] { kernels::sddmmInto(G.adjacency(), U, V, One); });
+  withThreads(8, [&] { kernels::sddmmInto(G.adjacency(), U, V, Eight); });
+  expectBitwiseEqual(One, Eight);
 }
 
 TEST(Determinism, EdgeSoftmaxBitwiseIdenticalAcrossThreadCounts) {
@@ -721,15 +746,18 @@ TEST(Determinism, EdgeSoftmaxBitwiseIdenticalAcrossThreadCounts) {
   std::vector<float> Logits(static_cast<size_t>(G.numEdges()));
   for (float &V : Logits)
     V = R.nextFloat(-2.0f, 2.0f);
-  expectBitwiseEqual(
-      withThreads(1, [&] { return kernels::edgeSoftmax(G.adjacency(), Logits); }),
-      withThreads(8, [&] { return kernels::edgeSoftmax(G.adjacency(), Logits); }));
+  std::vector<float> One(Logits.size()), Eight(Logits.size());
+  withThreads(1, [&] { kernels::edgeSoftmaxInto(G.adjacency(), Logits, One); });
+  withThreads(8,
+              [&] { kernels::edgeSoftmaxInto(G.adjacency(), Logits, Eight); });
+  expectBitwiseEqual(One, Eight);
 }
 
 TEST(Determinism, TransposeBitwiseIdenticalAcrossThreadCounts) {
   const Graph &G = skewedGraph();
-  CsrMatrix One = withThreads(1, [&] { return G.adjacency().transposed(); });
-  CsrMatrix Eight = withThreads(8, [&] { return G.adjacency().transposed(); });
+  CsrMatrix One, Eight;
+  withThreads(1, [&] { One = G.adjacency().transposed(); });
+  withThreads(8, [&] { Eight = G.adjacency().transposed(); });
   ASSERT_EQ(One.rowOffsets(), Eight.rowOffsets());
   ASSERT_EQ(One.colIndices(), Eight.colIndices());
   expectBitwiseEqual(One.values(), Eight.values());

@@ -55,13 +55,19 @@ TEST(Sage, MeanAggregationSemantics) {
 
   // Reference: relu(H Wself + D^-1 A H Wneigh) with dense ops.
   const CsrMatrix &A = Params.AdjSelf;
-  std::vector<float> InvDeg =
-      kernels::invDegree(kernels::degreeFromOffsets(A));
-  DenseMatrix Mean = kernels::rowBroadcastMul(
-      InvDeg, kernels::spmm(A, {}, Params.Features));
-  DenseMatrix Ref = kernels::relu(kernels::addMatrices(
-      kernels::gemm(Params.Features, Params.Weights.at("Wself")),
-      kernels::gemm(Mean, Params.Weights.at("Wneigh"))));
+  const DenseMatrix &H = Params.Features;
+  const int64_t N = A.rows();
+  std::vector<float> Deg(static_cast<size_t>(N)), InvDeg(Deg.size());
+  kernels::degreeFromOffsetsInto(A, Deg);
+  kernels::invDegreeInto(Deg, InvDeg);
+  DenseMatrix Sum(N, H.cols()), Mean(N, H.cols());
+  kernels::spmmInto(A, {}, H, Sum);
+  kernels::rowBroadcastMulInto(InvDeg, Sum, Mean);
+  DenseMatrix Self(N, 5), Neigh(N, 5), Pre(N, 5), Ref(N, 5);
+  kernels::gemmInto(H, Params.Weights.at("Wself"), Self);
+  kernels::gemmInto(Mean, Params.Weights.at("Wneigh"), Neigh);
+  kernels::addMatricesInto(Self, Neigh, Pre);
+  kernels::reluInto(Pre, Ref);
   EXPECT_TRUE(Out.approxEquals(Ref, 1e-3f, 1e-3f));
 }
 

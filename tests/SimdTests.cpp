@@ -57,18 +57,6 @@ CsrMatrix randomSparse(int64_t Rows, int64_t Cols, int64_t Entries,
   return Coo.toCsr(!Weighted);
 }
 
-/// A^T * B and A * B^T through the destination-passing kernels.
-DenseMatrix gemmTLhs(const DenseMatrix &A, const DenseMatrix &B) {
-  DenseMatrix C(A.cols(), B.cols());
-  kernels::gemmTransposedLhsInto(A, B, C);
-  return C;
-}
-
-DenseMatrix gemmTRhs(const DenseMatrix &A, const DenseMatrix &B) {
-  DenseMatrix C(A.rows(), B.rows());
-  kernels::gemmTransposedRhsInto(A, B, C);
-  return C;
-}
 
 void expectApproxEqual(const DenseMatrix &Got, const DenseMatrix &Want,
                        float Tol, const std::string &What) {
@@ -236,16 +224,21 @@ TEST(CrossIsa, GemmFamilyAgreesWithScalarLevel) {
   DenseMatrix Bt = randomDense(29, 45, 14); // rhs of the A * B^T form
 
   ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Scalar));
-  DenseMatrix RefGemm = kernels::gemm(A, B);
-  DenseMatrix RefTLhs = gemmTLhs(At, B);
-  DenseMatrix RefTRhs = gemmTRhs(A, Bt);
+  DenseMatrix RefGemm(37, 29), RefTLhs(37, 29), RefTRhs(37, 29);
+  kernels::gemmInto(A, B, RefGemm);
+  kernels::gemmTransposedLhsInto(At, B, RefTLhs);
+  kernels::gemmTransposedRhsInto(A, Bt, RefTRhs);
 
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
-    expectApproxEqual(kernels::gemm(A, B), RefGemm, 1e-5f, "gemm");
-    expectApproxEqual(gemmTLhs(At, B), RefTLhs, 1e-5f, "gemmTransposedLhs");
-    expectApproxEqual(gemmTRhs(A, Bt), RefTRhs, 1e-5f, "gemmTransposedRhs");
+    DenseMatrix Gemm(37, 29), TLhs(37, 29), TRhs(37, 29);
+    kernels::gemmInto(A, B, Gemm);
+    kernels::gemmTransposedLhsInto(At, B, TLhs);
+    kernels::gemmTransposedRhsInto(A, Bt, TRhs);
+    expectApproxEqual(Gemm, RefGemm, 1e-5f, "gemm");
+    expectApproxEqual(TLhs, RefTLhs, 1e-5f, "gemmTransposedLhs");
+    expectApproxEqual(TRhs, RefTRhs, 1e-5f, "gemmTransposedRhs");
   }
 }
 
@@ -256,16 +249,18 @@ TEST(CrossIsa, SpmmAgreesWithScalarLevel) {
   DenseMatrix B = randomDense(60, 33, 23);
 
   ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Scalar));
-  DenseMatrix RefW = kernels::spmm(Weighted, Weighted.values(), B);
-  DenseMatrix RefU = kernels::spmm(Unweighted, {}, B);
+  DenseMatrix RefW(60, 33), RefU(60, 33);
+  kernels::spmmInto(Weighted, Weighted.values(), B, RefW);
+  kernels::spmmInto(Unweighted, {}, B, RefU);
 
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
-    expectApproxEqual(kernels::spmm(Weighted, Weighted.values(), B), RefW,
-                      1e-5f, "weighted spmm");
-    expectApproxEqual(kernels::spmm(Unweighted, {}, B), RefU, 1e-5f,
-                      "unweighted spmm");
+    DenseMatrix GotW(60, 33), GotU(60, 33);
+    kernels::spmmInto(Weighted, Weighted.values(), B, GotW);
+    kernels::spmmInto(Unweighted, {}, B, GotU);
+    expectApproxEqual(GotW, RefW, 1e-5f, "weighted spmm");
+    expectApproxEqual(GotU, RefU, 1e-5f, "unweighted spmm");
   }
 }
 
@@ -276,13 +271,14 @@ TEST(CrossIsa, SddmmAgreesWithScalarLevel) {
   DenseMatrix V = randomDense(40, 21, 33);
 
   ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Scalar));
-  std::vector<float> Ref = kernels::sddmm(Mask, U, V);
+  std::vector<float> Ref(static_cast<size_t>(Mask.nnz()));
+  kernels::sddmmInto(Mask, U, V, Ref);
 
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
-    std::vector<float> Got = kernels::sddmm(Mask, U, V);
-    ASSERT_EQ(Got.size(), Ref.size());
+    std::vector<float> Got(Ref.size());
+    kernels::sddmmInto(Mask, U, V, Got);
     for (size_t I = 0; I < Ref.size(); ++I)
       EXPECT_NEAR(Got[I], Ref[I], 1e-5f) << "edge " << I;
   }
@@ -300,20 +296,25 @@ TEST(CrossIsa, ElementwiseOpsAreBitwiseAcrossLevels) {
     X = R.nextFloat(-1.0f, 1.0f);
 
   ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Scalar));
-  DenseMatrix RefRelu = kernels::relu(A);
-  DenseMatrix RefAdd = kernels::addMatrices(A, B);
-  DenseMatrix RefScale = kernels::scaleMatrix(A, 0.37f);
-  DenseMatrix RefRowMul = kernels::rowBroadcastMul(D, A);
+  DenseMatrix RefRelu(23, 37), RefAdd(23, 37), RefScale(23, 37),
+      RefRowMul(23, 37);
+  kernels::reluInto(A, RefRelu);
+  kernels::addMatricesInto(A, B, RefAdd);
+  kernels::scaleMatrixInto(A, 0.37f, RefScale);
+  kernels::rowBroadcastMulInto(D, A, RefRowMul);
 
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
-    expectBitwiseEqual(kernels::relu(A), RefRelu, "relu");
-    expectBitwiseEqual(kernels::addMatrices(A, B), RefAdd, "addMatrices");
-    expectBitwiseEqual(kernels::scaleMatrix(A, 0.37f), RefScale,
-                       "scaleMatrix");
-    expectBitwiseEqual(kernels::rowBroadcastMul(D, A), RefRowMul,
-                       "rowBroadcastMul");
+    DenseMatrix Relu(23, 37), Add(23, 37), Scale(23, 37), RowMul(23, 37);
+    kernels::reluInto(A, Relu);
+    kernels::addMatricesInto(A, B, Add);
+    kernels::scaleMatrixInto(A, 0.37f, Scale);
+    kernels::rowBroadcastMulInto(D, A, RowMul);
+    expectBitwiseEqual(Relu, RefRelu, "relu");
+    expectBitwiseEqual(Add, RefAdd, "addMatrices");
+    expectBitwiseEqual(Scale, RefScale, "scaleMatrix");
+    expectBitwiseEqual(RowMul, RefRowMul, "rowBroadcastMul");
   }
 }
 
@@ -347,10 +348,11 @@ TEST(CrossIsa, WithinLevelResultsAreThreadCountInvariant) {
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
+    DenseMatrix One(80, 29), Four(80, 29);
     ThreadPool::get().setNumThreads(1);
-    DenseMatrix One = kernels::spmm(A, A.values(), H);
+    kernels::spmmInto(A, A.values(), H, One);
     ThreadPool::get().setNumThreads(4);
-    DenseMatrix Four = kernels::spmm(A, A.values(), H);
+    kernels::spmmInto(A, A.values(), H, Four);
     EXPECT_EQ(Four.maxAbsDiff(One), 0.0f)
         << "thread count changed spmm output";
   }
@@ -563,8 +565,10 @@ TEST(ReductionOrder, CscTransposedSpmmMatchesSpmmOfTranspose) {
           kernels::spmmCscTransposedInto(
               Csc, ReadValues ? A->values() : std::span<const float>(), B,
               Got);
-          const DenseMatrix Want = kernels::spmm(
-              At, ReadValues ? At.values() : std::span<const float>(), B);
+          DenseMatrix Want(50, Width);
+          kernels::spmmInto(
+              At, ReadValues ? At.values() : std::span<const float>(), B,
+              Want);
           expectSameBits(
               std::vector<float>(Got.data(), Got.data() + 50 * Width),
               std::vector<float>(Want.data(), Want.data() + 50 * Width),

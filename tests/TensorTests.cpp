@@ -253,7 +253,6 @@ TEST(CsrMatrix, VersionChangesOnEveryEditAndCopiesKeepIt) {
   A.assignPattern(Copy.rows(), Copy.cols(), Copy.rowOffsets(),
                   Copy.colIndices());
   ExpectFresh("assignPattern");
-  EXPECT_NE(Copy.withValues(Copy.values()).version(), Copy.version());
   EXPECT_EQ(Copy.version(), CsrMatrix(Copy).version());
 }
 
