@@ -4,7 +4,6 @@
 
 #include "support/Error.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace granii;
@@ -239,16 +238,6 @@ double CompositionPlan::flopCost(const DimBinding &Binding,
     Total += Mult * Descs[I].flops();
   }
   return Total;
-}
-
-std::vector<std::string>
-CompositionPlan::primitiveMultiset(const DimBinding &Binding) const {
-  std::vector<std::string> Items;
-  std::vector<PrimitiveDesc> Descs = primitiveDescs(Binding);
-  for (const PrimitiveDesc &D : Descs)
-    Items.push_back(D.toString());
-  std::sort(Items.begin(), Items.end());
-  return Items;
 }
 
 void CompositionPlan::verify() const {

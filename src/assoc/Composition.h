@@ -119,10 +119,6 @@ public:
   /// \p Iterations times. The analytic baseline for pruning and Fig. 3.
   double flopCost(const DimBinding &Binding, int Iterations = 1) const;
 
-  /// Multiset of (primitive kind, sizes) pairs used by the pruning rules;
-  /// sorted for comparison.
-  std::vector<std::string> primitiveMultiset(const DimBinding &Binding) const;
-
   /// Checks internal consistency (operand ids in range, defined before
   /// use, single assignment). Aborts on violation.
   void verify() const;

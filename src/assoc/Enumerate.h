@@ -38,8 +38,9 @@ struct EnumOptions {
   bool UseBinningDegree = false;
   /// Allow the fused ternary [diag, sparse, diag] rule.
   bool EnableTernaryRule = true;
-  /// Hoist graph-only steps out of the iteration loop (GRANII's codegen
-  /// behaviour; baseline frameworks run straight-line code).
+  /// Hoist graph-only steps out of the iteration loop into setup steps the
+  /// executor charges once (GRANII's behaviour; baseline frameworks run
+  /// straight-line code).
   bool HoistGraphOnlySteps = true;
   /// Hard cap on emitted plans (safety bound; never reached by the paper's
   /// models).

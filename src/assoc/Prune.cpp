@@ -5,8 +5,6 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <array>
-#include <map>
 
 using namespace granii;
 
@@ -28,82 +26,40 @@ DimBinding granii::pruneScenarioLt() {
   return B;
 }
 
-namespace {
-
-/// Size tuple of one primitive instance, comparable elementwise.
-struct SizedPrim {
-  PrimitiveKind Kind;
-  std::array<int64_t, 4> Sizes; // rows, cols, inner, nnz
-
-  bool operator<(const SizedPrim &Other) const {
-    if (Kind != Other.Kind)
-      return Kind < Other.Kind;
-    return Sizes < Other.Sizes;
-  }
-  bool operator==(const SizedPrim &Other) const {
-    return Kind == Other.Kind && Sizes == Other.Sizes;
-  }
-
-  /// Elementwise <= with at least the possibility of strictness tracked by
-  /// the caller.
-  bool allLeq(const SizedPrim &Other) const {
-    for (size_t I = 0; I < 4; ++I)
-      if (Sizes[I] > Other.Sizes[I])
-        return false;
-    return true;
-  }
-};
-
-std::vector<SizedPrim> sizedPrims(const CompositionPlan &Plan,
-                                  const DimBinding &Binding) {
-  std::vector<SizedPrim> Result;
-  for (const PrimitiveDesc &D : Plan.primitiveDescs(Binding)) {
-    // Pure bookkeeping steps (degree, rsqrt, diag products) are shared by
-    // every candidate shape and excluded from the comparison; including
-    // them only blurs the subset rule.
+SizedMultiset granii::sizedMultiset(const CompositionPlan &Plan,
+                                   const DimBinding &Binding) {
+  SizedMultiset Result;
+  for (const PrimitiveDesc &D : Plan.primitiveDescs(Binding))
     Result.push_back({D.Kind, {D.Rows, D.Cols, D.Inner, D.Nnz}});
-  }
   std::sort(Result.begin(), Result.end());
   return Result;
 }
 
-/// Rule 1: Dominator's complete multiset is a (possibly improper) subset of
-/// Candidate's; proper subset always dominates, equality dominates only for
-/// deduplication (handled by the caller with an index tie-break).
-bool subsetDominates(const std::vector<SizedPrim> &Dominator,
-                     const std::vector<SizedPrim> &Candidate) {
+bool granii::subsetDominates(const SizedMultiset &Dominator,
+                             const SizedMultiset &Candidate) {
+  // An equal multiset is a cost-duplicate, not a domination: the caller
+  // breaks that tie by index.
   if (Dominator.size() >= Candidate.size())
     return false;
   return std::includes(Candidate.begin(), Candidate.end(), Dominator.begin(),
                        Dominator.end());
 }
 
-/// Rule 2: same primitive kinds and counts, everywhere-no-larger sizes with
-/// at least one strictly smaller.
-bool sizeDominates(const std::vector<SizedPrim> &Dominator,
-                   const std::vector<SizedPrim> &Candidate) {
+bool granii::sizeDominates(const SizedMultiset &Dominator,
+                           const SizedMultiset &Candidate) {
   if (Dominator.size() != Candidate.size())
     return false;
   bool AnyStrict = false;
   for (size_t I = 0; I < Dominator.size(); ++I) {
     if (Dominator[I].Kind != Candidate[I].Kind)
       return false;
-    if (!Dominator[I].allLeq(Candidate[I]))
-      return false;
+    for (size_t S = 0; S < 4; ++S)
+      if (Dominator[I].Sizes[S] > Candidate[I].Sizes[S])
+        return false;
     if (!(Dominator[I] == Candidate[I]))
       AnyStrict = true;
   }
   return AnyStrict;
-}
-
-} // namespace
-
-bool granii::dominates(const CompositionPlan &Dominator,
-                       const CompositionPlan &Candidate,
-                       const DimBinding &Binding) {
-  std::vector<SizedPrim> D = sizedPrims(Dominator, Binding);
-  std::vector<SizedPrim> C = sizedPrims(Candidate, Binding);
-  return subsetDominates(D, C) || sizeDominates(D, C);
 }
 
 std::vector<CompositionPlan>
@@ -116,19 +72,17 @@ granii::pruneCompositions(std::vector<CompositionPlan> Plans,
   const size_t Count = Plans.size();
 
   // Precompute size multisets per scenario.
-  std::vector<std::vector<SizedPrim>> GePrims(Count), LtPrims(Count);
+  std::vector<SizedMultiset> GePrims(Count), LtPrims(Count);
   for (size_t I = 0; I < Count; ++I) {
-    GePrims[I] = sizedPrims(Plans[I], Ge);
-    LtPrims[I] = sizedPrims(Plans[I], Lt);
+    GePrims[I] = sizedMultiset(Plans[I], Ge);
+    LtPrims[I] = sizedMultiset(Plans[I], Lt);
   }
 
-  auto DominatedIn = [&](size_t I,
-                         const std::vector<std::vector<SizedPrim>> &Prims) {
+  auto DominatedIn = [&](size_t I, const std::vector<SizedMultiset> &Prims) {
     for (size_t J = 0; J < Count; ++J) {
       if (J == I)
         continue;
-      if (subsetDominates(Prims[J], Prims[I]) ||
-          sizeDominates(Prims[J], Prims[I]))
+      if (dominates(Prims[J], Prims[I]))
         return true;
       // Exact cost-duplicate: keep the lower-indexed plan.
       if (Prims[J] == Prims[I] && J < I)

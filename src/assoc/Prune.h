@@ -22,6 +22,8 @@
 
 #include "assoc/Composition.h"
 
+#include <array>
+
 namespace granii {
 
 /// Statistics reported by the pruning pass (paper §VI-B reports these per
@@ -36,10 +38,46 @@ struct PruneStats {
 DimBinding pruneScenarioGe(); ///< K_in >= K_out
 DimBinding pruneScenarioLt(); ///< K_in <  K_out
 
-/// \returns true if \p Dominator makes \p Candidate unprofitable under
-/// \p Binding by rule 1 or rule 2.
-bool dominates(const CompositionPlan &Dominator,
-               const CompositionPlan &Candidate, const DimBinding &Binding);
+/// Kind and sizes of one primitive instance, comparable elementwise.
+struct SizedPrim {
+  PrimitiveKind Kind;
+  std::array<int64_t, 4> Sizes; // rows, cols, inner, nnz
+
+  bool operator<(const SizedPrim &Other) const {
+    if (Kind != Other.Kind)
+      return Kind < Other.Kind;
+    return Sizes < Other.Sizes;
+  }
+  bool operator==(const SizedPrim &Other) const {
+    return Kind == Other.Kind && Sizes == Other.Sizes;
+  }
+};
+
+/// A plan's primitives under one binding, sorted: the multiset both pruning
+/// rules compare. Two plans with equal multisets are cost-duplicates.
+using SizedMultiset = std::vector<SizedPrim>;
+
+/// Builds \p Plan's sized multiset under \p Binding.
+SizedMultiset sizedMultiset(const CompositionPlan &Plan,
+                            const DimBinding &Binding);
+
+/// Rule 1: \p Dominator's multiset is a proper sub-multiset of
+/// \p Candidate's.
+bool subsetDominates(const SizedMultiset &Dominator,
+                     const SizedMultiset &Candidate);
+
+/// Rule 2: the same primitive kinds and counts at everywhere-no-larger
+/// sizes, at least one strictly smaller.
+bool sizeDominates(const SizedMultiset &Dominator,
+                   const SizedMultiset &Candidate);
+
+/// \returns true if \p Dominator makes \p Candidate unprofitable by rule 1
+/// or rule 2.
+inline bool dominates(const SizedMultiset &Dominator,
+                      const SizedMultiset &Candidate) {
+  return subsetDominates(Dominator, Candidate) ||
+         sizeDominates(Dominator, Candidate);
+}
 
 /// Runs the pruning pass; returns the promoted candidates with their
 /// ViableGe / ViableLt annotations set.

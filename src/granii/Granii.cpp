@@ -64,14 +64,9 @@ LayerParams granii::makeLayerParams(const GnnModel &Model, const Graph &G,
   return Params;
 }
 
-Optimizer::Optimizer(GnnModel ModelIn, OptimizerOptions OptsIn,
-                     const CostModel *CostIn)
-    : Model(std::move(ModelIn)), Opts(std::move(OptsIn)), Cost(CostIn),
-      Exec(Opts.Hw) {
-  assert(Cost && "optimizer requires a cost model");
-  Opts.Enum.Verify = Opts.Verify; // one knob: --verify drives the rewrites too
-  std::vector<CompositionPlan> All =
-      enumerateCompositions(Model.Root, Opts.Enum);
+OfflinePlans granii::runOfflineStage(const IRNodeRef &Root,
+                                    const EnumOptions &Opts) {
+  std::vector<CompositionPlan> All = enumerateCompositions(Root, Opts);
   if (Opts.Verify == VerifyLevel::Full) {
     // Full: every enumerated candidate is checked before pruning, so a bad
     // plan is caught even if pruning would have discarded it.
@@ -81,29 +76,38 @@ Optimizer::Optimizer(GnnModel ModelIn, OptimizerOptions OptsIn,
     if (Diags.hasErrors())
       GRANII_FATAL("enumerated plan verification failed:\n" + Diags.render());
   }
-  Promoted = pruneCompositions(std::move(All), &Stats);
-  assert(!Promoted.empty() && "pruning removed every candidate");
-  verifyPromoted();
+  OfflinePlans Out;
+  Out.Promoted = pruneCompositions(std::move(All), &Out.Stats);
+  assert(!Out.Promoted.empty() && "pruning removed every candidate");
+  if (Opts.Verify >= VerifyLevel::Fast) {
+    DiagEngine Diags;
+    for (const CompositionPlan &Plan : Out.Promoted) {
+      verifyPlanDiags(Plan, Diags, "plan");
+      verifyScenarioAnnotations(Plan, Diags, "prune");
+    }
+    verifySurvivorSet(Out.Promoted, Diags, "prune");
+    if (Diags.hasErrors())
+      GRANII_FATAL("promoted plan verification failed:\n" + Diags.render());
+  }
+  return Out;
 }
 
-void Optimizer::verifyPromoted() const {
-  if (Opts.Verify < VerifyLevel::Fast)
-    return;
-  DiagEngine Diags;
-  for (const CompositionPlan &Plan : Promoted) {
-    verifyPlanDiags(Plan, Diags, "plan");
-    verifyScenarioAnnotations(Plan, Diags, "prune");
-  }
-  verifySurvivorSet(Promoted, Diags, "prune");
-  if (Diags.hasErrors())
-    GRANII_FATAL("promoted plan verification failed:\n" + Diags.render());
+Optimizer::Optimizer(GnnModel ModelIn, OptimizerOptions OptsIn,
+                     const CostModel *CostIn)
+    : Model(std::move(ModelIn)), Opts(std::move(OptsIn)), Cost(CostIn),
+      Exec(Opts.Hw) {
+  assert(Cost && "optimizer requires a cost model");
+  Opts.Enum.Verify = Opts.Verify; // one knob: --verify drives the rewrites too
+  OfflinePlans Compiled = runOfflineStage(Model.Root, Opts.Enum);
+  Promoted = std::move(Compiled.Promoted);
+  Stats = Compiled.Stats;
 }
 
 Optimizer::Optimizer(GnnModel ModelIn, OptimizerOptions OptsIn,
                      const CostModel *CostIn,
-                     std::vector<CompositionPlan> Precompiled)
+                     std::vector<CompositionPlan> PromotedIn)
     : Model(std::move(ModelIn)), Opts(std::move(OptsIn)), Cost(CostIn),
-      Promoted(std::move(Precompiled)), Exec(Opts.Hw) {
+      Promoted(std::move(PromotedIn)), Exec(Opts.Hw) {
   assert(Cost && "optimizer requires a cost model");
   assert(!Promoted.empty() && "compiled plan set is empty");
   Stats.Enumerated = Stats.Promoted = Promoted.size();

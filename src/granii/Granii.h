@@ -55,13 +55,28 @@ struct Selection {
   /// Executor::run; it goes with the next change to the benchmark.
   SparseFormat Format = SparseFormat::Csr;
   double PredictedSeconds = 0.0;
-  /// False when the embedding-size conditions alone decided (cheaper path
-  /// in the generated dispatch code).
+  /// False when the embedding-size conditions alone decided: one promoted
+  /// candidate is viable in the input's scenario, so no cost model ran.
   bool UsedCostModels = false;
   /// Online overheads the paper reports (§VI-C1 "Overheads").
   double FeaturizeSeconds = 0.0;
   double SelectSeconds = 0.0;
 };
+
+/// The offline stage's product: the promoted candidates, annotated with the
+/// embedding-size scenarios they can win in, and the pruning numbers.
+struct OfflinePlans {
+  std::vector<CompositionPlan> Promoted;
+  PruneStats Stats;
+};
+
+/// GRANII's offline stage over the model IR \p Root: enumerate every
+/// composition, verify each one (Full), prune, and verify the promoted set
+/// (Fast and Full: plan legality, scenario annotations, the survivor-set
+/// invariant). \p Opts.Verify is the level; violations abort with the
+/// rendered diagnostics. The Optimizer, the serving engine and
+/// `granii-cli compile` all compile through this one function.
+OfflinePlans runOfflineStage(const IRNodeRef &Root, const EnumOptions &Opts);
 
 /// Owning bundle of one layer's runtime tensors.
 struct LayerParams {
@@ -82,11 +97,18 @@ LayerParams makeLayerParams(const GnnModel &Model, const Graph &G,
 /// GRANII: offline compilation at construction, online selection per input.
 class Optimizer {
 public:
-  /// Runs the offline stage: enumerate all compositions of \p Model, prune
-  /// input-obliviously, keep the promoted candidates. \p Cost must outlive
-  /// the optimizer (pass the platform's trained LearnedCostModel, or an
-  /// AnalyticCostModel for the ablation).
+  /// Runs the offline stage (runOfflineStage) on \p Model and keeps the
+  /// promoted candidates. \p Cost must outlive the optimizer (pass the
+  /// platform's trained LearnedCostModel, or an AnalyticCostModel for the
+  /// ablation).
   Optimizer(GnnModel Model, OptimizerOptions Opts, const CostModel *Cost);
+
+  /// Builds an optimizer over \p Promoted, a set runOfflineStage already
+  /// compiled and verified for \p Model at \p Opts.Verify: the serving
+  /// engine's plan cache holds such sets, so a new session pays neither
+  /// enumeration nor a second verification.
+  Optimizer(GnnModel Model, OptimizerOptions Opts, const CostModel *Cost,
+            std::vector<CompositionPlan> Promoted);
 
   const GnnModel &model() const { return Model; }
   const OptimizerOptions &options() const { return Opts; }
@@ -115,32 +137,7 @@ public:
   size_t execute(const Selection &Sel, const LayerParams &Params,
                  bool Training, ExecResult &Result) const;
 
-  /// Constructs an optimizer directly from an already-compiled candidate
-  /// set, bypassing enumeration and pruning. This is the compile-once /
-  /// run-many entry point the serving layer's plan cache builds on: the
-  /// promoted set cached for a model becomes a ready Optimizer for each
-  /// new session without paying the offline stage again. \p Compiled must
-  /// be the promoted() set of an Optimizer built at the same verify level
-  /// (the plan cache holds nothing else); that constructor verified it, so
-  /// this one does not repeat verifyPromoted(), whose survivor-set check is
-  /// quadratic in the set and dominated large cold sessions.
-  static Optimizer fromCompiled(GnnModel Model, OptimizerOptions Opts,
-                                const CostModel *Cost,
-                                std::vector<CompositionPlan> Compiled) {
-    return Optimizer(std::move(Model), std::move(Opts), Cost,
-                     std::move(Compiled));
-  }
-
 private:
-  /// Used by fromCompiled to bypass enumeration.
-  Optimizer(GnnModel Model, OptimizerOptions Opts, const CostModel *Cost,
-            std::vector<CompositionPlan> Precompiled);
-
-  /// Runs the plan-set checks on Promoted (plan legality, scenario
-  /// annotations, survivor-set invariant) when Opts.Verify >= Fast; aborts
-  /// with the rendered diagnostics on violation.
-  void verifyPromoted() const;
-
   GnnModel Model;
   OptimizerOptions Opts;
   const CostModel *Cost;

@@ -40,10 +40,9 @@ namespace kernels {
 // Every kernel has one entry point, the destination-passing
 // `...Into(..., Dst)` form: it writes into a caller-provided, already-shaped
 // destination, allocates nothing and fully overwrites every destination
-// element. The runtime's buffer arena, the cost-model profiler and the
-// generated code all call exactly these. Destination shapes are
-// GRANII_CHECK'd, so a mis-planned buffer aborts with a message instead of
-// corrupting memory.
+// element. The runtime's buffer arena and the cost-model profiler both call
+// exactly these. Destination shapes are GRANII_CHECK'd, so a mis-planned
+// buffer aborts with a message instead of corrupting memory.
 
 /// C = A * B (row-major GEMM) into \p Dst, which must already be
 /// A.rows() x B.cols().

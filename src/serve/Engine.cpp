@@ -183,8 +183,7 @@ RunResponse Session::run(bool WantOutput) {
 //===----------------------------------------------------------------------===//
 
 Engine::Engine(EngineOptions OptsIn)
-    : Opts(std::move(OptsIn)), Plans(Opts.PlanCacheCapacity),
-      CompileCost(Opts.Hw) {}
+    : Opts(std::move(OptsIn)), Plans(Opts.PlanCacheCapacity) {}
 
 PlanCache::Plans Engine::resolvePlans(const GnnModel &Model,
                                       const JobRequest &Req,
@@ -201,18 +200,16 @@ PlanCache::Plans Engine::resolvePlans(const GnnModel &Model,
 
   // Miss: run the offline stage once and publish the promoted set.
   TraceSpan Span("offline-compile", "serve");
-  OptimizerOptions OptOpts;
-  OptOpts.Hw = Opts.Hw;
-  OptOpts.Iterations = Opts.Iterations;
-  OptOpts.Verify = Opts.Verify;
-  Optimizer Compiled(Model, OptOpts, &CompileCost);
+  EnumOptions EnumOpts;
+  EnumOpts.Verify = Opts.Verify;
+  OfflinePlans Compiled = runOfflineStage(Model.Root, EnumOpts);
   auto Value = std::make_shared<const std::vector<CompositionPlan>>(
-      Compiled.promoted());
+      std::move(Compiled.Promoted));
   Plans.put(Req.ModelText, Value);
   Resp.PlanCacheHit = false;
-  Resp.Enumerated = Compiled.pruneStats().Enumerated;
-  Resp.Pruned = Compiled.pruneStats().Pruned;
-  Resp.Promoted = Compiled.pruneStats().Promoted;
+  Resp.Enumerated = Compiled.Stats.Enumerated;
+  Resp.Pruned = Compiled.Stats.Pruned;
+  Resp.Promoted = Compiled.Stats.Promoted;
   Resp.CompileSeconds = CompileTimer.seconds();
   Span.setArg("promoted", static_cast<double>(Value->size()));
   return Value;
@@ -293,7 +290,6 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
 
   auto S = std::shared_ptr<Session>(new Session());
   S->Key = Key;
-  S->Model = std::move(*Model);
   OptimizerOptions Options;
   Options.Hw = Opts.Hw;
   Options.Iterations = Opts.Iterations;
@@ -302,14 +298,14 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   S->Cost = AnalyticCostModel(Opts.Hw);
 
   CompileResponse CompileInfo;
-  PlanCache::Plans Compiled = resolvePlans(S->Model, Req, CompileInfo);
+  PlanCache::Plans Compiled = resolvePlans(*Model, Req, CompileInfo);
   if (Compile)
     *Compile = CompileInfo;
   // The session owns its own Optimizer built from the shared plan set (the
   // copy is a few plan graphs — negligible next to enumeration).
-  S->Opt.emplace(
-      Optimizer::fromCompiled(S->Model, Options, &S->Cost, *Compiled));
-  S->Params = makeLayerParams(S->Model, G, Req.KIn, Req.KOut, Req.Seed);
+  S->Opt.emplace(std::move(*Model), Options, &S->Cost, *Compiled);
+  S->Params =
+      makeLayerParams(S->Opt->model(), G, Req.KIn, Req.KOut, Req.Seed);
   // Select from the parameters' self-loop graph and its statistics:
   // Optimizer::select would rebuild both from G.
   DimBinding Binding;

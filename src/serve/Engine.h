@@ -102,7 +102,6 @@ private:
   // Immutable after Engine::session() publishes the session: safe to read
   // from any thread without RunMutex.
   std::string Key;
-  GnnModel Model;
   bool Training = false;
   /// Selection + execution state. Cost must outlive Opt (the optimizer
   /// keeps a pointer), hence the member order. Opt's workspaces are the
@@ -163,17 +162,14 @@ public:
 
 private:
   /// Resolves the promoted plan set of the request's model text: plan
-  /// cache get, else run the offline stage and put. M serializes the
-  /// offline stage (enumeration is deliberately not concurrent) and guards
-  /// CompileCost.
+  /// cache get, else run the offline stage (runOfflineStage) and put. M
+  /// serializes the offline stage (enumeration is deliberately not
+  /// concurrent).
   PlanCache::Plans resolvePlans(const GnnModel &Model, const JobRequest &Req,
                                 CompileResponse &Resp) GRANII_REQUIRES(M);
 
   EngineOptions Opts;
   PlanCache Plans;
-  /// Cost model handed to throwaway compile-verb Optimizers (sessions own
-  /// their own instance).
-  AnalyticCostModel CompileCost GRANII_GUARDED_BY(M);
 
   mutable Mutex M{"Engine::M"};
   /// front = most recent

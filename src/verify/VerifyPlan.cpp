@@ -4,8 +4,6 @@
 
 #include "assoc/Prune.h"
 
-#include <algorithm>
-
 using namespace granii;
 
 namespace {
@@ -301,6 +299,11 @@ bool granii::verifySurvivorSet(const std::vector<CompositionPlan> &Survivors,
       {"K_in < K_out", pruneScenarioLt(), &CompositionPlan::ViableLt},
   };
   for (const Scenario &Sc : Scenarios) {
+    // Each survivor's multiset, built once per scenario as pruning does.
+    std::vector<SizedMultiset> Sets;
+    Sets.reserve(Survivors.size());
+    for (const CompositionPlan &Plan : Survivors)
+      Sets.push_back(sizedMultiset(Plan, Sc.Binding));
     // Viability means undominated against the *complete* candidate set, so
     // in particular no other survivor may dominate -- and no two survivors
     // both viable in one scenario may be exact cost-duplicates there (the
@@ -311,13 +314,12 @@ bool granii::verifySurvivorSet(const std::vector<CompositionPlan> &Survivors,
       for (size_t J = 0; J < Survivors.size(); ++J) {
         if (J == I)
           continue;
-        if (dominates(Survivors[J], Survivors[I], Sc.Binding))
+        if (dominates(Sets[J], Sets[I]))
           Diags.error(Stage, Survivors[I].Name,
                       "dominated by " + Survivors[J].Name +
                           " in scenario " + Sc.Name +
                           " yet annotated viable there");
-        else if (J < I && Survivors[I].primitiveMultiset(Sc.Binding) ==
-                              Survivors[J].primitiveMultiset(Sc.Binding))
+        else if (J < I && Sets[I] == Sets[J])
           Diags.error(Stage, Survivors[I].Name,
                       "cost-duplicate of " + Survivors[J].Name +
                           " in scenario " + Sc.Name,

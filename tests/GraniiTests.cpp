@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace granii;
 
 namespace {
@@ -81,6 +83,42 @@ TEST(Optimizer, ScenarioFilterRespectsAnnotations) {
   Selection SelLt = Opt.select(G, 32, 128);
   EXPECT_TRUE(Opt.promoted()[SelGe.PlanIndex].ViableGe);
   EXPECT_TRUE(Opt.promoted()[SelLt.PlanIndex].ViableLt);
+}
+
+// Fig. 7's dispatch: when one promoted candidate is viable in the input's
+// embedding-size scenario, the size test alone picks it and no cost model
+// runs; the cost models compare only among several viable candidates.
+TEST(Optimizer, SingleViableCandidateSkipsCostModels) {
+  Optimizer Full = makeOptimizer(ModelKind::GCN);
+  const std::vector<CompositionPlan> &Promoted = Full.promoted();
+  auto GeOnly = std::find_if(Promoted.begin(), Promoted.end(),
+                             [](const CompositionPlan &P) {
+                               return P.ViableGe && !P.ViableLt;
+                             });
+  auto LtOnly = std::find_if(Promoted.begin(), Promoted.end(),
+                             [](const CompositionPlan &P) {
+                               return P.ViableLt && !P.ViableGe;
+                             });
+  ASSERT_NE(GeOnly, Promoted.end());
+  ASSERT_NE(LtOnly, Promoted.end());
+  Optimizer Two(Full.model(), Full.options(), &analyticFor("h100"),
+                {*LtOnly, *GeOnly});
+  Graph G = makeErdosRenyi(200, 1000, 2);
+
+  Selection SelGe = Two.select(G, 128, 32);
+  EXPECT_EQ(SelGe.PlanIndex, 1u);
+  EXPECT_FALSE(SelGe.UsedCostModels);
+  Selection SelLt = Two.select(G, 32, 128);
+  EXPECT_EQ(SelLt.PlanIndex, 0u);
+  EXPECT_FALSE(SelLt.UsedCostModels);
+
+  // GCN's full promoted set has two candidates per scenario.
+  SelGe = Full.select(G, 128, 32);
+  EXPECT_TRUE(SelGe.UsedCostModels);
+  EXPECT_TRUE(Promoted[SelGe.PlanIndex].ViableGe);
+  SelLt = Full.select(G, 32, 128);
+  EXPECT_TRUE(SelLt.UsedCostModels);
+  EXPECT_TRUE(Promoted[SelLt.PlanIndex].ViableLt);
 }
 
 TEST(Optimizer, SelectionChangesWithGraphDensity) {

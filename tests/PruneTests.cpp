@@ -61,8 +61,12 @@ TEST(Prune, SubsetRuleDominates) {
                        0.0, false});
   Big.OutputValue = NewId;
 
-  EXPECT_TRUE(dominates(Small, Big, pruneScenarioGe()));
-  EXPECT_FALSE(dominates(Big, Small, pruneScenarioGe()));
+  SizedMultiset SmallSet = sizedMultiset(Small, pruneScenarioGe());
+  SizedMultiset BigSet = sizedMultiset(Big, pruneScenarioGe());
+  EXPECT_TRUE(subsetDominates(SmallSet, BigSet));
+  EXPECT_FALSE(subsetDominates(BigSet, SmallSet));
+  EXPECT_TRUE(dominates(SmallSet, BigSet));
+  EXPECT_FALSE(dominates(BigSet, SmallSet));
 }
 
 TEST(Prune, SizeRuleRequiresSameKinds) {
@@ -70,17 +74,20 @@ TEST(Prune, SizeRuleRequiresSameKinds) {
   CompositionPlan AggFirst = makeToyPlan(false, false);
   // Under K_in >= K_out the update-first variant has no-larger sizes.
   DimBinding Ge = pruneScenarioGe();
-  if (UpdateFirst.primitiveMultiset(Ge) != AggFirst.primitiveMultiset(Ge)) {
+  SizedMultiset UpdateSet = sizedMultiset(UpdateFirst, Ge);
+  SizedMultiset AggSet = sizedMultiset(AggFirst, Ge);
+  if (UpdateSet != AggSet) {
     // They differ only in SpMM width -> size rule applies one way.
-    bool Either = dominates(UpdateFirst, AggFirst, Ge) ||
-                  dominates(AggFirst, UpdateFirst, Ge);
+    bool Either =
+        sizeDominates(UpdateSet, AggSet) || sizeDominates(AggSet, UpdateSet);
     EXPECT_TRUE(Either);
   }
 }
 
 TEST(Prune, SelfNeverDominates) {
-  CompositionPlan P = makeToyPlan(true, false);
-  EXPECT_FALSE(dominates(P, P, pruneScenarioGe()));
+  SizedMultiset Set =
+      sizedMultiset(makeToyPlan(true, false), pruneScenarioGe());
+  EXPECT_FALSE(dominates(Set, Set));
 }
 
 TEST(Prune, GcnPromotesFourWithScenarioAnnotations) {

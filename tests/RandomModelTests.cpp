@@ -2,10 +2,9 @@
 //
 // Property-based testing over randomly generated model IRs: whatever chain
 // of normalizations, aggregations, additions and updates we build, every
-// enumerated composition must compute the same function, the pruner must
-// keep an analytically optimal candidate, and the generated code must name
-// every candidate. This complements the fixed-model tests with structural
-// diversity.
+// enumerated composition must compute the same function and the pruner must
+// keep an analytically optimal candidate. This complements the fixed-model
+// tests with structural diversity.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +13,6 @@
 #include "granii/Granii.h"
 #include "graph/Generators.h"
 #include "runtime/BufferPlan.h"
-#include "runtime/CodeGen.h"
 #include "support/Rng.h"
 #include "verify/VerifyBuffers.h"
 #include "verify/VerifyPlan.h"
@@ -115,13 +113,6 @@ TEST_P(RandomModels, AllCompositionsAgreeAndPruningIsSafe) {
       BestPromoted = std::min(BestPromoted, P.flopCost(B, 100));
     EXPECT_LE(BestPromoted, BestAll * 1.0001);
   }
-
-  // Codegen names every promoted candidate exactly once.
-  std::string Code = generateDispatchCode(Model.Name, Promoted);
-  for (size_t I = 0; I < Promoted.size(); ++I)
-    EXPECT_NE(Code.find(Model.Name + "_candidate" + std::to_string(I) +
-                        "(const Inputs"),
-              std::string::npos);
 }
 
 TEST_P(RandomModels, TrainingBackwardIsFinite) {

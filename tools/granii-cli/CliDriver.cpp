@@ -10,7 +10,6 @@
 #include "granii/Granii.h"
 #include "ir/Dsl.h"
 #include "kernels/Dispatch.h"
-#include "runtime/CodeGen.h"
 #include "serve/Client.h"
 #include "serve/Engine.h"
 #include "serve/Server.h"
@@ -225,11 +224,10 @@ std::optional<VerifyLevel> verifyFlag(const ArgParser &Args,
 
 int cmdCompile(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (int Code = rejectUnknownFlags(
-          Args, "compile",
-          {"dot", "codegen", "verify", "threads", "isa", "trace"}, Err))
+          Args, "compile", {"dot", "verify", "threads", "isa", "trace"}, Err))
     return Code;
   if (Args.Positional.size() < 2) {
-    Err += "usage: granii-cli compile <model.gnn> [--dot] [--codegen] "
+    Err += "usage: granii-cli compile <model.gnn> [--dot] "
            "[--verify off|fast|full]\n";
     return 2;
   }
@@ -245,9 +243,9 @@ int cmdCompile(const ArgParser &Args, std::string &Out, std::string &Err) {
 
   EnumOptions EnumOpts;
   EnumOpts.Verify = *Verify;
-  PruneStats Stats;
-  std::vector<CompositionPlan> Promoted =
-      pruneCompositions(enumerateCompositions(Parsed->Root, EnumOpts), &Stats);
+  OfflinePlans Compiled = runOfflineStage(Parsed->Root, EnumOpts);
+  const PruneStats &Stats = Compiled.Stats;
+  const std::vector<CompositionPlan> &Promoted = Compiled.Promoted;
   Out += "offline stage: " + std::to_string(Stats.Enumerated) +
          " compositions enumerated, " + std::to_string(Stats.Pruned) +
          " pruned, " + std::to_string(Stats.Promoted) + " promoted\n\n";
@@ -267,8 +265,6 @@ int cmdCompile(const ArgParser &Args, std::string &Out, std::string &Err) {
       Out += exportPlanDot(Promoted[I],
                            Parsed->Name + "_plan" + std::to_string(I));
   }
-  if (Args.hasFlag("codegen"))
-    Out += generateDispatchCode(Parsed->Name, Promoted);
   return 0;
 }
 
