@@ -43,13 +43,13 @@ const CostModel &BenchContext::costFor(const std::string &Hw) {
   // Measured profiles change with the thread count and with the SIMD
   // dispatch level; key the cache (and the in-memory model) on both so a
   // GRANII_ISA override never reuses a profile measured at another level.
-  // The "_into" tag names the profiling protocol (each sample times the
-  // Into call into a preallocated destination), so a cache profiled under
-  // another protocol is never reused.
+  // The "_into_med5" tag names the profiling protocol (each sample is the
+  // median of five Into calls into a preallocated destination), so a cache
+  // profiled under another protocol is never reused.
   if (Model.kind() == PlatformKind::Measured)
     Cache = costModelCacheDir() + "/granii_costmodel_" + Hw + "_t" +
             std::to_string(ThreadPool::get().numThreads()) + "_" +
-            Model.params().Isa + "_into.cache";
+            Model.params().Isa + "_into_med5.cache";
   auto It = CostModels.find(Cache);
   if (It != CostModels.end())
     return *It->second;

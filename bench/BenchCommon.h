@@ -42,8 +42,8 @@ public:
   /// The trained per-primitive cost model for \p Hw. Cached on disk under
   /// costModelCacheDir() (GRANII_CACHE_DIR, default ./.granii-cache) as
   /// granii_costmodel_<hw>.cache for simulated platforms and
-  /// granii_costmodel_<hw>_t<threads>_<isa>_into.cache for measured ones
-  /// (the first CPU run profiles kernels).
+  /// granii_costmodel_<hw>_t<threads>_<isa>_into_med5.cache for measured
+  /// ones (the first CPU run profiles kernels).
   const CostModel &costFor(const std::string &Hw);
 
   /// The six Table II stand-ins (RD, CA, MC, BL, AU, OP).

@@ -477,7 +477,7 @@ granii::enumerateCompositions(const IRNodeRef &Root, const EnumOptions &Opts) {
   TraceSpan EnumSpan("enumerate", "optimizer");
   TraceSpan RewriteSpan("rewrite", "optimizer");
   std::vector<IRNodeRef> Variants =
-      runRewritePipeline(Root, /*MaxVariants=*/64, Opts.Verify);
+      runRewritePipeline(Root, /*MaxVariants=*/64);
   RewriteSpan.setArg("variants", static_cast<double>(Variants.size()));
   RewriteSpan.end();
 

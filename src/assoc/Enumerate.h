@@ -26,7 +26,6 @@
 
 #include "assoc/Composition.h"
 #include "ir/MatrixIR.h"
-#include "support/Diag.h"
 
 namespace granii {
 
@@ -45,14 +44,12 @@ struct EnumOptions {
   /// Hard cap on emitted plans (safety bound; never reached by the paper's
   /// models).
   size_t MaxPlans = 4096;
-  /// Verification level for the rewrite pipeline: at Fast and above the
-  /// structured IR verifier runs on every rewrite pass's output, naming the
-  /// offending pass in the diagnostic. Defaults to GRANII_VERIFY or Fast.
-  VerifyLevel Verify = defaultVerifyLevel();
 };
 
-/// Enumerates all valid primitive compositions of \p Root. Plans are
-/// deduplicated structurally and named "plan#<index>".
+/// Enumerates all valid primitive compositions of \p Root. The structured
+/// IR verifier checks every rewrite pass's output first and aborts, naming
+/// the pass, on a violation. Plans are deduplicated structurally and named
+/// "plan#<index>".
 std::vector<CompositionPlan> enumerateCompositions(const IRNodeRef &Root,
                                                    const EnumOptions &Opts = {});
 

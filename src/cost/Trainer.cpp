@@ -6,6 +6,8 @@
 #include "support/Rng.h"
 #include "support/Timer.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -36,8 +38,8 @@ std::vector<int64_t> granii::defaultProfileWidths() {
 
 namespace {
 
-/// Times one kernel invocation on \p Hw (wall clock if measured, analytic
-/// if simulated) and appends a sample.
+/// Times a kernel on \p Hw (wall clock if measured, analytic if simulated)
+/// and appends a sample.
 class Profiler {
 public:
   Profiler(const HardwareModel &Hw, std::vector<ProfileSample> &Out,
@@ -52,11 +54,19 @@ public:
     if (Hw.kind() == PlatformKind::Measured) {
       // Warm-up: the model predicts warm per-iteration kernel time. The
       // executor times each step once; the harnesses get warm charges by
-      // running a plan once untimed before the run they charge.
+      // running a plan once untimed before the run they charge. The sample
+      // is the median of TimedCalls warm calls, so one preempted or
+      // cache-cold call does not become the fitted time.
       Body();
-      Timer T;
-      Body();
-      Seconds = T.seconds();
+      std::array<double, TimedCalls> Calls;
+      for (double &Call : Calls) {
+        Timer T;
+        Body();
+        Call = T.seconds();
+      }
+      std::nth_element(Calls.begin(), Calls.begin() + TimedCalls / 2,
+                       Calls.end());
+      Seconds = Calls[TimedCalls / 2];
     } else {
       Seconds = Hw.estimateSeconds(Desc, &Stats);
     }
@@ -66,6 +76,8 @@ public:
   }
 
 private:
+  static constexpr size_t TimedCalls = 5;
+
   const HardwareModel &Hw;
   std::vector<ProfileSample> &Out;
   double MaxFlops;

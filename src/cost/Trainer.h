@@ -38,8 +38,9 @@ struct TrainReport {
 std::vector<int64_t> defaultProfileWidths();
 
 /// Runs every primitive on every (graph, width) combination on \p Hw and
-/// records (features, seconds). On measured platforms, samples whose FLOP
-/// count exceeds \p MaxFlops are skipped to bound profiling time.
+/// records (features, seconds). On measured platforms each sample is the
+/// median of five timed calls after one warm-up call, and samples whose
+/// FLOP count exceeds \p MaxFlops are skipped to bound profiling time.
 std::vector<ProfileSample>
 collectProfileData(const HardwareModel &Hw, const std::vector<Graph> &Graphs,
                    const std::vector<int64_t> &Widths = defaultProfileWidths(),

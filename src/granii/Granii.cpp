@@ -66,51 +66,39 @@ LayerParams granii::makeLayerParams(const GnnModel &Model, const Graph &G,
 
 OfflinePlans granii::runOfflineStage(const IRNodeRef &Root,
                                     const EnumOptions &Opts) {
+  // The enumerator checks the IR after each rewrite pass. Every enumerated
+  // plan is checked before pruning, so a bad plan is caught even where
+  // pruning would have discarded it; pruning then only annotates
+  // scenarios, which the promoted-set checks cover.
   std::vector<CompositionPlan> All = enumerateCompositions(Root, Opts);
-  if (Opts.Verify == VerifyLevel::Full) {
-    // Full: every enumerated candidate is checked before pruning, so a bad
-    // plan is caught even if pruning would have discarded it.
-    DiagEngine Diags;
-    for (const CompositionPlan &Plan : All)
-      verifyPlanDiags(Plan, Diags, "plan");
-    if (Diags.hasErrors())
-      GRANII_FATAL("enumerated plan verification failed:\n" + Diags.render());
-  }
+  DiagEngine Diags;
+  for (const CompositionPlan &Plan : All)
+    verifyPlanDiags(Plan, Diags, "plan");
+  if (Diags.hasErrors())
+    GRANII_FATAL("enumerated plan verification failed:\n" + Diags.render());
   OfflinePlans Out;
   Out.Promoted = pruneCompositions(std::move(All), &Out.Stats);
   assert(!Out.Promoted.empty() && "pruning removed every candidate");
-  if (Opts.Verify >= VerifyLevel::Fast) {
-    DiagEngine Diags;
-    for (const CompositionPlan &Plan : Out.Promoted) {
-      verifyPlanDiags(Plan, Diags, "plan");
-      verifyScenarioAnnotations(Plan, Diags, "prune");
-    }
-    verifySurvivorSet(Out.Promoted, Diags, "prune");
-    if (Diags.hasErrors())
-      GRANII_FATAL("promoted plan verification failed:\n" + Diags.render());
-  }
+  for (const CompositionPlan &Plan : Out.Promoted)
+    verifyScenarioAnnotations(Plan, Diags, "prune");
+  verifySurvivorSet(Out.Promoted, Diags, "prune");
+  if (Diags.hasErrors())
+    GRANII_FATAL("promoted plan verification failed:\n" + Diags.render());
   return Out;
 }
 
 Optimizer::Optimizer(GnnModel ModelIn, OptimizerOptions OptsIn,
                      const CostModel *CostIn)
-    : Model(std::move(ModelIn)), Opts(std::move(OptsIn)), Cost(CostIn),
-      Exec(Opts.Hw) {
-  assert(Cost && "optimizer requires a cost model");
-  Opts.Enum.Verify = Opts.Verify; // one knob: --verify drives the rewrites too
-  OfflinePlans Compiled = runOfflineStage(Model.Root, Opts.Enum);
-  Promoted = std::move(Compiled.Promoted);
-  Stats = Compiled.Stats;
-}
+    : Optimizer(ModelIn, OptsIn, CostIn,
+                runOfflineStage(ModelIn.Root, OptsIn.Enum)) {}
 
 Optimizer::Optimizer(GnnModel ModelIn, OptimizerOptions OptsIn,
-                     const CostModel *CostIn,
-                     std::vector<CompositionPlan> PromotedIn)
+                     const CostModel *CostIn, OfflinePlans Compiled)
     : Model(std::move(ModelIn)), Opts(std::move(OptsIn)), Cost(CostIn),
-      Promoted(std::move(PromotedIn)), Exec(Opts.Hw) {
+      Promoted(std::move(Compiled.Promoted)), Stats(Compiled.Stats),
+      Exec(Opts.Hw) {
   assert(Cost && "optimizer requires a cost model");
   assert(!Promoted.empty() && "compiled plan set is empty");
-  Stats.Enumerated = Stats.Promoted = Promoted.size();
 }
 
 Selection Optimizer::selectWithStats(const DimBinding &Binding,
@@ -209,14 +197,21 @@ size_t Optimizer::execute(const Selection &Sel, const LayerParams &Params,
                           bool Training, ExecResult &Result) const {
   const CompositionPlan &Plan = Promoted[Sel.PlanIndex];
   LayerInputs Inputs = Params.inputs();
-  if (Opts.Verify == VerifyLevel::Full) {
-    // Full: cross-check the buffer schedule the workspace will execute
-    // against recomputed live intervals, and the CSR row partition the
-    // parallel kernels will use against exclusive-coverage rules.
-    DimBinding Binding = Inputs.binding(&Plan);
+  // One persistent workspace per (plan, mode): repeated executions of the
+  // same selection reuse the planned arena instead of reallocating every
+  // intermediate (training pins all activations, so the two modes cannot
+  // share a workspace).
+  PlanWorkspace &Ws = Workspaces[{Sel.PlanIndex, Training}];
+  Ws.resetAllocationCount();
+  DimBinding Binding = Inputs.binding(&Plan);
+  const bool NewLayout = !Ws.layoutState().builtFrom(Params.AdjSelf);
+  if (Ws.configure(Plan, Binding, Training) || NewLayout) {
+    // Check the buffer schedule the workspace will execute against
+    // recomputed live intervals, and the CSR row partition the parallel
+    // kernels will use against exclusive-coverage rules.
+    TraceSpan Span("verify-schedule", "optimizer");
     DiagEngine Diags;
-    BufferPlan Buffers(Plan, Binding, Training);
-    verifyBufferPlan(Plan, Binding, Buffers, Diags);
+    verifyBufferPlan(Plan, Binding, *Ws.bufferPlan(), Diags);
     const AlignedVector<int64_t> &RowOffsets = Params.AdjSelf.rowOffsets();
     int64_t Chunks =
         static_cast<int64_t>(ThreadPool::get().numThreads()) * 4;
@@ -226,12 +221,6 @@ size_t Optimizer::execute(const Selection &Sel, const LayerParams &Params,
       GRANII_FATAL("execution schedule verification failed:\n" +
                    Diags.render());
   }
-  // One persistent workspace per (plan, mode): repeated executions of the
-  // same selection reuse the planned arena instead of reallocating every
-  // intermediate (training pins all activations, so the two modes cannot
-  // share a workspace).
-  PlanWorkspace &Ws = Workspaces[{Sel.PlanIndex, Training}];
-  Ws.resetAllocationCount();
   if (Training)
     Exec.runTraining(Plan, Inputs, Params.Stats, Ws, Result);
   else

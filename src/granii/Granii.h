@@ -38,14 +38,6 @@ struct OptimizerOptions {
   int Iterations = 100;
   /// Offline enumeration knobs (ablations flip these).
   EnumOptions Enum;
-  /// Static verification level (docs/VERIFICATION.md). Off: nothing. Fast
-  /// (default; overridable via GRANII_VERIFY): the IR verifier runs after
-  /// parsing and every rewrite pass, and the promoted plan set is checked
-  /// (plan legality, scenario annotations, survivor-set invariant). Full:
-  /// additionally every enumerated candidate is verified pre-prune and
-  /// execute() cross-checks each buffer schedule and CSR row partition.
-  /// Violations abort with the rendered diagnostics.
-  VerifyLevel Verify = defaultVerifyLevel();
 };
 
 /// Result of the online selection stage.
@@ -70,10 +62,11 @@ struct OfflinePlans {
   PruneStats Stats;
 };
 
-/// GRANII's offline stage over the model IR \p Root: enumerate every
-/// composition, verify each one (Full), prune, and verify the promoted set
-/// (Fast and Full: plan legality, scenario annotations, the survivor-set
-/// invariant). \p Opts.Verify is the level; violations abort with the
+/// GRANII's offline stage over the model IR \p Root, with every check run
+/// once (docs/VERIFICATION.md): the IR after each rewrite pass, each
+/// enumerated composition's legality, then pruning, then the promoted set's
+/// scenario annotations and survivor-set invariant. Pruning only annotates
+/// scenarios, so legality is not checked twice. Violations abort with the
 /// rendered diagnostics. The Optimizer, the serving engine and
 /// `granii-cli compile` all compile through this one function.
 OfflinePlans runOfflineStage(const IRNodeRef &Root, const EnumOptions &Opts);
@@ -103,12 +96,12 @@ public:
   /// ablation).
   Optimizer(GnnModel Model, OptimizerOptions Opts, const CostModel *Cost);
 
-  /// Builds an optimizer over \p Promoted, a set runOfflineStage already
-  /// compiled and verified for \p Model at \p Opts.Verify: the serving
-  /// engine's plan cache holds such sets, so a new session pays neither
-  /// enumeration nor a second verification.
+  /// Builds an optimizer over \p Compiled, what runOfflineStage already
+  /// returned for \p Model: the serving engine's plan cache holds such
+  /// sets, so a new session pays neither enumeration nor a second
+  /// verification, and pruneStats() reports the compile's counts.
   Optimizer(GnnModel Model, OptimizerOptions Opts, const CostModel *Cost,
-            std::vector<CompositionPlan> Promoted);
+            OfflinePlans Compiled);
 
   const GnnModel &model() const { return Model; }
   const OptimizerOptions &options() const { return Opts; }
@@ -126,8 +119,13 @@ public:
   /// Executes the selected plan once (forward, or forward+backward)
   /// against a workspace cached per (plan, mode): the first
   /// execution of a selection plans and allocates its buffer arena,
-  /// subsequent ones reuse it. Because of that cache, execute() is not safe
-  /// to call concurrently from multiple threads on one Optimizer.
+  /// subsequent ones reuse it. When a call plans an arena, or its
+  /// adjacency is not the one the workspace's layout was built from (a new
+  /// matrix, or an in-place edit), the workspace's buffer schedule and the
+  /// adjacency's CSR row partition are checked first, in a
+  /// "verify-schedule" trace span; a warm call checks nothing. Because of
+  /// the cache, execute() is not safe to call concurrently from multiple
+  /// threads on one Optimizer.
   ExecResult execute(const Selection &Sel, const LayerParams &Params,
                      bool Training) const;
 

@@ -203,18 +203,13 @@ static bool checkPassOutput(const IRNodeRef &Root, const std::string &PassName,
 
 std::vector<IRNodeRef> granii::runRewritePipeline(const IRNodeRef &Root,
                                                   size_t MaxVariants,
-                                                  VerifyLevel Verify,
                                                   DiagEngine *Diags) {
-  bool Check = Verify >= VerifyLevel::Fast;
-
   IRNodeRef NoBcast = rewriteBroadcastsToDiag(Root);
-  if (Check && !checkPassOutput(NoBcast, "broadcast-to-diag", Diags))
+  if (!checkPassOutput(NoBcast, "broadcast-to-diag", Diags))
     return {};
 
   std::vector<IRNodeRef> Variants =
       enumerateDistributions(NoBcast, MaxVariants);
-  if (!Check)
-    return Variants;
   std::vector<IRNodeRef> Clean;
   for (const IRNodeRef &Variant : Variants)
     if (checkPassOutput(Variant, "distribute", Diags))

@@ -33,17 +33,15 @@ std::vector<IRNodeRef> enumerateDistributions(const IRNodeRef &Root,
                                               size_t MaxVariants = 64);
 
 /// Runs the full pre-enumeration rewrite pipeline — the "broadcast-to-diag"
-/// pass, then the "distribute" pass — and
-/// returns the IR variants to enumerate. At VerifyLevel::Fast and above,
-/// the structured IR verifier runs on the output of every pass; a
-/// diagnostic names the pass that produced the bad IR (stage
+/// pass, then the "distribute" pass — and returns the IR variants to
+/// enumerate. The structured IR verifier runs on the output of every pass;
+/// a diagnostic names the pass that produced the bad IR (stage
 /// "rewrite:<pass>") and the offending node. When \p Diags is null,
 /// verification failures abort (internal pipeline); when non-null,
 /// diagnostics accumulate there and the failing variant is dropped so
 /// `granii-cli verify` can report every violation.
 std::vector<IRNodeRef> runRewritePipeline(const IRNodeRef &Root,
                                           size_t MaxVariants,
-                                          VerifyLevel Verify,
                                           DiagEngine *Diags = nullptr);
 
 } // namespace granii

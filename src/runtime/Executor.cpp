@@ -84,12 +84,12 @@ std::vector<bool> computeGradPath(const CompositionPlan &Plan) {
 
 } // namespace
 
-void PlanWorkspace::configure(const CompositionPlan &PlanIn,
+bool PlanWorkspace::configure(const CompositionPlan &PlanIn,
                               const DimBinding &B, bool TrainingIn) {
   if (Buffers && Plan == &PlanIn && Training == TrainingIn &&
       Binding.N == B.N && Binding.KIn == B.KIn && Binding.KOut == B.KOut &&
       Binding.E == B.E)
-    return;
+    return false;
   Plan = &PlanIn;
   Binding = B;
   Training = TrainingIn;
@@ -119,6 +119,7 @@ void PlanWorkspace::configure(const CompositionPlan &PlanIn,
   Scratch.resize(PlanIn.Values.size());
   Grads.resize(PlanIn.Values.size());
   GradPath = TrainingIn ? computeGradPath(PlanIn) : std::vector<bool>();
+  return true;
 }
 
 DenseMatrix &PlanWorkspace::denseFor(int Id, int64_t Rows, int64_t Cols) {
@@ -1062,7 +1063,7 @@ void Executor::runArena(const CompositionPlan &Plan, const LayerInputs &Inputs,
                "features");
   detail::LayoutState &LS = Ws.layoutState();
   const CsrMatrix &Adj = *Inputs.Adjacency;
-  if (LS.SourceAdj != &Adj || LS.SourceVersion != Adj.version()) {
+  if (!LS.builtFrom(Adj)) {
     LS = detail::LayoutState();
     LS.SourceAdj = &Adj;
     LS.SourceVersion = Adj.version();

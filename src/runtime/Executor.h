@@ -98,6 +98,11 @@ struct LayoutState {
   const CsrMatrix *SourceAdj = nullptr; ///< the caller's adjacency
   uint64_t SourceVersion = 0;           ///< its version() when built
 
+  /// Whether this state was built from \p Adj as it is now.
+  bool builtFrom(const CsrMatrix &Adj) const {
+    return SourceAdj == &Adj && SourceVersion == Adj.version();
+  }
+
   /// CSC transpose of the adjacency that the backward pass walks instead of
   /// re-materializing S^T every step. Built by the first transposed SpMM of
   /// a training run; every sparse value a plan produces carries the
@@ -186,8 +191,9 @@ public:
   /// and every slot is presized to its planned capacity (growth events are
   /// not counted — they are the warm-up cost). The output's pinned slot
   /// stays in the plan but is never allocated: the final step writes the
-  /// caller's ExecResult::Output instead.
-  void configure(const CompositionPlan &Plan, const DimBinding &Binding,
+  /// caller's ExecResult::Output instead. \returns whether this call
+  /// planned a new arena.
+  bool configure(const CompositionPlan &Plan, const DimBinding &Binding,
                  bool Training);
 
   /// The buffer plan of the last configure() (null before any).

@@ -135,6 +135,13 @@ bool validLayout(const JobRequest &Req, std::string *Error) {
   return true;
 }
 
+/// Reports a compile's enumerated / pruned / promoted counts.
+void fillCompileCounts(const PruneStats &Stats, CompileResponse &Resp) {
+  Resp.Enumerated = Stats.Enumerated;
+  Resp.Pruned = Stats.Pruned;
+  Resp.Promoted = Stats.Promoted;
+}
+
 /// loadGraphSpec formats its message as a ready-to-print CLI diagnostic
 /// ("error: ...\n"); over the wire the bare message is wanted.
 std::string stripDiagDecoration(std::string Msg) {
@@ -190,29 +197,19 @@ PlanCache::Plans Engine::resolvePlans(const GnnModel &Model,
                                       CompileResponse &Resp) {
   Timer CompileTimer;
   Resp.CacheKey = "m" + hex16(fnv1a64(Req.ModelText));
-  if (PlanCache::Plans Cached = Plans.get(Req.ModelText)) {
-    Resp.PlanCacheHit = true;
-    Resp.Enumerated = Resp.Promoted = Cached->size();
-    Resp.Pruned = 0;
-    Resp.CompileSeconds = CompileTimer.seconds();
-    return Cached;
+  PlanCache::Plans Compiled = Plans.get(Req.ModelText);
+  Resp.PlanCacheHit = Compiled != nullptr;
+  if (!Compiled) {
+    // Miss: run the offline stage once and publish its product.
+    TraceSpan Span("offline-compile", "serve");
+    Compiled = std::make_shared<const OfflinePlans>(
+        runOfflineStage(Model.Root, EnumOptions()));
+    Plans.put(Req.ModelText, Compiled);
+    Span.setArg("promoted", static_cast<double>(Compiled->Promoted.size()));
   }
-
-  // Miss: run the offline stage once and publish the promoted set.
-  TraceSpan Span("offline-compile", "serve");
-  EnumOptions EnumOpts;
-  EnumOpts.Verify = Opts.Verify;
-  OfflinePlans Compiled = runOfflineStage(Model.Root, EnumOpts);
-  auto Value = std::make_shared<const std::vector<CompositionPlan>>(
-      std::move(Compiled.Promoted));
-  Plans.put(Req.ModelText, Value);
-  Resp.PlanCacheHit = false;
-  Resp.Enumerated = Compiled.Stats.Enumerated;
-  Resp.Pruned = Compiled.Stats.Pruned;
-  Resp.Promoted = Compiled.Stats.Promoted;
+  fillCompileCounts(Compiled->Stats, Resp);
   Resp.CompileSeconds = CompileTimer.seconds();
-  Span.setArg("promoted", static_cast<double>(Value->size()));
-  return Value;
+  return Compiled;
 }
 
 CompileResponse Engine::compile(const JobRequest &Req) {
@@ -261,8 +258,7 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
       *SessionHit = true;
     if (Compile) {
       Compile->PlanCacheHit = true;
-      Compile->Promoted = (*It->second)->optimizer().promoted().size();
-      Compile->Enumerated = Compile->Promoted;
+      fillCompileCounts((*It->second)->optimizer().pruneStats(), *Compile);
     }
     return *It->second;
   }
@@ -293,7 +289,6 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   OptimizerOptions Options;
   Options.Hw = Opts.Hw;
   Options.Iterations = Opts.Iterations;
-  Options.Verify = Opts.Verify;
   S->Training = Req.Training;
   S->Cost = AnalyticCostModel(Opts.Hw);
 

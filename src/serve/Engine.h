@@ -46,7 +46,6 @@ struct EngineOptions {
   /// Amortization horizon forwarded to the Optimizer (selection reports
   /// predicted seconds for this many iterations).
   int Iterations = 100;
-  VerifyLevel Verify = defaultVerifyLevel();
   size_t PlanCacheCapacity = 16;
   /// Bound on live sessions (each owns an arena sized by its graph).
   size_t SessionCapacity = 8;
@@ -161,10 +160,10 @@ public:
   const EngineOptions &options() const { return Opts; }
 
 private:
-  /// Resolves the promoted plan set of the request's model text: plan
-  /// cache get, else run the offline stage (runOfflineStage) and put. M
-  /// serializes the offline stage (enumeration is deliberately not
-  /// concurrent).
+  /// Resolves the compiled plan set of the request's model text: plan
+  /// cache get, else run the offline stage (runOfflineStage) and put.
+  /// \p Resp reports the compile's counts either way. M serializes the
+  /// offline stage (enumeration is deliberately not concurrent).
   PlanCache::Plans resolvePlans(const GnnModel &Model, const JobRequest &Req,
                                 CompileResponse &Resp) GRANII_REQUIRES(M);
 

@@ -1,8 +1,9 @@
 //===- PlanCache.h - LRU cache of compiled plan sets ------------*- C++ -*-===//
 ///
 /// \file
-/// An LRU cache of compiled (promoted) plan sets, the artifact of GRANII's
-/// offline stage. The serving daemon pays enumeration + pruning at most
+/// An LRU cache of compiled plan sets, the artifact of GRANII's offline
+/// stage: the promoted plans with the counts of the compile that produced
+/// them. The serving daemon pays enumeration + pruning at most
 /// once per model; every later request for the same model, on any graph
 /// and at any embedding sizes, reuses the cached set, which is what turns
 /// the paper's offline/online split into an actual amortization across
@@ -10,8 +11,8 @@
 ///
 /// The key is the model's DSL text itself. The offline stage reads nothing
 /// else: it enumerates and prunes without looking at the input graph, the
-/// embedding sizes or the execution environment, and the engine's
-/// enumeration and verification options apply to every model it compiles.
+/// embedding sizes or the execution environment, and the engine compiles
+/// every model with the same enumeration options and every check.
 /// The key is exact, so two texts never share an entry and no hash can
 /// collide.
 ///
@@ -24,7 +25,7 @@
 #ifndef GRANII_SERVE_PLANCACHE_H
 #define GRANII_SERVE_PLANCACHE_H
 
-#include "assoc/Composition.h"
+#include "granii/Granii.h"
 #include "support/ThreadSafety.h"
 
 #include <cstdint>
@@ -44,12 +45,12 @@ struct PlanCacheStats {
   uint64_t Evictions = 0; ///< LRU entries dropped
 };
 
-/// Thread-safe LRU cache of promoted plan sets keyed by model text. Values
-/// are shared immutable vectors: a cached set can be handed to
+/// Thread-safe LRU cache of compiled plan sets keyed by model text. Values
+/// are shared and immutable: a cached set can be handed to
 /// concurrently-running sessions while the LRU evicts it.
 class PlanCache {
 public:
-  using Plans = std::shared_ptr<const std::vector<CompositionPlan>>;
+  using Plans = std::shared_ptr<const OfflinePlans>;
 
   /// \p Capacity bounds the entries (>= 1).
   explicit PlanCache(size_t Capacity);

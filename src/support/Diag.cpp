@@ -2,39 +2,7 @@
 
 #include "support/Diag.h"
 
-#include <cstdlib>
-
 using namespace granii;
-
-std::optional<VerifyLevel> granii::parseVerifyLevel(const std::string &Name) {
-  if (Name == "off")
-    return VerifyLevel::Off;
-  if (Name == "fast")
-    return VerifyLevel::Fast;
-  if (Name == "full")
-    return VerifyLevel::Full;
-  return std::nullopt;
-}
-
-std::string granii::verifyLevelName(VerifyLevel Level) {
-  switch (Level) {
-  case VerifyLevel::Off:
-    return "off";
-  case VerifyLevel::Fast:
-    return "fast";
-  case VerifyLevel::Full:
-    return "full";
-  }
-  return "?";
-}
-
-VerifyLevel granii::defaultVerifyLevel() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at startup
-  if (const char *Env = std::getenv("GRANII_VERIFY"))
-    if (std::optional<VerifyLevel> Level = parseVerifyLevel(Env))
-      return *Level;
-  return VerifyLevel::Fast;
-}
 
 static const char *severityName(DiagSeverity Severity) {
   switch (Severity) {

@@ -11,48 +11,20 @@
 /// abort-on-violation contract render the engine's contents into
 /// GRANII_FATAL.
 ///
-/// The verification depth is a pipeline-wide knob (VerifyLevel): `off`
-/// disables the verifiers, `fast` checks the IR after every rewrite pass
-/// and the promoted candidate set, `full` additionally re-checks every
-/// enumerated candidate and statically validates buffer schedules and CSR
-/// row partitions before execution (docs/VERIFICATION.md).
+/// Every compile runs every offline check (the IR after each rewrite pass,
+/// each enumerated candidate, the promoted set), and the optimizer checks a
+/// buffer schedule and CSR row partition whenever it plans an arena or
+/// rebuilds a layout; there is no verification level (docs/VERIFICATION.md).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GRANII_SUPPORT_DIAG_H
 #define GRANII_SUPPORT_DIAG_H
 
-#include <optional>
 #include <string>
 #include <vector>
 
 namespace granii {
-
-//===----------------------------------------------------------------------===//
-// Verification levels
-//===----------------------------------------------------------------------===//
-
-/// How much static checking the pipeline performs (granii-cli --verify=...).
-enum class VerifyLevel {
-  Off,  ///< no verification beyond the always-on GRANII_CHECKs
-  Fast, ///< IR after each rewrite pass + the promoted candidate set
-  Full  ///< fast + every enumerated candidate + buffer/partition schedules
-};
-
-/// Parses "off" / "fast" / "full"; nullopt on anything else.
-std::optional<VerifyLevel> parseVerifyLevel(const std::string &Name);
-
-/// Stable printable name ("off", "fast", "full").
-std::string verifyLevelName(VerifyLevel Level);
-
-/// The process default: $GRANII_VERIFY when set to a valid level name,
-/// otherwise Fast. CI and the differential harness export
-/// GRANII_VERIFY=full so every plan they exercise is statically checked.
-VerifyLevel defaultVerifyLevel();
-
-//===----------------------------------------------------------------------===//
-// Diagnostics
-//===----------------------------------------------------------------------===//
 
 enum class DiagSeverity { Error, Warning, Note };
 

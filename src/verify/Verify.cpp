@@ -42,16 +42,14 @@ PipelineReport granii::verifyPipeline(const IRNodeRef &Root,
 
   // Stage 2: every rewrite pass's output, attributed to the pass.
   Before = Diags.errorCount();
-  std::vector<IRNodeRef> Variants = runRewritePipeline(
-      Root, /*MaxVariants=*/64, VerifyLevel::Fast, &Diags);
+  std::vector<IRNodeRef> Variants =
+      runRewritePipeline(Root, /*MaxVariants=*/64, &Diags);
   if (!Close("rewrite", Variants.size(), Before))
     return Report;
 
-  // Stage 3: every enumerated plan. The enumerator re-runs the (already
-  // verified) rewrites internally, so its own verification is off.
-  EnumOptions EnumOpts = Opts;
-  EnumOpts.Verify = VerifyLevel::Off;
-  std::vector<CompositionPlan> Plans = enumerateCompositions(Root, EnumOpts);
+  // Stage 3: every enumerated plan. The enumerator re-runs the rewrites,
+  // which stage 2 found clean, so its own IR checks cannot abort here.
+  std::vector<CompositionPlan> Plans = enumerateCompositions(Root, Opts);
   Before = Diags.errorCount();
   for (const CompositionPlan &Plan : Plans)
     verifyPlanDiags(Plan, Diags, "plan");

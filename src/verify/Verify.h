@@ -15,13 +15,15 @@
 ///   partition  the nnz-balanced CSR row partition over a set of
 ///              degenerate graph shapes (empty, uniform, hub-skewed)
 ///
-/// This is what `granii-cli verify` runs; the optimizer wires subsets of
-/// the same checks behind its --verify level (Granii.h).
+/// This is what `granii-cli verify` runs. Every compile runs the ir,
+/// rewrite, plan and prune checks too, aborting at the first failing stage
+/// (runOfflineStage, Granii.h), and Optimizer::execute checks the buffer
+/// schedule and row partition of each arena it plans.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef GRANII_VERIFY_VERIFY_H
-#define GRANII_VERIFY_VERIFY_H
+#ifndef GRANII_VERIFIER_VERIFY_H
+#define GRANII_VERIFIER_VERIFY_H
 
 #include "assoc/Enumerate.h"
 #include "support/Diag.h"
@@ -52,11 +54,10 @@ struct PipelineReport {
 /// Statically checks every pipeline stage for the model IR \p Root.
 /// Downstream stages are skipped once a stage reports errors (their inputs
 /// would be meaningless). \p Opts controls enumeration exactly as in
-/// enumerateCompositions; its Verify level is ignored -- this always runs
-/// the full checks.
+/// enumerateCompositions.
 PipelineReport verifyPipeline(const IRNodeRef &Root,
                               const EnumOptions &Opts = {});
 
 } // namespace granii
 
-#endif // GRANII_VERIFY_VERIFY_H
+#endif // GRANII_VERIFIER_VERIFY_H

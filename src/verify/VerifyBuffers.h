@@ -17,8 +17,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef GRANII_VERIFY_VERIFYBUFFERS_H
-#define GRANII_VERIFY_VERIFYBUFFERS_H
+#ifndef GRANII_VERIFIER_VERIFYBUFFERS_H
+#define GRANII_VERIFIER_VERIFYBUFFERS_H
 
 #include "runtime/BufferPlan.h"
 #include "support/Diag.h"
@@ -56,4 +56,4 @@ bool verifyRowPartition(std::span<const int64_t> RowOffsets,
 
 } // namespace granii
 
-#endif // GRANII_VERIFY_VERIFYBUFFERS_H
+#endif // GRANII_VERIFIER_VERIFYBUFFERS_H

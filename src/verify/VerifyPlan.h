@@ -28,8 +28,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef GRANII_VERIFY_VERIFYPLAN_H
-#define GRANII_VERIFY_VERIFYPLAN_H
+#ifndef GRANII_VERIFIER_VERIFYPLAN_H
+#define GRANII_VERIFIER_VERIFYPLAN_H
 
 #include "assoc/Composition.h"
 #include "support/Diag.h"
@@ -57,4 +57,4 @@ bool verifySurvivorSet(const std::vector<CompositionPlan> &Survivors,
 
 } // namespace granii
 
-#endif // GRANII_VERIFY_VERIFYPLAN_H
+#endif // GRANII_VERIFIER_VERIFYPLAN_H

@@ -69,6 +69,26 @@ TEST(Cli, CompileRejectsCodegenAsAnUnknownFlag) {
   EXPECT_NE(Err.find("--codegen"), std::string::npos) << Err;
 }
 
+// Every compile runs every check, so no command takes a verification
+// level: the level flag is an unknown flag wherever it was accepted.
+TEST(Cli, VerifyFlagIsAnUnknownFlag) {
+  const std::string Flag = "--verify";
+  std::string Model = gcnExamplePath();
+  const std::vector<std::pair<std::vector<std::string>, std::string>> Cases =
+      {{{"compile", Model, Flag, "full"}, "compile"},
+       {{"run", Model, "--graph", "synth:mycielskian", Flag, "full"}, "run"},
+       {{"serve", "--socket", "/tmp/never-bound.sock", Flag, "full"},
+        "serve"}};
+  for (const auto &[Args, Cmd] : Cases) {
+    std::string Out, Err;
+    EXPECT_EQ(runCli(Args, Out, Err), 2) << Cmd;
+    EXPECT_NE(Err.find("unknown flag for '" + Cmd + "'"), std::string::npos)
+        << Cmd << ": " << Err;
+    EXPECT_NE(Err.find(Flag), std::string::npos) << Cmd << ": " << Err;
+    EXPECT_TRUE(Out.empty()) << Cmd << ": " << Out;
+  }
+}
+
 TEST(Cli, CompileWithDotEmitsDigraphs) {
   std::string Path = gcnExamplePath();
   std::string Out, Err;

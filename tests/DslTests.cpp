@@ -3,8 +3,13 @@
 #include "ir/Dsl.h"
 #include "ir/Rewrite.h"
 #include "models/Models.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace granii;
 
@@ -229,4 +234,109 @@ TEST(Models, SgcChainFlattensCompletely) {
   const auto *Mul = dynCast<MatMulNode>(Rewritten);
   ASSERT_NE(Mul, nullptr);
   EXPECT_EQ(Mul->operands().size(), 8u);
+}
+
+//===----------------------------------------------------------------------===//
+// Seeded mutation test of the front end
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Mutated texts per kind (bit flips, truncations, splices).
+constexpr int DslMutationsPerKind = 40000;
+
+/// The model texts a request can carry, as shipped: every registry model's
+/// DSL source and every example model file.
+std::vector<std::string> seedModelTexts() {
+  std::vector<std::string> Texts;
+  for (ModelKind Kind :
+       {ModelKind::GCN, ModelKind::GIN, ModelKind::SGC, ModelKind::TAGCN,
+        ModelKind::GAT, ModelKind::SAGE, ModelKind::GATMultiHead})
+    Texts.push_back(modelDslSource(Kind));
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(GRANII_EXAMPLES_DIR)) {
+    if (Entry.path().extension() != ".gnn")
+      continue;
+    std::ifstream In(Entry.path());
+    std::ostringstream Text;
+    Text << In.rdbuf();
+    Texts.push_back(Text.str());
+  }
+  return Texts;
+}
+
+enum class TextMutation { BitFlips, Truncation, Splice };
+
+/// The offset of a random line start of \p Text (0 or just past a '\n').
+size_t randomLineStart(const std::string &Text, Rng &R) {
+  std::vector<size_t> Starts = {0};
+  for (size_t I = 0; I < Text.size(); ++I)
+    if (Text[I] == '\n')
+      Starts.push_back(I + 1);
+  return Starts[R.nextBelow(Starts.size())];
+}
+
+/// One mutation of a text drawn from \p Seeds: one to eight bit flips; a
+/// cut at a random length with up to one bit flip in what remains; or the
+/// lines of one text up to a random line joined to the lines of another
+/// from a random line on, which mixes one model's declarations with
+/// another's statements.
+std::string mutateText(const std::vector<std::string> &Seeds,
+                       TextMutation Kind, Rng &R) {
+  std::string Text = Seeds[R.nextBelow(Seeds.size())];
+  auto FlipBits = [&](uint64_t Count) {
+    for (uint64_t I = 0; I < Count && !Text.empty(); ++I)
+      Text[R.nextBelow(Text.size())] ^=
+          static_cast<char>(1u << R.nextBelow(8));
+  };
+  switch (Kind) {
+  case TextMutation::BitFlips:
+    FlipBits(1 + R.nextBelow(8));
+    break;
+  case TextMutation::Truncation:
+    Text.resize(R.nextBelow(Text.size() + 1));
+    FlipBits(R.nextBelow(2));
+    break;
+  case TextMutation::Splice: {
+    const std::string &Other = Seeds[R.nextBelow(Seeds.size())];
+    Text.resize(randomLineStart(Text, R));
+    Text += Other.substr(randomLineStart(Other, R));
+    break;
+  }
+  }
+  return Text;
+}
+
+} // namespace
+
+// ROADMAP 4(c), the model-text part: every `run` and `compile` request
+// carries free-form DSL text, so 120k seeded mutations of the shipped model
+// texts (40k each of bit flips, truncations and splices) must each either
+// fail to parse with a message, or parse into IR that the rewrite pipeline
+// accepts with no diagnostic -- the pipeline whose failure, in a compile,
+// aborts the process. The ASan leg runs it.
+TEST(DslFuzz, ParserSurvivesMutatedSources) {
+  const std::vector<std::string> Seeds = seedModelTexts();
+  ASSERT_EQ(Seeds.size(), 9u);
+  Rng R(25);
+  size_t Parsed = 0, SilentRejections = 0;
+  for (TextMutation Kind : {TextMutation::BitFlips, TextMutation::Truncation,
+                            TextMutation::Splice})
+    for (int I = 0; I < DslMutationsPerKind; ++I) {
+      std::string Text = mutateText(Seeds, Kind, R);
+      std::string Error;
+      std::optional<ParsedModel> Model = parseModelDsl(Text, &Error);
+      if (!Model) {
+        SilentRejections += Error.empty();
+        continue;
+      }
+      ++Parsed;
+      DiagEngine Diags;
+      runRewritePipeline(Model->Root, /*MaxVariants=*/64, &Diags);
+      ASSERT_FALSE(Diags.hasErrors()) << Text << "\n" << Diags.render();
+    }
+  EXPECT_EQ(SilentRejections, 0u);
+  // The mutations reach past the lexer: about one text in ten still parses
+  // and goes through the rewrites.
+  EXPECT_GT(Parsed, 5000u);
 }

@@ -4,6 +4,8 @@
 #include "graph/Generators.h"
 #include "graph/Sampling.h"
 #include "models/Baselines.h"
+#include "support/Json.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -102,7 +104,7 @@ TEST(Optimizer, SingleViableCandidateSkipsCostModels) {
   ASSERT_NE(GeOnly, Promoted.end());
   ASSERT_NE(LtOnly, Promoted.end());
   Optimizer Two(Full.model(), Full.options(), &analyticFor("h100"),
-                {*LtOnly, *GeOnly});
+                OfflinePlans{{*LtOnly, *GeOnly}, {2, 0, 2}});
   Graph G = makeErdosRenyi(200, 1000, 2);
 
   Selection SelGe = Two.select(G, 128, 32);
@@ -150,6 +152,38 @@ TEST(Optimizer, ExecuteRunsChosenPlan) {
   EXPECT_EQ(R.BackwardSeconds, 0.0);
   ExecResult T = Opt.execute(Sel, Params, /*Training=*/true);
   EXPECT_GT(T.BackwardSeconds, 0.0);
+}
+
+// A warm execute checks nothing: the buffer schedule and row partition are
+// checked when a call plans its arena, and again when the adjacency its
+// layout was built from has been edited in place.
+TEST(Optimizer, ScheduleChecksRunWhenAnArenaIsPlannedOrALayoutRebuilt) {
+  Optimizer Opt = makeOptimizer(ModelKind::GCN, "cpu");
+  Graph G = makeErdosRenyi(200, 1000, 2);
+  LayerParams Params = makeLayerParams(Opt.model(), G, 16, 8);
+  Selection Sel = Opt.select(G, 16, 8);
+
+  Trace::get().start();
+  ExecResult R;
+  for (int I = 0; I < 3; ++I)
+    Opt.execute(Sel, Params, /*Training=*/false, R);
+  Params.AdjSelf.clearValues(); // an edit in place: a new version()
+  Opt.execute(Sel, Params, /*Training=*/false, R);
+  Trace::get().stop();
+
+  std::string Err;
+  std::optional<JsonValue> Doc = parseJson(Trace::get().toJson(), &Err);
+  Trace::get().clear();
+  ASSERT_TRUE(Doc) << Err;
+  size_t Checks = 0, Runs = 0;
+  for (const JsonValue &E : Doc->find("traceEvents")->array()) {
+    if (E.stringOr("ph", "") != "X")
+      continue;
+    Checks += E.stringOr("name", "") == "verify-schedule";
+    Runs += E.stringOr("name", "") == "forward";
+  }
+  EXPECT_EQ(Checks, 2u);
+  EXPECT_EQ(Runs, 4u);
 }
 
 TEST(Optimizer, OverheadFieldsPopulated) {

@@ -2,8 +2,6 @@
 
 #include "serve/PlanCache.h"
 
-#include "assoc/Enumerate.h"
-#include "assoc/Prune.h"
 #include "models/Models.h"
 
 #include <gtest/gtest.h>
@@ -14,10 +12,8 @@ using namespace granii::serve;
 namespace {
 
 PlanCache::Plans somePlans() {
-  static PlanCache::Plans Cached =
-      std::make_shared<const std::vector<CompositionPlan>>(
-          pruneCompositions(
-              enumerateCompositions(makeModel(ModelKind::GCN).Root)));
+  static PlanCache::Plans Cached = std::make_shared<const OfflinePlans>(
+      runOfflineStage(makeModel(ModelKind::GCN).Root, EnumOptions()));
   return Cached;
 }
 
@@ -34,7 +30,7 @@ TEST(PlanCache, MissThenHitAndCounters) {
   Cache.put(keyNumbered(0), somePlans());
   PlanCache::Plans Got = Cache.get(keyNumbered(0));
   ASSERT_NE(Got, nullptr);
-  EXPECT_EQ(Got->size(), somePlans()->size());
+  EXPECT_EQ(Got->Promoted.size(), somePlans()->Promoted.size());
   PlanCacheStats S = Cache.stats();
   EXPECT_EQ(S.Misses, 1u);
   EXPECT_EQ(S.Hits, 1u);
@@ -92,6 +88,6 @@ TEST(PlanCache, SharedValueSurvivesEviction) {
   ASSERT_NE(Held, nullptr);
   Cache.put(keyNumbered(1), somePlans()); // evicts entry 0
   // A session still holding the shared_ptr keeps using it safely.
-  EXPECT_EQ(Held->size(), somePlans()->size());
-  EXPECT_FALSE((*Held)[0].Name.empty());
+  EXPECT_EQ(Held->Promoted.size(), somePlans()->Promoted.size());
+  EXPECT_FALSE(Held->Promoted[0].Name.empty());
 }

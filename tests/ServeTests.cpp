@@ -582,6 +582,47 @@ TEST(Engine, WarmRunReportsAPlanCacheHit) {
   EXPECT_TRUE(Resized.PlanCacheHit);
 }
 
+// A compile response reports the counts of the compile that produced its
+// plan set, however the set was found: the miss, a plan-cache hit, a cold
+// session on the cached set and a warm session all answer GCN's 16
+// enumerated, 12 pruned, 4 promoted, and so does the session's optimizer.
+TEST(Engine, PlanCacheHitReportsTheCompiledCounts) {
+  auto ExpectGcnCounts = [](const CompileResponse &C) {
+    EXPECT_EQ(C.Enumerated, 16u);
+    EXPECT_EQ(C.Pruned, 12u);
+    EXPECT_EQ(C.Promoted, 4u);
+  };
+  Engine Eng;
+  JobRequest Req = smallRequest(false);
+  CompileResponse Miss = Eng.compile(Req);
+  ASSERT_TRUE(Miss.Status.Ok) << Miss.Status.Error;
+  EXPECT_FALSE(Miss.PlanCacheHit);
+  ExpectGcnCounts(Miss);
+  CompileResponse Hit = Eng.compile(Req);
+  ASSERT_TRUE(Hit.Status.Ok) << Hit.Status.Error;
+  EXPECT_TRUE(Hit.PlanCacheHit);
+  ExpectGcnCounts(Hit);
+
+  std::string Err;
+  bool SessionHit = true;
+  CompileResponse Cold;
+  std::shared_ptr<Session> S = Eng.session(Req, Err, &SessionHit, &Cold);
+  ASSERT_TRUE(S) << Err;
+  EXPECT_FALSE(SessionHit);
+  EXPECT_TRUE(Cold.PlanCacheHit);
+  ExpectGcnCounts(Cold);
+  CompileResponse Warm;
+  ASSERT_EQ(Eng.session(Req, Err, &SessionHit, &Warm), S) << Err;
+  EXPECT_TRUE(SessionHit);
+  EXPECT_TRUE(Warm.PlanCacheHit);
+  ExpectGcnCounts(Warm);
+
+  const PruneStats &Stats = S->optimizer().pruneStats();
+  EXPECT_EQ(Stats.Enumerated, 16u);
+  EXPECT_EQ(Stats.Pruned, 12u);
+  EXPECT_EQ(Stats.Promoted, 4u);
+}
+
 // CSR is the only format: the request field accepts "csr" or empty and
 // answers every other value, the deleted padded formats and auto included,
 // with an error on both verbs.

@@ -50,14 +50,6 @@ TEST(DiagTest, RenderingAndCounts) {
   EXPECT_TRUE(Diags.render().empty());
 }
 
-TEST(DiagTest, VerifyLevelParsing) {
-  EXPECT_EQ(parseVerifyLevel("off"), VerifyLevel::Off);
-  EXPECT_EQ(parseVerifyLevel("fast"), VerifyLevel::Fast);
-  EXPECT_EQ(parseVerifyLevel("full"), VerifyLevel::Full);
-  EXPECT_FALSE(parseVerifyLevel("paranoid").has_value());
-  EXPECT_EQ(verifyLevelName(VerifyLevel::Full), "full");
-}
-
 //===----------------------------------------------------------------------===//
 // IR stage: hand-broken DAGs (node constructors skip the ir:: factories'
 // inference, so each fixture breaks exactly the invariant under test)

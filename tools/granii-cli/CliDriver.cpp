@@ -210,40 +210,22 @@ bool writeOutputFile(const std::string &Path, int64_t Rows, int64_t Cols,
   return true;
 }
 
-/// Parses the --verify flag into a level; reports unknown spellings.
-std::optional<VerifyLevel> verifyFlag(const ArgParser &Args,
-                                      std::string &Err) {
-  if (!Args.hasFlag("verify"))
-    return defaultVerifyLevel();
-  std::optional<VerifyLevel> Level = parseVerifyLevel(Args.value("verify"));
-  if (!Level)
-    Err += "error: unknown verify level '" + Args.value("verify") +
-           "' (try off, fast, full)\n";
-  return Level;
-}
-
 int cmdCompile(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (int Code = rejectUnknownFlags(
-          Args, "compile", {"dot", "verify", "threads", "isa", "trace"}, Err))
+          Args, "compile", {"dot", "threads", "isa", "trace"}, Err))
     return Code;
   if (Args.Positional.size() < 2) {
-    Err += "usage: granii-cli compile <model.gnn> [--dot] "
-           "[--verify off|fast|full]\n";
+    Err += "usage: granii-cli compile <model.gnn> [--dot]\n";
     return 2;
   }
   std::optional<ParsedModel> Parsed = loadModel(Args.Positional[1], Err);
   if (!Parsed)
     return 1;
-  std::optional<VerifyLevel> Verify = verifyFlag(Args, Err);
-  if (!Verify)
-    return 2;
 
   Out += "model '" + Parsed->Name + "'\n\nmatrix IR:\n" +
          printIR(Parsed->Root) + "\n";
 
-  EnumOptions EnumOpts;
-  EnumOpts.Verify = *Verify;
-  OfflinePlans Compiled = runOfflineStage(Parsed->Root, EnumOpts);
+  OfflinePlans Compiled = runOfflineStage(Parsed->Root, EnumOptions());
   const PruneStats &Stats = Compiled.Stats;
   const std::vector<CompositionPlan> &Promoted = Compiled.Promoted;
   Out += "offline stage: " + std::to_string(Stats.Enumerated) +
@@ -396,8 +378,8 @@ int profileRun(const serve::Session &S, const HardwareModel &Hw,
 int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (int Code = rejectUnknownFlags(
           Args, "run",
-          {"graph", "kin", "kout", "hw", "iters", "train", "profile",
-           "verify", "out", "threads", "isa", "trace"},
+          {"graph", "kin", "kout", "hw", "iters", "train", "profile", "out",
+           "threads", "isa", "trace"},
           Err))
     return Code;
   if (int Code = rejectMalformedInts(Args, {"kin", "kout", "iters"}, Err))
@@ -406,7 +388,7 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
     Err += "usage: granii-cli run <model.gnn> [--graph <mtx|synth:name>] "
            "--kin N --kout N [--hw cpu|a100|h100] [--iters N] [--train] "
            "[--threads N] [--isa scalar|avx2|avx512] [--profile] "
-           "[--out <file>] [--verify off|fast|full] [--trace <out.json>]\n";
+           "[--out <file>] [--trace <out.json>]\n";
     return 2;
   }
   std::optional<std::string> ModelText =
@@ -435,16 +417,12 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
     return 2;
   }
   bool Training = Args.hasFlag("train");
-  std::optional<VerifyLevel> Verify = verifyFlag(Args, Err);
-  if (!Verify)
-    return 2;
 
   // One-shot runs go through the same Engine/Session layer the daemon
   // serves from — one code path, bitwise-identical answers.
   serve::EngineOptions EngOpts;
   EngOpts.Hw = HardwareModel::byName(Hw);
   EngOpts.Iterations = static_cast<int>(Args.intValue("iters", 100));
-  EngOpts.Verify = *Verify;
   serve::Engine Engine(EngOpts);
 
   serve::JobRequest Req;
@@ -516,8 +494,8 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
 int cmdServe(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (int Code = rejectUnknownFlags(Args, "serve",
                                     {"socket", "workers", "plan-cache",
-                                     "sessions", "iters", "verify", "threads",
-                                     "isa", "trace"},
+                                     "sessions", "iters", "threads", "isa",
+                                     "trace"},
                                     Err))
     return Code;
   if (int Code = rejectMalformedInts(
@@ -526,19 +504,14 @@ int cmdServe(const ArgParser &Args, std::string &Out, std::string &Err) {
   std::string Socket = Args.value("socket");
   if (Socket.empty()) {
     Err += "usage: granii-cli serve --socket <path> [--workers N] "
-           "[--plan-cache N] [--sessions N] [--iters N] "
-           "[--verify off|fast|full] [--threads N] "
+           "[--plan-cache N] [--sessions N] [--iters N] [--threads N] "
            "[--isa scalar|avx2|avx512]\n";
     return 2;
   }
-  std::optional<VerifyLevel> Verify = verifyFlag(Args, Err);
-  if (!Verify)
-    return 2;
 
   serve::ServerOptions Options;
   Options.SocketPath = Socket;
   Options.ConnWorkers = static_cast<int>(Args.intValue("workers", 8));
-  Options.Engine.Verify = *Verify;
   Options.Engine.Iterations =
       static_cast<int>(Args.intValue("iters", 100));
   Options.Engine.PlanCacheCapacity = static_cast<size_t>(

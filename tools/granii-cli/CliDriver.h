@@ -4,11 +4,11 @@
 /// The granii-cli compiler driver, factored as a library so the command
 /// logic is unit-testable. Subcommands:
 ///
-///   granii-cli compile <model.gnn> [--dot] [--verify off|fast|full]
-///       Parse a DSL model, run the offline stage (verified at the given
-///       level), print the IR, the enumeration/pruning statistics and the
-///       promoted candidates with their setup steps and the embedding-size
-///       scenarios each is viable in; optionally emit Graphviz DOT.
+///   granii-cli compile <model.gnn> [--dot]
+///       Parse a DSL model, run the offline stage with every check, print
+///       the IR, the enumeration/pruning statistics and the promoted
+///       candidates with their setup steps and the embedding-size scenarios
+///       each is viable in; optionally emit Graphviz DOT.
 ///
 ///   granii-cli run <model.gnn> [--graph <spec>] --kin N --kout N
 ///              [--hw cpu|a100|h100] [--iters N] [--train] [--profile]
