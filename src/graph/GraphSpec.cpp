@@ -5,12 +5,45 @@
 #include "graph/Generators.h"
 #include "graph/MatrixMarket.h"
 #include "support/Hash.h"
+#include "support/Memory.h"
 #include "support/Str.h"
 #include "support/Trace.h"
 
 using namespace granii;
 
 namespace {
+
+/// Bytes per requested edge of makeRmat's dedup set on top of the graph it
+/// builds: a reserved pair of 8-byte buckets and one heap node per edge.
+constexpr int64_t RmatDedupBytesPerEdge = 48;
+
+/// Whether the R-MAT graph \p Nodes / \p Edges can be built here: no more
+/// edges than distinct node pairs, and the generator's working set within
+/// physical memory. Checked before the generator sizes anything.
+bool buildableRmat(int64_t Nodes, int64_t Edges, const std::string &Name,
+                   std::string *Err) {
+  const int64_t Pairs = Nodes * (Nodes - 1) / 2; // Nodes <= MaxGraphNodes
+  std::string Error;
+  if (Edges > Pairs) {
+    Error = "rmat spec '" + Name + "' asks for " + std::to_string(Edges) +
+            " edges, but " + std::to_string(Nodes) + " nodes have at most " +
+            std::to_string(Pairs) + " distinct edges";
+  } else {
+    // Each undirected edge is stored twice.
+    int64_t Dedup = 0, Bytes = graphBuildBytes(Nodes, 2 * Edges);
+    if (__builtin_mul_overflow(Edges, RmatDedupBytesPerEdge, &Dedup) ||
+        Bytes < 0 || __builtin_add_overflow(Bytes, Dedup, &Bytes))
+      Bytes = -1;
+    if (fitsInMemory(Bytes, physicalMemoryBytes(),
+                     "the graph and edge dedup set of rmat spec '" + Name +
+                         "'",
+                     &Error))
+      return true;
+  }
+  if (Err)
+    *Err += "error: " + Error + "\n";
+  return false;
+}
 
 std::optional<Graph> resolveGraphSpec(const std::string &Spec,
                                       std::string *Err) {
@@ -35,6 +68,8 @@ std::optional<Graph> resolveGraphSpec(const std::string &Spec,
                   std::to_string(MaxGraphNodes) + " nodes)\n";
         return std::nullopt;
       }
+      if (!buildableRmat(Nodes, Edges, Name, Err))
+        return std::nullopt;
       return makeRmat(Nodes, Edges, 0.57, 0.19, 0.19,
                       static_cast<uint64_t>(Seed),
                       "rmat-" + Parts[1] + "-" + Parts[2] + "-" +

@@ -2,6 +2,7 @@
 
 #include "graph/MatrixMarket.h"
 
+#include "support/Memory.h"
 #include "support/Str.h"
 #include "tensor/CooMatrix.h"
 
@@ -131,6 +132,14 @@ std::optional<Graph> granii::parseMatrixMarket(std::istream &Stream,
                                   std::to_string(Rows) + " exceeds the " +
                                   std::to_string(MaxGraphNodes) +
                                   "-node limit");
+  // The CSR's row offsets are sized from the dimension alone (the entry
+  // count is not trusted for sizing): they must fit in memory.
+  if (std::string Error;
+      !fitsInMemory(graphBuildBytes(Rows, 0), physicalMemoryBytes(),
+                    "the CSR row offsets of a " + std::to_string(Rows) +
+                        "-node matrix market graph",
+                    &Error))
+    return fail(ErrorMessage, Error);
 
   // Nothing is reserved from the claimed entry count: it is untrusted, and
   // a short body must fail with the count mismatch, not an allocation.

@@ -30,9 +30,11 @@ inline constexpr size_t MatrixMarketBlockBytes = size_t{1} << 16;
 /// MatrixMarketBlockBytes blocks — peak transient memory is one block (or
 /// one longer line) plus the COO triples, never a second whole-file copy
 /// (SuiteSparse .mtx files reach tens of GB). Nothing is reserved from the
-/// entry count the size line claims, and a dimension above MaxGraphNodes
-/// is rejected before anything is allocated for it. On failure returns
-/// std::nullopt and stores a message in \p ErrorMessage if non-null.
+/// entry count the size line claims, and a dimension above MaxGraphNodes,
+/// or one whose CSR row offsets would exceed the host's physical memory
+/// (support/Memory.h), is rejected before anything is allocated for it. On
+/// failure returns std::nullopt and stores a message in \p ErrorMessage if
+/// non-null.
 std::optional<Graph> readMatrixMarket(const std::string &Path,
                                       std::string *ErrorMessage = nullptr);
 

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,39 @@ std::optional<IsaLevel> parseIsaLevel(const std::string &Name);
 /// stream from L2 while every register block of a row range sweeps them.
 constexpr int64_t GemmTLhsWindowRows = 1024;
 
+/// Most element-wise steps one row epilogue applies. A fused chain in this
+/// library is at most two steps long (SGC's two row scalings, GCN's row
+/// scaling and ReLU); longer chains are cut here.
+constexpr int MaxEpilogueOps = 4;
+
+/// Element-wise steps a GEMM or SpMM applies, in order, to each output row's
+/// accumulators just before the row's one store: a fused chain of row
+/// scalings and ReLUs. Each step gives every element the operation the
+/// separate kernel applies at the same level (ScaleRange's Scale[row] * x,
+/// ReluRange's max(x, 0) / x > 0 ? x : 0), so a fused producer writes the
+/// bits of the unfused kernel sequence. A row routine given a null epilogue
+/// runs its plain loops; the choice is made once per call.
+struct RowEpilogue {
+  enum class OpKind : uint8_t {
+    Scale, ///< x = Scale[row] * x, rowBroadcastMulInto's multiply
+    Relu   ///< x = max(x, 0), reluInto's select
+  };
+  struct Op {
+    OpKind Kind = OpKind::Relu;
+    std::span<const float> Scale; ///< one factor per output row (Scale)
+  };
+  Op Ops[MaxEpilogueOps];
+  int Count = 0;
+
+  /// Appends a step; false (and unchanged) when the epilogue is full.
+  bool push(OpKind Kind, std::span<const float> Scale = {}) {
+    if (Count == MaxEpilogueOps)
+      return false;
+    Ops[Count++] = {Kind, Scale};
+    return true;
+  }
+};
+
 /// The per-ISA kernel table. Entries operate on whole row (or element)
 /// ranges so the indirect call sits outside the inner loops; Kernels.cpp
 /// invokes them from inside its thread-pool partitions. All pointers are
@@ -69,10 +103,12 @@ struct SimdOps {
   double SparseThroughputScale = 1.0;
 
   /// C rows [RowBegin, RowEnd) of C = A * B, all matrices row-major with
-  /// the given leading dimensions.
+  /// the given leading dimensions; a non-null \p Epi is applied to each C
+  /// row before it is stored.
   void (*GemmRowRange)(const float *A, int64_t Lda, const float *B,
                        int64_t Ldb, float *C, int64_t Ldc, int64_t K,
-                       int64_t N, int64_t RowBegin, int64_t RowEnd) = nullptr;
+                       int64_t N, int64_t RowBegin, int64_t RowEnd,
+                       const RowEpilogue *Epi) = nullptr;
 
   /// C rows [RowBegin, RowEnd) of C = A^T * B; C has A.cols() rows and \p M
   /// is A.rows() (the contraction length). The SIMD levels contract in
@@ -94,11 +130,13 @@ struct SimdOps {
   /// Cols[K]. A null \p Vals is the unweighted sum, which adds the B rows
   /// without a multiply; \p ValIdx, when non-null, maps nonzero K to its
   /// value Vals[ValIdx[K]] (the CSC-transposed backward pass reads
-  /// CSR-ordered values through it).
+  /// CSR-ordered values through it). A non-null \p Epi is applied to each
+  /// output row before it is stored.
   void (*SpmmRowRange)(const int64_t *Offsets, const int32_t *Cols,
                        const float *Vals, const int64_t *ValIdx,
                        const float *B, int64_t Ldb, float *Dst, int64_t LdDst,
-                       int64_t N, int64_t RowBegin, int64_t RowEnd) = nullptr;
+                       int64_t N, int64_t RowBegin, int64_t RowEnd,
+                       const RowEpilogue *Epi) = nullptr;
 
   /// SDDMM over CSR rows [RowBegin, RowEnd): each edge's output is the
   /// dot product of its endpoints' \p Width-float U and V rows.
@@ -122,6 +160,11 @@ struct SimdOps {
   /// so every level writes the same bits.
   void (*ReluBackwardRange)(const float *Pre, const float *Grad, float *Out,
                             int64_t N) = nullptr;
+  /// Out = X > 0 ? X : Slope * X, the edge leaky ReLU: a multiply and a
+  /// compare and select, with no FMA, so every level writes the same bits
+  /// (NaN, -0 and denormals included).
+  void (*LeakyReluRange)(float Slope, const float *X, float *Out,
+                         int64_t N) = nullptr;
 };
 
 /// Best level both this build and this host support (CPUID-probed once;

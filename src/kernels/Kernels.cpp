@@ -64,6 +64,20 @@ void checkVecDst(std::span<const float> Out, size_t Size, const char *Kernel) {
                    std::to_string(Size) + ")");
 }
 
+/// The epilogue a row routine applies to \p Dst's rows: null for none (or an
+/// empty one), after checking each scale vector covers every row.
+const RowEpilogue *rowEpilogue(const RowEpilogue *Epi, const DenseMatrix &Dst,
+                               const char *Kernel) {
+  if (!Epi || Epi->Count == 0)
+    return nullptr;
+  for (int O = 0; O < Epi->Count; ++O)
+    GRANII_CHECK(Epi->Ops[O].Kind != RowEpilogue::OpKind::Scale ||
+                     static_cast<int64_t>(Epi->Ops[O].Scale.size()) ==
+                         Dst.rows(),
+                 std::string(Kernel) + " epilogue scale length mismatch");
+  return Epi;
+}
+
 /// The edge values an SpMM row routine reads: null for the unweighted sum
 /// (no values), else one value per nonzero.
 const float *spmmValues(std::span<const float> Vals, int64_t Nnz,
@@ -78,9 +92,10 @@ const float *spmmValues(std::span<const float> Vals, int64_t Nnz,
 // granii-noalloc-begin: gemmInto is the densest inner loop in the library;
 // it writes only into the caller-provided destination.
 void kernels::gemmInto(const DenseMatrix &A, const DenseMatrix &B,
-                       DenseMatrix &Dst) {
+                       DenseMatrix &Dst, const RowEpilogue *Epilogue) {
   GRANII_CHECK(A.cols() == B.rows(), "gemm inner dimension mismatch");
   checkDenseDst(Dst, A.rows(), B.cols(), "gemm");
+  const RowEpilogue *Epi = rowEpilogue(Epilogue, Dst, "gemm");
   const int64_t M = A.rows(), K = A.cols(), N = B.cols();
   // Output rows are partitioned across threads; each C row is written by
   // exactly one thread and zeroed (inside the row routine) right before
@@ -89,7 +104,7 @@ void kernels::gemmInto(const DenseMatrix &A, const DenseMatrix &B,
   const SimdOps &Ops = simdOps();
   parallelFor(0, M, rowGrain(K * N), [&](int64_t RowBegin, int64_t RowEnd) {
     Ops.GemmRowRange(A.data(), K, B.data(), N, Dst.data(), N, K, N, RowBegin,
-                     RowEnd);
+                     RowEnd, Epi);
   });
 }
 // granii-noalloc-end
@@ -215,17 +230,19 @@ void kernels::reluInto(const DenseMatrix &A, DenseMatrix &Dst) {
 // granii-noalloc-begin: the SpMM aggregation loop dominates steady-state
 // GNN inference and must stay allocation-free.
 void kernels::spmmInto(const CsrMatrix &A, std::span<const float> Vals,
-                       const DenseMatrix &B, DenseMatrix &Dst) {
+                       const DenseMatrix &B, DenseMatrix &Dst,
+                       const RowEpilogue *Epilogue) {
   GRANII_CHECK(A.cols() == B.rows(), "spmm dimension mismatch");
   const float *ValsPtr = spmmValues(Vals, A.nnz(), "spmm");
   checkDenseDst(Dst, A.rows(), B.cols(), "spmm");
+  const RowEpilogue *Epi = rowEpilogue(Epilogue, Dst, "spmm");
   const auto &Offsets = A.rowOffsets();
   const auto &Cols = A.colIndices();
   const int64_t NCols = B.cols();
   const SimdOps &Ops = simdOps();
   parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
     Ops.SpmmRowRange(Offsets.data(), Cols.data(), ValsPtr, nullptr, B.data(),
-                     NCols, Dst.data(), NCols, NCols, RowBegin, RowEnd);
+                     NCols, Dst.data(), NCols, NCols, RowBegin, RowEnd, Epi);
   });
 }
 // granii-noalloc-end
@@ -249,7 +266,7 @@ void kernels::spmmCscTransposedInto(const CscMatrix &A,
   parallelForCsrRows(ColOffsets, [&](int64_t ColBegin, int64_t ColEnd) {
     Ops.SpmmRowRange(ColOffsets.data(), Rows.data(), ValsPtr, CsrIdx.data(),
                      B.data(), NCols, Dst.data(), NCols, NCols, ColBegin,
-                     ColEnd);
+                     ColEnd, /*Epi=*/nullptr);
   });
 }
 
@@ -380,13 +397,11 @@ void kernels::edgeSoftmaxInto(const CsrMatrix &A,
 void kernels::leakyReluEdgesInto(std::span<const float> EdgeValues,
                                  float NegativeSlope, std::span<float> Out) {
   checkVecDst(Out, EdgeValues.size(), "edge_leaky_relu");
+  const SimdOps &Ops = simdOps();
   parallelFor(0, static_cast<int64_t>(EdgeValues.size()), DenseGrainOps,
               [&](int64_t Begin, int64_t End) {
-                for (int64_t I = Begin; I < End; ++I)
-                  Out[static_cast<size_t>(I)] =
-                      EdgeValues[static_cast<size_t>(I)] > 0.0f
-                          ? EdgeValues[static_cast<size_t>(I)]
-                          : NegativeSlope * EdgeValues[static_cast<size_t>(I)];
+                Ops.LeakyReluRange(NegativeSlope, EdgeValues.data() + Begin,
+                                   Out.data() + Begin, End - Begin);
               });
 }
 

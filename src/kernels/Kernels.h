@@ -23,6 +23,7 @@
 #ifndef GRANII_KERNELS_KERNELS_H
 #define GRANII_KERNELS_KERNELS_H
 
+#include "kernels/Dispatch.h"
 #include "tensor/CscMatrix.h"
 #include "tensor/CsrMatrix.h"
 #include "tensor/DenseMatrix.h"
@@ -45,8 +46,12 @@ namespace kernels {
 // buffer aborts with a message instead of corrupting memory.
 
 /// C = A * B (row-major GEMM) into \p Dst, which must already be
-/// A.rows() x B.cols().
-void gemmInto(const DenseMatrix &A, const DenseMatrix &B, DenseMatrix &Dst);
+/// A.rows() x B.cols(). A non-null \p Epilogue (Dispatch.h) is applied to
+/// each C row in registers before its store; each of its scale vectors has
+/// one entry per row. Dst then holds, bit for bit, what gemmInto followed by
+/// the epilogue's rowBroadcastMulInto / reluInto calls leaves.
+void gemmInto(const DenseMatrix &A, const DenseMatrix &B, DenseMatrix &Dst,
+              const RowEpilogue *Epilogue = nullptr);
 
 /// C = A^T * B into \p Dst (A.cols() x B.cols()).
 void gemmTransposedLhsInto(const DenseMatrix &A, const DenseMatrix &B,
@@ -94,9 +99,11 @@ void reluInto(const DenseMatrix &A, DenseMatrix &Dst);
 // matrix is therefore the unweighted sum too.
 
 /// SpMM into \p Dst, which must already be A.rows() x B.cols():
-/// Out[i,:] = sum over the nonzeros a_ij of row i of Vals_ij * B[j,:].
+/// Out[i,:] = sum over the nonzeros a_ij of row i of Vals_ij * B[j,:], then
+/// \p Epilogue's steps when it is non-null, as for gemmInto.
 void spmmInto(const CsrMatrix &A, std::span<const float> Vals,
-              const DenseMatrix &B, DenseMatrix &Dst);
+              const DenseMatrix &B, DenseMatrix &Dst,
+              const RowEpilogue *Epilogue = nullptr);
 
 /// Dst = A^T * B, the backward-pass aggregation: walks the CSC columns of A
 /// directly. \p Vals holds A's edge values in CSR edge order (empty =

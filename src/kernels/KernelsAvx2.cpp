@@ -36,6 +36,10 @@ struct Avx2Traits {
   static Vec maskPositive(Vec Pre, Vec X) {
     return _mm256_and_ps(_mm256_cmp_ps(Pre, zero(), _CMP_GT_OQ), X);
   }
+  /// X where Pre > 0 (ordered compare), Y elsewhere.
+  static Vec selectPositive(Vec Pre, Vec X, Vec Y) {
+    return _mm256_blendv_ps(Y, X, _mm256_cmp_ps(Pre, zero(), _CMP_GT_OQ));
+  }
 
   /// Lane-pair reduction tree: (0+4, 1+5, 2+6, 3+7) -> pairs -> scalar.
   /// Fixed order, so every dot group folds identically wherever it runs.

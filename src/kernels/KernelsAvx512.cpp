@@ -47,6 +47,11 @@ struct Avx512Traits {
     return _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(Pre, zero(), _CMP_GT_OQ),
                                X);
   }
+  /// X where Pre > 0 (ordered compare), Y elsewhere.
+  static Vec selectPositive(Vec Pre, Vec X, Vec Y) {
+    return _mm512_mask_blend_ps(_mm512_cmp_ps_mask(Pre, zero(), _CMP_GT_OQ),
+                                Y, X);
+  }
 
   static float hsum(Vec V) { return _mm512_reduce_add_ps(V); }
 

@@ -17,9 +17,26 @@ using namespace granii::kernels;
 
 namespace {
 
+/// Applies \p Epi's steps to output row \p Row, which the row routine has
+/// just accumulated in place: scaleRange's and reluRange's arithmetic below.
+void applyEpilogue(const RowEpilogue &Epi, int64_t Row, float *Out,
+                   int64_t N) {
+  for (int O = 0; O < Epi.Count; ++O) {
+    const RowEpilogue::Op &Op = Epi.Ops[O];
+    if (Op.Kind == RowEpilogue::OpKind::Scale) {
+      const float Alpha = Op.Scale[static_cast<size_t>(Row)];
+      for (int64_t J = 0; J < N; ++J)
+        Out[J] = Alpha * Out[J];
+    } else {
+      for (int64_t J = 0; J < N; ++J)
+        Out[J] = Out[J] > 0.0f ? Out[J] : 0.0f;
+    }
+  }
+}
+
 void gemmRowRange(const float *A, int64_t Lda, const float *B, int64_t Ldb,
                   float *C, int64_t Ldc, int64_t K, int64_t N,
-                  int64_t RowBegin, int64_t RowEnd) {
+                  int64_t RowBegin, int64_t RowEnd, const RowEpilogue *Epi) {
   for (int64_t I = RowBegin; I < RowEnd; ++I) {
     const float *ARow = A + I * Lda;
     float *CRow = C + I * Ldc;
@@ -32,6 +49,8 @@ void gemmRowRange(const float *A, int64_t Lda, const float *B, int64_t Ldb,
       for (int64_t J = 0; J < N; ++J)
         CRow[J] += AVal * BRow[J];
     }
+    if (Epi)
+      applyEpilogue(*Epi, I, CRow, N);
   }
 }
 
@@ -71,7 +90,7 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
                   const float *Vals, const int64_t *ValIdx, const float *B,
                   int64_t Ldb, float *Dst, int64_t LdDst, int64_t N,
-                  int64_t RowBegin, int64_t RowEnd) {
+                  int64_t RowBegin, int64_t RowEnd, const RowEpilogue *Epi) {
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     float *Out = Dst + R * LdDst;
     std::fill(Out, Out + N, 0.0f);
@@ -86,6 +105,8 @@ void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
           Out[J] += EdgeVal * Src[J];
       }
     }
+    if (Epi)
+      applyEpilogue(*Epi, R, Out, N);
   }
 }
 
@@ -136,6 +157,11 @@ void reluBackwardRange(const float *Pre, const float *Grad, float *Out,
     Out[I] = Pre[I] > 0.0f ? Grad[I] : 0.0f;
 }
 
+void leakyReluRange(float Slope, const float *X, float *Out, int64_t N) {
+  for (int64_t I = 0; I < N; ++I)
+    Out[I] = X[I] > 0.0f ? X[I] : Slope * X[I];
+}
+
 SimdOps makeScalarOps() {
   SimdOps Ops;
   Ops.Level = IsaLevel::Scalar;
@@ -153,6 +179,7 @@ SimdOps makeScalarOps() {
   Ops.AxpyRange = &axpyRange;
   Ops.ReluRange = &reluRange;
   Ops.ReluBackwardRange = &reluBackwardRange;
+  Ops.LeakyReluRange = &leakyReluRange;
   return Ops;
 }
 

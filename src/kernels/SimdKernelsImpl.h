@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <utility>
 
 namespace granii {
@@ -52,15 +53,38 @@ template <int N> using IndexPack = std::make_integer_sequence<int, N>;
 // Packed GEMM: C = A * B
 //===----------------------------------------------------------------------===//
 
+/// Row epilogues (Dispatch.h): the vector and scalar forms of each step are
+/// the per-lane operations of scaleRange and reluRange below, so an element
+/// gets the same bits whichever path covers its column.
+template <class T>
+typename T::Vec epilogueVec(const RowEpilogue &Epi, int64_t Row,
+                            typename T::Vec X) {
+  for (int O = 0; O < Epi.Count; ++O)
+    X = Epi.Ops[O].Kind == RowEpilogue::OpKind::Scale
+            ? T::mul(T::set1(Epi.Ops[O].Scale[static_cast<size_t>(Row)]), X)
+            : T::max(X, T::zero());
+  return X;
+}
+
+template <class T>
+float epilogueScalar(const RowEpilogue &Epi, int64_t Row, float X) {
+  for (int O = 0; O < Epi.Count; ++O)
+    X = Epi.Ops[O].Kind == RowEpilogue::OpKind::Scale
+            ? Epi.Ops[O].Scale[static_cast<size_t>(Row)] * X
+            : (X > 0.0f ? X : 0.0f);
+  return X;
+}
+
 /// One block of MR = sizeof...(R) consecutive C rows starting at \p I.
 /// Accumulators live in registers across the whole K loop; every (row,
 /// column) element accumulates over K in ascending order through FMA
 /// regardless of which j-path (2-vector, 1-vector, scalar tail) covers its
 /// column, so results are independent of N's split into paths and of MR.
-template <class T, int... R>
+/// With \p HasEpi, \p Epi is applied to the accumulators before each store.
+template <class T, bool HasEpi, int... R>
 void gemmBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
                float *C, int64_t Ldc, int64_t K, int64_t N, int64_t I,
-               std::integer_sequence<int, R...>) {
+               const RowEpilogue *Epi, std::integer_sequence<int, R...>) {
   using Vec = typename T::Vec;
   constexpr int64_t W = T::Width;
   constexpr int MR = sizeof...(R);
@@ -76,6 +100,9 @@ void gemmBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
       (..., (Acc0[R] = T::fma(T::set1(ARow[R][KK]), B0, Acc0[R]),
              Acc1[R] = T::fma(T::set1(ARow[R][KK]), B1, Acc1[R])));
     }
+    if constexpr (HasEpi)
+      (..., (Acc0[R] = epilogueVec<T>(*Epi, I + R, Acc0[R]),
+             Acc1[R] = epilogueVec<T>(*Epi, I + R, Acc1[R])));
     (..., (T::store(CRow[R] + J, Acc0[R]), T::store(CRow[R] + J + W, Acc1[R])));
   }
   for (; J + W <= N; J += W) {
@@ -84,25 +111,40 @@ void gemmBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
       const Vec BV = T::load(B + KK * Ldb + J);
       (..., (Acc[R] = T::fma(T::set1(ARow[R][KK]), BV, Acc[R])));
     }
+    if constexpr (HasEpi)
+      (..., (Acc[R] = epilogueVec<T>(*Epi, I + R, Acc[R])));
     (..., T::store(CRow[R] + J, Acc[R]));
   }
   for (; J < N; ++J) {
     float Acc[MR] = {(static_cast<void>(R), 0.0f)...};
     for (int64_t KK = 0; KK < K; ++KK)
       (..., (Acc[R] = std::fma(ARow[R][KK], B[KK * Ldb + J], Acc[R])));
+    if constexpr (HasEpi)
+      (..., (Acc[R] = epilogueScalar<T>(*Epi, I + R, Acc[R])));
     (..., (CRow[R][J] = Acc[R]));
   }
+}
+
+template <class T, bool HasEpi>
+void gemmRows(const float *A, int64_t Lda, const float *B, int64_t Ldb,
+              float *C, int64_t Ldc, int64_t K, int64_t N, int64_t RowBegin,
+              int64_t RowEnd, const RowEpilogue *Epi) {
+  int64_t I = RowBegin;
+  for (; I + GemmRowBlock <= RowEnd; I += GemmRowBlock)
+    gemmBlock<T, HasEpi>(A, Lda, B, Ldb, C, Ldc, K, N, I, Epi,
+                         IndexPack<GemmRowBlock>{});
+  for (; I < RowEnd; ++I)
+    gemmBlock<T, HasEpi>(A, Lda, B, Ldb, C, Ldc, K, N, I, Epi, IndexPack<1>{});
 }
 
 template <class T>
 void gemmRowRange(const float *A, int64_t Lda, const float *B, int64_t Ldb,
                   float *C, int64_t Ldc, int64_t K, int64_t N,
-                  int64_t RowBegin, int64_t RowEnd) {
-  int64_t I = RowBegin;
-  for (; I + GemmRowBlock <= RowEnd; I += GemmRowBlock)
-    gemmBlock<T>(A, Lda, B, Ldb, C, Ldc, K, N, I, IndexPack<GemmRowBlock>{});
-  for (; I < RowEnd; ++I)
-    gemmBlock<T>(A, Lda, B, Ldb, C, Ldc, K, N, I, IndexPack<1>{});
+                  int64_t RowBegin, int64_t RowEnd, const RowEpilogue *Epi) {
+  if (Epi)
+    gemmRows<T, true>(A, Lda, B, Ldb, C, Ldc, K, N, RowBegin, RowEnd, Epi);
+  else
+    gemmRows<T, false>(A, Lda, B, Ldb, C, Ldc, K, N, RowBegin, RowEnd, Epi);
 }
 
 //===----------------------------------------------------------------------===//
@@ -248,11 +290,13 @@ inline float spmmEdgeValue(const float *Vals, const int64_t *ValIdx,
 /// Columns [0, NV * W) of one output row (\p B and \p Out already offset
 /// to the first column), NV = sizeof...(V): NV vector accumulators start at
 /// zero, take every nonzero [Begin, End) of the row in order (an FMA by the
-/// edge value when \p Weighted, else a plain add) and are stored once.
-template <class T, bool Weighted, int... V>
+/// edge value when \p Weighted, else a plain add), take \p Epi's steps for
+/// row \p Row when \p HasEpi, and are stored once.
+template <class T, bool Weighted, bool HasEpi, int... V>
 void spmmRowVectors(const int32_t *Cols, const float *Vals,
                     const int64_t *ValIdx, const float *B, int64_t Ldb,
                     float *Out, int64_t Begin, int64_t End,
+                    const RowEpilogue *Epi, int64_t Row,
                     std::integer_sequence<int, V...>) {
   using Vec = typename T::Vec;
   constexpr int64_t W = T::Width;
@@ -266,6 +310,8 @@ void spmmRowVectors(const int32_t *Cols, const float *Vals,
       (..., (Acc[V] = T::add(Acc[V], T::load(Src + V * W))));
     }
   }
+  if constexpr (HasEpi)
+    (..., (Acc[V] = epilogueVec<T>(*Epi, Row, Acc[V])));
   (..., T::store(Out + V * W, Acc[V]));
 }
 
@@ -278,10 +324,11 @@ template <int NV, class Fn> void withIndexPack(int64_t Count, Fn &&F) {
   }
 }
 
-template <class T, bool Weighted>
+template <class T, bool Weighted, bool HasEpi>
 void spmmRows(const int64_t *Offsets, const int32_t *Cols, const float *Vals,
               const int64_t *ValIdx, const float *B, int64_t Ldb, float *Dst,
-              int64_t LdDst, int64_t N, int64_t RowBegin, int64_t RowEnd) {
+              int64_t LdDst, int64_t N, int64_t RowBegin, int64_t RowEnd,
+              const RowEpilogue *Epi) {
   constexpr int64_t W = T::Width;
   constexpr int64_t Chunk = SpmmRowVectors * W;
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
@@ -289,8 +336,8 @@ void spmmRows(const int64_t *Offsets, const int32_t *Cols, const float *Vals,
     const int64_t Begin = Offsets[R];
     const int64_t End = Offsets[R + 1];
     auto Vectors = [&](int64_t J, auto Pack) {
-      spmmRowVectors<T, Weighted>(Cols, Vals, ValIdx, B + J, Ldb, Out + J,
-                                  Begin, End, Pack);
+      spmmRowVectors<T, Weighted, HasEpi>(Cols, Vals, ValIdx, B + J, Ldb,
+                                          Out + J, Begin, End, Epi, R, Pack);
     };
     int64_t J = 0;
     for (; J + Chunk <= N; J += Chunk)
@@ -315,6 +362,9 @@ void spmmRows(const int64_t *Offsets, const int32_t *Cols, const float *Vals,
           Out[JJ] += Src[JJ];
       }
     }
+    if constexpr (HasEpi)
+      for (int64_t JJ = J; JJ < N; ++JJ)
+        Out[JJ] = epilogueScalar<T>(*Epi, R, Out[JJ]);
   }
 }
 
@@ -325,13 +375,18 @@ template <class T>
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
                   const float *Vals, const int64_t *ValIdx, const float *B,
                   int64_t Ldb, float *Dst, int64_t LdDst, int64_t N,
-                  int64_t RowBegin, int64_t RowEnd) {
+                  int64_t RowBegin, int64_t RowEnd, const RowEpilogue *Epi) {
+  auto Run = [&](auto Weighted, auto HasEpi) {
+    spmmRows<T, decltype(Weighted)::value, decltype(HasEpi)::value>(
+        Offsets, Cols, Vals, ValIdx, B, Ldb, Dst, LdDst, N, RowBegin, RowEnd,
+        Epi);
+  };
+  using Yes = std::true_type;
+  using No = std::false_type;
   if (Vals)
-    spmmRows<T, true>(Offsets, Cols, Vals, ValIdx, B, Ldb, Dst, LdDst, N,
-                      RowBegin, RowEnd);
+    Epi ? Run(Yes{}, Yes{}) : Run(Yes{}, No{});
   else
-    spmmRows<T, false>(Offsets, Cols, Vals, ValIdx, B, Ldb, Dst, LdDst, N,
-                       RowBegin, RowEnd);
+    Epi ? Run(No{}, Yes{}) : Run(No{}, No{});
 }
 
 //===----------------------------------------------------------------------===//
@@ -456,6 +511,22 @@ void reluBackwardRange(const float *Pre, const float *Grad, float *Out,
     Out[I] = Pre[I] > 0.0f ? Grad[I] : 0.0f;
 }
 
+template <class T>
+void leakyReluRange(float Slope, const float *X, float *Out, int64_t N) {
+  using Vec = typename T::Vec;
+  constexpr int64_t W = T::Width;
+  const Vec SlopeV = T::set1(Slope);
+  int64_t I = 0;
+  // T::selectPositive keeps X where X > 0 (ordered: false for NaN) and the
+  // product elsewhere, the scalar select below lane for lane.
+  for (; I + W <= N; I += W) {
+    const Vec XV = T::load(X + I);
+    T::store(Out + I, T::selectPositive(XV, XV, T::mul(SlopeV, XV)));
+  }
+  for (; I < N; ++I)
+    Out[I] = X[I] > 0.0f ? X[I] : Slope * X[I];
+}
+
 /// Builds the dispatch table for one trait set.
 template <class T> SimdOps makeSimdOps(IsaLevel Level, const char *Name) {
   SimdOps Ops;
@@ -472,6 +543,7 @@ template <class T> SimdOps makeSimdOps(IsaLevel Level, const char *Name) {
   Ops.AxpyRange = &axpyRange<T>;
   Ops.ReluRange = &reluRange<T>;
   Ops.ReluBackwardRange = &reluBackwardRange<T>;
+  Ops.LeakyReluRange = &leakyReluRange<T>;
   return Ops;
 }
 

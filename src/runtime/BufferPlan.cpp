@@ -2,6 +2,7 @@
 
 #include "runtime/BufferPlan.h"
 
+#include "kernels/Dispatch.h"
 #include "support/Error.h"
 
 #include <algorithm>
@@ -9,9 +10,20 @@
 
 using namespace granii;
 
+namespace {
+
+/// Ops whose output rows a fused chain can finish in registers.
+bool takesEpilogue(StepOp Op) {
+  return Op == StepOp::Gemm || Op == StepOp::SpmmWeighted ||
+         Op == StepOp::SpmmUnweighted;
+}
+
+} // namespace
+
 BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
                        bool Training)
-    : TrainingMode(Training), Vals(Plan.Values.size()) {
+    : TrainingMode(Training), Vals(Plan.Values.size()),
+      FusedInto(Plan.Steps.size(), -1) {
   const int NumSteps = static_cast<int>(Plan.Steps.size());
 
   // Classify every value and size its payload under the binding.
@@ -48,13 +60,52 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
   }
 
   // Live intervals: definition step and last reading step.
+  std::vector<int> Reads(Vals.size(), 0), Reader(Vals.size(), -1);
   for (int S = 0; S < NumSteps; ++S) {
     const PlanStep &Step = Plan.Steps[S];
     Vals[static_cast<size_t>(Step.Result)].DefStep = S;
     for (int Id : Step.Operands) {
       ValueBuffer &B = Vals[static_cast<size_t>(Id)];
       B.LastUse = std::max(B.LastUse, S);
+      ++Reads[static_cast<size_t>(Id)];
+      Reader[static_cast<size_t>(Id)] = S;
     }
+  }
+
+  // Fused chains, inference only. From each GEMM/SpMM result, the chain
+  // takes the value's one reader while that reader is a row_bcast or relu
+  // (a row_bcast only when its scale vector exists before the producer
+  // runs) and the value is not the output. Every value of the chain is
+  // written at the producer's step; all but the last stay in registers.
+  std::vector<int> Stores(static_cast<size_t>(NumSteps), -1);
+  for (int S = 0; S < NumSteps; ++S)
+    Stores[static_cast<size_t>(S)] = Plan.Steps[S].Result;
+  for (int P = 0; P < NumSteps && !Training; ++P) {
+    const PlanStep &Producer = Plan.Steps[P];
+    if (Producer.Setup || !takesEpilogue(Producer.Op))
+      continue;
+    int Cur = Producer.Result;
+    for (int Len = 0; Len < kernels::MaxEpilogueOps; ++Len) {
+      const auto C = static_cast<size_t>(Cur);
+      if (Cur == Plan.OutputValue || Reads[C] != 1)
+        break;
+      const int S = Reader[C];
+      const PlanStep &Next = Plan.Steps[static_cast<size_t>(S)];
+      const bool Fits =
+          !Next.Setup &&
+          (Next.Op == StepOp::Relu ||
+           (Next.Op == StepOp::RowBcast && Next.Operands[1] == Cur &&
+            Vals[static_cast<size_t>(Next.Operands[0])].DefStep < P));
+      if (!Fits)
+        break;
+      Vals[C].Elided = true;
+      Vals[C].LastUse = P;
+      Stores[static_cast<size_t>(S)] = -1;
+      FusedInto[static_cast<size_t>(S)] = P;
+      Cur = Next.Result;
+      Vals[static_cast<size_t>(Cur)].DefStep = P;
+    }
+    Stores[static_cast<size_t>(P)] = Cur;
   }
   for (ValueBuffer &B : Vals)
     if (B.DefStep >= 0 && B.LastUse < B.DefStep)
@@ -65,7 +116,7 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
   // Pinning: values whose storage may not be shared.
   for (size_t V = 0; V < Plan.Values.size(); ++V) {
     ValueBuffer &B = Vals[V];
-    if (B.Class == BufferClass::InputAlias || B.DefStep < 0)
+    if (B.Class == BufferClass::InputAlias || B.DefStep < 0 || B.Elided)
       continue;
     if (Training || B.Class == BufferClass::SparseVals ||
         Plan.Steps[static_cast<size_t>(B.DefStep)].Setup ||
@@ -74,18 +125,22 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
   }
 
   // Greedy slot assignment in step order. At each step, slots whose value
-  // died strictly before it are returned to the free list, then the step's
-  // result picks the best-fitting free slot of its class (smallest capacity
-  // that holds it; else the largest free slot, grown). A step's operands
-  // are live through the step itself (LastUse >= S), so a destination slot
-  // can never alias an operand's slot.
+  // died strictly before it are returned to the free list, then the value
+  // the step stores (its result, a fused chain's last value, or none for a
+  // step a chain absorbed) picks the best-fitting free slot of its class
+  // (smallest capacity that holds it; else the largest free slot, grown).
+  // A step's operands are live through the step itself (LastUse >= S), so a
+  // destination slot can never alias an operand's slot.
   std::vector<int> FreeSlots;
   for (int S = 0; S < NumSteps; ++S) {
     for (const ValueBuffer &B : Vals)
       if (B.Slot >= 0 && !B.Pinned && B.LastUse == S - 1)
         FreeSlots.push_back(B.Slot);
 
-    ValueBuffer &Out = Vals[static_cast<size_t>(Plan.Steps[S].Result)];
+    const int Stored = Stores[static_cast<size_t>(S)];
+    if (Stored < 0)
+      continue; // absorbed: its chain's producer stored the value
+    ValueBuffer &Out = Vals[static_cast<size_t>(Stored)];
     if (Out.Class == BufferClass::SparseVals)
       continue; // dedicated per-value storage, no slot
     if (Out.Pinned) {
@@ -131,7 +186,7 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
     size_t Live = 0;
     for (const ValueBuffer &B : Vals) {
       if (B.Class == BufferClass::InputAlias || B.DefStep < 0 ||
-          B.DefStep > S)
+          B.DefStep > S || B.Elided)
         continue;
       if (B.Pinned || B.LastUse >= S)
         Live += static_cast<size_t>(B.Floats) * sizeof(float);
@@ -172,6 +227,11 @@ std::string BufferPlan::toString(const CompositionPlan &Plan) const {
       OS << " (aliased)\n";
       continue;
     }
+    if (B.Elided) {
+      OS << " " << B.Floats << " floats, in step " << B.DefStep
+         << "'s registers (fused)\n";
+      continue;
+    }
     OS << " " << B.Floats << " floats, live [" << B.DefStep << ", "
        << B.LastUse << "]";
     if (B.Pinned)
@@ -180,6 +240,10 @@ std::string BufferPlan::toString(const CompositionPlan &Plan) const {
       OS << ", slot " << B.Slot;
     OS << "\n";
   }
+  for (size_t S = 0; S < FusedInto.size(); ++S)
+    if (FusedInto[S] >= 0)
+      OS << "  step " << S << " (" << stepOpName(Plan.Steps[S].Op)
+         << ") fused into step " << FusedInto[S] << "\n";
   for (size_t S = 0; S < Slots.size(); ++S)
     OS << "  slot " << S << ": " << ClassName(Slots[S].Class) << " "
        << Slots[S].CapacityFloats << " floats"

@@ -10,6 +10,14 @@
 /// live at the worst step, the naive fresh-allocation baseline (every value
 /// resident simultaneously), and the arena's actual footprint.
 ///
+/// In inference it also schedules fused chains: a row_bcast or relu step
+/// folds into the GEMM or SpMM that produces its operand when that operand
+/// has no other reader and is not the plan output, and every scale vector
+/// the chain reads is an input or is defined before the producer. The
+/// producer applies the chain to its accumulators (kernels::RowEpilogue)
+/// and stores the chain's last value; the values before it get no storage.
+/// Training does not fuse: the backward pass re-reads every activation.
+///
 /// The analysis is purely structural — no tensors are touched — so it runs
 /// once per (plan, binding) pair and its result is cached by PlanWorkspace.
 ///
@@ -43,7 +51,8 @@ struct ValueBuffer {
   int64_t Rows = 0;
   int64_t Cols = 0;
   int64_t Floats = 0;
-  /// Step index defining the value (-1 for inputs).
+  /// Step index writing the value (-1 for inputs): its defining step, or
+  /// for every value of a fused chain the producer's step.
   int DefStep = -1;
   /// Last step index reading the value. The plan output gets a sentinel one
   /// past the last step (it is read after execution). Never-read values die
@@ -57,6 +66,10 @@ struct ValueBuffer {
   bool Pinned = false;
   /// Index into slots() for DenseSlot/VecSlot values; -1 otherwise.
   int Slot = -1;
+  /// Held only in a fused producer's accumulators: the GEMM/SpMM result or
+  /// an intermediate of the chain it applies. No slot, not pinned, and live
+  /// at its producer's step alone (LastUse == DefStep).
+  bool Elided = false;
 };
 
 /// One reusable arena slot.
@@ -82,6 +95,11 @@ public:
   /// Per-value lifetimes/placements, parallel to Plan.Values.
   const std::vector<ValueBuffer> &values() const { return Vals; }
 
+  /// Per step: the producer step whose epilogue applies it (a fused
+  /// chain's row_bcast or relu), or -1 when the step runs its own kernel.
+  /// A producer's chain is the steps naming it, in plan order.
+  const std::vector<int> &fusedInto() const { return FusedInto; }
+
   /// The arena slots values are packed into.
   const std::vector<ArenaSlot> &slots() const { return Slots; }
 
@@ -105,6 +123,7 @@ public:
 private:
   bool TrainingMode = false;
   std::vector<ValueBuffer> Vals;
+  std::vector<int> FusedInto;
   std::vector<ArenaSlot> Slots;
   size_t Peak = 0;
   size_t Naive = 0;

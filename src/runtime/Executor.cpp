@@ -270,6 +270,11 @@ public:
 private:
   void bindInput(size_t Id, const PlanValue &Def);
   void execStep(size_t StepIdx, ExecResult &Result);
+  /// Runs step \p StepIdx's kernel, storing value \p Target with \p Epi
+  /// applied (a GEMM/SpMM producer's fused chain; empty otherwise), and
+  /// \returns its charge.
+  double runKernel(size_t StepIdx, int Target,
+                   const kernels::RowEpilogue &Epi);
 
   RtValue &val(int Id) { return Ws.scratch()[static_cast<size_t>(Id)]; }
 
@@ -301,6 +306,30 @@ private:
 
   double charge(size_t StepIdx, FunctionRef<void()> Body) {
     return Exec.timeKernel(Ws.descs()[StepIdx], Stats, Body);
+  }
+
+  /// The fused chain of step \p StepIdx under the workspace's buffer plan:
+  /// its steps go into \p Epi, in plan order, with the scale vectors bound
+  /// in this run. \returns the value the step stores (its own result when
+  /// no chain follows it, as for every step but a GEMM or SpMM).
+  int epilogueOf(size_t StepIdx, kernels::RowEpilogue &Epi) {
+    const std::vector<int> &Into = Ws.bufferPlan()->fusedInto();
+    int Target = Plan.Steps[StepIdx].Result;
+    for (size_t S = StepIdx + 1; S < Plan.Steps.size(); ++S) {
+      if (Into[S] != static_cast<int>(StepIdx))
+        continue;
+      const PlanStep &Step = Plan.Steps[S];
+      const bool Scale = Step.Op == StepOp::RowBcast;
+      const bool Pushed =
+          Epi.push(Scale ? kernels::RowEpilogue::OpKind::Scale
+                         : kernels::RowEpilogue::OpKind::Relu,
+                   Scale ? std::span<const float>(val(Step.Operands[0]).vec())
+                         : std::span<const float>());
+      assert(Pushed && "fused chain longer than an epilogue");
+      (void)Pushed;
+      Target = Step.Result;
+    }
+    return Target;
   }
 
   /// Charges one backward primitive of forward step \p Step that adds into
@@ -355,13 +384,18 @@ private:
     return *LS.Csc;
   }
 
-  /// Display shape of plan value \p Id as bound in this run.
+  /// Display shape of plan value \p Id as bound in this run (as planned
+  /// for a value a fused chain keeps in registers).
   std::string valueShape(int Id) {
     const RtValue &V = val(Id);
     switch (V.Kind) {
-    case PlanValueKind::Dense:
-      return std::to_string(V.dense().rows()) + "x" +
-             std::to_string(V.dense().cols());
+    case PlanValueKind::Dense: {
+      const ValueBuffer &B =
+          Ws.bufferPlan()->values()[static_cast<size_t>(Id)];
+      return V.Dense ? std::to_string(V.dense().rows()) + "x" +
+                           std::to_string(V.dense().cols())
+                     : std::to_string(B.Rows) + "x" + std::to_string(B.Cols);
+    }
     case PlanValueKind::Sparse:
       return "nnz=" + std::to_string(V.sparse().nnz());
     case PlanValueKind::Diag:
@@ -423,17 +457,9 @@ void PlanInterpreter::bindInput(size_t Id, const PlanValue &Def) {
   }
 }
 
-void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
+double PlanInterpreter::runKernel(size_t StepIdx, int Target,
+                                  const kernels::RowEpilogue &Epi) {
   const PlanStep &Step = Plan.Steps[StepIdx];
-  // One span per executed plan step, annotated with the StepProfile
-  // counters below. Constructing the name allocates, so it is guarded: the
-  // disabled-tracing path must stay allocation-free for the zero-steady-
-  // state-allocation guarantee.
-  TraceSpan Span;
-  if (Trace::get().enabled())
-    Span = TraceSpan(stepOpName(Step.Op), "executor");
-  RtValue &Out = val(Step.Result);
-  Out.Kind = Plan.Values[static_cast<size_t>(Step.Result)].Kind;
   auto Op = [&](int I) -> RtValue & { return val(Step.Operands[I]); };
 
   double Seconds = 0.0;
@@ -445,22 +471,22 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
     Seconds = charge(StepIdx, [&] {
       const DenseMatrix &A = Op(0).dense();
       const DenseMatrix &B = Op(1).dense();
-      kernels::gemmInto(A, B, dstDense(Step.Result, A.rows(), B.cols()));
+      kernels::gemmInto(A, B, dstDense(Target, A.rows(), B.cols()), &Epi);
     });
     break;
   case StepOp::SpmmWeighted:
     Seconds = charge(StepIdx, [&] {
       const CsrMatrix &A = Op(0).sparse();
       const DenseMatrix &B = Op(1).dense();
-      kernels::spmmInto(A, A.values(), B,
-                        dstDense(Step.Result, A.rows(), B.cols()));
+      kernels::spmmInto(A, A.values(), B, dstDense(Target, A.rows(), B.cols()),
+                        &Epi);
     });
     break;
   case StepOp::SpmmUnweighted:
     Seconds = charge(StepIdx, [&] {
       const CsrMatrix &A = Op(0).sparse();
       const DenseMatrix &B = Op(1).dense();
-      kernels::spmmInto(A, {}, B, dstDense(Step.Result, A.rows(), B.cols()));
+      kernels::spmmInto(A, {}, B, dstDense(Target, A.rows(), B.cols()), &Epi);
     });
     break;
   case StepOp::SddmmScaleRow:
@@ -590,6 +616,34 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
   }
   // granii-noalloc-end
 
+  return Seconds;
+}
+
+void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
+  const PlanStep &Step = Plan.Steps[StepIdx];
+  // One span per executed plan step, annotated with the StepProfile
+  // counters below. Constructing the name allocates, so it is guarded: the
+  // disabled-tracing path must stay allocation-free for the zero-steady-
+  // state-allocation guarantee.
+  TraceSpan Span;
+  if (Trace::get().enabled())
+    Span = TraceSpan(stepOpName(Step.Op), "executor");
+  val(Step.Result).Kind = Plan.Values[static_cast<size_t>(Step.Result)].Kind;
+
+  // granii-noalloc-begin: the fused chain lives on the stack.
+  // A step a fused chain absorbed runs no kernel: its producer applied it.
+  // It is still charged, with an empty body: about nothing where time is
+  // measured (the work sits in the producer's time), the step's analytic
+  // estimate on a simulated platform. A GEMM/SpMM producer applies its
+  // chain to its accumulators before its one store and writes the chain's
+  // last value.
+  const int FusedInto = Ws.bufferPlan()->fusedInto()[StepIdx];
+  kernels::RowEpilogue Epi;
+  const int Target = FusedInto < 0 ? epilogueOf(StepIdx, Epi) : Step.Result;
+  const double Seconds = FusedInto >= 0 ? charge(StepIdx, [] {})
+                                        : runKernel(StepIdx, Target, Epi);
+  // granii-noalloc-end
+
   Result.StepSeconds[StepIdx] = Seconds;
   if (Step.Setup)
     Result.SetupSeconds += Seconds;
@@ -608,6 +662,7 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
     P.Seconds = Seconds;
     P.Flops = Ws.descs()[StepIdx].flops();
     P.Bytes = Ws.descs()[StepIdx].bytes();
+    P.FusedInto = FusedInto;
     if (Span.active()) {
       Span.setArg("value", P.Value);
       Span.setArg("shape", P.Shape);
@@ -616,6 +671,15 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
       Span.setArg("bytes", P.Bytes);
       if (P.Setup)
         Span.setArg("setup", 1.0);
+      if (FusedInto >= 0)
+        Span.setArg("fused_into", static_cast<double>(FusedInto));
+      if (Epi.Count > 0) {
+        std::string Chain;
+        for (size_t S = StepIdx + 1; S < Plan.Steps.size(); ++S)
+          if (Ws.bufferPlan()->fusedInto()[S] == static_cast<int>(StepIdx))
+            Chain += (Chain.empty() ? "" : ",") + stepOpName(Plan.Steps[S].Op);
+        Span.setArg("epilogue", Chain);
+      }
     }
   }
 }

@@ -125,6 +125,11 @@ struct StepProfile {
   double Seconds = 0.0;
   double Flops = 0.0; ///< modelled FLOPs of the step's primitive
   double Bytes = 0.0; ///< modelled bytes moved by the step's primitive
+  /// The producer step whose epilogue applied this step (BufferPlan's
+  /// fused chains), or -1 when the step ran its own kernel. An absorbed
+  /// step's Seconds is its empty charge: ~0 when measured, since its work
+  /// is timed inside the producer's.
+  int64_t FusedInto = -1;
 };
 
 /// Outcome of executing a plan once.

@@ -6,11 +6,10 @@
 #include "ir/Dsl.h"
 #include "kernels/Dispatch.h"
 #include "support/Hash.h"
+#include "support/Memory.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
-
-#include <unistd.h>
 
 #include <cstdio>
 #include <utility>
@@ -101,18 +100,10 @@ bool validEmbeddingSizes(const JobRequest &Req, const Graph &G,
              " overflow the features, output or weight element count";
     return false;
   }
-  const long Pages = sysconf(_SC_PHYS_PAGES);
-  const long PageBytes = sysconf(_SC_PAGESIZE);
-  if (Pages > 0 && PageBytes > 0 &&
-      static_cast<double>(Bytes) >
-          static_cast<double>(Pages) * static_cast<double>(PageBytes)) {
-    *Error = "embedding sizes " + OnGraph + " need " + std::to_string(Bytes) +
-             " bytes of features, output and weight, more than the host's " +
-             std::to_string(static_cast<int64_t>(Pages) * PageBytes) +
-             " bytes of physical memory";
-    return false;
-  }
-  return true;
+  return fitsInMemory(Bytes, physicalMemoryBytes(),
+                      "embedding sizes " + OnGraph +
+                          " (features, output and weight)",
+                      Error);
 }
 
 /// CSR in the caller's vertex order is the only execution layout. The
@@ -159,6 +150,16 @@ std::string stripDiagDecoration(std::string Msg) {
 //===----------------------------------------------------------------------===//
 
 RunResponse Session::run(bool WantOutput) {
+  return runPass(WantOutput, nullptr);
+}
+
+RunResponse Session::run(FunctionRef<void(const DenseMatrix &)> OutputSink) {
+  return runPass(/*WantOutput=*/false, &OutputSink);
+}
+
+RunResponse Session::runPass(
+    bool WantOutput,
+    const FunctionRef<void(const DenseMatrix &)> *OutputSink) {
   RunResponse Resp;
   MutexLock Lock(RunMutex);
   TraceSpan Span("session-run", "serve");
@@ -174,6 +175,8 @@ RunResponse Session::run(bool WantOutput) {
   Resp.Cols = Out.cols();
   if (WantOutput)
     Resp.Output.assign(Out.data(), Out.data() + Out.size());
+  if (OutputSink)
+    (*OutputSink)(Out);
   Resp.SetupSeconds = Result.SetupSeconds;
   Resp.ForwardSeconds = Result.ForwardSeconds;
   Resp.BackwardSeconds = Result.BackwardSeconds;

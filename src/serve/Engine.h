@@ -27,6 +27,7 @@
 #include "granii/Granii.h"
 #include "serve/PlanCache.h"
 #include "serve/Protocol.h"
+#include "support/FunctionRef.h"
 #include "support/ThreadSafety.h"
 
 #include <cstdint>
@@ -82,6 +83,12 @@ public:
   /// assumed.
   RunResponse run(bool WantOutput);
 
+  /// The same pass, handing the output matrix to \p OutputSink while the
+  /// run lock still holds it (no later run can overwrite it meanwhile)
+  /// instead of copying it into the response: `granii-cli run --out`
+  /// writes its file straight from the session's result.
+  RunResponse run(FunctionRef<void(const DenseMatrix &)> OutputSink);
+
   /// The request-level identity of this session (also its LRU key).
   const std::string &key() const { return Key; }
   const Selection &selection() const { return Sel; }
@@ -97,6 +104,11 @@ public:
 private:
   friend class Engine;
   Session() = default;
+
+  /// Both run() forms: one pass, then the output copied (\p WantOutput) or
+  /// handed to \p OutputSink (when non-null) under the run lock.
+  RunResponse runPass(bool WantOutput,
+                      const FunctionRef<void(const DenseMatrix &)> *OutputSink);
 
   // Immutable after Engine::session() publishes the session: safe to read
   // from any thread without RunMutex.

@@ -2,6 +2,8 @@
 
 #include "verify/VerifyBuffers.h"
 
+#include "kernels/Dispatch.h"
+
 #include <algorithm>
 
 using namespace granii;
@@ -49,12 +51,55 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
   // Recompute live intervals from the step list; the recorded ones are the
   // executor's aliasing contract and must agree exactly.
   std::vector<int> Def(Vals.size(), -1), Use(Vals.size(), -1);
+  std::vector<int> Reads(Vals.size(), 0);
   for (int S = 0; S < NumSteps; ++S) {
     const PlanStep &Step = Plan.Steps[S];
     Def[static_cast<size_t>(Step.Result)] = S;
-    for (int Id : Step.Operands)
+    for (int Id : Step.Operands) {
       Use[static_cast<size_t>(Id)] =
           std::max(Use[static_cast<size_t>(Id)], S);
+      ++Reads[static_cast<size_t>(Id)];
+    }
+  }
+
+  // Recompute the fused chains of an inference schedule, step by step in
+  // plan order: a non-setup GEMM/SpMM result heads a chain (Root is its
+  // step); a non-setup relu, or a row_bcast whose scale vector is defined
+  // before that root, extends the chain of its dense operand when the
+  // operand is read by nothing else, is not the output and the chain has
+  // room. The operand then lives in the root's registers and the step's
+  // result is written at the root's step.
+  std::vector<int> Root(Vals.size(), -1), Depth(Vals.size(), 0);
+  std::vector<bool> InRegisters(Vals.size(), false);
+  for (int S = 0; S < NumSteps && !Training; ++S) {
+    const PlanStep &Step = Plan.Steps[S];
+    const auto R = static_cast<size_t>(Step.Result);
+    if (Step.Setup)
+      continue;
+    if (Step.Op == StepOp::Gemm || Step.Op == StepOp::SpmmWeighted ||
+        Step.Op == StepOp::SpmmUnweighted) {
+      Root[R] = S;
+      continue;
+    }
+    if (Step.Op != StepOp::Relu && Step.Op != StepOp::RowBcast)
+      continue;
+    const auto X = static_cast<size_t>(Step.Operands.back());
+    if (Root[X] < 0 || Reads[X] != 1 ||
+        static_cast<int>(X) == Plan.OutputValue ||
+        Depth[X] == kernels::MaxEpilogueOps)
+      continue;
+    if (Step.Op == StepOp::RowBcast &&
+        Def[static_cast<size_t>(Step.Operands[0])] >= Root[X])
+      continue;
+    Root[R] = Root[X];
+    Depth[R] = Depth[X] + 1;
+    InRegisters[X] = true;
+  }
+  for (size_t V = 0; V < Vals.size(); ++V) {
+    if (Root[V] >= 0)
+      Def[V] = Root[V];
+    if (InRegisters[V])
+      Use[V] = Def[V];
   }
   for (size_t V = 0; V < Vals.size(); ++V)
     if (Def[V] >= 0 && Use[V] < Def[V])
@@ -123,6 +168,23 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
     if (Training && Def[V] >= 0 && !B.Pinned)
       Error(Node, "unpinned value in training mode",
             "the backward pass re-reads every forward activation");
+
+    if (B.Elided != InRegisters[V]) {
+      Error(Node,
+            B.Elided ? "kept in registers, but no fused chain passes "
+                       "through it"
+                     : "stored, but the fused chain of step " +
+                           std::to_string(Def[V]) + " holds it in registers",
+            B.Elided ? "an elided value another step reads is never written"
+                     : "");
+      continue;
+    }
+    if (B.Elided) {
+      if (B.Slot >= 0 || B.Pinned)
+        Error(Node, "value held in registers has an arena slot",
+              "a fused chain's intermediates get no storage");
+      continue;
+    }
 
     // Slot reference validity.
     if (B.Class == BufferClass::SparseVals) {

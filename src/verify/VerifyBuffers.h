@@ -8,7 +8,11 @@
 /// interval from the plan's step list and cross-check the recorded
 /// lifetimes, classes, sizes and slot assignment against it -- including
 /// the training mode, where the backward pass re-reads all forward
-/// activations and therefore every value must be pinned.
+/// activations and therefore every value must be pinned. For an inference
+/// schedule they recompute every fused chain on their own (a GEMM/SpMM and
+/// the row_bcast/relu steps it absorbs) and require each chain's values to
+/// be written at the producer's step, its intermediates to have no storage,
+/// and no other value to be fused.
 ///
 /// verifyRowPartition() checks the ThreadPool's nnz-balanced CSR row
 /// partition for exclusive contiguous coverage (bounds start at row 0, end

@@ -84,7 +84,7 @@ CompositionPlan gcnLikePlan() {
 }
 
 /// v3 = H * W; v4 = relu(v3); v5 = relu(v4); v6 = relu(v5)  (output v6).
-/// Long enough for a freed slot to be reused mid-chain.
+/// Inference folds all three ReLUs into the GEMM.
 CompositionPlan reluChainPlan() {
   CompositionPlan P;
   P.Name = "relu-chain";
@@ -102,6 +102,37 @@ CompositionPlan reluChainPlan() {
   P.OutputValue = 6;
   P.verify();
   return P;
+}
+
+/// v3 = H * W; v4 = A @ v3; v5 = A @ v4; v6 = A @ v5  (output v6). No step
+/// is a row_bcast or relu, so nothing fuses, and the chain is long enough
+/// for a freed slot to be reused mid-chain.
+CompositionPlan spmmChainPlan() {
+  CompositionPlan P;
+  P.Name = "spmm-chain";
+  P.Values = {sparseInput("A"),
+              denseInput("H", LeafRole::Features, SymDim::n(), SymDim::kIn()),
+              denseInput("W", LeafRole::Weight, SymDim::kIn(), SymDim::kOut()),
+              denseTemp("t0", SymDim::n(), SymDim::kOut()),
+              denseTemp("t1", SymDim::n(), SymDim::kOut()),
+              denseTemp("t2", SymDim::n(), SymDim::kOut()),
+              denseTemp("out", SymDim::n(), SymDim::kOut())};
+  P.Steps = {{StepOp::Gemm, {1, 2}, 3},
+             {StepOp::SpmmUnweighted, {0, 3}, 4},
+             {StepOp::SpmmUnweighted, {0, 4}, 5},
+             {StepOp::SpmmUnweighted, {0, 5}, 6}};
+  P.OutputValue = 6;
+  P.verify();
+  return P;
+}
+
+PlanValue diagTemp(const char *Name) {
+  PlanValue V;
+  V.Kind = PlanValueKind::Diag;
+  V.Shape = {SymDim::n(), SymDim::one()};
+  V.DebugName = Name;
+  V.GraphOnly = true;
+  return V;
 }
 
 } // namespace
@@ -122,32 +153,41 @@ TEST(BufferPlan, LifetimesAndBytesOfGcnLikePlan) {
   EXPECT_EQ(T.LastUse, 1);
   EXPECT_EQ(T.Floats, 30);
   EXPECT_FALSE(T.Pinned);
+  EXPECT_FALSE(T.Elided); // read by the SpMM, which is no epilogue step
 
+  // The ReLU folds into the SpMM: agg lives in the SpMM's registers only
+  // and the SpMM stores the output at its own step.
   const ValueBuffer &Agg = BP.values()[4];
+  EXPECT_TRUE(Agg.Elided);
   EXPECT_EQ(Agg.DefStep, 1);
-  EXPECT_EQ(Agg.LastUse, 2);
+  EXPECT_EQ(Agg.LastUse, 1);
+  EXPECT_EQ(Agg.Slot, -1);
+  EXPECT_FALSE(Agg.Pinned);
+  EXPECT_EQ(BP.fusedInto(), (std::vector<int>{-1, -1, 1}));
 
   // The output is read after execution: sentinel last use one past the
   // final step, and a pinned dedicated slot.
   const ValueBuffer &Out = BP.values()[5];
-  EXPECT_EQ(Out.DefStep, 2);
+  EXPECT_EQ(Out.DefStep, 1);
   EXPECT_EQ(Out.LastUse, 3);
   EXPECT_TRUE(Out.Pinned);
   ASSERT_GE(Out.Slot, 0);
   EXPECT_TRUE(BP.slots()[static_cast<size_t>(Out.Slot)].Pinned);
 
-  // Worst step holds two 30-float temporaries: 240 B. All three resident
-  // at once (the per-call baseline) is 360 B. No interval here admits
-  // sharing, so the arena also holds three 120 B slots.
+  // Worst step (1) holds t and the output: 240 B. All three values
+  // resident at once (the unfused per-call baseline) is 360 B. The arena
+  // holds t's slot and the output's, 120 B each.
   EXPECT_EQ(BP.peakBytes(), 240u);
   EXPECT_EQ(BP.naiveBytes(), 360u);
-  EXPECT_EQ(BP.arenaBytes(), 360u);
+  EXPECT_EQ(BP.arenaBytes(), 240u);
+  EXPECT_EQ(BP.slots().size(), 2u);
   EXPECT_LE(BP.peakBytes(), BP.naiveBytes());
 }
 
 TEST(BufferPlan, FreedSlotIsReused) {
-  CompositionPlan P = reluChainPlan();
+  CompositionPlan P = spmmChainPlan();
   BufferPlan BP(P, testBinding(), /*Training=*/false);
+  EXPECT_EQ(BP.fusedInto(), (std::vector<int>(4, -1)));
 
   // t0 dies after step 1, so t2 (defined at step 2) takes its slot; only
   // the output needs a third (pinned) slot despite four produced values.
@@ -158,6 +198,86 @@ TEST(BufferPlan, FreedSlotIsReused) {
   EXPECT_EQ(BP.peakBytes(), 240u);  // two live 30-float values at worst
   EXPECT_EQ(BP.naiveBytes(), 480u); // four produced values
   EXPECT_EQ(BP.arenaBytes(), 360u); // three 120 B slots
+
+  // The ReLU chain folds into its GEMM instead: t0, t1 and t2 stay in the
+  // GEMM's registers, which stores the output at step 0. Only the output's
+  // slot remains.
+  CompositionPlan R = reluChainPlan();
+  BufferPlan Fused(R, testBinding(), /*Training=*/false);
+  EXPECT_EQ(Fused.fusedInto(), (std::vector<int>{-1, 0, 0, 0}));
+  for (int V : {3, 4, 5}) {
+    EXPECT_TRUE(Fused.values()[V].Elided) << "v" << V;
+    EXPECT_EQ(Fused.values()[V].DefStep, 0) << "v" << V;
+    EXPECT_EQ(Fused.values()[V].Slot, -1) << "v" << V;
+  }
+  EXPECT_EQ(Fused.values()[6].DefStep, 0);
+  EXPECT_EQ(Fused.values()[6].LastUse, 4);
+  EXPECT_EQ(Fused.slots().size(), 1u);
+  EXPECT_EQ(Fused.peakBytes(), 120u);
+  EXPECT_EQ(Fused.naiveBytes(), 480u);
+  EXPECT_EQ(Fused.arenaBytes(), 120u);
+}
+
+TEST(BufferPlan, ChainStopsAtASecondReaderAndALateScale) {
+  // v3 = degree(A), v4 = inv_sqrt(v3) [setup]; v5 = H * W;
+  // v6 = row_bcast(v4, v5); v7 = relu(v6); v8 = v6 + v7  (output v8).
+  // v6 has two readers, so the GEMM's chain ends with it.
+  CompositionPlan P;
+  P.Name = "second-reader";
+  P.Values = {sparseInput("A"),
+              denseInput("H", LeafRole::Features, SymDim::n(), SymDim::kIn()),
+              denseInput("W", LeafRole::Weight, SymDim::kIn(), SymDim::kOut()),
+              diagTemp("deg"),
+              diagTemp("dnorm"),
+              denseTemp("t", SymDim::n(), SymDim::kOut()),
+              denseTemp("s", SymDim::n(), SymDim::kOut()),
+              denseTemp("r", SymDim::n(), SymDim::kOut()),
+              denseTemp("out", SymDim::n(), SymDim::kOut())};
+  P.Steps = {{StepOp::DegreeOffsets, {0}, 3, 0.0, /*Setup=*/true},
+             {StepOp::InvSqrtVec, {3}, 4, 0.0, /*Setup=*/true},
+             {StepOp::Gemm, {1, 2}, 5},
+             {StepOp::RowBcast, {4, 5}, 6},
+             {StepOp::Relu, {6}, 7},
+             {StepOp::AddDense, {6, 7}, 8}};
+  P.OutputValue = 8;
+  P.verify();
+  BufferPlan BP(P, testBinding(), /*Training=*/false);
+  EXPECT_EQ(BP.fusedInto(), (std::vector<int>{-1, -1, -1, 2, -1, -1}));
+  EXPECT_TRUE(BP.values()[5].Elided);
+  EXPECT_FALSE(BP.values()[6].Elided);
+  EXPECT_EQ(BP.values()[6].DefStep, 2);
+  EXPECT_EQ(BP.values()[6].LastUse, 5);
+  EXPECT_EQ(BP.values()[7].DefStep, 4);
+
+  // The same scaling with its vector computed after the GEMM (steps moved
+  // out of setup) cannot run in the GEMM: nothing fuses.
+  CompositionPlan Late;
+  Late.Name = "late-scale";
+  Late.Values = {sparseInput("A"),
+                 denseInput("H", LeafRole::Features, SymDim::n(),
+                            SymDim::kIn()),
+                 denseInput("W", LeafRole::Weight, SymDim::kIn(),
+                            SymDim::kOut()),
+                 denseTemp("t", SymDim::n(), SymDim::kOut()),
+                 diagTemp("deg"),
+                 diagTemp("dnorm"),
+                 denseTemp("out", SymDim::n(), SymDim::kOut())};
+  Late.Steps = {{StepOp::Gemm, {1, 2}, 3},
+                {StepOp::DegreeOffsets, {0}, 4},
+                {StepOp::InvSqrtVec, {4}, 5},
+                {StepOp::RowBcast, {5, 3}, 6}};
+  Late.OutputValue = 6;
+  Late.verify();
+  BufferPlan LateBP(Late, testBinding(), /*Training=*/false);
+  EXPECT_EQ(LateBP.fusedInto(), (std::vector<int>(4, -1)));
+  EXPECT_FALSE(LateBP.values()[3].Elided);
+  EXPECT_EQ(LateBP.values()[6].DefStep, 3);
+
+  // Training never fuses.
+  BufferPlan Train(P, testBinding(), /*Training=*/true);
+  EXPECT_EQ(Train.fusedInto(), (std::vector<int>(6, -1)));
+  for (const ValueBuffer &B : Train.values())
+    EXPECT_FALSE(B.Elided);
 }
 
 TEST(BufferPlan, TrainingModePinsEverything) {

@@ -33,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <map>
@@ -333,6 +334,12 @@ struct IsaLevelGuard {
   ~IsaLevelGuard() { kernels::setIsaLevel(Entry); }
 };
 
+bool bitwiseEqualDense(const DenseMatrix &A, const DenseMatrix &B) {
+  return A.rows() == B.rows() && A.cols() == B.cols() &&
+         std::memcmp(A.data(), B.data(),
+                     static_cast<size_t>(A.size()) * sizeof(float)) == 0;
+}
+
 /// Everything a training run returns, for bitwise and tolerance checks.
 struct TrainingOutcome {
   DenseMatrix Output;
@@ -439,6 +446,67 @@ TEST(Differential, IsaLevelsAgreeAndStayThreadDeterministic) {
 }
 
 //===----------------------------------------------------------------------===//
+// Fused inference against the unfused training forward
+//===----------------------------------------------------------------------===//
+
+// Inference folds row_bcast and relu steps into the GEMM or SpMM producing
+// their operand (BufferPlan's fused chains); training never fuses, so its
+// forward is the unfused reference. Every model, every promoted plan, every
+// ISA level, 1 and 4 threads, by-value and warm workspace: the inference
+// output equals the training output bit for bit.
+TEST(Differential, FusedInferenceMatchesTheUnfusedTrainingForward) {
+  IsaLevelGuard Guard;
+  const Graph Graphs[] = {makeRmat(180, 1100, 0.55, 0.2, 0.15, 71),
+                          makeCommunityGraph(6, 24, 0.5, 120, 72)};
+  size_t FusedPlans = 0;
+  for (ModelKind Kind : extendedModels()) {
+    GnnModel M = makeModel(Kind);
+    std::vector<CompositionPlan> Plans = survivingPlans(M);
+    for (const Graph &G : Graphs) {
+      for (auto [KIn, KOut] : {std::pair<int64_t, int64_t>{19, 37}, {37, 19}}) {
+        LayerParams Params = makeLayerParams(M, G, KIn, KOut, 9);
+        for (const CompositionPlan &Plan : Plans) {
+          const std::string What = modelName(Kind) + " " + Plan.Name + " " +
+                                   G.name() + " " + std::to_string(KIn) +
+                                   "->" + std::to_string(KOut);
+          SCOPED_TRACE(What);
+          BufferPlan Buffers(Plan, Params.inputs().binding(&Plan), false);
+          if (G.name() == Graphs[0].name() && KIn == 19)
+            FusedPlans += std::any_of(Buffers.fusedInto().begin(),
+                                      Buffers.fusedInto().end(),
+                                      [](int P) { return P >= 0; });
+          for (kernels::IsaLevel Level : kernels::supportedIsaLevels()) {
+            SCOPED_TRACE(kernels::isaLevelName(Level));
+            ASSERT_TRUE(kernels::setIsaLevel(Level));
+            for (int Threads : {1, 4}) {
+              Executor Exec = cpuExecutorAt(Threads);
+              const DenseMatrix Unfused =
+                  Exec.runTraining(Plan, Params.inputs(), Params.Stats)
+                      .Output;
+              EXPECT_TRUE(bitwiseEqualDense(
+                  Exec.run(Plan, Params.inputs(), Params.Stats).Output,
+                  Unfused))
+                  << Threads << " threads, by value";
+              PlanWorkspace Ws;
+              ExecResult R;
+              for (int Call = 0; Call < 2; ++Call) {
+                Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R);
+                EXPECT_TRUE(bitwiseEqualDense(R.Output, Unfused))
+                    << Threads << " threads, workspace call " << Call;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // Most promoted plans carry a fusable chain; a rule that fused nothing
+  // would pass the comparisons above trivially.
+  EXPECT_GE(FusedPlans, 10u);
+  ThreadPool::get().setNumThreads(0);
+}
+
+//===----------------------------------------------------------------------===//
 // The ignored trailing policy argument leaves the arena path as it is
 //===----------------------------------------------------------------------===//
 
@@ -469,16 +537,6 @@ TEST(Differential, NonePolicyIsBitwiseBaseline) {
 // and the backward pass accumulates the feature gradient in place. A result
 // reused across arena runs therefore keeps its output and FeatureGrad
 // buffers, and their bytes equal a by-value run's.
-
-namespace {
-
-bool bitwiseEqualDense(const DenseMatrix &A, const DenseMatrix &B) {
-  return A.rows() == B.rows() && A.cols() == B.cols() &&
-         std::memcmp(A.data(), B.data(),
-                     static_cast<size_t>(A.size()) * sizeof(float)) == 0;
-}
-
-} // namespace
 
 TEST(Differential, ReusedResultKeepsItsOutputBufferAndBytes) {
   for (uint64_t I = 0; I < 3; ++I) {

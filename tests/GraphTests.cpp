@@ -6,6 +6,7 @@
 #include "graph/GraphSpec.h"
 #include "graph/MatrixMarket.h"
 #include "graph/Sampling.h"
+#include "support/Memory.h"
 #include "support/Rng.h"
 #include "tensor/CooMatrix.h"
 
@@ -270,6 +271,33 @@ TEST(MatrixMarket, RejectsDimensionsBeyondInt32) {
   EXPECT_FALSE(parseMatrixMarket(Text, "x", &Error).has_value());
   EXPECT_NE(Error.find("exceeds the 2147483647-node limit"), std::string::npos)
       << Error;
+}
+
+TEST(MatrixMarket, RejectsADimensionWhoseOffsetsExceedMemory) {
+  // 2^31 - 1 rows size 17 GB of CSR row offsets before any entry is read.
+  const int64_t N = MaxGraphNodes;
+  std::string Bound;
+  if (fitsInMemory(graphBuildBytes(N, 0), physicalMemoryBytes(), "offsets",
+                   &Bound))
+    return; // this host can hold them: nothing to reject
+  std::string Text = "%%MatrixMarket matrix coordinate pattern general\n" +
+                     std::to_string(N) + " " + std::to_string(N) + " 1\n1 2\n";
+  std::string Error;
+  EXPECT_FALSE(parseMatrixMarket(Text, "x", &Error).has_value());
+  EXPECT_NE(Error.find("bytes of physical memory"), std::string::npos)
+      << Error;
+}
+
+TEST(GraphSpec, RejectsRmatWithMoreEdgesThanNodePairs) {
+  std::string Error;
+  EXPECT_FALSE(loadGraphSpec("synth:rmat:4:7", &Error).has_value());
+  EXPECT_NE(Error.find("4 nodes have at most 6 distinct edges"),
+            std::string::npos)
+      << Error;
+  // Every pair is reachable: the complete graph on 4 nodes.
+  std::optional<Graph> Full = loadGraphSpec("synth:rmat:4:6", &Error);
+  ASSERT_TRUE(Full.has_value()) << Error;
+  EXPECT_LE(Full->adjacency().nnz(), 12);
 }
 
 TEST(GraphSpec, RejectsRmatBeyondTheNodeLimit) {

@@ -677,6 +677,36 @@ TEST(Engine, OversizedEmbeddingIsARequestError) {
   EXPECT_EQ(Valid.Cols, 12);
 }
 
+// A graph spec the host cannot build is a request error on both verbs,
+// before the generator sizes anything: 1000 nodes have at most 499,500
+// distinct edges, and 10^10 R-MAT edges would reserve a dedup set of 2·10^10
+// buckets (std::bad_alloc, or the OOM killer, at the parent).
+TEST(Engine, OversizedGraphSpecIsARequestError) {
+  Engine Eng;
+  JobRequest Req = smallRequest();
+  Req.GraphSpec = "synth:rmat:1000:10000000000";
+  RunResponse R = Eng.run(Req);
+  EXPECT_FALSE(R.Status.Ok);
+  EXPECT_NE(R.Status.Error.find("at most 499500 distinct edges"),
+            std::string::npos)
+      << R.Status.Error;
+  CompileResponse C = Eng.compile(Req);
+  EXPECT_FALSE(C.Status.Ok);
+  EXPECT_NE(C.Status.Error.find("at most 499500 distinct edges"),
+            std::string::npos)
+      << C.Status.Error;
+  // As many edges as node pairs is within the bound, but not the memory a
+  // 2^30-node graph with 2^40 edges needs.
+  Req.GraphSpec = "synth:rmat:1073741824:1099511627776";
+  R = Eng.run(Req);
+  EXPECT_FALSE(R.Status.Ok);
+  EXPECT_NE(R.Status.Error.find("bytes of physical memory"),
+            std::string::npos)
+      << R.Status.Error;
+  RunResponse Valid = Eng.run(smallRequest());
+  EXPECT_TRUE(Valid.Status.Ok) << Valid.Status.Error;
+}
+
 // A request's model text never aborts the daemon: a model the IR builders
 // or the executor cannot accept is a parse error, and a model whose output
 // reads no weight is a request error, on both verbs. The same engine then

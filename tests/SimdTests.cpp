@@ -143,6 +143,7 @@ TEST(Dispatch, TablesAreFullyPopulated) {
     EXPECT_NE(Ops->AxpyRange, nullptr);
     EXPECT_NE(Ops->ReluRange, nullptr);
     EXPECT_NE(Ops->ReluBackwardRange, nullptr);
+    EXPECT_NE(Ops->LeakyReluRange, nullptr);
     EXPECT_GE(Ops->DenseThroughputScale, 1.0);
     EXPECT_GE(Ops->SparseThroughputScale, 1.0);
   }
@@ -457,9 +458,9 @@ TEST(ReductionOrder, GemmRowRangeIsOneChainPerElement) {
       const std::vector<float> Init = randomFloats(M * Ldc, 103);
       std::vector<float> Got = Init;
       Ops.GemmRowRange(A.data(), Lda, B.data(), Ldb, Got.data(), Ldc, K, N, 0,
-                       6);
+                       6, nullptr);
       Ops.GemmRowRange(A.data(), Lda, B.data(), Ldb, Got.data(), Ldc, K, N, 6,
-                       M);
+                       M, nullptr);
       std::vector<float> Want = Init;
       for (int64_t I = 0; I < M; ++I)
         for (int64_t J = 0; J < N; ++J) {
@@ -524,7 +525,7 @@ TEST(ReductionOrder, SpmmRowRangeIsOneChainPerElement) {
                {std::pair<int64_t, int64_t>{0, 17}, {17, A.rows()}})
             Ops.SpmmRowRange(A.Offsets.data(), A.Cols.data(), Vals, ValIdx,
                              B.data(), Ldb, Got.data(), LdDst, Width,
-                             RowBegin, RowEnd);
+                             RowBegin, RowEnd, nullptr);
           std::vector<float> Want(Got.size(), Sentinel);
           for (int64_t R = 0; R < A.rows(); ++R)
             for (int64_t J = 0; J < Width; ++J) {
@@ -749,5 +750,189 @@ TEST(ReductionOrder, ReluBackwardRangeIsAnExactSelect) {
     Ops.ReluBackwardRange(Pre.data(), Grad.data(), Got.data(),
                           static_cast<int64_t>(Pre.size()));
     expectSameBits(Got, Want, "relu backward");
+  }
+}
+
+TEST(ReductionOrder, LeakyReluRangeIsAnExactSelect) {
+  // The scalar level's `x > 0 ? x : slope * x` at every level, lane for
+  // lane: NaNs of both signs, signed zeros, infinities and subnormals (whose
+  // product with the slope underflows), with a tail at every width.
+  const float Nan = std::numeric_limits<float>::quiet_NaN();
+  const float Inf = std::numeric_limits<float>::infinity();
+  const float Tiny = std::numeric_limits<float>::denorm_min();
+  std::vector<float> X = {0.0f,  -0.0f, Nan,          -Nan,
+                          Inf,   -Inf,  Tiny,         -Tiny,
+                          1.5f,  -2.5f, -3 * Tiny,    std::ldexp(-1.0f, -127)};
+  const std::vector<float> Mixed = randomFloats(77, 811);
+  X.insert(X.end(), Mixed.begin(), Mixed.end());
+  const kernels::SimdOps &Scalar = *kernels::simdOpsFor(IsaLevel::Scalar);
+  for (float Slope : {0.2f, 0.01f, -0.5f}) {
+    std::vector<float> Want(X.size());
+    for (size_t I = 0; I < X.size(); ++I)
+      Want[I] = X[I] > 0.0f ? X[I] : Slope * X[I];
+    std::vector<float> FromScalar(X.size(), 3.0f);
+    Scalar.LeakyReluRange(Slope, X.data(), FromScalar.data(),
+                          static_cast<int64_t>(X.size()));
+    expectSameBits(FromScalar, Want, "scalar leaky relu");
+    for (IsaLevel Level : kernels::supportedIsaLevels()) {
+      SCOPED_TRACE(kernels::isaLevelName(Level));
+      const kernels::SimdOps &Ops = *kernels::simdOpsFor(Level);
+      for (size_t Len : {X.size(), size_t{5}, size_t{21}}) {
+        std::vector<float> Got(Len, 3.0f);
+        Ops.LeakyReluRange(Slope, X.data(), Got.data(),
+                           static_cast<int64_t>(Len));
+        expectSameBits(Got, std::vector<float>(FromScalar.begin(),
+                                               FromScalar.begin() + Len),
+                       "leaky relu slope " + std::to_string(Slope) +
+                           " length " + std::to_string(Len));
+      }
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Fused row epilogues
+//===----------------------------------------------------------------------===//
+//
+// A GEMM or SpMM given a row epilogue must write, bit for bit, what the
+// unfused sequence writes: the producer, then one rowBroadcastMulInto or
+// reluInto per step. The fixtures put zero-degree rows (scale 0), negative
+// and -0 scales (so -0 reaches a second scale or the ReLU), NaN accumulators
+// and widths with vector tails in front of every epilogue.
+
+namespace {
+
+enum class EpiStep { ScaleD1, ScaleD2, Relu };
+
+struct EpilogueCase {
+  const char *Name;
+  std::vector<EpiStep> Steps;
+};
+
+const std::vector<EpilogueCase> &epilogueCases() {
+  static const std::vector<EpilogueCase> Cases = {
+      {"scale", {EpiStep::ScaleD1}},
+      {"scale,scale", {EpiStep::ScaleD1, EpiStep::ScaleD2}},
+      {"relu", {EpiStep::Relu}},
+      {"scale,relu", {EpiStep::ScaleD1, EpiStep::Relu}},
+  };
+  return Cases;
+}
+
+/// Row scales over \p Rows rows: every 5th 0 (an isolated node), every 7th
+/// -0, the rest in [-1, 1).
+std::vector<float> epilogueScales(int64_t Rows, uint64_t Seed) {
+  std::vector<float> D = randomFloats(static_cast<size_t>(Rows), Seed);
+  for (size_t I = 0; I < D.size(); ++I)
+    D[I] = I % 5 == 2 ? 0.0f : I % 7 == 4 ? -0.0f : D[I];
+  return D;
+}
+
+kernels::RowEpilogue makeEpilogue(const EpilogueCase &Case,
+                                  const std::vector<float> &D1,
+                                  const std::vector<float> &D2) {
+  kernels::RowEpilogue Epi;
+  for (EpiStep S : Case.Steps)
+    Epi.push(S == EpiStep::Relu ? kernels::RowEpilogue::OpKind::Relu
+                                : kernels::RowEpilogue::OpKind::Scale,
+             S == EpiStep::ScaleD1   ? std::span<const float>(D1)
+             : S == EpiStep::ScaleD2 ? std::span<const float>(D2)
+                                     : std::span<const float>());
+  return Epi;
+}
+
+/// The unfused sequence: \p X through one element-wise kernel per step.
+std::vector<float> unfusedEpilogue(DenseMatrix X, const EpilogueCase &Case,
+                                   const std::vector<float> &D1,
+                                   const std::vector<float> &D2) {
+  DenseMatrix Next(X.rows(), X.cols());
+  for (EpiStep S : Case.Steps) {
+    if (S == EpiStep::Relu)
+      kernels::reluInto(X, Next);
+    else
+      kernels::rowBroadcastMulInto(S == EpiStep::ScaleD1 ? D1 : D2, X, Next);
+    std::swap(X, Next);
+  }
+  return std::vector<float>(X.data(), X.data() + X.size());
+}
+
+std::vector<float> flat(const DenseMatrix &M) {
+  return std::vector<float>(M.data(), M.data() + M.size());
+}
+
+} // namespace
+
+TEST(FusedEpilogue, GemmMatchesTheUnfusedSequence) {
+  IsaLevelGuard Guard;
+  const float Nan = std::numeric_limits<float>::quiet_NaN();
+  // 11 rows: two 4-row register blocks and a remainder. Row 3 of A carries
+  // a NaN (a NaN accumulator row), row 7 is all zeros (+0 accumulators).
+  const int64_t M = 11, K = 45;
+  DenseMatrix A = randomDense(M, K, 901);
+  A.at(3, 17) = Nan;
+  for (int64_t KK = 0; KK < K; ++KK)
+    A.at(7, KK) = 0.0f;
+  const std::vector<float> D1 = epilogueScales(M, 902);
+  const std::vector<float> D2 = epilogueScales(M, 903);
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    ASSERT_TRUE(kernels::setIsaLevel(Level));
+    for (int64_t N : {13, 29, 61, 141}) {
+      DenseMatrix B = randomDense(K, N, 904);
+      DenseMatrix Plain(M, N);
+      kernels::gemmInto(A, B, Plain);
+      for (const EpilogueCase &Case : epilogueCases()) {
+        const kernels::RowEpilogue Epi = makeEpilogue(Case, D1, D2);
+        DenseMatrix Fused(M, N);
+        Fused.fill(5.0f); // stale contents must not leak
+        kernels::gemmInto(A, B, Fused, &Epi);
+        expectSameBits(flat(Fused), unfusedEpilogue(Plain, Case, D1, D2),
+                       std::string("gemm +") + Case.Name + " N=" +
+                           std::to_string(N));
+      }
+    }
+  }
+}
+
+TEST(FusedEpilogue, SpmmMatchesTheUnfusedSequence) {
+  IsaLevelGuard Guard;
+  const float Nan = std::numeric_limits<float>::quiet_NaN();
+  // 40 rows over 50 sources; every 5th row has no nonzero (an isolated
+  // node, whose scale is 0 too), source row 9 carries a NaN.
+  const int64_t Rows = 40, SrcRows = 50;
+  Rng R(911);
+  CooMatrix Coo(Rows, SrcRows);
+  for (int64_t Row = 0; Row < Rows; ++Row)
+    if (Row % 5 != 2)
+      for (uint64_t E = 0, Len = 1 + R.nextBelow(20); E < Len; ++E)
+        Coo.add(Row,
+                static_cast<int64_t>(
+                    R.nextBelow(static_cast<uint64_t>(SrcRows))),
+                R.nextFloat(-1.0f, 1.0f));
+  const CsrMatrix Adj = Coo.toCsr(/*Unweighted=*/false);
+  const std::vector<float> D1 = epilogueScales(Rows, 912);
+  const std::vector<float> D2 = epilogueScales(Rows, 913);
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    ASSERT_TRUE(kernels::setIsaLevel(Level));
+    for (int64_t Width : {13, 29, 141}) {
+      DenseMatrix B = randomDense(SrcRows, Width, 914);
+      B.at(9, Width / 2) = Nan;
+      for (bool Weighted : {false, true}) {
+        const std::span<const float> Vals =
+            Weighted ? Adj.values() : std::span<const float>();
+        DenseMatrix Plain(Rows, Width);
+        kernels::spmmInto(Adj, Vals, B, Plain);
+        for (const EpilogueCase &Case : epilogueCases()) {
+          const kernels::RowEpilogue Epi = makeEpilogue(Case, D1, D2);
+          DenseMatrix Fused(Rows, Width);
+          Fused.fill(5.0f);
+          kernels::spmmInto(Adj, Vals, B, Fused, &Epi);
+          expectSameBits(flat(Fused), unfusedEpilogue(Plain, Case, D1, D2),
+                         std::string(Weighted ? "spmm_w +" : "spmm_u +") +
+                             Case.Name + " width " + std::to_string(Width));
+        }
+      }
+    }
   }
 }

@@ -1,5 +1,6 @@
 //===- SupportTests.cpp - Tests for the support library ---------------------===//
 
+#include "support/Memory.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
 #include "support/Str.h"
@@ -13,6 +14,28 @@
 #include <set>
 
 using namespace granii;
+
+TEST(Memory, FitsInMemoryAgainstAnInjectedSize) {
+  std::string Error;
+  EXPECT_TRUE(fitsInMemory(4096, 4096, "sizes", &Error));
+  EXPECT_TRUE(Error.empty());
+  EXPECT_FALSE(fitsInMemory(4097, 4096, "sizes", &Error));
+  EXPECT_EQ(Error, "sizes need 4097 bytes, more than the host's 4096 bytes "
+                   "of physical memory");
+  // An overflowed count never fits, not even where the size is unknown.
+  EXPECT_FALSE(fitsInMemory(-1, 0, "sizes", &Error));
+  EXPECT_NE(Error.find("overflow"), std::string::npos) << Error;
+  EXPECT_TRUE(fitsInMemory(int64_t{1} << 62, 0, "sizes", &Error));
+
+  // A graph build: row offsets plus 20 bytes per stored entry (COO triple
+  // and CSR column and value).
+  EXPECT_EQ(graphBuildBytes(99, 0), 800);
+  EXPECT_EQ(graphBuildBytes(99, 10), 1000);
+  EXPECT_FALSE(fitsInMemory(graphBuildBytes(99, 10), 999, "graph", &Error));
+  EXPECT_TRUE(fitsInMemory(graphBuildBytes(99, 10), 1000, "graph", &Error));
+  EXPECT_LT(graphBuildBytes(INT64_MAX, 0), 0);
+  EXPECT_LT(graphBuildBytes(10, INT64_MAX / 4), 0);
+}
 
 TEST(Rng, DeterministicStream) {
   Rng A(123), B(123);

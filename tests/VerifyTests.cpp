@@ -396,6 +396,89 @@ TEST(VerifyBuffersTest, UnpinnedTrainingValueIsRejected) {
   EXPECT_TRUE(hasDiag(Diags, "unpinned value in training mode"));
 }
 
+TEST(VerifyBuffersTest, ChainThroughASecondReaderIsRejected) {
+  // In the tiny plan v2 = H * W feeds both the ReLU and the add, so no
+  // chain may keep it in the GEMM's registers: fusing the ReLU anyway would
+  // leave the add reading a value nothing stored.
+  CompositionPlan Plan = makeTinyPlan();
+  BufferPlan Buffers(Plan, tinyBinding(), /*Training=*/false);
+  EXPECT_EQ(Buffers.fusedInto(), (std::vector<int>{-1, -1, -1}));
+  std::vector<ValueBuffer> Vals = Buffers.values();
+  Vals[2].Elided = true;
+  Vals[2].Slot = -1;
+  Vals[3].DefStep = 0;
+  DiagEngine Diags;
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals,
+                                      Buffers.slots(), Diags));
+  EXPECT_TRUE(hasDiag(Diags, "no fused chain passes through it"));
+  EXPECT_TRUE(hasDiag(Diags, "definition recorded at step 0, recomputed 1"));
+}
+
+TEST(VerifyBuffersTest, UnfusedChainIsRejected) {
+  // v2 = H * W; v3 = relu(v2) (output): the ReLU folds into the GEMM, which
+  // stores the output at step 0. A schedule storing v2 at step 0 and the
+  // output at step 1 is not the fused one.
+  CompositionPlan Plan = makeTinyPlan();
+  Plan.Values.pop_back();
+  Plan.Steps.pop_back();
+  Plan.OutputValue = 3;
+  BufferPlan Buffers(Plan, tinyBinding(), /*Training=*/false);
+  ASSERT_EQ(Buffers.fusedInto(), (std::vector<int>{-1, 0}));
+  std::vector<ValueBuffer> Vals = Buffers.values();
+  EXPECT_TRUE(Vals[2].Elided);
+  EXPECT_EQ(Vals[3].DefStep, 0);
+  DiagEngine Clean;
+  EXPECT_TRUE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals,
+                                     Buffers.slots(), Clean))
+      << Clean.render();
+  Vals[2].Elided = false;
+  Vals[3].DefStep = 1;
+  DiagEngine Diags;
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals,
+                                      Buffers.slots(), Diags));
+  EXPECT_TRUE(hasDiag(Diags, "fused chain of step 0 holds it in registers"));
+  EXPECT_TRUE(hasDiag(Diags, "definition recorded at step 1, recomputed 0"));
+}
+
+TEST(VerifyBuffersTest, ChainThroughALateScaleIsRejected) {
+  // v2 = H * W; v3 = degree(A); v4 = inv_sqrt(v3); v5 = row_bcast(v4, v2)
+  // (output): the scale vector exists only after the GEMM ran, so the GEMM
+  // cannot apply it. A schedule fusing it anyway is rejected.
+  CompositionPlan Plan = makeTinyPlan();
+  PlanValue A;
+  A.Kind = PlanValueKind::Sparse;
+  A.Shape = {SymDim::n(), SymDim::n()};
+  A.DebugName = "A";
+  A.InputRole = LeafRole::Adjacency;
+  PlanValue Deg;
+  Deg.Kind = PlanValueKind::Diag;
+  Deg.Shape = {SymDim::n(), SymDim::one()};
+  Deg.DebugName = "deg";
+  Deg.GraphOnly = true;
+  PlanValue Out = Plan.Values[2];
+  Out.DebugName = "out";
+  Plan.Values = {Plan.Values[0], Plan.Values[1], Plan.Values[2], Deg, Deg,
+                 Out, A};
+  Plan.Steps = {{StepOp::Gemm, {0, 1}, 2},
+                {StepOp::DegreeOffsets, {6}, 3},
+                {StepOp::InvSqrtVec, {3}, 4},
+                {StepOp::RowBcast, {4, 2}, 5}};
+  Plan.OutputValue = 5;
+  Plan.verify();
+  BufferPlan Buffers(Plan, tinyBinding(), /*Training=*/false);
+  ASSERT_EQ(Buffers.fusedInto(), (std::vector<int>(4, -1)));
+  std::vector<ValueBuffer> Vals = Buffers.values();
+  Vals[2].Elided = true;
+  Vals[2].Slot = -1;
+  Vals[2].LastUse = 0;
+  Vals[5].DefStep = 0;
+  DiagEngine Diags;
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals,
+                                      Buffers.slots(), Diags));
+  EXPECT_TRUE(hasDiag(Diags, "no fused chain passes through it"));
+  EXPECT_TRUE(hasDiag(Diags, "definition recorded at step 0, recomputed 3"));
+}
+
 //===----------------------------------------------------------------------===//
 // Partition stage
 //===----------------------------------------------------------------------===//

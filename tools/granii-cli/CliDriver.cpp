@@ -20,6 +20,7 @@
 #include "verify/Verify.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
@@ -187,15 +188,21 @@ std::optional<Graph> loadGraph(const std::string &Spec, std::string &Err) {
 /// Writes an output matrix as the binary interchange format shared by
 /// `run --out` and `call --out` (magic "GRNO", i64 rows/cols, u64 count,
 /// raw little-endian floats). Binary so CI can `cmp` the daemon's answer
-/// against the one-shot pipeline's bit for bit.
+/// against the one-shot pipeline's bit for bit. Only the header is staged:
+/// on a little-endian host the floats' bytes are the format's, so the
+/// payload is written from \p Values itself.
 bool writeOutputFile(const std::string &Path, int64_t Rows, int64_t Cols,
                      std::span<const float> Values, std::string &Err) {
   TraceSpan Span("write-output", "cli");
+  constexpr bool RawPayload = std::endian::native == std::endian::little;
   serve::WireWriter W;
   W.putU32(0x4f4e5247u); // "GRNO"
   W.putI64(Rows);
   W.putI64(Cols);
-  W.putFloats(Values);
+  if (RawPayload)
+    W.putU64(Values.size());
+  else
+    W.putFloats(Values);
   std::ofstream OutFile(Path, std::ios::binary);
   if (!OutFile) {
     Err += "error: cannot open output file '" + Path + "'\n";
@@ -203,6 +210,9 @@ bool writeOutputFile(const std::string &Path, int64_t Rows, int64_t Cols,
   }
   OutFile.write(reinterpret_cast<const char *>(W.bytes().data()),
                 static_cast<std::streamsize>(W.bytes().size()));
+  if (RawPayload)
+    OutFile.write(reinterpret_cast<const char *>(Values.data()),
+                  static_cast<std::streamsize>(Values.size_bytes()));
   if (!OutFile) {
     Err += "error: failed writing output file '" + Path + "'\n";
     return false;
@@ -316,13 +326,23 @@ int profileRun(const serve::Session &S, const HardwareModel &Hw,
       PredictedForward += Predicted;
     double GFlops = P.Seconds > 0.0 ? P.Flops / P.Seconds / 1e9 : 0.0;
     double GBps = P.Seconds > 0.0 ? P.Bytes / P.Seconds / 1e9 : 0.0;
-    Rows.push_back({std::to_string(I) + (P.Setup ? " (setup)" : ""),
+    // A step a fused chain absorbed ran inside its producer, whose time
+    // includes it; its own charge is the empty one, so it has no ratio or
+    // throughput of its own.
+    const bool Fused = P.FusedInto >= 0;
+    auto OrDash = [&](double V, int Digits) {
+      return Fused ? std::string("-") : formatDouble(V, Digits);
+    };
+    Rows.push_back({std::to_string(I) + (P.Setup ? " (setup)" : "") +
+                        (Fused ? " (fused into step " +
+                                     std::to_string(P.FusedInto) + ")"
+                               : ""),
                     P.Value, P.Op, P.Shape,
                     formatDouble(P.Seconds * 1e3, 4),
                     formatDouble(Predicted * 1e3, 4),
-                    formatDouble(P.Seconds / Predicted, 2),
+                    OrDash(P.Seconds / Predicted, 2),
                     formatDouble(P.Bytes / 1e6, 3),
-                    formatDouble(GFlops, 2), formatDouble(GBps, 2)});
+                    OrDash(GFlops, 2), OrDash(GBps, 2)});
   }
   Out += "\nper-step profile (steady state):\n" + renderTable(Header, Rows);
   Out += "forward: measured " + formatDouble(R.ForwardSeconds * 1e3, 4) +
@@ -461,7 +481,21 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   Out += "selected composition:\n" +
          S->optimizer().promoted()[Sel.PlanIndex].toString();
 
-  serve::RunResponse R = S->run(Req.WantOutput);
+  // --out writes the file from the session's result while the session
+  // holds it: no copy into the response, no staged payload.
+  const std::string OutPath = Args.value("out");
+  if (Req.WantOutput && OutPath.empty()) {
+    Err += "error: --out expects an output path (--out=result.bin)\n";
+    return 2;
+  }
+  bool Wrote = true;
+  auto WriteFile = [&](const DenseMatrix &M) {
+    Wrote = writeOutputFile(OutPath, M.rows(), M.cols(),
+                            {M.data(), static_cast<size_t>(M.size())}, Err);
+  };
+  serve::RunResponse R = Req.WantOutput ? S->run(WriteFile) : S->run(false);
+  if (!Wrote)
+    return 1;
   double PerIter = R.ForwardSeconds + R.BackwardSeconds;
   double Total = R.SetupSeconds + PerIter * EngOpts.Iterations;
   Out += std::string(Training ? "fwd+bwd" : "forward") + ": " +
@@ -472,17 +506,9 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   Out += "output: " + std::to_string(R.Rows) + " x " +
          std::to_string(R.Cols) + "\n";
 
-  if (Args.hasFlag("out")) {
-    std::string OutPath = Args.value("out");
-    if (OutPath.empty()) {
-      Err += "error: --out expects an output path (--out=result.bin)\n";
-      return 2;
-    }
-    if (!writeOutputFile(OutPath, R.Rows, R.Cols, R.Output, Err))
-      return 1;
+  if (Req.WantOutput)
     Out += "wrote output (" + std::to_string(R.Rows) + " x " +
            std::to_string(R.Cols) + ") to " + OutPath + "\n";
-  }
 
   if (Args.hasFlag("profile"))
     return profileRun(*S, EngOpts.Hw, Training, Out, Err);
