@@ -25,6 +25,10 @@
 /// its pages in on its first two calls only. Any other mapped allocation
 /// empties the cache first, so cached pages never sit beside a new mapping,
 /// and a one-time free is unmapped at once (docs/RUNTIME_MEMORY.md).
+/// A mapped buffer of HugePageBytes or more starts on a huge-page boundary
+/// and advises MADV_HUGEPAGE over the whole huge pages inside it, never
+/// rounding its size up: first-touch faults drop 512-fold there, and a
+/// fully written buffer keeps the resident size it had in small pages.
 /// A recycled mapping holds its last owner's bytes: containers that
 /// value-initialize (AlignedVector) still zero it, and storage that skips
 /// that (DefaultInitAllocator) is overwritten before it is read.
@@ -53,6 +57,10 @@ inline bool isKernelAligned(const void *Ptr) {
 
 /// Buffers at least this large are mapped pages rather than malloc blocks.
 inline constexpr size_t MappedAllocationBytes = size_t{1} << 20;
+
+/// Mapped buffers at least this large (one x86-64 transparent huge page)
+/// start on a boundary of it, and their whole huge pages are advised huge.
+inline constexpr size_t HugePageBytes = size_t{2} << 20;
 
 /// Allocates \p Bytes aligned to \p Alignment (at most a page): mapped
 /// pages from MappedAllocationBytes up, operator new below. Throws

@@ -55,9 +55,13 @@ double granii::medianOf(const std::vector<double> &Values) {
 }
 
 double granii::giniOf(std::vector<double> Values) {
+  std::sort(Values.begin(), Values.end());
+  return giniOfSorted(Values);
+}
+
+double granii::giniOfSorted(const std::vector<double> &Values) {
   if (Values.empty())
     return 0.0;
-  std::sort(Values.begin(), Values.end());
   double Sum = 0.0, WeightedSum = 0.0;
   for (size_t I = 0; I < Values.size(); ++I) {
     Sum += Values[I];

@@ -34,6 +34,9 @@ double medianOf(const std::vector<double> &Values);
 /// inequality measure used by the input featurizer); 0 for empty input.
 double giniOf(std::vector<double> Values);
 
+/// giniOf() of values already sorted ascending.
+double giniOfSorted(const std::vector<double> &Ascending);
+
 } // namespace granii
 
 #endif // GRANII_SUPPORT_STATS_H

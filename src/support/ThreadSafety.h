@@ -35,6 +35,10 @@
 #include <condition_variable>
 #include <mutex>
 
+#ifdef __SANITIZE_THREAD__
+#include <sanitizer/tsan_interface.h>
+#endif
+
 #if defined(__clang__) && defined(__has_attribute)
 #define GRANII_THREAD_ANNOTATION(x) __attribute__((x))
 #else
@@ -85,7 +89,14 @@ class GRANII_CAPABILITY("mutex") Mutex {
 public:
   /// \p Name must be a string literal (it is stored, not copied).
   explicit Mutex(const char *Name) : Name(Name) {}
-  ~Mutex() { detail::lockRegistryDestroy(this); }
+  ~Mutex() {
+    detail::lockRegistryDestroy(this);
+#ifdef __SANITIZE_THREAD__
+    // std::mutex's destructor is trivial, so ThreadSanitizer would carry
+    // this lock's order edges over to the next mutex at its address.
+    __tsan_mutex_destroy(&M, 0);
+#endif
+  }
   Mutex(const Mutex &) = delete;
   Mutex &operator=(const Mutex &) = delete;
 

@@ -146,6 +146,10 @@ TEST(Cli, RunProfileReportsStepsAndZeroAllocations) {
   EXPECT_NE(Out.find("planned memory: peak"), std::string::npos);
   EXPECT_NE(Out.find("steady-state allocations: 0"), std::string::npos);
   EXPECT_EQ(Err.find("steady-state run performed"), std::string::npos);
+  // Beside it, the process's first-touch cost so far.
+  EXPECT_NE(Out.find("steady-state allocations: 0, minor page faults: "),
+            std::string::npos)
+      << Out;
 }
 
 // The profile tables name each step's value the way the printed plan does:
