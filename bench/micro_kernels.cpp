@@ -166,7 +166,9 @@ int runKernels(const std::string &JsonPath) {
       Measure("scale_sparse_both", G.name(), 0, 0,
               {PrimitiveKind::SddmmScale, G.numNodes(), 0, 2, G.numEdges()},
               [&] {
-                kernels::scaleSparseBothInto(G.adjacency(), D, D, OutVals);
+                kernels::scaleSparseBothInto(G.adjacency(),
+                                             G.adjacency().values(), D, D,
+                                             OutVals);
               });
     }
     {

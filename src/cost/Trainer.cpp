@@ -130,7 +130,7 @@ granii::collectProfileData(const HardwareModel &Hw,
         VecOut[I] = DiagN[I] * DiagN[I];
     });
     Prof.sample({PrimitiveKind::SddmmScale, N, 0, 1, E}, Stats, [&] {
-      kernels::scaleSparseBothInto(A, DiagN, DiagN, EdgeOut);
+      kernels::scaleSparseBothInto(A, A.values(), DiagN, DiagN, EdgeOut);
     });
     Prof.sample({PrimitiveKind::EdgeSoftmax, N, 0, 0, E}, Stats,
                 [&] { kernels::edgeSoftmaxInto(Aw, Aw.values(), EdgeOut); });

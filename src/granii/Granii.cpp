@@ -193,10 +193,40 @@ ExecResult Optimizer::execute(const Selection &Sel, const LayerParams &Params,
   return Result;
 }
 
+namespace {
+
+/// Whether \p View maps exactly \p Owned's names to Owned's elements.
+template <class T>
+bool bindsAll(const std::map<std::string, const T *> &View,
+              const std::map<std::string, T> &Owned) {
+  if (View.size() != Owned.size())
+    return false;
+  auto It = View.begin();
+  for (const auto &[Name, Value] : Owned) {
+    if (It->first != Name || It->second != &Value)
+      return false;
+    ++It;
+  }
+  return true;
+}
+
+} // namespace
+
+const LayerInputs &Optimizer::inputsFor(const LayerParams &Params) const {
+  // Rebuilding the binding allocates its map nodes; a warm call on the same
+  // parameters finds the binding it would build already in place.
+  if (BoundInputs.Adjacency != &Params.AdjSelf ||
+      BoundInputs.Features != &Params.Features ||
+      !bindsAll(BoundInputs.Weights, Params.Weights) ||
+      !bindsAll(BoundInputs.AttnVecs, Params.AttnVecs))
+    BoundInputs = Params.inputs();
+  return BoundInputs;
+}
+
 size_t Optimizer::execute(const Selection &Sel, const LayerParams &Params,
                           bool Training, ExecResult &Result) const {
   const CompositionPlan &Plan = Promoted[Sel.PlanIndex];
-  LayerInputs Inputs = Params.inputs();
+  const LayerInputs &Inputs = inputsFor(Params);
   // One persistent workspace per (plan, mode): repeated executions of the
   // same selection reuse the planned arena instead of reallocating every
   // intermediate (training pins all activations, so the two modes cannot

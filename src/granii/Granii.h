@@ -130,12 +130,18 @@ public:
                      bool Training) const;
 
   /// Same, writing into \p Result: a result reused across calls keeps its
-  /// output buffer, so a warm inference call allocates nothing for it.
-  /// \returns the workspace allocations this call performed (0 when warm).
+  /// output buffer and gradients, so a warm call on the same parameters
+  /// allocates nothing at all (no heap allocation, not only no workspace
+  /// growth). \returns the workspace allocations this call performed (0
+  /// when warm).
   size_t execute(const Selection &Sel, const LayerParams &Params,
                  bool Training, ExecResult &Result) const;
 
 private:
+  /// The executor's view of \p Params: the cached binding while it still
+  /// names exactly Params' tensors, else a fresh Params.inputs().
+  const LayerInputs &inputsFor(const LayerParams &Params) const;
+
   GnnModel Model;
   OptimizerOptions Opts;
   const CostModel *Cost;
@@ -146,6 +152,8 @@ private:
   /// by execute(). Mutable: caching buffers does not change observable
   /// optimizer state (outputs are bitwise identical either way).
   mutable std::map<std::pair<size_t, bool>, PlanWorkspace> Workspaces;
+  /// The binding of the last execute()'s parameters (see inputsFor).
+  mutable LayerInputs BoundInputs;
 };
 
 } // namespace granii

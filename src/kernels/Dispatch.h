@@ -53,6 +53,16 @@ std::optional<IsaLevel> parseIsaLevel(const std::string &Name);
 /// stream from L2 while every register block of a row range sweeps them.
 constexpr int64_t GemmTLhsWindowRows = 1024;
 
+/// Columns of one cache line of an attention-gradient row: the unit the
+/// threads split the attention vector's gradient in, and the stride of its
+/// prefetches.
+constexpr int64_t AttnGradColBlock = 16;
+
+/// Rows ahead of an attention vector-gradient pass whose lines are
+/// prefetched: the pass strides across rows, which the hardware prefetchers
+/// do not follow.
+constexpr int64_t AttnGradPrefetchRows = 16;
+
 /// Most element-wise steps one row epilogue applies. A fused chain in this
 /// library is at most two steps long (SGC's two row scalings, GCN's row
 /// scaling and ReLU); longer chains are cut here.
@@ -144,6 +154,39 @@ struct SimdOps {
                            const float *U, int64_t Ldu, const float *V,
                            int64_t Ldv, float *Out, int64_t Width,
                            int64_t RowBegin, int64_t RowEnd) = nullptr;
+
+  // The routines below compute what the scalar loops compute, bit for bit,
+  // at every level: each product is rounded to float before it is added,
+  // and each element's adds run in the scalar loop's order. The SIMD levels
+  // put independent chains side by side in the lanes.
+
+  /// Y[I] = A row I . X for rows [RowBegin, RowEnd), A row-major with \p K
+  /// columns: each row's chain starts at 0 and adds A[I][J] * X[J] in
+  /// ascending J. The SIMD levels run one row's chain per lane.
+  void (*GemvRowRange)(const float *A, int64_t Lda, const float *X, float *Y,
+                       int64_t K, int64_t RowBegin, int64_t RowEnd) = nullptr;
+
+  /// Rows [RowBegin, RowEnd) of the attention GEMV's weight gradient over
+  /// \p Cols columns: DTheta[R][C] += Grad[R] * AVec[C]. A row whose
+  /// gradient is zero adds nothing; with \p First every row is written
+  /// (0 + Grad[R] * AVec[C], zeros for a skipped row).
+  void (*AttnThetaGradRows)(const float *Grad, const float *AVec,
+                            float *DTheta, int64_t Ld, int64_t Cols,
+                            int64_t RowBegin, int64_t RowEnd,
+                            bool First) = nullptr;
+
+  /// Columns [C0, C1) of the attention vector's gradient over \p Rows rows
+  /// of Theta: DA[C] += Grad[R] * Theta[R][C] for R ascending, one chain per
+  /// column that starts at DA[C] (at 0 with \p First).
+  void (*AttnVecGradCols)(const float *Theta, int64_t Ld, int64_t Rows,
+                          const float *Grad, float *DA, int64_t C0,
+                          int64_t C1, bool First) = nullptr;
+
+  /// DIn[I] = (First ? 0 : DIn[I]) + Grad[I] * (Pre[I] > 0 ? 1 : Slope), the
+  /// edge leaky ReLU's gradient: a compare and select, a multiply, an add.
+  void (*LeakyReluBackwardRange)(float Slope, const float *Pre,
+                                 const float *Grad, float *DIn, int64_t N,
+                                 bool First) = nullptr;
 
   // Elementwise map family over flat ranges of \p N contiguous floats.
   void (*ScaleRange)(float Alpha, const float *X, float *Out,

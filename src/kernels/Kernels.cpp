@@ -87,6 +87,21 @@ const float *spmmValues(std::span<const float> Vals, int64_t Nnz,
   return Vals.empty() ? nullptr : Vals.data();
 }
 
+/// A sparse operand's edge values as the element-wise sparse kernels read
+/// them: one per nonzero, or none for an unweighted matrix, whose every
+/// value is 1.
+class EdgeValues {
+public:
+  EdgeValues(std::span<const float> Vals, int64_t Nnz, const char *Kernel)
+      : Vals(spmmValues(Vals, Nnz, Kernel)) {}
+  float operator[](int64_t K) const {
+    return Vals ? Vals[static_cast<size_t>(K)] : 1.0f;
+  }
+
+private:
+  const float *Vals;
+};
+
 } // namespace
 
 // granii-noalloc-begin: gemmInto is the densest inner loop in the library;
@@ -144,15 +159,11 @@ void kernels::gemvInto(const DenseMatrix &A, const std::vector<float> &X,
   GRANII_CHECK(static_cast<int64_t>(X.size()) == A.cols(),
                "gemv dimension mismatch");
   checkVecDst(Y, static_cast<size_t>(A.rows()), "gemv");
+  const SimdOps &Ops = simdOps();
   parallelFor(0, A.rows(), rowGrain(A.cols()),
               [&](int64_t RowBegin, int64_t RowEnd) {
-                for (int64_t I = RowBegin; I < RowEnd; ++I) {
-                  const float *Row = A.rowPtr(I);
-                  float Acc = 0.0f;
-                  for (int64_t J = 0; J < A.cols(); ++J)
-                    Acc += Row[J] * X[static_cast<size_t>(J)];
-                  Y[static_cast<size_t>(I)] = Acc;
-                }
+                Ops.GemvRowRange(A.data(), A.cols(), X.data(), Y.data(),
+                                 A.cols(), RowBegin, RowEnd);
               });
 }
 
@@ -312,10 +323,12 @@ void kernels::sddmmAddScalarsInto(const CsrMatrix &Mask,
 }
 
 void kernels::scaleSparseRowsInto(const CsrMatrix &A,
+                                  std::span<const float> Vals,
                                   const std::vector<float> &D,
                                   std::span<float> OutVals) {
   GRANII_CHECK(static_cast<int64_t>(D.size()) == A.rows(),
                "row scale length mismatch");
+  const EdgeValues In(Vals, A.nnz(), "scale_row");
   checkVecDst(OutVals, static_cast<size_t>(A.nnz()), "scale_row");
   const auto &Offsets = A.rowOffsets();
   parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
@@ -323,33 +336,37 @@ void kernels::scaleSparseRowsInto(const CsrMatrix &A,
       float Scale = D[static_cast<size_t>(R)];
       for (int64_t K = Offsets[static_cast<size_t>(R)];
            K < Offsets[static_cast<size_t>(R) + 1]; ++K)
-        OutVals[static_cast<size_t>(K)] = Scale * A.valueAt(K);
+        OutVals[static_cast<size_t>(K)] = Scale * In[K];
     }
   });
 }
 
 void kernels::scaleSparseColsInto(const CsrMatrix &A,
+                                  std::span<const float> Vals,
                                   const std::vector<float> &D,
                                   std::span<float> OutVals) {
   GRANII_CHECK(static_cast<int64_t>(D.size()) == A.cols(),
                "column scale length mismatch");
+  const EdgeValues In(Vals, A.nnz(), "scale_col");
   checkVecDst(OutVals, static_cast<size_t>(A.nnz()), "scale_col");
   const auto &Cols = A.colIndices();
   // Row structure is irrelevant here; partition the flat edge array.
   parallelFor(0, A.nnz(), DenseGrainOps, [&](int64_t Begin, int64_t End) {
     for (int64_t K = Begin; K < End; ++K)
       OutVals[static_cast<size_t>(K)] =
-          A.valueAt(K) * D[static_cast<size_t>(Cols[static_cast<size_t>(K)])];
+          In[K] * D[static_cast<size_t>(Cols[static_cast<size_t>(K)])];
   });
 }
 
 void kernels::scaleSparseBothInto(const CsrMatrix &A,
+                                  std::span<const float> Vals,
                                   const std::vector<float> &L,
                                   const std::vector<float> &R,
                                   std::span<float> OutVals) {
   GRANII_CHECK(static_cast<int64_t>(L.size()) == A.rows() &&
                    static_cast<int64_t>(R.size()) == A.cols(),
                "diagonal scale length mismatch");
+  const EdgeValues In(Vals, A.nnz(), "scale_both");
   checkVecDst(OutVals, static_cast<size_t>(A.nnz()), "scale_both");
   const auto &Offsets = A.rowOffsets();
   const auto &Cols = A.colIndices();
@@ -359,7 +376,7 @@ void kernels::scaleSparseBothInto(const CsrMatrix &A,
       for (int64_t K = Offsets[static_cast<size_t>(Row)];
            K < Offsets[static_cast<size_t>(Row) + 1]; ++K)
         OutVals[static_cast<size_t>(K)] =
-            Left * A.valueAt(K) *
+            Left * In[K] *
             R[static_cast<size_t>(Cols[static_cast<size_t>(K)])];
     }
   });
@@ -414,6 +431,9 @@ namespace {
 /// Floats per block of a first accumulation: the block is zeroed and then
 /// accumulated into while it sits in L1, so the zeros never reach memory.
 constexpr int64_t FirstWriteBlock = 1024;
+
+/// Minimum multiply-adds per chunk of the parallel attention-gradient loops.
+constexpr int64_t AttnGradGrainOps = int64_t{1} << 14;
 
 /// Acc[0, N) = what Ops.AxpyRange leaves in zeros: the arithmetic of an
 /// accumulation into a zero-filled destination, without a separate fill.
@@ -519,14 +539,50 @@ void kernels::leakyReluEdgesBackwardInto(std::span<const float> Pre,
   }
   checkVecDst(Grad, Pre.size(), "edge_leaky_relu_backward");
   checkVecDst(DIn, Pre.size(), "edge_leaky_relu_backward");
+  const SimdOps &Ops = simdOps();
   parallelFor(0, static_cast<int64_t>(Pre.size()), DenseGrainOps,
               [&](int64_t Begin, int64_t End) {
-                for (auto I = static_cast<size_t>(Begin);
-                     I < static_cast<size_t>(End); ++I) {
-                  const float Sel = Pre[I] > 0.0f ? 1.0f : NegativeSlope;
-                  DIn[I] = (First ? 0.0f : DIn[I]) + Grad[I] * Sel;
-                }
+                Ops.LeakyReluBackwardRange(NegativeSlope, Pre.data() + Begin,
+                                           Grad.data() + Begin,
+                                           DIn.data() + Begin, End - Begin,
+                                           First);
               });
+}
+
+void kernels::attnThetaGradInto(std::span<const float> Grad,
+                                std::span<const float> AVec,
+                                DenseMatrix &DTheta, bool First) {
+  checkVecDst(Grad, static_cast<size_t>(DTheta.rows()), "attn_theta_grad");
+  checkVecDst(AVec, static_cast<size_t>(DTheta.cols()), "attn_theta_grad");
+  const int64_t Cols = DTheta.cols();
+  const SimdOps &Ops = simdOps();
+  parallelFor(0, DTheta.rows(), AttnGradGrainOps / std::max<int64_t>(Cols, 1),
+              [&](int64_t RowBegin, int64_t RowEnd) {
+                Ops.AttnThetaGradRows(Grad.data(), AVec.data(), DTheta.data(),
+                                      Cols, Cols, RowBegin, RowEnd, First);
+              });
+}
+
+void kernels::attnVecGradInto(const DenseMatrix &Theta,
+                              std::span<const float> Grad,
+                              std::span<float> DA, bool First) {
+  checkVecDst(Grad, static_cast<size_t>(Theta.rows()), "attn_vec_grad");
+  checkVecDst(DA, static_cast<size_t>(Theta.cols()), "attn_vec_grad");
+  const int64_t Rows = Theta.rows(), Cols = Theta.cols();
+  // The threads split dA in whole cache lines, one chunk of them per
+  // thread: each row pass then reads a thread's adjacent lines of the row
+  // together, and no two threads write one line.
+  const int64_t Blocks = (Cols + AttnGradColBlock - 1) / AttnGradColBlock;
+  const int64_t BlockOps = std::max<int64_t>(Rows, 1) * AttnGradColBlock;
+  const int64_t Grain =
+      std::max(AttnGradGrainOps / BlockOps,
+               Blocks / std::max(ThreadPool::get().numThreads(), 1));
+  const SimdOps &Ops = simdOps();
+  parallelFor(0, Blocks, Grain, [&](int64_t BlockBegin, int64_t BlockEnd) {
+    Ops.AttnVecGradCols(Theta.data(), Cols, Rows, Grad.data(), DA.data(),
+                        BlockBegin * AttnGradColBlock,
+                        std::min(BlockEnd * AttnGradColBlock, Cols), First);
+  });
 }
 
 void kernels::edgeSoftmaxBackwardInto(const CsrMatrix &A,

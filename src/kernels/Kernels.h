@@ -127,19 +127,23 @@ void sddmmAddScalarsInto(const CsrMatrix &Mask,
                          std::span<float> Out);
 
 /// Sparse diagonal scalings (special SDDMMs over diagonal operands). They
-/// compute only the scaled value array — the sparsity pattern is
-/// unchanged, so arena-backed callers keep one pattern and rewrite values
-/// in place; \p OutVals must have A.nnz() entries and may not alias
-/// A.values().
+/// compute only the scaled value array over A's pattern: \p Vals holds the
+/// operand's values a_ij in CSR edge order (empty = unweighted, every a_ij
+/// 1), and \p OutVals, which must have A.nnz() entries and may not alias
+/// \p Vals, receives the result's, so callers keep one pattern and rewrite
+/// values in place.
 /// OutVals = the values v_ij = D[i] * a_ij.
-void scaleSparseRowsInto(const CsrMatrix &A, const std::vector<float> &D,
+void scaleSparseRowsInto(const CsrMatrix &A, std::span<const float> Vals,
+                         const std::vector<float> &D,
                          std::span<float> OutVals);
 /// OutVals = the values v_ij = a_ij * D[j].
-void scaleSparseColsInto(const CsrMatrix &A, const std::vector<float> &D,
+void scaleSparseColsInto(const CsrMatrix &A, std::span<const float> Vals,
+                         const std::vector<float> &D,
                          std::span<float> OutVals);
 /// OutVals = the values v_ij = L[i] * a_ij * R[j] (the fused ternary
 /// normalization SDDMM of GCN's precompute composition, Eq. (3)).
-void scaleSparseBothInto(const CsrMatrix &A, const std::vector<float> &L,
+void scaleSparseBothInto(const CsrMatrix &A, std::span<const float> Vals,
+                         const std::vector<float> &L,
                          const std::vector<float> &R,
                          std::span<float> OutVals);
 
@@ -199,6 +203,20 @@ void leakyReluEdgesBackwardInto(std::span<const float> Pre,
                                 std::span<const float> Grad,
                                 float NegativeSlope, std::span<float> DIn,
                                 bool First);
+
+/// DTheta += Grad * AVec^T, the attention GEMV's weight gradient: row r
+/// adds Grad[r] * AVec, a row whose gradient is zero adds nothing (is
+/// zero-filled when \p First), and each element rounds its product before
+/// the add. Grad has DTheta.rows() entries, AVec DTheta.cols().
+void attnThetaGradInto(std::span<const float> Grad,
+                       std::span<const float> AVec, DenseMatrix &DTheta,
+                       bool First);
+
+/// DA += Theta^T * Grad, the attention vector's gradient: element c adds
+/// Grad[r] * Theta[r][c] over Theta's rows in ascending order, each product
+/// rounded before its add.
+void attnVecGradInto(const DenseMatrix &Theta, std::span<const float> Grad,
+                     std::span<float> DA, bool First);
 
 /// DIn += Alpha * (Grad - <Alpha, Grad>_row) per edge, the row softmax's
 /// gradient given its output values \p Alpha (A.nnz() entries, A's rows).

@@ -21,8 +21,6 @@ namespace {
 struct Avx2Traits {
   using Vec = __m256;
   static constexpr int64_t Width = 8;
-  /// Dot-product group size of the sddmm reduction.
-  static constexpr int64_t DotGroup = 8;
 
   static Vec load(const float *P) { return _mm256_loadu_ps(P); }
   static void store(float *P, Vec V) { _mm256_storeu_ps(P, V); }
@@ -42,7 +40,7 @@ struct Avx2Traits {
   }
 
   /// Lane-pair reduction tree: (0+4, 1+5, 2+6, 3+7) -> pairs -> scalar.
-  /// Fixed order, so every dot group folds identically wherever it runs.
+  /// Fixed order, so every reduction folds identically wherever it runs.
   static float hsum(Vec V) {
     __m128 Lo = _mm256_castps256_ps128(V);
     __m128 Hi = _mm256_extractf128_ps(V, 1);
@@ -50,10 +48,6 @@ struct Avx2Traits {
     Sum = _mm_add_ps(Sum, _mm_movehl_ps(Sum, Sum));
     Sum = _mm_add_ss(Sum, _mm_shuffle_ps(Sum, Sum, 0x55));
     return _mm_cvtss_f32(Sum);
-  }
-
-  static float dotGroup(const float *X, const float *Y) {
-    return hsum(mul(load(X), load(Y)));
   }
 };
 

@@ -6,8 +6,8 @@
 // null. Dispatch.cpp selects this level only when CPUID reports all four
 // feature flags, so Skylake-X-era and newer server parts qualify.
 //
-// The sddmm dot product uses 256-bit groups (DotGroup = 8), like the AVX2
-// table.
+// The sddmm dot product, the GEMV and the eight-edge group sums use the
+// shared 256-bit bodies of SimdKernelsImpl.h, like the AVX2 table.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +32,6 @@ namespace {
 struct Avx512Traits {
   using Vec = __m512;
   static constexpr int64_t Width = 16;
-  static constexpr int64_t DotGroup = 8;
 
   static Vec load(const float *P) { return _mm512_loadu_ps(P); }
   static void store(float *P, Vec V) { _mm512_storeu_ps(P, V); }
@@ -54,17 +53,6 @@ struct Avx512Traits {
   }
 
   static float hsum(Vec V) { return _mm512_reduce_add_ps(V); }
-
-  /// 256-bit dot group with the same reduction tree as the AVX2 table.
-  static float dotGroup(const float *X, const float *Y) {
-    __m256 Prod = _mm256_mul_ps(_mm256_loadu_ps(X), _mm256_loadu_ps(Y));
-    __m128 Lo = _mm256_castps256_ps128(Prod);
-    __m128 Hi = _mm256_extractf128_ps(Prod, 1);
-    __m128 Sum = _mm_add_ps(Lo, Hi);
-    Sum = _mm_add_ps(Sum, _mm_movehl_ps(Sum, Sum));
-    Sum = _mm_add_ss(Sum, _mm_shuffle_ps(Sum, Sum, 0x55));
-    return _mm_cvtss_f32(Sum);
-  }
 };
 
 } // namespace

@@ -1,10 +1,11 @@
 //===- KernelsScalar.cpp - Portable scalar kernel table -------------------===//
 //
 // The portable fallback level of the runtime ISA dispatch. These routines
-// are the original scalar inner loops of Kernels.cpp, kept verbatim (zero
-// skips, accumulation order, mul-then-add arithmetic — no FMA contraction)
-// so GRANII_ISA=scalar reproduces the pre-SIMD library bitwise on every
-// platform and gives the sanitizer jobs a portable leg to pin.
+// are the original scalar inner loops of Kernels.cpp and of the executor's
+// attention gradients, kept verbatim (zero skips, accumulation order,
+// mul-then-add arithmetic — no FMA contraction) so GRANII_ISA=scalar
+// reproduces the pre-SIMD library bitwise on every platform and gives the
+// sanitizer jobs a portable leg to pin.
 //
 //===----------------------------------------------------------------------===//
 
@@ -126,6 +127,72 @@ void sddmmDotRowRange(const int64_t *Offsets, const int32_t *Cols,
   }
 }
 
+void gemvRowRange(const float *A, int64_t Lda, const float *X, float *Y,
+                  int64_t K, int64_t RowBegin, int64_t RowEnd) {
+  for (int64_t I = RowBegin; I < RowEnd; ++I) {
+    const float *Row = A + I * Lda;
+    float Acc = 0.0f;
+    for (int64_t J = 0; J < K; ++J)
+      Acc += Row[J] * X[J];
+    Y[I] = Acc;
+  }
+}
+
+void attnThetaGradRows(const float *Grad, const float *AVec, float *DTheta,
+                       int64_t Ld, int64_t Cols, int64_t RowBegin,
+                       int64_t RowEnd, bool First) {
+  for (int64_t R = RowBegin; R < RowEnd; ++R) {
+    float G = Grad[R];
+    float *Row = DTheta + R * Ld;
+    if (G == 0.0f) {
+      if (First)
+        std::fill_n(Row, Cols, 0.0f);
+      continue;
+    }
+    for (int64_t C = 0; C < Cols; ++C)
+      Row[C] = (First ? 0.0f : Row[C]) + G * AVec[C];
+  }
+}
+
+/// Columns one pass over the rows accumulates.
+constexpr int64_t AttnGradMaxPassCols = 128;
+
+/// The partial sums live in a local array, so threads owning neighbouring
+/// column ranges never share a written cache line, and one pass over the
+/// rows serves up to AttnGradMaxPassCols columns, reading adjacent lines of
+/// each row together.
+void attnVecGradCols(const float *Theta, int64_t Ld, int64_t Rows,
+                     const float *Grad, float *DA, int64_t C0, int64_t C1,
+                     bool First) {
+  for (; C0 < C1; C0 += AttnGradMaxPassCols) {
+    const int64_t Width = std::min(AttnGradMaxPassCols, C1 - C0);
+    float Acc[AttnGradMaxPassCols];
+    if (First)
+      std::fill_n(Acc, Width, 0.0f);
+    else
+      std::copy_n(DA + C0, Width, Acc);
+    const float *Base = Theta + C0;
+    for (int64_t R = 0; R < Rows; ++R) {
+      if (R + AttnGradPrefetchRows < Rows)
+        for (int64_t C = 0; C < Width; C += AttnGradColBlock)
+          __builtin_prefetch(Base + (R + AttnGradPrefetchRows) * Ld + C);
+      float G = Grad[R];
+      const float *Row = Base + R * Ld;
+      for (int64_t C = 0; C < Width; ++C)
+        Acc[C] += G * Row[C];
+    }
+    std::copy_n(Acc, Width, DA + C0);
+  }
+}
+
+void leakyReluBackwardRange(float Slope, const float *Pre, const float *Grad,
+                            float *DIn, int64_t N, bool First) {
+  for (int64_t I = 0; I < N; ++I) {
+    const float Sel = Pre[I] > 0.0f ? 1.0f : Slope;
+    DIn[I] = (First ? 0.0f : DIn[I]) + Grad[I] * Sel;
+  }
+}
+
 void scaleRange(float Alpha, const float *X, float *Out, int64_t N) {
   for (int64_t I = 0; I < N; ++I)
     Out[I] = Alpha * X[I];
@@ -173,6 +240,10 @@ SimdOps makeScalarOps() {
   Ops.GemmTRhsRowRange = &gemmTRhsRowRange;
   Ops.SpmmRowRange = &spmmRowRange;
   Ops.SddmmDotRowRange = &sddmmDotRowRange;
+  Ops.GemvRowRange = &gemvRowRange;
+  Ops.AttnThetaGradRows = &attnThetaGradRows;
+  Ops.AttnVecGradCols = &attnVecGradCols;
+  Ops.LeakyReluBackwardRange = &leakyReluBackwardRange;
   Ops.ScaleRange = &scaleRange;
   Ops.MulRange = &mulRange;
   Ops.AddRange = &addRange;

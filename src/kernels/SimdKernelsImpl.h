@@ -15,9 +15,10 @@
 /// use std::fma, which (compiled under the same -mfma flags) rounds exactly
 /// like a vector FMA lane. Row/element partitions therefore cannot change
 /// any result bit, preserving the 1-vs-N-thread contract. The sddmm dot
-/// product folds features into its scalar accumulator in groups of
-/// Traits::DotGroup, always from feature 0, so every edge's reduction is
-/// the same chain wherever it runs.
+/// product folds features into its scalar accumulator in 256-bit groups,
+/// always from feature 0, so every edge's reduction is the same chain
+/// wherever it runs. The GEMV, attention-gradient and leaky-ReLU-gradient
+/// routines round each product before adding it, as the scalar loops do.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +31,8 @@
 #include <cmath>
 #include <type_traits>
 #include <utility>
+
+#include <immintrin.h>
 
 namespace granii {
 namespace kernels {
@@ -392,12 +395,91 @@ void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
 //===----------------------------------------------------------------------===//
 // SDDMM (per-edge dot products)
 //===----------------------------------------------------------------------===//
+//
+// Both SIMD levels reduce an edge's dot product in 256-bit groups of
+// SddmmGroup features: the rounded products of a group are summed by the
+// AVX2 horizontal-sum tree (lanes i + (i + 4), then 0 + 2 and 1 + 3, then
+// 0 + 1), and the group's sum is added to the edge's scalar accumulator,
+// groups in order from feature 0; the last Width % SddmmGroup features
+// follow one by one through std::fma. Every path below runs exactly this
+// chain for each edge, so no edge's bits depend on its neighbours in the
+// row or on the row partition.
+//
+// The 256-bit helpers here and in the GEMV below take the traits as a
+// template parameter they do not use: each ISA unit needs its own copy. A
+// plain inline function would be one symbol for both units, and the linker
+// would keep whichever copy came first, AVX-512 encodings included.
 
-/// Edges of one CSR row scored side by side. Each edge's dot product is a
-/// scalar chain fed by one horizontal sum per feature group, so a lone edge
-/// runs at the latency of that chain; SddmmEdges edges in flight overlap
-/// their chains and their row gathers. Every edge still folds its groups
-/// from feature 0 and then its tail one by one, the sequence of a lone edge.
+/// Features per dot group.
+constexpr int64_t SddmmGroup = 8;
+
+/// One edge's sum over the group at \p U and \p V.
+template <class T> float sddmmGroupSum(const float *U, const float *V) {
+  const __m256 Prod = _mm256_mul_ps(_mm256_loadu_ps(U), _mm256_loadu_ps(V));
+  __m128 Sum = _mm_add_ps(_mm256_castps256_ps128(Prod),
+                          _mm256_extractf128_ps(Prod, 1));
+  Sum = _mm_add_ps(Sum, _mm_movehl_ps(Sum, Sum));
+  Sum = _mm_add_ss(Sum, _mm_shuffle_ps(Sum, Sum, 0x55));
+  return _mm_cvtss_f32(Sum);
+}
+
+/// [a's 128-bit halves summed | b's]: the tree's first step for two edges,
+/// low half first.
+template <class T> __m256 sddmmHalfSums(__m256 A, __m256 B) {
+  return _mm256_add_ps(_mm256_permute2f128_ps(A, B, 0x20),
+                       _mm256_permute2f128_ps(A, B, 0x31));
+}
+
+/// The tree's second step (lanes 0 + 2 and 1 + 3 of each edge's four), for
+/// the edges of two sddmmHalfSums results: within each 128-bit half, the
+/// first result's edge, then the second's.
+template <class T> __m256 sddmmPairSums(__m256 A, __m256 B) {
+  return _mm256_add_ps(_mm256_shuffle_ps(A, B, _MM_SHUFFLE(1, 0, 1, 0)),
+                       _mm256_shuffle_ps(A, B, _MM_SHUFFLE(3, 2, 3, 2)));
+}
+
+/// The tree's last step (lanes 0 + 1 of each edge's two) for the edges of
+/// two sddmmPairSums results.
+template <class T> __m256 sddmmLaneSums(__m256 A, __m256 B) {
+  return _mm256_add_ps(_mm256_shuffle_ps(A, B, _MM_SHUFFLE(2, 0, 2, 0)),
+                       _mm256_shuffle_ps(A, B, _MM_SHUFFLE(3, 1, 3, 1)));
+}
+
+/// Edges [K0, K0 + 8) of the row whose U row is \p URow, E = 0..7: eight
+/// chains in the lanes of one accumulator, edge E in lane E, then the tail
+/// of each edge. Each group's sums come from the tree of sddmmGroupSum run
+/// across the eight product vectors, each lane adding the same two partial
+/// sums as the single-edge tree: permute2f128 pairs edges E and E + 4,
+/// shuffle_ps edges E and E + 1 within each 128-bit half, and a last
+/// shuffle_ps pair leaves the edges in order. Every subscript is a
+/// compile-time constant, so the products and partial sums stay in
+/// registers (arrays indexed in a loop stayed on the stack under GCC -O2).
+template <class T, int... E>
+void sddmmEdges8(const int32_t *Cols, const float *URow, const float *V,
+                 int64_t Ldv, float *Out, int64_t Width, int64_t K0,
+                 std::integer_sequence<int, E...>) {
+  static_assert(sizeof...(E) == 8, "eight edges per run");
+  const float *VRow[8] = {V + static_cast<int64_t>(Cols[K0 + E]) * Ldv...};
+  __m256 Acc = _mm256_setzero_ps();
+  int64_t J = 0;
+  for (; J + SddmmGroup <= Width; J += SddmmGroup) {
+    const __m256 UV = _mm256_loadu_ps(URow + J);
+    const __m256 P[8] = {_mm256_mul_ps(UV, _mm256_loadu_ps(VRow[E] + J))...};
+    const __m256 Sums = sddmmLaneSums<T>(
+        sddmmPairSums<T>(sddmmHalfSums<T>(P[0], P[4]),
+                         sddmmHalfSums<T>(P[1], P[5])),
+        sddmmPairSums<T>(sddmmHalfSums<T>(P[2], P[6]),
+                         sddmmHalfSums<T>(P[3], P[7])));
+    Acc = _mm256_add_ps(Acc, Sums);
+  }
+  _mm256_storeu_ps(Out + K0, Acc);
+  for (; J < Width; ++J)
+    (..., (Out[K0 + E] = std::fma(URow[J], VRow[E][J], Out[K0 + E])));
+}
+
+/// Edges of one row scored side by side in the short paths: a lone edge
+/// runs at the latency of its scalar chain, SddmmEdges of them overlap
+/// their chains and their row gathers.
 constexpr int SddmmEdges = 4;
 
 /// Edges [K0, K0 + sizeof...(E)) of the row whose U row is \p URow.
@@ -405,21 +487,18 @@ template <class T, int... E>
 void sddmmEdges(const int32_t *Cols, const float *URow, const float *V,
                 int64_t Ldv, float *Out, int64_t Width, int64_t K0,
                 std::integer_sequence<int, E...>) {
-  constexpr int64_t G = T::DotGroup;
   constexpr int NE = sizeof...(E);
   const float *VRow[NE] = {V + static_cast<int64_t>(Cols[K0 + E]) * Ldv...};
   float Acc[NE] = {(static_cast<void>(E), 0.0f)...};
-  // Features fold into each scalar accumulator in groups of G, then the
-  // tail one by one through std::fma, so unoptimized builds, which do not
-  // contract a multiply-add, round like optimized ones.
   int64_t J = 0;
-  for (; J + G <= Width; J += G)
-    (..., (Acc[E] += T::dotGroup(URow + J, VRow[E] + J)));
+  for (; J + SddmmGroup <= Width; J += SddmmGroup)
+    (..., (Acc[E] += sddmmGroupSum<T>(URow + J, VRow[E] + J)));
   for (; J < Width; ++J)
     (..., (Acc[E] = std::fma(URow[J], VRow[E][J], Acc[E])));
   (..., (Out[K0 + E] = Acc[E]));
 }
 
+/// Each row's edges go eight at a time, then four, then one by one.
 template <class T>
 void sddmmDotRowRange(const int64_t *Offsets, const int32_t *Cols,
                       const float *U, int64_t Ldu, const float *V,
@@ -427,12 +506,198 @@ void sddmmDotRowRange(const int64_t *Offsets, const int32_t *Cols,
                       int64_t RowBegin, int64_t RowEnd) {
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     const float *URow = U + R * Ldu;
+    const int64_t End = Offsets[R + 1];
     int64_t K = Offsets[R];
-    for (; K + SddmmEdges <= Offsets[R + 1]; K += SddmmEdges)
+    for (; K + 8 <= End; K += 8)
+      sddmmEdges8<T>(Cols, URow, V, Ldv, Out, Width, K, IndexPack<8>{});
+    if (K + SddmmEdges <= End) {
       sddmmEdges<T>(Cols, URow, V, Ldv, Out, Width, K,
                     IndexPack<SddmmEdges>{});
-    for (; K < Offsets[R + 1]; ++K)
+      K += SddmmEdges;
+    }
+    for (; K < End; ++K)
       sddmmEdges<T>(Cols, URow, V, Ldv, Out, Width, K, IndexPack<1>{});
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// GEMV, attention gradients, leaky ReLU gradient
+//===----------------------------------------------------------------------===//
+//
+// These reproduce the scalar table's loops bit for bit: each product is
+// rounded (T::mul) before it is added (T::add). The ISA units are compiled
+// with -ffp-contract=off, so the pair is never fused into an FMA, and the
+// scalar tails below round alike.
+
+/// Columns J..J+3 of rows R and R + 4, R = 0..3, each in a 128-bit half:
+/// [row R | row R + 4] in, column C's four rows of each half in Col[C] out.
+template <class T>
+void gemvTranspose4(__m256 R0, __m256 R1, __m256 R2, __m256 R3, __m256 &C0,
+                    __m256 &C1, __m256 &C2, __m256 &C3) {
+  const __m256 T0 = _mm256_unpacklo_ps(R0, R1);
+  const __m256 T1 = _mm256_unpackhi_ps(R0, R1);
+  const __m256 T2 = _mm256_unpacklo_ps(R2, R3);
+  const __m256 T3 = _mm256_unpackhi_ps(R2, R3);
+  C0 = _mm256_shuffle_ps(T0, T2, _MM_SHUFFLE(1, 0, 1, 0));
+  C1 = _mm256_shuffle_ps(T0, T2, _MM_SHUFFLE(3, 2, 3, 2));
+  C2 = _mm256_shuffle_ps(T1, T3, _MM_SHUFFLE(1, 0, 1, 0));
+  C3 = _mm256_shuffle_ps(T1, T3, _MM_SHUFFLE(3, 2, 3, 2));
+}
+
+/// Y[I0 .. I0 + 8): one row's chain per lane of a 256-bit accumulator.
+/// Each step loads an 8x8 tile of A as row halves paired across 128-bit
+/// lanes and transposes it in registers, so vector C holds column J + C of
+/// the eight rows, which then add their products in ascending J.
+template <class T>
+void gemvBlock8(const float *A, int64_t Lda, const float *X, float *Y,
+                int64_t K, int64_t I0) {
+  const float *R0 = A + I0 * Lda, *R1 = R0 + Lda, *R2 = R1 + Lda,
+              *R3 = R2 + Lda, *R4 = R3 + Lda, *R5 = R4 + Lda, *R6 = R5 + Lda,
+              *R7 = R6 + Lda;
+  // [row Lo, columns J..J+3 | row Hi, the same columns]
+  auto Halves = [](const float *Lo, const float *Hi, int64_t J) {
+    const __m256 L = _mm256_castps128_ps256(_mm_loadu_ps(Lo + J));
+    return _mm256_insertf128_ps(L, _mm_loadu_ps(Hi + J), 1);
+  };
+  __m256 Acc = _mm256_setzero_ps();
+  auto Add = [&](__m256 Col, int64_t J) {
+    Acc = _mm256_add_ps(Acc, _mm256_mul_ps(Col, _mm256_set1_ps(X[J])));
+  };
+  int64_t J = 0;
+  for (; J + 8 <= K; J += 8) {
+    __m256 C0, C1, C2, C3, C4, C5, C6, C7;
+    gemvTranspose4<T>(Halves(R0, R4, J), Halves(R1, R5, J),
+                      Halves(R2, R6, J), Halves(R3, R7, J), C0, C1, C2, C3);
+    gemvTranspose4<T>(Halves(R0, R4, J + 4), Halves(R1, R5, J + 4),
+                      Halves(R2, R6, J + 4), Halves(R3, R7, J + 4), C4, C5,
+                      C6, C7);
+    Add(C0, J);
+    Add(C1, J + 1);
+    Add(C2, J + 2);
+    Add(C3, J + 3);
+    Add(C4, J + 4);
+    Add(C5, J + 5);
+    Add(C6, J + 6);
+    Add(C7, J + 7);
+  }
+  _mm256_storeu_ps(Y + I0, Acc);
+  const float *Rows[8] = {R0, R1, R2, R3, R4, R5, R6, R7};
+  for (; J < K; ++J)
+    for (int R = 0; R < 8; ++R)
+      Y[I0 + R] = Y[I0 + R] + Rows[R][J] * X[J];
+}
+
+template <class T>
+void gemvRowRange(const float *A, int64_t Lda, const float *X, float *Y,
+                  int64_t K, int64_t RowBegin, int64_t RowEnd) {
+  int64_t I = RowBegin;
+  for (; I + 8 <= RowEnd; I += 8)
+    gemvBlock8<T>(A, Lda, X, Y, K, I);
+  for (; I < RowEnd; ++I) {
+    const float *Row = A + I * Lda;
+    float Acc = 0.0f;
+    for (int64_t J = 0; J < K; ++J)
+      Acc += Row[J] * X[J];
+    Y[I] = Acc;
+  }
+}
+
+template <class T>
+void attnThetaGradRows(const float *Grad, const float *AVec, float *DTheta,
+                       int64_t Ld, int64_t Cols, int64_t RowBegin,
+                       int64_t RowEnd, bool First) {
+  constexpr int64_t W = T::Width;
+  for (int64_t R = RowBegin; R < RowEnd; ++R) {
+    const float G = Grad[R];
+    float *Row = DTheta + R * Ld;
+    if (G == 0.0f) {
+      if (First)
+        std::fill_n(Row, Cols, 0.0f);
+      continue;
+    }
+    const typename T::Vec GV = T::set1(G);
+    int64_t C = 0;
+    for (; C + W <= Cols; C += W)
+      T::store(Row + C, T::add(First ? T::zero() : T::load(Row + C),
+                               T::mul(GV, T::load(AVec + C))));
+    for (; C < Cols; ++C)
+      Row[C] = (First ? 0.0f : Row[C]) + G * AVec[C];
+  }
+}
+
+/// Vector registers one pass of the attention vector gradient accumulates
+/// its columns in.
+constexpr int AttnGradPassVectors = 8;
+
+/// Columns [0, NV * W) at \p Base / \p DA, NV = sizeof...(V): one pass over
+/// every row, each column's chain in a vector lane held in registers.
+template <class T, int... V>
+void attnVecGradPass(const float *Base, int64_t Ld, int64_t Rows,
+                     const float *Grad, float *DA, bool First,
+                     std::integer_sequence<int, V...>) {
+  using Vec = typename T::Vec;
+  constexpr int64_t W = T::Width;
+  constexpr int64_t PassCols = sizeof...(V) * W;
+  Vec Acc[sizeof...(V)] = {(First ? T::zero() : T::load(DA + V * W))...};
+  for (int64_t R = 0; R < Rows; ++R) {
+    if (R + AttnGradPrefetchRows < Rows)
+      for (int64_t C = 0; C < PassCols; C += AttnGradColBlock)
+        __builtin_prefetch(Base + (R + AttnGradPrefetchRows) * Ld + C);
+    const Vec G = T::set1(Grad[R]);
+    const float *Row = Base + R * Ld;
+    (..., (Acc[V] = T::add(Acc[V], T::mul(G, T::load(Row + V * W)))));
+  }
+  (..., T::store(DA + V * W, Acc[V]));
+}
+
+template <class T>
+void attnVecGradCols(const float *Theta, int64_t Ld, int64_t Rows,
+                     const float *Grad, float *DA, int64_t C0, int64_t C1,
+                     bool First) {
+  constexpr int64_t W = T::Width;
+  int64_t C = C0;
+  auto Pass = [&](auto Pack) {
+    attnVecGradPass<T>(Theta + C, Ld, Rows, Grad, DA + C, First, Pack);
+  };
+  for (; C + AttnGradPassVectors * W <= C1; C += AttnGradPassVectors * W)
+    Pass(IndexPack<AttnGradPassVectors>{});
+  const int64_t Rest = (C1 - C) / W;
+  withIndexPack<AttnGradPassVectors - 1>(Rest, Pass);
+  C += Rest * W;
+  if (C == C1)
+    return;
+  // Fewer than W columns remain: the same chains, one pass in scalar.
+  const int64_t Width = C1 - C;
+  float Acc[W];
+  for (int64_t J = 0; J < Width; ++J)
+    Acc[J] = First ? 0.0f : DA[C + J];
+  for (int64_t R = 0; R < Rows; ++R) {
+    const float G = Grad[R];
+    const float *Row = Theta + R * Ld + C;
+    for (int64_t J = 0; J < Width; ++J)
+      Acc[J] += G * Row[J];
+  }
+  std::copy_n(Acc, Width, DA + C);
+}
+
+template <class T>
+void leakyReluBackwardRange(float Slope, const float *Pre, const float *Grad,
+                            float *DIn, int64_t N, bool First) {
+  using Vec = typename T::Vec;
+  constexpr int64_t W = T::Width;
+  const Vec One = T::set1(1.0f);
+  const Vec SlopeV = T::set1(Slope);
+  int64_t I = 0;
+  // T::selectPositive takes 1 where Pre > 0 (ordered: false for NaN) and
+  // the slope elsewhere, the scalar select below lane for lane.
+  for (; I + W <= N; I += W) {
+    const Vec Sel = T::selectPositive(T::load(Pre + I), One, SlopeV);
+    T::store(DIn + I, T::add(First ? T::zero() : T::load(DIn + I),
+                             T::mul(T::load(Grad + I), Sel)));
+  }
+  for (; I < N; ++I) {
+    const float Sel = Pre[I] > 0.0f ? 1.0f : Slope;
+    DIn[I] = (First ? 0.0f : DIn[I]) + Grad[I] * Sel;
   }
 }
 
@@ -537,6 +802,10 @@ template <class T> SimdOps makeSimdOps(IsaLevel Level, const char *Name) {
   Ops.GemmTRhsRowRange = &gemmTRhsRowRange<T>;
   Ops.SpmmRowRange = &spmmRowRange<T>;
   Ops.SddmmDotRowRange = &sddmmDotRowRange<T>;
+  Ops.GemvRowRange = &gemvRowRange<T>;
+  Ops.AttnThetaGradRows = &attnThetaGradRows<T>;
+  Ops.AttnVecGradCols = &attnVecGradCols<T>;
+  Ops.LeakyReluBackwardRange = &leakyReluBackwardRange<T>;
   Ops.ScaleRange = &scaleRange<T>;
   Ops.MulRange = &mulRange<T>;
   Ops.AddRange = &addRange<T>;

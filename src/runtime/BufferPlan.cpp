@@ -49,8 +49,8 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
       B.Floats = B.Rows;
       break;
     case PlanValueKind::Sparse:
-      // Only the per-edge value array is planned; the CSR pattern is a
-      // persistent workspace copy shared across runs.
+      // A value array over the bound adjacency's pattern, which every
+      // sparse value shares: nothing of the pattern is stored per value.
       B.Class = BufferClass::SparseVals;
       B.Rows = Binding.eval(Def.Shape.Rows);
       B.Cols = Binding.eval(Def.Shape.Cols);

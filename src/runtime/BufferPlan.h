@@ -40,7 +40,7 @@ enum class BufferClass {
   InputAlias, ///< bound caller tensor; the executor aliases, never stores
   DenseSlot,  ///< DenseMatrix payload in a dense arena slot
   VecSlot,    ///< length-N float vector in a vector arena slot
-  SparseVals  ///< per-edge value array of a produced sparse matrix
+  SparseVals  ///< per-edge value array over the bound adjacency's pattern
 };
 
 /// Lifetime and placement of one plan value.
@@ -60,8 +60,8 @@ struct ValueBuffer {
   int LastUse = -1;
   /// Pinned values get a dedicated slot and stay resident from DefStep to
   /// the end of the program: the output (read after the loop), setup-step
-  /// results (graph-only; conceptually hoisted), sparse values (their CSR
-  /// pattern persists in the workspace), and — in training mode — every
+  /// results (graph-only; conceptually hoisted), sparse values (each keeps
+  /// its own value array in the workspace), and — in training mode — every
   /// value, because the backward pass re-reads saved activations.
   bool Pinned = false;
   /// Index into slots() for DenseSlot/VecSlot values; -1 otherwise.

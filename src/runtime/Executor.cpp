@@ -4,7 +4,6 @@
 
 #include "kernels/Kernels.h"
 #include "support/Error.h"
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
@@ -113,9 +112,13 @@ bool PlanWorkspace::configure(const CompositionPlan &PlanIn,
     else
       VecSlots[S].reserve(Cap);
   }
-  // Sparse patterns are copied from their runtime sources on first use;
-  // value arrays can at least be reserved now.
+  // A sparse value is one value array over the bound adjacency's pattern.
   SparseValues.resize(PlanIn.Values.size());
+  for (size_t V = 0; V < PlanIn.Values.size(); ++V) {
+    const ValueBuffer &B = Buffers->values()[V];
+    if (B.Class == BufferClass::SparseVals && B.DefStep >= 0)
+      SparseValues[V].reserve(static_cast<size_t>(B.Floats));
+  }
   Scratch.resize(PlanIn.Values.size());
   Grads.resize(PlanIn.Values.size());
   GradPath = TrainingIn ? computeGradPath(PlanIn) : std::vector<bool>();
@@ -148,21 +151,17 @@ std::vector<float> &PlanWorkspace::vecFor(int Id, size_t Size) {
   return V;
 }
 
-CsrMatrix &PlanWorkspace::sparseFor(int Id, const CsrMatrix &PatternSource) {
+AlignedVector<float> &PlanWorkspace::edgeValuesFor(int Id, size_t Nnz) {
   assert(Buffers && "workspace not configured");
-  CsrMatrix &S = SparseValues[static_cast<size_t>(Id)];
-  size_t OffCap = S.rowOffsets().capacity();
-  size_t ColCap = S.colIndices().capacity();
-  size_t ValCap = S.values().capacity();
-  // The pattern is copy-assigned every run (cheap next to any kernel that
-  // walks it, and correct even if the caller rebinds a different graph of
-  // the same size); once capacities fit this allocates nothing.
-  S.assignPattern(PatternSource.rows(), PatternSource.cols(),
-                  PatternSource.rowOffsets(), PatternSource.colIndices());
-  if (S.rowOffsets().capacity() != OffCap ||
-      S.colIndices().capacity() != ColCap || S.values().capacity() != ValCap)
+  assert(Buffers->values()[static_cast<size_t>(Id)].Class ==
+             BufferClass::SparseVals &&
+         "value is not sparse");
+  AlignedVector<float> &V = SparseValues[static_cast<size_t>(Id)];
+  size_t Cap = V.capacity();
+  V.resize(Nnz);
+  if (V.capacity() != Cap)
     ++Allocations;
-  return S;
+  return V;
 }
 
 //===----------------------------------------------------------------------===//
@@ -186,69 +185,6 @@ namespace {
 
 using detail::RtGrad;
 using detail::RtValue;
-
-/// Minimum multiply-adds per chunk of the parallel attention-gradient loops;
-/// the dA columns the threads split in whole blocks (one cache line), and
-/// the most columns one pass over the rows accumulates.
-constexpr int64_t AttnGradGrainOps = int64_t{1} << 14;
-constexpr int64_t AttnGradColBlock = 16;
-constexpr int64_t AttnGradMaxPassCols = 8 * AttnGradColBlock;
-/// Rows ahead of the column pass whose lines are prefetched.
-constexpr int64_t AttnGradPrefetchRows = 16;
-
-/// Rows [RowBegin, RowEnd) of the attention GEMV's weight gradient:
-/// dTheta[R] += Grad[R] * a, skipping rows whose gradient is zero. A
-/// \p First contribution writes 0 + Grad[R] * a (zeros where skipped).
-void attnThetaGradRows(const std::vector<float> &Grad,
-                       const std::vector<float> &AVec, DenseMatrix &DTheta,
-                       int64_t RowBegin, int64_t RowEnd, bool First) {
-  const int64_t Cols = DTheta.cols();
-  for (int64_t R = RowBegin; R < RowEnd; ++R) {
-    float G = Grad[static_cast<size_t>(R)];
-    float *Row = DTheta.rowPtr(R);
-    if (G == 0.0f) {
-      if (First)
-        std::fill_n(Row, Cols, 0.0f);
-      continue;
-    }
-    for (int64_t C = 0; C < Cols; ++C)
-      Row[C] = (First ? 0.0f : Row[C]) + G * AVec[static_cast<size_t>(C)];
-  }
-}
-
-/// Columns [C0, C1) of the attention vector's gradient, dA += Theta^T *
-/// Grad, over every row in ascending order: each element's sum is the
-/// serial loop's chain. The partial sums live in a local copy, so threads
-/// owning neighbouring column ranges never share a written cache line, and
-/// one pass over the rows serves the whole range (up to
-/// AttnGradMaxPassCols columns), reading adjacent lines of each row
-/// together. A \p First contribution starts its sums at zero.
-void attnVecGradCols(const DenseMatrix &Theta, const std::vector<float> &Grad,
-                     std::span<float> DA, int64_t C0, int64_t C1,
-                     bool First) {
-  for (; C0 < C1; C0 += AttnGradMaxPassCols) {
-    const int64_t Width = std::min(AttnGradMaxPassCols, C1 - C0);
-    float Acc[AttnGradMaxPassCols];
-    if (First)
-      std::fill_n(Acc, Width, 0.0f);
-    else
-      std::copy_n(DA.begin() + C0, Width, Acc);
-    const float *Base = Theta.data() + C0;
-    const int64_t Ld = Theta.cols(), Rows = Theta.rows();
-    for (int64_t R = 0; R < Rows; ++R) {
-      // The pass strides across rows, which the hardware prefetchers do
-      // not follow; fetch the lines a few rows ahead.
-      if (R + AttnGradPrefetchRows < Rows)
-        for (int64_t C = 0; C < Width; C += AttnGradColBlock)
-          __builtin_prefetch(Base + (R + AttnGradPrefetchRows) * Ld + C);
-      float G = Grad[static_cast<size_t>(R)];
-      const float *Row = Base + R * Ld;
-      for (int64_t C = 0; C < Width; ++C)
-        Acc[C] += G * Row[C];
-    }
-    std::copy_n(Acc, Width, DA.begin() + C0);
-  }
-}
 
 /// Forward and backward interpreter behind every executor run. It executes
 /// against the workspace's arena slots, cached scratch and layout state, so
@@ -298,11 +234,15 @@ private:
     val(Id).Vec = &V;
     return V;
   }
-  CsrMatrix &dstSparse(int Id, const CsrMatrix &Pattern) {
-    CsrMatrix &S = Ws.sparseFor(Id, Pattern);
-    val(Id).Sparse = &S;
-    return S;
+  std::span<float> dstEdges(int Id) {
+    AlignedVector<float> &V =
+        Ws.edgeValuesFor(Id, static_cast<size_t>(adjacency().nnz()));
+    val(Id).Edges = V;
+    return V;
   }
+
+  /// The pattern of every sparse value: the bound adjacency's.
+  const CsrMatrix &adjacency() const { return *Inputs.Adjacency; }
 
   double charge(size_t StepIdx, FunctionRef<void()> Body) {
     return Exec.timeKernel(Ws.descs()[StepIdx], Stats, Body);
@@ -397,22 +337,12 @@ private:
                      : std::to_string(B.Rows) + "x" + std::to_string(B.Cols);
     }
     case PlanValueKind::Sparse:
-      return "nnz=" + std::to_string(V.sparse().nnz());
+      return "nnz=" + std::to_string(adjacency().nnz());
     case PlanValueKind::Diag:
     case PlanValueKind::NodeVec:
       return std::to_string(V.vec().size());
     }
     return "";
-  }
-
-  /// True when \p A has the bound adjacency's pattern, which the cached
-  /// backward CSC was built from. Size equality suffices: the only sparse
-  /// values a plan produces copy an operand's pattern (dstSparse), so by
-  /// induction they all carry the bound adjacency's.
-  bool boundPattern(const CsrMatrix &A) const {
-    const CsrMatrix &Adj = *Inputs.Adjacency;
-    return A.rows() == Adj.rows() && A.cols() == Adj.cols() &&
-           A.nnz() == Adj.nnz();
   }
 
   const Executor &Exec;
@@ -429,7 +359,7 @@ void PlanInterpreter::bindInput(size_t Id, const PlanValue &Def) {
   V.Kind = Def.Kind;
   switch (*Def.InputRole) {
   case LeafRole::Adjacency:
-    V.Sparse = Inputs.Adjacency;
+    V.Edges = Inputs.Adjacency->values();
     return;
   case LeafRole::Features:
     V.Dense = Inputs.Features;
@@ -465,7 +395,7 @@ double PlanInterpreter::runKernel(size_t StepIdx, int Target,
   double Seconds = 0.0;
   // granii-noalloc-begin: the step dispatch is the steady-state hot path;
   // destination buffers come pre-planned from the workspace (dstDense /
-  // dstSparse / dstVec), so nothing here may allocate.
+  // dstEdges / dstVec), so nothing here may allocate.
   switch (Step.Op) {
   case StepOp::Gemm:
     Seconds = charge(StepIdx, [&] {
@@ -476,38 +406,35 @@ double PlanInterpreter::runKernel(size_t StepIdx, int Target,
     break;
   case StepOp::SpmmWeighted:
     Seconds = charge(StepIdx, [&] {
-      const CsrMatrix &A = Op(0).sparse();
+      const CsrMatrix &A = adjacency();
       const DenseMatrix &B = Op(1).dense();
-      kernels::spmmInto(A, A.values(), B, dstDense(Target, A.rows(), B.cols()),
-                        &Epi);
+      kernels::spmmInto(A, Op(0).edges(), B,
+                        dstDense(Target, A.rows(), B.cols()), &Epi);
     });
     break;
   case StepOp::SpmmUnweighted:
     Seconds = charge(StepIdx, [&] {
-      const CsrMatrix &A = Op(0).sparse();
+      const CsrMatrix &A = adjacency();
       const DenseMatrix &B = Op(1).dense();
       kernels::spmmInto(A, {}, B, dstDense(Target, A.rows(), B.cols()), &Epi);
     });
     break;
   case StepOp::SddmmScaleRow:
     Seconds = charge(StepIdx, [&] {
-      const CsrMatrix &A = Op(1).sparse();
-      kernels::scaleSparseRowsInto(A, Op(0).vec(),
-                                   dstSparse(Step.Result, A).mutableValues());
+      kernels::scaleSparseRowsInto(adjacency(), Op(1).edges(), Op(0).vec(),
+                                   dstEdges(Step.Result));
     });
     break;
   case StepOp::SddmmScaleCol:
     Seconds = charge(StepIdx, [&] {
-      const CsrMatrix &A = Op(0).sparse();
-      kernels::scaleSparseColsInto(A, Op(1).vec(),
-                                   dstSparse(Step.Result, A).mutableValues());
+      kernels::scaleSparseColsInto(adjacency(), Op(0).edges(), Op(1).vec(),
+                                   dstEdges(Step.Result));
     });
     break;
   case StepOp::SddmmScaleBoth:
     Seconds = charge(StepIdx, [&] {
-      const CsrMatrix &A = Op(1).sparse();
-      kernels::scaleSparseBothInto(A, Op(0).vec(), Op(2).vec(),
-                                   dstSparse(Step.Result, A).mutableValues());
+      kernels::scaleSparseBothInto(adjacency(), Op(1).edges(), Op(0).vec(),
+                                   Op(2).vec(), dstEdges(Step.Result));
     });
     break;
   case StepOp::RowBcast:
@@ -555,14 +482,14 @@ double PlanInterpreter::runKernel(size_t StepIdx, int Target,
     break;
   case StepOp::DegreeOffsets:
     Seconds = charge(StepIdx, [&] {
-      const CsrMatrix &A = Op(0).sparse();
+      const CsrMatrix &A = adjacency();
       kernels::degreeFromOffsetsInto(
           A, dstVec(Step.Result, static_cast<size_t>(A.rows())));
     });
     break;
   case StepOp::DegreeBinning:
     Seconds = charge(StepIdx, [&] {
-      const CsrMatrix &A = Op(0).sparse();
+      const CsrMatrix &A = adjacency();
       kernels::degreeByBinningInto(
           A, dstVec(Step.Result, static_cast<size_t>(A.rows())));
     });
@@ -588,29 +515,24 @@ double PlanInterpreter::runKernel(size_t StepIdx, int Target,
     break;
   case StepOp::EdgeLogits:
     Seconds = charge(StepIdx, [&] {
-      const CsrMatrix &Mask = Op(0).sparse();
-      kernels::sddmmAddScalarsInto(
-          Mask, Op(1).vec(), Op(2).vec(),
-          dstSparse(Step.Result, Mask).mutableValues());
+      kernels::sddmmAddScalarsInto(adjacency(), Op(1).vec(), Op(2).vec(),
+                                   dstEdges(Step.Result));
     });
     break;
   case StepOp::EdgeLeakyRelu:
     Seconds = charge(StepIdx, [&] {
-      const CsrMatrix &In = Op(0).sparse();
-      CsrMatrix &O = dstSparse(Step.Result, In);
-      if (In.isWeighted())
-        kernels::leakyReluEdgesInto(In.values(),
-                                    static_cast<float>(Step.Param),
-                                    O.mutableValues());
+      std::span<const float> In = Op(0).edges();
+      if (!In.empty())
+        kernels::leakyReluEdgesInto(In, static_cast<float>(Step.Param),
+                                    dstEdges(Step.Result));
       else
-        O.clearValues(); // unweighted in, unweighted out (all-ones edges)
+        val(Step.Result).Edges = {}; // unweighted in, unweighted out
     });
     break;
   case StepOp::EdgeSoftmax:
     Seconds = charge(StepIdx, [&] {
-      const CsrMatrix &In = Op(0).sparse();
-      kernels::edgeSoftmaxInto(In, In.values(),
-                               dstSparse(Step.Result, In).mutableValues());
+      kernels::edgeSoftmaxInto(adjacency(), Op(0).edges(),
+                               dstEdges(Step.Result));
     });
     break;
   }
@@ -784,8 +706,7 @@ void PlanInterpreter::backward(ExecResult &Result) {
     RtGrad &G = Grads[static_cast<size_t>(Id)];
     First = !G.Present;
     if (First) {
-      const int64_t Nnz = Values[static_cast<size_t>(Id)].sparse().nnz();
-      Resize(G.Edge, static_cast<size_t>(Nnz), /*Owned=*/true);
+      Resize(G.Edge, static_cast<size_t>(adjacency().nnz()), /*Owned=*/true);
       G.Present = true;
     }
     return G.Edge;
@@ -857,10 +778,8 @@ void PlanInterpreter::backward(ExecResult &Result) {
     }
     case StepOp::SpmmWeighted:
     case StepOp::SpmmUnweighted: {
-      const CsrMatrix &S = OpVal(0).sparse();
+      const CsrMatrix &S = adjacency();
       const DenseMatrix &X = OpVal(1).dense();
-      GRANII_CHECK(boundPattern(S),
-                   "backward SpMM operand lacks the bound adjacency's pattern");
       if (NeedOp(1)) {
         // dX += S^T dY, walked through the layout's CSC view of the bound
         // adjacency instead of re-materializing a transposed CSR every
@@ -876,7 +795,7 @@ void PlanInterpreter::backward(ExecResult &Result) {
           DenseMatrix &DX = Partial(S.cols(), OutG.Dense.cols());
           std::span<const float> Vals;
           if (Step.Op == StepOp::SpmmWeighted)
-            Vals = S.values();
+            Vals = OpVal(0).edges();
           kernels::spmmCscTransposedInto(Csc, Vals, OutG.Dense, DX);
           AddDense(OpId(1), 1.0f, DX);
         });
@@ -973,11 +892,7 @@ void PlanInterpreter::backward(ExecResult &Result) {
         Charge(OpId(0), D, [&] {
           bool First;
           DenseMatrix &DTheta = DenseGrad(OpId(0), First);
-          parallelFor(0, Rows, AttnGradGrainOps / std::max<int64_t>(Cols, 1),
-                      [&](int64_t RowBegin, int64_t RowEnd) {
-                        attnThetaGradRows(OutG.Vec, AVec, DTheta, RowBegin,
-                                          RowEnd, First);
-                      });
+          kernels::attnThetaGradInto(OutG.Vec, AVec, DTheta, First);
         });
       }
       if (NeedOp(1)) {
@@ -985,28 +900,13 @@ void PlanInterpreter::backward(ExecResult &Result) {
         Charge(OpId(1), D, [&] {
           bool First;
           std::span<float> DA = VecGrad(OpId(1), First);
-          // One chunk of column blocks per thread: each row pass then reads
-          // a thread's adjacent lines of the row together.
-          const int64_t Blocks =
-              (Cols + AttnGradColBlock - 1) / AttnGradColBlock;
-          const int64_t BlockOps =
-              std::max<int64_t>(Rows, 1) * AttnGradColBlock;
-          const int64_t Grain = std::max(
-              AttnGradGrainOps / BlockOps,
-              Blocks / std::max(ThreadPool::get().numThreads(), 1));
-          parallelFor(0, Blocks, Grain,
-                      [&](int64_t BlockBegin, int64_t BlockEnd) {
-                        attnVecGradCols(
-                            Theta, OutG.Vec, DA, BlockBegin * AttnGradColBlock,
-                            std::min(BlockEnd * AttnGradColBlock, Cols),
-                            First);
-                      });
+          kernels::attnVecGradInto(Theta, OutG.Vec, DA, First);
         });
       }
       break;
     }
     case StepOp::EdgeLogits: {
-      const CsrMatrix &Mask = OpVal(0).sparse();
+      const CsrMatrix &Mask = adjacency();
       PrimitiveDesc D{PrimitiveKind::EdgeElementwise, Mask.rows(), 0, 0,
                       Mask.nnz()};
       if (NeedOp(1)) {
@@ -1019,9 +919,6 @@ void PlanInterpreter::backward(ExecResult &Result) {
       if (NeedOp(2)) {
         // Each destination's sum walks its column of the bound adjacency's
         // CSC, whose entries come in ascending edge order.
-        GRANII_CHECK(boundPattern(Mask),
-                     "backward edge-logits mask lacks the bound adjacency's "
-                     "pattern");
         const CscMatrix &Csc = boundCsc(Step, Result, Backward);
         Charge(OpId(2), D, [&] {
           bool First;
@@ -1033,13 +930,13 @@ void PlanInterpreter::backward(ExecResult &Result) {
     }
     case StepOp::EdgeLeakyRelu: {
       if (NeedOp(0)) {
-        const CsrMatrix &In = OpVal(0).sparse();
+        const CsrMatrix &In = adjacency();
         PrimitiveDesc D{PrimitiveKind::EdgeElementwise, In.rows(), 0, 0,
                         In.nnz()};
         Charge(OpId(0), D, [&] {
           bool First;
           std::span<float> DIn = EdgeGrad(OpId(0), First);
-          kernels::leakyReluEdgesBackwardInto(In.values(), OutG.Edge,
+          kernels::leakyReluEdgesBackwardInto(OpVal(0).edges(), OutG.Edge,
                                               static_cast<float>(Step.Param),
                                               DIn, First);
         });
@@ -1048,15 +945,14 @@ void PlanInterpreter::backward(ExecResult &Result) {
     }
     case StepOp::EdgeSoftmax: {
       if (NeedOp(0)) {
-        const CsrMatrix &Alpha = Values[static_cast<size_t>(Step.Result)]
-                                     .sparse();
-        PrimitiveDesc D{PrimitiveKind::EdgeSoftmax, Alpha.rows(), 0, 0,
-                        Alpha.nnz()};
+        const CsrMatrix &A = adjacency();
+        std::span<const float> Alpha =
+            Values[static_cast<size_t>(Step.Result)].edges();
+        PrimitiveDesc D{PrimitiveKind::EdgeSoftmax, A.rows(), 0, 0, A.nnz()};
         Charge(OpId(0), D, [&] {
           bool First;
           std::span<float> DIn = EdgeGrad(OpId(0), First);
-          kernels::edgeSoftmaxBackwardInto(Alpha, Alpha.values(), OutG.Edge,
-                                           DIn, First);
+          kernels::edgeSoftmaxBackwardInto(A, Alpha, OutG.Edge, DIn, First);
         });
       }
       break;

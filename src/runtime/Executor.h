@@ -36,6 +36,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,16 +68,21 @@ struct LayerInputs {
 namespace detail {
 
 /// Runtime binding of one plan value: an input alias, a workspace slot, or
-/// (for the plan output) the caller's result. The pointer matching Kind is
+/// (for the plan output) the caller's result. The member matching Kind is
 /// set; the interpreter writes through its workspace, never through these.
+/// A sparse value is its edge values alone: every sparse value of a plan
+/// has the bound adjacency's pattern (the adjacency is the one sparse
+/// input, and each sparse step keeps its operand's pattern).
 struct RtValue {
   PlanValueKind Kind = PlanValueKind::Dense;
   const DenseMatrix *Dense = nullptr;
-  const CsrMatrix *Sparse = nullptr;
+  /// One value per edge of the bound adjacency, in its CSR edge order;
+  /// empty for an unweighted value (every edge 1).
+  std::span<const float> Edges;
   const std::vector<float> *Vec = nullptr; ///< diagonal or node vector
 
   const DenseMatrix &dense() const { return *Dense; }
-  const CsrMatrix &sparse() const { return *Sparse; }
+  std::span<const float> edges() const { return Edges; }
   const std::vector<float> &vec() const { return *Vec; }
 };
 
@@ -105,7 +111,7 @@ struct LayoutState {
 
   /// CSC transpose of the adjacency that the backward pass walks instead of
   /// re-materializing S^T every step. Built by the first transposed SpMM of
-  /// a training run; every sparse value a plan produces carries the
+  /// a training run; every sparse value of a plan is a value array over the
   /// adjacency's pattern, so one build serves them all.
   std::optional<CscMatrix> Csc;
 };
@@ -219,9 +225,9 @@ public:
   /// @{
   DenseMatrix &denseFor(int Id, int64_t Rows, int64_t Cols);
   std::vector<float> &vecFor(int Id, size_t Size);
-  /// Persistent sparse value: adopts \p PatternSource's pattern (copied
-  /// into place, reusing capacity) and exposes a value array of nnz floats.
-  CsrMatrix &sparseFor(int Id, const CsrMatrix &PatternSource);
+  /// The value array of sparse value \p Id (BufferClass::SparseVals), one
+  /// float per edge of the bound adjacency, whose pattern it shares.
+  AlignedVector<float> &edgeValuesFor(int Id, size_t Nnz);
   /// The configured plan's primitive descriptors, parallel to its steps.
   const std::vector<PrimitiveDesc> &descs() const { return Descs; }
   /// One runtime binding per plan value, rebound by every forward pass.
@@ -252,7 +258,7 @@ private:
   std::optional<BufferPlan> Buffers;
   std::vector<DenseMatrix> DenseSlots;
   std::vector<std::vector<float>> VecSlots;
-  std::vector<CsrMatrix> SparseValues; ///< indexed by value id
+  std::vector<AlignedVector<float>> SparseValues; ///< indexed by value id
   std::vector<PrimitiveDesc> Descs;
   std::vector<detail::RtValue> Scratch;
   std::vector<detail::RtGrad> Grads; ///< indexed by value id

@@ -173,7 +173,7 @@ void ThreadPool::recordError() {
     JobError = std::current_exception();
 }
 
-void ThreadPool::runChunks(const std::function<void(int64_t)> *ChunkBody,
+void ThreadPool::runChunks(const FunctionRef<void(int64_t)> *ChunkBody,
                            int64_t NumChunks) {
   while (true) {
     int64_t Chunk = NextChunk.fetch_add(1, std::memory_order_relaxed);
@@ -211,7 +211,7 @@ void ThreadPool::workerLoop() {
     if (Stopping)
       return;
     SeenGeneration = JobGeneration;
-    const std::function<void(int64_t)> *Body = JobBody;
+    const FunctionRef<void(int64_t)> *Body = JobBody;
     int64_t NumChunks = JobNumChunks;
     ++ActiveParticipants;
     Lock.unlock();
@@ -222,8 +222,8 @@ void ThreadPool::workerLoop() {
   }
 }
 
-void ThreadPool::parallelForChunks(
-    int64_t NumChunks, const std::function<void(int64_t)> &ChunkBody) {
+void ThreadPool::parallelForChunks(int64_t NumChunks,
+                                   FunctionRef<void(int64_t)> ChunkBody) {
   if (NumChunks <= 0)
     return;
   if (InParallelRegion || NumChunks == 1) {
@@ -275,9 +275,8 @@ void ThreadPool::parallelForChunks(
     std::rethrow_exception(Error);
 }
 
-void ThreadPool::parallelFor(
-    int64_t Begin, int64_t End, int64_t GrainSize,
-    const std::function<void(int64_t, int64_t)> &Body) {
+void ThreadPool::parallelFor(int64_t Begin, int64_t End, int64_t GrainSize,
+                             FunctionRef<void(int64_t, int64_t)> Body) {
   int64_t Range = End - Begin;
   if (Range <= 0)
     return;
@@ -307,7 +306,7 @@ void ThreadPool::parallelFor(
 }
 
 void granii::parallelFor(int64_t Begin, int64_t End, int64_t GrainSize,
-                         const std::function<void(int64_t, int64_t)> &Body) {
+                         FunctionRef<void(int64_t, int64_t)> Body) {
   ThreadPool::get().parallelFor(Begin, End, GrainSize, Body);
 }
 
@@ -316,42 +315,47 @@ void granii::parallelFor(int64_t Begin, int64_t End, int64_t GrainSize,
 // into one chunk.
 static constexpr int64_t CsrRowConstCost = 4;
 
-std::vector<int64_t>
-granii::csrRowPartitionBounds(std::span<const int64_t> RowOffsets,
-                              int64_t NumChunks) {
+int64_t granii::csrRowPartitionBound(std::span<const int64_t> RowOffsets,
+                                     int64_t NumChunks, int64_t Chunk) {
   int64_t NumRows = static_cast<int64_t>(RowOffsets.size()) - 1;
   NumRows = std::max<int64_t>(NumRows, 0);
   NumChunks = std::max<int64_t>(std::min(NumChunks, NumRows), 1);
-  int64_t TotalCost =
-      (NumRows > 0 ? RowOffsets.back() : 0) + NumRows * CsrRowConstCost;
-
-  // Chunk boundaries at equal cumulative-cost targets: binary search for
-  // the first row whose prefix cost reaches each target. Hub-heavy rows
-  // therefore get chunks with few rows.
-  auto PrefixCost = [&](int64_t Row) {
-    return RowOffsets[static_cast<size_t>(Row)] + Row * CsrRowConstCost;
-  };
-  std::vector<int64_t> Bounds(static_cast<size_t>(NumChunks) + 1);
-  Bounds.front() = 0;
-  Bounds.back() = NumRows;
-  for (int64_t Chunk = 1; Chunk < NumChunks; ++Chunk) {
-    int64_t Target = TotalCost * Chunk / NumChunks;
-    int64_t Lo = Bounds[static_cast<size_t>(Chunk) - 1], Hi = NumRows;
-    while (Lo < Hi) {
-      int64_t Mid = Lo + (Hi - Lo) / 2;
-      if (PrefixCost(Mid) < Target)
-        Lo = Mid + 1;
-      else
-        Hi = Mid;
-    }
-    Bounds[static_cast<size_t>(Chunk)] = Lo;
+  if (Chunk <= 0)
+    return 0;
+  if (Chunk >= NumChunks)
+    return NumRows;
+  // Boundaries at equal cumulative-cost targets: binary search for the
+  // first row whose prefix cost reaches the target. Hub-heavy rows
+  // therefore get chunks with few rows. Prefix costs ascend, so each
+  // boundary is at or after the one before it.
+  const int64_t TotalCost = RowOffsets.back() + NumRows * CsrRowConstCost;
+  const int64_t Target = TotalCost * Chunk / NumChunks;
+  int64_t Lo = 0, Hi = NumRows;
+  while (Lo < Hi) {
+    int64_t Mid = Lo + (Hi - Lo) / 2;
+    if (RowOffsets[static_cast<size_t>(Mid)] + Mid * CsrRowConstCost < Target)
+      Lo = Mid + 1;
+    else
+      Hi = Mid;
   }
+  return Lo;
+}
+
+std::vector<int64_t>
+granii::csrRowPartitionBounds(std::span<const int64_t> RowOffsets,
+                              int64_t NumChunks) {
+  const int64_t NumRows =
+      std::max<int64_t>(static_cast<int64_t>(RowOffsets.size()) - 1, 0);
+  NumChunks = std::max<int64_t>(std::min(NumChunks, NumRows), 1);
+  std::vector<int64_t> Bounds(static_cast<size_t>(NumChunks) + 1);
+  for (int64_t Chunk = 0; Chunk <= NumChunks; ++Chunk)
+    Bounds[static_cast<size_t>(Chunk)] =
+        csrRowPartitionBound(RowOffsets, NumChunks, Chunk);
   return Bounds;
 }
 
-void granii::parallelForCsrRows(
-    std::span<const int64_t> RowOffsets,
-    const std::function<void(int64_t, int64_t)> &Body) {
+void granii::parallelForCsrRows(std::span<const int64_t> RowOffsets,
+                                FunctionRef<void(int64_t, int64_t)> Body) {
   int64_t NumRows = static_cast<int64_t>(RowOffsets.size()) - 1;
   if (NumRows <= 0)
     return;
@@ -371,10 +375,10 @@ void granii::parallelForCsrRows(
     return;
   }
 
-  std::vector<int64_t> Bounds = csrRowPartitionBounds(RowOffsets, NumChunks);
   Pool.parallelForChunks(NumChunks, [&](int64_t Chunk) {
-    int64_t RowBegin = Bounds[static_cast<size_t>(Chunk)];
-    int64_t RowEnd = Bounds[static_cast<size_t>(Chunk) + 1];
+    const int64_t RowBegin = csrRowPartitionBound(RowOffsets, NumChunks, Chunk);
+    const int64_t RowEnd =
+        csrRowPartitionBound(RowOffsets, NumChunks, Chunk + 1);
     if (RowBegin < RowEnd)
       Body(RowBegin, RowEnd);
   });

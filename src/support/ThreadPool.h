@@ -17,16 +17,21 @@
 /// bodies are captured and the first one is rethrown on the calling thread
 /// once the loop has drained.
 ///
+/// A loop allocates nothing: bodies are passed as non-owning FunctionRefs
+/// (support/FunctionRef.h), invoked only while the call is running, and the
+/// chunk boundaries are computed where they are used.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GRANII_SUPPORT_THREADPOOL_H
 #define GRANII_SUPPORT_THREADPOOL_H
 
+#include "support/FunctionRef.h"
 #include "support/ThreadSafety.h"
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <exception>
 #include <span>
 #include <string>
 #include <thread>
@@ -68,13 +73,13 @@ public:
   /// [Begin, End). \p GrainSize is the minimum indices per chunk; ranges
   /// at or below one grain (or nested calls) run inline on the caller.
   void parallelFor(int64_t Begin, int64_t End, int64_t GrainSize,
-                   const std::function<void(int64_t, int64_t)> &Body);
+                   FunctionRef<void(int64_t, int64_t)> Body);
 
   /// Lower-level form: runs \p ChunkBody exactly once for every chunk
-  /// index in [0, NumChunks). Used by partitioners that precompute their
-  /// own chunk boundaries (e.g. the nnz-balanced CSR row split).
+  /// index in [0, NumChunks). Used by partitioners that compute their own
+  /// chunk boundaries (e.g. the nnz-balanced CSR row split).
   void parallelForChunks(int64_t NumChunks,
-                         const std::function<void(int64_t)> &ChunkBody);
+                         FunctionRef<void(int64_t)> ChunkBody);
 
 private:
   ThreadPool() = default;
@@ -87,7 +92,7 @@ private:
   /// Claims and runs chunks until none remain. \p NumChunks is passed by
   /// value (snapshotted under JobMutex by the caller) so the hot claim loop
   /// never touches guarded members lock-free.
-  void runChunks(const std::function<void(int64_t)> *ChunkBody,
+  void runChunks(const FunctionRef<void(int64_t)> *ChunkBody,
                  int64_t NumChunks);
   void finishChunk(int64_t NumChunks);
   void recordError();
@@ -109,7 +114,7 @@ private:
   // chunks itself, so the job finishes even if workers start too late to
   // observe the generation bump (they simply find no chunks left).
   uint64_t JobGeneration GRANII_GUARDED_BY(JobMutex) = 0;
-  const std::function<void(int64_t)> *JobBody GRANII_GUARDED_BY(JobMutex) =
+  const FunctionRef<void(int64_t)> *JobBody GRANII_GUARDED_BY(JobMutex) =
       nullptr;
   int64_t JobNumChunks GRANII_GUARDED_BY(JobMutex) = 0;
   std::atomic<int64_t> NextChunk{0};
@@ -123,14 +128,21 @@ private:
 
 /// Convenience wrapper over ThreadPool::get().parallelFor().
 void parallelFor(int64_t Begin, int64_t End, int64_t GrainSize,
-                 const std::function<void(int64_t, int64_t)> &Body);
+                 FunctionRef<void(int64_t, int64_t)> Body);
 
-/// Computes the nnz-balanced chunk boundaries parallelForCsrRows assigns to
-/// workers: \p NumChunks + 1 non-decreasing row indices starting at 0 and
-/// ending at rows (= RowOffsets.size() - 1), splitting the rows at equal
-/// shares of cumulative nonzeros plus a constant per-row term. Exposed so
-/// the verifier can statically check that the partition covers each row
-/// exactly once (the kernels' race-freedom rests on that exclusivity).
+/// Boundary \p Chunk (in [0, NumChunks]) of the nnz-balanced partition
+/// parallelForCsrRows assigns to workers: the first row whose cumulative
+/// cost (nonzeros before it plus a constant per-row term) reaches Chunk /
+/// NumChunks of the total; 0 for chunk 0 and rows (= RowOffsets.size() - 1)
+/// for the last. \p NumChunks is first clamped to [1, rows]. Each boundary
+/// is computed on its own, so a loop needs no storage for them.
+int64_t csrRowPartitionBound(std::span<const int64_t> RowOffsets,
+                             int64_t NumChunks, int64_t Chunk);
+
+/// All NumChunks + 1 boundaries of csrRowPartitionBound, non-decreasing.
+/// Exposed so the verifier can statically check that the partition covers
+/// each row exactly once (the kernels' race-freedom rests on that
+/// exclusivity).
 std::vector<int64_t> csrRowPartitionBounds(std::span<const int64_t> RowOffsets,
                                            int64_t NumChunks);
 
@@ -141,7 +153,7 @@ std::vector<int64_t> csrRowPartitionBounds(std::span<const int64_t> RowOffsets,
 /// graphs do not leave one thread with all the hub rows. \p Body receives
 /// exclusive [RowBegin, RowEnd) ranges.
 void parallelForCsrRows(std::span<const int64_t> RowOffsets,
-                        const std::function<void(int64_t, int64_t)> &Body);
+                        FunctionRef<void(int64_t, int64_t)> Body);
 
 /// Upper bound accepted for a configured thread count. Deliberately far
 /// above the hardware concurrency — oversubscription is a supported (and

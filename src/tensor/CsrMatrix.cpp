@@ -127,23 +127,53 @@ CsrMatrix CsrMatrix::transposed() const {
                    std::move(OutVals));
 }
 
+/// Rows per chunk of the parallel structure check.
+static constexpr int64_t VerifyGrainRows = int64_t{1} << 12;
+
+const char *CsrMatrix::rowFault(int64_t R) const {
+  const int64_t Begin = RowOffsets[static_cast<size_t>(R)];
+  const int64_t End = RowOffsets[static_cast<size_t>(R) + 1];
+  if (Begin > End)
+    return "CSR offsets not monotone";
+  // Offsets beyond [0, nnz] belong to a matrix whose offsets fall somewhere
+  // (an earlier or later row reports it); read only stored entries.
+  const int64_t First = std::max<int64_t>(Begin, 0);
+  const int64_t Last = std::min(End, nnz());
+  for (int64_t K = First; K < Last; ++K) {
+    int32_t Col = ColIndices[static_cast<size_t>(K)];
+    if (Col < 0 || Col >= NumCols)
+      return "CSR column index out of range";
+    if (K > First && ColIndices[static_cast<size_t>(K - 1)] >= Col)
+      return "CSR columns not strictly increasing within a row";
+  }
+  return nullptr;
+}
+
 void CsrMatrix::verify() const {
   if (RowOffsets.size() != static_cast<size_t>(NumRows) + 1)
     GRANII_FATAL("CSR offsets size mismatch");
   if (RowOffsets.front() != 0 ||
       RowOffsets.back() != static_cast<int64_t>(ColIndices.size()))
     GRANII_FATAL("CSR offsets must start at 0 and end at nnz");
-  for (int64_t R = 0; R < NumRows; ++R) {
-    if (RowOffsets[R] > RowOffsets[R + 1])
-      GRANII_FATAL("CSR offsets not monotone");
-    for (int64_t K = RowOffsets[R]; K < RowOffsets[R + 1]; ++K) {
-      int32_t Col = ColIndices[static_cast<size_t>(K)];
-      if (Col < 0 || Col >= NumCols)
-        GRANII_FATAL("CSR column index out of range");
-      if (K > RowOffsets[R] && ColIndices[static_cast<size_t>(K - 1)] >= Col)
-        GRANII_FATAL("CSR columns not strictly increasing within a row");
+  // Rows are checked in parallel; the lowest faulty row is the one
+  // reported, as a serial scan in row order would. A chunk stops at its
+  // first fault, or once a lower row is known to be faulty.
+  std::atomic<int64_t> FirstFault{NumRows};
+  parallelFor(0, NumRows, VerifyGrainRows, [&](int64_t Begin, int64_t End) {
+    for (int64_t R = Begin;
+         R < End && R < FirstFault.load(std::memory_order_relaxed); ++R) {
+      if (!rowFault(R))
+        continue;
+      int64_t Seen = FirstFault.load(std::memory_order_relaxed);
+      while (R < Seen &&
+             !FirstFault.compare_exchange_weak(Seen, R,
+                                               std::memory_order_relaxed))
+        ;
+      return;
     }
-  }
+  });
+  if (const int64_t R = FirstFault.load(); R < NumRows)
+    GRANII_FATAL(rowFault(R));
   if (!Values.empty() && Values.size() != ColIndices.size())
     GRANII_FATAL("CSR value array size mismatch");
 }

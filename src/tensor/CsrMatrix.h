@@ -82,8 +82,7 @@ public:
   /// Rebuilds this matrix in place as a weighted matrix with the given
   /// pattern, reusing existing storage capacity (assignment into the
   /// pattern arrays and a resize of the value array allocate nothing once
-  /// capacity suffices — the workspace's persistent sparse intermediates
-  /// rely on this). Value contents are unspecified afterwards; callers
+  /// capacity suffices). Value contents are unspecified afterwards; callers
   /// overwrite them through mutableValues().
   void assignPattern(int64_t Rows, int64_t Columns,
                      std::span<const int64_t> Offsets,
@@ -102,10 +101,15 @@ public:
   CsrMatrix transposed() const;
 
   /// Checks structural invariants (offset monotonicity, column bounds,
-  /// sorted columns within each row). Aborts on violation.
+  /// sorted columns within each row) over the rows in parallel. Aborts on
+  /// violation with the message of the lowest faulty row's first failed
+  /// check, at every thread count.
   void verify() const;
 
 private:
+  /// The message of row \p R's first failed check, or null.
+  const char *rowFault(int64_t R) const;
+
   /// The next value of the process-wide version counter.
   static uint64_t freshVersion();
 

@@ -446,9 +446,9 @@ TEST(SparseScale, RowColBothAgreeWithDense) {
   DenseMatrix Ad = A.toDense();
 
   CsrMatrix Rows = A, Cols = A, Both = A;
-  kernels::scaleSparseRowsInto(A, L, Rows.mutableValues());
-  kernels::scaleSparseColsInto(A, R, Cols.mutableValues());
-  kernels::scaleSparseBothInto(A, L, R, Both.mutableValues());
+  kernels::scaleSparseRowsInto(A, A.values(), L, Rows.mutableValues());
+  kernels::scaleSparseColsInto(A, A.values(), R, Cols.mutableValues());
+  kernels::scaleSparseBothInto(A, A.values(), L, R, Both.mutableValues());
   EXPECT_TRUE(Rows.toDense().approxEquals(refGemm(DL, Ad), 1e-4f, 1e-4f));
   EXPECT_TRUE(Cols.toDense().approxEquals(refGemm(Ad, DR), 1e-4f, 1e-4f));
   EXPECT_TRUE(Both.toDense().approxEquals(refGemm(refGemm(DL, Ad), DR),
@@ -467,9 +467,9 @@ TEST(SparseScale, FusedEqualsTwoPass) {
   std::vector<float> Fused(Nnz), TwoPass(Nnz);
   CsrMatrix RowScaled = A;
   RowScaled.setValues(std::vector<float>(Nnz));
-  kernels::scaleSparseBothInto(A, L, R, Fused);
-  kernels::scaleSparseRowsInto(A, L, RowScaled.mutableValues());
-  kernels::scaleSparseColsInto(RowScaled, R, TwoPass);
+  kernels::scaleSparseBothInto(A, A.values(), L, R, Fused);
+  kernels::scaleSparseRowsInto(A, A.values(), L, RowScaled.mutableValues());
+  kernels::scaleSparseColsInto(RowScaled, RowScaled.values(), R, TwoPass);
   for (size_t K = 0; K < Nnz; ++K)
     EXPECT_NEAR(Fused[K], TwoPass[K], 1e-5f);
 }
@@ -566,7 +566,8 @@ TEST(Degree, NormalizationMatchesDenseReferenceWithIsolatedVertices) {
   kernels::degreeFromOffsetsInto(A, Deg);
   kernels::invSqrtInto(Deg, Norm);
   CsrMatrix Scaled = A;
-  kernels::scaleSparseBothInto(A, Norm, Norm, Scaled.mutableValues());
+  kernels::scaleSparseBothInto(A, A.values(), Norm, Norm,
+                               Scaled.mutableValues());
 
   // Dense reference built from the true degrees, 0 coefficient when deg 0.
   DenseMatrix Dense = A.toDense();

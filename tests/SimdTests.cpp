@@ -4,8 +4,9 @@
 // and naming, CPUID-bounded level enumeration, the setIsaLevel override,
 // table completeness, the 64-byte alignment contract of the tensor storage,
 // cross-ISA agreement of every dispatched kernel family on fixtures whose
-// shapes exercise both the vector bodies and the scalar tails, and the
-// exact per-element reduction order of the GEMM and SpMM row routines.
+// shapes exercise both the vector bodies and the scalar tails, the exact
+// per-element reduction order of the GEMM, SpMM and SDDMM row routines, and
+// the scalar loops' bits from the GEMV and gradient entries at every level.
 //
 //===----------------------------------------------------------------------===//
 
@@ -144,6 +145,10 @@ TEST(Dispatch, TablesAreFullyPopulated) {
     EXPECT_NE(Ops->ReluRange, nullptr);
     EXPECT_NE(Ops->ReluBackwardRange, nullptr);
     EXPECT_NE(Ops->LeakyReluRange, nullptr);
+    EXPECT_NE(Ops->GemvRowRange, nullptr);
+    EXPECT_NE(Ops->AttnThetaGradRows, nullptr);
+    EXPECT_NE(Ops->AttnVecGradCols, nullptr);
+    EXPECT_NE(Ops->LeakyReluBackwardRange, nullptr);
     EXPECT_GE(Ops->DenseThroughputScale, 1.0);
     EXPECT_GE(Ops->SparseThroughputScale, 1.0);
   }
@@ -687,15 +692,15 @@ TEST(ReductionOrder, GemmTRhsRowRangeRunsEachElementsChain) {
 }
 
 TEST(ReductionOrder, SddmmDotRowRangeRunsEachEdgesChain) {
-  // Rows of 0, 1, 2, 3 and up to 24 edges: full groups of edges in flight,
-  // partial ones, and lone edges; widths under, at and across the group
-  // size; a row split.
+  // Rows of 0 to 17 edges: runs of eight edges, of four, and lone edges in
+  // every combination; every width from 1 to 67 (under, at and across the
+  // 8-feature group, with every tail length); a row split.
   std::vector<int64_t> Offsets{0};
   std::vector<int32_t> Cols;
   Rng R(701);
-  const int64_t Rows = 30, SrcRows = 40;
+  const int64_t Rows = 36, SrcRows = 40;
   for (int64_t Row = 0; Row < Rows; ++Row) {
-    const int64_t Len = Row % 10 < 4 ? Row % 10 : 5 + 2 * (Row % 10);
+    const int64_t Len = Row % 18;
     for (int64_t K = 0; K < Len; ++K)
       Cols.push_back(static_cast<int32_t>(
           R.nextBelow(static_cast<uint64_t>(SrcRows))));
@@ -704,7 +709,7 @@ TEST(ReductionOrder, SddmmDotRowRangeRunsEachEdgesChain) {
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     const kernels::SimdOps &Ops = *kernels::simdOpsFor(Level);
-    for (int64_t Width : {13, 64, 141}) {
+    for (int64_t Width = 1; Width <= 67; ++Width) {
       const int64_t Ldu = Width + 3, Ldv = Width + 1;
       const std::vector<float> U = randomFloats(Rows * Ldu, 702);
       const std::vector<float> V = randomFloats(SrcRows * Ldv, 703);
@@ -786,6 +791,262 @@ TEST(ReductionOrder, LeakyReluRangeIsAnExactSelect) {
                        "leaky relu slope " + std::to_string(Slope) +
                            " length " + std::to_string(Len));
       }
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Rounded-product routines: GEMV, attention gradients, leaky ReLU gradient
+//===----------------------------------------------------------------------===//
+//
+// These entries reproduce the scalar loops at every level: each product is
+// rounded to float, then added, in the scalar loop's order. The references
+// below are those loops (this file is compiled without FMA contraction).
+// Operands mix ordinary values with signed zeros, infinities, NaNs and
+// subnormals; a NaN result may carry either operand's payload, so NaNs
+// compare as NaNs.
+
+namespace {
+
+/// Floats in [-1, 1) with every 11th a special: +-0, +-inf, NaN, the
+/// smallest subnormals and a product-underflowing tiny normal.
+std::vector<float> floatsWithSpecials(size_t Count, uint64_t Seed) {
+  const float Specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -3 * std::numeric_limits<float>::denorm_min(),
+                            std::ldexp(1.0f, -120)};
+  std::vector<float> Out = randomFloats(Count, Seed);
+  for (size_t I = 5; I < Count; I += 11)
+    Out[I] = Specials[(I / 11) % std::size(Specials)];
+  return Out;
+}
+
+/// expectSameBits, with any NaN matching any NaN.
+void expectSameBitsOrNan(const std::vector<float> &Got,
+                         const std::vector<float> &Want,
+                         const std::string &What) {
+  ASSERT_EQ(Got.size(), Want.size()) << What;
+  size_t Mismatches = 0, First = 0;
+  for (size_t I = 0; I < Want.size(); ++I) {
+    const bool Same =
+        std::bit_cast<uint32_t>(Got[I]) == std::bit_cast<uint32_t>(Want[I]) ||
+        (std::isnan(Got[I]) && std::isnan(Want[I]));
+    if (!Same && Mismatches++ == 0)
+      First = I;
+  }
+  EXPECT_EQ(Mismatches, 0u) << What << ": first mismatch at flat index "
+                            << First << " (got " << Got[First] << ", want "
+                            << Want[First] << ")";
+}
+
+} // namespace
+
+TEST(ReductionOrder, GemvRowRangeRunsEachRowsChain) {
+  // 27 rows split at 3 and 14 (blocks of eight rows cut short at both ends
+  // of a range, and lane-count remainders), every contraction length from 1
+  // to 130, a padded leading dimension, specials in both operands.
+  const int64_t M = 27;
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    const kernels::SimdOps &Ops = *kernels::simdOpsFor(Level);
+    for (int64_t K = 1; K <= 130; ++K) {
+      const int64_t Lda = K + 3;
+      const std::vector<float> A =
+          floatsWithSpecials(static_cast<size_t>(M * Lda), 901 + K);
+      const std::vector<float> X = floatsWithSpecials(
+          static_cast<size_t>(K), 902 + K);
+      std::vector<float> Got(static_cast<size_t>(M) + 2, 5.0f);
+      for (auto [B, E] : {std::pair<int64_t, int64_t>{0, 3}, {3, 14}, {14, M}})
+        Ops.GemvRowRange(A.data(), Lda, X.data(), Got.data(), K, B, E);
+      std::vector<float> Want(Got.size(), 5.0f);
+      for (int64_t I = 0; I < M; ++I) {
+        float Acc = 0.0f;
+        for (int64_t J = 0; J < K; ++J)
+          Acc = Acc + A[I * Lda + J] * X[J];
+        Want[I] = Acc;
+      }
+      expectSameBitsOrNan(Got, Want, "gemv K=" + std::to_string(K));
+    }
+  }
+}
+
+TEST(ReductionOrder, AttnThetaGradRowsRoundsEachProduct) {
+  // Rows whose gradient is zero (skipped, or zero-filled when first), -0
+  // and special gradients, row widths 1 to 130 with vector tails, a padded
+  // leading dimension, first and accumulating contributions.
+  const int64_t Rows = 13;
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    const kernels::SimdOps &Ops = *kernels::simdOpsFor(Level);
+    for (int64_t Cols = 1; Cols <= 130; ++Cols) {
+      const int64_t Ld = Cols + 2;
+      std::vector<float> Grad = floatsWithSpecials(Rows, 911 + Cols);
+      Grad[2] = 0.0f;
+      Grad[7] = -0.0f;
+      const std::vector<float> AVec =
+          floatsWithSpecials(static_cast<size_t>(Cols), 912 + Cols);
+      const std::vector<float> Init =
+          floatsWithSpecials(static_cast<size_t>(Rows * Ld), 913 + Cols);
+      for (bool First : {true, false}) {
+        std::vector<float> Got = Init;
+        Ops.AttnThetaGradRows(Grad.data(), AVec.data(), Got.data(), Ld, Cols,
+                              0, 5, First);
+        Ops.AttnThetaGradRows(Grad.data(), AVec.data(), Got.data(), Ld, Cols,
+                              5, Rows, First);
+        std::vector<float> Want = Init;
+        for (int64_t R = 0; R < Rows; ++R)
+          for (int64_t C = 0; C < Cols; ++C) {
+            float &Out = Want[R * Ld + C];
+            if (Grad[R] == 0.0f)
+              Out = First ? 0.0f : Out;
+            else
+              Out = (First ? 0.0f : Out) + Grad[R] * AVec[C];
+          }
+        expectSameBitsOrNan(Got, Want,
+                            "attn theta grad cols=" + std::to_string(Cols) +
+                                (First ? " first" : " accumulate"));
+      }
+    }
+  }
+}
+
+TEST(ReductionOrder, AttnVecGradColsRunsEachColumnsChain) {
+  // Column ranges of every width from 1 to 130, split where a pass of
+  // vectors, a partial pass and a scalar tail meet; 41 rows with special
+  // gradients and elements; first and accumulating contributions.
+  const int64_t Rows = 41;
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    const kernels::SimdOps &Ops = *kernels::simdOpsFor(Level);
+    for (int64_t Cols = 1; Cols <= 130; ++Cols) {
+      const int64_t Ld = Cols + 1;
+      const std::vector<float> Theta =
+          floatsWithSpecials(static_cast<size_t>(Rows * Ld), 921 + Cols);
+      const std::vector<float> Grad = floatsWithSpecials(Rows, 922 + Cols);
+      const std::vector<float> Init =
+          floatsWithSpecials(static_cast<size_t>(Cols), 923 + Cols);
+      const int64_t Split = std::min<int64_t>(Cols, 16);
+      for (bool First : {true, false}) {
+        std::vector<float> Got = Init;
+        Ops.AttnVecGradCols(Theta.data(), Ld, Rows, Grad.data(), Got.data(),
+                            0, Split, First);
+        Ops.AttnVecGradCols(Theta.data(), Ld, Rows, Grad.data(), Got.data(),
+                            Split, Cols, First);
+        std::vector<float> Want = Init;
+        for (int64_t C = 0; C < Cols; ++C) {
+          float Acc = First ? 0.0f : Want[C];
+          for (int64_t R = 0; R < Rows; ++R)
+            Acc = Acc + Grad[R] * Theta[R * Ld + C];
+          Want[C] = Acc;
+        }
+        expectSameBitsOrNan(Got, Want,
+                            "attn vec grad cols=" + std::to_string(Cols) +
+                                (First ? " first" : " accumulate"));
+      }
+    }
+  }
+}
+
+TEST(ReductionOrder, LeakyReluBackwardRangeIsTheScalarLoop) {
+  // Every pairing of special inputs and gradients, the selection at NaN and
+  // +-0, lengths with a tail at every width, first and accumulating.
+  const float Nan = std::numeric_limits<float>::quiet_NaN();
+  const float Inf = std::numeric_limits<float>::infinity();
+  const float Tiny = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> Specials = {0.0f, -0.0f, Nan,  Inf,  -Inf,
+                                       Tiny, -Tiny, 1.5f, -2.5f};
+  std::vector<float> Pre, Grad;
+  for (float P : Specials)
+    for (float G : Specials) {
+      Pre.push_back(P);
+      Grad.push_back(G);
+    }
+  const std::vector<float> MixedPre = randomFloats(77, 931);
+  const std::vector<float> MixedGrad = randomFloats(77, 932);
+  Pre.insert(Pre.end(), MixedPre.begin(), MixedPre.end());
+  Grad.insert(Grad.end(), MixedGrad.begin(), MixedGrad.end());
+  const std::vector<float> Init = floatsWithSpecials(Pre.size(), 933);
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    const kernels::SimdOps &Ops = *kernels::simdOpsFor(Level);
+    for (float Slope : {0.2f, -0.5f})
+      for (bool First : {true, false})
+        for (size_t Len : {Pre.size(), size_t{5}, size_t{21}}) {
+          std::vector<float> Got(Init.begin(), Init.begin() + Len);
+          Ops.LeakyReluBackwardRange(Slope, Pre.data(), Grad.data(),
+                                     Got.data(), static_cast<int64_t>(Len),
+                                     First);
+          std::vector<float> Want(Init.begin(), Init.begin() + Len);
+          for (size_t I = 0; I < Len; ++I) {
+            const float Sel = Pre[I] > 0.0f ? 1.0f : Slope;
+            Want[I] = (First ? 0.0f : Want[I]) + Grad[I] * Sel;
+          }
+          expectSameBitsOrNan(Got, Want,
+                              "leaky relu backward slope " +
+                                  std::to_string(Slope) + " length " +
+                                  std::to_string(Len) +
+                                  (First ? " first" : " accumulate"));
+        }
+  }
+}
+
+TEST(Dispatch, IsaUnitsRoundProductsBeforeAdding) {
+  // Operands whose product is not a float: 1 + 2^-12 squared needs 2^-24,
+  // half an ulp of 1. Rounded first, it ties to 1 + 2^-11, and adding -1
+  // leaves 2^-11; an FMA keeps the 2^-24. Each entry that adds a product
+  // must give the rounded answer at every level, which fails if the ISA
+  // units are compiled with multiply-add contraction.
+  const float A = 1.0f + std::ldexp(1.0f, -12);
+  const float Rounded = std::ldexp(1.0f, -11);
+  ASSERT_NE(std::fma(A, A, -1.0f), Rounded);
+  ASSERT_EQ(A * A + -1.0f, Rounded);
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    const kernels::SimdOps &Ops = *kernels::simdOpsFor(Level);
+    // 37 elements: full vectors at every width plus scalar tails.
+    const size_t N = 37;
+    const std::vector<float> As(N, A);
+    {
+      // Each row's chain: 0 + (-1) * 1, then + A * A.
+      std::vector<float> Rows;
+      for (size_t I = 0; I < N; ++I)
+        Rows.insert(Rows.end(), {-1.0f, A});
+      const std::vector<float> X = {1.0f, A};
+      std::vector<float> Y(N);
+      Ops.GemvRowRange(Rows.data(), 2, X.data(), Y.data(), 2, 0,
+                       static_cast<int64_t>(N));
+      for (float V : Y)
+        EXPECT_EQ(V, Rounded) << "gemv";
+    }
+    {
+      std::vector<float> DTheta(N, -1.0f);
+      const std::vector<float> Grad = {A};
+      Ops.AttnThetaGradRows(Grad.data(), As.data(), DTheta.data(),
+                            static_cast<int64_t>(N), static_cast<int64_t>(N),
+                            0, 1, /*First=*/false);
+      for (float V : DTheta)
+        EXPECT_EQ(V, Rounded) << "attention weight gradient";
+    }
+    {
+      std::vector<float> DA(N, -1.0f);
+      const std::vector<float> Grad = {A};
+      Ops.AttnVecGradCols(As.data(), static_cast<int64_t>(N), 1, Grad.data(),
+                          DA.data(), 0, static_cast<int64_t>(N),
+                          /*First=*/false);
+      for (float V : DA)
+        EXPECT_EQ(V, Rounded) << "attention vector gradient";
+    }
+    {
+      std::vector<float> DIn(N, -1.0f);
+      const std::vector<float> Pre(N, -1.0f);
+      Ops.LeakyReluBackwardRange(A, Pre.data(), As.data(), DIn.data(),
+                                 static_cast<int64_t>(N), /*First=*/false);
+      for (float V : DIn)
+        EXPECT_EQ(V, Rounded) << "leaky relu gradient";
     }
   }
 }

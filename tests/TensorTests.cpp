@@ -1,6 +1,7 @@
 //===- TensorTests.cpp - Tests for dense/sparse matrix types ----------------===//
 
 #include "support/Rng.h"
+#include "support/ThreadPool.h"
 #include "tensor/CooMatrix.h"
 #include "tensor/CscMatrix.h"
 #include "tensor/CsrMatrix.h"
@@ -370,4 +371,59 @@ TEST(CscMatrixDeathTest, ToCsrRejectsWrongValueCount) {
   std::vector<float> Short(static_cast<size_t>(A.nnz() - 1), 1.0f);
   EXPECT_DEATH(CscMatrix::fromCsr(A).toCsr(Short),
                "csc->csr value count mismatch");
+}
+
+namespace {
+
+/// How brokenCsr damages a row.
+enum class RowDamage { Unsorted, OutOfRange, FallingOffsets };
+
+/// A 20000 x 64 CSR with three entries (columns 0, 1, 2) per row, whose
+/// rows are damaged as \p Damage lists: far apart, so a parallel check
+/// meets them in different chunks.
+CsrMatrix brokenCsr(std::vector<std::pair<int64_t, RowDamage>> Damage) {
+  const int64_t Rows = 20000;
+  std::vector<int64_t> Offsets(Rows + 1);
+  std::vector<int32_t> Cols(static_cast<size_t>(3 * Rows));
+  for (int64_t R = 0; R <= Rows; ++R)
+    Offsets[static_cast<size_t>(R)] = 3 * R;
+  for (size_t K = 0; K < Cols.size(); ++K)
+    Cols[K] = static_cast<int32_t>(K % 3);
+  for (auto [R, How] : Damage) {
+    const auto First = static_cast<size_t>(3 * R);
+    if (How == RowDamage::Unsorted)
+      std::swap(Cols[First], Cols[First + 1]);
+    else if (How == RowDamage::OutOfRange)
+      Cols[First + 2] = 64;
+    else
+      Offsets[static_cast<size_t>(R) + 1] = 3 * R - 1;
+  }
+  return CsrMatrix(Rows, 64, std::move(Offsets), std::move(Cols), {});
+}
+
+} // namespace
+
+TEST(CsrMatrixDeathTest, VerifyReportsTheLowestFaultyRowAtEveryThreadCount) {
+  // The check runs over the rows in parallel; whichever chunk finds its
+  // fault first, the message is the lowest faulty row's first failed check.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const int Entry = ThreadPool::get().numThreads();
+  for (int Threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(Threads) + " threads");
+    ThreadPool::get().setNumThreads(Threads);
+    EXPECT_DEATH(brokenCsr({{6000, RowDamage::Unsorted},
+                            {15000, RowDamage::OutOfRange}})
+                     .verify(),
+                 "CSR columns not strictly increasing within a row");
+    EXPECT_DEATH(brokenCsr({{6000, RowDamage::OutOfRange},
+                            {15000, RowDamage::Unsorted}})
+                     .verify(),
+                 "CSR column index out of range");
+    EXPECT_DEATH(brokenCsr({{6000, RowDamage::FallingOffsets},
+                            {15000, RowDamage::OutOfRange}})
+                     .verify(),
+                 "CSR offsets not monotone");
+  }
+  ThreadPool::get().setNumThreads(Entry);
+  brokenCsr({}).verify(); // the undamaged matrix passes
 }
