@@ -38,9 +38,9 @@ int main() {
         double Sparse = 0.0, Dense = 0.0;
         for (size_t I = 0; I < Plan.Steps.size(); ++I) {
           if (isSparsePrimitive(primitiveKindOf(Plan.Steps[I].Op)))
-            Sparse += R.StepSeconds[I];
+            Sparse += R.StepProfiles[I].Seconds;
           else
-            Dense += R.StepSeconds[I];
+            Dense += R.StepProfiles[I].Seconds;
         }
         double Total = Sparse + Dense;
         double SparsePct = Total > 0 ? 100.0 * Sparse / Total : 0.0;

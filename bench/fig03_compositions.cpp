@@ -68,7 +68,7 @@ void printPlan(const char *Title, const CompositionPlan &Plan) {
   std::printf("  %s\n", Title);
   for (size_t I = 0; I < Plan.Steps.size(); ++I) {
     const PlanStep &Step = Plan.Steps[I];
-    std::printf("    %-12s %-16s%s\n", stepOpName(Step.Op).c_str(),
+    std::printf("    %-12s %-16s%s\n", stepOpName(Step.Op),
                 complexityOf(Plan, I).c_str(),
                 Step.Setup ? "  [hoisted: graph-only]" : "");
   }

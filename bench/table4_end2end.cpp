@@ -99,7 +99,7 @@ int main(int argc, char **argv) {
         std::string Err;
         std::optional<Graph> Loaded = loadGraphSpec(Spec, &Err);
         if (!Loaded) {
-          std::fprintf(stderr, "%s", Err.c_str());
+          std::fprintf(stderr, "error: %s\n", Err.c_str());
           std::exit(2);
         }
         return *Loaded;

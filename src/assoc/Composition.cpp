@@ -8,51 +8,61 @@
 
 using namespace granii;
 
-std::string granii::stepOpName(StepOp Op) {
+namespace {
+
+/// Every op's name behind the "bwd:" prefix of its backward primitives, so
+/// both names are static strings.
+const char *prefixedOpName(StepOp Op) {
   switch (Op) {
   case StepOp::Gemm:
-    return "gemm";
+    return "bwd:gemm";
   case StepOp::SpmmWeighted:
-    return "spmm_w";
+    return "bwd:spmm_w";
   case StepOp::SpmmUnweighted:
-    return "spmm_u";
+    return "bwd:spmm_u";
   case StepOp::SddmmScaleRow:
-    return "scale_row";
+    return "bwd:scale_row";
   case StepOp::SddmmScaleCol:
-    return "scale_col";
+    return "bwd:scale_col";
   case StepOp::SddmmScaleBoth:
-    return "scale_both";
+    return "bwd:scale_both";
   case StepOp::RowBcast:
-    return "row_bcast";
+    return "bwd:row_bcast";
   case StepOp::ColBcast:
-    return "col_bcast";
+    return "bwd:col_bcast";
   case StepOp::DiagDiag:
-    return "diag_diag";
+    return "bwd:diag_diag";
   case StepOp::AddDense:
-    return "add";
+    return "bwd:add";
   case StepOp::ScaleDense:
-    return "scale";
+    return "bwd:scale";
   case StepOp::Relu:
-    return "relu";
+    return "bwd:relu";
   case StepOp::DegreeOffsets:
-    return "degree_off";
+    return "bwd:degree_off";
   case StepOp::DegreeBinning:
-    return "degree_bin";
+    return "bwd:degree_bin";
   case StepOp::InvSqrtVec:
-    return "inv_sqrt";
+    return "bwd:inv_sqrt";
   case StepOp::InvVec:
-    return "inv_deg";
+    return "bwd:inv_deg";
   case StepOp::AttnGemv:
-    return "attn_gemv";
+    return "bwd:attn_gemv";
   case StepOp::EdgeLogits:
-    return "edge_logits";
+    return "bwd:edge_logits";
   case StepOp::EdgeLeakyRelu:
-    return "edge_lrelu";
+    return "bwd:edge_lrelu";
   case StepOp::EdgeSoftmax:
-    return "edge_softmax";
+    return "bwd:edge_softmax";
   }
   graniiUnreachable("unknown step op");
 }
+
+} // namespace
+
+const char *granii::stepOpName(StepOp Op) { return prefixedOpName(Op) + 4; }
+
+const char *granii::backwardOpName(StepOp Op) { return prefixedOpName(Op); }
 
 PrimitiveKind granii::primitiveKindOf(StepOp Op) {
   switch (Op) {

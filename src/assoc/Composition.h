@@ -72,8 +72,11 @@ enum class StepOp {
   EdgeSoftmax     ///< sparse_w = row softmax(edge values)
 };
 
-/// Short stable op name used in plan printing and tests.
-std::string stepOpName(StepOp Op);
+/// Short stable op name used in plan printing, profiles and traces.
+const char *stepOpName(StepOp Op);
+
+/// Name of the backward primitives of \p Op: "bwd:" plus stepOpName.
+const char *backwardOpName(StepOp Op);
 
 /// Cost-model primitive corresponding to a step op.
 PrimitiveKind primitiveKindOf(StepOp Op);

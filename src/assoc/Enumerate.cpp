@@ -104,7 +104,7 @@ RecipeRef makeStepRecipe(StepOp Op, std::vector<RecipeRef> Children,
   R->ValueKind = ValueKind;
   R->SparseWeighted = SparseWeighted;
   R->Shape = Shape;
-  R->Key = stepOpName(Op) + "[" + std::to_string(Param) + "](";
+  R->Key = std::string(stepOpName(Op)) + "[" + std::to_string(Param) + "](";
   for (size_t I = 0; I < R->Children.size(); ++I) {
     if (I != 0)
       R->Key += ",";

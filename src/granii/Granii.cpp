@@ -243,8 +243,7 @@ size_t Optimizer::execute(const Selection &Sel, const LayerParams &Params,
     DiagEngine Diags;
     verifyBufferPlan(Plan, Binding, *Ws.bufferPlan(), Diags);
     const AlignedVector<int64_t> &RowOffsets = Params.AdjSelf.rowOffsets();
-    int64_t Chunks =
-        static_cast<int64_t>(ThreadPool::get().numThreads()) * 4;
+    const int64_t Chunks = ThreadPool::get().maxChunks();
     verifyRowPartition(RowOffsets, csrRowPartitionBounds(RowOffsets, Chunks),
                        Diags);
     if (Diags.hasErrors())

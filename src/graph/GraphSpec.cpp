@@ -41,7 +41,7 @@ bool buildableRmat(int64_t Nodes, int64_t Edges, const std::string &Name,
       return true;
   }
   if (Err)
-    *Err += "error: " + Error + "\n";
+    *Err += Error;
   return false;
 }
 
@@ -63,9 +63,9 @@ std::optional<Graph> resolveGraphSpec(const std::string &Spec,
         Valid = parseInt64(Parts[3], Seed) && Seed >= 0;
       if (!Valid) {
         if (Err)
-          *Err += "error: malformed rmat spec '" + Name +
+          *Err += "malformed rmat spec '" + Name +
                   "' (want rmat:<nodes>:<edges>[:<seed>], at most " +
-                  std::to_string(MaxGraphNodes) + " nodes)\n";
+                  std::to_string(MaxGraphNodes) + " nodes)";
         return std::nullopt;
       }
       if (!buildableRmat(Nodes, Edges, Name, Err))
@@ -80,15 +80,15 @@ std::optional<Graph> resolveGraphSpec(const std::string &Spec,
       if (Name == Known)
         return makeEvaluationGraph(Name);
     if (Err)
-      *Err += "error: unknown synthetic graph '" + Name +
+      *Err += "unknown synthetic graph '" + Name +
               "' (try reddit, com-amazon, mycielskian, belgium-osm, "
-              "coauthors, ogbn-products, rmat:<nodes>:<edges>[:<seed>])\n";
+              "coauthors, ogbn-products, rmat:<nodes>:<edges>[:<seed>])";
     return std::nullopt;
   }
   std::string ReadError;
   std::optional<Graph> G = readMatrixMarket(Spec, &ReadError);
   if (!G && Err)
-    *Err += "error: " + ReadError + "\n";
+    *Err += ReadError;
   return G;
 }
 

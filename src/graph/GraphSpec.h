@@ -22,11 +22,12 @@ namespace granii {
 
 /// Loads the graph named by \p Spec ("synth:<name>" or a Matrix Market
 /// path). \returns nullopt with a one-line reason appended to \p Err (if
-/// non-null) when the spec names an unknown synthetic graph, the file
-/// cannot be read, or the host cannot build the graph: an R-MAT spec
-/// asking for more edges than its nodes have distinct pairs, or a graph
-/// whose build would exceed physical memory (checked before anything is
-/// sized).
+/// non-null; the bare message, which the CLI prints as an "error: " line
+/// and the daemon sends as a request error) when the spec names an unknown
+/// synthetic graph, the file cannot be read, or the host cannot build the
+/// graph: an R-MAT spec asking for more edges than its nodes have distinct
+/// pairs, or a graph whose build would exceed physical memory (checked
+/// before anything is sized).
 std::optional<Graph> loadGraphSpec(const std::string &Spec,
                                    std::string *Err = nullptr);
 

@@ -55,6 +55,26 @@ DimBinding LayerInputs::binding(const CompositionPlan *Plan) const {
   return B;
 }
 
+ValueLabel granii::valueLabel(const CompositionPlan &Plan,
+                              const DimBinding &Binding, int Id) {
+  const std::string Nnz = "nnz=" + std::to_string(Binding.E);
+  if (Id < 0)
+    return {"csc", Nnz};
+  const PlanValue &Def = Plan.Values[static_cast<size_t>(Id)];
+  const std::string Rows = std::to_string(Binding.eval(Def.Shape.Rows));
+  // An attention vector leaf is bound as a node vector of its row count.
+  const bool Vector = Def.Kind == PlanValueKind::Diag ||
+                      Def.Kind == PlanValueKind::NodeVec ||
+                      Def.InputRole == LeafRole::AttnSrcVec ||
+                      Def.InputRole == LeafRole::AttnDstVec;
+  if (Def.Kind == PlanValueKind::Sparse)
+    return {Plan.valueName(Id), Nnz};
+  if (Vector)
+    return {Plan.valueName(Id), Rows};
+  return {Plan.valueName(Id),
+          Rows + "x" + std::to_string(Binding.eval(Def.Shape.Cols))};
+}
+
 //===----------------------------------------------------------------------===//
 // PlanWorkspace
 //===----------------------------------------------------------------------===//
@@ -273,39 +293,38 @@ private:
   }
 
   /// Charges one backward primitive of forward step \p Step that adds into
-  /// the gradient of value \p Target (-1: the layout's CSC). It is traced
-  /// as "bwd:<op>" with the counters of a forward step and, under step
-  /// profiling, recorded in Result.BackwardProfiles; both build strings,
-  /// so neither runs unless enabled.
+  /// the gradient of value \p Target (-1: the layout's CSC), records it in
+  /// Result.BackwardProfiles and traces it as "bwd:<op>" with the counters
+  /// of a forward step.
   double chargeBackward(const PlanStep &Step, int Target,
                         const PrimitiveDesc &Desc, ExecResult &Result,
                         FunctionRef<void()> Body) {
-    TraceSpan Span;
-    if (Trace::get().enabled())
-      Span = TraceSpan("bwd:" + stepOpName(Step.Op), "executor");
-    const double Seconds = Exec.timeKernel(Desc, Stats, Body);
-    if (Span.active() || Exec.stepProfiling()) {
-      StepProfile P;
-      P.Step = &Step - Plan.Steps.data();
-      P.Value = Target < 0 ? "csc" : Plan.valueName(Target);
-      P.Op = "bwd:" + stepOpName(Step.Op);
-      P.Shape = Target < 0 ? "nnz=" + std::to_string(Inputs.Adjacency->nnz())
-                           : valueShape(Target);
-      P.Seconds = Seconds;
-      P.Flops = Desc.flops();
-      P.Bytes = Desc.bytes();
-      if (Span.active()) {
-        Span.setArg("step", static_cast<double>(P.Step));
-        Span.setArg("grad_of", P.Value);
-        Span.setArg("shape", P.Shape);
-        Span.setArg("charged_seconds", P.Seconds);
-        Span.setArg("flops", P.Flops);
-        Span.setArg("bytes", P.Bytes);
-      }
-      if (Exec.stepProfiling())
-        Result.BackwardProfiles.push_back(std::move(P));
+    TraceSpan Span(backwardOpName(Step.Op), "executor");
+    StepProfile P;
+    P.Step = &Step - Plan.Steps.data();
+    P.Value = Target;
+    P.Op = backwardOpName(Step.Op);
+    P.Seconds = Exec.timeKernel(Desc, Stats, Body);
+    P.Flops = Desc.flops();
+    P.Bytes = Desc.bytes();
+    Result.BackwardProfiles.push_back(P);
+    if (Span.active()) {
+      Span.setArg("step", static_cast<double>(P.Step));
+      setSpanArgs(Span, "grad_of", P);
     }
-    return Seconds;
+    return P.Seconds;
+  }
+
+  /// Annotates \p Span with record \p P: its value (under \p ValueKey),
+  /// shape and counters. Builds strings, so only for an active span.
+  void setSpanArgs(TraceSpan &Span, const char *ValueKey,
+                   const StepProfile &P) {
+    const ValueLabel Label = valueLabel(Plan, Ws.binding(), P.Value);
+    Span.setArg(ValueKey, Label.Name);
+    Span.setArg("shape", Label.Shape);
+    Span.setArg("charged_seconds", P.Seconds);
+    Span.setArg("flops", P.Flops);
+    Span.setArg("bytes", P.Bytes);
   }
 
   /// The bound adjacency's CSC, which the backward pass walks for S^T
@@ -322,27 +341,6 @@ private:
                                  [&] { LS.Csc = CscMatrix::fromCsr(Adj); });
     }
     return *LS.Csc;
-  }
-
-  /// Display shape of plan value \p Id as bound in this run (as planned
-  /// for a value a fused chain keeps in registers).
-  std::string valueShape(int Id) {
-    const RtValue &V = val(Id);
-    switch (V.Kind) {
-    case PlanValueKind::Dense: {
-      const ValueBuffer &B =
-          Ws.bufferPlan()->values()[static_cast<size_t>(Id)];
-      return V.Dense ? std::to_string(V.dense().rows()) + "x" +
-                           std::to_string(V.dense().cols())
-                     : std::to_string(B.Rows) + "x" + std::to_string(B.Cols);
-    }
-    case PlanValueKind::Sparse:
-      return "nnz=" + std::to_string(adjacency().nnz());
-    case PlanValueKind::Diag:
-    case PlanValueKind::NodeVec:
-      return std::to_string(V.vec().size());
-    }
-    return "";
   }
 
   const Executor &Exec;
@@ -543,13 +541,8 @@ double PlanInterpreter::runKernel(size_t StepIdx, int Target,
 
 void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
   const PlanStep &Step = Plan.Steps[StepIdx];
-  // One span per executed plan step, annotated with the StepProfile
-  // counters below. Constructing the name allocates, so it is guarded: the
-  // disabled-tracing path must stay allocation-free for the zero-steady-
-  // state-allocation guarantee.
-  TraceSpan Span;
-  if (Trace::get().enabled())
-    Span = TraceSpan(stepOpName(Step.Op), "executor");
+  // One span per executed plan step, annotated with the step's record.
+  TraceSpan Span(stepOpName(Step.Op), "executor");
   val(Step.Result).Kind = Plan.Values[static_cast<size_t>(Step.Result)].Kind;
 
   // granii-noalloc-begin: the fused chain lives on the stack.
@@ -566,43 +559,34 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
                                         : runKernel(StepIdx, Target, Epi);
   // granii-noalloc-end
 
-  Result.StepSeconds[StepIdx] = Seconds;
+  StepProfile &P = Result.StepProfiles[StepIdx];
+  P.Step = static_cast<int64_t>(StepIdx);
+  P.Value = Step.Result;
+  P.Op = stepOpName(Step.Op);
+  P.Setup = Step.Setup;
+  P.Seconds = Seconds;
+  P.Flops = Ws.descs()[StepIdx].flops();
+  P.Bytes = Ws.descs()[StepIdx].bytes();
+  P.FusedInto = FusedInto;
   if (Step.Setup)
     Result.SetupSeconds += Seconds;
   else
     Result.ForwardSeconds += Seconds;
 
-  if (!Result.StepProfiles.empty() || Span.active()) {
-    StepProfile Local;
-    StepProfile &P =
-        Result.StepProfiles.empty() ? Local : Result.StepProfiles[StepIdx];
-    P.Step = static_cast<int64_t>(StepIdx);
-    P.Value = Plan.valueName(Step.Result);
-    P.Op = stepOpName(Step.Op);
-    P.Shape = valueShape(Step.Result);
-    P.Setup = Step.Setup;
-    P.Seconds = Seconds;
-    P.Flops = Ws.descs()[StepIdx].flops();
-    P.Bytes = Ws.descs()[StepIdx].bytes();
-    P.FusedInto = FusedInto;
-    if (Span.active()) {
-      Span.setArg("value", P.Value);
-      Span.setArg("shape", P.Shape);
-      Span.setArg("charged_seconds", P.Seconds);
-      Span.setArg("flops", P.Flops);
-      Span.setArg("bytes", P.Bytes);
-      if (P.Setup)
-        Span.setArg("setup", 1.0);
-      if (FusedInto >= 0)
-        Span.setArg("fused_into", static_cast<double>(FusedInto));
-      if (Epi.Count > 0) {
-        std::string Chain;
-        for (size_t S = StepIdx + 1; S < Plan.Steps.size(); ++S)
-          if (Ws.bufferPlan()->fusedInto()[S] == static_cast<int>(StepIdx))
-            Chain += (Chain.empty() ? "" : ",") + stepOpName(Plan.Steps[S].Op);
-        Span.setArg("epilogue", Chain);
-      }
-    }
+  if (!Span.active())
+    return;
+  setSpanArgs(Span, "value", P);
+  if (P.Setup)
+    Span.setArg("setup", 1.0);
+  if (FusedInto >= 0)
+    Span.setArg("fused_into", static_cast<double>(FusedInto));
+  if (Epi.Count > 0) {
+    std::string Chain;
+    for (size_t S = StepIdx + 1; S < Plan.Steps.size(); ++S)
+      if (Ws.bufferPlan()->fusedInto()[S] == static_cast<int>(StepIdx))
+        Chain += std::string(Chain.empty() ? "" : ",") +
+                 stepOpName(Plan.Steps[S].Op);
+    Span.setArg("epilogue", Chain);
   }
 }
 
@@ -612,11 +596,7 @@ void PlanInterpreter::forward(ExecResult &Result) {
   Result.SetupSeconds = 0.0;
   Result.ForwardSeconds = 0.0;
   Result.BackwardSeconds = 0.0;
-  Result.StepSeconds.assign(Plan.Steps.size(), 0.0);
-  if (Exec.stepProfiling())
-    Result.StepProfiles.resize(Plan.Steps.size());
-  else
-    Result.StepProfiles.clear();
+  Result.StepProfiles.resize(Plan.Steps.size());
 
   for (size_t V = 0; V < Plan.Values.size(); ++V) {
     Ws.scratch()[V] = RtValue();
@@ -638,8 +618,7 @@ void PlanInterpreter::backward(ExecResult &Result) {
   for (RtGrad &G : Grads)
     G.Present = false;
   std::vector<RtValue> &Values = Ws.scratch();
-  if (Exec.stepProfiling())
-    Result.BackwardProfiles.clear();
+  Result.BackwardProfiles.clear();
 
   // Every gradient buffer is reused across runs, so a steady-state run
   // allocates none of them. A workspace buffer counts its growth like a

@@ -118,15 +118,18 @@ struct LayoutState {
 
 } // namespace detail
 
-/// Profiling record for one executed step, filled when the executor's step
-/// profiling is enabled. Throughputs derive as Bytes/Seconds and
-/// Flops/Seconds; Seconds is measured wall-clock on measured platforms and
-/// the analytic estimate on simulated ones.
+/// Record of one executed primitive, filled by every run. Throughputs
+/// derive as Bytes/Seconds and Flops/Seconds; Seconds is measured
+/// wall-clock on measured platforms and the analytic estimate on simulated
+/// ones. A record holds no heap storage, so a warm run fills it without
+/// allocating; valueLabel() names and shapes its value.
 struct StepProfile {
   int64_t Step = -1; ///< the plan step (for backward: the one differentiated)
-  std::string Value; ///< result debug name (or "v<id>")
-  std::string Op;    ///< stepOpName of the executed op
-  std::string Shape; ///< result shape, e.g. "2048x64", "2048", "nnz=9854"
+  /// The plan value the step writes; for a backward primitive, the value
+  /// whose gradient it adds into, -1 for the layout's CSC.
+  int Value = -1;
+  /// stepOpName of the executed op (backwardOpName for a backward record).
+  const char *Op = "";
   bool Setup = false;
   double Seconds = 0.0;
   double Flops = 0.0; ///< modelled FLOPs of the step's primitive
@@ -137,6 +140,18 @@ struct StepProfile {
   /// is timed inside the producer's.
   int64_t FusedInto = -1;
 };
+
+/// Display name and shape of plan value \p Id under \p Binding, as
+/// `--profile` and the trace spans print a StepProfile's value: the name
+/// CompositionPlan::valueName gives, and "2048x64" for a dense value,
+/// "2048" for a diagonal or vector, "nnz=9854" for a sparse one. Id -1 is
+/// the layout's CSC ("csc").
+struct ValueLabel {
+  std::string Name;
+  std::string Shape;
+};
+ValueLabel valueLabel(const CompositionPlan &Plan, const DimBinding &Binding,
+                      int Id);
 
 /// Outcome of executing a plan once.
 struct ExecResult {
@@ -149,11 +164,9 @@ struct ExecResult {
   double ForwardSeconds = 0.0;
   /// Seconds charged to the backward pass (0 in inference mode).
   double BackwardSeconds = 0.0;
-  /// Per-forward-step seconds, parallel to the plan's Steps (setup steps
-  /// included); used by the runtime-breakdown experiment (Fig. 2).
-  std::vector<double> StepSeconds;
-  /// Per-step profiles, parallel to Steps; empty unless the executor's
-  /// step profiling is enabled (see Executor::setStepProfiling).
+  /// One record per plan step, parallel to Steps (setup steps included):
+  /// their seconds, summed in step order, are SetupSeconds (setup steps) and
+  /// ForwardSeconds (the others).
   std::vector<StepProfile> StepProfiles;
 
   /// Gradients produced by runTraining (empty after run()): one entry per
@@ -166,11 +179,9 @@ struct ExecResult {
   std::map<std::string, DenseMatrix> WeightGrads;
   DenseMatrix FeatureGrad;
   std::map<std::string, std::vector<float>> AttnGrads;
-  /// One profile per backward primitive, in execution order (the reverse
-  /// of the plan's steps); Op is "bwd:" plus the differentiated step's op,
-  /// and Value and Shape name the value whose gradient it adds into ("csc"
-  /// for the layout's transpose). Filled like StepProfiles, under step
-  /// profiling.
+  /// One record per backward primitive of a training run, in execution
+  /// order (the reverse of the plan's steps); their seconds, summed in that
+  /// order, are BackwardSeconds. Empty after an inference run.
   std::vector<StepProfile> BackwardProfiles;
 
   /// Total for \p Iterations iterations with setup amortized.
@@ -211,6 +222,8 @@ public:
   const BufferPlan *bufferPlan() const {
     return Buffers ? &*Buffers : nullptr;
   }
+  /// The binding of the last configure().
+  const DimBinding &binding() const { return Binding; }
 
   /// Workspace-managed buffer growth events since the last reset. Zero
   /// across a run means that run performed no heap allocations for plan
@@ -279,11 +292,10 @@ public:
 
   const HardwareModel &hardware() const { return Hw; }
 
-  /// Enables per-step profiling: subsequent runs fill
-  /// ExecResult::StepProfiles. Off by default; the profile records allocate
-  /// label strings, so leave it off when asserting zero allocations.
-  void setStepProfiling(bool Enabled) { StepProfiling = Enabled; }
-  bool stepProfiling() const { return StepProfiling; }
+  /// Ignored: every run fills ExecResult::StepProfiles. Kept because the
+  /// end-to-end benchmark calls it; it goes with the next change to the
+  /// benchmark.
+  void setStepProfiling(bool) {}
 
   /// Runs the forward pass of \p Plan once on a fresh workspace.
   ExecResult run(const CompositionPlan &Plan, const LayerInputs &Inputs,
@@ -350,7 +362,6 @@ private:
                 bool Training) const;
 
   HardwareModel Hw;
-  bool StepProfiling = false;
 };
 
 } // namespace granii

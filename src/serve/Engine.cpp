@@ -133,16 +133,6 @@ void fillCompileCounts(const PruneStats &Stats, CompileResponse &Resp) {
   Resp.Promoted = Stats.Promoted;
 }
 
-/// loadGraphSpec formats its message as a ready-to-print CLI diagnostic
-/// ("error: ...\n"); over the wire the bare message is wanted.
-std::string stripDiagDecoration(std::string Msg) {
-  while (!Msg.empty() && Msg.back() == '\n')
-    Msg.pop_back();
-  if (Msg.rfind("error: ", 0) == 0)
-    Msg.erase(0, 7);
-  return Msg;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -153,13 +143,12 @@ RunResponse Session::run(bool WantOutput) {
   return runPass(WantOutput, nullptr);
 }
 
-RunResponse Session::run(FunctionRef<void(const DenseMatrix &)> OutputSink) {
-  return runPass(/*WantOutput=*/false, &OutputSink);
+RunResponse Session::run(FunctionRef<void(const ExecResult &)> Sink) {
+  return runPass(/*WantOutput=*/false, &Sink);
 }
 
 RunResponse Session::runPass(
-    bool WantOutput,
-    const FunctionRef<void(const DenseMatrix &)> *OutputSink) {
+    bool WantOutput, const FunctionRef<void(const ExecResult &)> *Sink) {
   RunResponse Resp;
   MutexLock Lock(RunMutex);
   TraceSpan Span("session-run", "serve");
@@ -175,8 +164,8 @@ RunResponse Session::runPass(
   Resp.Cols = Out.cols();
   if (WantOutput)
     Resp.Output.assign(Out.data(), Out.data() + Out.size());
-  if (OutputSink)
-    (*OutputSink)(Out);
+  if (Sink)
+    (*Sink)(Result);
   Resp.SetupSeconds = Result.SetupSeconds;
   Resp.ForwardSeconds = Result.ForwardSeconds;
   Resp.BackwardSeconds = Result.BackwardSeconds;
@@ -193,14 +182,15 @@ RunResponse Session::runPass(
 //===----------------------------------------------------------------------===//
 
 Engine::Engine(EngineOptions OptsIn)
-    : Opts(std::move(OptsIn)), Plans(Opts.PlanCacheCapacity) {}
+    : Opts(std::move(OptsIn)), Plans(Opts.PlanCacheCapacity),
+      Sessions(Opts.SessionCapacity) {}
 
-PlanCache::Plans Engine::resolvePlans(const GnnModel &Model,
-                                      const JobRequest &Req,
-                                      CompileResponse &Resp) {
+Engine::PlanSet Engine::resolvePlans(const GnnModel &Model,
+                                     const JobRequest &Req,
+                                     CompileResponse &Resp) {
   Timer CompileTimer;
   Resp.CacheKey = "m" + hex16(fnv1a64(Req.ModelText));
-  PlanCache::Plans Compiled = Plans.get(Req.ModelText);
+  PlanSet Compiled = Plans.get(Req.ModelText);
   Resp.PlanCacheHit = Compiled != nullptr;
   if (!Compiled) {
     // Miss: run the offline stage once and publish its product.
@@ -226,11 +216,9 @@ CompileResponse Engine::compile(const JobRequest &Req) {
     Resp.Status.Ok = false;
     return Resp;
   }
-  std::string GraphError;
-  std::optional<Graph> G = loadGraphSpec(Req.GraphSpec, &GraphError);
+  std::optional<Graph> G = loadGraphSpec(Req.GraphSpec, &Resp.Status.Error);
   if (!G) {
     Resp.Status.Ok = false;
-    Resp.Status.Error = stripDiagDecoration(GraphError);
     return Resp;
   }
   if (!validEmbeddingSizes(Req, *G, &Resp.Status.Error)) {
@@ -253,17 +241,14 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
     return nullptr;
   std::string Key = sessionKeyFor(Req);
   MutexLock Lock(M);
-  auto It = SessionIndex.find(Key);
-  if (It != SessionIndex.end()) {
-    SessionLru.splice(SessionLru.begin(), SessionLru, It->second);
-    ++SessionHits;
+  if (std::shared_ptr<Session> Warm = Sessions.get(Key)) {
     if (SessionHit)
       *SessionHit = true;
     if (Compile) {
       Compile->PlanCacheHit = true;
-      fillCompileCounts((*It->second)->optimizer().pruneStats(), *Compile);
+      fillCompileCounts(Warm->optimizer().pruneStats(), *Compile);
     }
-    return *It->second;
+    return Warm;
   }
 
   // Cold path: validate the request, resolve plans, build the session.
@@ -278,7 +263,7 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
     std::string GraphError;
     OwnGraph = loadGraphSpec(Req.GraphSpec, &GraphError);
     if (!OwnGraph) {
-      Error = stripDiagDecoration(GraphError);
+      Error = GraphError;
       return nullptr;
     }
     Loaded = &*OwnGraph;
@@ -296,7 +281,7 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   S->Cost = AnalyticCostModel(Opts.Hw);
 
   CompileResponse CompileInfo;
-  PlanCache::Plans Compiled = resolvePlans(*Model, Req, CompileInfo);
+  PlanSet Compiled = resolvePlans(*Model, Req, CompileInfo);
   if (Compile)
     *Compile = CompileInfo;
   // The session owns its own Optimizer built from the shared plan set (the
@@ -313,14 +298,7 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   Binding.KOut = Req.KOut;
   S->Sel = S->Opt->selectWithStats(Binding, S->Params.Stats);
 
-  SessionLru.push_front(S);
-  SessionIndex[Key] = SessionLru.begin();
-  while (SessionLru.size() > Opts.SessionCapacity && Opts.SessionCapacity) {
-    SessionIndex.erase(SessionLru.back()->Key);
-    SessionLru.pop_back();
-    ++SessionEvictions;
-  }
-  ++SessionMisses;
+  Sessions.put(Key, S);
   return S;
 }
 
@@ -346,13 +324,12 @@ RunResponse Engine::run(const JobRequest &Req) {
 
 EngineStats Engine::stats() const {
   EngineStats Out;
-  {
-    MutexLock Lock(M);
-    Out.SessionHits = SessionHits;
-    Out.SessionMisses = SessionMisses;
-    Out.SessionEvictions = SessionEvictions;
-    Out.SessionsLive = SessionLru.size();
-  }
+  MutexLock Lock(M);
+  const LruStats &S = Sessions.stats();
+  Out.SessionHits = S.Hits;
+  Out.SessionMisses = S.Misses;
+  Out.SessionEvictions = S.Evictions;
+  Out.SessionsLive = Sessions.size();
   Out.PlanCache = Plans.stats();
   return Out;
 }

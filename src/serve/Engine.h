@@ -25,14 +25,12 @@
 #define GRANII_SERVE_ENGINE_H
 
 #include "granii/Granii.h"
-#include "serve/PlanCache.h"
+#include "serve/LruCache.h"
 #include "serve/Protocol.h"
 #include "support/FunctionRef.h"
 #include "support/ThreadSafety.h"
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -62,7 +60,7 @@ struct EngineStats {
   uint64_t SessionMisses = 0;
   uint64_t SessionEvictions = 0;
   uint64_t SessionsLive = 0;
-  PlanCacheStats PlanCache;
+  LruStats PlanCache;
 };
 
 /// One warm serving configuration: compiled plans + selection + parameters,
@@ -83,19 +81,19 @@ public:
   /// assumed.
   RunResponse run(bool WantOutput);
 
-  /// The same pass, handing the output matrix to \p OutputSink while the
-  /// run lock still holds it (no later run can overwrite it meanwhile)
-  /// instead of copying it into the response: `granii-cli run --out`
-  /// writes its file straight from the session's result.
-  RunResponse run(FunctionRef<void(const DenseMatrix &)> OutputSink);
+  /// The same pass, handing the session's result to \p Sink while the run
+  /// lock still holds it (no later run can overwrite it meanwhile) instead
+  /// of copying its output into the response: `granii-cli run --out` writes
+  /// its file straight from Output, and `--profile` prints the run's
+  /// StepProfiles and BackwardProfiles.
+  RunResponse run(FunctionRef<void(const ExecResult &)> Sink);
 
   /// The request-level identity of this session (also its LRU key).
   const std::string &key() const { return Key; }
   const Selection &selection() const { return Sel; }
   const Optimizer &optimizer() const { return *Opt; }
-  /// The session's materialized layer tensors (the CLI's --profile path
-  /// re-executes against them with step profiling enabled); the selection
-  /// was made on their statistics, Params.Stats.
+  /// The session's materialized layer tensors; the selection was made on
+  /// their statistics, Params.Stats.
   const LayerParams &params() const { return Params; }
   /// The cost model the selection was made with (--profile prints its
   /// per-step predictions beside measured time).
@@ -106,9 +104,9 @@ private:
   Session() = default;
 
   /// Both run() forms: one pass, then the output copied (\p WantOutput) or
-  /// handed to \p OutputSink (when non-null) under the run lock.
+  /// the result handed to \p Sink (when non-null) under the run lock.
   RunResponse runPass(bool WantOutput,
-                      const FunctionRef<void(const DenseMatrix &)> *OutputSink);
+                      const FunctionRef<void(const ExecResult &)> *Sink);
 
   // Immutable after Engine::session() publishes the session: safe to read
   // from any thread without RunMutex.
@@ -168,28 +166,33 @@ public:
   void fillStats(StatsResponse &Out) const;
 
   EngineStats stats() const;
-  PlanCache &planCache() { return Plans; }
   const EngineOptions &options() const { return Opts; }
 
 private:
+  using PlanSet = std::shared_ptr<const OfflinePlans>;
+
   /// Resolves the compiled plan set of the request's model text: plan
   /// cache get, else run the offline stage (runOfflineStage) and put.
   /// \p Resp reports the compile's counts either way. M serializes the
   /// offline stage (enumeration is deliberately not concurrent).
-  PlanCache::Plans resolvePlans(const GnnModel &Model, const JobRequest &Req,
-                                CompileResponse &Resp) GRANII_REQUIRES(M);
+  PlanSet resolvePlans(const GnnModel &Model, const JobRequest &Req,
+                       CompileResponse &Resp) GRANII_REQUIRES(M);
 
   EngineOptions Opts;
-  PlanCache Plans;
 
   mutable Mutex M{"Engine::M"};
-  /// front = most recent
-  std::list<std::shared_ptr<Session>> SessionLru GRANII_GUARDED_BY(M);
-  std::map<std::string, std::list<std::shared_ptr<Session>>::iterator>
-      SessionIndex GRANII_GUARDED_BY(M);
-  uint64_t SessionHits GRANII_GUARDED_BY(M) = 0;
-  uint64_t SessionMisses GRANII_GUARDED_BY(M) = 0;
-  uint64_t SessionEvictions GRANII_GUARDED_BY(M) = 0;
+  /// The plan cache: the offline stage's product per model, so a daemon
+  /// pays enumeration and pruning at most once per model and every later
+  /// request for it, on any graph and at any embedding sizes, reuses the
+  /// set. The key is the model's DSL text itself: the offline stage reads
+  /// nothing else (not the graph, the sizes or the execution environment,
+  /// and every model compiles with the same options and every check), and
+  /// an exact key cannot collide. It lives in memory only; a restarted
+  /// daemon recompiles each model once (DESIGN.md §5, "One compile per
+  /// model").
+  LruCache<const OfflinePlans> Plans GRANII_GUARDED_BY(M);
+  /// Warm sessions keyed by Session::key().
+  LruCache<Session> Sessions GRANII_GUARDED_BY(M);
 };
 
 } // namespace serve

@@ -130,6 +130,10 @@ int ThreadPool::numThreads() {
   return ConfiguredThreads.load(std::memory_order_relaxed);
 }
 
+int64_t ThreadPool::maxChunks() {
+  return static_cast<int64_t>(numThreads()) * 4;
+}
+
 void ThreadPool::setNumThreads(int NumThreads) {
   MutexLock Submit(SubmitMutex);
   int Want = NumThreads > 0 ? NumThreads : defaultThreadCount();
@@ -287,11 +291,8 @@ void ThreadPool::parallelFor(int64_t Begin, int64_t End, int64_t GrainSize,
     return;
   }
   GrainSize = std::max<int64_t>(GrainSize, 1);
-  // Cap chunks at a small multiple of the thread count: enough slack for
-  // dynamic load balancing without flooding the queue.
-  int64_t MaxChunks = static_cast<int64_t>(numThreads()) * 4;
   int64_t NumChunks =
-      std::min(MaxChunks, (Range + GrainSize - 1) / GrainSize);
+      std::min(maxChunks(), (Range + GrainSize - 1) / GrainSize);
   if (NumChunks <= 1) {
     Body(Begin, End);
     return;
@@ -368,8 +369,7 @@ void granii::parallelForCsrRows(std::span<const int64_t> RowOffsets,
   // Small matrices are not worth a pool round trip.
   constexpr int64_t MinParallelCost = 1 << 12;
   int64_t TotalCost = Nnz + NumRows * CsrRowConstCost;
-  int64_t MaxChunks = static_cast<int64_t>(Pool.numThreads()) * 4;
-  int64_t NumChunks = std::min(MaxChunks, NumRows);
+  int64_t NumChunks = std::min(Pool.maxChunks(), NumRows);
   if (NumChunks <= 1 || TotalCost < MinParallelCost) {
     Body(0, NumRows);
     return;

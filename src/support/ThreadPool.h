@@ -56,6 +56,13 @@ public:
   /// bodies may call it while a job is in flight.
   int numThreads();
 
+  /// The most chunks a parallel loop splits its range into: a small
+  /// multiple of numThreads(), enough slack for dynamic load balancing
+  /// without flooding the queue. parallelForCsrRows splits a large matrix
+  /// into exactly this many, the partition the optimizer's schedule check
+  /// verifies.
+  int64_t maxChunks();
+
   /// Reconfigures the pool to \p NumThreads (<= 0 re-reads the default).
   /// Existing workers are joined; new ones start lazily on the next loop.
   void setNumThreads(int NumThreads);

@@ -154,7 +154,7 @@ private:
     const std::string Path = stepPath(S);
 
     if (Step.Operands.size() != Sig.Operands.size()) {
-      error(Path, stepOpName(Step.Op) + " takes " +
+      error(Path, std::string(stepOpName(Step.Op)) + " takes " +
                       std::to_string(Sig.Operands.size()) +
                       " operand(s), got " +
                       std::to_string(Step.Operands.size()));

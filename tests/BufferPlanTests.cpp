@@ -545,37 +545,55 @@ TEST(PlanWorkspaceExec, SteadyStatePerformsZeroAllocations) {
   }
 }
 
-TEST(PlanWorkspaceExec, StepProfilesFilledWhenEnabled) {
-  GnnModel M = makeModel(ModelKind::GCN);
-  LayerParams Params = makeLayerParams(M, skewedGraph(), 16, 8, 5);
-  Executor Exec(HardwareModel::byName("cpu"));
-  auto Plans = enumerateCompositions(M.Root);
-  ASSERT_FALSE(Plans.empty());
-  const CompositionPlan &Plan = Plans[0];
-
-  PlanWorkspace Ws;
-  ExecResult R;
-  Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R);
-  EXPECT_TRUE(R.StepProfiles.empty()); // profiling off by default
-
-  Exec.setStepProfiling(true);
-  Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R);
-  ASSERT_EQ(R.StepProfiles.size(), Plan.Steps.size());
-  for (size_t S = 0; S < R.StepProfiles.size(); ++S) {
-    const StepProfile &P = R.StepProfiles[S];
-    EXPECT_FALSE(P.Op.empty()) << S;
-    EXPECT_FALSE(P.Value.empty()) << S;
-    EXPECT_FALSE(P.Shape.empty()) << S;
-    EXPECT_EQ(P.Op, stepOpName(Plan.Steps[S].Op));
-    EXPECT_EQ(P.Setup, Plan.Steps[S].Setup);
-    EXPECT_GT(P.Bytes, 0.0) << S;
-    EXPECT_GE(P.Seconds, 0.0) << S;
+// Every run records its steps, with no switch to turn on: one record per
+// plan step, in step order, and in training one per backward primitive.
+// Their seconds, summed in execution order, are the result's totals bit for
+// bit, on a measured and a simulated platform, cold and warm.
+TEST(PlanWorkspaceExec, EveryRunRecordsItsSteps) {
+  for (ModelKind Kind : {ModelKind::GCN, ModelKind::GAT}) {
+    GnnModel M = makeModel(Kind);
+    LayerParams Params = makeLayerParams(M, skewedGraph(), 16, 8, 5);
+    for (const char *Hw : {"cpu", "h100"}) {
+      Executor Exec(HardwareModel::byName(Hw));
+      for (const CompositionPlan &Plan : enumerateCompositions(M.Root)) {
+        for (bool Training : {false, true}) {
+          SCOPED_TRACE(M.Name + " " + Plan.Name + " " + Hw +
+                       (Training ? " train" : " infer"));
+          PlanWorkspace Ws;
+          ExecResult R;
+          for (int Run = 0; Run < 2; ++Run) {
+            if (Training)
+              Exec.runTraining(Plan, Params.inputs(), Params.Stats, Ws, R);
+            else
+              Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R);
+            ASSERT_EQ(R.StepProfiles.size(), Plan.Steps.size());
+            double Setup = 0.0, Forward = 0.0, Backward = 0.0;
+            for (size_t S = 0; S < Plan.Steps.size(); ++S) {
+              const StepProfile &P = R.StepProfiles[S];
+              EXPECT_EQ(P.Step, static_cast<int64_t>(S));
+              EXPECT_EQ(P.Value, Plan.Steps[S].Result);
+              EXPECT_STREQ(P.Op, stepOpName(Plan.Steps[S].Op));
+              EXPECT_EQ(P.Setup, Plan.Steps[S].Setup);
+              EXPECT_GT(P.Bytes, 0.0) << S;
+              EXPECT_GE(P.Seconds, 0.0) << S;
+              (P.Setup ? Setup : Forward) += P.Seconds;
+            }
+            EXPECT_EQ(R.BackwardProfiles.empty(), !Training);
+            for (const StepProfile &P : R.BackwardProfiles) {
+              ASSERT_GE(P.Step, 0);
+              ASSERT_LT(P.Step, static_cast<int64_t>(Plan.Steps.size()));
+              const StepOp Op = Plan.Steps[static_cast<size_t>(P.Step)].Op;
+              EXPECT_STREQ(P.Op, backwardOpName(Op));
+              Backward += P.Seconds;
+            }
+            EXPECT_EQ(Setup, R.SetupSeconds);
+            EXPECT_EQ(Forward, R.ForwardSeconds);
+            EXPECT_EQ(Backward, R.BackwardSeconds);
+          }
+        }
+      }
+    }
   }
-
-  // Switching profiling back off clears the records on the next run.
-  Exec.setStepProfiling(false);
-  Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R);
-  EXPECT_TRUE(R.StepProfiles.empty());
 }
 
 TEST(PlanWorkspaceExec, OptimizerReusesWorkspaceAcrossExecutes) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -34,6 +35,22 @@ std::string gcnExamplePath() {
 /// The standard GAT layer example (attention and edge backward kernels).
 std::string gatExamplePath() {
   return std::string(GRANII_EXAMPLES_DIR) + "/gat.gnn";
+}
+
+/// How many spans of each name the Chrome trace at \p Path holds.
+std::map<std::string, int> spanCounts(const std::string &Path) {
+  std::ifstream In(Path);
+  std::ostringstream Contents;
+  Contents << In.rdbuf();
+  std::string Error;
+  std::optional<granii::JsonValue> Doc =
+      granii::parseJson(Contents.str(), &Error);
+  EXPECT_TRUE(Doc) << Error;
+  std::map<std::string, int> Counts;
+  if (Doc)
+    for (const granii::JsonValue &E : Doc->find("traceEvents")->array())
+      ++Counts[E.stringOr("name", "")];
+  return Counts;
 }
 
 } // namespace
@@ -150,6 +167,32 @@ TEST(Cli, RunProfileReportsStepsAndZeroAllocations) {
   EXPECT_NE(Out.find("steady-state allocations: 0, minor page faults: "),
             std::string::npos)
       << Out;
+}
+
+// --profile reports the session's own warm run: the plan executes twice
+// (the run and the profiled one), both through the session, on one arena.
+TEST(Cli, ProfileExecutesThePlanTwiceThroughTheSession) {
+  const std::string TracePath =
+      ::testing::TempDir() + "/cli-profile.trace.json";
+  const std::vector<std::vector<std::string>> Cases = {
+      {"run", gcnExamplePath(), "--graph", "synth:coauthors", "--kin", "16",
+       "--kout", "8", "--profile", "--trace=" + TracePath},
+      {"run", gatExamplePath(), "--graph", "synth:coauthors", "--kin", "16",
+       "--kout", "8", "--profile", "--trace=" + TracePath, "--train"},
+  };
+  for (const std::vector<std::string> &Args : Cases) {
+    const bool Training = Args.back() == "--train";
+    SCOPED_TRACE(Args[1] + (Training ? " --train" : ""));
+    std::string Out, Err;
+    ASSERT_EQ(runCli(Args, Out, Err), 0) << Err;
+    std::map<std::string, int> Spans = spanCounts(TracePath);
+    EXPECT_EQ(Spans["forward"], 2);
+    EXPECT_EQ(Spans["session-run"], 2);
+    EXPECT_EQ(Spans["backward"], Training ? 2 : 0);
+    // The one arena is planned and checked once, by the first run.
+    EXPECT_EQ(Spans["verify-schedule"], 1);
+    std::remove(TracePath.c_str());
+  }
 }
 
 // The profile tables name each step's value the way the printed plan does:
@@ -419,6 +462,29 @@ TEST(Cli, RunRejectsMalformedIntegerFlags) {
   EXPECT_NE(Err.find("--iters"), std::string::npos) << Err;
   EXPECT_NE(Err.find("'ten'"), std::string::npos) << Err;
   EXPECT_EQ(Out.find("forward:"), std::string::npos) << "it ran anyway";
+}
+
+// Selection multiplies every per-iteration cost by the --iters horizon, so
+// zero, a negative count or one that wraps in an int would drop or invert
+// that term: each is rejected like a malformed integer, before anything
+// runs or binds a socket.
+TEST(Cli, RunAndServeRejectAHorizonOutsideOneToIntMax) {
+  for (const char *Iters : {"0", "-5", "3000000000"}) {
+    const std::vector<std::vector<std::string>> Cases = {
+        {"run", gcnExamplePath(), "--graph", "synth:mycielskian", "--iters",
+         Iters},
+        {"serve", "--socket", "/nonexistent-dir/granii.sock", "--iters", Iters},
+    };
+    for (const std::vector<std::string> &Args : Cases) {
+      SCOPED_TRACE(Args[0] + " --iters " + Iters);
+      std::string Out, Err;
+      EXPECT_EQ(runCli(Args, Out, Err), 2);
+      EXPECT_NE(Err.find("--iters"), std::string::npos) << Err;
+      EXPECT_NE(Err.find(std::string("got ") + Iters), std::string::npos)
+          << Err;
+      EXPECT_TRUE(Out.empty()) << Out;
+    }
+  }
 }
 
 TEST(Cli, CallRejectsMalformedIntegerFlags) {

@@ -84,7 +84,7 @@ TEST(Executor, MeasuredTimesArePositive) {
   ExecResult R = cpuExecutor().run(Plans[0], Params.inputs(), Params.Stats);
   EXPECT_GT(R.ForwardSeconds, 0.0);
   EXPECT_EQ(R.BackwardSeconds, 0.0);
-  EXPECT_EQ(R.StepSeconds.size(), Plans[0].Steps.size());
+  EXPECT_EQ(R.StepProfiles.size(), Plans[0].Steps.size());
 }
 
 TEST(Executor, SimulatedTimesAreDeterministic) {
@@ -108,7 +108,7 @@ TEST(Executor, SetupSecondsOnlyFromSetupSteps) {
     ExecResult R = Sim.run(P, Params.inputs(), Params.Stats);
     double Setup = 0.0, Iter = 0.0;
     for (size_t I = 0; I < P.Steps.size(); ++I)
-      (P.Steps[I].Setup ? Setup : Iter) += R.StepSeconds[I];
+      (P.Steps[I].Setup ? Setup : Iter) += R.StepProfiles[I].Seconds;
     EXPECT_NEAR(R.SetupSeconds, Setup, 1e-12);
     EXPECT_NEAR(R.ForwardSeconds, Iter, 1e-12);
   }

@@ -1,7 +1,13 @@
-//===- PlanCacheTests.cpp - Tests for the serving plan cache ----------------===//
+//===- PlanCacheTests.cpp - Tests for the serving engine's LRU ------------===//
+//
+// The engine's plan cache and session cache are one LruCache; these cases
+// run it as the plan cache, keyed by model text.
+//
+//===----------------------------------------------------------------------===//
 
-#include "serve/PlanCache.h"
+#include "serve/LruCache.h"
 
+#include "granii/Granii.h"
 #include "models/Models.h"
 
 #include <gtest/gtest.h>
@@ -11,8 +17,10 @@ using namespace granii::serve;
 
 namespace {
 
-PlanCache::Plans somePlans() {
-  static PlanCache::Plans Cached = std::make_shared<const OfflinePlans>(
+using PlanCache = LruCache<const OfflinePlans>;
+
+PlanCache::Ptr somePlans() {
+  static PlanCache::Ptr Cached = std::make_shared<const OfflinePlans>(
       runOfflineStage(makeModel(ModelKind::GCN).Root, EnumOptions()));
   return Cached;
 }
@@ -28,10 +36,10 @@ TEST(PlanCache, MissThenHitAndCounters) {
   PlanCache Cache(4);
   EXPECT_EQ(Cache.get(keyNumbered(0)), nullptr);
   Cache.put(keyNumbered(0), somePlans());
-  PlanCache::Plans Got = Cache.get(keyNumbered(0));
+  PlanCache::Ptr Got = Cache.get(keyNumbered(0));
   ASSERT_NE(Got, nullptr);
   EXPECT_EQ(Got->Promoted.size(), somePlans()->Promoted.size());
-  PlanCacheStats S = Cache.stats();
+  LruStats S = Cache.stats();
   EXPECT_EQ(S.Misses, 1u);
   EXPECT_EQ(S.Hits, 1u);
   EXPECT_EQ(S.Evictions, 0u);
@@ -84,7 +92,7 @@ TEST(PlanCache, RePutRefreshesRecencyWithoutGrowing) {
 TEST(PlanCache, SharedValueSurvivesEviction) {
   PlanCache Cache(1);
   Cache.put(keyNumbered(0), somePlans());
-  PlanCache::Plans Held = Cache.get(keyNumbered(0));
+  PlanCache::Ptr Held = Cache.get(keyNumbered(0));
   ASSERT_NE(Held, nullptr);
   Cache.put(keyNumbered(1), somePlans()); // evicts entry 0
   // A session still holding the shared_ptr keeps using it safely.

@@ -801,7 +801,7 @@ TEST(Engine, OneCompilePerModelAcrossGraphsAndSizes) {
         }
         EXPECT_TRUE(sameBits(GA.FeatureGrad, GB.FeatureGrad));
       }
-  PlanCacheStats Plans = Shared.stats().PlanCache;
+  LruStats Plans = Shared.stats().PlanCache;
   EXPECT_EQ(Plans.Misses, 1u);
   EXPECT_EQ(Plans.Hits, 7u);
 }

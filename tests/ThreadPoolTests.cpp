@@ -121,6 +121,36 @@ TEST(ThreadPool, CsrRowPartitionCoversSkewedOffsets) {
     ASSERT_EQ(Visits[static_cast<size_t>(R)], 1) << "row " << R;
 }
 
+// The optimizer's schedule check verifies csrRowPartitionBounds at the
+// pool's chunk count: the row ranges the kernels' loop runs must be exactly
+// those bounds, at one thread and at several.
+TEST(ThreadPool, CsrRowLoopRunsThePartitionTheScheduleCheckVerifies) {
+  constexpr int64_t Rows = 5000;
+  std::vector<int64_t> Offsets(Rows + 1, 0);
+  for (size_t R = 0; R < static_cast<size_t>(Rows); ++R)
+    Offsets[R + 1] = Offsets[R] + 1 + static_cast<int64_t>(R * 7 % 13);
+  for (int Threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(Threads) + " thread(s)");
+    ScopedThreads Scope(Threads);
+    // Each range's end, stored at its begin: ranges are disjoint, so no two
+    // chunks write one slot.
+    std::vector<int64_t> EndOf(Rows, -1);
+    parallelForCsrRows(Offsets, [&](int64_t Begin, int64_t End) {
+      EndOf[static_cast<size_t>(Begin)] = End;
+    });
+    std::vector<int64_t> Ran = {0};
+    while (Ran.back() < Rows && EndOf[static_cast<size_t>(Ran.back())] >= 0)
+      Ran.push_back(EndOf[static_cast<size_t>(Ran.back())]);
+    size_t Recorded = 0;
+    for (int64_t End : EndOf)
+      Recorded += End >= 0 ? 1 : 0;
+    EXPECT_EQ(Recorded, Ran.size() - 1);
+    EXPECT_GT(Ran.size(), 2u) << "the matrix must split";
+    EXPECT_EQ(Ran,
+              csrRowPartitionBounds(Offsets, ThreadPool::get().maxChunks()));
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // GRANII_NUM_THREADS / --threads parsing and clamping
 //===----------------------------------------------------------------------===//

@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -152,6 +153,24 @@ int rejectMalformedInts(const ArgParser &Args,
   return Code;
 }
 
+/// Rejects an --iters outside [1, INT32_MAX] with a Diag: selection
+/// multiplies every per-iteration cost by this horizon, so zero, a negative
+/// count or one that wraps in an int would drop or invert that term.
+/// \returns 0 when the flag is absent or in range, else the exit code 2.
+int rejectBadHorizon(const ArgParser &Args, std::string &Err) {
+  const int64_t Iters = Args.intValue("iters", 100);
+  if (Iters >= 1 && Iters <= std::numeric_limits<int32_t>::max())
+    return 0;
+  Err += Diag{DiagSeverity::Error, "cli", "--iters",
+              "expects an iteration count in [1, " +
+                  std::to_string(std::numeric_limits<int32_t>::max()) +
+                  "], got " + std::to_string(Iters),
+              "pass the iterations one selection serves, e.g. --iters 100"}
+             .toString() +
+         "\n";
+  return 2;
+}
+
 std::optional<std::string> readFileText(const std::string &Path,
                                         std::string &Err) {
   std::ifstream In(Path);
@@ -183,7 +202,7 @@ std::optional<Graph> loadGraph(const std::string &Spec, std::string &Err) {
   std::string SpecError;
   std::optional<Graph> G = loadGraphSpec(Spec, &SpecError);
   if (!G)
-    Err += SpecError;
+    Err += "error: " + SpecError + "\n";
   return G;
 }
 
@@ -286,44 +305,34 @@ int cmdVerify(const ArgParser &Args, std::string &Out, std::string &Err) {
   return 0;
 }
 
-/// The --profile path: executes the selected plan against a dedicated
-/// workspace with per-step profiling — a warm-up run plans and allocates
-/// the arena, then a steady-state run is profiled and its allocation count
-/// checked. Nonzero steady-state allocations are a planning bug, reported
+/// The --profile path: one more run of the session, a warm one on the arena
+/// its first run planned, whose records are printed beside each step's
+/// prediction. Nonzero allocations in that run are a planning bug, reported
 /// via the exit code so CI can assert the zero-allocation property.
-int profileRun(const serve::Session &S, const HardwareModel &Hw,
-               bool Training, std::string &Out, std::string &Err) {
+int profileRun(serve::Session &S, bool Training, std::string &Out,
+               std::string &Err) {
   const CompositionPlan &Plan =
       S.optimizer().promoted()[S.selection().PlanIndex];
   const LayerParams &Params = S.params();
-  Executor Exec(Hw);
-  Exec.setStepProfiling(true);
-  PlanWorkspace Ws;
-  ExecResult R;
-  LayerInputs Inputs = Params.inputs();
-
-  auto RunOnce = [&] {
-    if (Training)
-      Exec.runTraining(Plan, Inputs, Params.Stats, Ws, R);
-    else
-      Exec.run(Plan, Inputs, Params.Stats, Ws, R);
-  };
-  RunOnce(); // warm-up: plans the arena, allocates every slot
-  Ws.resetAllocationCount();
-  RunOnce(); // steady state: profiled, must not allocate
-  size_t SteadyAllocs = Ws.allocationCount();
+  const DimBinding Binding = Params.inputs().binding(&Plan);
+  std::vector<StepProfile> Steps, Backward;
+  const serve::RunResponse R = S.run([&](const ExecResult &Result) {
+    Steps = Result.StepProfiles;
+    Backward = Result.BackwardProfiles;
+  });
 
   // Each step's prediction comes from the cost model that chose the plan,
   // on the statistics it chose with.
   std::vector<std::string> Header = {"step",    "value",   "op",        "shape",
                                      "ms",      "pred ms", "meas/pred", "MB",
                                      "GFLOP/s", "GB/s"};
+  const std::vector<PrimitiveDesc> Descs = Plan.primitiveDescs(Binding);
   std::vector<std::vector<std::string>> Rows;
   double PredictedForward = 0.0;
-  for (size_t I = 0; I < R.StepProfiles.size(); ++I) {
-    const StepProfile &P = R.StepProfiles[I];
-    const double Predicted =
-        S.cost().primitiveSeconds(Ws.descs()[I], Params.Stats);
+  for (size_t I = 0; I < Steps.size(); ++I) {
+    const StepProfile &P = Steps[I];
+    const ValueLabel Label = valueLabel(Plan, Binding, P.Value);
+    const double Predicted = S.cost().primitiveSeconds(Descs[I], Params.Stats);
     if (!P.Setup)
       PredictedForward += Predicted;
     double GFlops = P.Seconds > 0.0 ? P.Flops / P.Seconds / 1e9 : 0.0;
@@ -339,7 +348,7 @@ int profileRun(const serve::Session &S, const HardwareModel &Hw,
                         (Fused ? " (fused into step " +
                                      std::to_string(P.FusedInto) + ")"
                                : ""),
-                    P.Value, P.Op, P.Shape,
+                    Label.Name, P.Op, Label.Shape,
                     formatDouble(P.Seconds * 1e3, 4),
                     formatDouble(Predicted * 1e3, 4),
                     OrDash(P.Seconds / Predicted, 2),
@@ -355,10 +364,11 @@ int profileRun(const serve::Session &S, const HardwareModel &Hw,
     // The backward pass stays outside selection, so its primitives have no
     // predicted column; they run in the reverse of the plan's step order.
     std::vector<std::vector<std::string>> BwdRows;
-    for (const StepProfile &P : R.BackwardProfiles) {
+    for (const StepProfile &P : Backward) {
+      const ValueLabel Label = valueLabel(Plan, Binding, P.Value);
       double GFlops = P.Seconds > 0.0 ? P.Flops / P.Seconds / 1e9 : 0.0;
       double GBps = P.Seconds > 0.0 ? P.Bytes / P.Seconds / 1e9 : 0.0;
-      BwdRows.push_back({std::to_string(P.Step), P.Op, P.Value, P.Shape,
+      BwdRows.push_back({std::to_string(P.Step), P.Op, Label.Name, Label.Shape,
                          formatDouble(P.Seconds * 1e3, 4),
                          formatDouble(P.Bytes / 1e6, 3),
                          formatDouble(GFlops, 2), formatDouble(GBps, 2)});
@@ -371,31 +381,29 @@ int profileRun(const serve::Session &S, const HardwareModel &Hw,
            " ms\n";
   }
 
-  const BufferPlan *Buffers = Ws.bufferPlan();
-  if (Buffers) {
-    // The arena total includes the output's planned slot, which is never
-    // allocated: the caller's result holds the output instead.
-    const ValueBuffer &Output =
-        Buffers->values()[static_cast<size_t>(Plan.OutputValue)];
-    Out += "planned memory: peak " +
-           formatDouble(Buffers->peakBytes() / 1e6, 3) + " MB live, arena " +
-           formatDouble(Buffers->arenaBytes() / 1e6, 3) + " MB (" +
-           formatDouble(Output.Floats * sizeof(float) / 1e6, 3) +
-           " MB of it the output, held by the caller's result), "
-           "fresh-allocation baseline " +
-           formatDouble(Buffers->naiveBytes() / 1e6, 3) + " MB (" +
-           std::to_string(Buffers->slots().size()) + " slots for " +
-           std::to_string(Plan.Steps.size()) + " steps)\n";
-  }
+  // The session's workspace executes this buffer plan: the one of the same
+  // plan, binding and mode. Its arena total includes the output's planned
+  // slot, which is never allocated: the caller's result holds the output.
+  const BufferPlan Buffers(Plan, Binding, Training);
+  const ValueBuffer &Output =
+      Buffers.values()[static_cast<size_t>(Plan.OutputValue)];
+  Out += "planned memory: peak " + formatDouble(Buffers.peakBytes() / 1e6, 3) +
+         " MB live, arena " + formatDouble(Buffers.arenaBytes() / 1e6, 3) +
+         " MB (" + formatDouble(Output.Floats * sizeof(float) / 1e6, 3) +
+         " MB of it the output, held by the caller's result), "
+         "fresh-allocation baseline " +
+         formatDouble(Buffers.naiveBytes() / 1e6, 3) + " MB (" +
+         std::to_string(Buffers.slots().size()) + " slots for " +
+         std::to_string(Plan.Steps.size()) + " steps)\n";
   // The process's first-touch cost so far (graph load, parameters, the
   // arenas): a regression there shows here without a profiler.
   struct rusage Usage {};
   ::getrusage(RUSAGE_SELF, &Usage);
-  Out += "steady-state allocations: " + std::to_string(SteadyAllocs) +
+  Out += "steady-state allocations: " + std::to_string(R.SteadyAllocations) +
          ", minor page faults: " + std::to_string(Usage.ru_minflt) + "\n";
-  if (SteadyAllocs > 0) {
+  if (R.SteadyAllocations > 0) {
     Err += "error: steady-state run performed " +
-           std::to_string(SteadyAllocs) +
+           std::to_string(R.SteadyAllocations) +
            " workspace allocations (expected 0)\n";
     return 1;
   }
@@ -410,6 +418,8 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
           Err))
     return Code;
   if (int Code = rejectMalformedInts(Args, {"kin", "kout", "iters"}, Err))
+    return Code;
+  if (int Code = rejectBadHorizon(Args, Err))
     return Code;
   if (Args.Positional.size() < 2) {
     Err += "usage: granii-cli run <model.gnn> [--graph <mtx|synth:name>] "
@@ -499,7 +509,8 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
     return 2;
   }
   bool Wrote = true;
-  auto WriteFile = [&](const DenseMatrix &M) {
+  auto WriteFile = [&](const ExecResult &Result) {
+    const DenseMatrix &M = Result.Output;
     Wrote = writeOutputFile(OutPath, M.rows(), M.cols(),
                             {M.data(), static_cast<size_t>(M.size())}, Err);
   };
@@ -521,7 +532,7 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
            std::to_string(R.Cols) + ") to " + OutPath + "\n";
 
   if (Args.hasFlag("profile"))
-    return profileRun(*S, EngOpts.Hw, Training, Out, Err);
+    return profileRun(*S, Training, Out, Err);
   return 0;
 }
 
@@ -536,6 +547,8 @@ int cmdServe(const ArgParser &Args, std::string &Out, std::string &Err) {
     return Code;
   if (int Code = rejectMalformedInts(
           Args, {"workers", "plan-cache", "sessions", "iters"}, Err))
+    return Code;
+  if (int Code = rejectBadHorizon(Args, Err))
     return Code;
   std::string Socket = Args.value("socket");
   if (Socket.empty()) {
