@@ -226,6 +226,32 @@ int runKernels(const std::string &JsonPath) {
               [&] { kernels::gemmTransposedRhsInto(Dy, W, Dx); });
     }
     {
+      // The GAT attention GEMV Theta * a and its two gradients at the
+      // training layer's output width: 25000 nodes, K 128.
+      const int64_t N = 25000, K = 128;
+      DenseMatrix Theta = randomDense(N, K, 16);
+      DenseMatrix DTheta(N, K);
+      std::vector<float> AVec(static_cast<size_t>(K));
+      std::vector<float> Grad(static_cast<size_t>(N));
+      std::vector<float> Y(static_cast<size_t>(N)), DA(AVec.size());
+      Rng R(17);
+      for (float &X : AVec)
+        X = R.nextFloat(-1.0f, 1.0f);
+      for (float &X : Grad)
+        X = R.nextFloat(-1.0f, 1.0f);
+      Measure("gemv/25000x128", "-", K, 1, {PrimitiveKind::Gemv, N, 1, K, 0},
+              [&] { kernels::gemvInto(Theta, AVec, Y); });
+      Measure("attn_theta_grad/25000x128", "-", K, 1,
+              {PrimitiveKind::Gemm, N, K, 1, 0}, [&] {
+                kernels::attnThetaGradInto(Grad, AVec, DTheta,
+                                           /*First=*/true);
+              });
+      Measure("attn_vec_grad/25000x128", "-", K, 1,
+              {PrimitiveKind::Gemv, N, 0, K, 0}, [&] {
+                kernels::attnVecGradInto(Theta, Grad, DA, /*First=*/true);
+              });
+    }
+    {
       const CsrMatrix &A = G.adjacency();
       const size_t Nnz = static_cast<size_t>(A.nnz());
       std::vector<float> Logits(Nnz), Alpha(Nnz), Grad(Nnz, 0.25f), DIn(Nnz);

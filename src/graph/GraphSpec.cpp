@@ -9,6 +9,8 @@
 #include "support/Str.h"
 #include "support/Trace.h"
 
+#include <sys/stat.h>
+
 using namespace granii;
 
 namespace {
@@ -103,6 +105,23 @@ std::optional<Graph> granii::loadGraphSpec(const std::string &Spec,
     Span.setArg("edges", static_cast<double>(G->numEdges()));
   }
   return G;
+}
+
+std::optional<std::string>
+granii::graphSpecIdentity(const std::string &Spec) {
+  if (startsWith(Spec, "synth:"))
+    return Spec;
+  struct stat St {};
+  if (::stat(Spec.c_str(), &St) != 0)
+    return std::nullopt;
+  // Seconds and nanoseconds side by side: any time_t a file system stores
+  // prints without arithmetic that could overflow.
+  auto Time = [](const timespec &T) {
+    return std::to_string(T.tv_sec) + "." + std::to_string(T.tv_nsec);
+  };
+  return Spec + "@" + std::to_string(St.st_dev) + ":" +
+         std::to_string(St.st_ino) + ":" + std::to_string(St.st_size) + ":" +
+         Time(St.st_mtim) + ":" + Time(St.st_ctim);
 }
 
 uint64_t granii::graphFingerprint(const Graph &G) {

@@ -31,6 +31,15 @@ namespace granii {
 std::optional<Graph> loadGraphSpec(const std::string &Spec,
                                    std::string *Err = nullptr);
 
+/// What a cached answer for \p Spec must match to stay current. A
+/// "synth:" spec names a deterministic generator, so its identity is its
+/// text. A file's is its path plus, from one stat(), its device, inode,
+/// size and modification and status-change times to the nanosecond:
+/// replacing or rewriting the file changes it, except a rewrite in place to
+/// the same size within one timestamp tick. \returns nullopt when the path
+/// does not stat (loadGraphSpec then reports why it cannot be read).
+std::optional<std::string> graphSpecIdentity(const std::string &Spec);
+
 /// Stable content fingerprint of \p G: hashes the name, shape, and the raw
 /// CSR arrays (offsets, columns, explicit values). No request path calls
 /// it (the plan cache keys on the model text); the end-to-end benchmark

@@ -51,8 +51,11 @@ bool Client::connect(const std::string &SocketPath, std::string *Err) {
   return true;
 }
 
-bool Client::roundTrip(Verb V, const std::vector<uint8_t> &Payload, Frame &Out,
-                       std::string *Err) {
+template <typename Response>
+bool Client::call(Verb V, const std::vector<uint8_t> &Payload,
+                  bool (*Decode)(std::span<const uint8_t>, Response &,
+                                 std::string *),
+                  Response &Resp, std::string *Err) {
   if (Fd < 0) {
     if (Err)
       *Err = "client is not connected";
@@ -60,7 +63,8 @@ bool Client::roundTrip(Verb V, const std::vector<uint8_t> &Payload, Frame &Out,
   }
   if (!writeFrame(Fd, static_cast<uint16_t>(V), Payload, Err))
     return false;
-  ReadStatus Status = readFrame(Fd, Out, Err);
+  Frame In;
+  ReadStatus Status = readFrame(Fd, In, Err);
   if (Status == ReadStatus::Eof) {
     if (Err)
       *Err = "daemon closed the connection without responding";
@@ -68,40 +72,29 @@ bool Client::roundTrip(Verb V, const std::vector<uint8_t> &Payload, Frame &Out,
   }
   if (Status == ReadStatus::Error)
     return false;
-  if (Out.Verb != static_cast<uint16_t>(V)) {
+  if (In.Verb != static_cast<uint16_t>(V)) {
     if (Err)
-      *Err = "response verb " + std::to_string(Out.Verb) +
+      *Err = "response verb " + std::to_string(In.Verb) +
              " does not match request verb '" + verbName(V) + "'";
     return false;
   }
-  return true;
+  return Decode(In.Payload, Resp, Err);
 }
 
 bool Client::compile(const JobRequest &Req, CompileResponse &Resp,
                      std::string *Err) {
-  Frame Out;
-  if (!roundTrip(Verb::Compile, encodeJobRequest(Req), Out, Err))
-    return false;
-  return decodeCompileResponse(Out.Payload, Resp, Err);
+  return call(Verb::Compile, encodeJobRequest(Req), decodeCompileResponse,
+              Resp, Err);
 }
 
 bool Client::run(const JobRequest &Req, RunResponse &Resp, std::string *Err) {
-  Frame Out;
-  if (!roundTrip(Verb::Run, encodeJobRequest(Req), Out, Err))
-    return false;
-  return decodeRunResponse(Out.Payload, Resp, Err);
+  return call(Verb::Run, encodeJobRequest(Req), decodeRunResponse, Resp, Err);
 }
 
 bool Client::stats(StatsResponse &Resp, std::string *Err) {
-  Frame Out;
-  if (!roundTrip(Verb::Stats, std::vector<uint8_t>(), Out, Err))
-    return false;
-  return decodeStatsResponse(Out.Payload, Resp, Err);
+  return call(Verb::Stats, {}, decodeStatsResponse, Resp, Err);
 }
 
 bool Client::shutdown(ShutdownResponse &Resp, std::string *Err) {
-  Frame Out;
-  if (!roundTrip(Verb::Shutdown, std::vector<uint8_t>(), Out, Err))
-    return false;
-  return decodeShutdownResponse(Out.Payload, Resp, Err);
+  return call(Verb::Shutdown, {}, decodeShutdownResponse, Resp, Err);
 }

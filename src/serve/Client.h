@@ -43,10 +43,13 @@ public:
   bool shutdown(ShutdownResponse &Resp, std::string *Err = nullptr);
 
 private:
-  /// Sends \p Payload under \p V and reads one response frame, enforcing
-  /// that the response verb echoes the request verb.
-  bool roundTrip(Verb V, const std::vector<uint8_t> &Payload, Frame &Out,
-                 std::string *Err);
+  /// Sends \p Payload under \p V, reads one response frame, enforcing that
+  /// its verb echoes the request verb, and decodes it into \p Resp.
+  template <typename Response>
+  bool call(Verb V, const std::vector<uint8_t> &Payload,
+            bool (*Decode)(std::span<const uint8_t>, Response &,
+                           std::string *),
+            Response &Resp, std::string *Err);
 
   int Fd = -1;
 };

@@ -58,13 +58,21 @@ std::string hex16(uint64_t V) {
   return Buf;
 }
 
+/// Compiled plan sets the plan cache keeps.
+constexpr size_t PlanCacheCapacity = 16;
+
 /// The request-level session identity: request fields plus the execution
-/// environment (thread count, ISA). Cheap to compute — the graph is named
-/// by its spec string, so a warm session lookup never loads the graph; the
-/// plan cache underneath keys on the model text alone.
-std::string sessionKeyFor(const JobRequest &Req) {
+/// environment (thread count, ISA). Cheap to compute: the graph is named by
+/// graphSpecIdentity (a "synth:" spec's text, a file's path and stat()), so
+/// a warm session lookup never loads the graph, and a replaced file misses.
+/// The plan cache underneath keys on the model text alone. \returns nullopt
+/// when the graph file does not stat: no session may answer for it.
+std::optional<std::string> sessionKeyFor(const JobRequest &Req) {
+  std::optional<std::string> GraphId = graphSpecIdentity(Req.GraphSpec);
+  if (!GraphId)
+    return std::nullopt;
   std::string Key = "m" + hex16(fnv1a64(Req.ModelText));
-  Key += "/" + Req.GraphSpec;
+  Key += "/" + *GraphId;
   Key += "/k" + std::to_string(Req.KIn) + "x" + std::to_string(Req.KOut);
   Key += "/t" + std::to_string(ThreadPool::get().numThreads());
   Key += "/";
@@ -182,7 +190,7 @@ RunResponse Session::runPass(
 //===----------------------------------------------------------------------===//
 
 Engine::Engine(EngineOptions OptsIn)
-    : Opts(std::move(OptsIn)), Plans(Opts.PlanCacheCapacity),
+    : Opts(std::move(OptsIn)), Plans(PlanCacheCapacity),
       Sessions(Opts.SessionCapacity) {}
 
 Engine::PlanSet Engine::resolvePlans(const GnnModel &Model,
@@ -239,9 +247,11 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
     *SessionHit = false;
   if (!validLayout(Req, &Error))
     return nullptr;
-  std::string Key = sessionKeyFor(Req);
+  // A graph file that does not stat takes the cold path, whose load
+  // reports why, and no session is published under it.
+  std::optional<std::string> Key = sessionKeyFor(Req);
   MutexLock Lock(M);
-  if (std::shared_ptr<Session> Warm = Sessions.get(Key)) {
+  if (std::shared_ptr<Session> Warm = Key ? Sessions.get(*Key) : nullptr) {
     if (SessionHit)
       *SessionHit = true;
     if (Compile) {
@@ -273,7 +283,6 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
     return nullptr;
 
   auto S = std::shared_ptr<Session>(new Session());
-  S->Key = Key;
   OptimizerOptions Options;
   Options.Hw = Opts.Hw;
   Options.Iterations = Opts.Iterations;
@@ -298,7 +307,8 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   Binding.KOut = Req.KOut;
   S->Sel = S->Opt->selectWithStats(Binding, S->Params.Stats);
 
-  Sessions.put(Key, S);
+  if (Key)
+    Sessions.put(*Key, S);
   return S;
 }
 

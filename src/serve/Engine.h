@@ -45,7 +45,6 @@ struct EngineOptions {
   /// Amortization horizon forwarded to the Optimizer (selection reports
   /// predicted seconds for this many iterations).
   int Iterations = 100;
-  size_t PlanCacheCapacity = 16;
   /// Bound on live sessions (each owns an arena sized by its graph).
   size_t SessionCapacity = 8;
   /// Ignored: the plan cache has no disk tier. Kept because the end-to-end
@@ -88,8 +87,6 @@ public:
   /// StepProfiles and BackwardProfiles.
   RunResponse run(FunctionRef<void(const ExecResult &)> Sink);
 
-  /// The request-level identity of this session (also its LRU key).
-  const std::string &key() const { return Key; }
   const Selection &selection() const { return Sel; }
   const Optimizer &optimizer() const { return *Opt; }
   /// The session's materialized layer tensors; the selection was made on
@@ -110,7 +107,6 @@ private:
 
   // Immutable after Engine::session() publishes the session: safe to read
   // from any thread without RunMutex.
-  std::string Key;
   bool Training = false;
   /// Selection + execution state. Cost must outlive Opt (the optimizer
   /// keeps a pointer), hence the member order. Opt's workspaces are the
@@ -191,7 +187,8 @@ private:
   /// daemon recompiles each model once (DESIGN.md §5, "One compile per
   /// model").
   LruCache<const OfflinePlans> Plans GRANII_GUARDED_BY(M);
-  /// Warm sessions keyed by Session::key().
+  /// Warm sessions, keyed by the request fields, the graph's identity and
+  /// the execution environment (sessionKeyFor in Engine.cpp).
   LruCache<Session> Sessions GRANII_GUARDED_BY(M);
 };
 

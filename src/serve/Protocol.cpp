@@ -2,6 +2,8 @@
 
 #include "serve/Protocol.h"
 
+#include <type_traits>
+
 using namespace granii;
 using namespace granii::serve;
 
@@ -21,282 +23,139 @@ const char *granii::serve::verbName(Verb V) {
 
 namespace {
 
+/// Responses lead with a status; the job request has none.
+template <typename Msg>
+constexpr bool IsResponse = !std::is_same_v<Msg, JobRequest>;
+
 void putStatus(WireWriter &W, const ResponseStatus &Status) {
-  W.putU8(Status.Ok ? 0 : 1);
+  W.put(!Status.Ok);
   if (!Status.Ok)
-    W.putString(Status.Error);
+    W.put(Status.Error);
 }
 
-/// Reads the leading status byte (+ error string when nonzero). \returns
-/// false when the payload is an error response or malformed — in both
-/// cases the caller should stop decoding the body.
+/// Reads the leading status. \returns whether the message's fields follow:
+/// the read was clean and the status is ok.
 bool getStatus(WireReader &R, ResponseStatus &Status) {
-  uint8_t Code = R.getU8();
-  if (!R.ok())
-    return false;
-  Status.Ok = Code == 0;
-  if (!Status.Ok) {
-    Status.Error = R.getString();
-    return false;
-  }
-  return true;
+  bool Failed = false;
+  R.get(Failed);
+  Status.Ok = !Failed;
+  if (Failed)
+    R.get(Status.Error);
+  return R.ok() && Status.Ok;
 }
 
-/// Finalizes a decode: the reader must be clean and fully consumed.
-bool finish(const WireReader &R, std::string *Err) {
-  if (!R.ok()) {
-    if (Err)
-      *Err = R.error();
-    return false;
+/// The one encoder: a response's status, then, unless it is an error, the
+/// message's fields in the order its walk lists them.
+template <typename Msg> std::vector<uint8_t> encode(const Msg &M) {
+  WireWriter W;
+  if constexpr (IsResponse<Msg>) {
+    putStatus(W, M.Status);
+    if (!M.Status.Ok)
+      return W.take();
   }
-  if (!R.atEnd()) {
-    if (Err)
-      *Err = "trailing garbage after payload at byte " +
-             std::to_string(R.offset());
-    return false;
-  }
-  return true;
+  Msg::fields(M, [&W](const auto &...Field) { (W.put(Field), ...); });
+  return W.take();
 }
 
-/// Error responses short-circuit getStatus; a well-formed error payload is
-/// still a successful decode (the caller inspects Status.Ok).
-bool finishStatusOnly(const WireReader &R, const ResponseStatus &Status,
-                      std::string *Err) {
-  if (!R.ok()) {
-    if (Err)
-      *Err = R.error();
-    return false;
+struct NoCheck {
+  template <typename Msg> void operator()(const Msg &, WireReader &) const {}
+};
+
+/// The one decoder, the encoder's mirror: a response's status, then, unless
+/// it is an error, every field of the walk, after which \p Check may fail
+/// the reader on the decoded message. The payload must be consumed exactly.
+template <typename Msg, typename CheckFn = NoCheck>
+bool decode(std::span<const uint8_t> Payload, Msg &Out, std::string *Err,
+            CheckFn Check = {}) {
+  WireReader R(Payload);
+  bool HasFields = true;
+  if constexpr (IsResponse<Msg>)
+    HasFields = getStatus(R, Out.Status);
+  if (HasFields) {
+    Msg::fields(Out, [&R](auto &...Field) { (R.get(Field), ...); });
+    if (R.ok())
+      Check(Out, R);
   }
-  if (Status.Ok) {
-    if (Err)
-      *Err = "internal decode error: ok status in error path";
-    return false;
-  }
-  return true;
+  if (R.atEnd())
+    return true;
+  if (Err)
+    *Err = !R.ok() ? R.error()
+                   : "trailing garbage after payload at byte " +
+                         std::to_string(R.offset());
+  return false;
 }
 
 } // namespace
 
-//===----------------------------------------------------------------------===//
-// JobRequest
-//===----------------------------------------------------------------------===//
-
 std::vector<uint8_t> granii::serve::encodeJobRequest(const JobRequest &Req) {
-  WireWriter W;
-  W.putString(Req.ModelText);
-  W.putString(Req.GraphSpec);
-  W.putI64(Req.KIn);
-  W.putI64(Req.KOut);
-  W.putU8(Req.Training ? 1 : 0);
-  W.putString(Req.Reorder);
-  W.putU64(Req.Seed);
-  W.putU8(Req.WantOutput ? 1 : 0);
-  W.putString(Req.Format);
-  return W.take();
+  return encode(Req);
 }
 
 bool granii::serve::decodeJobRequest(std::span<const uint8_t> Payload,
                                      JobRequest &Out, std::string *Err) {
-  WireReader R(Payload);
-  Out.ModelText = R.getString();
-  Out.GraphSpec = R.getString();
-  Out.KIn = R.getI64();
-  Out.KOut = R.getI64();
-  Out.Training = R.getU8() != 0;
-  Out.Reorder = R.getString();
-  Out.Seed = R.getU64();
-  Out.WantOutput = R.getU8() != 0;
-  Out.Format = R.getString();
-  if (R.ok() && (Out.KIn < 1 || Out.KOut < 1))
-    R.fail("embedding sizes must be >= 1 (got " + std::to_string(Out.KIn) +
-           "x" + std::to_string(Out.KOut) + ")");
-  return finish(R, Err);
+  return decode(Payload, Out, Err, [](const JobRequest &Req, WireReader &R) {
+    if (Req.KIn < 1 || Req.KOut < 1)
+      R.fail("embedding sizes must be >= 1 (got " + std::to_string(Req.KIn) +
+             "x" + std::to_string(Req.KOut) + ")");
+  });
 }
-
-//===----------------------------------------------------------------------===//
-// CompileResponse
-//===----------------------------------------------------------------------===//
 
 std::vector<uint8_t>
 granii::serve::encodeCompileResponse(const CompileResponse &Resp) {
-  WireWriter W;
-  putStatus(W, Resp.Status);
-  if (!Resp.Status.Ok)
-    return W.take();
-  W.putU64(Resp.Enumerated);
-  W.putU64(Resp.Pruned);
-  W.putU64(Resp.Promoted);
-  W.putU8(Resp.PlanCacheHit ? 1 : 0);
-  W.putF64(Resp.CompileSeconds);
-  W.putString(Resp.CacheKey);
-  return W.take();
+  return encode(Resp);
 }
 
 bool granii::serve::decodeCompileResponse(std::span<const uint8_t> Payload,
                                           CompileResponse &Out,
                                           std::string *Err) {
-  WireReader R(Payload);
-  if (!getStatus(R, Out.Status))
-    return finishStatusOnly(R, Out.Status, Err);
-  Out.Enumerated = R.getU64();
-  Out.Pruned = R.getU64();
-  Out.Promoted = R.getU64();
-  Out.PlanCacheHit = R.getU8() != 0;
-  Out.CompileSeconds = R.getF64();
-  Out.CacheKey = R.getString();
-  return finish(R, Err);
+  return decode(Payload, Out, Err);
 }
-
-//===----------------------------------------------------------------------===//
-// RunResponse
-//===----------------------------------------------------------------------===//
 
 std::vector<uint8_t>
 granii::serve::encodeRunResponse(const RunResponse &Resp) {
-  WireWriter W;
-  putStatus(W, Resp.Status);
-  if (!Resp.Status.Ok)
-    return W.take();
-  W.putI64(Resp.Rows);
-  W.putI64(Resp.Cols);
-  W.putFloats(Resp.Output);
-  W.putF64(Resp.SetupSeconds);
-  W.putF64(Resp.ForwardSeconds);
-  W.putF64(Resp.BackwardSeconds);
-  W.putU64(Resp.PlanIndex);
-  W.putU8(Resp.UsedCostModels ? 1 : 0);
-  W.putU8(Resp.PlanCacheHit ? 1 : 0);
-  W.putU8(Resp.SessionCacheHit ? 1 : 0);
-  W.putU64(Resp.SteadyAllocations);
-  W.putU64(Resp.RunIndex);
-  return W.take();
+  return encode(Resp);
 }
 
 bool granii::serve::decodeRunResponse(std::span<const uint8_t> Payload,
                                       RunResponse &Out, std::string *Err) {
-  WireReader R(Payload);
-  if (!getStatus(R, Out.Status))
-    return finishStatusOnly(R, Out.Status, Err);
-  Out.Rows = R.getI64();
-  Out.Cols = R.getI64();
-  Out.Output = R.getFloats();
-  Out.SetupSeconds = R.getF64();
-  Out.ForwardSeconds = R.getF64();
-  Out.BackwardSeconds = R.getF64();
-  Out.PlanIndex = R.getU64();
-  Out.UsedCostModels = R.getU8() != 0;
-  Out.PlanCacheHit = R.getU8() != 0;
-  Out.SessionCacheHit = R.getU8() != 0;
-  Out.SteadyAllocations = R.getU64();
-  Out.RunIndex = R.getU64();
-  // Corrupt dimensions must not overflow the element count.
-  int64_t Count = 0;
-  if (R.ok() && (Out.Rows < 0 || Out.Cols < 0 ||
-                 __builtin_mul_overflow(Out.Rows, Out.Cols, &Count) ||
-                 (!Out.Output.empty() &&
-                  static_cast<int64_t>(Out.Output.size()) != Count)))
-    R.fail("output payload has " + std::to_string(Out.Output.size()) +
-           " values for a " + std::to_string(Out.Rows) + "x" +
-           std::to_string(Out.Cols) + " matrix");
-  return finish(R, Err);
+  return decode(Payload, Out, Err, [](const RunResponse &Resp, WireReader &R) {
+    // Corrupt dimensions must not overflow the element count.
+    int64_t Count = 0;
+    if (Resp.Rows < 0 || Resp.Cols < 0 ||
+        __builtin_mul_overflow(Resp.Rows, Resp.Cols, &Count) ||
+        (!Resp.Output.empty() &&
+         static_cast<int64_t>(Resp.Output.size()) != Count))
+      R.fail("output payload has " + std::to_string(Resp.Output.size()) +
+             " values for a " + std::to_string(Resp.Rows) + "x" +
+             std::to_string(Resp.Cols) + " matrix");
+  });
 }
-
-//===----------------------------------------------------------------------===//
-// StatsResponse
-//===----------------------------------------------------------------------===//
 
 std::vector<uint8_t>
 granii::serve::encodeStatsResponse(const StatsResponse &Resp) {
-  WireWriter W;
-  putStatus(W, Resp.Status);
-  if (!Resp.Status.Ok)
-    return W.take();
-  W.putU64(Resp.RequestsServed);
-  W.putU64(Resp.RunRequests);
-  W.putU64(Resp.CompileRequests);
-  W.putU64(Resp.ErrorResponses);
-  W.putU64(Resp.SessionsLive);
-  W.putU64(Resp.SessionHits);
-  W.putU64(Resp.SessionEvictions);
-  W.putU64(Resp.PlanCacheHits);
-  W.putU64(Resp.PlanCacheMisses);
-  W.putU64(Resp.PlanCacheEvictions);
-  W.putF64(Resp.UptimeSeconds);
-  W.putI64(Resp.Threads);
-  W.putString(Resp.Isa);
-  return W.take();
+  return encode(Resp);
 }
 
 bool granii::serve::decodeStatsResponse(std::span<const uint8_t> Payload,
                                         StatsResponse &Out,
                                         std::string *Err) {
-  WireReader R(Payload);
-  if (!getStatus(R, Out.Status))
-    return finishStatusOnly(R, Out.Status, Err);
-  Out.RequestsServed = R.getU64();
-  Out.RunRequests = R.getU64();
-  Out.CompileRequests = R.getU64();
-  Out.ErrorResponses = R.getU64();
-  Out.SessionsLive = R.getU64();
-  Out.SessionHits = R.getU64();
-  Out.SessionEvictions = R.getU64();
-  Out.PlanCacheHits = R.getU64();
-  Out.PlanCacheMisses = R.getU64();
-  Out.PlanCacheEvictions = R.getU64();
-  Out.UptimeSeconds = R.getF64();
-  Out.Threads = R.getI64();
-  Out.Isa = R.getString();
-  return finish(R, Err);
+  return decode(Payload, Out, Err);
 }
-
-//===----------------------------------------------------------------------===//
-// ShutdownResponse
-//===----------------------------------------------------------------------===//
 
 std::vector<uint8_t>
 granii::serve::encodeShutdownResponse(const ShutdownResponse &Resp) {
-  WireWriter W;
-  putStatus(W, Resp.Status);
-  return W.take();
+  return encode(Resp);
 }
 
 bool granii::serve::decodeShutdownResponse(std::span<const uint8_t> Payload,
                                            ShutdownResponse &Out,
                                            std::string *Err) {
-  WireReader R(Payload);
-  if (!getStatus(R, Out.Status))
-    return finishStatusOnly(R, Out.Status, Err);
-  return finish(R, Err);
+  return decode(Payload, Out, Err);
 }
 
 std::vector<uint8_t>
-granii::serve::encodeErrorResponse(Verb V, const std::string &Message) {
-  ResponseStatus Status;
-  Status.Ok = false;
-  Status.Error = Message;
-  switch (V) {
-  case Verb::Compile: {
-    CompileResponse Resp;
-    Resp.Status = Status;
-    return encodeCompileResponse(Resp);
-  }
-  case Verb::Run: {
-    RunResponse Resp;
-    Resp.Status = Status;
-    return encodeRunResponse(Resp);
-  }
-  case Verb::Stats: {
-    StatsResponse Resp;
-    Resp.Status = Status;
-    return encodeStatsResponse(Resp);
-  }
-  case Verb::Shutdown: {
-    ShutdownResponse Resp;
-    Resp.Status = Status;
-    return encodeShutdownResponse(Resp);
-  }
-  }
+granii::serve::encodeErrorResponse(const std::string &Message) {
   WireWriter W;
-  putStatus(W, Status);
+  putStatus(W, {false, Message});
   return W.take();
 }

@@ -13,10 +13,16 @@
 ///   stats     — server counters (requests, sessions, plan-cache hits, ...).
 ///   shutdown  — ask the daemon to drain in-flight requests and exit.
 ///
-/// Every response payload starts with a status byte (0 = ok) followed by an
-/// error string when nonzero, so clients surface server-side diagnostics
-/// verbatim. All decoders are total: any malformed payload yields false
-/// plus a positioned error message.
+/// Each message lists its wire fields once, in payload order: its static
+/// `fields(Msg, F)` calls F with every field of Msg (const for the encoder,
+/// mutable for the decoder). One encoder and one decoder (Protocol.cpp)
+/// walk every list, so a message's layout is its walk.
+///
+/// Every response payload starts with a status byte (0 = ok). A nonzero
+/// status is followed by the error string and nothing else, so an error
+/// response is the same bytes for every verb, and clients surface
+/// server-side diagnostics verbatim. All decoders are total: any malformed
+/// payload yields false plus a positioned error message.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,6 +75,11 @@ struct JobRequest {
   /// because the end-to-end benchmark sets it, and goes with the next
   /// change to the benchmark.
   std::string Format = "csr";
+
+  template <typename Msg, typename Fn> static void fields(Msg &M, Fn F) {
+    F(M.ModelText, M.GraphSpec, M.KIn, M.KOut, M.Training, M.Reorder, M.Seed,
+      M.WantOutput, M.Format);
+  }
 };
 
 std::vector<uint8_t> encodeJobRequest(const JobRequest &Req);
@@ -79,7 +90,8 @@ bool decodeJobRequest(std::span<const uint8_t> Payload, JobRequest &Out,
 // Responses
 //===----------------------------------------------------------------------===//
 
-/// Leading status of every response payload.
+/// Leading status of every response payload; an error status is the whole
+/// payload, so the walks below list only what follows an ok status.
 struct ResponseStatus {
   bool Ok = true;
   std::string Error;
@@ -95,6 +107,11 @@ struct CompileResponse {
   /// The model's plan-cache identity, "m<hex16>": FNV-1a of the model text
   /// (the cache itself keys on the text).
   std::string CacheKey;
+
+  template <typename Msg, typename Fn> static void fields(Msg &M, Fn F) {
+    F(M.Enumerated, M.Pruned, M.Promoted, M.PlanCacheHit, M.CompileSeconds,
+      M.CacheKey);
+  }
 };
 
 struct RunResponse {
@@ -117,6 +134,12 @@ struct RunResponse {
   /// clients (and CI) can assert it remotely.
   uint64_t SteadyAllocations = 0;
   uint64_t RunIndex = 0; ///< how many times this session has run (1-based)
+
+  template <typename Msg, typename Fn> static void fields(Msg &M, Fn F) {
+    F(M.Rows, M.Cols, M.Output, M.SetupSeconds, M.ForwardSeconds,
+      M.BackwardSeconds, M.PlanIndex, M.UsedCostModels, M.PlanCacheHit,
+      M.SessionCacheHit, M.SteadyAllocations, M.RunIndex);
+  }
 };
 
 struct StatsResponse {
@@ -134,11 +157,20 @@ struct StatsResponse {
   double UptimeSeconds = 0.0;
   int64_t Threads = 0;
   std::string Isa;
+
+  template <typename Msg, typename Fn> static void fields(Msg &M, Fn F) {
+    F(M.RequestsServed, M.RunRequests, M.CompileRequests, M.ErrorResponses,
+      M.SessionsLive, M.SessionHits, M.SessionEvictions, M.PlanCacheHits,
+      M.PlanCacheMisses, M.PlanCacheEvictions, M.UptimeSeconds, M.Threads,
+      M.Isa);
+  }
 };
 
 /// Shutdown acknowledgement carries only the status.
 struct ShutdownResponse {
   ResponseStatus Status;
+
+  template <typename Msg, typename Fn> static void fields(Msg &, Fn F) { F(); }
 };
 
 std::vector<uint8_t> encodeCompileResponse(const CompileResponse &Resp);
@@ -158,9 +190,9 @@ bool decodeShutdownResponse(std::span<const uint8_t> Payload,
                             ShutdownResponse &Out,
                             std::string *Err = nullptr);
 
-/// Builds an error response payload for \p V (the verb-specific struct with
-/// Status.Ok = false and the message set).
-std::vector<uint8_t> encodeErrorResponse(Verb V, const std::string &Message);
+/// Builds an error response payload: the status alone, with Ok = false and
+/// \p Message. Every verb's decoder reads it.
+std::vector<uint8_t> encodeErrorResponse(const std::string &Message);
 
 } // namespace serve
 } // namespace granii

@@ -181,8 +181,8 @@ void Server::handleConnection(int Fd) {
       // A framing error (bad magic, truncation) poisons the stream: there
       // is no frame boundary to resynchronize on, so answer with a framed
       // error (best effort) and drop the connection.
-      std::vector<uint8_t> Payload = encodeErrorResponse(
-          Verb::Shutdown, "protocol error: " + FrameErr);
+      std::vector<uint8_t> Payload =
+          encodeErrorResponse("protocol error: " + FrameErr);
       writeFrame(Fd, 0, Payload);
       MutexLock Lock(CountersMutex);
       ++Counters.ErrorResponses;
@@ -214,32 +214,24 @@ std::vector<uint8_t> Server::dispatch(const Frame &In, uint16_t &RespVerb) {
   Span.setArg("payload_bytes", static_cast<double>(In.Payload.size()));
 
   switch (V) {
-  case Verb::Compile: {
-    {
-      MutexLock Lock(CountersMutex);
-      ++Counters.CompileRequests;
-    }
-    JobRequest Req;
-    std::string DecodeErr;
-    if (!decodeJobRequest(In.Payload, Req, &DecodeErr)) {
-      CountError();
-      return encodeErrorResponse(V, "bad compile request: " + DecodeErr);
-    }
-    CompileResponse Resp = Eng.compile(Req);
-    if (!Resp.Status.Ok)
-      CountError();
-    return encodeCompileResponse(Resp);
-  }
+  case Verb::Compile:
   case Verb::Run: {
     {
       MutexLock Lock(CountersMutex);
-      ++Counters.RunRequests;
+      ++(V == Verb::Run ? Counters.RunRequests : Counters.CompileRequests);
     }
     JobRequest Req;
     std::string DecodeErr;
     if (!decodeJobRequest(In.Payload, Req, &DecodeErr)) {
       CountError();
-      return encodeErrorResponse(V, "bad run request: " + DecodeErr);
+      return encodeErrorResponse(std::string("bad ") + verbName(V) +
+                                 " request: " + DecodeErr);
+    }
+    if (V == Verb::Compile) {
+      CompileResponse Resp = Eng.compile(Req);
+      if (!Resp.Status.Ok)
+        CountError();
+      return encodeCompileResponse(Resp);
     }
     RunResponse Resp = Eng.run(Req);
     if (!Resp.Status.Ok)
@@ -270,8 +262,7 @@ std::vector<uint8_t> Server::dispatch(const Frame &In, uint16_t &RespVerb) {
   }
   }
   CountError();
-  return encodeErrorResponse(Verb::Shutdown,
-                             "unknown verb " + std::to_string(In.Verb));
+  return encodeErrorResponse("unknown verb " + std::to_string(In.Verb));
 }
 
 void Server::wait() {

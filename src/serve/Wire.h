@@ -57,6 +57,15 @@ public:
   /// little-endian hosts).
   void putFloats(std::span<const float> Values);
 
+  /// One encoding per message field type (Protocol.h's field walks): a
+  /// bool travels as one byte, 0 or 1.
+  void put(const std::string &S) { putString(S); }
+  void put(int64_t V) { putI64(V); }
+  void put(uint64_t V) { putU64(V); }
+  void put(bool V) { putU8(V ? 1 : 0); }
+  void put(double V) { putF64(V); }
+  void put(const std::vector<float> &Values) { putFloats(Values); }
+
   const std::vector<uint8_t> &bytes() const { return Bytes; }
   std::vector<uint8_t> take() { return std::move(Bytes); }
 
@@ -88,6 +97,14 @@ public:
   /// Same bound as getString, checked before the one allocation; the
   /// payload is then copied in bulk on little-endian hosts.
   std::vector<float> getFloats();
+
+  /// The decoding of each WireWriter::put: any nonzero byte reads as true.
+  void get(std::string &S) { S = getString(); }
+  void get(int64_t &V) { V = getI64(); }
+  void get(uint64_t &V) { V = getU64(); }
+  void get(bool &V) { V = getU8() != 0; }
+  void get(double &V) { V = getF64(); }
+  void get(std::vector<float> &Values) { Values = getFloats(); }
 
   bool ok() const { return Error.empty(); }
   /// Whole payload consumed and no read failed.

@@ -3,6 +3,7 @@
 #include "CliDriver.h"
 
 #include "support/Json.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -484,6 +485,27 @@ TEST(Cli, RunAndServeRejectAHorizonOutsideOneToIntMax) {
           << Err;
       EXPECT_TRUE(Out.empty()) << Out;
     }
+  }
+}
+
+// Each connection worker is a thread the daemon starts before it serves,
+// so a worker count outside [1, maxConfigurableThreads()] is rejected like a
+// bad --iters, before a socket is bound or a thread started (the socket
+// path's directory does not exist, so nothing could start either way).
+TEST(Cli, ServeRejectsAWorkerCountOutsideItsRange) {
+  for (const std::string &Workers :
+       {std::string("0"), std::string("-3"),
+        std::to_string(granii::maxConfigurableThreads() + 1),
+        std::string("3000000000")}) {
+    SCOPED_TRACE("--workers " + Workers);
+    std::string Out, Err;
+    EXPECT_EQ(runCli({"serve", "--socket", "/nonexistent-dir/g.sock",
+                      "--workers", Workers},
+                     Out, Err),
+              2);
+    EXPECT_NE(Err.find("--workers"), std::string::npos) << Err;
+    EXPECT_NE(Err.find("got " + Workers), std::string::npos) << Err;
+    EXPECT_TRUE(Out.empty()) << Out;
   }
 }
 

@@ -9,7 +9,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "graph/Generators.h"
 #include "graph/GraphSpec.h"
+#include "graph/MatrixMarket.h"
 #include "serve/Client.h"
 #include "serve/Engine.h"
 #include "serve/Protocol.h"
@@ -25,11 +27,13 @@
 
 #include <bit>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <thread>
+#include <type_traits>
 #include <unistd.h>
 #include <utility>
 #include <vector>
@@ -319,7 +323,7 @@ TEST(Protocol, ErrorResponsesCarryTheMessageForEveryVerb) {
   {
     CompileResponse Out;
     ASSERT_TRUE(decodeCompileResponse(
-        encodeErrorResponse(Verb::Compile, "boom"), Out, &Err))
+        encodeErrorResponse("boom"), Out, &Err))
         << Err;
     EXPECT_FALSE(Out.Status.Ok);
     EXPECT_EQ(Out.Status.Error, "boom");
@@ -327,19 +331,19 @@ TEST(Protocol, ErrorResponsesCarryTheMessageForEveryVerb) {
   {
     RunResponse Out;
     ASSERT_TRUE(
-        decodeRunResponse(encodeErrorResponse(Verb::Run, "boom"), Out, &Err));
+        decodeRunResponse(encodeErrorResponse("boom"), Out, &Err));
     EXPECT_FALSE(Out.Status.Ok);
   }
   {
     StatsResponse Out;
-    ASSERT_TRUE(decodeStatsResponse(encodeErrorResponse(Verb::Stats, "boom"),
+    ASSERT_TRUE(decodeStatsResponse(encodeErrorResponse("boom"),
                                     Out, &Err));
     EXPECT_FALSE(Out.Status.Ok);
   }
   {
     ShutdownResponse Out;
     ASSERT_TRUE(decodeShutdownResponse(
-        encodeErrorResponse(Verb::Shutdown, "boom"), Out, &Err));
+        encodeErrorResponse("boom"), Out, &Err));
     EXPECT_FALSE(Out.Status.Ok);
   }
 }
@@ -367,6 +371,100 @@ TEST(Protocol, StatsResponseRoundTrip) {
   EXPECT_EQ(Out.PlanCacheHits, 5u);
   EXPECT_DOUBLE_EQ(Out.UptimeSeconds, 12.5);
   EXPECT_EQ(Out.Isa, "avx2");
+}
+
+// Protocol version 3's bytes for one sample of every message and for an
+// error response: a field walk that reorders, drops or re-encodes a field
+// fails here, and each pinned payload decodes into a message that encodes
+// back to it. The error response is the same bytes whichever verb it
+// answers.
+TEST(Protocol, EncodingsMatchThePinnedBytes) {
+  auto Hex = [](const std::vector<uint8_t> &Bytes) {
+    std::string Out;
+    for (uint8_t B : Bytes) {
+      char Digits[3];
+      std::snprintf(Digits, sizeof(Digits), "%02x", B);
+      Out += Digits;
+    }
+    return Out;
+  };
+  auto Pin = [&](const auto &Msg, auto Encode, auto Decode,
+                 const std::string &Want) {
+    std::vector<uint8_t> Bytes = Encode(Msg);
+    EXPECT_EQ(Hex(Bytes), Want);
+    std::remove_cvref_t<decltype(Msg)> Back;
+    std::string Err;
+    ASSERT_TRUE(Decode(Bytes, Back, &Err)) << Err;
+    EXPECT_EQ(Encode(Back), Bytes);
+  };
+
+  JobRequest Req;
+  Req.ModelText = "M";
+  Req.GraphSpec = "g.mtx";
+  Req.KIn = 8;
+  Req.KOut = 12;
+  Req.Training = true;
+  Req.Reorder = "none";
+  Req.Seed = 7;
+  Req.WantOutput = false;
+  Req.Format = "csr";
+  Pin(Req, encodeJobRequest, decodeJobRequest,
+      "010000004d05000000672e6d747808000000000000000c00000000000000010400"
+      "00006e6f6e6507000000000000000003000000637372");
+
+  CompileResponse Compiled;
+  Compiled.Enumerated = 16;
+  Compiled.Pruned = 12;
+  Compiled.Promoted = 4;
+  Compiled.PlanCacheHit = true;
+  Compiled.CompileSeconds = 0.25;
+  Compiled.CacheKey = "m01";
+  Pin(Compiled, encodeCompileResponse, decodeCompileResponse,
+      "0010000000000000000c00000000000000040000000000000001000000000000d0"
+      "3f030000006d3031");
+
+  RunResponse Ran;
+  Ran.Rows = 2;
+  Ran.Cols = 1;
+  Ran.Output = {1.0f, -2.0f};
+  Ran.SetupSeconds = 0.5;
+  Ran.ForwardSeconds = 0.25;
+  Ran.BackwardSeconds = 0.125;
+  Ran.PlanIndex = 3;
+  Ran.UsedCostModels = true;
+  Ran.PlanCacheHit = false;
+  Ran.SessionCacheHit = true;
+  Ran.SteadyAllocations = 5;
+  Ran.RunIndex = 6;
+  Pin(Ran, encodeRunResponse, decodeRunResponse,
+      "000200000000000000010000000000000002000000000000000000803f000000c0"
+      "000000000000e03f000000000000d03f000000000000c03f030000000000000001"
+      "000105000000000000000600000000000000");
+
+  StatsResponse Stats;
+  Stats.RequestsServed = 1;
+  Stats.RunRequests = 2;
+  Stats.CompileRequests = 3;
+  Stats.ErrorResponses = 4;
+  Stats.SessionsLive = 5;
+  Stats.SessionHits = 6;
+  Stats.SessionEvictions = 7;
+  Stats.PlanCacheHits = 8;
+  Stats.PlanCacheMisses = 9;
+  Stats.PlanCacheEvictions = 10;
+  Stats.UptimeSeconds = 2.0;
+  Stats.Threads = 4;
+  Stats.Isa = "avx2";
+  Pin(Stats, encodeStatsResponse, decodeStatsResponse,
+      "00010000000000000002000000000000000300000000000000040000000000000005"
+      "00000000000000060000000000000007000000000000000800000000000000090000"
+      "00000000000a0000000000000000000000000000400400000000000000040000006176"
+      "7832");
+
+  Pin(ShutdownResponse(), encodeShutdownResponse, decodeShutdownResponse,
+      "00");
+
+  EXPECT_EQ(Hex(encodeErrorResponse("boom")), "0104000000626f6f6d");
 }
 
 //===----------------------------------------------------------------------===//
@@ -534,6 +632,48 @@ TEST(Engine, SessionOnACallerLoadedGraphMatchesALoadingOne) {
   EXPECT_EQ(std::memcmp(RA.Output.data(), RB.Output.data(),
                         RA.Output.size() * sizeof(float)),
             0);
+}
+
+// A warm session answers only for the graph file it was built on. Once
+// another graph replaces the file, the same request runs on the new graph,
+// bitwise as a fresh engine does; once the file is gone, it is the load
+// error, not the warm session.
+TEST(Engine, ReplacedGraphFileIsNotServedFromAWarmSession) {
+  const std::string Path = ::testing::TempDir() + "/serve-replaced-" +
+                           std::to_string(::getpid()) + ".mtx";
+  std::string Err;
+  ASSERT_TRUE(writeMatrixMarket(makeEvaluationGraph("mycielskian"), Path,
+                                &Err))
+      << Err;
+  JobRequest Req = smallRequest();
+  Req.GraphSpec = Path;
+  Engine Eng;
+  RunResponse First = Eng.run(Req);
+  ASSERT_TRUE(First.Status.Ok) << First.Status.Error;
+  ASSERT_TRUE(Eng.run(Req).SessionCacheHit);
+
+  ASSERT_TRUE(
+      writeMatrixMarket(makeEvaluationGraph("coauthors"), Path, &Err))
+      << Err;
+  RunResponse Second = Eng.run(Req);
+  ASSERT_TRUE(Second.Status.Ok) << Second.Status.Error;
+  EXPECT_FALSE(Second.SessionCacheHit);
+  Engine Fresh;
+  RunResponse Want = Fresh.run(Req);
+  ASSERT_TRUE(Want.Status.Ok) << Want.Status.Error;
+  EXPECT_NE(Want.Rows, First.Rows);
+  EXPECT_EQ(Second.Rows, Want.Rows);
+  EXPECT_EQ(Second.Cols, Want.Cols);
+  ASSERT_EQ(Second.Output.size(), Want.Output.size());
+  EXPECT_EQ(std::memcmp(Second.Output.data(), Want.Output.data(),
+                        Want.Output.size() * sizeof(float)),
+            0);
+
+  std::remove(Path.c_str());
+  RunResponse Gone = Eng.run(Req);
+  EXPECT_FALSE(Gone.Status.Ok);
+  EXPECT_NE(Gone.Status.Error.find(Path), std::string::npos)
+      << Gone.Status.Error;
 }
 
 TEST(Engine, CompileVerbPopulatesPlanCacheForLaterRuns) {
@@ -1147,7 +1287,7 @@ TEST(WireFuzz, DecodersSurviveMutatedEncodings) {
   Compiled.CacheKey = "m0123456789abcdef";
   fuzzDecoder("compile response",
               {encodeCompileResponse(Compiled),
-               encodeErrorResponse(Verb::Compile, "model parse failed")},
+               encodeErrorResponse("model parse failed")},
               3, [](std::span<const uint8_t> Bytes, std::string &Err) {
                 CompileResponse Out;
                 return decodeCompileResponse(Bytes, Out, &Err);
@@ -1165,7 +1305,7 @@ TEST(WireFuzz, DecodersSurviveMutatedEncodings) {
   size_t RunsAccepted = fuzzDecoder(
       "run response",
       {encodeRunResponse(Ran), encodeRunResponse(NoOutput),
-       encodeErrorResponse(Verb::Run, "unknown graph")},
+       encodeErrorResponse("unknown graph")},
       4, [](std::span<const uint8_t> Bytes, std::string &Err) {
         RunResponse Out;
         bool Ok = decodeRunResponse(Bytes, Out, &Err);
@@ -1188,7 +1328,7 @@ TEST(WireFuzz, DecodersSurviveMutatedEncodings) {
   Stats.Isa = "avx512";
   fuzzDecoder("stats response",
               {encodeStatsResponse(Stats),
-               encodeErrorResponse(Verb::Stats, "boom")},
+               encodeErrorResponse("boom")},
               5, [](std::span<const uint8_t> Bytes, std::string &Err) {
                 StatsResponse Out;
                 return decodeStatsResponse(Bytes, Out, &Err);
@@ -1196,7 +1336,7 @@ TEST(WireFuzz, DecodersSurviveMutatedEncodings) {
 
   fuzzDecoder("shutdown response",
               {encodeShutdownResponse(ShutdownResponse()),
-               encodeErrorResponse(Verb::Shutdown, "draining")},
+               encodeErrorResponse("draining")},
               6, [](std::span<const uint8_t> Bytes, std::string &Err) {
                 ShutdownResponse Out;
                 return decodeShutdownResponse(Bytes, Out, &Err);

@@ -153,22 +153,33 @@ int rejectMalformedInts(const ArgParser &Args,
   return Code;
 }
 
-/// Rejects an --iters outside [1, INT32_MAX] with a Diag: selection
-/// multiplies every per-iteration cost by this horizon, so zero, a negative
-/// count or one that wraps in an int would drop or invert that term.
-/// \returns 0 when the flag is absent or in range, else the exit code 2.
-int rejectBadHorizon(const ArgParser &Args, std::string &Err) {
-  const int64_t Iters = Args.intValue("iters", 100);
-  if (Iters >= 1 && Iters <= std::numeric_limits<int32_t>::max())
+/// Rejects an integer flag whose value (\p Default when absent) lies
+/// outside [\p Lo, \p Hi] with a Diag naming the flag, the range and the
+/// value. \returns 0 when it is in range, else the exit code 2.
+int rejectOutOfRange(const ArgParser &Args, const char *Flag, int64_t Default,
+                     int64_t Lo, int64_t Hi, const char *What,
+                     const char *Hint, std::string &Err) {
+  const int64_t Value = Args.intValue(Flag, Default);
+  if (Value >= Lo && Value <= Hi)
     return 0;
-  Err += Diag{DiagSeverity::Error, "cli", "--iters",
-              "expects an iteration count in [1, " +
-                  std::to_string(std::numeric_limits<int32_t>::max()) +
-                  "], got " + std::to_string(Iters),
-              "pass the iterations one selection serves, e.g. --iters 100"}
+  Err += Diag{DiagSeverity::Error, "cli", std::string("--") + Flag,
+              std::string("expects ") + What + " in [" + std::to_string(Lo) +
+                  ", " + std::to_string(Hi) + "], got " +
+                  std::to_string(Value),
+              Hint}
              .toString() +
          "\n";
   return 2;
+}
+
+/// Rejects an --iters outside [1, INT32_MAX]: selection multiplies every
+/// per-iteration cost by this horizon, so zero, a negative count or one
+/// that wraps in an int would drop or invert that term.
+int rejectBadHorizon(const ArgParser &Args, std::string &Err) {
+  return rejectOutOfRange(
+      Args, "iters", 100, 1, std::numeric_limits<int32_t>::max(),
+      "an iteration count",
+      "pass the iterations one selection serves, e.g. --iters 100", Err);
 }
 
 std::optional<std::string> readFileText(const std::string &Path,
@@ -540,20 +551,27 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
 /// SIGINT/SIGTERM or a client's shutdown verb drains it.
 int cmdServe(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (int Code = rejectUnknownFlags(Args, "serve",
-                                    {"socket", "workers", "plan-cache",
-                                     "sessions", "iters", "threads", "isa",
-                                     "trace"},
+                                    {"socket", "workers", "sessions", "iters",
+                                     "threads", "isa", "trace"},
                                     Err))
     return Code;
-  if (int Code = rejectMalformedInts(
-          Args, {"workers", "plan-cache", "sessions", "iters"}, Err))
+  if (int Code =
+          rejectMalformedInts(Args, {"workers", "sessions", "iters"}, Err))
     return Code;
   if (int Code = rejectBadHorizon(Args, Err))
+    return Code;
+  // Each connection worker is a thread the daemon starts with it.
+  if (int Code = rejectOutOfRange(
+          Args, "workers", 8, 1, maxConfigurableThreads(),
+          "a connection worker count",
+          "pass how many clients may have a request in flight, e.g. "
+          "--workers 8",
+          Err))
     return Code;
   std::string Socket = Args.value("socket");
   if (Socket.empty()) {
     Err += "usage: granii-cli serve --socket <path> [--workers N] "
-           "[--plan-cache N] [--sessions N] [--iters N] [--threads N] "
+           "[--sessions N] [--iters N] [--threads N] "
            "[--isa scalar|avx2|avx512]\n";
     return 2;
   }
@@ -563,8 +581,6 @@ int cmdServe(const ArgParser &Args, std::string &Out, std::string &Err) {
   Options.ConnWorkers = static_cast<int>(Args.intValue("workers", 8));
   Options.Engine.Iterations =
       static_cast<int>(Args.intValue("iters", 100));
-  Options.Engine.PlanCacheCapacity = static_cast<size_t>(
-      std::max<int64_t>(1, Args.intValue("plan-cache", 16)));
   Options.Engine.SessionCapacity =
       static_cast<size_t>(std::max<int64_t>(1, Args.intValue("sessions", 8)));
 

@@ -15,21 +15,25 @@
 ///       Full pipeline: offline compile, online selection for the given
 ///       input, execution, and a timing report. <spec> is a Matrix Market
 ///       path or "synth:<name>" for a built-in evaluation graph (default
-///       synth:coauthors). With --profile, the selected plan is re-executed
-///       against a buffer-planned workspace: a per-step table (time, bytes,
-///       GFLOP/s, GB/s), the planned peak/arena/baseline memory, and the
-///       steady-state allocation count (nonzero fails the run with exit
-///       code 1).
+///       synth:coauthors). With --profile, the session runs once more and
+///       the report reads that warm run's own step records: a per-step
+///       table (time, the selecting cost model's prediction and their
+///       ratio, bytes, GFLOP/s, GB/s; a backward table in training), the
+///       planned peak/arena/baseline memory of the same buffer plan, and
+///       the run's workspace allocation count (nonzero fails the run with
+///       exit code 1).
 ///
 ///   granii-cli graphgen <name> <out.mtx>
 ///       Write one of the built-in synthetic evaluation graphs to disk.
 ///
-///   granii-cli serve --socket <path> [--workers N] [--plan-cache N]
-///              [--sessions N]
+///   granii-cli serve --socket <path> [--workers N] [--sessions N]
+///              [--iters N]
 ///       Run the persistent plan-serving daemon on a Unix socket: each
 ///       model compiles once (an in-memory LRU keyed by the model text),
 ///       sessions stay warm between requests, and shutdown (SIGINT/SIGTERM
-///       or the shutdown verb) drains gracefully. See docs/SERVING.md.
+///       or the shutdown verb) drains gracefully. --workers (default 8)
+///       must lie in [1, maxConfigurableThreads()]; anything else exits 2.
+///       See docs/SERVING.md.
 ///
 ///   granii-cli call --socket <path> <model.gnn> [run flags] [--out <file>]
 ///   granii-cli call --socket <path> --stats | --shutdown
