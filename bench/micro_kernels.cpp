@@ -119,6 +119,17 @@ int runKernels(const std::string &JsonPath) {
               [&] { kernels::gemmTransposedLhsInto(A, B, C); });
     }
     {
+      // The GAT training benchmark's weight gradient: 25000 nodes, K 64 ->
+      // 128, whose B (12.8 MB) exceeds the caches, so each column panel
+      // streams it from memory once.
+      const int64_t M = 25000, KIn = 64, KOut = 128;
+      DenseMatrix A = randomDense(M, KIn, 9), B = randomDense(M, KOut, 10);
+      DenseMatrix C(KIn, KOut);
+      Measure("gemm_t_lhs/25000x64x128", "-", KIn, KOut,
+              {PrimitiveKind::Gemm, KIn, KOut, M, 0},
+              [&] { kernels::gemmTransposedLhsInto(A, B, C); });
+    }
+    {
       // The aggregation width of the warm GCN workload.
       const int64_t K = 128;
       DenseMatrix H = randomDense(G.numNodes(), K, 3);

@@ -48,6 +48,11 @@ const char *isaLevelName(IsaLevel Level);
 /// anything unrecognized.
 std::optional<IsaLevel> parseIsaLevel(const std::string &Name);
 
+/// Rows per register block in the packed GEMM routines: 4 output rows x 2
+/// vectors of accumulators stays within 16 architectural vector registers
+/// (with B-row and broadcast temporaries) on AVX2.
+constexpr int GemmRowBlock = 4;
+
 /// Contraction rows per window of the SIMD GemmTLhsRowRange (A^T * B, the
 /// weight gradient). One window of a 128-wide B is 512 KiB, so A and B
 /// stream from L2 while every register block of a row range sweeps them.
@@ -112,6 +117,10 @@ struct SimdOps {
   double DenseThroughputScale = 1.0;
   double SparseThroughputScale = 1.0;
 
+  /// Columns of one panel of C = A^T * B, the unit gemmTransposedLhsInto
+  /// splits its output in: two vectors, one register block's width.
+  int64_t GemmTLhsPanelCols = 16;
+
   /// C rows [RowBegin, RowEnd) of C = A * B, all matrices row-major with
   /// the given leading dimensions; a non-null \p Epi is applied to each C
   /// row before it is stored.
@@ -122,7 +131,9 @@ struct SimdOps {
 
   /// C rows [RowBegin, RowEnd) of C = A^T * B; C has A.cols() rows and \p M
   /// is A.rows() (the contraction length). The SIMD levels contract in
-  /// windows of GemmTLhsWindowRows rows, carrying partial sums in C.
+  /// windows of GemmTLhsWindowRows rows, carrying partial sums in C. A
+  /// column panel of C is the call on B and C advanced to its first column,
+  /// with \p N its width and the full widths as leading dimensions.
   void (*GemmTLhsRowRange)(const float *A, int64_t Lda, const float *B,
                            int64_t Ldb, float *C, int64_t Ldc, int64_t M,
                            int64_t N, int64_t RowBegin, int64_t RowEnd) =

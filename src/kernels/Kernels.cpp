@@ -128,17 +128,35 @@ void kernels::gemmTransposedLhsInto(const DenseMatrix &A, const DenseMatrix &B,
                                     DenseMatrix &Dst) {
   GRANII_CHECK(A.rows() == B.rows(), "A^T*B dimension mismatch");
   checkDenseDst(Dst, A.cols(), B.cols(), "gemm_t_lhs");
-  const int64_t M = A.rows(), N = B.cols();
-  // Parallel over *output* rows (columns of A): the scatter formulation
-  // (outer loop over A's rows) would race on C. The per-output-row update
-  // order over I is identical to the serial kernel, so results match
-  // bitwise at every thread count.
+  const int64_t M = A.rows(), Rows = A.cols(), N = B.cols();
+  // Parallel over *output* blocks: the scatter formulation (outer loop over
+  // A's rows) would race on C. A chunk owns every C row of one column panel
+  // of GemmTLhsPanelCols, so it streams its panel of B and all of A once (a
+  // chunk of C rows alone would stream all of B). With fewer panels than
+  // threads the rows split too, in whole register blocks. Each element's
+  // update order over A's rows is the serial kernel's, so results match
+  // bitwise at every thread count. A small product runs in one chunk.
+  if (Rows == 0 || N == 0)
+    return;
   const SimdOps &Ops = simdOps();
-  parallelFor(0, A.cols(), rowGrain(M * N),
-              [&](int64_t RowBegin, int64_t RowEnd) {
-                Ops.GemmTLhsRowRange(A.data(), A.cols(), B.data(), N,
-                                     Dst.data(), N, M, N, RowBegin, RowEnd);
-              });
+  const bool Small = Rows * M * N <= DenseGrainOps;
+  const int64_t PanelCols = Small ? N : Ops.GemmTLhsPanelCols;
+  const int64_t Panels = (N + PanelCols - 1) / PanelCols;
+  const int64_t Blocks = (Rows + GemmRowBlock - 1) / GemmRowBlock;
+  const int64_t Splits =
+      Small ? 1
+            : std::clamp<int64_t>(
+                  (ThreadPool::get().numThreads() + Panels - 1) / Panels, 1,
+                  Blocks);
+  const int64_t SplitRows = (Blocks + Splits - 1) / Splits * GemmRowBlock;
+  const int64_t RowChunks = (Rows + SplitRows - 1) / SplitRows;
+  ThreadPool::get().parallelForChunks(Panels * RowChunks, [&](int64_t Chunk) {
+    const int64_t J0 = Chunk / RowChunks * PanelCols;
+    const int64_t R0 = Chunk % RowChunks * SplitRows;
+    Ops.GemmTLhsRowRange(A.data(), Rows, B.data() + J0, N, Dst.data() + J0, N,
+                         M, std::min(PanelCols, N - J0), R0,
+                         std::min(Rows, R0 + SplitRows));
+  });
 }
 
 void kernels::gemmTransposedRhsInto(const DenseMatrix &A, const DenseMatrix &B,

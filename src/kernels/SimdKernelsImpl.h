@@ -38,11 +38,6 @@ namespace granii {
 namespace kernels {
 namespace simd_impl {
 
-/// Rows per register block in the packed GEMM routines: 4 output rows x 2
-/// vectors of accumulators stays within 16 architectural vector registers
-/// (with B-row and broadcast temporaries) on AVX2.
-constexpr int GemmRowBlock = 4;
-
 /// The row (or vector) indices 0..N-1 of a register block as a template
 /// pack. The kernels expand their per-row statements over it with fold
 /// expressions, so the block is straight-line code in which every
@@ -797,6 +792,7 @@ template <class T> SimdOps makeSimdOps(IsaLevel Level, const char *Name) {
   SimdOps Ops;
   Ops.Level = Level;
   Ops.Name = Name;
+  Ops.GemmTLhsPanelCols = 2 * T::Width;
   Ops.GemmRowRange = &gemmRowRange<T>;
   Ops.GemmTLhsRowRange = &gemmTLhsRowRange<T>;
   Ops.GemmTRhsRowRange = &gemmTRhsRowRange<T>;

@@ -18,6 +18,104 @@ bool takesEpilogue(StepOp Op) {
          Op == StepOp::SpmmUnweighted;
 }
 
+/// Values that transitively depend on learned parameters or features, i.e.
+/// the ones the backward pass must reach.
+std::vector<bool> computeGradPath(const CompositionPlan &Plan) {
+  std::vector<bool> Need(Plan.Values.size(), false);
+  for (size_t V = 0; V < Plan.Values.size(); ++V) {
+    const PlanValue &Val = Plan.Values[V];
+    if (Val.InputRole && *Val.InputRole != LeafRole::Adjacency &&
+        *Val.InputRole != LeafRole::DegreeNorm &&
+        *Val.InputRole != LeafRole::DegreeInv)
+      Need[V] = true;
+  }
+  for (const PlanStep &Step : Plan.Steps) {
+    bool Any = false;
+    for (int Id : Step.Operands)
+      Any |= Need[static_cast<size_t>(Id)];
+    Need[static_cast<size_t>(Step.Result)] = Any;
+  }
+  return Need;
+}
+
+/// What the backward step of \p Step touches once its result's gradient is
+/// present, as PlanInterpreter::backward runs it: the forward values it
+/// reads, the values whose gradients it adds into (in the order it adds),
+/// and the values whose shape its dense partials take.
+struct BackwardUse {
+  std::vector<int> Reads;
+  std::vector<int> Adds;
+  std::vector<int> DensePartials;
+  bool EdgePartial = false;
+};
+
+BackwardUse backwardUse(const PlanStep &Step, const std::vector<bool> &Need) {
+  BackwardUse U;
+  auto Op = [&](int I) { return Step.Operands[static_cast<size_t>(I)]; };
+  // Adds into operand I's gradient when the backward pass reaches it,
+  // reading value Read (-1: none) and, with Partial, through a dense
+  // partial of the operand's shape.
+  auto Add = [&](int I, int Read, bool Partial) {
+    if (!Need[static_cast<size_t>(Op(I))])
+      return false;
+    U.Adds.push_back(Op(I));
+    if (Read >= 0)
+      U.Reads.push_back(Read);
+    if (Partial)
+      U.DensePartials.push_back(Op(I));
+    return true;
+  };
+  switch (Step.Op) {
+  case StepOp::Gemm: // dA = dY B^T, dB = A^T dY
+    Add(0, Op(1), true);
+    Add(1, Op(0), true);
+    break;
+  case StepOp::SpmmWeighted:
+  case StepOp::SpmmUnweighted: // dX = S^T dY, dS = SDDMM(dY, X)
+    Add(1, Step.Op == StepOp::SpmmWeighted ? Op(0) : -1, true);
+    U.EdgePartial = Add(0, Op(1), false);
+    break;
+  case StepOp::RowBcast:
+    Add(1, Op(0), true);
+    break;
+  case StepOp::ColBcast:
+    Add(0, Op(1), true);
+    break;
+  case StepOp::AddDense:
+    Add(0, -1, false);
+    Add(1, -1, false);
+    break;
+  case StepOp::ScaleDense:
+    Add(0, -1, false);
+    break;
+  case StepOp::Relu:
+  case StepOp::EdgeLeakyRelu:
+    Add(0, Op(0), false);
+    break;
+  case StepOp::AttnGemv: // dTheta reads the vector, da reads Theta
+    Add(0, Op(1), false);
+    Add(1, Op(0), false);
+    break;
+  case StepOp::EdgeLogits:
+    Add(1, -1, false);
+    Add(2, -1, false);
+    break;
+  case StepOp::EdgeSoftmax: // reads its own output
+    Add(0, Step.Result, false);
+    break;
+  case StepOp::SddmmScaleRow:
+  case StepOp::SddmmScaleCol:
+  case StepOp::SddmmScaleBoth:
+  case StepOp::DiagDiag:
+  case StepOp::DegreeOffsets:
+  case StepOp::DegreeBinning:
+  case StepOp::InvSqrtVec:
+  case StepOp::InvVec:
+    break; // graph-only
+  }
+  return U;
+}
+
 } // namespace
 
 BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
@@ -25,6 +123,7 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
     : TrainingMode(Training), Vals(Plan.Values.size()),
       FusedInto(Plan.Steps.size(), -1) {
   const int NumSteps = static_cast<int>(Plan.Steps.size());
+  Positions = Training ? 2 * NumSteps + 1 : NumSteps;
 
   // Classify every value and size its payload under the binding.
   for (size_t V = 0; V < Plan.Values.size(); ++V) {
@@ -107,97 +206,186 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
     }
     Stores[static_cast<size_t>(P)] = Cur;
   }
+
+  // Per position, the buffers it writes, in the order it writes them: a
+  // forward step the value it stores (its result, a fused chain's last
+  // value, or none for a step a chain absorbed).
+  std::vector<std::vector<ValueBuffer *>> Writes(
+      static_cast<size_t>(Positions));
+  for (int S = 0; S < NumSteps; ++S)
+    if (Stores[static_cast<size_t>(S)] >= 0)
+      Writes[static_cast<size_t>(S)].push_back(
+          &Vals[static_cast<size_t>(Stores[static_cast<size_t>(S)])]);
+
+  // The backward pass, training only. Walking the steps in reverse, a step
+  // whose result's gradient is present reads that gradient and the forward
+  // values its rule names, which stay live until then, and writes its
+  // partials and the gradients it contributes first. A weight's, attention
+  // vector's or the features' gradient is the caller's result.
+  if (Training) {
+    GradPath = computeGradPath(Plan);
+    Grads.resize(Vals.size());
+    Partials.resize(static_cast<size_t>(NumSteps));
+    for (size_t V = 0; V < Vals.size(); ++V) {
+      Grads[V] = Vals[V];
+      Grads[V].DefStep = Grads[V].LastUse = -1;
+    }
+    auto Write = [&](ValueBuffer &B, int Pos) {
+      B.DefStep = Pos;
+      if (B.Class != BufferClass::InputAlias)
+        Writes[static_cast<size_t>(Pos)].push_back(&B);
+    };
+    Write(Grads[static_cast<size_t>(Plan.OutputValue)], NumSteps); // seed
+    for (int S = NumSteps; S-- > 0;) {
+      const PlanStep &Step = Plan.Steps[static_cast<size_t>(S)];
+      ValueBuffer &OutG = Grads[static_cast<size_t>(Step.Result)];
+      if (OutG.DefStep < 0)
+        continue; // no gradient reaches this step
+      const int Pos = backwardPosition(NumSteps, S);
+      OutG.LastUse = Pos;
+      const BackwardUse U = backwardUse(Step, GradPath);
+      for (int Id : U.Reads) {
+        ValueBuffer &B = Vals[static_cast<size_t>(Id)];
+        B.LastUse = std::max(B.LastUse, Pos);
+      }
+      for (int Id : U.Adds)
+        if (Grads[static_cast<size_t>(Id)].DefStep < 0)
+          Write(Grads[static_cast<size_t>(Id)], Pos);
+      // A partial lives at its step alone.
+      auto Partial = [&](ValueBuffer &B, BufferClass Class) {
+        B.Class = Class;
+        B.LastUse = Pos;
+        Write(B, Pos);
+      };
+      StepPartials &P = Partials[static_cast<size_t>(S)];
+      for (int Id : U.DensePartials) {
+        const PlanValue &Def = Plan.Values[static_cast<size_t>(Id)];
+        P.Dense.Floats = std::max(P.Dense.Floats,
+                                  Binding.eval(Def.Shape.Rows) *
+                                      Binding.eval(Def.Shape.Cols));
+      }
+      if (!U.DensePartials.empty())
+        Partial(P.Dense, BufferClass::DenseSlot);
+      if (U.EdgePartial) {
+        P.Edges.Floats = Binding.E;
+        Partial(P.Edges, BufferClass::SparseVals);
+      }
+    }
+    // The caller reads its gradients after the run, as it reads the output.
+    for (ValueBuffer &G : Grads)
+      if (G.Class == BufferClass::InputAlias && G.DefStep >= 0)
+        G.LastUse = Positions;
+  }
+
   for (ValueBuffer &B : Vals)
     if (B.DefStep >= 0 && B.LastUse < B.DefStep)
       B.LastUse = B.DefStep; // produced but never read: dies immediately
   if (Plan.OutputValue >= 0)
-    Vals[static_cast<size_t>(Plan.OutputValue)].LastUse = NumSteps;
+    Vals[static_cast<size_t>(Plan.OutputValue)].LastUse = Positions;
 
   // Pinning: values whose storage may not be shared.
   for (size_t V = 0; V < Plan.Values.size(); ++V) {
     ValueBuffer &B = Vals[V];
     if (B.Class == BufferClass::InputAlias || B.DefStep < 0 || B.Elided)
       continue;
-    if (Training || B.Class == BufferClass::SparseVals ||
+    if ((!Training && B.Class == BufferClass::SparseVals) ||
         Plan.Steps[static_cast<size_t>(B.DefStep)].Setup ||
         static_cast<int>(V) == Plan.OutputValue)
       B.Pinned = true;
   }
 
-  // Greedy slot assignment in step order. At each step, slots whose value
-  // died strictly before it are returned to the free list, then the value
-  // the step stores (its result, a fused chain's last value, or none for a
-  // step a chain absorbed) picks the best-fitting free slot of its class
-  // (smallest capacity that holds it; else the largest free slot, grown).
-  // A step's operands are live through the step itself (LastUse >= S), so a
-  // destination slot can never alias an operand's slot.
+  // Greedy slot assignment in schedule order. At each position, slots whose
+  // buffer died strictly before it are returned to the free list, then each
+  // buffer the position writes picks the best-fitting free slot of its
+  // class (smallest capacity that holds it; else the largest free slot,
+  // grown). A position's operands are live through it (LastUse >= the
+  // position), so a destination slot can never alias an operand's.
   std::vector<int> FreeSlots;
-  for (int S = 0; S < NumSteps; ++S) {
+  auto Release = [&](const ValueBuffer &B, int Pos) {
+    if (B.Slot >= 0 && !B.Pinned && B.LastUse == Pos - 1)
+      FreeSlots.push_back(B.Slot);
+  };
+  for (int Pos = 0; Pos < Positions; ++Pos) {
     for (const ValueBuffer &B : Vals)
-      if (B.Slot >= 0 && !B.Pinned && B.LastUse == S - 1)
-        FreeSlots.push_back(B.Slot);
+      Release(B, Pos);
+    for (const ValueBuffer &B : Grads)
+      Release(B, Pos);
+    for (const StepPartials &P : Partials) {
+      Release(P.Dense, Pos);
+      Release(P.Edges, Pos);
+    }
 
-    const int Stored = Stores[static_cast<size_t>(S)];
-    if (Stored < 0)
-      continue; // absorbed: its chain's producer stored the value
-    ValueBuffer &Out = Vals[static_cast<size_t>(Stored)];
-    if (Out.Class == BufferClass::SparseVals)
-      continue; // dedicated per-value storage, no slot
-    if (Out.Pinned) {
-      Out.Slot = static_cast<int>(Slots.size());
-      Slots.push_back({Out.Class, Out.Floats, /*Pinned=*/true});
-      continue;
-    }
-    int Best = -1, Largest = -1;
-    for (size_t F = 0; F < FreeSlots.size(); ++F) {
-      const ArenaSlot &Slot = Slots[static_cast<size_t>(FreeSlots[F])];
-      if (Slot.Class != Out.Class)
+    for (ValueBuffer *Out : Writes[static_cast<size_t>(Pos)]) {
+      if (!Training && Out->Class == BufferClass::SparseVals)
+        continue; // inference: dedicated per-value storage, no slot
+      if (Out->Pinned) {
+        Out->Slot = static_cast<int>(Slots.size());
+        Slots.push_back({Out->Class, Out->Floats, /*Pinned=*/true});
         continue;
-      if (Slot.CapacityFloats >= Out.Floats &&
-          (Best < 0 || Slot.CapacityFloats <
-                           Slots[static_cast<size_t>(FreeSlots[static_cast<size_t>(Best)])]
-                               .CapacityFloats))
-        Best = static_cast<int>(F);
-      if (Largest < 0 ||
-          Slot.CapacityFloats >
-              Slots[static_cast<size_t>(FreeSlots[static_cast<size_t>(Largest)])]
-                  .CapacityFloats)
-        Largest = static_cast<int>(F);
-    }
-    int Pick = Best >= 0 ? Best : Largest;
-    if (Pick >= 0) {
-      Out.Slot = FreeSlots[static_cast<size_t>(Pick)];
-      ArenaSlot &Slot = Slots[static_cast<size_t>(Out.Slot)];
-      Slot.CapacityFloats = std::max(Slot.CapacityFloats, Out.Floats);
-      FreeSlots.erase(FreeSlots.begin() + Pick);
-    } else {
-      Out.Slot = static_cast<int>(Slots.size());
-      Slots.push_back({Out.Class, Out.Floats, /*Pinned=*/false});
+      }
+      int Best = -1, Largest = -1;
+      auto Cap = [&](int F) {
+        return Slots[static_cast<size_t>(FreeSlots[static_cast<size_t>(F)])]
+            .CapacityFloats;
+      };
+      for (size_t F = 0; F < FreeSlots.size(); ++F) {
+        const ArenaSlot &Slot = Slots[static_cast<size_t>(FreeSlots[F])];
+        if (Slot.Class != Out->Class)
+          continue;
+        if (Slot.CapacityFloats >= Out->Floats &&
+            (Best < 0 || Slot.CapacityFloats < Cap(Best)))
+          Best = static_cast<int>(F);
+        if (Largest < 0 || Slot.CapacityFloats > Cap(Largest))
+          Largest = static_cast<int>(F);
+      }
+      int Pick = Best >= 0 ? Best : Largest;
+      if (Pick >= 0) {
+        Out->Slot = FreeSlots[static_cast<size_t>(Pick)];
+        ArenaSlot &Slot = Slots[static_cast<size_t>(Out->Slot)];
+        Slot.CapacityFloats = std::max(Slot.CapacityFloats, Out->Floats);
+        FreeSlots.erase(FreeSlots.begin() + Pick);
+      } else {
+        Out->Slot = static_cast<int>(Slots.size());
+        Slots.push_back({Out->Class, Out->Floats, /*Pinned=*/false});
+      }
     }
   }
 
-  // Byte accounting. Naive: every produced payload resident at once. Peak:
-  // the worst step's live set, where pinned values stay resident from their
-  // definition to the end. Arena: what the workspace actually allocates.
+  // Byte accounting. Naive: every planned payload resident at once. Peak:
+  // the worst position's live set, where pinned buffers stay resident from
+  // their definition to the end. Arena: what the workspace actually
+  // allocates. A gradient the caller's result holds is not planned.
+  std::vector<const ValueBuffer *> All;
   for (const ValueBuffer &B : Vals)
-    if (B.Class != BufferClass::InputAlias && B.DefStep >= 0)
-      Naive += static_cast<size_t>(B.Floats) * sizeof(float);
-  for (int S = 0; S < NumSteps; ++S) {
+    All.push_back(&B);
+  for (const ValueBuffer &B : Grads)
+    All.push_back(&B);
+  for (const StepPartials &P : Partials) {
+    All.push_back(&P.Dense);
+    All.push_back(&P.Edges);
+  }
+  auto Bytes = [](const ValueBuffer &B) {
+    return static_cast<size_t>(B.Floats) * sizeof(float);
+  };
+  for (const ValueBuffer *B : All)
+    if (B->Class != BufferClass::InputAlias && B->DefStep >= 0)
+      Naive += Bytes(*B);
+  for (int Pos = 0; Pos < Positions; ++Pos) {
     size_t Live = 0;
-    for (const ValueBuffer &B : Vals) {
-      if (B.Class == BufferClass::InputAlias || B.DefStep < 0 ||
-          B.DefStep > S || B.Elided)
+    for (const ValueBuffer *B : All) {
+      if (B->Class == BufferClass::InputAlias || B->DefStep < 0 ||
+          B->DefStep > Pos || B->Elided)
         continue;
-      if (B.Pinned || B.LastUse >= S)
-        Live += static_cast<size_t>(B.Floats) * sizeof(float);
+      if (B->Pinned || B->LastUse >= Pos)
+        Live += Bytes(*B);
     }
     Peak = std::max(Peak, Live);
   }
   for (const ArenaSlot &Slot : Slots)
     Arena += static_cast<size_t>(Slot.CapacityFloats) * sizeof(float);
   for (const ValueBuffer &B : Vals)
-    if (B.Class == BufferClass::SparseVals && B.DefStep >= 0)
-      Arena += static_cast<size_t>(B.Floats) * sizeof(float);
+    if (B.Class == BufferClass::SparseVals && B.DefStep >= 0 && B.Slot < 0)
+      Arena += Bytes(B);
 }
 
 std::string BufferPlan::toString(const CompositionPlan &Plan) const {
@@ -215,14 +403,25 @@ std::string BufferPlan::toString(const CompositionPlan &Plan) const {
     return "?";
   };
   std::ostringstream OS;
+  // The size, lifetime and placement of a stored buffer.
+  auto Placement = [&](const ValueBuffer &B) {
+    OS << " " << B.Floats << " floats, live [" << B.DefStep << ", "
+       << B.LastUse << "]";
+    if (B.Pinned)
+      OS << ", pinned";
+    if (B.Slot >= 0)
+      OS << ", slot " << B.Slot;
+    OS << "\n";
+  };
+  auto Name = [&](size_t V) {
+    return Plan.Values[V].DebugName.empty() ? "v" + std::to_string(V)
+                                            : Plan.Values[V].DebugName;
+  };
   OS << "buffers for " << Plan.Name << (TrainingMode ? " (training)" : "")
      << ":\n";
   for (size_t V = 0; V < Vals.size(); ++V) {
     const ValueBuffer &B = Vals[V];
-    std::string Name = Plan.Values[V].DebugName.empty()
-                           ? "v" + std::to_string(V)
-                           : Plan.Values[V].DebugName;
-    OS << "  %" << V << " " << Name << ": " << ClassName(B.Class);
+    OS << "  %" << V << " " << Name(V) << ": " << ClassName(B.Class);
     if (B.Class == BufferClass::InputAlias) {
       OS << " (aliased)\n";
       continue;
@@ -232,14 +431,26 @@ std::string BufferPlan::toString(const CompositionPlan &Plan) const {
          << "'s registers (fused)\n";
       continue;
     }
-    OS << " " << B.Floats << " floats, live [" << B.DefStep << ", "
-       << B.LastUse << "]";
-    if (B.Pinned)
-      OS << ", pinned";
-    if (B.Slot >= 0)
-      OS << ", slot " << B.Slot;
-    OS << "\n";
+    Placement(B);
   }
+  for (size_t V = 0; V < Grads.size(); ++V) {
+    const ValueBuffer &G = Grads[V];
+    if (G.DefStep < 0)
+      continue;
+    OS << "  grad %" << V << " " << Name(V) << ": ";
+    if (G.Class == BufferClass::InputAlias) {
+      OS << "the caller's result, from " << G.DefStep << "\n";
+      continue;
+    }
+    OS << ClassName(G.Class);
+    Placement(G);
+  }
+  for (size_t S = 0; S < Partials.size(); ++S)
+    for (const ValueBuffer *P : {&Partials[S].Dense, &Partials[S].Edges})
+      if (P->DefStep >= 0) {
+        OS << "  step " << S << " partial: " << ClassName(P->Class);
+        Placement(*P);
+      }
   for (size_t S = 0; S < FusedInto.size(); ++S)
     if (FusedInto[S] >= 0)
       OS << "  step " << S << " (" << stepOpName(Plan.Steps[S].Op)

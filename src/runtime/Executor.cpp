@@ -79,30 +79,6 @@ ValueLabel granii::valueLabel(const CompositionPlan &Plan,
 // PlanWorkspace
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Values that transitively depend on learned parameters or features, i.e.
-/// the ones the backward pass must reach.
-std::vector<bool> computeGradPath(const CompositionPlan &Plan) {
-  std::vector<bool> Need(Plan.Values.size(), false);
-  for (size_t V = 0; V < Plan.Values.size(); ++V) {
-    const PlanValue &Val = Plan.Values[V];
-    if (Val.InputRole && *Val.InputRole != LeafRole::Adjacency &&
-        *Val.InputRole != LeafRole::DegreeNorm &&
-        *Val.InputRole != LeafRole::DegreeInv)
-      Need[V] = true;
-  }
-  for (const PlanStep &Step : Plan.Steps) {
-    bool Any = false;
-    for (int Id : Step.Operands)
-      Any |= Need[static_cast<size_t>(Id)];
-    Need[static_cast<size_t>(Step.Result)] = Any;
-  }
-  return Need;
-}
-
-} // namespace
-
 bool PlanWorkspace::configure(const CompositionPlan &PlanIn,
                               const DimBinding &B, bool TrainingIn) {
   if (Buffers && Plan == &PlanIn && Training == TrainingIn &&
@@ -123,33 +99,44 @@ bool PlanWorkspace::configure(const CompositionPlan &PlanIn,
       Buffers->values()[static_cast<size_t>(PlanIn.OutputValue)].Slot;
   DenseSlots.resize(Sl.size());
   VecSlots.resize(Sl.size());
+  EdgeSlots.resize(Sl.size());
   for (size_t S = 0; S < Sl.size(); ++S) {
     if (static_cast<int>(S) == OutputSlot)
       continue;
     size_t Cap = static_cast<size_t>(Sl[S].CapacityFloats);
     if (Sl[S].Class == BufferClass::DenseSlot)
       DenseSlots[S].reserveFloats(Cap);
-    else
+    else if (Sl[S].Class == BufferClass::VecSlot)
       VecSlots[S].reserve(Cap);
+    else
+      EdgeSlots[S].reserve(Cap);
   }
-  // A sparse value is one value array over the bound adjacency's pattern.
+  // An inference sparse value is one value array of its own.
   SparseValues.resize(PlanIn.Values.size());
   for (size_t V = 0; V < PlanIn.Values.size(); ++V) {
-    const ValueBuffer &B = Buffers->values()[V];
-    if (B.Class == BufferClass::SparseVals && B.DefStep >= 0)
-      SparseValues[V].reserve(static_cast<size_t>(B.Floats));
+    const ValueBuffer &VB = Buffers->values()[V];
+    if (VB.Class == BufferClass::SparseVals && VB.DefStep >= 0 && VB.Slot < 0)
+      SparseValues[V].reserve(static_cast<size_t>(VB.Floats));
   }
   Scratch.resize(PlanIn.Values.size());
-  Grads.resize(PlanIn.Values.size());
-  GradPath = TrainingIn ? computeGradPath(PlanIn) : std::vector<bool>();
   return true;
 }
 
-DenseMatrix &PlanWorkspace::denseFor(int Id, int64_t Rows, int64_t Cols) {
-  assert(Buffers && "workspace not configured");
-  const ValueBuffer &B = Buffers->values()[static_cast<size_t>(Id)];
+namespace {
+
+/// Resizes \p Store to \p Size and \returns whether its capacity grew.
+template <class Vector> bool grows(Vector &Store, size_t Size) {
+  const size_t Cap = Store.capacity();
+  Store.resize(Size);
+  return Store.capacity() != Cap;
+}
+
+} // namespace
+
+DenseMatrix &PlanWorkspace::denseFor(const ValueBuffer &B, int64_t Rows,
+                                     int64_t Cols) {
   assert(B.Slot >= 0 && B.Class == BufferClass::DenseSlot &&
-         "value has no dense slot");
+         "buffer has no dense slot");
   DenseMatrix &M = DenseSlots[static_cast<size_t>(B.Slot)];
   size_t Cap = M.capacityFloats();
   M.resize(Rows, Cols);
@@ -158,29 +145,31 @@ DenseMatrix &PlanWorkspace::denseFor(int Id, int64_t Rows, int64_t Cols) {
   return M;
 }
 
-std::vector<float> &PlanWorkspace::vecFor(int Id, size_t Size) {
-  assert(Buffers && "workspace not configured");
-  const ValueBuffer &B = Buffers->values()[static_cast<size_t>(Id)];
+std::vector<float> &PlanWorkspace::vecFor(const ValueBuffer &B, size_t Size) {
   assert(B.Slot >= 0 && B.Class == BufferClass::VecSlot &&
-         "value has no vector slot");
+         "buffer has no vector slot");
   std::vector<float> &V = VecSlots[static_cast<size_t>(B.Slot)];
-  size_t Cap = V.capacity();
-  V.resize(Size);
-  if (V.capacity() != Cap)
-    ++Allocations;
+  Allocations += grows(V, Size);
+  return V;
+}
+
+AlignedVector<float> &PlanWorkspace::edgesFor(const ValueBuffer &B,
+                                              size_t Nnz) {
+  assert(B.Slot >= 0 && B.Class == BufferClass::SparseVals &&
+         "buffer has no edge slot");
+  AlignedVector<float> &V = EdgeSlots[static_cast<size_t>(B.Slot)];
+  Allocations += grows(V, Nnz);
   return V;
 }
 
 AlignedVector<float> &PlanWorkspace::edgeValuesFor(int Id, size_t Nnz) {
   assert(Buffers && "workspace not configured");
-  assert(Buffers->values()[static_cast<size_t>(Id)].Class ==
-             BufferClass::SparseVals &&
-         "value is not sparse");
+  const ValueBuffer &B = Buffers->values()[static_cast<size_t>(Id)];
+  assert(B.Class == BufferClass::SparseVals && "value is not sparse");
+  if (B.Slot >= 0)
+    return edgesFor(B, Nnz);
   AlignedVector<float> &V = SparseValues[static_cast<size_t>(Id)];
-  size_t Cap = V.capacity();
-  V.resize(Nnz);
-  if (V.capacity() != Cap)
-    ++Allocations;
+  Allocations += grows(V, Nnz);
   return V;
 }
 
@@ -203,7 +192,6 @@ double Executor::timeKernel(const PrimitiveDesc &Desc, const GraphStats &Stats,
 
 namespace {
 
-using detail::RtGrad;
 using detail::RtValue;
 
 /// Forward and backward interpreter behind every executor run. It executes
@@ -245,12 +233,14 @@ private:
       Out.Dense = OutputDst;
       return *OutputDst;
     }
-    DenseMatrix &M = Ws.denseFor(Id, Rows, Cols);
+    DenseMatrix &M = Ws.denseFor(buffers().values()[static_cast<size_t>(Id)],
+                                 Rows, Cols);
     Out.Dense = &M;
     return M;
   }
   std::vector<float> &dstVec(int Id, size_t Size) {
-    std::vector<float> &V = Ws.vecFor(Id, Size);
+    std::vector<float> &V =
+        Ws.vecFor(buffers().values()[static_cast<size_t>(Id)], Size);
     val(Id).Vec = &V;
     return V;
   }
@@ -264,6 +254,22 @@ private:
   /// The pattern of every sparse value: the bound adjacency's.
   const CsrMatrix &adjacency() const { return *Inputs.Adjacency; }
 
+  /// The workspace's buffer plan: where every value, gradient and partial
+  /// lives.
+  const BufferPlan &buffers() const { return *Ws.bufferPlan(); }
+
+  /// Rows and columns of dense value \p Id: a bound input's, or the planned
+  /// shape of a produced value. The backward pass asks the plan, since a
+  /// dead value's slot may hold another buffer by then.
+  std::pair<int64_t, int64_t> shapeOf(int Id) {
+    if (Plan.Values[static_cast<size_t>(Id)].InputRole) {
+      const DenseMatrix &M = val(Id).dense();
+      return {M.rows(), M.cols()};
+    }
+    const ValueBuffer &B = buffers().values()[static_cast<size_t>(Id)];
+    return {B.Rows, B.Cols};
+  }
+
   double charge(size_t StepIdx, FunctionRef<void()> Body) {
     return Exec.timeKernel(Ws.descs()[StepIdx], Stats, Body);
   }
@@ -273,7 +279,7 @@ private:
   /// in this run. \returns the value the step stores (its own result when
   /// no chain follows it, as for every step but a GEMM or SpMM).
   int epilogueOf(size_t StepIdx, kernels::RowEpilogue &Epi) {
-    const std::vector<int> &Into = Ws.bufferPlan()->fusedInto();
+    const std::vector<int> &Into = buffers().fusedInto();
     int Target = Plan.Steps[StepIdx].Result;
     for (size_t S = StepIdx + 1; S < Plan.Steps.size(); ++S) {
       if (Into[S] != static_cast<int>(StepIdx))
@@ -552,7 +558,7 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
   // estimate on a simulated platform. A GEMM/SpMM producer applies its
   // chain to its accumulators before its one store and writes the chain's
   // last value.
-  const int FusedInto = Ws.bufferPlan()->fusedInto()[StepIdx];
+  const int FusedInto = buffers().fusedInto()[StepIdx];
   kernels::RowEpilogue Epi;
   const int Target = FusedInto < 0 ? epilogueOf(StepIdx, Epi) : Step.Result;
   const double Seconds = FusedInto >= 0 ? charge(StepIdx, [] {})
@@ -583,7 +589,7 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
   if (Epi.Count > 0) {
     std::string Chain;
     for (size_t S = StepIdx + 1; S < Plan.Steps.size(); ++S)
-      if (Ws.bufferPlan()->fusedInto()[S] == static_cast<int>(StepIdx))
+      if (buffers().fusedInto()[S] == static_cast<int>(StepIdx))
         Chain += std::string(Chain.empty() ? "" : ",") +
                  stepOpName(Plan.Steps[S].Op);
     Span.setArg("epilogue", Chain);
@@ -613,82 +619,74 @@ void PlanInterpreter::forward(ExecResult &Result) {
 
 void PlanInterpreter::backward(ExecResult &Result) {
   TraceSpan Span("backward", "executor");
-  const std::vector<bool> &Need = Ws.gradPath();
-  std::vector<RtGrad> &Grads = Ws.grads();
-  for (RtGrad &G : Grads)
-    G.Present = false;
+  const BufferPlan &BP = buffers();
+  const std::vector<bool> &Need = BP.gradPath();
   std::vector<RtValue> &Values = Ws.scratch();
   Result.BackwardProfiles.clear();
 
-  // Every gradient buffer is reused across runs, so a steady-state run
-  // allocates none of them. A workspace buffer counts its growth like a
-  // slot; parameter gradients accumulate straight into the caller's result,
-  // which owns them as it owns Output, the feature gradient included.
-  auto Reshape = [&](DenseMatrix &M, int64_t Rows, int64_t Cols,
-                     bool Owned) -> DenseMatrix & {
-    size_t Cap = M.capacityFloats();
-    M.resize(Rows, Cols);
-    if (Owned && M.capacityFloats() != Cap)
-      Ws.countAllocation();
-    return M;
+  // Every gradient and partial has a slot of the buffer plan, which keeps it
+  // apart from every buffer live beside it, so a steady-state run allocates
+  // none of them. Parameter gradients accumulate straight into the caller's
+  // result, which owns them as it owns Output, the feature gradient
+  // included.
+  auto Caller = [&](int Id) {
+    return BP.grads()[static_cast<size_t>(Id)].Class ==
+           BufferClass::InputAlias;
   };
-  auto Resize = [&](std::vector<float> &V, size_t Size,
-                    bool Owned) -> std::vector<float> & {
-    size_t Cap = V.capacity();
-    V.resize(Size);
-    if (Owned && V.capacity() != Cap)
-      Ws.countAllocation();
-    return V;
+  // The slot of produced value Id's gradient, shaped as the value. A slot
+  // reshaped within its capacity neither allocates nor loses its contents.
+  auto DenseSlot = [&](int Id) -> DenseMatrix & {
+    const ValueBuffer &G = BP.grads()[static_cast<size_t>(Id)];
+    return Ws.denseFor(G, G.Rows, G.Cols);
   };
-  auto DenseAcc = [&](int Id) -> DenseMatrix & {
-    const PlanValue &Val = Plan.Values[static_cast<size_t>(Id)];
-    if (Val.InputRole == LeafRole::Weight)
-      return Result.WeightGrads[Val.DebugName];
-    if (Val.InputRole == LeafRole::Features)
-      return Result.FeatureGrad;
-    return Grads[static_cast<size_t>(Id)].Dense;
+  auto VecSlot = [&](int Id) -> std::vector<float> & {
+    const ValueBuffer &G = BP.grads()[static_cast<size_t>(Id)];
+    return Ws.vecFor(G, static_cast<size_t>(G.Floats));
   };
-  auto VecAcc = [&](int Id) -> std::vector<float> & {
-    const PlanValue &Val = Plan.Values[static_cast<size_t>(Id)];
-    if (Val.InputRole == LeafRole::AttnSrcVec ||
-        Val.InputRole == LeafRole::AttnDstVec)
-      return Result.AttnGrads[Val.DebugName];
-    return Grads[static_cast<size_t>(Id)].Vec;
+  auto EdgeSlot = [&](int Id) -> AlignedVector<float> & {
+    const ValueBuffer &G = BP.grads()[static_cast<size_t>(Id)];
+    return Ws.edgesFor(G, static_cast<size_t>(G.Floats));
   };
 
-  // The accumulators of value Id, shaped on the run's first contribution.
-  // \p First reports that contribution: the kernels then write instead of
-  // adding, which is what adding into zeros gives, so nothing is zeroed.
+  // Marks value Id's gradient written in this run and \returns whether this
+  // is its first contribution: the kernels then write instead of adding,
+  // which is what adding into zeros gives, so nothing is zeroed (a slot may
+  // still hold the bytes of the buffer it held before).
+  auto Contribute = [&](int Id) {
+    bool &Present = Values[static_cast<size_t>(Id)].GradPresent;
+    const bool First = !Present;
+    Present = true;
+    return First;
+  };
+  // The gradient of value Id for one more contribution, \p First as above;
+  // a caller-held gradient is shaped on the first.
   auto DenseGrad = [&](int Id, bool &First) -> DenseMatrix & {
-    RtGrad &G = Grads[static_cast<size_t>(Id)];
-    DenseMatrix &Acc = DenseAcc(Id);
-    First = !G.Present;
+    First = Contribute(Id);
+    if (!Caller(Id))
+      return DenseSlot(Id);
+    const PlanValue &Val = Plan.Values[static_cast<size_t>(Id)];
+    DenseMatrix &Acc = Val.InputRole == LeafRole::Weight
+                           ? Result.WeightGrads[Val.DebugName]
+                           : Result.FeatureGrad;
     if (First) {
-      const DenseMatrix &V = Values[static_cast<size_t>(Id)].dense();
-      Reshape(Acc, V.rows(), V.cols(), &Acc == &G.Dense);
-      G.Present = true;
+      const auto [Rows, Cols] = shapeOf(Id);
+      Acc.resize(Rows, Cols);
     }
     return Acc;
   };
   auto VecGrad = [&](int Id, bool &First) -> std::span<float> {
-    RtGrad &G = Grads[static_cast<size_t>(Id)];
-    std::vector<float> &Acc = VecAcc(Id);
-    First = !G.Present;
-    if (First) {
-      const size_t Size = Values[static_cast<size_t>(Id)].vec().size();
-      Resize(Acc, Size, &Acc == &G.Vec);
-      G.Present = true;
-    }
+    First = Contribute(Id);
+    if (!Caller(Id))
+      return VecSlot(Id);
+    std::vector<float> &Acc =
+        Result.AttnGrads[Plan.Values[static_cast<size_t>(Id)].DebugName];
+    if (First)
+      Acc.resize(Values[static_cast<size_t>(Id)].vec().size());
     return Acc;
   };
   auto EdgeGrad = [&](int Id, bool &First) -> std::span<float> {
-    RtGrad &G = Grads[static_cast<size_t>(Id)];
-    First = !G.Present;
-    if (First) {
-      Resize(G.Edge, static_cast<size_t>(adjacency().nnz()), /*Owned=*/true);
-      G.Present = true;
-    }
-    return G.Edge;
+    First = Contribute(Id);
+    return EdgeSlot(Id);
   };
   // Adds Alpha * X into value Id's dense gradient, which has X's shape.
   auto AddDense = [&](int Id, float Alpha, const DenseMatrix &X) {
@@ -697,14 +695,6 @@ void PlanInterpreter::backward(ExecResult &Result) {
     kernels::accumulateInto(Alpha, {X.data(), static_cast<size_t>(X.size())},
                             {Acc.data(), static_cast<size_t>(Acc.size())},
                             First);
-  };
-  // A partial gradient lives in one workspace buffer until it is added into
-  // its accumulator; no two partials are live at once.
-  auto Partial = [&](int64_t Rows, int64_t Cols) -> DenseMatrix & {
-    return Reshape(Ws.gradScratch(), Rows, Cols, /*Owned=*/true);
-  };
-  auto EdgePartial = [&](size_t Size) -> std::vector<float> & {
-    return Resize(Ws.edgeGradScratch(), Size, /*Owned=*/true);
   };
 
   // Seed dL/dOut = 1.
@@ -717,15 +707,30 @@ void PlanInterpreter::backward(ExecResult &Result) {
   double Backward = 0.0;
   for (size_t SI = Plan.Steps.size(); SI-- > 0;) {
     const PlanStep &Step = Plan.Steps[SI];
-    RtGrad &OutG = Grads[static_cast<size_t>(Step.Result)];
-    if (!OutG.Present)
+    if (!Values[static_cast<size_t>(Step.Result)].GradPresent)
       continue;
+    // The gradient of the step's result, as its contributions left it.
+    auto OutDense = [&]() -> const DenseMatrix & {
+      return DenseSlot(Step.Result);
+    };
+    auto OutEdges = [&]() -> std::span<const float> {
+      return EdgeSlot(Step.Result);
+    };
+    auto OutVec = [&]() -> std::span<const float> {
+      return VecSlot(Step.Result);
+    };
     auto OpId = [&](int I) { return Step.Operands[I]; };
     auto NeedOp = [&](int I) {
       return Need[static_cast<size_t>(Step.Operands[I])];
     };
     auto OpVal = [&](int I) -> const RtValue & {
       return Values[static_cast<size_t>(Step.Operands[I])];
+    };
+    // A partial gradient lives in its step's planned buffer until it is
+    // added into its accumulator.
+    const StepPartials &Parts = BP.partials()[SI];
+    auto Partial = [&](int64_t Rows, int64_t Cols) -> DenseMatrix & {
+      return Ws.denseFor(Parts.Dense, Rows, Cols);
     };
     // Charges one primitive that adds into the gradient of value Target.
     auto Charge = [&](int Target, const PrimitiveDesc &D,
@@ -735,21 +740,24 @@ void PlanInterpreter::backward(ExecResult &Result) {
 
     switch (Step.Op) {
     case StepOp::Gemm: {
-      const DenseMatrix &A = OpVal(0).dense();
-      const DenseMatrix &B = OpVal(1).dense();
+      const DenseMatrix &DY = OutDense();
+      const auto [ARows, ACols] = shapeOf(OpId(0));
+      const int64_t BCols = shapeOf(OpId(1)).second;
       if (NeedOp(0)) {
-        PrimitiveDesc D{PrimitiveKind::Gemm, A.rows(), A.cols(), B.cols(), 0};
+        PrimitiveDesc D{PrimitiveKind::Gemm, ARows, ACols, BCols, 0};
         Charge(OpId(0), D, [&] {
-          DenseMatrix &DA = Partial(OutG.Dense.rows(), B.rows());
-          kernels::gemmTransposedRhsInto(OutG.Dense, B, DA);
+          const DenseMatrix &B = OpVal(1).dense();
+          DenseMatrix &DA = Partial(DY.rows(), B.rows());
+          kernels::gemmTransposedRhsInto(DY, B, DA);
           AddDense(OpId(0), 1.0f, DA);
         });
       }
       if (NeedOp(1)) {
-        PrimitiveDesc D{PrimitiveKind::Gemm, A.cols(), B.cols(), A.rows(), 0};
+        PrimitiveDesc D{PrimitiveKind::Gemm, ACols, BCols, ARows, 0};
         Charge(OpId(1), D, [&] {
-          DenseMatrix &DB = Partial(A.cols(), OutG.Dense.cols());
-          kernels::gemmTransposedLhsInto(A, OutG.Dense, DB);
+          const DenseMatrix &A = OpVal(0).dense();
+          DenseMatrix &DB = Partial(A.cols(), DY.cols());
+          kernels::gemmTransposedLhsInto(A, DY, DB);
           AddDense(OpId(1), 1.0f, DB);
         });
       }
@@ -758,7 +766,8 @@ void PlanInterpreter::backward(ExecResult &Result) {
     case StepOp::SpmmWeighted:
     case StepOp::SpmmUnweighted: {
       const CsrMatrix &S = adjacency();
-      const DenseMatrix &X = OpVal(1).dense();
+      const DenseMatrix &DY = OutDense();
+      const int64_t XCols = shapeOf(OpId(1)).second;
       if (NeedOp(1)) {
         // dX += S^T dY, walked through the layout's CSC view of the bound
         // adjacency instead of re-materializing a transposed CSR every
@@ -769,23 +778,24 @@ void PlanInterpreter::backward(ExecResult &Result) {
         PrimitiveDesc D{Step.Op == StepOp::SpmmWeighted
                             ? PrimitiveKind::SpMMWeighted
                             : PrimitiveKind::SpMMUnweighted,
-                        S.cols(), X.cols(), 0, S.nnz()};
+                        S.cols(), XCols, 0, S.nnz()};
         Charge(OpId(1), D, [&] {
-          DenseMatrix &DX = Partial(S.cols(), OutG.Dense.cols());
+          DenseMatrix &DX = Partial(S.cols(), DY.cols());
           std::span<const float> Vals;
           if (Step.Op == StepOp::SpmmWeighted)
             Vals = OpVal(0).edges();
-          kernels::spmmCscTransposedInto(Csc, Vals, OutG.Dense, DX);
+          kernels::spmmCscTransposedInto(Csc, Vals, DY, DX);
           AddDense(OpId(1), 1.0f, DX);
         });
       }
       if (NeedOp(0)) {
         // dS_ij += dY_i . X_j (SDDMM at the sparse pattern).
-        PrimitiveDesc D{PrimitiveKind::SddmmDot, S.rows(), 0, X.cols(),
+        PrimitiveDesc D{PrimitiveKind::SddmmDot, S.rows(), 0, XCols,
                         S.nnz()};
         Charge(OpId(0), D, [&] {
-          std::vector<float> &DS = EdgePartial(static_cast<size_t>(S.nnz()));
-          kernels::sddmmInto(S, OutG.Dense, X, DS);
+          std::span<float> DS =
+              Ws.edgesFor(Parts.Edges, static_cast<size_t>(S.nnz()));
+          kernels::sddmmInto(S, DY, OpVal(1).dense(), DS);
           bool First;
           std::span<float> Acc = EdgeGrad(OpId(0), First);
           kernels::accumulateInto(1.0f, DS, Acc, First);
@@ -801,12 +811,12 @@ void PlanInterpreter::backward(ExecResult &Result) {
       break;
     case StepOp::RowBcast: {
       if (NeedOp(1)) {
-        const std::vector<float> &Dv = OpVal(0).vec();
-        PrimitiveDesc D{PrimitiveKind::RowBroadcast, OutG.Dense.rows(),
-                        OutG.Dense.cols(), 0, 0};
+        const DenseMatrix &DY = OutDense();
+        PrimitiveDesc D{PrimitiveKind::RowBroadcast, DY.rows(), DY.cols(), 0,
+                        0};
         Charge(OpId(1), D, [&] {
-          DenseMatrix &DH = Partial(OutG.Dense.rows(), OutG.Dense.cols());
-          kernels::rowBroadcastMulInto(Dv, OutG.Dense, DH);
+          DenseMatrix &DH = Partial(DY.rows(), DY.cols());
+          kernels::rowBroadcastMulInto(OpVal(0).vec(), DY, DH);
           AddDense(OpId(1), 1.0f, DH);
         });
       }
@@ -814,12 +824,12 @@ void PlanInterpreter::backward(ExecResult &Result) {
     }
     case StepOp::ColBcast: {
       if (NeedOp(0)) {
-        const std::vector<float> &Dv = OpVal(1).vec();
-        PrimitiveDesc D{PrimitiveKind::ColBroadcast, OutG.Dense.rows(),
-                        OutG.Dense.cols(), 0, 0};
+        const DenseMatrix &DY = OutDense();
+        PrimitiveDesc D{PrimitiveKind::ColBroadcast, DY.rows(), DY.cols(), 0,
+                        0};
         Charge(OpId(0), D, [&] {
-          DenseMatrix &DH = Partial(OutG.Dense.rows(), OutG.Dense.cols());
-          kernels::colBroadcastMulInto(OutG.Dense, Dv, DH);
+          DenseMatrix &DH = Partial(DY.rows(), DY.cols());
+          kernels::colBroadcastMulInto(DY, OpVal(1).vec(), DH);
           AddDense(OpId(0), 1.0f, DH);
         });
       }
@@ -832,46 +842,45 @@ void PlanInterpreter::backward(ExecResult &Result) {
     case StepOp::InvVec:
       break; // Graph-only.
     case StepOp::AddDense: {
-      PrimitiveDesc D{PrimitiveKind::AddDense, OutG.Dense.rows(),
-                      OutG.Dense.cols(), 0, 0};
+      const DenseMatrix &DY = OutDense();
+      PrimitiveDesc D{PrimitiveKind::AddDense, DY.rows(), DY.cols(), 0, 0};
       for (int I = 0; I < 2; ++I)
         if (NeedOp(I))
-          Charge(OpId(I), D, [&] { AddDense(OpId(I), 1.0f, OutG.Dense); });
+          Charge(OpId(I), D, [&] { AddDense(OpId(I), 1.0f, DY); });
       break;
     }
     case StepOp::ScaleDense: {
       if (NeedOp(0)) {
-        PrimitiveDesc D{PrimitiveKind::DenseMap, OutG.Dense.rows(),
-                        OutG.Dense.cols(), 0, 0};
+        const DenseMatrix &DY = OutDense();
+        PrimitiveDesc D{PrimitiveKind::DenseMap, DY.rows(), DY.cols(), 0, 0};
         Charge(OpId(0), D, [&] {
-          AddDense(OpId(0), static_cast<float>(Step.Param), OutG.Dense);
+          AddDense(OpId(0), static_cast<float>(Step.Param), DY);
         });
       }
       break;
     }
     case StepOp::Relu: {
       if (NeedOp(0)) {
-        PrimitiveDesc D{PrimitiveKind::DenseMap, OutG.Dense.rows(),
-                        OutG.Dense.cols(), 0, 0};
+        const DenseMatrix &DY = OutDense();
+        PrimitiveDesc D{PrimitiveKind::DenseMap, DY.rows(), DY.cols(), 0, 0};
         Charge(OpId(0), D, [&] {
           bool First;
           DenseMatrix &Acc = DenseGrad(OpId(0), First);
-          kernels::reluBackwardAccumulateInto(OpVal(0).dense(), OutG.Dense,
-                                              Acc, First);
+          kernels::reluBackwardAccumulateInto(OpVal(0).dense(), DY, Acc,
+                                              First);
         });
       }
       break;
     }
     case StepOp::AttnGemv: {
-      const DenseMatrix &Theta = OpVal(0).dense();
-      const std::vector<float> &AVec = OpVal(1).vec();
-      const int64_t Rows = Theta.rows(), Cols = Theta.cols();
+      std::span<const float> DY = OutVec();
+      const auto [Rows, Cols] = shapeOf(OpId(0));
       if (NeedOp(0)) {
         PrimitiveDesc D{PrimitiveKind::Gemm, Rows, Cols, 1, 0};
         Charge(OpId(0), D, [&] {
           bool First;
           DenseMatrix &DTheta = DenseGrad(OpId(0), First);
-          kernels::attnThetaGradInto(OutG.Vec, AVec, DTheta, First);
+          kernels::attnThetaGradInto(DY, OpVal(1).vec(), DTheta, First);
         });
       }
       if (NeedOp(1)) {
@@ -879,20 +888,21 @@ void PlanInterpreter::backward(ExecResult &Result) {
         Charge(OpId(1), D, [&] {
           bool First;
           std::span<float> DA = VecGrad(OpId(1), First);
-          kernels::attnVecGradInto(Theta, OutG.Vec, DA, First);
+          kernels::attnVecGradInto(OpVal(0).dense(), DY, DA, First);
         });
       }
       break;
     }
     case StepOp::EdgeLogits: {
       const CsrMatrix &Mask = adjacency();
+      std::span<const float> DY = OutEdges();
       PrimitiveDesc D{PrimitiveKind::EdgeElementwise, Mask.rows(), 0, 0,
                       Mask.nnz()};
       if (NeedOp(1)) {
         Charge(OpId(1), D, [&] {
           bool First;
           std::span<float> DSrc = VecGrad(OpId(1), First);
-          kernels::edgeRowSumInto(Mask, OutG.Edge, DSrc, First);
+          kernels::edgeRowSumInto(Mask, DY, DSrc, First);
         });
       }
       if (NeedOp(2)) {
@@ -902,7 +912,7 @@ void PlanInterpreter::backward(ExecResult &Result) {
         Charge(OpId(2), D, [&] {
           bool First;
           std::span<float> DDst = VecGrad(OpId(2), First);
-          kernels::edgeColSumInto(Csc, OutG.Edge, DDst, First);
+          kernels::edgeColSumInto(Csc, DY, DDst, First);
         });
       }
       break;
@@ -910,12 +920,13 @@ void PlanInterpreter::backward(ExecResult &Result) {
     case StepOp::EdgeLeakyRelu: {
       if (NeedOp(0)) {
         const CsrMatrix &In = adjacency();
+        std::span<const float> DY = OutEdges();
         PrimitiveDesc D{PrimitiveKind::EdgeElementwise, In.rows(), 0, 0,
                         In.nnz()};
         Charge(OpId(0), D, [&] {
           bool First;
           std::span<float> DIn = EdgeGrad(OpId(0), First);
-          kernels::leakyReluEdgesBackwardInto(OpVal(0).edges(), OutG.Edge,
+          kernels::leakyReluEdgesBackwardInto(OpVal(0).edges(), DY,
                                               static_cast<float>(Step.Param),
                                               DIn, First);
         });
@@ -925,13 +936,14 @@ void PlanInterpreter::backward(ExecResult &Result) {
     case StepOp::EdgeSoftmax: {
       if (NeedOp(0)) {
         const CsrMatrix &A = adjacency();
+        std::span<const float> DY = OutEdges();
         std::span<const float> Alpha =
             Values[static_cast<size_t>(Step.Result)].edges();
         PrimitiveDesc D{PrimitiveKind::EdgeSoftmax, A.rows(), 0, 0, A.nnz()};
         Charge(OpId(0), D, [&] {
           bool First;
           std::span<float> DIn = EdgeGrad(OpId(0), First);
-          kernels::edgeSoftmaxBackwardInto(A, Alpha, OutG.Edge, DIn, First);
+          kernels::edgeSoftmaxBackwardInto(A, Alpha, DY, DIn, First);
         });
       }
       break;
@@ -949,7 +961,7 @@ void PlanInterpreter::backward(ExecResult &Result) {
                           Val.InputRole == LeafRole::AttnDstVec;
       const bool IsWeight = Val.InputRole == LeafRole::Weight;
       if ((Attn ? IsAttn : IsWeight) && Val.DebugName == Name &&
-          Grads[V].Present)
+          Values[V].GradPresent)
         return true;
     }
     return false;

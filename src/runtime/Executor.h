@@ -12,11 +12,12 @@
 /// Execution is destination-passing throughout: every step writes its
 /// result through the kernels' `...Into` forms, and the plan's final step
 /// writes straight into the caller's ExecResult::Output. Every run executes
-/// against a PlanWorkspace, whose BufferPlan-assigned slots and backward
-/// gradient buffers persist across calls so a steady-state run performs
-/// zero heap allocations for plan values; the by-value run()/runTraining()
-/// simply use a fresh workspace per call. Each step executes exactly once
-/// per call.
+/// against a PlanWorkspace, whose BufferPlan-assigned slots hold the forward
+/// values and, in training, the gradients and partial gradients too; they
+/// persist across calls so a steady-state run performs zero heap
+/// allocations for plan values. The by-value run()/runTraining() simply
+/// use a fresh workspace per call. Each step executes exactly once per
+/// call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,20 +81,13 @@ struct RtValue {
   /// empty for an unweighted value (every edge 1).
   std::span<const float> Edges;
   const std::vector<float> *Vec = nullptr; ///< diagonal or node vector
+  /// Training: whether the backward pass has written the value's gradient
+  /// in this run, so a further contribution adds instead of writing.
+  bool GradPresent = false;
 
   const DenseMatrix &dense() const { return *Dense; }
   std::span<const float> edges() const { return Edges; }
   const std::vector<float> &vec() const { return *Vec; }
-};
-
-/// Backward-pass gradient accumulator of one plan value. The buffers
-/// persist in the workspace across training runs; Present marks the ones
-/// the current run has zeroed and written.
-struct RtGrad {
-  DenseMatrix Dense;       ///< for Dense values
-  std::vector<float> Vec;  ///< for Diag / NodeVec values
-  std::vector<float> Edge; ///< for Sparse values (per-edge grads)
-  bool Present = false;
 };
 
 /// Cached layout state of a workspace: what a run derives from the caller's
@@ -236,32 +230,22 @@ public:
   /// store to the requested size and count any capacity growth. Valid only
   /// after configure().
   /// @{
-  DenseMatrix &denseFor(int Id, int64_t Rows, int64_t Cols);
-  std::vector<float> &vecFor(int Id, size_t Size);
+  /// The storage of planned buffer \p B of the configured BufferPlan: a
+  /// plan value, a gradient or a partial, in its arena slot.
+  DenseMatrix &denseFor(const ValueBuffer &B, int64_t Rows, int64_t Cols);
+  std::vector<float> &vecFor(const ValueBuffer &B, size_t Size);
+  AlignedVector<float> &edgesFor(const ValueBuffer &B, size_t Nnz);
   /// The value array of sparse value \p Id (BufferClass::SparseVals), one
-  /// float per edge of the bound adjacency, whose pattern it shares.
+  /// float per edge of the bound adjacency, whose pattern it shares: its
+  /// slot in training, an array of its own in inference.
   AlignedVector<float> &edgeValuesFor(int Id, size_t Nnz);
   /// The configured plan's primitive descriptors, parallel to its steps.
   const std::vector<PrimitiveDesc> &descs() const { return Descs; }
   /// One runtime binding per plan value, rebound by every forward pass.
   std::vector<detail::RtValue> &scratch() { return Scratch; }
-  /// Backward-pass storage, kept across training runs like the slots: one
-  /// gradient accumulator per plan value, plus one dense and one per-edge
-  /// buffer for the partial gradients that are added into them. Parameter
-  /// and feature gradients accumulate in the caller's ExecResult instead.
-  std::vector<detail::RtGrad> &grads() { return Grads; }
-  /// Per value: whether the backward pass reaches it (it depends on a
-  /// weight, attention vector or the features). Computed by a training
-  /// configure().
-  const std::vector<bool> &gradPath() const { return GradPath; }
-  DenseMatrix &gradScratch() { return GradScratch; }
-  std::vector<float> &edgeGradScratch() { return EdgeGradScratch; }
   /// The workspace's cached layout state (empty until the first executor
   /// run; rebuilt whenever a run's adjacency differs from it).
   detail::LayoutState &layoutState() { return Layout; }
-  /// Records a growth of a workspace-managed buffer that lives outside the
-  /// slot arrays (the backward pass's gradient accumulators).
-  void countAllocation() { ++Allocations; }
   /// @}
 
 private:
@@ -269,15 +253,14 @@ private:
   DimBinding Binding{};
   bool Training = false;
   std::optional<BufferPlan> Buffers;
+  /// Slot storage, indexed by slot id; a slot uses the one of its class.
   std::vector<DenseMatrix> DenseSlots;
   std::vector<std::vector<float>> VecSlots;
-  std::vector<AlignedVector<float>> SparseValues; ///< indexed by value id
+  std::vector<AlignedVector<float>> EdgeSlots;
+  /// Inference's sparse values, which have no slot, indexed by value id.
+  std::vector<AlignedVector<float>> SparseValues;
   std::vector<PrimitiveDesc> Descs;
   std::vector<detail::RtValue> Scratch;
-  std::vector<detail::RtGrad> Grads; ///< indexed by value id
-  std::vector<bool> GradPath;         ///< indexed by value id
-  DenseMatrix GradScratch;
-  std::vector<float> EdgeGradScratch;
   detail::LayoutState Layout;
   size_t Allocations = 0;
 };
@@ -333,11 +316,12 @@ public:
            ReorderPolicy = ReorderPolicy::None,
            SparseFormat = SparseFormat::Csr) const;
 
-  /// Workspace forward + backward. The forward activations live in \p Ws
-  /// (fully pinned in training mode), and so do the gradient accumulators;
-  /// weight, attention and feature gradients accumulate in place into
-  /// \p Result, so a warm call into the same Result allocates nothing and
-  /// keeps its FeatureGrad buffer.
+  /// Workspace forward + backward. The forward activations, the gradient
+  /// accumulators and the partial gradients live in the slots of \p Ws,
+  /// which one BufferPlan assigns over both passes; weight, attention and
+  /// feature gradients accumulate in place into \p Result, so a warm call
+  /// into the same Result allocates nothing and keeps its FeatureGrad
+  /// buffer.
   void runTraining(const CompositionPlan &Plan, const LayerInputs &Inputs,
                    const GraphStats &Stats, PlanWorkspace &Ws,
                    ExecResult &Result,

@@ -42,10 +42,7 @@ void closeFd(int &Fd) {
 } // namespace
 
 Server::Server(ServerOptions OptsIn)
-    : Opts(std::move(OptsIn)), Eng(Opts.Engine) {
-  if (Opts.ConnWorkers < 1)
-    Opts.ConnWorkers = 1;
-}
+    : Opts(std::move(OptsIn)), Eng(Opts.Engine) {}
 
 Server::~Server() {
   requestStop();
@@ -55,6 +52,15 @@ Server::~Server() {
 bool Server::start(std::string *Err) {
   if (Running.load())
     return true;
+  // Each connection worker is a thread started below: bound the count
+  // before anything is created.
+  if (Opts.ConnWorkers < 1 || Opts.ConnWorkers > maxConfigurableThreads()) {
+    if (Err)
+      *Err = "connection worker count must be in [1, " +
+             std::to_string(maxConfigurableThreads()) + "], got " +
+             std::to_string(Opts.ConnWorkers);
+    return false;
+  }
   sockaddr_un Addr{};
   Addr.sun_family = AF_UNIX;
   if (Opts.SocketPath.empty() ||

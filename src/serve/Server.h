@@ -43,6 +43,7 @@ struct ServerOptions {
   std::string SocketPath;
   /// Connection workers: how many clients can have a request in flight at
   /// once (their kernel work still serializes on the shared ThreadPool).
+  /// start() refuses a count outside [1, maxConfigurableThreads()].
   int ConnWorkers = 8;
   EngineOptions Engine;
 };
@@ -63,7 +64,9 @@ public:
   Server &operator=(const Server &) = delete;
 
   /// Binds, listens, and spawns the accept + worker threads. \returns
-  /// false with \p Err on socket errors (path too long, bind failure, ...).
+  /// false with \p Err on a connection worker count outside
+  /// [1, maxConfigurableThreads()] (checked before anything is created) and
+  /// on socket errors (path too long, bind failure, ...).
   bool start(std::string *Err = nullptr);
 
   /// Triggers a graceful drain; safe from any thread and idempotent (the

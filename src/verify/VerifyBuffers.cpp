@@ -24,11 +24,57 @@ const char *className(BufferClass Class) {
   return "?";
 }
 
+/// One contribution of a backward step, as the executor's backward pass
+/// makes it: the operand whose gradient it adds into, the operand it reads
+/// to do so (NoRead, or OwnResult for the step's own output), and the kind
+/// of partial it computes first.
+enum class PartialKind { None, Dense, Edges };
+constexpr int NoRead = -1;
+constexpr int OwnResult = -2;
+struct GradRule {
+  int Into;
+  int Reads;
+  PartialKind Partial;
+};
+
+std::vector<GradRule> gradRules(StepOp Op) {
+  using PK = PartialKind;
+  switch (Op) {
+  case StepOp::Gemm:
+    return {{0, 1, PK::Dense}, {1, 0, PK::Dense}};
+  case StepOp::SpmmWeighted:
+    return {{1, 0, PK::Dense}, {0, 1, PK::Edges}};
+  case StepOp::SpmmUnweighted:
+    return {{1, NoRead, PK::Dense}, {0, 1, PK::Edges}};
+  case StepOp::RowBcast:
+    return {{1, 0, PK::Dense}};
+  case StepOp::ColBcast:
+    return {{0, 1, PK::Dense}};
+  case StepOp::AddDense:
+    return {{0, NoRead, PK::None}, {1, NoRead, PK::None}};
+  case StepOp::ScaleDense:
+    return {{0, NoRead, PK::None}};
+  case StepOp::Relu:
+  case StepOp::EdgeLeakyRelu:
+    return {{0, 0, PK::None}};
+  case StepOp::AttnGemv:
+    return {{0, 1, PK::None}, {1, 0, PK::None}};
+  case StepOp::EdgeLogits:
+    return {{1, NoRead, PK::None}, {2, NoRead, PK::None}};
+  case StepOp::EdgeSoftmax:
+    return {{0, OwnResult, PK::None}};
+  default:
+    return {}; // graph-only steps pass no gradient on
+  }
+}
+
 } // namespace
 
 bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
                                     const DimBinding &Binding, bool Training,
                                     const std::vector<ValueBuffer> &Vals,
+                                    const std::vector<ValueBuffer> &Grads,
+                                    const std::vector<StepPartials> &Partials,
                                     const std::vector<ArenaSlot> &Slots,
                                     DiagEngine &Diags,
                                     const std::string &Stage) {
@@ -39,14 +85,26 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
                 std::move(Hint));
   };
 
+  const int NumSteps = static_cast<int>(Plan.Steps.size());
   if (Vals.size() != Plan.Values.size()) {
     Error("values", "buffer table has " + std::to_string(Vals.size()) +
                         " entries for " + std::to_string(Plan.Values.size()) +
                         " plan values");
     return false;
   }
-
-  const int NumSteps = static_cast<int>(Plan.Steps.size());
+  const size_t WantGrads = Training ? Vals.size() : 0;
+  const size_t WantPartials = Training ? Plan.Steps.size() : 0;
+  if (Grads.size() != WantGrads || Partials.size() != WantPartials) {
+    Error("grads", "schedule has " + std::to_string(Grads.size()) +
+                       " gradient and " + std::to_string(Partials.size()) +
+                       " partial entries, expected " +
+                       std::to_string(WantGrads) + " and " +
+                       std::to_string(WantPartials));
+    return false;
+  }
+  // Positions: the steps, then in training the seed of dL/dOut and the
+  // backward step of each forward step S at 2 * NumSteps - S.
+  const int Positions = Training ? 2 * NumSteps + 1 : NumSteps;
 
   // Recompute live intervals from the step list; the recorded ones are the
   // executor's aliasing contract and must agree exactly.
@@ -101,11 +159,142 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
     if (InRegisters[V])
       Use[V] = Def[V];
   }
+
+  // Recompute the backward pass of a training schedule. A value's gradient
+  // flows when the value depends on a parameter or the features. Walking
+  // the steps in reverse from the seed, a step whose result has a gradient
+  // reads it at its backward position, keeps every forward value its rules
+  // read live until then, and writes the gradients it adds into first and
+  // its partials. A parameter's or the features' gradient is the caller's.
+  std::vector<bool> Flows(Vals.size(), false);
+  for (size_t V = 0; V < Vals.size(); ++V) {
+    const std::optional<LeafRole> &Role = Plan.Values[V].InputRole;
+    Flows[V] = Role == LeafRole::Features || Role == LeafRole::Weight ||
+               Role == LeafRole::AttnSrcVec || Role == LeafRole::AttnDstVec;
+  }
+  std::vector<int> GradDef(Vals.size(), -1), GradUse(Vals.size(), -1);
+  std::vector<int64_t> DensePartial(WantPartials, -1);
+  std::vector<bool> EdgePartial(WantPartials, false);
+  auto DenseFloats = [&](int Id) {
+    const PlanValue &Val = Plan.Values[static_cast<size_t>(Id)];
+    return Binding.eval(Val.Shape.Rows) * Binding.eval(Val.Shape.Cols);
+  };
+  if (Training) {
+    for (const PlanStep &Step : Plan.Steps)
+      for (int Id : Step.Operands)
+        if (Flows[static_cast<size_t>(Id)])
+          Flows[static_cast<size_t>(Step.Result)] = true;
+    GradDef[static_cast<size_t>(Plan.OutputValue)] = NumSteps;
+    for (int S = NumSteps - 1; S >= 0; --S) {
+      const PlanStep &Step = Plan.Steps[static_cast<size_t>(S)];
+      const auto R = static_cast<size_t>(Step.Result);
+      if (GradDef[R] < 0)
+        continue;
+      const int Pos = 2 * NumSteps - S;
+      GradUse[R] = Pos;
+      for (const GradRule &Rule : gradRules(Step.Op)) {
+        const int Into = Step.Operands[static_cast<size_t>(Rule.Into)];
+        if (!Flows[static_cast<size_t>(Into)])
+          continue;
+        const int Read = Rule.Reads == OwnResult ? Step.Result
+                         : Rule.Reads == NoRead
+                             ? -1
+                             : Step.Operands[static_cast<size_t>(Rule.Reads)];
+        if (Read >= 0)
+          Use[static_cast<size_t>(Read)] =
+              std::max(Use[static_cast<size_t>(Read)], Pos);
+        if (GradDef[static_cast<size_t>(Into)] < 0)
+          GradDef[static_cast<size_t>(Into)] = Pos;
+        if (Rule.Partial == PartialKind::Dense)
+          DensePartial[static_cast<size_t>(S)] =
+              std::max(DensePartial[static_cast<size_t>(S)], DenseFloats(Into));
+        EdgePartial[static_cast<size_t>(S)] =
+            EdgePartial[static_cast<size_t>(S)] ||
+            Rule.Partial == PartialKind::Edges;
+      }
+    }
+    for (size_t V = 0; V < Vals.size(); ++V)
+      if (Plan.Values[V].InputRole && GradDef[V] >= 0)
+        GradUse[V] = Positions; // the caller reads it after the run
+  }
+
   for (size_t V = 0; V < Vals.size(); ++V)
     if (Def[V] >= 0 && Use[V] < Def[V])
       Use[V] = Def[V];
   if (Plan.OutputValue >= 0)
-    Use[static_cast<size_t>(Plan.OutputValue)] = NumSteps;
+    Use[static_cast<size_t>(Plan.OutputValue)] = Positions;
+
+  // A stored buffer's slot reference: in range, of its class, large enough.
+  auto CheckSlot = [&](const std::string &Node, const ValueBuffer &B) {
+    if (B.Slot < 0 || static_cast<size_t>(B.Slot) >= Slots.size()) {
+      Error(Node, "slot " + std::to_string(B.Slot) + " out of range");
+      return;
+    }
+    const ArenaSlot &Slot = Slots[static_cast<size_t>(B.Slot)];
+    if (Slot.Class != B.Class)
+      Error(Node, std::string("assigned to a ") + className(Slot.Class) +
+                      " slot, buffer needs " + className(B.Class));
+    if (Slot.CapacityFloats < B.Floats)
+      Error(Node, "slot " + std::to_string(B.Slot) + " capacity " +
+                      std::to_string(Slot.CapacityFloats) +
+                      " floats is smaller than the payload " +
+                      std::to_string(B.Floats));
+    if (B.Pinned && !Slot.Pinned)
+      Error(Node, "pinned buffer placed in a shared slot");
+  };
+  // A recorded interval against the recomputed one.
+  auto CheckInterval = [&](const std::string &Node, const ValueBuffer &B,
+                           int WantDef, int WantUse) {
+    if (B.DefStep != WantDef)
+      Error(Node, "definition recorded at step " + std::to_string(B.DefStep) +
+                      ", recomputed " + std::to_string(WantDef));
+    if (WantDef < 0 || B.LastUse == WantUse)
+      return;
+    bool Stale = B.LastUse < WantUse;
+    Error(Node,
+          "last use recorded at step " + std::to_string(B.LastUse) +
+              ", but it is " + (Stale ? "read until step " : "dead after step ") +
+              std::to_string(WantUse),
+          Stale ? "a slot freed early gets overwritten while still live"
+                : "");
+  };
+  // Class and payload size of a value (or its gradient) per kind.
+  auto WantClass = [&](size_t V) {
+    switch (Plan.Values[V].Kind) {
+    case PlanValueKind::Dense:
+      return BufferClass::DenseSlot;
+    case PlanValueKind::Diag:
+    case PlanValueKind::NodeVec:
+      return BufferClass::VecSlot;
+    case PlanValueKind::Sparse:
+      return BufferClass::SparseVals;
+    }
+    return BufferClass::DenseSlot;
+  };
+  auto WantFloats = [&](size_t V) {
+    const PlanValue &Val = Plan.Values[V];
+    switch (Val.Kind) {
+    case PlanValueKind::Dense:
+      return DenseFloats(static_cast<int>(V));
+    case PlanValueKind::Diag:
+    case PlanValueKind::NodeVec:
+      return Binding.eval(Val.Shape.Rows);
+    case PlanValueKind::Sparse:
+      return Binding.E;
+    }
+    return int64_t{0};
+  };
+  auto CheckPayload = [&](const std::string &Node, const ValueBuffer &B,
+                          BufferClass Class, int64_t Floats) {
+    if (B.Class != Class)
+      Error(Node, std::string("buffer class ") + className(B.Class) +
+                      " does not match the value kind (expected " +
+                      className(Class) + ")");
+    if (B.Floats != Floats)
+      Error(Node, "payload " + std::to_string(B.Floats) +
+                      " floats, expected " + std::to_string(Floats) +
+                      " under this binding");
+  };
 
   for (size_t V = 0; V < Vals.size(); ++V) {
     const ValueBuffer &B = Vals[V];
@@ -123,51 +312,8 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
       Error(Node, "produced value marked as an input alias");
       continue;
     }
-
-    // Class and payload size per value kind under the binding.
-    BufferClass WantClass = BufferClass::DenseSlot;
-    int64_t WantFloats = 0;
-    switch (Val.Kind) {
-    case PlanValueKind::Dense:
-      WantClass = BufferClass::DenseSlot;
-      WantFloats = Binding.eval(Val.Shape.Rows) * Binding.eval(Val.Shape.Cols);
-      break;
-    case PlanValueKind::Diag:
-    case PlanValueKind::NodeVec:
-      WantClass = BufferClass::VecSlot;
-      WantFloats = Binding.eval(Val.Shape.Rows);
-      break;
-    case PlanValueKind::Sparse:
-      WantClass = BufferClass::SparseVals;
-      WantFloats = Binding.E;
-      break;
-    }
-    if (B.Class != WantClass)
-      Error(Node, std::string("buffer class ") + className(B.Class) +
-                      " does not match the value kind (expected " +
-                      className(WantClass) + ")");
-    if (B.Floats != WantFloats)
-      Error(Node, "payload " + std::to_string(B.Floats) +
-                      " floats, expected " + std::to_string(WantFloats) +
-                      " under this binding");
-
-    if (B.DefStep != Def[V])
-      Error(Node, "definition recorded at step " + std::to_string(B.DefStep) +
-                      ", recomputed " + std::to_string(Def[V]));
-    if (B.LastUse != Use[V]) {
-      bool Stale = B.LastUse < Use[V];
-      Error(Node,
-            "last use recorded at step " + std::to_string(B.LastUse) +
-                ", but the value is " +
-                (Stale ? "read until step " : "dead after step ") +
-                std::to_string(Use[V]),
-            Stale ? "a slot freed early gets overwritten while still live"
-                  : "");
-    }
-
-    if (Training && Def[V] >= 0 && !B.Pinned)
-      Error(Node, "unpinned value in training mode",
-            "the backward pass re-reads every forward activation");
+    CheckPayload(Node, B, WantClass(V), WantFloats(V));
+    CheckInterval(Node, B, Def[V], Use[V]);
 
     if (B.Elided != InRegisters[V]) {
       Error(Node,
@@ -186,8 +332,9 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
       continue;
     }
 
-    // Slot reference validity.
-    if (B.Class == BufferClass::SparseVals) {
+    // Slot reference validity. An inference sparse value keeps a value
+    // array of its own; a training one shares slots like any buffer.
+    if (B.Class == BufferClass::SparseVals && !Training) {
       if (B.Slot >= 0)
         Error(Node, "sparse value assigned an arena slot",
               "per-edge arrays get dedicated storage");
@@ -195,57 +342,89 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
     }
     if (Def[V] < 0)
       continue; // never produced; nothing to place
-    if (B.Slot < 0 || static_cast<size_t>(B.Slot) >= Slots.size()) {
-      Error(Node, "slot " + std::to_string(B.Slot) + " out of range");
-      continue;
-    }
-    const ArenaSlot &Slot = Slots[static_cast<size_t>(B.Slot)];
-    if (Slot.Class != B.Class)
-      Error(Node, std::string("assigned to a ") + className(Slot.Class) +
-                      " slot, value needs " + className(B.Class));
-    if (Slot.CapacityFloats < B.Floats)
-      Error(Node, "slot " + std::to_string(B.Slot) + " capacity " +
-                      std::to_string(Slot.CapacityFloats) +
-                      " floats is smaller than the payload " +
-                      std::to_string(B.Floats));
-    if (B.Pinned && !Slot.Pinned)
-      Error(Node, "pinned value placed in a shared slot");
+    CheckSlot(Node, B);
   }
 
-  // Slot exclusivity: values sharing a slot must have disjoint lifetimes.
-  // A pinned value stays resident from its definition to the end; a step's
-  // operands are live through the step itself, so a successor may claim
-  // the slot no earlier than the step *after* the previous value's last
-  // use.
-  for (size_t SlotId = 0; SlotId < Slots.size(); ++SlotId) {
-    struct Interval {
-      int Def, End;
-      size_t Value;
-    };
-    std::vector<Interval> Assigned;
-    for (size_t V = 0; V < Vals.size(); ++V) {
-      const ValueBuffer &B = Vals[V];
-      if (B.Slot != static_cast<int>(SlotId) || Def[V] < 0)
-        continue;
-      Assigned.push_back({Def[V], B.Pinned ? NumSteps : Use[V], V});
+  // Gradients and partials of a training schedule.
+  for (size_t V = 0; V < Grads.size(); ++V) {
+    const ValueBuffer &G = Grads[V];
+    const std::string Node = "grad(v" + std::to_string(V) + ")";
+    CheckInterval(Node, G, GradDef[V], GradUse[V]);
+    if (GradDef[V] < 0)
+      continue;
+    if (Plan.Values[V].InputRole) {
+      if (G.Class != BufferClass::InputAlias || G.Slot >= 0)
+        Error(Node, "parameter or feature gradient stored in the workspace",
+              "the caller's result holds it");
+      continue;
     }
-    if (Slots[SlotId].Pinned && Assigned.size() > 1)
+    CheckPayload(Node, G, WantClass(V), WantFloats(V));
+    CheckSlot(Node, G);
+  }
+  for (size_t S = 0; S < Partials.size(); ++S) {
+    const int Pos = 2 * NumSteps - static_cast<int>(S);
+    const std::string Node = "step" + std::to_string(S) + "/partial";
+    const ValueBuffer &D = Partials[S].Dense, &E = Partials[S].Edges;
+    const bool HasDense = DensePartial[S] >= 0;
+    CheckInterval(Node, D, HasDense ? Pos : -1, Pos);
+    CheckInterval(Node, E, EdgePartial[S] ? Pos : -1, Pos);
+    if (HasDense) {
+      CheckPayload(Node, D, BufferClass::DenseSlot, DensePartial[S]);
+      CheckSlot(Node, D);
+    }
+    if (EdgePartial[S]) {
+      CheckPayload(Node, E, BufferClass::SparseVals, Binding.E);
+      CheckSlot(Node, E);
+    }
+  }
+
+  // Slot exclusivity: buffers sharing a slot must have disjoint lifetimes,
+  // taken from the recomputed intervals. A pinned buffer stays resident
+  // from its definition to the end; a position's operands are live through
+  // it, so a successor may claim the slot no earlier than the position
+  // *after* the previous buffer's last use.
+  struct Interval {
+    int Def, End;
+    std::string Node;
+  };
+  std::vector<std::vector<Interval>> Assigned(Slots.size());
+  auto Claim = [&](const ValueBuffer &B, int From, int To, std::string Node) {
+    if (B.Slot >= 0 && static_cast<size_t>(B.Slot) < Slots.size() &&
+        From >= 0)
+      Assigned[static_cast<size_t>(B.Slot)].push_back(
+          {From, B.Pinned ? Positions : To, std::move(Node)});
+  };
+  for (size_t V = 0; V < Vals.size(); ++V)
+    Claim(Vals[V], Def[V], Use[V], "v" + std::to_string(V));
+  for (size_t V = 0; V < Grads.size(); ++V)
+    Claim(Grads[V], GradDef[V], GradUse[V],
+          "the gradient of v" + std::to_string(V));
+  for (size_t S = 0; S < Partials.size(); ++S) {
+    const int Pos = 2 * NumSteps - static_cast<int>(S);
+    Claim(Partials[S].Dense, DensePartial[S] >= 0 ? Pos : -1, Pos,
+          "step " + std::to_string(S) + "'s dense partial");
+    Claim(Partials[S].Edges, EdgePartial[S] ? Pos : -1, Pos,
+          "step " + std::to_string(S) + "'s edge partial");
+  }
+  for (size_t SlotId = 0; SlotId < Slots.size(); ++SlotId) {
+    std::vector<Interval> &In = Assigned[SlotId];
+    if (Slots[SlotId].Pinned && In.size() > 1)
       Diags.error(Stage, Plan.Name + "/slot" + std::to_string(SlotId),
-                  "pinned slot shared by " +
-                      std::to_string(Assigned.size()) + " values");
-    std::sort(Assigned.begin(), Assigned.end(),
-              [](const Interval &A, const Interval &B) {
-                return A.Def < B.Def;
-              });
-    for (size_t I = 0; I + 1 < Assigned.size(); ++I)
-      if (Assigned[I + 1].Def <= Assigned[I].End)
-        Diags.error(
-            Stage, Plan.Name + "/slot" + std::to_string(SlotId),
-            "overlapping lifetimes: v" + std::to_string(Assigned[I].Value) +
-                " live through step " + std::to_string(Assigned[I].End) +
-                ", v" + std::to_string(Assigned[I + 1].Value) +
-                " defined at step " + std::to_string(Assigned[I + 1].Def),
-            "the later write would clobber the earlier value while live");
+                  "pinned slot shared by " + std::to_string(In.size()) +
+                      " buffers");
+    std::stable_sort(In.begin(), In.end(),
+                     [](const Interval &A, const Interval &B) {
+                       return A.Def < B.Def;
+                     });
+    for (size_t I = 0; I + 1 < In.size(); ++I)
+      if (In[I + 1].Def <= In[I].End)
+        Diags.error(Stage, Plan.Name + "/slot" + std::to_string(SlotId),
+                    "overlapping lifetimes: " + In[I].Node +
+                        " live through step " + std::to_string(In[I].End) +
+                        ", " + In[I + 1].Node + " defined at step " +
+                        std::to_string(In[I + 1].Def),
+                    "the later write would clobber the earlier value while "
+                    "live");
   }
 
   return Diags.errorCount() == Before;
@@ -257,7 +436,8 @@ bool granii::verifyBufferPlan(const CompositionPlan &Plan,
                               const std::string &Stage) {
   size_t Before = Diags.errorCount();
   verifyBufferAssignment(Plan, Binding, Buffers.training(), Buffers.values(),
-                         Buffers.slots(), Diags, Stage);
+                         Buffers.grads(), Buffers.partials(), Buffers.slots(),
+                         Diags, Stage);
   if (Buffers.peakBytes() > Buffers.naiveBytes())
     Diags.error(Stage, Plan.Name,
                 "planned peak " + std::to_string(Buffers.peakBytes()) +

@@ -2,17 +2,18 @@
 ///
 /// \file
 /// The runtime-schedule stage of the GRANII verifier. A BufferPlan's slot
-/// assignment is the executor's aliasing contract: two values sharing an
-/// arena slot must never be live at once, or one inference step silently
-/// overwrites another's operand. These checks recompute every value's live
-/// interval from the plan's step list and cross-check the recorded
-/// lifetimes, classes, sizes and slot assignment against it -- including
-/// the training mode, where the backward pass re-reads all forward
-/// activations and therefore every value must be pinned. For an inference
-/// schedule they recompute every fused chain on their own (a GEMM/SpMM and
-/// the row_bcast/relu steps it absorbs) and require each chain's values to
-/// be written at the producer's step, its intermediates to have no storage,
-/// and no other value to be fused.
+/// assignment is the executor's aliasing contract: two buffers sharing an
+/// arena slot must never be live at once, or one step silently overwrites
+/// another's operand. These checks recompute every buffer's live interval
+/// from the plan's step list and cross-check the recorded lifetimes,
+/// classes, sizes and slot assignment against it. For a training schedule
+/// they recompute the backward pass on their own: which forward values
+/// each backward step reads (so they stay live until then), which
+/// gradients it adds into, and which partials it computes. For an
+/// inference schedule they recompute every fused chain on their own (a
+/// GEMM/SpMM and the row_bcast/relu steps it absorbs) and require each
+/// chain's values to be written at the producer's step, its intermediates
+/// to have no storage, and no other value to be fused.
 ///
 /// verifyRowPartition() checks the ThreadPool's nnz-balanced CSR row
 /// partition for exclusive contiguous coverage (bounds start at row 0, end
@@ -31,16 +32,23 @@
 
 namespace granii {
 
-/// Verifies a (possibly hand-built) slot assignment \p Vals / \p Slots for
-/// \p Plan under \p Binding: recorded live intervals must equal recomputed
-/// ones, classes and payload sizes must match the value kinds, every slot
+/// Verifies a (possibly hand-built) schedule for \p Plan under \p Binding:
+/// the forward values \p Vals and, with \p Training set, the gradients
+/// \p Grads and partials \p Partials (both empty in inference), packed
+/// into \p Slots. Recorded live intervals must equal recomputed ones (in
+/// training a forward value lives until the last backward step that reads
+/// it, and a gradient from its first contribution to its producer's
+/// backward step, both recomputed here from the executor's backward rules),
+/// classes and payload sizes must match the value kinds, every slot
 /// reference must be in range with a matching class and sufficient
-/// capacity, values sharing a slot must have disjoint lifetimes (pinned
-/// values extend to the end of the program), and with \p Training set
-/// every produced value must be pinned. \returns true when clean.
+/// capacity, and buffers sharing a slot must have disjoint lifetimes
+/// (pinned buffers extend to the end of the schedule). \returns true when
+/// clean.
 bool verifyBufferAssignment(const CompositionPlan &Plan,
                             const DimBinding &Binding, bool Training,
                             const std::vector<ValueBuffer> &Vals,
+                            const std::vector<ValueBuffer> &Grads,
+                            const std::vector<StepPartials> &Partials,
                             const std::vector<ArenaSlot> &Slots,
                             DiagEngine &Diags,
                             const std::string &Stage = "buffers");

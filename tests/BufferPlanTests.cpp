@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "assoc/Enumerate.h"
+#include "assoc/Prune.h"
 #include "graph/Generators.h"
 #include "granii/Granii.h"
 #include "models/Models.h"
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <string>
 #include <vector>
@@ -280,20 +282,141 @@ TEST(BufferPlan, ChainStopsAtASecondReaderAndALateScale) {
     EXPECT_FALSE(B.Elided);
 }
 
-TEST(BufferPlan, TrainingModePinsEverything) {
-  CompositionPlan P = reluChainPlan();
+// GAT plan #0 in training, at N=10, E=20, K 4->3. Forward steps 0..7:
+//   v3 = gemm(H, W); v5 = attn_gemv(v3, asrc); v7 = attn_gemv(v3, adst);
+//   v8 = edge_logits(A, v5, v7); v9 = edge_lrelu(v8); v10 = edge_softmax(v9);
+//   v11 = spmm_w(v10, v3); v12 = relu(v11)  (output)
+// then the seed at position 8 and the backward step of step S at 16 - S.
+TEST(BufferPlan, GatTrainingPlansBothPasses) {
+  CompositionPlan P =
+      pruneCompositions(enumerateCompositions(makeModel(ModelKind::GAT).Root))
+          .front();
+  ASSERT_EQ(P.Steps.size(), 8u);
   BufferPlan BP(P, testBinding(), /*Training=*/true);
-
   EXPECT_TRUE(BP.training());
-  for (int V : {3, 4, 5, 6}) {
-    EXPECT_TRUE(BP.values()[V].Pinned) << "v" << V;
-    EXPECT_TRUE(BP.slots()[static_cast<size_t>(BP.values()[V].Slot)].Pinned);
+  EXPECT_EQ(BP.positions(), 17);
+  EXPECT_EQ(BufferPlan::backwardPosition(8, 6), 10);
+  EXPECT_EQ(BP.fusedInto(), (std::vector<int>(8, -1)));
+
+  // Backward reads: the SpMM's SDDMM and both attention GEMVs' da read
+  // theta (v3, last at step 1's backward, 15); the leaky ReLU reads its
+  // input v8 (12); the softmax reads its own output v10 (11), which the
+  // SpMM's dX reads too (10); the ReLU reads v11 (9). The edge logits read
+  // nothing, so v5 and v7 die at their forward reader (3), and nothing
+  // reads v9 backward, so the edge array dies at the softmax (5).
+  const std::vector<std::pair<int, int>> Live = {
+      {3, 0}, {3, 15}, {5, 1}, {5, 3}, {7, 2}, {7, 3}, {8, 3}, {8, 12},
+      {9, 4}, {9, 5}, {10, 5}, {10, 11}, {11, 6}, {11, 9}};
+  for (size_t I = 0; I < Live.size(); I += 2) {
+    const ValueBuffer &B = BP.values()[Live[I].first];
+    EXPECT_EQ(B.DefStep, Live[I].second) << "v" << Live[I].first;
+    EXPECT_EQ(B.LastUse, Live[I + 1].second) << "v" << Live[I].first;
+    EXPECT_FALSE(B.Pinned) << "v" << Live[I].first;
+    EXPECT_GE(B.Slot, 0) << "v" << Live[I].first;
   }
-  // Saved activations forbid sharing: one slot per value, peak == naive.
-  EXPECT_EQ(BP.slots().size(), 4u);
-  EXPECT_NE(BP.values()[5].Slot, BP.values()[3].Slot);
-  EXPECT_EQ(BP.peakBytes(), BP.naiveBytes());
-  EXPECT_EQ(BP.arenaBytes(), 480u);
+  EXPECT_EQ(BP.values()[9].Class, BufferClass::SparseVals);
+  EXPECT_TRUE(BP.values()[12].Pinned);
+  EXPECT_EQ(BP.values()[12].LastUse, 17);
+
+  // Gradient intervals: [first contribution, the producer's backward step].
+  // The seed writes the output's at 8; the SpMM's backward step (10) writes
+  // theta's and the attention's first, and theta's gets two more at 14 and
+  // 15 before the GEMM reads it at 16. W's and H's are the caller's.
+  const std::vector<std::array<int, 3>> Grads = {
+      {12, 8, 9},   {11, 9, 10},  {10, 10, 11}, {9, 11, 12},
+      {8, 12, 13},  {7, 13, 14},  {5, 13, 15},  {3, 10, 16}};
+  for (const auto &[V, Def, Use] : Grads) {
+    const ValueBuffer &G = BP.grads()[static_cast<size_t>(V)];
+    EXPECT_EQ(G.DefStep, Def) << "grad of v" << V;
+    EXPECT_EQ(G.LastUse, Use) << "grad of v" << V;
+    EXPECT_EQ(G.Class, BP.values()[static_cast<size_t>(V)].Class) << V;
+    EXPECT_GE(G.Slot, 0) << "grad of v" << V;
+  }
+  for (int Caller : {1, 2, 4, 6}) {
+    EXPECT_EQ(BP.grads()[Caller].Class, BufferClass::InputAlias) << Caller;
+    EXPECT_EQ(BP.grads()[Caller].Slot, -1) << Caller;
+    EXPECT_EQ(BP.grads()[Caller].LastUse, 17) << Caller;
+  }
+  EXPECT_EQ(BP.grads()[0].DefStep, -1); // the adjacency gets none
+
+  // Partials: the SpMM's dX (N x K_out) and SDDMM edge gradient at 10, the
+  // GEMM's dH (N x K_in, larger than dW's K_in x K_out) at 16.
+  EXPECT_EQ(BP.partials()[6].Dense.Floats, 30);
+  EXPECT_EQ(BP.partials()[6].Dense.DefStep, 10);
+  EXPECT_EQ(BP.partials()[6].Edges.Floats, 20);
+  EXPECT_EQ(BP.partials()[6].Edges.LastUse, 10);
+  EXPECT_EQ(BP.partials()[0].Dense.Floats, 40);
+  EXPECT_EQ(BP.partials()[0].Dense.DefStep, 16);
+  for (int S : {1, 2, 3, 4, 5, 7})
+    EXPECT_EQ(BP.partials()[S].Dense.DefStep, -1) << S;
+
+  // Slot sharing across the passes: theta's gradient takes v11's slot once
+  // the ReLU's backward step has read v11; the edge array v9 gives its slot
+  // to the attention's gradient; the logit vectors' slots go to their
+  // gradients; the seed's slot goes to the SpMM's dense partial.
+  auto Slot = [&](const ValueBuffer &B) { return B.Slot; };
+  EXPECT_EQ(Slot(BP.grads()[3]), Slot(BP.values()[11]));
+  EXPECT_EQ(Slot(BP.grads()[10]), Slot(BP.values()[9]));
+  EXPECT_EQ(Slot(BP.grads()[5]), Slot(BP.values()[5]));
+  EXPECT_EQ(Slot(BP.grads()[7]), Slot(BP.values()[7]));
+  EXPECT_EQ(Slot(BP.partials()[6].Dense), Slot(BP.grads()[12]));
+  EXPECT_EQ(BP.slots().size(), 11u);
+
+  // Bytes, in floats: naive = values 170 + gradients 170 + partials 90.
+  // The worst position is the SpMM's backward step (10): v3, v8, v10, the
+  // output, the gradients of v11, v3 and v10 and both partials, 230. The
+  // arena's 11 slots hold 260 (one dense slot grew to dH's 40).
+  EXPECT_EQ(BP.naiveBytes(), 1720u);
+  EXPECT_EQ(BP.peakBytes(), 920u);
+  EXPECT_EQ(BP.arenaBytes(), 1040u);
+}
+
+// GCN plan #0 in training: degree and inv_sqrt are setup steps (pinned),
+// then v5 = gemm(H, W); v6 = row_bcast(dnorm, v5); v7 = spmm_u(A, v6);
+// v8 = row_bcast(dnorm, v7); v9 = relu(v8)  (output). The seed runs at 7,
+// the backward step of step S at 14 - S.
+TEST(BufferPlan, GcnTrainingSharesThreeDenseSlots) {
+  CompositionPlan P =
+      pruneCompositions(enumerateCompositions(makeModel(ModelKind::GCN).Root))
+          .front();
+  ASSERT_EQ(P.Steps.size(), 7u);
+  ASSERT_EQ(P.Steps[6].Op, StepOp::Relu);
+  BufferPlan BP(P, testBinding(), /*Training=*/true);
+  EXPECT_EQ(BP.positions(), 15);
+
+  // Row scalings' backward steps read only the scale vector (dnorm, read
+  // until step 3's backward, 11), and the unweighted SpMM's reads nothing:
+  // v5, v6 and v7 die at their forward readers. The ReLU reads v8 at 8.
+  EXPECT_TRUE(BP.values()[2].Pinned);
+  EXPECT_EQ(BP.values()[2].LastUse, 11);
+  for (int V = 5; V <= 7; ++V)
+    EXPECT_EQ(BP.values()[V].LastUse, V - 2) << "v" << V;
+  EXPECT_EQ(BP.values()[8].LastUse, 8);
+  for (int V = 5; V <= 9; ++V) {
+    const ValueBuffer &G = BP.grads()[static_cast<size_t>(V)];
+    EXPECT_EQ(G.DefStep, 7 + (9 - V)) << "grad of v" << V;
+    EXPECT_EQ(G.LastUse, G.DefStep + 1) << "grad of v" << V;
+  }
+  // No edge partial: the adjacency gets no gradient.
+  for (const StepPartials &Part : BP.partials())
+    EXPECT_EQ(Part.Edges.DefStep, -1);
+  EXPECT_EQ(BP.partials()[2].Dense.Floats, 40);
+
+  // Every unpinned buffer of both passes fits in three dense slots (the
+  // worst positions hold three dense buffers beside the pinned output).
+  std::vector<int> Shared;
+  for (const ArenaSlot &S : BP.slots())
+    if (!S.Pinned) {
+      EXPECT_EQ(S.Class, BufferClass::DenseSlot);
+      Shared.push_back(static_cast<int>(S.CapacityFloats));
+    }
+  EXPECT_EQ(Shared, (std::vector<int>{30, 30, 40}));
+
+  // Floats: naive = values 170 + gradients 150 + partials 130; peak at
+  // positions 8 and 9, 90 beside the pinned 50; arena 150.
+  EXPECT_EQ(BP.naiveBytes(), 1800u);
+  EXPECT_EQ(BP.peakBytes(), 560u);
+  EXPECT_EQ(BP.arenaBytes(), 600u);
 }
 
 TEST(BufferPlan, NeverReadValueDiesAtDefinition) {
@@ -474,6 +597,81 @@ TEST(PlanWorkspaceExec, TrainingReusesGradientBuffers) {
     for (const auto &[Name, Grad] : R.AttnGrads)
       EXPECT_EQ(Grad, Legacy.AttnGrads.at(Name)) << Name;
   }
+}
+
+namespace {
+
+bool sameBits(const DenseMatrix &A, const DenseMatrix &B) {
+  return A.rows() == B.rows() && A.cols() == B.cols() &&
+         std::equal(A.data(), A.data() + A.size(), B.data());
+}
+
+/// The output and every gradient of \p Got equal \p Want's bit for bit.
+void expectSameTraining(const ExecResult &Got, const ExecResult &Want) {
+  EXPECT_TRUE(sameBits(Got.Output, Want.Output)) << "output";
+  EXPECT_TRUE(sameBits(Got.FeatureGrad, Want.FeatureGrad)) << "features";
+  ASSERT_EQ(Got.WeightGrads.size(), Want.WeightGrads.size());
+  for (const auto &[Name, Grad] : Want.WeightGrads) {
+    ASSERT_TRUE(Got.WeightGrads.count(Name)) << Name;
+    EXPECT_TRUE(sameBits(Got.WeightGrads.at(Name), Grad)) << Name;
+  }
+  EXPECT_EQ(Got.AttnGrads, Want.AttnGrads);
+}
+
+} // namespace
+
+// One workspace (and one result) carried through a sequence of training
+// configurations: another plan, other embedding sizes (a new buffer plan
+// whose slots hold the previous plan's bytes), an inference run in
+// between, and a second graph of the same size. Each run matches a fresh
+// by-value run bit for bit, so no slot a gradient or partial shares with
+// an activation leaks a stale byte into the result.
+TEST(PlanWorkspaceExec, RebuiltTrainingWorkspaceMatchesAFreshOne) {
+  const Graph GA = makeRmat(300, 2400, 0.55, 0.2, 0.15, 21);
+  const Graph GB = makeRmat(300, 2400, 0.55, 0.2, 0.15, 22);
+  Executor Exec(HardwareModel::byName("cpu"));
+  for (ModelKind Kind : {ModelKind::GAT, ModelKind::GCN, ModelKind::SAGE}) {
+    GnnModel M = makeModel(Kind);
+    const std::vector<CompositionPlan> Plans =
+        pruneCompositions(enumerateCompositions(M.Root));
+    ASSERT_FALSE(Plans.empty());
+    struct Config {
+      size_t Plan;
+      int64_t KIn, KOut;
+      const Graph *G;
+      bool Training;
+    };
+    const std::vector<Config> Sequence = {
+        {0, 16, 8, &GA, true},
+        {Plans.size() - 1, 16, 8, &GA, true},
+        {0, 8, 24, &GA, true},
+        {0, 8, 24, &GA, false},
+        {0, 8, 24, &GA, true},
+        {0, 8, 24, &GB, true},
+        {Plans.size() - 1, 24, 8, &GB, true}};
+    for (int Threads : {1, 4}) {
+      ThreadPool::get().setNumThreads(Threads);
+      PlanWorkspace Ws;
+      ExecResult R;
+      for (size_t I = 0; I < Sequence.size(); ++I) {
+        const Config &C = Sequence[I];
+        SCOPED_TRACE(M.Name + " run " + std::to_string(I) + " at " +
+                     std::to_string(Threads) + " threads");
+        LayerParams Params = makeLayerParams(M, *C.G, C.KIn, C.KOut, 3);
+        const CompositionPlan &Plan = Plans[C.Plan];
+        if (!C.Training) {
+          Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R);
+          EXPECT_TRUE(sameBits(
+              R.Output, Exec.run(Plan, Params.inputs(), Params.Stats).Output));
+          continue;
+        }
+        Exec.runTraining(Plan, Params.inputs(), Params.Stats, Ws, R);
+        expectSameTraining(
+            R, Exec.runTraining(Plan, Params.inputs(), Params.Stats));
+      }
+    }
+  }
+  ThreadPool::get().setNumThreads(0);
 }
 
 TEST(PlanWorkspaceExec, RecycledMappingsNeverLeakStaleValues) {

@@ -509,6 +509,24 @@ TEST(Cli, ServeRejectsAWorkerCountOutsideItsRange) {
   }
 }
 
+// A session capacity outside [1, INT32_MAX] exits 2 before the daemon
+// starts; the socket cannot be bound either, so nothing starts on a build
+// that instead clamped the count and failed at the bind (exit 1).
+TEST(Cli, ServeRejectsASessionCountOutsideItsRange) {
+  for (const std::string &Sessions :
+       {std::string("0"), std::string("-3"), std::string("3000000000")}) {
+    SCOPED_TRACE("--sessions " + Sessions);
+    std::string Out, Err;
+    EXPECT_EQ(runCli({"serve", "--socket", "/nonexistent-dir/g.sock",
+                      "--sessions", Sessions},
+                     Out, Err),
+              2);
+    EXPECT_NE(Err.find("--sessions"), std::string::npos) << Err;
+    EXPECT_NE(Err.find("got " + Sessions), std::string::npos) << Err;
+    EXPECT_TRUE(Out.empty()) << Out;
+  }
+}
+
 TEST(Cli, CallRejectsMalformedIntegerFlags) {
   std::string Out, Err;
   EXPECT_EQ(runCli({"call", "--socket", "/tmp/granii-no-such-daemon.sock",

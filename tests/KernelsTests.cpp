@@ -730,6 +730,46 @@ TEST(Determinism, GemmFamilyBitwiseIdenticalAcrossThreadCounts) {
   expectBitwiseEqual(RhsOne, RhsEight);
 }
 
+// The weight gradient's A^T * B splits C into column panels (and, with
+// fewer panels than threads, row blocks). Every element must still be the
+// one ascending chain over all M contraction rows, carried across windows:
+// fused multiply-adds at the SIMD levels, a product then a sum (skipping
+// zero A entries) at the scalar level. Widths cover a partial vector (13),
+// a partial panel (61), whole panels (128) and a two-column tail (130);
+// 37 output rows leave a partial register block.
+TEST(Determinism, GemmTLhsPanelsKeepEachElementsChain) {
+  const int64_t M = 2 * kernels::GemmTLhsWindowRows + 77;
+  const bool Scalar = kernels::simdOps().Level == kernels::IsaLevel::Scalar;
+  for (int64_t Rows : {64, 37}) {
+    for (int64_t N : {13, 61, 128, 130}) {
+      SCOPED_TRACE(std::to_string(Rows) + " x " + std::to_string(N));
+      DenseMatrix A = randomDense(M, Rows, 90 + N);
+      DenseMatrix B = randomDense(M, N, 91 + N);
+      DenseMatrix Want(Rows, N);
+      for (int64_t R = 0; R < Rows; ++R)
+        for (int64_t J = 0; J < N; ++J) {
+          float Acc = 0.0f;
+          for (int64_t I = 0; I < M; ++I) {
+            const float X = A.data()[I * Rows + R], Y = B.data()[I * N + J];
+            if (!Scalar)
+              Acc = std::fma(X, Y, Acc);
+            else if (X != 0.0f)
+              Acc += X * Y;
+          }
+          Want.data()[R * N + J] = Acc;
+        }
+      for (int Threads : {1, 3, 4, 8}) {
+        SCOPED_TRACE(std::to_string(Threads) + " threads");
+        DenseMatrix Got(Rows, N);
+        Got.fill(-7.0f);
+        withThreads(Threads,
+                    [&] { kernels::gemmTransposedLhsInto(A, B, Got); });
+        expectBitwiseEqual(Got, Want);
+      }
+    }
+  }
+}
+
 TEST(Determinism, SddmmBitwiseIdenticalAcrossThreadCounts) {
   const Graph &G = skewedGraph();
   DenseMatrix U = randomDense(G.numNodes(), 32, 87);

@@ -973,6 +973,24 @@ TEST(Engine, SessionLruEvictsButEvictedConfigStillRuns) {
 // Daemon end-to-end over a real Unix socket
 //===----------------------------------------------------------------------===//
 
+// Server::start bounds its connection workers before it makes a socket or
+// starts a thread. The path cannot be bound, so a server that clamped the
+// count instead fails at the bind and starts nothing either.
+TEST(Server, StartRejectsAWorkerCountOutsideItsRange) {
+  for (int Workers : {0, -3, maxConfigurableThreads() + 1}) {
+    SCOPED_TRACE("ConnWorkers " + std::to_string(Workers));
+    ServerOptions Opts;
+    Opts.SocketPath = "/nonexistent-dir/g.sock";
+    Opts.ConnWorkers = Workers;
+    Server S(Opts);
+    std::string Err;
+    EXPECT_FALSE(S.start(&Err));
+    EXPECT_NE(Err.find("connection worker count"), std::string::npos) << Err;
+    EXPECT_NE(Err.find("got " + std::to_string(Workers)), std::string::npos)
+        << Err;
+  }
+}
+
 TEST(Server, EightConcurrentClientsGetIdenticalAnswers) {
   ServerOptions Opts;
   Opts.SocketPath = uniqueSocketPath("conc");

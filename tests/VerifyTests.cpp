@@ -353,8 +353,8 @@ TEST(VerifyBuffersTest, OverlappingLifetimesInOneSlotAreRejected) {
   ASSERT_NE(Vals[2].Slot, Vals[3].Slot);
   Vals[3].Slot = Vals[2].Slot;
   DiagEngine Diags;
-  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, Slots,
-                                      Diags));
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {},
+                                      {}, Slots, Diags));
   EXPECT_TRUE(hasDiag(Diags, "overlapping lifetimes"));
 }
 
@@ -367,7 +367,7 @@ TEST(VerifyBuffersTest, StaleLastUseIsRejected) {
   ASSERT_EQ(Vals[2].LastUse, 2);
   Vals[2].LastUse = 1;
   DiagEngine Diags;
-  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals,
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {}, {},
                                       Buffers.slots(), Diags));
   EXPECT_TRUE(hasDiag(Diags, "read until step"));
   EXPECT_TRUE(hasDiag(Diags, "freed early"));
@@ -379,21 +379,83 @@ TEST(VerifyBuffersTest, WrongPayloadSizeIsRejected) {
   std::vector<ValueBuffer> Vals = Buffers.values();
   Vals[2].Floats /= 2;
   DiagEngine Diags;
-  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals,
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {}, {},
                                       Buffers.slots(), Diags));
   EXPECT_TRUE(hasDiag(Diags, "floats, expected"));
 }
 
-TEST(VerifyBuffersTest, UnpinnedTrainingValueIsRejected) {
-  CompositionPlan Plan = makeTinyPlan();
+// GAT's plan #0 in training: v8 (the edge logits) is last read forward by
+// the leaky ReLU at step 4, and again by its backward step at position
+// 2 * 8 - 4 = 12; the gradient of v9 (the leaky ReLU's output) is written
+// at the softmax's backward step, position 11. Recording v8 as dead after
+// step 4 and giving v9's gradient v8's slot is a schedule a verifier that
+// knew only the forward reads would accept: the intervals [3, 4] and
+// [11, 12] look disjoint. The backward leaky ReLU would then read a
+// gradient where v8 stood.
+TEST(VerifyBuffersTest, GradientInASlotTheBackwardPassStillReadsIsRejected) {
+  CompositionPlan Plan =
+      pruneCompositions(enumerateCompositions(makeModel(ModelKind::GAT).Root))
+          .front();
+  ASSERT_EQ(Plan.Steps[4].Op, StepOp::EdgeLeakyRelu);
+  ASSERT_EQ(Plan.Steps[4].Operands, (std::vector<int>{8}));
+  ASSERT_EQ(Plan.Steps[4].Result, 9);
   BufferPlan Buffers(Plan, tinyBinding(), /*Training=*/true);
   std::vector<ValueBuffer> Vals = Buffers.values();
-  ASSERT_TRUE(Vals[2].Pinned);
-  Vals[2].Pinned = false;
+  std::vector<ValueBuffer> Grads = Buffers.grads();
+  ASSERT_EQ(Vals[8].LastUse, 12);
+  ASSERT_EQ(Grads[9].DefStep, 11);
+  ASSERT_EQ(Grads[9].LastUse, 12);
+  ASSERT_NE(Grads[9].Slot, Vals[8].Slot);
+  Vals[8].LastUse = 4;
+  Grads[9].Slot = Vals[8].Slot;
   DiagEngine Diags;
-  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), true, Vals,
-                                      Buffers.slots(), Diags));
-  EXPECT_TRUE(hasDiag(Diags, "unpinned value in training mode"));
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), true, Vals, Grads,
+                                      Buffers.partials(), Buffers.slots(),
+                                      Diags));
+  EXPECT_TRUE(hasDiag(Diags, "read until step 12"));
+  EXPECT_TRUE(hasDiag(Diags, "overlapping lifetimes: v8 live through step "
+                             "12, the gradient of v9 defined at step 11"));
+
+  // With v8's interval left as recorded, the shared slot alone is caught.
+  DiagEngine SlotOnly;
+  Vals[8].LastUse = 12;
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), true, Vals, Grads,
+                                      Buffers.partials(), Buffers.slots(),
+                                      SlotOnly));
+  EXPECT_TRUE(hasDiag(SlotOnly, "overlapping lifetimes"));
+}
+
+// A partial that shares a slot with the gradient its step adds into, or a
+// gradient recorded as dying before its producer's backward step reads it,
+// is rejected.
+TEST(VerifyBuffersTest, TrainingPartialAndGradientIntervalsAreChecked) {
+  CompositionPlan Plan = makeTinyPlan();
+  BufferPlan Buffers(Plan, tinyBinding(), /*Training=*/true);
+  DiagEngine Clean;
+  ASSERT_TRUE(verifyBufferPlan(Plan, tinyBinding(), Buffers, Clean))
+      << Clean.render();
+  // v2 = H * W feeds the ReLU and the add; its gradient is first written by
+  // the add's backward step (position 2 * 3 - 2 = 4) and read by the GEMM's
+  // (position 6), whose dense partial lives at position 6 alone.
+  std::vector<ValueBuffer> Grads = Buffers.grads();
+  ASSERT_EQ(Grads[2].DefStep, 4);
+  ASSERT_EQ(Grads[2].LastUse, 6);
+  std::vector<StepPartials> Partials = Buffers.partials();
+  ASSERT_EQ(Partials[0].Dense.DefStep, 6);
+  Partials[0].Dense.Slot = Grads[2].Slot;
+  DiagEngine Shared;
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), true,
+                                      Buffers.values(), Grads, Partials,
+                                      Buffers.slots(), Shared));
+  EXPECT_TRUE(hasDiag(Shared, "step 0's dense partial defined at step 6"));
+
+  Grads[2].LastUse = 5;
+  DiagEngine Early;
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), true,
+                                      Buffers.values(), Grads,
+                                      Buffers.partials(), Buffers.slots(),
+                                      Early));
+  EXPECT_TRUE(hasDiag(Early, "read until step 6"));
 }
 
 TEST(VerifyBuffersTest, ChainThroughASecondReaderIsRejected) {
@@ -408,7 +470,7 @@ TEST(VerifyBuffersTest, ChainThroughASecondReaderIsRejected) {
   Vals[2].Slot = -1;
   Vals[3].DefStep = 0;
   DiagEngine Diags;
-  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals,
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {}, {},
                                       Buffers.slots(), Diags));
   EXPECT_TRUE(hasDiag(Diags, "no fused chain passes through it"));
   EXPECT_TRUE(hasDiag(Diags, "definition recorded at step 0, recomputed 1"));
@@ -428,13 +490,13 @@ TEST(VerifyBuffersTest, UnfusedChainIsRejected) {
   EXPECT_TRUE(Vals[2].Elided);
   EXPECT_EQ(Vals[3].DefStep, 0);
   DiagEngine Clean;
-  EXPECT_TRUE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals,
+  EXPECT_TRUE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {}, {},
                                      Buffers.slots(), Clean))
       << Clean.render();
   Vals[2].Elided = false;
   Vals[3].DefStep = 1;
   DiagEngine Diags;
-  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals,
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {}, {},
                                       Buffers.slots(), Diags));
   EXPECT_TRUE(hasDiag(Diags, "fused chain of step 0 holds it in registers"));
   EXPECT_TRUE(hasDiag(Diags, "definition recorded at step 1, recomputed 0"));
@@ -473,7 +535,7 @@ TEST(VerifyBuffersTest, ChainThroughALateScaleIsRejected) {
   Vals[2].LastUse = 0;
   Vals[5].DefStep = 0;
   DiagEngine Diags;
-  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals,
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {}, {},
                                       Buffers.slots(), Diags));
   EXPECT_TRUE(hasDiag(Diags, "no fused chain passes through it"));
   EXPECT_TRUE(hasDiag(Diags, "definition recorded at step 0, recomputed 3"));

@@ -393,8 +393,10 @@ int profileRun(serve::Session &S, bool Training, std::string &Out,
   }
 
   // The session's workspace executes this buffer plan: the one of the same
-  // plan, binding and mode. Its arena total includes the output's planned
-  // slot, which is never allocated: the caller's result holds the output.
+  // plan, binding and mode, whose slots a training run's activations,
+  // gradients and partials share. Its arena total includes the output's
+  // planned slot, which is never allocated: the caller's result holds the
+  // output. The baseline gives every planned buffer one of its own.
   const BufferPlan Buffers(Plan, Binding, Training);
   const ValueBuffer &Output =
       Buffers.values()[static_cast<size_t>(Plan.OutputValue)];
@@ -405,7 +407,8 @@ int profileRun(serve::Session &S, bool Training, std::string &Out,
          "fresh-allocation baseline " +
          formatDouble(Buffers.naiveBytes() / 1e6, 3) + " MB (" +
          std::to_string(Buffers.slots().size()) + " slots for " +
-         std::to_string(Plan.Steps.size()) + " steps)\n";
+         std::to_string(Plan.Steps.size()) +
+         (Training ? " steps and their backward steps)\n" : " steps)\n");
   // The process's first-touch cost so far (graph load, parameters, the
   // arenas): a regression there shows here without a profiler.
   struct rusage Usage {};
@@ -568,6 +571,14 @@ int cmdServe(const ArgParser &Args, std::string &Out, std::string &Err) {
           "--workers 8",
           Err))
     return Code;
+  // The session capacity bounds the warm sessions the engine keeps.
+  if (int Code = rejectOutOfRange(
+          Args, "sessions", 8, 1, std::numeric_limits<int32_t>::max(),
+          "a warm session count",
+          "pass how many graph/size configurations stay warm, e.g. "
+          "--sessions 8",
+          Err))
+    return Code;
   std::string Socket = Args.value("socket");
   if (Socket.empty()) {
     Err += "usage: granii-cli serve --socket <path> [--workers N] "
@@ -582,7 +593,7 @@ int cmdServe(const ArgParser &Args, std::string &Out, std::string &Err) {
   Options.Engine.Iterations =
       static_cast<int>(Args.intValue("iters", 100));
   Options.Engine.SessionCapacity =
-      static_cast<size_t>(std::max<int64_t>(1, Args.intValue("sessions", 8)));
+      static_cast<size_t>(Args.intValue("sessions", 8));
 
   serve::Server Server(Options);
   std::string ServeError;
