@@ -229,8 +229,8 @@ size_t Optimizer::execute(const Selection &Sel, const LayerParams &Params,
   const LayerInputs &Inputs = inputsFor(Params);
   // One persistent workspace per (plan, mode): repeated executions of the
   // same selection reuse the planned arena instead of reallocating every
-  // intermediate (a training plan also places gradients and partials, so
-  // the two modes have different arenas).
+  // intermediate (a training plan also places gradients, so the two modes
+  // have different arenas).
   PlanWorkspace &Ws = Workspaces[{Sel.PlanIndex, Training}];
   Ws.resetAllocationCount();
   DimBinding Binding = Inputs.binding(&Plan);

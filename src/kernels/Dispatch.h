@@ -58,6 +58,12 @@ constexpr int GemmRowBlock = 4;
 /// stream from L2 while every register block of a row range sweeps them.
 constexpr int64_t GemmTLhsWindowRows = 1024;
 
+/// Rows of C = A^T * B whose window partial sums one stack block of the SIMD
+/// GemmTLhsRowRange carries, so that C is stored once and may be a gradient
+/// the result is added into: 64 rows of a two-vector panel are 8 KiB at
+/// AVX-512.
+constexpr int64_t GemmTLhsCarryRows = 64;
+
 /// Columns of one cache line of an attention-gradient row: the unit the
 /// threads split the attention vector's gradient in, and the stride of its
 /// prefetches.
@@ -101,6 +107,18 @@ struct RowEpilogue {
   }
 };
 
+/// How a kernel stores each element x it computes into its destination d.
+/// The backward pass sums a value's gradient over every step that reads the
+/// value: a kernel given First or Add writes its contribution straight into
+/// the gradient, with the arithmetic of a separate pass that adds a partial
+/// result into it (AxpyRange with alpha 1, which rounds x + d once).
+enum class Store : uint8_t {
+  Write, ///< d = x, the forward kernels' store
+  First, ///< d = 0 + x, a gradient's first contribution: what adding into
+         ///< zeros leaves, so a -0 contribution lands as +0
+  Add    ///< d = d + x, a later contribution
+};
+
 /// The per-ISA kernel table. Entries operate on whole row (or element)
 /// ranges so the indirect call sits outside the inner loops; Kernels.cpp
 /// invokes them from inside its thread-pool partitions. All pointers are
@@ -129,22 +147,25 @@ struct SimdOps {
                        int64_t N, int64_t RowBegin, int64_t RowEnd,
                        const RowEpilogue *Epi) = nullptr;
 
-  /// C rows [RowBegin, RowEnd) of C = A^T * B; C has A.cols() rows and \p M
-  /// is A.rows() (the contraction length). The SIMD levels contract in
-  /// windows of GemmTLhsWindowRows rows, carrying partial sums in C. A
-  /// column panel of C is the call on B and C advanced to its first column,
-  /// with \p N its width and the full widths as leading dimensions.
+  /// C rows [RowBegin, RowEnd) of C = A^T * B, stored as \p Mode says; C
+  /// has A.cols() rows and \p M is A.rows() (the contraction length). The
+  /// SIMD levels contract in windows of GemmTLhsWindowRows rows, carrying
+  /// partial sums in a stack block of at most GemmTLhsCarryRows rows of a
+  /// two-vector panel. A column panel of C is
+  /// the call on B and C advanced to its first column, with \p N its width
+  /// and the full widths as leading dimensions.
   void (*GemmTLhsRowRange)(const float *A, int64_t Lda, const float *B,
                            int64_t Ldb, float *C, int64_t Ldc, int64_t M,
-                           int64_t N, int64_t RowBegin, int64_t RowEnd) =
-      nullptr;
+                           int64_t N, int64_t RowBegin, int64_t RowEnd,
+                           Store Mode) = nullptr;
 
-  /// C rows [RowBegin, RowEnd) of C = A * B^T; \p K is the contraction
-  /// length (A.cols() == B.cols()) and \p NOut is B.rows().
+  /// C rows [RowBegin, RowEnd) of C = A * B^T, stored as \p Mode says;
+  /// \p K is the contraction length (A.cols() == B.cols()) and \p NOut is
+  /// B.rows().
   void (*GemmTRhsRowRange)(const float *A, int64_t Lda, const float *B,
                            int64_t Ldb, float *C, int64_t Ldc, int64_t K,
-                           int64_t NOut, int64_t RowBegin, int64_t RowEnd) =
-      nullptr;
+                           int64_t NOut, int64_t RowBegin, int64_t RowEnd,
+                           Store Mode) = nullptr;
 
   /// SpMM over CSR rows [RowBegin, RowEnd), each output row \p N floats
   /// wide: the sum over the row's nonzeros K of value K times B's row
@@ -152,19 +173,22 @@ struct SimdOps {
   /// without a multiply; \p ValIdx, when non-null, maps nonzero K to its
   /// value Vals[ValIdx[K]] (the CSC-transposed backward pass reads
   /// CSR-ordered values through it). A non-null \p Epi is applied to each
-  /// output row before it is stored.
+  /// output row before it is stored; each row is stored as \p Mode says,
+  /// and an epilogue comes only with Store::Write.
   void (*SpmmRowRange)(const int64_t *Offsets, const int32_t *Cols,
                        const float *Vals, const int64_t *ValIdx,
                        const float *B, int64_t Ldb, float *Dst, int64_t LdDst,
                        int64_t N, int64_t RowBegin, int64_t RowEnd,
-                       const RowEpilogue *Epi) = nullptr;
+                       const RowEpilogue *Epi, Store Mode) = nullptr;
 
   /// SDDMM over CSR rows [RowBegin, RowEnd): each edge's output is the
-  /// dot product of its endpoints' \p Width-float U and V rows.
+  /// dot product of its endpoints' \p Width-float U and V rows, stored as
+  /// \p Mode says.
   void (*SddmmDotRowRange)(const int64_t *Offsets, const int32_t *Cols,
                            const float *U, int64_t Ldu, const float *V,
                            int64_t Ldv, float *Out, int64_t Width,
-                           int64_t RowBegin, int64_t RowEnd) = nullptr;
+                           int64_t RowBegin, int64_t RowEnd,
+                           Store Mode) = nullptr;
 
   // The routines below compute what the scalar loops compute, bit for bit,
   // at every level: each product is rounded to float before it is added,

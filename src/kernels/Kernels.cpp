@@ -12,7 +12,9 @@
 // accumulate are zeroed inside the same parallel region first, preserving
 // bitwise identity with the historical zero-initialized-alloc formulation).
 // The backward-pass kernels are the exception by design: they add into
-// their destination unless told it is the first contribution.
+// their destination unless told it is the first contribution, and the
+// kernels the backward pass shares with the forward one take a store mode
+// (Dispatch.h's Store) that does the same.
 //
 // ISA dispatch: the hot row routines (packed GEMM family, SpMM, SDDMM, and
 // the elementwise map family) are fetched once per kernel call from the
@@ -87,6 +89,33 @@ const float *spmmValues(std::span<const float> Vals, int64_t Nnz,
   return Vals.empty() ? nullptr : Vals.data();
 }
 
+/// Floats per block of an element-wise result that is added into its
+/// destination: the block is computed into L1 and added from there, so the
+/// result never reaches memory as a buffer of its own.
+constexpr int64_t FirstWriteBlock = 1024;
+
+/// Stores the \p N results of an element-wise map as \p Mode says:
+/// \p Map(J, Out, Len) writes results [J, J + Len) to Out, which is \p Dst
+/// + J when they are written and otherwise an L1 block then added into Dst
+/// by AxpyRange with alpha 1 (on zeros for Store::First), the arithmetic of
+/// accumulateInto.
+template <class Fn>
+void storeMapped(const SimdOps &Ops, Store Mode, float *Dst, int64_t N,
+                 Fn &&Map) {
+  if (Mode == Store::Write) {
+    Map(0, Dst, N);
+    return;
+  }
+  alignas(KernelAlignment) float Block[FirstWriteBlock];
+  for (int64_t J = 0; J < N; J += FirstWriteBlock) {
+    const int64_t Len = std::min(FirstWriteBlock, N - J);
+    Map(J, Block, Len);
+    if (Mode == Store::First)
+      std::fill_n(Dst + J, Len, 0.0f);
+    Ops.AxpyRange(1.0f, Block, Dst + J, Len);
+  }
+}
+
 /// A sparse operand's edge values as the element-wise sparse kernels read
 /// them: one per nonzero, or none for an unweighted matrix, whose every
 /// value is 1.
@@ -125,7 +154,7 @@ void kernels::gemmInto(const DenseMatrix &A, const DenseMatrix &B,
 // granii-noalloc-end
 
 void kernels::gemmTransposedLhsInto(const DenseMatrix &A, const DenseMatrix &B,
-                                    DenseMatrix &Dst) {
+                                    DenseMatrix &Dst, Store Mode) {
   GRANII_CHECK(A.rows() == B.rows(), "A^T*B dimension mismatch");
   checkDenseDst(Dst, A.cols(), B.cols(), "gemm_t_lhs");
   const int64_t M = A.rows(), Rows = A.cols(), N = B.cols();
@@ -155,12 +184,12 @@ void kernels::gemmTransposedLhsInto(const DenseMatrix &A, const DenseMatrix &B,
     const int64_t R0 = Chunk % RowChunks * SplitRows;
     Ops.GemmTLhsRowRange(A.data(), Rows, B.data() + J0, N, Dst.data() + J0, N,
                          M, std::min(PanelCols, N - J0), R0,
-                         std::min(Rows, R0 + SplitRows));
+                         std::min(Rows, R0 + SplitRows), Mode);
   });
 }
 
 void kernels::gemmTransposedRhsInto(const DenseMatrix &A, const DenseMatrix &B,
-                                    DenseMatrix &Dst) {
+                                    DenseMatrix &Dst, Store Mode) {
   GRANII_CHECK(A.cols() == B.cols(), "A*B^T dimension mismatch");
   checkDenseDst(Dst, A.rows(), B.rows(), "gemm_t_rhs");
   const int64_t K = A.cols(), N = B.rows();
@@ -168,7 +197,7 @@ void kernels::gemmTransposedRhsInto(const DenseMatrix &A, const DenseMatrix &B,
   parallelFor(0, A.rows(), rowGrain(K * N),
               [&](int64_t RowBegin, int64_t RowEnd) {
                 Ops.GemmTRhsRowRange(A.data(), K, B.data(), K, Dst.data(), N,
-                                     K, N, RowBegin, RowEnd);
+                                     K, N, RowBegin, RowEnd, Mode);
               });
 }
 
@@ -186,7 +215,8 @@ void kernels::gemvInto(const DenseMatrix &A, const std::vector<float> &X,
 }
 
 void kernels::rowBroadcastMulInto(const std::vector<float> &D,
-                                  const DenseMatrix &H, DenseMatrix &Dst) {
+                                  const DenseMatrix &H, DenseMatrix &Dst,
+                                  Store Mode) {
   GRANII_CHECK(static_cast<int64_t>(D.size()) == H.rows(),
                "row broadcast length mismatch");
   checkDenseDst(Dst, H.rows(), H.cols(), "row_bcast");
@@ -194,14 +224,18 @@ void kernels::rowBroadcastMulInto(const std::vector<float> &D,
   parallelFor(0, H.rows(), rowGrain(H.cols()),
               [&](int64_t RowBegin, int64_t RowEnd) {
                 for (int64_t I = RowBegin; I < RowEnd; ++I)
-                  Ops.ScaleRange(D[static_cast<size_t>(I)], H.rowPtr(I),
-                                 Dst.rowPtr(I), H.cols());
+                  storeMapped(
+                      Ops, Mode, Dst.rowPtr(I), H.cols(),
+                      [&](int64_t J, float *Out, int64_t Len) {
+                        Ops.ScaleRange(D[static_cast<size_t>(I)],
+                                       H.rowPtr(I) + J, Out, Len);
+                      });
               });
 }
 
 void kernels::colBroadcastMulInto(const DenseMatrix &H,
                                   const std::vector<float> &D,
-                                  DenseMatrix &Dst) {
+                                  DenseMatrix &Dst, Store Mode) {
   GRANII_CHECK(static_cast<int64_t>(D.size()) == H.cols(),
                "column broadcast length mismatch");
   checkDenseDst(Dst, H.rows(), H.cols(), "col_bcast");
@@ -209,8 +243,11 @@ void kernels::colBroadcastMulInto(const DenseMatrix &H,
   parallelFor(0, H.rows(), rowGrain(H.cols()),
               [&](int64_t RowBegin, int64_t RowEnd) {
                 for (int64_t I = RowBegin; I < RowEnd; ++I)
-                  Ops.MulRange(H.rowPtr(I), D.data(), Dst.rowPtr(I),
-                               H.cols());
+                  storeMapped(Ops, Mode, Dst.rowPtr(I), H.cols(),
+                              [&](int64_t J, float *Out, int64_t Len) {
+                                Ops.MulRange(H.rowPtr(I) + J, D.data() + J,
+                                             Out, Len);
+                              });
               });
 }
 
@@ -271,14 +308,16 @@ void kernels::spmmInto(const CsrMatrix &A, std::span<const float> Vals,
   const SimdOps &Ops = simdOps();
   parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
     Ops.SpmmRowRange(Offsets.data(), Cols.data(), ValsPtr, nullptr, B.data(),
-                     NCols, Dst.data(), NCols, NCols, RowBegin, RowEnd, Epi);
+                     NCols, Dst.data(), NCols, NCols, RowBegin, RowEnd, Epi,
+                     Store::Write);
   });
 }
 // granii-noalloc-end
 
 void kernels::spmmCscTransposedInto(const CscMatrix &A,
                                     std::span<const float> Vals,
-                                    const DenseMatrix &B, DenseMatrix &Dst) {
+                                    const DenseMatrix &B, DenseMatrix &Dst,
+                                    Store Mode) {
   GRANII_CHECK(A.rows() == B.rows(), "spmm_csc_t dimension mismatch");
   const float *ValsPtr = spmmValues(Vals, A.nnz(), "spmm_csc_t");
   checkDenseDst(Dst, A.cols(), B.cols(), "spmm_csc_t");
@@ -295,14 +334,15 @@ void kernels::spmmCscTransposedInto(const CscMatrix &A,
   parallelForCsrRows(ColOffsets, [&](int64_t ColBegin, int64_t ColEnd) {
     Ops.SpmmRowRange(ColOffsets.data(), Rows.data(), ValsPtr, CsrIdx.data(),
                      B.data(), NCols, Dst.data(), NCols, NCols, ColBegin,
-                     ColEnd, /*Epi=*/nullptr);
+                     ColEnd, /*Epi=*/nullptr, Mode);
   });
 }
 
 // granii-noalloc-begin: SDDMM scores every masked edge each layer; the dot
 // loops write straight into the caller's value span.
 void kernels::sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
-                        const DenseMatrix &V, std::span<float> Out) {
+                        const DenseMatrix &V, std::span<float> Out,
+                        Store Mode) {
   GRANII_CHECK(Mask.rows() == U.rows(), "sddmm left operand row mismatch");
   GRANII_CHECK(Mask.cols() == V.rows(), "sddmm right operand row mismatch");
   GRANII_CHECK(U.cols() == V.cols(), "sddmm feature width mismatch");
@@ -313,7 +353,8 @@ void kernels::sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
   const SimdOps &Ops = simdOps();
   parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
     Ops.SddmmDotRowRange(Offsets.data(), Cols.data(), U.data(), Width,
-                         V.data(), Width, Out.data(), Width, RowBegin, RowEnd);
+                         V.data(), Width, Out.data(), Width, RowBegin, RowEnd,
+                         Mode);
   });
 }
 // granii-noalloc-end
@@ -446,10 +487,6 @@ void kernels::leakyReluEdgesInto(std::span<const float> EdgeValues,
 
 namespace {
 
-/// Floats per block of a first accumulation: the block is zeroed and then
-/// accumulated into while it sits in L1, so the zeros never reach memory.
-constexpr int64_t FirstWriteBlock = 1024;
-
 /// Minimum multiply-adds per chunk of the parallel attention-gradient loops.
 constexpr int64_t AttnGradGrainOps = int64_t{1} << 14;
 
@@ -488,26 +525,23 @@ void kernels::accumulateInto(float Alpha, std::span<const float> X,
               });
 }
 
-void kernels::reluBackwardAccumulateInto(const DenseMatrix &Pre,
+void kernels::reluBackwardAccumulateInto(const DenseMatrix &Out,
                                          const DenseMatrix &Grad,
                                          DenseMatrix &Acc, bool First) {
-  GRANII_CHECK(Pre.rows() == Grad.rows() && Pre.cols() == Grad.cols(),
+  GRANII_CHECK(Out.rows() == Grad.rows() && Out.cols() == Grad.cols(),
                "relu backward shape mismatch");
-  checkDenseDst(Acc, Pre.rows(), Pre.cols(), "relu_backward");
-  const float *PP = Pre.data();
+  checkDenseDst(Acc, Out.rows(), Out.cols(), "relu_backward");
+  const float *PO = Out.data();
   const float *PG = Grad.data();
   float *PA = Acc.data();
   const SimdOps &Ops = simdOps();
-  parallelFor(0, Pre.size(), DenseGrainOps, [&](int64_t Begin, int64_t End) {
-    // Each block's selection lives in L1 between the two table routines.
-    alignas(KernelAlignment) float Sel[FirstWriteBlock];
-    for (int64_t B = Begin; B < End; B += FirstWriteBlock) {
-      const int64_t Len = std::min(FirstWriteBlock, End - B);
-      Ops.ReluBackwardRange(PP + B, PG + B, Sel, Len);
-      if (First)
-        std::fill_n(PA + B, Len, 0.0f);
-      Ops.AxpyRange(1.0f, Sel, PA + B, Len);
-    }
+  // Each block's selection lives in L1 between the two table routines.
+  parallelFor(0, Out.size(), DenseGrainOps, [&](int64_t Begin, int64_t End) {
+    storeMapped(Ops, First ? Store::First : Store::Add, PA + Begin,
+                End - Begin, [&](int64_t J, float *Sel, int64_t Len) {
+                  Ops.ReluBackwardRange(PO + Begin + J, PG + Begin + J, Sel,
+                                        Len);
+                });
   });
 }
 

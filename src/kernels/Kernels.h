@@ -53,28 +53,30 @@ namespace kernels {
 void gemmInto(const DenseMatrix &A, const DenseMatrix &B, DenseMatrix &Dst,
               const RowEpilogue *Epilogue = nullptr);
 
-/// C = A^T * B into \p Dst (A.cols() x B.cols()).
+/// C = A^T * B into \p Dst (A.cols() x B.cols()), stored as \p Mode says
+/// (Dispatch.h's Store: written, or added into a gradient).
 void gemmTransposedLhsInto(const DenseMatrix &A, const DenseMatrix &B,
-                           DenseMatrix &Dst);
+                           DenseMatrix &Dst, Store Mode = Store::Write);
 
-/// C = A * B^T into \p Dst (A.rows() x B.rows()).
+/// C = A * B^T into \p Dst (A.rows() x B.rows()), stored as \p Mode says.
 void gemmTransposedRhsInto(const DenseMatrix &A, const DenseMatrix &B,
-                           DenseMatrix &Dst);
+                           DenseMatrix &Dst, Store Mode = Store::Write);
 
 /// y = A * x into \p Y, which must have A.rows() entries
 /// (X.size() == A.cols()).
 void gemvInto(const DenseMatrix &A, const std::vector<float> &X,
               std::vector<float> &Y);
 
-/// out_ij = D[i] * H_ij into \p Dst (same shape as H): the paper's
-/// row-broadcast primitive, Eq. (1).
+/// out_ij = D[i] * H_ij into \p Dst (same shape as H), stored as \p Mode
+/// says: the paper's row-broadcast primitive, Eq. (1). Each product is
+/// rounded before it is added into Dst.
 void rowBroadcastMulInto(const std::vector<float> &D, const DenseMatrix &H,
-                         DenseMatrix &Dst);
+                         DenseMatrix &Dst, Store Mode = Store::Write);
 
-/// out_ij = H_ij * D[j] into \p Dst (same shape as H): the column variant
-/// used after update ops.
+/// out_ij = H_ij * D[j] into \p Dst (same shape as H), stored as \p Mode
+/// says: the column variant used after update ops.
 void colBroadcastMulInto(const DenseMatrix &H, const std::vector<float> &D,
-                         DenseMatrix &Dst);
+                         DenseMatrix &Dst, Store Mode = Store::Write);
 
 /// Elementwise sum into \p Dst (same shape as the operands).
 void addMatricesInto(const DenseMatrix &A, const DenseMatrix &B,
@@ -105,18 +107,21 @@ void spmmInto(const CsrMatrix &A, std::span<const float> Vals,
               const DenseMatrix &B, DenseMatrix &Dst,
               const RowEpilogue *Epilogue = nullptr);
 
-/// Dst = A^T * B, the backward-pass aggregation: walks the CSC columns of A
-/// directly. \p Vals holds A's edge values in CSR edge order (empty =
-/// unweighted) and is gathered through the CSC entry map, so the result is
-/// bitwise identical to spmmInto over A.transposed().
+/// Dst = A^T * B, the backward-pass aggregation, stored as \p Mode says:
+/// walks the CSC columns of A directly. \p Vals holds A's edge values in CSR
+/// edge order (empty = unweighted) and is gathered through the CSC entry
+/// map, so the result is bitwise identical to spmmInto over A.transposed().
 void spmmCscTransposedInto(const CscMatrix &A, std::span<const float> Vals,
-                           const DenseMatrix &B, DenseMatrix &Dst);
+                           const DenseMatrix &B, DenseMatrix &Dst,
+                           Store Mode = Store::Write);
 
 /// SDDMM into \p Out, which must have Mask.nnz() entries: per-edge dot
-/// products at the mask's nonzeros, out_ij = U[i,:] . V[j,:]. \p V has the
-/// same number of columns as \p U; the mask's existing values are ignored.
+/// products at the mask's nonzeros, out_ij = U[i,:] . V[j,:], stored as
+/// \p Mode says. \p V has the same number of columns as \p U; the mask's
+/// existing values are ignored.
 void sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
-               const DenseMatrix &V, std::span<float> Out);
+               const DenseMatrix &V, std::span<float> Out,
+               Store Mode = Store::Write);
 
 /// Per-edge sum of two node scalars into \p Out (Mask.nnz() entries):
 /// out_ij = SrcScore[i] + DstScore[j], the SDDMM(+, +) of GAT's attention
@@ -177,9 +182,12 @@ void fill(float Value, std::span<float> Out);
 void accumulateInto(float Alpha, std::span<const float> X,
                     std::span<float> Acc, bool First);
 
-/// Acc += (Pre > 0 ? Grad : 0) elementwise, the ReLU gradient at \p Pre
-/// applied to \p Grad, accumulated without materializing it.
-void reluBackwardAccumulateInto(const DenseMatrix &Pre,
+/// Acc += (Out > 0 ? Grad : 0) elementwise, the ReLU gradient applied to
+/// \p Grad, accumulated without materializing it. \p Out is the ReLU's
+/// output: every level computes max(x, 0) or x > 0 ? x : 0, which is > 0
+/// exactly where x > 0 (NaN and -0 give +0), so its input need not be kept.
+/// \p Acc may be \p Grad: each element is read before it is written.
+void reluBackwardAccumulateInto(const DenseMatrix &Out,
                                 const DenseMatrix &Grad, DenseMatrix &Acc,
                                 bool First);
 
@@ -198,7 +206,8 @@ void edgeColSumInto(const CscMatrix &MaskT, std::span<const float> EdgeVals,
 
 /// DIn += Grad * (Pre > 0 ? 1 : NegativeSlope) per edge, the leaky ReLU's
 /// gradient at its input \p Pre. An empty \p Pre (an unweighted input, all
-/// ones edges) contributes nothing.
+/// ones edges) contributes nothing. \p DIn may be \p Grad: each element is
+/// read before it is written.
 void leakyReluEdgesBackwardInto(std::span<const float> Pre,
                                 std::span<const float> Grad,
                                 float NegativeSlope, std::span<float> DIn,
@@ -220,6 +229,7 @@ void attnVecGradInto(const DenseMatrix &Theta, std::span<const float> Grad,
 
 /// DIn += Alpha * (Grad - <Alpha, Grad>_row) per edge, the row softmax's
 /// gradient given its output values \p Alpha (A.nnz() entries, A's rows).
+/// \p DIn may be \p Grad: a row's dot product reads the whole row first.
 void edgeSoftmaxBackwardInto(const CsrMatrix &A,
                              std::span<const float> Alpha,
                              std::span<const float> Grad,

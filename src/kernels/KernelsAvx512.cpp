@@ -6,8 +6,9 @@
 // null. Dispatch.cpp selects this level only when CPUID reports all four
 // feature flags, so Skylake-X-era and newer server parts qualify.
 //
-// The sddmm dot product, the GEMV and the eight-edge group sums use the
-// shared 256-bit bodies of SimdKernelsImpl.h, like the AVX2 table.
+// The sddmm dot product and the GEMV use the shared 256-bit bodies of
+// SimdKernelsImpl.h, like the AVX2 table; the eight-edge sddmm run sums
+// two 8-feature groups per 512-bit tree pass.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,10 +18,12 @@
     defined(__AVX512VL__)
 
 // GCC 12 reports its own AVX-512 intrinsics' "undefined" pass-through
-// operands (the self-initialized __Y of _mm512_undefined_*) as possibly
-// uninitialized once several horizontal sums are inlined side by side.
+// operands (the self-initialized __Y of _mm512_undefined_* and
+// _mm256_undefined_*) as possibly or plainly uninitialized once several
+// horizontal sums or 256-bit extracts are inlined side by side.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
 
 #include "kernels/SimdKernelsImpl.h"

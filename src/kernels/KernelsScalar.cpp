@@ -5,7 +5,9 @@
 // attention gradients, kept verbatim (zero skips, accumulation order,
 // mul-then-add arithmetic — no FMA contraction) so GRANII_ISA=scalar
 // reproduces the pre-SIMD library bitwise on every platform and gives the
-// sanitizer jobs a portable leg to pin.
+// sanitizer jobs a portable leg to pin. A row routine the backward pass
+// adds into a gradient runs the same chains into a local row, then stores
+// each result as its Store mode says.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +37,37 @@ void applyEpilogue(const RowEpilogue &Epi, int64_t Row, float *Out,
   }
 }
 
+/// Columns one pass of a row routine accumulates in a local row when its
+/// result is added into its destination rather than written.
+constexpr int64_t StoreBlockCols = 256;
+
+/// Stores \p N results \p X at \p Out as \p Mode says: X, 0 + X, or
+/// Out + X, each element rounded once.
+void storeRange(Store Mode, const float *X, float *Out, int64_t N) {
+  for (int64_t I = 0; I < N; ++I)
+    Out[I] = Mode == Store::Write   ? X[I]
+             : Mode == Store::First ? 0.0f + X[I]
+                                    : Out[I] + X[I];
+}
+
+/// Runs \p Row(Acc, J0, J1) over columns [0, N) of an output row at \p Out:
+/// in the row itself when it is written, else in a local row per block of
+/// StoreBlockCols columns that is then stored as \p Mode says. \p Row zeroes
+/// its accumulators and computes columns [J0, J1) into Acc[0, J1 - J0).
+template <class Fn>
+void storeRowBlocks(Store Mode, float *Out, int64_t N, Fn &&Row) {
+  if (Mode == Store::Write) {
+    Row(Out, int64_t{0}, N);
+    return;
+  }
+  float Local[StoreBlockCols];
+  for (int64_t J0 = 0; J0 < N; J0 += StoreBlockCols) {
+    const int64_t J1 = std::min(J0 + StoreBlockCols, N);
+    Row(Local, J0, J1);
+    storeRange(Mode, Local, Out + J0, J1 - J0);
+  }
+}
+
 void gemmRowRange(const float *A, int64_t Lda, const float *B, int64_t Ldb,
                   float *C, int64_t Ldc, int64_t K, int64_t N,
                   int64_t RowBegin, int64_t RowEnd, const RowEpilogue *Epi) {
@@ -57,24 +90,27 @@ void gemmRowRange(const float *A, int64_t Lda, const float *B, int64_t Ldb,
 
 void gemmTLhsRowRange(const float *A, int64_t Lda, const float *B,
                       int64_t Ldb, float *C, int64_t Ldc, int64_t M,
-                      int64_t N, int64_t RowBegin, int64_t RowEnd) {
-  for (int64_t R = RowBegin; R < RowEnd; ++R) {
-    float *CRow = C + R * Ldc;
-    std::fill(CRow, CRow + N, 0.0f);
-    for (int64_t I = 0; I < M; ++I) {
-      float AVal = A[I * Lda + R];
-      if (AVal == 0.0f)
-        continue;
-      const float *BRow = B + I * Ldb;
-      for (int64_t J = 0; J < N; ++J)
-        CRow[J] += AVal * BRow[J];
-    }
-  }
+                      int64_t N, int64_t RowBegin, int64_t RowEnd,
+                      Store Mode) {
+  for (int64_t R = RowBegin; R < RowEnd; ++R)
+    storeRowBlocks(Mode, C + R * Ldc, N,
+                   [&](float *Acc, int64_t J0, int64_t J1) {
+                     std::fill(Acc, Acc + (J1 - J0), 0.0f);
+                     for (int64_t I = 0; I < M; ++I) {
+                       float AVal = A[I * Lda + R];
+                       if (AVal == 0.0f)
+                         continue;
+                       const float *BRow = B + I * Ldb + J0;
+                       for (int64_t J = 0; J < J1 - J0; ++J)
+                         Acc[J] += AVal * BRow[J];
+                     }
+                   });
 }
 
 void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
                       int64_t Ldb, float *C, int64_t Ldc, int64_t K,
-                      int64_t NOut, int64_t RowBegin, int64_t RowEnd) {
+                      int64_t NOut, int64_t RowBegin, int64_t RowEnd,
+                      Store Mode) {
   for (int64_t I = RowBegin; I < RowEnd; ++I) {
     const float *ARow = A + I * Lda;
     float *CRow = C + I * Ldc;
@@ -83,7 +119,7 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
       float Acc = 0.0f;
       for (int64_t KK = 0; KK < K; ++KK)
         Acc += ARow[KK] * BRow[KK];
-      CRow[J] = Acc;
+      storeRange(Mode, &Acc, CRow + J, 1);
     }
   }
 }
@@ -91,21 +127,25 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
                   const float *Vals, const int64_t *ValIdx, const float *B,
                   int64_t Ldb, float *Dst, int64_t LdDst, int64_t N,
-                  int64_t RowBegin, int64_t RowEnd, const RowEpilogue *Epi) {
+                  int64_t RowBegin, int64_t RowEnd, const RowEpilogue *Epi,
+                  Store Mode) {
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     float *Out = Dst + R * LdDst;
-    std::fill(Out, Out + N, 0.0f);
-    for (int64_t K = Offsets[R]; K < Offsets[R + 1]; ++K) {
-      const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
-      if (!Vals) {
-        for (int64_t J = 0; J < N; ++J)
-          Out[J] += Src[J];
-      } else {
-        float EdgeVal = Vals[ValIdx ? ValIdx[K] : K];
-        for (int64_t J = 0; J < N; ++J)
-          Out[J] += EdgeVal * Src[J];
-      }
-    }
+    storeRowBlocks(
+        Mode, Out, N, [&](float *Acc, int64_t J0, int64_t J1) {
+          std::fill(Acc, Acc + (J1 - J0), 0.0f);
+          for (int64_t K = Offsets[R]; K < Offsets[R + 1]; ++K) {
+            const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb + J0;
+            if (!Vals) {
+              for (int64_t J = 0; J < J1 - J0; ++J)
+                Acc[J] += Src[J];
+            } else {
+              float EdgeVal = Vals[ValIdx ? ValIdx[K] : K];
+              for (int64_t J = 0; J < J1 - J0; ++J)
+                Acc[J] += EdgeVal * Src[J];
+            }
+          }
+        });
     if (Epi)
       applyEpilogue(*Epi, R, Out, N);
   }
@@ -114,7 +154,7 @@ void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
 void sddmmDotRowRange(const int64_t *Offsets, const int32_t *Cols,
                       const float *U, int64_t Ldu, const float *V,
                       int64_t Ldv, float *Out, int64_t Width,
-                      int64_t RowBegin, int64_t RowEnd) {
+                      int64_t RowBegin, int64_t RowEnd, Store Mode) {
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     const float *URow = U + R * Ldu;
     for (int64_t K = Offsets[R]; K < Offsets[R + 1]; ++K) {
@@ -122,7 +162,7 @@ void sddmmDotRowRange(const int64_t *Offsets, const int32_t *Cols,
       float Acc = 0.0f;
       for (int64_t J = 0; J < Width; ++J)
         Acc += URow[J] * VRow[J];
-      Out[K] = Acc;
+      storeRange(Mode, &Acc, Out + K, 1);
     }
   }
 }

@@ -47,6 +47,49 @@ namespace simd_impl {
 /// around every FMA.
 template <int N> using IndexPack = std::make_integer_sequence<int, N>;
 
+/// A store mode (Dispatch.h) as a type, so a row routine picks its stores
+/// at compile time and the Write instantiations are the plain stores.
+template <Store Mode> using StoreMode = std::integral_constant<Store, Mode>;
+
+/// Calls \p F with the StoreMode of \p Mode: one branch per kernel call.
+template <class Fn> void withStore(Store Mode, Fn &&F) {
+  switch (Mode) {
+  case Store::Write:
+    return F(StoreMode<Store::Write>{});
+  case Store::First:
+    return F(StoreMode<Store::First>{});
+  case Store::Add:
+    return F(StoreMode<Store::Add>{});
+  }
+}
+
+/// Stores \p X at \p P as \p Mode says: X, 0 + X, or the value at P + X.
+template <class T, Store Mode> void storeVec(float *P, typename T::Vec X) {
+  if constexpr (Mode == Store::First)
+    X = T::add(T::zero(), X);
+  else if constexpr (Mode == Store::Add)
+    X = T::add(T::load(P), X);
+  T::store(P, X);
+}
+
+/// storeVec for one element, with a lane's arithmetic.
+template <class T, Store Mode> void storeScalar(float *P, float X) {
+  if constexpr (Mode == Store::First)
+    X = 0.0f + X;
+  else if constexpr (Mode == Store::Add)
+    X = *P + X;
+  *P = X;
+}
+
+/// storeVec for a 256-bit vector at either level (the sddmm accumulators).
+template <class T, Store Mode> void store256(float *P, __m256 X) {
+  if constexpr (Mode == Store::First)
+    X = _mm256_add_ps(_mm256_setzero_ps(), X);
+  else if constexpr (Mode == Store::Add)
+    X = _mm256_add_ps(_mm256_loadu_ps(P), X);
+  _mm256_storeu_ps(P, X);
+}
+
 //===----------------------------------------------------------------------===//
 // Packed GEMM: C = A * B
 //===----------------------------------------------------------------------===//
@@ -149,24 +192,26 @@ void gemmRowRange(const float *A, int64_t Lda, const float *B, int64_t Ldb,
 // C = A^T * B over C's rows (columns of A)
 //===----------------------------------------------------------------------===//
 
-/// Contraction rows [I0, I1) of one block of MR = sizeof...(R) C rows
-/// starting at \p R0. The first window (I0 == 0) starts every accumulator
-/// at zero; later windows resume from the partial sum the previous window
-/// stored in C. A float store and reload is exact, so each element's FMA
-/// chain over I is the same single ascending chain as an unwindowed pass.
-template <class T, int... R>
+/// Contraction rows [I0, I1) of one block of MR = sizeof...(R) C rows,
+/// block row R being column R0 + R of A. Every accumulator starts at zero
+/// (\p From null) or resumes from the partial sum a previous window left at
+/// From + R * LdFrom, and is stored at To + R * LdTo as \p Mode says. A
+/// float store and reload is exact, so each element's FMA chain over I is
+/// the same single ascending chain as an unwindowed pass.
+template <class T, Store Mode, int... R>
 void gemmTLhsBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
-                   float *C, int64_t Ldc, int64_t I0, int64_t I1, int64_t N,
-                   int64_t R0, std::integer_sequence<int, R...>) {
+                   const float *From, int64_t LdFrom, float *To, int64_t LdTo,
+                   int64_t I0, int64_t I1, int64_t N, int64_t R0,
+                   std::integer_sequence<int, R...>) {
   using Vec = typename T::Vec;
   constexpr int64_t W = T::Width;
   constexpr int MR = sizeof...(R);
-  const bool Resume = I0 > 0;
-  float *CRow[MR] = {C + (R0 + R) * Ldc...};
+  const float *FromRow[MR] = {(From ? From + R * LdFrom : nullptr)...};
+  float *ToRow[MR] = {To + R * LdTo...};
   int64_t J = 0;
   for (; J + 2 * W <= N; J += 2 * W) {
-    Vec Acc0[MR] = {(Resume ? T::load(CRow[R] + J) : T::zero())...};
-    Vec Acc1[MR] = {(Resume ? T::load(CRow[R] + J + W) : T::zero())...};
+    Vec Acc0[MR] = {(From ? T::load(FromRow[R] + J) : T::zero())...};
+    Vec Acc1[MR] = {(From ? T::load(FromRow[R] + J + W) : T::zero())...};
     for (int64_t I = I0; I < I1; ++I) {
       const Vec B0 = T::load(B + I * Ldb + J);
       const Vec B1 = T::load(B + I * Ldb + J + W);
@@ -174,45 +219,85 @@ void gemmTLhsBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
       (..., (Acc0[R] = T::fma(T::set1(ACol[R]), B0, Acc0[R]),
              Acc1[R] = T::fma(T::set1(ACol[R]), B1, Acc1[R])));
     }
-    (..., (T::store(CRow[R] + J, Acc0[R]), T::store(CRow[R] + J + W, Acc1[R])));
+    (..., (storeVec<T, Mode>(ToRow[R] + J, Acc0[R]),
+           storeVec<T, Mode>(ToRow[R] + J + W, Acc1[R])));
   }
   for (; J + W <= N; J += W) {
-    Vec Acc[MR] = {(Resume ? T::load(CRow[R] + J) : T::zero())...};
+    Vec Acc[MR] = {(From ? T::load(FromRow[R] + J) : T::zero())...};
     for (int64_t I = I0; I < I1; ++I) {
       const Vec BV = T::load(B + I * Ldb + J);
       const float *ACol = A + I * Lda + R0;
       (..., (Acc[R] = T::fma(T::set1(ACol[R]), BV, Acc[R])));
     }
-    (..., T::store(CRow[R] + J, Acc[R]));
+    (..., storeVec<T, Mode>(ToRow[R] + J, Acc[R]));
   }
   for (; J < N; ++J) {
-    float Acc[MR] = {(Resume ? CRow[R][J] : 0.0f)...};
+    float Acc[MR] = {(From ? FromRow[R][J] : 0.0f)...};
     for (int64_t I = I0; I < I1; ++I)
       (..., (Acc[R] = std::fma(A[I * Lda + R0 + R], B[I * Ldb + J], Acc[R])));
-    (..., (CRow[R][J] = Acc[R]));
+    (..., storeScalar<T, Mode>(ToRow[R] + J, Acc[R]));
   }
 }
 
+/// Every register block of C rows [Begin, End) over contraction rows
+/// [I0, I1): row R resumes from From + (R - Begin) * LdFrom (from zero when
+/// \p From is null) and is stored at To + (R - Begin) * LdTo.
+template <class T, Store Mode>
+void gemmTLhsWindow(const float *A, int64_t Lda, const float *B, int64_t Ldb,
+                    const float *From, int64_t LdFrom, float *To, int64_t LdTo,
+                    int64_t I0, int64_t I1, int64_t N, int64_t Begin,
+                    int64_t End) {
+  auto Block = [&](int64_t R, auto Pack) {
+    const int64_t Off = R - Begin;
+    gemmTLhsBlock<T, Mode>(A, Lda, B, Ldb,
+                           From ? From + Off * LdFrom : nullptr, LdFrom,
+                           To + Off * LdTo, LdTo, I0, I1, N, R, Pack);
+  };
+  int64_t R = Begin;
+  for (; R + GemmRowBlock <= End; R += GemmRowBlock)
+    Block(R, IndexPack<GemmRowBlock>{});
+  for (; R < End; ++R)
+    Block(R, IndexPack<1>{});
+}
+
 /// The contraction runs in windows of GemmTLhsWindowRows rows of A and B,
-/// each swept by every register block of the range before the next window
-/// starts: the window's B rows (512 KiB at N = 128) and A's columns of the
-/// range are then read from L2 once per block instead of from memory.
+/// each swept by every register block of a tile before the next window
+/// starts: the window's B rows and A's columns of the tile are then read
+/// from L2 once per block instead of from memory. A tile is at most
+/// GemmTLhsCarryRows rows of one two-vector panel; a stack block carries its
+/// partial sums from window to window, and only the last window stores into
+/// C, as \p Mode says, so C may be a gradient the result is added into.
 template <class T>
 void gemmTLhsRowRange(const float *A, int64_t Lda, const float *B,
                       int64_t Ldb, float *C, int64_t Ldc, int64_t M,
-                      int64_t N, int64_t RowBegin, int64_t RowEnd) {
-  // At least one window, so an empty contraction (M == 0) still zeroes C.
-  int64_t I0 = 0;
-  do {
-    const int64_t I1 = std::min(I0 + GemmTLhsWindowRows, M);
-    int64_t R = RowBegin;
-    for (; R + GemmRowBlock <= RowEnd; R += GemmRowBlock)
-      gemmTLhsBlock<T>(A, Lda, B, Ldb, C, Ldc, I0, I1, N, R,
-                       IndexPack<GemmRowBlock>{});
-    for (; R < RowEnd; ++R)
-      gemmTLhsBlock<T>(A, Lda, B, Ldb, C, Ldc, I0, I1, N, R, IndexPack<1>{});
-    I0 = I1;
-  } while (I0 < M);
+                      int64_t N, int64_t RowBegin, int64_t RowEnd,
+                      Store Mode) {
+  constexpr int64_t TileCols = 2 * T::Width;
+  alignas(64) float Carry[GemmTLhsCarryRows * TileCols];
+  withStore(Mode, [&](auto ModeC) {
+    for (int64_t R0 = RowBegin; R0 < RowEnd; R0 += GemmTLhsCarryRows) {
+      const int64_t R1 = std::min(R0 + GemmTLhsCarryRows, RowEnd);
+      for (int64_t J0 = 0; J0 < N; J0 += TileCols) {
+        const int64_t Cols = std::min(TileCols, N - J0);
+        // At least one window, so an empty contraction (M == 0) still
+        // stores C.
+        int64_t I0 = 0;
+        do {
+          const int64_t I1 = std::min(I0 + GemmTLhsWindowRows, M);
+          const float *From = I0 > 0 ? Carry : nullptr;
+          if (I1 == M)
+            gemmTLhsWindow<T, decltype(ModeC)::value>(
+                A, Lda, B + J0, Ldb, From, Cols, C + R0 * Ldc + J0, Ldc, I0,
+                I1, Cols, R0, R1);
+          else
+            gemmTLhsWindow<T, Store::Write>(A, Lda, B + J0, Ldb, From, Cols,
+                                            Carry, Cols, I0, I1, Cols, R0,
+                                            R1);
+          I0 = I1;
+        } while (I0 < M);
+      }
+    }
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -229,8 +314,9 @@ void gemmTLhsRowRange(const float *A, int64_t Lda, const float *B,
 /// exactly a lone element's sequence.
 constexpr int GemmTRhsCols = 4;
 
-/// The MC = sizeof...(J) elements C[J0 + J] = dot(X, B row J0 + J).
-template <class T, int... J>
+/// The MC = sizeof...(J) elements C[J0 + J] = dot(X, B row J0 + J), stored
+/// as \p Mode says.
+template <class T, Store Mode, int... J>
 void dotBlock(const float *X, const float *B, int64_t Ldb, float *C,
               int64_t K, int64_t J0, std::integer_sequence<int, J...>) {
   using Vec = typename T::Vec;
@@ -253,22 +339,26 @@ void dotBlock(const float *X, const float *B, int64_t Ldb, float *C,
   float Sum[MC] = {T::hsum(T::add(Acc0[J], Acc1[J]))...};
   for (; KK < K; ++KK)
     (..., (Sum[J] = std::fma(X[KK], Y[J][KK], Sum[J])));
-  (..., (C[J0 + J] = Sum[J]));
+  (..., storeScalar<T, Mode>(C + J0 + J, Sum[J]));
 }
 
 template <class T>
 void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
                       int64_t Ldb, float *C, int64_t Ldc, int64_t K,
-                      int64_t NOut, int64_t RowBegin, int64_t RowEnd) {
-  for (int64_t I = RowBegin; I < RowEnd; ++I) {
-    const float *ARow = A + I * Lda;
-    float *CRow = C + I * Ldc;
-    int64_t J = 0;
-    for (; J + GemmTRhsCols <= NOut; J += GemmTRhsCols)
-      dotBlock<T>(ARow, B, Ldb, CRow, K, J, IndexPack<GemmTRhsCols>{});
-    for (; J < NOut; ++J)
-      dotBlock<T>(ARow, B, Ldb, CRow, K, J, IndexPack<1>{});
-  }
+                      int64_t NOut, int64_t RowBegin, int64_t RowEnd,
+                      Store Mode) {
+  withStore(Mode, [&](auto ModeC) {
+    constexpr Store M = decltype(ModeC)::value;
+    for (int64_t I = RowBegin; I < RowEnd; ++I) {
+      const float *ARow = A + I * Lda;
+      float *CRow = C + I * Ldc;
+      int64_t J = 0;
+      for (; J + GemmTRhsCols <= NOut; J += GemmTRhsCols)
+        dotBlock<T, M>(ARow, B, Ldb, CRow, K, J, IndexPack<GemmTRhsCols>{});
+      for (; J < NOut; ++J)
+        dotBlock<T, M>(ARow, B, Ldb, CRow, K, J, IndexPack<1>{});
+    }
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -289,8 +379,8 @@ inline float spmmEdgeValue(const float *Vals, const int64_t *ValIdx,
 /// to the first column), NV = sizeof...(V): NV vector accumulators start at
 /// zero, take every nonzero [Begin, End) of the row in order (an FMA by the
 /// edge value when \p Weighted, else a plain add), take \p Epi's steps for
-/// row \p Row when \p HasEpi, and are stored once.
-template <class T, bool Weighted, bool HasEpi, int... V>
+/// row \p Row when \p HasEpi, and are stored once, as \p Mode says.
+template <class T, bool Weighted, bool HasEpi, Store Mode, int... V>
 void spmmRowVectors(const int32_t *Cols, const float *Vals,
                     const int64_t *ValIdx, const float *B, int64_t Ldb,
                     float *Out, int64_t Begin, int64_t End,
@@ -310,7 +400,7 @@ void spmmRowVectors(const int32_t *Cols, const float *Vals,
   }
   if constexpr (HasEpi)
     (..., (Acc[V] = epilogueVec<T>(*Epi, Row, Acc[V])));
-  (..., T::store(Out + V * W, Acc[V]));
+  (..., storeVec<T, Mode>(Out + V * W, Acc[V]));
 }
 
 /// Calls \p Fn with IndexPack<Count> for a runtime Count in [1, NV].
@@ -322,7 +412,7 @@ template <int NV, class Fn> void withIndexPack(int64_t Count, Fn &&F) {
   }
 }
 
-template <class T, bool Weighted, bool HasEpi>
+template <class T, bool Weighted, bool HasEpi, Store Mode>
 void spmmRows(const int64_t *Offsets, const int32_t *Cols, const float *Vals,
               const int64_t *ValIdx, const float *B, int64_t Ldb, float *Dst,
               int64_t LdDst, int64_t N, int64_t RowBegin, int64_t RowEnd,
@@ -334,8 +424,8 @@ void spmmRows(const int64_t *Offsets, const int32_t *Cols, const float *Vals,
     const int64_t Begin = Offsets[R];
     const int64_t End = Offsets[R + 1];
     auto Vectors = [&](int64_t J, auto Pack) {
-      spmmRowVectors<T, Weighted, HasEpi>(Cols, Vals, ValIdx, B + J, Ldb,
-                                          Out + J, Begin, End, Epi, R, Pack);
+      spmmRowVectors<T, Weighted, HasEpi, Mode>(
+          Cols, Vals, ValIdx, B + J, Ldb, Out + J, Begin, End, Epi, R, Pack);
     };
     int64_t J = 0;
     for (; J + Chunk <= N; J += Chunk)
@@ -347,22 +437,28 @@ void spmmRows(const int64_t *Offsets, const int32_t *Cols, const float *Vals,
     if (J == N)
       continue;
     // Fewer than W columns remain: the same per-element chains, kept in
-    // the output row (std::fma rounds exactly like a vector FMA lane).
-    std::fill(Out + J, Out + N, 0.0f);
+    // the output row (std::fma rounds exactly like a vector FMA lane), or
+    // in a local row stored as Mode says when the row is added into.
+    float Local[W];
+    float *Acc = Mode == Store::Write ? Out + J : Local;
+    std::fill(Acc, Acc + (N - J), 0.0f);
     for (int64_t K = Begin; K < End; ++K) {
-      const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
+      const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb + J;
       if constexpr (Weighted) {
         const float Edge = spmmEdgeValue(Vals, ValIdx, K);
-        for (int64_t JJ = J; JJ < N; ++JJ)
-          Out[JJ] = std::fma(Edge, Src[JJ], Out[JJ]);
+        for (int64_t JJ = 0; JJ < N - J; ++JJ)
+          Acc[JJ] = std::fma(Edge, Src[JJ], Acc[JJ]);
       } else {
-        for (int64_t JJ = J; JJ < N; ++JJ)
-          Out[JJ] += Src[JJ];
+        for (int64_t JJ = 0; JJ < N - J; ++JJ)
+          Acc[JJ] += Src[JJ];
       }
     }
     if constexpr (HasEpi)
       for (int64_t JJ = J; JJ < N; ++JJ)
         Out[JJ] = epilogueScalar<T>(*Epi, R, Out[JJ]);
+    if constexpr (Mode != Store::Write)
+      for (int64_t JJ = 0; JJ < N - J; ++JJ)
+        storeScalar<T, Mode>(Out + J + JJ, Local[JJ]);
   }
 }
 
@@ -373,18 +469,30 @@ template <class T>
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
                   const float *Vals, const int64_t *ValIdx, const float *B,
                   int64_t Ldb, float *Dst, int64_t LdDst, int64_t N,
-                  int64_t RowBegin, int64_t RowEnd, const RowEpilogue *Epi) {
-  auto Run = [&](auto Weighted, auto HasEpi) {
-    spmmRows<T, decltype(Weighted)::value, decltype(HasEpi)::value>(
-        Offsets, Cols, Vals, ValIdx, B, Ldb, Dst, LdDst, N, RowBegin, RowEnd,
-        Epi);
+                  int64_t RowBegin, int64_t RowEnd, const RowEpilogue *Epi,
+                  Store Mode) {
+  auto Run = [&](auto Weighted, auto HasEpi, auto ModeC) {
+    spmmRows<T, decltype(Weighted)::value, decltype(HasEpi)::value,
+             decltype(ModeC)::value>(Offsets, Cols, Vals, ValIdx, B, Ldb, Dst,
+                                     LdDst, N, RowBegin, RowEnd, Epi);
   };
   using Yes = std::true_type;
   using No = std::false_type;
+  // An epilogue comes only with a written row.
+  auto Weighted = [&](auto W) {
+    if (Mode == Store::First)
+      Run(W, No{}, StoreMode<Store::First>{});
+    else if (Mode == Store::Add)
+      Run(W, No{}, StoreMode<Store::Add>{});
+    else if (Epi)
+      Run(W, Yes{}, StoreMode<Store::Write>{});
+    else
+      Run(W, No{}, StoreMode<Store::Write>{});
+  };
   if (Vals)
-    Epi ? Run(Yes{}, Yes{}) : Run(Yes{}, No{});
+    Weighted(Yes{});
   else
-    Epi ? Run(No{}, Yes{}) : Run(No{}, No{});
+    Weighted(No{});
 }
 
 //===----------------------------------------------------------------------===//
@@ -398,7 +506,8 @@ void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
 // groups in order from feature 0; the last Width % SddmmGroup features
 // follow one by one through std::fma. Every path below runs exactly this
 // chain for each edge, so no edge's bits depend on its neighbours in the
-// row or on the row partition.
+// row or on the row partition. At AVX-512 the eight-edge path multiplies
+// two groups per 512-bit product and runs their trees side by side.
 //
 // The 256-bit helpers here and in the GEMV below take the traits as a
 // template parameter they do not use: each ISA unit needs its own copy. A
@@ -440,16 +549,45 @@ template <class T> __m256 sddmmLaneSums(__m256 A, __m256 B) {
                        _mm256_shuffle_ps(A, B, _MM_SHUFFLE(3, 1, 3, 1)));
 }
 
+/// The tree's first step for two groups of two edges at once: \p A and
+/// \p B hold 16 products of edges e and e + 4, group g in 256-bit half g;
+/// each half of the result holds that group's [e's 128-bit halves summed |
+/// e + 4's], as sddmmHalfSums leaves one group. AVX-512 only.
+template <class T> __m512 sddmmHalfSums16(__m512 A, __m512 B) {
+  const __m512i Lo =
+      _mm512_setr_epi32(0, 1, 2, 3, 16, 17, 18, 19, 8, 9, 10, 11, 24, 25, 26,
+                        27);
+  const __m512i Hi =
+      _mm512_setr_epi32(4, 5, 6, 7, 20, 21, 22, 23, 12, 13, 14, 15, 28, 29,
+                        30, 31);
+  return _mm512_add_ps(_mm512_permutex2var_ps(A, Lo, B),
+                       _mm512_permutex2var_ps(A, Hi, B));
+}
+
+/// sddmmPairSums and sddmmLaneSums on both 256-bit halves at once: shuffle_ps
+/// works within 128-bit lanes at either width. AVX-512 only.
+template <class T> __m512 sddmmPairSums16(__m512 A, __m512 B) {
+  return _mm512_add_ps(_mm512_shuffle_ps(A, B, _MM_SHUFFLE(1, 0, 1, 0)),
+                       _mm512_shuffle_ps(A, B, _MM_SHUFFLE(3, 2, 3, 2)));
+}
+template <class T> __m512 sddmmLaneSums16(__m512 A, __m512 B) {
+  return _mm512_add_ps(_mm512_shuffle_ps(A, B, _MM_SHUFFLE(2, 0, 2, 0)),
+                       _mm512_shuffle_ps(A, B, _MM_SHUFFLE(3, 1, 3, 1)));
+}
+
 /// Edges [K0, K0 + 8) of the row whose U row is \p URow, E = 0..7: eight
 /// chains in the lanes of one accumulator, edge E in lane E, then the tail
-/// of each edge. Each group's sums come from the tree of sddmmGroupSum run
-/// across the eight product vectors, each lane adding the same two partial
-/// sums as the single-edge tree: permute2f128 pairs edges E and E + 4,
-/// shuffle_ps edges E and E + 1 within each 128-bit half, and a last
-/// shuffle_ps pair leaves the edges in order. Every subscript is a
-/// compile-time constant, so the products and partial sums stay in
-/// registers (arrays indexed in a loop stayed on the stack under GCC -O2).
-template <class T, int... E>
+/// of each edge, stored as \p Mode says. Each group's sums come from the
+/// tree of sddmmGroupSum run across the eight product vectors, each lane
+/// adding the same two partial sums as the single-edge tree: permute2f128
+/// pairs edges E and E + 4, shuffle_ps edges E and E + 1 within each 128-bit
+/// half, and a last shuffle_ps pair leaves the edges in order. At AVX-512
+/// each pair of groups runs through the same tree at 512 bits
+/// (sddmmHalfSums16 and its two successors) and an odd last group through
+/// the 256-bit one. Every subscript is a compile-time constant, so
+/// the products and partial sums stay in registers (arrays indexed in a
+/// loop stayed on the stack under GCC -O2).
+template <class T, Store Mode, int... E>
 void sddmmEdges8(const int32_t *Cols, const float *URow, const float *V,
                  int64_t Ldv, float *Out, int64_t Width, int64_t K0,
                  std::integer_sequence<int, E...>) {
@@ -457,6 +595,20 @@ void sddmmEdges8(const int32_t *Cols, const float *URow, const float *V,
   const float *VRow[8] = {V + static_cast<int64_t>(Cols[K0 + E]) * Ldv...};
   __m256 Acc = _mm256_setzero_ps();
   int64_t J = 0;
+  if constexpr (T::Width == 16)
+    for (; J + 2 * SddmmGroup <= Width; J += 2 * SddmmGroup) {
+      // Two groups per product, both trees in one pass; the first group's
+      // sums (the low half) go into the accumulator first.
+      const __m512 UV = _mm512_loadu_ps(URow + J);
+      const __m512 P[8] = {_mm512_mul_ps(UV, _mm512_loadu_ps(VRow[E] + J))...};
+      const __m512 Sums = sddmmLaneSums16<T>(
+          sddmmPairSums16<T>(sddmmHalfSums16<T>(P[0], P[4]),
+                             sddmmHalfSums16<T>(P[1], P[5])),
+          sddmmPairSums16<T>(sddmmHalfSums16<T>(P[2], P[6]),
+                             sddmmHalfSums16<T>(P[3], P[7])));
+      Acc = _mm256_add_ps(Acc, _mm512_castps512_ps256(Sums));
+      Acc = _mm256_add_ps(Acc, _mm512_extractf32x8_ps(Sums, 1));
+    }
   for (; J + SddmmGroup <= Width; J += SddmmGroup) {
     const __m256 UV = _mm256_loadu_ps(URow + J);
     const __m256 P[8] = {_mm256_mul_ps(UV, _mm256_loadu_ps(VRow[E] + J))...};
@@ -467,9 +619,20 @@ void sddmmEdges8(const int32_t *Cols, const float *URow, const float *V,
                          sddmmHalfSums<T>(P[3], P[7])));
     Acc = _mm256_add_ps(Acc, Sums);
   }
-  _mm256_storeu_ps(Out + K0, Acc);
-  for (; J < Width; ++J)
-    (..., (Out[K0 + E] = std::fma(URow[J], VRow[E][J], Out[K0 + E])));
+  if constexpr (Mode == Store::Write) {
+    _mm256_storeu_ps(Out + K0, Acc);
+    for (; J < Width; ++J)
+      (..., (Out[K0 + E] = std::fma(URow[J], VRow[E][J], Out[K0 + E])));
+    return;
+  }
+  if (J < Width) {
+    alignas(32) float Sum[8];
+    _mm256_store_ps(Sum, Acc);
+    for (; J < Width; ++J)
+      (..., (Sum[E] = std::fma(URow[J], VRow[E][J], Sum[E])));
+    Acc = _mm256_load_ps(Sum);
+  }
+  store256<T, Mode>(Out + K0, Acc);
 }
 
 /// Edges of one row scored side by side in the short paths: a lone edge
@@ -477,8 +640,9 @@ void sddmmEdges8(const int32_t *Cols, const float *URow, const float *V,
 /// their chains and their row gathers.
 constexpr int SddmmEdges = 4;
 
-/// Edges [K0, K0 + sizeof...(E)) of the row whose U row is \p URow.
-template <class T, int... E>
+/// Edges [K0, K0 + sizeof...(E)) of the row whose U row is \p URow, stored
+/// as \p Mode says.
+template <class T, Store Mode, int... E>
 void sddmmEdges(const int32_t *Cols, const float *URow, const float *V,
                 int64_t Ldv, float *Out, int64_t Width, int64_t K0,
                 std::integer_sequence<int, E...>) {
@@ -490,7 +654,7 @@ void sddmmEdges(const int32_t *Cols, const float *URow, const float *V,
     (..., (Acc[E] += sddmmGroupSum<T>(URow + J, VRow[E] + J)));
   for (; J < Width; ++J)
     (..., (Acc[E] = std::fma(URow[J], VRow[E][J], Acc[E])));
-  (..., (Out[K0 + E] = Acc[E]));
+  (..., storeScalar<T, Mode>(Out + K0 + E, Acc[E]));
 }
 
 /// Each row's edges go eight at a time, then four, then one by one.
@@ -498,21 +662,24 @@ template <class T>
 void sddmmDotRowRange(const int64_t *Offsets, const int32_t *Cols,
                       const float *U, int64_t Ldu, const float *V,
                       int64_t Ldv, float *Out, int64_t Width,
-                      int64_t RowBegin, int64_t RowEnd) {
-  for (int64_t R = RowBegin; R < RowEnd; ++R) {
-    const float *URow = U + R * Ldu;
-    const int64_t End = Offsets[R + 1];
-    int64_t K = Offsets[R];
-    for (; K + 8 <= End; K += 8)
-      sddmmEdges8<T>(Cols, URow, V, Ldv, Out, Width, K, IndexPack<8>{});
-    if (K + SddmmEdges <= End) {
-      sddmmEdges<T>(Cols, URow, V, Ldv, Out, Width, K,
-                    IndexPack<SddmmEdges>{});
-      K += SddmmEdges;
+                      int64_t RowBegin, int64_t RowEnd, Store Mode) {
+  withStore(Mode, [&](auto ModeC) {
+    constexpr Store M = decltype(ModeC)::value;
+    for (int64_t R = RowBegin; R < RowEnd; ++R) {
+      const float *URow = U + R * Ldu;
+      const int64_t End = Offsets[R + 1];
+      int64_t K = Offsets[R];
+      for (; K + 8 <= End; K += 8)
+        sddmmEdges8<T, M>(Cols, URow, V, Ldv, Out, Width, K, IndexPack<8>{});
+      if (K + SddmmEdges <= End) {
+        sddmmEdges<T, M>(Cols, URow, V, Ldv, Out, Width, K,
+                         IndexPack<SddmmEdges>{});
+        K += SddmmEdges;
+      }
+      for (; K < End; ++K)
+        sddmmEdges<T, M>(Cols, URow, V, Ldv, Out, Width, K, IndexPack<1>{});
     }
-    for (; K < End; ++K)
-      sddmmEdges<T>(Cols, URow, V, Ldv, Out, Width, K, IndexPack<1>{});
-  }
+  });
 }
 
 //===----------------------------------------------------------------------===//

@@ -41,67 +41,67 @@ std::vector<bool> computeGradPath(const CompositionPlan &Plan) {
 /// What the backward step of \p Step touches once its result's gradient is
 /// present, as PlanInterpreter::backward runs it: the forward values it
 /// reads, the values whose gradients it adds into (in the order it adds),
-/// and the values whose shape its dense partials take.
+/// and whether its one contribution may take its result gradient's slot.
 struct BackwardUse {
   std::vector<int> Reads;
   std::vector<int> Adds;
-  std::vector<int> DensePartials;
-  bool EdgePartial = false;
+  /// An element-wise step (relu, edge leaky relu, edge softmax) whose
+  /// kernel reads each element of its result's gradient before it writes
+  /// that element of its operand's.
+  bool InPlace = false;
 };
 
 BackwardUse backwardUse(const PlanStep &Step, const std::vector<bool> &Need) {
   BackwardUse U;
   auto Op = [&](int I) { return Step.Operands[static_cast<size_t>(I)]; };
   // Adds into operand I's gradient when the backward pass reaches it,
-  // reading value Read (-1: none) and, with Partial, through a dense
-  // partial of the operand's shape.
-  auto Add = [&](int I, int Read, bool Partial) {
+  // reading value Read (-1: none).
+  auto Add = [&](int I, int Read) {
     if (!Need[static_cast<size_t>(Op(I))])
-      return false;
+      return;
     U.Adds.push_back(Op(I));
     if (Read >= 0)
       U.Reads.push_back(Read);
-    if (Partial)
-      U.DensePartials.push_back(Op(I));
-    return true;
   };
   switch (Step.Op) {
   case StepOp::Gemm: // dA = dY B^T, dB = A^T dY
-    Add(0, Op(1), true);
-    Add(1, Op(0), true);
+    Add(0, Op(1));
+    Add(1, Op(0));
     break;
   case StepOp::SpmmWeighted:
   case StepOp::SpmmUnweighted: // dX = S^T dY, dS = SDDMM(dY, X)
-    Add(1, Step.Op == StepOp::SpmmWeighted ? Op(0) : -1, true);
-    U.EdgePartial = Add(0, Op(1), false);
+    Add(1, Step.Op == StepOp::SpmmWeighted ? Op(0) : -1);
+    Add(0, Op(1));
     break;
   case StepOp::RowBcast:
-    Add(1, Op(0), true);
+    Add(1, Op(0));
     break;
   case StepOp::ColBcast:
-    Add(0, Op(1), true);
+    Add(0, Op(1));
     break;
   case StepOp::AddDense:
-    Add(0, -1, false);
-    Add(1, -1, false);
+    Add(0, -1);
+    Add(1, -1);
     break;
   case StepOp::ScaleDense:
-    Add(0, -1, false);
+    Add(0, -1);
     break;
-  case StepOp::Relu:
+  case StepOp::Relu: // the mask of its output is the mask of its input
+  case StepOp::EdgeSoftmax:
+    Add(0, Step.Result);
+    U.InPlace = true;
+    break;
   case StepOp::EdgeLeakyRelu:
-    Add(0, Op(0), false);
+    Add(0, Op(0));
+    U.InPlace = true;
     break;
   case StepOp::AttnGemv: // dTheta reads the vector, da reads Theta
-    Add(0, Op(1), false);
-    Add(1, Op(0), false);
+    Add(0, Op(1));
+    Add(1, Op(0));
     break;
   case StepOp::EdgeLogits:
-    Add(1, -1, false);
-    Add(2, -1, false);
-    break;
-  case StepOp::EdgeSoftmax: // reads its own output
-    Add(0, Step.Result, false);
+    Add(1, -1);
+    Add(2, -1);
     break;
   case StepOp::SddmmScaleRow:
   case StepOp::SddmmScaleCol:
@@ -171,22 +171,46 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
     }
   }
 
-  // Fused chains, inference only. From each GEMM/SpMM result, the chain
-  // takes the value's one reader while that reader is a row_bcast or relu
-  // (a row_bcast only when its scale vector exists before the producer
-  // runs) and the value is not the output. Every value of the chain is
-  // written at the producer's step; all but the last stay in registers.
+  // Training: which steps the backward pass runs, walking back from the
+  // seed (a step runs once its result has a gradient), what each touches,
+  // and which forward values some backward step reads.
+  std::vector<BackwardUse> Uses(static_cast<size_t>(NumSteps));
+  std::vector<bool> Runs(static_cast<size_t>(NumSteps), false);
+  std::vector<bool> ReadBackward(Vals.size(), false);
+  if (Training) {
+    GradPath = computeGradPath(Plan);
+    std::vector<bool> HasGrad(Vals.size(), false);
+    HasGrad[static_cast<size_t>(Plan.OutputValue)] = true;
+    for (int S = NumSteps; S-- > 0;) {
+      const PlanStep &Step = Plan.Steps[static_cast<size_t>(S)];
+      if (!HasGrad[static_cast<size_t>(Step.Result)])
+        continue;
+      Runs[static_cast<size_t>(S)] = true;
+      Uses[static_cast<size_t>(S)] = backwardUse(Step, GradPath);
+      for (int Id : Uses[static_cast<size_t>(S)].Reads)
+        ReadBackward[static_cast<size_t>(Id)] = true;
+      for (int Id : Uses[static_cast<size_t>(S)].Adds)
+        HasGrad[static_cast<size_t>(Id)] = true;
+    }
+  }
+
+  // Fused chains. From each GEMM/SpMM result, the chain takes the value's
+  // one reader while that reader is a row_bcast or relu (a row_bcast only
+  // when its scale vector exists before the producer runs), the value is
+  // not the output and, in training, no backward step reads it. Every value
+  // of the chain is written at the producer's step; all but the last stay
+  // in registers.
   std::vector<int> Stores(static_cast<size_t>(NumSteps), -1);
   for (int S = 0; S < NumSteps; ++S)
     Stores[static_cast<size_t>(S)] = Plan.Steps[S].Result;
-  for (int P = 0; P < NumSteps && !Training; ++P) {
+  for (int P = 0; P < NumSteps; ++P) {
     const PlanStep &Producer = Plan.Steps[P];
     if (Producer.Setup || !takesEpilogue(Producer.Op))
       continue;
     int Cur = Producer.Result;
     for (int Len = 0; Len < kernels::MaxEpilogueOps; ++Len) {
       const auto C = static_cast<size_t>(Cur);
-      if (Cur == Plan.OutputValue || Reads[C] != 1)
+      if (Cur == Plan.OutputValue || Reads[C] != 1 || ReadBackward[C])
         break;
       const int S = Reader[C];
       const PlanStep &Next = Plan.Steps[static_cast<size_t>(S)];
@@ -209,67 +233,56 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
 
   // Per position, the buffers it writes, in the order it writes them: a
   // forward step the value it stores (its result, a fused chain's last
-  // value, or none for a step a chain absorbed).
-  std::vector<std::vector<ValueBuffer *>> Writes(
-      static_cast<size_t>(Positions));
+  // value, or none for a step a chain absorbed); a backward step the
+  // gradients it contributes first, each with the gradient whose slot it
+  // takes when it is written in place.
+  struct Write {
+    ValueBuffer *B;
+    const ValueBuffer *Source;
+  };
+  std::vector<std::vector<Write>> Writes(static_cast<size_t>(Positions));
   for (int S = 0; S < NumSteps; ++S)
     if (Stores[static_cast<size_t>(S)] >= 0)
       Writes[static_cast<size_t>(S)].push_back(
-          &Vals[static_cast<size_t>(Stores[static_cast<size_t>(S)])]);
+          {&Vals[static_cast<size_t>(Stores[static_cast<size_t>(S)])],
+           nullptr});
 
   // The backward pass, training only. Walking the steps in reverse, a step
   // whose result's gradient is present reads that gradient and the forward
-  // values its rule names, which stay live until then, and writes its
-  // partials and the gradients it contributes first. A weight's, attention
-  // vector's or the features' gradient is the caller's result.
+  // values its rule names, which stay live until then, and writes the
+  // gradients it contributes first. A weight's, attention vector's or the
+  // features' gradient is the caller's result.
   if (Training) {
-    GradPath = computeGradPath(Plan);
     Grads.resize(Vals.size());
-    Partials.resize(static_cast<size_t>(NumSteps));
     for (size_t V = 0; V < Vals.size(); ++V) {
       Grads[V] = Vals[V];
       Grads[V].DefStep = Grads[V].LastUse = -1;
+      Grads[V].Elided = false;
     }
-    auto Write = [&](ValueBuffer &B, int Pos) {
+    auto First = [&](ValueBuffer &B, int Pos, const ValueBuffer *Source) {
       B.DefStep = Pos;
-      if (B.Class != BufferClass::InputAlias)
-        Writes[static_cast<size_t>(Pos)].push_back(&B);
+      if (B.Class == BufferClass::InputAlias)
+        return;
+      B.InPlace = Source != nullptr;
+      Writes[static_cast<size_t>(Pos)].push_back({&B, Source});
     };
-    Write(Grads[static_cast<size_t>(Plan.OutputValue)], NumSteps); // seed
+    First(Grads[static_cast<size_t>(Plan.OutputValue)], NumSteps, nullptr);
     for (int S = NumSteps; S-- > 0;) {
+      if (!Runs[static_cast<size_t>(S)])
+        continue;
       const PlanStep &Step = Plan.Steps[static_cast<size_t>(S)];
-      ValueBuffer &OutG = Grads[static_cast<size_t>(Step.Result)];
-      if (OutG.DefStep < 0)
-        continue; // no gradient reaches this step
+      const BackwardUse &U = Uses[static_cast<size_t>(S)];
       const int Pos = backwardPosition(NumSteps, S);
+      ValueBuffer &OutG = Grads[static_cast<size_t>(Step.Result)];
       OutG.LastUse = Pos;
-      const BackwardUse U = backwardUse(Step, GradPath);
       for (int Id : U.Reads) {
         ValueBuffer &B = Vals[static_cast<size_t>(Id)];
         B.LastUse = std::max(B.LastUse, Pos);
       }
       for (int Id : U.Adds)
         if (Grads[static_cast<size_t>(Id)].DefStep < 0)
-          Write(Grads[static_cast<size_t>(Id)], Pos);
-      // A partial lives at its step alone.
-      auto Partial = [&](ValueBuffer &B, BufferClass Class) {
-        B.Class = Class;
-        B.LastUse = Pos;
-        Write(B, Pos);
-      };
-      StepPartials &P = Partials[static_cast<size_t>(S)];
-      for (int Id : U.DensePartials) {
-        const PlanValue &Def = Plan.Values[static_cast<size_t>(Id)];
-        P.Dense.Floats = std::max(P.Dense.Floats,
-                                  Binding.eval(Def.Shape.Rows) *
-                                      Binding.eval(Def.Shape.Cols));
-      }
-      if (!U.DensePartials.empty())
-        Partial(P.Dense, BufferClass::DenseSlot);
-      if (U.EdgePartial) {
-        P.Edges.Floats = Binding.E;
-        Partial(P.Edges, BufferClass::SparseVals);
-      }
+          First(Grads[static_cast<size_t>(Id)], Pos,
+                U.InPlace ? &OutG : nullptr);
     }
     // The caller reads its gradients after the run, as it reads the output.
     for (ValueBuffer &G : Grads)
@@ -296,13 +309,17 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
 
   // Greedy slot assignment in schedule order. At each position, slots whose
   // buffer died strictly before it are returned to the free list, then each
-  // buffer the position writes picks the best-fitting free slot of its
-  // class (smallest capacity that holds it; else the largest free slot,
-  // grown). A position's operands are live through it (LastUse >= the
-  // position), so a destination slot can never alias an operand's.
+  // buffer the position writes takes its in-place source's slot, or picks
+  // the best-fitting free slot of its class (smallest capacity that holds
+  // it; else the largest free slot, grown). A position's operands are live
+  // through it (LastUse >= the position), so a destination slot can never
+  // alias an operand's but by the in-place rule. A slot's owner is the last
+  // buffer placed in it: a source whose slot went on in place frees nothing.
   std::vector<int> FreeSlots;
+  std::vector<const ValueBuffer *> Owner;
   auto Release = [&](const ValueBuffer &B, int Pos) {
-    if (B.Slot >= 0 && !B.Pinned && B.LastUse == Pos - 1)
+    if (B.Slot >= 0 && !B.Pinned && B.LastUse == Pos - 1 &&
+        Owner[static_cast<size_t>(B.Slot)] == &B)
       FreeSlots.push_back(B.Slot);
   };
   for (int Pos = 0; Pos < Positions; ++Pos) {
@@ -310,17 +327,20 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
       Release(B, Pos);
     for (const ValueBuffer &B : Grads)
       Release(B, Pos);
-    for (const StepPartials &P : Partials) {
-      Release(P.Dense, Pos);
-      Release(P.Edges, Pos);
-    }
 
-    for (ValueBuffer *Out : Writes[static_cast<size_t>(Pos)]) {
+    for (const Write &W : Writes[static_cast<size_t>(Pos)]) {
+      ValueBuffer *Out = W.B;
       if (!Training && Out->Class == BufferClass::SparseVals)
         continue; // inference: dedicated per-value storage, no slot
+      if (W.Source) {
+        Out->Slot = W.Source->Slot;
+        Owner[static_cast<size_t>(Out->Slot)] = Out;
+        continue;
+      }
       if (Out->Pinned) {
         Out->Slot = static_cast<int>(Slots.size());
         Slots.push_back({Out->Class, Out->Floats, /*Pinned=*/true});
+        Owner.push_back(Out);
         continue;
       }
       int Best = -1, Largest = -1;
@@ -344,26 +364,25 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
         ArenaSlot &Slot = Slots[static_cast<size_t>(Out->Slot)];
         Slot.CapacityFloats = std::max(Slot.CapacityFloats, Out->Floats);
         FreeSlots.erase(FreeSlots.begin() + Pick);
+        Owner[static_cast<size_t>(Out->Slot)] = Out;
       } else {
         Out->Slot = static_cast<int>(Slots.size());
         Slots.push_back({Out->Class, Out->Floats, /*Pinned=*/false});
+        Owner.push_back(Out);
       }
     }
   }
 
   // Byte accounting. Naive: every planned payload resident at once. Peak:
   // the worst position's live set, where pinned buffers stay resident from
-  // their definition to the end. Arena: what the workspace actually
-  // allocates. A gradient the caller's result holds is not planned.
+  // their definition to the end and a gradient written in place adds no
+  // bytes at its definition. Arena: what the workspace actually allocates.
+  // A gradient the caller's result holds is not planned.
   std::vector<const ValueBuffer *> All;
   for (const ValueBuffer &B : Vals)
     All.push_back(&B);
   for (const ValueBuffer &B : Grads)
     All.push_back(&B);
-  for (const StepPartials &P : Partials) {
-    All.push_back(&P.Dense);
-    All.push_back(&P.Edges);
-  }
   auto Bytes = [](const ValueBuffer &B) {
     return static_cast<size_t>(B.Floats) * sizeof(float);
   };
@@ -374,7 +393,7 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
     size_t Live = 0;
     for (const ValueBuffer *B : All) {
       if (B->Class == BufferClass::InputAlias || B->DefStep < 0 ||
-          B->DefStep > Pos || B->Elided)
+          B->DefStep > Pos || B->Elided || (B->InPlace && B->DefStep == Pos))
         continue;
       if (B->Pinned || B->LastUse >= Pos)
         Live += Bytes(*B);
@@ -411,6 +430,8 @@ std::string BufferPlan::toString(const CompositionPlan &Plan) const {
       OS << ", pinned";
     if (B.Slot >= 0)
       OS << ", slot " << B.Slot;
+    if (B.InPlace)
+      OS << " (in place)";
     OS << "\n";
   };
   auto Name = [&](size_t V) {
@@ -445,12 +466,6 @@ std::string BufferPlan::toString(const CompositionPlan &Plan) const {
     OS << ClassName(G.Class);
     Placement(G);
   }
-  for (size_t S = 0; S < Partials.size(); ++S)
-    for (const ValueBuffer *P : {&Partials[S].Dense, &Partials[S].Edges})
-      if (P->DefStep >= 0) {
-        OS << "  step " << S << " partial: " << ClassName(P->Class);
-        Placement(*P);
-      }
   for (size_t S = 0; S < FusedInto.size(); ++S)
     if (FusedInto[S] >= 0)
       OS << "  step " << S << " (" << stepOpName(Plan.Steps[S].Op)

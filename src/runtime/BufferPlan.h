@@ -13,22 +13,29 @@
 /// An inference schedule is the plan's steps, and its buffers are the
 /// values they produce. A training schedule is the forward steps, the seed
 /// of dL/dOut, then the backward step of every forward step in reverse
-/// order (backwardPosition()); its buffers are the forward values, the
-/// gradients of the values the backward pass reaches, and each backward
-/// step's partial gradients. One plan covers both passes: a forward value
-/// stays live until the last backward step that reads it and no longer, a
-/// gradient lives from its first contribution to its producer's backward
-/// step, and every buffer shares slots with any other whose interval is
-/// disjoint from its own.
+/// order (backwardPosition()); its buffers are the forward values and the
+/// gradients of the values the backward pass reaches. One plan covers both
+/// passes: a forward value stays live until the last backward step that
+/// reads it and no longer, a gradient lives from its first contribution to
+/// its producer's backward step, and every buffer shares slots with any
+/// other whose interval is disjoint from its own. A backward step adds its
+/// contributions straight into the gradients (kernels::Store), so it has no
+/// buffer of its own. One exception to disjointness: a relu, edge leaky
+/// relu or edge softmax backward step that makes its operand's first
+/// contribution writes that gradient into the slot of its result's
+/// gradient, which dies at that step, since its kernel reads each element
+/// of the one before writing the same element of the other.
 ///
-/// In inference it also schedules fused chains: a row_bcast or relu step
+/// Both modes schedule fused chains by one rule: a row_bcast or relu step
 /// folds into the GEMM or SpMM that produces its operand when that operand
-/// has no other reader and is not the plan output, and every scale vector
-/// the chain reads is an input or is defined before the producer. The
-/// producer applies the chain to its accumulators (kernels::RowEpilogue)
-/// and stores the chain's last value; the values before it get no storage.
-/// Training does not fuse: the backward pass reads activations a chain
-/// would keep in registers.
+/// has no other reader and is not the plan output, every scale vector the
+/// chain reads is an input or is defined before the producer, and, in
+/// training, no backward step reads the operand (a GEMM's backward reads
+/// its other operand, a row_bcast's its scale vector and a relu's its
+/// output, so none reads a chain's intermediates). The producer applies
+/// the chain to its accumulators (kernels::RowEpilogue) and stores the
+/// chain's last value; the values before it get no storage. Their
+/// gradients are planned buffers like any other.
 ///
 /// The analysis is purely structural — no tensors are touched — so it runs
 /// once per (plan, binding, mode) and its result is cached by PlanWorkspace.
@@ -57,7 +64,7 @@ enum class BufferClass {
 };
 
 /// Lifetime and placement of one planned buffer: a plan value, or in
-/// training a value's gradient or a backward step's partial gradient.
+/// training a value's gradient.
 /// Intervals are positions in the run's schedule: forward step S runs at
 /// position S; in training the seed runs at position Steps.size() and the
 /// backward step of forward step S at BufferPlan::backwardPosition().
@@ -65,15 +72,14 @@ struct ValueBuffer {
   BufferClass Class = BufferClass::InputAlias;
   /// Concrete payload size under the binding (0 for InputAlias). Dense
   /// values and gradients store Rows x Cols floats; vectors and edge arrays
-  /// store Floats. A dense partial holds the largest partial its step
-  /// computes (Floats; Rows and Cols stay 0).
+  /// store Floats.
   int64_t Rows = 0;
   int64_t Cols = 0;
   int64_t Floats = 0;
   /// Position writing the buffer: a value's defining step (for every value
   /// of a fused chain the producer's step), a gradient's first
-  /// contribution (the seed for the output's), a partial's backward step.
-  /// -1 for an input, and for a gradient or partial the run never writes.
+  /// contribution (the seed for the output's). -1 for an input, and for a
+  /// gradient the run never writes.
   int DefStep = -1;
   /// Last position reading the buffer. The plan output gets a sentinel one
   /// past the last position (it is read after execution), and so does a
@@ -93,13 +99,11 @@ struct ValueBuffer {
   /// an intermediate of the chain it applies. No slot, not pinned, and live
   /// at its producer's step alone (LastUse == DefStep).
   bool Elided = false;
-};
-
-/// The partial-gradient buffers of one backward step: what it computes
-/// before adding into an accumulator. A GEMM's two partials share one.
-struct StepPartials {
-  ValueBuffer Dense; ///< DenseSlot partial
-  ValueBuffer Edges; ///< SparseVals partial (an SpMM's edge gradient)
+  /// Training: a gradient its first contribution writes in place, into the
+  /// slot of the gradient that contribution reads (an element-wise backward
+  /// step's result gradient, which dies there). At DefStep the two share
+  /// their bytes.
+  bool InPlace = false;
 };
 
 /// One reusable arena slot.
@@ -140,10 +144,6 @@ public:
   /// result holds). Empty in inference.
   const std::vector<ValueBuffer> &grads() const { return Grads; }
 
-  /// Training: per step, its backward step's partial buffers, parallel to
-  /// Plan.Steps. Empty in inference.
-  const std::vector<StepPartials> &partials() const { return Partials; }
-
   /// Training: per value, whether the backward pass reaches it (it depends
   /// on a weight, attention vector or the features). Empty in inference.
   const std::vector<bool> &gradPath() const { return GradPath; }
@@ -157,14 +157,14 @@ public:
   const std::vector<ArenaSlot> &slots() const { return Slots; }
 
   /// Planned peak: the largest total payload bytes live at any position
-  /// (pinned buffers count from their definition to the end). Always
-  /// <= naiveBytes().
+  /// (pinned buffers count from their definition to the end, and a gradient
+  /// written in place shares its source's bytes). Always <= naiveBytes().
   size_t peakBytes() const { return Peak; }
 
   /// Fresh-allocation baseline: every planned buffer resident at once. In
   /// inference, every produced value (what the executor allocated per call
-  /// before buffer planning); in training also every gradient and every
-  /// step's partial, each in its own allocation.
+  /// before buffer planning); in training also every gradient, each in its
+  /// own allocation.
   size_t naiveBytes() const { return Naive; }
 
   /// Arena footprint: the sum of all slot capacities (and of inference's
@@ -173,8 +173,8 @@ public:
   size_t arenaBytes() const { return Arena; }
 
   /// Human-readable listing: one line per value (lifetime, size, slot), in
-  /// training one per gradient and partial, then the slot table and the
-  /// three byte totals.
+  /// training one per gradient, then the fused steps, the slot table and
+  /// the three byte totals.
   std::string toString(const CompositionPlan &Plan) const;
 
 private:
@@ -182,7 +182,6 @@ private:
   int Positions = 0;
   std::vector<ValueBuffer> Vals;
   std::vector<ValueBuffer> Grads;
-  std::vector<StepPartials> Partials;
   std::vector<bool> GradPath;
   std::vector<int> FusedInto;
   std::vector<ArenaSlot> Slots;

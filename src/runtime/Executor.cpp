@@ -254,8 +254,7 @@ private:
   /// The pattern of every sparse value: the bound adjacency's.
   const CsrMatrix &adjacency() const { return *Inputs.Adjacency; }
 
-  /// The workspace's buffer plan: where every value, gradient and partial
-  /// lives.
+  /// The workspace's buffer plan: where every value and gradient lives.
   const BufferPlan &buffers() const { return *Ws.bufferPlan(); }
 
   /// Rows and columns of dense value \p Id: a bound input's, or the planned
@@ -298,27 +297,35 @@ private:
     return Target;
   }
 
-  /// Charges one backward primitive of forward step \p Step that adds into
-  /// the gradient of value \p Target (-1: the layout's CSC), records it in
-  /// Result.BackwardProfiles and traces it as "bwd:<op>" with the counters
+  /// Charges one backward primitive \p Op (a static name: "bwd:<op>", or
+  /// SeedOpName) of forward step \p Step (-1 for the seed) that writes the
+  /// gradient of value \p Target (-1: the layout's CSC), records it in
+  /// Result.BackwardProfiles and traces it under its name with the counters
   /// of a forward step.
-  double chargeBackward(const PlanStep &Step, int Target,
+  double chargeBackward(const char *Op, int64_t Step, int Target,
                         const PrimitiveDesc &Desc, ExecResult &Result,
                         FunctionRef<void()> Body) {
-    TraceSpan Span(backwardOpName(Step.Op), "executor");
+    TraceSpan Span(Op, "executor");
     StepProfile P;
-    P.Step = &Step - Plan.Steps.data();
+    P.Step = Step;
     P.Value = Target;
-    P.Op = backwardOpName(Step.Op);
+    P.Op = Op;
     P.Seconds = Exec.timeKernel(Desc, Stats, Body);
     P.Flops = Desc.flops();
     P.Bytes = Desc.bytes();
     Result.BackwardProfiles.push_back(P);
     if (Span.active()) {
-      Span.setArg("step", static_cast<double>(P.Step));
+      if (Step >= 0)
+        Span.setArg("step", static_cast<double>(Step));
       setSpanArgs(Span, "grad_of", P);
     }
     return P.Seconds;
+  }
+  double chargeBackward(const PlanStep &Step, int Target,
+                        const PrimitiveDesc &Desc, ExecResult &Result,
+                        FunctionRef<void()> Body) {
+    return chargeBackward(backwardOpName(Step.Op), &Step - Plan.Steps.data(),
+                          Target, Desc, Result, Body);
   }
 
   /// Annotates \p Span with record \p P: its value (under \p ValueKey),
@@ -624,11 +631,12 @@ void PlanInterpreter::backward(ExecResult &Result) {
   std::vector<RtValue> &Values = Ws.scratch();
   Result.BackwardProfiles.clear();
 
-  // Every gradient and partial has a slot of the buffer plan, which keeps it
-  // apart from every buffer live beside it, so a steady-state run allocates
-  // none of them. Parameter gradients accumulate straight into the caller's
-  // result, which owns them as it owns Output, the feature gradient
-  // included.
+  // Every gradient has a slot of the buffer plan, which keeps it apart from
+  // every buffer live beside it (but the source an element-wise step writes
+  // it over in place), so a steady-state run allocates none of them. The
+  // kernels add each contribution straight into its gradient. Parameter
+  // gradients accumulate into the caller's result, which owns them as it
+  // owns Output, the feature gradient included.
   auto Caller = [&](int Id) {
     return BP.grads()[static_cast<size_t>(Id)].Class ==
            BufferClass::InputAlias;
@@ -649,9 +657,9 @@ void PlanInterpreter::backward(ExecResult &Result) {
   };
 
   // Marks value Id's gradient written in this run and \returns whether this
-  // is its first contribution: the kernels then write instead of adding,
-  // which is what adding into zeros gives, so nothing is zeroed (a slot may
-  // still hold the bytes of the buffer it held before).
+  // is its first contribution: the kernels then write 0 + x instead of
+  // adding, which is what adding into zeros gives, so nothing is zeroed (a
+  // slot may still hold the bytes of the buffer it held before).
   auto Contribute = [&](int Id) {
     bool &Present = Values[static_cast<size_t>(Id)].GradPresent;
     const bool First = !Present;
@@ -696,15 +704,27 @@ void PlanInterpreter::backward(ExecResult &Result) {
                             {Acc.data(), static_cast<size_t>(Acc.size())},
                             First);
   };
+  // The store of a kernel that adds its contribution into a gradient.
+  auto StoreFor = [](bool First) {
+    return First ? kernels::Store::First : kernels::Store::Add;
+  };
 
-  // Seed dL/dOut = 1.
+  // Seed dL/dOut = 1, the first backward record.
+  double Backward = 0.0;
   {
-    bool First;
-    DenseMatrix &Seed = DenseGrad(Plan.OutputValue, First);
-    kernels::fill(1.0f, {Seed.data(), static_cast<size_t>(Seed.size())});
+    const auto [Rows, Cols] = shapeOf(Plan.OutputValue);
+    PrimitiveDesc D{PrimitiveKind::DenseMap, Rows, Cols, 0, 0};
+    Backward += chargeBackward(SeedOpName, -1, Plan.OutputValue, D, Result,
+                               [&] {
+                                 bool First;
+                                 DenseMatrix &Seed =
+                                     DenseGrad(Plan.OutputValue, First);
+                                 kernels::fill(
+                                     1.0f, {Seed.data(),
+                                            static_cast<size_t>(Seed.size())});
+                               });
   }
 
-  double Backward = 0.0;
   for (size_t SI = Plan.Steps.size(); SI-- > 0;) {
     const PlanStep &Step = Plan.Steps[SI];
     if (!Values[static_cast<size_t>(Step.Result)].GradPresent)
@@ -726,12 +746,6 @@ void PlanInterpreter::backward(ExecResult &Result) {
     auto OpVal = [&](int I) -> const RtValue & {
       return Values[static_cast<size_t>(Step.Operands[I])];
     };
-    // A partial gradient lives in its step's planned buffer until it is
-    // added into its accumulator.
-    const StepPartials &Parts = BP.partials()[SI];
-    auto Partial = [&](int64_t Rows, int64_t Cols) -> DenseMatrix & {
-      return Ws.denseFor(Parts.Dense, Rows, Cols);
-    };
     // Charges one primitive that adds into the gradient of value Target.
     auto Charge = [&](int Target, const PrimitiveDesc &D,
                       FunctionRef<void()> Body) {
@@ -746,19 +760,19 @@ void PlanInterpreter::backward(ExecResult &Result) {
       if (NeedOp(0)) {
         PrimitiveDesc D{PrimitiveKind::Gemm, ARows, ACols, BCols, 0};
         Charge(OpId(0), D, [&] {
-          const DenseMatrix &B = OpVal(1).dense();
-          DenseMatrix &DA = Partial(DY.rows(), B.rows());
-          kernels::gemmTransposedRhsInto(DY, B, DA);
-          AddDense(OpId(0), 1.0f, DA);
+          bool First;
+          DenseMatrix &DA = DenseGrad(OpId(0), First);
+          kernels::gemmTransposedRhsInto(DY, OpVal(1).dense(), DA,
+                                         StoreFor(First));
         });
       }
       if (NeedOp(1)) {
         PrimitiveDesc D{PrimitiveKind::Gemm, ACols, BCols, ARows, 0};
         Charge(OpId(1), D, [&] {
-          const DenseMatrix &A = OpVal(0).dense();
-          DenseMatrix &DB = Partial(A.cols(), DY.cols());
-          kernels::gemmTransposedLhsInto(A, DY, DB);
-          AddDense(OpId(1), 1.0f, DB);
+          bool First;
+          DenseMatrix &DB = DenseGrad(OpId(1), First);
+          kernels::gemmTransposedLhsInto(OpVal(0).dense(), DY, DB,
+                                         StoreFor(First));
         });
       }
       break;
@@ -780,12 +794,12 @@ void PlanInterpreter::backward(ExecResult &Result) {
                             : PrimitiveKind::SpMMUnweighted,
                         S.cols(), XCols, 0, S.nnz()};
         Charge(OpId(1), D, [&] {
-          DenseMatrix &DX = Partial(S.cols(), DY.cols());
+          bool First;
+          DenseMatrix &DX = DenseGrad(OpId(1), First);
           std::span<const float> Vals;
           if (Step.Op == StepOp::SpmmWeighted)
             Vals = OpVal(0).edges();
-          kernels::spmmCscTransposedInto(Csc, Vals, DY, DX);
-          AddDense(OpId(1), 1.0f, DX);
+          kernels::spmmCscTransposedInto(Csc, Vals, DY, DX, StoreFor(First));
         });
       }
       if (NeedOp(0)) {
@@ -793,12 +807,9 @@ void PlanInterpreter::backward(ExecResult &Result) {
         PrimitiveDesc D{PrimitiveKind::SddmmDot, S.rows(), 0, XCols,
                         S.nnz()};
         Charge(OpId(0), D, [&] {
-          std::span<float> DS =
-              Ws.edgesFor(Parts.Edges, static_cast<size_t>(S.nnz()));
-          kernels::sddmmInto(S, DY, OpVal(1).dense(), DS);
           bool First;
-          std::span<float> Acc = EdgeGrad(OpId(0), First);
-          kernels::accumulateInto(1.0f, DS, Acc, First);
+          std::span<float> DS = EdgeGrad(OpId(0), First);
+          kernels::sddmmInto(S, DY, OpVal(1).dense(), DS, StoreFor(First));
         });
       }
       break;
@@ -815,9 +826,10 @@ void PlanInterpreter::backward(ExecResult &Result) {
         PrimitiveDesc D{PrimitiveKind::RowBroadcast, DY.rows(), DY.cols(), 0,
                         0};
         Charge(OpId(1), D, [&] {
-          DenseMatrix &DH = Partial(DY.rows(), DY.cols());
-          kernels::rowBroadcastMulInto(OpVal(0).vec(), DY, DH);
-          AddDense(OpId(1), 1.0f, DH);
+          bool First;
+          DenseMatrix &DH = DenseGrad(OpId(1), First);
+          kernels::rowBroadcastMulInto(OpVal(0).vec(), DY, DH,
+                                       StoreFor(First));
         });
       }
       break;
@@ -828,9 +840,10 @@ void PlanInterpreter::backward(ExecResult &Result) {
         PrimitiveDesc D{PrimitiveKind::ColBroadcast, DY.rows(), DY.cols(), 0,
                         0};
         Charge(OpId(0), D, [&] {
-          DenseMatrix &DH = Partial(DY.rows(), DY.cols());
-          kernels::colBroadcastMulInto(DY, OpVal(1).vec(), DH);
-          AddDense(OpId(0), 1.0f, DH);
+          bool First;
+          DenseMatrix &DH = DenseGrad(OpId(0), First);
+          kernels::colBroadcastMulInto(DY, OpVal(1).vec(), DH,
+                                       StoreFor(First));
         });
       }
       break;
@@ -860,14 +873,17 @@ void PlanInterpreter::backward(ExecResult &Result) {
       break;
     }
     case StepOp::Relu: {
+      // The mask of the output, which the step or its fused producer
+      // stored: the input may have stayed in registers.
       if (NeedOp(0)) {
         const DenseMatrix &DY = OutDense();
         PrimitiveDesc D{PrimitiveKind::DenseMap, DY.rows(), DY.cols(), 0, 0};
         Charge(OpId(0), D, [&] {
           bool First;
           DenseMatrix &Acc = DenseGrad(OpId(0), First);
-          kernels::reluBackwardAccumulateInto(OpVal(0).dense(), DY, Acc,
-                                              First);
+          kernels::reluBackwardAccumulateInto(
+              Values[static_cast<size_t>(Step.Result)].dense(), DY, Acc,
+              First);
         });
       }
       break;

@@ -13,9 +13,10 @@
 /// result through the kernels' `...Into` forms, and the plan's final step
 /// writes straight into the caller's ExecResult::Output. Every run executes
 /// against a PlanWorkspace, whose BufferPlan-assigned slots hold the forward
-/// values and, in training, the gradients and partial gradients too; they
-/// persist across calls so a steady-state run performs zero heap
-/// allocations for plan values. The by-value run()/runTraining() simply
+/// values and, in training, the gradients too (each backward kernel adds its
+/// contribution straight into its gradient); they persist across calls so a
+/// steady-state run performs zero heap allocations for plan values. Both
+/// modes fold a fused chain into its producer by the BufferPlan's one rule. The by-value run()/runTraining() simply
 /// use a fresh workspace per call. Each step executes exactly once per
 /// call.
 ///
@@ -112,17 +113,24 @@ struct LayoutState {
 
 } // namespace detail
 
+/// Op name of the backward record of the dL/dOut seed fill, the first of a
+/// training run's backward records (Step -1, Value the plan output).
+inline constexpr const char *SeedOpName = "bwd:seed";
+
 /// Record of one executed primitive, filled by every run. Throughputs
 /// derive as Bytes/Seconds and Flops/Seconds; Seconds is measured
 /// wall-clock on measured platforms and the analytic estimate on simulated
 /// ones. A record holds no heap storage, so a warm run fills it without
 /// allocating; valueLabel() names and shapes its value.
 struct StepProfile {
-  int64_t Step = -1; ///< the plan step (for backward: the one differentiated)
+  /// The plan step (for backward: the one differentiated; -1 for the seed).
+  int64_t Step = -1;
   /// The plan value the step writes; for a backward primitive, the value
-  /// whose gradient it adds into, -1 for the layout's CSC.
+  /// whose gradient it adds into (the output's for the seed), -1 for the
+  /// layout's CSC.
   int Value = -1;
-  /// stepOpName of the executed op (backwardOpName for a backward record).
+  /// stepOpName of the executed op (backwardOpName for a backward record,
+  /// SeedOpName for the seed).
   const char *Op = "";
   bool Setup = false;
   double Seconds = 0.0;
@@ -174,8 +182,9 @@ struct ExecResult {
   DenseMatrix FeatureGrad;
   std::map<std::string, std::vector<float>> AttnGrads;
   /// One record per backward primitive of a training run, in execution
-  /// order (the reverse of the plan's steps); their seconds, summed in that
-  /// order, are BackwardSeconds. Empty after an inference run.
+  /// order: the seed of dL/dOut, then the reverse of the plan's steps; their
+  /// seconds, summed in that order, are BackwardSeconds. Empty after an
+  /// inference run.
   std::vector<StepProfile> BackwardProfiles;
 
   /// Total for \p Iterations iterations with setup amortized.
@@ -231,7 +240,7 @@ public:
   /// after configure().
   /// @{
   /// The storage of planned buffer \p B of the configured BufferPlan: a
-  /// plan value, a gradient or a partial, in its arena slot.
+  /// plan value or a gradient, in its arena slot.
   DenseMatrix &denseFor(const ValueBuffer &B, int64_t Rows, int64_t Cols);
   std::vector<float> &vecFor(const ValueBuffer &B, size_t Size);
   AlignedVector<float> &edgesFor(const ValueBuffer &B, size_t Nnz);
@@ -316,9 +325,9 @@ public:
            ReorderPolicy = ReorderPolicy::None,
            SparseFormat = SparseFormat::Csr) const;
 
-  /// Workspace forward + backward. The forward activations, the gradient
-  /// accumulators and the partial gradients live in the slots of \p Ws,
-  /// which one BufferPlan assigns over both passes; weight, attention and
+  /// Workspace forward + backward. The forward activations and the
+  /// gradient accumulators live in the slots of \p Ws, which one BufferPlan
+  /// assigns over both passes; weight, attention and
   /// feature gradients accumulate in place into \p Result, so a warm call
   /// into the same Result allocates nothing and keeps its FeatureGrad
   /// buffer.

@@ -26,43 +26,42 @@ const char *className(BufferClass Class) {
 
 /// One contribution of a backward step, as the executor's backward pass
 /// makes it: the operand whose gradient it adds into, the operand it reads
-/// to do so (NoRead, or OwnResult for the step's own output), and the kind
-/// of partial it computes first.
-enum class PartialKind { None, Dense, Edges };
+/// to do so (NoRead, or OwnResult for the step's own output), and whether
+/// its kernel may write that gradient over its result's gradient (it reads
+/// each element of the one before writing the same element of the other).
 constexpr int NoRead = -1;
 constexpr int OwnResult = -2;
 struct GradRule {
   int Into;
   int Reads;
-  PartialKind Partial;
+  bool InPlace;
 };
 
 std::vector<GradRule> gradRules(StepOp Op) {
-  using PK = PartialKind;
   switch (Op) {
   case StepOp::Gemm:
-    return {{0, 1, PK::Dense}, {1, 0, PK::Dense}};
+    return {{0, 1, false}, {1, 0, false}};
   case StepOp::SpmmWeighted:
-    return {{1, 0, PK::Dense}, {0, 1, PK::Edges}};
+    return {{1, 0, false}, {0, 1, false}};
   case StepOp::SpmmUnweighted:
-    return {{1, NoRead, PK::Dense}, {0, 1, PK::Edges}};
+    return {{1, NoRead, false}, {0, 1, false}};
   case StepOp::RowBcast:
-    return {{1, 0, PK::Dense}};
+    return {{1, 0, false}};
   case StepOp::ColBcast:
-    return {{0, 1, PK::Dense}};
+    return {{0, 1, false}};
   case StepOp::AddDense:
-    return {{0, NoRead, PK::None}, {1, NoRead, PK::None}};
+    return {{0, NoRead, false}, {1, NoRead, false}};
   case StepOp::ScaleDense:
-    return {{0, NoRead, PK::None}};
-  case StepOp::Relu:
-  case StepOp::EdgeLeakyRelu:
-    return {{0, 0, PK::None}};
-  case StepOp::AttnGemv:
-    return {{0, 1, PK::None}, {1, 0, PK::None}};
-  case StepOp::EdgeLogits:
-    return {{1, NoRead, PK::None}, {2, NoRead, PK::None}};
+    return {{0, NoRead, false}};
+  case StepOp::Relu: // its output's mask is its input's
   case StepOp::EdgeSoftmax:
-    return {{0, OwnResult, PK::None}};
+    return {{0, OwnResult, true}};
+  case StepOp::EdgeLeakyRelu:
+    return {{0, 0, true}};
+  case StepOp::AttnGemv:
+    return {{0, 1, false}, {1, 0, false}};
+  case StepOp::EdgeLogits:
+    return {{1, NoRead, false}, {2, NoRead, false}};
   default:
     return {}; // graph-only steps pass no gradient on
   }
@@ -74,7 +73,6 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
                                     const DimBinding &Binding, bool Training,
                                     const std::vector<ValueBuffer> &Vals,
                                     const std::vector<ValueBuffer> &Grads,
-                                    const std::vector<StepPartials> &Partials,
                                     const std::vector<ArenaSlot> &Slots,
                                     DiagEngine &Diags,
                                     const std::string &Stage) {
@@ -93,13 +91,10 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
     return false;
   }
   const size_t WantGrads = Training ? Vals.size() : 0;
-  const size_t WantPartials = Training ? Plan.Steps.size() : 0;
-  if (Grads.size() != WantGrads || Partials.size() != WantPartials) {
+  if (Grads.size() != WantGrads) {
     Error("grads", "schedule has " + std::to_string(Grads.size()) +
-                       " gradient and " + std::to_string(Partials.size()) +
-                       " partial entries, expected " +
-                       std::to_string(WantGrads) + " and " +
-                       std::to_string(WantPartials));
+                       " gradient entries, expected " +
+                       std::to_string(WantGrads));
     return false;
   }
   // Positions: the steps, then in training the seed of dL/dOut and the
@@ -120,52 +115,14 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
     }
   }
 
-  // Recompute the fused chains of an inference schedule, step by step in
-  // plan order: a non-setup GEMM/SpMM result heads a chain (Root is its
-  // step); a non-setup relu, or a row_bcast whose scale vector is defined
-  // before that root, extends the chain of its dense operand when the
-  // operand is read by nothing else, is not the output and the chain has
-  // room. The operand then lives in the root's registers and the step's
-  // result is written at the root's step.
-  std::vector<int> Root(Vals.size(), -1), Depth(Vals.size(), 0);
-  std::vector<bool> InRegisters(Vals.size(), false);
-  for (int S = 0; S < NumSteps && !Training; ++S) {
-    const PlanStep &Step = Plan.Steps[S];
-    const auto R = static_cast<size_t>(Step.Result);
-    if (Step.Setup)
-      continue;
-    if (Step.Op == StepOp::Gemm || Step.Op == StepOp::SpmmWeighted ||
-        Step.Op == StepOp::SpmmUnweighted) {
-      Root[R] = S;
-      continue;
-    }
-    if (Step.Op != StepOp::Relu && Step.Op != StepOp::RowBcast)
-      continue;
-    const auto X = static_cast<size_t>(Step.Operands.back());
-    if (Root[X] < 0 || Reads[X] != 1 ||
-        static_cast<int>(X) == Plan.OutputValue ||
-        Depth[X] == kernels::MaxEpilogueOps)
-      continue;
-    if (Step.Op == StepOp::RowBcast &&
-        Def[static_cast<size_t>(Step.Operands[0])] >= Root[X])
-      continue;
-    Root[R] = Root[X];
-    Depth[R] = Depth[X] + 1;
-    InRegisters[X] = true;
-  }
-  for (size_t V = 0; V < Vals.size(); ++V) {
-    if (Root[V] >= 0)
-      Def[V] = Root[V];
-    if (InRegisters[V])
-      Use[V] = Def[V];
-  }
-
   // Recompute the backward pass of a training schedule. A value's gradient
   // flows when the value depends on a parameter or the features. Walking
   // the steps in reverse from the seed, a step whose result has a gradient
-  // reads it at its backward position, keeps every forward value its rules
-  // read live until then, and writes the gradients it adds into first and
-  // its partials. A parameter's or the features' gradient is the caller's.
+  // reads it at its backward position, reads the forward values its rules
+  // name (BackwardUse: the last such position per value) and writes the
+  // gradients it adds into first; an in-place rule's first contribution may
+  // take the slot of the step's result gradient (InPlaceOf: that result).
+  // A parameter's or the features' gradient is the caller's.
   std::vector<bool> Flows(Vals.size(), false);
   for (size_t V = 0; V < Vals.size(); ++V) {
     const std::optional<LeafRole> &Role = Plan.Values[V].InputRole;
@@ -173,12 +130,7 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
                Role == LeafRole::AttnSrcVec || Role == LeafRole::AttnDstVec;
   }
   std::vector<int> GradDef(Vals.size(), -1), GradUse(Vals.size(), -1);
-  std::vector<int64_t> DensePartial(WantPartials, -1);
-  std::vector<bool> EdgePartial(WantPartials, false);
-  auto DenseFloats = [&](int Id) {
-    const PlanValue &Val = Plan.Values[static_cast<size_t>(Id)];
-    return Binding.eval(Val.Shape.Rows) * Binding.eval(Val.Shape.Cols);
-  };
+  std::vector<int> BackwardUse(Vals.size(), -1), InPlaceOf(Vals.size(), -1);
   if (Training) {
     for (const PlanStep &Step : Plan.Steps)
       for (int Id : Step.Operands)
@@ -201,21 +153,59 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
                              ? -1
                              : Step.Operands[static_cast<size_t>(Rule.Reads)];
         if (Read >= 0)
-          Use[static_cast<size_t>(Read)] =
-              std::max(Use[static_cast<size_t>(Read)], Pos);
-        if (GradDef[static_cast<size_t>(Into)] < 0)
-          GradDef[static_cast<size_t>(Into)] = Pos;
-        if (Rule.Partial == PartialKind::Dense)
-          DensePartial[static_cast<size_t>(S)] =
-              std::max(DensePartial[static_cast<size_t>(S)], DenseFloats(Into));
-        EdgePartial[static_cast<size_t>(S)] =
-            EdgePartial[static_cast<size_t>(S)] ||
-            Rule.Partial == PartialKind::Edges;
+          BackwardUse[static_cast<size_t>(Read)] =
+              std::max(BackwardUse[static_cast<size_t>(Read)], Pos);
+        if (GradDef[static_cast<size_t>(Into)] >= 0)
+          continue;
+        GradDef[static_cast<size_t>(Into)] = Pos;
+        if (Rule.InPlace && !Plan.Values[static_cast<size_t>(Into)].InputRole)
+          InPlaceOf[static_cast<size_t>(Into)] = Step.Result;
       }
     }
     for (size_t V = 0; V < Vals.size(); ++V)
       if (Plan.Values[V].InputRole && GradDef[V] >= 0)
         GradUse[V] = Positions; // the caller reads it after the run
+  }
+
+  // Recompute the fused chains, step by step in plan order: a non-setup
+  // GEMM/SpMM result heads a chain (Root is its step); a non-setup relu, or
+  // a row_bcast whose scale vector is defined before that root, extends the
+  // chain of its dense operand when the operand is read by nothing else, no
+  // backward step reads it, it is not the output and the chain has room.
+  // The operand then lives in the root's registers and the step's result is
+  // written at the root's step.
+  std::vector<int> Root(Vals.size(), -1), Depth(Vals.size(), 0);
+  std::vector<bool> InRegisters(Vals.size(), false);
+  for (int S = 0; S < NumSteps; ++S) {
+    const PlanStep &Step = Plan.Steps[S];
+    const auto R = static_cast<size_t>(Step.Result);
+    if (Step.Setup)
+      continue;
+    if (Step.Op == StepOp::Gemm || Step.Op == StepOp::SpmmWeighted ||
+        Step.Op == StepOp::SpmmUnweighted) {
+      Root[R] = S;
+      continue;
+    }
+    if (Step.Op != StepOp::Relu && Step.Op != StepOp::RowBcast)
+      continue;
+    const auto X = static_cast<size_t>(Step.Operands.back());
+    if (Root[X] < 0 || Reads[X] != 1 || BackwardUse[X] >= 0 ||
+        static_cast<int>(X) == Plan.OutputValue ||
+        Depth[X] == kernels::MaxEpilogueOps)
+      continue;
+    if (Step.Op == StepOp::RowBcast &&
+        Def[static_cast<size_t>(Step.Operands[0])] >= Root[X])
+      continue;
+    Root[R] = Root[X];
+    Depth[R] = Depth[X] + 1;
+    InRegisters[X] = true;
+  }
+  for (size_t V = 0; V < Vals.size(); ++V) {
+    if (Root[V] >= 0)
+      Def[V] = Root[V];
+    if (InRegisters[V])
+      Use[V] = Def[V];
+    Use[V] = std::max(Use[V], BackwardUse[V]);
   }
 
   for (size_t V = 0; V < Vals.size(); ++V)
@@ -275,7 +265,7 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
     const PlanValue &Val = Plan.Values[V];
     switch (Val.Kind) {
     case PlanValueKind::Dense:
-      return DenseFloats(static_cast<int>(V));
+      return Binding.eval(Val.Shape.Rows) * Binding.eval(Val.Shape.Cols);
     case PlanValueKind::Diag:
     case PlanValueKind::NodeVec:
       return Binding.eval(Val.Shape.Rows);
@@ -345,7 +335,8 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
     CheckSlot(Node, B);
   }
 
-  // Gradients and partials of a training schedule.
+  // Gradients of a training schedule. One recorded in place must be an
+  // in-place rule's first contribution, in its source's slot.
   for (size_t V = 0; V < Grads.size(); ++V) {
     const ValueBuffer &G = Grads[V];
     const std::string Node = "grad(v" + std::to_string(V) + ")";
@@ -360,52 +351,39 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
     }
     CheckPayload(Node, G, WantClass(V), WantFloats(V));
     CheckSlot(Node, G);
-  }
-  for (size_t S = 0; S < Partials.size(); ++S) {
-    const int Pos = 2 * NumSteps - static_cast<int>(S);
-    const std::string Node = "step" + std::to_string(S) + "/partial";
-    const ValueBuffer &D = Partials[S].Dense, &E = Partials[S].Edges;
-    const bool HasDense = DensePartial[S] >= 0;
-    CheckInterval(Node, D, HasDense ? Pos : -1, Pos);
-    CheckInterval(Node, E, EdgePartial[S] ? Pos : -1, Pos);
-    if (HasDense) {
-      CheckPayload(Node, D, BufferClass::DenseSlot, DensePartial[S]);
-      CheckSlot(Node, D);
-    }
-    if (EdgePartial[S]) {
-      CheckPayload(Node, E, BufferClass::SparseVals, Binding.E);
-      CheckSlot(Node, E);
-    }
+    if (G.InPlace &&
+        (InPlaceOf[V] < 0 ||
+         G.Slot != Grads[static_cast<size_t>(InPlaceOf[V])].Slot))
+      Error(Node, "recorded in place, but it is not the first contribution "
+                  "of a relu, edge leaky relu or edge softmax backward step "
+                  "written in its result gradient's slot");
   }
 
   // Slot exclusivity: buffers sharing a slot must have disjoint lifetimes,
   // taken from the recomputed intervals. A pinned buffer stays resident
   // from its definition to the end; a position's operands are live through
   // it, so a successor may claim the slot no earlier than the position
-  // *after* the previous buffer's last use.
+  // *after* the previous buffer's last use. The one exception is an
+  // in-place rule's first contribution (InPlaceOf), which may claim its
+  // source gradient's slot at the step that reads that gradient last.
   struct Interval {
     int Def, End;
+    int Grad; ///< the value whose gradient this is, -1 for a value
     std::string Node;
   };
   std::vector<std::vector<Interval>> Assigned(Slots.size());
-  auto Claim = [&](const ValueBuffer &B, int From, int To, std::string Node) {
+  auto Claim = [&](const ValueBuffer &B, int From, int To, int Grad,
+                   std::string Node) {
     if (B.Slot >= 0 && static_cast<size_t>(B.Slot) < Slots.size() &&
         From >= 0)
       Assigned[static_cast<size_t>(B.Slot)].push_back(
-          {From, B.Pinned ? Positions : To, std::move(Node)});
+          {From, B.Pinned ? Positions : To, Grad, std::move(Node)});
   };
   for (size_t V = 0; V < Vals.size(); ++V)
-    Claim(Vals[V], Def[V], Use[V], "v" + std::to_string(V));
+    Claim(Vals[V], Def[V], Use[V], -1, "v" + std::to_string(V));
   for (size_t V = 0; V < Grads.size(); ++V)
-    Claim(Grads[V], GradDef[V], GradUse[V],
+    Claim(Grads[V], GradDef[V], GradUse[V], static_cast<int>(V),
           "the gradient of v" + std::to_string(V));
-  for (size_t S = 0; S < Partials.size(); ++S) {
-    const int Pos = 2 * NumSteps - static_cast<int>(S);
-    Claim(Partials[S].Dense, DensePartial[S] >= 0 ? Pos : -1, Pos,
-          "step " + std::to_string(S) + "'s dense partial");
-    Claim(Partials[S].Edges, EdgePartial[S] ? Pos : -1, Pos,
-          "step " + std::to_string(S) + "'s edge partial");
-  }
   for (size_t SlotId = 0; SlotId < Slots.size(); ++SlotId) {
     std::vector<Interval> &In = Assigned[SlotId];
     if (Slots[SlotId].Pinned && In.size() > 1)
@@ -416,15 +394,21 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
                      [](const Interval &A, const Interval &B) {
                        return A.Def < B.Def;
                      });
-    for (size_t I = 0; I + 1 < In.size(); ++I)
-      if (In[I + 1].Def <= In[I].End)
+    for (size_t I = 0; I + 1 < In.size(); ++I) {
+      const Interval &Prev = In[I], &Next = In[I + 1];
+      const bool InPlace = Next.Def == Prev.End && Next.Grad >= 0 &&
+                           Prev.Grad >= 0 &&
+                           InPlaceOf[static_cast<size_t>(Next.Grad)] ==
+                               Prev.Grad;
+      if (Next.Def <= Prev.End && !InPlace)
         Diags.error(Stage, Plan.Name + "/slot" + std::to_string(SlotId),
-                    "overlapping lifetimes: " + In[I].Node +
-                        " live through step " + std::to_string(In[I].End) +
-                        ", " + In[I + 1].Node + " defined at step " +
-                        std::to_string(In[I + 1].Def),
+                    "overlapping lifetimes: " + Prev.Node +
+                        " live through step " + std::to_string(Prev.End) +
+                        ", " + Next.Node + " defined at step " +
+                        std::to_string(Next.Def),
                     "the later write would clobber the earlier value while "
                     "live");
+    }
   }
 
   return Diags.errorCount() == Before;
@@ -436,8 +420,7 @@ bool granii::verifyBufferPlan(const CompositionPlan &Plan,
                               const std::string &Stage) {
   size_t Before = Diags.errorCount();
   verifyBufferAssignment(Plan, Binding, Buffers.training(), Buffers.values(),
-                         Buffers.grads(), Buffers.partials(), Buffers.slots(),
-                         Diags, Stage);
+                         Buffers.grads(), Buffers.slots(), Diags, Stage);
   if (Buffers.peakBytes() > Buffers.naiveBytes())
     Diags.error(Stage, Plan.Name,
                 "planned peak " + std::to_string(Buffers.peakBytes()) +

@@ -2,8 +2,9 @@
 //
 // Replaces the global operator new with one that counts every call, then
 // checks that a warm in-place Optimizer::execute allocates nothing on the
-// heap at all: a GAT training call and a GCN inference call, each repeated
-// on the same selection, parameters and result, at one and four threads.
+// heap at all: a GAT and a GCN training call and a GCN inference call, each
+// repeated on the same selection, parameters and result, at one and four
+// threads.
 // The workspace's own counter (Optimizer::execute's return value) sees only
 // arena growth; this count also sees the thread pool's loop bodies and
 // partitions, the input binding and every container the call touches.
@@ -124,6 +125,22 @@ TEST(HeapAllocations, WarmGatTrainingExecuteAllocatesNothing) {
     ThreadPool::get().setNumThreads(Threads);
     size_t Growth = 0;
     EXPECT_EQ(warmExecuteAllocations(ModelKind::GAT, 64, 128, true, Growth),
+              0u);
+    EXPECT_EQ(Growth, 0u);
+  }
+}
+
+// GCN training fuses both of its chains and writes every gradient in place,
+// the ReLU's over the seed's slot: still nothing allocated once warm.
+TEST(HeapAllocations, WarmGcnTrainingExecuteAllocatesNothing) {
+  if (lockOrderChecksEnabled())
+    GTEST_SKIP() << "lock-order checks allocate per acquisition";
+  ThreadCountGuard Guard;
+  for (int Threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(Threads) + " threads");
+    ThreadPool::get().setNumThreads(Threads);
+    size_t Growth = 0;
+    EXPECT_EQ(warmExecuteAllocations(ModelKind::GCN, 64, 128, true, Growth),
               0u);
     EXPECT_EQ(Growth, 0u);
   }

@@ -275,11 +275,12 @@ TEST(BufferPlan, ChainStopsAtASecondReaderAndALateScale) {
   EXPECT_FALSE(LateBP.values()[3].Elided);
   EXPECT_EQ(LateBP.values()[6].DefStep, 3);
 
-  // Training never fuses.
+  // Training fuses by the same rule: no backward step reads v5 (the GEMM's
+  // reads its operands, the row_bcast's its scale vector).
   BufferPlan Train(P, testBinding(), /*Training=*/true);
-  EXPECT_EQ(Train.fusedInto(), (std::vector<int>(6, -1)));
-  for (const ValueBuffer &B : Train.values())
-    EXPECT_FALSE(B.Elided);
+  EXPECT_EQ(Train.fusedInto(), BP.fusedInto());
+  EXPECT_TRUE(Train.values()[5].Elided);
+  EXPECT_FALSE(Train.values()[6].Elided);
 }
 
 // GAT plan #0 in training, at N=10, E=20, K 4->3. Forward steps 0..7:
@@ -293,44 +294,59 @@ TEST(BufferPlan, GatTrainingPlansBothPasses) {
           .front();
   ASSERT_EQ(P.Steps.size(), 8u);
   BufferPlan BP(P, testBinding(), /*Training=*/true);
+  SCOPED_TRACE(BP.toString(P));
   EXPECT_TRUE(BP.training());
   EXPECT_EQ(BP.positions(), 17);
   EXPECT_EQ(BufferPlan::backwardPosition(8, 6), 10);
-  EXPECT_EQ(BP.fusedInto(), (std::vector<int>(8, -1)));
+
+  // The ReLU folds into the SpMM as in inference: its backward step reads
+  // its output v12, and no backward step reads v11, which stays in the
+  // SpMM's registers. The SpMM stores the output at step 6.
+  EXPECT_EQ(BP.fusedInto(), (std::vector<int>{-1, -1, -1, -1, -1, -1, -1, 6}));
+  EXPECT_TRUE(BP.values()[11].Elided);
+  EXPECT_EQ(BP.values()[11].Slot, -1);
+  EXPECT_EQ(BP.values()[12].DefStep, 6);
+  EXPECT_TRUE(BP.values()[12].Pinned);
+  EXPECT_EQ(BP.values()[12].LastUse, 17);
 
   // Backward reads: the SpMM's SDDMM and both attention GEMVs' da read
   // theta (v3, last at step 1's backward, 15); the leaky ReLU reads its
   // input v8 (12); the softmax reads its own output v10 (11), which the
-  // SpMM's dX reads too (10); the ReLU reads v11 (9). The edge logits read
-  // nothing, so v5 and v7 die at their forward reader (3), and nothing
-  // reads v9 backward, so the edge array dies at the softmax (5).
-  const std::vector<std::pair<int, int>> Live = {
-      {3, 0}, {3, 15}, {5, 1}, {5, 3}, {7, 2}, {7, 3}, {8, 3}, {8, 12},
-      {9, 4}, {9, 5}, {10, 5}, {10, 11}, {11, 6}, {11, 9}};
-  for (size_t I = 0; I < Live.size(); I += 2) {
-    const ValueBuffer &B = BP.values()[Live[I].first];
-    EXPECT_EQ(B.DefStep, Live[I].second) << "v" << Live[I].first;
-    EXPECT_EQ(B.LastUse, Live[I + 1].second) << "v" << Live[I].first;
-    EXPECT_FALSE(B.Pinned) << "v" << Live[I].first;
-    EXPECT_GE(B.Slot, 0) << "v" << Live[I].first;
+  // SpMM's dX reads too (10). The edge logits read nothing, so v5 and v7
+  // die at their forward reader (3), and nothing reads v9 backward, so the
+  // edge array dies at the softmax (5).
+  const std::vector<std::array<int, 3>> Live = {
+      {3, 0, 15}, {5, 1, 3}, {7, 2, 3}, {8, 3, 12}, {9, 4, 5}, {10, 5, 11}};
+  for (const auto &[V, Def, Use] : Live) {
+    const ValueBuffer &B = BP.values()[static_cast<size_t>(V)];
+    EXPECT_EQ(B.DefStep, Def) << "v" << V;
+    EXPECT_EQ(B.LastUse, Use) << "v" << V;
+    EXPECT_FALSE(B.Pinned) << "v" << V;
+    EXPECT_GE(B.Slot, 0) << "v" << V;
   }
   EXPECT_EQ(BP.values()[9].Class, BufferClass::SparseVals);
-  EXPECT_TRUE(BP.values()[12].Pinned);
-  EXPECT_EQ(BP.values()[12].LastUse, 17);
 
   // Gradient intervals: [first contribution, the producer's backward step].
-  // The seed writes the output's at 8; the SpMM's backward step (10) writes
-  // theta's and the attention's first, and theta's gets two more at 14 and
-  // 15 before the GEMM reads it at 16. W's and H's are the caller's.
-  const std::vector<std::array<int, 3>> Grads = {
-      {12, 8, 9},   {11, 9, 10},  {10, 10, 11}, {9, 11, 12},
-      {8, 12, 13},  {7, 13, 14},  {5, 13, 15},  {3, 10, 16}};
-  for (const auto &[V, Def, Use] : Grads) {
-    const ValueBuffer &G = BP.grads()[static_cast<size_t>(V)];
-    EXPECT_EQ(G.DefStep, Def) << "grad of v" << V;
-    EXPECT_EQ(G.LastUse, Use) << "grad of v" << V;
-    EXPECT_EQ(G.Class, BP.values()[static_cast<size_t>(V)].Class) << V;
-    EXPECT_GE(G.Slot, 0) << "grad of v" << V;
+  // The seed writes the output's at 8; the ReLU's backward step (9) writes
+  // v11's in its slot; the SpMM's (10) writes theta's and the attention's
+  // first, and theta's gets two more at 14 and 15 before the GEMM reads it
+  // at 16. The softmax (11) and the leaky ReLU (12) write their operands'
+  // gradients in place too. W's and H's are the caller's.
+  struct GradLife {
+    int V, Def, Use;
+    bool InPlace;
+  };
+  const std::vector<GradLife> Grads = {
+      {12, 8, 9, false},   {11, 9, 10, true},  {10, 10, 11, false},
+      {9, 11, 12, true},   {8, 12, 13, true},  {7, 13, 14, false},
+      {5, 13, 15, false},  {3, 10, 16, false}};
+  for (const GradLife &L : Grads) {
+    const ValueBuffer &G = BP.grads()[static_cast<size_t>(L.V)];
+    EXPECT_EQ(G.DefStep, L.Def) << "grad of v" << L.V;
+    EXPECT_EQ(G.LastUse, L.Use) << "grad of v" << L.V;
+    EXPECT_EQ(G.InPlace, L.InPlace) << "grad of v" << L.V;
+    EXPECT_EQ(G.Class, BP.values()[static_cast<size_t>(L.V)].Class) << L.V;
+    EXPECT_GE(G.Slot, 0) << "grad of v" << L.V;
   }
   for (int Caller : {1, 2, 4, 6}) {
     EXPECT_EQ(BP.grads()[Caller].Class, BufferClass::InputAlias) << Caller;
@@ -339,84 +355,88 @@ TEST(BufferPlan, GatTrainingPlansBothPasses) {
   }
   EXPECT_EQ(BP.grads()[0].DefStep, -1); // the adjacency gets none
 
-  // Partials: the SpMM's dX (N x K_out) and SDDMM edge gradient at 10, the
-  // GEMM's dH (N x K_in, larger than dW's K_in x K_out) at 16.
-  EXPECT_EQ(BP.partials()[6].Dense.Floats, 30);
-  EXPECT_EQ(BP.partials()[6].Dense.DefStep, 10);
-  EXPECT_EQ(BP.partials()[6].Edges.Floats, 20);
-  EXPECT_EQ(BP.partials()[6].Edges.LastUse, 10);
-  EXPECT_EQ(BP.partials()[0].Dense.Floats, 40);
-  EXPECT_EQ(BP.partials()[0].Dense.DefStep, 16);
-  for (int S : {1, 2, 3, 4, 5, 7})
-    EXPECT_EQ(BP.partials()[S].Dense.DefStep, -1) << S;
-
-  // Slot sharing across the passes: theta's gradient takes v11's slot once
-  // the ReLU's backward step has read v11; the edge array v9 gives its slot
-  // to the attention's gradient; the logit vectors' slots go to their
-  // gradients; the seed's slot goes to the SpMM's dense partial.
+  // Slot sharing across the passes: the seed's slot passes in place to
+  // v11's gradient; the edge array v9 gives its slot to v10's gradient,
+  // which passes it in place to v9's and v8's; the logit vectors' slots go
+  // to their gradients. Theta's gradient needs a dense slot of its own: at
+  // 10 the seed's slot still holds v11's gradient.
   auto Slot = [&](const ValueBuffer &B) { return B.Slot; };
-  EXPECT_EQ(Slot(BP.grads()[3]), Slot(BP.values()[11]));
+  EXPECT_EQ(Slot(BP.grads()[11]), Slot(BP.grads()[12]));
   EXPECT_EQ(Slot(BP.grads()[10]), Slot(BP.values()[9]));
+  EXPECT_EQ(Slot(BP.grads()[9]), Slot(BP.grads()[10]));
+  EXPECT_EQ(Slot(BP.grads()[8]), Slot(BP.grads()[10]));
   EXPECT_EQ(Slot(BP.grads()[5]), Slot(BP.values()[5]));
   EXPECT_EQ(Slot(BP.grads()[7]), Slot(BP.values()[7]));
-  EXPECT_EQ(Slot(BP.partials()[6].Dense), Slot(BP.grads()[12]));
-  EXPECT_EQ(BP.slots().size(), 11u);
+  EXPECT_NE(Slot(BP.grads()[3]), Slot(BP.grads()[12]));
+  EXPECT_EQ(BP.slots().size(), 9u);
 
-  // Bytes, in floats: naive = values 170 + gradients 170 + partials 90.
-  // The worst position is the SpMM's backward step (10): v3, v8, v10, the
-  // output, the gradients of v11, v3 and v10 and both partials, 230. The
-  // arena's 11 slots hold 260 (one dense slot grew to dH's 40).
-  EXPECT_EQ(BP.naiveBytes(), 1720u);
-  EXPECT_EQ(BP.peakBytes(), 920u);
-  EXPECT_EQ(BP.arenaBytes(), 1040u);
+  // Bytes, in floats: naive = values 170 (v11 included) + gradients 170.
+  // The worst position is the SpMM's backward step (10): v3, v8, v10 and
+  // the output, 100, and the gradients of v11, v3 and v10, 80. The arena's
+  // 9 slots hold 200: four dense (v3, the output, the seed's and theta's
+  // gradient), two vector and three edge slots.
+  EXPECT_EQ(BP.naiveBytes(), 1360u);
+  EXPECT_EQ(BP.peakBytes(), 720u);
+  EXPECT_EQ(BP.arenaBytes(), 800u);
 }
 
 // GCN plan #0 in training: degree and inv_sqrt are setup steps (pinned),
 // then v5 = gemm(H, W); v6 = row_bcast(dnorm, v5); v7 = spmm_u(A, v6);
 // v8 = row_bcast(dnorm, v7); v9 = relu(v8)  (output). The seed runs at 7,
 // the backward step of step S at 14 - S.
-TEST(BufferPlan, GcnTrainingSharesThreeDenseSlots) {
+TEST(BufferPlan, GcnTrainingFusesBothChains) {
   CompositionPlan P =
       pruneCompositions(enumerateCompositions(makeModel(ModelKind::GCN).Root))
           .front();
   ASSERT_EQ(P.Steps.size(), 7u);
   ASSERT_EQ(P.Steps[6].Op, StepOp::Relu);
   BufferPlan BP(P, testBinding(), /*Training=*/true);
+  SCOPED_TRACE(BP.toString(P));
   EXPECT_EQ(BP.positions(), 15);
 
-  // Row scalings' backward steps read only the scale vector (dnorm, read
-  // until step 3's backward, 11), and the unweighted SpMM's reads nothing:
-  // v5, v6 and v7 die at their forward readers. The ReLU reads v8 at 8.
+  // Both chains fold as in inference: the GEMM stores v6, the SpMM the
+  // output. No backward step reads v5, v7 or v8 (row scalings read their
+  // scale vector, the unweighted SpMM nothing, the ReLU its output).
+  EXPECT_EQ(BP.fusedInto(), (std::vector<int>{-1, -1, -1, 2, -1, 4, 4}));
+  EXPECT_EQ(BufferPlan(P, testBinding(), false).fusedInto(), BP.fusedInto());
+  for (int V : {5, 7, 8})
+    EXPECT_TRUE(BP.values()[V].Elided) << "v" << V;
+  EXPECT_EQ(BP.values()[6].DefStep, 2);
+  EXPECT_EQ(BP.values()[6].LastUse, 4);
+  EXPECT_EQ(BP.values()[9].DefStep, 4);
+  // dnorm is read until step 3's backward step (11).
   EXPECT_TRUE(BP.values()[2].Pinned);
   EXPECT_EQ(BP.values()[2].LastUse, 11);
-  for (int V = 5; V <= 7; ++V)
-    EXPECT_EQ(BP.values()[V].LastUse, V - 2) << "v" << V;
-  EXPECT_EQ(BP.values()[8].LastUse, 8);
+
+  // Every gradient lives from its step's successor's backward step to its
+  // own; the ReLU's writes v8's in place of the seed.
   for (int V = 5; V <= 9; ++V) {
     const ValueBuffer &G = BP.grads()[static_cast<size_t>(V)];
     EXPECT_EQ(G.DefStep, 7 + (9 - V)) << "grad of v" << V;
     EXPECT_EQ(G.LastUse, G.DefStep + 1) << "grad of v" << V;
+    EXPECT_EQ(G.InPlace, V == 8) << "grad of v" << V;
   }
-  // No edge partial: the adjacency gets no gradient.
-  for (const StepPartials &Part : BP.partials())
-    EXPECT_EQ(Part.Edges.DefStep, -1);
-  EXPECT_EQ(BP.partials()[2].Dense.Floats, 40);
+  EXPECT_EQ(BP.grads()[8].Slot, BP.grads()[9].Slot);
 
-  // Every unpinned buffer of both passes fits in three dense slots (the
-  // worst positions hold three dense buffers beside the pinned output).
+  // Both passes fit in two shared dense slots beside the pinned output and
+  // the two pinned degree vectors: v6's slot takes the seed, then v8's and
+  // v6's gradients; a second takes v7's and v5's.
   std::vector<int> Shared;
   for (const ArenaSlot &S : BP.slots())
     if (!S.Pinned) {
       EXPECT_EQ(S.Class, BufferClass::DenseSlot);
       Shared.push_back(static_cast<int>(S.CapacityFloats));
     }
-  EXPECT_EQ(Shared, (std::vector<int>{30, 30, 40}));
+  EXPECT_EQ(Shared, (std::vector<int>{30, 30}));
+  EXPECT_EQ(BP.grads()[9].Slot, BP.values()[6].Slot);
+  EXPECT_EQ(BP.grads()[6].Slot, BP.values()[6].Slot);
+  EXPECT_EQ(BP.grads()[5].Slot, BP.grads()[7].Slot);
 
-  // Floats: naive = values 170 + gradients 150 + partials 130; peak at
-  // positions 8 and 9, 90 beside the pinned 50; arena 150.
-  EXPECT_EQ(BP.naiveBytes(), 1800u);
-  EXPECT_EQ(BP.peakBytes(), 560u);
-  EXPECT_EQ(BP.arenaBytes(), 600u);
+  // Floats: naive = values 170 + gradients 150; peak 110 at positions 9 to
+  // 11 (two gradients beside the pinned 50); arena 110.
+  EXPECT_EQ(BP.naiveBytes(), 1280u);
+  EXPECT_EQ(BP.peakBytes(), 440u);
+  EXPECT_EQ(BP.arenaBytes(), 440u);
 }
 
 TEST(BufferPlan, NeverReadValueDiesAtDefinition) {
@@ -624,8 +644,9 @@ void expectSameTraining(const ExecResult &Got, const ExecResult &Want) {
 // configurations: another plan, other embedding sizes (a new buffer plan
 // whose slots hold the previous plan's bytes), an inference run in
 // between, and a second graph of the same size. Each run matches a fresh
-// by-value run bit for bit, so no slot a gradient or partial shares with
-// an activation leaks a stale byte into the result.
+// by-value run bit for bit, so no slot a gradient shares with an
+// activation, or with the gradient it was written over in place, leaks a
+// stale byte into the result.
 TEST(PlanWorkspaceExec, RebuiltTrainingWorkspaceMatchesAFreshOne) {
   const Graph GA = makeRmat(300, 2400, 0.55, 0.2, 0.15, 21);
   const Graph GB = makeRmat(300, 2400, 0.55, 0.2, 0.15, 22);
@@ -744,9 +765,10 @@ TEST(PlanWorkspaceExec, SteadyStatePerformsZeroAllocations) {
 }
 
 // Every run records its steps, with no switch to turn on: one record per
-// plan step, in step order, and in training one per backward primitive.
-// Their seconds, summed in execution order, are the result's totals bit for
-// bit, on a measured and a simulated platform, cold and warm.
+// plan step, in step order, and in training one per backward primitive,
+// the first of them the seed of dL/dOut. Their seconds, summed in execution
+// order, are the result's totals bit for bit, on a measured and a
+// simulated platform, cold and warm.
 TEST(PlanWorkspaceExec, EveryRunRecordsItsSteps) {
   for (ModelKind Kind : {ModelKind::GCN, ModelKind::GAT}) {
     GnnModel M = makeModel(Kind);
@@ -778,6 +800,14 @@ TEST(PlanWorkspaceExec, EveryRunRecordsItsSteps) {
             }
             EXPECT_EQ(R.BackwardProfiles.empty(), !Training);
             for (const StepProfile &P : R.BackwardProfiles) {
+              if (&P == &R.BackwardProfiles.front()) {
+                EXPECT_STREQ(P.Op, SeedOpName);
+                EXPECT_EQ(P.Step, -1);
+                EXPECT_EQ(P.Value, Plan.OutputValue);
+                EXPECT_GT(P.Bytes, 0.0);
+                Backward += P.Seconds;
+                continue;
+              }
               ASSERT_GE(P.Step, 0);
               ASSERT_LT(P.Step, static_cast<int64_t>(Plan.Steps.size()));
               const StepOp Op = Plan.Steps[static_cast<size_t>(P.Step)].Op;

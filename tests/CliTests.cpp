@@ -218,7 +218,8 @@ TEST(Cli, TrainingProfileNamesValuesLikeThePlan) {
   const std::string ForwardTable = Out.substr(Forward, Backward - Forward);
   const std::string BackwardTable = Out.substr(Backward);
   // The output step's operand ("v12 = relu(v11)" gives v11) is a forward
-  // step's value and the value the first backward primitive adds into.
+  // step's value and the value the output step's backward primitive, the
+  // first after the seed's, adds into.
   const size_t OutputAt = Plan.find("output: ");
   ASSERT_NE(OutputAt, std::string::npos);
   const std::string OutputId =

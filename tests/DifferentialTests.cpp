@@ -24,7 +24,9 @@
 #include "graph/Generators.h"
 #include "granii/Granii.h"
 #include "kernels/Dispatch.h"
+#include "kernels/Kernels.h"
 #include "models/Models.h"
+#include "runtime/BufferPlan.h"
 #include "runtime/Executor.h"
 #include "support/Diag.h"
 #include "support/Rng.h"
@@ -446,19 +448,164 @@ TEST(Differential, IsaLevelsAgreeAndStayThreadDeterministic) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fused inference against the unfused training forward
+// Fused forward passes against an unfused step-by-step reference
 //===----------------------------------------------------------------------===//
 
-// Inference folds row_bcast and relu steps into the GEMM or SpMM producing
-// their operand (BufferPlan's fused chains); training never fuses, so its
-// forward is the unfused reference. Every model, every promoted plan, every
-// ISA level, 1 and 4 threads, by-value and warm workspace: the inference
-// output equals the training output bit for bit.
-TEST(Differential, FusedInferenceMatchesTheUnfusedTrainingForward) {
+namespace {
+
+/// \p Plan evaluated one step at a time through the public `...Into`
+/// kernels, every step into a buffer of its own and no chain fused, as the
+/// interpreter runs each op: the reference the fused forward passes of both
+/// modes must match bit for bit at the active ISA level.
+DenseMatrix unfusedForward(const CompositionPlan &Plan,
+                           const LayerParams &Params) {
+  const LayerInputs In = Params.inputs();
+  const CsrMatrix &Adj = *In.Adjacency;
+  const auto Nnz = static_cast<size_t>(Adj.nnz());
+  struct Value {
+    DenseMatrix Dense;
+    std::vector<float> Vec;
+    std::vector<float> Edges; ///< empty: unweighted, every edge 1
+  };
+  std::vector<Value> V(Plan.Values.size());
+  for (size_t I = 0; I < Plan.Values.size(); ++I) {
+    const PlanValue &Def = Plan.Values[I];
+    if (!Def.InputRole)
+      continue;
+    switch (*Def.InputRole) {
+    case LeafRole::Adjacency:
+      V[I].Edges.assign(Adj.values().begin(), Adj.values().end());
+      break;
+    case LeafRole::Features:
+      V[I].Dense = *In.Features;
+      break;
+    case LeafRole::Weight:
+      V[I].Dense = *In.Weights.at(Def.DebugName);
+      break;
+    case LeafRole::AttnSrcVec:
+    case LeafRole::AttnDstVec:
+      V[I].Vec = *In.AttnVecs.at(Def.DebugName);
+      break;
+    case LeafRole::DegreeNorm:
+    case LeafRole::DegreeInv:
+      ADD_FAILURE() << "degree normalizations are never inputs";
+    }
+  }
+  for (const PlanStep &Step : Plan.Steps) {
+    auto Op = [&](int I) -> Value & {
+      return V[static_cast<size_t>(Step.Operands[static_cast<size_t>(I)])];
+    };
+    Value &Out = V[static_cast<size_t>(Step.Result)];
+    auto Dense = [&](int64_t Rows, int64_t Cols) -> DenseMatrix & {
+      Out.Dense = DenseMatrix(Rows, Cols);
+      return Out.Dense;
+    };
+    auto Vec = [&](size_t Size) -> std::vector<float> & {
+      Out.Vec.assign(Size, 0.0f);
+      return Out.Vec;
+    };
+    auto Edges = [&]() -> std::span<float> {
+      Out.Edges.assign(Nnz, 0.0f);
+      return Out.Edges;
+    };
+    const auto N = static_cast<size_t>(Adj.rows());
+    switch (Step.Op) {
+    case StepOp::Gemm:
+      kernels::gemmInto(Op(0).Dense, Op(1).Dense,
+                        Dense(Op(0).Dense.rows(), Op(1).Dense.cols()));
+      break;
+    case StepOp::SpmmWeighted:
+    case StepOp::SpmmUnweighted:
+      kernels::spmmInto(
+          Adj,
+          Step.Op == StepOp::SpmmWeighted ? std::span<const float>(Op(0).Edges)
+                                          : std::span<const float>(),
+          Op(1).Dense, Dense(Adj.rows(), Op(1).Dense.cols()));
+      break;
+    case StepOp::SddmmScaleRow:
+      kernels::scaleSparseRowsInto(Adj, Op(1).Edges, Op(0).Vec, Edges());
+      break;
+    case StepOp::SddmmScaleCol:
+      kernels::scaleSparseColsInto(Adj, Op(0).Edges, Op(1).Vec, Edges());
+      break;
+    case StepOp::SddmmScaleBoth:
+      kernels::scaleSparseBothInto(Adj, Op(1).Edges, Op(0).Vec, Op(2).Vec,
+                                   Edges());
+      break;
+    case StepOp::RowBcast:
+      kernels::rowBroadcastMulInto(
+          Op(0).Vec, Op(1).Dense,
+          Dense(Op(1).Dense.rows(), Op(1).Dense.cols()));
+      break;
+    case StepOp::ColBcast:
+      kernels::colBroadcastMulInto(
+          Op(0).Dense, Op(1).Vec,
+          Dense(Op(0).Dense.rows(), Op(0).Dense.cols()));
+      break;
+    case StepOp::DiagDiag: {
+      std::vector<float> &O = Vec(Op(0).Vec.size());
+      for (size_t I = 0; I < O.size(); ++I)
+        O[I] = Op(0).Vec[I] * Op(1).Vec[I];
+      break;
+    }
+    case StepOp::AddDense:
+      kernels::addMatricesInto(Op(0).Dense, Op(1).Dense,
+                               Dense(Op(0).Dense.rows(), Op(0).Dense.cols()));
+      break;
+    case StepOp::ScaleDense:
+      kernels::scaleMatrixInto(Op(0).Dense, static_cast<float>(Step.Param),
+                               Dense(Op(0).Dense.rows(), Op(0).Dense.cols()));
+      break;
+    case StepOp::Relu:
+      kernels::reluInto(Op(0).Dense,
+                        Dense(Op(0).Dense.rows(), Op(0).Dense.cols()));
+      break;
+    case StepOp::DegreeOffsets:
+      kernels::degreeFromOffsetsInto(Adj, Vec(N));
+      break;
+    case StepOp::DegreeBinning:
+      kernels::degreeByBinningInto(Adj, Vec(N));
+      break;
+    case StepOp::InvSqrtVec:
+      kernels::invSqrtInto(Op(0).Vec, Vec(Op(0).Vec.size()));
+      break;
+    case StepOp::InvVec:
+      kernels::invDegreeInto(Op(0).Vec, Vec(Op(0).Vec.size()));
+      break;
+    case StepOp::AttnGemv:
+      kernels::gemvInto(Op(0).Dense, Op(1).Vec,
+                        Vec(static_cast<size_t>(Op(0).Dense.rows())));
+      break;
+    case StepOp::EdgeLogits:
+      kernels::sddmmAddScalarsInto(Adj, Op(1).Vec, Op(2).Vec, Edges());
+      break;
+    case StepOp::EdgeLeakyRelu:
+      if (Op(0).Edges.empty())
+        Out.Edges.clear(); // unweighted in, unweighted out
+      else
+        kernels::leakyReluEdgesInto(Op(0).Edges,
+                                    static_cast<float>(Step.Param), Edges());
+      break;
+    case StepOp::EdgeSoftmax:
+      kernels::edgeSoftmaxInto(Adj, Op(0).Edges, Edges());
+      break;
+    }
+  }
+  return V[static_cast<size_t>(Plan.OutputValue)].Dense;
+}
+
+} // namespace
+
+// Both modes fold row_bcast and relu steps into the GEMM or SpMM producing
+// their operand (BufferPlan's fused chains; training where no backward step
+// reads the chain). Every model, every promoted plan, every ISA level, 1 and
+// 4 threads, by-value and warm workspace: the inference output and the
+// training output equal the unfused step-by-step reference bit for bit.
+TEST(Differential, FusedForwardMatchesAnUnfusedStepByStepReference) {
   IsaLevelGuard Guard;
   const Graph Graphs[] = {makeRmat(180, 1100, 0.55, 0.2, 0.15, 71),
                           makeCommunityGraph(6, 24, 0.5, 120, 72)};
-  size_t FusedPlans = 0;
+  size_t FusedPlans = 0, FusedTrainingPlans = 0;
   for (ModelKind Kind : extendedModels()) {
     GnnModel M = makeModel(Kind);
     std::vector<CompositionPlan> Plans = survivingPlans(M);
@@ -470,29 +617,46 @@ TEST(Differential, FusedInferenceMatchesTheUnfusedTrainingForward) {
                                    G.name() + " " + std::to_string(KIn) +
                                    "->" + std::to_string(KOut);
           SCOPED_TRACE(What);
-          BufferPlan Buffers(Plan, Params.inputs().binding(&Plan), false);
-          if (G.name() == Graphs[0].name() && KIn == 19)
-            FusedPlans += std::any_of(Buffers.fusedInto().begin(),
-                                      Buffers.fusedInto().end(),
-                                      [](int P) { return P >= 0; });
+          const DimBinding Binding = Params.inputs().binding(&Plan);
+          auto Fuses = [&](bool Training) {
+            const BufferPlan Buffers(Plan, Binding, Training);
+            return std::any_of(Buffers.fusedInto().begin(),
+                               Buffers.fusedInto().end(),
+                               [](int P) { return P >= 0; });
+          };
+          if (G.name() == Graphs[0].name() && KIn == 19) {
+            FusedPlans += Fuses(false);
+            FusedTrainingPlans += Fuses(true);
+          }
           for (kernels::IsaLevel Level : kernels::supportedIsaLevels()) {
             SCOPED_TRACE(kernels::isaLevelName(Level));
             ASSERT_TRUE(kernels::setIsaLevel(Level));
+            const DenseMatrix Unfused = unfusedForward(Plan, Params);
             for (int Threads : {1, 4}) {
               Executor Exec = cpuExecutorAt(Threads);
-              const DenseMatrix Unfused =
-                  Exec.runTraining(Plan, Params.inputs(), Params.Stats)
-                      .Output;
               EXPECT_TRUE(bitwiseEqualDense(
                   Exec.run(Plan, Params.inputs(), Params.Stats).Output,
                   Unfused))
-                  << Threads << " threads, by value";
-              PlanWorkspace Ws;
-              ExecResult R;
-              for (int Call = 0; Call < 2; ++Call) {
-                Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R);
-                EXPECT_TRUE(bitwiseEqualDense(R.Output, Unfused))
-                    << Threads << " threads, workspace call " << Call;
+                  << Threads << " threads, inference by value";
+              EXPECT_TRUE(bitwiseEqualDense(
+                  Exec.runTraining(Plan, Params.inputs(), Params.Stats)
+                      .Output,
+                  Unfused))
+                  << Threads << " threads, training by value";
+              for (bool Training : {false, true}) {
+                PlanWorkspace Ws;
+                ExecResult R;
+                for (int Call = 0; Call < 2; ++Call) {
+                  if (Training)
+                    Exec.runTraining(Plan, Params.inputs(), Params.Stats, Ws,
+                                     R);
+                  else
+                    Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R);
+                  EXPECT_TRUE(bitwiseEqualDense(R.Output, Unfused))
+                      << Threads << " threads, "
+                      << (Training ? "training" : "inference")
+                      << " workspace call " << Call;
+                }
               }
             }
           }
@@ -500,9 +664,10 @@ TEST(Differential, FusedInferenceMatchesTheUnfusedTrainingForward) {
       }
     }
   }
-  // Most promoted plans carry a fusable chain; a rule that fused nothing
-  // would pass the comparisons above trivially.
+  // Most promoted plans carry a fusable chain in both modes; a rule that
+  // fused nothing would pass the comparisons above trivially.
   EXPECT_GE(FusedPlans, 10u);
+  EXPECT_GE(FusedTrainingPlans, 10u);
   ThreadPool::get().setNumThreads(0);
 }
 

@@ -24,6 +24,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -492,9 +493,9 @@ TEST(ReductionOrder, GemmTLhsRowRangeCarriesChainsAcrossWindows) {
       const std::vector<float> B = randomFloats(M * N, 202);
       std::vector<float> Got(static_cast<size_t>(Rows * N), 123.0f);
       Ops.GemmTLhsRowRange(A.data(), Rows, B.data(), N, Got.data(), N, M, N,
-                           0, 6);
+                           0, 6, kernels::Store::Write);
       Ops.GemmTLhsRowRange(A.data(), Rows, B.data(), N, Got.data(), N, M, N,
-                           6, Rows);
+                           6, Rows, kernels::Store::Write);
       std::vector<float> Want(Got.size());
       for (int64_t R = 0; R < Rows; ++R)
         for (int64_t J = 0; J < N; ++J) {
@@ -530,7 +531,7 @@ TEST(ReductionOrder, SpmmRowRangeIsOneChainPerElement) {
                {std::pair<int64_t, int64_t>{0, 17}, {17, A.rows()}})
             Ops.SpmmRowRange(A.Offsets.data(), A.Cols.data(), Vals, ValIdx,
                              B.data(), Ldb, Got.data(), LdDst, Width,
-                             RowBegin, RowEnd, nullptr);
+                             RowBegin, RowEnd, nullptr, kernels::Store::Write);
           std::vector<float> Want(Got.size(), Sentinel);
           for (int64_t R = 0; R < A.rows(); ++R)
             for (int64_t J = 0; J < Width; ++J) {
@@ -676,9 +677,9 @@ TEST(ReductionOrder, GemmTRhsRowRangeRunsEachElementsChain) {
         const std::vector<float> B = randomFloats(NOut * Ldb, 602);
         std::vector<float> Got(static_cast<size_t>(M * Ldc), 7.0f);
         Ops.GemmTRhsRowRange(A.data(), Lda, B.data(), Ldb, Got.data(), Ldc, K,
-                             NOut, 0, 4);
+                             NOut, 0, 4, kernels::Store::Write);
         Ops.GemmTRhsRowRange(A.data(), Lda, B.data(), Ldb, Got.data(), Ldc, K,
-                             NOut, 4, M);
+                             NOut, 4, M, kernels::Store::Write);
         std::vector<float> Want(Got.size(), 7.0f);
         for (int64_t I = 0; I < M; ++I)
           for (int64_t J = 0; J < NOut; ++J)
@@ -715,14 +716,114 @@ TEST(ReductionOrder, SddmmDotRowRangeRunsEachEdgesChain) {
       const std::vector<float> V = randomFloats(SrcRows * Ldv, 703);
       std::vector<float> Got(Cols.size(), 9.0f);
       Ops.SddmmDotRowRange(Offsets.data(), Cols.data(), U.data(), Ldu,
-                           V.data(), Ldv, Got.data(), Width, 0, 13);
+                           V.data(), Ldv, Got.data(), Width, 0, 13,
+                           kernels::Store::Write);
       Ops.SddmmDotRowRange(Offsets.data(), Cols.data(), U.data(), Ldu,
-                           V.data(), Ldv, Got.data(), Width, 13, Rows);
+                           V.data(), Ldv, Got.data(), Width, 13, Rows,
+                           kernels::Store::Write);
       std::vector<float> Want(Cols.size());
       for (int64_t Row = 0; Row < Rows; ++Row)
         for (int64_t K = Offsets[Row]; K < Offsets[Row + 1]; ++K)
           Want[K] = sddmmEdge(Level, &U[Row * Ldu], &V[Cols[K] * Ldv], Width);
       expectSameBits(Got, Want, "sddmm width " + std::to_string(Width));
+    }
+  }
+}
+
+namespace {
+
+/// Checks that \p Run(Mode, Dst) stores each result x it writes under
+/// Store::Write as 0 + x under Store::First and as d + x under Store::Add,
+/// and leaves every element it does not write alone. The elements it writes
+/// are the ones two Write runs over different fills agree on.
+void expectStoreModes(
+    const std::function<void(kernels::Store, float *)> &Run, size_t Size,
+    const std::string &What) {
+  using kernels::Store;
+  std::vector<float> Written(Size, 9.25f), Again(Size, -4.5f);
+  Run(Store::Write, Written.data());
+  Run(Store::Write, Again.data());
+  const std::vector<float> Garbage = randomFloats(Size, 917);
+  const std::vector<float> Prior = randomFloats(Size, 918);
+  std::vector<float> First = Garbage, Added = Prior;
+  Run(Store::First, First.data());
+  Run(Store::Add, Added.data());
+  std::vector<float> WantFirst = Garbage, WantAdded = Prior;
+  for (size_t I = 0; I < Size; ++I)
+    if (std::bit_cast<uint32_t>(Written[I]) ==
+        std::bit_cast<uint32_t>(Again[I])) {
+      WantFirst[I] = 0.0f + Written[I];
+      WantAdded[I] = Prior[I] + Written[I];
+    }
+  expectSameBits(First, WantFirst, What + " (first contribution)");
+  expectSameBits(Added, WantAdded, What + " (added)");
+}
+
+} // namespace
+
+// The four routines the backward pass runs into a gradient add each result
+// with one rounding, after the chain a written result runs: the arithmetic
+// of writing a partial and adding it with AxpyRange. A^T * B covers one and
+// several contraction windows and row ranges of more than one carry tile.
+TEST(ReductionOrder, StoreModesAddEachResultOnce) {
+  using kernels::Store;
+  const SparseFixture A(40, 50, 331);
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    const kernels::SimdOps &Ops = *kernels::simdOpsFor(Level);
+    const int64_t Rows = kernels::GemmTLhsCarryRows + 6;
+    for (int64_t M : {int64_t{37}, 2 * kernels::GemmTLhsWindowRows + 37}) {
+      const int64_t N = 61;
+      const std::vector<float> TA = randomFloats(M * Rows, 921);
+      const std::vector<float> TB = randomFloats(M * N, 922);
+      expectStoreModes(
+          [&](Store Mode, float *C) {
+            Ops.GemmTLhsRowRange(TA.data(), Rows, TB.data(), N, C, N, M, N, 0,
+                                 Rows - 4, Mode);
+            Ops.GemmTLhsRowRange(TA.data(), Rows, TB.data(), N, C, N, M, N,
+                                 Rows - 4, Rows, Mode);
+          },
+          static_cast<size_t>(Rows * N), "gemm_t_lhs M=" + std::to_string(M));
+    }
+    const int64_t K = 45, NOut = 13, GRows = 9, Ldc = NOut + 2;
+    const std::vector<float> GA = randomFloats(GRows * K, 923);
+    const std::vector<float> GB = randomFloats(NOut * K, 924);
+    expectStoreModes(
+        [&](Store Mode, float *C) {
+          Ops.GemmTRhsRowRange(GA.data(), K, GB.data(), K, C, Ldc, K, NOut, 0,
+                               4, Mode);
+          Ops.GemmTRhsRowRange(GA.data(), K, GB.data(), K, C, Ldc, K, NOut, 4,
+                               GRows, Mode);
+        },
+        static_cast<size_t>(GRows * Ldc), "gemm_t_rhs");
+    for (int64_t Width : {13, 29, 141}) {
+      const int64_t Ldb = Width + 3, LdDst = Width + 2;
+      const std::vector<float> B = randomFloats(50 * Ldb, 925);
+      for (bool Weighted : {false, true})
+        expectStoreModes(
+            [&](Store Mode, float *Dst) {
+              Ops.SpmmRowRange(A.Offsets.data(), A.Cols.data(),
+                               Weighted ? A.Vals.data() : nullptr,
+                               A.ValIdx.data(), B.data(), Ldb, Dst, LdDst,
+                               Width, 0, A.rows(), nullptr, Mode);
+            },
+            static_cast<size_t>(A.rows() * LdDst),
+            "spmm width " + std::to_string(Width) +
+                (Weighted ? " weighted" : ""));
+    }
+    for (int64_t Width : {1, 8, 13, 16, 24, 29, 64, 67}) {
+      const std::vector<float> U = randomFloats(A.rows() * Width, 926);
+      const std::vector<float> V = randomFloats(50 * Width, 927);
+      expectStoreModes(
+          [&](Store Mode, float *Out) {
+            Ops.SddmmDotRowRange(A.Offsets.data(), A.Cols.data(), U.data(),
+                                 Width, V.data(), Width, Out, Width, 0, 11,
+                                 Mode);
+            Ops.SddmmDotRowRange(A.Offsets.data(), A.Cols.data(), U.data(),
+                                 Width, V.data(), Width, Out, Width, 11,
+                                 A.rows(), Mode);
+          },
+          A.Cols.size(), "sddmm width " + std::to_string(Width));
     }
   }
 }

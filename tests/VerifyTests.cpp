@@ -354,7 +354,7 @@ TEST(VerifyBuffersTest, OverlappingLifetimesInOneSlotAreRejected) {
   Vals[3].Slot = Vals[2].Slot;
   DiagEngine Diags;
   EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {},
-                                      {}, Slots, Diags));
+                                      Slots, Diags));
   EXPECT_TRUE(hasDiag(Diags, "overlapping lifetimes"));
 }
 
@@ -367,7 +367,7 @@ TEST(VerifyBuffersTest, StaleLastUseIsRejected) {
   ASSERT_EQ(Vals[2].LastUse, 2);
   Vals[2].LastUse = 1;
   DiagEngine Diags;
-  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {}, {},
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {},
                                       Buffers.slots(), Diags));
   EXPECT_TRUE(hasDiag(Diags, "read until step"));
   EXPECT_TRUE(hasDiag(Diags, "freed early"));
@@ -379,7 +379,7 @@ TEST(VerifyBuffersTest, WrongPayloadSizeIsRejected) {
   std::vector<ValueBuffer> Vals = Buffers.values();
   Vals[2].Floats /= 2;
   DiagEngine Diags;
-  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {}, {},
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {},
                                       Buffers.slots(), Diags));
   EXPECT_TRUE(hasDiag(Diags, "floats, expected"));
 }
@@ -410,8 +410,7 @@ TEST(VerifyBuffersTest, GradientInASlotTheBackwardPassStillReadsIsRejected) {
   Grads[9].Slot = Vals[8].Slot;
   DiagEngine Diags;
   EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), true, Vals, Grads,
-                                      Buffers.partials(), Buffers.slots(),
-                                      Diags));
+                                      Buffers.slots(), Diags));
   EXPECT_TRUE(hasDiag(Diags, "read until step 12"));
   EXPECT_TRUE(hasDiag(Diags, "overlapping lifetimes: v8 live through step "
                              "12, the gradient of v9 defined at step 11"));
@@ -420,15 +419,13 @@ TEST(VerifyBuffersTest, GradientInASlotTheBackwardPassStillReadsIsRejected) {
   DiagEngine SlotOnly;
   Vals[8].LastUse = 12;
   EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), true, Vals, Grads,
-                                      Buffers.partials(), Buffers.slots(),
-                                      SlotOnly));
+                                      Buffers.slots(), SlotOnly));
   EXPECT_TRUE(hasDiag(SlotOnly, "overlapping lifetimes"));
 }
 
-// A partial that shares a slot with the gradient its step adds into, or a
-// gradient recorded as dying before its producer's backward step reads it,
-// is rejected.
-TEST(VerifyBuffersTest, TrainingPartialAndGradientIntervalsAreChecked) {
+// A gradient recorded as dying before its producer's backward step reads
+// it is rejected.
+TEST(VerifyBuffersTest, TrainingGradientIntervalsAreChecked) {
   CompositionPlan Plan = makeTinyPlan();
   BufferPlan Buffers(Plan, tinyBinding(), /*Training=*/true);
   DiagEngine Clean;
@@ -436,26 +433,178 @@ TEST(VerifyBuffersTest, TrainingPartialAndGradientIntervalsAreChecked) {
       << Clean.render();
   // v2 = H * W feeds the ReLU and the add; its gradient is first written by
   // the add's backward step (position 2 * 3 - 2 = 4) and read by the GEMM's
-  // (position 6), whose dense partial lives at position 6 alone.
+  // (position 6).
   std::vector<ValueBuffer> Grads = Buffers.grads();
   ASSERT_EQ(Grads[2].DefStep, 4);
   ASSERT_EQ(Grads[2].LastUse, 6);
-  std::vector<StepPartials> Partials = Buffers.partials();
-  ASSERT_EQ(Partials[0].Dense.DefStep, 6);
-  Partials[0].Dense.Slot = Grads[2].Slot;
-  DiagEngine Shared;
-  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), true,
-                                      Buffers.values(), Grads, Partials,
-                                      Buffers.slots(), Shared));
-  EXPECT_TRUE(hasDiag(Shared, "step 0's dense partial defined at step 6"));
-
   Grads[2].LastUse = 5;
   DiagEngine Early;
   EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), true,
                                       Buffers.values(), Grads,
-                                      Buffers.partials(), Buffers.slots(),
-                                      Early));
+                                      Buffers.slots(), Early));
   EXPECT_TRUE(hasDiag(Early, "read until step 6"));
+}
+
+namespace {
+
+PlanValue denseValue(const char *Name, SymDim Rows, SymDim Cols,
+                     std::optional<LeafRole> Role = std::nullopt) {
+  PlanValue V;
+  V.Kind = PlanValueKind::Dense;
+  V.Shape = {Rows, Cols};
+  V.DebugName = Name;
+  V.InputRole = Role;
+  return V;
+}
+
+} // namespace
+
+// v2 = H * W; v3 = relu(v2); v4 = relu(v3) (output). Inference folds both
+// ReLUs into the GEMM. Training folds the first only: the first ReLU's
+// backward step reads its output v3, so v3 must be stored. A training
+// schedule that keeps v3 in the GEMM's registers anyway is rejected.
+TEST(VerifyBuffersTest, TrainingChainThroughABackwardReadIsRejected) {
+  CompositionPlan Plan;
+  Plan.Name = "relu-relu";
+  Plan.Values = {
+      denseValue("H", SymDim::n(), SymDim::kIn(), LeafRole::Features),
+      denseValue("W", SymDim::kIn(), SymDim::kOut(), LeafRole::Weight),
+      denseValue("t", SymDim::n(), SymDim::kOut()),
+      denseValue("r", SymDim::n(), SymDim::kOut()),
+      denseValue("out", SymDim::n(), SymDim::kOut())};
+  Plan.Steps = {{StepOp::Gemm, {0, 1}, 2},
+                {StepOp::Relu, {2}, 3},
+                {StepOp::Relu, {3}, 4}};
+  Plan.OutputValue = 4;
+  EXPECT_EQ(BufferPlan(Plan, tinyBinding(), false).fusedInto(),
+            (std::vector<int>{-1, 0, 0}));
+  BufferPlan Buffers(Plan, tinyBinding(), /*Training=*/true);
+  EXPECT_EQ(Buffers.fusedInto(), (std::vector<int>{-1, 0, -1}));
+  DiagEngine Clean;
+  ASSERT_TRUE(verifyBufferPlan(Plan, tinyBinding(), Buffers, Clean))
+      << Clean.render();
+  std::vector<ValueBuffer> Vals = Buffers.values();
+  ASSERT_TRUE(Vals[2].Elided);
+  ASSERT_FALSE(Vals[3].Elided);
+  ASSERT_EQ(Vals[3].LastUse, 2 * 3 - 1); // the first ReLU's backward step
+  Vals[3].Elided = true;
+  Vals[3].Slot = -1;
+  Vals[3].LastUse = 0;
+  Vals[4].DefStep = 0;
+  DiagEngine Diags;
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), true, Vals,
+                                      Buffers.grads(), Buffers.slots(),
+                                      Diags));
+  EXPECT_TRUE(hasDiag(Diags, "v3: kept in registers, but no fused chain "
+                             "passes through it"));
+  EXPECT_TRUE(hasDiag(Diags, "definition recorded at step 0, recomputed 2"));
+}
+
+// v2 = H * W; v3 = v2 * W2 (output). The second GEMM's backward step reads
+// the output's gradient (born at the seed, position 2) and writes v2's
+// first, both at position 3; a GEMM reads a whole row of the one to write
+// each element of the other, so the two may not share a slot. The same
+// plan with a ReLU in place of the second GEMM writes v2's gradient in the
+// slot of the output's, the one alias the verifier accepts.
+TEST(VerifyBuffersTest, InPlaceGradientAtAGemmIsRejected) {
+  CompositionPlan Plan;
+  Plan.Name = "gemm-gemm";
+  Plan.Values = {
+      denseValue("H", SymDim::n(), SymDim::kIn(), LeafRole::Features),
+      denseValue("W", SymDim::kIn(), SymDim::kOut(), LeafRole::Weight),
+      denseValue("t", SymDim::n(), SymDim::kOut()),
+      denseValue("W2", SymDim::kOut(), SymDim::kOut(), LeafRole::Weight),
+      denseValue("out", SymDim::n(), SymDim::kOut())};
+  Plan.Steps = {{StepOp::Gemm, {0, 1}, 2}, {StepOp::Gemm, {2, 3}, 4}};
+  Plan.OutputValue = 4;
+  BufferPlan Buffers(Plan, tinyBinding(), /*Training=*/true);
+  DiagEngine Clean;
+  ASSERT_TRUE(verifyBufferPlan(Plan, tinyBinding(), Buffers, Clean))
+      << Clean.render();
+  std::vector<ValueBuffer> Grads = Buffers.grads();
+  ASSERT_EQ(Grads[4].LastUse, 3);
+  ASSERT_EQ(Grads[2].DefStep, 3);
+  EXPECT_FALSE(Grads[2].InPlace);
+  ASSERT_NE(Grads[2].Slot, Grads[4].Slot);
+  Grads[2].Slot = Grads[4].Slot;
+  DiagEngine Diags;
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), true,
+                                      Buffers.values(), Grads,
+                                      Buffers.slots(), Diags));
+  EXPECT_TRUE(hasDiag(Diags, "overlapping lifetimes: the gradient of v4 live "
+                             "through step 3, the gradient of v2 defined at "
+                             "step 3"));
+  Grads[2].InPlace = true;
+  DiagEngine Marked;
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), true,
+                                      Buffers.values(), Grads,
+                                      Buffers.slots(), Marked));
+  EXPECT_TRUE(hasDiag(Marked, "grad(v2): recorded in place"));
+
+  Plan.Values.erase(Plan.Values.begin() + 3);
+  Plan.Steps = {{StepOp::Gemm, {0, 1}, 2}, {StepOp::Relu, {2}, 3}};
+  Plan.OutputValue = 3;
+  BufferPlan Relu(Plan, tinyBinding(), /*Training=*/true);
+  EXPECT_TRUE(Relu.grads()[2].InPlace);
+  EXPECT_EQ(Relu.grads()[2].Slot, Relu.grads()[3].Slot);
+  EXPECT_EQ(Relu.grads()[2].DefStep, Relu.grads()[3].LastUse);
+  DiagEngine ReluDiags;
+  EXPECT_TRUE(verifyBufferPlan(Plan, tinyBinding(), Relu, ReluDiags))
+      << ReluDiags.render();
+}
+
+// v2 = H * W1; v3 = H * W2; v4 = relu(v3); v5 = v2 + v4 (output). The
+// ReLU's backward step (position 6) writes v3's first gradient in place of
+// v4's, which dies there. Placed instead in the slot of v2's gradient,
+// which the first GEMM's backward step reads at position 8, or of the ReLU's
+// output v4, which that step reads as its mask, it is rejected: only the
+// step's own result gradient may be written over.
+TEST(VerifyBuffersTest, InPlaceGradientOverALiveSourceIsRejected) {
+  CompositionPlan Plan;
+  Plan.Name = "sum-relu";
+  Plan.Values = {
+      denseValue("H", SymDim::n(), SymDim::kIn(), LeafRole::Features),
+      denseValue("W1", SymDim::kIn(), SymDim::kOut(), LeafRole::Weight),
+      denseValue("W2", SymDim::kIn(), SymDim::kOut(), LeafRole::Weight),
+      denseValue("a", SymDim::n(), SymDim::kOut()),
+      denseValue("b", SymDim::n(), SymDim::kOut()),
+      denseValue("r", SymDim::n(), SymDim::kOut()),
+      denseValue("out", SymDim::n(), SymDim::kOut())};
+  Plan.Steps = {{StepOp::Gemm, {0, 1}, 3},
+                {StepOp::Gemm, {0, 2}, 4},
+                {StepOp::Relu, {4}, 5},
+                {StepOp::AddDense, {3, 5}, 6}};
+  Plan.OutputValue = 6;
+  BufferPlan Buffers(Plan, tinyBinding(), /*Training=*/true);
+  DiagEngine Clean;
+  ASSERT_TRUE(verifyBufferPlan(Plan, tinyBinding(), Buffers, Clean))
+      << Clean.render();
+  const std::vector<ValueBuffer> &Grads = Buffers.grads();
+  ASSERT_TRUE(Grads[4].InPlace);
+  ASSERT_EQ(Grads[4].DefStep, 6);
+  ASSERT_EQ(Grads[4].Slot, Grads[5].Slot);
+  ASSERT_EQ(Grads[3].DefStep, 5);
+  ASSERT_EQ(Grads[3].LastUse, 8);
+  ASSERT_EQ(Buffers.values()[5].LastUse, 6);
+
+  std::vector<ValueBuffer> OverGrad = Grads;
+  OverGrad[4].Slot = Grads[3].Slot;
+  DiagEngine Diags;
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), true,
+                                      Buffers.values(), OverGrad,
+                                      Buffers.slots(), Diags));
+  EXPECT_TRUE(hasDiag(Diags, "overlapping lifetimes: the gradient of v3 live "
+                             "through step 8, the gradient of v4 defined at "
+                             "step 6"));
+
+  std::vector<ValueBuffer> OverMask = Grads;
+  OverMask[4].Slot = Buffers.values()[5].Slot;
+  DiagEngine Mask;
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), true,
+                                      Buffers.values(), OverMask,
+                                      Buffers.slots(), Mask));
+  EXPECT_TRUE(hasDiag(Mask, "overlapping lifetimes: v5 live through step 6, "
+                            "the gradient of v4 defined at step 6"));
 }
 
 TEST(VerifyBuffersTest, ChainThroughASecondReaderIsRejected) {
@@ -470,7 +619,7 @@ TEST(VerifyBuffersTest, ChainThroughASecondReaderIsRejected) {
   Vals[2].Slot = -1;
   Vals[3].DefStep = 0;
   DiagEngine Diags;
-  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {}, {},
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {},
                                       Buffers.slots(), Diags));
   EXPECT_TRUE(hasDiag(Diags, "no fused chain passes through it"));
   EXPECT_TRUE(hasDiag(Diags, "definition recorded at step 0, recomputed 1"));
@@ -490,13 +639,13 @@ TEST(VerifyBuffersTest, UnfusedChainIsRejected) {
   EXPECT_TRUE(Vals[2].Elided);
   EXPECT_EQ(Vals[3].DefStep, 0);
   DiagEngine Clean;
-  EXPECT_TRUE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {}, {},
+  EXPECT_TRUE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {},
                                      Buffers.slots(), Clean))
       << Clean.render();
   Vals[2].Elided = false;
   Vals[3].DefStep = 1;
   DiagEngine Diags;
-  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {}, {},
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {},
                                       Buffers.slots(), Diags));
   EXPECT_TRUE(hasDiag(Diags, "fused chain of step 0 holds it in registers"));
   EXPECT_TRUE(hasDiag(Diags, "definition recorded at step 1, recomputed 0"));
@@ -535,7 +684,7 @@ TEST(VerifyBuffersTest, ChainThroughALateScaleIsRejected) {
   Vals[2].LastUse = 0;
   Vals[5].DefStep = 0;
   DiagEngine Diags;
-  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {}, {},
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {},
                                       Buffers.slots(), Diags));
   EXPECT_TRUE(hasDiag(Diags, "no fused chain passes through it"));
   EXPECT_TRUE(hasDiag(Diags, "definition recorded at step 0, recomputed 3"));

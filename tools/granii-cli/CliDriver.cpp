@@ -373,13 +373,15 @@ int profileRun(serve::Session &S, bool Training, std::string &Out,
          formatDouble(R.ForwardSeconds / PredictedForward, 2) + ")\n";
   if (Training) {
     // The backward pass stays outside selection, so its primitives have no
-    // predicted column; they run in the reverse of the plan's step order.
+    // predicted column; after the seed of dL/dOut (no step of its own) they
+    // run in the reverse of the plan's step order.
     std::vector<std::vector<std::string>> BwdRows;
     for (const StepProfile &P : Backward) {
       const ValueLabel Label = valueLabel(Plan, Binding, P.Value);
       double GFlops = P.Seconds > 0.0 ? P.Flops / P.Seconds / 1e9 : 0.0;
       double GBps = P.Seconds > 0.0 ? P.Bytes / P.Seconds / 1e9 : 0.0;
-      BwdRows.push_back({std::to_string(P.Step), P.Op, Label.Name, Label.Shape,
+      BwdRows.push_back({P.Step < 0 ? "-" : std::to_string(P.Step), P.Op,
+                         Label.Name, Label.Shape,
                          formatDouble(P.Seconds * 1e3, 4),
                          formatDouble(P.Bytes / 1e6, 3),
                          formatDouble(GFlops, 2), formatDouble(GBps, 2)});
@@ -393,10 +395,11 @@ int profileRun(serve::Session &S, bool Training, std::string &Out,
   }
 
   // The session's workspace executes this buffer plan: the one of the same
-  // plan, binding and mode, whose slots a training run's activations,
-  // gradients and partials share. Its arena total includes the output's
-  // planned slot, which is never allocated: the caller's result holds the
-  // output. The baseline gives every planned buffer one of its own.
+  // plan, binding and mode, whose slots a training run's activations and
+  // gradients share. Its arena total includes the output's planned slot,
+  // which is never allocated: the caller's result holds the output. The
+  // baseline gives every planned buffer, each activation and each gradient,
+  // one of its own.
   const BufferPlan Buffers(Plan, Binding, Training);
   const ValueBuffer &Output =
       Buffers.values()[static_cast<size_t>(Plan.OutputValue)];
@@ -405,7 +408,8 @@ int profileRun(serve::Session &S, bool Training, std::string &Out,
          " MB (" + formatDouble(Output.Floats * sizeof(float) / 1e6, 3) +
          " MB of it the output, held by the caller's result), "
          "fresh-allocation baseline " +
-         formatDouble(Buffers.naiveBytes() / 1e6, 3) + " MB (" +
+         formatDouble(Buffers.naiveBytes() / 1e6, 3) + " MB, one buffer per " +
+         (Training ? "activation and gradient (" : "activation (") +
          std::to_string(Buffers.slots().size()) + " slots for " +
          std::to_string(Plan.Steps.size()) +
          (Training ? " steps and their backward steps)\n" : " steps)\n");
