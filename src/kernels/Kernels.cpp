@@ -201,8 +201,8 @@ void kernels::gemmTransposedRhsInto(const DenseMatrix &A, const DenseMatrix &B,
               });
 }
 
-void kernels::gemvInto(const DenseMatrix &A, const std::vector<float> &X,
-                       std::vector<float> &Y) {
+void kernels::gemvInto(const DenseMatrix &A, std::span<const float> X,
+                       std::span<float> Y) {
   GRANII_CHECK(static_cast<int64_t>(X.size()) == A.cols(),
                "gemv dimension mismatch");
   checkVecDst(Y, static_cast<size_t>(A.rows()), "gemv");
@@ -214,7 +214,7 @@ void kernels::gemvInto(const DenseMatrix &A, const std::vector<float> &X,
               });
 }
 
-void kernels::rowBroadcastMulInto(const std::vector<float> &D,
+void kernels::rowBroadcastMulInto(std::span<const float> D,
                                   const DenseMatrix &H, DenseMatrix &Dst,
                                   Store Mode) {
   GRANII_CHECK(static_cast<int64_t>(D.size()) == H.rows(),
@@ -234,8 +234,8 @@ void kernels::rowBroadcastMulInto(const std::vector<float> &D,
 }
 
 void kernels::colBroadcastMulInto(const DenseMatrix &H,
-                                  const std::vector<float> &D,
-                                  DenseMatrix &Dst, Store Mode) {
+                                  std::span<const float> D, DenseMatrix &Dst,
+                                  Store Mode) {
   GRANII_CHECK(static_cast<int64_t>(D.size()) == H.cols(),
                "column broadcast length mismatch");
   checkDenseDst(Dst, H.rows(), H.cols(), "col_bcast");
@@ -360,8 +360,8 @@ void kernels::sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
 // granii-noalloc-end
 
 void kernels::sddmmAddScalarsInto(const CsrMatrix &Mask,
-                                  const std::vector<float> &SrcScore,
-                                  const std::vector<float> &DstScore,
+                                  std::span<const float> SrcScore,
+                                  std::span<const float> DstScore,
                                   std::span<float> Out) {
   GRANII_CHECK(static_cast<int64_t>(SrcScore.size()) == Mask.rows(),
                "source score length mismatch");
@@ -383,7 +383,7 @@ void kernels::sddmmAddScalarsInto(const CsrMatrix &Mask,
 
 void kernels::scaleSparseRowsInto(const CsrMatrix &A,
                                   std::span<const float> Vals,
-                                  const std::vector<float> &D,
+                                  std::span<const float> D,
                                   std::span<float> OutVals) {
   GRANII_CHECK(static_cast<int64_t>(D.size()) == A.rows(),
                "row scale length mismatch");
@@ -402,7 +402,7 @@ void kernels::scaleSparseRowsInto(const CsrMatrix &A,
 
 void kernels::scaleSparseColsInto(const CsrMatrix &A,
                                   std::span<const float> Vals,
-                                  const std::vector<float> &D,
+                                  std::span<const float> D,
                                   std::span<float> OutVals) {
   GRANII_CHECK(static_cast<int64_t>(D.size()) == A.cols(),
                "column scale length mismatch");
@@ -419,8 +419,8 @@ void kernels::scaleSparseColsInto(const CsrMatrix &A,
 
 void kernels::scaleSparseBothInto(const CsrMatrix &A,
                                   std::span<const float> Vals,
-                                  const std::vector<float> &L,
-                                  const std::vector<float> &R,
+                                  std::span<const float> L,
+                                  std::span<const float> R,
                                   std::span<float> OutVals) {
   GRANII_CHECK(static_cast<int64_t>(L.size()) == A.rows() &&
                    static_cast<int64_t>(R.size()) == A.cols(),
@@ -660,7 +660,7 @@ void kernels::edgeSoftmaxBackwardInto(const CsrMatrix &A,
 }
 
 void kernels::degreeFromOffsetsInto(const CsrMatrix &A,
-                                    std::vector<float> &Out) {
+                                    std::span<float> Out) {
   checkVecDst(Out, static_cast<size_t>(A.rows()), "degree_off");
   const auto &Offsets = A.rowOffsets();
   parallelFor(0, A.rows(), DenseGrainOps, [&](int64_t Begin, int64_t End) {
@@ -672,7 +672,7 @@ void kernels::degreeFromOffsetsInto(const CsrMatrix &A,
 }
 
 void kernels::degreeByBinningInto(const CsrMatrix &A,
-                                  std::vector<float> &Out) {
+                                  std::span<float> Out) {
   // Binning formulation: walk every edge and increment its source bin, the
   // way a scatter-add (torch.bincount-style) kernel would. On a GPU these
   // increments contend atomically when few bins receive many edges; the
@@ -692,15 +692,15 @@ void kernels::degreeByBinningInto(const CsrMatrix &A,
   });
 }
 
-void kernels::invDegreeInto(const std::vector<float> &Degrees,
-                            std::vector<float> &Out) {
+void kernels::invDegreeInto(std::span<const float> Degrees,
+                            std::span<float> Out) {
   checkVecDst(Out, Degrees.size(), "inv_degree");
   for (size_t I = 0; I < Degrees.size(); ++I)
     Out[I] = Degrees[I] > 0.0f ? 1.0f / Degrees[I] : 0.0f;
 }
 
-void kernels::invSqrtInto(const std::vector<float> &Degrees,
-                          std::vector<float> &Out) {
+void kernels::invSqrtInto(std::span<const float> Degrees,
+                          std::span<float> Out) {
   checkVecDst(Out, Degrees.size(), "inv_sqrt");
   for (size_t I = 0; I < Degrees.size(); ++I)
     Out[I] = Degrees[I] > 0.0f ? 1.0f / std::sqrt(Degrees[I]) : 0.0f;

@@ -5,8 +5,9 @@
 /// row/column broadcasts, diagonal scaling of sparse matrices, elementwise
 /// ops, edge softmax, and the two degree-computation variants
 /// (offset-difference vs edge-binning) whose cost difference drives the
-/// paper's WiseGraph-on-dense-graphs results. All kernels are deterministic CPU code, parallelized over the
-/// shared thread pool (support/ThreadPool.h): threads own disjoint output
+/// paper's WiseGraph-on-dense-graphs results. All kernels are deterministic
+/// CPU code, parallelized over the shared thread pool
+/// (support/ThreadPool.h): threads own disjoint output
 /// rows/elements and each output's serial computation is partition-
 /// independent, so results are bitwise-identical at every thread count.
 /// The hot inner loops run through the runtime ISA dispatch layer
@@ -14,9 +15,10 @@
 /// level; results may differ across levels (docs/SIMD.md).
 /// The hardware models in src/hw derive per-device latencies for them.
 ///
-/// Edge-value operands and destinations are taken as std::span so callers
-/// can pass either plain std::vectors or the cache-line-aligned storage of
-/// CsrMatrix (support/Aligned.h) without copies.
+/// Node-vector and edge-value operands and destinations are taken as
+/// std::span so callers can pass plain std::vectors, the cache-line-aligned
+/// storage of CsrMatrix (support/Aligned.h) or a slot of the runtime's
+/// arena without copies.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +31,6 @@
 #include "tensor/DenseMatrix.h"
 
 #include <span>
-#include <vector>
 
 namespace granii {
 namespace kernels {
@@ -64,18 +65,18 @@ void gemmTransposedRhsInto(const DenseMatrix &A, const DenseMatrix &B,
 
 /// y = A * x into \p Y, which must have A.rows() entries
 /// (X.size() == A.cols()).
-void gemvInto(const DenseMatrix &A, const std::vector<float> &X,
-              std::vector<float> &Y);
+void gemvInto(const DenseMatrix &A, std::span<const float> X,
+              std::span<float> Y);
 
 /// out_ij = D[i] * H_ij into \p Dst (same shape as H), stored as \p Mode
 /// says: the paper's row-broadcast primitive, Eq. (1). Each product is
 /// rounded before it is added into Dst.
-void rowBroadcastMulInto(const std::vector<float> &D, const DenseMatrix &H,
+void rowBroadcastMulInto(std::span<const float> D, const DenseMatrix &H,
                          DenseMatrix &Dst, Store Mode = Store::Write);
 
 /// out_ij = H_ij * D[j] into \p Dst (same shape as H), stored as \p Mode
 /// says: the column variant used after update ops.
-void colBroadcastMulInto(const DenseMatrix &H, const std::vector<float> &D,
+void colBroadcastMulInto(const DenseMatrix &H, std::span<const float> D,
                          DenseMatrix &Dst, Store Mode = Store::Write);
 
 /// Elementwise sum into \p Dst (same shape as the operands).
@@ -127,8 +128,8 @@ void sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
 /// out_ij = SrcScore[i] + DstScore[j], the SDDMM(+, +) of GAT's attention
 /// logits.
 void sddmmAddScalarsInto(const CsrMatrix &Mask,
-                         const std::vector<float> &SrcScore,
-                         const std::vector<float> &DstScore,
+                         std::span<const float> SrcScore,
+                         std::span<const float> DstScore,
                          std::span<float> Out);
 
 /// Sparse diagonal scalings (special SDDMMs over diagonal operands). They
@@ -139,17 +140,14 @@ void sddmmAddScalarsInto(const CsrMatrix &Mask,
 /// values in place.
 /// OutVals = the values v_ij = D[i] * a_ij.
 void scaleSparseRowsInto(const CsrMatrix &A, std::span<const float> Vals,
-                         const std::vector<float> &D,
-                         std::span<float> OutVals);
+                         std::span<const float> D, std::span<float> OutVals);
 /// OutVals = the values v_ij = a_ij * D[j].
 void scaleSparseColsInto(const CsrMatrix &A, std::span<const float> Vals,
-                         const std::vector<float> &D,
-                         std::span<float> OutVals);
+                         std::span<const float> D, std::span<float> OutVals);
 /// OutVals = the values v_ij = L[i] * a_ij * R[j] (the fused ternary
 /// normalization SDDMM of GCN's precompute composition, Eq. (3)).
 void scaleSparseBothInto(const CsrMatrix &A, std::span<const float> Vals,
-                         const std::vector<float> &L,
-                         const std::vector<float> &R,
+                         std::span<const float> L, std::span<const float> R,
                          std::span<float> OutVals);
 
 /// Row-wise softmax of a sparse matrix's edge values (GAT attention) into
@@ -242,23 +240,22 @@ void edgeSoftmaxBackwardInto(const CsrMatrix &A,
 // Each writes one entry per row of A (per entry of Degrees) into \p Out.
 
 /// Out-degree of every row read directly from CSR offsets: O(N) work.
-void degreeFromOffsetsInto(const CsrMatrix &A, std::vector<float> &Out);
+void degreeFromOffsetsInto(const CsrMatrix &A, std::span<float> Out);
 
 /// Out-degree computed by binning every edge onto its endpoint (the
 /// PyTorch-binning style the paper observed in WiseGraph): O(E) scattered
 /// increments. Functionally identical to degreeFromOffsetsInto for row
 /// degrees, but algorithmically the expensive path on dense graphs.
-void degreeByBinningInto(const CsrMatrix &A, std::vector<float> &Out);
+void degreeByBinningInto(const CsrMatrix &A, std::span<float> Out);
 
 /// Elementwise x -> x > 0 ? 1/sqrt(x) : 0 used for symmetric normalization.
 /// Zero-degree (isolated) nodes get coefficient 0, matching the dense
 /// D^-1/2 A D^-1/2 reference where their rows/columns are all zero.
-void invSqrtInto(const std::vector<float> &Degrees, std::vector<float> &Out);
+void invSqrtInto(std::span<const float> Degrees, std::span<float> Out);
 
 /// Elementwise x -> x > 0 ? 1/x : 0 used for mean aggregation (GraphSAGE).
 /// Zero-degree nodes aggregate nothing, so their coefficient is 0.
-void invDegreeInto(const std::vector<float> &Degrees,
-                   std::vector<float> &Out);
+void invDegreeInto(std::span<const float> Degrees, std::span<float> Out);
 
 } // namespace kernels
 } // namespace granii

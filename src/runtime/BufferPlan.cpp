@@ -301,8 +301,7 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
     ValueBuffer &B = Vals[V];
     if (B.Class == BufferClass::InputAlias || B.DefStep < 0 || B.Elided)
       continue;
-    if ((!Training && B.Class == BufferClass::SparseVals) ||
-        Plan.Steps[static_cast<size_t>(B.DefStep)].Setup ||
+    if (Plan.Steps[static_cast<size_t>(B.DefStep)].Setup ||
         static_cast<int>(V) == Plan.OutputValue)
       B.Pinned = true;
   }
@@ -310,11 +309,12 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
   // Greedy slot assignment in schedule order. At each position, slots whose
   // buffer died strictly before it are returned to the free list, then each
   // buffer the position writes takes its in-place source's slot, or picks
-  // the best-fitting free slot of its class (smallest capacity that holds
-  // it; else the largest free slot, grown). A position's operands are live
-  // through it (LastUse >= the position), so a destination slot can never
-  // alias an operand's but by the in-place rule. A slot's owner is the last
-  // buffer placed in it: a source whose slot went on in place frees nothing.
+  // the best-fitting free slot, whatever kind of buffer held it before
+  // (smallest capacity that holds it; else the largest free slot, grown).
+  // A position's operands are live through it (LastUse >= the position), so
+  // a destination slot can never alias an operand's but by the in-place
+  // rule. A slot's owner is the last buffer placed in it: a source whose
+  // slot went on in place frees nothing.
   std::vector<int> FreeSlots;
   std::vector<const ValueBuffer *> Owner;
   auto Release = [&](const ValueBuffer &B, int Pos) {
@@ -330,8 +330,6 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
 
     for (const Write &W : Writes[static_cast<size_t>(Pos)]) {
       ValueBuffer *Out = W.B;
-      if (!Training && Out->Class == BufferClass::SparseVals)
-        continue; // inference: dedicated per-value storage, no slot
       if (W.Source) {
         Out->Slot = W.Source->Slot;
         Owner[static_cast<size_t>(Out->Slot)] = Out;
@@ -339,7 +337,7 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
       }
       if (Out->Pinned) {
         Out->Slot = static_cast<int>(Slots.size());
-        Slots.push_back({Out->Class, Out->Floats, /*Pinned=*/true});
+        Slots.push_back({Out->Floats, /*Pinned=*/true});
         Owner.push_back(Out);
         continue;
       }
@@ -350,8 +348,6 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
       };
       for (size_t F = 0; F < FreeSlots.size(); ++F) {
         const ArenaSlot &Slot = Slots[static_cast<size_t>(FreeSlots[F])];
-        if (Slot.Class != Out->Class)
-          continue;
         if (Slot.CapacityFloats >= Out->Floats &&
             (Best < 0 || Slot.CapacityFloats < Cap(Best)))
           Best = static_cast<int>(F);
@@ -367,7 +363,7 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
         Owner[static_cast<size_t>(Out->Slot)] = Out;
       } else {
         Out->Slot = static_cast<int>(Slots.size());
-        Slots.push_back({Out->Class, Out->Floats, /*Pinned=*/false});
+        Slots.push_back({Out->Floats, /*Pinned=*/false});
         Owner.push_back(Out);
       }
     }
@@ -402,9 +398,6 @@ BufferPlan::BufferPlan(const CompositionPlan &Plan, const DimBinding &Binding,
   }
   for (const ArenaSlot &Slot : Slots)
     Arena += static_cast<size_t>(Slot.CapacityFloats) * sizeof(float);
-  for (const ValueBuffer &B : Vals)
-    if (B.Class == BufferClass::SparseVals && B.DefStep >= 0 && B.Slot < 0)
-      Arena += Bytes(B);
 }
 
 std::string BufferPlan::toString(const CompositionPlan &Plan) const {
@@ -471,8 +464,7 @@ std::string BufferPlan::toString(const CompositionPlan &Plan) const {
       OS << "  step " << S << " (" << stepOpName(Plan.Steps[S].Op)
          << ") fused into step " << FusedInto[S] << "\n";
   for (size_t S = 0; S < Slots.size(); ++S)
-    OS << "  slot " << S << ": " << ClassName(Slots[S].Class) << " "
-       << Slots[S].CapacityFloats << " floats"
+    OS << "  slot " << S << ": " << Slots[S].CapacityFloats << " floats"
        << (Slots[S].Pinned ? " (pinned)" : "") << "\n";
   OS << "  peak " << Peak << " B, naive " << Naive << " B, arena " << Arena
      << " B\n";

@@ -54,12 +54,13 @@
 
 namespace granii {
 
-/// Storage category of one planned buffer.
+/// What one planned buffer holds. Every stored kind lives in an arena slot,
+/// and any slot holds any kind.
 enum class BufferClass {
   InputAlias, ///< bound caller tensor (or, for a gradient, the caller's
               ///< result); the executor aliases, never stores
-  DenseSlot,  ///< DenseMatrix payload in a dense arena slot
-  VecSlot,    ///< length-N float vector in a vector arena slot
+  DenseSlot,  ///< row-major Rows x Cols matrix
+  VecSlot,    ///< length-N float vector (a diagonal or node vector)
   SparseVals  ///< per-edge value array over the bound adjacency's pattern
 };
 
@@ -88,12 +89,10 @@ struct ValueBuffer {
   int LastUse = -1;
   /// Pinned buffers get a dedicated slot and stay resident from DefStep to
   /// the end of the schedule: the output (read after the run) and
-  /// setup-step results (graph-only; conceptually hoisted). In inference a
-  /// sparse value is pinned too: each keeps its own value array in the
-  /// workspace.
+  /// setup-step results (graph-only; conceptually hoisted).
   bool Pinned = false;
-  /// Index into slots() for DenseSlot/VecSlot buffers, and for SparseVals
-  /// buffers of a training schedule; -1 otherwise.
+  /// Index into slots() for every stored buffer; -1 for an input alias, a
+  /// value held in registers and a buffer the run never writes.
   int Slot = -1;
   /// Held only in a fused producer's accumulators: the GEMM/SpMM result or
   /// an intermediate of the chain it applies. No slot, not pinned, and live
@@ -106,9 +105,9 @@ struct ValueBuffer {
   bool InPlace = false;
 };
 
-/// One reusable arena slot.
+/// One reusable arena slot: plain float storage that a dense value, a node
+/// vector, an edge array or a gradient of any of them may occupy in turn.
 struct ArenaSlot {
-  BufferClass Class = BufferClass::DenseSlot;
   /// Capacity in floats: the maximum payload of any buffer assigned to it.
   int64_t CapacityFloats = 0;
   /// True when the slot is dedicated to a single pinned buffer.
@@ -167,9 +166,9 @@ public:
   /// own allocation.
   size_t naiveBytes() const { return Naive; }
 
-  /// Arena footprint: the sum of all slot capacities (and of inference's
-  /// sparse value arrays). Can exceed peakBytes() when size classes
-  /// fragment, but never naiveBytes().
+  /// Arena footprint: the sum of all slot capacities. Can exceed
+  /// peakBytes() when the in-order placement fragments, but never
+  /// naiveBytes().
   size_t arenaBytes() const { return Arena; }
 
   /// Human-readable listing: one line per value (lifetime, size, slot), in

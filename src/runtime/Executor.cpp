@@ -91,53 +91,25 @@ bool PlanWorkspace::configure(const CompositionPlan &PlanIn,
   Buffers.emplace(PlanIn, B, TrainingIn);
   Descs = PlanIn.primitiveDescs(B);
   // Presize every slot to its planned capacity so the first run's resizes
-  // already fit; growth from here on is a planning bug the counter exposes.
-  // The output's slot is pinned (never shared) and stays empty: the final
-  // step writes the caller's ExecResult::Output instead.
+  // already fit; growth from here on is a planning bug the counter exposes,
+  // and a span into a grown slot would dangle. The output's slot is pinned
+  // (never shared) and stays empty: the final step writes the caller's
+  // ExecResult::Output instead.
   const std::vector<ArenaSlot> &Sl = Buffers->slots();
   const int OutputSlot =
       Buffers->values()[static_cast<size_t>(PlanIn.OutputValue)].Slot;
-  DenseSlots.resize(Sl.size());
-  VecSlots.resize(Sl.size());
-  EdgeSlots.resize(Sl.size());
-  for (size_t S = 0; S < Sl.size(); ++S) {
-    if (static_cast<int>(S) == OutputSlot)
-      continue;
-    size_t Cap = static_cast<size_t>(Sl[S].CapacityFloats);
-    if (Sl[S].Class == BufferClass::DenseSlot)
-      DenseSlots[S].reserveFloats(Cap);
-    else if (Sl[S].Class == BufferClass::VecSlot)
-      VecSlots[S].reserve(Cap);
-    else
-      EdgeSlots[S].reserve(Cap);
-  }
-  // An inference sparse value is one value array of its own.
-  SparseValues.resize(PlanIn.Values.size());
-  for (size_t V = 0; V < PlanIn.Values.size(); ++V) {
-    const ValueBuffer &VB = Buffers->values()[V];
-    if (VB.Class == BufferClass::SparseVals && VB.DefStep >= 0 && VB.Slot < 0)
-      SparseValues[V].reserve(static_cast<size_t>(VB.Floats));
-  }
+  Slots.resize(Sl.size());
+  for (size_t S = 0; S < Sl.size(); ++S)
+    if (static_cast<int>(S) != OutputSlot)
+      Slots[S].reserveFloats(static_cast<size_t>(Sl[S].CapacityFloats));
   Scratch.resize(PlanIn.Values.size());
   return true;
 }
 
-namespace {
-
-/// Resizes \p Store to \p Size and \returns whether its capacity grew.
-template <class Vector> bool grows(Vector &Store, size_t Size) {
-  const size_t Cap = Store.capacity();
-  Store.resize(Size);
-  return Store.capacity() != Cap;
-}
-
-} // namespace
-
 DenseMatrix &PlanWorkspace::denseFor(const ValueBuffer &B, int64_t Rows,
                                      int64_t Cols) {
-  assert(B.Slot >= 0 && B.Class == BufferClass::DenseSlot &&
-         "buffer has no dense slot");
-  DenseMatrix &M = DenseSlots[static_cast<size_t>(B.Slot)];
+  assert(B.Slot >= 0 && "buffer has no slot");
+  DenseMatrix &M = Slots[static_cast<size_t>(B.Slot)];
   size_t Cap = M.capacityFloats();
   M.resize(Rows, Cols);
   if (M.capacityFloats() != Cap)
@@ -145,32 +117,9 @@ DenseMatrix &PlanWorkspace::denseFor(const ValueBuffer &B, int64_t Rows,
   return M;
 }
 
-std::vector<float> &PlanWorkspace::vecFor(const ValueBuffer &B, size_t Size) {
-  assert(B.Slot >= 0 && B.Class == BufferClass::VecSlot &&
-         "buffer has no vector slot");
-  std::vector<float> &V = VecSlots[static_cast<size_t>(B.Slot)];
-  Allocations += grows(V, Size);
-  return V;
-}
-
-AlignedVector<float> &PlanWorkspace::edgesFor(const ValueBuffer &B,
-                                              size_t Nnz) {
-  assert(B.Slot >= 0 && B.Class == BufferClass::SparseVals &&
-         "buffer has no edge slot");
-  AlignedVector<float> &V = EdgeSlots[static_cast<size_t>(B.Slot)];
-  Allocations += grows(V, Nnz);
-  return V;
-}
-
-AlignedVector<float> &PlanWorkspace::edgeValuesFor(int Id, size_t Nnz) {
-  assert(Buffers && "workspace not configured");
-  const ValueBuffer &B = Buffers->values()[static_cast<size_t>(Id)];
-  assert(B.Class == BufferClass::SparseVals && "value is not sparse");
-  if (B.Slot >= 0)
-    return edgesFor(B, Nnz);
-  AlignedVector<float> &V = SparseValues[static_cast<size_t>(Id)];
-  Allocations += grows(V, Nnz);
-  return V;
+std::span<float> PlanWorkspace::floatsFor(const ValueBuffer &B) {
+  DenseMatrix &M = denseFor(B, 1, B.Floats);
+  return {M.data(), static_cast<size_t>(B.Floats)};
 }
 
 //===----------------------------------------------------------------------===//
@@ -238,17 +187,13 @@ private:
     Out.Dense = &M;
     return M;
   }
-  std::vector<float> &dstVec(int Id, size_t Size) {
-    std::vector<float> &V =
-        Ws.vecFor(buffers().values()[static_cast<size_t>(Id)], Size);
-    val(Id).Vec = &V;
-    return V;
-  }
-  std::span<float> dstEdges(int Id) {
-    AlignedVector<float> &V =
-        Ws.edgeValuesFor(Id, static_cast<size_t>(adjacency().nnz()));
-    val(Id).Edges = V;
-    return V;
+  /// A node vector's or edge array's slot, bound as value \p Id.
+  std::span<float> dstFloats(int Id) {
+    std::span<float> F =
+        Ws.floatsFor(buffers().values()[static_cast<size_t>(Id)]);
+    RtValue &Out = val(Id);
+    (Out.Kind == PlanValueKind::Sparse ? Out.Edges : Out.Vec) = F;
+    return F;
   }
 
   /// The pattern of every sparse value: the bound adjacency's.
@@ -288,7 +233,7 @@ private:
       const bool Pushed =
           Epi.push(Scale ? kernels::RowEpilogue::OpKind::Scale
                          : kernels::RowEpilogue::OpKind::Relu,
-                   Scale ? std::span<const float>(val(Step.Operands[0]).vec())
+                   Scale ? val(Step.Operands[0]).vec()
                          : std::span<const float>());
       assert(Pushed && "fused chain longer than an epilogue");
       (void)Pushed;
@@ -388,7 +333,7 @@ void PlanInterpreter::bindInput(size_t Id, const PlanValue &Def) {
     if (It == Inputs.AttnVecs.end())
       GRANII_FATAL("no attention vector bound for leaf '" + Def.DebugName +
                    "'");
-    V.Vec = It->second;
+    V.Vec = *It->second;
     V.Kind = PlanValueKind::NodeVec;
     return;
   }
@@ -406,7 +351,7 @@ double PlanInterpreter::runKernel(size_t StepIdx, int Target,
   double Seconds = 0.0;
   // granii-noalloc-begin: the step dispatch is the steady-state hot path;
   // destination buffers come pre-planned from the workspace (dstDense /
-  // dstEdges / dstVec), so nothing here may allocate.
+  // dstFloats), so nothing here may allocate.
   switch (Step.Op) {
   case StepOp::Gemm:
     Seconds = charge(StepIdx, [&] {
@@ -433,19 +378,19 @@ double PlanInterpreter::runKernel(size_t StepIdx, int Target,
   case StepOp::SddmmScaleRow:
     Seconds = charge(StepIdx, [&] {
       kernels::scaleSparseRowsInto(adjacency(), Op(1).edges(), Op(0).vec(),
-                                   dstEdges(Step.Result));
+                                   dstFloats(Step.Result));
     });
     break;
   case StepOp::SddmmScaleCol:
     Seconds = charge(StepIdx, [&] {
       kernels::scaleSparseColsInto(adjacency(), Op(0).edges(), Op(1).vec(),
-                                   dstEdges(Step.Result));
+                                   dstFloats(Step.Result));
     });
     break;
   case StepOp::SddmmScaleBoth:
     Seconds = charge(StepIdx, [&] {
       kernels::scaleSparseBothInto(adjacency(), Op(1).edges(), Op(0).vec(),
-                                   Op(2).vec(), dstEdges(Step.Result));
+                                   Op(2).vec(), dstFloats(Step.Result));
     });
     break;
   case StepOp::RowBcast:
@@ -464,10 +409,10 @@ double PlanInterpreter::runKernel(size_t StepIdx, int Target,
     break;
   case StepOp::DiagDiag:
     Seconds = charge(StepIdx, [&] {
-      const std::vector<float> &L = Op(0).vec();
-      const std::vector<float> &R = Op(1).vec();
-      std::vector<float> &O = dstVec(Step.Result, L.size());
-      for (size_t I = 0; I < L.size(); ++I)
+      std::span<const float> L = Op(0).vec();
+      std::span<const float> R = Op(1).vec();
+      std::span<float> O = dstFloats(Step.Result);
+      for (size_t I = 0; I < O.size(); ++I)
         O[I] = L[I] * R[I];
     });
     break;
@@ -493,41 +438,33 @@ double PlanInterpreter::runKernel(size_t StepIdx, int Target,
     break;
   case StepOp::DegreeOffsets:
     Seconds = charge(StepIdx, [&] {
-      const CsrMatrix &A = adjacency();
-      kernels::degreeFromOffsetsInto(
-          A, dstVec(Step.Result, static_cast<size_t>(A.rows())));
+      kernels::degreeFromOffsetsInto(adjacency(), dstFloats(Step.Result));
     });
     break;
   case StepOp::DegreeBinning:
     Seconds = charge(StepIdx, [&] {
-      const CsrMatrix &A = adjacency();
-      kernels::degreeByBinningInto(
-          A, dstVec(Step.Result, static_cast<size_t>(A.rows())));
+      kernels::degreeByBinningInto(adjacency(), dstFloats(Step.Result));
     });
     break;
   case StepOp::InvSqrtVec:
     Seconds = charge(StepIdx, [&] {
-      const std::vector<float> &D = Op(0).vec();
-      kernels::invSqrtInto(D, dstVec(Step.Result, D.size()));
+      kernels::invSqrtInto(Op(0).vec(), dstFloats(Step.Result));
     });
     break;
   case StepOp::InvVec:
     Seconds = charge(StepIdx, [&] {
-      const std::vector<float> &D = Op(0).vec();
-      kernels::invDegreeInto(D, dstVec(Step.Result, D.size()));
+      kernels::invDegreeInto(Op(0).vec(), dstFloats(Step.Result));
     });
     break;
   case StepOp::AttnGemv:
     Seconds = charge(StepIdx, [&] {
-      const DenseMatrix &A = Op(0).dense();
-      kernels::gemvInto(A, Op(1).vec(),
-                        dstVec(Step.Result, static_cast<size_t>(A.rows())));
+      kernels::gemvInto(Op(0).dense(), Op(1).vec(), dstFloats(Step.Result));
     });
     break;
   case StepOp::EdgeLogits:
     Seconds = charge(StepIdx, [&] {
       kernels::sddmmAddScalarsInto(adjacency(), Op(1).vec(), Op(2).vec(),
-                                   dstEdges(Step.Result));
+                                   dstFloats(Step.Result));
     });
     break;
   case StepOp::EdgeLeakyRelu:
@@ -535,7 +472,7 @@ double PlanInterpreter::runKernel(size_t StepIdx, int Target,
       std::span<const float> In = Op(0).edges();
       if (!In.empty())
         kernels::leakyReluEdgesInto(In, static_cast<float>(Step.Param),
-                                    dstEdges(Step.Result));
+                                    dstFloats(Step.Result));
       else
         val(Step.Result).Edges = {}; // unweighted in, unweighted out
     });
@@ -543,7 +480,7 @@ double PlanInterpreter::runKernel(size_t StepIdx, int Target,
   case StepOp::EdgeSoftmax:
     Seconds = charge(StepIdx, [&] {
       kernels::edgeSoftmaxInto(adjacency(), Op(0).edges(),
-                               dstEdges(Step.Result));
+                               dstFloats(Step.Result));
     });
     break;
   }
@@ -647,13 +584,9 @@ void PlanInterpreter::backward(ExecResult &Result) {
     const ValueBuffer &G = BP.grads()[static_cast<size_t>(Id)];
     return Ws.denseFor(G, G.Rows, G.Cols);
   };
-  auto VecSlot = [&](int Id) -> std::vector<float> & {
-    const ValueBuffer &G = BP.grads()[static_cast<size_t>(Id)];
-    return Ws.vecFor(G, static_cast<size_t>(G.Floats));
-  };
-  auto EdgeSlot = [&](int Id) -> AlignedVector<float> & {
-    const ValueBuffer &G = BP.grads()[static_cast<size_t>(Id)];
-    return Ws.edgesFor(G, static_cast<size_t>(G.Floats));
+  // The same for a node vector's or edge array's gradient.
+  auto FloatsSlot = [&](int Id) {
+    return Ws.floatsFor(BP.grads()[static_cast<size_t>(Id)]);
   };
 
   // Marks value Id's gradient written in this run and \returns whether this
@@ -682,19 +615,17 @@ void PlanInterpreter::backward(ExecResult &Result) {
     }
     return Acc;
   };
-  auto VecGrad = [&](int Id, bool &First) -> std::span<float> {
+  // The same for a node vector or edge array; the caller holds an
+  // attention vector's.
+  auto FloatsGrad = [&](int Id, bool &First) -> std::span<float> {
     First = Contribute(Id);
     if (!Caller(Id))
-      return VecSlot(Id);
+      return FloatsSlot(Id);
     std::vector<float> &Acc =
         Result.AttnGrads[Plan.Values[static_cast<size_t>(Id)].DebugName];
     if (First)
       Acc.resize(Values[static_cast<size_t>(Id)].vec().size());
     return Acc;
-  };
-  auto EdgeGrad = [&](int Id, bool &First) -> std::span<float> {
-    First = Contribute(Id);
-    return EdgeSlot(Id);
   };
   // Adds Alpha * X into value Id's dense gradient, which has X's shape.
   auto AddDense = [&](int Id, float Alpha, const DenseMatrix &X) {
@@ -733,11 +664,8 @@ void PlanInterpreter::backward(ExecResult &Result) {
     auto OutDense = [&]() -> const DenseMatrix & {
       return DenseSlot(Step.Result);
     };
-    auto OutEdges = [&]() -> std::span<const float> {
-      return EdgeSlot(Step.Result);
-    };
-    auto OutVec = [&]() -> std::span<const float> {
-      return VecSlot(Step.Result);
+    auto OutFloats = [&]() -> std::span<const float> {
+      return FloatsSlot(Step.Result);
     };
     auto OpId = [&](int I) { return Step.Operands[I]; };
     auto NeedOp = [&](int I) {
@@ -808,7 +736,7 @@ void PlanInterpreter::backward(ExecResult &Result) {
                         S.nnz()};
         Charge(OpId(0), D, [&] {
           bool First;
-          std::span<float> DS = EdgeGrad(OpId(0), First);
+          std::span<float> DS = FloatsGrad(OpId(0), First);
           kernels::sddmmInto(S, DY, OpVal(1).dense(), DS, StoreFor(First));
         });
       }
@@ -889,7 +817,7 @@ void PlanInterpreter::backward(ExecResult &Result) {
       break;
     }
     case StepOp::AttnGemv: {
-      std::span<const float> DY = OutVec();
+      std::span<const float> DY = OutFloats();
       const auto [Rows, Cols] = shapeOf(OpId(0));
       if (NeedOp(0)) {
         PrimitiveDesc D{PrimitiveKind::Gemm, Rows, Cols, 1, 0};
@@ -903,7 +831,7 @@ void PlanInterpreter::backward(ExecResult &Result) {
         PrimitiveDesc D{PrimitiveKind::Gemv, Rows, 0, Cols, 0};
         Charge(OpId(1), D, [&] {
           bool First;
-          std::span<float> DA = VecGrad(OpId(1), First);
+          std::span<float> DA = FloatsGrad(OpId(1), First);
           kernels::attnVecGradInto(OpVal(0).dense(), DY, DA, First);
         });
       }
@@ -911,13 +839,13 @@ void PlanInterpreter::backward(ExecResult &Result) {
     }
     case StepOp::EdgeLogits: {
       const CsrMatrix &Mask = adjacency();
-      std::span<const float> DY = OutEdges();
+      std::span<const float> DY = OutFloats();
       PrimitiveDesc D{PrimitiveKind::EdgeElementwise, Mask.rows(), 0, 0,
                       Mask.nnz()};
       if (NeedOp(1)) {
         Charge(OpId(1), D, [&] {
           bool First;
-          std::span<float> DSrc = VecGrad(OpId(1), First);
+          std::span<float> DSrc = FloatsGrad(OpId(1), First);
           kernels::edgeRowSumInto(Mask, DY, DSrc, First);
         });
       }
@@ -927,7 +855,7 @@ void PlanInterpreter::backward(ExecResult &Result) {
         const CscMatrix &Csc = boundCsc(Step, Result, Backward);
         Charge(OpId(2), D, [&] {
           bool First;
-          std::span<float> DDst = VecGrad(OpId(2), First);
+          std::span<float> DDst = FloatsGrad(OpId(2), First);
           kernels::edgeColSumInto(Csc, DY, DDst, First);
         });
       }
@@ -936,12 +864,12 @@ void PlanInterpreter::backward(ExecResult &Result) {
     case StepOp::EdgeLeakyRelu: {
       if (NeedOp(0)) {
         const CsrMatrix &In = adjacency();
-        std::span<const float> DY = OutEdges();
+        std::span<const float> DY = OutFloats();
         PrimitiveDesc D{PrimitiveKind::EdgeElementwise, In.rows(), 0, 0,
                         In.nnz()};
         Charge(OpId(0), D, [&] {
           bool First;
-          std::span<float> DIn = EdgeGrad(OpId(0), First);
+          std::span<float> DIn = FloatsGrad(OpId(0), First);
           kernels::leakyReluEdgesBackwardInto(OpVal(0).edges(), DY,
                                               static_cast<float>(Step.Param),
                                               DIn, First);
@@ -952,13 +880,13 @@ void PlanInterpreter::backward(ExecResult &Result) {
     case StepOp::EdgeSoftmax: {
       if (NeedOp(0)) {
         const CsrMatrix &A = adjacency();
-        std::span<const float> DY = OutEdges();
+        std::span<const float> DY = OutFloats();
         std::span<const float> Alpha =
             Values[static_cast<size_t>(Step.Result)].edges();
         PrimitiveDesc D{PrimitiveKind::EdgeSoftmax, A.rows(), 0, 0, A.nnz()};
         Charge(OpId(0), D, [&] {
           bool First;
-          std::span<float> DIn = EdgeGrad(OpId(0), First);
+          std::span<float> DIn = FloatsGrad(OpId(0), First);
           kernels::edgeSoftmaxBackwardInto(A, Alpha, DY, DIn, First);
         });
       }

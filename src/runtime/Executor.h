@@ -13,12 +13,13 @@
 /// result through the kernels' `...Into` forms, and the plan's final step
 /// writes straight into the caller's ExecResult::Output. Every run executes
 /// against a PlanWorkspace, whose BufferPlan-assigned slots hold the forward
-/// values and, in training, the gradients too (each backward kernel adds its
-/// contribution straight into its gradient); they persist across calls so a
+/// values (dense matrices, node vectors and edge arrays alike) and, in
+/// training, the gradients too (each backward kernel adds its contribution
+/// straight into its gradient); they persist across calls so a
 /// steady-state run performs zero heap allocations for plan values. Both
-/// modes fold a fused chain into its producer by the BufferPlan's one rule. The by-value run()/runTraining() simply
-/// use a fresh workspace per call. Each step executes exactly once per
-/// call.
+/// modes fold a fused chain into its producer by the BufferPlan's one rule.
+/// The by-value run()/runTraining() simply use a fresh workspace per call.
+/// Each step executes exactly once per call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,21 +75,23 @@ namespace detail {
 /// set; the interpreter writes through its workspace, never through these.
 /// A sparse value is its edge values alone: every sparse value of a plan
 /// has the bound adjacency's pattern (the adjacency is the one sparse
-/// input, and each sparse step keeps its operand's pattern).
+/// input, and each sparse step keeps its operand's pattern). A span into a
+/// slot stays valid because configure() presizes every slot, so no slot
+/// reallocates afterwards.
 struct RtValue {
   PlanValueKind Kind = PlanValueKind::Dense;
   const DenseMatrix *Dense = nullptr;
   /// One value per edge of the bound adjacency, in its CSR edge order;
   /// empty for an unweighted value (every edge 1).
   std::span<const float> Edges;
-  const std::vector<float> *Vec = nullptr; ///< diagonal or node vector
+  std::span<const float> Vec; ///< diagonal or node vector
   /// Training: whether the backward pass has written the value's gradient
   /// in this run, so a further contribution adds instead of writing.
   bool GradPresent = false;
 
   const DenseMatrix &dense() const { return *Dense; }
   std::span<const float> edges() const { return Edges; }
-  const std::vector<float> &vec() const { return *Vec; }
+  std::span<const float> vec() const { return Vec; }
 };
 
 /// Cached layout state of a workspace: what a run derives from the caller's
@@ -235,19 +238,14 @@ public:
   void resetAllocationCount() { Allocations = 0; }
 
   /// \name Executor internals
-  /// Slot accessors used by the interpreter; they reshape the backing
-  /// store to the requested size and count any capacity growth. Valid only
-  /// after configure().
+  /// Slot accessors used by the interpreter; they reshape the slot of
+  /// planned buffer \p B of the configured BufferPlan (a plan value or a
+  /// gradient) and count any capacity growth. Valid only after configure().
   /// @{
-  /// The storage of planned buffer \p B of the configured BufferPlan: a
-  /// plan value or a gradient, in its arena slot.
+  /// \p B's slot as a Rows x Cols matrix.
   DenseMatrix &denseFor(const ValueBuffer &B, int64_t Rows, int64_t Cols);
-  std::vector<float> &vecFor(const ValueBuffer &B, size_t Size);
-  AlignedVector<float> &edgesFor(const ValueBuffer &B, size_t Nnz);
-  /// The value array of sparse value \p Id (BufferClass::SparseVals), one
-  /// float per edge of the bound adjacency, whose pattern it shares: its
-  /// slot in training, an array of its own in inference.
-  AlignedVector<float> &edgeValuesFor(int Id, size_t Nnz);
+  /// \p B's slot as B.Floats floats: a node vector or an edge array.
+  std::span<float> floatsFor(const ValueBuffer &B);
   /// The configured plan's primitive descriptors, parallel to its steps.
   const std::vector<PrimitiveDesc> &descs() const { return Descs; }
   /// One runtime binding per plan value, rebound by every forward pass.
@@ -262,12 +260,9 @@ private:
   DimBinding Binding{};
   bool Training = false;
   std::optional<BufferPlan> Buffers;
-  /// Slot storage, indexed by slot id; a slot uses the one of its class.
-  std::vector<DenseMatrix> DenseSlots;
-  std::vector<std::vector<float>> VecSlots;
-  std::vector<AlignedVector<float>> EdgeSlots;
-  /// Inference's sparse values, which have no slot, indexed by value id.
-  std::vector<AlignedVector<float>> SparseValues;
+  /// Slot storage, indexed by slot id: a dense value is bound as the
+  /// matrix itself, any other buffer as its first B.Floats floats.
+  std::vector<DenseMatrix> Slots;
   std::vector<PrimitiveDesc> Descs;
   std::vector<detail::RtValue> Scratch;
   detail::LayoutState Layout;

@@ -214,16 +214,14 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
   if (Plan.OutputValue >= 0)
     Use[static_cast<size_t>(Plan.OutputValue)] = Positions;
 
-  // A stored buffer's slot reference: in range, of its class, large enough.
+  // A stored buffer's slot reference: in range and large enough. Any slot
+  // holds any kind of buffer.
   auto CheckSlot = [&](const std::string &Node, const ValueBuffer &B) {
     if (B.Slot < 0 || static_cast<size_t>(B.Slot) >= Slots.size()) {
       Error(Node, "slot " + std::to_string(B.Slot) + " out of range");
       return;
     }
     const ArenaSlot &Slot = Slots[static_cast<size_t>(B.Slot)];
-    if (Slot.Class != B.Class)
-      Error(Node, std::string("assigned to a ") + className(Slot.Class) +
-                      " slot, buffer needs " + className(B.Class));
     if (Slot.CapacityFloats < B.Floats)
       Error(Node, "slot " + std::to_string(B.Slot) + " capacity " +
                       std::to_string(Slot.CapacityFloats) +
@@ -322,14 +320,6 @@ bool granii::verifyBufferAssignment(const CompositionPlan &Plan,
       continue;
     }
 
-    // Slot reference validity. An inference sparse value keeps a value
-    // array of its own; a training one shares slots like any buffer.
-    if (B.Class == BufferClass::SparseVals && !Training) {
-      if (B.Slot >= 0)
-        Error(Node, "sparse value assigned an arena slot",
-              "per-edge arrays get dedicated storage");
-      continue;
-    }
     if (Def[V] < 0)
       continue; // never produced; nothing to place
     CheckSlot(Node, B);

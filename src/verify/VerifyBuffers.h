@@ -41,13 +41,13 @@ namespace granii {
 /// until the last backward step that reads it, and a gradient from its
 /// first contribution to its producer's backward step, both recomputed here
 /// from the executor's backward rules), classes and payload sizes must
-/// match the value kinds, every slot reference must be in range with a
-/// matching class and sufficient capacity, and buffers sharing a slot must
-/// have disjoint lifetimes (pinned buffers extend to the end of the
-/// schedule) but for one alias: a relu, edge leaky relu or edge softmax
-/// backward step's first contribution to its operand's gradient may take
-/// the slot of its result's gradient, which dies at that step. \returns
-/// true when clean.
+/// match the value kinds, every stored buffer's slot reference must be in
+/// range with sufficient capacity (any slot holds any kind of buffer), and
+/// buffers sharing a slot must have disjoint lifetimes (pinned buffers
+/// extend to the end of the schedule) but for one alias: a relu, edge leaky
+/// relu or edge softmax backward step's first contribution to its operand's
+/// gradient may take the slot of its result's gradient, which dies at that
+/// step. \returns true when clean.
 bool verifyBufferAssignment(const CompositionPlan &Plan,
                             const DimBinding &Binding, bool Training,
                             const std::vector<ValueBuffer> &Vals,

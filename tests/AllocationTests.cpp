@@ -2,7 +2,7 @@
 //
 // Replaces the global operator new with one that counts every call, then
 // checks that a warm in-place Optimizer::execute allocates nothing on the
-// heap at all: a GAT and a GCN training call and a GCN inference call, each
+// heap at all: a GAT and a GCN call in training and in inference, each
 // repeated on the same selection, parameters and result, at one and four
 // threads.
 // The workspace's own counter (Optimizer::execute's return value) sees only
@@ -155,6 +155,22 @@ TEST(HeapAllocations, WarmGcnInferenceExecuteAllocatesNothing) {
     ThreadPool::get().setNumThreads(Threads);
     size_t Growth = 0;
     EXPECT_EQ(warmExecuteAllocations(ModelKind::GCN, 128, 128, false, Growth),
+              0u);
+    EXPECT_EQ(Growth, 0u);
+  }
+}
+
+// GAT inference places its edge arrays in the arena's shared slots, beside
+// the dense values and node vectors: still nothing allocated once warm.
+TEST(HeapAllocations, WarmGatInferenceExecuteAllocatesNothing) {
+  if (lockOrderChecksEnabled())
+    GTEST_SKIP() << "lock-order checks allocate per acquisition";
+  ThreadCountGuard Guard;
+  for (int Threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(Threads) + " threads");
+    ThreadPool::get().setNumThreads(Threads);
+    size_t Growth = 0;
+    EXPECT_EQ(warmExecuteAllocations(ModelKind::GAT, 64, 128, false, Growth),
               0u);
     EXPECT_EQ(Growth, 0u);
   }

@@ -355,29 +355,76 @@ TEST(BufferPlan, GatTrainingPlansBothPasses) {
   }
   EXPECT_EQ(BP.grads()[0].DefStep, -1); // the adjacency gets none
 
-  // Slot sharing across the passes: the seed's slot passes in place to
-  // v11's gradient; the edge array v9 gives its slot to v10's gradient,
-  // which passes it in place to v9's and v8's; the logit vectors' slots go
-  // to their gradients. Theta's gradient needs a dense slot of its own: at
-  // 10 the seed's slot still holds v11's gradient.
+  // Slot sharing across the passes and across kinds. Theta takes slot 0,
+  // v5 and v7 slots 1 and 2 and v8 slot 3. At 4 the logit vectors are
+  // dead: the edge array v9 takes v5's slot, grown from 10 to 20 floats,
+  // and v10 (5) takes v7's. The seed (8) takes v9's slot, grown to 30,
+  // and passes it in place to v11's gradient. At 10 v8 and v10 still hold
+  // theirs, so theta's gradient and v10's each take a new slot (5, 6);
+  // v10's passes in place to v9's and v8's. At 13 the logit vectors'
+  // gradients take v10's and v8's slots, the best fits among the three
+  // free ones.
   auto Slot = [&](const ValueBuffer &B) { return B.Slot; };
+  EXPECT_EQ(Slot(BP.values()[9]), Slot(BP.values()[5]));
+  EXPECT_EQ(Slot(BP.values()[10]), Slot(BP.values()[7]));
+  EXPECT_EQ(Slot(BP.grads()[12]), Slot(BP.values()[9]));
   EXPECT_EQ(Slot(BP.grads()[11]), Slot(BP.grads()[12]));
-  EXPECT_EQ(Slot(BP.grads()[10]), Slot(BP.values()[9]));
   EXPECT_EQ(Slot(BP.grads()[9]), Slot(BP.grads()[10]));
   EXPECT_EQ(Slot(BP.grads()[8]), Slot(BP.grads()[10]));
-  EXPECT_EQ(Slot(BP.grads()[5]), Slot(BP.values()[5]));
-  EXPECT_EQ(Slot(BP.grads()[7]), Slot(BP.values()[7]));
+  EXPECT_EQ(Slot(BP.grads()[5]), Slot(BP.values()[10]));
+  EXPECT_EQ(Slot(BP.grads()[7]), Slot(BP.values()[8]));
   EXPECT_NE(Slot(BP.grads()[3]), Slot(BP.grads()[12]));
-  EXPECT_EQ(BP.slots().size(), 9u);
+  EXPECT_EQ(BP.slots().size(), 7u);
+  const std::vector<int64_t> Capacity = {30, 30, 20, 20, 30, 30, 20};
+  for (size_t S = 0; S < Capacity.size(); ++S)
+    EXPECT_EQ(BP.slots()[S].CapacityFloats, Capacity[S]) << "slot " << S;
 
   // Bytes, in floats: naive = values 170 (v11 included) + gradients 170.
   // The worst position is the SpMM's backward step (10): v3, v8, v10 and
   // the output, 100, and the gradients of v11, v3 and v10, 80. The arena's
-  // 9 slots hold 200: four dense (v3, the output, the seed's and theta's
-  // gradient), two vector and three edge slots.
+  // 7 slots hold those 180 floats: the arena equals the peak.
   EXPECT_EQ(BP.naiveBytes(), 1360u);
   EXPECT_EQ(BP.peakBytes(), 720u);
-  EXPECT_EQ(BP.arenaBytes(), 800u);
+  EXPECT_EQ(BP.arenaBytes(), 720u);
+}
+
+// The same plan in inference: v3 lives [0, 6], v5 [1, 3], v7 [2, 3], the
+// edge arrays v8 [3, 4], v9 [4, 5] and v10 [5, 6], and the SpMM stores the
+// pinned output at 6. An edge array takes a slot like any other buffer.
+TEST(BufferPlan, GatInferenceEdgeArraysShareSlots) {
+  CompositionPlan P =
+      pruneCompositions(enumerateCompositions(makeModel(ModelKind::GAT).Root))
+          .front();
+  ASSERT_EQ(P.Steps.size(), 8u);
+  BufferPlan BP(P, testBinding(), /*Training=*/false);
+  SCOPED_TRACE(BP.toString(P));
+  EXPECT_EQ(BP.fusedInto(), (std::vector<int>{-1, -1, -1, -1, -1, -1, -1, 6}));
+  for (int V : {8, 9, 10}) {
+    const ValueBuffer &B = BP.values()[static_cast<size_t>(V)];
+    EXPECT_EQ(B.Class, BufferClass::SparseVals) << "v" << V;
+    EXPECT_EQ(B.DefStep, V - 5) << "v" << V;
+    EXPECT_EQ(B.LastUse, V - 4) << "v" << V;
+    EXPECT_FALSE(B.Pinned) << "v" << V;
+    EXPECT_GE(B.Slot, 0) << "v" << V;
+  }
+
+  // v8 finds no free slot at 3 and takes a new one. At 4 the logit
+  // vectors are dead: v9 takes v5's slot, grown from 10 to 20 floats. At 5
+  // v8 is dead too, and v10 takes its slot, the one free slot that fits.
+  auto Slot = [&](int V) { return BP.values()[static_cast<size_t>(V)].Slot; };
+  EXPECT_EQ(Slot(9), Slot(5));
+  EXPECT_EQ(Slot(10), Slot(8));
+  EXPECT_EQ(BP.slots().size(), 5u);
+  const std::vector<int64_t> Capacity = {30, 20, 10, 20, 30};
+  for (size_t S = 0; S < Capacity.size(); ++S)
+    EXPECT_EQ(BP.slots()[S].CapacityFloats, Capacity[S]) << "slot " << S;
+  EXPECT_TRUE(BP.slots()[static_cast<size_t>(Slot(12))].Pinned);
+
+  // Floats: naive = 170 (v11, held in registers, included); the worst
+  // position is the SpMM (6): v3, v10 and the output, 80; arena 110.
+  EXPECT_EQ(BP.naiveBytes(), 680u);
+  EXPECT_EQ(BP.peakBytes(), 320u);
+  EXPECT_EQ(BP.arenaBytes(), 440u);
 }
 
 // GCN plan #0 in training: degree and inv_sqrt are setup steps (pinned),
@@ -423,10 +470,8 @@ TEST(BufferPlan, GcnTrainingFusesBothChains) {
   // v6's gradients; a second takes v7's and v5's.
   std::vector<int> Shared;
   for (const ArenaSlot &S : BP.slots())
-    if (!S.Pinned) {
-      EXPECT_EQ(S.Class, BufferClass::DenseSlot);
+    if (!S.Pinned)
       Shared.push_back(static_cast<int>(S.CapacityFloats));
-    }
   EXPECT_EQ(Shared, (std::vector<int>{30, 30}));
   EXPECT_EQ(BP.grads()[9].Slot, BP.values()[6].Slot);
   EXPECT_EQ(BP.grads()[6].Slot, BP.values()[6].Slot);
@@ -486,11 +531,13 @@ TEST(BufferPlan, SetupResultsAndSparseValuesArePinned) {
   EXPECT_TRUE(BP.values()[3].Pinned);
   EXPECT_EQ(BP.values()[2].Class, BufferClass::VecSlot);
 
-  // Sparse value: per-edge array sized E, dedicated storage, no slot.
+  // A setup edge array, sized E: pinned in a slot of its own.
   const ValueBuffer &Sp = BP.values()[4];
   EXPECT_EQ(Sp.Class, BufferClass::SparseVals);
   EXPECT_TRUE(Sp.Pinned);
-  EXPECT_EQ(Sp.Slot, -1);
+  ASSERT_GE(Sp.Slot, 0);
+  EXPECT_TRUE(BP.slots()[static_cast<size_t>(Sp.Slot)].Pinned);
+  EXPECT_EQ(BP.slots()[static_cast<size_t>(Sp.Slot)].CapacityFloats, 20);
   EXPECT_EQ(Sp.Floats, 20);
 
   // toString carries the lifetime listing used when debugging plans.

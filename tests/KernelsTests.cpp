@@ -535,15 +535,17 @@ TEST(Degree, SumsToNnz) {
 }
 
 TEST(Degree, InvSqrtZeroesIsolatedNodes) {
+  const std::vector<float> Degrees = {0.0f, 4.0f};
   std::vector<float> Out(2);
-  kernels::invSqrtInto({0.0f, 4.0f}, Out);
+  kernels::invSqrtInto(Degrees, Out);
   EXPECT_FLOAT_EQ(Out[0], 0.0f); // isolated node: no normalization mass
   EXPECT_FLOAT_EQ(Out[1], 0.5f);
 }
 
 TEST(Degree, InvDegreeZeroesIsolatedNodes) {
+  const std::vector<float> Degrees = {0.0f, 4.0f};
   std::vector<float> Out(2);
-  kernels::invDegreeInto({0.0f, 4.0f}, Out);
+  kernels::invDegreeInto(Degrees, Out);
   EXPECT_FLOAT_EQ(Out[0], 0.0f);
   EXPECT_FLOAT_EQ(Out[1], 0.25f);
 }

@@ -384,6 +384,61 @@ TEST(VerifyBuffersTest, WrongPayloadSizeIsRejected) {
   EXPECT_TRUE(hasDiag(Diags, "floats, expected"));
 }
 
+// GAT's plan #0 in inference: theta (v3) is read until the SpMM at step 6,
+// and the edge arrays v8, v9 and v10 share slots like every other buffer.
+// A schedule putting the leaky ReLU's output v9 (defined at step 4) in
+// theta's slot, which holds 24 floats as v9 needs, passes the capacity
+// rule; the overlap rule rejects it, since the SpMM would read theta
+// overwritten by edge values.
+TEST(VerifyBuffersTest, InferenceEdgeArrayOverALiveBufferIsRejected) {
+  CompositionPlan Plan =
+      pruneCompositions(enumerateCompositions(makeModel(ModelKind::GAT).Root))
+          .front();
+  ASSERT_EQ(Plan.Steps[4].Op, StepOp::EdgeLeakyRelu);
+  ASSERT_EQ(Plan.Steps[4].Result, 9);
+  BufferPlan Buffers(Plan, tinyBinding(), /*Training=*/false);
+  DiagEngine Clean;
+  ASSERT_TRUE(verifyBufferPlan(Plan, tinyBinding(), Buffers, Clean))
+      << Clean.render();
+  std::vector<ValueBuffer> Vals = Buffers.values();
+  ASSERT_EQ(Vals[3].LastUse, 6);
+  ASSERT_EQ(Vals[9].DefStep, 4);
+  ASSERT_GE(Vals[9].Slot, 0);
+  ASSERT_NE(Vals[9].Slot, Vals[3].Slot);
+  Vals[9].Slot = Vals[3].Slot;
+  DiagEngine Diags;
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {},
+                                      Buffers.slots(), Diags));
+  EXPECT_TRUE(hasDiag(Diags, "overlapping lifetimes: v3 live through step 6, "
+                             "v9 defined at step 4"));
+  EXPECT_FALSE(hasDiag(Diags, "capacity"));
+}
+
+// The same plan: v7's slot holds the 8 floats of a node vector and no
+// later buffer grows it. The softmax's output v10 (24 edge values), placed
+// there once v7 is dead, overlaps nothing but overflows the slot.
+TEST(VerifyBuffersTest, EdgeArrayInAVectorSizedSlotIsRejected) {
+  CompositionPlan Plan =
+      pruneCompositions(enumerateCompositions(makeModel(ModelKind::GAT).Root))
+          .front();
+  BufferPlan Buffers(Plan, tinyBinding(), /*Training=*/false);
+  std::vector<ValueBuffer> Vals = Buffers.values();
+  const std::vector<ArenaSlot> &Slots = Buffers.slots();
+  ASSERT_EQ(Vals[7].LastUse, 3);
+  ASSERT_EQ(Vals[10].DefStep, 5);
+  ASSERT_EQ(Slots[static_cast<size_t>(Vals[7].Slot)].CapacityFloats, 8);
+  for (size_t V = 0; V < Vals.size(); ++V)
+    ASSERT_TRUE(V == 7 || Vals[V].Slot != Vals[7].Slot) << "v" << V;
+  Vals[10].Slot = Vals[7].Slot;
+  DiagEngine Diags;
+  EXPECT_FALSE(verifyBufferAssignment(Plan, tinyBinding(), false, Vals, {},
+                                      Slots, Diags));
+  EXPECT_TRUE(hasDiag(Diags, "v10: slot " + std::to_string(Vals[7].Slot) +
+                                 " capacity 8 floats is smaller than the "
+                                 "payload 24"));
+  EXPECT_FALSE(hasDiag(Diags, "overlapping lifetimes"));
+}
+
 // GAT's plan #0 in training: v8 (the edge logits) is last read forward by
 // the leaky ReLU at step 4, and again by its backward step at position
 // 2 * 8 - 4 = 12; the gradient of v9 (the leaky ReLU's output) is written
